@@ -37,13 +37,24 @@ type Cipher struct {
 // initial block counter (RFC 8439 uses counter 1 for AEAD payloads and 0
 // for plain keystream use; either is valid here).
 func New(key, nonce []byte, counter uint32) (*Cipher, error) {
+	c := new(Cipher)
+	if err := c.Reset(key, nonce, counter); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset rebinds c to a (key, nonce, counter) triple exactly as New would,
+// discarding any buffered keystream, so a per-worker Cipher can be reused
+// across messages without allocating.
+func (c *Cipher) Reset(key, nonce []byte, counter uint32) error {
 	if len(key) != KeySize {
-		return nil, fmt.Errorf("chacha20: key must be %d bytes, got %d", KeySize, len(key))
+		return fmt.Errorf("chacha20: key must be %d bytes, got %d", KeySize, len(key))
 	}
 	if len(nonce) != NonceSize {
-		return nil, fmt.Errorf("chacha20: nonce must be %d bytes, got %d", NonceSize, len(nonce))
+		return fmt.Errorf("chacha20: nonce must be %d bytes, got %d", NonceSize, len(nonce))
 	}
-	c := &Cipher{bufUsed: BlockSize}
+	c.bufUsed = BlockSize
 	copy(c.state[:4], sigma[:])
 	for i := 0; i < 8; i++ {
 		c.state[4+i] = binary.LittleEndian.Uint32(key[4*i:])
@@ -52,7 +63,7 @@ func New(key, nonce []byte, counter uint32) (*Cipher, error) {
 	for i := 0; i < 3; i++ {
 		c.state[13+i] = binary.LittleEndian.Uint32(nonce[4*i:])
 	}
-	return c, nil
+	return nil
 }
 
 // quarterRound is the ChaCha quarter round on four state words.

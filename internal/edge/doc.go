@@ -109,6 +109,19 @@
 //     an older server (ProtoAuto) detects the dead hello and redials on
 //     the gob path.
 //
+// Whatever the generation, Setup and Rekey end in the same two handlers,
+// and those are where a transciphering key is installed: the uploaded
+// key ciphertexts are validated against the session profile's context —
+// top level, one limb of N coefficients per level, every residue below
+// its prime; anything else is refused with serve.CodeBadRequest before a
+// lazy-reduction transform can see it, and a refused Rekey leaves the
+// live key and epoch untouched — and converted in place to the
+// evaluation form the keystream kernel reads
+// (transcipher.Cipher.InstallKey). The conversion costs 2·KeyLen
+// forward transforms per limb once per key generation instead of once
+// per block; serve.Session holds only the installed form, swapped
+// together with nonce and epoch under its lock.
+//
 // The hello pair doubles as a feature handshake: a client may carry a
 // flags byte in its hello payload requesting per-frame CRC32C trailers
 // (DialConfig.Checksum), which the ack confirms when the server opted in

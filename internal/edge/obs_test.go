@@ -152,7 +152,14 @@ func TestTraceSpanSum(t *testing.T) {
 			t.Fatalf("block %d: %v", b, err)
 		}
 	}
+	// A worker records its block's trace after the write span the trace
+	// contains, i.e. after the reply is on the wire: the last block's
+	// trace can trail its reply. Poll instead of racing the worker.
 	traces := srv.Tracer().Dump()
+	for deadline := time.Now().Add(2 * time.Second); len(traces) < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		traces = srv.Tracer().Dump()
+	}
 	if len(traces) != 3 {
 		t.Fatalf("got %d traces, want 3", len(traces))
 	}

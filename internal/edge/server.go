@@ -1337,8 +1337,15 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 	}
 	// Materialize the profile's runtime before registering, so the first
 	// compute never pays context construction on the hot path.
-	if _, err := s.runtime(profID); err != nil {
+	rt, err := s.runtime(profID)
+	if err != nil {
 		return &SetupReply{Code: serve.CodeInternal, Err: "profile runtime: " + err.Error()}
+	}
+	// Validate the uploaded key against the profile's context and convert
+	// it, in place, to the evaluation form every block will read; the
+	// session never sees another form.
+	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
+		return &SetupReply{Code: serve.CodeBadRequest, Err: "transciphering key: " + err.Error()}
 	}
 	sess := serve.NewSession(req.SessionID, profID, req.PK, req.RLK, req.EncKey, req.Nonce)
 	if len(req.ResumeAuth) > 0 {
@@ -1374,6 +1381,15 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 	}
 	if len(req.EncKey) != KeyLen || len(req.Nonce) == 0 {
 		return &RekeyReply{Code: serve.CodeBadRequest, Err: "incomplete rekey"}
+	}
+	rt, _, err := s.sessionRuntime(sess)
+	if err != nil {
+		return &RekeyReply{Code: serve.CodeInternal, Err: "profile runtime: " + err.Error()}
+	}
+	// Same install step as Setup: validated and converted before the swap,
+	// so key, nonce and epoch still change together under the session lock.
+	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
+		return &RekeyReply{Code: serve.CodeBadRequest, Err: "transciphering key: " + err.Error()}
 	}
 	epoch := sess.Rekey(req.EncKey, req.Nonce)
 	// The resume credential is derived from the QKD key material, so it

@@ -133,16 +133,24 @@ func TestFig5a(t *testing.T) {
 }
 
 func TestStage1MethodsOrdering(t *testing.T) {
-	comps, err := Stage1Methods(testConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 4 {
-		t.Fatalf("got %d methods", len(comps))
-	}
+	// Objectives are deterministic for a seed; runtimes are single
+	// wall-clock readings that a busy box (go test runs packages side by
+	// side) can stretch severalfold, so each method keeps the fastest of
+	// three runs — the reading least disturbed by whatever ran beside it.
 	byName := map[string]Stage1Comparison{}
-	for _, c := range comps {
-		byName[c.Method] = c
+	for run := 0; run < 3; run++ {
+		comps, err := Stage1Methods(testConfig(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(comps) != 4 {
+			t.Fatalf("got %d methods", len(comps))
+		}
+		for _, c := range comps {
+			if best, ok := byName[c.Method]; !ok || c.Runtime < best.Runtime {
+				byName[c.Method] = c
+			}
+		}
 	}
 	quhe, gd, rs := byName["QuHE"], byName["GD"], byName["RS"]
 	// Fig. 5(c): GD matches QuHE's value; RS is clearly worse.

@@ -51,6 +51,27 @@
 // arithmetic whose cost grows with the limb count L, the polynomial
 // degree λ = N, and log₂N.
 //
+// # Evaluation form
+//
+// A ciphertext that is only ever multiplied by public plaintexts — the
+// transciphering key a session holds for its whole epoch — need not be
+// transformed on every use. Context.EvalFormInto validates such a
+// ciphertext (level, limb count, degree, every residue below its prime:
+// it is the trust-boundary check for uploaded key ciphertexts) and moves
+// every limb of c0 and c1 into the NTT domain and Montgomery form, in
+// place or into a caller's buffer, tagging the result
+// (Ciphertext.IsEvalForm). Evaluator.LinearFormInto is the form's one
+// consumer: Σ_j pt_j·ct_j with each plaintext reduced and transformed
+// once per limb, folded in by Montgomery multiply-accumulates, and two
+// inverse transforms per limb at the end — bit-identical to the
+// MulPlainInto/AddInto chain at (k+2)/(5k) of its transforms. The owner
+// of the ciphertext converts, once (internal/transcipher.InstallKey for a
+// served key); nothing else may consume the result, because its limbs no
+// longer hold coefficients: every other evaluator operation returns
+// ErrEvalForm, and Decrypt, HoistInto and the wire codec — which have no
+// error to return — panic with it. The tag is unexported, so no decoder,
+// gob included, can forge it.
+//
 // # Performance conventions
 //
 // Key material lives per limb in the NTT domain and Montgomery form (see

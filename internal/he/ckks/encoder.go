@@ -93,18 +93,56 @@ func (e *Encoder) EncodeAtLevel(values []complex128, scale float64, level int) (
 		u[k] = z
 		u[n-1-k] = cmplx.Conj(z)
 	}
-	// c_k = Δ · ζ^{−k} · IDFT(u)_k (real by symmetry), rounded to integers
-	// once and spread across the level's limbs.
-	fft(u, e.wInv)
-	inv := 1 / float64(n)
 	coeffs := make([]int64, n)
-	for k := 0; k < n; k++ {
-		c := real(u[k]*e.zetaInv[k]) * inv * scale
-		coeffs[k] = int64(math.Round(c))
-	}
+	e.interpolate(u, scale, coeffs)
 	pt := &Plaintext{Value: e.ctx.Tower.NewPoly(level + 1), Scale: scale, Level: level}
 	e.ctx.Tower.FromInt64Into(coeffs, pt.Value)
 	return pt, nil
+}
+
+// interpolate turns the conjugate-symmetric slot layout u (overwritten)
+// into integer coefficients: c_k = Δ · ζ^{−k} · IDFT(u)_k (real by
+// symmetry), rounded once; callers reduce them into whichever limbs they
+// need.
+func (e *Encoder) interpolate(u []complex128, scale float64, coeffs []int64) {
+	fft(u, e.wInv)
+	inv := 1 / float64(len(u))
+	for k := range coeffs {
+		c := real(u[k]*e.zetaInv[k]) * inv * scale
+		coeffs[k] = int64(math.Round(c))
+	}
+}
+
+// EncodeRealCoeffs is the allocation-free core of EncodeRealAtLevel for
+// callers that reduce the coefficients limb by limb themselves
+// (Evaluator.LinearFormInto, Evaluator.TrivialSubInto): it writes the N
+// rounded integer coefficients of the encoding of values at the given
+// scale (≤ 0 selects the default Δ) into coeffs, using work as FFT
+// space. Both buffers must hold N entries and belong to the caller — the
+// encoder itself stays immutable. The coefficients are level-independent:
+// reducing them into limbs 0..ℓ gives exactly EncodeRealAtLevel's
+// plaintext at level ℓ.
+func (e *Encoder) EncodeRealCoeffs(values []float64, scale float64, work []complex128, coeffs []int64) error {
+	n := e.ctx.Params.N()
+	if len(values) > n/2 {
+		return fmt.Errorf("ckks: %d values exceed %d slots", len(values), n/2)
+	}
+	if len(work) != n || len(coeffs) != n {
+		return fmt.Errorf("ckks: encode buffers hold %d and %d entries, want %d", len(work), len(coeffs), n)
+	}
+	if scale <= 0 {
+		scale = e.ctx.Params.Scale()
+	}
+	for k := range work {
+		work[k] = 0
+	}
+	for j, v := range values {
+		k, z := e.pos[j], complex(v, 0)
+		work[k] = z
+		work[n-1-k] = cmplx.Conj(z)
+	}
+	e.interpolate(work, scale, coeffs)
+	return nil
 }
 
 // Decode recovers the slot vector from a plaintext, dividing by its scale.

@@ -130,7 +130,11 @@ func (ev *Evaluator) Trivial(pt *Plaintext) *Ciphertext {
 }
 
 // Decrypt recovers the plaintext m = c0 + c1·s at the ciphertext's level.
+// It panics with ErrEvalForm on an evaluation-form ciphertext.
 func (ev *Evaluator) Decrypt(sk *SecretKey, ct *Ciphertext) *Plaintext {
+	if ct.evalForm {
+		panic(ErrEvalForm) // no error return; reaching here is a caller bug
+	}
 	m := ev.ctx.Tower.NewPoly(ct.Level + 1)
 	ev.ctx.Tower.ForEachLimb(ct.Level+1, func(i int) {
 		mod := ev.ctx.Tower.Qi[i]
@@ -148,6 +152,9 @@ func (ev *Evaluator) Decrypt(sk *SecretKey, ct *Ciphertext) *Plaintext {
 // match; out may alias a or b.
 func (ev *Evaluator) AddInto(a, b, out *Ciphertext) error {
 	if err := ev.matchLevels(a, b); err != nil {
+		return err
+	}
+	if err := coeffForm(out); err != nil {
 		return err
 	}
 	ev.ctx.Tower.ForEachLimb(a.Level+1, func(i int) {
@@ -177,6 +184,9 @@ func (ev *Evaluator) SubInto(a, b, out *Ciphertext) error {
 	if err := ev.matchLevels(a, b); err != nil {
 		return err
 	}
+	if err := coeffForm(out); err != nil {
+		return err
+	}
 	ev.ctx.Tower.ForEachLimb(a.Level+1, func(i int) {
 		mod := ev.ctx.Tower.Qi[i]
 		mod.Sub(a.C0[i], b.C0[i], out.C0[i])
@@ -200,6 +210,9 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 
 // AddPlain returns ct + pt. Levels and scales must match.
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	if err := coeffForm(ct); err != nil {
+		return nil, err
+	}
 	if ct.Level != pt.Level {
 		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
 	}
@@ -215,6 +228,9 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 
 // SubPlain returns ct − pt. Levels and scales must match.
 func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	if err := coeffForm(ct); err != nil {
+		return nil, err
+	}
 	if ct.Level != pt.Level {
 		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
 	}
@@ -232,6 +248,9 @@ func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 // the product of scales (rescale afterwards to come back down). Levels must
 // match; out may alias ct.
 func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext) error {
+	if err := coeffForm(ct, out); err != nil {
+		return err
+	}
 	if ct.Level != pt.Level {
 		return fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
 	}
@@ -277,6 +296,9 @@ func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Cipherte
 	}
 	if a.Level != b.Level {
 		return fmt.Errorf("ckks: level mismatch %d vs %d", a.Level, b.Level)
+	}
+	if err := coeffForm(a, b, out); err != nil {
+		return err
 	}
 	tower := ev.ctx.Tower
 	limbs := a.Level + 1
@@ -404,6 +426,9 @@ func (ev *Evaluator) keySwitchDown(level int) {
 // down one level — the exact RNS rescale dropping the top limb — writing
 // into out without allocating (out may alias ct).
 func (ev *Evaluator) RescaleInto(ct, out *Ciphertext) error {
+	if err := coeffForm(ct, out); err != nil {
+		return err
+	}
 	if ct.Level == 0 {
 		return errors.New("ckks: cannot rescale below level 0")
 	}
@@ -433,6 +458,9 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 // reduction mod a divisor of the modulus is just dropping limbs. The scale
 // is unchanged.
 func (ev *Evaluator) DropLevelInto(ct *Ciphertext, level int, out *Ciphertext) error {
+	if err := coeffForm(ct, out); err != nil {
+		return err
+	}
 	if level < 0 || level > ct.Level {
 		return fmt.Errorf("ckks: cannot drop from level %d to %d", ct.Level, level)
 	}
@@ -447,6 +475,9 @@ func (ev *Evaluator) DropLevelInto(ct *Ciphertext, level int, out *Ciphertext) e
 // DropLevel reduces the ciphertext to a lower level without dividing
 // (aligning operands that took different paths). The scale is unchanged.
 func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
+	if err := coeffForm(ct); err != nil {
+		return nil, err
+	}
 	if level < 0 || level > ct.Level {
 		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d", ct.Level, level)
 	}
@@ -461,6 +492,9 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 }
 
 func (ev *Evaluator) matchLevels(a, b *Ciphertext) error {
+	if err := coeffForm(a, b); err != nil {
+		return err
+	}
 	if a.Level != b.Level {
 		return fmt.Errorf("ckks: level mismatch %d vs %d", a.Level, b.Level)
 	}

@@ -187,6 +187,9 @@ func (ev *Evaluator) reduceRot(rot int) int {
 // σ(c1) — the O(L²) decompose/ModUp path. For many rotations of the same
 // ciphertext, hoist instead (HoistInto + RotateHoistedInto).
 func (ev *Evaluator) RotateInto(ct *Ciphertext, rot int, gks *GaloisKeySet, out *Ciphertext) error {
+	if err := coeffForm(ct, out); err != nil {
+		return err
+	}
 	if ev.reduceRot(rot) == 0 {
 		if out != ct {
 			return ev.DropLevelInto(ct, ct.Level, out)
@@ -268,8 +271,12 @@ func (ev *Evaluator) NewHoisted() *Hoisted {
 // reduced into every extended-basis limb and transformed — O(L²) NTTs,
 // fanned out over the worker pool — so each subsequent RotateHoistedInto
 // costs only gather-MACs, the inverse transforms and one ModDown. k
-// rotations cost ~1 decompose instead of k.
+// rotations cost ~1 decompose instead of k. It panics with ErrEvalForm on
+// an evaluation-form ciphertext.
 func (ev *Evaluator) HoistInto(h *Hoisted, ct *Ciphertext) {
+	if ct.evalForm {
+		panic(ErrEvalForm) // no error return; reaching here is a caller bug
+	}
 	tower := ev.ctx.Tower
 	limbs := ct.Level + 1
 	n := ev.ctx.Params.N()
@@ -307,6 +314,9 @@ func (ev *Evaluator) HoistInto(h *Hoisted, ct *Ciphertext) {
 // valid signed-representative decomposition of σ(c1)), so no per-rotation
 // ModUp is needed.
 func (ev *Evaluator) RotateHoistedInto(h *Hoisted, rot int, gks *GaloisKeySet, out *Ciphertext) error {
+	if err := coeffForm(out); err != nil {
+		return err
+	}
 	tower := ev.ctx.Tower
 	limbs := h.level + 1
 	if ev.reduceRot(rot) == 0 {

@@ -266,7 +266,10 @@ func (ev *Evaluator) ensureMatVec(n1 int) *matvecScratch {
 	return ev.mv
 }
 
-func (p *MatVecPlan) checkInput(ct *Ciphertext) error {
+func (p *MatVecPlan) checkInput(ct, out *Ciphertext) error {
+	if err := coeffForm(ct, out); err != nil {
+		return err
+	}
 	if ct.Level != p.level {
 		return fmt.Errorf("ckks: matvec input at level %d, plan wants %d", ct.Level, p.level)
 	}
@@ -298,7 +301,7 @@ func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKey
 	if plan.diags == nil {
 		return fmt.Errorf("ckks: plan built for naive evaluation")
 	}
-	if err := plan.checkInput(ct); err != nil {
+	if err := plan.checkInput(ct, out); err != nil {
 		return err
 	}
 	mv := ev.ensureMatVec(plan.n1)
@@ -405,7 +408,7 @@ func (ev *Evaluator) MatVecNaiveInto(plan *MatVecPlan, ct *Ciphertext, gks *Galo
 	if plan.naive == nil {
 		return fmt.Errorf("ckks: plan built for BSGS evaluation")
 	}
-	if err := plan.checkInput(ct); err != nil {
+	if err := plan.checkInput(ct, out); err != nil {
 		return err
 	}
 	mv := ev.ensureMatVec(1)

@@ -147,9 +147,19 @@ type Ciphertext struct {
 	C0, C1 ring.RNSPoly
 	Scale  float64
 	Level  int
+	// evalForm marks a ciphertext whose limbs Context.EvalFormInto moved
+	// to the NTT domain in Montgomery form (see evalform.go). Unexported so
+	// no codec — gob included — can carry or set it: only a validated
+	// in-process conversion produces an evaluation-form ciphertext.
+	evalForm bool
 }
 
-// Copy returns an independent copy.
+// IsEvalForm reports whether ct is in evaluation form — the resident
+// representation of a multiplicand consumed only by
+// Evaluator.LinearFormInto. Every other operation rejects it.
+func (ct *Ciphertext) IsEvalForm() bool { return ct.evalForm }
+
+// Copy returns an independent copy (in the same form).
 func (ct *Ciphertext) Copy() *Ciphertext {
-	return &Ciphertext{C0: ct.C0.Copy(), C1: ct.C1.Copy(), Scale: ct.Scale, Level: ct.Level}
+	return &Ciphertext{C0: ct.C0.Copy(), C1: ct.C1.Copy(), Scale: ct.Scale, Level: ct.Level, evalForm: ct.evalForm}
 }

@@ -135,7 +135,12 @@ func decodeLimbs(b []byte, p ring.RNSPoly) (int, error) {
 
 // AppendBinary appends ct's wire encoding to b: the poly header followed
 // by the raw limb runs of c0 then c1 (16·N·(level+1) bytes of payload).
+// The layout describes coefficient-form limbs only, so an evaluation-form
+// ciphertext panics with ErrEvalForm rather than travel mislabelled.
 func (ct *Ciphertext) AppendBinary(b []byte) []byte {
+	if ct.evalForm {
+		panic(ErrEvalForm) // no error return; reaching here is a caller bug
+	}
 	n := 0
 	if len(ct.C0) > 0 {
 		n = len(ct.C0[0])
@@ -169,7 +174,7 @@ func (ct *Ciphertext) DecodeFrom(b []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ct.Level, ct.Scale = level, scale
+	ct.Level, ct.Scale, ct.evalForm = level, scale, false
 	return off + k, nil
 }
 

@@ -45,6 +45,11 @@ func (p *Profile) Calibrate(keyLen, rounds int) (time.Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("profile: calibrate %s: %w", p.ID, err)
 	}
+	// A served block reads the key a session holds: installed once at
+	// Setup/Rekey, outside the per-block cost being measured.
+	if err := cipher.InstallKey(encKey); err != nil {
+		return 0, fmt.Errorf("profile: calibrate %s: %w", p.ID, err)
+	}
 	nonce := []byte("profile-cal-")
 	data := make([]float64, cipher.Slots())
 	for i := range data {

@@ -22,11 +22,11 @@
 // NTT-bound, L the limb count), with the constant fitted to the
 // repository's own evaluator; Calibrate replaces it with a measured value
 // by running the real transcipher-and-infer operation on the profile's
-// parameters. The controller's per-route λ choice consumes CyclesPerBlock
-// — measured when calibrated, modeled otherwise — and
-// experiments.ProfileMix verifies the coefficients against live per-op
-// latency. Servers can opt into startup calibration with
-// edge.ServerConfig.CalibrateProfiles.
+// parameters, over a key installed the way a session holds it. The
+// controller's per-route λ choice consumes CyclesPerBlock — measured when
+// calibrated, modeled otherwise — and experiments.ProfileMix verifies the
+// coefficients against live per-op latency. Servers can opt into startup
+// calibration with edge.ServerConfig.CalibrateProfiles.
 package profile
 
 import (
@@ -57,11 +57,14 @@ const (
 // the paper's cost model. L = Depth+1 is the residue-tower limb count:
 // every hot operation (NTT, coefficient-wise product, rescale) applies
 // once per limb, so per-block cost is linear in the chain length at fixed
-// N. Fitted against this repository's transcipher-and-infer operation
-// (8 plaintext muls, one ciphertext mul-relin, one rescale) on the
-// depth-4 built-in chains at LogN 10–12; Calibrate supersedes it with a
-// live measurement.
-const modeledCyclesPerLimbNLogN = 910.0
+// N. Fitted against this repository's transcipher-and-infer operation as
+// a session serves it — 24 plaintext products folded into three fused
+// NTT-domain linear forms over an installed (evaluation-form) key, one
+// ciphertext mul-relin, four rescales, 25 encodes — on the depth-4
+// built-in chains at LogN 10–12 (measured 440, 407, 363 on the 2-core
+// reference box, the last with limb fan-out); Calibrate supersedes it
+// with a live measurement.
+const modeledCyclesPerLimbNLogN = 410.0
 
 // RefHz is the reference server clock the cost coefficients are expressed
 // against (the paper's 3.3 GHz, matching costmodel and the edge server

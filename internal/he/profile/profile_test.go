@@ -146,6 +146,6 @@ func TestCalibrateInstallsCoefficient(t *testing.T) {
 	// measurement — it is what uncalibrated controllers plan with.
 	modeled := p.ModeledCyclesPerBlock()
 	if ratio := modeled / got; ratio < 0.1 || ratio > 10 {
-		t.Logf("modeled/measured coefficient ratio %.2f drifting; consider refitting modeledCyclesPerNLogN", ratio)
+		t.Logf("modeled/measured coefficient ratio %.2f drifting; consider refitting modeledCyclesPerLimbNLogN", ratio)
 	}
 }

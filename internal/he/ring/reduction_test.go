@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -136,6 +137,36 @@ func TestMFormRoundTrip(t *testing.T) {
 		}
 		for trial := 0; trial < 2000; trial++ {
 			check(rng.Uint64())
+		}
+	}
+}
+
+// TestFromInt64MatchesSignedRemainder pins the division-free FromInt64 to
+// the signed-remainder form it replaced, on the branch boundaries and on
+// random values both inside and far outside (−q, q).
+func TestFromInt64MatchesSignedRemainder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, q := range testPrimes(t) {
+		m := &Modulus{Q: q}
+		sq := int64(q)
+		check := func(v int64) {
+			want := v % sq
+			if want < 0 {
+				want += sq
+			}
+			if got := m.FromInt64(v); got != uint64(want) {
+				t.Fatalf("FromInt64(%d) mod %d = %d, want %d", v, q, got, want)
+			}
+		}
+		for _, v := range []int64{
+			0, 1, -1, sq - 1, -(sq - 1), sq, -sq, sq + 1, -(sq + 1), 2 * sq, -2 * sq,
+			math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+		} {
+			check(v)
+		}
+		for trial := 0; trial < 2000; trial++ {
+			check(int64(rng.Uint64()))         // any width, either sign
+			check(rng.Int63n(2*sq-1) - sq + 1) // inside (−q, q): the fast path
 		}
 	}
 }

@@ -429,11 +429,22 @@ func (m *Modulus) CenteredInt64(v uint64) int64 {
 	return int64(v)
 }
 
-// FromInt64 reduces a signed value into [0, q).
+// FromInt64 reduces a signed value into [0, q). Encoded plaintext
+// coefficients, sampled errors and ternary secrets all satisfy |v| < q,
+// which needs no division; anything wider falls back to the signed
+// remainder.
 func (m *Modulus) FromInt64(v int64) uint64 {
-	r := v % int64(m.Q)
+	q := int64(m.Q) // q < 2⁶², so ±q and v+q fit
+	if v >= 0 {
+		if v < q {
+			return uint64(v)
+		}
+	} else if v > -q {
+		return uint64(v + q)
+	}
+	r := v % q
 	if r < 0 {
-		r += int64(m.Q)
+		r += q
 	}
 	return uint64(r)
 }

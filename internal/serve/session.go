@@ -26,7 +26,11 @@ type Session struct {
 	PK  *ckks.PublicKey
 	RLK *ckks.RelinKey
 
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// encKey is held in exactly the form the registrar handed over and is
+	// never converted here: the edge server installs the evaluation form
+	// (transcipher.Cipher.InstallKey) before NewSession/Rekey, so key,
+	// nonce and epoch still swap together under mu.
 	encKey []*ckks.Ciphertext
 	nonce  []byte
 	epoch  uint64

@@ -22,6 +22,22 @@
 // behaviour the paper's cost hook f_eval(λ) (Eq. 29) models: the server
 // pays HE work per transciphered block, the client pays symmetric work.
 //
+// # Evaluation form
+//
+// The server's work per block is three linear forms Σ_j pt_j·Enc(k_j)
+// over the same keyLen key ciphertexts, which change only at Setup and
+// Rekey. InstallKey therefore converts an uploaded key once, in place, to
+// ckks evaluation form (NTT domain, Montgomery form — see package ckks),
+// validating it on the way in, and each linear form runs as one fused
+// NTT-domain kernel (ckks.Evaluator.LinearFormInto) that transforms only
+// the plaintexts. The server's Setup/Rekey handlers are the converter —
+// a session holds exactly one form of its key, the installed one — and
+// evalKeystream is the only reader: an installed key is useless to every
+// other ckks operation, which refuse it typed. Callers that hold a key
+// still in coefficient form (one-shot use, benchmarks replaying a block)
+// pass it as is; it is converted into the Scratch for that call, at
+// 2·keyLen extra transforms per limb, and the result is bit-identical.
+//
 // The toy cipher's concrete security is NOT argued here; it is a
 // structural stand-in (see DESIGN.md §3).
 package transcipher
@@ -97,22 +113,43 @@ func (c *Cipher) DeriveKey(qkdKey []byte) ([]float64, error) {
 	return key, nil
 }
 
-// Scratch holds the buffers one transciphering evaluation fills per
-// block: the raw ChaCha20 expansion, the three coefficient matrices and
-// the plaintext staging vector. A serving worker reuses one Scratch
-// across every block it processes instead of allocating ~3·keyLen·slots
-// floats per request. Not safe for concurrent use — pair one Scratch with
-// one evaluator (see serve.Worker).
+// publicExpandKey keys the ChaCha20 expansion of the public per-block
+// coefficients: a public constant, 32 bytes.
+var publicExpandKey = []byte("quhe-transcipher-public-expand-1")
+
+// Scratch holds everything one transciphering evaluation needs per block
+// except the ciphertext it returns: the ChaCha20 state and raw expansion,
+// the three coefficient matrices, the plaintext staging vector, the
+// encoder's FFT space and integer coefficients, and the accumulators of
+// the homomorphic evaluation. A serving worker reuses one Scratch across
+// every block it processes, so a block's steady-state allocations are its
+// result and the limb fan-outs' closures. Not safe for concurrent use —
+// pair one Scratch with one evaluator (see serve.Worker).
 type Scratch struct {
+	stream    chacha20.Cipher
+	nonce     [chacha20.NonceSize]byte
 	raw       []byte
 	a, b, cc  [][]float64
 	plain     []float64
 	keyLen    int
 	slotCount int
+
+	// Homomorphic working set; nil in the coefficient-only scratch the
+	// symmetric side (Keystream, Mask) builds. ctx pins the context the
+	// buffers were sized for.
+	ctx    *ckks.Context
+	work   []complex128
+	coeffs [][]int64        // one row per key coordinate; row 0 doubles for the masked block
+	u, v   *ckks.Ciphertext // top-level accumulators of the two quadratic factors
+	// conv receives the evaluation form of a key that arrives in
+	// coefficient form; allocated on first such key, never for a server
+	// whose sessions hold installed keys.
+	conv []*ckks.Ciphertext
 }
 
-// NewScratch allocates per-worker transciphering buffers for this cipher.
-func (c *Cipher) NewScratch() *Scratch {
+// coeffScratch allocates the buffers the public coefficient expansion
+// fills — all the symmetric side needs.
+func (c *Cipher) coeffScratch() *Scratch {
 	slots := c.Slots()
 	alloc := func() [][]float64 {
 		m := make([][]float64, c.keyLen)
@@ -132,6 +169,20 @@ func (c *Cipher) NewScratch() *Scratch {
 	}
 }
 
+// NewScratch allocates per-worker transciphering buffers for this cipher.
+func (c *Cipher) NewScratch() *Scratch {
+	sc := c.coeffScratch()
+	n, top := c.ctx.Params.N(), c.ctx.MaxLevel()
+	sc.ctx = c.ctx
+	sc.work = make([]complex128, n)
+	sc.coeffs = make([][]int64, c.keyLen)
+	for j := range sc.coeffs {
+		sc.coeffs[j] = make([]int64, n)
+	}
+	sc.u, sc.v = c.ctx.NewCiphertext(top), c.ctx.NewCiphertext(top)
+	return sc
+}
+
 // coeffBlockInto expands the public per-block coefficient vectors A, B, C
 // (each keyLen × slots) from ChaCha20 keyed by the public nonce into the
 // scratch buffers. Both ends compute it identically.
@@ -140,16 +191,13 @@ func (c *Cipher) coeffBlockInto(nonce []byte, block uint32, sc *Scratch) error {
 		return fmt.Errorf("transcipher: scratch sized %d×%d, cipher needs %d×%d",
 			sc.keyLen, sc.slotCount, c.keyLen, c.Slots())
 	}
-	pub := make([]byte, chacha20.KeySize)
-	copy(pub, "quhe-transcipher-public-expand-1") // public constant, 32 bytes
-	nn := make([]byte, chacha20.NonceSize)
-	copy(nn, nonce)
-	stream, err := chacha20.New(pub, nn, block*3)
-	if err != nil {
+	sc.nonce = [chacha20.NonceSize]byte{}
+	copy(sc.nonce[:], nonce) // truncate/zero-pad to 12 bytes
+	if err := sc.stream.Reset(publicExpandKey, sc.nonce[:], block*3); err != nil {
 		return err
 	}
 	slots := c.Slots()
-	stream.Keystream(sc.raw)
+	sc.stream.Keystream(sc.raw)
 	// Entries are normalized by keyLen so |A·k|, |B·k|, |C·k| ≤ 1: the
 	// homomorphic evaluation then stays well inside the modulus headroom.
 	norm := 32768 * float64(c.keyLen)
@@ -168,10 +216,10 @@ func (c *Cipher) coeffBlockInto(nonce []byte, block uint32, sc *Scratch) error {
 	return nil
 }
 
-// coeffBlock is the allocating form of coeffBlockInto for one-shot
-// callers (client-side masking, tests).
+// coeffBlock is the allocating form of coeffBlockInto for the symmetric
+// side (client-side masking, the test oracle).
 func (c *Cipher) coeffBlock(nonce []byte, block uint32) (a, b, cc [][]float64, err error) {
-	sc := c.NewScratch()
+	sc := c.coeffScratch()
 	if err := c.coeffBlockInto(nonce, block, sc); err != nil {
 		return nil, nil, nil, err
 	}
@@ -255,100 +303,136 @@ func (c *Cipher) EncryptKey(ev *ckks.Evaluator, pk *ckks.PublicKey, key []float6
 	return out, nil
 }
 
-// HomomorphicKeystream evaluates the keystream block on the encrypted key:
-// the server-side core of transciphering. The result sits at level 0.
-func (c *Cipher) HomomorphicKeystream(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32) (*ckks.Ciphertext, error) {
+// InstallKey prepares an uploaded key for serving: every ciphertext is
+// validated against the cipher's context (top level, one limb of N
+// coefficients per level, residues below their primes — the lazy-reduction
+// kernels assume all of it) and converted, in place, to the evaluation
+// form the keystream kernel reads. A server calls it once per Setup and
+// Rekey, before the key reaches a session; from then on every block
+// skips the conversion. The error wraps ckks.ErrMalformed when the
+// material does not fit; a failed install may leave some ciphertexts
+// converted, so the caller drops the whole key.
+func (c *Cipher) InstallKey(encKey []*ckks.Ciphertext) error {
+	if len(encKey) != c.keyLen {
+		return fmt.Errorf("%w: %d key ciphertexts, want %d", ckks.ErrMalformed, len(encKey), c.keyLen)
+	}
+	for j, ct := range encKey {
+		if err := c.evalFormInto(ct, ct); err != nil {
+			return fmt.Errorf("transcipher: key coordinate %d: %w", j, err)
+		}
+	}
+	return nil
+}
+
+// evalFormInto converts one key ciphertext, insisting on the level
+// EncryptKey produces.
+func (c *Cipher) evalFormInto(ct, out *ckks.Ciphertext) error {
+	if ct != nil && ct.Level != c.ctx.MaxLevel() {
+		return fmt.Errorf("%w: key ciphertext at level %d, want %d", ckks.ErrMalformed, ct.Level, c.ctx.MaxLevel())
+	}
+	return c.ctx.EvalFormInto(ct, out)
+}
+
+// evalKeys returns the key in evaluation form: encKey itself when it was
+// installed (InstallKey), otherwise a conversion into the scratch's own
+// buffers that leaves the caller's ciphertexts untouched — the one-shot
+// and replay path, which pays 2·keyLen extra transforms per limb per call.
+func (c *Cipher) evalKeys(sc *Scratch, encKey []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
 	if len(encKey) != c.keyLen {
 		return nil, fmt.Errorf("transcipher: %d key ciphertexts, want %d", len(encKey), c.keyLen)
 	}
-	a, b, cc, err := c.coeffBlock(nonce, block)
+	installed := true
+	for _, ct := range encKey {
+		installed = installed && ct != nil && ct.IsEvalForm()
+	}
+	if installed {
+		return encKey, nil
+	}
+	if sc.conv == nil {
+		sc.conv = make([]*ckks.Ciphertext, c.keyLen)
+		for j := range sc.conv {
+			sc.conv[j] = c.ctx.NewCiphertext(c.ctx.MaxLevel())
+		}
+	}
+	for j, ct := range encKey {
+		if err := c.evalFormInto(ct, sc.conv[j]); err != nil {
+			return nil, fmt.Errorf("transcipher: key coordinate %d: %w", j, err)
+		}
+	}
+	return sc.conv, nil
+}
+
+// HomomorphicKeystream evaluates the keystream block on the encrypted key:
+// the server-side core of transciphering. The result sits at level top−2.
+func (c *Cipher) HomomorphicKeystream(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32) (*ckks.Ciphertext, error) {
+	sc := c.NewScratch()
+	if err := c.coeffBlockInto(nonce, block, sc); err != nil {
+		return nil, err
+	}
+	return c.evalKeystream(sc, ev, rlk, encKey)
+}
+
+// evalKeystream evaluates A·k + (B·k)⊙(C·k) homomorphically for the public
+// coefficient matrices in sc.a, sc.b, sc.cc, returning a freshly
+// allocated ciphertext at level top−2 and scale Δ²/p; everything else
+// lives in the scratch.
+func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	if sc.ctx != c.ctx {
+		return nil, errors.New("transcipher: scratch was not built by NewScratch for this context")
+	}
+	keys, err := c.evalKeys(sc, encKey)
 	if err != nil {
 		return nil, err
 	}
-	return c.evalKeystream(ev, rlk, encKey, a, b, cc)
-}
-
-// evalKeystream evaluates A·k + (B·k)⊙(C·k) homomorphically for arbitrary
-// public coefficient matrices.
-func (c *Cipher) evalKeystream(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, a, b, cc [][]float64) (*ckks.Ciphertext, error) {
 	top := c.ctx.MaxLevel()
 
-	// linearForm computes Rescale(Σ_j coeff_j ⊙ encKey_j) at level `at`,
-	// reusing one accumulator, one term and one level-drop ciphertext
-	// across the whole sum instead of allocating per coordinate.
-	linearForm := func(coeff [][]float64, at int) (*ckks.Ciphertext, error) {
-		acc := c.ctx.NewCiphertext(at)
-		term := c.ctx.NewCiphertext(at)
-		dropped := c.ctx.NewCiphertext(at)
-		for j := 0; j < c.keyLen; j++ {
-			pt, err := c.encoder.EncodeRealAtLevel(coeff[j], c.scale(), at)
-			if err != nil {
-				return nil, err
-			}
-			ctj := encKey[j]
-			if ctj.Level != at {
-				if err := ev.DropLevelInto(ctj, at, dropped); err != nil {
-					return nil, err
-				}
-				ctj = dropped
-			}
-			if j == 0 {
-				if err := ev.MulPlainInto(ctj, pt, acc); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if err := ev.MulPlainInto(ctj, pt, term); err != nil {
-				return nil, err
-			}
-			if err := ev.AddInto(acc, term, acc); err != nil {
-				return nil, err
+	// linearForm computes Rescale(Σ_j coeff_j ⊙ key_j) at level `at` into
+	// acc: keyLen encodes into the scratch's integer rows, then one fused
+	// NTT-domain kernel over the resident key.
+	linearForm := func(coeff [][]float64, at int, acc *ckks.Ciphertext) error {
+		for j := range coeff {
+			if err := c.encoder.EncodeRealCoeffs(coeff[j], c.scale(), sc.work, sc.coeffs[j]); err != nil {
+				return err
 			}
 		}
-		if err := ev.RescaleInto(acc, acc); err != nil {
-			return nil, err
+		if err := ev.LinearFormInto(keys, sc.coeffs, c.scale(), at, acc); err != nil {
+			return err
 		}
-		return acc, nil
+		return ev.RescaleInto(acc, acc)
 	}
 
 	// Quadratic part: (B·k)⊙(C·k) at level top−1, one MulRelin, rescale.
-	u, err := linearForm(b, top)
-	if err != nil {
+	if err := linearForm(sc.b, top, sc.u); err != nil {
 		return nil, err
 	}
-	v, err := linearForm(cc, top)
-	if err != nil {
+	if err := linearForm(sc.cc, top, sc.v); err != nil {
 		return nil, err
 	}
-	quad, err := ev.MulRelin(u, v, rlk)
-	if err != nil {
+	quad := sc.u
+	if err := ev.MulRelinInto(sc.u, sc.v, rlk, quad); err != nil {
 		return nil, err
 	}
-	if quad, err = ev.Rescale(quad); err != nil {
+	if err := ev.RescaleInto(quad, quad); err != nil {
 		return nil, err
 	}
-	// Linear part evaluated one level down so both paths end at level
-	// top−2 with identical scale Δ²/p (Δ equals the top prime).
-	lin, err := linearForm(a, top-1)
-	if err != nil {
+	// Linear part evaluated one level down — on the key's first `top`
+	// limbs — so both paths end at level top−2 with identical scale Δ²/p
+	// (Δ equals the top prime). The product has consumed v, which takes it.
+	lin := sc.v
+	if err := linearForm(sc.a, top-1, lin); err != nil {
 		return nil, err
 	}
-	return ev.Add(lin, quad)
+	ks := c.ctx.NewCiphertext(top - 2)
+	if err := ev.AddInto(lin, quad, ks); err != nil {
+		return nil, err
+	}
+	return ks, nil
 }
 
 // Transcipher converts a masked (symmetrically encrypted) block into a
 // CKKS ciphertext of the underlying data: Enc(m) = Trivial(masked) − Enc(ks).
 func (c *Cipher) Transcipher(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32, masked []float64) (*ckks.Ciphertext, error) {
-	ks, err := c.HomomorphicKeystream(ev, rlk, encKey, nonce, block)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := c.encoder.EncodeRealAtLevel(masked, ks.Scale, ks.Level)
-	if err != nil {
-		return nil, err
-	}
-	trivial := ev.Trivial(pt)
-	return ev.Sub(trivial, ks)
+	return c.TranscipherAffineWith(nil, ev, rlk, encKey, nonce, block, masked, nil, nil)
 }
 
 // TranscipherAffine fuses a slot-wise affine model into transciphering,
@@ -367,7 +451,12 @@ func (c *Cipher) TranscipherAffine(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKe
 // TranscipherAffineWith is TranscipherAffine with caller-provided scratch
 // buffers — the serving hot path, where each pool worker reuses one
 // Scratch across every block it processes. A nil scratch allocates a
-// fresh one (equivalent to TranscipherAffine).
+// fresh one (equivalent to TranscipherAffine). encKey may be an installed
+// key (InstallKey; what a session holds) or still in coefficient form, in
+// which case it is converted into the scratch for this call and left
+// untouched; the result is bit-identical either way. Weights and bias
+// shorter than the block leave the remaining slots at w = 1, bias = 0, so
+// nil weights and bias give the plain Transcipher.
 func (c *Cipher) TranscipherAffineWith(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32, masked, weights, bias []float64) (*ckks.Ciphertext, error) {
 	slots := c.Slots()
 	if len(masked) > slots || len(weights) > slots || len(bias) > slots {
@@ -387,13 +476,12 @@ func (c *Cipher) TranscipherAffineWith(sc *Scratch, ev *ckks.Evaluator, rlk *ckk
 	}
 	// Fold w into the linear layer and one factor of the quadratic.
 	for j := 0; j < c.keyLen; j++ {
-		for s := 0; s < slots; s++ {
-			w := wAt(s)
+		for s, w := range weights {
 			sc.a[j][s] *= w
 			sc.b[j][s] *= w
 		}
 	}
-	ks, err := c.evalKeystream(ev, rlk, encKey, sc.a, sc.b, sc.cc)
+	ks, err := c.evalKeystream(sc, ev, rlk, encKey)
 	if err != nil {
 		return nil, err
 	}
@@ -409,9 +497,11 @@ func (c *Cipher) TranscipherAffineWith(sc *Scratch, ev *ckks.Evaluator, rlk *ckk
 		}
 		sc.plain[s] = v
 	}
-	pt, err := c.encoder.EncodeRealAtLevel(sc.plain, ks.Scale, ks.Level)
-	if err != nil {
+	if err := c.encoder.EncodeRealCoeffs(sc.plain, ks.Scale, sc.work, sc.coeffs[0]); err != nil {
 		return nil, err
 	}
-	return ev.Sub(ev.Trivial(pt), ks)
+	if err := ev.TrivialSubInto(sc.coeffs[0], ks.Scale, ks, ks); err != nil {
+		return nil, err
+	}
+	return ks, nil
 }
