@@ -6,11 +6,8 @@
 package quhe_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -435,224 +432,6 @@ func BenchmarkServeWorkerSweep(b *testing.B) {
 		}
 		if err := os.WriteFile("BENCH_serve.json", append(blob, '\n'), 0o644); err != nil {
 			fmt.Printf("serve-sweep: write: %v\n", err)
-		}
-	})
-}
-
-// --- Wire codec: gob vs protocol v3 (internal/edge, internal/he) ------------
-
-type wireE2EReport struct {
-	Blocks          int     `json:"blocks"`
-	GobBlocksPerSec float64 `json:"gob_blocks_per_sec"`
-	V3BlocksPerSec  float64 `json:"v3_blocks_per_sec"`
-	V3OverGob       float64 `json:"v3_over_gob"`
-}
-
-type wireCodecReport struct {
-	GOMAXPROCS       int           `json:"gomaxprocs"`
-	NumCPU           int           `json:"numcpu"`
-	Multicore        bool          `json:"multicore"`
-	CiphertextBytes  int           `json:"ciphertext_bytes"`
-	GobEncodeNs      float64       `json:"gob_encode_ns_op"`
-	GobDecodeNs      float64       `json:"gob_decode_ns_op"`
-	V3EncodeNs       float64       `json:"v3_encode_ns_op"`
-	V3DecodeNs       float64       `json:"v3_decode_ns_op"`
-	V3EncodeAllocs   float64       `json:"v3_encode_allocs_op"`
-	V3DecodeAllocs   float64       `json:"v3_decode_allocs_op"`
-	EncodeSpeedup    float64       `json:"encode_speedup_vs_gob"`
-	DecodeSpeedup    float64       `json:"decode_speedup_vs_gob"`
-	RoundTripSpeedup float64       `json:"roundtrip_speedup_vs_gob"`
-	BitIdentical     bool          `json:"v3_bit_identical_to_gob"`
-	E2E              wireE2EReport `json:"e2e_edgeload"`
-}
-
-func benchCiphertext(b *testing.B) *ckks.Ciphertext {
-	b.Helper()
-	ctx, err := ckks.NewContext(edge.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(ctx, 3)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	ev := ckks.NewEvaluator(ctx, 4)
-	enc := ckks.NewEncoder(ctx)
-	vals := make([]float64, ctx.Params.Slots())
-	for i := range vals {
-		vals[i] = 0.25 + 0.001*float64(i%7)
-	}
-	pt, err := enc.EncodeReal(vals, ctx.Params.Scale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ev.Encrypt(pk, pt)
-}
-
-func ciphertextsBitIdentical(a, b *ckks.Ciphertext) bool {
-	if a.Level != b.Level || math.Float64bits(a.Scale) != math.Float64bits(b.Scale) ||
-		len(a.C0) != len(b.C0) || len(a.C1) != len(b.C1) {
-		return false
-	}
-	for i := range a.C0 {
-		if len(a.C0[i]) != len(b.C0[i]) || len(a.C1[i]) != len(b.C1[i]) {
-			return false
-		}
-		for j := range a.C0[i] {
-			if a.C0[i][j] != b.C0[i][j] || a.C1[i][j] != b.C1[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// wireE2E measures end-to-end blocks/sec through a live in-process edge
-// server for one forced protocol: the full pipeline (mask → upload →
-// transcipher → encrypted reply) with batched uploads, so the wire codec
-// is the only variable between the two runs.
-func wireE2E(b *testing.B, addr string, proto edge.Protocol, seed int64, blocks, rounds, slots int) float64 {
-	b.Helper()
-	client, err := edge.DialWith(addr, fmt.Sprintf("wire-%d", seed), []byte("wire-bench"), seed,
-		edge.DialConfig{Protocol: proto})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	data := make([][]float64, blocks)
-	for i := range data {
-		data[i] = make([]float64, slots)
-		for j := range data[i] {
-			data[i][j] = 0.25
-		}
-	}
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		if _, err := client.ComputeBatch(uint32(r*blocks), data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return float64(blocks*rounds) / time.Since(start).Seconds()
-}
-
-// BenchmarkWireCodec compares gob (the v1/v2 wire format) against the
-// protocol-v3 zero-copy codec on ckks.Ciphertext at the edge runtime's
-// default parameters: per-message encode/decode ns/op and allocs/op on a
-// persistent stream (steady state, type descriptors amortized — exactly
-// how both travel on a connection), bit-identity of the decoded values,
-// and end-to-end blocks/sec through a live server under each protocol.
-// The report lands in BENCH_wire.json next to BENCH_serve.json.
-func BenchmarkWireCodec(b *testing.B) {
-	ct := benchCiphertext(b)
-	report := wireCodecReport{
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
-		Multicore:       runtime.GOMAXPROCS(0) > 1 && runtime.NumCPU() > 1,
-		CiphertextBytes: len(ct.AppendBinary(nil)),
-	}
-	const iters = 200
-
-	for i := 0; i < b.N; i++ {
-		// gob, persistent stream: one warmup message carries the type
-		// descriptors, then iters steady-state messages.
-		var gobStream bytes.Buffer
-		genc := gob.NewEncoder(&gobStream)
-		if err := genc.Encode(ct); err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		for j := 0; j < iters; j++ {
-			if err := genc.Encode(ct); err != nil {
-				b.Fatal(err)
-			}
-		}
-		report.GobEncodeNs = float64(time.Since(start).Nanoseconds()) / iters
-
-		gdec := gob.NewDecoder(bytes.NewReader(gobStream.Bytes()))
-		viaGob := new(ckks.Ciphertext)
-		if err := gdec.Decode(viaGob); err != nil { // warmup: type descriptors
-			b.Fatal(err)
-		}
-		start = time.Now()
-		for j := 0; j < iters; j++ {
-			if err := gdec.Decode(viaGob); err != nil {
-				b.Fatal(err)
-			}
-		}
-		report.GobDecodeNs = float64(time.Since(start).Nanoseconds()) / iters
-
-		// v3: pooled-buffer append, pre-sized receiver decode.
-		v3buf := ct.AppendBinary(nil)
-		start = time.Now()
-		for j := 0; j < iters; j++ {
-			v3buf = ct.AppendBinary(v3buf[:0])
-		}
-		report.V3EncodeNs = float64(time.Since(start).Nanoseconds()) / iters
-
-		viaV3 := new(ckks.Ciphertext)
-		start = time.Now()
-		for j := 0; j < iters; j++ {
-			if _, err := viaV3.DecodeFrom(v3buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		report.V3DecodeNs = float64(time.Since(start).Nanoseconds()) / iters
-
-		report.V3EncodeAllocs = testing.AllocsPerRun(50, func() {
-			v3buf = ct.AppendBinary(v3buf[:0])
-		})
-		report.V3DecodeAllocs = testing.AllocsPerRun(50, func() {
-			if _, err := viaV3.DecodeFrom(v3buf); err != nil {
-				b.Fatal(err)
-			}
-		})
-		report.BitIdentical = ciphertextsBitIdentical(viaGob, viaV3) && ciphertextsBitIdentical(ct, viaV3)
-		report.EncodeSpeedup = report.GobEncodeNs / report.V3EncodeNs
-		report.DecodeSpeedup = report.GobDecodeNs / report.V3DecodeNs
-		report.RoundTripSpeedup = (report.GobEncodeNs + report.GobDecodeNs) /
-			(report.V3EncodeNs + report.V3DecodeNs)
-	}
-
-	// End-to-end: one server, a forced-gob and a forced-v3 client.
-	srv, err := edge.NewServer("127.0.0.1:0", edge.ServerConfig{
-		Model: edge.Model{Weights: []float64{0.5}, Bias: []float64{0.1}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	const e2eBlocks, e2eRounds, e2eSlots = 32, 2, 16
-	report.E2E.Blocks = e2eBlocks * e2eRounds
-	report.E2E.GobBlocksPerSec = wireE2E(b, srv.Addr(), edge.ProtoGob, 201, e2eBlocks, e2eRounds, e2eSlots)
-	report.E2E.V3BlocksPerSec = wireE2E(b, srv.Addr(), edge.ProtoV3, 202, e2eBlocks, e2eRounds, e2eSlots)
-	report.E2E.V3OverGob = report.E2E.V3BlocksPerSec / report.E2E.GobBlocksPerSec
-
-	b.ReportMetric(report.EncodeSpeedup, "enc-speedup")
-	b.ReportMetric(report.DecodeSpeedup, "dec-speedup")
-	b.ReportMetric(report.V3EncodeAllocs+report.V3DecodeAllocs, "v3-allocs/op")
-	b.ReportMetric(report.E2E.V3OverGob, "e2e-v3/gob")
-	if !report.BitIdentical {
-		b.Fatal("v3 codec round trip is not bit-identical to gob")
-	}
-	if report.RoundTripSpeedup < 5 {
-		b.Logf("WARNING: v3 round-trip speedup %.1fx below the 5x target", report.RoundTripSpeedup)
-	}
-	printOnce("wire-codec", func() {
-		fmt.Printf("\nWire codec, ckks.Ciphertext at edge defaults (%d bytes):\n", report.CiphertextBytes)
-		fmt.Printf("  encode: gob %8.0fns  v3 %8.0fns  %6.1fx\n",
-			report.GobEncodeNs, report.V3EncodeNs, report.EncodeSpeedup)
-		fmt.Printf("  decode: gob %8.0fns  v3 %8.0fns  %6.1fx\n",
-			report.GobDecodeNs, report.V3DecodeNs, report.DecodeSpeedup)
-		fmt.Printf("  v3 allocs/op: encode %.1f decode %.1f   bit-identical: %v\n",
-			report.V3EncodeAllocs, report.V3DecodeAllocs, report.BitIdentical)
-		fmt.Printf("  e2e: gob %.1f blocks/s  v3 %.1f blocks/s  %.2fx\n",
-			report.E2E.GobBlocksPerSec, report.E2E.V3BlocksPerSec, report.E2E.V3OverGob)
-		blob, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fmt.Printf("wire-codec: marshal: %v\n", err)
-			return
-		}
-		if err := os.WriteFile("BENCH_wire.json", append(blob, '\n'), 0o644); err != nil {
-			fmt.Printf("wire-codec: write: %v\n", err)
 		}
 	})
 }
@@ -1136,7 +915,6 @@ func BenchmarkFaultTolerance(b *testing.B) {
 		}
 		inj := faultnet.New(faultnet.Config{Seed: 7}) // zero faults: pure kill switch
 		client, err := edge.DialQKDWith(srv.Addr(), "fault-bench", kc, 9, edge.DialConfig{
-			Protocol:       edge.ProtoV3,
 			Dialer:         inj.Dialer(2 * time.Second),
 			Reconnect:      true,
 			RequestTimeout: 15 * time.Second,
@@ -1172,9 +950,8 @@ func BenchmarkFaultTolerance(b *testing.B) {
 		Target:     "fault-free p50 overhead ≤ 2%; resume costs 0 keygens, 0 QKD withdrawals",
 	}
 	for i := 0; i < b.N; i++ {
-		plain := run(edge.DialConfig{Protocol: edge.ProtoV3})
+		plain := run(edge.DialConfig{})
 		resilient := run(edge.DialConfig{
-			Protocol:       edge.ProtoV3,
 			Reconnect:      true,
 			RequestTimeout: 30 * time.Second,
 		})

@@ -47,7 +47,6 @@ type config struct {
 	Workers     int           `json:"workers"`
 	QueueDepth  int           `json:"queue_depth"`
 	RekeyBytes  int64         `json:"rekey_bytes"`
-	Proto       string        `json:"proto"`
 	Profile     string        `json:"profile"`
 	Workload    string        `json:"workload"`
 	Control     bool          `json:"control"`
@@ -106,7 +105,6 @@ type summary struct {
 	DurationS  float64 `json:"duration_s"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	NumCPU     int     `json:"numcpu"`
-	Protocol   string  `json:"protocol"`
 	// Profiles maps each negotiated security profile to the blocks its
 	// clients served — the mixed-λ view under -profile mix.
 	Profiles map[string]int64 `json:"profiles,omitempty"`
@@ -353,7 +351,6 @@ func main() {
 	flag.IntVar(&cfg.Workers, "workers", 0, "server evaluator-pool size (in-process server only; 0: GOMAXPROCS)")
 	flag.IntVar(&cfg.QueueDepth, "queue", 0, "server queue depth (in-process server only; 0: 4×workers)")
 	flag.Int64Var(&cfg.RekeyBytes, "rekey-bytes", 0, "per-key byte budget (in-process server only; 0: no rekeying; with -control: the controller's base budget at λ_ref)")
-	flag.StringVar(&cfg.Proto, "proto", "auto", "wire protocol: auto (v3 with gob fallback), v3 (required), gob (forced legacy)")
 	flag.StringVar(&cfg.Profile, "profile", "", "security profile for every client: a registry ID, \"mix\" (spread clients across the registry), or empty (server/plan steering)")
 	flag.StringVar(&cfg.Workload, "workload", "affine", "request kind: affine (transcipher-affine blocks), matvec (BSGS packed matrix–vector blocks), mix (alternate per request)")
 	flag.BoolVar(&cfg.Control, "control", false, "attach the closed-loop control plane (in-process server only): online admission, U_msl-derived rekey budgets, QKD provisioning from the live allocation")
@@ -371,19 +368,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "edgeload: -clients, -slots and -duration must be positive")
 		os.Exit(2)
 	}
-	var proto edge.Protocol
-	switch cfg.Proto {
-	case "auto":
-		proto = edge.ProtoAuto
-	case "v3":
-		proto = edge.ProtoV3
-	case "gob":
-		proto = edge.ProtoGob
-	default:
-		fmt.Fprintf(os.Stderr, "edgeload: unknown -proto %q (want auto, v3 or gob)\n", cfg.Proto)
-		os.Exit(2)
-	}
-
 	reg := profile.Default()
 	profileFor := func(i int) string { return cfg.Profile }
 	switch cfg.Profile {
@@ -391,27 +375,15 @@ func main() {
 	case "mix":
 		ids := reg.IDs()
 		profileFor = func(i int) string { return ids[i%len(ids)] }
-		fallthrough
 	default:
-		if cfg.Proto == "gob" {
-			fmt.Fprintln(os.Stderr, "edgeload: -profile needs profile negotiation; drop -proto gob")
+		if _, ok := reg.Get(cfg.Profile); !ok {
+			fmt.Fprintf(os.Stderr, "edgeload: unknown -profile %q (have %v or \"mix\")\n", cfg.Profile, reg.IDs())
 			os.Exit(2)
-		}
-		if cfg.Profile != "mix" {
-			if _, ok := reg.Get(cfg.Profile); !ok {
-				fmt.Fprintf(os.Stderr, "edgeload: unknown -profile %q (have %v or \"mix\")\n", cfg.Profile, reg.IDs())
-				os.Exit(2)
-			}
 		}
 	}
 
 	switch cfg.Workload {
-	case "affine":
-	case "matvec", "mix":
-		if cfg.Proto == "gob" {
-			fmt.Fprintln(os.Stderr, "edgeload: -workload matvec rides the v3 protocol; drop -proto gob")
-			os.Exit(2)
-		}
+	case "affine", "matvec", "mix":
 	default:
 		fmt.Fprintf(os.Stderr, "edgeload: unknown -workload %q (want affine, matvec or mix)\n", cfg.Workload)
 		os.Exit(2)
@@ -447,10 +419,6 @@ func main() {
 		}
 	}
 	chaos := cfg.FaultDrop > 0 || cfg.FaultDelay > 0
-	if chaos && cfg.Proto == "gob" {
-		fmt.Fprintln(os.Stderr, "edgeload: fault injection needs v3 reconnect/resume; drop -proto gob")
-		os.Exit(2)
-	}
 	var inj *faultnet.Injector
 	if chaos {
 		spec := faultnet.Spec{
@@ -537,7 +505,6 @@ func main() {
 	for i := range clients {
 		id := clientID(i)
 		dc := edge.DialConfig{
-			Protocol:    proto,
 			Profile:     profileFor(i),
 			Route:       fmt.Sprintf("route-%d", i+1),
 			Tracer:      clientTracer,
@@ -545,10 +512,9 @@ func main() {
 		}
 		if inj != nil {
 			// Chaos mode: every byte crosses the injector, the client runs
-			// the full resilience stack (CRC trailers, reconnect + resume,
-			// replay), and a per-request deadline bounds the worst case.
+			// the full resilience stack (reconnect + resume, replay), and a
+			// per-request deadline bounds the worst case.
 			dc.Dialer = inj.Dialer(5 * time.Second)
-			dc.Checksum = true
 			dc.Reconnect = true
 			dc.RequestTimeout = 30 * time.Second
 		}
@@ -573,7 +539,7 @@ func main() {
 			// One rotation-key upload per session, before the clock starts,
 			// so the measured window is pure matvec serving.
 			if c.MatVecDim() == 0 {
-				fmt.Fprintf(os.Stderr, "edgeload: server did not negotiate matvec for %s (no dense model, or pre-v3 wire)\n", id)
+				fmt.Fprintf(os.Stderr, "edgeload: server holds no model matrix for %s\n", id)
 				os.Exit(1)
 			}
 			if err := c.EnableMatVec(); err != nil {
@@ -755,7 +721,6 @@ func main() {
 		DurationS:  elapsed.Seconds(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Protocol:   clients[0].Protocol(),
 		Profiles:   profiles,
 		Workloads:  workloads,
 		Requests:   requests.Load(),

@@ -27,10 +27,9 @@
 //     session store, shared evaluator pool, bounded scheduler with
 //     typed backpressure, QKD-epoch session state
 //   - internal/edge        — TCP edge runtime running the full pipeline
-//     over internal/serve: framed zero-copy v3 wire protocol (pooled
-//     buffers, streaming BatchCompute, request IDs, rekeying, typed
-//     error codes) negotiated per connection, with gob v1/v2 wire
-//     compatibility on the same port
+//     over internal/serve: one framed, checksummed wire protocol
+//     (pooled buffers, streaming BatchCompute, request IDs, rekeying,
+//     typed error codes) with per-block ops served from a table
 //   - internal/experiments — regenerators for every table and figure in §VI
 //
 // Entry points: cmd/quhe (experiment runner), cmd/qkdsim (network

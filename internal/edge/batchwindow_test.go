@@ -1,17 +1,13 @@
 package edge
 
 import (
-	"bufio"
 	"net"
 	"testing"
 	"time"
-
-	"quhe/internal/he/ckks"
-	"quhe/internal/transcipher"
 )
 
 // TestStalledBatchReaderDoesNotPinWorkers is the windowing regression
-// test: a v3 client that submits a large streaming batch and then stops
+// test: a client that submits a large streaming batch and then stops
 // reading must not pin eval-pool workers on its socket. With one worker
 // and a stalled batch in flight, an unrelated client's compute must still
 // complete — pre-windowing, the worker blocked inside sendFrame on the
@@ -25,84 +21,33 @@ func TestStalledBatchReaderDoesNotPinWorkers(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Raw v3 client so the read side can be deliberately stalled.
-	ctx, err := ckks.NewContext(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cipher, err := transcipher.New(ctx, KeyLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(ctx, 201)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinKey(sk)
-	ev := ckks.NewEvaluator(ctx, 202)
-	key, err := cipher.DeriveKey([]byte("stall-material"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKey, err := cipher.EncryptKey(ev, pk, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce := []byte("edge:stall")
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Closed before srv.Close (LIFO), unblocking the server's stalled
-	// batch writer so shutdown can drain.
-	defer conn.Close()
+	// Raw client so the read side can be deliberately stalled. Its
+	// connection closes before srv.Close (LIFO cleanup), unblocking the
+	// server's stalled batch writer so shutdown can drain.
+	p := newRawPeer(t, 201)
+	p.dial(t, srv.Addr())
 	// A tiny receive buffer keeps the advertised TCP window small, so the
 	// server's item-frame writes hit backpressure after a few frames
 	// instead of disappearing into autotuned kernel buffers.
-	if tc, ok := conn.(*net.TCPConn); ok {
+	if tc, ok := p.conn.(*net.TCPConn); ok {
 		_ = tc.SetReadBuffer(4 << 10)
 	}
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	var buf []byte
-	send := func(ftype byte, id uint64, build func(b []byte) []byte) {
-		t.Helper()
-		frame := buildFrame(t, ftype, id, build)
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(frameHello, 0, func(b []byte) []byte { return append(b, helloFlagRNSWire) })
-	if ftype, _, _, err := readFrame(br, &buf); err != nil || ftype != frameHello {
-		t.Fatalf("hello ack: type %d err %v", ftype, err)
-	}
-	send(frameSetup, 1, func(b []byte) []byte {
-		return appendSetupRequest(b, &SetupRequest{
-			SessionID: "staller", LogN: ctx.Params.LogN, Depth: ctx.Params.Depth,
-			PK: pk, RLK: rlk, EncKey: encKey, Nonce: nonce,
-		})
-	})
-	if ftype, _, _, err := readFrame(br, &buf); err != nil || ftype != frameSetupReply {
-		t.Fatalf("setup reply: type %d err %v", ftype, err)
-	}
+	p.register(t, "staller")
 
 	// A batch large enough that its item frames overflow both the window
 	// and the kernel socket buffers, then never read a byte again.
 	const n = MaxBatch
 	blocks := make([]uint32, n)
 	masked := make([][]float64, n)
-	data := make([]float64, cipher.Slots())
+	data := make([]float64, p.cipher.Slots())
 	for i := range data {
 		data[i] = 0.25
 	}
 	for i := range blocks {
 		blocks[i] = uint32(i)
-		m, err := cipher.Mask(key, nonce, uint32(i), data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		masked[i] = m
+		masked[i] = p.mask(t, uint32(i), data)
 	}
-	send(frameBatch, 2, func(b []byte) []byte {
+	p.send(t, frameBatch, 2, func(b []byte) []byte {
 		return appendBatchRequest(b, &BatchRequest{SessionID: "staller", Blocks: blocks, Masked: masked})
 	})
 

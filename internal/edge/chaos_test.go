@@ -1,15 +1,13 @@
 package edge
 
-// Chaos suite (PR 8): drives all three wire generations — framed v3, gob
-// v2 (pipelined) and gob v1 (synchronous) — through the faultnet injector
-// and asserts the failure contract: every injected transport fault surfaces
+// Chaos suite: drives the client through the faultnet injector and
+// asserts the failure contract: every injected transport fault surfaces
 // as a typed error (serve.ErrConnClosed / serve.ErrDeadline), never a hang
-// and never a wrong plaintext; and a killed v3 connection resumes its
-// session with zero new key generations and zero new QKD withdrawals.
+// and never a wrong plaintext; and a killed connection resumes its session
+// with zero new key generations and zero new QKD withdrawals.
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"math"
 	"net"
@@ -18,10 +16,8 @@ import (
 	"time"
 
 	"quhe/internal/faultnet"
-	"quhe/internal/he/ckks"
 	"quhe/internal/qkd"
 	"quhe/internal/serve"
-	"quhe/internal/transcipher"
 )
 
 const chaosIdle = 250 * time.Millisecond
@@ -82,99 +78,12 @@ func chaosServer(t *testing.T, cfg ServerConfig) *Server {
 	return srv
 }
 
-// v1Session is a hand-rolled synchronous gob v1 client (the oldest wire
-// generation still served): same crypto as the real client, seed-era wire
-// shapes, no pipelining, no typed codes.
-type v1Session struct {
-	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	ev     *ckks.Evaluator
-	sk     *ckks.SecretKey
-	ctx    *ckks.Context
-	cipher *transcipher.Cipher
-	key    []float64
-	nonce  []byte
-	id     string
-}
-
-func dialV1Chaos(t *testing.T, conn net.Conn, sessionID string) *v1Session {
-	t.Helper()
-	ctx, err := ckks.NewContext(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cipher, err := transcipher.New(ctx, KeyLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(ctx, 71)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinKey(sk)
-	ev := ckks.NewEvaluator(ctx, 72)
-	key, err := cipher.DeriveKey([]byte("v1-chaos-material"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKey, err := cipher.EncryptKey(ev, pk, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &v1Session{
-		conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn),
-		ev: ev, sk: sk, ctx: ctx, cipher: cipher, key: key,
-		nonce: []byte("edge:v1-chaos"), id: sessionID,
-	}
-	if err := s.enc.Encode(&v1Envelope{Setup: &v1SetupRequest{
-		SessionID: sessionID,
-		LogN:      ctx.Params.LogN,
-		Depth:     ctx.Params.Depth,
-		PK:        pk, RLK: rlk, EncKey: encKey, Nonce: s.nonce,
-	}}); err != nil {
-		t.Fatalf("v1 setup send: %v", err)
-	}
-	var reply v1ReplyEnvelope
-	if err := s.dec.Decode(&reply); err != nil {
-		t.Fatalf("v1 setup recv: %v", err)
-	}
-	if reply.Setup == nil || !reply.Setup.OK {
-		t.Fatalf("v1 setup rejected: %+v", reply.Setup)
-	}
-	return s
-}
-
-func (s *v1Session) compute(block uint32, data []float64) ([]float64, error) {
-	padded := make([]float64, s.cipher.Slots())
-	copy(padded, data)
-	masked, err := s.cipher.Mask(s.key, s.nonce, block, padded)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.enc.Encode(&v1Envelope{Compute: &v1ComputeRequest{
-		SessionID: s.id, Block: block, Masked: masked,
-	}}); err != nil {
-		return nil, err
-	}
-	var reply v1ReplyEnvelope
-	if err := s.dec.Decode(&reply); err != nil {
-		return nil, err
-	}
-	if reply.Compute == nil {
-		return nil, errors.New("missing v1 compute reply")
-	}
-	if reply.Compute.Err != "" {
-		return nil, errors.New(reply.Compute.Err)
-	}
-	return ckks.NewEncoder(s.ctx).DecodeReal(s.ev.Decrypt(s.sk, reply.Compute.Result)), nil
-}
-
-// TestChaosMatrix is the generation × fault matrix: {v3, gob v2, gob v1} ×
-// {mid-frame drop, stall past IdleTimeout, corrupt frame}. Corruption is
-// v3+CRC only — the gob generations have no integrity layer, so a flipped
-// bit is undetectable there by design (the CRC trailer is exactly what v3
-// added to close that hole). Reconnect is disabled: the matrix pins what
-// the failure looks like when it is NOT papered over.
+// TestChaosMatrix is the fault matrix: {mid-frame drop, stall past
+// IdleTimeout, corrupt frame}, each landing on a request in flight (the
+// subtests keep their "v3/" prefix from when the matrix had a generation
+// axis). Every frame carries a CRC32C trailer, so a flipped bit is always
+// detected. Reconnect is disabled: the matrix pins what the failure looks
+// like when it is NOT papered over.
 func TestChaosMatrix(t *testing.T) {
 	faults := []struct {
 		name string
@@ -185,104 +94,54 @@ func TestChaosMatrix(t *testing.T) {
 		{"corrupt", faultnet.Spec{CorruptProb: 1}},
 	}
 	for _, fault := range faults {
-		for _, gen := range []string{"v3", "gob2", "gob1"} {
-			if fault.name == "corrupt" && gen != "v3" {
-				continue
+		t.Run("v3/"+fault.name, func(t *testing.T) {
+			t.Parallel()
+			srv := chaosServer(t, ServerConfig{IdleTimeout: chaosIdle})
+			inj := faultnet.New(faultnet.Config{Seed: 11, Write: fault.spec})
+			var armed atomic.Bool
+			client, err := DialWith(srv.Addr(), "chaos-"+fault.name, []byte("chaos-material"), 21,
+				DialConfig{Dialer: armedDialer(inj, &armed), RequestTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
 			}
-			fault, gen := fault, gen
-			t.Run(gen+"/"+fault.name, func(t *testing.T) {
-				t.Parallel()
-				srv := chaosServer(t, ServerConfig{IdleTimeout: chaosIdle, FrameChecksums: true})
-				inj := faultnet.New(faultnet.Config{Seed: 11, Write: fault.spec})
-				var armed atomic.Bool
-				dial := armedDialer(inj, &armed)
+			defer client.Close()
+			got, err := client.Compute(0, []float64{0.8})
+			if err != nil {
+				t.Fatalf("pre-fault compute: %v", err)
+			}
+			if math.Abs(got[0]-0.5) > 0.05 {
+				t.Fatalf("pre-fault result %v, want ≈0.5", got[0])
+			}
 
-				if gen == "gob1" {
-					conn, err := dial("tcp", srv.Addr())
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer conn.Close()
-					s := dialV1Chaos(t, conn, "chaos-"+gen+"-"+fault.name)
-					got, err := s.compute(0, []float64{0.8})
-					if err != nil {
-						t.Fatalf("pre-fault v1 compute: %v", err)
-					}
-					if math.Abs(got[0]-0.5) > 0.05 {
-						t.Fatalf("pre-fault v1 result %v, want ≈0.5", got[0])
-					}
-					armed.Store(true)
-					conn.SetDeadline(time.Now().Add(10 * time.Second))
-					done := make(chan error, 1)
-					go func() {
-						_, err := s.compute(1, []float64{0.4})
-						done <- err
-					}()
-					select {
-					case err := <-done:
-						if err == nil {
-							t.Fatal("v1 compute survived the injected fault")
-						}
-					case <-time.After(20 * time.Second):
-						t.Fatal("v1 compute hung under injected fault")
-					}
-					return
+			armed.Store(true)
+			done := make(chan error, 1)
+			go func() {
+				_, err := client.Compute(1, []float64{0.4})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("compute succeeded through the injected fault")
 				}
-
-				cfg := DialConfig{Dialer: dial, RequestTimeout: 10 * time.Second}
-				if gen == "v3" {
-					cfg.Protocol, cfg.Checksum = ProtoV3, true
-				} else {
-					cfg.Protocol = ProtoGob
+				if !errors.Is(err, serve.ErrConnClosed) && !errors.Is(err, serve.ErrDeadline) {
+					t.Errorf("chaos error not typed (want ErrConnClosed or ErrDeadline): %v", err)
 				}
-				client, err := DialWith(srv.Addr(), "chaos-"+gen+"-"+fault.name,
-					[]byte("chaos-material"), 21, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer client.Close()
-				if gen == "v3" && fault.name == "corrupt" && !client.Checksums() {
-					t.Fatal("CRC trailers not negotiated; the corrupt case would be vacuous")
-				}
-				got, err := client.Compute(0, []float64{0.8})
-				if err != nil {
-					t.Fatalf("pre-fault compute: %v", err)
-				}
-				if math.Abs(got[0]-0.5) > 0.05 {
-					t.Fatalf("pre-fault result %v, want ≈0.5", got[0])
-				}
-
-				armed.Store(true)
-				done := make(chan error, 1)
-				go func() {
-					_, err := client.Compute(1, []float64{0.4})
-					done <- err
-				}()
-				select {
-				case err := <-done:
-					if err == nil {
-						t.Fatal("compute succeeded through the injected fault")
-					}
-					if !errors.Is(err, serve.ErrConnClosed) && !errors.Is(err, serve.ErrDeadline) {
-						t.Errorf("chaos error not typed (want ErrConnClosed or ErrDeadline): %v", err)
-					}
-				case <-time.After(20 * time.Second):
-					t.Fatal("compute hung under injected fault")
-				}
-			})
-		}
+			case <-time.After(20 * time.Second):
+				t.Fatal("compute hung under injected fault")
+			}
+		})
 	}
 }
 
-// TestResumeRoundTrip kills a live v3 connection and proves the resume
+// TestResumeRoundTrip kills a live connection and proves the resume
 // handshake re-attaches the session without a new HE key generation and
 // without a new QKD withdrawal — the whole point of resume: reconnect cost
 // is one challenge-MAC round trip, not a key ceremony.
 func TestResumeRoundTrip(t *testing.T) {
 	srv := chaosServer(t, ServerConfig{
-		IdleTimeout:    2 * time.Second,
-		ResumeWindow:   10 * time.Second,
-		FrameChecksums: true,
+		IdleTimeout:  2 * time.Second,
+		ResumeWindow: 10 * time.Second,
 	})
 	kc := qkd.NewKeyCenter()
 	if err := kc.Provision("resume-rt", 1000); err != nil {
@@ -293,8 +152,6 @@ func TestResumeRoundTrip(t *testing.T) {
 	}
 	inj := faultnet.New(faultnet.Config{Seed: 3}) // no faults: pure kill switch
 	client, err := DialQKDWith(srv.Addr(), "resume-rt", kc, 9, DialConfig{
-		Protocol:       ProtoV3,
-		Checksum:       true,
 		Dialer:         inj.Dialer(2 * time.Second),
 		Reconnect:      true,
 		RequestTimeout: 15 * time.Second,

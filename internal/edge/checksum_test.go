@@ -3,34 +3,16 @@ package edge
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
-	"math"
 	"testing"
 )
 
-// buildCRCFrame assembles one frame with its CRC32C trailer, as a
-// checksum-negotiated sender would emit it.
-func buildCRCFrame(t *testing.T, ftype byte, id uint64, build func(b []byte) []byte) []byte {
-	t.Helper()
-	b := beginFrame(nil, ftype, id)
-	if build != nil {
-		b = build(b)
-	}
-	b, err := finishFrame(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
-}
-
 func TestChecksumFrameRoundTrip(t *testing.T) {
 	req := &ComputeRequest{SessionID: "crc", Block: 3, Epoch: 2, Masked: []float64{0.5, -1.25}}
-	frame := buildCRCFrame(t, frameCompute, 9, func(b []byte) []byte { return appendComputeRequest(b, req) })
+	frame := buildFrame(t, frameCompute, 9, func(b []byte) []byte { return appendComputeRequest(b, req) })
 	var buf []byte
-	ftype, id, payload, err := readFrameCRC(bufio.NewReader(bytes.NewReader(frame)), &buf, true)
+	ftype, id, payload, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +28,12 @@ func TestChecksumFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptFrameTypedError is the satellite's core assertion: a frame
-// corrupted on the wire fails with the typed ErrFrameChecksum instead of
-// reaching a payload decoder as garbage.
+// TestCorruptFrameTypedError: a frame corrupted on the wire fails with
+// the typed ErrFrameChecksum instead of reaching a payload decoder as
+// garbage.
 func TestCorruptFrameTypedError(t *testing.T) {
 	req := &ComputeRequest{SessionID: "corrupt", Block: 1, Masked: []float64{1, 2, 3, 4}}
-	frame := buildCRCFrame(t, frameCompute, 5, func(b []byte) []byte { return appendComputeRequest(b, req) })
+	frame := buildFrame(t, frameCompute, 5, func(b []byte) []byte { return appendComputeRequest(b, req) })
 
 	// Flip one payload byte at a position that keeps header and length
 	// intact, so only the checksum can catch it.
@@ -59,84 +41,23 @@ func TestCorruptFrameTypedError(t *testing.T) {
 		corrupt := append([]byte(nil), frame...)
 		corrupt[flip] ^= 0x40
 		var buf []byte
-		_, _, _, err := readFrameCRC(bufio.NewReader(bytes.NewReader(corrupt)), &buf, true)
+		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(corrupt)), &buf)
 		if !errors.Is(err, ErrFrameChecksum) {
 			t.Errorf("corrupt byte %d: err = %v, want ErrFrameChecksum", flip, err)
 		}
 	}
 
-	// Without negotiation the same corruption decodes to *something* (the
-	// legacy risk the trailer removes); the typed error must not fire.
-	corrupt := append([]byte(nil), frame[:len(frame)-crcTrailerLen]...)
-	corrupt[frameHeaderLen] ^= 0x40
+	// A corrupted trailer is caught the same way.
+	corrupt := append([]byte(nil), frame...)
+	corrupt[len(frame)-1] ^= 0x01
 	var buf []byte
-	if _, _, _, err := readFrameCRC(bufio.NewReader(bytes.NewReader(corrupt)), &buf, false); errors.Is(err, ErrFrameChecksum) {
-		t.Errorf("checksum error fired on an un-negotiated connection: %v", err)
+	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(corrupt)), &buf); !errors.Is(err, ErrFrameChecksum) {
+		t.Errorf("corrupt trailer: err = %v, want ErrFrameChecksum", err)
 	}
 
 	// A truncated trailer is an I/O error, not a silent success.
 	short := frame[:len(frame)-2]
-	if _, _, _, err := readFrameCRC(bufio.NewReader(bytes.NewReader(short)), &buf, true); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(short)), &buf); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated trailer err = %v, want io.ErrUnexpectedEOF", err)
-	}
-}
-
-// TestChecksumNegotiationMatrix pins the handshake: trailers flow only
-// when both endpoints opt in, and every other pairing — including the
-// pre-checksum empty-hello form — stays un-trailed and fully functional.
-func TestChecksumNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name           string
-		serverCRC      bool
-		clientCRC      bool
-		wantNegotiated bool
-	}{
-		{"both opt in", true, true, true},
-		{"server only", true, false, false},
-		{"client only", false, true, false},
-		{"neither", false, false, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, err := NewServer("127.0.0.1:0", ServerConfig{
-				Model:          Model{Weights: []float64{2}, Bias: []float64{0.25}},
-				FrameChecksums: tc.serverCRC,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			client, err := DialWith(srv.Addr(), "crc-"+tc.name, []byte("crc-key"), 11,
-				DialConfig{Protocol: ProtoV3, Checksum: tc.clientCRC})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			if got := client.Checksums(); got != tc.wantNegotiated {
-				t.Errorf("Checksums() = %v, want %v", got, tc.wantNegotiated)
-			}
-			// Round-trips (with trailers verified on both directions when
-			// negotiated) must still produce correct results.
-			out, err := client.Compute(0, []float64{0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(out[0]-1.25) > 0.05 {
-				t.Errorf("compute under checksum mode: got %v, want 1.25", out[0])
-			}
-			// Batches exercise the streaming item frames.
-			outs, err := client.ComputeBatch(1, [][]float64{{0.1}, {0.2}, {0.3}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Loose tolerance: this asserts wire integrity, not CKKS
-			// precision, which wobbles ~0.05 at the tiny test parameters.
-			for i, o := range outs {
-				want := 2*0.1*float64(i+1) + 0.25
-				if math.Abs(o[0]-want) > 0.15 {
-					t.Errorf("batch item %d: got %v, want %v", i, o[0], want)
-				}
-			}
-		})
 	}
 }

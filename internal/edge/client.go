@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"math/rand"
 	"net"
@@ -28,39 +26,24 @@ import (
 // per transciphering key (initial setup and every rekey).
 const RekeyWithdrawBytes = 32
 
-// Protocol selects the wire protocol a Client dials with.
+// Protocol names the wire protocol a Client dials with. ProtoV3 — the
+// framed protocol described in doc.go — is the only value: the gob
+// generations and the automatic fallback to them are gone, so the field
+// selects nothing and exists so DialConfig literals that name the
+// protocol keep compiling.
 type Protocol int
 
-const (
-	// ProtoAuto negotiates the framed v3 protocol and falls back to gob
-	// (v2) when the server predates it. The default.
-	ProtoAuto Protocol = iota
-	// ProtoV3 requires protocol v3: dialing an older server fails with
-	// ErrProtocolMismatch instead of falling back.
-	ProtoV3
-	// ProtoGob forces the legacy gob (v2) protocol even against a v3
-	// server.
-	ProtoGob
-)
+// ProtoV3 is the framed wire protocol, the one protocol there is.
+const ProtoV3 Protocol = iota
 
 // DialConfig carries optional Dial knobs.
 type DialConfig struct {
-	// Protocol selects the wire protocol; zero value is ProtoAuto.
+	// Protocol is ProtoV3 (see Protocol).
 	Protocol Protocol
-	// Checksum requests per-frame CRC32C trailers at the v3 handshake
-	// (integrity on untrusted links). Effective only when the server
-	// accepts (ServerConfig.FrameChecksums); against older servers the
-	// request is silently ignored and the connection runs un-trailed —
-	// Client.Checksums reports the negotiated state.
-	Checksum bool
 	// Profile requests a security profile for the session. Empty lets
 	// the server (its control plane's per-route λ plan) steer; a concrete
 	// ID is granted or downgraded per the active plan — Client.Profile
-	// reports what the session actually runs. Against peers that predate
-	// profile negotiation (gob servers, pre-profile v3 servers) only the
-	// empty or default request succeeds; anything else fails with an
-	// error wrapping serve.ErrProfileDenied rather than silently running
-	// at the wrong security level.
+	// reports what the session actually runs.
 	Profile string
 	// Profiles overrides the profile registry (nil = profile.Default()).
 	// It must agree with the server's registry for non-default profiles.
@@ -77,13 +60,12 @@ type DialConfig struct {
 	// call with an error wrapping serve.ErrDeadline. 0 = no deadline.
 	RequestTimeout time.Duration
 	// Reconnect enables automatic recovery from connection loss: jittered
-	// capped-exponential-backoff redials, session resume against servers
-	// that negotiate it (no re-keygen, no new QKD withdrawal), and replay
-	// of in-flight Compute requests on the resumed transport. In-flight
-	// Setup/Rekey/Batch requests fail typed instead of replaying — a
-	// replayed rekey could double-bump the key epoch. Pair with
-	// RequestTimeout so a request lost in the reconnect window cannot
-	// block its caller forever.
+	// capped-exponential-backoff redials, session resume (no re-keygen, no
+	// new QKD withdrawal), and replay of in-flight Compute requests on the
+	// resumed transport. In-flight Setup/Rekey/Batch/MatVec requests fail
+	// typed instead of replaying — a replayed rekey could double-bump the
+	// key epoch. Pair with RequestTimeout so a request lost in the
+	// reconnect window cannot block its caller forever.
 	Reconnect bool
 	// ReconnectAttempts caps redials per outage (0 = 5).
 	ReconnectAttempts int
@@ -98,9 +80,8 @@ type DialConfig struct {
 	// Tracer, when set, collects client-side spans (dial, handshake,
 	// keygen, setup, mask/submit/wait per sampled compute, reconnect,
 	// resume, replay, rekey, retry backoff) into the shared internal/obs
-	// trace model. Against a v3 server that acks helloFlagTrace, sampled
-	// computes also carry their 16-byte trace context on the wire, so
-	// the server's stage spans land in the same trace. nil = untraced.
+	// trace model. Sampled blocks carry their trace context on the wire,
+	// so the server's stage spans land in the same trace. nil = untraced.
 	Tracer *obs.Tracer
 	// TraceSample is the fraction of Compute requests sampled into full
 	// traces when Tracer is set (≤ 0 or > 1 = 1.0, i.e. every block).
@@ -126,53 +107,38 @@ const (
 	retryBackoffMax  = 250 * time.Millisecond
 )
 
-// negotiateTimeout bounds the wait for the server's v3 hello ack. Legacy
-// servers close the connection as soon as the hello fails to gob-decode,
-// so the deadline only bites against a hung peer.
+// negotiateTimeout bounds each reply of the synchronous pre-read-loop
+// dialogs (hello ack, profile grant, resume handshake). A peer speaking
+// another version closes at once, so the deadline only bites against a
+// hung or silent one.
 const negotiateTimeout = 5 * time.Second
 
 // Client is a QuHE edge client node: it owns the HE secret key, masks data
 // under the QKD-derived symmetric key, and decrypts the server's encrypted
-// results. One Client drives one TCP connection, by default over the
-// framed v3 protocol (falling back to pipelined gob v2 against older
-// servers): ComputeAsync/ComputeBatch keep multiple requests in flight and
-// a reader goroutine matches out-of-order replies by request ID. Safe for
-// concurrent use.
+// results. One Client drives one TCP connection: ComputeAsync/ComputeBatch
+// keep multiple requests in flight and a reader goroutine matches
+// out-of-order replies by request ID. Safe for concurrent use.
 type Client struct {
 	sessionID string
 	addr      string
 	dcfg      DialConfig
 
-	// proto is "v3" or "gob" once negotiated.
-	proto string
-	// prof is the security profile the session runs on; wireProfile is
-	// the profile ID carried in Setup ("" on legacy paths, where the
-	// server pins the session to its default).
-	prof        *profile.Profile
-	wireProfile string
+	// prof is the security profile the server granted and the session
+	// runs on.
+	prof *profile.Profile
 
-	// connMu guards the live transport (conn/fw/br/crc), which a
-	// reconnect swaps wholesale; gen bumps on every swap so a sender that
-	// failed mid-swap can tell a dead connection from a replaced one.
+	// connMu guards the live transport (conn/fw/br), which a reconnect
+	// swaps wholesale; gen bumps on every swap so a sender that failed
+	// mid-swap can tell a dead connection from a replaced one.
 	connMu sync.Mutex
 	gen    uint64
 	conn   net.Conn
-	// v3 transport: framed writes through fw, framed reads off br.
-	fw *frameWriter
-	br *bufio.Reader
-	// crc reports that per-frame CRC32C trailers were negotiated.
-	crc bool
+	fw     *frameWriter
+	br     *bufio.Reader
 
-	// gob transport: writeMu serializes enc (gob never reconnects).
-	writeMu sync.Mutex
-	enc     *gob.Encoder
-
-	// resume reports the server negotiated session resume at the hello.
-	resume bool
 	// mvDim is the server's packed model matrix dimension, learned from
-	// the SetupReply after the hello negotiated matvec (0 = encrypted
-	// matvec unavailable on this connection). seed is kept so the
-	// rotation-key generation in EnableMatVec derives from the same
+	// the SetupReply (0 = the server holds no matrix). seed is kept so
+	// the rotation-key generation in EnableMatVec derives from the same
 	// deterministic stream as the dial-time keygen.
 	mvDim int
 	seed  int64
@@ -181,10 +147,6 @@ type Client struct {
 	// survive reconnect-and-resume).
 	rotMu        sync.Mutex
 	rotInstalled bool
-	// traceWire reports the current transport negotiated trace-context
-	// propagation (helloFlagTrace); atomic because a reconnect may swap
-	// it under senders.
-	traceWire atomic.Bool
 	// tracer emits client-side spans (nil = untraced).
 	tracer *clientTracer
 	// resumedSinceRekey marks that the session resumed on a fresh
@@ -234,7 +196,7 @@ type Client struct {
 	nextID  atomic.Uint64
 	pendMu  sync.Mutex
 	pending map[uint64]*call
-	// batchAsm assembles streamed v3 batch items by request ID until the
+	// batchAsm assembles streamed batch items by request ID until the
 	// batch trailer arrives.
 	batchAsm map[uint64]*BatchReply
 	readErr  error
@@ -258,7 +220,7 @@ type Client struct {
 // a reconnect can replay Compute requests), and an optional per-call
 // terminal error set before the channel is closed.
 type call struct {
-	ch  chan *replyEnvelope
+	ch  chan replyEnvelope
 	env *envelope
 	err error
 }
@@ -297,8 +259,7 @@ func Dial(addr, sessionID string, qkdKey []byte, seed int64) (*Client, error) {
 	return dial(addr, sessionID, qkdKey, nil, seed, DialConfig{})
 }
 
-// DialWith is Dial with explicit configuration (e.g. a forced wire
-// protocol).
+// DialWith is Dial with explicit configuration.
 func DialWith(addr, sessionID string, qkdKey []byte, seed int64, cfg DialConfig) (*Client, error) {
 	return dial(addr, sessionID, qkdKey, nil, seed, cfg)
 }
@@ -347,44 +308,24 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 	}
 
 	dialStart := time.Now()
-	neg, err := negotiate(addr, dcfg)
+	conn, br, err := negotiate(addr, dcfg)
 	if err != nil {
 		return nil, err
 	}
 	dialDur := time.Since(dialStart)
-	conn, br, proto, crc, profiles := neg.conn, neg.br, neg.proto, neg.crc, neg.profiles
-	if proto == "v3" && !neg.rnsWire {
-		// A v3 server that does not ack the residue-tower wire format
-		// predates the limb layout: its frames would misparse ours and vice
-		// versa, so fail typed instead of exchanging garbage.
-		conn.Close()
-		return nil, fmt.Errorf("edge: %w: server lacks residue-tower wire support", serve.ErrWireFormat)
-	}
 	// Profile resolution happens before key generation so a plan-steered
-	// or downgraded profile never costs a wasted keygen. Peers that do
-	// not negotiate pin the session to the default profile; an explicit
-	// non-default request against them is a hard typed failure.
-	prof := reg.Default()
-	wireProfile := ""
+	// or downgraded profile never costs a wasted keygen.
 	handshakeStart := time.Now()
-	if proto == "v3" && profiles {
-		granted, err := queryProfile(conn, br, crc, sessionID, dcfg.Profile)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		p, ok := reg.Get(granted)
-		if !ok {
-			conn.Close()
-			return nil, fmt.Errorf("edge: %w: server granted unknown profile %q", serve.ErrProfileDenied, granted)
-		}
-		prof, wireProfile = p, granted
-	} else if dcfg.Profile != "" && dcfg.Profile != reg.DefaultID() {
+	granted, err := queryProfile(conn, br, sessionID, dcfg.Profile)
+	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("edge: %w: peer does not negotiate profiles (requested %q)",
-			serve.ErrProfileDenied, dcfg.Profile)
+		return nil, err
 	}
-
+	prof, ok := reg.Get(granted)
+	if !ok {
+		conn.Close()
+		return nil, fmt.Errorf("edge: %w: server granted unknown profile %q", serve.ErrProfileDenied, granted)
+	}
 	handshakeDur := time.Since(handshakeStart)
 
 	keygenStart := time.Now()
@@ -417,51 +358,37 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 
 	keygenDur := time.Since(keygenStart)
 
-	resume := proto == "v3" && neg.resume
-	var resumeAuth []byte
-	if resume {
-		resumeAuth = deriveResumeAuth(qkdKey)
-	}
+	resumeAuth := deriveResumeAuth(qkdKey)
 	c := &Client{
-		sessionID:   sessionID,
-		addr:        addr,
-		dcfg:        dcfg,
-		conn:        conn,
-		proto:       proto,
-		crc:         crc,
-		prof:        prof,
-		wireProfile: wireProfile,
-		resume:      resume,
-		seed:        seed,
-		rng:         rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
-		ctx:         ctx,
-		cipher:      cipher,
-		encoder:     ckks.NewEncoder(ctx),
-		ev:          ev,
-		sk:          sk,
-		pk:          pk,
-		kc:          kc,
-		key:         key,
-		nonce:       nonceFor(sessionID, 1),
-		epoch:       1,
-		pending:     make(map[uint64]*call),
+		sessionID: sessionID,
+		addr:      addr,
+		dcfg:      dcfg,
+		conn:      conn,
+		fw:        newFrameWriter(conn, func() { conn.Close() }, nil),
+		br:        br,
+		prof:      prof,
+		seed:      seed,
+		rng:       rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
+		ctx:       ctx,
+		cipher:    cipher,
+		encoder:   ckks.NewEncoder(ctx),
+		ev:        ev,
+		sk:        sk,
+		pk:        pk,
+		kc:        kc,
+		key:       key,
+		nonce:     nonceFor(sessionID, 1),
+		epoch:     1,
+		pending:   make(map[uint64]*call),
+		batchAsm:  make(map[uint64]*BatchReply),
 	}
 	c.keygens.Store(1)
-	c.traceWire.Store(proto == "v3" && neg.trace)
 	c.tracer = newClientTracer(dcfg.Tracer, sessionID, dcfg.TraceSample, func() uint64 {
 		c.rngMu.Lock()
 		v := c.rng.Uint64()
 		c.rngMu.Unlock()
 		return v
 	})
-	if proto == "v3" {
-		c.fw = newFrameWriter(conn, func() { conn.Close() }, nil)
-		c.fw.crc = crc
-		c.br = br
-		c.batchAsm = make(map[uint64]*BatchReply)
-	} else {
-		c.enc = gob.NewEncoder(conn)
-	}
 	go c.readLoop()
 
 	setupStart := time.Now()
@@ -473,7 +400,7 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		RLK:        rlk,
 		EncKey:     encKey,
 		Nonce:      c.nonce,
-		Profile:    wireProfile,
+		Profile:    prof.ID,
 		ResumeAuth: resumeAuth,
 	}})
 	if err != nil {
@@ -491,30 +418,23 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		// replan moves the route's λ mid-dial: renegotiate from scratch
 		// (fresh connection, fresh grant, fresh keys) a bounded number of
 		// times before surfacing the typed denial.
-		if errors.Is(setupErr, serve.ErrProfileDenied) && proto == "v3" && profiles && attempt < 2 {
+		if errors.Is(setupErr, serve.ErrProfileDenied) && attempt < 2 {
 			return dialAttempt(addr, sessionID, qkdKey, kc, seed, dcfg, attempt+1)
 		}
 		return nil, fmt.Errorf("edge: setup rejected: %w", setupErr)
 	}
-	if reply.Setup.Profile != "" && reply.Setup.Profile != wireProfile {
+	if reply.Setup.Profile != prof.ID {
 		c.teardown()
 		return nil, fmt.Errorf("edge: %w: registered on %q, granted %q",
-			serve.ErrProfileDenied, reply.Setup.Profile, wireProfile)
+			serve.ErrProfileDenied, reply.Setup.Profile, prof.ID)
 	}
-	// The server only advertises a matrix dimension when both sides set
-	// helloFlagMatVec; a zero here means encrypted matvec is unavailable
-	// on this connection (old peer, not negotiated, or no matrix).
-	if neg.matvec {
-		c.mvDim = reply.Setup.MatVecDim
-	}
+	c.mvDim = reply.Setup.MatVecDim
 	// Arm the reconnect machinery only once the credential is registered
 	// server-side — a connection lost before this point has nothing to
 	// resume into.
-	if resume {
-		c.keyMu.Lock()
-		c.resumeAuth = resumeAuth
-		c.keyMu.Unlock()
-	}
+	c.keyMu.Lock()
+	c.resumeAuth = resumeAuth
+	c.keyMu.Unlock()
 	// The dial trace: one client-lane record covering the whole session
 	// establishment, split into its expensive stages.
 	if cs := c.tracer.begin(obs.TraceContext{}, 0, 0, dialStart); cs != nil {
@@ -527,58 +447,27 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 	return c, nil
 }
 
-// queryProfile runs the synchronous pre-Setup profile negotiation on a
-// freshly handshaken v3 connection (the read loop is not running yet, so
-// the reply is consumed inline like the hello ack).
-func queryProfile(conn net.Conn, br *bufio.Reader, crc bool, sessionID, requested string) (string, error) {
-	f := beginFrame(nil, frameProfile, 0)
-	f = appendProfileRequest(f, &ProfileRequest{SessionID: sessionID, Requested: requested})
-	f, err := finishFrame(f, 0)
+// exchange writes one frame and reads the peer's next one under
+// negotiateTimeout: the step of every synchronous dialog that runs before
+// a connection has a read loop (hello, profile query, resume handshake).
+// The frame is built in — and the returned payload aliases — *buf.
+func exchange(conn net.Conn, br *bufio.Reader, buf *[]byte, ftype byte, build func(b []byte) []byte) (byte, []byte, error) {
+	f := beginFrame((*buf)[:0], ftype, 0)
+	if build != nil {
+		f = build(f)
+	}
+	f, err := finishFrame(f)
 	if err != nil {
-		return "", err
+		return 0, nil, err
 	}
-	if crc {
-		f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(f, crcTable))
-	}
+	*buf = f
 	if _, err := conn.Write(f); err != nil {
-		return "", fmt.Errorf("edge: profile query: %w", err)
+		return 0, nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(negotiateTimeout))
 	defer conn.SetReadDeadline(time.Time{})
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	ftype, _, payload, err := readFrameCRC(br, buf, crc)
-	if err != nil {
-		return "", fmt.Errorf("edge: profile query: %w", err)
-	}
-	if ftype != frameProfileReply {
-		return "", fmt.Errorf("%w: unexpected frame type %d in profile negotiation", ErrBadFrame, ftype)
-	}
-	rep, err := decodeProfileReply(payload)
-	if err != nil {
-		return "", err
-	}
-	if rep.Code != serve.CodeOK {
-		return "", fmt.Errorf("edge: profile rejected: %w", replyError(rep.Code, rep.Err))
-	}
-	if rep.Granted == "" {
-		return "", errors.New("edge: profile negotiation granted nothing")
-	}
-	return rep.Granted, nil
-}
-
-// negotiated is the transport negotiate establishes: the connection, the
-// protocol generation, and the v3 feature flags the server acked.
-type negotiated struct {
-	conn     net.Conn
-	br       *bufio.Reader
-	proto    string
-	crc      bool
-	profiles bool
-	rnsWire  bool
-	resume   bool
-	trace    bool
-	matvec   bool
+	rtype, _, payload, err := readFrame(br, buf)
+	return rtype, payload, err
 }
 
 // dialFunc resolves the configured dialer (DialConfig.Dialer, or plain
@@ -596,72 +485,53 @@ func dialFunc(dcfg DialConfig) func(network, addr string) (net.Conn, error) {
 	}
 }
 
-// negotiate establishes the transport for the requested protocol. For v3
-// it performs the hello handshake: a server that acks speaks v3; one that
-// kills the connection (a gob-era server choking on the frame magic)
-// triggers a redial on the gob path under ProtoAuto, or
-// ErrProtocolMismatch under ProtoV3. DialConfig.Checksum requests
-// per-frame CRC32C trailers in the hello flags; negotiated.crc reports
-// whether the server granted them (pre-checksum servers ack with an empty
-// payload, read as "no"). profiles, rnsWire and resume report whether the
-// server advertised security-profile negotiation, the residue-tower
-// ciphertext wire format, and session resume in its ack flags.
-func negotiate(addr string, dcfg DialConfig) (negotiated, error) {
-	dialer := dialFunc(dcfg)
-	dialGob := func() (negotiated, error) {
-		conn, err := dialer("tcp", addr)
-		if err != nil {
-			return negotiated{}, fmt.Errorf("edge: dial: %w", err)
-		}
-		return negotiated{conn: conn, proto: "gob"}, nil
-	}
-	if dcfg.Protocol == ProtoGob {
-		return dialGob()
-	}
-	conn, err := dialer("tcp", addr)
+// negotiate establishes the transport: dial, then the hello exchange. The
+// frame version names the whole wire format, so there is nothing to
+// bargain over — a server that speaks it echoes the empty hello, and any
+// other outcome (the peer closed, answered in another version or
+// protocol, or stayed silent past negotiateTimeout) fails with an error
+// wrapping ErrProtocolMismatch.
+func negotiate(addr string, dcfg DialConfig) (net.Conn, *bufio.Reader, error) {
+	conn, err := dialFunc(dcfg)("tcp", addr)
 	if err != nil {
-		return negotiated{}, fmt.Errorf("edge: dial: %w", err)
+		return nil, nil, fmt.Errorf("edge: dial: %w", err)
 	}
-	// The hello always carries a flags byte: profile support, the
-	// residue-tower wire format, session resume, trace propagation and
-	// matvec are advertised unconditionally (servers that predate them
-	// ignore unknown bits and ack without the flags), CRC only on request.
-	flags := byte(helloFlagProfiles | helloFlagRNSWire | helloFlagResume | helloFlagTrace | helloFlagMatVec)
-	if dcfg.Checksum {
-		flags |= helloFlagCRC
-	}
-	hello := beginFrame(nil, frameHello, 0)
-	hello = append(hello, flags)
-	hello, _ = finishFrame(hello, 0)
-	var ftype byte
-	var n negotiated
-	_, err = conn.Write(hello)
 	br := bufio.NewReaderSize(conn, wireBufSize)
-	if err == nil {
-		conn.SetReadDeadline(time.Now().Add(negotiateTimeout))
-		buf := getFrameBuf()
-		var ackPayload []byte
-		ftype, _, ackPayload, err = readFrame(br, buf)
-		if err == nil && len(ackPayload) >= 1 {
-			n.crc = dcfg.Checksum && ackPayload[0]&helloFlagCRC != 0
-			n.profiles = ackPayload[0]&helloFlagProfiles != 0
-			n.rnsWire = ackPayload[0]&helloFlagRNSWire != 0
-			n.resume = ackPayload[0]&helloFlagResume != 0
-			n.trace = ackPayload[0]&helloFlagTrace != 0
-			n.matvec = ackPayload[0]&helloFlagMatVec != 0
-		}
-		putFrameBuf(buf)
-		conn.SetReadDeadline(time.Time{})
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	ftype, payload, err := exchange(conn, br, buf, frameHello, nil)
+	if err != nil || ftype != frameHello || len(payload) != 0 {
+		conn.Close()
+		return nil, nil, fmt.Errorf("%w (hello not acknowledged: frame type %d, err %v)", ErrProtocolMismatch, ftype, err)
 	}
-	if err == nil && ftype == frameHello {
-		n.conn, n.br, n.proto = conn, br, "v3"
-		return n, nil
+	return conn, br, nil
+}
+
+// queryProfile runs the pre-Setup profile negotiation on a freshly
+// handshaken connection.
+func queryProfile(conn net.Conn, br *bufio.Reader, sessionID, requested string) (string, error) {
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	ftype, payload, err := exchange(conn, br, buf, frameProfile, func(b []byte) []byte {
+		return appendProfileRequest(b, &ProfileRequest{SessionID: sessionID, Requested: requested})
+	})
+	if err != nil {
+		return "", fmt.Errorf("edge: profile query: %w", err)
 	}
-	conn.Close()
-	if dcfg.Protocol == ProtoV3 {
-		return negotiated{}, fmt.Errorf("%w (hello failed: %v)", ErrProtocolMismatch, err)
+	if ftype != frameProfileReply {
+		return "", fmt.Errorf("%w: unexpected frame type %d in profile negotiation", ErrBadFrame, ftype)
 	}
-	return dialGob()
+	rep, err := decodeProfileReply(payload)
+	if err != nil {
+		return "", err
+	}
+	if rep.Code != serve.CodeOK {
+		return "", fmt.Errorf("edge: profile rejected: %w", replyError(rep.Code, rep.Err))
+	}
+	if rep.Granted == "" {
+		return "", errors.New("edge: profile negotiation granted nothing")
+	}
+	return rep.Granted, nil
 }
 
 // nonceFor derives the per-epoch masking nonce: epoch and a session-ID
@@ -729,7 +599,7 @@ func (c *Client) failPending(err error) {
 }
 
 // deliver hands a reply to the request waiting on its ID.
-func (c *Client) deliver(reply *replyEnvelope) {
+func (c *Client) deliver(reply replyEnvelope) {
 	c.pendMu.Lock()
 	cl := c.pending[reply.ID]
 	delete(c.pending, reply.ID)
@@ -744,20 +614,8 @@ func (c *Client) deliver(reply *replyEnvelope) {
 // when enabled) or fails every pending request with an error wrapping
 // serve.ErrConnClosed, so callers can branch on the failure class.
 func (c *Client) readLoop() {
-	if c.proto != "v3" {
-		dec := gob.NewDecoder(c.conn)
-		for {
-			reply := new(replyEnvelope)
-			if err := dec.Decode(reply); err != nil {
-				c.failPending(fmt.Errorf("edge: recv: %w: %v", serve.ErrConnClosed, err))
-				c.teardown()
-				return
-			}
-			c.deliver(reply)
-		}
-	}
 	for {
-		err := c.readConnV3()
+		err := c.readConn()
 		if rerr := c.tryRecover(err); rerr != nil {
 			c.failPending(rerr)
 			c.teardown()
@@ -766,18 +624,18 @@ func (c *Client) readLoop() {
 	}
 }
 
-// readConnV3 drains one transport generation, returning the first
+// readConn drains one transport generation, returning the first
 // connection error.
-func (c *Client) readConnV3() error {
+func (c *Client) readConn() error {
 	c.connMu.Lock()
-	br, crc := c.br, c.crc
+	br := c.br
 	c.connMu.Unlock()
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
 	for {
-		ftype, id, payload, err := readFrameCRC(br, buf, crc)
+		ftype, id, payload, err := readFrame(br, buf)
 		if err == nil {
-			err = c.handleFrameV3(ftype, id, payload)
+			err = c.handleFrame(ftype, id, payload)
 		}
 		if err != nil {
 			return err
@@ -786,10 +644,9 @@ func (c *Client) readConnV3() error {
 }
 
 // canRecover reports whether the automatic reconnect machinery is armed:
-// enabled, a v3 transport whose server negotiated resume, a registered
-// credential, and the client not closed.
+// enabled, a registered credential, and the client not closed.
 func (c *Client) canRecover() bool {
-	if c.closed.Load() || !c.dcfg.Reconnect || c.proto != "v3" || !c.resume {
+	if c.closed.Load() || !c.dcfg.Reconnect {
 		return false
 	}
 	c.keyMu.Lock()
@@ -806,10 +663,10 @@ func (c *Client) tryRecover(cause error) error {
 	if !c.canRecover() {
 		return terminal
 	}
-	// Setup/Rekey/Batch requests caught mid-flight cannot be safely
-	// replayed (a replayed rekey would double-bump the epoch, a batch
-	// would double-count its admission); fail them typed now. Compute
-	// requests stay registered for replay on the resumed transport.
+	// Setup/Rekey/Batch/MatVec requests caught mid-flight are not replayed
+	// (a replayed rekey would double-bump the epoch, a batch would
+	// double-count its admission); fail them typed now. Compute requests
+	// stay registered for replay on the resumed transport.
 	c.shedNonReplayable(cause)
 	// The recovery trace adopts the trace identity of the oldest
 	// in-flight compute, so the outage's backoff/reconnect/resume/replay
@@ -863,7 +720,7 @@ func (c *Client) oldestPendingTrace() obs.TraceContext {
 	var best uint64
 	c.pendMu.Lock()
 	for id, cl := range c.pending {
-		if cl.env == nil || cl.env.Compute == nil || !cl.env.Compute.Trace.Valid() {
+		if !cl.env.replayable() || !cl.env.Compute.Trace.Valid() {
 			continue
 		}
 		if tc.TraceID == 0 || id < best {
@@ -879,7 +736,7 @@ func (c *Client) oldestPendingTrace() obs.TraceContext {
 func (c *Client) shedNonReplayable(cause error) {
 	c.pendMu.Lock()
 	for id, cl := range c.pending {
-		if cl.env != nil && cl.env.Compute != nil {
+		if cl.env.replayable() {
 			continue
 		}
 		delete(c.pending, id)
@@ -911,39 +768,30 @@ func (c *Client) jitter(attempt int, base, max time.Duration) time.Duration {
 	return time.Duration(half + j)
 }
 
-// reconnectOnce redials, renegotiates and runs the resume handshake; on
-// success the new transport is installed and the counters bumped. rec,
+// reconnectOnce redials, repeats the hello and runs the resume handshake;
+// on success the new transport is installed and the counters bumped. rec,
 // when non-nil, receives the reconnect and resume spans.
 func (c *Client) reconnectOnce(rec *clientSpans) error {
-	dcfg := c.dcfg
-	dcfg.Protocol = ProtoV3 // the session state is v3; never fall back to gob
 	reconnectStart := time.Now()
-	neg, err := negotiate(c.addr, dcfg)
+	conn, br, err := negotiate(c.addr, c.dcfg)
 	if err != nil {
 		return err
 	}
 	rec.span(cstageReconnect, reconnectStart)
-	if !neg.resume || !neg.rnsWire {
-		neg.conn.Close()
-		return fmt.Errorf("edge: %w: peer no longer negotiates resume", serve.ErrResumeRejected)
-	}
 	c.keyMu.Lock()
 	auth, epoch := c.resumeAuth, c.epoch
 	c.keyMu.Unlock()
 	resumeStart := time.Now()
-	if err := resumeHandshake(neg.conn, neg.br, neg.crc, c.sessionID, epoch, c.wireProfile, auth); err != nil {
-		neg.conn.Close()
+	if err := resumeHandshake(conn, br, c.sessionID, epoch, c.prof.ID, auth); err != nil {
+		conn.Close()
 		return err
 	}
 	rec.span(cstageResume, resumeStart)
-	conn := neg.conn
 	fw := newFrameWriter(conn, func() { conn.Close() }, nil)
-	fw.crc = neg.crc
 	c.connMu.Lock()
-	c.conn, c.br, c.fw, c.crc = conn, neg.br, fw, neg.crc
+	c.conn, c.br, c.fw = conn, br, fw
 	c.gen++
 	c.connMu.Unlock()
-	c.traceWire.Store(neg.trace)
 	c.resumedSinceRekey.Store(true)
 	c.reconnects.Add(1)
 	c.resumes.Add(1)
@@ -952,71 +800,31 @@ func (c *Client) reconnectOnce(rec *clientSpans) error {
 
 // resumeHandshake proves key possession on a fresh connection and
 // re-attaches the session: Resume → Challenge → Proof → Reply, run
-// synchronously like the hello ack (no read loop is consuming this
+// synchronously like the hello (no read loop is consuming this
 // connection yet).
-func resumeHandshake(conn net.Conn, br *bufio.Reader, crc bool, sessionID string, epoch uint64, profileID string, auth []byte) error {
-	send := func(ftype byte, enc func([]byte) []byte) error {
-		f := beginFrame(nil, ftype, 0)
-		f = enc(f)
-		f, err := finishFrame(f, 0)
+func resumeHandshake(conn net.Conn, br *bufio.Reader, sessionID string, epoch uint64, profileID string, auth []byte) error {
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	ftype, payload, err := exchange(conn, br, buf, frameResume, func(b []byte) []byte {
+		return appendResumeRequest(b, &ResumeRequest{SessionID: sessionID, Epoch: epoch, Profile: profileID})
+	})
+	if err != nil {
+		return fmt.Errorf("edge: resume: %w", err)
+	}
+	if ftype == frameResumeChallenge {
+		ch, err := decodeResumeChallenge(payload)
 		if err != nil {
 			return err
 		}
-		if crc {
-			f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(f, crcTable))
-		}
-		_, err = conn.Write(f)
-		return err
-	}
-	recv := func() (byte, []byte, func(), error) {
-		conn.SetReadDeadline(time.Now().Add(negotiateTimeout))
-		buf := getFrameBuf()
-		ftype, _, payload, err := readFrameCRC(br, buf, crc)
-		conn.SetReadDeadline(time.Time{})
-		release := func() { putFrameBuf(buf) }
+		ftype, payload, err = exchange(conn, br, buf, frameResumeProof, func(b []byte) []byte {
+			return appendResumeProof(b, &ResumeProof{MAC: resumeMAC(auth, ch.Challenge, sessionID, epoch)})
+		})
 		if err != nil {
-			release()
-			return 0, nil, nil, err
+			return fmt.Errorf("edge: resume: %w", err)
 		}
-		return ftype, payload, release, nil
 	}
-	if err := send(frameResume, func(b []byte) []byte {
-		return appendResumeRequest(b, &ResumeRequest{SessionID: sessionID, Epoch: epoch, Profile: profileID})
-	}); err != nil {
-		return fmt.Errorf("edge: resume: %w", err)
-	}
-	ftype, payload, release, err := recv()
-	if err != nil {
-		return fmt.Errorf("edge: resume: %w", err)
-	}
-	if ftype == frameResumeReply {
-		// Denied before the challenge (unknown session, drift, draining).
-		rep, derr := decodeResumeReply(payload)
-		release()
-		if derr != nil {
-			return derr
-		}
-		return fmt.Errorf("edge: resume rejected: %w", replyError(rep.Code, rep.Err))
-	}
-	if ftype != frameResumeChallenge {
-		release()
-		return fmt.Errorf("%w: unexpected frame type %d in resume handshake", ErrBadFrame, ftype)
-	}
-	ch, err := decodeResumeChallenge(payload)
-	release()
-	if err != nil {
-		return err
-	}
-	if err := send(frameResumeProof, func(b []byte) []byte {
-		return appendResumeProof(b, &ResumeProof{MAC: resumeMAC(auth, ch.Challenge, sessionID, epoch)})
-	}); err != nil {
-		return fmt.Errorf("edge: resume: %w", err)
-	}
-	ftype, payload, release, err = recv()
-	if err != nil {
-		return fmt.Errorf("edge: resume: %w", err)
-	}
-	defer release()
+	// A reply in place of the challenge is a denial before it (unknown
+	// session, drift, draining).
 	if ftype != frameResumeReply {
 		return fmt.Errorf("%w: unexpected frame type %d in resume handshake", ErrBadFrame, ftype)
 	}
@@ -1030,69 +838,57 @@ func resumeHandshake(conn net.Conn, br *bufio.Reader, crc bool, sessionID string
 	return nil
 }
 
+// replayable reports whether the request may be re-sent on a resumed
+// transport: plain Computes only.
+func (e *envelope) replayable() bool { return e.Compute != nil && e.Op == frameCompute }
+
 // replayPending re-sends the Compute requests that were in flight when
 // the connection died, in request-ID order, on the fresh transport.
 func (c *Client) replayPending() {
-	type replayItem struct {
-		id  uint64
-		env *envelope
-	}
 	c.pendMu.Lock()
-	items := make([]replayItem, 0, len(c.pending))
-	for id, cl := range c.pending {
-		if cl.env != nil && cl.env.Compute != nil {
-			items = append(items, replayItem{id, cl.env})
+	items := make([]*envelope, 0, len(c.pending))
+	for _, cl := range c.pending {
+		if cl.env.replayable() {
+			items = append(items, cl.env)
 		}
 	}
 	c.pendMu.Unlock()
-	sort.Slice(items, func(i, j int) bool { return items[i].id < items[j].id })
-	traceWire := c.traceWire.Load()
-	for _, it := range items {
-		if !traceWire {
-			// The resumed transport did not negotiate trace propagation
-			// (e.g. failover to a pre-trace server): strip the context so
-			// the replayed frame stays decodable there.
-			it.env.Compute.Trace = obs.TraceContext{}
-		}
+	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
+	for _, env := range items {
 		c.replays.Add(1)
-		if err := c.write(it.env); err != nil {
+		if err := c.write(env); err != nil {
 			return // the new connection died too; the next recovery round replays
 		}
 	}
 }
 
-func (c *Client) handleFrameV3(ftype byte, id uint64, payload []byte) error {
+func (c *Client) handleFrame(ftype byte, id uint64, payload []byte) error {
 	switch ftype {
 	case frameSetupReply:
 		rep, err := decodeSetupReply(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(&replyEnvelope{ID: id, Setup: rep})
-	case frameComputeReply:
+		c.deliver(replyEnvelope{ID: id, Setup: rep})
+	case frameComputeReply, frameMatVecReply:
+		// Every per-block op replies in the Compute layout.
 		rep, err := decodeComputeReply(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(&replyEnvelope{ID: id, Compute: rep})
+		c.deliver(replyEnvelope{ID: id, Compute: rep})
 	case frameRekeyReply:
 		rep, err := decodeRekeyReply(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(&replyEnvelope{ID: id, Rekey: rep})
+		c.deliver(replyEnvelope{ID: id, Rekey: rep})
 	case frameRotKeysReply:
 		rep, err := decodeRotKeysReply(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(&replyEnvelope{ID: id, RotKeys: rep})
-	case frameMatVecReply:
-		rep, err := decodeComputeReply(payload)
-		if err != nil {
-			return err
-		}
-		c.deliver(&replyEnvelope{ID: id, MatVec: rep})
+		c.deliver(replyEnvelope{ID: id, RotKeys: rep})
 	case frameBatchItem:
 		idx, item, err := decodeBatchItem(payload)
 		if err != nil {
@@ -1115,7 +911,7 @@ func (c *Client) handleFrameV3(ftype byte, id uint64, payload []byte) error {
 		if asm != nil {
 			rep.Items = asm.Items
 		}
-		c.deliver(&replyEnvelope{ID: id, Batch: rep})
+		c.deliver(replyEnvelope{ID: id, Batch: rep})
 	default:
 		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, ftype)
 	}
@@ -1127,7 +923,7 @@ func (c *Client) handleFrameV3(ftype byte, id uint64, payload []byte) error {
 func (c *Client) send(env *envelope) (*call, error) {
 	id := c.nextID.Add(1)
 	env.ID = id
-	cl := &call{ch: make(chan *replyEnvelope, 1), env: env}
+	cl := &call{ch: make(chan replyEnvelope, 1), env: env}
 	c.pendMu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
@@ -1135,7 +931,7 @@ func (c *Client) send(env *envelope) (*call, error) {
 		return nil, err
 	}
 	c.pending[id] = cl
-	if c.proto == "v3" && env.Batch != nil {
+	if env.Batch != nil {
 		// Pre-size the assembly buffer so streamed items have a slot.
 		c.batchAsm[id] = &BatchReply{Items: make([]BatchItem, len(env.Batch.Blocks))}
 	}
@@ -1145,7 +941,7 @@ func (c *Client) send(env *envelope) (*call, error) {
 		// With reconnect armed, a Compute whose write hit the dying
 		// connection stays registered: the recovery pass replays it on
 		// the resumed transport, or fails it typed when recovery gives up.
-		if env.Compute != nil && c.canRecover() {
+		if env.replayable() && c.canRecover() {
 			return cl, nil
 		}
 		c.pendMu.Lock()
@@ -1164,17 +960,11 @@ func (c *Client) send(env *envelope) (*call, error) {
 // retries on the new generation; one that failed on the live generation
 // returns the error.
 func (c *Client) write(env *envelope) error {
-	if c.proto != "v3" {
-		c.writeMu.Lock()
-		err := c.enc.Encode(env)
-		c.writeMu.Unlock()
-		return err
-	}
 	for {
 		c.connMu.Lock()
 		fw, gen := c.fw, c.gen
 		c.connMu.Unlock()
-		err := sendV3(fw, env.ID, env)
+		err := sendEnvelope(fw, env)
 		if err == nil {
 			return nil
 		}
@@ -1187,33 +977,26 @@ func (c *Client) write(env *envelope) error {
 	}
 }
 
-func sendV3(fw *frameWriter, id uint64, env *envelope) error {
+func sendEnvelope(fw *frameWriter, env *envelope) error {
 	switch {
 	case env.Setup != nil:
-		return fw.sendFrame(frameSetup, id, func(b []byte) []byte { return appendSetupRequest(b, env.Setup) })
+		return fw.sendFrame(frameSetup, env.ID, func(b []byte) []byte { return appendSetupRequest(b, env.Setup) })
 	case env.Compute != nil:
-		return fw.sendFrame(frameCompute, id, func(b []byte) []byte { return appendComputeRequest(b, env.Compute) })
+		return fw.sendFrame(env.Op, env.ID, func(b []byte) []byte { return appendComputeRequest(b, env.Compute) })
 	case env.Batch != nil:
-		return fw.sendFrame(frameBatch, id, func(b []byte) []byte { return appendBatchRequest(b, env.Batch) })
+		return fw.sendFrame(frameBatch, env.ID, func(b []byte) []byte { return appendBatchRequest(b, env.Batch) })
 	case env.Rekey != nil:
-		return fw.sendFrame(frameRekey, id, func(b []byte) []byte { return appendRekeyRequest(b, env.Rekey) })
+		return fw.sendFrame(frameRekey, env.ID, func(b []byte) []byte { return appendRekeyRequest(b, env.Rekey) })
 	case env.RotKeys != nil:
-		return fw.sendFrame(frameRotKeys, id, func(b []byte) []byte { return appendRotKeysRequest(b, env.RotKeys) })
-	case env.MatVec != nil:
-		// MatVec reuses the Compute codec; the frame type selects the path.
-		return fw.sendFrame(frameMatVec, id, func(b []byte) []byte { return appendComputeRequest(b, env.MatVec) })
+		return fw.sendFrame(frameRotKeys, env.ID, func(b []byte) []byte { return appendRotKeysRequest(b, env.RotKeys) })
 	}
 	return errors.New("edge: empty envelope")
-}
-
-func (c *Client) wait(cl *call) (*replyEnvelope, error) {
-	return c.waitCtx(context.Background(), cl)
 }
 
 // waitCtx blocks for the reply subject to ctx and the configured
 // RequestTimeout; expiry abandons the request (a late reply is dropped)
 // and fails with an error wrapping serve.ErrDeadline.
-func (c *Client) waitCtx(ctx context.Context, cl *call) (*replyEnvelope, error) {
+func (c *Client) waitCtx(ctx context.Context, cl *call) (replyEnvelope, error) {
 	var timeout <-chan time.Time
 	if d := c.dcfg.RequestTimeout; d > 0 {
 		t := time.NewTimer(d)
@@ -1227,15 +1010,15 @@ func (c *Client) waitCtx(ctx context.Context, cl *call) (*replyEnvelope, error) 
 	select {
 	case reply, ok := <-cl.ch:
 		if !ok {
-			return nil, c.callErr(cl)
+			return replyEnvelope{}, c.callErr(cl)
 		}
 		return reply, nil
 	case <-timeout:
 		c.abandon(cl)
-		return nil, fmt.Errorf("edge: %w: no reply within %v", serve.ErrDeadline, c.dcfg.RequestTimeout)
+		return replyEnvelope{}, fmt.Errorf("edge: %w: no reply within %v", serve.ErrDeadline, c.dcfg.RequestTimeout)
 	case <-done:
 		c.abandon(cl)
-		return nil, fmt.Errorf("edge: %w: %v", serve.ErrDeadline, ctx.Err())
+		return replyEnvelope{}, fmt.Errorf("edge: %w: %v", serve.ErrDeadline, ctx.Err())
 	}
 }
 
@@ -1262,14 +1045,14 @@ func (c *Client) abandon(cl *call) {
 	c.pendMu.Unlock()
 }
 
-func (c *Client) roundTrip(env *envelope) (*replyEnvelope, error) {
+func (c *Client) roundTrip(env *envelope) (replyEnvelope, error) {
 	return c.roundTripCtx(context.Background(), env)
 }
 
-func (c *Client) roundTripCtx(ctx context.Context, env *envelope) (*replyEnvelope, error) {
+func (c *Client) roundTripCtx(ctx context.Context, env *envelope) (replyEnvelope, error) {
 	cl, err := c.send(env)
 	if err != nil {
-		return nil, err
+		return replyEnvelope{}, err
 	}
 	return c.waitCtx(ctx, cl)
 }
@@ -1281,19 +1064,8 @@ func (c *Client) Close() error {
 	return c.closeErr
 }
 
-// Protocol reports the negotiated wire protocol: "v3" or "gob".
-func (c *Client) Protocol() string { return c.proto }
-
-// Checksums reports whether per-frame CRC32C trailers were negotiated.
-func (c *Client) Checksums() bool {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.crc
-}
-
-// Profile reports the security profile the session runs on. On legacy
-// paths (gob, pre-profile servers) this is the registry default the
-// server pins such sessions to.
+// Profile reports the security profile the session runs on: what the
+// server granted, which may be a downgrade of DialConfig.Profile.
 func (c *Client) Profile() string { return c.prof.ID }
 
 // Slots returns the per-block capacity.
@@ -1350,7 +1122,7 @@ func (c *Client) RekeyAdvised() bool {
 	return advised != 0 && advised == c.Epoch()
 }
 
-// Pending is one in-flight Compute request.
+// Pending is one in-flight per-block request (Compute or MatVec).
 type Pending struct {
 	c     *Client
 	cl    *call
@@ -1375,6 +1147,13 @@ func (c *Client) ComputeAsync(block uint32, data []float64) (*Pending, error) {
 	if len(data) > c.Slots() {
 		return nil, fmt.Errorf("edge: %d values exceed %d slots", len(data), c.Slots())
 	}
+	return c.submit(frameCompute, block, data, len(data))
+}
+
+// submit masks one block and sends it as a request of the given per-block
+// op without waiting — the body ComputeAsync and MatVecAsync share. n is
+// how many leading result slots Wait hands back.
+func (c *Client) submit(op byte, block uint32, data []float64, n int) (*Pending, error) {
 	start := time.Now()
 	tc := c.tracer.sampleTrace()
 	var spans *clientSpans
@@ -1386,14 +1165,10 @@ func (c *Client) ComputeAsync(block uint32, data []float64) (*Pending, error) {
 		return nil, err
 	}
 	spans.span(cstageMask, start)
-	req := &ComputeRequest{
-		SessionID: c.sessionID, Block: block, Masked: masked, Epoch: epoch,
-	}
-	if c.traceWire.Load() {
-		req.Trace = tc
-	}
 	submitStart := time.Now()
-	cl, err := c.send(&envelope{Compute: req})
+	cl, err := c.send(&envelope{Op: op, Compute: &ComputeRequest{
+		SessionID: c.sessionID, Block: block, Masked: masked, Epoch: epoch, Trace: tc,
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -1402,7 +1177,7 @@ func (c *Client) ComputeAsync(block uint32, data []float64) (*Pending, error) {
 		spans.bt.ReqID = cl.env.ID
 	}
 	return &Pending{
-		c: c, cl: cl, n: len(data), block: block, epoch: epoch,
+		c: c, cl: cl, n: n, block: block, epoch: epoch,
 		spans: spans, sendDone: time.Now(),
 	}, nil
 }
@@ -1427,9 +1202,6 @@ func (p *Pending) WaitCtx(ctx context.Context) ([]float64, error) {
 		return nil, err
 	}
 	rep := reply.Compute
-	if rep == nil {
-		rep = reply.MatVec // matvec replies share the Compute layout
-	}
 	if rep == nil {
 		return nil, errors.New("edge: malformed reply")
 	}
@@ -1507,9 +1279,8 @@ func (c *Client) retryLoop(ctx context.Context, submit func() (*Pending, error))
 
 // MatVecDim reports the dimension of the server's packed model matrix:
 // the vector length MatVec accepts and the rotation set EnableMatVec
-// generates keys for. Zero means encrypted matvec is unavailable on this
-// connection — the peer predates it, the hello did not negotiate it, or
-// the server holds no matrix.
+// generates keys for. Zero means the server holds no matrix and encrypted
+// matvec is unavailable.
 func (c *Client) MatVecDim() int { return c.mvDim }
 
 // EnableMatVec generates the Galois rotation keys the server's hoisted
@@ -1518,8 +1289,8 @@ func (c *Client) MatVecDim() int { return c.mvDim }
 // after Dial, before the first MatVec; repeated calls are no-ops. The
 // keys are public evaluation material: they live on the session, so they
 // survive rekeys and reconnect-and-resume without a re-upload. Fails
-// with an error wrapping serve.ErrMatVecUnavailable when the connection
-// did not negotiate matvec.
+// with an error wrapping serve.ErrMatVecUnavailable when the server holds
+// no matrix.
 func (c *Client) EnableMatVec() error {
 	return c.EnableMatVecCtx(context.Background())
 }
@@ -1528,7 +1299,7 @@ func (c *Client) EnableMatVec() error {
 // configured RequestTimeout).
 func (c *Client) EnableMatVecCtx(ctx context.Context) error {
 	if c.mvDim == 0 {
-		return fmt.Errorf("edge: %w: connection did not negotiate matvec", serve.ErrMatVecUnavailable)
+		return fmt.Errorf("edge: %w: server holds no model matrix", serve.ErrMatVecUnavailable)
 	}
 	c.rotMu.Lock()
 	defer c.rotMu.Unlock()
@@ -1584,16 +1355,10 @@ func (c *Client) MatVecCtx(ctx context.Context, block uint32, data []float64) ([
 func (c *Client) MatVecAsync(block uint32, data []float64) (*Pending, error) {
 	dim := c.mvDim
 	if dim == 0 {
-		return nil, fmt.Errorf("edge: %w: connection did not negotiate matvec", serve.ErrMatVecUnavailable)
+		return nil, fmt.Errorf("edge: %w: server holds no model matrix", serve.ErrMatVecUnavailable)
 	}
 	if len(data) > dim {
 		return nil, fmt.Errorf("edge: %d values exceed matrix dimension %d", len(data), dim)
-	}
-	start := time.Now()
-	tc := c.tracer.sampleTrace()
-	var spans *clientSpans
-	if tc.Valid() {
-		spans = c.tracer.begin(tc, block, 0, start)
 	}
 	full := make([]float64, c.Slots())
 	for j := range full {
@@ -1601,30 +1366,7 @@ func (c *Client) MatVecAsync(block uint32, data []float64) (*Pending, error) {
 			full[j] = data[k]
 		}
 	}
-	masked, epoch, err := c.mask(block, full)
-	if err != nil {
-		return nil, err
-	}
-	spans.span(cstageMask, start)
-	req := &ComputeRequest{
-		SessionID: c.sessionID, Block: block, Masked: masked, Epoch: epoch,
-	}
-	if c.traceWire.Load() {
-		req.Trace = tc
-	}
-	submitStart := time.Now()
-	cl, err := c.send(&envelope{MatVec: req})
-	if err != nil {
-		return nil, err
-	}
-	spans.span(cstageSubmit, submitStart)
-	if spans != nil {
-		spans.bt.ReqID = cl.env.ID
-	}
-	return &Pending{
-		c: c, cl: cl, n: dim, block: block, epoch: epoch,
-		spans: spans, sendDone: time.Now(),
-	}, nil
+	return c.submit(frameMatVec, block, full, dim)
 }
 
 // errEpochRotated signals that a batch's mask pass straddled a concurrent
@@ -1632,10 +1374,9 @@ func (c *Client) MatVecAsync(block uint32, data []float64) (*Pending, error) {
 var errEpochRotated = errors.New("edge: key rotated mid-batch")
 
 // ComputeBatch masks blocks start..start+len(data)-1 and uploads them as
-// one BatchRequest the server fans out across its pool. On the v3
-// protocol the per-item results stream back as each worker finishes (the
-// call still returns once the whole batch completes); on gob the reply
-// arrives as one buffered message. Results are in input order; items can
+// one BatchRequest the server fans out across its pool. The per-item
+// results stream back as each worker finishes (the call still returns
+// once the whole batch completes). Results are in input order; items can
 // fail independently (e.g. shed with serve.ErrOverloaded), in which case
 // their slots are nil and the first failure is returned as a typed error
 // alongside the partial results. A mask pass straddling a concurrent key
@@ -1835,10 +1576,7 @@ func (c *Client) rekeyWith(ctx context.Context, qkdKey []byte) error {
 	}
 	// The resume credential is derived from the QKD material, so it
 	// rotates with the key.
-	var auth []byte
-	if c.resume {
-		auth = deriveResumeAuth(qkdKey)
-	}
+	auth := deriveResumeAuth(qkdKey)
 	reply, err := c.roundTripCtx(ctx, &envelope{Rekey: &RekeyRequest{
 		SessionID: c.sessionID, EncKey: encKey, Nonce: nonce, ResumeAuth: auth,
 	}})
@@ -1853,10 +1591,7 @@ func (c *Client) rekeyWith(ctx context.Context, qkdKey []byte) error {
 		return fmt.Errorf("edge: rekey rejected: %w", replyError(rep.Code, rep.Err))
 	}
 	c.keyMu.Lock()
-	c.key, c.nonce, c.epoch = key, nonce, rep.Epoch
-	if c.resume {
-		c.resumeAuth = auth
-	}
+	c.key, c.nonce, c.epoch, c.resumeAuth = key, nonce, rep.Epoch, auth
 	c.keyMu.Unlock()
 	c.statMu.Lock()
 	c.rekeyAdvisedEpoch = 0

@@ -1,9 +1,7 @@
 package edge
 
 import (
-	"bufio"
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,9 +20,16 @@ type fakeControl struct {
 	// negotiation (a scripted per-route plan).
 	steer atomic.Value
 
-	bound      atomic.Bool
-	admits     atomic.Int64
-	observed   atomic.Int64
+	// admitHook, when set, runs inside AdmitCompute — on the eval worker —
+	// so a test can park a worker mid-block.
+	admitHook atomic.Pointer[func()]
+
+	bound    atomic.Bool
+	admits   atomic.Int64
+	observed atomic.Int64
+	// lastBytes and lastCode are the most recent ObserveCompute's.
+	lastBytes  atomic.Int64
+	lastCode   atomic.Int64
 	negotiated atomic.Int64
 	sessions   sync.Map // sessionID -> profileID from ObserveSession
 }
@@ -68,6 +73,9 @@ func (f *fakeControl) AdmitSession(sessionID string, resident int) error {
 }
 
 func (f *fakeControl) AdmitCompute(sessionID string, usedBytes, pendingBytes int64) error {
+	if hook := f.admitHook.Load(); hook != nil {
+		(*hook)()
+	}
 	if f.denyCompute.Load() {
 		return serve.ErrAdmissionDenied
 	}
@@ -78,6 +86,8 @@ func (f *fakeControl) RekeyBudget(sessionID string) int64 { return f.budget.Load
 
 func (f *fakeControl) ObserveCompute(sessionID string, bytes int64, latency time.Duration, code serve.Code) {
 	f.observed.Add(1)
+	f.lastBytes.Store(bytes)
+	f.lastCode.Store(int64(code))
 }
 
 func startControlledServer(t *testing.T, ctl Controller, cfg ServerConfig) *Server {
@@ -180,8 +190,7 @@ func TestControlDynamicBudgetOverridesStatic(t *testing.T) {
 
 // TestNilControlStaticCompat pins the compat requirement: with no
 // controller the serving path behaves exactly as before the control
-// plane existed — static budget enforcement, admit-until-evicted, and a
-// v3 hello ack with an empty payload for a legacy (empty) hello.
+// plane existed — static budget enforcement, admit-until-evicted.
 func TestNilControlStaticCompat(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		Model: Model{Weights: []float64{1}}, RekeyBytes: 1000,
@@ -190,27 +199,6 @@ func TestNilControlStaticCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	// Legacy hello: empty payload in, empty payload back (bit-compatible
-	// with the PR 3 handshake).
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := beginFrame(nil, frameHello, 0)
-	hello, _ = finishFrame(hello, 0)
-	if _, err := conn.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	ftype, _, payload, err := readFrame(bufio.NewReaderSize(conn, wireBufSize), &buf)
-	if err != nil || ftype != frameHello {
-		t.Fatalf("hello ack: type %d err %v", ftype, err)
-	}
-	if len(payload) != 0 {
-		t.Fatalf("hello ack payload %d bytes, want 0 (PR 3 compatible)", len(payload))
-	}
 
 	// Static budget still enforced the old way.
 	c, err := Dial(srv.Addr(), "static", []byte("k"), 7)

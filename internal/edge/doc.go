@@ -27,34 +27,24 @@
 // degrees, independently keyed contexts — serve side by side on one
 // listener.
 //
-// Profile negotiation is a v3 feature gated by the hello handshake: the
-// server advertises support with a flags bit in its hello ack, and a
-// capable client then sends a frameProfile query (session ID + requested
-// profile, possibly empty for "let the plan steer") before generating any
-// keys. The server — its control plane's per-route λ plan, when one is
-// attached — answers with the granted profile: the request itself, the
-// plan's choice for an empty request, a *downgrade* to the route's
+// Profile negotiation is the first thing a session does: before
+// generating any keys the client sends a frameProfile query (session ID +
+// requested profile, possibly empty for "let the plan steer"). The server
+// — its control plane's per-route λ plan, when one is attached — answers
+// with the granted profile: the request itself, the plan's choice (or the
+// registry default) for an empty request, a *downgrade* to the route's
 // planned profile when the request demands a higher λ than the plan
 // allows, or a typed serve.CodeProfileDenied for profiles the registry
 // does not know. The client builds its context and keys for the granted
-// profile and carries it in Setup (an optional trailing field of the v3
-// payload); Setup enforces that the declared parameters match the
-// profile's.
+// profile and names it in Setup, which enforces that the declared
+// parameters match the profile's and echoes the profile back.
 //
 // Downgrade rule: requests at or below the plan pass as asked; requests
 // above it are granted the planned profile instead, and Setup re-checks
 // the declared profile against the current plan so the advisory query
 // cannot be bypassed (a grant the plan moved below mid-dial is denied
-// typed; the client renegotiates and redials). Gob (v1/v2) peers and
-// pre-profile v3 peers negotiate nothing and are pinned to the default
-// profile, whose parameters are exactly the pre-registry runtime's fixed
-// set — their wire format and protocol behavior are unchanged. (One
-// advisory delta: the modeled-delay reply fields now evaluate the cost
-// model at the session profile's paper-scale λ, as the paper intends,
-// where they previously used the runnable ring degree.) A client that
-// explicitly requests a non-default profile against a peer that cannot
-// negotiate fails typed (serve.ErrProfileDenied) rather than silently
-// running at the wrong security level.
+// typed; the client renegotiates and redials). The modeled-delay reply
+// fields evaluate the cost model at the session profile's paper-scale λ.
 //
 // # Control plane
 //
@@ -71,72 +61,98 @@
 //
 // # Wire protocol
 //
-// Three generations share one listen port. The server sniffs the
-// generation from a connection's first bytes: protocol v3 opens with the
-// frame magic 0xAD 0x51 — a byte pair gob never emits at stream start —
-// and everything else is served on the legacy gob path.
+// There is one protocol and one version of it. Every frame, hello
+// included, is
 //
-//   - v1 (seed protocol): gob envelopes, ID 0, Setup/Compute only, one
-//     synchronous request per round trip, replies in order. Still
-//     accepted — v1 requests run on the shared pool with blocking
-//     checkout and are never shed.
+//	offset 0     magic    0xAD 0x51
+//	offset 2     version  0x04
+//	offset 3     type     hello, setup, compute, batch item, ...
+//	offset 4     reqID    uint64, little-endian
+//	offset 12    length   uint32 payload byte count
+//	offset 16    payload
+//	offset 16+n  crc      CRC32C (Castagnoli) over header and payload
 //
-//   - v2: gob envelopes with nonzero request IDs allowing multiple
-//     in-flight requests per connection and out-of-order replies matched
-//     by ID; BatchCompute fans a group of blocks out across the worker
-//     pool (one buffered reply); Rekey installs fresh QKD-derived key
-//     material; replies carry typed serve.Code values next to the
-//     human-readable Err detail. Gob matches struct fields by name and
-//     ignores unknown fields, which is what keeps v1 and v2 peers
-//     interoperable on one decoder.
+// The checksum trailer is outside the length field and is verified on
+// every frame in both directions: corruption fails with the typed
+// ErrFrameChecksum (and quhe_wire_checksum_failures_total) instead of a
+// garbage decode. HE payloads (ciphertexts, keys) travel as raw
+// little-endian uint64 coefficient runs, one per residue-tower limb, via
+// the ckks/ring AppendBinary/DecodeFrom codecs — reflection-free and
+// allocation-free in steady state. Payload fields are all mandatory and
+// positional: Setup always carries Profile and ResumeAuth, a Setup reply
+// always carries Profile and MatVecDim (zero when the server holds no
+// model matrix — that is how matvec availability is learned), a Rekey
+// always carries the rotated ResumeAuth, and Compute/MatVec/Batch
+// requests always end in the 16-byte trace context, all zero when the
+// request is unsampled. A decoder that runs out of bytes, or has bytes
+// left over, reports ErrBadFrame and the connection is closed.
 //
-//   - v3: a hand-rolled, length-prefixed binary framing that removes
-//     gob's reflection and per-coefficient varint encoding from the hot
-//     path. Every frame is
+// A connection opens with an empty hello frame from the client, echoed by
+// the server. The version byte names the whole wire format — framing,
+// field lists, ciphertext layout — so there is nothing to negotiate and
+// no feature flags: an incompatible change bumps frameVersion. A version
+// mismatch therefore looks like this: the server reads a first frame that
+// is not a current-version hello (a gob stream from a retired client, the
+// previous version's hello, garbage), counts it in
+// quhe_wire_protocol_mismatch_total and closes without replying, before
+// any session or worker is touched; the client, whose hello was not
+// echoed within negotiateTimeout, fails the dial with an error wrapping
+// ErrProtocolMismatch. There is no fallback generation to redial on.
 //
-//     offset 0   magic    0xAD 0x51
-//     offset 2   version  0x03
-//     offset 3   type     hello, setup, compute, batch item, ...
-//     offset 4   reqID    uint64, little-endian
-//     offset 12  length   uint32 payload byte count
-//     offset 16  payload
+// After the hello the client runs the profile query, then Setup, both
+// answered in order; from then on requests carry nonzero IDs, many may be
+// in flight, and replies return out of order matched by ID. A reconnect
+// replaces query and Setup with the resume handshake (frameResume →
+// challenge → proof → reply), which re-attaches the session by a MAC
+// under the QKD-derived credential that Setup registered and every Rekey
+// rotates.
 //
-//     HE payloads (ciphertexts, keys) travel as raw little-endian uint64
-//     coefficient runs via the ckks/ring AppendBinary/DecodeFrom codecs:
-//     encode and decode are reflection-free, allocation-free in steady
-//     state, and bit-identical to the gob representation. A v3 connection
-//     opens with a client hello frame and a server ack; a client dialing
-//     an older server (ProtoAuto) detects the dead hello and redials on
-//     the gob path.
-//
-// Whatever the generation, Setup and Rekey end in the same two handlers,
-// and those are where a transciphering key is installed: the uploaded
-// key ciphertexts are validated against the session profile's context —
-// top level, one limb of N coefficients per level, every residue below
-// its prime; anything else is refused with serve.CodeBadRequest before a
-// lazy-reduction transform can see it, and a refused Rekey leaves the
-// live key and epoch untouched — and converted in place to the
-// evaluation form the keystream kernel reads
-// (transcipher.Cipher.InstallKey). The conversion costs 2·KeyLen
+// Setup, Rekey and rotation-key upload are where key material crosses
+// the trust boundary, and each validates before installing: the
+// relinearization key and every Galois key must fit the session
+// profile's ring — one digit per chain prime, every component over the
+// extended basis with N coefficients per limb (serve.CodeParamMismatch
+// otherwise) — with every residue below its modulus (serve.CodeBadRequest;
+// ckks.Context.CheckSwitchingKey), and the transciphering key ciphertexts
+// must sit at the top level, one limb of N reduced coefficients per
+// level. Anything else is refused before a lazy-reduction transform or an
+// indexed digit loop can see it; a refused Setup registers nothing, a
+// refused Rekey leaves the live key and epoch untouched, a refused
+// upload leaves the session without rotation keys. An accepted
+// transciphering key is converted in place to the evaluation form the
+// keystream kernel reads (transcipher.Cipher.InstallKey): 2·KeyLen
 // forward transforms per limb once per key generation instead of once
 // per block; serve.Session holds only the installed form, swapped
 // together with nonce and epoch under its lock.
 //
-// The hello pair doubles as a feature handshake: a client may carry a
-// flags byte in its hello payload requesting per-frame CRC32C trailers
-// (DialConfig.Checksum), which the ack confirms when the server opted in
-// (ServerConfig.FrameChecksums). Once negotiated, every subsequent frame
-// in both directions carries a 4-byte Castagnoli checksum over header and
-// payload, excluded from the header's length field; a mismatch fails with
-// the typed ErrFrameChecksum instead of a garbage decode. Empty hello
-// payloads — every pre-checksum peer — negotiate nothing and stay
-// bit-compatible.
+// # The op table
 //
-// v3 BatchCompute is streaming: the server frames and flushes each
-// block's reply the moment its worker finishes (frameBatchItem, out of
-// order) and closes the batch with a frameBatchDone trailer carrying the
-// aggregate modeled costs, so giant batches never buffer whole replies.
-// A per-connection write mutex interleaves concurrent senders at frame
+// What a session can run on a masked block is a table (ops in
+// server.go), one row per op: its request and reply frame types (both
+// carry the Compute codecs), whether the transcipher applies the model's
+// slot-wise weights and bias or the identity while it decrypts, and an
+// optional kernel run on the transcipher's output together with that
+// kernel's readiness check and trace stage. Today: compute (affine fused
+// into the transcipher, no kernel) and matvec (identity, then the hoisted
+// BSGS matrix kernel under the session's rotation keys, traced as the
+// matvec stage). Everything else is one pipeline shared by every row,
+//
+//	decode → session lookup → submit to the profile's pool →
+//	  [ready → slot bound → key epoch → AdmitCompute → rekey budget →
+//	   transcipher → kernel → RecordBlock / ObserveCompute] →
+//	encode → write
+//
+// in handleOp and evalBlock; batch items run the compute row through the
+// same evalBlock. Adding an op is a kernel function plus a row (and a
+// client entry point calling submit with the row's frame type): the
+// gates, accounting, tracing, shedding and reply framing come with the
+// pipeline, and TestOpGates walks every row through every gate.
+//
+// BatchCompute is streaming: the server frames and flushes each block's
+// reply the moment its worker finishes (frameBatchItem, out of order) and
+// closes the batch with a frameBatchDone trailer carrying the aggregate
+// modeled costs, so giant batches never buffer whole replies. A
+// per-connection write mutex interleaves concurrent senders at frame
 // granularity, keeping one batch from starving pipelined requests on the
 // same connection. Item frames are windowed (ServerConfig.BatchWindow): a
 // window token is held from an item's submission until its frame reaches
@@ -166,10 +182,10 @@
 // The server instruments its full serving path against internal/obs: a
 // lock-cheap metrics registry (wire frame/byte counters per direction,
 // per-stage latency histograms quhe_stage_seconds{stage=decode|
-// queue_wait|eval|encode|write}, per-profile eval latency and pool
+// queue_wait|eval|matvec|encode|write}, per-profile eval latency and pool
 // gauges, compute outcomes by code, scheduler queue depth/sheds, session
 // and rekey counters, NTT inline-degradation and QKD flow counters via
-// the control plane) plus a per-block tracer on the v3 compute path —
+// the control plane) plus a per-block tracer on the per-block op path —
 // every block's stage spans, ring-buffered per session, dumpable as
 // chrome://tracing JSON. Instrumentation is on by default and costs
 // under ~2% of the hot path (BenchmarkObsOverhead pins this in
@@ -182,9 +198,9 @@
 // span, sampled bit — obs.TraceContext), records its own spans
 // (dial/handshake/keygen/setup on dial; mask/submit/wait per sampled
 // compute; backoff/reconnect/resume/replay on recovery; rekey and
-// retry_backoff as standalone events) under Proc "client", and — when
-// the v3 hello negotiated the trace flag — sends the 16-byte context in
-// the compute frame. The server re-parents its stage spans under that
+// retry_backoff as standalone events) under Proc "client", and sends the
+// 16-byte context in the request frame. The server re-parents its stage
+// spans under that
 // context, so the two halves merge into one trace ID in a combined
 // chrome dump. DialConfig.TraceSample bounds the per-block cost:
 // lifecycle spans are always recorded (rare, each explains a latency
@@ -246,7 +262,7 @@
 //	                                             backoff/reconnect/      (capped exponential backoff + jitter),
 //	                                             resume/replay spans     resumes the session (zero keygens, zero QKD
 //	                                             under the stalled       withdrawals) and replays in-flight Computes;
-//	                                             block's trace ID        in-flight Setup/Rekey/Batch fail typed —
+//	                                             block's trace ID        in-flight Setup/Rekey/Batch/MatVec fail typed —
 //	                                                                     replaying a rekey could double-bump the
 //	                                                                     epoch
 //	CodeDeadline          caller's choice        wait span closes at     the request was abandoned after
@@ -255,8 +271,7 @@
 //	                                                                     but the block may have been served
 //	CodeBadRequest,       no                     wait span closes        fix the request; these are programming or
 //	CodeParamMismatch,                                                   negotiation errors, not transients
-//	CodeOversized,
-//	CodeWireFormat
+//	CodeOversized
 //	CodeInternal          maybe once             wait span closes        server-side evaluation failure; one resend
 //	                                                                     distinguishes a transient from a real bug
 //

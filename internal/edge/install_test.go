@@ -1,12 +1,9 @@
 package edge
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,59 +11,13 @@ import (
 	"quhe/internal/he/ckks"
 	"quhe/internal/he/ring"
 	"quhe/internal/serve"
-	"quhe/internal/transcipher"
 )
 
-// installPeer is a hand-rolled client's key material on the default
-// profile, for driving Setup and Rekey with keys a real client would
-// never send.
-type installPeer struct {
-	ctx    *ckks.Context
-	cipher *transcipher.Cipher
-	ev     *ckks.Evaluator
-	pk     *ckks.PublicKey
-	rlk    *ckks.RelinKey
-	key    []float64
-}
-
-func newInstallPeer(t *testing.T) *installPeer {
-	t.Helper()
-	ctx, err := ckks.NewContext(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cipher, err := transcipher.New(ctx, KeyLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(ctx, 191)
-	sk := kg.GenSecretKey()
-	p := &installPeer{ctx: ctx, cipher: cipher, ev: ckks.NewEvaluator(ctx, 192),
-		pk: kg.GenPublicKey(sk), rlk: kg.GenRelinKey(sk)}
-	if p.key, err = cipher.DeriveKey([]byte("install-test")); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func (p *installPeer) encKey(t *testing.T) []*ckks.Ciphertext {
-	t.Helper()
-	k, err := p.cipher.EncryptKey(p.ev, p.pk, p.key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
-}
-
-func (p *installPeer) setup(id string, encKey []*ckks.Ciphertext) *SetupRequest {
-	return &SetupRequest{SessionID: id, LogN: p.ctx.Params.LogN, Depth: p.ctx.Params.Depth,
-		PK: p.pk, RLK: p.rlk, EncKey: encKey, Nonce: []byte("edge:install")}
-}
-
-// hostileKeys returns the malformed uploads the install step must refuse.
-// wireSafe limits them to shapes the v3 codec can carry (it writes one
-// degree and level+1 equal limbs per ciphertext; gob carries anything).
-func (p *installPeer) hostileKeys(t *testing.T, wireSafe bool) map[string][]*ckks.Ciphertext {
+// hostileKeys returns the malformed transciphering-key uploads the
+// install step must refuse — every shape the codec can carry (it writes
+// one degree and level+1 equal limbs per ciphertext, so ragged keys
+// cannot reach the server).
+func (p *rawPeer) hostileKeys(t *testing.T) map[string][]*ckks.Ciphertext {
 	t.Helper()
 	top := p.ctx.MaxLevel()
 	keys := map[string][]*ckks.Ciphertext{}
@@ -87,15 +38,60 @@ func (p *installPeer) hostileKeys(t *testing.T, wireSafe bool) map[string][]*ckk
 		}
 	}
 	keys["half-degree coordinate"] = k
-	if !wireSafe {
-		k = p.encKey(t)
-		k[1].C0[1] = k[1].C0[1][:3]
-		keys["ragged limb"] = k
-		k = p.encKey(t)
-		k[6].C1 = k[6].C1[:top]
-		keys["missing limb"] = k
-	}
 	return keys
+}
+
+// hostileGadgets returns malformed variants of a key-switch gadget (a
+// relinearization or rotation key's Parts) with the code each must be
+// refused under: a gadget built for another ring is a parameter mismatch,
+// an unreduced residue a bad request. Each variant is a deep copy; parts
+// is left intact.
+func (p *rawPeer) hostileGadgets(parts [][2]ring.RNSPoly) map[string]struct {
+	parts [][2]ring.RNSPoly
+	code  serve.Code
+} {
+	clone := func() [][2]ring.RNSPoly {
+		out := make([][2]ring.RNSPoly, len(parts))
+		for j := range parts {
+			for c := range parts[j] {
+				out[j][c] = make(ring.RNSPoly, len(parts[j][c]))
+				for l, limb := range parts[j][c] {
+					out[j][c][l] = append(ring.Poly(nil), limb...)
+				}
+			}
+		}
+		return out
+	}
+	type variant = struct {
+		parts [][2]ring.RNSPoly
+		code  serve.Code
+	}
+	out := map[string]variant{}
+	out["one digit"] = variant{clone()[:1], serve.CodeParamMismatch}
+	half := clone()
+	for j := range half {
+		for c := range half[j] {
+			for l := range half[j][c] {
+				half[j][c][l] = half[j][c][l][:len(half[j][c][l])/2]
+			}
+		}
+	}
+	out["half degree"] = variant{half, serve.CodeParamMismatch}
+	short := clone()
+	for j := range short {
+		for c := range short[j] {
+			short[j][c] = short[j][c][:len(short[j][c])-1]
+		}
+	}
+	out["special limb missing"] = variant{short, serve.CodeParamMismatch}
+	unreduced := clone()
+	unreduced[1][0][2][7] = p.ctx.Primes[2]
+	out["residue equal to its prime"] = variant{unreduced, serve.CodeBadRequest}
+	special := clone()
+	last := len(special[0][1]) - 1
+	special[0][1][last][0] = ^uint64(0)
+	out["all-ones residue on the special limb"] = variant{special, serve.CodeBadRequest}
+	return out
 }
 
 // checkSessions and checkEpoch witness that a rejected install left no
@@ -115,143 +111,103 @@ func checkEpoch(t *testing.T, srv *Server, id, what string, want uint64) {
 	}
 }
 
-// TestInstallValidationGob drives the two gob generations: v1 envelopes
-// (no IDs, Setup only) and v2 envelopes (IDs, Rekey). Unreduced residues
-// and ragged shapes are refused with CodeBadRequest at Setup and at
-// Rekey, and the refusals leave the store and the live key alone.
-func TestInstallValidationGob(t *testing.T) {
-	srv := startServer(t, Model{Weights: []float64{1}})
-	p := newInstallPeer(t)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-
-	// v1: the seed envelope shape. The reply decodes into the current
-	// envelope (gob matches fields by name), which exposes the code.
-	for name, k := range p.hostileKeys(t, false) {
-		req := p.setup("gob-v1", k)
-		if err := enc.Encode(&v1Envelope{Setup: &v1SetupRequest{SessionID: req.SessionID, LogN: req.LogN,
-			Depth: req.Depth, PK: req.PK, RLK: req.RLK, EncKey: req.EncKey, Nonce: req.Nonce}}); err != nil {
-			t.Fatal(err)
-		}
-		var rep replyEnvelope
-		if err := dec.Decode(&rep); err != nil {
-			t.Fatalf("v1 setup, %s: %v", name, err)
-		}
-		if rep.Setup == nil || rep.Setup.OK || rep.Setup.Code != serve.CodeBadRequest {
-			t.Errorf("v1 setup, %s: reply %+v, want CodeBadRequest", name, rep.Setup)
-		}
-	}
-	checkSessions(t, srv, "after hostile v1 setups", 0)
-
-	// v2: same refusals with request IDs, then a good Setup and hostile
-	// Rekeys against it.
-	id := uint64(0)
-	call := func(env *envelope) *replyEnvelope {
-		t.Helper()
-		id++
-		env.ID = id
-		if err := enc.Encode(env); err != nil {
-			t.Fatal(err)
-		}
-		var rep replyEnvelope
-		if err := dec.Decode(&rep); err != nil {
-			t.Fatal(err)
-		}
-		if rep.ID != id {
-			t.Fatalf("reply id %d, want %d", rep.ID, id)
-		}
-		return &rep
-	}
-	for name, k := range p.hostileKeys(t, false) {
-		rep := call(&envelope{Setup: p.setup("gob-v2", k)})
-		if rep.Setup == nil || rep.Setup.OK || rep.Setup.Code != serve.CodeBadRequest {
-			t.Errorf("v2 setup, %s: reply %+v, want CodeBadRequest", name, rep.Setup)
-		}
-	}
-	checkSessions(t, srv, "after hostile v2 setups", 0)
-	if rep := call(&envelope{Setup: p.setup("gob-v2", p.encKey(t))}); rep.Setup == nil || !rep.Setup.OK {
-		t.Fatalf("good v2 setup refused: %+v", rep.Setup)
-	}
-	for name, k := range p.hostileKeys(t, false) {
-		rep := call(&envelope{Rekey: &RekeyRequest{SessionID: "gob-v2", EncKey: k, Nonce: []byte("edge:rekeyed")}})
-		if rep.Rekey == nil || rep.Rekey.OK || rep.Rekey.Code != serve.CodeBadRequest {
-			t.Errorf("v2 rekey, %s: reply %+v, want CodeBadRequest", name, rep.Rekey)
-		}
-	}
-	checkEpoch(t, srv, "gob-v2", "after hostile rekeys", 1)
-	if rep := call(&envelope{Rekey: &RekeyRequest{SessionID: "gob-v2", EncKey: p.encKey(t), Nonce: []byte("edge:rekeyed")}}); rep.Rekey == nil || !rep.Rekey.OK {
-		t.Fatalf("good v2 rekey refused: %+v", rep.Rekey)
-	}
-	checkEpoch(t, srv, "gob-v2", "after the good rekey", 2)
-}
-
-// TestInstallValidationV3 is the framed generation's half: every
-// malformed key the v3 codec can carry is refused typed at Setup and at
-// Rekey, on the same connection, without tearing it down.
+// TestInstallValidationV3: every malformed key the codec can carry —
+// transciphering key, relinearization key, rotation keys — is refused
+// typed at Setup, Rekey and rotation-key upload, on the same connection,
+// without tearing it down and without leaving a trace. The one-digit
+// relinearization key is the remote crash this guards: before install
+// validation, that Setup was accepted and the session's first Compute
+// indexed past the key on a scheduler worker, killing the server.
 func TestInstallValidationV3(t *testing.T) {
-	srv := startServer(t, Model{Weights: []float64{1}})
-	p := newInstallPeer(t)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	var buf []byte
-	id := uint64(0)
-	call := func(ftype, want byte, build func(b []byte) []byte) []byte {
-		t.Helper()
-		id++
-		if _, err := conn.Write(buildFrame(t, ftype, id, build)); err != nil {
-			t.Fatal(err)
-		}
-		got, gotID, payload, err := readFrame(br, &buf)
-		if err != nil || got != want || (ftype != frameHello && gotID != id) {
-			t.Fatalf("frame %d: reply type %d id %d err %v, want type %d id %d", ftype, got, gotID, err, want, id)
-		}
-		return payload
-	}
-	call(frameHello, frameHello, func(b []byte) []byte { return append(b, helloFlagProfiles|helloFlagRNSWire) })
+	srv := startServer(t, Model{Weights: []float64{1}, Matrix: testMatrix})
+	p := newRawPeer(t, 191)
+	p.dial(t, srv.Addr())
 
-	setup := func(k []*ckks.Ciphertext) *SetupReply {
-		t.Helper()
-		req := p.setup("v3", k)
-		rep, err := decodeSetupReply(call(frameSetup, frameSetupReply, func(b []byte) []byte { return appendSetupRequest(b, req) }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
 	rekey := func(k []*ckks.Ciphertext) *RekeyReply {
 		t.Helper()
 		req := &RekeyRequest{SessionID: "v3", EncKey: k, Nonce: []byte("edge:rekeyed")}
-		rep, err := decodeRekeyReply(call(frameRekey, frameRekeyReply, func(b []byte) []byte { return appendRekeyRequest(b, req) }))
+		rep, err := decodeRekeyReply(p.call(t, frameRekey, frameRekeyReply, func(b []byte) []byte { return appendRekeyRequest(b, req) }))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	for name, k := range p.hostileKeys(t, true) {
-		if rep := setup(k); rep.OK || rep.Code != serve.CodeBadRequest {
-			t.Errorf("v3 setup, %s: reply %+v, want CodeBadRequest", name, rep)
+	for name, k := range p.hostileKeys(t) {
+		if rep := p.setup(t, p.setupRequest("v3", k)); rep.OK || rep.Code != serve.CodeBadRequest {
+			t.Errorf("setup, transciphering key with %s: reply %+v, want CodeBadRequest", name, rep)
 		}
 	}
-	checkSessions(t, srv, "after hostile v3 setups", 0)
-	if rep := setup(p.encKey(t)); !rep.OK {
-		t.Fatalf("good v3 setup refused: %+v", rep)
+	for name, g := range p.hostileGadgets(p.rlk.Parts) {
+		req := p.setupRequest("v3", p.encKey(t))
+		req.RLK = &ckks.RelinKey{Parts: g.parts}
+		if rep := p.setup(t, req); rep.OK || rep.Code != g.code {
+			t.Errorf("setup, relinearization key with %s: reply %+v, want %v", name, rep, g.code)
+		}
 	}
-	for name, k := range p.hostileKeys(t, true) {
+	checkSessions(t, srv, "after hostile setups", 0)
+	p.register(t, "v3")
+	for name, k := range p.hostileKeys(t) {
 		if rep := rekey(k); rep.OK || rep.Code != serve.CodeBadRequest {
-			t.Errorf("v3 rekey, %s: reply %+v, want CodeBadRequest", name, rep)
+			t.Errorf("rekey, %s: reply %+v, want CodeBadRequest", name, rep)
 		}
 	}
 	checkEpoch(t, srv, "v3", "after hostile rekeys", 1)
 	if rep := rekey(p.encKey(t)); !rep.OK || rep.Epoch != 2 {
-		t.Fatalf("good v3 rekey: %+v", rep)
+		t.Fatalf("good rekey: %+v", rep)
+	}
+
+	// Rotation keys: one bad key anywhere in the set refuses the whole
+	// upload, and the session keeps serving Computes without matvec.
+	rots := ckks.BSGSRotations(len(testMatrix))
+	good := ckks.NewKeyGenerator(p.ctx, 193).GenGaloisKeys(p.sk, rots)
+	upload := func(set *ckks.GaloisKeySet) *RotKeysReply {
+		t.Helper()
+		req := &RotKeysRequest{SessionID: "v3", Keys: set}
+		rep, err := decodeRotKeysReply(p.call(t, frameRotKeys, frameRotKeysReply, func(b []byte) []byte { return appendRotKeysRequest(b, req) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	var victim uint64
+	for el := range good.Keys {
+		victim = el
+		break
+	}
+	for name, g := range p.hostileGadgets(good.Keys[victim].Parts) {
+		set := &ckks.GaloisKeySet{Keys: make(map[uint64]*ckks.GaloisKey, len(good.Keys))}
+		for el, gk := range good.Keys {
+			set.Keys[el] = gk
+		}
+		set.Keys[victim] = &ckks.GaloisKey{Rot: good.Keys[victim].Rot, El: victim, Parts: g.parts}
+		if rep := upload(set); rep.OK || rep.Code != g.code {
+			t.Errorf("rotation key with %s: reply %+v, want %v", name, rep, g.code)
+		}
+	}
+	sess, _ := srv.store.Peek("v3")
+	if sess.RotKeys() != nil {
+		t.Fatal("a refused rotation-key upload was installed")
+	}
+	compute := func(ftype, want byte, block uint32) *ComputeReply {
+		t.Helper()
+		req := &ComputeRequest{SessionID: "v3", Block: block, Epoch: 2, Masked: make([]float64, 4)}
+		rep, err := decodeComputeReply(p.call(t, ftype, want, func(b []byte) []byte { return appendComputeRequest(b, req) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if rep := compute(frameCompute, frameComputeReply, 0); rep.Code != serve.CodeOK {
+		t.Errorf("compute after refused uploads: %+v", rep)
+	}
+	if rep := compute(frameMatVec, frameMatVecReply, 1); rep.Code != serve.CodeMatVecUnavailable {
+		t.Errorf("matvec without installed rotation keys: %+v, want CodeMatVecUnavailable", rep)
+	}
+	if rep := upload(good); !rep.OK {
+		t.Fatalf("good rotation keys refused: %+v", rep)
+	}
+	if rep := compute(frameMatVec, frameMatVecReply, 2); rep.Code != serve.CodeOK {
+		t.Errorf("matvec after the good upload: %+v", rep)
 	}
 }
 

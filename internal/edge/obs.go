@@ -33,7 +33,8 @@ type serverObs struct {
 	framesIn, framesOut *obs.Counter
 	bytesIn, bytesOut   *obs.Counter
 	checksumFails       *obs.Counter
-	connsV3, connsGob   *obs.Gauge
+	protoMismatches     *obs.Counter
+	conns               *obs.Gauge
 	rekeys              *obs.Counter
 	shedQueueFull       *obs.Counter
 
@@ -88,26 +89,26 @@ const (
 
 func newServerObs(reg *obs.Registry, s *Server) *serverObs {
 	m := &serverObs{
-		reg:           reg,
-		tracer:        obs.NewTracer(0, 0),
-		framesIn:      reg.Counter("quhe_wire_frames_total", "v3 frames by direction", "dir", "in"),
-		framesOut:     reg.Counter("quhe_wire_frames_total", "", "dir", "out"),
-		bytesIn:       reg.Counter("quhe_wire_bytes_total", "v3 wire bytes by direction", "dir", "in"),
-		bytesOut:      reg.Counter("quhe_wire_bytes_total", "", "dir", "out"),
-		checksumFails: reg.Counter("quhe_wire_checksum_failures_total", "frames rejected by CRC32C trailer mismatch"),
-		connsV3:       reg.Gauge("quhe_edge_conns", "live connections by protocol generation", "proto", "v3"),
-		connsGob:      reg.Gauge("quhe_edge_conns", "", "proto", "gob"),
-		rekeys:        reg.Counter("quhe_edge_rekeys_total", "successful session rekeys"),
-		shedQueueFull: reg.Counter("quhe_serve_shed_total", "requests shed by reason", "reason", "queue_full"),
-		resumes:       reg.Counter("quhe_resumes_total", "sessions re-attached by the resume handshake"),
-		resumeRejects: reg.Counter("quhe_edge_resume_rejects_total", "resume attempts denied (bad proof, epoch/profile drift, unknown session)"),
-		resumeExpired: reg.Counter("quhe_edge_resume_window_expired_total", "detached sessions reaped after the resume window"),
-		idleTimeouts:  reg.Counter("quhe_edge_idle_timeouts_total", "connections reclaimed by the idle read deadline"),
-		drains:        reg.Counter("quhe_edge_drains_total", "graceful drains initiated"),
-		queueWait:     reg.Histogram("quhe_serve_queue_wait_seconds", "scheduler queue wait per job"),
-		codeCounters:  make(map[serve.Code]*obs.Counter),
-		evalHists:     make(map[string]*obs.Histogram),
-		latencySLOs:   make(map[string]*obs.SLOTracker),
+		reg:             reg,
+		tracer:          obs.NewTracer(0, 0),
+		framesIn:        reg.Counter("quhe_wire_frames_total", "frames by direction", "dir", "in"),
+		framesOut:       reg.Counter("quhe_wire_frames_total", "", "dir", "out"),
+		bytesIn:         reg.Counter("quhe_wire_bytes_total", "wire bytes by direction", "dir", "in"),
+		bytesOut:        reg.Counter("quhe_wire_bytes_total", "", "dir", "out"),
+		checksumFails:   reg.Counter("quhe_wire_checksum_failures_total", "frames rejected by CRC32C trailer mismatch"),
+		protoMismatches: reg.Counter("quhe_wire_protocol_mismatch_total", "connections closed for not opening with a hello in the current frame version"),
+		conns:           reg.Gauge("quhe_edge_conns", "live connections"),
+		rekeys:          reg.Counter("quhe_edge_rekeys_total", "successful session rekeys"),
+		shedQueueFull:   reg.Counter("quhe_serve_shed_total", "requests shed by reason", "reason", "queue_full"),
+		resumes:         reg.Counter("quhe_resumes_total", "sessions re-attached by the resume handshake"),
+		resumeRejects:   reg.Counter("quhe_edge_resume_rejects_total", "resume attempts denied (bad proof, epoch/profile drift, unknown session)"),
+		resumeExpired:   reg.Counter("quhe_edge_resume_window_expired_total", "detached sessions reaped after the resume window"),
+		idleTimeouts:    reg.Counter("quhe_edge_idle_timeouts_total", "connections reclaimed by the idle read deadline"),
+		drains:          reg.Counter("quhe_edge_drains_total", "graceful drains initiated"),
+		queueWait:       reg.Histogram("quhe_serve_queue_wait_seconds", "scheduler queue wait per job"),
+		codeCounters:    make(map[serve.Code]*obs.Counter),
+		evalHists:       make(map[string]*obs.Histogram),
+		latencySLOs:     make(map[string]*obs.SLOTracker),
 	}
 	m.slos = obs.NewSLOSet(reg)
 	m.availSLO = m.slos.Add("availability", sloObjective)
@@ -206,7 +207,7 @@ func (m *serverObs) observeSpan(idx int, d time.Duration) {
 	m.stages[idx].Observe(d.Seconds())
 }
 
-// blockTrace is the in-flight trace of one v3 compute request, built
+// blockTrace is the in-flight trace of one per-block request, built
 // stage by stage across the decode loop, the eval worker and the frame
 // writer, then recorded once the reply frame reached the socket. Spans
 // also feed the quhe_stage_seconds histograms, so the aggregate and the
@@ -231,8 +232,7 @@ func (m *serverObs) newBlockTrace(session string, block uint32, reqID uint64, st
 
 // adopt re-parents the trace under a client-supplied wire context: same
 // trace ID, the server's block span parented to the client's submit
-// span. An invalid or unsampled context leaves the trace standalone,
-// exactly as pre-trace peers see it.
+// span. An invalid or unsampled context leaves the trace standalone.
 func (t *blockTrace) adopt(tc obs.TraceContext) {
 	if t == nil || !tc.Valid() || !tc.Sampled {
 		return

@@ -110,8 +110,8 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if m[`quhe_wire_bytes_total{dir="in"}`] <= 0 || m[`quhe_wire_bytes_total{dir="out"}`] <= 0 {
 		t.Errorf("wire byte counters: in %g out %g", m[`quhe_wire_bytes_total{dir="in"}`], m[`quhe_wire_bytes_total{dir="out"}`])
 	}
-	if m[`quhe_edge_conns{proto="v3"}`] != 1 {
-		t.Errorf("v3 conn gauge = %g, want 1", m[`quhe_edge_conns{proto="v3"}`])
+	if m["quhe_edge_conns"] != 1 {
+		t.Errorf("conn gauge = %g, want 1", m["quhe_edge_conns"])
 	}
 	if m["quhe_edge_sessions"] != 1 {
 		t.Errorf("session gauge = %g, want 1", m["quhe_edge_sessions"])

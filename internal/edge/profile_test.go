@@ -149,59 +149,6 @@ func TestSetupEnforcesPlanProfile(t *testing.T) {
 	}
 }
 
-// TestGobPinnedToDefaultProfile: gob peers cannot negotiate, so they run
-// the default profile; an explicit non-default request over gob (or via
-// auto-fallback to a legacy server) fails typed instead of silently
-// running at the wrong security level.
-func TestGobPinnedToDefaultProfile(t *testing.T) {
-	srv := startServer(t, Model{Weights: []float64{1}})
-	c, err := DialWith(srv.Addr(), "gob-default", []byte("k"), 21, DialConfig{Protocol: ProtoGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Protocol() != "gob" {
-		t.Fatalf("protocol %q, want gob", c.Protocol())
-	}
-	if got := c.Profile(); got != profile.IDDefault {
-		t.Errorf("gob profile = %q, want default %q", got, profile.IDDefault)
-	}
-	if got, ok := srv.SessionProfile("gob-default"); !ok || got != profile.IDDefault {
-		t.Errorf("server pinned gob session to %q (ok=%v)", got, ok)
-	}
-	if _, err := c.Compute(0, []float64{0.25}); err != nil {
-		t.Errorf("gob compute on default profile: %v", err)
-	}
-
-	// Non-default profile over forced gob: typed denial.
-	_, err = DialWith(srv.Addr(), "gob-hi", []byte("k"), 22,
-		DialConfig{Protocol: ProtoGob, Profile: profile.IDLambda64k})
-	if !errors.Is(err, serve.ErrProfileDenied) {
-		t.Errorf("gob non-default dial err = %v, want serve.ErrProfileDenied", err)
-	}
-	// Auto-negotiation against a legacy (pre-v3) server falls back to gob
-	// and must refuse the non-default request the same way.
-	legacy, err := NewServer("127.0.0.1:0", ServerConfig{
-		Model: Model{Weights: []float64{1}}, LegacyGobOnly: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	_, err = DialWith(legacy.Addr(), "auto-hi", []byte("k"), 23,
-		DialConfig{Profile: profile.IDLambda64k})
-	if !errors.Is(err, serve.ErrProfileDenied) {
-		t.Errorf("legacy-fallback non-default dial err = %v, want serve.ErrProfileDenied", err)
-	}
-	// An explicit *default* request is harmless everywhere.
-	c2, err := DialWith(legacy.Addr(), "auto-def", []byte("k"), 24,
-		DialConfig{Profile: profile.IDDefault})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.Close()
-}
-
 // TestUnknownProfileDenied: requesting a profile the registry does not
 // know fails locally; a server-side denial is typed on the wire.
 func TestUnknownProfileDenied(t *testing.T) {
@@ -209,85 +156,6 @@ func TestUnknownProfileDenied(t *testing.T) {
 	if _, err := DialWith(srv.Addr(), "nope", []byte("k"), 31,
 		DialConfig{Profile: "no-such-profile"}); !errors.Is(err, serve.ErrProfileDenied) {
 		t.Errorf("unknown profile err = %v, want serve.ErrProfileDenied", err)
-	}
-}
-
-// TestGobComputeAdmissionParity is the ROADMAP satellite: v2/gob peers
-// must pass through exactly the same AdmitCompute and dynamic-budget
-// checks as v3 peers — single computes, batches, and the plan-budget
-// override alike.
-func TestGobComputeAdmissionParity(t *testing.T) {
-	ctl := &fakeControl{}
-	srv := startControlledServer(t, ctl, ServerConfig{})
-	c, err := DialWith(srv.Addr(), "gob-parity", []byte("k"), 41, DialConfig{Protocol: ProtoGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Protocol() != "gob" {
-		t.Fatalf("protocol %q, want gob", c.Protocol())
-	}
-
-	if _, err := c.Compute(0, []float64{0.5}); err != nil {
-		t.Fatalf("admitted gob compute: %v", err)
-	}
-	if ctl.observed.Load() == 0 {
-		t.Error("gob compute bypassed the telemetry hook")
-	}
-
-	ctl.denyCompute.Store(true)
-	if _, err := c.Compute(1, []float64{0.5}); !errors.Is(err, serve.ErrAdmissionDenied) {
-		t.Errorf("denied gob compute err = %v, want serve.ErrAdmissionDenied", err)
-	}
-	if _, err := c.ComputeBatch(2, [][]float64{{0.1}, {0.2}}); !errors.Is(err, serve.ErrAdmissionDenied) {
-		t.Errorf("denied gob batch err = %v, want serve.ErrAdmissionDenied", err)
-	}
-	ctl.denyCompute.Store(false)
-
-	// Dynamic plan budgets govern gob sessions too: shrink the budget
-	// below one padded block and the next compute demands a rekey even
-	// though the static RekeyBytes is unset (disabled).
-	ctl.budget.Store(100)
-	if _, err := c.Compute(3, []float64{0.5}); !errors.Is(err, serve.ErrRekeyRequired) {
-		t.Errorf("gob compute under tiny plan budget err = %v, want serve.ErrRekeyRequired", err)
-	}
-	ctl.budget.Store(1 << 30)
-	if _, err := c.Compute(4, []float64{0.5}); err != nil {
-		t.Errorf("gob compute after budget raise: %v", err)
-	}
-}
-
-// TestSetupWireOptionalProfileField pins the v3 codec compatibility rule:
-// a Setup payload without the trailing profile field (a pre-profile v3
-// peer) decodes to an empty profile, and the round trip preserves a
-// non-empty one.
-func TestSetupWireOptionalProfileField(t *testing.T) {
-	repOld := appendSetupReply(nil, &SetupReply{Code: serve.CodeOK})
-	dec, err := decodeSetupReply(repOld)
-	if err != nil {
-		t.Fatalf("pre-profile reply: %v", err)
-	}
-	if dec.Profile != "" || !dec.OK {
-		t.Errorf("pre-profile reply decoded %+v", dec)
-	}
-	repNew := appendSetupReply(nil, &SetupReply{Code: serve.CodeOK, Profile: profile.IDLambda64k})
-	dec, err = decodeSetupReply(repNew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Profile != profile.IDLambda64k {
-		t.Errorf("profile round trip = %q", dec.Profile)
-	}
-	// Profile query codec round trip.
-	q := appendProfileRequest(nil, &ProfileRequest{SessionID: "s", Requested: "r"})
-	qr, err := decodeProfileRequest(q)
-	if err != nil || qr.SessionID != "s" || qr.Requested != "r" {
-		t.Errorf("profile request round trip = %+v, %v", qr, err)
-	}
-	pr := appendProfileReply(nil, &ProfileReply{Granted: "g"})
-	prd, err := decodeProfileReply(pr)
-	if err != nil || prd.Granted != "g" || prd.Code != serve.CodeOK {
-		t.Errorf("profile reply round trip = %+v, %v", prd, err)
 	}
 }
 

@@ -1,9 +1,7 @@
 package edge
 
-// This file holds the message types shared by every protocol generation.
-// On the gob (v1/v2) path these structs are the wire format; on the
-// framed v3 path they are marshalled by the hand-rolled codecs in
-// wire.go. See doc.go for the protocol generations and the frame layout.
+// This file holds the protocol's message types; the hand-rolled codecs
+// in wire.go marshal them into frames. See doc.go for the frame layout.
 
 import (
 	"quhe/internal/he/ckks"
@@ -14,10 +12,9 @@ import (
 
 // DefaultParams returns the default security profile's CKKS parameter set
 // — a depth-4 residue tower; the transcipher consumes two of its levels
-// and the rest are inference headroom. It is the set every pre-profile
-// peer — gob v1/v2 clients and v3 clients that skip profile negotiation —
-// runs on; both endpoints derive it from the same registry, so key
-// material lines up without carrying parameters on the wire.
+// and the rest are inference headroom. Both endpoints derive it from the
+// same registry, so key material lines up without carrying parameters on
+// the wire.
 func DefaultParams() ckks.Params {
 	return profile.Default().Default().Params
 }
@@ -41,17 +38,14 @@ type SetupRequest struct {
 	EncKey      []*ckks.Ciphertext
 	Nonce       []byte
 	// Profile is the security profile the session's key material was
-	// built for. Empty — every gob peer and every pre-profile v3 client —
-	// pins the session to the server's default profile; a non-empty ID
-	// must be known to the server's registry and match LogN/Depth. On the
-	// v3 wire this travels as an optional trailing field, so pre-profile
-	// frames decode unchanged.
+	// built for — what the pre-Setup profile query granted. Empty selects
+	// the server's default profile; a non-empty ID must be known to the
+	// server's registry and match LogN/Depth.
 	Profile string
 	// ResumeAuth registers the session's resume credential: a secret the
 	// client derives from the current QKD key material, against which a
 	// reconnect proves key possession (challenge HMAC) to re-attach
-	// without a re-keygen. Sent only after the hello handshake negotiated
-	// resume (v3); empty disables resume for the session.
+	// without a re-keygen. Empty disables resume for the session.
 	ResumeAuth []byte
 }
 
@@ -59,25 +53,22 @@ type SetupRequest struct {
 type SetupReply struct {
 	OK  bool
 	Err string
-	// Code types the failure (v2; zero for v1 peers means success).
+	// Code types the failure.
 	Code serve.Code
-	// Profile echoes the profile the session was registered on. Only sent
-	// when the request carried one (pre-profile peers get the reply
-	// layout they expect).
+	// Profile echoes the profile the session was registered on.
 	Profile string
 	// MatVecDim is the dimension of the server's packed model matrix,
 	// telling the client which rotation keys the BSGS kernel needs
-	// (ckks.BSGSRotations(MatVecDim)). Zero when the connection did not
-	// negotiate matvec or the server holds no matrix. Optional trailing
-	// field on the v3 wire; never sent on gob paths.
+	// (ckks.BSGSRotations(MatVecDim)). Zero when the server holds no
+	// matrix: encrypted matvec is unavailable there.
 	MatVecDim int
 }
 
 // ProfileRequest asks the server which security profile a new session
-// should run (v3 only, gated by the hello handshake's profile flag). The
-// client sends it before generating keys, so a plan-steered or downgraded
-// profile costs no wasted key generation. Requested may be empty — "let
-// the plan steer" — or a concrete profile ID the client wants.
+// should run. The client sends it before generating keys, so a
+// plan-steered or downgraded profile costs no wasted key generation.
+// Requested may be empty — "let the plan steer" — or a concrete profile
+// ID the client wants.
 type ProfileRequest struct {
 	SessionID string
 	Requested string
@@ -92,21 +83,20 @@ type ProfileReply struct {
 	Code    serve.Code
 }
 
-// ComputeRequest uploads one symmetrically encrypted block.
+// ComputeRequest uploads one symmetrically encrypted block. Every
+// per-block op (see the op table in server.go) shares it: the request
+// frame's type selects what the server evaluates on the block.
 type ComputeRequest struct {
 	SessionID string
 	Block     uint32
 	Masked    []float64
-	// Epoch is the key epoch the block was masked under (v2). Zero skips
-	// the check (v1 clients never rekey); a stale nonzero epoch is
-	// rejected with serve.CodeRekeyRequired rather than transciphered
-	// into garbage.
+	// Epoch is the key epoch the block was masked under. Zero skips the
+	// check; a stale nonzero epoch is rejected with
+	// serve.CodeRekeyRequired rather than transciphered into garbage.
 	Epoch uint64
 	// Trace is the distributed-trace context the server re-parents its
-	// stage spans under. On the v3 wire it travels as an optional
-	// trailing 16-byte field, sent only after helloFlagTrace was acked;
-	// a zero (invalid) context is omitted entirely, which also keeps the
-	// gob paths untraced (gob drops zero-valued fields).
+	// stage spans under: a fixed 16-byte field, zero when the block is
+	// unsampled.
 	Trace obs.TraceContext
 }
 
@@ -115,7 +105,7 @@ type ComputeRequest struct {
 type ComputeReply struct {
 	Result *ckks.Ciphertext
 	Err    string
-	// Code types the failure (v2).
+	// Code types the failure.
 	Code serve.Code
 	// RekeyNeeded advises the client that the session's key byte budget
 	// is nearly exhausted and a Rekey should be scheduled.
@@ -127,15 +117,15 @@ type ComputeReply struct {
 	ModeledCmpDelay float64
 }
 
-// BatchRequest uploads many blocks at once (v2); the server fans them out
-// across the worker pool and replies once all finish.
+// BatchRequest uploads many blocks at once; the server fans them out
+// across the worker pool and streams each item's result back as its
+// worker finishes.
 type BatchRequest struct {
 	SessionID string
 	Epoch     uint64
 	Blocks    []uint32
 	Masked    [][]float64
-	// Trace mirrors ComputeRequest.Trace: an optional trailing v3 field
-	// linking the batch to the client's trace (zero = untraced).
+	// Trace mirrors ComputeRequest.Trace (zero = untraced).
 	Trace obs.TraceContext
 }
 
@@ -169,8 +159,7 @@ type RekeyRequest struct {
 	Nonce     []byte
 	// ResumeAuth rotates the session's resume credential alongside the
 	// key material (it is derived from the QKD key, so a new key means a
-	// new credential). Optional trailing field on the v3 wire; see
-	// SetupRequest.ResumeAuth.
+	// new credential); see SetupRequest.ResumeAuth.
 	ResumeAuth []byte
 }
 
@@ -183,13 +172,13 @@ type RekeyReply struct {
 }
 
 // RotKeysRequest installs the client's Galois rotation keys on its
-// server-side session (v3 only, gated by the hello handshake's matvec
-// flag). The set must cover every rotation of the server's BSGS plan
-// (ckks.BSGSRotations of the advertised MatVecDim) and match the
-// session's relinearization key in ring shape; an incomplete or
-// mismatched upload is rejected typed at installation time instead of
-// failing mid-evaluation. Keys live on the session, so they survive
-// reconnect-and-resume without a re-upload.
+// server-side session. The set must cover every rotation of the server's
+// BSGS plan (ckks.BSGSRotations of the advertised MatVecDim) and every
+// key must pass ckks.Context.CheckSwitchingKey for the session's
+// profile; an incomplete, mismatched or unreduced upload is rejected
+// typed at installation time instead of failing mid-evaluation. Keys
+// live on the session, so they survive reconnect-and-resume without a
+// re-upload.
 type RotKeysRequest struct {
 	SessionID string
 	Keys      *ckks.GaloisKeySet
@@ -202,21 +191,12 @@ type RotKeysReply struct {
 	Code serve.Code
 }
 
-// MatVec requests reuse ComputeRequest and replies reuse ComputeReply:
-// the payloads are identical (a masked block in, a result ciphertext
-// out) and only the evaluation semantics differ — the server
-// transciphers the block, then applies its packed model matrix with the
-// hoisted BSGS kernel under the session's rotation keys. The frame type
-// (frameMatVec vs frameCompute) selects the path; there is no gob
-// equivalent.
-
 // ResumeRequest re-attaches a reconnecting client to its server-side
-// session (v3 only, gated by the hello handshake's resume flag). The
-// client names the session and proves it is the same principal by
-// answering the server's challenge with an HMAC under the resume
-// credential registered at Setup/Rekey — no key generation, no new QKD
-// withdrawal. Epoch and Profile must match the server's view exactly; a
-// divergence means the client missed a rotation and must re-dial.
+// session. The client names the session and proves it is the same
+// principal by answering the server's challenge with an HMAC under the
+// resume credential registered at Setup/Rekey — no key generation, no new
+// QKD withdrawal. Epoch and Profile must match the server's view exactly;
+// a divergence means the client missed a rotation and must re-dial.
 type ResumeRequest struct {
 	SessionID string
 	Epoch     uint64
@@ -247,22 +227,21 @@ type ResumeReply struct {
 	Epoch uint64
 }
 
-// envelope is the tagged union carried on the wire. ID 0 requests are
-// served synchronously in connection order (v1); nonzero IDs may be
-// answered out of order.
+// envelope is the client's tagged union of in-flight requests (kept per
+// call so a reconnect can replay Computes). A per-block op travels as
+// Compute with Op naming its request frame.
 type envelope struct {
 	ID      uint64
 	Setup   *SetupRequest
 	Compute *ComputeRequest
+	Op      byte
 	Batch   *BatchRequest
 	Rekey   *RekeyRequest
-	// RotKeys and MatVec are v3-only: the gob encoder never sees them
-	// (clients only send them after the hello negotiated matvec).
 	RotKeys *RotKeysRequest
-	MatVec  *ComputeRequest
 }
 
-// replyEnvelope mirrors envelope for responses.
+// replyEnvelope mirrors envelope for responses; Compute carries the
+// reply of every per-block op.
 type replyEnvelope struct {
 	ID      uint64
 	Setup   *SetupReply
@@ -270,5 +249,4 @@ type replyEnvelope struct {
 	Batch   *BatchReply
 	Rekey   *RekeyReply
 	RotKeys *RotKeysReply
-	MatVec  *ComputeReply
 }

@@ -37,8 +37,7 @@ func plainMatVec(m [][]float64, bias, v []float64) []float64 {
 }
 
 // TestMatVecEndToEnd drives the complete encrypted matrix–vector path
-// over real TCP: hello negotiation (helloFlagMatVec), SetupReply
-// dimension advertisement, rotation-key upload, then a masked vector
+// over real TCP: SetupReply dimension advertisement, rotation-key upload, then a masked vector
 // transciphered and multiplied by the server's packed matrix with the
 // hoisted BSGS kernel — decrypted client-side and checked against the
 // plaintext product.
@@ -50,9 +49,6 @@ func TestMatVecEndToEnd(t *testing.T) {
 	}
 	defer client.Close()
 
-	if client.Protocol() != "v3" {
-		t.Fatalf("protocol = %q, want v3", client.Protocol())
-	}
 	if got := client.MatVecDim(); got != 4 {
 		t.Fatalf("MatVecDim = %d, want 4", got)
 	}
@@ -152,8 +148,8 @@ func TestMatVecWithoutRotationKeys(t *testing.T) {
 }
 
 // TestMatVecNotConfigured asserts the capability is absent end to end
-// when the server holds no matrix: the hello does not advertise it, the
-// SetupReply carries no dimension, and the client fails locally typed.
+// when the server holds no matrix: the SetupReply reports dimension 0
+// and the client fails locally typed.
 func TestMatVecNotConfigured(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}})
 	client, err := Dial(srv.Addr(), "plain", []byte("k"), 5)
@@ -169,23 +165,6 @@ func TestMatVecNotConfigured(t *testing.T) {
 	}
 	if _, err := client.MatVec(0, []float64{1}); !errors.Is(err, serve.ErrMatVecUnavailable) {
 		t.Errorf("MatVec err = %v, want ErrMatVecUnavailable", err)
-	}
-}
-
-// TestMatVecGobUnavailable pins that the capability is v3-only: a gob
-// client against a matrix-serving server sees no matvec.
-func TestMatVecGobUnavailable(t *testing.T) {
-	srv := startServer(t, Model{Matrix: testMatrix})
-	client, err := DialWith(srv.Addr(), "gob-client", []byte("k"), 9, DialConfig{Protocol: ProtoGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if got := client.MatVecDim(); got != 0 {
-		t.Errorf("MatVecDim over gob = %d, want 0", got)
-	}
-	if err := client.EnableMatVec(); !errors.Is(err, serve.ErrMatVecUnavailable) {
-		t.Errorf("EnableMatVec over gob err = %v, want ErrMatVecUnavailable", err)
 	}
 }
 

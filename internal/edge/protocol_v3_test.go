@@ -2,218 +2,25 @@ package edge
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	"quhe/internal/he/ckks"
+	"quhe/internal/he/profile"
 	"quhe/internal/serve"
-	"quhe/internal/transcipher"
 )
-
-// --- negotiation matrix ------------------------------------------------------
-
-// TestProtocolNegotiationMatrix runs all three client generations against
-// one server: a hand-rolled gob v1 client, a forced gob v2 client, and a
-// forced v3 client — each must complete the full pipeline, and the server
-// must account their blocks separately.
-func TestProtocolNegotiationMatrix(t *testing.T) {
-	model := Model{Weights: []float64{0.5, 1}, Bias: []float64{0.1, 0}}
-	srv := startServer(t, model)
-
-	// gob v2, forced.
-	v2, err := DialWith(srv.Addr(), "matrix-v2", []byte("k2"), 81, DialConfig{Protocol: ProtoGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	if v2.Protocol() != "gob" {
-		t.Fatalf("forced gob client negotiated %q", v2.Protocol())
-	}
-
-	// v3, forced (no fallback allowed).
-	v3, err := DialWith(srv.Addr(), "matrix-v3", []byte("k3"), 83, DialConfig{Protocol: ProtoV3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v3.Close()
-	if v3.Protocol() != "v3" {
-		t.Fatalf("forced v3 client negotiated %q", v3.Protocol())
-	}
-
-	// Auto negotiates v3 against a v3 server.
-	auto, err := Dial(srv.Addr(), "matrix-auto", []byte("ka"), 85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer auto.Close()
-	if auto.Protocol() != "v3" {
-		t.Fatalf("auto client negotiated %q, want v3", auto.Protocol())
-	}
-
-	data := []float64{0.4, -0.2}
-	want := []float64{0.5*0.4 + 0.1, -0.2}
-	for name, c := range map[string]*Client{"v2": v2, "v3": v3, "auto": auto} {
-		got, err := c.Compute(0, data)
-		if err != nil {
-			t.Fatalf("%s compute: %v", name, err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 0.05 {
-				t.Errorf("%s slot %d = %v, want %v", name, i, got[i], want[i])
-			}
-		}
-		if c.LastTxDelay <= 0 || c.LastCmpDelay <= 0 {
-			t.Errorf("%s: modeled delays not reported", name)
-		}
-	}
-
-	// Batches work on both transports (buffered on gob, streamed on v3).
-	batchData := [][]float64{{0.1, 0.2}, {0.3, -0.4}, {-0.5, 0.6}}
-	for name, c := range map[string]*Client{"v2": v2, "v3": v3} {
-		got, err := c.ComputeBatch(100, batchData)
-		if err != nil {
-			t.Fatalf("%s batch: %v", name, err)
-		}
-		for i, d := range batchData {
-			w0, w1 := 0.5*d[0]+0.1, d[1]
-			if math.Abs(got[i][0]-w0) > 0.05 || math.Abs(got[i][1]-w1) > 0.05 {
-				t.Errorf("%s batch item %d = %v, want [%v %v]", name, i, got[i], w0, w1)
-			}
-		}
-	}
-
-	// gob v1, hand-rolled seed shapes (defined in serving_test.go),
-	// sharing the port with both newer generations.
-	v1Conn := dialV1(t, srv.Addr(), "matrix-v1", model)
-	defer v1Conn.Close()
-
-	for id, wantBlocks := range map[string]int{
-		"matrix-v2": 1 + len(batchData), "matrix-v3": 1 + len(batchData),
-		"matrix-auto": 1, "matrix-v1": 1,
-	} {
-		if n := srv.Blocks(id); n != wantBlocks {
-			t.Errorf("server processed %d blocks for %s, want %d", n, id, wantBlocks)
-		}
-	}
-}
-
-// TestV3FallsBackToLegacyServer pins the downgrade path: a ProtoAuto
-// client dialing a pre-v3 (gob-only) server detects the dead hello and
-// redials on gob; a ProtoV3 client refuses with ErrProtocolMismatch.
-func TestV3FallsBackToLegacyServer(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		Model:         Model{Weights: []float64{2}},
-		LegacyGobOnly: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := Dial(srv.Addr(), "fallback", []byte("k"), 87)
-	if err != nil {
-		t.Fatalf("auto dial against legacy server: %v", err)
-	}
-	defer client.Close()
-	if client.Protocol() != "gob" {
-		t.Fatalf("negotiated %q against legacy server, want gob", client.Protocol())
-	}
-	got, err := client.Compute(0, []float64{0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-0.5) > 0.05 {
-		t.Errorf("fallback compute = %v, want 0.5", got[0])
-	}
-
-	if _, err := DialWith(srv.Addr(), "strict", []byte("k"), 89, DialConfig{Protocol: ProtoV3}); !errors.Is(err, ErrProtocolMismatch) {
-		t.Errorf("forced v3 against legacy server: err = %v, want ErrProtocolMismatch", err)
-	}
-}
-
-// dialV1 runs a one-block pipeline using the seed protocol's wire shapes
-// and returns the still-open connection.
-func dialV1(t *testing.T, addr, sessionID string, model Model) net.Conn {
-	t.Helper()
-	ctx, err := ckks.NewContext(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cipher, err := transcipher.New(ctx, KeyLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(ctx, 91)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinKey(sk)
-	ev := ckks.NewEvaluator(ctx, 92)
-	key, err := cipher.DeriveKey([]byte("v1-matrix"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKey, err := cipher.EncryptKey(ev, pk, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce := []byte("edge:v1-matrix")
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&v1Envelope{Setup: &v1SetupRequest{
-		SessionID: sessionID, LogN: ctx.Params.LogN, Depth: ctx.Params.Depth,
-		PK: pk, RLK: rlk, EncKey: encKey, Nonce: nonce,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	var setupReply v1ReplyEnvelope
-	if err := dec.Decode(&setupReply); err != nil {
-		t.Fatal(err)
-	}
-	if setupReply.Setup == nil || !setupReply.Setup.OK {
-		t.Fatalf("v1 setup rejected: %+v", setupReply.Setup)
-	}
-
-	data := []float64{0.4, -0.2}
-	padded := make([]float64, cipher.Slots())
-	copy(padded, data)
-	masked, err := cipher.Mask(key, nonce, 0, padded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&v1Envelope{Compute: &v1ComputeRequest{
-		SessionID: sessionID, Block: 0, Masked: masked,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	var reply v1ReplyEnvelope
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Compute == nil || reply.Compute.Err != "" {
-		t.Fatalf("v1 compute failed: %+v", reply.Compute)
-	}
-	got := ckks.NewEncoder(ctx).DecodeReal(ev.Decrypt(sk, reply.Compute.Result))
-	for i, x := range data {
-		want := model.Weights[i]*x + model.Bias[i]
-		if math.Abs(got[i]-want) > 0.05 {
-			t.Errorf("v1 slot %d = %v, want %v", i, got[i], want)
-		}
-	}
-	return conn
-}
 
 // --- streaming BatchCompute --------------------------------------------------
 
 // TestBatchComputeStreamsIncrementally is the acceptance test for
-// streaming batches: with one worker, a raw v3 client must receive the
+// streaming batches: with one worker, a raw client must receive the
 // first frameBatchItem while the server still has unprocessed blocks —
 // i.e. replies arrive incrementally instead of buffering the whole batch
 // behind the last block.
@@ -226,88 +33,20 @@ func TestBatchComputeStreamsIncrementally(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Raw v3 client: drive the handshake and frames directly so frame
-	// arrival order is observable.
-	ctx, err := ckks.NewContext(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cipher, err := transcipher.New(ctx, KeyLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(ctx, 95)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinKey(sk)
-	ev := ckks.NewEvaluator(ctx, 96)
-	key, err := cipher.DeriveKey([]byte("stream-material"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKey, err := cipher.EncryptKey(ev, pk, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce := []byte("edge:stream")
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	var buf []byte
-	sendFrame := func(ftype byte, id uint64, build func(b []byte) []byte) {
-		t.Helper()
-		frame := buildFrame(t, ftype, id, build)
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	readReply := func() (byte, uint64, []byte) {
-		t.Helper()
-		ftype, id, payload, err := readFrame(br, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ftype, id, payload
-	}
-
-	sendFrame(frameHello, 0, func(b []byte) []byte { return append(b, helloFlagRNSWire) })
-	if ftype, _, _ := readReply(); ftype != frameHello {
-		t.Fatalf("no hello ack (frame type %d)", ftype)
-	}
-	sendFrame(frameSetup, 1, func(b []byte) []byte {
-		return appendSetupRequest(b, &SetupRequest{
-			SessionID: "stream", LogN: ctx.Params.LogN, Depth: ctx.Params.Depth,
-			PK: pk, RLK: rlk, EncKey: encKey, Nonce: nonce,
-		})
-	})
-	ftype, _, payload := readReply()
-	if ftype != frameSetupReply {
-		t.Fatalf("expected setup reply, got frame type %d", ftype)
-	}
-	if rep, err := decodeSetupReply(payload); err != nil || !rep.OK {
-		t.Fatalf("setup rejected: %+v err %v", rep, err)
-	}
+	// Raw client: drive the frames directly so their arrival order is
+	// observable.
+	p := newRawPeer(t, 95)
+	p.dial(t, srv.Addr())
+	p.register(t, "stream")
 
 	const n = 64
 	blocks := make([]uint32, n)
 	masked := make([][]float64, n)
-	data := make([]float64, cipher.Slots())
-	for i := range data {
-		data[i] = 0.25
-	}
 	for i := range blocks {
 		blocks[i] = uint32(i)
-		m, err := cipher.Mask(key, nonce, uint32(i), data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		masked[i] = m
+		masked[i] = p.mask(t, uint32(i), []float64{0.25})
 	}
-	sendFrame(frameBatch, 2, func(b []byte) []byte {
+	p.send(t, frameBatch, 2, func(b []byte) []byte {
 		return appendBatchRequest(b, &BatchRequest{
 			SessionID: "stream", Epoch: 1, Blocks: blocks, Masked: masked,
 		})
@@ -317,7 +56,7 @@ func TestBatchComputeStreamsIncrementally(t *testing.T) {
 	firstItemBlocksDone := -1
 	var firstResult *ckks.Ciphertext
 	for {
-		ftype, id, payload := readReply()
+		ftype, id, payload := p.recv(t)
 		if id != 2 {
 			t.Fatalf("reply for unexpected request %d", id)
 		}
@@ -352,8 +91,7 @@ func TestBatchComputeStreamsIncrementally(t *testing.T) {
 		t.Errorf("first item arrived after %d of %d blocks: replies were buffered, not streamed",
 			firstItemBlocksDone, n)
 	}
-	got := ckks.NewEncoder(ctx).DecodeReal(ev.Decrypt(sk, firstResult))
-	if math.Abs(got[0]-0.25) > 0.05 {
+	if got := p.decrypt(firstResult); math.Abs(got[0]-0.25) > 0.05 {
 		t.Errorf("streamed result = %v, want 0.25", got[0])
 	}
 }
@@ -361,36 +99,27 @@ func TestBatchComputeStreamsIncrementally(t *testing.T) {
 // --- typed teardown ----------------------------------------------------------
 
 // TestPendingFailTypedOnConnClose: when the transport dies with requests
-// in flight, the v3 client fails them with an error wrapping
+// in flight, the client fails them with an error wrapping
 // serve.ErrConnClosed (the typed code for torn-down connections).
 func TestPendingFailTypedOnConnClose(t *testing.T) {
-	// A stub v3 server that acks the handshake, then kills the connection
-	// on the first real request.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		br := bufio.NewReader(conn)
+	// A stub server that acks the hello and answers the profile query,
+	// then kills the connection on the first pending request.
+	ln := stubListener(t, func(conn net.Conn, br *bufio.Reader) {
 		var buf []byte
 		if ftype, _, _, err := readFrame(br, &buf); err != nil || ftype != frameHello {
-			conn.Close()
 			return
 		}
-		ack := beginFrame(nil, frameHello, 0)
-		ack = append(ack, helloFlagRNSWire)
-		ack, _ = finishFrame(ack, 0)
-		conn.Write(ack)
+		conn.Write(buildFrame(t, frameHello, 0, nil))
+		if ftype, _, _, err := readFrame(br, &buf); err != nil || ftype != frameProfile {
+			return
+		}
+		conn.Write(buildFrame(t, frameProfileReply, 0, func(b []byte) []byte {
+			return appendProfileReply(b, &ProfileReply{Granted: profile.IDDefault})
+		}))
 		readFrame(br, &buf) // the Setup request — drop it on the floor
-		conn.Close()
-	}()
+	})
 
-	_, err = DialWith(ln.Addr().String(), "doomed", []byte("k"), 97, DialConfig{Protocol: ProtoV3})
+	_, err := Dial(ln.Addr().String(), "doomed", []byte("k"), 97)
 	if err == nil {
 		t.Fatal("dial against request-dropping server succeeded")
 	}
@@ -418,87 +147,116 @@ func TestClientCloseFailsPendingTyped(t *testing.T) {
 	}
 }
 
-// --- residue-tower wire-format negotiation -----------------------------------
+// --- stale and foreign peers -------------------------------------------------
 
-// TestSetupRejectedWithoutRNSWireFlag runs a raw v3 client that never sets
-// the residue-tower wire flag in its hello: the server must answer its
-// Setup with a typed serve.CodeWireFormat rejection instead of decoding
-// the (old-layout) payload.
-func TestSetupRejectedWithoutRNSWireFlag(t *testing.T) {
-	srv := startServer(t, Model{Weights: []float64{1}})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	var buf []byte
-	// Hello with the profile flag only — a pre-RNS v3 peer.
-	frame := buildFrame(t, frameHello, 0, func(b []byte) []byte { return append(b, helloFlagProfiles) })
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	ftype, _, payload, err := readFrame(br, &buf)
-	if err != nil || ftype != frameHello {
-		t.Fatalf("hello ack: type %d err %v", ftype, err)
-	}
-	if len(payload) < 1 || payload[0]&helloFlagRNSWire == 0 {
-		t.Fatalf("server ack flags %v do not advertise the RNS wire format", payload)
-	}
-	// The Setup payload never gets decoded, so its contents are irrelevant
-	// — what matters is that garbage does not kill the connection before
-	// the typed reply.
-	frame = buildFrame(t, frameSetup, 1, func(b []byte) []byte {
-		return append(b, 0xde, 0xad, 0xbe, 0xef)
-	})
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	ftype, id, payload, err := readFrame(br, &buf)
-	if err != nil || ftype != frameSetupReply || id != 1 {
-		t.Fatalf("setup reply: type %d id %d err %v", ftype, id, err)
-	}
-	rep, err := decodeSetupReply(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK || rep.Code != serve.CodeWireFormat {
-		t.Fatalf("setup reply %+v, want CodeWireFormat rejection", rep)
-	}
-}
-
-// TestDialFailsTypedAgainstPreRNSServer dials a stub v3 server whose hello
-// ack carries no residue-tower flag: the client must fail the dial with an
-// error wrapping serve.ErrWireFormat before sending any key material.
-func TestDialFailsTypedAgainstPreRNSServer(t *testing.T) {
+// stubListener accepts one connection and hands it to serve, closing it
+// when serve returns — a peer that is not an edge server.
+func stubListener(t *testing.T, serve func(conn net.Conn, br *bufio.Reader)) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		br := bufio.NewReader(conn)
-		var buf []byte
-		if ftype, _, _, err := readFrame(br, &buf); err != nil || ftype != frameHello {
-			return
-		}
-		// Ack with profile support but no RNS wire bit — a pre-RNS server.
-		ack := beginFrame(nil, frameHello, 0)
-		ack = append(ack, helloFlagProfiles)
-		ack, _ = finishFrame(ack, 0)
-		conn.Write(ack)
-		readFrame(br, &buf) // nothing should arrive; wait for close
+		serve(conn, bufio.NewReader(conn))
 	}()
-	_, err = DialWith(ln.Addr().String(), "pre-rns", []byte("k"), 99, DialConfig{Protocol: ProtoV3})
-	if err == nil {
-		t.Fatal("dial against pre-RNS server succeeded")
+	return ln
+}
+
+// staleFrame builds an empty frame under another frame version with a
+// checksum that is valid for it, as a peer built at that version would.
+func staleFrame(version, ftype byte) []byte {
+	b := beginFrame(nil, ftype, 0)
+	b[2] = version
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// TestDialFailsAgainstForeignListener: a listener that never acks the
+// hello — it closes on it as the retired gob servers did, acks in the
+// previous frame version, or says nothing — fails the dial with an error
+// wrapping ErrProtocolMismatch within negotiateTimeout. There is no
+// fallback to redial on.
+func TestDialFailsAgainstForeignListener(t *testing.T) {
+	t.Parallel()
+	peers := map[string]func(conn net.Conn, br *bufio.Reader){
+		"closes on the hello": func(conn net.Conn, br *bufio.Reader) {
+			br.ReadByte()
+		},
+		"acks the previous version": func(conn net.Conn, br *bufio.Reader) {
+			br.ReadByte()
+			conn.Write(staleFrame(frameVersion-1, frameHello))
+			io.Copy(io.Discard, br) // until the client hangs up
+		},
+		"never answers": func(conn net.Conn, br *bufio.Reader) {
+			io.Copy(io.Discard, br)
+		},
 	}
-	if !errors.Is(err, serve.ErrWireFormat) {
-		t.Errorf("dial err = %v, want wrapping serve.ErrWireFormat", err)
+	for name, peer := range peers {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ln := stubListener(t, peer)
+			start := time.Now()
+			_, err := Dial(ln.Addr().String(), "stranger", []byte("k"), 89)
+			if !errors.Is(err, ErrProtocolMismatch) {
+				t.Errorf("dial err = %v, want wrapping ErrProtocolMismatch", err)
+			}
+			if d := time.Since(start); d > negotiateTimeout+2*time.Second {
+				t.Errorf("dial took %v, want within negotiateTimeout (%v)", d, negotiateTimeout)
+			}
+		})
+	}
+}
+
+// TestStalePeersFailClosed: a connection that opens with anything but a
+// hello in the current frame version — a gob stream, the previous
+// version's hello, garbage, a well-formed non-hello frame — is closed
+// without an ack, registers nothing, reaches no worker, and is counted.
+func TestStalePeersFailClosed(t *testing.T) {
+	srv := startServer(t, Model{Weights: []float64{1}})
+	openers := map[string][]byte{
+		// How a gob-era client opened: the encoder's type definition for
+		// the request envelope.
+		"gob stream":             []byte("\x4a\xff\x81\x03\x01\x01\x08envelope\x01\xff\x82\x00\x01\x07\x01\x02ID\x01\x06\x00\x01\x05Setup"),
+		"previous frame version": staleFrame(frameVersion-1, frameHello),
+		"garbage":                bytes.Repeat([]byte{0x5a}, 2*frameHeaderLen),
+		"request before hello":   buildFrame(t, frameProfile, 1, func(b []byte) []byte { return appendProfileRequest(b, &ProfileRequest{SessionID: "eager"}) }),
+		"hello with a payload":   buildFrame(t, frameHello, 0, func(b []byte) []byte { return append(b, 0x3f) }),
+	}
+	for name, opener := range openers {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(opener); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if n, err := io.Copy(io.Discard, conn); err != nil || n != 0 {
+			t.Errorf("%s: server sent %d bytes (err %v), want a silent close", name, n, err)
+		}
+		conn.Close()
+	}
+	checkSessions(t, srv, "after stale and foreign openers", 0)
+	reg := srv.ObsRegistry()
+	if got := reg.Counter("quhe_wire_protocol_mismatch_total", "").Value(); got != int64(len(openers)) {
+		t.Errorf("protocol mismatch counter = %d, want %d", got, len(openers))
+	}
+	if got := reg.Histogram("quhe_serve_queue_wait_seconds", "").Count(); got != 0 {
+		t.Errorf("stale peers put %d jobs through the scheduler", got)
+	}
+	// The server is unharmed: a current client still dials and computes.
+	c, err := Dial(srv.Addr(), "current", []byte("k"), 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Compute(0, []float64{0.5}); err != nil {
+		t.Errorf("compute after stale peers: %v", err)
 	}
 }

@@ -1,0 +1,146 @@
+package edge
+
+import (
+	"bufio"
+	"net"
+	"testing"
+
+	"quhe/internal/he/ckks"
+	"quhe/internal/transcipher"
+)
+
+// rawPeer is a hand-rolled client: a real client's key material on the
+// default profile plus, once dialed, a connection driven frame by frame —
+// for tests that observe frame order, stall the read side, or send what
+// a real Client never would.
+type rawPeer struct {
+	ctx    *ckks.Context
+	cipher *transcipher.Cipher
+	ev     *ckks.Evaluator
+	sk     *ckks.SecretKey
+	pk     *ckks.PublicKey
+	rlk    *ckks.RelinKey
+	key    []float64
+	nonce  []byte
+
+	conn net.Conn
+	br   *bufio.Reader
+	buf  []byte
+	id   uint64
+}
+
+func newRawPeer(t testing.TB, seed int64) *rawPeer {
+	t.Helper()
+	ctx, err := ckks.NewContext(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cipher, err := transcipher.New(ctx, KeyLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(ctx, seed)
+	sk := kg.GenSecretKey()
+	p := &rawPeer{ctx: ctx, cipher: cipher, ev: ckks.NewEvaluator(ctx, seed+1),
+		sk: sk, pk: kg.GenPublicKey(sk), rlk: kg.GenRelinKey(sk), nonce: []byte("edge:raw")}
+	if p.key, err = cipher.DeriveKey([]byte("raw-peer-material")); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// dial connects and completes the hello exchange; the connection closes
+// with the test.
+func (p *rawPeer) dial(t testing.TB, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	p.conn, p.br = conn, bufio.NewReaderSize(conn, wireBufSize)
+	p.send(t, frameHello, 0, nil)
+	if ftype, _, payload := p.recv(t); ftype != frameHello || len(payload) != 0 {
+		t.Fatalf("hello ack: frame type %d, %d payload bytes", ftype, len(payload))
+	}
+}
+
+func (p *rawPeer) send(t testing.TB, ftype byte, id uint64, build func(b []byte) []byte) {
+	t.Helper()
+	if _, err := p.conn.Write(buildFrame(t, ftype, id, build)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recv reads the next frame; the payload is valid until the next recv.
+func (p *rawPeer) recv(t testing.TB) (byte, uint64, []byte) {
+	t.Helper()
+	ftype, id, payload, err := readFrame(p.br, &p.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ftype, id, payload
+}
+
+// call sends one request under a fresh ID and returns the payload of its
+// reply, which must have type want.
+func (p *rawPeer) call(t testing.TB, ftype, want byte, build func(b []byte) []byte) []byte {
+	t.Helper()
+	p.id++
+	p.send(t, ftype, p.id, build)
+	got, gotID, payload := p.recv(t)
+	if got != want || gotID != p.id {
+		t.Fatalf("frame %d: reply type %d id %d, want type %d id %d", ftype, got, gotID, want, p.id)
+	}
+	return payload
+}
+
+func (p *rawPeer) encKey(t testing.TB) []*ckks.Ciphertext {
+	t.Helper()
+	k, err := p.cipher.EncryptKey(p.ev, p.pk, p.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+func (p *rawPeer) setupRequest(id string, encKey []*ckks.Ciphertext) *SetupRequest {
+	return &SetupRequest{SessionID: id, LogN: p.ctx.Params.LogN, Depth: p.ctx.Params.Depth,
+		PK: p.pk, RLK: p.rlk, EncKey: encKey, Nonce: p.nonce}
+}
+
+// setup sends req and returns the server's verdict.
+func (p *rawPeer) setup(t testing.TB, req *SetupRequest) *SetupReply {
+	t.Helper()
+	rep, err := decodeSetupReply(p.call(t, frameSetup, frameSetupReply,
+		func(b []byte) []byte { return appendSetupRequest(b, req) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// register completes a good Setup for session id.
+func (p *rawPeer) register(t testing.TB, id string) {
+	t.Helper()
+	if rep := p.setup(t, p.setupRequest(id, p.encKey(t))); !rep.OK {
+		t.Fatalf("setup of %q refused: %+v", id, rep)
+	}
+}
+
+// mask pads data to a full block and masks it under the peer's key.
+func (p *rawPeer) mask(t testing.TB, block uint32, data []float64) []float64 {
+	t.Helper()
+	padded := make([]float64, p.cipher.Slots())
+	copy(padded, data)
+	m, err := p.cipher.Mask(p.key, p.nonce, block, padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// decrypt recovers the slot values of a result ciphertext.
+func (p *rawPeer) decrypt(ct *ckks.Ciphertext) []float64 {
+	return ckks.NewEncoder(p.ctx).DecodeReal(p.ev.Decrypt(p.sk, ct))
+}

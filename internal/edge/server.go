@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/hmac"
 	"crypto/rand"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -34,7 +33,7 @@ type Model struct {
 	Bias    []float64
 	// Matrix is the packed model matrix for MatVec requests: square, with
 	// a dimension dividing every served profile's slot count. Empty
-	// disables the matvec capability (the hello ack never advertises it).
+	// disables the matvec capability (Setup replies report dimension 0).
 	Matrix [][]float64
 	// MatrixBias is added slot-wise to the matvec output; nil for none.
 	MatrixBias []float64
@@ -74,9 +73,7 @@ type ServerConfig struct {
 	RekeyBytes int64
 	// Profiles is the security-profile registry sessions may register on:
 	// the paper's λ choice actuated as real CKKS parameter sets. Nil
-	// selects the shared built-in registry (profile.Default()); its
-	// default member carries the historical fixed parameter set, so
-	// legacy peers are unaffected.
+	// selects the shared built-in registry (profile.Default()).
 	Profiles *profile.Registry
 	// CalibrateProfiles measures every registry profile's real per-block
 	// cost at server startup (profile.Registry.CalibrateAll) and installs
@@ -91,23 +88,13 @@ type ServerConfig struct {
 	// come from its plan, and per-block telemetry is published back. Nil
 	// preserves the static admit-until-evicted behavior exactly.
 	Control Controller
-	// BatchWindow bounds the in-flight item frames of one streaming (v3)
+	// BatchWindow bounds the in-flight item frames of one streaming
 	// batch: an item is not submitted to the scheduler until an earlier
 	// item's reply frame has reached the socket once the window is full,
 	// so a slow client reading item frames stalls only its own batch,
 	// never an eval-pool worker. Default QueueDepth (capped at that, too:
 	// larger windows could let one batch shed itself on an idle server).
 	BatchWindow int
-	// LegacyGobOnly disables the framed v3 protocol, emulating a pre-v3
-	// server: every connection is served on the gob path, and v3 hellos
-	// fail to gob-decode so v3 clients fall back. Exists for
-	// compatibility testing; leave false in production.
-	LegacyGobOnly bool
-	// FrameChecksums accepts per-frame CRC32C trailers from v3 clients
-	// that request them at the handshake (integrity on untrusted links).
-	// Clients that do not ask — including every pre-checksum client —
-	// are served without trailers, so enabling this is always safe.
-	FrameChecksums bool
 	// DebugAddr, when non-empty, binds the observability debug plane
 	// (obs.ServeDebug) on that address: /metrics in the Prometheus text
 	// format, /debug/pprof/*, /debug/plan (the controller's live plan),
@@ -423,8 +410,7 @@ func (s *Server) runtime(profileID string) (*profileRuntime, error) {
 }
 
 // sessionRuntime resolves a session's profile to its runtime and
-// evaluator pool (sessions registered before the profile era carry an
-// empty profile and run on the default).
+// evaluator pool.
 func (s *Server) sessionRuntime(sess *serve.Session) (*profileRuntime, *serve.EvalPool, error) {
 	profID := sess.Profile
 	if profID == "" {
@@ -673,49 +659,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connWriter serializes gob reply encoding: with pipelined requests,
-// worker goroutines and the decode loop reply concurrently on one
-// connection. An encode failure poisons the gob stream, so the writer
-// tears the connection down — exactly once, through the teardown closure
-// shared with the read loop — and the client's pending requests then fail
-// with a connection error instead of hanging on replies that will never
-// arrive.
-type connWriter struct {
-	mu  sync.Mutex
-	enc *gob.Encoder
-	// failed latches the first encode error. Atomic for the same reason
-	// as frameWriter.failed: mu is held across socket writes, so dead()
-	// must not take it.
-	failed   atomic.Bool
-	teardown func()
-	logf     func(string, ...interface{})
-}
-
-// dead reports whether the connection's write side has already failed.
-func (w *connWriter) dead() bool { return w.failed.Load() }
-
-func (w *connWriter) send(reply *replyEnvelope) {
-	w.mu.Lock()
-	if w.failed.Load() {
-		w.mu.Unlock()
-		return
-	}
-	err := w.enc.Encode(reply)
-	if err != nil {
-		w.failed.Store(true)
-	}
-	w.mu.Unlock()
-	if err != nil {
-		w.logf("edge: encode: %v", err)
-		w.teardown()
-	}
-}
-
-// serveConn sniffs the protocol generation from the connection's first
-// bytes: v3 clients lead with the frame magic (bytes gob never emits at
-// stream start), everything else is a gob v1/v2 peer. Both paths share
-// one close-once teardown so a writer-side failure and the read loop's
-// exit cannot double-close the connection.
+// serveConn drives one connection: the hello exchange, then a decode
+// loop dispatching request frames. Replies go through one frameWriter per
+// connection; batch items stream back as soon as each worker finishes.
+// The writer and the read loop share one close-once teardown, so a
+// writer-side failure and the loop's exit cannot double-close the
+// connection.
 func (s *Server) serveConn(conn net.Conn) {
 	cs := s.trackConn(conn)
 	if cs == nil {
@@ -729,15 +678,70 @@ func (s *Server) serveConn(conn net.Conn) {
 		})
 	}
 	defer teardown()
+	if m := s.met; m != nil {
+		m.conns.Add(1)
+		defer m.conns.Add(-1)
+	}
 	br := bufio.NewReaderSize(conn, wireBufSize)
-	if !s.cfg.LegacyGobOnly {
-		if first, err := br.Peek(2); err == nil &&
-			first[0] == frameMagic0 && first[1] == frameMagic1 {
-			s.serveV3(conn, br, teardown, cs)
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	// A peer that does not open with a hello in the current frame version
+	// — a retired gob client, an older framed client, a port scanner — is
+	// closed before it can register a session or reach a worker. There is
+	// nothing to negotiate: the version names the whole wire format.
+	if !s.awaitFrame(conn, br, cs) {
+		return
+	}
+	if ftype, _, payload, err := readFrame(br, buf); err != nil || ftype != frameHello || len(payload) != 0 {
+		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			if m := s.met; m != nil {
+				m.protoMismatches.Inc()
+			}
+			s.cfg.Logf("edge: closing peer that did not open with a v%d hello (type %d, err %v)", frameVersion, ftype, err)
+		}
+		return
+	}
+	fw := newFrameWriter(conn, teardown, s.cfg.Logf)
+	if m := s.met; m != nil {
+		fw.countSend = func(n int) {
+			m.framesOut.Inc()
+			m.bytesOut.Add(int64(n))
+		}
+	}
+	if fw.sendFrame(frameHello, 0, nil) != nil {
+		return
+	}
+	rd := connReader{conn: conn, br: br, buf: buf, cs: cs}
+	for {
+		if !s.awaitFrame(conn, br, cs) {
+			return
+		}
+		ftype, id, payload, err := readFrame(br, buf)
+		if err != nil {
+			if errors.Is(err, ErrFrameChecksum) && s.met != nil {
+				s.met.checksumFails.Inc()
+			}
+			// EOF is a normal goodbye; net.ErrClosed is our own Close
+			// tearing the connection down.
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				s.cfg.Logf("edge: decode: %v", err)
+			}
+			return
+		}
+		if m := s.met; m != nil {
+			m.framesIn.Inc()
+			m.bytesIn.Add(int64(frameHeaderLen + len(payload) + crcTrailerLen))
+		}
+		cs.active.Add(1)
+		err = s.dispatch(fw, ftype, id, payload, rd)
+		cs.active.Add(-1)
+		if err != nil {
+			// A payload that fails to decode is a protocol violation, not
+			// a request we can answer: kill the connection.
+			s.cfg.Logf("edge: payload (type %d): %v", ftype, err)
 			return
 		}
 	}
-	s.serveGob(br, conn, teardown, cs)
 }
 
 // awaitFrame enforces the idle deadline before a blocking read: it peeks
@@ -745,9 +749,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // wait while the connection has in-flight work (a client waiting on its
 // own replies is not idle). A true idle expiry closes the connection —
 // the session detaches into the resume window. With IdleTimeout unset it
-// is a no-op and the subsequent read blocks indefinitely, matching the
-// pre-timeout behavior. Returns false when the connection should be torn
-// down (the caller's read would fail anyway).
+// is a no-op and the subsequent read blocks indefinitely. Returns false
+// when the connection should be torn down (the caller's read would fail
+// anyway).
 func (s *Server) awaitFrame(conn net.Conn, br *bufio.Reader, cs *connState) bool {
 	idle := s.cfg.IdleTimeout
 	if idle <= 0 {
@@ -774,145 +778,30 @@ func (s *Server) awaitFrame(conn net.Conn, br *bufio.Reader, cs *connState) bool
 	}
 }
 
-func (s *Server) serveGob(br *bufio.Reader, conn net.Conn, teardown func(), cs *connState) {
-	if m := s.met; m != nil {
-		m.connsGob.Add(1)
-		defer m.connsGob.Add(-1)
-	}
-	dec := gob.NewDecoder(br)
-	cw := &connWriter{enc: gob.NewEncoder(conn), teardown: teardown, logf: s.cfg.Logf}
-	for {
-		if !s.awaitFrame(conn, br, cs) {
-			return
-		}
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.cfg.Logf("edge: decode: %v", err)
-			}
-			return
-		}
-		cs.active.Add(1)
-		switch {
-		case env.Setup != nil:
-			cw.send(&replyEnvelope{ID: env.ID, Setup: s.handleSetup(env.Setup, cs)})
-		case env.Rekey != nil:
-			cw.send(&replyEnvelope{ID: env.ID, Rekey: s.handleRekey(env.Rekey)})
-		case env.Compute != nil:
-			s.handleCompute(cw, env.ID, env.Compute, cs)
-		case env.Batch != nil:
-			s.handleBatch(cw, env.ID, env.Batch, cs)
-		default:
-			cw.send(&replyEnvelope{ID: env.ID,
-				Setup: &SetupReply{Err: "empty request", Code: serve.CodeBadRequest}})
-		}
-		cs.active.Add(-1)
-	}
-}
-
-// serveV3 drives one framed v3 connection: hello handshake (checksum
-// negotiation plus the profile-support advertisement), then a decode loop
-// dispatching request frames. Replies go through one frameWriter per
-// connection; batch items stream back as soon as each worker finishes.
-func (s *Server) serveV3(conn net.Conn, br *bufio.Reader, teardown func(), cs *connState) {
-	if m := s.met; m != nil {
-		m.connsV3.Add(1)
-		defer m.connsV3.Add(-1)
-	}
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	ftype, _, payload, err := readFrame(br, buf)
-	if err != nil || ftype != frameHello {
-		s.cfg.Logf("edge: v3 handshake: type %d err %v", ftype, err)
-		return
-	}
-	// Feature negotiation: a client that wants CRC32C trailers sets the
-	// flag in its hello payload; the ack echoes what the server accepts
-	// and always advertises profile negotiation, the RNS wire format and
-	// session resume. Pre-checksum clients send empty hellos and get the
-	// empty ack they expect. The hello pair itself is always un-trailed;
-	// crc flips before the loop, while this goroutine is still the only
-	// sender.
-	crc := s.cfg.FrameChecksums && len(payload) >= 1 && payload[0]&helloFlagCRC != 0
-	rnsWire := len(payload) >= 1 && payload[0]&helloFlagRNSWire != 0
-	// Matvec is negotiated per connection: the server advertises only when
-	// it actually holds a matrix, and the path opens only when the client
-	// asked too — so matvec frames from an un-negotiated peer are rejected
-	// typed instead of evaluated against a missing plan.
-	mvCap := len(s.cfg.Model.Matrix) > 0
-	mv := mvCap && len(payload) >= 1 && payload[0]&helloFlagMatVec != 0
-	var ack func(b []byte) []byte
-	if len(payload) >= 1 {
-		flags := byte(helloFlagProfiles | helloFlagRNSWire | helloFlagResume | helloFlagTrace)
-		if crc {
-			flags |= helloFlagCRC
-		}
-		if mvCap {
-			flags |= helloFlagMatVec
-		}
-		ack = func(b []byte) []byte { return append(b, flags) }
-	}
-	fw := newFrameWriter(conn, teardown, s.cfg.Logf)
-	if m := s.met; m != nil {
-		fw.countSend = func(n int) {
-			m.framesOut.Inc()
-			m.bytesOut.Add(int64(n))
-		}
-	}
-	if fw.sendFrame(frameHello, 0, ack) != nil {
-		return
-	}
-	fw.crc = crc
-	trailer := 0
-	if crc {
-		trailer = crcTrailerLen
-	}
-	for {
-		if !s.awaitFrame(conn, br, cs) {
-			return
-		}
-		ftype, id, payload, err := readFrameCRC(br, buf, crc)
-		if err != nil {
-			if errors.Is(err, ErrFrameChecksum) && s.met != nil {
-				s.met.checksumFails.Inc()
-			}
-			// EOF is a normal goodbye; net.ErrClosed is our own Close
-			// tearing the connection down.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.cfg.Logf("edge: v3 decode: %v", err)
-			}
-			return
-		}
-		if m := s.met; m != nil {
-			m.framesIn.Inc()
-			m.bytesIn.Add(int64(frameHeaderLen + len(payload) + trailer))
-		}
-		cs.active.Add(1)
-		err = s.dispatchV3(fw, ftype, id, payload, rnsWire, v3conn{conn: conn, br: br, buf: buf, crc: crc, cs: cs, mv: mv})
-		cs.active.Add(-1)
-		if err != nil {
-			// A payload that fails to decode is a protocol violation, not
-			// a request we can answer: kill the connection.
-			s.cfg.Logf("edge: v3 payload (type %d): %v", ftype, err)
-			return
-		}
-	}
-}
-
-// v3conn bundles the read side of a v3 connection for handlers that run
+// connReader bundles the read side of a connection for handlers that run
 // a sub-dialog inside the decode loop (the resume handshake).
-type v3conn struct {
+type connReader struct {
 	conn net.Conn
 	br   *bufio.Reader
 	buf  *[]byte
-	crc  bool
 	cs   *connState
-	// mv records whether the hello handshake negotiated the encrypted
-	// matvec path (server holds a matrix AND the client asked).
-	mv bool
 }
 
-func (s *Server) dispatchV3(fw *frameWriter, ftype byte, id uint64, payload []byte, rnsWire bool, vc v3conn) error {
+func (s *Server) dispatch(fw *frameWriter, ftype byte, id uint64, payload []byte, rd connReader) error {
+	if o := opFor(ftype); o != nil {
+		// The decode timestamp anchors the block's trace: the earliest
+		// point the server saw this request's bytes as a block.
+		var decodeStart time.Time
+		if s.met != nil {
+			decodeStart = time.Now()
+		}
+		req, err := decodeComputeRequest(payload)
+		if err != nil {
+			return err
+		}
+		s.handleOp(fw, o, id, req, decodeStart, rd.cs)
+		return nil
+	}
 	switch ftype {
 	case frameProfile:
 		req, err := decodeProfileRequest(payload)
@@ -922,32 +811,18 @@ func (s *Server) dispatchV3(fw *frameWriter, ftype byte, id uint64, payload []by
 		rep := s.handleProfile(req)
 		fw.sendFrame(frameProfileReply, id, func(b []byte) []byte { return appendProfileReply(b, rep) })
 	case frameSetup:
-		if !rnsWire {
-			// The client never negotiated the residue-tower wire format,
-			// so its Setup payload is in the old flat layout: decoding it
-			// as limbs would misparse. Reject typed before touching it.
-			rep := &SetupReply{Code: serve.CodeWireFormat,
-				Err: "residue-tower wire format not negotiated at hello"}
-			fw.sendFrame(frameSetupReply, id, func(b []byte) []byte { return appendSetupReply(b, rep) })
-			return nil
-		}
 		req, err := decodeSetupRequest(payload)
 		if err != nil {
 			return err
 		}
-		rep := s.handleSetup(req, vc.cs)
-		if vc.mv && rep.OK {
-			// Tell the matvec-negotiated client which rotation keys the
-			// kernel needs (ckks.BSGSRotations of this dimension).
-			rep.MatVecDim = len(s.cfg.Model.Matrix)
-		}
+		rep := s.handleSetup(req, rd.cs)
 		fw.sendFrame(frameSetupReply, id, func(b []byte) []byte { return appendSetupReply(b, rep) })
 	case frameResume:
 		req, err := decodeResumeRequest(payload)
 		if err != nil {
 			return err
 		}
-		return s.handleResume(fw, vc, id, req)
+		return s.handleResume(fw, rd, id, req)
 	case frameRekey:
 		req, err := decodeRekeyRequest(payload)
 		if err != nil {
@@ -955,41 +830,19 @@ func (s *Server) dispatchV3(fw *frameWriter, ftype byte, id uint64, payload []by
 		}
 		rep := s.handleRekey(req)
 		fw.sendFrame(frameRekeyReply, id, func(b []byte) []byte { return appendRekeyReply(b, rep) })
-	case frameCompute:
-		// The decode timestamp anchors the block's trace: the earliest
-		// point the server saw this request's bytes as a compute.
-		var decodeStart time.Time
-		if s.met != nil {
-			decodeStart = time.Now()
-		}
-		req, err := decodeComputeRequest(payload)
-		if err != nil {
-			return err
-		}
-		s.handleComputeV3(fw, id, req, decodeStart, vc.cs)
 	case frameBatch:
 		req, err := decodeBatchRequest(payload)
 		if err != nil {
 			return err
 		}
-		s.handleBatchV3(fw, id, req, vc.cs)
+		s.handleBatch(fw, id, req, rd.cs)
 	case frameRotKeys:
 		req, err := decodeRotKeysRequest(payload)
 		if err != nil {
 			return err
 		}
-		rep := s.handleRotKeys(req, vc)
+		rep := s.handleRotKeys(req)
 		fw.sendFrame(frameRotKeysReply, id, func(b []byte) []byte { return appendRotKeysReply(b, rep) })
-	case frameMatVec:
-		var decodeStart time.Time
-		if s.met != nil {
-			decodeStart = time.Now()
-		}
-		req, err := decodeComputeRequest(payload)
-		if err != nil {
-			return err
-		}
-		s.handleMatVecV3(fw, id, req, decodeStart, vc)
 	default:
 		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, ftype)
 	}
@@ -1031,7 +884,7 @@ func (s *Server) handleProfile(req *ProfileRequest) *ProfileReply {
 // Denials are typed replies; only protocol violations (a non-proof frame
 // mid-dialog, undecodable payloads) return an error and kill the
 // connection.
-func (s *Server) handleResume(fw *frameWriter, vc v3conn, id uint64, req *ResumeRequest) error {
+func (s *Server) handleResume(fw *frameWriter, rd connReader, id uint64, req *ResumeRequest) error {
 	deny := func(code serve.Code, detail string) error {
 		if m := s.met; m != nil {
 			m.resumeRejects.Inc()
@@ -1081,9 +934,9 @@ func (s *Server) handleResume(fw *frameWriter, vc v3conn, id uint64, req *Resume
 		return nil // connection already torn down
 	}
 	if idle := s.cfg.IdleTimeout; idle > 0 {
-		vc.conn.SetReadDeadline(time.Now().Add(idle))
+		rd.conn.SetReadDeadline(time.Now().Add(idle))
 	}
-	ftype, pid, payload, err := readFrameCRC(vc.br, vc.buf, vc.crc)
+	ftype, pid, payload, err := readFrame(rd.br, rd.buf)
 	if err != nil {
 		return fmt.Errorf("resume proof read: %w", err)
 	}
@@ -1098,7 +951,7 @@ func (s *Server) handleResume(fw *frameWriter, vc v3conn, id uint64, req *Resume
 		return deny(serve.CodeResumeRejected, "possession proof failed")
 	}
 	s.store.Get(sess.ID) // authenticated: refresh LRU position
-	vc.cs.attach(sess)
+	rd.cs.attach(sess)
 	if m := s.met; m != nil {
 		m.resumes.Inc()
 	}
@@ -1106,167 +959,6 @@ func (s *Server) handleResume(fw *frameWriter, vc v3conn, id uint64, req *Resume
 	rep := &ResumeReply{OK: true, Epoch: req.Epoch}
 	fw.sendFrame(frameResumeReply, id, func(b []byte) []byte { return appendResumeReply(b, rep) })
 	return nil
-}
-
-func (s *Server) sendComputeReplyV3(fw *frameWriter, id uint64, rep *ComputeReply) {
-	fw.sendFrame(frameComputeReply, id, func(b []byte) []byte { return appendComputeReply(b, rep) })
-}
-
-// handleComputeV3 mirrors handleCompute on the framed path: requests go
-// through the bounded scheduler — onto the session profile's evaluator
-// pool — and may be shed with CodeOverloaded. With observability on,
-// the block's life is traced stage by stage (decode → queue_wait → eval
-// → encode → write) and recorded once the reply frame reached the
-// socket; spans also feed the quhe_stage_seconds histograms.
-func (s *Server) handleComputeV3(fw *frameWriter, id uint64, req *ComputeRequest, decodeStart time.Time, cs *connState) {
-	bt := s.met.newBlockTrace(req.SessionID, req.Block, id, decodeStart)
-	bt.adopt(req.Trace)
-	bt.span(stageIdxDecode, stageDecode, decodeStart, time.Since(decodeStart))
-	sess, rt, pool, code, detail := s.lookupCompute(req.SessionID)
-	if code != serve.CodeOK {
-		s.sendComputeReplyV3(fw, id, &ComputeReply{Code: code, Err: detail})
-		return
-	}
-	var submitAt time.Time
-	if bt != nil {
-		submitAt = time.Now()
-	}
-	// The reply outlives this dispatch: hold an in-flight count until the
-	// reply frame reached the socket, so Drain never closes the
-	// connection under a queued compute.
-	cs.active.Add(1)
-	if err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
-		defer cs.active.Add(-1)
-		if bt == nil {
-			s.sendComputeReplyV3(fw, id, s.compute(rt, w, sess, req))
-			return
-		}
-		waitEnd := time.Now()
-		bt.span(stageIdxQueueWait, stageQueueWait, submitAt, waitEnd.Sub(submitAt))
-		rep := s.compute(rt, w, sess, req)
-		bt.span(stageIdxEval, stageEval, waitEnd, time.Since(waitEnd))
-		encStart := time.Now()
-		enc, wr, err := fw.sendFrameTimed(frameComputeReply, id, func(b []byte) []byte {
-			return appendComputeReply(b, rep)
-		})
-		if err == nil {
-			bt.span(stageIdxEncode, stageEncode, encStart, enc)
-			bt.span(stageIdxWrite, stageWrite, encStart.Add(enc), wr)
-		}
-		bt.finish()
-	}); err != nil {
-		cs.active.Add(-1)
-		if m := s.met; m != nil {
-			m.shedQueueFull.Inc()
-		}
-		s.sendComputeReplyV3(fw, id, &ComputeReply{
-			Code: serve.CodeOf(err),
-			Err:  fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()),
-		})
-	}
-}
-
-// handleRotKeys installs a session's Galois rotation keys for the matvec
-// kernel, validating the upload at installation time: the connection must
-// have negotiated matvec, the set's ring shape must match the session
-// profile's context, and it must cover every rotation of the BSGS plan —
-// so an incomplete set fails here, typed, instead of mid-evaluation.
-func (s *Server) handleRotKeys(req *RotKeysRequest, vc v3conn) *RotKeysReply {
-	if !vc.mv {
-		return &RotKeysReply{Code: serve.CodeMatVecUnavailable,
-			Err: "matvec not negotiated at hello"}
-	}
-	if req.Keys == nil || len(req.Keys.Keys) == 0 {
-		return &RotKeysReply{Code: serve.CodeBadRequest, Err: "empty rotation key set"}
-	}
-	sess, rt, _, code, detail := s.lookupCompute(req.SessionID)
-	if code != serve.CodeOK {
-		return &RotKeysReply{Code: code, Err: detail}
-	}
-	plan, err := s.matvecPlan(rt)
-	if err != nil {
-		return &RotKeysReply{Code: serve.CodeOf(err), Err: err.Error()}
-	}
-	n := rt.ctx.Params.N()
-	digits := len(rt.ctx.Primes)
-	qp := digits + 1
-	for el, gk := range req.Keys.Keys {
-		if len(gk.Parts) != digits || len(gk.Parts[0][0]) != qp || len(gk.Parts[0][0][0]) != n {
-			return &RotKeysReply{Code: serve.CodeParamMismatch,
-				Err: fmt.Sprintf("rotation key for element %d does not match profile %s's ring", el, rt.prof.ID)}
-		}
-	}
-	if err := req.Keys.Covers(n, plan.Rotations()); err != nil {
-		return &RotKeysReply{Code: serve.CodeBadRequest, Err: "rotation keys: " + err.Error()}
-	}
-	sess.SetRotKeys(req.Keys)
-	s.cfg.Logf("edge: session %q installed %d rotation keys (matvec dim %d)",
-		sess.ID, len(req.Keys.Keys), plan.Dim())
-	return &RotKeysReply{OK: true}
-}
-
-// handleMatVecV3 serves one encrypted matrix–vector request: transcipher
-// the block, then apply the model matrix with the hoisted BSGS kernel
-// under the session's rotation keys. Mirrors handleComputeV3 (bounded
-// scheduler, per-profile pool, sheddable) with one extra traced stage —
-// matvec — separating kernel time from transcipher time.
-func (s *Server) handleMatVecV3(fw *frameWriter, id uint64, req *ComputeRequest, decodeStart time.Time, vc v3conn) {
-	reply := func(rep *ComputeReply) {
-		fw.sendFrame(frameMatVecReply, id, func(b []byte) []byte { return appendComputeReply(b, rep) })
-	}
-	if !vc.mv {
-		reply(&ComputeReply{Code: serve.CodeMatVecUnavailable,
-			Err: "matvec not negotiated at hello"})
-		return
-	}
-	bt := s.met.newBlockTrace(req.SessionID, req.Block, id, decodeStart)
-	bt.adopt(req.Trace)
-	bt.span(stageIdxDecode, stageDecode, decodeStart, time.Since(decodeStart))
-	sess, rt, pool, code, detail := s.lookupCompute(req.SessionID)
-	if code != serve.CodeOK {
-		reply(&ComputeReply{Code: code, Err: detail})
-		return
-	}
-	var submitAt time.Time
-	if bt != nil {
-		submitAt = time.Now()
-	}
-	cs := vc.cs
-	cs.active.Add(1)
-	if err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
-		defer cs.active.Add(-1)
-		if bt == nil {
-			rep, _ := s.computeMatVec(rt, w, sess, req)
-			reply(rep)
-			return
-		}
-		waitEnd := time.Now()
-		bt.span(stageIdxQueueWait, stageQueueWait, submitAt, waitEnd.Sub(submitAt))
-		rep, mvDur := s.computeMatVec(rt, w, sess, req)
-		total := time.Since(waitEnd)
-		// The kernel runs at the tail of the eval: split the worker's time
-		// into the transcipher span and the matvec span.
-		bt.span(stageIdxEval, stageEval, waitEnd, total-mvDur)
-		bt.span(stageIdxMatVec, stageMatVec, waitEnd.Add(total-mvDur), mvDur)
-		encStart := time.Now()
-		enc, wr, err := fw.sendFrameTimed(frameMatVecReply, id, func(b []byte) []byte {
-			return appendComputeReply(b, rep)
-		})
-		if err == nil {
-			bt.span(stageIdxEncode, stageEncode, encStart, enc)
-			bt.span(stageIdxWrite, stageWrite, encStart.Add(enc), wr)
-		}
-		bt.finish()
-	}); err != nil {
-		cs.active.Add(-1)
-		if m := s.met; m != nil {
-			m.shedQueueFull.Inc()
-		}
-		reply(&ComputeReply{
-			Code: serve.CodeOf(err),
-			Err:  fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()),
-		})
-	}
 }
 
 // lookupCompute resolves a compute request's session and its profile
@@ -1293,8 +985,6 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 	}
 	profID := req.Profile
 	if profID == "" {
-		// Gob peers and pre-profile v3 clients are pinned to the default
-		// profile — the historical fixed parameter set.
 		profID = s.reg.DefaultID()
 	}
 	prof, ok := s.reg.Get(profID)
@@ -1341,9 +1031,14 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 	if err != nil {
 		return &SetupReply{Code: serve.CodeInternal, Err: "profile runtime: " + err.Error()}
 	}
-	// Validate the uploaded key against the profile's context and convert
-	// it, in place, to the evaluation form every block will read; the
-	// session never sees another form.
+	// Everything a worker will index or feed to a lazy-reduction kernel is
+	// validated here, before the session exists: the relinearization key
+	// against the profile's ring, then the transciphering key — which
+	// InstallKey also converts, in place, to the evaluation form every
+	// block will read; the session never sees another form.
+	if err := rt.ctx.CheckSwitchingKey(req.RLK.Parts); err != nil {
+		return &SetupReply{Code: keyCode(err), Err: "relinearization key: " + err.Error()}
+	}
 	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
 		return &SetupReply{Code: serve.CodeBadRequest, Err: "transciphering key: " + err.Error()}
 	}
@@ -1364,13 +1059,19 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 		ctl.ObserveSession(req.SessionID, profID)
 	}
 	s.cfg.Logf("edge: session %q registered on %s (%d resident)", req.SessionID, profID, s.store.Len())
-	rep := &SetupReply{OK: true}
-	if req.Profile != "" {
-		// Echo the profile only to peers that speak it: pre-profile v3
-		// clients keep the reply layout they expect.
-		rep.Profile = profID
+	// MatVecDim tells the client which rotation keys the matvec kernel
+	// needs (ckks.BSGSRotations of this dimension); zero = no matrix here.
+	return &SetupReply{OK: true, Profile: profID, MatVecDim: len(s.cfg.Model.Matrix)}
+}
+
+// keyCode types a ckks.Context.CheckSwitchingKey failure for the wire: a
+// key built for another ring is a parameter mismatch, anything else
+// (unreduced residues) a bad request.
+func keyCode(err error) serve.Code {
+	if errors.Is(err, ckks.ErrKeyShape) {
+		return serve.CodeParamMismatch
 	}
-	return rep
+	return serve.CodeBadRequest
 }
 
 func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
@@ -1393,8 +1094,8 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 	}
 	epoch := sess.Rekey(req.EncKey, req.Nonce)
 	// The resume credential is derived from the QKD key material, so it
-	// rotates with it; a rekey without one (an older client) clears the
-	// credential rather than leaving a stale epoch's secret valid.
+	// rotates with it; a rekey without one clears the credential rather
+	// than leaving a stale epoch's secret valid.
 	sess.SetResumeAuth(req.ResumeAuth)
 	if m := s.met; m != nil {
 		m.rekeys.Inc()
@@ -1403,180 +1104,182 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 	return &RekeyReply{OK: true, Epoch: epoch}
 }
 
-// handleCompute serves one block. ID 0 (v1) runs synchronously on the
-// session profile's pool — blocking checkout, never shed — preserving the
-// v1 in-order contract. Nonzero IDs go through the bounded scheduler and
-// may be shed with CodeOverloaded.
-func (s *Server) handleCompute(cw *connWriter, id uint64, req *ComputeRequest, cs *connState) {
-	sess, rt, pool, code, detail := s.lookupCompute(req.SessionID)
+// handleRotKeys installs a session's Galois rotation keys for the matvec
+// kernel, validating the upload at installation time: every key must fit
+// the session profile's ring with reduced residues, and the set must
+// cover every rotation of the BSGS plan — so a bad set fails here, typed,
+// instead of mid-evaluation on a worker.
+func (s *Server) handleRotKeys(req *RotKeysRequest) *RotKeysReply {
+	if req.Keys == nil || len(req.Keys.Keys) == 0 {
+		return &RotKeysReply{Code: serve.CodeBadRequest, Err: "empty rotation key set"}
+	}
+	sess, rt, _, code, detail := s.lookupCompute(req.SessionID)
 	if code != serve.CodeOK {
-		rep := &ComputeReply{Code: code, Err: detail}
-		if id == 0 {
-			cw.send(&replyEnvelope{Compute: rep})
-		} else {
-			cw.send(&replyEnvelope{ID: id, Compute: rep})
-		}
-		return
-	}
-	if id == 0 {
-		var rep *ComputeReply
-		_ = pool.Do(func(w *serve.Worker) error {
-			rep = s.compute(rt, w, sess, req)
-			return nil
-		})
-		cw.send(&replyEnvelope{Compute: rep})
-		return
-	}
-	cs.active.Add(1)
-	if err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
-		defer cs.active.Add(-1)
-		cw.send(&replyEnvelope{ID: id, Compute: s.compute(rt, w, sess, req)})
-	}); err != nil {
-		cs.active.Add(-1)
-		cw.send(&replyEnvelope{ID: id, Compute: &ComputeReply{
-			Code: serve.CodeOf(err),
-			Err:  fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()),
-		}})
-	}
-}
-
-func (s *Server) compute(rt *profileRuntime, w *serve.Worker, sess *serve.Session, req *ComputeRequest) *ComputeReply {
-	result, code, detail := s.computeBlock(rt, w, sess, req.Epoch, req.Block, req.Masked)
-	if code != serve.CodeOK {
-		return &ComputeReply{Code: code, Err: detail, RekeyNeeded: s.rekeyNeeded(sess)}
-	}
-	bits := float64(len(req.Masked) * 64)
-	lambda := rt.prof.Lambda
-	return &ComputeReply{
-		Result:          result,
-		RekeyNeeded:     s.rekeyNeeded(sess),
-		ModeledTxDelay:  bits / s.cfg.UplinkRateBps,
-		ModeledCmpDelay: (costmodel.EvalCycles(lambda) + costmodel.CmpCycles(lambda)) / s.cfg.ServerHz,
-	}
-}
-
-// rekeyBudget resolves a session's per-key byte budget: the control
-// plane's plan when one is attached (budgets derived from the paper's
-// security-level utility at the session's profile λ), the static
-// RekeyBytes constant otherwise.
-func (s *Server) rekeyBudget(sess *serve.Session) int64 {
-	if ctl := s.cfg.Control; ctl != nil {
-		if b := ctl.RekeyBudget(sess.ID); b > 0 {
-			return b
-		}
-	}
-	return s.cfg.RekeyBytes
-}
-
-// computeBlock transciphers one block on an exclusively held worker of
-// the session profile's pool, enforcing slot bounds, the key epoch,
-// control-plane admission and the rekey byte budget. Every outcome —
-// success or typed failure — lands in the per-code counter; eval
-// latency lands in the session profile's histogram.
-func (s *Server) computeBlock(rt *profileRuntime, w *serve.Worker, sess *serve.Session, reqEpoch uint64, block uint32, masked []float64) (result *ckks.Ciphertext, code serve.Code, detail string) {
-	if m := s.met; m != nil {
-		defer func() {
-			m.codeCounter(code).Inc()
-			m.observeOutcome(code)
-		}()
-	}
-	if len(masked) > rt.cipher.Slots() {
-		return nil, serve.CodeOversized,
-			fmt.Sprintf("block of %d slots exceeds %d", len(masked), rt.cipher.Slots())
-	}
-	encKey, nonce, epoch := sess.Keys()
-	if reqEpoch != 0 && reqEpoch != epoch {
-		return nil, serve.CodeRekeyRequired,
-			fmt.Sprintf("block masked under key epoch %d, session at %d", reqEpoch, epoch)
-	}
-	pending := int64(8 * len(masked))
-	// One snapshot of the per-key byte usage serves the admission check,
-	// the budget comparison and the error message, so they cannot
-	// disagree when concurrent traffic moves the counter between reads.
-	used := sess.BytesSinceRekey()
-	ctl := s.cfg.Control
-	if ctl != nil {
-		if err := ctl.AdmitCompute(sess.ID, used, pending); err != nil {
-			return nil, serve.CodeOf(err), controlDetail(err)
-		}
-	}
-	if budget := s.rekeyBudget(sess); budget > 0 && used >= budget {
-		return nil, serve.CodeRekeyRequired,
-			fmt.Sprintf("key byte budget exhausted (%d of %d)", used, budget)
-	}
-	var start time.Time
-	if ctl != nil || s.met != nil {
-		start = time.Now()
-	}
-	scratch, _ := w.Scratch.(*transcipher.Scratch)
-	result, err := rt.cipher.TranscipherAffineWith(
-		scratch, w.Ev, sess.RLK, encKey, nonce, block, masked,
-		s.cfg.Model.Weights, s.cfg.Model.Bias)
-	if err != nil {
-		if ctl != nil || s.met != nil {
-			d := time.Since(start)
-			if ctl != nil {
-				ctl.ObserveCompute(sess.ID, pending, d, serve.CodeInternal)
-			}
-			if m := s.met; m != nil {
-				m.observeEval(rt.prof.ID, d)
-			}
-		}
-		return nil, serve.CodeInternal, "transcipher: " + err.Error()
-	}
-	sess.RecordBlock(pending)
-	if ctl != nil || s.met != nil {
-		d := time.Since(start)
-		if ctl != nil {
-			ctl.ObserveCompute(sess.ID, pending, d, serve.CodeOK)
-		}
-		if m := s.met; m != nil {
-			m.observeEval(rt.prof.ID, d)
-		}
-	}
-	return result, serve.CodeOK, ""
-}
-
-// computeMatVec wraps matvecBlock into a ComputeReply with the modeled
-// delay decomposition, mirroring compute. Returns the kernel's own
-// duration alongside so the caller can emit the matvec trace span.
-func (s *Server) computeMatVec(rt *profileRuntime, w *serve.Worker, sess *serve.Session, req *ComputeRequest) (*ComputeReply, time.Duration) {
-	result, mvDur, code, detail := s.matvecBlock(rt, w, sess, req.Epoch, req.Block, req.Masked)
-	if code != serve.CodeOK {
-		return &ComputeReply{Code: code, Err: detail, RekeyNeeded: s.rekeyNeeded(sess)}, mvDur
-	}
-	bits := float64(len(req.Masked) * 64)
-	lambda := rt.prof.Lambda
-	return &ComputeReply{
-		Result:          result,
-		RekeyNeeded:     s.rekeyNeeded(sess),
-		ModeledTxDelay:  bits / s.cfg.UplinkRateBps,
-		ModeledCmpDelay: (costmodel.EvalCycles(lambda) + costmodel.CmpCycles(lambda)) / s.cfg.ServerHz,
-	}, mvDur
-}
-
-// matvecBlock is computeBlock's matrix–vector sibling: same admission
-// pipeline (slot bounds, key epoch, control-plane admission, rekey byte
-// budget), but the transcipher runs plain (no slot-wise affine) and the
-// result feeds the hoisted BSGS kernel under the session's rotation keys.
-// The transcipher output contract (level top−2, scale Δ²/p) matches the
-// plan by construction, so the kernel consumes it directly. Returns the
-// kernel's duration for the matvec trace span.
-func (s *Server) matvecBlock(rt *profileRuntime, w *serve.Worker, sess *serve.Session, reqEpoch uint64, block uint32, masked []float64) (result *ckks.Ciphertext, mvDur time.Duration, code serve.Code, detail string) {
-	if m := s.met; m != nil {
-		defer func() {
-			m.codeCounter(code).Inc()
-			m.observeOutcome(code)
-		}()
+		return &RotKeysReply{Code: code, Err: detail}
 	}
 	plan, err := s.matvecPlan(rt)
 	if err != nil {
-		return nil, 0, serve.CodeOf(err), err.Error()
+		return &RotKeysReply{Code: serve.CodeOf(err), Err: err.Error()}
 	}
-	gks := sess.RotKeys()
-	if gks == nil {
-		return nil, 0, serve.CodeMatVecUnavailable,
-			"no rotation keys installed for session (upload them after setup)"
+	for el, gk := range req.Keys.Keys {
+		if err := rt.ctx.CheckSwitchingKey(gk.Parts); err != nil {
+			return &RotKeysReply{Code: keyCode(err),
+				Err: fmt.Sprintf("rotation key for element %d: %v", el, err)}
+		}
+	}
+	if err := req.Keys.Covers(rt.ctx.Params.N(), plan.Rotations()); err != nil {
+		return &RotKeysReply{Code: serve.CodeBadRequest, Err: "rotation keys: " + err.Error()}
+	}
+	sess.SetRotKeys(req.Keys)
+	s.cfg.Logf("edge: session %q installed %d rotation keys (matvec dim %d)",
+		sess.ID, len(req.Keys.Keys), plan.Dim())
+	return &RotKeysReply{OK: true}
+}
+
+// op is one row of the per-block op table: everything that differs
+// between the operations a session can run on a masked block. The
+// pipeline around a row — decode → lookup → submit → [gates → transcipher
+// → kernel → accounting] → encode → write — is handleOp and evalBlock,
+// shared by every row, so a new op is a kernel plus a row.
+type op struct {
+	// req and reply are the op's frame types; both carry the Compute
+	// codecs.
+	req, reply byte
+	// affine makes the transcipher apply the model's slot-wise weights and
+	// bias while it decrypts; otherwise it applies the identity and leaves
+	// the plain block for the kernel.
+	affine bool
+	// ready, when set, refuses a block before admission spends key budget
+	// or a transcipher on it: the session or the server lacks what the
+	// kernel needs.
+	ready func(s *Server, rt *profileRuntime, sess *serve.Session) (serve.Code, string)
+	// kernel, when set, evaluates on the transcipher's output with the
+	// worker's evaluator (nil: the transcipher's output is the result).
+	// Its time is traced as its own span, named stage, split off the tail
+	// of the eval span.
+	kernel   func(s *Server, rt *profileRuntime, w *serve.Worker, sess *serve.Session, ct *ckks.Ciphertext) (*ckks.Ciphertext, serve.Code, string)
+	stage    string
+	stageIdx int
+}
+
+var (
+	// opCompute is the slot-wise affine layer, fused into the transcipher.
+	opCompute = op{req: frameCompute, reply: frameComputeReply, affine: true}
+	// opMatVec transciphers plain, then applies the packed model matrix
+	// with the hoisted BSGS kernel under the session's rotation keys.
+	opMatVec = op{req: frameMatVec, reply: frameMatVecReply,
+		ready: (*Server).matvecReady, kernel: (*Server).matvecKernel,
+		stage: stageMatVec, stageIdx: stageIdxMatVec}
+
+	ops = [...]*op{&opCompute, &opMatVec}
+)
+
+// opFor returns the table row served by a request frame type, nil when
+// the frame is not a per-block op.
+func opFor(ftype byte) *op {
+	for _, o := range ops {
+		if o.req == ftype {
+			return o
+		}
+	}
+	return nil
+}
+
+// refuseBlock answers a per-block request that never reached a worker.
+func (s *Server) refuseBlock(fw *frameWriter, o *op, id uint64, code serve.Code, detail string) {
+	rep := ComputeReply{Code: code, Err: detail}
+	fw.sendFrame(o.reply, id, func(b []byte) []byte { return appendComputeReply(b, &rep) })
+}
+
+// handleOp serves one per-block request of any op: the block goes through
+// the bounded scheduler — onto the session profile's evaluator pool — and
+// may be shed with CodeOverloaded. With observability on, the block's
+// life is traced stage by stage (decode → queue_wait → eval → [kernel
+// stage] → encode → write) and recorded once the reply frame reached the
+// socket; spans also feed the quhe_stage_seconds histograms.
+func (s *Server) handleOp(fw *frameWriter, o *op, id uint64, req *ComputeRequest, decodeStart time.Time, cs *connState) {
+	bt := s.met.newBlockTrace(req.SessionID, req.Block, id, decodeStart)
+	bt.adopt(req.Trace)
+	bt.span(stageIdxDecode, stageDecode, decodeStart, time.Since(decodeStart))
+	sess, rt, pool, code, detail := s.lookupCompute(req.SessionID)
+	if code != serve.CodeOK {
+		s.refuseBlock(fw, o, id, code, detail)
+		return
+	}
+	var submitAt time.Time
+	if bt != nil {
+		submitAt = time.Now()
+	}
+	// The reply outlives this dispatch: hold an in-flight count until the
+	// reply frame reached the socket, so Drain never closes the
+	// connection under a queued block.
+	cs.active.Add(1)
+	if err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
+		defer cs.active.Add(-1)
+		var waitEnd, evalEnd time.Time
+		if bt != nil {
+			waitEnd = time.Now()
+			bt.span(stageIdxQueueWait, stageQueueWait, submitAt, waitEnd.Sub(submitAt))
+		}
+		result, kdur, code, detail := s.evalBlock(o, rt, w, sess, req.Epoch, req.Block, req.Masked)
+		rep := ComputeReply{Result: result, Code: code, Err: detail, RekeyNeeded: s.rekeyNeeded(sess)}
+		if code == serve.CodeOK {
+			rep.ModeledTxDelay = float64(len(req.Masked)*64) / s.cfg.UplinkRateBps
+			rep.ModeledCmpDelay = s.modeledCmpDelay(rt, 1)
+		}
+		if bt != nil {
+			// The kernel runs at the tail of the eval: split the worker's
+			// time into the transcipher span and the kernel's.
+			total := time.Since(waitEnd)
+			evalEnd = waitEnd.Add(total)
+			bt.span(stageIdxEval, stageEval, waitEnd, total-kdur)
+			if o.kernel != nil {
+				bt.span(o.stageIdx, o.stage, evalEnd.Add(-kdur), kdur)
+			}
+		}
+		enc, wr, err := fw.sendFrameTimed(o.reply, id, func(b []byte) []byte {
+			return appendComputeReply(b, &rep)
+		}, bt != nil)
+		if err == nil {
+			bt.span(stageIdxEncode, stageEncode, evalEnd, enc)
+			bt.span(stageIdxWrite, stageWrite, evalEnd.Add(enc), wr)
+		}
+		bt.finish()
+	}); err != nil {
+		cs.active.Add(-1)
+		if m := s.met; m != nil {
+			m.shedQueueFull.Inc()
+		}
+		s.refuseBlock(fw, o, id, serve.CodeOf(err), fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()))
+	}
+}
+
+// modeledCmpDelay is the paper's server-computation delay for blocks
+// blocks at the profile's λ under the configured CPU share.
+func (s *Server) modeledCmpDelay(rt *profileRuntime, blocks int64) float64 {
+	lambda := rt.prof.Lambda
+	return float64(blocks) * (costmodel.EvalCycles(lambda) + costmodel.CmpCycles(lambda)) / s.cfg.ServerHz
+}
+
+// evalBlock runs one block of op o on an exclusively held worker of the
+// session profile's pool: the op's readiness check, then the gates every
+// op shares — slot bound, key epoch, control-plane admission, rekey byte
+// budget — then the transcipher and the op's kernel. Every outcome —
+// success or typed failure — lands in the per-code counter; eval latency
+// lands in the session profile's histogram and, with the block's bytes,
+// in the control plane. kdur is the kernel's share of the time, for the
+// caller's trace split.
+func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *serve.Session, reqEpoch uint64, block uint32, masked []float64) (result *ckks.Ciphertext, kdur time.Duration, code serve.Code, detail string) {
+	if m := s.met; m != nil {
+		defer func() {
+			m.codeCounter(code).Inc()
+			m.observeOutcome(code)
+		}()
+	}
+	if o.ready != nil {
+		if code, detail := o.ready(s, rt, sess); code != serve.CodeOK {
+			return nil, 0, code, detail
+		}
 	}
 	if len(masked) > rt.cipher.Slots() {
 		return nil, 0, serve.CodeOversized,
@@ -1588,6 +1291,9 @@ func (s *Server) matvecBlock(rt *profileRuntime, w *serve.Worker, sess *serve.Se
 			fmt.Sprintf("block masked under key epoch %d, session at %d", reqEpoch, epoch)
 	}
 	pending := int64(8 * len(masked))
+	// One snapshot of the per-key byte usage serves the admission check,
+	// the budget comparison and the error message, so they cannot
+	// disagree when concurrent traffic moves the counter between reads.
 	used := sess.BytesSinceRekey()
 	ctl := s.cfg.Control
 	if ctl != nil {
@@ -1603,10 +1309,25 @@ func (s *Server) matvecBlock(rt *profileRuntime, w *serve.Worker, sess *serve.Se
 	if ctl != nil || s.met != nil {
 		start = time.Now()
 	}
-	observe := func(code serve.Code) {
-		if ctl == nil && s.met == nil {
-			return
-		}
+	var weights, bias []float64
+	if o.affine {
+		weights, bias = s.cfg.Model.Weights, s.cfg.Model.Bias
+	}
+	scratch, _ := w.Scratch.(*transcipher.Scratch)
+	result, err := rt.cipher.TranscipherAffineWith(
+		scratch, w.Ev, sess.RLK, encKey, nonce, block, masked, weights, bias)
+	switch {
+	case err != nil:
+		result, code, detail = nil, serve.CodeInternal, "transcipher: "+err.Error()
+	case o.kernel != nil:
+		kstart := time.Now()
+		result, code, detail = o.kernel(s, rt, w, sess, result)
+		kdur = time.Since(kstart)
+	}
+	if code == serve.CodeOK {
+		sess.RecordBlock(pending)
+	}
+	if ctl != nil || s.met != nil {
 		d := time.Since(start)
 		if ctl != nil {
 			ctl.ObserveCompute(sess.ID, pending, d, code)
@@ -1615,36 +1336,58 @@ func (s *Server) matvecBlock(rt *profileRuntime, w *serve.Worker, sess *serve.Se
 			m.observeEval(rt.prof.ID, d)
 		}
 	}
-	scratch, _ := w.Scratch.(*transcipher.Scratch)
-	// Plain transcipher: nil weights apply the identity, leaving the
-	// decrypted block for the matrix kernel.
-	ct, err := rt.cipher.TranscipherAffineWith(
-		scratch, w.Ev, sess.RLK, encKey, nonce, block, masked, nil, nil)
+	return result, kdur, code, detail
+}
+
+// matvecReady is opMatVec's readiness check: the server holds a matrix
+// this profile can plan, and the session uploaded its rotation keys.
+func (s *Server) matvecReady(rt *profileRuntime, sess *serve.Session) (serve.Code, string) {
+	if _, err := s.matvecPlan(rt); err != nil {
+		return serve.CodeOf(err), err.Error()
+	}
+	if sess.RotKeys() == nil {
+		return serve.CodeMatVecUnavailable,
+			"no rotation keys installed for session (upload them after setup)"
+	}
+	return serve.CodeOK, ""
+}
+
+// matvecKernel applies the packed model matrix to a plain-transciphered
+// block. The transcipher output contract (level top−2, scale Δ²/p)
+// matches the plan by construction, so the kernel consumes it directly.
+func (s *Server) matvecKernel(rt *profileRuntime, w *serve.Worker, sess *serve.Session, ct *ckks.Ciphertext) (*ckks.Ciphertext, serve.Code, string) {
+	plan, err := s.matvecPlan(rt)
 	if err != nil {
-		observe(serve.CodeInternal)
-		return nil, 0, serve.CodeInternal, "transcipher: " + err.Error()
+		return nil, serve.CodeOf(err), err.Error()
 	}
 	out := rt.ctx.NewCiphertext(plan.Level() - 1)
-	mvStart := time.Now()
-	if err := w.Ev.MatVecInto(plan, ct, gks, out); err != nil {
-		mvDur = time.Since(mvStart)
-		code = serve.CodeInternal
+	if err := w.Ev.MatVecInto(plan, ct, sess.RotKeys(), out); err != nil {
+		code := serve.CodeInternal
 		if errors.Is(err, ckks.ErrNoGaloisKey) {
 			code = serve.CodeMatVecUnavailable
 		}
-		observe(code)
-		return nil, mvDur, code, "matvec: " + err.Error()
+		return nil, code, "matvec: " + err.Error()
 	}
-	mvDur = time.Since(mvStart)
-	sess.RecordBlock(pending)
-	observe(serve.CodeOK)
 	// Control planes that track rotation intensity get the block's
 	// hoisted-rotation fan-out, so rotation-heavy traffic prices its
 	// key-switch work in the planner's delay term.
-	if ro, ok := ctl.(RotationObserver); ok {
+	if ro, ok := s.cfg.Control.(RotationObserver); ok {
 		ro.ObserveRotations(sess.ID, len(plan.Rotations()))
 	}
-	return out, mvDur, serve.CodeOK, ""
+	return out, serve.CodeOK, ""
+}
+
+// rekeyBudget resolves a session's per-key byte budget: the control
+// plane's plan when one is attached (budgets derived from the paper's
+// security-level utility at the session's profile λ), the static
+// RekeyBytes constant otherwise.
+func (s *Server) rekeyBudget(sess *serve.Session) int64 {
+	if ctl := s.cfg.Control; ctl != nil {
+		if b := ctl.RekeyBudget(sess.ID); b > 0 {
+			return b
+		}
+	}
+	return s.cfg.RekeyBytes
 }
 
 // rekeyNeeded advises clients once ≥ 3/4 of the key byte budget is spent.
@@ -1653,97 +1396,16 @@ func (s *Server) rekeyNeeded(sess *serve.Session) bool {
 	return budget > 0 && 4*sess.BytesSinceRekey() >= 3*budget
 }
 
-// handleBatch fans one BatchRequest's blocks out across the scheduler
-// onto the session profile's pool, replying once every admitted item
-// finishes. Items shed by a full queue fail individually with
-// CodeOverloaded.
-func (s *Server) handleBatch(cw *connWriter, id uint64, req *BatchRequest, cs *connState) {
-	fail := func(code serve.Code, detail string) {
-		cw.send(&replyEnvelope{ID: id, Batch: &BatchReply{Code: code, Err: detail}})
-	}
-	n := len(req.Blocks)
-	if n == 0 || n != len(req.Masked) {
-		fail(serve.CodeBadRequest, fmt.Sprintf("batch with %d blocks, %d payloads", n, len(req.Masked)))
-		return
-	}
-	if n > MaxBatch {
-		fail(serve.CodeBadRequest, fmt.Sprintf("batch of %d blocks exceeds %d", n, MaxBatch))
-		return
-	}
-	sess, rt, pool, code, detail := s.lookupCompute(req.SessionID)
-	if code != serve.CodeOK {
-		fail(code, detail)
-		return
-	}
-	if code, detail := s.admitBatch(sess, req); code != serve.CodeOK {
-		fail(code, detail)
-		return
-	}
-	items := make([]BatchItem, n)
-	cs.active.Add(1)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cs.active.Add(-1)
-		// The batch bounds its own in-flight items to the live queue
-		// depth (which a control plane may have resized below the built
-		// QueueDepth): earlier items finish before later ones are
-		// submitted, so a batch larger than the queue never sheds itself
-		// on an idle server. Submit still fails — and the item is shed —
-		// under genuine cross-client contention. Running off the decode
-		// loop keeps pipelined requests on the same connection flowing
-		// meanwhile.
-		window := make(chan struct{}, s.sched.Capacity())
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			i := i
-			window <- struct{}{}
-			wg.Add(1)
-			err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
-				defer func() { <-window; wg.Done() }()
-				if cw.dead() {
-					// The connection is gone: the reply can never be
-					// delivered, so don't spend the worker computing it.
-					items[i] = BatchItem{Code: serve.CodeConnClosed, Err: "connection closed"}
-					return
-				}
-				result, code, detail := s.computeBlock(rt, w, sess, req.Epoch, req.Blocks[i], req.Masked[i])
-				items[i] = BatchItem{Result: result, Code: code, Err: detail}
-			})
-			if err != nil {
-				items[i] = BatchItem{Code: serve.CodeOf(err),
-					Err: fmt.Sprintf("queue full (depth %d)", s.sched.Capacity())}
-				<-window
-				wg.Done()
-			}
-		}
-		wg.Wait()
-		var bits float64
-		served := 0
-		for i := range items {
-			if items[i].Code == serve.CodeOK {
-				bits += float64(len(req.Masked[i]) * 64)
-				served++
-			}
-		}
-		lambda := rt.prof.Lambda
-		cw.send(&replyEnvelope{ID: id, Batch: &BatchReply{
-			Items:           items,
-			RekeyNeeded:     s.rekeyNeeded(sess),
-			ModeledTxDelay:  bits / s.cfg.UplinkRateBps,
-			ModeledCmpDelay: float64(served) * (costmodel.EvalCycles(lambda) + costmodel.CmpCycles(lambda)) / s.cfg.ServerHz,
-		}})
-	}()
-}
-
-// handleBatchV3 is the streaming batch path: instead of buffering the
-// whole reply, each item is framed and flushed the moment its worker
-// finishes (frameBatchItem, out of order), and a frameBatchDone trailer
-// carries the aggregate modeled costs once every item has been answered.
+// handleBatch fans one BatchRequest's blocks out across the scheduler onto
+// the session profile's pool and streams the reply: each item is framed
+// and flushed the moment its worker finishes (frameBatchItem, out of
+// order), and a frameBatchDone trailer carries the aggregate modeled
+// costs once every item has been answered. Items run the compute op
+// through the same evalBlock as single requests and fail independently.
 // The frameWriter's per-connection mutex interleaves item frames with
 // other replies at frame granularity, so one giant batch cannot starve
 // pipelined requests on the same connection of the socket.
-func (s *Server) handleBatchV3(fw *frameWriter, id uint64, req *BatchRequest, cs *connState) {
+func (s *Server) handleBatch(fw *frameWriter, id uint64, req *BatchRequest, cs *connState) {
 	fail := func(code serve.Code, detail string) {
 		fw.sendFrame(frameBatchDone, id, func(b []byte) []byte {
 			return appendBatchDone(b, &BatchReply{Code: code, Err: detail})
@@ -1772,9 +1434,11 @@ func (s *Server) handleBatchV3(fw *frameWriter, id uint64, req *BatchRequest, cs
 	go func() {
 		defer s.wg.Done()
 		defer cs.active.Add(-1)
-		// Same admission contract as the buffered path — the batch bounds
-		// its own in-flight items, so an idle server never sheds a batch
-		// merely for being larger than the queue — but here a window
+		// The batch bounds its own in-flight items, so an idle server never
+		// sheds a batch merely for being larger than the queue (Submit
+		// still fails — and the item is shed — under genuine cross-client
+		// contention), and running off the decode loop keeps pipelined
+		// requests on the same connection flowing meanwhile. A window
 		// token is held from submission until the item's reply frame has
 		// reached the socket. Eval workers only compute and hand the
 		// finished item to the per-batch writer goroutine below (the
@@ -1823,7 +1487,7 @@ func (s *Server) handleBatchV3(fw *frameWriter, id uint64, req *BatchRequest, cs
 					emit <- emitItem{idx: i, item: BatchItem{Code: serve.CodeConnClosed, Err: "connection closed"}}
 					return
 				}
-				result, code, detail := s.computeBlock(rt, w, sess, req.Epoch, req.Blocks[i], req.Masked[i])
+				result, _, code, detail := s.evalBlock(&opCompute, rt, w, sess, req.Epoch, req.Blocks[i], req.Masked[i])
 				if code == serve.CodeOK {
 					served.Add(1)
 					servedBits.Add(int64(len(req.Masked[i]) * 64))
@@ -1839,12 +1503,11 @@ func (s *Server) handleBatchV3(fw *frameWriter, id uint64, req *BatchRequest, cs
 		wg.Wait()
 		close(emit)
 		<-writerDone
-		lambda := rt.prof.Lambda
 		fw.sendFrame(frameBatchDone, id, func(b []byte) []byte {
 			return appendBatchDone(b, &BatchReply{
 				RekeyNeeded:     s.rekeyNeeded(sess),
 				ModeledTxDelay:  float64(servedBits.Load()) / s.cfg.UplinkRateBps,
-				ModeledCmpDelay: float64(served.Load()) * (costmodel.EvalCycles(lambda) + costmodel.CmpCycles(lambda)) / s.cfg.ServerHz,
+				ModeledCmpDelay: s.modeledCmpDelay(rt, served.Load()),
 			})
 		})
 	}()
@@ -1852,7 +1515,7 @@ func (s *Server) handleBatchV3(fw *frameWriter, id uint64, req *BatchRequest, cs
 
 // admitBatch runs the control plane's batch-level admission: the whole
 // request's projected byte consumption is checked once before fan-out
-// (per-item admission still applies inside computeBlock).
+// (per-item admission still applies inside evalBlock).
 func (s *Server) admitBatch(sess *serve.Session, req *BatchRequest) (serve.Code, string) {
 	ctl := s.cfg.Control
 	if ctl == nil {

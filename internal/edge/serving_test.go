@@ -1,18 +1,14 @@
 package edge
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"testing"
 
-	"quhe/internal/he/ckks"
 	"quhe/internal/qkd"
 	"quhe/internal/serve"
-	"quhe/internal/transcipher"
 )
 
 // --- duplicate registration & typed codes ----------------------------------
@@ -424,176 +420,4 @@ func TestSessionEvictionUnderCap(t *testing.T) {
 			t.Errorf("survivor %d: %v", i, err)
 		}
 	}
-}
-
-// --- v1 wire compatibility --------------------------------------------------
-
-// The v1 envelope/reply shapes as the seed protocol defined them: no
-// request IDs, no batch/rekey arms, stringly-typed errors only. Gob
-// matches fields by name, so these hand-rolled shapes prove a v1 binary
-// still talks to the v2 server.
-type v1SetupRequest struct {
-	SessionID   string
-	LogN, Depth int
-	PK          *ckks.PublicKey
-	RLK         *ckks.RelinKey
-	EncKey      []*ckks.Ciphertext
-	Nonce       []byte
-}
-
-type v1ComputeRequest struct {
-	SessionID string
-	Block     uint32
-	Masked    []float64
-}
-
-type v1Envelope struct {
-	Setup   *v1SetupRequest
-	Compute *v1ComputeRequest
-}
-
-type v1SetupReply struct {
-	OK  bool
-	Err string
-}
-
-type v1ComputeReply struct {
-	Result          *ckks.Ciphertext
-	Err             string
-	ModeledTxDelay  float64
-	ModeledCmpDelay float64
-}
-
-type v1ReplyEnvelope struct {
-	Setup   *v1SetupReply
-	Compute *v1ComputeReply
-}
-
-func TestV1ProtocolCompat(t *testing.T) {
-	model := Model{Weights: []float64{0.5, 1}, Bias: []float64{0.1, 0}}
-	srv := startServer(t, model)
-
-	// Hand-rolled v1 client: same crypto, seed wire shapes.
-	ctx, err := ckks.NewContext(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cipher, err := transcipher.New(ctx, KeyLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(ctx, 71)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinKey(sk)
-	ev := ckks.NewEvaluator(ctx, 72)
-	key, err := cipher.DeriveKey([]byte("v1-material"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKey, err := cipher.EncryptKey(ev, pk, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce := []byte("edge:v1-compat")
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-
-	if err := enc.Encode(&v1Envelope{Setup: &v1SetupRequest{
-		SessionID: "v1-compat",
-		LogN:      ctx.Params.LogN,
-		Depth:     ctx.Params.Depth,
-		PK:        pk, RLK: rlk, EncKey: encKey, Nonce: nonce,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	var setupReply v1ReplyEnvelope
-	if err := dec.Decode(&setupReply); err != nil {
-		t.Fatal(err)
-	}
-	if setupReply.Setup == nil || !setupReply.Setup.OK {
-		t.Fatalf("v1 setup rejected: %+v", setupReply.Setup)
-	}
-
-	// Two sequential v1 computes must come back in order, synchronously.
-	for block := uint32(0); block < 2; block++ {
-		data := []float64{0.4, -0.2}
-		padded := make([]float64, cipher.Slots())
-		copy(padded, data)
-		masked, err := cipher.Mask(key, nonce, block, padded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(&v1Envelope{Compute: &v1ComputeRequest{
-			SessionID: "v1-compat", Block: block, Masked: masked,
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		var reply v1ReplyEnvelope
-		if err := dec.Decode(&reply); err != nil {
-			t.Fatal(err)
-		}
-		if reply.Compute == nil {
-			t.Fatal("missing v1 compute reply")
-		}
-		if reply.Compute.Err != "" {
-			t.Fatalf("v1 compute error: %s", reply.Compute.Err)
-		}
-		if reply.Compute.ModeledTxDelay <= 0 {
-			t.Error("v1 reply missing modeled delays")
-		}
-		got := ckks.NewEncoder(ctx).DecodeReal(ev.Decrypt(sk, reply.Compute.Result))
-		for i, x := range data {
-			want := model.Weights[i]*x + model.Bias[i]
-			if math.Abs(got[i]-want) > 0.05 {
-				t.Errorf("v1 block %d slot %d = %v, want %v", block, i, got[i], want)
-			}
-		}
-	}
-	if n := srv.Blocks("v1-compat"); n != 2 {
-		t.Errorf("server processed %d v1 blocks, want 2", n)
-	}
-}
-
-// TestV1ErrorStringsPreserved pins the stringly-typed contract v1 clients
-// parse: unknown sessions must still mention "unknown session".
-func TestV1ErrorStringsPreserved(t *testing.T) {
-	srv := startServer(t, Model{})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&v1Envelope{Compute: &v1ComputeRequest{
-		SessionID: "ghost", Block: 0, Masked: []float64{1},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	var reply v1ReplyEnvelope
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Compute == nil || reply.Compute.Err == "" {
-		t.Fatal("expected a v1 error reply")
-	}
-	if want := "unknown session"; !contains(reply.Compute.Err, want) {
-		t.Errorf("v1 error %q does not mention %q", reply.Compute.Err, want)
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -62,8 +62,6 @@ func TestTraceContinuityAcrossResume(t *testing.T) {
 	var armed atomic.Bool
 	clientTr := obs.NewTracer(0, 0)
 	client, err := DialQKDWith(srv.Addr(), "trace-rt", kc, 9, DialConfig{
-		Protocol:       ProtoV3,
-		Checksum:       true,
 		Dialer:         armedDialer(inj, &armed),
 		Reconnect:      true,
 		RequestTimeout: 15 * time.Second,
@@ -214,7 +212,6 @@ func TestRekeyCauseAttribution(t *testing.T) {
 	}
 	inj := faultnet.New(faultnet.Config{Seed: 7})
 	client, err := DialQKDWith(srv.Addr(), "cause-rt", kc, 9, DialConfig{
-		Protocol:       ProtoV3,
 		Dialer:         inj.Dialer(2 * time.Second),
 		Reconnect:      true,
 		RequestTimeout: 15 * time.Second,

@@ -1,22 +1,22 @@
 package edge
 
-// Protocol v3 framing and payload codecs. See doc.go for the protocol
-// generations and the frame layout; the short version:
+// Framing and payload codecs. See doc.go for the protocol; the frame is
 //
-//	offset 0   magic    0xAD 0x51 (bytes gob never emits at stream start)
-//	offset 2   version  0x03
-//	offset 3   type     frameHello, frameSetup, ...
-//	offset 4   reqID    uint64, little-endian
-//	offset 12  length   uint32 payload byte count, little-endian
-//	offset 16  payload
+//	offset 0     magic    0xAD 0x51
+//	offset 2     version  frameVersion
+//	offset 3     type     frameHello, frameSetup, ...
+//	offset 4     reqID    uint64, little-endian
+//	offset 12    length   uint32 payload byte count, little-endian
+//	offset 16    payload
+//	offset 16+n  crc      CRC32C (Castagnoli) over header and payload
 //
 // Frames are built into pooled buffers and written through one
-// bufio.Writer per connection under a mutex, so a frame (header +
-// payload) reaches the socket as a single coalesced write and concurrent
-// senders (worker goroutines streaming batch items, the decode loop
-// answering setups) interleave at frame granularity — the per-connection
-// fairness point. Payload decoding copies everything it returns, so the
-// read buffer is reused for the next frame immediately.
+// bufio.Writer per connection under a mutex, so a frame reaches the
+// socket as a single coalesced write and concurrent senders (worker
+// goroutines streaming batch items, the decode loop answering setups)
+// interleave at frame granularity — the per-connection fairness point.
+// Payload decoding copies everything it returns, so the read buffer is
+// reused for the next frame immediately.
 
 import (
 	"bufio"
@@ -39,9 +39,14 @@ import (
 )
 
 const (
-	frameMagic0  = 0xAD
-	frameMagic1  = 0x51
-	frameVersion = 3
+	frameMagic0 = 0xAD
+	frameMagic1 = 0x51
+	// frameVersion names the one wire format both endpoints speak: frame
+	// layout, payload fields and the residue-tower ciphertext encoding
+	// together. Any incompatible change bumps it; a peer that opens with
+	// another value is closed, never negotiated with. (3 was the last
+	// version with optional trailers and hello feature flags.)
+	frameVersion = 4
 
 	frameHeaderLen = 16
 
@@ -53,66 +58,9 @@ const (
 	// wireBufSize sizes the per-connection bufio reader/writer.
 	wireBufSize = 64 << 10
 
-	// helloFlagCRC, set in the hello frame's optional flags payload,
-	// negotiates per-frame CRC32C trailers: the client requests them and
-	// the server's hello ack confirms. Both hello frames themselves are
-	// always un-trailed; checksums apply to every frame after the
-	// handshake, in both directions. Peers that predate the extension
-	// send (and ack with) empty hello payloads, which reads as "no
-	// checksums" on the other side.
-	helloFlagCRC = 0x01
-
-	// helloFlagProfiles advertises security-profile negotiation: a server
-	// that sets it in its hello ack accepts frameProfile queries and the
-	// optional Profile field on Setup. Clients only send profile frames
-	// after seeing the flag, so pre-profile servers (which would kill the
-	// connection on an unknown frame type) are never exposed to them;
-	// pre-profile clients ignore the bit and stay on the default profile.
-	helloFlagProfiles = 0x02
-
-	// helloFlagRNSWire advertises the residue-tower ciphertext wire
-	// format: limb-per-prime polynomial layouts in every v3 payload
-	// carrying CKKS material (Setup keys, EncKey and result ciphertexts).
-	// Clients set it unconditionally; a server that acks without it
-	// predates the format and the client fails the dial with a typed
-	// serve.ErrWireFormat instead of misparsing frames. Symmetrically the
-	// server refuses frameSetup from a client that did not set the bit
-	// (serve.CodeWireFormat) rather than decoding flat-layout payloads as
-	// limbs. The gob paths are unaffected: gob is self-describing.
-	helloFlagRNSWire = 0x04
-
-	// helloFlagResume advertises session resume: a server that sets it in
-	// its hello ack accepts frameResume handshakes and the optional
-	// ResumeAuth trailing field on Setup/Rekey. Clients request it
-	// unconditionally; against a server that acks without the flag they
-	// simply never send resume frames or credentials, and a reconnect
-	// falls back to a full re-dial with a typed serve.ErrResumeRejected
-	// explaining why.
-	helloFlagResume = 0x08
-
-	// helloFlagTrace advertises distributed-trace propagation: a server
-	// that sets it in its hello ack decodes the optional 16-byte trace
-	// context (trace ID, parent span, sampling bit — obs.TraceContext)
-	// trailing Compute and Batch payloads and re-parents its stage spans
-	// under the client's trace. Clients request it unconditionally but
-	// only append the field once the ack confirms, so pre-trace peers
-	// exchange bit-identical frames. The gob paths are untraced.
-	helloFlagTrace = 0x10
-
-	// helloFlagMatVec advertises encrypted matrix–vector evaluation: a
-	// server that sets it in its hello ack holds a packed model matrix and
-	// accepts frameRotKeys uploads and frameMatVec requests, and its Setup
-	// reply carries the matrix dimension as an optional trailing field.
-	// Clients request it unconditionally; against a server that acks
-	// without the flag they never send matvec frames, and a MatVec call
-	// fails locally with the typed serve.ErrMatVecUnavailable instead of
-	// killing the connection on an unknown frame type.
-	helloFlagMatVec = 0x20
-
-	// crcTrailerLen is the CRC32C (Castagnoli) trailer size. The trailer
-	// covers header and payload and is excluded from the header's length
-	// field, so a checksumming reader and a length-driven frame skipper
-	// agree on frame boundaries.
+	// crcTrailerLen is the CRC32C trailer size. The trailer is excluded
+	// from the header's length field, so a length-driven frame skipper
+	// steps over payload + crcTrailerLen.
 	crcTrailerLen = 4
 )
 
@@ -153,13 +101,13 @@ var (
 	// ErrFrameTooLarge reports a frame whose length field exceeds
 	// maxFramePayload.
 	ErrFrameTooLarge = errors.New("edge: frame exceeds size limit")
-	// ErrProtocolMismatch reports a peer that does not speak protocol v3
-	// (returned by DialWith when ProtoV3 is forced against an older
-	// server).
-	ErrProtocolMismatch = errors.New("edge: peer does not speak protocol v3")
-	// ErrFrameChecksum reports a frame whose negotiated CRC32C trailer
-	// does not match its contents: corruption on an untrusted link,
-	// surfaced as a typed error instead of a garbage decode.
+	// ErrProtocolMismatch reports a peer that did not acknowledge the
+	// client's hello: it speaks another frame version, another protocol
+	// altogether, or nothing at all within negotiateTimeout.
+	ErrProtocolMismatch = errors.New("edge: peer does not speak this protocol version")
+	// ErrFrameChecksum reports a frame whose CRC32C trailer does not match
+	// its contents: corruption on the link, surfaced as a typed error
+	// instead of a garbage decode.
 	ErrFrameChecksum = errors.New("edge: frame checksum mismatch")
 )
 
@@ -182,39 +130,33 @@ func putFrameBuf(pb *[]byte) {
 	frameBufs.Put(pb)
 }
 
-// beginFrame appends a frame header with a zero length field; finishFrame
-// patches the length once the payload is in place. The frame must start
-// at offset start in b (senders build one frame per buffer, start 0).
+// beginFrame starts a frame in b (one frame per buffer, at offset 0) with
+// a zero length field; finishFrame patches the length once the payload is
+// in place and appends the checksum trailer.
 func beginFrame(b []byte, ftype byte, id uint64) []byte {
 	b = append(b, frameMagic0, frameMagic1, frameVersion, ftype)
 	b = binary.LittleEndian.AppendUint64(b, id)
 	return binary.LittleEndian.AppendUint32(b, 0)
 }
 
-func finishFrame(b []byte, start int) ([]byte, error) {
-	n := len(b) - start - frameHeaderLen
+func finishFrame(b []byte) ([]byte, error) {
+	n := len(b) - frameHeaderLen
 	if n < 0 {
 		return nil, ErrBadFrame
 	}
 	if n > maxFramePayload {
 		return nil, ErrFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(b[start+12:start+16], uint32(n))
-	return b, nil
+	binary.LittleEndian.PutUint32(b[12:16], uint32(n))
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable)), nil
 }
 
 // readFrame reads one frame from br, growing *buf (pooled) to hold the
-// payload. The returned payload aliases *buf and is valid until the next
+// payload, and verifies its checksum trailer: a mismatch fails with the
+// typed ErrFrameChecksum instead of handing a corrupt payload to a
+// decoder. The returned payload aliases *buf and is valid until the next
 // readFrame with the same buffer; decoders copy what they keep.
 func readFrame(br *bufio.Reader, buf *[]byte) (ftype byte, id uint64, payload []byte, err error) {
-	return readFrameCRC(br, buf, false)
-}
-
-// readFrameCRC is readFrame with the connection's negotiated checksum
-// mode: when withCRC is set, every frame carries a 4-byte CRC32C trailer
-// over header and payload, and a mismatch fails with the typed
-// ErrFrameChecksum instead of handing a corrupt payload to a decoder.
-func readFrameCRC(br *bufio.Reader, buf *[]byte, withCRC bool) (ftype byte, id uint64, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(br, hdr[:]); err != nil {
 		return 0, 0, nil, err
@@ -231,39 +173,31 @@ func readFrameCRC(br *bufio.Reader, buf *[]byte, withCRC bool) (ftype byte, id u
 	if n > maxFramePayload {
 		return 0, 0, nil, ErrFrameTooLarge
 	}
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
+	if cap(*buf) < n+crcTrailerLen {
+		*buf = make([]byte, n+crcTrailerLen)
 	}
-	*buf = (*buf)[:n]
+	*buf = (*buf)[:n+crcTrailerLen]
 	if _, err = io.ReadFull(br, *buf); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, 0, nil, err
 	}
-	if withCRC {
-		var trailer [crcTrailerLen]byte
-		if _, err = io.ReadFull(br, trailer[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, 0, nil, err
-		}
-		sum := crc32.Update(crc32.Checksum(hdr[:], crcTable), crcTable, *buf)
-		if sum != binary.LittleEndian.Uint32(trailer[:]) {
-			return 0, 0, nil, ErrFrameChecksum
-		}
+	payload = (*buf)[:n]
+	sum := crc32.Update(crc32.Checksum(hdr[:], crcTable), crcTable, payload)
+	if sum != binary.LittleEndian.Uint32((*buf)[n:]) {
+		return 0, 0, nil, ErrFrameChecksum
 	}
-	return ftype, id, *buf, nil
+	return ftype, id, payload, nil
 }
 
-// frameWriter serializes v3 frame writes on one connection. With
-// pipelined requests and streaming batches, worker goroutines and the
-// decode loop send concurrently; the mutex interleaves them at frame
-// granularity. A write error tears the connection down exactly once via
-// the teardown closure shared with the read side (no double-close race)
-// and drops every later frame — the peer's pending requests then fail
-// with a typed connection error instead of hanging.
+// frameWriter serializes frame writes on one connection. With pipelined
+// requests and streaming batches, worker goroutines and the decode loop
+// send concurrently; the mutex interleaves them at frame granularity. A
+// write error tears the connection down exactly once via the teardown
+// closure shared with the read side (no double-close race) and drops
+// every later frame — the peer's pending requests then fail with a typed
+// connection error instead of hanging.
 type frameWriter struct {
 	mu sync.Mutex
 	bw *bufio.Writer
@@ -274,13 +208,9 @@ type frameWriter struct {
 	failed   atomic.Bool
 	teardown func()
 	logf     func(string, ...interface{})
-	// crc appends a CRC32C trailer to every frame. It is flipped at most
-	// once, during the hello handshake, strictly before any concurrent
-	// senders exist on the connection.
-	crc bool
 	// countSend, when non-nil, observes every frame that reached the
-	// socket with its full wire size (header + payload + any trailer).
-	// Set once right after construction, before concurrent senders exist;
+	// socket with its full wire size (header + payload + trailer). Set
+	// once right after construction, before concurrent senders exist;
 	// must be safe for concurrent calls (the server feeds atomics).
 	countSend func(wireBytes int)
 }
@@ -292,7 +222,7 @@ func newFrameWriter(conn net.Conn, teardown func(), logf func(string, ...interfa
 	return &frameWriter{bw: bufio.NewWriterSize(conn, wireBufSize), teardown: teardown, logf: logf}
 }
 
-// send writes one complete frame (header already finished) and flushes.
+// send writes one complete frame (finished, trailer included) and flushes.
 func (w *frameWriter) send(frame []byte) error {
 	w.mu.Lock()
 	if w.failed.Load() {
@@ -308,7 +238,7 @@ func (w *frameWriter) send(frame []byte) error {
 	}
 	w.mu.Unlock()
 	if err != nil {
-		w.logf("edge: v3 write: %v", err)
+		w.logf("edge: write: %v", err)
 		w.teardown()
 		return fmt.Errorf("%w: %v", serve.ErrConnClosed, err)
 	}
@@ -326,49 +256,38 @@ func (w *frameWriter) dead() bool { return w.failed.Load() }
 // sendFrame builds a frame from a payload-appending closure in a pooled
 // buffer and sends it. build may be nil for empty payloads.
 func (w *frameWriter) sendFrame(ftype byte, id uint64, build func(b []byte) []byte) error {
-	pb := getFrameBuf()
-	b := beginFrame((*pb)[:0], ftype, id)
-	if build != nil {
-		b = build(b)
-	}
-	b, err := finishFrame(b, 0)
-	if err == nil {
-		if w.crc {
-			b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
-		}
-		*pb = b
-		err = w.send(b)
-	} else {
-		w.logf("edge: v3 frame build: %v", err)
-	}
-	putFrameBuf(pb)
+	_, _, err := w.sendFrameTimed(ftype, id, build, false)
 	return err
 }
 
-// sendFrameTimed is sendFrame split into its two stages for the tracing
-// path: encode covers the payload build (plus any CRC trailer), write
-// covers the socket write under the frameWriter mutex — so a trace can
-// tell serialization cost from a slow or contended connection. Kept
-// separate from sendFrame so untraced frames pay no clock reads.
-func (w *frameWriter) sendFrameTimed(ftype byte, id uint64, build func(b []byte) []byte) (encode, write time.Duration, err error) {
+// sendFrameTimed is sendFrame reporting its two stages when timed is set,
+// for the tracing path: encode covers the payload build and checksum,
+// write covers the socket write under the frameWriter mutex — so a trace
+// can tell serialization cost from a slow or contended connection.
+// Untimed frames pay no clock reads.
+func (w *frameWriter) sendFrameTimed(ftype byte, id uint64, build func(b []byte) []byte, timed bool) (encode, write time.Duration, err error) {
 	pb := getFrameBuf()
-	t0 := time.Now()
+	var t0, t1 time.Time
+	if timed {
+		t0 = time.Now()
+	}
 	b := beginFrame((*pb)[:0], ftype, id)
 	if build != nil {
 		b = build(b)
 	}
-	b, err = finishFrame(b, 0)
+	b, err = finishFrame(b)
 	if err == nil {
-		if w.crc {
-			b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
-		}
 		*pb = b
-		t1 := time.Now()
-		encode = t1.Sub(t0)
+		if timed {
+			t1 = time.Now()
+			encode = t1.Sub(t0)
+		}
 		err = w.send(b)
-		write = time.Since(t1)
+		if timed {
+			write = time.Since(t1)
+		}
 	} else {
-		w.logf("edge: v3 frame build: %v", err)
+		w.logf("edge: frame build: %v", err)
 	}
 	putFrameBuf(pb)
 	return encode, write, err
@@ -499,17 +418,10 @@ func (r *wireReader) ciphertext() *ckks.Ciphertext {
 	return ct
 }
 
-// finish returns the latched error, or ErrBadFrame when payload bytes
-// remain unconsumed (a frame carries exactly one message).
-// traceContext consumes an optional trailing 16-byte trace context: a
-// zero context when the payload is already exhausted (pre-trace peer),
-// a decode failure when trailing bytes are present but not a whole
-// context.
+// traceContext consumes the fixed 16-byte trace context (all zero when the
+// sender did not sample the request).
 func (r *wireReader) traceContext() obs.TraceContext {
-	if r.err != nil || len(r.b) == 0 {
-		return obs.TraceContext{}
-	}
-	if len(r.b) < obs.TraceContextLen {
+	if r.err != nil || len(r.b) < obs.TraceContextLen {
 		r.fail()
 		return obs.TraceContext{}
 	}
@@ -522,6 +434,8 @@ func (r *wireReader) traceContext() obs.TraceContext {
 	return tc
 }
 
+// finish returns the latched error, or ErrBadFrame when payload bytes
+// remain unconsumed (a frame carries exactly one message).
 func (r *wireReader) finish() error {
 	if r.err == nil && len(r.b) != 0 {
 		r.fail()
@@ -570,18 +484,8 @@ func appendSetupRequest(b []byte, req *SetupRequest) []byte {
 	b = req.RLK.AppendBinary(b)
 	b = appendCiphertexts(b, req.EncKey)
 	b = appendBytes(b, req.Nonce)
-	// Profile and ResumeAuth travel as optional trailing fields, so
-	// pre-profile/pre-resume peers see (and send) exactly the old layout.
-	// A ResumeAuth forces the Profile field out (possibly empty) to keep
-	// the trailing positions unambiguous; clients only attach a credential
-	// after the hello handshake negotiated resume.
-	if req.Profile != "" || len(req.ResumeAuth) > 0 {
-		b = appendString(b, req.Profile)
-	}
-	if len(req.ResumeAuth) > 0 {
-		b = appendBytes(b, req.ResumeAuth)
-	}
-	return b
+	b = appendString(b, req.Profile)
+	return appendBytes(b, req.ResumeAuth)
 }
 
 func decodeSetupRequest(p []byte) (*SetupRequest, error) {
@@ -609,12 +513,8 @@ func decodeSetupRequest(p []byte) (*SetupRequest, error) {
 	}
 	req.EncKey = r.ciphertexts(maxWireEncKey)
 	req.Nonce = r.bytes()
-	if r.err == nil && len(r.b) > 0 {
-		req.Profile = r.str()
-	}
-	if r.err == nil && len(r.b) > 0 {
-		req.ResumeAuth = r.bytes()
-	}
+	req.Profile = r.str()
+	req.ResumeAuth = r.bytes()
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -624,29 +524,13 @@ func decodeSetupRequest(p []byte) (*SetupRequest, error) {
 func appendSetupReply(b []byte, rep *SetupReply) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(rep.Code))
 	b = appendString(b, rep.Err)
-	// Profile and MatVecDim travel as optional trailing fields (same
-	// convention as the Setup request): a MatVecDim forces the Profile
-	// field out (possibly empty) so the trailing positions stay
-	// unambiguous. Servers only append MatVecDim on matvec-negotiated
-	// connections, so pre-matvec clients never see it.
-	if rep.Profile != "" || rep.MatVecDim > 0 {
-		b = appendString(b, rep.Profile)
-	}
-	if rep.MatVecDim > 0 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(rep.MatVecDim))
-	}
-	return b
+	b = appendString(b, rep.Profile)
+	return binary.LittleEndian.AppendUint32(b, uint32(rep.MatVecDim))
 }
 
 func decodeSetupReply(p []byte) (*SetupReply, error) {
 	r := &wireReader{b: p}
-	rep := &SetupReply{Code: serve.Code(r.u32()), Err: r.str()}
-	if r.err == nil && len(r.b) > 0 {
-		rep.Profile = r.str()
-	}
-	if r.err == nil && len(r.b) > 0 {
-		rep.MatVecDim = int(r.u32())
-	}
+	rep := &SetupReply{Code: serve.Code(r.u32()), Err: r.str(), Profile: r.str(), MatVecDim: int(r.u32())}
 	rep.OK = rep.Code == serve.CodeOK && rep.Err == ""
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -688,13 +572,7 @@ func appendComputeRequest(b []byte, req *ComputeRequest) []byte {
 	b = binary.LittleEndian.AppendUint32(b, req.Block)
 	b = binary.LittleEndian.AppendUint64(b, req.Epoch)
 	b = appendFloat64s(b, req.Masked)
-	// Trace context travels as an optional trailing field (like Profile
-	// and ResumeAuth on Setup): pre-trace decoders finish before it and
-	// senders only append it once helloFlagTrace was acked.
-	if req.Trace.Valid() {
-		b = req.Trace.AppendBinary(b)
-	}
-	return b
+	return req.Trace.AppendBinary(b)
 }
 
 func decodeComputeRequest(p []byte) (*ComputeRequest, error) {
@@ -704,8 +582,8 @@ func decodeComputeRequest(p []byte) (*ComputeRequest, error) {
 		Block:     r.u32(),
 		Epoch:     r.u64(),
 		Masked:    r.float64s(),
+		Trace:     r.traceContext(),
 	}
-	req.Trace = r.traceContext()
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -754,10 +632,7 @@ func appendBatchRequest(b []byte, req *BatchRequest) []byte {
 	for _, m := range req.Masked {
 		b = appendFloat64s(b, m)
 	}
-	if req.Trace.Valid() {
-		b = req.Trace.AppendBinary(b)
-	}
-	return b
+	return req.Trace.AppendBinary(b)
 }
 
 func decodeBatchRequest(p []byte) (*BatchRequest, error) {
@@ -842,23 +717,16 @@ func appendRekeyRequest(b []byte, req *RekeyRequest) []byte {
 	b = appendString(b, req.SessionID)
 	b = appendCiphertexts(b, req.EncKey)
 	b = appendBytes(b, req.Nonce)
-	// Optional trailing field (see appendSetupRequest): the rotated
-	// resume credential, only sent on resume-negotiated connections.
-	if len(req.ResumeAuth) > 0 {
-		b = appendBytes(b, req.ResumeAuth)
-	}
-	return b
+	return appendBytes(b, req.ResumeAuth)
 }
 
 func decodeRekeyRequest(p []byte) (*RekeyRequest, error) {
 	r := &wireReader{b: p}
 	req := &RekeyRequest{
-		SessionID: r.str(),
-		EncKey:    r.ciphertexts(maxWireEncKey),
-		Nonce:     r.bytes(),
-	}
-	if r.err == nil && len(r.b) > 0 {
-		req.ResumeAuth = r.bytes()
+		SessionID:  r.str(),
+		EncKey:     r.ciphertexts(maxWireEncKey),
+		Nonce:      r.bytes(),
+		ResumeAuth: r.bytes(),
 	}
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -986,9 +854,9 @@ func decodeRotKeysReply(p []byte) (*RotKeysReply, error) {
 	return rep, nil
 }
 
-// MatVec requests and replies reuse the Compute codecs verbatim — the
+// Every per-block op (compute, matvec) uses the Compute codecs — the
 // payloads are field-identical (masked block in, ciphertext out); the
-// frame type alone selects the affine or matrix–vector semantics.
+// frame type alone selects the op.
 
 // resumeMAC computes the resume possession proof:
 // HMAC-SHA256(auth, challenge || sessionID || epoch_le64). Shared by the

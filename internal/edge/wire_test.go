@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"quhe/internal/he/ckks"
 	"quhe/internal/obs"
 	"quhe/internal/serve"
 )
@@ -22,7 +23,7 @@ func buildFrame(t testing.TB, ftype byte, id uint64, build func(b []byte) []byte
 	if build != nil {
 		b = build(b)
 	}
-	b, err := finishFrame(b, 0)
+	b, err := finishFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +103,31 @@ func TestFrameDecodeTypedErrors(t *testing.T) {
 	}
 }
 
-// TestPayloadCodecsRoundTrip exercises every v3 message codec pair.
+// TestPayloadCodecsRoundTrip exercises every message codec pair.
 func TestPayloadCodecsRoundTrip(t *testing.T) {
 	setupRep := &SetupReply{Code: serve.CodeParamMismatch, Err: "logN"}
 	gotSetupRep, err := decodeSetupReply(appendSetupReply(nil, setupRep))
 	if err != nil || gotSetupRep.Code != setupRep.Code || gotSetupRep.Err != setupRep.Err || gotSetupRep.OK {
 		t.Fatalf("setup reply: %+v err %v", gotSetupRep, err)
 	}
-	okRep, err := decodeSetupReply(appendSetupReply(nil, &SetupReply{OK: true}))
-	if err != nil || !okRep.OK {
+	okRep, err := decodeSetupReply(appendSetupReply(nil, &SetupReply{OK: true, Profile: "p", MatVecDim: 8}))
+	if err != nil || !okRep.OK || okRep.Profile != "p" || okRep.MatVecDim != 8 {
 		t.Fatalf("setup ok reply: %+v err %v", okRep, err)
+	}
+	// Profile and MatVecDim are fixed fields: a reply that stops before
+	// them (the retired optional-trailing layout) does not decode.
+	enc := appendSetupReply(nil, &SetupReply{OK: true})
+	if _, err := decodeSetupReply(enc[:len(enc)-8]); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("setup reply without its fixed fields: err = %v, want ErrBadFrame", err)
+	}
+
+	q, err := decodeProfileRequest(appendProfileRequest(nil, &ProfileRequest{SessionID: "s", Requested: "r"}))
+	if err != nil || q.SessionID != "s" || q.Requested != "r" {
+		t.Fatalf("profile request: %+v err %v", q, err)
+	}
+	grant, err := decodeProfileReply(appendProfileReply(nil, &ProfileReply{Granted: "g"}))
+	if err != nil || grant.Granted != "g" || grant.Code != serve.CodeOK {
+		t.Fatalf("profile reply: %+v err %v", grant, err)
 	}
 
 	compRep := &ComputeReply{Code: serve.CodeRekeyRequired, Err: "budget",
@@ -154,15 +170,16 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceContextWireField pins the optional trailing trace-context
-// field on Compute and Batch payloads: carried when valid, omitted when
-// zero (pre-trace frames stay bit-identical), and malformed trailing
-// bytes rejected typed.
+// TestTraceContextWireField pins the fixed 16-byte trace-context field on
+// Compute and Batch payloads: a sampled context round-trips, an unsampled
+// request carries sixteen zero bytes that decode to "no context", and a
+// payload without the whole field is rejected typed.
 func TestTraceContextWireField(t *testing.T) {
 	tc := obs.TraceContext{TraceID: 0xfeed, Parent: 0xbeef, Sampled: true}
 
 	req := &ComputeRequest{SessionID: "s", Block: 1, Epoch: 2, Masked: []float64{1}, Trace: tc}
-	got, err := decodeComputeRequest(appendComputeRequest(nil, req))
+	enc := appendComputeRequest(nil, req)
+	got, err := decodeComputeRequest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,19 +187,16 @@ func TestTraceContextWireField(t *testing.T) {
 		t.Errorf("compute trace round trip: %+v, want %+v", got.Trace, tc)
 	}
 
-	// A zero context adds no bytes: the encoding matches a pre-trace frame.
-	bare := &ComputeRequest{SessionID: "s", Block: 1, Epoch: 2, Masked: []float64{1}}
-	with := appendComputeRequest(nil, bare)
-	without := appendComputeRequest(nil, &ComputeRequest{SessionID: "s", Block: 1, Epoch: 2, Masked: []float64{1}})
-	if !bytes.Equal(with, without) {
-		t.Error("zero trace context changed the encoding")
+	bare := appendComputeRequest(nil, &ComputeRequest{SessionID: "s", Block: 1, Epoch: 2, Masked: []float64{1}})
+	if len(bare) != len(enc) || !bytes.Equal(bare[len(bare)-obs.TraceContextLen:], make([]byte, obs.TraceContextLen)) {
+		t.Error("an unsampled request must carry a zero context of the same width")
 	}
-	gotBare, err := decodeComputeRequest(without)
+	gotBare, err := decodeComputeRequest(bare)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotBare.Trace.Valid() {
-		t.Errorf("pre-trace frame decoded a context: %+v", gotBare.Trace)
+		t.Errorf("zero context decoded as valid: %+v", gotBare.Trace)
 	}
 
 	batch := &BatchRequest{SessionID: "b", Epoch: 1, Blocks: []uint32{1}, Masked: [][]float64{{1}}, Trace: tc}
@@ -194,14 +208,12 @@ func TestTraceContextWireField(t *testing.T) {
 		t.Errorf("batch trace round trip: %+v, want %+v", gotBatch.Trace, tc)
 	}
 
-	// A trailing field shorter than 16 bytes is a protocol error, and so
-	// is trailing garbage after a full context.
-	enc := appendComputeRequest(nil, req)
-	if _, err := decodeComputeRequest(enc[:len(enc)-1]); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("truncated trace context: err = %v, want ErrBadFrame", err)
-	}
-	if _, err := decodeComputeRequest(append(enc, 0x01)); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("oversized trace context: err = %v, want ErrBadFrame", err)
+	// The field is mandatory: absent, short or followed by garbage is a
+	// protocol error.
+	for _, bad := range [][]byte{enc[:len(enc)-obs.TraceContextLen], enc[:len(enc)-1], append(enc, 0x01)} {
+		if _, err := decodeComputeRequest(bad); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%d-byte payload (whole: %d): err = %v, want ErrBadFrame", len(bad), len(enc), err)
+		}
 	}
 }
 
@@ -237,8 +249,8 @@ func (c *countingConn) SetDeadline(time.Time) error      { return nil }
 func (c *countingConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *countingConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestFrameWriterTearsDownOnce is the regression test for the connWriter
-// teardown contract: concurrent v3 write failures and a racing reader
+// TestFrameWriterTearsDownOnce is the regression test for the writer's
+// teardown contract: concurrent write failures and a racing reader
 // exit must close the connection exactly once, and every failed or
 // subsequent send must surface an error wrapping serve.ErrConnClosed.
 // Run under -race in CI.
@@ -298,40 +310,56 @@ func TestFrameWriterTearsDownOnce(t *testing.T) {
 // FuzzFrameDecode asserts the frame reader and every payload decoder
 // return typed errors on truncated or corrupt input and never panic.
 func FuzzFrameDecode(f *testing.F) {
-	valid := beginFrame(nil, frameCompute, 7)
-	valid = appendComputeRequest(valid, &ComputeRequest{SessionID: "s", Block: 1, Epoch: 1, Masked: []float64{0.5}})
-	valid, _ = finishFrame(valid, 0)
+	valid := buildFrame(f, frameCompute, 7, func(b []byte) []byte {
+		return appendComputeRequest(b, &ComputeRequest{SessionID: "s", Block: 1, Epoch: 1, Masked: []float64{0.5}})
+	})
 	f.Add(valid)
 	f.Add(valid[:frameHeaderLen])
 	f.Add([]byte{frameMagic0, frameMagic1, frameVersion, frameBatch})
-	itemFrame := beginFrame(nil, frameBatchItem, 9)
-	itemFrame = appendBatchItem(itemFrame, 0, &BatchItem{Code: serve.CodeOK})
-	itemFrame, _ = finishFrame(itemFrame, 0)
-	f.Add(itemFrame)
-	// A compute frame carrying the trailing 16-byte trace context, so the
-	// fuzzer mutates around the optional-field boundary.
-	traced := beginFrame(nil, frameCompute, 11)
-	traced = appendComputeRequest(traced, &ComputeRequest{
-		SessionID: "s", Block: 2, Epoch: 1, Masked: []float64{0.25},
-		Trace: obs.TraceContext{TraceID: 0xabcdef, Parent: 0x123456, Sampled: true},
-	})
-	traced, _ = finishFrame(traced, 0)
-	f.Add(traced)
+	f.Add(buildFrame(f, frameBatchItem, 9, func(b []byte) []byte {
+		return appendBatchItem(b, 0, &BatchItem{Code: serve.CodeOK})
+	}))
+	// A compute frame with a sampled trace context in its fixed field.
+	f.Add(buildFrame(f, frameCompute, 11, func(b []byte) []byte {
+		return appendComputeRequest(b, &ComputeRequest{
+			SessionID: "s", Block: 2, Epoch: 1, Masked: []float64{0.25},
+			Trace: obs.TraceContext{TraceID: 0xabcdef, Parent: 0x123456, Sampled: true},
+		})
+	}))
+	// A Setup whose relinearization key stops after one digit: well-formed
+	// on the wire, refused at install (see TestInstallValidation).
+	p := newRawPeer(f, 311)
+	f.Add(buildFrame(f, frameSetup, 13, func(b []byte) []byte {
+		req := p.setupRequest("fuzz", p.encKey(f))
+		req.RLK = &ckks.RelinKey{Parts: req.RLK.Parts[:1]}
+		return appendSetupRequest(b, req)
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf []byte
 		ftype, _, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)), &buf)
 		if err != nil {
-			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrFrameTooLarge) &&
+			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrFrameTooLarge) && !errors.Is(err, ErrFrameChecksum) &&
 				!errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("untyped frame error: %v", err)
 			}
-			return
+			// The checksum stops nearly every mutation at the frame reader;
+			// hand the bytes behind the header to the payload decoders
+			// anyway, so they keep seeing hostile input.
+			if len(data) < frameHeaderLen+crcTrailerLen {
+				return
+			}
+			ftype, payload = data[3], data[frameHeaderLen:len(data)-crcTrailerLen]
 		}
 		var derr error
 		switch ftype {
 		case frameSetup:
-			_, derr = decodeSetupRequest(payload)
+			var req *SetupRequest
+			if req, derr = decodeSetupRequest(payload); derr == nil {
+				// What handleSetup runs on a decoded key before a worker
+				// may index it: any shape must come back as an error.
+				_ = p.ctx.CheckSwitchingKey(req.RLK.Parts)
+			}
 		case frameSetupReply:
 			_, derr = decodeSetupReply(payload)
 		case frameCompute:

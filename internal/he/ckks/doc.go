@@ -69,8 +69,8 @@
 // served key); nothing else may consume the result, because its limbs no
 // longer hold coefficients: every other evaluator operation returns
 // ErrEvalForm, and Decrypt, HoistInto and the wire codec — which have no
-// error to return — panic with it. The tag is unexported, so no decoder,
-// gob included, can forge it.
+// error to return — panic with it. The tag is unexported, so no decoder
+// can forge it.
 //
 // # Performance conventions
 //

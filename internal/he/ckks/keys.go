@@ -1,6 +1,8 @@
 package ckks
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 
 	"quhe/internal/he/ring"
@@ -10,8 +12,8 @@ import (
 // evaluator hot paths (Encrypt, Decrypt, MulRelin key switching) then
 // consume keys with a single fused Montgomery multiply-accumulate per
 // coefficient and never transform key polynomials per operation. Both
-// endpoints of the edge protocol run this package, so the wire (gob)
-// representation changes with it transparently.
+// endpoints of the edge protocol run this package, and the wire codec
+// (wire.go) carries the limbs as stored.
 //
 // Secrets and errors are sampled as small integers once per coefficient
 // and reduced into every limb, so one RNS key is one RLWE sample over the
@@ -47,6 +49,46 @@ type PublicKey struct {
 // domain, Montgomery form.
 type RelinKey struct {
 	Parts [][2]ring.RNSPoly
+}
+
+// ErrKeyShape reports key-switching material built for another ring: the
+// wrong digit count, limb count or degree for the context.
+var ErrKeyShape = errors.New("ckks: switching key does not fit the context")
+
+// CheckSwitchingKey validates a hybrid key-switch gadget (RelinKey.Parts,
+// GaloisKey.Parts) from outside the trust boundary: one digit per chain
+// prime and every component over the extended basis QP with N
+// coefficients per limb (ErrKeyShape otherwise), every residue below its
+// modulus (ErrMalformed otherwise). keySwitch indexes digits and limbs by
+// the context's counts and its lazy-reduction MACs assume reduced inputs,
+// so a key that fails here would panic or corrupt a worker mid-evaluation.
+func (c *Context) CheckSwitchingKey(parts [][2]ring.RNSPoly) error {
+	digits, n := len(c.Primes), c.Params.N()
+	if len(parts) != digits {
+		return fmt.Errorf("%w: %d digits, want %d", ErrKeyShape, len(parts), digits)
+	}
+	for j := range parts {
+		for _, comp := range parts[j] {
+			if len(comp) != digits+1 {
+				return fmt.Errorf("%w: digit %d spans %d limbs, want %d", ErrKeyShape, j, len(comp), digits+1)
+			}
+			for t, limb := range comp {
+				if len(limb) != n {
+					return fmt.Errorf("%w: digit %d limb %d holds %d coefficients, want %d", ErrKeyShape, j, t, len(limb), n)
+				}
+				q := c.Special
+				if t < digits {
+					q = c.Primes[t]
+				}
+				for _, v := range limb {
+					if v >= q {
+						return fmt.Errorf("%w: unreduced residue in digit %d limb %d", ErrMalformed, j, t)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // KeyGenerator derives CKKS keys from a seeded RNG. Not safe for

@@ -149,8 +149,8 @@ type Ciphertext struct {
 	Level  int
 	// evalForm marks a ciphertext whose limbs Context.EvalFormInto moved
 	// to the NTT domain in Montgomery form (see evalform.go). Unexported so
-	// no codec — gob included — can carry or set it: only a validated
-	// in-process conversion produces an evaluation-form ciphertext.
+	// no codec can carry or set it: only a validated in-process
+	// conversion produces an evaluation-form ciphertext.
 	evalForm bool
 }
 

@@ -2,9 +2,8 @@ package ckks
 
 // Wire codecs for CKKS objects: hand-rolled, length-prefixed binary
 // layouts built on ring.Poly's raw little-endian coefficient runs, one
-// run per RNS limb. They exist for the edge protocol's framed v3 path,
-// where gob's reflective, per-coefficient varint encoding was the serving
-// hot path's dominant cost. Conventions:
+// run per RNS limb. They are the payload encoding of the edge protocol's
+// frames (internal/edge). Conventions:
 //
 //   - AppendBinary appends the value's encoding to a caller-provided
 //     buffer and returns the extended slice. With a buffer of sufficient
@@ -30,12 +29,12 @@ package ckks
 // followed by C0's limbs 0..level then C1's limbs, each limb an 8·N-byte
 // raw run — at level 0 this is bit-identical to the pre-RNS format. Keys
 // carry their limb count explicitly since relin keys span the extended
-// basis QP. The residue-tower limb layout is a wire format change for
-// level ≥ 1 payloads and multi-limb keys; the edge protocol negotiates it
-// via a hello flag (see internal/edge).
+// basis QP. The limb layout is part of the edge protocol's one frame
+// version (see internal/edge); a layout change is a version bump there.
 //
 // All integers are little-endian; float64s travel as IEEE 754 bits, so
-// round-trips are bit-exact and match the gob path bit-for-bit.
+// round-trips are bit-exact (wire_test.go cross-checks against the
+// standard library's gob encoder as a reference).
 
 import (
 	"encoding/binary"

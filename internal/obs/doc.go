@@ -42,7 +42,7 @@
 // Labels multiply series; every label value set must be small and
 // bounded at build time. Allowed label domains: security profile IDs
 // (the registry's fixed set), pipeline stage names, wire direction
-// (in/out), protocol generation (v3/gob), shed reason, serve.Code
+// (in/out), shed reason, serve.Code
 // strings, withdrawal causes (qkd.Causes(), five values), SLO names
 // (availability plus latency-<profile>) and SLO window labels (the
 // fixed DefaultSLOWindows set). Session IDs, request IDs, block

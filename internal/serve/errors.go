@@ -53,10 +53,10 @@ const (
 	// refuses. Distinct from CodeParamMismatch: the parameters may be
 	// perfectly valid, the policy just does not allow them here.
 	CodeProfileDenied
-	// CodeWireFormat rejects a peer that did not negotiate the current
-	// ciphertext wire format (the residue-tower limb layout) at the
-	// protocol handshake: decoding its payloads would misparse, so the
-	// mismatch is surfaced typed at Setup instead.
+	// CodeWireFormat is retired: it rejected peers that had not negotiated
+	// the residue-tower ciphertext layout, which the one wire version now
+	// implies. Nothing emits it; the slot stays because codes are wire
+	// values and must not be renumbered.
 	CodeWireFormat
 	// CodeDeadline reports a request that exceeded its deadline (a
 	// per-request timeout or a canceled context). Surfaced locally by
@@ -81,10 +81,9 @@ const (
 	// proof failed. The client must fall back to a full re-dial.
 	CodeResumeRejected
 	// CodeMatVecUnavailable rejects an encrypted matrix–vector request the
-	// server cannot serve: the capability was never negotiated at the
-	// hello, the server has no matrix configured, or the session has not
-	// uploaded the rotation keys the kernel needs. The detail string says
-	// which; clients should negotiate/upload rather than retry blindly.
+	// server cannot serve: it has no matrix configured, or the session has
+	// not uploaded the rotation keys the kernel needs. The detail string
+	// says which; clients should upload rather than retry blindly.
 	CodeMatVecUnavailable
 )
 

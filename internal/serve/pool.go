@@ -121,14 +121,6 @@ func (p *EvalPool) Run(job func(*Worker)) {
 	})
 }
 
-// Do runs f with an exclusively held worker, blocking for checkout
-// (under the pool's pprof label, like Run).
-func (p *EvalPool) Do(f func(*Worker) error) error {
-	var err error
-	p.Run(func(w *Worker) { err = f(w) })
-	return err
-}
-
 // PoolSet is a lazily populated registry of EvalPools keyed on security
 // profile ID: the serving layer asks for a profile's pool and the set
 // builds it on first use through the factory, so only profiles with live

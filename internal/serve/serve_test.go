@@ -197,7 +197,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = pool.Do(func(w *Worker) error {
+			pool.Run(func(w *Worker) {
 				if w.Ev == nil {
 					t.Error("worker without evaluator")
 				}
@@ -209,7 +209,6 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 					}
 				}
 				cur.Add(-1)
-				return nil
 			})
 		}()
 	}

@@ -38,7 +38,7 @@ type Session struct {
 	// the client from the current QKD key material and registered at
 	// Setup/Rekey, against which a reconnecting client proves key
 	// possession (challenge HMAC) to re-attach without a re-keygen. Nil
-	// for peers that never negotiated resume.
+	// for a session registered without one.
 	resumeAuth []byte
 	// rotKeys holds the client's Galois rotation keys for the packed
 	// matrix–vector kernel. Uploaded once after Setup and kept on the
