@@ -79,11 +79,11 @@ const sloLatencyTarget = 250 * time.Millisecond
 
 // planInfo echoes the controller's final plan in the JSON summary.
 type planInfo struct {
-	Seq           uint64  `json:"seq"`
-	Lambda        float64 `json:"lambda"`
-	MSL           float64 `json:"msl"`
-	DefaultBudget int64   `json:"default_rekey_budget"`
-	AdmitCapacity int     `json:"admit_capacity"`
+	Seq           uint64    `json:"seq"`
+	RouteLambda   []float64 `json:"route_lambda"`
+	RouteProfile  []string  `json:"route_profile"`
+	DefaultBudget int64     `json:"default_rekey_budget"`
+	AdmitCapacity int       `json:"admit_capacity"`
 }
 
 // workloadInfo is one request kind's slice of the summary: how many
@@ -776,8 +776,8 @@ func main() {
 		p := ctl.Plan()
 		sum.Plan = &planInfo{
 			Seq:           p.Seq,
-			Lambda:        p.Lambda,
-			MSL:           p.MSL,
+			RouteLambda:   p.RouteLambda,
+			RouteProfile:  p.RouteProfile,
 			DefaultBudget: p.DefaultRekeyBudget,
 			AdmitCapacity: p.AdmitCapacity,
 		}

@@ -11,7 +11,9 @@
 //   - internal/qkd         — BB84/BBM92 protocols and the key centre
 //   - internal/optimize    — barrier interior point, B&B, heuristics
 //   - internal/wireless    — uplink channel, FDMA, Shannon rates
-//   - internal/costmodel   — delay/energy/security cost functions
+//   - internal/costmodel   — the paper's delay/energy/security formulas,
+//     used by the reproduction (serving prices blocks in
+//     internal/he/profile and reads only f_msl from here)
 //   - internal/chacha20    — RFC 8439 stream cipher
 //   - internal/he/...      — polynomial rings, CKKS, LWE security estimation.
 //     The ring arithmetic core is division-free: Montgomery/Barrett

@@ -86,8 +86,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("compute batch %d: %v", b, err)
 		}
-		fmt.Printf("\nbatch %d (modeled: tx %.1fms, server compute %.1fs):\n",
-			b, 1000*client.LastTxDelay, client.LastCmpDelay)
+		fmt.Printf("\nbatch %d (modeled: tx %.1fms, server compute %.1fms):\n",
+			b, 1000*client.LastTxDelay, 1000*client.LastCmpDelay)
 		fmt.Println("  feature   encrypted-score   plaintext-check   |error|")
 		for i, x := range features {
 			want := model.Weights[i]*x + model.Bias[i]

@@ -12,6 +12,7 @@ import (
 	"quhe/internal/control"
 	"quhe/internal/costmodel"
 	"quhe/internal/edge"
+	"quhe/internal/he/profile"
 	"quhe/internal/qkd"
 	"quhe/internal/qnet"
 	"quhe/internal/serve"
@@ -69,9 +70,6 @@ func TestReplanFeasibleAndActuates(t *testing.T) {
 	if plan.DefaultRekeyBudget < 1 {
 		t.Errorf("default budget %d, want ≥ 1", plan.DefaultRekeyBudget)
 	}
-	if plan.MSL != costmodel.MinSecurityLevel(plan.Lambda) {
-		t.Errorf("plan MSL %g inconsistent with λ %g", plan.MSL, plan.Lambda)
-	}
 	// Actuation: every route's client is provisioned with a positive
 	// secret-key rate (the allocation keeps the SKF strictly positive).
 	for r := 0; r < net.NumRoutes(); r++ {
@@ -96,22 +94,26 @@ func TestReplanFeasibleAndActuates(t *testing.T) {
 
 // TestBudgetTracksSecurityLevel pins the U_msl coupling end to end: a
 // controller planning at a higher λ derives a proportionally larger
-// per-key budget.
+// per-key budget, and a session's budget follows the λ it actually runs
+// from its first block — also before the plan has seen it.
 func TestBudgetTracksSecurityLevel(t *testing.T) {
 	net := qnet.SURFnet()
+	const base = 1 << 20
 	budgets := make([]int64, 0, 3)
 	for _, lambda := range []float64{32768, 65536, 131072} {
 		ctl, err := control.New(control.Config{
-			Network: net, LambdaSet: []float64{lambda}, BaseRekeyBytes: 1 << 20,
+			Network: net, LambdaSet: []float64{lambda}, BaseRekeyBytes: base,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan := ctl.Plan()
-		if plan.Lambda != lambda {
-			t.Fatalf("plan λ = %g, want %g (single-element set)", plan.Lambda, lambda)
+		for r, got := range plan.RouteLambda {
+			if got != lambda {
+				t.Fatalf("route %d λ = %g, want %g (single-element set)", r, got, lambda)
+			}
 		}
-		want := control.DeriveRekeyBudget(1<<20, lambda)
+		want := control.DeriveRekeyBudget(base, lambda)
 		if plan.DefaultRekeyBudget != want {
 			t.Errorf("λ=%g: budget %d, want %d", lambda, plan.DefaultRekeyBudget, want)
 		}
@@ -119,6 +121,56 @@ func TestBudgetTracksSecurityLevel(t *testing.T) {
 	}
 	if !(budgets[0] < budgets[1] && budgets[1] < budgets[2]) {
 		t.Errorf("budgets %v not increasing with λ", budgets)
+	}
+
+	// First plan interval: a few hundred B/s through one session leave
+	// every route at λ-128k. Sessions registering before the next replan
+	// are budgeted at the λ of the profile they were granted — steered or
+	// requested — and the fallback is the budget of a λ some route runs.
+	ctl, err := control.New(control.Config{
+		Network: net, BaseRekeyBytes: base, RouteOf: routeByPrefix(net.NumRoutes()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := ctl.Telemetry()
+	tel.ObserveCompute("r0-busy", 16, time.Millisecond, serve.CodeOK)
+	if _, err := ctl.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	tel.ObserveCompute("r0-busy", 16, time.Millisecond, serve.CodeOK)
+	plan, err := ctl.Replan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.DemandBytesPerSec < 200 {
+		t.Fatalf("demand %.0f B/s, want ≥ 200", plan.DemandBytesPerSec)
+	}
+	for r, got := range plan.RouteLambda {
+		if got != 131072 {
+			t.Fatalf("route %d stepped down to λ=%g at %.0f B/s", r, got, plan.DemandBytesPerSec)
+		}
+	}
+	at128k, at32k := control.DeriveRekeyBudget(base, 131072), control.DeriveRekeyBudget(base, 32768)
+	if plan.DefaultRekeyBudget != at128k {
+		t.Errorf("default budget %d, want %d: the lowest λ any route runs is 2^17", plan.DefaultRekeyBudget, at128k)
+	}
+	for _, c := range []struct {
+		id, request string
+		want        int64
+	}{
+		{"r1-steered", "", at128k},
+		{"r1-asked-low", profile.IDLambda32k, at32k},
+	} {
+		granted, err := ctl.NegotiateProfile(c.id, c.request)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.ObserveSession(c.id, granted)
+		if got := ctl.RekeyBudget(c.id); got != c.want {
+			t.Errorf("%s on %s: first-interval budget %d, want %d", c.id, granted, got, c.want)
+		}
 	}
 }
 

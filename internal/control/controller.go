@@ -5,17 +5,32 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"quhe/internal/costmodel"
 	"quhe/internal/he/profile"
 	"quhe/internal/obs"
 	"quhe/internal/optimize"
 	"quhe/internal/qkd"
 	"quhe/internal/qnet"
 	"quhe/internal/serve"
+)
+
+// The utility-cost weights and bounds of the planner's program. Every
+// deployment in the tree runs these values, so they are constants, not
+// options.
+const (
+	// AlphaMSL and AlphaT weight the security utility against the modeled
+	// compute delay in the per-route λ choice: the §VI-A calibrated α_msl
+	// (see internal/core) and the paper's delay weight scale.
+	AlphaMSL = 5e-2
+	AlphaT   = 0.4
+	// phiMin is the minimum per-route rate (17a).
+	phiMin = 1e-2
+	// withdrawBytes is the QKD material one key rotation consumes.
+	withdrawBytes = serve.RekeyWithdrawBytes
 )
 
 // Config parameterizes a Controller.
@@ -46,25 +61,12 @@ type Config struct {
 	// selects profile.Default(), which must then match the edge server's
 	// registry.
 	Profiles *profile.Registry
-	// AlphaMSL and AlphaT weight the security utility against the modeled
-	// compute delay when choosing λ. Defaults 5e-2 (the §VI-A calibrated
-	// α_msl, see internal/core) and 0.4.
-	AlphaMSL, AlphaT float64
 	// BaseRekeyBytes is the per-key byte budget at λ = LambdaRef; budgets
 	// scale from it via DeriveRekeyBudget. Default 1 MiB.
 	BaseRekeyBytes int64
-	// WithdrawBytes is the QKD material one key rotation consumes
-	// (edge.RekeyWithdrawBytes on the serving side). Default 32.
-	WithdrawBytes int
 	// MaxSessions caps AdmitCapacity regardless of key stock
 	// (0 = no cap beyond what the key plane sustains).
 	MaxSessions int
-	// ServerHz and TokensPerSample parameterize the compute-cost side of
-	// the λ choice (Eq. 13). Defaults 3.3e9 and 64.
-	ServerHz        float64
-	TokensPerSample float64
-	// PhiMin is the minimum per-route rate (17a). Default 1e-2.
-	PhiMin float64
 	// Interval is the replanning period of Start. Default 1s.
 	Interval time.Duration
 	// Metrics, when set, receives the control plane's instrumentation:
@@ -93,26 +95,8 @@ func (c Config) withDefaults() Config {
 	if c.Profiles == nil {
 		c.Profiles = profile.Default()
 	}
-	if c.AlphaMSL <= 0 {
-		c.AlphaMSL = 5e-2
-	}
-	if c.AlphaT <= 0 {
-		c.AlphaT = 0.4
-	}
 	if c.BaseRekeyBytes <= 0 {
 		c.BaseRekeyBytes = 1 << 20
-	}
-	if c.WithdrawBytes <= 0 {
-		c.WithdrawBytes = 32
-	}
-	if c.ServerHz <= 0 {
-		c.ServerHz = 3.3e9
-	}
-	if c.TokensPerSample <= 0 {
-		c.TokensPerSample = 64
-	}
-	if c.PhiMin <= 0 {
-		c.PhiMin = 1e-2
 	}
 	if c.Interval <= 0 {
 		c.Interval = time.Second
@@ -183,7 +167,6 @@ func New(cfg Config) (*Controller, error) {
 type controlObs struct {
 	replanSeconds  *obs.Histogram
 	replans        *obs.Counter
-	lambdaShifts   *obs.Counter
 	capacityShifts *obs.Counter
 	budgetShifts   *obs.Counter
 	routeShifts    *obs.Counter
@@ -193,8 +176,7 @@ func newControlObs(reg *obs.Registry, kc *qkd.KeyCenter) *controlObs {
 	m := &controlObs{
 		replanSeconds:  reg.Histogram("quhe_control_replan_seconds", "control-loop replan duration"),
 		replans:        reg.Counter("quhe_control_replans_total", "completed replans"),
-		lambdaShifts:   reg.Counter("quhe_control_plan_changes_total", "plan deltas by changed field", "field", "lambda"),
-		capacityShifts: reg.Counter("quhe_control_plan_changes_total", "", "field", "admit_capacity"),
+		capacityShifts: reg.Counter("quhe_control_plan_changes_total", "plan deltas by changed field", "field", "admit_capacity"),
 		budgetShifts:   reg.Counter("quhe_control_plan_changes_total", "", "field", "rekey_budget"),
 		routeShifts:    reg.Counter("quhe_control_plan_changes_total", "", "field", "route_profile"),
 	}
@@ -245,14 +227,11 @@ func newControlObs(reg *obs.Registry, kc *qkd.KeyCenter) *controlObs {
 }
 
 // observePlanDelta counts which plan fields moved between consecutive
-// replans — a flapping λ or admission capacity shows up as a rate here
-// long before it shows up as client-visible churn.
+// replans — a flapping route profile or admission capacity shows up as a
+// rate here long before it shows up as client-visible churn.
 func (m *controlObs) observePlanDelta(prev, next *Plan) {
 	if m == nil || prev == nil || next == nil {
 		return
-	}
-	if prev.Lambda != next.Lambda {
-		m.lambdaShifts.Inc()
 	}
 	if prev.AdmitCapacity != next.AdmitCapacity {
 		m.capacityShifts.Inc()
@@ -260,15 +239,8 @@ func (m *controlObs) observePlanDelta(prev, next *Plan) {
 	if prev.DefaultRekeyBudget != next.DefaultRekeyBudget {
 		m.budgetShifts.Inc()
 	}
-	if len(prev.RouteProfile) != len(next.RouteProfile) {
+	if !slices.Equal(prev.RouteProfile, next.RouteProfile) {
 		m.routeShifts.Inc()
-	} else {
-		for i := range next.RouteProfile {
-			if prev.RouteProfile[i] != next.RouteProfile[i] {
-				m.routeShifts.Inc()
-				break
-			}
-		}
 	}
 }
 
@@ -314,9 +286,10 @@ func (c *Controller) Stop() {
 }
 
 // Replan runs one control iteration: snapshot telemetry, re-solve the
-// allocation and λ choice, derive budgets and capacity, actuate the key
-// centre, and publish the new plan atomically. Serialized internally; safe
-// to call concurrently with the Start loop and with the admission hooks.
+// allocation and the per-route λ choice, derive budgets and capacity,
+// actuate the key centre, and publish the new plan atomically. Serialized
+// internally; safe to call concurrently with the Start loop and with the
+// admission hooks.
 func (c *Controller) Replan() (*Plan, error) {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
@@ -328,14 +301,9 @@ func (c *Controller) Replan() (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	lambda := c.chooseLambda(snap)
-	msl := costmodel.MinSecurityLevel(lambda)
-
 	plan := &Plan{
 		Seq:               c.seq.Add(1),
 		At:                snap.At,
-		Lambda:            lambda,
-		MSL:               msl,
 		Phi:               phi,
 		Werner:            w,
 		LogUtility:        logU,
@@ -343,7 +311,9 @@ func (c *Controller) Replan() (*Plan, error) {
 		DemandBytesPerSec: snap.DemandBytesPerSec,
 	}
 	plan.RouteLambda, plan.RouteProfile = c.chooseRouteProfiles(snap)
-	plan.DefaultRekeyBudget = DeriveRekeyBudget(c.cfg.BaseRekeyBytes, lambda)
+	// A session the plan knows nothing about is budgeted at the lowest λ
+	// any route runs — never at a λ no route runs.
+	plan.DefaultRekeyBudget = DeriveRekeyBudget(c.cfg.BaseRekeyBytes, slices.Min(plan.RouteLambda))
 	for _, s := range snap.Sessions {
 		plan.RekeyBudget[s.ID] = c.sessionBudget(plan, s, phi, w)
 	}
@@ -392,14 +362,14 @@ func (c *Controller) Replan() (*Plan, error) {
 		c.met.replanSeconds.Observe(time.Since(replanStart).Seconds())
 		c.met.observePlanDelta(prev, plan)
 	}
-	c.cfg.Logf("control: plan %d: λ=%g msl=%.1f lnU=%.3f budget=%d capacity=%d demand=%.0fB/s sessions=%d routes=%v",
-		plan.Seq, plan.Lambda, plan.MSL, plan.LogUtility, plan.DefaultRekeyBudget,
+	c.cfg.Logf("control: plan %d: lnU=%.3f budget=%d capacity=%d demand=%.0fB/s sessions=%d routes=%v",
+		plan.Seq, plan.LogUtility, plan.DefaultRekeyBudget,
 		plan.AdmitCapacity, plan.DemandBytesPerSec, len(snap.Sessions), plan.RouteProfile)
 	return plan, nil
 }
 
 // solveAllocation maximizes ln U_qkd (Eq. 6) over the per-route rate
-// allocation by projected gradient over the box [PhiMin, φ_max], with
+// allocation by projected gradient over the box [phiMin, φ_max], with
 // infeasible points (link capacity or SKF threshold violations, 19a/20c)
 // rejected through an infinite objective — the Stage-1 program P2/P3 in
 // its projected-gradient form.
@@ -422,7 +392,7 @@ func (c *Controller) solveAllocation() (phi, w []float64, logU float64, err erro
 	hi := make([]float64, n)
 	x0 := make([]float64, n)
 	for r := 0; r < n; r++ {
-		lo[r] = c.cfg.PhiMin
+		lo[r] = phiMin
 		hi[r] = math.Inf(1)
 		for l := 0; l < net.NumLinks(); l++ {
 			if net.Uses(r, l) {
@@ -453,7 +423,7 @@ func (c *Controller) solveAllocation() (phi, w []float64, logU float64, err erro
 		return -lu
 	}
 	if math.IsInf(f(x0), 1) {
-		return nil, nil, 0, errors.New("control: PhiMin allocation infeasible")
+		return nil, nil, 0, errors.New("control: phiMin allocation infeasible")
 	}
 	res, err := optimize.MinimizeProjGrad(f, optimize.Box{Lo: lo, Hi: hi}, x0,
 		optimize.PGOptions{MaxIter: 200, Tol: 1e-7})
@@ -468,87 +438,16 @@ func (c *Controller) solveAllocation() (phi, w []float64, logU float64, err erro
 	return phi, w, -res.Value, nil
 }
 
-// chooseLambda picks the CKKS degree from the discrete set by the
-// utility-cost tradeoff of Eq. (17)'s security and delay terms: the
-// importance-weighted security utility α_msl·Σς·f_msl(λ) (Eq. 9) against
-// the modeled compute delay of the telemetry-predicted demand (Eqs. 13,
-// 29, 31). At zero load the highest security level wins; as demand grows
-// the quadratic/linear cycle models pull λ down.
-func (c *Controller) chooseLambda(snap Snapshot) float64 {
-	weight := 0.0
-	for _, s := range snap.Sessions {
-		// Guard the user-supplied RouteOf like sessionBudget does: an
-		// out-of-range route contributes no weight instead of panicking
-		// inside the replanning goroutine.
-		if route := c.cfg.RouteOf(s.ID); route >= 0 && route < len(c.cfg.SecurityWeights) {
-			weight += c.cfg.SecurityWeights[route]
-		}
-	}
-	if weight <= 0 {
-		weight = 1
-	}
-	// Demand in tokens/s: one float64 slot per token.
-	demandTokens := snap.DemandBytesPerSec / 8
-	rotPerBlock := rotationsPerBlock(snap.Sessions)
-	best := c.cfg.LambdaSet[0]
-	bestScore := math.Inf(-1)
-	for _, lambda := range c.cfg.LambdaSet {
-		delay := costmodel.ComputeDelay(lambda, demandTokens, c.cfg.TokensPerSample, c.cfg.ServerHz)
-		// Hold the model against the measured tail: when the candidate λ
-		// resolves to a profile with served blocks, the delay term is at
-		// least the demand-rate-scaled p99 of those blocks, so a
-		// degraded server (contention, thermal, noisy neighbours) pulls λ
-		// down even where the cycle model says it should not. The
-		// rotation term prices the BSGS matvec kernel's key-switch work on
-		// top of the affine cycle model, scaled by the observed per-block
-		// rotation intensity.
-		if p, ok := c.cfg.Profiles.ByLambda(lambda); ok {
-			if rotPerBlock > 0 {
-				blocksPerSec := snap.DemandBytesPerSec / (8 * float64(p.Slots()))
-				delay += blocksPerSec * rotPerBlock * p.CyclesPerRotation() / c.cfg.ServerHz
-			}
-			delay = maxDelay(delay, measuredDelaySec(snap.Profiles[p.ID], p, snap.DemandBytesPerSec))
-		}
-		score := c.cfg.AlphaMSL*weight*costmodel.MinSecurityLevel(lambda) - c.cfg.AlphaT*delay
-		if score > bestScore {
-			best, bestScore = lambda, score
-		}
-	}
-	return best
-}
-
-// rotationsPerBlock aggregates the observed rotation intensity of a
-// session set: total hoisted rotations over total served blocks (0 for
-// affine-only traffic or before the first block).
-func rotationsPerBlock(sessions []SessionSnapshot) float64 {
-	var rots, blocks int64
-	for _, s := range sessions {
-		rots += s.Rotations
-		blocks += s.Blocks
-	}
-	if blocks <= 0 || rots <= 0 {
-		return 0
-	}
-	return float64(rots) / float64(blocks)
-}
-
 // measuredDelaySec converts a profile's measured p99 block latency into
-// the rate-scaled delay form ComputeDelaySec uses (blocks/s × seconds
-// per block), so the two are comparable term for term. Zero when the
-// profile has no served blocks yet — the model stands alone cold.
+// the rate-scaled delay form profile.ServeDelaySec uses (blocks/s ×
+// seconds per block), so the two are comparable term for term. Zero when
+// the profile has no served blocks yet — the model stands alone cold.
 func measuredDelaySec(ps ProfileSnapshot, p *profile.Profile, demandBytesPerSec float64) float64 {
 	if ps.Blocks <= 0 || ps.LatencyP99Ms <= 0 {
 		return 0
 	}
 	blocksPerSec := demandBytesPerSec / (8 * float64(p.Slots()))
 	return blocksPerSec * ps.LatencyP99Ms / 1e3
-}
-
-func maxDelay(a, b float64) float64 {
-	if b > a {
-		return b
-	}
-	return a
 }
 
 // routeCandidates returns the profiles the per-route λ choice may
@@ -568,13 +467,14 @@ func (c *Controller) routeCandidates() []*profile.Profile {
 	return cands
 }
 
-// chooseRouteProfiles solves the per-route λ choice: for each route, the
-// candidate profile maximizing α_msl·ς_r·f_msl(λ) − α_T·T_cmp of the
-// route's own predicted demand, with T_cmp computed from the profile's
-// per-block cost coefficient (calibrated when available). At idle every
-// route runs the highest security level; a route whose sessions push
-// heavy demand is stepped down independently of its neighbours — the
-// heterogeneous-security serving the single global λ could not express.
+// chooseRouteProfiles solves the λ choice (17d), per route: the candidate
+// profile maximizing α_msl·ς_r·f_msl(λ) − α_T·T_cmp of the route's own
+// predicted demand, with T_cmp the registry's price of that demand
+// (profile.ServeDelaySec — the number replies report per block) held
+// against the profile's measured p99. At idle every route runs the
+// highest security level; a route whose sessions push heavy demand is
+// stepped down independently of its neighbours. This is the only loop
+// that scores candidate profiles.
 func (c *Controller) chooseRouteProfiles(snap Snapshot) (lambdas []float64, profiles []string) {
 	n := c.cfg.Network.NumRoutes()
 	cands := c.routeCandidates()
@@ -591,10 +491,6 @@ func (c *Controller) chooseRouteProfiles(snap Snapshot) (lambdas []float64, prof
 	lambdas = make([]float64, n)
 	profiles = make([]string, n)
 	for r := 0; r < n; r++ {
-		weight := 1.0
-		if r < len(c.cfg.SecurityWeights) {
-			weight = c.cfg.SecurityWeights[r]
-		}
 		// The route's observed rotation intensity scales the per-block
 		// cost: a matvec-heavy route pays its hoisted key-switch work in
 		// the delay term and is stepped down earlier than an affine route
@@ -606,10 +502,10 @@ func (c *Controller) chooseRouteProfiles(snap Snapshot) (lambdas []float64, prof
 		best := cands[0]
 		bestScore := math.Inf(-1)
 		for _, p := range cands {
-			delay := maxDelay(
-				p.ServeDelaySec(demand[r], rotPerBlock, c.cfg.ServerHz),
+			delay := math.Max(
+				p.ServeDelaySec(demand[r], rotPerBlock, profile.RefHz),
 				measuredDelaySec(snap.Profiles[p.ID], p, demand[r]))
-			score := c.cfg.AlphaMSL*weight*p.MSL() - c.cfg.AlphaT*delay
+			score := AlphaMSL*c.cfg.SecurityWeights[r]*p.MSL() - AlphaT*delay
 			if score > bestScore {
 				best, bestScore = p, score
 			}
@@ -619,18 +515,22 @@ func (c *Controller) chooseRouteProfiles(snap Snapshot) (lambdas []float64, prof
 	return lambdas, profiles
 }
 
-// sessionBudget derives one session's rekey byte budget: the U_msl-scaled
-// default at the session's actual profile λ (not the global aggregate),
+// profileBudget is the U_msl-scaled rekey budget at the λ a session
+// actually runs (its registered profile), the plan default when the
+// profile is unknown.
+func (c *Controller) profileBudget(plan *Plan, profileID string) int64 {
+	if p, ok := c.cfg.Profiles.Get(profileID); ok {
+		return DeriveRekeyBudget(c.cfg.BaseRekeyBytes, p.Lambda)
+	}
+	return plan.DefaultRekeyBudget
+}
+
+// sessionBudget derives one session's rekey byte budget: profileBudget,
 // stretched where the session's demand would imply a rekey cadence its
-// route's secret-key rate cannot fund (each rotation draws WithdrawBytes
+// route's secret-key rate cannot fund (each rotation draws withdrawBytes
 // of pool material).
 func (c *Controller) sessionBudget(plan *Plan, s SessionSnapshot, phi, w []float64) int64 {
-	budget := plan.DefaultRekeyBudget
-	if s.Profile != "" {
-		if p, ok := c.cfg.Profiles.Get(s.Profile); ok {
-			budget = DeriveRekeyBudget(c.cfg.BaseRekeyBytes, p.Lambda)
-		}
-	}
+	budget := c.profileBudget(plan, s.Profile)
 	route := c.cfg.RouteOf(s.ID)
 	if route < 0 || route >= len(phi) || s.BytesPerSec <= 0 {
 		return budget
@@ -645,7 +545,7 @@ func (c *Controller) sessionBudget(plan *Plan, s SessionSnapshot, phi, w []float
 	}
 	// Sustainable cadence: demand/budget rekeys per second must cost no
 	// more than rateBits/8 bytes per second of fresh key material.
-	minBudget := int64(math.Ceil(s.BytesPerSec * float64(c.cfg.WithdrawBytes) * 8 / rateBits))
+	minBudget := int64(math.Ceil(s.BytesPerSec * withdrawBytes * 8 / rateBits))
 	if minBudget > budget {
 		budget = minBudget
 	}
@@ -664,7 +564,7 @@ func (c *Controller) admitCapacity() int {
 		for _, p := range c.cfg.KeyCenter.PoolStats() {
 			bytes += p.AvailableBytes
 		}
-		capacity = bytes / c.cfg.WithdrawBytes
+		capacity = bytes / withdrawBytes
 	}
 	if c.cfg.MaxSessions > 0 && (capacity < 0 || capacity > c.cfg.MaxSessions) {
 		capacity = c.cfg.MaxSessions
@@ -674,11 +574,11 @@ func (c *Controller) admitCapacity() int {
 
 // --- edge control-plane hooks ----------------------------------------------
 
-// BindServe attaches the serving plane's gauges to the telemetry registry
+// BindServe attaches the scheduler (queue occupancy and depth actuation)
 // and captures the store for live session-cap actuation (called by the
-// edge server at construction).
-func (c *Controller) BindServe(pools *serve.PoolSet, sched *serve.Scheduler, store *serve.Store) {
-	c.tel.BindServe(pools, sched)
+// edge server at construction; the pools are not consulted).
+func (c *Controller) BindServe(_ *serve.PoolSet, sched *serve.Scheduler, store *serve.Store) {
+	c.tel.BindServe(sched)
 	if store != nil {
 		c.store.Store(store)
 		c.storeCeiling.Store(int64(store.MaxSessions()))
@@ -716,8 +616,8 @@ func (c *Controller) NegotiateProfile(sessionID, requested string) (string, erro
 }
 
 // ObserveSession records a successful registration and its profile in the
-// telemetry registry, so the very next replan derives the session's
-// budget from its actual λ.
+// telemetry registry, so the session's budget follows its actual λ from
+// its first block.
 func (c *Controller) ObserveSession(sessionID, profileID string) {
 	c.tel.ObserveSession(sessionID, profileID)
 }
@@ -743,11 +643,11 @@ func (c *Controller) AdmitSession(sessionID string, resident int) error {
 		// key exhaustion (not a plain admission denial): it clears on its
 		// own as the pool refills, and the retry-after hint derived from
 		// the provisioning rate tells the client when.
-		if avail, err := kc.Available(sessionID); err == nil && avail < c.cfg.WithdrawBytes {
+		if avail, err := kc.Available(sessionID); err == nil && avail < withdrawBytes {
 			c.tel.ObserveAdmission(false)
-			return serve.NewKeyExhausted(c.keyRetryAfter(sessionID, c.cfg.WithdrawBytes-avail),
+			return serve.NewKeyExhausted(c.keyRetryAfter(sessionID, withdrawBytes-avail),
 				fmt.Sprintf("key pool for %q holds %d of %d bytes the next rekey needs",
-					sessionID, avail, c.cfg.WithdrawBytes))
+					sessionID, avail, withdrawBytes))
 		}
 	}
 	c.tel.ObserveAdmission(true)
@@ -775,8 +675,8 @@ func (c *Controller) AdmitCompute(sessionID string, usedBytes, pendingBytes int6
 		}
 	}
 	if kc := c.cfg.KeyCenter; kc != nil {
-		if budget := p.BudgetFor(sessionID); budget > 0 && usedBytes+pendingBytes >= budget {
-			if avail, err := kc.Available(sessionID); err == nil && avail < c.cfg.WithdrawBytes {
+		if budget := c.budgetFor(p, sessionID); budget > 0 && usedBytes+pendingBytes >= budget {
+			if avail, err := kc.Available(sessionID); err == nil && avail < withdrawBytes {
 				c.tel.ObserveAdmission(false)
 				// Denied bytes still count as demand: a fully shed session
 				// must keep registering load with the predictor, or its
@@ -785,9 +685,9 @@ func (c *Controller) AdmitCompute(sessionID string, usedBytes, pendingBytes int6
 				// retry hint, so the client backs off instead of spinning
 				// between CodeRekeyRequired and failed withdrawals.
 				c.tel.ObserveShed(sessionID, pendingBytes)
-				return serve.NewKeyExhausted(c.keyRetryAfter(sessionID, c.cfg.WithdrawBytes-avail),
+				return serve.NewKeyExhausted(c.keyRetryAfter(sessionID, withdrawBytes-avail),
 					fmt.Sprintf("key budget exhausted and pool for %q holds %d of %d bytes a rekey needs",
-						sessionID, avail, c.cfg.WithdrawBytes))
+						sessionID, avail, withdrawBytes))
 			}
 		}
 	}
@@ -810,14 +710,24 @@ func (c *Controller) keyRetryAfter(sessionID string, deficitBytes int) time.Dura
 	return time.Duration(float64(deficitBytes*8) / rate * float64(time.Second))
 }
 
-// RekeyBudget returns the plan's per-key byte budget for a session
-// (0 only when the controller has no plan, which New precludes).
+// RekeyBudget returns the per-key byte budget for a session (0 only when
+// the controller has no plan, which New precludes).
 func (c *Controller) RekeyBudget(sessionID string) int64 {
 	p := c.plan.Load()
 	if p == nil {
 		return 0
 	}
-	return p.BudgetFor(sessionID)
+	return c.budgetFor(p, sessionID)
+}
+
+// budgetFor resolves a session's budget under plan p: its planned entry,
+// or — for a session registered since the last replan — the budget of
+// the profile it registered on.
+func (c *Controller) budgetFor(p *Plan, sessionID string) int64 {
+	if b, ok := p.RekeyBudget[sessionID]; ok {
+		return b
+	}
+	return c.profileBudget(p, c.tel.SessionProfile(sessionID))
 }
 
 // ObserveCompute publishes one served block into the telemetry registry.

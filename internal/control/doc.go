@@ -1,22 +1,22 @@
 // Package control is the closed-loop control plane of the QuHE serving
 // stack: it connects the live serving runtime (internal/serve,
 // internal/edge, internal/qkd) to the paper's utility-cost optimization
-// program (internal/optimize, internal/costmodel, internal/qnet), so the
-// resource knobs the runtime used to hard-code — the per-key rekey byte
-// budget, the QKD provisioning rates, how much work to admit — are
-// re-derived online from telemetry instead.
+// program (internal/optimize, internal/qnet, and internal/costmodel for
+// f_msl only), so the resource knobs the runtime used to hard-code — the
+// per-key rekey byte budget, the QKD provisioning rates, how much work to
+// admit — are re-derived online from telemetry instead.
 //
 // # The loop: telemetry → plan → actuation
 //
 // Sense. Telemetry is the lock-cheap registry the serving plane publishes
 // into. The edge server pushes one observation per served block
-// (per-session byte counts and latency/payload EWMAs, a sync.Map load plus
-// a few atomics on the hot path); the serve.Scheduler and serve.EvalPool
-// are bound once at server construction and their queue-depth, shed-count
-// and utilization gauges are read atomically at snapshot time; the
-// qkd.KeyCenter contributes per-client key stock and provisioned rates
-// (PoolStats). Telemetry.Snapshot folds all of it into one consistent view
-// and derives per-session demand rates from byte deltas between snapshots.
+// (per-session byte, block and rotation counts and a latency histogram: a
+// sync.Map load plus a few atomics on the hot path); the serve.Scheduler
+// is bound once at server construction for admission's queue-occupancy
+// check; the qkd.KeyCenter contributes per-client key stock and
+// provisioned rates (PoolStats). Telemetry.Snapshot carries exactly what
+// Replan reads: per-session demand rates derived from byte deltas between
+// snapshots, and per-profile served work with the merged p99 latency.
 //
 // Plan. Controller.Replan re-solves the paper's program over the snapshot
 // and publishes an immutable Plan through an atomic pointer:
@@ -26,24 +26,25 @@
 //     [φ_min, φ_max] with link-capacity and SKF-threshold violations
 //     (Eqs. 19a, 20c) rejected as infeasible; Werner parameters are the
 //     capacity-saturating point w* of Eq. (18).
-//   - Plan.Lambda / Plan.MSL — the aggregate CKKS degree chosen from the
-//     discrete set (17d) by trading the importance-weighted security
-//     utility α_msl·Σ ς_n·f_msl(λ) (Eqs. 9, 30) against the modeled
-//     compute delay of the telemetry-predicted demand (Eqs. 13, 29, 31):
-//     highest security at idle, stepping down as demand grows.
-//   - Plan.RouteLambda / Plan.RouteProfile — the same tradeoff solved per
-//     route against the route's own security weight and demand, actuated
-//     through the security-profile registry (internal/he/profile): each
-//     planned λ resolves to a runnable CKKS parameter set, and
-//     NegotiateProfile steers every new session on the route to it. The
-//     per-profile compute-delay term uses the registry's cost
-//     coefficients, which calibration (profile.Calibrate) replaces with
-//     live per-op measurements.
-//   - Plan.DefaultRekeyBudget / Plan.RekeyBudget — per-session rekey byte
-//     budgets derived from the security level via DeriveRekeyBudget
-//     (budget scales with f_msl(λ), Eq. 30, relative to λ_ref = 2^15) and
-//     stretched per session where the route's secret-key rate
-//     φ_n·F_skf(̟_n) (Eq. 4) cannot fund the default's rekey cadence.
+//   - Plan.RouteLambda / Plan.RouteProfile — the CKKS degree chosen from
+//     the discrete set (17d), per route: the importance-weighted security
+//     utility α_msl·ς_n·f_msl(λ) (Eqs. 9, 30) traded against α_T·T_cmp
+//     (Eq. 13) of the route's own predicted demand — highest security at
+//     idle, stepping down as demand grows. T_cmp is the security-profile
+//     registry's price of that demand (profile.ServeDelaySec over
+//     profile.BlockCycles, the same number every reply reports per block
+//     in ModeledCmpDelay), never below the profile's measured p99. This
+//     is the only λ choice: each planned λ is a runnable CKKS parameter
+//     set (internal/he/profile), and NegotiateProfile steers every new
+//     session on the route to it.
+//   - Plan.RekeyBudget / Plan.DefaultRekeyBudget — rekey byte budgets at
+//     the λ each session actually runs, via DeriveRekeyBudget (budget
+//     scales with f_msl(λ), Eq. 30, relative to λ_ref = 2^15), stretched
+//     per session where the route's secret-key rate φ_n·F_skf(̟_n) (Eq. 4)
+//     cannot fund that rekey cadence. A session registered since the last
+//     replan is budgeted from its registered profile; the default — for a
+//     session whose profile is unknown — is the budget at the lowest
+//     planned RouteLambda.
 //   - Plan.AdmitCapacity / Plan.QueueHighWater — the admission envelope:
 //     the session count whose next rotations the current key stock can
 //     fund, and the scheduler occupancy above which work is shed before

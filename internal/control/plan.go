@@ -14,25 +14,20 @@ const LambdaRef = 32768
 // Plan is one output of the control loop: the resource allocation the
 // admission controller and the edge server actuate until the next replan.
 // Fields map back to the paper's program P1 (Eq. 17): Phi/Werner are the
-// Stage-1 key-rate block (Eqs. 18–20), Lambda the security-level choice
-// weighed by U_msl (Eq. 9) against the server cost model (Eqs. 29, 31),
-// and the rekey budgets tie the per-key byte exposure to f_msl (Eq. 30).
+// Stage-1 key-rate block (Eqs. 18–20), RouteLambda the security-level
+// choice (17d) weighed by U_msl (Eq. 9) against the profile registry's
+// price of the route's demand, and the rekey budgets tie the per-key byte
+// exposure to f_msl (Eq. 30).
 type Plan struct {
 	// Seq increments per replan; At stamps when the plan was computed.
 	Seq uint64
 	At  time.Time
 
-	// Lambda is the chosen aggregate CKKS polynomial degree (the
-	// single-λ view legacy consumers read); MSL = f_msl(Lambda).
-	Lambda float64
-	MSL    float64
-
 	// RouteLambda is the per-route λ choice (17d solved per route against
 	// the route's own security weight and predicted demand), and
 	// RouteProfile the security-profile ID actuating it: new sessions on
 	// a route are steered to RouteProfile[route] at negotiation time.
-	// Both are indexed by the 0-based route index; nil when the
-	// controller has no profile registry.
+	// Both are indexed by the 0-based route index.
 	RouteLambda  []float64
 	RouteProfile []string
 
@@ -43,10 +38,12 @@ type Plan struct {
 	Werner     []float64
 	LogUtility float64
 
-	// DefaultRekeyBudget is the per-key byte budget for sessions without a
-	// per-session override; RekeyBudget holds the per-session budgets
-	// (stretched where the route's secret-key rate cannot sustain the
-	// default's rekey cadence).
+	// RekeyBudget holds the per-key byte budgets of the sessions the plan
+	// was solved over, each at its own profile's λ (stretched where the
+	// route's secret-key rate cannot sustain that cadence). A session
+	// registered since is budgeted from its profile by
+	// Controller.RekeyBudget; DefaultRekeyBudget — the budget at the lowest
+	// RouteLambda — covers a session whose profile is unknown.
 	DefaultRekeyBudget int64
 	RekeyBudget        map[string]int64
 
@@ -69,17 +66,6 @@ func (p *Plan) ProfileForRoute(route int) string {
 		return ""
 	}
 	return p.RouteProfile[route]
-}
-
-// BudgetFor returns the rekey byte budget the plan assigns to a session:
-// its per-session entry when present, the plan default otherwise. Always
-// positive for a plan built by Controller.Replan — re-planning never drops
-// a live session's budget to zero.
-func (p *Plan) BudgetFor(sessionID string) int64 {
-	if b, ok := p.RekeyBudget[sessionID]; ok {
-		return b
-	}
-	return p.DefaultRekeyBudget
 }
 
 // DeriveRekeyBudget maps the plan's security level to a per-key byte

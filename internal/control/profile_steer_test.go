@@ -135,6 +135,43 @@ func TestReplanMovesRouteLambda(t *testing.T) {
 	if got != plan.RouteProfile[1] {
 		t.Errorf("post-replan steering = %q, want plan's %q", got, plan.RouteProfile[1])
 	}
+
+	// Security weights (ς_n, Eq. 9): routes 1 and 2 carry the same demand,
+	// four times what makes a weight-1 route indifferent between λ-128k
+	// and λ-64k. The step-down point scales with the weight, so route 2 at
+	// ς = 16 holds the highest level where route 1 at ς = 1 gives it up.
+	// (The factors leave the wall-clock window 4x of slack either way.)
+	hi, _ := profile.Default().Get(profile.IDLambda128k)
+	mid, _ := profile.Default().Get(profile.IDLambda64k)
+	stepDown := control.AlphaMSL * (hi.MSL() - mid.MSL()) /
+		(control.AlphaT * (hi.ServeDelaySec(1, 0, profile.RefHz) - mid.ServeDelaySec(1, 0, profile.RefHz)))
+	const window = 40 * time.Millisecond
+	perWindow := int64(4 * stepDown * window.Seconds())
+	weights := []float64{1, 1, 16, 1, 1, 1}
+	ctl, err = control.New(control.Config{
+		Network: net, RouteOf: routeByPrefix(routes), SecurityWeights: weights[:routes],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel = ctl.Telemetry()
+	report := func() {
+		tel.ObserveCompute("r1-light", perWindow, time.Millisecond, serve.CodeOK)
+		tel.ObserveCompute("r2-heavy", perWindow, time.Millisecond, serve.CodeOK)
+	}
+	report()
+	if _, err := ctl.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(window)
+	report()
+	if plan, err = ctl.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	if plan.RouteLambda[1] >= hi.Lambda || plan.RouteLambda[2] != hi.Lambda {
+		t.Errorf("equal demand %.0f B/s (weight-1 step-down at %.0f): ς=1 route at λ=%g, ς=16 route at λ=%g; want only the lighter weight to step down",
+			plan.DemandBytesPerSec/2, stepDown, plan.RouteLambda[1], plan.RouteLambda[2])
+	}
 }
 
 // TestReplanSteersNextSessionEndToEnd is the full acceptance loop over a

@@ -1,7 +1,6 @@
 package control
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,46 +10,17 @@ import (
 	"quhe/internal/serve"
 )
 
-// ewmaAlpha is the smoothing factor of the per-session EWMAs: light enough
-// that a plan interval of traffic dominates, heavy enough to ride out
-// single-block jitter.
+// ewmaAlpha is the smoothing factor of the per-session demand-rate EWMA:
+// light enough that a plan interval of traffic dominates, heavy enough to
+// ride out a window that caught no block.
 const ewmaAlpha = 0.2
-
-// ewma is a lock-free exponentially weighted moving average. Observations
-// CAS the float64 bits, so concurrent workers publish without a mutex; a
-// lost race only drops one observation's weight. All-zero bits mean
-// "never observed", so a computed 0.0 is stored as negative zero (same
-// arithmetic value, distinct bits) and a legitimate zero observation
-// cannot reset the history.
-type ewma struct{ bits atomic.Uint64 }
-
-func (e *ewma) Observe(v float64) {
-	for {
-		old := e.bits.Load()
-		next := v
-		if old != 0 {
-			next = (1-ewmaAlpha)*math.Float64frombits(old) + ewmaAlpha*v
-		}
-		enc := math.Float64bits(next)
-		if enc == 0 {
-			enc = math.Float64bits(math.Copysign(0, -1))
-		}
-		if e.bits.CompareAndSwap(old, enc) {
-			return
-		}
-	}
-}
-
-// Load returns the current average (+0 folds the stored -0.0 back to 0).
-func (e *ewma) Load() float64 { return math.Float64frombits(e.bits.Load()) + 0 }
 
 // SessionTelemetry accumulates one session's serving counters. All fields
 // are updated atomically on the compute hot path — the registry adds one
 // sync.Map load and a handful of atomic ops per block.
 type SessionTelemetry struct {
-	bytes    atomic.Int64
-	blocks   atomic.Int64
-	failures atomic.Int64
+	bytes  atomic.Int64
+	blocks atomic.Int64
 	// demand counts every byte the session *asked* to have served —
 	// completed blocks, failed blocks and admission-denied traffic alike.
 	// The demand predictor reads this instead of the served-bytes
@@ -64,12 +34,9 @@ type SessionTelemetry struct {
 	// blocks to recover the session's rotation intensity.
 	rotations atomic.Int64
 	lastSeen  atomic.Int64 // unix nanos
-	latMs     ewma         // per-block serving latency, milliseconds
-	blkBytes  ewma         // per-block masked payload bytes
 	// lat is the per-block latency histogram (seconds). Its snapshots
-	// merge across a profile's sessions into the tail-latency quantiles
-	// the replanner consumes — the EWMA sees the middle of the
-	// distribution, the histogram sees its tail.
+	// merge across a profile's sessions into the p99 the replanner holds
+	// against its modeled delay.
 	lat obs.Histogram
 	// profile is the session's security profile (set once at
 	// registration; atomic.Value of string).
@@ -78,19 +45,19 @@ type SessionTelemetry struct {
 	// Snapshot bookkeeping, touched only under the controller's plan lock.
 	prevDemand int64
 	prevAt     time.Time
-	// rateBps smooths the per-window demand rate across planning rounds:
-	// when blocks arrive slower than the replan interval, individual
-	// windows alternate between bursts and zero bytes, and an unsmoothed
-	// rate would make every rate-derived plan term (budget stretch, λ
-	// choice) flap plan-to-plan.
-	rateBps ewma
+	// rateBps smooths the per-window demand rate across planning rounds
+	// (an EWMA, rated marking its first window): when blocks arrive slower
+	// than the replan interval, individual windows alternate between
+	// bursts and zero bytes, and an unsmoothed rate would make every
+	// rate-derived plan term (budget stretch, λ choice) flap plan-to-plan.
+	rateBps float64
+	rated   bool
 }
 
 // SessionSnapshot is a point-in-time view of one session's telemetry.
 type SessionSnapshot struct {
 	ID            string
 	Bytes, Blocks int64
-	Failures      int64
 	// Profile is the security profile the session registered on ("" when
 	// the serving plane never reported one).
 	Profile string
@@ -101,13 +68,6 @@ type SessionSnapshot struct {
 	// session's rotation intensity the rotation-aware λ choice plans
 	// with.
 	Rotations int64
-	// LatencyEWMAMs is the smoothed per-block serving latency.
-	LatencyEWMAMs float64
-	// LatencyP50Ms and LatencyP99Ms are exact-rank quantiles of the
-	// session's per-block latency histogram (0 before the first block).
-	LatencyP50Ms, LatencyP99Ms float64
-	// BlockBytesEWMA is the smoothed masked-payload size per block.
-	BlockBytesEWMA float64
 	// BytesPerSec is the session's demand rate: an EWMA of the per-window
 	// rates observed between snapshots — served and shed traffic both
 	// count, so shedding a session does not erase its demand signal, and
@@ -127,18 +87,10 @@ type ProfileSnapshot struct {
 	// Galois rotations those blocks carried.
 	Blocks, Bytes int64
 	Rotations     int64
-	// LatencyEWMAMs averages the member sessions' latency EWMAs, weighted
-	// by each session's served block count (a session serving a thousand
-	// blocks moves the profile's latency a thousand times as much as a
-	// one-block session).
-	LatencyEWMAMs float64
-	// LatencyP50Ms and LatencyP99Ms are quantiles of the merged per-block
-	// latency histograms of the profile's sessions — the measured tail
-	// the replanner holds against its modeled delay.
-	LatencyP50Ms, LatencyP99Ms float64
-	// PoolSize / PoolInUse mirror the profile's evaluator-pool gauges
-	// (zero when the pool was never built).
-	PoolSize, PoolInUse int
+	// LatencyP99Ms is the 99th percentile of the merged per-block latency
+	// histograms of the profile's sessions — the measured tail the
+	// replanner holds against its modeled delay.
+	LatencyP99Ms float64
 }
 
 // Snapshot is the registry view a Controller plans against.
@@ -148,22 +100,8 @@ type Snapshot struct {
 	// DemandBytesPerSec aggregates the per-session demand rates (served
 	// and shed traffic).
 	DemandBytesPerSec float64
-	// Profiles aggregates sessions and pool gauges per security profile —
-	// the per-profile telemetry export of the profile-aware serving
-	// plane.
+	// Profiles aggregates sessions per security profile.
 	Profiles map[string]ProfileSnapshot
-	// QueueDepth / QueueSheds / PoolInUse / PoolSize mirror the bound
-	// serve.Scheduler and per-profile serve.PoolSet gauges (zero when
-	// unbound). PoolSize/PoolInUse aggregate across built pools.
-	QueueDepth int
-	QueueSheds int64
-	PoolInUse  int
-	PoolSize   int
-	// Admitted / Denied count the admission controller's decisions.
-	Admitted, Denied int64
-	// LatencyP50Ms / LatencyP99Ms are quantiles of every session's merged
-	// latency histogram.
-	LatencyP50Ms, LatencyP99Ms float64
 }
 
 // sessionTTL prunes telemetry for sessions with no traffic (evicted or
@@ -171,33 +109,26 @@ type Snapshot struct {
 const sessionTTL = 5 * time.Minute
 
 // Telemetry is the lock-cheap registry the serving plane publishes into:
-// per-session byte counts and latency EWMAs pushed by the edge server on
-// every block, per-session profiles reported at registration, and
-// scheduler/evaluator-pool gauges read straight off the bound serve
-// components (which already expose them atomically). It is the sensing
-// half of the control loop; Controller.Replan consumes Snapshot.
+// per-session byte counts and block latencies pushed by the edge server
+// on every block, and per-session profiles reported at registration. It
+// is the sensing half of the control loop; Controller.Replan consumes
+// Snapshot.
 type Telemetry struct {
 	sessions sync.Map // string -> *SessionTelemetry
 	admitted atomic.Int64
 	denied   atomic.Int64
 
-	// pools and sched are write-once at BindServe and read lock-free on
-	// the admission hot path and at snapshot time.
-	pools atomic.Pointer[serve.PoolSet]
+	// sched is write-once at BindServe and read lock-free on the admission
+	// hot path (queue occupancy) and by Replan (queue actuation).
 	sched atomic.Pointer[serve.Scheduler]
 }
 
 // NewTelemetry builds an empty registry.
 func NewTelemetry() *Telemetry { return &Telemetry{} }
 
-// BindServe attaches the serving plane's per-profile pool set and
-// scheduler so snapshots include queue depth, shed count and per-profile
-// evaluator utilization. Called by the edge server at construction;
-// either may be nil.
-func (t *Telemetry) BindServe(pools *serve.PoolSet, sched *serve.Scheduler) {
-	if pools != nil {
-		t.pools.Store(pools)
-	}
+// BindServe attaches the serving plane's scheduler. Called by the edge
+// server at construction; sched may be nil.
+func (t *Telemetry) BindServe(sched *serve.Scheduler) {
 	if sched != nil {
 		t.sched.Store(sched)
 	}
@@ -226,14 +157,11 @@ func (t *Telemetry) ObserveCompute(sessionID string, bytes int64, latency time.D
 	st.lastSeen.Store(time.Now().UnixNano())
 	st.demand.Add(bytes)
 	if code != serve.CodeOK {
-		st.failures.Add(1)
 		return
 	}
 	st.blocks.Add(1)
 	st.bytes.Add(bytes)
-	st.latMs.Observe(float64(latency) / float64(time.Millisecond))
 	st.lat.Observe(latency.Seconds())
-	st.blkBytes.Observe(float64(bytes))
 }
 
 // ObserveRotations records n hoisted Galois rotations served for a
@@ -294,50 +222,21 @@ func (t *Telemetry) SessionProfile(sessionID string) string {
 // it.
 func (t *Telemetry) Snapshot() Snapshot {
 	now := time.Now()
-	snap := Snapshot{
-		At:       now,
-		Admitted: t.admitted.Load(),
-		Denied:   t.denied.Load(),
-		Profiles: make(map[string]ProfileSnapshot),
-	}
-	pools, sched := t.pools.Load(), t.sched.Load()
-	if pools != nil {
-		pools.Each(func(id string, p *serve.EvalPool) {
-			ps := snap.Profiles[id]
-			ps.PoolSize, ps.PoolInUse = p.Size(), p.InUse()
-			snap.Profiles[id] = ps
-			snap.PoolSize += ps.PoolSize
-			snap.PoolInUse += ps.PoolInUse
-		})
-	}
-	if sched != nil {
-		snap.QueueDepth, snap.QueueSheds = sched.QueueDepth(), sched.Sheds()
-	}
-	// Per-profile latency accumulators, finalized after the Range: the
-	// weighted-mean numerator/denominator (block counts as weights) and
-	// the merged latency histograms.
-	profLatSum := make(map[string]float64)
-	profLatW := make(map[string]float64)
+	snap := Snapshot{At: now, Profiles: make(map[string]ProfileSnapshot)}
+	// Per-profile merged latency histograms, finalized after the Range.
 	profLat := make(map[string]obs.HistSnapshot)
-	var allLat obs.HistSnapshot
 	t.sessions.Range(func(k, v any) bool {
 		id, st := k.(string), v.(*SessionTelemetry)
 		if last := st.lastSeen.Load(); last != 0 && now.Sub(time.Unix(0, last)) > sessionTTL {
 			t.sessions.Delete(k)
 			return true
 		}
-		hs := st.lat.Snapshot()
 		s := SessionSnapshot{
-			ID:             id,
-			Bytes:          st.bytes.Load(),
-			Blocks:         st.blocks.Load(),
-			Failures:       st.failures.Load(),
-			ShedBytes:      st.shedBytes.Load(),
-			Rotations:      st.rotations.Load(),
-			LatencyEWMAMs:  st.latMs.Load(),
-			LatencyP50Ms:   hs.Quantile(0.5) * 1e3,
-			LatencyP99Ms:   hs.Quantile(0.99) * 1e3,
-			BlockBytesEWMA: st.blkBytes.Load(),
+			ID:        id,
+			Bytes:     st.bytes.Load(),
+			Blocks:    st.blocks.Load(),
+			ShedBytes: st.shedBytes.Load(),
+			Rotations: st.rotations.Load(),
 		}
 		if p, ok := st.profile.Load().(string); ok {
 			s.Profile = p
@@ -345,14 +244,17 @@ func (t *Telemetry) Snapshot() Snapshot {
 		demand := st.demand.Load()
 		if !st.prevAt.IsZero() {
 			if dt := now.Sub(st.prevAt).Seconds(); dt > 0 {
-				st.rateBps.Observe(float64(demand-st.prevDemand) / dt)
+				rate := float64(demand-st.prevDemand) / dt
+				if st.rated {
+					rate = (1-ewmaAlpha)*st.rateBps + ewmaAlpha*rate
+				}
+				st.rateBps, st.rated = rate, true
 			}
 		}
-		s.BytesPerSec = st.rateBps.Load()
+		s.BytesPerSec = st.rateBps
 		st.prevDemand, st.prevAt = demand, now
 		snap.Sessions = append(snap.Sessions, s)
 		snap.DemandBytesPerSec += s.BytesPerSec
-		allLat = allLat.Merge(hs)
 		if s.Profile != "" {
 			ps := snap.Profiles[s.Profile]
 			ps.Sessions++
@@ -361,27 +263,15 @@ func (t *Telemetry) Snapshot() Snapshot {
 			ps.Bytes += s.Bytes
 			ps.Rotations += s.Rotations
 			snap.Profiles[s.Profile] = ps
-			// Mean weighted by served blocks: a session that served a
-			// thousand blocks carries a thousand times the weight of a
-			// one-block straggler, so the profile's latency tracks the
-			// traffic it actually served rather than the session roster.
-			profLatSum[s.Profile] += s.LatencyEWMAMs * float64(s.Blocks)
-			profLatW[s.Profile] += float64(s.Blocks)
-			profLat[s.Profile] = profLat[s.Profile].Merge(hs)
+			profLat[s.Profile] = profLat[s.Profile].Merge(st.lat.Snapshot())
 		}
 		return true
 	})
-	for id, ps := range snap.Profiles {
-		if w := profLatW[id]; w > 0 {
-			ps.LatencyEWMAMs = profLatSum[id] / w
-		}
-		hs := profLat[id]
-		ps.LatencyP50Ms = hs.Quantile(0.5) * 1e3
+	for id, hs := range profLat {
+		ps := snap.Profiles[id]
 		ps.LatencyP99Ms = hs.Quantile(0.99) * 1e3
 		snap.Profiles[id] = ps
 	}
-	snap.LatencyP50Ms = allLat.Quantile(0.5) * 1e3
-	snap.LatencyP99Ms = allLat.Quantile(0.99) * 1e3
 	sortSessions(snap.Sessions)
 	return snap
 }

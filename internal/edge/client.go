@@ -24,7 +24,7 @@ import (
 
 // RekeyWithdrawBytes is the QKD key material drawn from the key centre
 // per transciphering key (initial setup and every rekey).
-const RekeyWithdrawBytes = 32
+const RekeyWithdrawBytes = serve.RekeyWithdrawBytes
 
 // Protocol names the wire protocol a Client dials with. ProtoV3 — the
 // framed protocol described in doc.go — is the only value: the gob
@@ -210,8 +210,10 @@ type Client struct {
 	rekeyAdvisedEpoch uint64
 
 	// LastTxDelay and LastCmpDelay echo the server's modeled costs of the
-	// most recently completed Compute call. They are only meaningful when
-	// read with no request in flight.
+	// most recently completed call: upload time at the modeled uplink
+	// rate, and the profile registry's price of the blocks served
+	// (profile.BlockCycles at profile.RefHz), in seconds. They are only
+	// meaningful when read with no request in flight.
 	LastTxDelay  float64
 	LastCmpDelay float64
 }

@@ -43,8 +43,11 @@
 // above it are granted the planned profile instead, and Setup re-checks
 // the declared profile against the current plan so the advisory query
 // cannot be bypassed (a grant the plan moved below mid-dial is denied
-// typed; the client renegotiates and redials). The modeled-delay reply
-// fields evaluate the cost model at the session profile's paper-scale λ.
+// typed; the client renegotiates and redials). The ModeledCmpDelay reply
+// field is the session profile's registry price of the blocks served
+// (profile.BlockCycles, with the rotations a matvec block ran, at
+// profile.RefHz) — the same number the control plane's λ choice plans
+// with.
 //
 // # Control plane
 //
@@ -173,9 +176,9 @@
 // not retain the result past the receiver's reuse — see the wire
 // conventions in internal/he/ckks/wire.go.
 //
-// Transmission and computation delays are modeled (reported in replies
-// using the paper's cost formulas) rather than slept, so tests and
-// examples run fast.
+// Transmission and computation delays are modeled (reported in replies:
+// upload bits over a fixed uplink rate, and the profile registry's price
+// of the served blocks) rather than slept, so tests and examples run fast.
 //
 // # Observability and the debug plane
 //

@@ -63,8 +63,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 			t.Errorf("slot %d = %v, want %v", i, got[i], want)
 		}
 	}
-	if client.LastTxDelay <= 0 || client.LastCmpDelay <= 0 {
-		t.Errorf("modeled delays not reported: tx %v cmp %v", client.LastTxDelay, client.LastCmpDelay)
+	if want := wantCmpDelay(t, client, 1, 0); client.LastTxDelay <= 0 || client.LastCmpDelay != want {
+		t.Errorf("modeled delays: tx %v, cmp %v want the registry's %v", client.LastTxDelay, client.LastCmpDelay, want)
 	}
 	if srv.Blocks("client-1") != 1 {
 		t.Errorf("server processed %d blocks, want 1", srv.Blocks("client-1"))

@@ -213,7 +213,7 @@ func TestDebugPlanWithController(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/plan status %d", resp.StatusCode)
 	}
-	if !strings.Contains(string(body), `"Lambda"`) {
+	if !strings.Contains(string(body), `"RouteLambda"`) {
 		t.Errorf("/debug/plan must render the live plan, got %q", body)
 	}
 }

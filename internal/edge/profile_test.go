@@ -159,31 +159,19 @@ func TestUnknownProfileDenied(t *testing.T) {
 	}
 }
 
-// TestCalibrateProfilesAtStartup opts a server into startup calibration
-// over a one-profile registry and checks the measured coefficient lands
-// before the first connection is accepted.
-func TestCalibrateProfilesAtStartup(t *testing.T) {
-	params, err := ckks.NewParams(8, 60, 50, 4)
-	if err != nil {
-		t.Fatal(err)
+// wantCmpDelay is the profile registry's price of blocks served blocks on
+// the client's profile, each carrying rots hoisted rotations — the one
+// cost model: what a reply's ModeledCmpDelay must equal, and what the
+// planner's delay term reads at one block per second.
+func wantCmpDelay(t *testing.T, c *Client, blocks, rots int) float64 {
+	t.Helper()
+	prof, ok := profile.Default().Get(c.Profile())
+	if !ok {
+		t.Fatalf("client on unregistered profile %q", c.Profile())
 	}
-	prof := &profile.Profile{ID: "cal-test", Lambda: 1024, Params: params}
-	reg, err := profile.NewRegistry("", prof)
-	if err != nil {
-		t.Fatal(err)
+	perBlock := (prof.CyclesPerBlock() + float64(rots)*prof.CyclesPerRotation()) / profile.RefHz
+	if planner := prof.ServeDelaySec(8*float64(prof.Slots()), float64(rots), profile.RefHz); planner != perBlock {
+		t.Errorf("planner prices one block/s with %d rotations at %g s, registry at %g s", rots, planner, perBlock)
 	}
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		Model: Model{Weights: []float64{1}}, Workers: 1, QueueDepth: 2,
-		Profiles: reg, CalibrateProfiles: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if !prof.Calibrated() {
-		t.Fatal("CalibrateProfiles did not install a measured coefficient")
-	}
-	if c := prof.CyclesPerBlock(); c <= 0 || math.IsInf(c, 0) {
-		t.Fatalf("calibrated CyclesPerBlock = %g", c)
-	}
+	return float64(blocks) * perBlock
 }

@@ -111,8 +111,10 @@ type ComputeReply struct {
 	// is nearly exhausted and a Rekey should be scheduled.
 	RekeyNeeded bool
 	// ModeledTxDelay and ModeledCmpDelay report the transmission and
-	// server-computation delays (seconds) this block would incur under
-	// the configured cost model.
+	// server-computation delays (seconds) of this block: its bits over the
+	// modeled uplink rate, and the session profile's registry price of
+	// the block with the rotations it ran (profile.BlockCycles) at
+	// profile.RefHz.
 	ModeledTxDelay  float64
 	ModeledCmpDelay float64
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"quhe/internal/he/ckks"
 	"quhe/internal/serve"
 )
 
@@ -73,6 +74,11 @@ func TestMatVecEndToEnd(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > 0.05 {
 			t.Errorf("slot %d = %v, want %v", i, got[i], want[i])
 		}
+	}
+	// The reply prices the block with the rotations the kernel ran.
+	rots := len(ckks.BSGSRotations(len(testMatrix)))
+	if wantCmp := wantCmpDelay(t, client, 1, rots); client.LastCmpDelay != wantCmp {
+		t.Errorf("matvec cmp delay %v, want the registry's %v (%d rotations)", client.LastCmpDelay, wantCmp, rots)
 	}
 
 	// A short vector is zero-padded to the matrix dimension.

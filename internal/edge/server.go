@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"quhe/internal/costmodel"
 	"quhe/internal/he/ckks"
 	"quhe/internal/he/profile"
 	"quhe/internal/obs"
@@ -43,11 +42,6 @@ type Model struct {
 type ServerConfig struct {
 	// Model is the inference applied to every block.
 	Model Model
-	// UplinkRateBps models the client upload rate for delay reporting.
-	// Default 5e6.
-	UplinkRateBps float64
-	// ServerHz models the CPU share for delay reporting. Default 3.3e9.
-	ServerHz float64
 	// Logf sinks diagnostics; nil discards them.
 	Logf func(format string, args ...interface{})
 	// Workers sizes each security profile's evaluator pool (and the
@@ -75,13 +69,6 @@ type ServerConfig struct {
 	// the paper's λ choice actuated as real CKKS parameter sets. Nil
 	// selects the shared built-in registry (profile.Default()).
 	Profiles *profile.Registry
-	// CalibrateProfiles measures every registry profile's real per-block
-	// cost at server startup (profile.Registry.CalibrateAll) and installs
-	// the results as the cost coefficients the control plane plans with,
-	// replacing the modeled a·L·N·log2N values. Startup pays one key
-	// generation and a few transcipher rounds per profile, so it is opt-in;
-	// leave false for tests and latency-sensitive restarts.
-	CalibrateProfiles bool
 	// Control, when non-nil, closes the loop with a control plane
 	// (internal/control): Setup and compute admission are delegated to
 	// it, profile negotiation follows its per-route λ plan, rekey budgets
@@ -148,9 +135,11 @@ type profileRuntime struct {
 	// transcipher output level and scale — is built once per profile on
 	// first use and shared by every worker (plans are read-only during
 	// evaluation). mvErr latches a build failure so each request fails
-	// typed instead of retrying the doomed encode.
+	// typed instead of retrying the doomed encode. mvRots is the plan's
+	// hoisted rotation count, what one matvec block adds to its price.
 	mvOnce sync.Once
 	mvPlan *ckks.MatVecPlan
+	mvRots int
 	mvErr  error
 }
 
@@ -240,12 +229,6 @@ func (cs *connState) detachAll(nowUnixNano int64) {
 // runtime is built eagerly so configuration errors fail here, not on the
 // first Setup.
 func NewServer(addr string, cfg ServerConfig) (*Server, error) {
-	if cfg.UplinkRateBps <= 0 {
-		cfg.UplinkRateBps = 5e6
-	}
-	if cfg.ServerHz <= 0 {
-		cfg.ServerHz = 3.3e9
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
@@ -265,11 +248,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Profiles == nil {
 		cfg.Profiles = profile.Default()
-	}
-	if cfg.CalibrateProfiles {
-		if err := cfg.Profiles.CalibrateAll(KeyLen, 3); err != nil {
-			return nil, fmt.Errorf("edge: profile calibration: %w", err)
-		}
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -453,7 +431,7 @@ func (s *Server) matvecPlan(rt *profileRuntime) (*ckks.MatVecPlan, error) {
 			rt.mvErr = fmt.Errorf("%w: plan for profile %s: %v", serve.ErrMatVecUnavailable, rt.prof.ID, err)
 			return
 		}
-		rt.mvPlan = plan
+		rt.mvPlan, rt.mvRots = plan, len(plan.Rotations())
 	})
 	return rt.mvPlan, rt.mvErr
 }
@@ -1156,8 +1134,10 @@ type op struct {
 	// kernel, when set, evaluates on the transcipher's output with the
 	// worker's evaluator (nil: the transcipher's output is the result).
 	// Its time is traced as its own span, named stage, split off the tail
-	// of the eval span.
-	kernel   func(s *Server, rt *profileRuntime, w *serve.Worker, sess *serve.Session, ct *ckks.Ciphertext) (*ckks.Ciphertext, serve.Code, string)
+	// of the eval span. It also reports the hoisted Galois rotations it ran,
+	// which price the block (profile.BlockCycles) for the reply and the
+	// control plane.
+	kernel   func(s *Server, rt *profileRuntime, w *serve.Worker, sess *serve.Session, ct *ckks.Ciphertext) (out *ckks.Ciphertext, rotations int, code serve.Code, detail string)
 	stage    string
 	stageIdx int
 }
@@ -1221,11 +1201,11 @@ func (s *Server) handleOp(fw *frameWriter, o *op, id uint64, req *ComputeRequest
 			waitEnd = time.Now()
 			bt.span(stageIdxQueueWait, stageQueueWait, submitAt, waitEnd.Sub(submitAt))
 		}
-		result, kdur, code, detail := s.evalBlock(o, rt, w, sess, req.Epoch, req.Block, req.Masked)
+		result, rots, kdur, code, detail := s.evalBlock(o, rt, w, sess, req.Epoch, req.Block, req.Masked)
 		rep := ComputeReply{Result: result, Code: code, Err: detail, RekeyNeeded: s.rekeyNeeded(sess)}
 		if code == serve.CodeOK {
-			rep.ModeledTxDelay = float64(len(req.Masked)*64) / s.cfg.UplinkRateBps
-			rep.ModeledCmpDelay = s.modeledCmpDelay(rt, 1)
+			rep.ModeledTxDelay = float64(len(req.Masked)*64) / modeledUplinkBps
+			rep.ModeledCmpDelay = rt.prof.BlockCycles(float64(rots)) / profile.RefHz
 		}
 		if bt != nil {
 			// The kernel runs at the tail of the eval: split the worker's
@@ -1254,12 +1234,11 @@ func (s *Server) handleOp(fw *frameWriter, o *op, id uint64, req *ComputeRequest
 	}
 }
 
-// modeledCmpDelay is the paper's server-computation delay for blocks
-// blocks at the profile's λ under the configured CPU share.
-func (s *Server) modeledCmpDelay(rt *profileRuntime, blocks int64) float64 {
-	lambda := rt.prof.Lambda
-	return float64(blocks) * (costmodel.EvalCycles(lambda) + costmodel.CmpCycles(lambda)) / s.cfg.ServerHz
-}
+// modeledUplinkBps is the client upload rate ModeledTxDelay is reported
+// at. ModeledCmpDelay is the session profile's registry price of the
+// blocks served (profile.BlockCycles) at profile.RefHz — the number the
+// control plane's λ choice plans with.
+const modeledUplinkBps = 5e6
 
 // evalBlock runs one block of op o on an exclusively held worker of the
 // session profile's pool: the op's readiness check, then the gates every
@@ -1267,9 +1246,10 @@ func (s *Server) modeledCmpDelay(rt *profileRuntime, blocks int64) float64 {
 // budget — then the transcipher and the op's kernel. Every outcome —
 // success or typed failure — lands in the per-code counter; eval latency
 // lands in the session profile's histogram and, with the block's bytes,
-// in the control plane. kdur is the kernel's share of the time, for the
-// caller's trace split.
-func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *serve.Session, reqEpoch uint64, block uint32, masked []float64) (result *ckks.Ciphertext, kdur time.Duration, code serve.Code, detail string) {
+// in the control plane, which is also told the rotations the kernel ran.
+// rots is that count, for the caller's modeled delay; kdur is the kernel's
+// share of the time, for its trace split.
+func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *serve.Session, reqEpoch uint64, block uint32, masked []float64) (result *ckks.Ciphertext, rots int, kdur time.Duration, code serve.Code, detail string) {
 	if m := s.met; m != nil {
 		defer func() {
 			m.codeCounter(code).Inc()
@@ -1278,16 +1258,16 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 	}
 	if o.ready != nil {
 		if code, detail := o.ready(s, rt, sess); code != serve.CodeOK {
-			return nil, 0, code, detail
+			return nil, 0, 0, code, detail
 		}
 	}
 	if len(masked) > rt.cipher.Slots() {
-		return nil, 0, serve.CodeOversized,
+		return nil, 0, 0, serve.CodeOversized,
 			fmt.Sprintf("block of %d slots exceeds %d", len(masked), rt.cipher.Slots())
 	}
 	encKey, nonce, epoch := sess.Keys()
 	if reqEpoch != 0 && reqEpoch != epoch {
-		return nil, 0, serve.CodeRekeyRequired,
+		return nil, 0, 0, serve.CodeRekeyRequired,
 			fmt.Sprintf("block masked under key epoch %d, session at %d", reqEpoch, epoch)
 	}
 	pending := int64(8 * len(masked))
@@ -1298,11 +1278,11 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 	ctl := s.cfg.Control
 	if ctl != nil {
 		if err := ctl.AdmitCompute(sess.ID, used, pending); err != nil {
-			return nil, 0, serve.CodeOf(err), controlDetail(err)
+			return nil, 0, 0, serve.CodeOf(err), controlDetail(err)
 		}
 	}
 	if budget := s.rekeyBudget(sess); budget > 0 && used >= budget {
-		return nil, 0, serve.CodeRekeyRequired,
+		return nil, 0, 0, serve.CodeRekeyRequired,
 			fmt.Sprintf("key byte budget exhausted (%d of %d)", used, budget)
 	}
 	var start time.Time
@@ -1321,7 +1301,7 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 		result, code, detail = nil, serve.CodeInternal, "transcipher: "+err.Error()
 	case o.kernel != nil:
 		kstart := time.Now()
-		result, code, detail = o.kernel(s, rt, w, sess, result)
+		result, rots, code, detail = o.kernel(s, rt, w, sess, result)
 		kdur = time.Since(kstart)
 	}
 	if code == serve.CodeOK {
@@ -1331,12 +1311,19 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 		d := time.Since(start)
 		if ctl != nil {
 			ctl.ObserveCompute(sess.ID, pending, d, code)
+			// Control planes that track rotation intensity price the
+			// block's key-switch work in the planner's delay term.
+			if rots > 0 {
+				if ro, ok := ctl.(RotationObserver); ok {
+					ro.ObserveRotations(sess.ID, rots)
+				}
+			}
 		}
 		if m := s.met; m != nil {
 			m.observeEval(rt.prof.ID, d)
 		}
 	}
-	return result, kdur, code, detail
+	return result, rots, kdur, code, detail
 }
 
 // matvecReady is opMatVec's readiness check: the server holds a matrix
@@ -1355,10 +1342,10 @@ func (s *Server) matvecReady(rt *profileRuntime, sess *serve.Session) (serve.Cod
 // matvecKernel applies the packed model matrix to a plain-transciphered
 // block. The transcipher output contract (level top−2, scale Δ²/p)
 // matches the plan by construction, so the kernel consumes it directly.
-func (s *Server) matvecKernel(rt *profileRuntime, w *serve.Worker, sess *serve.Session, ct *ckks.Ciphertext) (*ckks.Ciphertext, serve.Code, string) {
+func (s *Server) matvecKernel(rt *profileRuntime, w *serve.Worker, sess *serve.Session, ct *ckks.Ciphertext) (*ckks.Ciphertext, int, serve.Code, string) {
 	plan, err := s.matvecPlan(rt)
 	if err != nil {
-		return nil, serve.CodeOf(err), err.Error()
+		return nil, 0, serve.CodeOf(err), err.Error()
 	}
 	out := rt.ctx.NewCiphertext(plan.Level() - 1)
 	if err := w.Ev.MatVecInto(plan, ct, sess.RotKeys(), out); err != nil {
@@ -1366,15 +1353,9 @@ func (s *Server) matvecKernel(rt *profileRuntime, w *serve.Worker, sess *serve.S
 		if errors.Is(err, ckks.ErrNoGaloisKey) {
 			code = serve.CodeMatVecUnavailable
 		}
-		return nil, code, "matvec: " + err.Error()
+		return nil, 0, code, "matvec: " + err.Error()
 	}
-	// Control planes that track rotation intensity get the block's
-	// hoisted-rotation fan-out, so rotation-heavy traffic prices its
-	// key-switch work in the planner's delay term.
-	if ro, ok := s.cfg.Control.(RotationObserver); ok {
-		ro.ObserveRotations(sess.ID, len(plan.Rotations()))
-	}
-	return out, serve.CodeOK, ""
+	return out, rt.mvRots, serve.CodeOK, ""
 }
 
 // rekeyBudget resolves a session's per-key byte budget: the control
@@ -1487,7 +1468,7 @@ func (s *Server) handleBatch(fw *frameWriter, id uint64, req *BatchRequest, cs *
 					emit <- emitItem{idx: i, item: BatchItem{Code: serve.CodeConnClosed, Err: "connection closed"}}
 					return
 				}
-				result, _, code, detail := s.evalBlock(&opCompute, rt, w, sess, req.Epoch, req.Blocks[i], req.Masked[i])
+				result, _, _, code, detail := s.evalBlock(&opCompute, rt, w, sess, req.Epoch, req.Blocks[i], req.Masked[i])
 				if code == serve.CodeOK {
 					served.Add(1)
 					servedBits.Add(int64(len(req.Masked[i]) * 64))
@@ -1506,8 +1487,8 @@ func (s *Server) handleBatch(fw *frameWriter, id uint64, req *BatchRequest, cs *
 		fw.sendFrame(frameBatchDone, id, func(b []byte) []byte {
 			return appendBatchDone(b, &BatchReply{
 				RekeyNeeded:     s.rekeyNeeded(sess),
-				ModeledTxDelay:  float64(servedBits.Load()) / s.cfg.UplinkRateBps,
-				ModeledCmpDelay: s.modeledCmpDelay(rt, served.Load()),
+				ModeledTxDelay:  float64(servedBits.Load()) / modeledUplinkBps,
+				ModeledCmpDelay: float64(served.Load()) * (rt.prof.BlockCycles(0) / profile.RefHz),
 			})
 		})
 	}()

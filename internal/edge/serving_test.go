@@ -178,8 +178,8 @@ func TestBatchCompute(t *testing.T) {
 	if n := srv.Blocks("batch"); n != len(data) {
 		t.Errorf("server processed %d blocks, want %d", n, len(data))
 	}
-	if client.LastTxDelay <= 0 || client.LastCmpDelay <= 0 {
-		t.Errorf("batch delays not reported: tx %v cmp %v", client.LastTxDelay, client.LastCmpDelay)
+	if want := wantCmpDelay(t, client, len(data), 0); client.LastTxDelay <= 0 || client.LastCmpDelay != want {
+		t.Errorf("batch delays: tx %v, cmp %v want the registry's %v", client.LastTxDelay, client.LastCmpDelay, want)
 	}
 }
 

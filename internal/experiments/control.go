@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"quhe/internal/control"
-	"quhe/internal/costmodel"
 	"quhe/internal/edge"
 	"quhe/internal/he/profile"
 	"quhe/internal/qkd"
@@ -86,8 +85,9 @@ type ControlScenario struct {
 	// across every client pool at the end of the run.
 	Rekeys       int64 `json:"rekeys"`
 	KeyBytesLeft int   `json:"key_bytes_left"`
-	// Lambda / MSL / RekeyBudget are the security plan the run ended on
-	// (the static scenario pins λ_ref and the constant budget).
+	// Lambda / MSL are the security level the run's sessions were served
+	// at (their registered profile's); RekeyBudget is the budget the run
+	// ended on (the static scenario's is the constant at λ_ref).
 	Lambda      float64 `json:"lambda"`
 	MSL         float64 `json:"msl"`
 	RekeyBudget int64   `json:"rekey_budget"`
@@ -111,16 +111,10 @@ type ControlLoopResult struct {
 	PlanSeq uint64 `json:"plan_seq"`
 }
 
-// Utility-cost weights of the run score: the calibrated α_msl of §VI-A
-// (see internal/core) and the paper's delay weight scale.
-const (
-	controlAlphaMSL = 5e-2
-	controlAlphaT   = 0.4
-)
-
-func scenarioUtility(lambda float64, served int64, latencySumS float64) float64 {
-	return controlAlphaMSL*costmodel.MinSecurityLevel(lambda)*float64(served) -
-		controlAlphaT*latencySumS
+// scenarioUtility scores a run with the planner's own utility-cost
+// weights.
+func scenarioUtility(msl float64, served int64, latencySumS float64) float64 {
+	return control.AlphaMSL*msl*float64(served) - control.AlphaT*latencySumS
 }
 
 // ControlLoop runs the closed-loop experiment: the same finite-key
@@ -149,7 +143,7 @@ func ControlLoop(opts ControlLoopOptions) (ControlLoopResult, error) {
 }
 
 func runControlScenario(name string, dynamic bool, opts ControlLoopOptions) (ControlScenario, uint64, error) {
-	sc := ControlScenario{Name: name, Lambda: control.LambdaRef}
+	sc := ControlScenario{Name: name}
 	network := opts.Network
 	kc := qkd.NewKeyCenter()
 	ids := make([]string, opts.Clients)
@@ -242,7 +236,6 @@ func runControlScenario(name string, dynamic bool, opts ControlLoopOptions) (Con
 	if dynamic {
 		plan := ctl.Plan()
 		planSeq = plan.Seq
-		sc.Lambda, sc.MSL = plan.Lambda, plan.MSL
 		sc.RekeyBudget = plan.DefaultRekeyBudget
 		for _, id := range ids {
 			if b := plan.RekeyBudget[id]; b > sc.RekeyBudget {
@@ -250,9 +243,13 @@ func runControlScenario(name string, dynamic bool, opts ControlLoopOptions) (Con
 			}
 		}
 	} else {
-		sc.MSL = costmodel.MinSecurityLevel(sc.Lambda)
 		sc.RekeyBudget = cfg.RekeyBytes
 	}
-	sc.Utility = scenarioUtility(sc.Lambda, sc.Served, sc.LatencySumS)
+	// Every session of either scenario ran the pinned profile: the run is
+	// priced at the λ it was served at, not at a λ the plan would steer
+	// new sessions to.
+	prof, _ := profile.Default().Get(clients[0].Profile())
+	sc.Lambda, sc.MSL = prof.Lambda, prof.MSL()
+	sc.Utility = scenarioUtility(sc.MSL, sc.Served, sc.LatencySumS)
 	return sc, planSeq, nil
 }

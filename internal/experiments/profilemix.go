@@ -64,9 +64,9 @@ type ProfileMixStat struct {
 	MeanMs float64 `json:"latency_ms_mean"`
 	P50Ms  float64 `json:"latency_ms_p50"`
 	// CoeffMs is the per-block latency implied by the cost coefficient
-	// the controller plans with (profile.CyclesPerBlock at the reference
-	// clock, calibrated before the run); ModeledMs is the uncalibrated
-	// a·N·log2(N) model.
+	// the planner and the replies price an affine block with
+	// (profile.BlockCycles(0) at the reference clock, calibrated before
+	// the run); ModeledMs is the uncalibrated a·N·log2(N) model.
 	CoeffMs   float64 `json:"coeff_ms"`
 	ModeledMs float64 `json:"modeled_ms"`
 	// CoeffOverMeasured is CoeffMs / MeanMs — the acceptance band is
@@ -134,7 +134,7 @@ func ProfileMix(opts ProfileMixOptions) (ProfileMixResult, error) {
 			Lambda:    p.Lambda,
 			MSL:       p.MSL(),
 			Slots:     p.Slots(),
-			CoeffMs:   1e3 * p.CyclesPerBlock() / profile.RefHz,
+			CoeffMs:   1e3 * p.BlockCycles(0) / profile.RefHz,
 			ModeledMs: 1e3 * p.ModeledCyclesPerBlock() / profile.RefHz,
 		}
 		var lats []float64
@@ -170,8 +170,7 @@ func ProfileMix(opts ProfileMixOptions) (ProfileMixResult, error) {
 		if stat.CoeffOverMeasured < 0.5 || stat.CoeffOverMeasured > 2 {
 			res.CoeffWithin2x = false
 		}
-		stat.Utility = controlAlphaMSL*stat.MSL*float64(stat.Served) -
-			controlAlphaT*sum/1e3
+		stat.Utility = scenarioUtility(stat.MSL, stat.Served, sum/1e3)
 		res.TotalUtility += stat.Utility
 		res.Profiles = append(res.Profiles, stat)
 	}

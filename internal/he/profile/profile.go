@@ -5,11 +5,10 @@
 // actuated as real ciphertext parameters instead of only feeding the cost
 // model.
 //
-// Each Profile pairs the paper-scale λ it models (the value f_msl and the
-// fitted cost curves of Eqs. 29–31 are evaluated at) with a scaled-down
-// ckks.Params the repository can actually run (LogN 10–12 instead of
-// 15–17, preserving the relative ordering of security level and compute
-// cost). Every profile carries an honest multi-limb residue tower — a
+// Each Profile pairs the paper-scale λ it models (the value f_msl, Eq. 30,
+// is evaluated at) with a scaled-down ckks.Params the repository can
+// actually run (LogN 10–12 instead of 15–17, preserving the relative
+// ordering of security level and compute cost). Every profile carries an honest multi-limb residue tower — a
 // 60-bit base prime, four 50-bit rescaling primes and a 61-bit special
 // prime for hybrid key switching — so the λ choice actuates real RNS
 // chains, not single-modulus stand-ins. Contexts are built lazily and
@@ -17,16 +16,17 @@
 // once per process, and every server, client and worker pool over the
 // same profile shares one immutable context.
 //
-// Cost coefficients come in two flavors. ModeledCyclesPerBlock is an
-// a·L·N·log2(N) model of the dominant transciphering work (per-limb
-// NTT-bound, L the limb count), with the constant fitted to the
-// repository's own evaluator; Calibrate replaces it with a measured value
-// by running the real transcipher-and-infer operation on the profile's
-// parameters, over a key installed the way a session holds it. The
-// controller's per-route λ choice consumes CyclesPerBlock — measured when
-// calibrated, modeled otherwise — and experiments.ProfileMix verifies the
-// coefficients against live per-op latency. Servers can opt into startup
-// calibration with edge.ServerConfig.CalibrateProfiles.
+// This package is the one place a served block is priced. BlockCycles is
+// an a·L·N·log2(N) model of the per-limb NTT-bound work — the
+// transcipher-and-infer base plus one key switch per hoisted rotation —
+// with constants fitted to the repository's own evaluator. The edge
+// server's ModeledCmpDelay reply fields, the controller's per-route λ
+// choice (ServeDelaySec) and experiments.ProfileMix's CoeffMs all read it,
+// so they are the same number. Servers run on the modeled constants;
+// Calibrate swaps the per-block one for a live measurement and is for
+// experiments (ProfileMix holds it against per-op latency). The planner
+// needs no calibration: it already holds the model against the live
+// per-profile p99 it measures on every served block.
 package profile
 
 import (
@@ -67,8 +67,8 @@ const (
 const modeledCyclesPerLimbNLogN = 410.0
 
 // RefHz is the reference server clock the cost coefficients are expressed
-// against (the paper's 3.3 GHz, matching costmodel and the edge server
-// default).
+// against and every modeled serving delay is reported at (the paper's
+// 3.3 GHz).
 const RefHz = 3.3e9
 
 // modeledRotCyclesPerLimbNLogN is the fitted constant of the per-rotation
@@ -78,8 +78,7 @@ const RefHz = 3.3e9
 // the transcipher's per-limb NTT work but with a much smaller constant —
 // the hoisted decomposition is shared across the rotation set, leaving
 // only the per-rotation inner products. Fitted against this repository's
-// RotateHoistedInto on the built-in chains; CalibrateRotations supersedes
-// it with a live measurement.
+// RotateHoistedInto on the built-in chains.
 const modeledRotCyclesPerLimbNLogN = 95.0
 
 // chainDepth is the rescaling depth every built-in profile runs at. The
@@ -95,8 +94,8 @@ const chainDepth = 4
 type Profile struct {
 	// ID names the profile on the wire and in plans.
 	ID string
-	// Lambda is the paper-scale CKKS degree this profile models: f_msl and
-	// the fitted cost curves are evaluated at it.
+	// Lambda is the paper-scale CKKS degree this profile models: f_msl is
+	// evaluated at it.
 	Lambda float64
 	// Params is the runnable parameter set sessions on this profile use.
 	Params ckks.Params
@@ -106,10 +105,8 @@ type Profile struct {
 	ctxErr  error
 
 	// measuredCycles holds the calibrated per-block cost in cycles at
-	// RefHz as float64 bits (0 = not calibrated). measuredRotCycles is
-	// the same for one hoisted Galois rotation.
-	measuredCycles    atomic.Uint64
-	measuredRotCycles atomic.Uint64
+	// RefHz as float64 bits (0 = not calibrated).
+	measuredCycles atomic.Uint64
 }
 
 // MSL returns f_msl(Lambda), the profile's security level in bits (Eq. 30).
@@ -150,67 +147,33 @@ func (p *Profile) CyclesPerBlock() float64 {
 // Calibrated reports whether a measured coefficient has been installed.
 func (p *Profile) Calibrated() bool { return p.measuredCycles.Load() != 0 }
 
-// SetMeasuredCyclesPerBlock installs a calibrated per-block cost (cycles
-// at RefHz); non-positive values are ignored.
-func (p *Profile) SetMeasuredCyclesPerBlock(cycles float64) {
-	if cycles > 0 {
-		p.measuredCycles.Store(math.Float64bits(cycles))
-	}
-}
-
-// ModeledCyclesPerRotation returns the uncalibrated a·L·N·log2(N) cost
-// model for one hoisted Galois rotation on this profile's parameters, in
-// cycles at RefHz.
-func (p *Profile) ModeledCyclesPerRotation() float64 {
+// CyclesPerRotation returns the a·L·N·log2(N) cost model for one hoisted
+// Galois rotation on this profile's parameters, in cycles at RefHz.
+func (p *Profile) CyclesPerRotation() float64 {
 	n := float64(p.Params.N())
 	l := float64(p.Params.Depth + 1)
 	return modeledRotCyclesPerLimbNLogN * l * n * math.Log2(n)
 }
 
-// CyclesPerRotation returns the per-rotation cost coefficient the control
-// plane should plan with: the calibrated measurement when one exists, the
-// modeled value otherwise.
-func (p *Profile) CyclesPerRotation() float64 {
-	if bits := p.measuredRotCycles.Load(); bits != 0 {
-		return math.Float64frombits(bits)
-	}
-	return p.ModeledCyclesPerRotation()
+// BlockCycles prices one served block carrying the given number of hoisted
+// Galois rotations, in cycles at RefHz: CyclesPerBlock for the
+// transcipher-and-infer base plus CyclesPerRotation per rotation (the
+// BSGS matvec kernel's rotation count; 0 for an affine block). Every
+// modeled compute delay in the serving stack — reply fields and planner
+// alike — is this number over a clock.
+func (p *Profile) BlockCycles(rotations float64) float64 {
+	return p.CyclesPerBlock() + rotations*p.CyclesPerRotation()
 }
 
-// RotationsCalibrated reports whether a measured per-rotation coefficient
-// has been installed.
-func (p *Profile) RotationsCalibrated() bool { return p.measuredRotCycles.Load() != 0 }
-
-// SetMeasuredCyclesPerRotation installs a calibrated per-rotation cost
-// (cycles at RefHz); non-positive values are ignored.
-func (p *Profile) SetMeasuredCyclesPerRotation(cycles float64) {
-	if cycles > 0 {
-		p.measuredRotCycles.Store(math.Float64bits(cycles))
-	}
-}
-
-// ComputeDelaySec models the serving delay of demandBytesPerSec of masked
+// ServeDelaySec models the serving delay of demandBytesPerSec of masked
 // traffic on this profile: blocks are demand/(8·slots) per second, each
-// costing CyclesPerBlock at serverHz.
-func (p *Profile) ComputeDelaySec(demandBytesPerSec, serverHz float64) float64 {
-	return p.ServeDelaySec(demandBytesPerSec, 0, serverHz)
-}
-
-// ServeDelaySec generalizes ComputeDelaySec to rotation-bearing traffic:
-// each block costs CyclesPerBlock for the transcipher-and-infer base plus
-// rotationsPerBlock hoisted Galois rotations (the BSGS matvec kernel's
-// per-block rotation count) at CyclesPerRotation. rotationsPerBlock 0
-// reduces to the affine serving model.
+// costing BlockCycles(rotationsPerBlock) at serverHz.
 func (p *Profile) ServeDelaySec(demandBytesPerSec, rotationsPerBlock, serverHz float64) float64 {
 	if serverHz <= 0 {
 		return math.Inf(1)
 	}
 	blocksPerSec := demandBytesPerSec / (8 * float64(p.Slots()))
-	perBlock := p.CyclesPerBlock()
-	if rotationsPerBlock > 0 {
-		perBlock += rotationsPerBlock * p.CyclesPerRotation()
-	}
-	return blocksPerSec * perBlock / serverHz
+	return blocksPerSec * p.BlockCycles(rotationsPerBlock) / serverHz
 }
 
 // Registry is an ordered, immutable set of profiles keyed by ID. The
@@ -291,19 +254,6 @@ func (r *Registry) ByLambda(lambda float64) (*Profile, bool) {
 		}
 	}
 	return nil, false
-}
-
-// ForLambda resolves a planned λ to the best actuatable profile: the
-// largest member whose λ does not exceed the plan's, falling back to the
-// smallest member when the plan sits below the whole set.
-func (r *Registry) ForLambda(lambda float64) *Profile {
-	best := r.order[0]
-	for _, p := range r.order {
-		if p.Lambda <= lambda {
-			best = p
-		}
-	}
-	return best
 }
 
 // logNFor maps a built-in profile ID to its scaled-down ring degree

@@ -48,6 +48,9 @@ func TestDefaultRegistryShape(t *testing.T) {
 				profs[i].ModeledCyclesPerBlock(), profs[i-1].ModeledCyclesPerBlock())
 		}
 	}
+	if _, ok := reg.ByLambda(12345); ok {
+		t.Error("ByLambda matched a λ outside the set")
+	}
 }
 
 func TestContextCachedAndShared(t *testing.T) {
@@ -65,29 +68,6 @@ func TestContextCachedAndShared(t *testing.T) {
 	}
 	if c1.Params.N() != p.Params.N() {
 		t.Errorf("context N=%d, profile N=%d", c1.Params.N(), p.Params.N())
-	}
-}
-
-func TestForLambdaResolution(t *testing.T) {
-	reg := profile.Default()
-	cases := []struct {
-		lambda float64
-		want   string
-	}{
-		{1024, profile.IDLambda32k},   // below the set: smallest member
-		{32768, profile.IDLambda32k},  // exact
-		{65536, profile.IDLambda64k},  // exact
-		{100000, profile.IDLambda64k}, // between members: round down
-		{131072, profile.IDLambda128k},
-		{1 << 20, profile.IDLambda128k}, // above the set: largest member
-	}
-	for _, c := range cases {
-		if got := reg.ForLambda(c.lambda).ID; got != c.want {
-			t.Errorf("ForLambda(%g) = %q, want %q", c.lambda, got, c.want)
-		}
-	}
-	if _, ok := reg.ByLambda(12345); ok {
-		t.Error("ByLambda matched a λ outside the set")
 	}
 }
 

@@ -7,6 +7,12 @@ import (
 	"quhe/internal/he/ckks"
 )
 
+// RekeyWithdrawBytes is the QKD key material one transciphering key
+// costs: clients withdraw it from the key centre at setup and on every
+// rekey (edge.RekeyWithdrawBytes), and the control plane counts key stock
+// in units of it.
+const RekeyWithdrawBytes = 32
+
 // Session is one client's serving state: the HE evaluation material it
 // registered, the current transciphering key (HE-encrypted, with its
 // nonce and epoch), and usage counters. Key material is swapped atomically
