@@ -704,10 +704,14 @@ func BenchmarkKeySwitch(b *testing.B) {
 	for i := range d2 {
 		ctx.Limb(i).UniformPolyInto(rng, d2[i])
 	}
+	d2NTT := d2.Copy()
+	for i := range d2NTT {
+		ctx.Limb(i).NTT(d2NTT[i])
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.keySwitch(d2, rlk.Parts, level)
+		ev.keySwitch(d2, d2NTT, rlk.Parts, level)
 	}
 }
 

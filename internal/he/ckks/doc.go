@@ -42,9 +42,19 @@
 // of the same ciphertext reuses it, paying only the per-key inner
 // products and one ModDown. The BSGS packed matrix–vector kernel
 // (linalg.go) builds on that: √n baby rotations from one hoisted
-// decomposition, diagonals stored NTT+Montgomery at plan build so each
-// multiply-accumulate is a pointwise pass, and √n giant rotations of the
-// partial sums — O(√n) key-switches instead of the naive n−1. Versus
+// decomposition, diagonals stored NTT+Montgomery at plan build so a
+// giant block's inner sum is one lazy inner product per limb, and √n
+// giant rotations of the partial sums — O(√n) key-switches instead of the
+// naive n−1. The kernel never leaves the NTT domain between its own stages: key switches come
+// down from QP there (ring.Tower.ModDownNTT), rotations are gathers, and
+// one inverse transform per limb precedes the rescale — 441 limb
+// transforms for the served 256×256 at three limbs (6 input + 9 hoist +
+// 15·8 babies + 15·20 giants + 6 output) against the 624 (12 + 6 + 15·14
+// + 16·6 + 15·20) of the coefficient-domain composition it is
+// bit-identical to. The evaluator's matvec scratch is the one place a
+// ciphertext sits in the NTT domain between stages; it is never returned.
+// Every inner product here and in the key switch is a ring.LazySum: one
+// Montgomery reduction per sum instead of one per term. Versus
 // production CKKS (SEAL / Lattigo / OpenFHE) there is still no
 // bootstrapping; the package otherwise preserves the behaviour the
 // paper's cost model (Eqs. 29/31) abstracts: slot-wise encrypted
@@ -62,8 +72,8 @@
 // place or into a caller's buffer, tagging the result
 // (Ciphertext.IsEvalForm). Evaluator.LinearFormInto is the form's one
 // consumer: Σ_j pt_j·ct_j with each plaintext reduced and transformed
-// once per limb, folded in by Montgomery multiply-accumulates, and two
-// inverse transforms per limb at the end — bit-identical to the
+// once per limb, folded into two lazy inner products, and two inverse
+// transforms per limb at the end — bit-identical to the
 // MulPlainInto/AddInto chain at (k+2)/(5k) of its transforms. The owner
 // of the ciphertext converts, once (internal/transcipher.InstallKey for a
 // served key); nothing else may consume the result, because its limbs no

@@ -103,9 +103,10 @@ func (c *Context) EvalFormInto(ct, out *Ciphertext) error {
 // (Encoder.EncodeRealCoeffs) at the given scale, and every key is in
 // evaluation form at level ≥ level with one common scale. The whole sum
 // stays in the NTT domain: per limb, each plaintext is reduced and
-// transformed once and folded into the two accumulators by Montgomery
-// multiply-accumulates against the key's resident limbs, and the
-// accumulators come back to the coefficient domain once — keyLen+2
+// transformed once and multiplied into two lazy inner products against
+// the key's resident limbs (ring.LazySum: raw 128-bit accumulation, one
+// Montgomery reduction per ⌊2⁶⁴/q_i⌋ terms), and the two sums come back
+// to the coefficient domain once — keyLen+2
 // transforms per limb and one limb fan-out, against 5·keyLen transforms
 // and keyLen fan-outs for a MulPlainInto/AddInto chain, with a result
 // that is bit-identical to that chain's (the same exact arithmetic mod
@@ -145,22 +146,21 @@ func (ev *Evaluator) LinearFormInto(keys []*Ciphertext, coeffs [][]int64, scale 
 	tower := ev.ctx.Tower
 	tower.ForEachLimb(level+1, func(i int) {
 		mod := tower.Qi[i]
-		m, acc0, acc1 := ev.s0[i], out.C0[i], out.C1[i]
+		m := ev.s0[i]
+		sum0 := mod.LazySum(ev.s1[i], ev.s2[i], out.C0[i])
+		sum1 := mod.LazySum(ev.s3[i], ev.s4[i], out.C1[i])
 		for j, key := range keys {
 			for k, v := range coeffs[j] {
 				m[k] = mod.FromInt64(v)
 			}
 			mod.NTT(m)
-			if j == 0 {
-				mod.MulCoeffwiseMontgomery(m, key.C0[i], acc0)
-				mod.MulCoeffwiseMontgomery(m, key.C1[i], acc1)
-				continue
-			}
-			mod.MulCoeffwiseMontgomeryThenAdd(m, key.C0[i], acc0)
-			mod.MulCoeffwiseMontgomeryThenAdd(m, key.C1[i], acc1)
+			sum0.MulAdd(m, key.C0[i])
+			sum1.MulAdd(m, key.C1[i])
 		}
-		mod.INTT(acc0)
-		mod.INTT(acc1)
+		sum0.Reduce()
+		sum1.Reduce()
+		mod.INTT(out.C0[i])
+		mod.INTT(out.C1[i])
 	})
 	out.Scale, out.Level = keys[0].Scale*scale, level
 	return nil

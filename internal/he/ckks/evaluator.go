@@ -23,8 +23,13 @@ type Evaluator struct {
 	rng *rand.Rand
 	// Scratch towers with Depth+2 rows (the extended basis QP), reused by
 	// every operation. MulRelinInto is the worst case: four operand
-	// transforms, three tensor terms, two key-switch accumulators and the
-	// per-target digit buffers.
+	// transforms, the degree-2 term in both domains, two key-switch
+	// accumulators and the per-target digit buffers. Every inner product
+	// (key-switch digit fold, hoisted gather, linear form, matvec diagonal
+	// sum) is a pair of ring.LazySums whose 128-bit accumulator rows are
+	// s1/s2 and s3/s4 of the limb being summed, so those four are dead
+	// across any of them; a key switch reads its input from s6
+	// (coefficient domain) and s5 (NTT domain).
 	s0, s1, s2, s3, s4, s5, s6 ring.RNSPoly
 	acc0, acc1, dig            ring.RNSPoly
 	// Integer sampling buffers (one draw per coefficient, spread to limbs).
@@ -320,30 +325,32 @@ func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Cipherte
 	}
 	ring.ParallelIf(n, nttTasks...)
 
-	// Tensor per limb: (d̂0, d̂1, d̂2) = (â0·b̂0, â0·b̂1 + â1·b̂0, â1·b̂1);
-	// d2 returns to the coefficient domain for digit decomposition.
+	// Tensor per limb: (d̂0, d̂1, d̂2) = (â0·b̂0, â0·b̂1 + â1·b̂0, â1·b̂1).
+	// d̂0 and d̂1 wait in out's rows (the operands were copied out above, so
+	// aliasing is safe); d2 is kept in both domains — its NTT rows are the
+	// key switch's digit i on limb i, its coefficients every other digit.
 	tower.ForEachLimb(limbs, func(i int) {
 		mod := tower.Qi[i]
-		mod.MulCoeffwise(ev.s0[i], ev.s2[i], ev.s4[i])        // d̂0
-		mod.MulCoeffwise(ev.s0[i], ev.s3[i], ev.s5[i])        // d̂1
-		mod.MulCoeffwiseThenAdd(ev.s1[i], ev.s2[i], ev.s5[i]) // d̂1 += â1·b̂0
-		mod.MulCoeffwise(ev.s1[i], ev.s3[i], ev.s6[i])        // d̂2
+		mod.MulCoeffwise(ev.s0[i], ev.s2[i], out.C0[i])        // d̂0
+		mod.MulCoeffwise(ev.s0[i], ev.s3[i], out.C1[i])        // d̂1
+		mod.MulCoeffwiseThenAdd(ev.s1[i], ev.s2[i], out.C1[i]) // d̂1 += â1·b̂0
+		mod.MulCoeffwise(ev.s1[i], ev.s3[i], ev.s5[i])         // d̂2
+		copy(ev.s6[i], ev.s5[i])
 		mod.INTT(ev.s6[i])
 	})
 
-	// Hybrid key switch of d2 into acc0/acc1 (NTT domain, limbs 0..ℓ plus
-	// the special limb at index ℓ+1), then back to the coefficient domain
-	// and down from QP to Q.
-	ev.keySwitch(ev.s6, rlk.Parts, a.Level)
+	// Hybrid key switch of d2 over the extended basis, then back to the
+	// coefficient domain and down from QP to Q.
+	ev.keySwitch(ev.s6, ev.s5, rlk.Parts, a.Level)
 	ev.keySwitchDown(a.Level)
 
 	// out = (INTT(d̂0) + acc0, INTT(d̂1) + acc1).
 	tower.ForEachLimb(limbs, func(i int) {
 		mod := tower.Qi[i]
-		mod.INTT(ev.s4[i])
-		mod.Add(ev.s4[i], ev.acc0[i], out.C0[i])
-		mod.INTT(ev.s5[i])
-		mod.Add(ev.s5[i], ev.acc1[i], out.C1[i])
+		mod.INTT(out.C0[i])
+		mod.Add(out.C0[i], ev.acc0[i], out.C0[i])
+		mod.INTT(out.C1[i])
+		mod.Add(out.C1[i], ev.acc1[i], out.C1[i])
 	})
 	out.Scale, out.Level = a.Scale*b.Scale, a.Level
 	return nil
@@ -366,60 +373,88 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext, rlk *RelinKey) (*Ciphertext, err
 	return out, nil
 }
 
-// keySwitch folds the RNS digits of d2 (coefficient domain, limbs
-// 0..level; not modified) through hybrid key-switch parts (a RelinKey's or
-// GaloisKey's gadget) into ev.acc0/ev.acc1 over the extended basis: chain
-// limbs 0..level plus the special limb at index level+1, all in the NTT
-// domain. The fan-out is over target limbs — each target reduces every
-// digit into its modulus, transforms it, and runs two fused
-// multiply-accumulates against the key's limb; targets are independent, so
-// the O(L²) digit transforms parallelize across limbs.
-func (ev *Evaluator) keySwitch(d2 ring.RNSPoly, parts [][2]ring.RNSPoly, level int) {
+// extLimb returns limb t of the extended basis at the given level — chain
+// limbs 0..level, then the special limb at index level+1 — and the index
+// of that limb inside key-switch parts (where the special limb sits after
+// the full chain).
+func (ev *Evaluator) extLimb(t, level int) (mod *ring.Modulus, partIdx int) {
 	tower := ev.ctx.Tower
+	if t <= level {
+		return tower.Qi[t], t
+	}
+	return tower.P, tower.Limbs()
+}
+
+// keySwitch folds the RNS digits of d (limbs 0..level, given in both
+// domains: d its coefficients, dNTT their forward transform; neither is
+// modified) through hybrid key-switch parts (a RelinKey's or GaloisKey's
+// gadget) into ev.acc0/ev.acc1 over the extended basis. The fan-out is
+// over target limbs — each target reduces every foreign digit into its
+// modulus and transforms it (its own digit it reads from dNTT), and folds
+// them through the key's limb as two lazy inner products, one reduction
+// per sum; targets are independent, so the O(L²) digit transforms
+// parallelize across limbs. The chain limbs of the accumulators are left
+// in the NTT domain and the special limb (index level+1) already back in
+// the coefficient domain, which is where both ways down — keySwitchDown
+// and the NTT-domain switchedLimbNTT — need it.
+func (ev *Evaluator) keySwitch(d, dNTT ring.RNSPoly, parts [][2]ring.RNSPoly, level int) {
 	limbs := level + 1
-	spIdx := tower.Limbs() // index of the special limb inside key parts
 	ev.ctx.Tower.ForEachLimb(limbs+1, func(t int) {
-		mod, partIdx := tower.P, spIdx
-		if t < limbs {
-			mod, partIdx = tower.Qi[t], t
-		}
-		acc0, acc1, dig := ev.acc0[t], ev.acc1[t], ev.dig[t]
-		for j := range acc0 {
-			acc0[j], acc1[j] = 0, 0
-		}
+		mod, partIdx := ev.extLimb(t, level)
+		dig := ev.dig[t]
+		sum0 := mod.LazySum(ev.s1[t], ev.s2[t], ev.acc0[t])
+		sum1 := mod.LazySum(ev.s3[t], ev.s4[t], ev.acc1[t])
 		for j := 0; j < limbs; j++ {
+			term := dig
 			if partIdx == j {
-				copy(dig, d2[j])
+				term = dNTT[j]
 			} else {
-				mod.ReduceInto(d2[j], dig)
+				mod.ReduceInto(d[j], dig)
+				mod.NTT(dig)
 			}
-			mod.NTT(dig)
-			mod.MulCoeffwiseMontgomeryThenAdd(dig, parts[j][0][partIdx], acc0)
-			mod.MulCoeffwiseMontgomeryThenAdd(dig, parts[j][1][partIdx], acc1)
+			sum0.MulAdd(term, parts[j][0][partIdx])
+			sum1.MulAdd(term, parts[j][1][partIdx])
+		}
+		sum0.Reduce()
+		sum1.Reduce()
+		if t > level {
+			mod.INTT(ev.acc0[t])
+			mod.INTT(ev.acc1[t])
 		}
 	})
 }
 
-// keySwitchDown finishes a key switch: the NTT-domain accumulators in
-// ev.acc0/ev.acc1 (limbs 0..level plus the special limb) return to the
-// coefficient domain and drop from QP to Q via the tower's exact ModDown,
-// leaving the switched pair in ev.acc0[:level+1]/ev.acc1[:level+1].
+// keySwitchDown finishes a key switch in the coefficient domain: the
+// chain limbs of ev.acc0/ev.acc1 are inverse-transformed and dropped from
+// QP to Q via the tower's exact ModDown against the special limb, leaving
+// the switched pair in ev.acc0[:level+1]/ev.acc1[:level+1].
 func (ev *Evaluator) keySwitchDown(level int) {
 	tower := ev.ctx.Tower
 	limbs := level + 1
 	n := ev.ctx.Params.N()
-	inttTasks := make([]func(), 0, 2*(limbs+1))
-	for t := 0; t <= limbs; t++ {
-		mod := tower.P
-		if t < limbs {
-			mod = tower.Qi[t]
-		}
-		m, a0, a1 := mod, ev.acc0[t], ev.acc1[t]
+	inttTasks := make([]func(), 0, 2*limbs)
+	for t := 0; t < limbs; t++ {
+		m, a0, a1 := tower.Qi[t], ev.acc0[t], ev.acc1[t]
 		inttTasks = append(inttTasks, func() { m.INTT(a0) }, func() { m.INTT(a1) })
 	}
 	ring.ParallelIf(n, inttTasks...)
 	tower.ModDownInto(ev.acc0[:limbs], ev.acc0[limbs], ev.acc0[:limbs])
 	tower.ModDownInto(ev.acc1[:limbs], ev.acc1[limbs], ev.acc1[:limbs])
+}
+
+// switchedLimbNTT finishes a key switch of a rotation on chain limb t
+// without leaving the NTT domain: it divides limb t of ev.acc0/ev.acc1 by
+// P where they are (ring.Tower.ModDownNTT) and writes the rotated pair
+// (σ(c0) + acc0, acc1) into out0/out1, σ(c0) being the gather of c0's
+// NTT-domain limb through tab. out0 may alias c0. Runs inside a per-limb
+// fan-out; s0..s2 of limb t are its scratch.
+func (ev *Evaluator) switchedLimbNTT(t, level int, c0 ring.Poly, tab []uint32, out0, out1 ring.Poly) {
+	tower := ev.ctx.Tower
+	sp := level + 1
+	ring.ApplyAutomorphismNTT(c0, tab, ev.s0[t])
+	tower.ModDownNTT(t, ev.acc0[t], ev.acc0[sp], ev.s1[t], ev.acc0[t])
+	tower.Qi[t].Add(ev.s0[t], ev.acc0[t], out0)
+	tower.ModDownNTT(t, ev.acc1[t], ev.acc1[sp], ev.s2[t], out1)
 }
 
 // RescaleInto divides the ciphertext by its level's prime and switches it

@@ -196,18 +196,22 @@ func (ev *Evaluator) RotateInto(ct *Ciphertext, rot int, gks *GaloisKeySet, out 
 		}
 		return nil
 	}
-	el := ring.GaloisElement(rot, ev.ctx.Params.N())
-	gk := gks.Key(el)
-	if gk == nil {
-		return fmt.Errorf("%w: rotation %d (element %d)", ErrNoGaloisKey, rot, el)
+	gk, err := ev.galoisKey(rot, gks)
+	if err != nil {
+		return err
 	}
+	el := gk.El
 	tower := ev.ctx.Tower
 	limbs := ct.Level + 1
-	// σ(c1) in the coefficient domain, then key-switch it from σ(s) to s.
+	// σ(c1) in the coefficient domain (and transformed, for its own limb's
+	// digit), then key-switch it from σ(s) to s.
 	tower.ForEachLimb(limbs, func(i int) {
-		tower.Qi[i].AutomorphismCoeffs(ct.C1[i], el, ev.s6[i])
+		mod := tower.Qi[i]
+		mod.AutomorphismCoeffs(ct.C1[i], el, ev.s6[i])
+		copy(ev.s5[i], ev.s6[i])
+		mod.NTT(ev.s5[i])
 	})
-	ev.keySwitch(ev.s6, gk.Parts, ct.Level)
+	ev.keySwitch(ev.s6, ev.s5, gk.Parts, ct.Level)
 	ev.keySwitchDown(ct.Level)
 	// out = (σ(c0) + acc0, acc1).
 	tower.ForEachLimb(limbs, func(i int) {
@@ -277,42 +281,89 @@ func (ev *Evaluator) HoistInto(h *Hoisted, ct *Ciphertext) {
 	if ct.evalForm {
 		panic(ErrEvalForm) // no error return; reaching here is a caller bug
 	}
-	tower := ev.ctx.Tower
-	limbs := ct.Level + 1
-	n := ev.ctx.Params.N()
-	h.level, h.scale = ct.Level, ct.Scale
-	for i := 0; i < limbs; i++ {
+	for i := 0; i <= ct.Level; i++ {
 		copy(h.c0[i], ct.C0[i])
 		copy(h.c1[i], ct.C1[i])
 	}
-	spIdx := tower.Limbs()
+	ev.hoistDigits(h, ct, nil)
+}
+
+// hoistDigits fills h.dig from ct's c1. A caller that already holds the
+// forward transform of c1 passes it as c1NTT — it is the diagonal
+// dig[j][j], one transform per limb saved; nil has it computed here.
+func (ev *Evaluator) hoistDigits(h *Hoisted, ct *Ciphertext, c1NTT ring.RNSPoly) {
+	limbs := ct.Level + 1
+	h.level, h.scale = ct.Level, ct.Scale
 	tasks := make([]func(), 0, limbs*(limbs+1))
 	for j := 0; j < limbs; j++ {
 		for t := 0; t <= limbs; t++ {
-			mod, partIdx := tower.P, spIdx
-			if t < limbs {
-				mod, partIdx = tower.Qi[t], t
-			}
-			m, src, dst, pi, dj := mod, ct.C1[j], h.dig[j][t], partIdx, j
-			tasks = append(tasks, func() {
-				if pi == dj {
+			mod, partIdx := ev.extLimb(t, ct.Level)
+			src, dst := ct.C1[j], h.dig[j][t]
+			switch {
+			case partIdx != j:
+				tasks = append(tasks, func() {
+					mod.ReduceInto(src, dst)
+					mod.NTT(dst)
+				})
+			case c1NTT != nil:
+				copy(dst, c1NTT[j])
+			default:
+				tasks = append(tasks, func() {
 					copy(dst, src)
-				} else {
-					m.ReduceInto(src, dst)
-				}
-				m.NTT(dst)
-			})
+					mod.NTT(dst)
+				})
+			}
 		}
 	}
-	ring.ParallelIf(n, tasks...)
+	ring.ParallelIf(ev.ctx.Params.N(), tasks...)
+}
+
+// hoistedSwitch key-switches σ(c1) of a hoisted ciphertext into
+// ev.acc0/ev.acc1 over the extended basis, in keySwitch's output layout;
+// tab is σ's NTT-domain gather table.
+// The σ automorphism is applied to the decomposed digits as an NTT-domain
+// gather fused into the inner product with the key — digit decomposition
+// commutes with the automorphism (the permuted digits are a valid
+// signed-representative decomposition of σ(c1)), so no per-rotation ModUp
+// is needed.
+func (ev *Evaluator) hoistedSwitch(h *Hoisted, gk *GaloisKey, tab []uint32) {
+	limbs := h.level + 1
+	ev.ctx.Tower.ForEachLimb(limbs+1, func(t int) {
+		mod, partIdx := ev.extLimb(t, h.level)
+		sum0 := mod.LazySum(ev.s1[t], ev.s2[t], ev.acc0[t])
+		sum1 := mod.LazySum(ev.s3[t], ev.s4[t], ev.acc1[t])
+		for j := 0; j < limbs; j++ {
+			sum0.MulAddGather(h.dig[j][t], tab, gk.Parts[j][0][partIdx])
+			sum1.MulAddGather(h.dig[j][t], tab, gk.Parts[j][1][partIdx])
+		}
+		sum0.Reduce()
+		sum1.Reduce()
+		if t > h.level {
+			mod.INTT(ev.acc0[t])
+			mod.INTT(ev.acc1[t])
+		}
+	})
+}
+
+// galoisKey resolves the key of a non-identity rotation.
+func (ev *Evaluator) galoisKey(rot int, gks *GaloisKeySet) (*GaloisKey, error) {
+	el := ring.GaloisElement(rot, ev.ctx.Params.N())
+	gk := gks.Key(el)
+	if gk == nil {
+		return nil, fmt.Errorf("%w: rotation %d (element %d)", ErrNoGaloisKey, rot, el)
+	}
+	return gk, nil
+}
+
+// gatherTable returns the NTT-domain gather table of gk's automorphism.
+func (ev *Evaluator) gatherTable(gk *GaloisKey) []uint32 {
+	return ring.AutomorphismNTTTable(gk.El, ev.ctx.Params.N())
 }
 
 // RotateHoistedInto rotates a hoisted ciphertext left by rot into out
-// without allocating. The σ_g automorphism is applied to the decomposed
-// digits as an NTT-domain gather fused into the key MAC — digit
-// decomposition commutes with the automorphism (the permuted digits are a
-// valid signed-representative decomposition of σ(c1)), so no per-rotation
-// ModUp is needed.
+// without allocating: one gather-fused key switch of the shared
+// decomposition (hoistedSwitch), the inverse transforms, one ModDown and
+// the coefficient-domain automorphism of c0.
 func (ev *Evaluator) RotateHoistedInto(h *Hoisted, rot int, gks *GaloisKeySet, out *Ciphertext) error {
 	if err := coeffForm(out); err != nil {
 		return err
@@ -327,35 +378,37 @@ func (ev *Evaluator) RotateHoistedInto(h *Hoisted, rot int, gks *GaloisKeySet, o
 		out.Scale, out.Level = h.scale, h.level
 		return nil
 	}
-	n := ev.ctx.Params.N()
-	el := ring.GaloisElement(rot, n)
-	gk := gks.Key(el)
-	if gk == nil {
-		return fmt.Errorf("%w: rotation %d (element %d)", ErrNoGaloisKey, rot, el)
+	gk, err := ev.galoisKey(rot, gks)
+	if err != nil {
+		return err
 	}
-	tab := ring.AutomorphismNTTTable(el, n)
-	spIdx := tower.Limbs()
-	tower.ForEachLimb(limbs+1, func(t int) {
-		mod, partIdx := tower.P, spIdx
-		if t < limbs {
-			mod, partIdx = tower.Qi[t], t
-		}
-		acc0, acc1 := ev.acc0[t], ev.acc1[t]
-		for j := range acc0 {
-			acc0[j], acc1[j] = 0, 0
-		}
-		for j := 0; j < limbs; j++ {
-			dig := h.dig[j][t]
-			mod.AutomorphismNTTMulMontgomeryThenAdd(dig, tab, gk.Parts[j][0][partIdx], acc0)
-			mod.AutomorphismNTTMulMontgomeryThenAdd(dig, tab, gk.Parts[j][1][partIdx], acc1)
-		}
-	})
+	ev.hoistedSwitch(h, gk, ev.gatherTable(gk))
 	ev.keySwitchDown(h.level)
 	tower.ForEachLimb(limbs, func(i int) {
 		mod := tower.Qi[i]
-		mod.AutomorphismCoeffs(h.c0[i], el, ev.s0[i])
+		mod.AutomorphismCoeffs(h.c0[i], gk.El, ev.s0[i])
 		mod.Add(ev.s0[i], ev.acc0[i], out.C0[i])
 		copy(out.C1[i], ev.acc1[i])
+	})
+	out.Scale, out.Level = h.scale, h.level
+	return nil
+}
+
+// rotateHoistedNTT is RotateHoistedInto between matvec stages: c0 is the
+// hoisted ciphertext's c0 already in the NTT domain, the key switch comes
+// down from QP without leaving that domain, and out receives the rotated
+// pair in it — 2·(limbs+1) transforms and two limb fan-outs against
+// RotateHoistedInto's 2·(limbs+1) plus the 2·limbs a caller would spend
+// transforming its result again. rot must not be the identity.
+func (ev *Evaluator) rotateHoistedNTT(h *Hoisted, c0 ring.RNSPoly, rot int, gks *GaloisKeySet, out *Ciphertext) error {
+	gk, err := ev.galoisKey(rot, gks)
+	if err != nil {
+		return err
+	}
+	tab := ev.gatherTable(gk)
+	ev.hoistedSwitch(h, gk, tab)
+	ev.ctx.Tower.ForEachLimb(h.level+1, func(t int) {
+		ev.switchedLimbNTT(t, h.level, c0[t], tab, out.C0[t], out.C1[t])
 	})
 	out.Scale, out.Level = h.scale, h.level
 	return nil

@@ -38,19 +38,13 @@ func TestKeySwitchNoiseBoundVsBigInt(t *testing.T) {
 		tower.Qi[i].UniformPolyInto(rng, d2[i])
 	}
 
-	ev.keySwitch(d2, rlk.Parts, level)
-	for idx := 0; idx <= limbs; idx++ {
-		mod := tower.P
-		if idx < limbs {
-			mod = tower.Qi[idx]
-		}
-		mod.INTT(ev.acc0[idx])
-		mod.INTT(ev.acc1[idx])
+	d2NTT := d2.Copy()
+	for i := 0; i < limbs; i++ {
+		tower.Qi[i].NTT(d2NTT[i])
 	}
-	c0 := tower.NewPoly(limbs)
-	c1 := tower.NewPoly(limbs)
-	tower.ModDownInto(ev.acc0[:limbs], ev.acc0[limbs], c0)
-	tower.ModDownInto(ev.acc1[:limbs], ev.acc1[limbs], c1)
+	ev.keySwitch(d2, d2NTT, rlk.Parts, level)
+	ev.keySwitchDown(level)
+	c0, c1 := ev.acc0[:limbs], ev.acc1[:limbs]
 
 	// e = c0 + c1·s − d2·s² per limb (secret key limbs are NTT+Montgomery).
 	ePoly := tower.NewPoly(limbs)

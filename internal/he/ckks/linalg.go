@@ -3,6 +3,8 @@ package ckks
 import (
 	"fmt"
 	"math"
+
+	"quhe/internal/he/ring"
 )
 
 // Packed encrypted linear algebra: the diagonal method with baby-step/
@@ -26,6 +28,32 @@ import (
 // must be replicated slots/n times (slot j holds v[j mod n]), so every
 // cyclic slot rotation by d < n acts as rotation mod n on each copy. The
 // result comes back in the same replicated layout.
+//
+// Transform budget. MatVecInto keeps the whole kernel in the NTT domain.
+// The input is transformed once; each baby rotation key-switches the
+// shared decomposition and comes down from QP where it is
+// (rotateHoistedNTT); a giant block's inner sum over its non-empty
+// diagonals is a pair of lazy inner products per limb (ring.LazySum: one
+// Montgomery reduction per sum, not per term); a giant step gathers σ(û)
+// in the NTT domain and inverse-transforms only σ(û1), whose coefficients
+// the digit decomposition needs; and the accumulated sum is
+// inverse-transformed once, before the rescale. Limb transforms per call
+// at level ℓ (L = ℓ+1 chain limbs), n1 baby and n2 giant steps, every
+// block non-empty:
+//
+//	input 2L + hoist L² + babies (n1−1)·2(L+1)
+//	  + giants (n2−1)·(L + L² + 2(L+1)) + output 2L
+//
+// — 6 + 9 + 15·8 + 15·20 + 6 = 441 for the served 256×256 at L = 3. The
+// coefficient-domain composition this replaced spent 12 (full hoist) + 6
+// (input) + 15·14 (each baby brought down to coefficients, then
+// transformed again) + 16·6 (an inverse pair per block) + 15·20 (giants)
+// = 624, with six to eight limb fan-outs per rotation where this has two
+// or three. The result is bit-identical to that composition's
+// (TestMatVecBitIdentity keeps it as a test-only reference): every step
+// is the same exact arithmetic mod q_i, moved across a linear transform.
+// The only ciphertexts that sit in the NTT domain between stages are the
+// evaluator's own matvecScratch; nothing in that form is returned.
 
 // MatVecPlan is a matrix (plus optional bias) pre-encoded for encrypted
 // matrix–vector evaluation at one level of the modulus chain. Plans are
@@ -239,14 +267,18 @@ func (p *MatVecPlan) Rotations() []int { return BSGSRotations(p.n) }
 
 // matvecScratch is the evaluator-internal working set for matvec calls:
 // the hoisted decomposition, the baby-rotated inputs (each reused by all
-// n2 giant steps) and three accumulator ciphertexts. Allocated on first
-// use at full chain capacity, then reused — steady-state matvec calls
-// allocate nothing.
+// n2 giant steps) and two accumulator ciphertexts. Allocated on first use
+// at full chain capacity, then reused. Between the stages of one
+// MatVecInto call these ciphertexts hold NTT-domain limbs (plain, not
+// Montgomery form: the plan's diagonals carry that factor) — the one
+// place a ciphertext is in a transform domain between stages besides the
+// tagged evaluation-form key of evalform.go. They never leave the
+// evaluator: the call's result is inverse-transformed before the rescale
+// that writes out.
 type matvecScratch struct {
 	h      *Hoisted
 	babies []*Ciphertext
-	u      *Ciphertext // inner (baby) accumulator
-	tmp    *Ciphertext // per-diagonal product
+	u      *Ciphertext // inner (baby) sum of one giant block, then its rotation
 	acc    *Ciphertext // outer (giant) accumulator
 }
 
@@ -256,7 +288,6 @@ func (ev *Evaluator) ensureMatVec(n1 int) *matvecScratch {
 		ev.mv = &matvecScratch{
 			h:   ev.NewHoisted(),
 			u:   ev.ctx.NewCiphertext(top),
-			tmp: ev.ctx.NewCiphertext(top),
 			acc: ev.ctx.NewCiphertext(top),
 		}
 	}
@@ -287,16 +318,49 @@ func (ev *Evaluator) addBiasInto(bias *Plaintext, ct *Ciphertext) error {
 	return nil
 }
 
+// finishMatVec turns the NTT-domain sum acc (nil for a matrix with no
+// non-zero diagonal) into the call's result: one inverse transform per
+// limb, the rescale that drops the diagonal scale, the bias.
+func (ev *Evaluator) finishMatVec(plan *MatVecPlan, ct, acc, out *Ciphertext) error {
+	tower := ev.ctx.Tower
+	if acc == nil {
+		// Zero matrix: out is a fresh transparent zero at level−1.
+		for i := 0; i < plan.level; i++ {
+			for j := range out.C0[i] {
+				out.C0[i][j], out.C1[i][j] = 0, 0
+			}
+		}
+		out.Scale, out.Level = plan.scale, plan.level-1
+	} else {
+		tower.ForEachLimb(plan.level+1, func(t int) {
+			mod := tower.Qi[t]
+			mod.INTT(acc.C0[t])
+			mod.INTT(acc.C1[t])
+		})
+		// Every diagonal is encoded at scale q_level (NewMatVecPlan).
+		acc.Scale, acc.Level = ct.Scale*float64(ev.ctx.Primes[plan.level]), plan.level
+		if err := ev.RescaleInto(acc, out); err != nil {
+			return err
+		}
+	}
+	if plan.bias != nil {
+		return ev.addBiasInto(plan.bias, out)
+	}
+	return nil
+}
+
 // MatVecInto computes out = M·ct (+ bias) with the hoisted BSGS kernel:
 // one hoisted decomposition feeds all baby rotations, each giant step
 // pays one full key switch, and a single rescale drops the diagonal
-// scale, leaving out at level−1 with the input scale. The inner sums run
-// entirely in the NTT domain — each baby is forward-transformed once and
-// MAC'd against the plan's pre-transformed diagonals with no per-product
-// round trips, so the per-term cost is a fused pointwise
-// multiply-accumulate. gks must cover plan.Rotations(). out must not
-// alias ct; steady-state calls allocate nothing beyond the first call's
-// scratch.
+// scale, leaving out at level−1 with the input scale. The kernel stays in
+// the NTT domain from the input's forward transform to the one inverse
+// transform before the rescale (the file header derives its transform
+// budget). gks must cover plan.Rotations(); out must not alias ct.
+//
+// A steady-state call allocates no buffer, only its limb fan-outs' task
+// closures and wait groups: 716 objects at the served shape (λ-128k,
+// 256×256, two levels below the top), pinned by
+// TestMatVecSteadyStateAllocs.
 func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
 	if plan.diags == nil {
 		return fmt.Errorf("ckks: plan built for naive evaluation")
@@ -306,104 +370,96 @@ func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKey
 	}
 	mv := ev.ensureMatVec(plan.n1)
 	tower := ev.ctx.Tower
-	limbs := plan.level + 1
+	level, limbs := plan.level, plan.level+1
 
-	// Baby steps v_i = rot_i(v) off one shared hoisting, each forward-
-	// transformed in place (the babies are evaluator scratch).
-	ev.HoistInto(mv.h, ct)
-	for i := 0; i < plan.n1; i++ {
-		b := mv.babies[i]
-		if i == 0 {
-			for t := 0; t < limbs; t++ {
-				copy(b.C0[t], ct.C0[t])
-				copy(b.C1[t], ct.C1[t])
-			}
-			b.Scale, b.Level = ct.Scale, ct.Level
-		} else if err := ev.RotateHoistedInto(mv.h, i, gks, b); err != nil {
+	// Baby 0 is the input itself, transformed; its c1 rows are also the
+	// diagonal of the hoisted decomposition every other baby shares.
+	b0 := mv.babies[0]
+	tower.ForEachLimb(limbs, func(t int) {
+		mod := tower.Qi[t]
+		copy(b0.C0[t], ct.C0[t])
+		mod.NTT(b0.C0[t])
+		copy(b0.C1[t], ct.C1[t])
+		mod.NTT(b0.C1[t])
+	})
+	ev.hoistDigits(mv.h, ct, b0.C1)
+	for i := 1; i < plan.n1; i++ {
+		if err := ev.rotateHoistedNTT(mv.h, b0.C0, i, gks, mv.babies[i]); err != nil {
 			return err
 		}
-		tower.ForEachLimb(limbs, func(t int) {
-			mod := tower.Qi[t]
-			mod.NTT(b.C0[t])
-			mod.NTT(b.C1[t])
-		})
 	}
 
-	accEmpty := true
-	for k := 0; k < plan.n2; k++ {
-		row := plan.diags[k]
-		var ptScale float64
+	var acc *Ciphertext // mv.acc once a block has landed in it
+	for k, row := range plan.diags {
+		empty := true
 		for _, pt := range row {
-			if pt != nil {
-				ptScale = pt.Scale
-				break
-			}
+			empty = empty && pt == nil
 		}
-		if ptScale == 0 {
+		if empty {
 			continue
 		}
-		// One fused fan-out per giant step: NTT-domain MACs over the
-		// block's non-empty diagonals, then the inverse transforms.
+		// The block's inner sum û. Block 0 needs no rotation, so its sum is
+		// the accumulator's first term (it is the first non-empty block if
+		// it is one at all).
 		u := mv.u
-		tower.ForEachLimb(limbs, func(t int) {
-			mod := tower.Qi[t]
-			first := true
-			for i, pt := range row {
-				if pt == nil {
-					continue
-				}
-				b := mv.babies[i]
-				if first {
-					mod.MulCoeffwiseMontgomery(b.C0[t], pt.Value[t], u.C0[t])
-					mod.MulCoeffwiseMontgomery(b.C1[t], pt.Value[t], u.C1[t])
-					first = false
-				} else {
-					mod.MulCoeffwiseMontgomeryThenAdd(b.C0[t], pt.Value[t], u.C0[t])
-					mod.MulCoeffwiseMontgomeryThenAdd(b.C1[t], pt.Value[t], u.C1[t])
-				}
-			}
-			mod.INTT(u.C0[t])
-			mod.INTT(u.C1[t])
-		})
-		u.Scale, u.Level = ct.Scale*ptScale, plan.level
-		// Giant step: one full key switch per non-empty block.
-		if k > 0 {
-			if err := ev.RotateInto(u, k*plan.n1, gks, u); err != nil {
+		var gk *GaloisKey
+		var tab []uint32
+		if k == 0 {
+			u = mv.acc
+		} else {
+			var err error
+			if gk, err = ev.galoisKey(k*plan.n1, gks); err != nil {
 				return err
 			}
+			tab = ev.gatherTable(gk)
 		}
-		if accEmpty {
-			mv.acc, mv.u = u, mv.acc
-			accEmpty = false
-		} else if err := ev.AddInto(mv.acc, u, mv.acc); err != nil {
-			return err
-		}
-	}
-	if accEmpty {
-		// Zero matrix: out is a fresh transparent zero at level−1.
-		if err := ev.DropLevelInto(ct, plan.level-1, out); err != nil {
-			return err
-		}
-		for i := 0; i <= out.Level; i++ {
-			for j := range out.C0[i] {
-				out.C0[i][j], out.C1[i][j] = 0, 0
+		tower.ForEachLimb(limbs, func(t int) {
+			mod := tower.Qi[t]
+			sum0 := mod.LazySum(ev.s1[t], ev.s2[t], u.C0[t])
+			sum1 := mod.LazySum(ev.s3[t], ev.s4[t], u.C1[t])
+			for i, pt := range row {
+				if pt != nil {
+					sum0.MulAdd(mv.babies[i].C0[t], pt.Value[t])
+					sum1.MulAdd(mv.babies[i].C1[t], pt.Value[t])
+				}
 			}
+			sum0.Reduce()
+			sum1.Reduce()
+			if k > 0 {
+				// The giant step's key-switch input σ(û1), in both domains.
+				ring.ApplyAutomorphismNTT(u.C1[t], tab, ev.s5[t])
+				copy(ev.s6[t], ev.s5[t])
+				mod.INTT(ev.s6[t])
+			}
+		})
+		if k > 0 {
+			// Giant step: rot_{k·n1}(û) lands in the accumulator if it is
+			// the first term, in û itself to be added otherwise.
+			ev.keySwitch(ev.s6, ev.s5, gk.Parts, level)
+			dst := u
+			if acc == nil {
+				dst = mv.acc
+			}
+			tower.ForEachLimb(limbs, func(t int) {
+				ev.switchedLimbNTT(t, level, u.C0[t], tab, dst.C0[t], dst.C1[t])
+				if dst == u {
+					mod := tower.Qi[t]
+					mod.Add(acc.C0[t], u.C0[t], acc.C0[t])
+					mod.Add(acc.C1[t], u.C1[t], acc.C1[t])
+				}
+			})
 		}
-		out.Scale = plan.scale
-	} else if err := ev.RescaleInto(mv.acc, out); err != nil {
-		return err
+		acc = mv.acc
 	}
-	if plan.bias != nil {
-		return ev.addBiasInto(plan.bias, out)
-	}
-	return nil
+	return ev.finishMatVec(plan, ct, acc, out)
 }
 
 // MatVecNaiveInto is the rotate-per-diagonal baseline: n−1 full key
 // switches, no hoisting, no BSGS regrouping. The MAC treatment matches
-// MatVecInto's (NTT-domain accumulate against pre-transformed diagonals)
-// so the benchmarked gap isolates rotation work. Kept for benchmarking
-// the kernel speedup; gks must cover rotations 1..n−1.
+// MatVecInto's (one NTT-domain lazy inner product per limb against the
+// pre-transformed diagonals, one inverse transform at the end) so the
+// benchmarked gap isolates rotation work. Kept for benchmarking the
+// kernel speedup; gks must cover rotations 1..n−1.
 func (ev *Evaluator) MatVecNaiveInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
 	if plan.naive == nil {
 		return fmt.Errorf("ckks: plan built for BSGS evaluation")
@@ -411,19 +467,25 @@ func (ev *Evaluator) MatVecNaiveInto(plan *MatVecPlan, ct *Ciphertext, gks *Galo
 	if err := plan.checkInput(ct, out); err != nil {
 		return err
 	}
-	mv := ev.ensureMatVec(1)
+	// RotateInto runs between the terms and owns the evaluator's lazy
+	// rows, so the sums spanning it keep theirs in two spare babies.
+	mv := ev.ensureMatVec(3)
 	tower := ev.ctx.Tower
 	limbs := plan.level + 1
-	rot := mv.babies[0]
-	acc := mv.acc
-	accEmpty := true
-	var ptScale float64
-	for d := 0; d < plan.n; d++ {
-		pt := plan.naive[d]
+	rot, wide0, wide1 := mv.babies[0], mv.babies[1], mv.babies[2]
+	sums := make([][2]ring.LazySum, limbs)
+	for t := range sums {
+		mod := tower.Qi[t]
+		sums[t] = [2]ring.LazySum{
+			mod.LazySum(wide0.C0[t], wide0.C1[t], mv.acc.C0[t]),
+			mod.LazySum(wide1.C0[t], wide1.C1[t], mv.acc.C1[t]),
+		}
+	}
+	var acc *Ciphertext
+	for d, pt := range plan.naive {
 		if pt == nil {
 			continue
 		}
-		ptScale = pt.Scale
 		if d == 0 {
 			for t := 0; t < limbs; t++ {
 				copy(rot.C0[t], ct.C0[t])
@@ -432,44 +494,18 @@ func (ev *Evaluator) MatVecNaiveInto(plan *MatVecPlan, ct *Ciphertext, gks *Galo
 		} else if err := ev.RotateInto(ct, d, gks, rot); err != nil {
 			return err
 		}
-		first := accEmpty
 		tower.ForEachLimb(limbs, func(t int) {
 			mod := tower.Qi[t]
 			mod.NTT(rot.C0[t])
 			mod.NTT(rot.C1[t])
-			if first {
-				mod.MulCoeffwiseMontgomery(rot.C0[t], pt.Value[t], acc.C0[t])
-				mod.MulCoeffwiseMontgomery(rot.C1[t], pt.Value[t], acc.C1[t])
-			} else {
-				mod.MulCoeffwiseMontgomeryThenAdd(rot.C0[t], pt.Value[t], acc.C0[t])
-				mod.MulCoeffwiseMontgomeryThenAdd(rot.C1[t], pt.Value[t], acc.C1[t])
-			}
+			sums[t][0].MulAdd(rot.C0[t], pt.Value[t])
+			sums[t][1].MulAdd(rot.C1[t], pt.Value[t])
 		})
-		accEmpty = false
+		acc = mv.acc
 	}
-	if accEmpty {
-		if err := ev.DropLevelInto(ct, plan.level-1, out); err != nil {
-			return err
-		}
-		for i := 0; i <= out.Level; i++ {
-			for j := range out.C0[i] {
-				out.C0[i][j], out.C1[i][j] = 0, 0
-			}
-		}
-		out.Scale = plan.scale
-	} else {
-		tower.ForEachLimb(limbs, func(t int) {
-			mod := tower.Qi[t]
-			mod.INTT(acc.C0[t])
-			mod.INTT(acc.C1[t])
-		})
-		acc.Scale, acc.Level = ct.Scale*ptScale, plan.level
-		if err := ev.RescaleInto(acc, out); err != nil {
-			return err
-		}
+	for t := range sums {
+		sums[t][0].Reduce()
+		sums[t][1].Reduce()
 	}
-	if plan.bias != nil {
-		return ev.addBiasInto(plan.bias, out)
-	}
-	return nil
+	return ev.finishMatVec(plan, ct, acc, out)
 }

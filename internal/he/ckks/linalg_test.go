@@ -229,3 +229,131 @@ func TestBSGSRotations(t *testing.T) {
 		}
 	}
 }
+
+// servedMatVec builds the benchmark's matvec-128k-sat shape: λ-128k
+// parameters (LogN 12, 60/50×4/61 chain), dense 256×256 with bias, input
+// two levels below the top where the transcipher leaves a block.
+func servedMatVec(tb testing.TB) (ev *Evaluator, plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) {
+	tb.Helper()
+	p, err := NewParams(12, 60, 50, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx, err := NewContext(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	kg := NewKeyGenerator(ctx, 101)
+	sk := kg.GenSecretKey()
+	ev = NewEvaluator(ctx, 102)
+	const n = 256
+	level := ctx.MaxLevel() - 2
+	m, bias := randomMatrix(rand.New(rand.NewSource(103)), n)
+	if plan, err = ev.NewMatVecPlan(m, bias, level, 0); err != nil {
+		tb.Fatal(err)
+	}
+	gks = kg.GenGaloisKeys(sk, plan.Rotations())
+	pt, err := NewEncoder(ctx).EncodeRealAtLevel(ev.replicate(bias), 0, level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ev, plan, ev.Encrypt(kg.GenPublicKey(sk), pt), gks, ctx.NewCiphertext(level - 1)
+}
+
+// BenchmarkMatVec times one served-shape MatVecInto on a warm evaluator
+// (-benchmem for its allocations, -cpuprofile for where the time goes).
+func BenchmarkMatVec(b *testing.B) {
+	ev, plan, ct, gks, out := servedMatVec(b)
+	if err := ev.MatVecInto(plan, ct, gks, out); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ev.MatVecInto(plan, ct, gks, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestMatVecSteadyStateAllocs gates a warm served-shape MatVecInto's
+// allocations: nothing that scales with N, the matrix or the rotation
+// keys — only the limb fan-outs' task closures and wait groups.
+func TestMatVecSteadyStateAllocs(t *testing.T) {
+	ev, plan, ct, gks, out := servedMatVec(t)
+	run := func() {
+		if err := ev.MatVecInto(plan, ct, gks, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: the evaluator's matvec scratch
+	// Measured 716 (-benchmem agrees): 81 fan-outs of three or four limbs
+	// at 8–10 objects each (the per-limb closures, their slice, the pool's
+	// wrappers and wait group) — two per baby rotation, three per giant
+	// step, one each for the input, the hoist, the first block and the
+	// output, two for the rescale. The coefficient-domain composition this
+	// replaced made 2,063. The bound leaves ~5% for runtime drift, not for
+	// a regression: one more fan-out per rotation is +270.
+	const bound = 750
+	if allocs := testing.AllocsPerRun(3, run); allocs > bound {
+		t.Errorf("steady-state matvec allocates %v objects, bound %d", allocs, bound)
+	}
+}
+
+// TestMatVecChunkedInnerSum runs the kernel where a giant block's inner
+// sum is longer than one lazy reduction admits: n = 1024 splits into
+// n1 = 32 baby steps, twice the ⌊2⁶⁴/q_0⌋ = 16 products the 60-bit base
+// limb accumulates between reductions, so that limb's sums are reduced per
+// chunk and added. A band matrix keeps it cheap: block 0 full (two whole
+// chunks), block 1 with 21 diagonals (a whole chunk and a partial one).
+func TestMatVecChunkedInnerSum(t *testing.T) {
+	p, err := NewParams(11, 60, 50, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, band = 1024, 53
+	n1, _ := matVecSplit(n)
+	if bound := ctx.Limb(0).LazySumTerms(); n1 <= bound || band-n1 <= bound {
+		t.Fatalf("n1 = %d, band = %d do not exceed the base limb's %d-term bound", n1, band, bound)
+	}
+	kg := NewKeyGenerator(ctx, 111)
+	sk := kg.GenSecretKey()
+	ev := NewEvaluator(ctx, 112)
+	rng := rand.New(rand.NewSource(113))
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for d := 0; d < band; d++ {
+			m[i][(i+d)%n] = rng.Float64()*2 - 1
+		}
+	}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.Float64()*2 - 1
+	}
+	level := ctx.MaxLevel()
+	plan, err := ev.NewMatVecPlan(m, nil, level, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the rotations the band touches: every baby step, one giant step.
+	rots := []int{n1}
+	for i := 1; i < n1; i++ {
+		rots = append(rots, i)
+	}
+	gks := kg.GenGaloisKeys(sk, rots)
+	ct := encryptReplicated(t, ev, kg.GenPublicKey(sk), v, level)
+	out := ctx.NewCiphertext(level - 1)
+	if err := ev.MatVecInto(plan, ct, gks, out); err != nil {
+		t.Fatal(err)
+	}
+	got := NewEncoder(ctx).DecodeReal(ev.Decrypt(sk, out))
+	if e := maxAbsDiff(plainMatVec(m, v, nil), got[:n]); e > 1e-6 {
+		t.Errorf("chunked inner sum: error %v vs plaintext", e)
+	}
+	sameCiphertext(t, "chunked inner sum vs strict reference", out, strictRef{ctx}.matVec(t, plan, ct, gks))
+}

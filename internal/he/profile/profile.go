@@ -59,12 +59,15 @@ const (
 // once per limb, so per-block cost is linear in the chain length at fixed
 // N. Fitted against this repository's transcipher-and-infer operation as
 // a session serves it — 24 plaintext products folded into three fused
-// NTT-domain linear forms over an installed (evaluation-form) key, one
+// NTT-domain linear forms over an installed (evaluation-form) key (each a
+// lazy inner product: one Montgomery reduction per sum, not per term), one
 // ciphertext mul-relin, four rescales, 25 encodes — on the depth-4
-// built-in chains at LogN 10–12 (measured 440, 407, 363 on the 2-core
-// reference box, the last with limb fan-out); Calibrate supersedes it
-// with a live measurement.
-const modeledCyclesPerLimbNLogN = 410.0
+// built-in chains at LogN 10–12: Calibrate's best-of-nine block time at
+// RefHz over L·N·log2(N) measured 307, 310, 265 on the 2-core reference
+// box, the last with limb fan-out (430, 410, 300 by the same procedure
+// before the lazy sums; PR 13 recorded 440, 407, 363). Calibrate
+// supersedes it with a live measurement.
+const modeledCyclesPerLimbNLogN = 300.0
 
 // RefHz is the reference server clock the cost coefficients are expressed
 // against and every modeled serving delay is reported at (the paper's
@@ -78,8 +81,15 @@ const RefHz = 3.3e9
 // the transcipher's per-limb NTT work but with a much smaller constant —
 // the hoisted decomposition is shared across the rotation set, leaving
 // only the per-rotation inner products. Fitted against this repository's
-// RotateHoistedInto on the built-in chains.
-const modeledRotCyclesPerLimbNLogN = 95.0
+// RotateHoistedInto on the built-in chains: best of fifteen at each
+// profile's top level, at RefHz over L·N·log2(N), measured 26, 26, 24 on
+// the 2-core reference box (51, 50, 40 before the lazy gather sums — the
+// 95 this constant held since PR 10 had gone stale by half already). A
+// served 256×256 matvec at λ-128k spends 29 per rotation all-in
+// (MatVecInto's time over its 30 rotations, diagonal sums and the
+// unhoisted giant-step switches included), so the constant sits between
+// the two.
+const modeledRotCyclesPerLimbNLogN = 28.0
 
 // chainDepth is the rescaling depth every built-in profile runs at. The
 // transcipher itself consumes two levels (linear + quadratic keystream

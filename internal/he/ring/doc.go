@@ -17,9 +17,10 @@
 //
 // Limb ownership rules: limb i belongs to modulus Qi[i] and is only ever
 // touched with that modulus's methods; cross-limb data flow happens in
-// exactly three places — RescaleInto and ModDownInto (which read one
-// donor limb and fold its centered remainder into every other limb) and
-// CenteredFloat (which CRT-combines the first two limbs for decoding).
+// exactly three places — RescaleInto and ModDownInto/ModDownNTT (which
+// read one donor limb and fold its centered remainder into every other
+// limb) and CenteredFloat (which CRT-combines the first two limbs for
+// decoding).
 // Because limbs are otherwise independent, per-limb work fans out through
 // the bounded Parallel pool (ForEachLimb); tasks must not share mutable
 // state across limbs.
@@ -32,11 +33,30 @@
 //
 //   - Key material is stored NTT + Montgomery, so a fused
 //     MulCoeffwiseMontgomery of a plain-NTT operand with a key limb yields
-//     a plain-NTT product with one MRed per coefficient.
+//     a plain-NTT product with one MRed per coefficient — and an inner
+//     product of such pairs (LazySum) a plain-NTT sum with one MRed per
+//     coefficient for the whole sum.
 //   - MRed of two Montgomery-form operands stays in Montgomery form
 //     (used to square the secret for relinearization keys).
 //   - All limbs of one RNSPoly are kept in the same domain at all times;
 //     there is no per-limb domain tracking.
+//
+// # Lazy inner products
+//
+// Every Σ_i a_i ⊙ b_i in the tree — key-switch digit folds, hoisted
+// rotation gathers, linear forms over an evaluation-form key, matvec
+// diagonal sums — goes through one primitive, LazySum (lazysum.go): the
+// raw 128-bit products are added with carry into a high and a low row and
+// Montgomery-reduced once per sum, not once per term. Precondition: every
+// operand coefficient a, b < q (NTT output, MForm output and validated key
+// material all are), so a term is below q² and ⌊2⁶⁴/q⌋ of them
+// (Modulus.LazySumTerms: 8 at 61 bits, 16 at 60, 2¹⁴ at 50) stay below
+// q·2⁶⁴, the range MRed accepts; a longer sum is reduced per chunk of that
+// many terms and the residues added. The result is the same canonical
+// residue in [0, q) the per-term MRed + AddMod chain gives, so kernels
+// built on it are bit-identical to the strict composition — the property
+// tests drive it with every residue at q−1 at exactly the bound and past
+// it, against math/big.
 //
 // # Rescale semantics
 //
@@ -49,7 +69,11 @@
 // prime P as donor, scaling hybrid key-switch accumulators from the
 // extended basis QP back to Q. Both are exact integer identities — the
 // property tests check them coefficient-for-coefficient against a big.Int
-// CRT reference.
+// CRT reference. ModDownNTT is ModDownInto for data that stays in the NTT
+// domain: the division is linear, so only the donor limb is
+// inverse-transformed, its centered residue is forward-transformed per
+// chain limb, and the subtraction and the P⁻¹ scaling happen pointwise —
+// the exact NTT image of ModDownInto's output.
 //
 // # Galois automorphisms
 //
@@ -59,9 +83,8 @@
 // precomputed index table (AutomorphismNTTTable), so a rotation costs one
 // pass over the coefficients — the sign fixups of the coefficient-domain
 // map (AutomorphismCoeffs) fold into the table. GaloisElement maps a slot
-// rotation count to its generator power 5^k mod 2N, and the fused
-// AutomorphismNTTMulMontgomeryThenAdd gathers straight into a key-switch
-// multiply-accumulate.
+// rotation count to its generator power 5^k mod 2N, and
+// LazySum.MulAddGather gathers straight into a key-switch inner product.
 //
 // # Single-modulus substrate
 //
@@ -90,7 +113,7 @@
 // Methods suffixed Into write into caller-provided (or internally pooled)
 // buffers and perform no allocation in steady state: MulPolyInto draws its
 // single scratch buffer from a per-Modulus sync.Pool. NTT-domain fused ops
-// (MulCoeffwiseMontgomery, MulCoeffwiseMontgomeryThenAdd) let callers keep
+// (MulCoeffwiseMontgomery, LazySum, ModDownNTT) let callers keep
 // ciphertext material in the transform domain across an operation chain and
 // reduce transform counts. The allocating variants (MulPoly, UniformPoly,
 // ...) remain as convenience wrappers.

@@ -106,16 +106,3 @@ func ApplyAutomorphismNTT(p Poly, tab []uint32, out Poly) {
 		out[i] = p[tab[i]]
 	}
 }
-
-// AutomorphismNTTMulMontgomeryThenAdd fuses the σ_g gather into a
-// Montgomery MAC: out[i] += p[tab[i]]·bMont[i] (mod q). This is the
-// hoisted-rotation hot loop — the decomposed digit is permuted and folded
-// through the Galois key part in one pass, so per-rotation work is a
-// single read-modify-write sweep instead of permute-then-MAC. out must
-// not alias p.
-func (m *Modulus) AutomorphismNTTMulMontgomeryThenAdd(p Poly, tab []uint32, bMont, out Poly) {
-	q, qInv := m.Q, m.qInv
-	for i := range out {
-		out[i] = AddMod(out[i], MRed(p[tab[i]], bMont[i], q, qInv), q)
-	}
-}

@@ -107,26 +107,31 @@ func TestAutomorphismCoeffsBigIntCRT(t *testing.T) {
 	}
 }
 
-// TestAutomorphismNTTMACMatchesUnfused checks the fused gather-MAC against
-// permute-then-MulCoeffwiseMontgomeryThenAdd.
+// TestAutomorphismNTTMACMatchesUnfused checks the fused gather term of a
+// LazySum against permute-then-multiply-accumulate with the strict
+// per-term primitives.
 func TestAutomorphismNTTMACMatchesUnfused(t *testing.T) {
 	const n = 64
 	m := testModulus(t, n)
 	rng := rand.New(rand.NewSource(7))
-	p := m.UniformPoly(rng)
-	key := m.UniformPoly(rng)
-	keyMont := m.NewPoly()
-	m.MForm(key, keyMont)
 	tab := AutomorphismNTTTable(GaloisElement(5, n), n)
 
-	fused := m.UniformPoly(rng)
-	unfused := fused.Copy()
-
-	m.AutomorphismNTTMulMontgomeryThenAdd(p, tab, keyMont, fused)
-
+	fused := m.NewPoly()
+	unfused := m.NewPoly()
+	sum := m.LazySum(m.NewPoly(), m.NewPoly(), fused)
 	perm := m.NewPoly()
-	ApplyAutomorphismNTT(p, tab, perm)
-	m.MulCoeffwiseMontgomeryThenAdd(perm, keyMont, unfused)
+	for term := 0; term < 3; term++ {
+		p := m.UniformPoly(rng)
+		keyMont := m.NewPoly()
+		m.MForm(m.UniformPoly(rng), keyMont)
+		sum.MulAddGather(p, tab, keyMont)
+
+		ApplyAutomorphismNTT(p, tab, perm)
+		for i := range unfused {
+			unfused[i] = AddMod(unfused[i], MRed(perm[i], keyMont[i], m.Q, m.qInv), m.Q)
+		}
+	}
+	sum.Reduce()
 
 	for i := range fused {
 		if fused[i] != unfused[i] {

@@ -15,6 +15,10 @@
 //	BRed           any a, b < 2⁶⁴ (a·b up to 2¹²⁸); output [0, q)
 //	BRedAdd        any a < 2⁶⁴; output [0, q)
 //	MForm          any a < 2⁶⁴; output a·2⁶⁴ mod q in [0, q)
+//	LazySum        terms a_i, b_i < q with Σ a_i·b_i < q·2⁶⁴, which
+//	               ⌊2⁶⁴/q⌋ terms guarantee (LazySumTerms; longer sums
+//	               reduce per chunk of that many); output
+//	               Σ a_i·b_i·2⁻⁶⁴ mod q in [0, q) — see lazysum.go
 //
 // All are cross-checked against bits.Rem64 by randomized property tests.
 package ring
@@ -44,6 +48,12 @@ func BRedConstant(q uint64) [2]uint64 {
 // (in particular for any a < 2⁶⁴ with b < q, the twiddle case).
 func MRed(a, b, q, qInv uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
+	return mred128(hi, lo, q, qInv)
+}
+
+// mred128 is MRed on an already-formed 128-bit value hi·2⁶⁴ + lo, which
+// must be below q·2⁶⁴ (so hi < q).
+func mred128(hi, lo, q, qInv uint64) uint64 {
 	th, _ := bits.Mul64(lo*qInv, q)
 	r := hi - th + q
 	if r >= q {

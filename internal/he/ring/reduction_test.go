@@ -209,19 +209,12 @@ func TestModulusPointwiseOps(t *testing.T) {
 		}
 	}
 
-	// Fused accumulators.
+	// Fused accumulator.
 	acc := a.Copy()
 	m.MulCoeffwiseThenAdd(a, b, acc)
-	m.MForm(b, bM)
-	acc2 := a.Copy()
-	m.MulCoeffwiseMontgomeryThenAdd(a, bM, acc2)
 	for i := range acc {
-		wantAcc := AddMod(a[i], want[i], m.Q)
-		if acc[i] != wantAcc {
+		if wantAcc := AddMod(a[i], want[i], m.Q); acc[i] != wantAcc {
 			t.Fatalf("MulCoeffwiseThenAdd[%d] = %d, want %d", i, acc[i], wantAcc)
-		}
-		if acc2[i] != wantAcc {
-			t.Fatalf("MulCoeffwiseMontgomeryThenAdd[%d] = %d, want %d", i, acc2[i], wantAcc)
 		}
 	}
 

@@ -153,6 +153,9 @@ type Modulus struct {
 
 	qInv uint64    // q⁻¹ mod 2⁶⁴ (Montgomery constant)
 	brc  [2]uint64 // ⌊2¹²⁸/q⌋ (Barrett constant)
+	// lazyTerms = ⌊2⁶⁴/q⌋: products of reduced operands a LazySum may
+	// accumulate before their 128-bit total could leave MRed's range.
+	lazyTerms int
 
 	psiMont        []uint64 // ψ^i·2⁶⁴, bit-reversed (forward twiddles)
 	psiInvMont     []uint64 // ψ^{−i}·2⁶⁴, bit-reversed (inverse twiddles)
@@ -223,6 +226,8 @@ func newModulusWithRoot(q uint64, n int, psi uint64) (*Modulus, error) {
 	m := &Modulus{Q: q, N: n}
 	m.qInv = MRedConstant(q) // q is odd: q ≡ 1 mod 2N
 	m.brc = BRedConstant(q)
+	terms, _ := bits.Div64(1, 0, q)
+	m.lazyTerms = int(terms)
 	m.psiMont = make([]uint64, n)
 	m.psiInvMont = make([]uint64, n)
 	psiInv := InvMod(psi, q)
@@ -335,16 +340,6 @@ func (m *Modulus) MulCoeffwiseMontgomery(a, bMont, out Poly) {
 	q, qInv := m.Q, m.qInv
 	for i := range out {
 		out[i] = MRed(a[i], bMont[i], q, qInv)
-	}
-}
-
-// MulCoeffwiseMontgomeryThenAdd sets out += a ⊙ bMont ⊙ 2⁻⁶⁴ — the fused
-// multiply-accumulate used to fold key-switch digits without intermediate
-// buffers.
-func (m *Modulus) MulCoeffwiseMontgomeryThenAdd(a, bMont, out Poly) {
-	q, qInv := m.Q, m.qInv
-	for i := range out {
-		out[i] = AddMod(out[i], MRed(a[i], bMont[i], q, qInv), q)
 	}
 }
 

@@ -209,6 +209,34 @@ func (t *Tower) ModDownInto(inQ RNSPoly, inP Poly, out RNSPoly) {
 	})
 }
 
+// ModDownNTT is ModDownInto on one chain limb i whose data never leaves
+// the NTT domain. Division by P is linear, so it can be done where the
+// data already is: with inQ the NTT-domain limb i of x and inP the
+// coefficient-domain residue of x mod P, the centered residue [x]_P is
+// reduced into q_i (in scratch), forward-transformed, subtracted and the
+// difference scaled by P⁻¹ pointwise — out receives exactly the NTT image
+// of limb i of ModDownInto's result, at one forward transform instead of
+// an inverse before and a forward after. out may alias inQ; scratch is
+// overwritten; inP is only read.
+func (t *Tower) ModDownNTT(i int, inQ, inP, scratch, out Poly) {
+	qi := t.Qi[i]
+	q, qInv, brc := qi.Q, qi.qInv, qi.brc
+	pM, invM := t.pMod[i], t.pInvMont[i]
+	half := t.P.Q >> 1
+	scratch, inQ, out = scratch[:len(inP)], inQ[:len(inP)], out[:len(inP)]
+	for j, rU := range inP {
+		r := BRedAdd(rU, q, brc)
+		if rU > half {
+			r = SubMod(r, pM, q)
+		}
+		scratch[j] = r
+	}
+	qi.NTT(scratch)
+	for j, r := range scratch {
+		out[j] = MRed(SubMod(inQ[j], r, q), invM, q, qInv)
+	}
+}
+
 // CenteredFloat reconstructs coefficient j of the coefficient-domain
 // polynomial p as a centered float64. Single-limb values decode through
 // the limb's centered representative; with two or more limbs the first

@@ -185,6 +185,38 @@ func TestModDownMatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestModDownNTTMatchesModDown pins the NTT-domain division by P to the
+// coefficient-domain one it shortcuts: fed the forward transform of the
+// same chain limbs, every limb must come out as exactly the forward
+// transform of ModDownInto's, in place or into a separate row.
+func TestModDownNTTMatchesModDown(t *testing.T) {
+	const n = 64
+	for _, limbs := range []int{1, 3, 4} {
+		tw := testTower(t, n, limbs)
+		rng := rand.New(rand.NewSource(int64(350 + limbs)))
+		inQ := randomRNS(tw, rng, limbs)
+		inP := tw.P.UniformPoly(rng)
+		inP[0], inP[1], inP[2] = 0, tw.P.Q>>1, tw.P.Q>>1+1 // the centering edge
+
+		want := tw.NewPoly(limbs)
+		tw.ModDownInto(inQ, inP, want)
+		scratch := make(Poly, n)
+		for i := 0; i < limbs; i++ {
+			tw.Qi[i].NTT(want[i])
+			tw.Qi[i].NTT(inQ[i])
+			got := make(Poly, n)
+			tw.ModDownNTT(i, inQ[i], inP, scratch, got)
+			tw.ModDownNTT(i, inQ[i], inP, scratch, inQ[i])
+			for j := range got {
+				if got[j] != want[i][j] || inQ[i][j] != want[i][j] {
+					t.Fatalf("L=%d limb %d coeff %d: got %d (in place %d), want %d",
+						limbs, i, j, got[j], inQ[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
+
 // TestCenteredFloatMatchesBigInt cross-checks the 128-bit two-limb CRT
 // decode against the big.Int reconstruction for values spanning the full
 // centered range of q_0·q_1.
