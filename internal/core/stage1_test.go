@@ -200,7 +200,7 @@ func TestStage1PenalizedMatchesObjectiveInside(t *testing.T) {
 }
 
 // TestStage1ProjGradAblation: the projected-gradient ablation solver must
-// reach the barrier optimum (DESIGN.md ablation #3) with a line search,
+// reach the barrier optimum with a line search,
 // faster per-iteration convergence than fixed-step GD.
 func TestStage1ProjGradAblation(t *testing.T) {
 	c := PaperConfig(1)

@@ -190,11 +190,9 @@
 // and rekey counters, NTT inline-degradation and QKD flow counters via
 // the control plane) plus a per-block tracer on the per-block op path —
 // every block's stage spans, ring-buffered per session, dumpable as
-// chrome://tracing JSON. Instrumentation is on by default and costs
-// under ~2% of the hot path (BenchmarkObsOverhead pins this in
-// BENCH_obs.json); ServerConfig.DisableObs turns the substrate off
-// entirely, and ServerConfig.Obs shares one registry between the server
-// and a control plane so a single scrape shows the whole loop.
+// chrome://tracing JSON. Instrumentation is always on — there is no bare
+// serving path — and ServerConfig.Obs shares one registry between the
+// server and a control plane so a single scrape shows the whole loop.
 //
 // Tracing is distributed and causal. A client armed with
 // DialConfig.Tracer mints a per-block trace context (trace ID, root
@@ -287,5 +285,5 @@
 // flight blocks finished, connections closed as they go quiet. The chaos
 // suite (chaos_test.go + internal/faultnet) pins the whole contract under
 // seeded byte-level faults: typed errors, no hangs, no wrong plaintexts,
-// and resumes that cost zero key material (BENCH_faults.json).
+// and resumes that cost zero key material (TestResumeRoundTrip).
 package edge

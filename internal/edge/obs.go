@@ -23,9 +23,8 @@ const (
 
 // serverObs is the edge server's instrument set: every counter, gauge
 // and histogram the serving path touches, resolved once at construction
-// so hot-path updates are pure atomics on held pointers. A nil
-// *serverObs (ServerConfig.DisableObs) turns every instrumentation site
-// into a nil-check and branch.
+// so hot-path updates are pure atomics on held pointers. Every server
+// has one: the instrumented path is the only serving path.
 type serverObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -218,12 +217,8 @@ type blockTrace struct {
 }
 
 // newBlockTrace starts a trace at the decode timestamp (the earliest
-// point the server saw the request). Returns nil when tracing is off —
-// every method below is nil-safe.
+// point the server saw the request).
 func (m *serverObs) newBlockTrace(session string, block uint32, reqID uint64, start time.Time) *blockTrace {
-	if m == nil {
-		return nil
-	}
 	return &blockTrace{met: m, bt: obs.BlockTrace{
 		Session: session, Block: block, ReqID: reqID, Start: start,
 		Spans: make([]obs.Span, 0, 5),
@@ -234,7 +229,7 @@ func (m *serverObs) newBlockTrace(session string, block uint32, reqID uint64, st
 // trace ID, the server's block span parented to the client's submit
 // span. An invalid or unsampled context leaves the trace standalone.
 func (t *blockTrace) adopt(tc obs.TraceContext) {
-	if t == nil || !tc.Valid() || !tc.Sampled {
+	if !tc.Valid() || !tc.Sampled {
 		return
 	}
 	t.bt.TraceID, t.bt.Parent = tc.TraceID, tc.Parent
@@ -242,9 +237,6 @@ func (t *blockTrace) adopt(tc obs.TraceContext) {
 
 // span appends one stage span and feeds the matching histogram.
 func (t *blockTrace) span(idx int, stage string, start time.Time, d time.Duration) {
-	if t == nil {
-		return
-	}
 	t.bt.Spans = append(t.bt.Spans, obs.Span{Stage: stage, Start: start, Dur: d})
 	t.met.observeSpan(idx, d)
 }
@@ -252,9 +244,6 @@ func (t *blockTrace) span(idx int, stage string, start time.Time, d time.Duratio
 // finish stamps the end-to-end total and hands the trace to the tracer
 // (which takes ownership of the spans slice).
 func (t *blockTrace) finish() {
-	if t == nil {
-		return
-	}
 	t.bt.Total = time.Since(t.bt.Start)
 	t.met.tracer.Record(t.bt)
 }

@@ -217,34 +217,3 @@ func TestDebugPlanWithController(t *testing.T) {
 		t.Errorf("/debug/plan must render the live plan, got %q", body)
 	}
 }
-
-// TestDisableObs pins the off switch the overhead benchmark depends on:
-// no registry, no tracer, no debug plane, and the serving path still
-// works.
-func TestDisableObs(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		Model:      Model{Weights: []float64{1}},
-		DisableObs: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.ObsRegistry() != nil || srv.Tracer() != nil || srv.DebugAddr() != "" {
-		t.Fatal("DisableObs must leave no observability surface")
-	}
-	client, err := Dial(srv.Addr(), "bare-sess", []byte("qkd-material"), 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, err := client.Compute(0, []float64{0.5}); err != nil {
-		t.Fatal(err)
-	}
-	// The scheduler's wait observer must also be absent — give the drain
-	// goroutine a beat and make sure nothing panicked by computing again.
-	time.Sleep(10 * time.Millisecond)
-	if _, err := client.Compute(1, []float64{0.5}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -95,11 +95,6 @@ type ServerConfig struct {
 	// a private registry; pass a shared one to combine server and
 	// control-plane series on a single /metrics page.
 	Obs *obs.Registry
-	// DisableObs turns the observability substrate off entirely — no
-	// registry, no tracer, no per-stage instrumentation. Exists so the
-	// overhead benchmark can compare the instrumented hot path against
-	// the bare one; leave false in production.
-	DisableObs bool
 	// IdleTimeout bounds how long a connection may sit with no inbound
 	// frames and no in-flight work before the server closes it: half-dead
 	// peers release their sessions back to resumable state instead of
@@ -164,8 +159,8 @@ type Server struct {
 	pools *serve.PoolSet
 	sched *serve.Scheduler
 
-	// met is the observability instrument set (nil when DisableObs);
-	// debug the opt-in HTTP debug plane (nil unless DebugAddr set).
+	// met is the observability instrument set, always on; debug the
+	// opt-in HTTP debug plane (nil unless DebugAddr set).
 	met   *serverObs
 	debug *obs.DebugServer
 
@@ -266,6 +261,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		}
 		p := serve.NewEvalPool(rt.ctx, cfg.Workers, 1, func(int) any { return rt.cipher.NewScratch() })
 		p.SetProfileLabel(profileID)
+		// nil only for the default pool, built below before met exists.
 		if s.met != nil {
 			s.met.registerPoolGauges(profileID, p)
 		}
@@ -276,16 +272,14 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("edge: default pool: %w", err)
 	}
 	s.sched = serve.NewScheduler(defPool, cfg.QueueDepth)
-	if !cfg.DisableObs {
-		reg := cfg.Obs
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		s.met = newServerObs(reg, s)
-		// The default pool was built before met existed; backfill its
-		// gauges so the first /metrics scrape already shows it.
-		s.met.registerPoolGauges(s.reg.DefaultID(), defPool)
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	s.met = newServerObs(reg, s)
+	// The default pool was built before met existed; backfill its
+	// gauges so the first /metrics scrape already shows it.
+	s.met.registerPoolGauges(s.reg.DefaultID(), defPool)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		s.sched.Close()
@@ -296,7 +290,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Control != nil {
 		cfg.Control.BindServe(s.pools, s.sched, s.store)
 	}
-	if cfg.DebugAddr != "" && s.met != nil {
+	if cfg.DebugAddr != "" {
 		dcfg := obs.DebugConfig{
 			Registry:  s.met.reg,
 			Tracer:    s.met.tracer,
@@ -343,9 +337,7 @@ func (s *Server) reapLoop() {
 		case <-t.C:
 			cutoff := time.Now().Add(-s.cfg.ResumeWindow).UnixNano()
 			if n := s.store.SweepExpired(cutoff); n > 0 {
-				if m := s.met; m != nil {
-					m.resumeExpired.Add(int64(n))
-				}
+				s.met.resumeExpired.Add(int64(n))
 				s.cfg.Logf("edge: resume window expired for %d sessions", n)
 			}
 		}
@@ -440,21 +432,11 @@ func (s *Server) matvecPlan(rt *profileRuntime) (*ckks.MatVecPlan, error) {
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
 // ObsRegistry returns the server's metrics registry (the configured
-// shared one or the private default), nil when DisableObs.
-func (s *Server) ObsRegistry() *obs.Registry {
-	if s.met == nil {
-		return nil
-	}
-	return s.met.reg
-}
+// shared one or the private default).
+func (s *Server) ObsRegistry() *obs.Registry { return s.met.reg }
 
-// Tracer returns the server's block tracer, nil when DisableObs.
-func (s *Server) Tracer() *obs.Tracer {
-	if s.met == nil {
-		return nil
-	}
-	return s.met.tracer
-}
+// Tracer returns the server's block tracer.
+func (s *Server) Tracer() *obs.Tracer { return s.met.tracer }
 
 // DebugAddr returns the debug plane's bound address, "" when the plane
 // was not configured.
@@ -512,9 +494,7 @@ func (s *Server) Close() error {
 // plane); Drain leaves them running so in-flight work can finish.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.Swap(true) {
-		if m := s.met; m != nil {
-			m.drains.Inc()
-		}
+		s.met.drains.Inc()
 		s.cfg.Logf("edge: draining")
 	}
 	s.closeListener()
@@ -656,10 +636,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		})
 	}
 	defer teardown()
-	if m := s.met; m != nil {
-		m.conns.Add(1)
-		defer m.conns.Add(-1)
-	}
+	s.met.conns.Add(1)
+	defer s.met.conns.Add(-1)
 	br := bufio.NewReaderSize(conn, wireBufSize)
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
@@ -672,19 +650,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	if ftype, _, payload, err := readFrame(br, buf); err != nil || ftype != frameHello || len(payload) != 0 {
 		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-			if m := s.met; m != nil {
-				m.protoMismatches.Inc()
-			}
+			s.met.protoMismatches.Inc()
 			s.cfg.Logf("edge: closing peer that did not open with a v%d hello (type %d, err %v)", frameVersion, ftype, err)
 		}
 		return
 	}
 	fw := newFrameWriter(conn, teardown, s.cfg.Logf)
-	if m := s.met; m != nil {
-		fw.countSend = func(n int) {
-			m.framesOut.Inc()
-			m.bytesOut.Add(int64(n))
-		}
+	fw.countSend = func(n int) {
+		s.met.framesOut.Inc()
+		s.met.bytesOut.Add(int64(n))
 	}
 	if fw.sendFrame(frameHello, 0, nil) != nil {
 		return
@@ -696,7 +670,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		ftype, id, payload, err := readFrame(br, buf)
 		if err != nil {
-			if errors.Is(err, ErrFrameChecksum) && s.met != nil {
+			if errors.Is(err, ErrFrameChecksum) {
 				s.met.checksumFails.Inc()
 			}
 			// EOF is a normal goodbye; net.ErrClosed is our own Close
@@ -706,10 +680,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		if m := s.met; m != nil {
-			m.framesIn.Inc()
-			m.bytesIn.Add(int64(frameHeaderLen + len(payload) + crcTrailerLen))
-		}
+		s.met.framesIn.Inc()
+		s.met.bytesIn.Add(int64(frameHeaderLen + len(payload) + crcTrailerLen))
 		cs.active.Add(1)
 		err = s.dispatch(fw, ftype, id, payload, rd)
 		cs.active.Add(-1)
@@ -743,9 +715,7 @@ func (s *Server) awaitFrame(conn net.Conn, br *bufio.Reader, cs *connState) bool
 				if cs.active.Load() > 0 {
 					continue // replies in flight; not idle
 				}
-				if m := s.met; m != nil {
-					m.idleTimeouts.Inc()
-				}
+				s.met.idleTimeouts.Inc()
 				s.cfg.Logf("edge: idle timeout (%s) — releasing connection", idle)
 			}
 			return false
@@ -769,10 +739,7 @@ func (s *Server) dispatch(fw *frameWriter, ftype byte, id uint64, payload []byte
 	if o := opFor(ftype); o != nil {
 		// The decode timestamp anchors the block's trace: the earliest
 		// point the server saw this request's bytes as a block.
-		var decodeStart time.Time
-		if s.met != nil {
-			decodeStart = time.Now()
-		}
+		decodeStart := time.Now()
 		req, err := decodeComputeRequest(payload)
 		if err != nil {
 			return err
@@ -864,9 +831,7 @@ func (s *Server) handleProfile(req *ProfileRequest) *ProfileReply {
 // connection.
 func (s *Server) handleResume(fw *frameWriter, rd connReader, id uint64, req *ResumeRequest) error {
 	deny := func(code serve.Code, detail string) error {
-		if m := s.met; m != nil {
-			m.resumeRejects.Inc()
-		}
+		s.met.resumeRejects.Inc()
 		s.cfg.Logf("edge: resume of %q denied: %s (%s)", req.SessionID, code, detail)
 		rep := &ResumeReply{Code: code, Err: detail}
 		fw.sendFrame(frameResumeReply, id, func(b []byte) []byte { return appendResumeReply(b, rep) })
@@ -930,9 +895,7 @@ func (s *Server) handleResume(fw *frameWriter, rd connReader, id uint64, req *Re
 	}
 	s.store.Get(sess.ID) // authenticated: refresh LRU position
 	rd.cs.attach(sess)
-	if m := s.met; m != nil {
-		m.resumes.Inc()
-	}
+	s.met.resumes.Inc()
 	s.cfg.Logf("edge: session %q resumed at epoch %d", sess.ID, req.Epoch)
 	rep := &ResumeReply{OK: true, Epoch: req.Epoch}
 	fw.sendFrame(frameResumeReply, id, func(b []byte) []byte { return appendResumeReply(b, rep) })
@@ -1075,9 +1038,7 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 	// rotates with it; a rekey without one clears the credential rather
 	// than leaving a stale epoch's secret valid.
 	sess.SetResumeAuth(req.ResumeAuth)
-	if m := s.met; m != nil {
-		m.rekeys.Inc()
-	}
+	s.met.rekeys.Inc()
 	s.cfg.Logf("edge: session %q rekeyed to epoch %d", req.SessionID, epoch)
 	return &RekeyReply{OK: true, Epoch: epoch}
 }
@@ -1173,10 +1134,10 @@ func (s *Server) refuseBlock(fw *frameWriter, o *op, id uint64, code serve.Code,
 
 // handleOp serves one per-block request of any op: the block goes through
 // the bounded scheduler — onto the session profile's evaluator pool — and
-// may be shed with CodeOverloaded. With observability on, the block's
-// life is traced stage by stage (decode → queue_wait → eval → [kernel
-// stage] → encode → write) and recorded once the reply frame reached the
-// socket; spans also feed the quhe_stage_seconds histograms.
+// may be shed with CodeOverloaded. The block's life is traced stage by
+// stage (decode → queue_wait → eval → [kernel stage] → encode → write)
+// and recorded once the reply frame reached the socket; spans also feed
+// the quhe_stage_seconds histograms.
 func (s *Server) handleOp(fw *frameWriter, o *op, id uint64, req *ComputeRequest, decodeStart time.Time, cs *connState) {
 	bt := s.met.newBlockTrace(req.SessionID, req.Block, id, decodeStart)
 	bt.adopt(req.Trace)
@@ -1186,40 +1147,32 @@ func (s *Server) handleOp(fw *frameWriter, o *op, id uint64, req *ComputeRequest
 		s.refuseBlock(fw, o, id, code, detail)
 		return
 	}
-	var submitAt time.Time
-	if bt != nil {
-		submitAt = time.Now()
-	}
+	submitAt := time.Now()
 	// The reply outlives this dispatch: hold an in-flight count until the
 	// reply frame reached the socket, so Drain never closes the
 	// connection under a queued block.
 	cs.active.Add(1)
 	if err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
 		defer cs.active.Add(-1)
-		var waitEnd, evalEnd time.Time
-		if bt != nil {
-			waitEnd = time.Now()
-			bt.span(stageIdxQueueWait, stageQueueWait, submitAt, waitEnd.Sub(submitAt))
-		}
+		waitEnd := time.Now()
+		bt.span(stageIdxQueueWait, stageQueueWait, submitAt, waitEnd.Sub(submitAt))
 		result, rots, kdur, code, detail := s.evalBlock(o, rt, w, sess, req.Epoch, req.Block, req.Masked)
 		rep := ComputeReply{Result: result, Code: code, Err: detail, RekeyNeeded: s.rekeyNeeded(sess)}
 		if code == serve.CodeOK {
 			rep.ModeledTxDelay = float64(len(req.Masked)*64) / modeledUplinkBps
 			rep.ModeledCmpDelay = rt.prof.BlockCycles(float64(rots)) / profile.RefHz
 		}
-		if bt != nil {
-			// The kernel runs at the tail of the eval: split the worker's
-			// time into the transcipher span and the kernel's.
-			total := time.Since(waitEnd)
-			evalEnd = waitEnd.Add(total)
-			bt.span(stageIdxEval, stageEval, waitEnd, total-kdur)
-			if o.kernel != nil {
-				bt.span(o.stageIdx, o.stage, evalEnd.Add(-kdur), kdur)
-			}
+		// The kernel runs at the tail of the eval: split the worker's
+		// time into the transcipher span and the kernel's.
+		total := time.Since(waitEnd)
+		evalEnd := waitEnd.Add(total)
+		bt.span(stageIdxEval, stageEval, waitEnd, total-kdur)
+		if o.kernel != nil {
+			bt.span(o.stageIdx, o.stage, evalEnd.Add(-kdur), kdur)
 		}
 		enc, wr, err := fw.sendFrameTimed(o.reply, id, func(b []byte) []byte {
 			return appendComputeReply(b, &rep)
-		}, bt != nil)
+		}, true)
 		if err == nil {
 			bt.span(stageIdxEncode, stageEncode, evalEnd, enc)
 			bt.span(stageIdxWrite, stageWrite, evalEnd.Add(enc), wr)
@@ -1227,9 +1180,7 @@ func (s *Server) handleOp(fw *frameWriter, o *op, id uint64, req *ComputeRequest
 		bt.finish()
 	}); err != nil {
 		cs.active.Add(-1)
-		if m := s.met; m != nil {
-			m.shedQueueFull.Inc()
-		}
+		s.met.shedQueueFull.Inc()
 		s.refuseBlock(fw, o, id, serve.CodeOf(err), fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()))
 	}
 }
@@ -1250,12 +1201,10 @@ const modeledUplinkBps = 5e6
 // rots is that count, for the caller's modeled delay; kdur is the kernel's
 // share of the time, for its trace split.
 func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *serve.Session, reqEpoch uint64, block uint32, masked []float64) (result *ckks.Ciphertext, rots int, kdur time.Duration, code serve.Code, detail string) {
-	if m := s.met; m != nil {
-		defer func() {
-			m.codeCounter(code).Inc()
-			m.observeOutcome(code)
-		}()
-	}
+	defer func() {
+		s.met.codeCounter(code).Inc()
+		s.met.observeOutcome(code)
+	}()
 	if o.ready != nil {
 		if code, detail := o.ready(s, rt, sess); code != serve.CodeOK {
 			return nil, 0, 0, code, detail
@@ -1285,10 +1234,7 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 		return nil, 0, 0, serve.CodeRekeyRequired,
 			fmt.Sprintf("key byte budget exhausted (%d of %d)", used, budget)
 	}
-	var start time.Time
-	if ctl != nil || s.met != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	var weights, bias []float64
 	if o.affine {
 		weights, bias = s.cfg.Model.Weights, s.cfg.Model.Bias
@@ -1307,22 +1253,18 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 	if code == serve.CodeOK {
 		sess.RecordBlock(pending)
 	}
-	if ctl != nil || s.met != nil {
-		d := time.Since(start)
-		if ctl != nil {
-			ctl.ObserveCompute(sess.ID, pending, d, code)
-			// Control planes that track rotation intensity price the
-			// block's key-switch work in the planner's delay term.
-			if rots > 0 {
-				if ro, ok := ctl.(RotationObserver); ok {
-					ro.ObserveRotations(sess.ID, rots)
-				}
+	d := time.Since(start)
+	if ctl != nil {
+		ctl.ObserveCompute(sess.ID, pending, d, code)
+		// Control planes that track rotation intensity price the
+		// block's key-switch work in the planner's delay term.
+		if rots > 0 {
+			if ro, ok := ctl.(RotationObserver); ok {
+				ro.ObserveRotations(sess.ID, rots)
 			}
 		}
-		if m := s.met; m != nil {
-			m.observeEval(rt.prof.ID, d)
-		}
 	}
+	s.met.observeEval(rt.prof.ID, d)
 	return result, rots, kdur, code, detail
 }
 

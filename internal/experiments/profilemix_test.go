@@ -4,7 +4,10 @@ import "testing"
 
 // TestProfileMixServesAllLevels runs the mixed-security workload at
 // reduced size: every profile serves correct results side by side, and
-// the calibrated cost coefficients land within 2x of measured latency.
+// measured latency rises with λ. A coefficient outside 2x of measured
+// latency is only logged — timing on a shared host is too noisy to gate —
+// and CoeffMs here is the value ProfileMix just calibrated on this host,
+// not the modeled constant an uncalibrated server prices blocks with.
 func TestProfileMixServesAllLevels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving-plane experiment")

@@ -20,15 +20,12 @@ const ParallelMinN = 4096
 // pinned at the pool size no matter how deep the nesting, and a saturated
 // pool degrades to inline execution instead of spawning.
 //
-// parTasks is created once and never reassigned, so task submission is a
-// lock-free channel send; resizing swaps the generation stop channel,
-// which retires old workers once they finish their current task.
+// The pool is sized once at start-up — GOMAXPROCS−1 workers plus the
+// submitting goroutine itself — so task submission is a lock-free send on
+// a channel that is never reassigned. On a single-core process there are
+// no workers and every Parallel call runs fully inline.
 var (
 	parTasks = make(chan func())
-
-	parMu   sync.Mutex
-	parStop chan struct{}
-	parSize int
 
 	// parInline counts tasks that degraded to inline execution because no
 	// pool worker could take them immediately — the saturation signal the
@@ -42,44 +39,12 @@ var (
 func InlineDegradations() int64 { return parInline.Load() }
 
 func init() {
-	SetParallelism(runtime.GOMAXPROCS(0))
-}
-
-// SetParallelism resizes the worker pool to n (clamped to ≥ 1): n−1 pool
-// workers plus the submitting goroutine itself. n = 1 means every Parallel
-// call runs fully inline. Benchmarks sweep this together with GOMAXPROCS;
-// resizing is safe at any time but not meant for hot paths.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parMu.Lock()
-	defer parMu.Unlock()
-	if parStop != nil {
-		close(parStop)
-	}
-	parStop = make(chan struct{})
-	parSize = n
-	for i := 0; i < n-1; i++ {
-		go parWorker(parStop)
-	}
-}
-
-// Parallelism reports the current pool size (workers + caller).
-func Parallelism() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return parSize
-}
-
-func parWorker(stop chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case f := <-parTasks:
-			f()
-		}
+	for i := 1; i < runtime.GOMAXPROCS(0); i++ {
+		go func() {
+			for f := range parTasks {
+				f()
+			}
+		}()
 	}
 }
 

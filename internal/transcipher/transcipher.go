@@ -39,7 +39,7 @@
 // 2·keyLen extra transforms per limb, and the result is bit-identical.
 //
 // The toy cipher's concrete security is NOT argued here; it is a
-// structural stand-in (see DESIGN.md §3).
+// structural stand-in.
 package transcipher
 
 import (
