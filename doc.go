@@ -30,7 +30,7 @@
 //     typed backpressure, QKD-epoch session state
 //   - internal/edge        — TCP edge runtime running the full pipeline
 //     over internal/serve: one framed, checksummed wire protocol
-//     (pooled buffers, streaming BatchCompute, request IDs, rekeying,
+//     (pooled buffers, windowed pipelining, request IDs, rekeying,
 //     typed error codes) with per-block ops served from a table
 //   - internal/experiments — regenerators for every table and figure in §VI
 //

@@ -654,7 +654,7 @@ func (c *Controller) AdmitSession(sessionID string, resident int) error {
 	return nil
 }
 
-// AdmitCompute decides whether one block (or batch) of pendingBytes may be
+// AdmitCompute decides whether one block of pendingBytes may be
 // served for a session that has already used usedBytes of its current
 // key's budget. It sheds when the scheduler occupancy exceeds the plan's
 // high-water mark, and when serving would demand a key rotation the

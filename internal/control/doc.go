@@ -58,7 +58,7 @@
 // ceiling), and the edge server reads the plan on its hot paths: profile
 // negotiation consults NegotiateProfile (the per-route λ steering, with
 // downgrade of requests above the plan), Setup consults AdmitSession
-// (capacity + projected key consumption), compute and batch paths consult
+// (capacity + projected key consumption), every served block consults
 // AdmitCompute (queue occupancy + whether an imminent rekey is fundable)
 // and RekeyBudget (replacing the static edge.ServerConfig.RekeyBytes
 // constant, derived from each session's actual profile λ). Denials are

@@ -195,6 +195,59 @@ func TestResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchReplaysAcrossDrop kills the connection under a batch in
+// flight: its items are ordinary Computes, so the recovery pass replays
+// them on the resumed transport and ComputeBatch completes as if nothing
+// happened.
+func TestBatchReplaysAcrossDrop(t *testing.T) {
+	ctl := &fakeControl{}
+	srv := startControlledServer(t, ctl, ServerConfig{
+		Model: Model{Weights: []float64{0.5}, Bias: []float64{0.1}}, Workers: 1, QueueDepth: 16,
+		ResumeWindow: 10 * time.Second,
+	})
+	inj := faultnet.New(faultnet.Config{Seed: 5}) // no faults: pure kill switch
+	client, err := DialWith(srv.Addr(), "batch-drop", []byte("material"), 33, DialConfig{
+		Dialer:         inj.Dialer(2 * time.Second),
+		Reconnect:      true,
+		RequestTimeout: 15 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	data := make([][]float64, 8)
+	for i := range data {
+		data[i] = []float64{0.8}
+	}
+	done := make(chan error, 1)
+	var out [][]float64
+	// With the first item parked on the one worker, no reply has been
+	// written when the connection dies: all eight are replayed.
+	release := parkFirstBlock(ctl, func() {
+		go func() {
+			var err error
+			out, err = client.ComputeBatch(0, data)
+			done <- err
+		}()
+	})
+	if n := inj.CloseAll(); n == 0 {
+		t.Fatal("no live connection to kill")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("batch across a dropped connection: %v", err)
+	}
+	for i := range data {
+		if math.Abs(out[i][0]-0.5) > 0.05 {
+			t.Errorf("item %d = %v, want ≈0.5", i, out[i][0])
+		}
+	}
+	if st := client.Stats(); st.Resumes < 1 || st.Replays < int64(len(data)) || st.Keygens != 1 {
+		t.Errorf("resumes/replays/keygens = %d/%d/%d, want ≥1, ≥%d, 1", st.Resumes, st.Replays, st.Keygens, len(data))
+	}
+}
+
 // TestDrainClosesIdleConns: a graceful drain closes connections the moment
 // they have no in-flight work, and clients see the typed connection-closed
 // failure, not a hang.

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,33 +49,23 @@ type DialConfig struct {
 	Profiles *profile.Registry
 	// Dialer overrides how the transport connection is established (fault
 	// injection, proxies, custom networks). nil dials plain TCP bounded by
-	// DialTimeout.
+	// defaultDialTimeout.
 	Dialer func(network, addr string) (net.Conn, error)
-	// DialTimeout bounds the default TCP dial (0 = 5s). Ignored when
-	// Dialer is set.
-	DialTimeout time.Duration
-	// RequestTimeout bounds each Compute/ComputeBatch/Rekey round trip.
-	// Expiry abandons the request (a late reply is dropped) and fails the
-	// call with an error wrapping serve.ErrDeadline. 0 = no deadline.
+	// RequestTimeout bounds the wait for each reply — a Compute, a MatVec,
+	// a Rekey, each item of a ComputeBatch. Expiry abandons the request (a
+	// late reply is dropped) and fails the call with an error wrapping
+	// serve.ErrDeadline. 0 = no deadline.
 	RequestTimeout time.Duration
-	// Reconnect enables automatic recovery from connection loss: jittered
-	// capped-exponential-backoff redials, session resume (no re-keygen, no
-	// new QKD withdrawal), and replay of in-flight Compute requests on the
-	// resumed transport. In-flight Setup/Rekey/Batch/MatVec requests fail
-	// typed instead of replaying — a replayed rekey could double-bump the
-	// key epoch. Pair with RequestTimeout so a request lost in the
-	// reconnect window cannot block its caller forever.
+	// Reconnect enables automatic recovery from connection loss: up to
+	// defaultReconnectAttempts redials per outage under jittered
+	// capped-exponential backoff, session resume (no re-keygen, no new QKD
+	// withdrawal), and replay of in-flight Compute requests — a
+	// ComputeBatch's items included — on the resumed transport. In-flight
+	// Setup/Rekey/MatVec requests fail typed instead of replaying — a
+	// replayed rekey could double-bump the key epoch. Pair with
+	// RequestTimeout so a request lost in the reconnect window cannot
+	// block its caller forever.
 	Reconnect bool
-	// ReconnectAttempts caps redials per outage (0 = 5).
-	ReconnectAttempts int
-	// ReconnectBackoff is the first redial backoff (0 = 50ms); it doubles
-	// per attempt with ±50% jitter, capped at ReconnectBackoffMax (0 = 2s).
-	ReconnectBackoff    time.Duration
-	ReconnectBackoffMax time.Duration
-	// RetryBudget caps the transparent request retries of the unified
-	// retry policy — mid-batch key rotations and server-demanded rekeys —
-	// before the typed error surfaces to the caller (0 = 3).
-	RetryBudget int
 	// Tracer, when set, collects client-side spans (dial, handshake,
 	// keygen, setup, mask/submit/wait per sampled compute, reconnect,
 	// resume, replay, rekey, retry backoff) into the shared internal/obs
@@ -93,13 +82,18 @@ type DialConfig struct {
 	Route string
 }
 
-// Client-side fault-tolerance defaults (see DialConfig).
+// Client-side fault-tolerance constants (see DialConfig).
 const (
-	defaultDialTimeout         = 5 * time.Second
+	defaultDialTimeout = 5 * time.Second
+	// Redials per outage, and their backoff: the first wait, doubling per
+	// attempt with ±50% jitter up to the cap.
 	defaultReconnectAttempts   = 5
 	defaultReconnectBackoff    = 50 * time.Millisecond
 	defaultReconnectBackoffMax = 2 * time.Second
-	defaultRetryBudget         = 3
+	// defaultRetryBudget caps the transparent resends of the unified retry
+	// policy — requests refused for their key epoch or byte budget —
+	// before the typed error surfaces to the caller.
+	defaultRetryBudget = 3
 	// The unified retry policy's jitter window for in-place request
 	// retries (much tighter than reconnect backoff: the connection is
 	// healthy, we only yield to let a rotation settle).
@@ -196,10 +190,7 @@ type Client struct {
 	nextID  atomic.Uint64
 	pendMu  sync.Mutex
 	pending map[uint64]*call
-	// batchAsm assembles streamed batch items by request ID until the
-	// batch trailer arrives.
-	batchAsm map[uint64]*BatchReply
-	readErr  error
+	readErr error
 
 	// statMu guards the modeled-delay echoes and the rekey advice.
 	// rekeyAdvisedEpoch is the key epoch the server's advice applied to
@@ -258,12 +249,12 @@ func (c *Client) Stats() ClientStats {
 // the transciphering key from qkdKey (e.g. material withdrawn from the
 // qkd.KeyCenter), and registers the session.
 func Dial(addr, sessionID string, qkdKey []byte, seed int64) (*Client, error) {
-	return dial(addr, sessionID, qkdKey, nil, seed, DialConfig{})
+	return dialAttempt(addr, sessionID, qkdKey, nil, seed, DialConfig{}, 0)
 }
 
 // DialWith is Dial with explicit configuration.
 func DialWith(addr, sessionID string, qkdKey []byte, seed int64, cfg DialConfig) (*Client, error) {
-	return dial(addr, sessionID, qkdKey, nil, seed, cfg)
+	return dialAttempt(addr, sessionID, qkdKey, nil, seed, cfg, 0)
 }
 
 // DialQKD is Dial with the key plane attached: the initial transciphering
@@ -285,11 +276,7 @@ func DialQKDWith(addr, sessionID string, kc *qkd.KeyCenter, seed int64, cfg Dial
 	if err != nil {
 		return nil, fmt.Errorf("edge: qkd withdraw: %w", err)
 	}
-	return dial(addr, sessionID, material, kc, seed, cfg)
-}
-
-func dial(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed int64, dcfg DialConfig) (*Client, error) {
-	return dialAttempt(addr, sessionID, qkdKey, kc, seed, dcfg, 0)
+	return dialAttempt(addr, sessionID, material, kc, seed, cfg, 0)
 }
 
 func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed int64, dcfg DialConfig, attempt int) (*Client, error) {
@@ -382,7 +369,6 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		nonce:     nonceFor(sessionID, 1),
 		epoch:     1,
 		pending:   make(map[uint64]*call),
-		batchAsm:  make(map[uint64]*BatchReply),
 	}
 	c.keygens.Store(1)
 	c.tracer = newClientTracer(dcfg.Tracer, sessionID, dcfg.TraceSample, func() uint64 {
@@ -473,17 +459,13 @@ func exchange(conn net.Conn, br *bufio.Reader, buf *[]byte, ftype byte, build fu
 }
 
 // dialFunc resolves the configured dialer (DialConfig.Dialer, or plain
-// TCP bounded by DialTimeout).
+// TCP bounded by defaultDialTimeout).
 func dialFunc(dcfg DialConfig) func(network, addr string) (net.Conn, error) {
 	if dcfg.Dialer != nil {
 		return dcfg.Dialer
 	}
-	to := dcfg.DialTimeout
-	if to <= 0 {
-		to = defaultDialTimeout
-	}
 	return func(network, addr string) (net.Conn, error) {
-		return net.DialTimeout(network, addr, to)
+		return net.DialTimeout(network, addr, defaultDialTimeout)
 	}
 }
 
@@ -584,7 +566,7 @@ func (c *Client) teardown() {
 }
 
 // failPending fails every in-flight request with err (the first failure
-// wins) and drops any half-assembled batches.
+// wins).
 func (c *Client) failPending(err error) {
 	c.pendMu.Lock()
 	if c.readErr == nil {
@@ -593,9 +575,6 @@ func (c *Client) failPending(err error) {
 	for id, cl := range c.pending {
 		delete(c.pending, id)
 		close(cl.ch)
-	}
-	for id := range c.batchAsm {
-		delete(c.batchAsm, id)
 	}
 	c.pendMu.Unlock()
 }
@@ -665,31 +644,19 @@ func (c *Client) tryRecover(cause error) error {
 	if !c.canRecover() {
 		return terminal
 	}
-	// Setup/Rekey/Batch/MatVec requests caught mid-flight are not replayed
-	// (a replayed rekey would double-bump the epoch, a batch would
-	// double-count its admission); fail them typed now. Compute requests
-	// stay registered for replay on the resumed transport.
+	// Setup/Rekey/MatVec requests caught mid-flight are not replayed (a
+	// replayed rekey would double-bump the epoch); fail them typed now.
+	// Compute requests stay registered for replay on the resumed transport.
 	c.shedNonReplayable(cause)
 	// The recovery trace adopts the trace identity of the oldest
 	// in-flight compute, so the outage's backoff/reconnect/resume/replay
 	// spans land inside the trace of the block they delayed.
 	rec := c.tracer.beginLinked(c.oldestPendingTrace(), time.Now())
 	defer rec.finish()
-	attempts := c.dcfg.ReconnectAttempts
-	if attempts <= 0 {
-		attempts = defaultReconnectAttempts
-	}
-	base, max := c.dcfg.ReconnectBackoff, c.dcfg.ReconnectBackoffMax
-	if base <= 0 {
-		base = defaultReconnectBackoff
-	}
-	if max <= 0 {
-		max = defaultReconnectBackoffMax
-	}
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < defaultReconnectAttempts; attempt++ {
 		backoffStart := time.Now()
-		time.Sleep(c.jitter(attempt, base, max))
+		time.Sleep(c.jitter(attempt, defaultReconnectBackoff, defaultReconnectBackoffMax))
 		rec.span(cstageBackoff, backoffStart)
 		if c.closed.Load() {
 			return terminal
@@ -711,7 +678,7 @@ func (c *Client) tryRecover(cause error) error {
 		}
 	}
 	return fmt.Errorf("edge: reconnect failed after %d attempts: %w (last: %v)",
-		attempts, serve.ErrConnClosed, lastErr)
+		defaultReconnectAttempts, serve.ErrConnClosed, lastErr)
 }
 
 // oldestPendingTrace returns the wire trace context of the lowest-ID
@@ -742,7 +709,6 @@ func (c *Client) shedNonReplayable(cause error) {
 			continue
 		}
 		delete(c.pending, id)
-		delete(c.batchAsm, id)
 		cl.err = fmt.Errorf("edge: %w: connection lost mid-request (not replayed): %v",
 			serve.ErrConnClosed, cause)
 		close(cl.ch)
@@ -891,29 +857,6 @@ func (c *Client) handleFrame(ftype byte, id uint64, payload []byte) error {
 			return err
 		}
 		c.deliver(replyEnvelope{ID: id, RotKeys: rep})
-	case frameBatchItem:
-		idx, item, err := decodeBatchItem(payload)
-		if err != nil {
-			return err
-		}
-		c.pendMu.Lock()
-		if asm := c.batchAsm[id]; asm != nil && idx >= 0 && idx < len(asm.Items) {
-			asm.Items[idx] = item
-		}
-		c.pendMu.Unlock()
-	case frameBatchDone:
-		rep, err := decodeBatchDone(payload)
-		if err != nil {
-			return err
-		}
-		c.pendMu.Lock()
-		asm := c.batchAsm[id]
-		delete(c.batchAsm, id)
-		c.pendMu.Unlock()
-		if asm != nil {
-			rep.Items = asm.Items
-		}
-		c.deliver(replyEnvelope{ID: id, Batch: rep})
 	default:
 		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, ftype)
 	}
@@ -933,10 +876,6 @@ func (c *Client) send(env *envelope) (*call, error) {
 		return nil, err
 	}
 	c.pending[id] = cl
-	if env.Batch != nil {
-		// Pre-size the assembly buffer so streamed items have a slot.
-		c.batchAsm[id] = &BatchReply{Items: make([]BatchItem, len(env.Batch.Blocks))}
-	}
 	c.pendMu.Unlock()
 
 	if err := c.write(env); err != nil {
@@ -948,7 +887,6 @@ func (c *Client) send(env *envelope) (*call, error) {
 		}
 		c.pendMu.Lock()
 		delete(c.pending, id)
-		delete(c.batchAsm, id)
 		c.pendMu.Unlock()
 		// A failed transport write means the connection is done; type it so
 		// callers branch on the failure class, not the raw socket error.
@@ -985,8 +923,6 @@ func sendEnvelope(fw *frameWriter, env *envelope) error {
 		return fw.sendFrame(frameSetup, env.ID, func(b []byte) []byte { return appendSetupRequest(b, env.Setup) })
 	case env.Compute != nil:
 		return fw.sendFrame(env.Op, env.ID, func(b []byte) []byte { return appendComputeRequest(b, env.Compute) })
-	case env.Batch != nil:
-		return fw.sendFrame(frameBatch, env.ID, func(b []byte) []byte { return appendBatchRequest(b, env.Batch) })
 	case env.Rekey != nil:
 		return fw.sendFrame(frameRekey, env.ID, func(b []byte) []byte { return appendRekeyRequest(b, env.Rekey) })
 	case env.RotKeys != nil:
@@ -995,19 +931,15 @@ func sendEnvelope(fw *frameWriter, env *envelope) error {
 	return errors.New("edge: empty envelope")
 }
 
-// waitCtx blocks for the reply subject to ctx and the configured
-// RequestTimeout; expiry abandons the request (a late reply is dropped)
-// and fails with an error wrapping serve.ErrDeadline.
-func (c *Client) waitCtx(ctx context.Context, cl *call) (replyEnvelope, error) {
+// wait blocks for the reply subject to the configured RequestTimeout;
+// expiry abandons the request (a late reply is dropped) and fails with an
+// error wrapping serve.ErrDeadline.
+func (c *Client) wait(cl *call) (replyEnvelope, error) {
 	var timeout <-chan time.Time
 	if d := c.dcfg.RequestTimeout; d > 0 {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		timeout = t.C
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
 	}
 	select {
 	case reply, ok := <-cl.ch:
@@ -1018,9 +950,6 @@ func (c *Client) waitCtx(ctx context.Context, cl *call) (replyEnvelope, error) {
 	case <-timeout:
 		c.abandon(cl)
 		return replyEnvelope{}, fmt.Errorf("edge: %w: no reply within %v", serve.ErrDeadline, c.dcfg.RequestTimeout)
-	case <-done:
-		c.abandon(cl)
-		return replyEnvelope{}, fmt.Errorf("edge: %w: %v", serve.ErrDeadline, ctx.Err())
 	}
 }
 
@@ -1043,20 +972,15 @@ func (c *Client) callErr(cl *call) error {
 func (c *Client) abandon(cl *call) {
 	c.pendMu.Lock()
 	delete(c.pending, cl.env.ID)
-	delete(c.batchAsm, cl.env.ID)
 	c.pendMu.Unlock()
 }
 
 func (c *Client) roundTrip(env *envelope) (replyEnvelope, error) {
-	return c.roundTripCtx(context.Background(), env)
-}
-
-func (c *Client) roundTripCtx(ctx context.Context, env *envelope) (replyEnvelope, error) {
 	cl, err := c.send(env)
 	if err != nil {
 		return replyEnvelope{}, err
 	}
-	return c.waitCtx(ctx, cl)
+	return c.wait(cl)
 }
 
 // Close tears down the connection; pending requests fail with an error
@@ -1188,13 +1112,17 @@ func (c *Client) submit(op byte, block uint32, data []float64, n int) (*Pending,
 // failures carry typed codes: errors.Is against serve.ErrOverloaded,
 // serve.ErrRekeyRequired, serve.ErrUnknownSession, ... selects the class.
 func (p *Pending) Wait() ([]float64, error) {
-	return p.WaitCtx(context.Background())
+	rep, err := p.reply()
+	if err != nil {
+		return nil, err
+	}
+	return p.c.decrypt(rep.Result)[:p.n], nil
 }
 
-// WaitCtx is Wait bounded by ctx (in addition to the configured
-// RequestTimeout); expiry fails with an error wrapping serve.ErrDeadline.
-func (p *Pending) WaitCtx(ctx context.Context) ([]float64, error) {
-	reply, err := p.c.waitCtx(ctx, p.cl)
+// reply blocks for the server's answer: a reply carrying a result, or the
+// typed failure.
+func (p *Pending) reply() (*ComputeReply, error) {
+	reply, err := p.c.wait(p.cl)
 	if p.spans != nil {
 		p.spans.span(cstageWait, p.sendDone)
 		p.spans.finish()
@@ -1214,25 +1142,24 @@ func (p *Pending) WaitCtx(ctx context.Context) ([]float64, error) {
 	if rep.Result == nil {
 		return nil, errors.New("edge: malformed reply: missing result")
 	}
-	out := p.c.decrypt(rep.Result)
-	return out[:p.n], nil
+	return rep, nil
 }
 
-// retryBudget resolves the unified retry policy's attempt cap.
-func (c *Client) retryBudget() int {
-	if c.dcfg.RetryBudget > 0 {
-		return c.dcfg.RetryBudget
+// rekeyedFor is the unified retry policy's one decision: a request masked
+// under epoch and refused with err may be resent when the refusal is the
+// server demanding a rekey, the retry budget is not spent, and the key
+// has rotated past epoch — by another goroutine, or by the withdrawal made
+// here (which needs a key centre). It applies the policy's jittered
+// backoff and counts the retry.
+func (c *Client) rekeyedFor(err error, epoch uint64, attempt int) bool {
+	if !errors.Is(err, serve.ErrRekeyRequired) || attempt >= defaultRetryBudget || c.RekeyIfEpoch(epoch) != nil {
+		return false
 	}
-	return defaultRetryBudget
-}
-
-// retrySleep applies the unified retry policy's jittered backoff and
-// counts the retry.
-func (c *Client) retrySleep(attempt int) {
 	c.retries.Add(1)
 	start := time.Now()
 	time.Sleep(c.jitter(attempt, retryBackoffBase, retryBackoffMax))
 	c.tracer.event(cstageRetry, start)
+	return true
 }
 
 // Compute runs one full pipeline round: mask data under the symmetric key,
@@ -1242,31 +1169,22 @@ func (c *Client) retrySleep(attempt int) {
 // transparently: proactively when the server advises the byte budget is
 // nearly spent, and under the retry budget when the server demands it.
 func (c *Client) Compute(block uint32, data []float64) ([]float64, error) {
-	return c.ComputeCtx(context.Background(), block, data)
-}
-
-// ComputeCtx is Compute bounded by ctx (in addition to the configured
-// RequestTimeout); expiry fails with an error wrapping serve.ErrDeadline.
-func (c *Client) ComputeCtx(ctx context.Context, block uint32, data []float64) ([]float64, error) {
-	return c.retryLoop(ctx, func() (*Pending, error) { return c.ComputeAsync(block, data) })
+	return c.retryLoop(func() (*Pending, error) { return c.ComputeAsync(block, data) })
 }
 
 // retryLoop is the unified retry policy shared by the synchronous
-// single-block entry points (Compute, MatVec): submit, wait, and rekey
-// transparently when the server demands it and a key centre is attached.
-func (c *Client) retryLoop(ctx context.Context, submit func() (*Pending, error)) ([]float64, error) {
+// single-block entry points (Compute, MatVec): submit, wait, and resend
+// once the key has rotated when the server demands a rekey.
+func (c *Client) retryLoop(submit func() (*Pending, error)) ([]float64, error) {
 	for attempt := 0; ; attempt++ {
 		p, err := submit()
 		if err != nil {
 			return nil, err
 		}
-		out, err := p.WaitCtx(ctx)
+		out, err := p.Wait()
 		if err != nil {
-			if errors.Is(err, serve.ErrRekeyRequired) && attempt < c.retryBudget() && c.kc != nil {
-				if rkErr := c.RekeyIfEpoch(p.Epoch()); rkErr == nil {
-					c.retrySleep(attempt)
-					continue
-				}
+			if c.rekeyedFor(err, p.Epoch(), attempt) {
+				continue
 			}
 			return nil, err
 		}
@@ -1294,12 +1212,6 @@ func (c *Client) MatVecDim() int { return c.mvDim }
 // with an error wrapping serve.ErrMatVecUnavailable when the server holds
 // no matrix.
 func (c *Client) EnableMatVec() error {
-	return c.EnableMatVecCtx(context.Background())
-}
-
-// EnableMatVecCtx is EnableMatVec bounded by ctx (in addition to the
-// configured RequestTimeout).
-func (c *Client) EnableMatVecCtx(ctx context.Context) error {
 	if c.mvDim == 0 {
 		return fmt.Errorf("edge: %w: server holds no model matrix", serve.ErrMatVecUnavailable)
 	}
@@ -1313,7 +1225,7 @@ func (c *Client) EnableMatVecCtx(ctx context.Context) error {
 	// stream disjoint from the dial-time keygen and evaluator streams.
 	kg := ckks.NewKeyGenerator(c.ctx, c.seed+2)
 	gks := kg.GenGaloisKeys(c.sk, ckks.BSGSRotations(c.mvDim))
-	reply, err := c.roundTripCtx(ctx, &envelope{RotKeys: &RotKeysRequest{
+	reply, err := c.roundTrip(&envelope{RotKeys: &RotKeysRequest{
 		SessionID: c.sessionID, Keys: gks,
 	}})
 	if err != nil {
@@ -1339,13 +1251,7 @@ func (c *Client) EnableMatVecCtx(ctx context.Context) error {
 // session and key epoch, sharing the Compute block space. Requires
 // EnableMatVec first; rekeys transparently like Compute.
 func (c *Client) MatVec(block uint32, data []float64) ([]float64, error) {
-	return c.MatVecCtx(context.Background(), block, data)
-}
-
-// MatVecCtx is MatVec bounded by ctx (in addition to the configured
-// RequestTimeout); expiry fails with an error wrapping serve.ErrDeadline.
-func (c *Client) MatVecCtx(ctx context.Context, block uint32, data []float64) ([]float64, error) {
-	return c.retryLoop(ctx, func() (*Pending, error) { return c.MatVecAsync(block, data) })
+	return c.retryLoop(func() (*Pending, error) { return c.MatVecAsync(block, data) })
 }
 
 // MatVecAsync masks one input vector and sends it without waiting,
@@ -1371,108 +1277,58 @@ func (c *Client) MatVecAsync(block uint32, data []float64) (*Pending, error) {
 	return c.submit(frameMatVec, block, full, dim)
 }
 
-// errEpochRotated signals that a batch's mask pass straddled a concurrent
-// key rotation; the unified retry policy re-masks under the new epoch.
-var errEpochRotated = errors.New("edge: key rotated mid-batch")
-
-// ComputeBatch masks blocks start..start+len(data)-1 and uploads them as
-// one BatchRequest the server fans out across its pool. The per-item
-// results stream back as each worker finishes (the call still returns
-// once the whole batch completes). Results are in input order; items can
-// fail independently (e.g. shed with serve.ErrOverloaded), in which case
-// their slots are nil and the first failure is returned as a typed error
-// alongside the partial results. A mask pass straddling a concurrent key
-// rotation, or a server-demanded rekey (key centre attached), retries
-// transparently under the retry budget.
+// ComputeBatch masks blocks start..start+len(data)-1 and pipelines them
+// as ordinary Compute requests — ComputeAsync per item, then Wait per
+// item — so the server fans them out across its pool under the
+// connection's window and each reply streams back as its worker
+// finishes. Results are in input order; items fail independently (e.g.
+// shed with serve.ErrOverloaded), in which case their slots are nil and
+// the first failure is returned as a typed error alongside the partial
+// results. Each item carries the epoch it was masked under, so a key
+// rotation in mid-batch only refuses the stale items, and those — like
+// items refused for the key byte budget — are resent under the new key
+// within the retry budget. LastTxDelay and LastCmpDelay then report the
+// served items' modeled delays summed.
 func (c *Client) ComputeBatch(start uint32, data [][]float64) ([][]float64, error) {
-	return c.ComputeBatchCtx(context.Background(), start, data)
-}
-
-// ComputeBatchCtx is ComputeBatch bounded by ctx (in addition to the
-// configured RequestTimeout); expiry fails with an error wrapping
-// serve.ErrDeadline.
-func (c *Client) ComputeBatchCtx(ctx context.Context, start uint32, data [][]float64) ([][]float64, error) {
+	out := make([][]float64, len(data))
+	pend := make([]*Pending, len(data))
+	errs := make([]error, len(data))
+	var tx, cmp float64
+	served := 0
 	for attempt := 0; ; attempt++ {
-		out, epoch, err := c.computeBatchOnce(ctx, start, data)
-		switch {
-		case err == nil:
-			return out, nil
-		case errors.Is(err, errEpochRotated) && attempt < c.retryBudget():
-			// Another goroutine rotated the key while this batch was
-			// masking: re-mask everything under the new epoch.
-			c.retrySleep(attempt)
-		case errors.Is(err, serve.ErrRekeyRequired) && c.kc != nil && attempt < c.retryBudget():
-			if rkErr := c.RekeyIfEpoch(epoch); rkErr != nil {
-				return out, err
+		for i, d := range data {
+			if out[i] == nil {
+				pend[i], errs[i] = c.ComputeAsync(start+uint32(i), d)
 			}
-			c.retrySleep(attempt)
-		default:
+		}
+		first := -1
+		for i := range data {
+			if out[i] != nil {
+				continue
+			}
+			if errs[i] == nil {
+				var rep *ComputeReply
+				if rep, errs[i] = pend[i].reply(); errs[i] == nil {
+					out[i] = c.decrypt(rep.Result)[:len(data[i])]
+					tx, cmp = rep.ModeledTxDelay, rep.ModeledCmpDelay
+					served++
+					continue
+				}
+			}
+			if first < 0 {
+				first = i
+			}
+		}
+		// Every item is priced alike (same padded block, no rotations).
+		c.noteReply(float64(served)*tx, float64(served)*cmp, false, 0)
+		if first < 0 {
+			return out, nil
+		}
+		err := fmt.Errorf("edge: batch item %d: %w", first, errs[first])
+		if pend[first] == nil || !c.rekeyedFor(err, pend[first].Epoch(), attempt) {
 			return out, err
 		}
 	}
-}
-
-func (c *Client) computeBatchOnce(ctx context.Context, start uint32, data [][]float64) ([][]float64, uint64, error) {
-	n := len(data)
-	if n == 0 {
-		return nil, 0, nil
-	}
-	if n > MaxBatch {
-		return nil, 0, fmt.Errorf("edge: batch of %d blocks exceeds %d", n, MaxBatch)
-	}
-	blocks := make([]uint32, n)
-	masked := make([][]float64, n)
-	var epoch uint64
-	for i, d := range data {
-		if len(d) > c.Slots() {
-			return nil, 0, fmt.Errorf("edge: %d values exceed %d slots", len(d), c.Slots())
-		}
-		m, e, err := c.mask(start+uint32(i), d)
-		if err != nil {
-			return nil, 0, err
-		}
-		if i == 0 {
-			epoch = e
-		} else if e != epoch {
-			return nil, epoch, errEpochRotated
-		}
-		blocks[i], masked[i] = start+uint32(i), m
-	}
-	reply, err := c.roundTripCtx(ctx, &envelope{Batch: &BatchRequest{
-		SessionID: c.sessionID, Epoch: epoch, Blocks: blocks, Masked: masked,
-	}})
-	if err != nil {
-		return nil, epoch, err
-	}
-	rep := reply.Batch
-	if rep == nil {
-		return nil, epoch, errors.New("edge: malformed reply")
-	}
-	if rep.Code != serve.CodeOK {
-		return nil, epoch, replyError(rep.Code, rep.Err)
-	}
-	if len(rep.Items) != n {
-		return nil, epoch, fmt.Errorf("edge: batch reply with %d items, want %d", len(rep.Items), n)
-	}
-	c.noteReply(rep.ModeledTxDelay, rep.ModeledCmpDelay, rep.RekeyNeeded, epoch)
-	out := make([][]float64, n)
-	var firstErr error
-	for i := range rep.Items {
-		item := &rep.Items[i]
-		if item.Code != serve.CodeOK || item.Result == nil {
-			if firstErr == nil {
-				itemErr := replyError(item.Code, item.Err)
-				if itemErr == nil {
-					itemErr = errors.New("missing result")
-				}
-				firstErr = fmt.Errorf("edge: batch item %d: %w", i, itemErr)
-			}
-			continue
-		}
-		vals := c.decrypt(item.Result)
-		out[i] = vals[:len(data[i])]
-	}
-	return out, epoch, firstErr
 }
 
 // Rekey withdraws fresh QKD material from the attached key centre and
@@ -1481,15 +1337,9 @@ func (c *Client) computeBatchOnce(ctx context.Context, start uint32, data [][]fl
 // serve.ErrKeyExhausted) whose RetryAfter estimates when the pool's
 // provisioning rate will have covered the shortfall.
 func (c *Client) Rekey() error {
-	return c.RekeyCtx(context.Background())
-}
-
-// RekeyCtx is Rekey bounded by ctx (in addition to the configured
-// RequestTimeout); expiry fails with an error wrapping serve.ErrDeadline.
-func (c *Client) RekeyCtx(ctx context.Context) error {
 	c.rekeyMu.Lock()
 	defer c.rekeyMu.Unlock()
-	return c.rekeyLocked(ctx, qkd.CauseReplan)
+	return c.rekeyLocked(qkd.CauseReplan)
 }
 
 // RekeyIfEpoch rotates the key only if the client is still at the given
@@ -1503,7 +1353,7 @@ func (c *Client) RekeyIfEpoch(epoch uint64) error {
 	if c.Epoch() != epoch {
 		return nil // another request already rotated past this epoch
 	}
-	return c.rekeyLocked(context.Background(), qkd.CauseBudgetRekey)
+	return c.rekeyLocked(qkd.CauseBudgetRekey)
 }
 
 // rekeyLocked draws fresh material and rotates; callers hold rekeyMu.
@@ -1511,7 +1361,7 @@ func (c *Client) RekeyIfEpoch(epoch uint64) error {
 // except that the first rotation after a successful resume is recorded
 // as resume-rotation regardless of what triggered it, so ledger readers
 // can separate hygiene rotations from budget- and plan-driven ones.
-func (c *Client) rekeyLocked(ctx context.Context, cause string) error {
+func (c *Client) rekeyLocked(cause string) error {
 	if c.kc == nil {
 		return errors.New("edge: rekey: no key centre attached (use DialQKD)")
 	}
@@ -1528,7 +1378,7 @@ func (c *Client) rekeyLocked(ctx context.Context, cause string) error {
 		}
 		return fmt.Errorf("edge: rekey withdraw: %w", err)
 	}
-	return c.rekeyWith(ctx, material)
+	return c.rekeyWith(material)
 }
 
 // keyRetryAfter estimates how long the key centre needs to provision the
@@ -1557,10 +1407,10 @@ func (c *Client) keyRetryAfter() time.Duration {
 func (c *Client) RekeyWith(qkdKey []byte) error {
 	c.rekeyMu.Lock()
 	defer c.rekeyMu.Unlock()
-	return c.rekeyWith(context.Background(), qkdKey)
+	return c.rekeyWith(qkdKey)
 }
 
-func (c *Client) rekeyWith(ctx context.Context, qkdKey []byte) error {
+func (c *Client) rekeyWith(qkdKey []byte) error {
 	rekeyStart := time.Now()
 	key, err := c.cipher.DeriveKey(qkdKey)
 	if err != nil {
@@ -1579,7 +1429,7 @@ func (c *Client) rekeyWith(ctx context.Context, qkdKey []byte) error {
 	// The resume credential is derived from the QKD material, so it
 	// rotates with the key.
 	auth := deriveResumeAuth(qkdKey)
-	reply, err := c.roundTripCtx(ctx, &envelope{Rekey: &RekeyRequest{
+	reply, err := c.roundTrip(&envelope{Rekey: &RekeyRequest{
 		SessionID: c.sessionID, EncKey: encKey, Nonce: nonce, ResumeAuth: auth,
 	}})
 	if err != nil {

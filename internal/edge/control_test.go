@@ -154,7 +154,7 @@ func TestControlComputeAdmission(t *testing.T) {
 	if _, err := c.Compute(1, []float64{0.5}); !errors.Is(err, serve.ErrAdmissionDenied) {
 		t.Errorf("denied compute err = %v, want serve.ErrAdmissionDenied", err)
 	}
-	// Batch requests are admitted as a whole, then per item.
+	// A batch is admitted item by item, like any block.
 	if _, err := c.ComputeBatch(2, [][]float64{{0.1}, {0.2}}); !errors.Is(err, serve.ErrAdmissionDenied) {
 		t.Errorf("denied batch err = %v, want serve.ErrAdmissionDenied", err)
 	}

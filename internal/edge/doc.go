@@ -68,8 +68,10 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x04
-//	offset 3     type     hello, setup, compute, batch item, ...
+//	offset 2     version  0x05
+//	offset 3     type     one of 17: hello, and a request and a reply type
+//	                      each for setup, compute, matvec, rekey, profile
+//	                      and rotation keys, plus the four resume frames
 //	offset 4     reqID    uint64, little-endian
 //	offset 12    length   uint32 payload byte count
 //	offset 16    payload
@@ -85,9 +87,9 @@
 // positional: Setup always carries Profile and ResumeAuth, a Setup reply
 // always carries Profile and MatVecDim (zero when the server holds no
 // model matrix — that is how matvec availability is learned), a Rekey
-// always carries the rotated ResumeAuth, and Compute/MatVec/Batch
-// requests always end in the 16-byte trace context, all zero when the
-// request is unsampled. A decoder that runs out of bytes, or has bytes
+// always carries the rotated ResumeAuth, and Compute/MatVec requests
+// always end in the 16-byte trace context, all zero when the request is
+// unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
 //
 // A connection opens with an empty hello frame from the client, echoed by
@@ -140,28 +142,27 @@
 // BSGS matrix kernel under the session's rotation keys, traced as the
 // matvec stage). Everything else is one pipeline shared by every row,
 //
-//	decode → session lookup → submit to the profile's pool →
+//	window → decode → session lookup → submit to the profile's pool →
 //	  [ready → slot bound → key epoch → AdmitCompute → rekey budget →
-//	   transcipher → kernel → RecordBlock / ObserveCompute] →
-//	encode → write
+//	   transcipher → kernel → RecordBlock / ObserveCompute → encode] →
+//	hand-off → write
 //
-// in handleOp and evalBlock; batch items run the compute row through the
-// same evalBlock. Adding an op is a kernel function plus a row (and a
-// client entry point calling submit with the row's frame type): the
-// gates, accounting, tracing, shedding and reply framing come with the
-// pipeline, and TestOpGates walks every row through every gate.
+// in handleOp and evalBlock; a Client.ComputeBatch is that many compute
+// frames. Adding an op is a kernel function plus a row (and a client entry
+// point calling submit with the row's frame type): the gates, accounting,
+// tracing, shedding and reply framing come with the pipeline, and
+// TestOpGates walks every row through every gate.
 //
-// BatchCompute is streaming: the server frames and flushes each block's
-// reply the moment its worker finishes (frameBatchItem, out of order) and
-// closes the batch with a frameBatchDone trailer carrying the aggregate
-// modeled costs, so giant batches never buffer whole replies. A
-// per-connection write mutex interleaves concurrent senders at frame
-// granularity, keeping one batch from starving pipelined requests on the
-// same connection. Item frames are windowed (ServerConfig.BatchWindow): a
-// window token is held from an item's submission until its frame reaches
-// the socket, and eval workers only hand finished items to a per-batch
-// writer goroutine, so a slow client reading a batch stalls its own
-// window — never an eval-pool worker.
+// Each connection has a window and a reply writer. The decode loop admits
+// an op frame only while fewer than the scheduler's live capacity are in
+// flight on the connection, so a peer that outruns its window feels TCP
+// backpressure on its own socket, an idle server never sheds one
+// connection's burst, and serve.CodeOverloaded is what contention between
+// connections gets. Eval workers only evaluate and encode; they hand the
+// finished frame to the connection's reply writer — the one goroutine
+// that writes op replies, each the moment it is ready, out of order — so
+// a peer that stops reading stalls its own window, never an eval-pool
+// worker.
 //
 // # Pooled buffers and ownership
 //
@@ -244,7 +245,7 @@
 //	                                                                     full at that instant (load, not state)
 //	CodeRekeyRequired     yes, after rekey       rekey event +           RekeyIfEpoch(epoch) then resend — automatic
 //	                                             retry_backoff event     inside Compute/ComputeBatch, budget-capped
-//	                                                                     (DialConfig.RetryBudget), jittered
+//	                                                                     (three resends), jittered
 //	CodeKeyExhausted      yes, after retry-after retry_backoff event     serve.RetryAfter(err) gives the wait the
 //	                                                                     server derived from the QKD provisioning
 //	                                                                     rate; degradation, not failure — edgeload
@@ -262,14 +263,14 @@
 //	CodeConnClosed        via reconnect          recovery trace —        with Reconnect armed the client redials
 //	                                             backoff/reconnect/      (capped exponential backoff + jitter),
 //	                                             resume/replay spans     resumes the session (zero keygens, zero QKD
-//	                                             under the stalled       withdrawals) and replays in-flight Computes;
-//	                                             block's trace ID        in-flight Setup/Rekey/Batch/MatVec fail typed —
-//	                                                                     replaying a rekey could double-bump the
-//	                                                                     epoch
+//	                                             under the stalled       withdrawals) and replays in-flight Computes,
+//	                                             block's trace ID        a ComputeBatch's items included; in-flight
+//	                                                                     Setup/Rekey/MatVec fail typed — replaying a
+//	                                                                     rekey could double-bump the epoch
 //	CodeDeadline          caller's choice        wait span closes at     the request was abandoned after
-//	                                             the timeout             DialConfig.RequestTimeout or ctx expiry; a
-//	                                                                     late reply is dropped, so a resend is safe
-//	                                                                     but the block may have been served
+//	                                             the timeout             DialConfig.RequestTimeout; a late reply is
+//	                                                                     dropped, so a resend is safe but the block
+//	                                                                     may have been served
 //	CodeBadRequest,       no                     wait span closes        fix the request; these are programming or
 //	CodeParamMismatch,                                                   negotiation errors, not transients
 //	CodeOversized

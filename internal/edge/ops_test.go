@@ -101,18 +101,19 @@ func TestOpGates(t *testing.T) {
 
 			// Queue full: park the one worker inside a block, fill the
 			// one queue slot behind it, and the third request is shed.
-			entered, release := make(chan struct{}), make(chan struct{})
-			hook := func() {
-				entered <- struct{}{}
-				<-release
+			// A connection's window is the queue's depth, so it takes
+			// three connections: each holds one request in flight.
+			q, r := *p, *p
+			q.buf, r.buf = nil, nil
+			q.dial(t, srv.Addr())
+			r.dial(t, srv.Addr())
+			release := parkFirstBlock(ctl, func() { p.send(t, o.req, 101, request(1, slots)) })
+			q.send(t, o.req, 102, request(1, slots))
+			for deadline := time.Now().Add(2 * time.Second); srv.sched.QueueDepth() < 1 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
 			}
-			ctl.admitHook.Store(&hook)
-			p.send(t, o.req, 101, request(1, slots))
-			<-entered
-			ctl.admitHook.Store(nil)
-			p.send(t, o.req, 102, request(1, slots))
-			p.send(t, o.req, 103, request(1, slots))
-			ftype, id, payload := p.recv(t)
+			r.send(t, o.req, 103, request(1, slots))
+			ftype, id, payload := r.recv(t)
 			rep, err := decodeComputeReply(payload)
 			if err != nil {
 				t.Fatal(err)
@@ -121,8 +122,8 @@ func TestOpGates(t *testing.T) {
 				t.Errorf("behind a full queue: frame %d id %d code %v, want frame %d id 103 overloaded", ftype, id, rep.Code, o.reply)
 			}
 			close(release)
-			for i := 0; i < 2; i++ {
-				ftype, id, payload := p.recv(t)
+			for _, held := range []*rawPeer{p, &q} {
+				ftype, id, payload := held.recv(t)
 				rep, err := decodeComputeReply(payload)
 				if err != nil {
 					t.Fatal(err)

@@ -22,9 +22,6 @@ func DefaultParams() ckks.Params {
 // KeyLen is the transciphering key length used by the runtime.
 const KeyLen = 8
 
-// MaxBatch bounds the blocks one BatchRequest may carry.
-const MaxBatch = 256
-
 // SetupRequest registers a client session: its public evaluation material
 // and the HE-encrypted transciphering key. Registering an ID that is
 // already live fails with serve.CodeDuplicateSession — key rotation must
@@ -119,39 +116,6 @@ type ComputeReply struct {
 	ModeledCmpDelay float64
 }
 
-// BatchRequest uploads many blocks at once; the server fans them out
-// across the worker pool and streams each item's result back as its
-// worker finishes.
-type BatchRequest struct {
-	SessionID string
-	Epoch     uint64
-	Blocks    []uint32
-	Masked    [][]float64
-	// Trace mirrors ComputeRequest.Trace (zero = untraced).
-	Trace obs.TraceContext
-}
-
-// BatchItem is one block's result within a BatchReply. Items fail
-// independently: a batch overflowing the scheduler queue sheds the excess
-// items with serve.CodeOverloaded while the admitted ones complete.
-type BatchItem struct {
-	Result *ckks.Ciphertext
-	Code   serve.Code
-	Err    string
-}
-
-// BatchReply carries the per-item results plus batch-level modeled costs.
-type BatchReply struct {
-	Code        serve.Code
-	Err         string
-	Items       []BatchItem
-	RekeyNeeded bool
-	// Modeled delays aggregate over the whole batch: transmission of all
-	// uploaded bits, computation of every successfully served block.
-	ModeledTxDelay  float64
-	ModeledCmpDelay float64
-}
-
 // RekeyRequest installs fresh HE-encrypted transciphering key material
 // (drawn from a new qkd.KeyCenter withdrawal) for a live session,
 // bumping its key epoch and resetting the byte budget.
@@ -237,7 +201,6 @@ type envelope struct {
 	Setup   *SetupRequest
 	Compute *ComputeRequest
 	Op      byte
-	Batch   *BatchRequest
 	Rekey   *RekeyRequest
 	RotKeys *RotKeysRequest
 }
@@ -248,7 +211,6 @@ type replyEnvelope struct {
 	ID      uint64
 	Setup   *SetupReply
 	Compute *ComputeReply
-	Batch   *BatchReply
 	Rekey   *RekeyReply
 	RotKeys *RotKeysReply
 }

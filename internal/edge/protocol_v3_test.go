@@ -12,26 +12,21 @@ import (
 	"testing"
 	"time"
 
-	"quhe/internal/he/ckks"
 	"quhe/internal/he/profile"
 	"quhe/internal/serve"
 )
 
-// --- streaming BatchCompute --------------------------------------------------
+// --- streaming replies ---------------------------------------------------------
 
-// TestBatchComputeStreamsIncrementally is the acceptance test for
-// streaming batches: with one worker, a raw client must receive the
-// first frameBatchItem while the server still has unprocessed blocks —
-// i.e. replies arrive incrementally instead of buffering the whole batch
-// behind the last block.
-func TestBatchComputeStreamsIncrementally(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		Model: Model{Weights: []float64{1}}, Workers: 1, QueueDepth: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+// TestPipelinedRepliesStreamOutOfOrder is the acceptance test for the
+// reply path: replies to pipelined ops arrive as workers finish — out of
+// order, matched by ID — and the first one arrives while the server still
+// has unevaluated requests, i.e. nothing is buffered behind the last
+// block. One of two workers is parked inside the first request, so the
+// first reply to arrive must belong to a later one.
+func TestPipelinedRepliesStreamOutOfOrder(t *testing.T) {
+	ctl := &fakeControl{}
+	srv := startControlledServer(t, ctl, ServerConfig{Workers: 2, QueueDepth: 4})
 
 	// Raw client: drive the frames directly so their arrival order is
 	// observable.
@@ -39,60 +34,51 @@ func TestBatchComputeStreamsIncrementally(t *testing.T) {
 	p.dial(t, srv.Addr())
 	p.register(t, "stream")
 
-	const n = 64
-	blocks := make([]uint32, n)
-	masked := make([][]float64, n)
-	for i := range blocks {
-		blocks[i] = uint32(i)
-		masked[i] = p.mask(t, uint32(i), []float64{0.25})
+	const n = 32
+	request := func(i int) func(b []byte) []byte {
+		req := &ComputeRequest{SessionID: "stream", Block: uint32(i), Masked: p.mask(t, uint32(i), []float64{0.25})}
+		return func(b []byte) []byte { return appendComputeRequest(b, req) }
 	}
-	p.send(t, frameBatch, 2, func(b []byte) []byte {
-		return appendBatchRequest(b, &BatchRequest{
-			SessionID: "stream", Epoch: 1, Blocks: blocks, Masked: masked,
-		})
-	})
-
-	items := 0
-	firstItemBlocksDone := -1
-	var firstResult *ckks.Ciphertext
-	for {
-		ftype, id, payload := p.recv(t)
-		if id != 2 {
-			t.Fatalf("reply for unexpected request %d", id)
-		}
-		if ftype == frameBatchDone {
-			if rep, err := decodeBatchDone(payload); err != nil || rep.Code != serve.CodeOK {
-				t.Fatalf("batch done: %+v err %v", rep, err)
+	release := parkFirstBlock(ctl, func() { p.send(t, frameCompute, 1, request(1)) })
+	// The rest outruns the connection's window, so these writes back up
+	// until replies are read: they run beside the reads.
+	frames := make([][]byte, 0, n-1)
+	for i := 2; i <= n; i++ {
+		frames = append(frames, buildFrame(t, frameCompute, uint64(i), request(i)))
+	}
+	go func() {
+		for _, f := range frames {
+			if _, err := p.conn.Write(f); err != nil {
+				return
 			}
-			break
 		}
-		if ftype != frameBatchItem {
-			t.Fatalf("unexpected frame type %d mid-batch", ftype)
-		}
-		idx, item, err := decodeBatchItem(payload)
+	}()
+
+	seen := make(map[uint64]bool, n)
+	for len(seen) < n {
+		ftype, id, payload := p.recv(t)
+		rep, err := decodeComputeReply(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if item.Code != serve.CodeOK || item.Result == nil {
-			t.Fatalf("item %d failed: %+v", idx, item)
+		if ftype != frameComputeReply || id < 1 || id > n || seen[id] || rep.Code != serve.CodeOK || rep.Result == nil {
+			t.Fatalf("reply frame %d id %d (seen %v): %+v", ftype, id, seen[id], rep)
 		}
-		if items == 0 {
-			firstItemBlocksDone = srv.Blocks("stream")
-			firstResult = item.Result
+		if len(seen) == 0 {
+			if id == 1 {
+				t.Error("the parked request was answered first")
+			}
+			// The incremental-delivery claim: when the first reply
+			// arrived, the server had not yet evaluated every request.
+			if done := srv.Blocks("stream"); done >= n-1 {
+				t.Errorf("first reply arrived after %d of %d blocks: replies were buffered, not streamed", done, n)
+			}
+			if got := p.decrypt(rep.Result); math.Abs(got[0]-0.25) > 0.05 {
+				t.Errorf("streamed result = %v, want 0.25", got[0])
+			}
+			close(release)
 		}
-		items++
-	}
-	if items != n {
-		t.Fatalf("received %d item frames, want %d", items, n)
-	}
-	// The incremental-delivery claim: when the first item frame arrived,
-	// the single-worker server had not yet finished the batch.
-	if firstItemBlocksDone < 0 || firstItemBlocksDone >= n {
-		t.Errorf("first item arrived after %d of %d blocks: replies were buffered, not streamed",
-			firstItemBlocksDone, n)
-	}
-	if got := p.decrypt(firstResult); math.Abs(got[0]-0.25) > 0.05 {
-		t.Errorf("streamed result = %v, want 0.25", got[0])
+		seen[id] = true
 	}
 }
 

@@ -49,10 +49,13 @@ type ServerConfig struct {
 	// lazily, so profiles without traffic cost nothing; evaluator memory
 	// is bounded by Workers × live profiles, never by the session count.
 	Workers int
-	// QueueDepth bounds the scheduler backlog; pipelined requests beyond
-	// it are shed with serve.CodeOverloaded. Default 4×Workers. With a
+	// QueueDepth bounds the scheduler backlog; requests that find it full
+	// are shed with serve.CodeOverloaded. Default 4×Workers. With a
 	// Control plane attached this is the built ceiling — the plan may
-	// shrink the live depth below it.
+	// shrink the live depth below it. The live depth is also each
+	// connection's window of in-flight op frames (see connState), so one
+	// connection never overflows the queue by itself: shedding is what
+	// contention between connections gets.
 	QueueDepth int
 	// MaxSessions caps resident sessions; registering past the cap
 	// evicts the least recently used. Default 1024; negative = unbounded.
@@ -75,13 +78,6 @@ type ServerConfig struct {
 	// come from its plan, and per-block telemetry is published back. Nil
 	// preserves the static admit-until-evicted behavior exactly.
 	Control Controller
-	// BatchWindow bounds the in-flight item frames of one streaming
-	// batch: an item is not submitted to the scheduler until an earlier
-	// item's reply frame has reached the socket once the window is full,
-	// so a slow client reading item frames stalls only its own batch,
-	// never an eval-pool worker. Default QueueDepth (capped at that, too:
-	// larger windows could let one batch shed itself on an idle server).
-	BatchWindow int
 	// DebugAddr, when non-empty, binds the observability debug plane
 	// (obs.ServeDebug) on that address: /metrics in the Prometheus text
 	// format, /debug/pprof/*, /debug/plan (the controller's live plan),
@@ -98,8 +94,8 @@ type ServerConfig struct {
 	// IdleTimeout bounds how long a connection may sit with no inbound
 	// frames and no in-flight work before the server closes it: half-dead
 	// peers release their sessions back to resumable state instead of
-	// pinning them. A connection waiting on its own replies (queued
-	// computes, streaming batches) is not idle. The timeout also bounds a
+	// pinning them. A connection waiting on its own replies (queued or
+	// unwritten op replies) is not idle. The timeout also bounds a
 	// single frame's read, so it must comfortably exceed the worst-case
 	// frame transfer time (Setup frames run to megabytes). 0 disables.
 	IdleTimeout time.Duration
@@ -168,7 +164,7 @@ type Server struct {
 	wg     sync.WaitGroup
 	closed bool
 	// conns tracks live connections so Close can tear them down: without
-	// it, a peer that stalls mid-read (batch writer blocked on its
+	// it, a peer that stalls mid-read (reply writer blocked on its
 	// socket) would pin Close in wg.Wait forever. Each connection's state
 	// carries its in-flight work count (Drain's idleness signal) and its
 	// attached sessions (detached into the resume window on teardown).
@@ -185,15 +181,66 @@ type Server struct {
 }
 
 // connState is the server's per-connection bookkeeping. active counts
-// dispatched requests whose replies have not reached the socket yet —
-// Drain closes a connection only when it reads zero. attached holds the
-// sessions bound to the connection (by Setup or a granted resume); on
-// teardown each is detached into the resume window.
+// requests whose replies have not reached the socket yet: each admitted
+// op frame, from admission until the reply writer is done with its reply,
+// plus the frame a synchronous handler is answering. Drain closes a
+// connection only when it reads zero, and it is the occupancy of the
+// connection's window: the decode loop admits an op frame only while
+// fewer than the scheduler's live capacity are in flight, so a peer that
+// outruns its window — or stops reading its replies — backs up its own
+// socket and nothing else. attached holds the sessions bound to the
+// connection (by Setup or a granted resume); on teardown each is
+// detached into the resume window.
 type connState struct {
 	active atomic.Int64
+	// freed wakes the decode loop after the reply writer released a
+	// window slot (the loop re-reads active, so one token is enough);
+	// gone is closed by the connection's teardown.
+	freed chan struct{}
+	gone  chan struct{}
+	// replies is the worker → writer hand-off. It holds the scheduler's
+	// built capacity, which no window exceeds, so a worker's send never
+	// blocks: workers evaluate and encode, only the writer touches the
+	// socket.
+	replies chan opReply
 
 	mu       sync.Mutex
 	attached map[string]*serve.Session
+}
+
+// opReply is one finished op reply on its way to the connection's reply
+// writer: the encoded frame in a pooled buffer (nil when there is nothing
+// to send — the connection was gone before the block ran, or the frame
+// could not be built), and for an evaluated block its trace and the
+// instant encoding ended, where the write span starts.
+type opReply struct {
+	frame   *[]byte
+	bt      *blockTrace
+	encoded time.Time
+}
+
+// admit blocks the decode loop until the connection's window has a free
+// slot and takes it; false when the connection was torn down first. Only
+// the decode loop admits, so the check and the increment cannot race.
+func (cs *connState) admit(window func() int) bool {
+	for int(cs.active.Load()) >= window() {
+		select {
+		case <-cs.freed:
+		case <-cs.gone:
+			return false
+		}
+	}
+	cs.active.Add(1)
+	return true
+}
+
+// release returns a window slot and wakes the decode loop if it waits.
+func (cs *connState) release() {
+	cs.active.Add(-1)
+	select {
+	case cs.freed <- struct{}{}:
+	default:
+	}
 }
 
 // attach binds a session to the connection (idempotent per session).
@@ -237,9 +284,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		cfg.MaxSessions = 1024
 	} else if cfg.MaxSessions < 0 {
 		cfg.MaxSessions = 0 // unbounded
-	}
-	if cfg.BatchWindow <= 0 || cfg.BatchWindow > cfg.QueueDepth {
-		cfg.BatchWindow = cfg.QueueDepth
 	}
 	if cfg.Profiles == nil {
 		cfg.Profiles = profile.Default()
@@ -548,7 +592,11 @@ func (s *Server) trackConn(conn net.Conn) *connState {
 		conn.Close()
 		return nil
 	}
-	cs := &connState{}
+	cs := &connState{
+		freed:   make(chan struct{}, 1),
+		gone:    make(chan struct{}),
+		replies: make(chan opReply, s.sched.MaxCapacity()),
+	}
 	s.conns[conn] = cs
 	return cs
 }
@@ -619,10 +667,11 @@ func (s *Server) acceptLoop() {
 
 // serveConn drives one connection: the hello exchange, then a decode
 // loop dispatching request frames. Replies go through one frameWriter per
-// connection; batch items stream back as soon as each worker finishes.
-// The writer and the read loop share one close-once teardown, so a
-// writer-side failure and the loop's exit cannot double-close the
-// connection.
+// connection: the decode loop answers the synchronous requests itself,
+// and op replies reach the socket through the connection's reply writer
+// as soon as each worker finishes. The writers and the read loop share
+// one close-once teardown, so a writer-side failure and the loop's exit
+// cannot double-close the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	cs := s.trackConn(conn)
 	if cs == nil {
@@ -632,6 +681,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	teardown := func() {
 		once.Do(func() {
 			conn.Close()
+			close(cs.gone)
 			s.forgetConn(conn)
 		})
 	}
@@ -663,6 +713,23 @@ func (s *Server) serveConn(conn net.Conn) {
 	if fw.sendFrame(frameHello, 0, nil) != nil {
 		return
 	}
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		s.writeReplies(fw, cs)
+	}()
+	defer func() {
+		// Stop the reply writer. With the connection closed its writes fail
+		// at once and blocks still queued are skipped, so the in-flight ops
+		// drain promptly; once none is left no worker can send again (only
+		// this loop admits), and the hand-off can close.
+		teardown()
+		for cs.active.Load() > 0 {
+			<-cs.freed
+		}
+		close(cs.replies)
+		<-writerDone
+	}()
 	rd := connReader{conn: conn, br: br, buf: buf, cs: cs}
 	for {
 		if !s.awaitFrame(conn, br, cs) {
@@ -682,13 +749,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.met.framesIn.Inc()
 		s.met.bytesIn.Add(int64(frameHeaderLen + len(payload) + crcTrailerLen))
-		cs.active.Add(1)
-		err = s.dispatch(fw, ftype, id, payload, rd)
-		cs.active.Add(-1)
-		if err != nil {
+		if err := s.dispatch(fw, ftype, id, payload, rd); err != nil {
 			// A payload that fails to decode is a protocol violation, not
-			// a request we can answer: kill the connection.
-			s.cfg.Logf("edge: payload (type %d): %v", ftype, err)
+			// a request we can answer: kill the connection. net.ErrClosed
+			// is the teardown reaching an op frame that waited for its
+			// window slot.
+			if !errors.Is(err, net.ErrClosed) {
+				s.cfg.Logf("edge: payload (type %d): %v", ftype, err)
+			}
 			return
 		}
 	}
@@ -736,17 +804,27 @@ type connReader struct {
 }
 
 func (s *Server) dispatch(fw *frameWriter, ftype byte, id uint64, payload []byte, rd connReader) error {
+	cs := rd.cs
 	if o := opFor(ftype); o != nil {
+		// The window wait comes before the block exists for the server: a
+		// peer ahead of its window is waiting on its own socket, which is
+		// not time any stage of the block spent.
+		if !cs.admit(s.sched.Capacity) {
+			return net.ErrClosed
+		}
 		// The decode timestamp anchors the block's trace: the earliest
 		// point the server saw this request's bytes as a block.
 		decodeStart := time.Now()
 		req, err := decodeComputeRequest(payload)
 		if err != nil {
+			cs.release()
 			return err
 		}
-		s.handleOp(fw, o, id, req, decodeStart, rd.cs)
+		s.handleOp(o, id, req, decodeStart, cs)
 		return nil
 	}
+	cs.active.Add(1)
+	defer cs.active.Add(-1)
 	switch ftype {
 	case frameProfile:
 		req, err := decodeProfileRequest(payload)
@@ -760,7 +838,7 @@ func (s *Server) dispatch(fw *frameWriter, ftype byte, id uint64, payload []byte
 		if err != nil {
 			return err
 		}
-		rep := s.handleSetup(req, rd.cs)
+		rep := s.handleSetup(req, cs)
 		fw.sendFrame(frameSetupReply, id, func(b []byte) []byte { return appendSetupReply(b, rep) })
 	case frameResume:
 		req, err := decodeResumeRequest(payload)
@@ -775,12 +853,6 @@ func (s *Server) dispatch(fw *frameWriter, ftype byte, id uint64, payload []byte
 		}
 		rep := s.handleRekey(req)
 		fw.sendFrame(frameRekeyReply, id, func(b []byte) []byte { return appendRekeyReply(b, rep) })
-	case frameBatch:
-		req, err := decodeBatchRequest(payload)
-		if err != nil {
-			return err
-		}
-		s.handleBatch(fw, id, req, rd.cs)
 	case frameRotKeys:
 		req, err := decodeRotKeysRequest(payload)
 		if err != nil {
@@ -1126,34 +1198,58 @@ func opFor(ftype byte) *op {
 	return nil
 }
 
-// refuseBlock answers a per-block request that never reached a worker.
-func (s *Server) refuseBlock(fw *frameWriter, o *op, id uint64, code serve.Code, detail string) {
+// refuseBlock answers a per-block request that never reached a worker,
+// through the same hand-off as a served one: the decode loop holds the
+// request's window slot, so the send cannot block.
+func (s *Server) refuseBlock(cs *connState, o *op, id uint64, code serve.Code, detail string) {
 	rep := ComputeReply{Code: code, Err: detail}
-	fw.sendFrame(o.reply, id, func(b []byte) []byte { return appendComputeReply(b, &rep) })
+	cs.replies <- opReply{frame: s.encodeReply(o, id, &rep)}
+}
+
+// encodeReply builds an op's reply frame in a pooled buffer, which the
+// reply writer returns to the pool; nil when the frame cannot be built.
+func (s *Server) encodeReply(o *op, id uint64, rep *ComputeReply) *[]byte {
+	pb := getFrameBuf()
+	b, err := finishFrame(appendComputeReply(beginFrame((*pb)[:0], o.reply, id), rep))
+	if err != nil {
+		s.cfg.Logf("edge: frame build: %v", err)
+		putFrameBuf(pb)
+		return nil
+	}
+	*pb = b
+	return pb
 }
 
 // handleOp serves one per-block request of any op: the block goes through
 // the bounded scheduler — onto the session profile's evaluator pool — and
-// may be shed with CodeOverloaded. The block's life is traced stage by
-// stage (decode → queue_wait → eval → [kernel stage] → encode → write)
-// and recorded once the reply frame reached the socket; spans also feed
-// the quhe_stage_seconds histograms.
-func (s *Server) handleOp(fw *frameWriter, o *op, id uint64, req *ComputeRequest, decodeStart time.Time, cs *connState) {
+// may be shed with CodeOverloaded. The worker evaluates and encodes, then
+// hands the frame to the connection's reply writer; it never touches the
+// socket, so a peer that stops reading cannot hold it. The block's life
+// is traced stage by stage (decode → queue_wait → eval → [kernel stage] →
+// encode → write) and recorded once the reply frame reached the socket;
+// spans also feed the quhe_stage_seconds histograms. Every path ends in
+// exactly one hand-off, which is what releases the request's window slot.
+func (s *Server) handleOp(o *op, id uint64, req *ComputeRequest, decodeStart time.Time, cs *connState) {
 	bt := s.met.newBlockTrace(req.SessionID, req.Block, id, decodeStart)
 	bt.adopt(req.Trace)
 	bt.span(stageIdxDecode, stageDecode, decodeStart, time.Since(decodeStart))
 	sess, rt, pool, code, detail := s.lookupCompute(req.SessionID)
 	if code != serve.CodeOK {
-		s.refuseBlock(fw, o, id, code, detail)
+		s.refuseBlock(cs, o, id, code, detail)
 		return
 	}
 	submitAt := time.Now()
-	// The reply outlives this dispatch: hold an in-flight count until the
-	// reply frame reached the socket, so Drain never closes the
-	// connection under a queued block.
-	cs.active.Add(1)
 	if err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
-		defer cs.active.Add(-1)
+		select {
+		case <-cs.gone:
+			// The connection is gone (peer hung up, or the server is
+			// tearing it down at Close): nobody can receive the result, so
+			// skip the evaluation instead of burning a worker — and
+			// pinning shutdown — on it.
+			cs.replies <- opReply{}
+			return
+		default:
+		}
 		waitEnd := time.Now()
 		bt.span(stageIdxQueueWait, stageQueueWait, submitAt, waitEnd.Sub(submitAt))
 		result, rots, kdur, code, detail := s.evalBlock(o, rt, w, sess, req.Epoch, req.Block, req.Masked)
@@ -1170,18 +1266,36 @@ func (s *Server) handleOp(fw *frameWriter, o *op, id uint64, req *ComputeRequest
 		if o.kernel != nil {
 			bt.span(o.stageIdx, o.stage, evalEnd.Add(-kdur), kdur)
 		}
-		enc, wr, err := fw.sendFrameTimed(o.reply, id, func(b []byte) []byte {
-			return appendComputeReply(b, &rep)
-		}, true)
-		if err == nil {
-			bt.span(stageIdxEncode, stageEncode, evalEnd, enc)
-			bt.span(stageIdxWrite, stageWrite, evalEnd.Add(enc), wr)
-		}
-		bt.finish()
+		frame := s.encodeReply(o, id, &rep)
+		encoded := time.Now()
+		bt.span(stageIdxEncode, stageEncode, evalEnd, encoded.Sub(evalEnd))
+		cs.replies <- opReply{frame: frame, bt: bt, encoded: encoded}
 	}); err != nil {
-		cs.active.Add(-1)
 		s.met.shedQueueFull.Inc()
-		s.refuseBlock(fw, o, id, serve.CodeOf(err), fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()))
+		s.refuseBlock(cs, o, id, serve.CodeOf(err), fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()))
+	}
+}
+
+// writeReplies is the connection's reply writer, the one goroutine that
+// puts op replies on the socket. A stalled peer blocks it, the window
+// then fills behind it and the decode loop stops admitting: the stall
+// stays on this connection. The write span starts where encoding ended,
+// so the hand-off wait is in the ledger and the stage spans still tile
+// the block's total. Runs until serveConn closes the hand-off.
+func (s *Server) writeReplies(fw *frameWriter, cs *connState) {
+	for r := range cs.replies {
+		sent := false
+		if r.frame != nil {
+			sent = fw.send(*r.frame) == nil
+			putFrameBuf(r.frame)
+		}
+		if r.bt != nil {
+			if sent {
+				r.bt.span(stageIdxWrite, stageWrite, r.encoded, time.Since(r.encoded))
+			}
+			r.bt.finish()
+		}
+		cs.release()
 	}
 }
 
@@ -1317,139 +1431,4 @@ func (s *Server) rekeyBudget(sess *serve.Session) int64 {
 func (s *Server) rekeyNeeded(sess *serve.Session) bool {
 	budget := s.rekeyBudget(sess)
 	return budget > 0 && 4*sess.BytesSinceRekey() >= 3*budget
-}
-
-// handleBatch fans one BatchRequest's blocks out across the scheduler onto
-// the session profile's pool and streams the reply: each item is framed
-// and flushed the moment its worker finishes (frameBatchItem, out of
-// order), and a frameBatchDone trailer carries the aggregate modeled
-// costs once every item has been answered. Items run the compute op
-// through the same evalBlock as single requests and fail independently.
-// The frameWriter's per-connection mutex interleaves item frames with
-// other replies at frame granularity, so one giant batch cannot starve
-// pipelined requests on the same connection of the socket.
-func (s *Server) handleBatch(fw *frameWriter, id uint64, req *BatchRequest, cs *connState) {
-	fail := func(code serve.Code, detail string) {
-		fw.sendFrame(frameBatchDone, id, func(b []byte) []byte {
-			return appendBatchDone(b, &BatchReply{Code: code, Err: detail})
-		})
-	}
-	n := len(req.Blocks)
-	if n == 0 || n != len(req.Masked) {
-		fail(serve.CodeBadRequest, fmt.Sprintf("batch with %d blocks, %d payloads", n, len(req.Masked)))
-		return
-	}
-	if n > MaxBatch {
-		fail(serve.CodeBadRequest, fmt.Sprintf("batch of %d blocks exceeds %d", n, MaxBatch))
-		return
-	}
-	sess, rt, pool, code, detail := s.lookupCompute(req.SessionID)
-	if code != serve.CodeOK {
-		fail(code, detail)
-		return
-	}
-	if code, detail := s.admitBatch(sess, req); code != serve.CodeOK {
-		fail(code, detail)
-		return
-	}
-	cs.active.Add(1)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cs.active.Add(-1)
-		// The batch bounds its own in-flight items, so an idle server never
-		// sheds a batch merely for being larger than the queue (Submit
-		// still fails — and the item is shed — under genuine cross-client
-		// contention), and running off the decode loop keeps pipelined
-		// requests on the same connection flowing meanwhile. A window
-		// token is held from submission until the item's reply frame has
-		// reached the socket. Eval workers only compute and hand the
-		// finished item to the per-batch writer goroutine below (the
-		// handoff channel never blocks: tokens cap its occupancy), so a
-		// slow or stalled client reading item frames stalls this batch's
-		// window, never an eval-pool worker.
-		type emitItem struct {
-			idx  int
-			item BatchItem
-		}
-		// The streaming window is additionally capped at the live queue
-		// depth, so a plan that shrank the scheduler cannot make a batch
-		// shed itself on an idle server.
-		win := s.cfg.BatchWindow
-		if live := s.sched.Capacity(); live < win {
-			win = live
-		}
-		tokens := make(chan struct{}, win)
-		emit := make(chan emitItem, win)
-		writerDone := make(chan struct{})
-		go func() {
-			defer close(writerDone)
-			for e := range emit {
-				e := e
-				fw.sendFrame(frameBatchItem, id, func(b []byte) []byte {
-					return appendBatchItem(b, e.idx, &e.item)
-				})
-				<-tokens
-			}
-		}()
-		var wg sync.WaitGroup
-		var servedBits, served atomic.Int64
-		for i := 0; i < n; i++ {
-			i := i
-			tokens <- struct{}{}
-			wg.Add(1)
-			err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
-				defer wg.Done()
-				if fw.dead() {
-					// The connection is gone (peer hung up, or the server
-					// is tearing it down at Close): every remaining item
-					// frame will fail, so skip the compute instead of
-					// burning eval workers — and pinning shutdown — on
-					// results nobody can receive. The emit/token plumbing
-					// still runs so the batch drains normally.
-					emit <- emitItem{idx: i, item: BatchItem{Code: serve.CodeConnClosed, Err: "connection closed"}}
-					return
-				}
-				result, _, _, code, detail := s.evalBlock(&opCompute, rt, w, sess, req.Epoch, req.Blocks[i], req.Masked[i])
-				if code == serve.CodeOK {
-					served.Add(1)
-					servedBits.Add(int64(len(req.Masked[i]) * 64))
-				}
-				emit <- emitItem{idx: i, item: BatchItem{Result: result, Code: code, Err: detail}}
-			})
-			if err != nil {
-				wg.Done()
-				emit <- emitItem{idx: i, item: BatchItem{Code: serve.CodeOf(err),
-					Err: fmt.Sprintf("queue full (depth %d)", s.sched.Capacity())}}
-			}
-		}
-		wg.Wait()
-		close(emit)
-		<-writerDone
-		fw.sendFrame(frameBatchDone, id, func(b []byte) []byte {
-			return appendBatchDone(b, &BatchReply{
-				RekeyNeeded:     s.rekeyNeeded(sess),
-				ModeledTxDelay:  float64(servedBits.Load()) / modeledUplinkBps,
-				ModeledCmpDelay: float64(served.Load()) * (rt.prof.BlockCycles(0) / profile.RefHz),
-			})
-		})
-	}()
-}
-
-// admitBatch runs the control plane's batch-level admission: the whole
-// request's projected byte consumption is checked once before fan-out
-// (per-item admission still applies inside evalBlock).
-func (s *Server) admitBatch(sess *serve.Session, req *BatchRequest) (serve.Code, string) {
-	ctl := s.cfg.Control
-	if ctl == nil {
-		return serve.CodeOK, ""
-	}
-	var pending int64
-	for _, m := range req.Masked {
-		pending += int64(8 * len(m))
-	}
-	if err := ctl.AdmitCompute(sess.ID, sess.BytesSinceRekey(), pending); err != nil {
-		return serve.CodeOf(err), controlDetail(err)
-	}
-	return serve.CodeOK, ""
 }

@@ -91,6 +91,39 @@ func TestPipelinedComputes(t *testing.T) {
 	}
 }
 
+// TestServedComputeAllocs pins the server-side allocations of one served
+// Compute in steady state: the worker → writer hand-off passes pooled
+// buffers and a trace pointer by value and must add none. The client side
+// is a raw peer re-sending one prebuilt frame and reading replies into one
+// buffer, so what AllocsPerRun counts (process-wide) is the server's.
+func TestServedComputeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	srv := startServer(t, Model{Weights: []float64{1}})
+	p := newRawPeer(t, 11)
+	p.dial(t, srv.Addr())
+	p.register(t, "allocs")
+	req := &ComputeRequest{SessionID: "allocs", Block: 1, Masked: p.mask(t, 1, []float64{0.5})}
+	frame := buildFrame(t, frameCompute, 7, func(b []byte) []byte { return appendComputeRequest(b, req) })
+	roundTrip := func() {
+		if _, err := p.conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if ftype, _, _ := p.recv(t); ftype != frameComputeReply {
+			t.Fatalf("reply frame type %d", ftype)
+		}
+	}
+	roundTrip() // warm the pools: evaluator, scratch, frame buffers
+	// 64 when the worker still wrote the reply itself: the decoded
+	// request, the trace and its spans, the job closure, and mostly the
+	// result ciphertext the transcipher builds.
+	const bound = 64
+	if allocs := testing.AllocsPerRun(20, roundTrip); allocs > bound {
+		t.Errorf("a served Compute allocates %.1f times, want ≤ %d", allocs, bound)
+	}
+}
+
 // TestConcurrentClientsPipelined exercises the sharded store and shared
 // pool under many clients × many in-flight blocks (run with -race in CI).
 func TestConcurrentClientsPipelined(t *testing.T) {
@@ -183,26 +216,104 @@ func TestBatchCompute(t *testing.T) {
 	}
 }
 
-// --- backpressure -----------------------------------------------------------
-
-func TestBackpressureShedsPipelinedLoad(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		Model: Model{Weights: []float64{1}}, Workers: 1, QueueDepth: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// parkFirstBlock makes the next block to reach ctl's compute admission
+// wait there, on its eval worker. It returns once that block is parked;
+// later blocks pass. Closing the returned channel lets it finish.
+func parkFirstBlock(ctl *fakeControl, start func()) (release chan struct{}) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	hook := func() {
+		entered <- struct{}{}
+		<-release
 	}
-	defer srv.Close()
-	client, err := Dial(srv.Addr(), "burst", []byte("k"), 17)
+	ctl.admitHook.Store(&hook)
+	start()
+	<-entered
+	ctl.admitHook.Store(nil)
+	return release
+}
+
+// TestBatchStraddlesRekey rotates the key while a batch is in flight. The
+// first item is parked on the one worker, past its epoch check, and is
+// served under the old key; the items queued behind it are refused for
+// their epoch once the rotation lands, and ComputeBatch resends exactly
+// those under the new one.
+func TestBatchStraddlesRekey(t *testing.T) {
+	ctl := &fakeControl{}
+	srv := startControlledServer(t, ctl, ServerConfig{
+		Model: Model{Weights: []float64{2}}, Workers: 1, QueueDepth: 16,
+	})
+	client, err := Dial(srv.Addr(), "straddle", []byte("generation-0"), 31)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 
+	data := make([][]float64, 8)
+	for i := range data {
+		data[i] = []float64{0.1 * float64(i)}
+	}
+	type result struct {
+		out [][]float64
+		err error
+	}
+	done := make(chan result, 1)
+	release := parkFirstBlock(ctl, func() {
+		go func() {
+			out, err := client.ComputeBatch(0, data)
+			done <- result{out, err}
+		}()
+	})
+	if err := client.RekeyWith([]byte("generation-1")); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("batch across a rotation: %v", r.err)
+	}
+	for i, d := range data {
+		if math.Abs(r.out[i][0]-2*d[0]) > 0.05 {
+			t.Errorf("item %d = %v, want %v", i, r.out[i][0], 2*d[0])
+		}
+	}
+	if got := client.Epoch(); got != 2 {
+		t.Errorf("client at epoch %d, want 2", got)
+	}
+	if client.Stats().Retries == 0 {
+		t.Error("no retry counted: the rotation did not land inside the batch")
+	}
+	if n := srv.Blocks("straddle"); n != len(data) {
+		t.Errorf("server served %d blocks, want %d (each item once)", n, len(data))
+	}
+}
+
+// --- backpressure -----------------------------------------------------------
+
+// TestBackpressureShedsPipelinedLoad bursts from two connections: one
+// connection can no longer overflow the queue by itself (its window is
+// the queue's depth), so shedding takes contention — here two windows of
+// two against one worker and two queue slots.
+func TestBackpressureShedsPipelinedLoad(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{
+		Model: Model{Weights: []float64{1}}, Workers: 1, QueueDepth: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var clients [2]*Client
+	for i := range clients {
+		name := fmt.Sprintf("burst-%d", i)
+		if clients[i], err = Dial(srv.Addr(), name, []byte(name), int64(17+i)); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
+	}
+
 	const burst = 32
 	pendings := make([]*Pending, burst)
 	for i := 0; i < burst; i++ {
-		p, err := client.ComputeAsync(uint32(i), []float64{0.5})
+		p, err := clients[i%2].ComputeAsync(uint32(i), []float64{0.5})
 		if err != nil {
 			t.Fatalf("async %d: %v", i, err)
 		}
@@ -228,17 +339,19 @@ func TestBackpressureShedsPipelinedLoad(t *testing.T) {
 	}
 	t.Logf("burst of %d: %d served, %d shed", burst, served, shed)
 
-	// The connection and session survive shedding.
-	if _, err := client.Compute(1000, []float64{0.5}); err != nil {
-		t.Errorf("compute after burst: %v", err)
+	// The connections and sessions survive shedding.
+	for _, client := range clients {
+		if _, err := client.Compute(1000, []float64{0.5}); err != nil {
+			t.Errorf("compute after burst: %v", err)
+		}
 	}
 }
 
-// TestBatchLargerThanQueueServedWhenIdle pins the batch admission
-// contract: a batch submits its own items through a queue-depth-bounded
-// window, so on an otherwise idle server a batch far larger than the
-// queue completes fully — items are shed with serve.CodeOverloaded only
-// under genuine cross-client contention.
+// TestBatchLargerThanQueueServedWhenIdle pins the admission contract of
+// a connection's window: op frames are admitted through a
+// queue-depth-bounded window, so on an otherwise idle server a batch far
+// larger than the queue completes fully — blocks are shed with
+// serve.CodeOverloaded only under genuine cross-connection contention.
 func TestBatchLargerThanQueueServedWhenIdle(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		Model: Model{Weights: []float64{1}}, Workers: 1, QueueDepth: 2,

@@ -12,8 +12,8 @@ package edge
 //
 // Frames are built into pooled buffers and written through one
 // bufio.Writer per connection under a mutex, so a frame reaches the
-// socket as a single coalesced write and concurrent senders (worker
-// goroutines streaming batch items, the decode loop answering setups)
+// socket as a single coalesced write and concurrent senders (the server's
+// reply writer and its decode loop answering setups, a client's callers)
 // interleave at frame granularity — the per-connection fairness point.
 // Payload decoding copies everything it returns, so the read buffer is
 // reused for the next frame immediately.
@@ -30,8 +30,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"quhe/internal/he/ckks"
 	"quhe/internal/obs"
@@ -45,8 +43,9 @@ const (
 	// layout, payload fields and the residue-tower ciphertext encoding
 	// together. Any incompatible change bumps it; a peer that opens with
 	// another value is closed, never negotiated with. (3 was the last
-	// version with optional trailers and hello feature flags.)
-	frameVersion = 4
+	// version with optional trailers and hello feature flags, 4 the last
+	// with batch frames.)
+	frameVersion = 5
 
 	frameHeaderLen = 16
 
@@ -75,9 +74,6 @@ const (
 	frameSetupReply
 	frameCompute
 	frameComputeReply
-	frameBatch
-	frameBatchItem
-	frameBatchDone
 	frameRekey
 	frameRekeyReply
 	frameProfile
@@ -191,21 +187,18 @@ func readFrame(br *bufio.Reader, buf *[]byte) (ftype byte, id uint64, payload []
 	return ftype, id, payload, nil
 }
 
-// frameWriter serializes frame writes on one connection. With pipelined
-// requests and streaming batches, worker goroutines and the decode loop
-// send concurrently; the mutex interleaves them at frame granularity. A
-// write error tears the connection down exactly once via the teardown
-// closure shared with the read side (no double-close race) and drops
-// every later frame — the peer's pending requests then fail with a typed
-// connection error instead of hanging.
+// frameWriter serializes frame writes on one connection. The server's
+// reply writer and decode loop, or a client's concurrent callers, send at
+// the same time; the mutex interleaves them at frame granularity. A write
+// error tears the connection down exactly once via the teardown closure
+// shared with the read side (no double-close race) and drops every later
+// frame — the peer's pending requests then fail with a typed connection
+// error instead of hanging.
 type frameWriter struct {
 	mu sync.Mutex
 	bw *bufio.Writer
-	// failed latches the first write error. Atomic rather than guarded
-	// by mu so dead() stays non-blocking: mu is held across a socket
-	// flush, which on a stalled peer blocks until teardown — exactly the
-	// state dead() exists to observe.
-	failed   atomic.Bool
+	// failed latches the first write error.
+	failed   bool
 	teardown func()
 	logf     func(string, ...interface{})
 	// countSend, when non-nil, observes every frame that reached the
@@ -225,7 +218,7 @@ func newFrameWriter(conn net.Conn, teardown func(), logf func(string, ...interfa
 // send writes one complete frame (finished, trailer included) and flushes.
 func (w *frameWriter) send(frame []byte) error {
 	w.mu.Lock()
-	if w.failed.Load() {
+	if w.failed {
 		w.mu.Unlock()
 		return serve.ErrConnClosed
 	}
@@ -233,9 +226,7 @@ func (w *frameWriter) send(frame []byte) error {
 	if err == nil {
 		err = w.bw.Flush()
 	}
-	if err != nil {
-		w.failed.Store(true)
-	}
+	w.failed = err != nil
 	w.mu.Unlock()
 	if err != nil {
 		w.logf("edge: write: %v", err)
@@ -248,49 +239,23 @@ func (w *frameWriter) send(frame []byte) error {
 	return nil
 }
 
-// dead reports whether the connection's write side has already failed.
-// Non-blocking by construction (see the failed field): safe to poll from
-// eval workers deciding whether a result is still worth computing.
-func (w *frameWriter) dead() bool { return w.failed.Load() }
-
 // sendFrame builds a frame from a payload-appending closure in a pooled
 // buffer and sends it. build may be nil for empty payloads.
 func (w *frameWriter) sendFrame(ftype byte, id uint64, build func(b []byte) []byte) error {
-	_, _, err := w.sendFrameTimed(ftype, id, build, false)
-	return err
-}
-
-// sendFrameTimed is sendFrame reporting its two stages when timed is set,
-// for the tracing path: encode covers the payload build and checksum,
-// write covers the socket write under the frameWriter mutex — so a trace
-// can tell serialization cost from a slow or contended connection.
-// Untimed frames pay no clock reads.
-func (w *frameWriter) sendFrameTimed(ftype byte, id uint64, build func(b []byte) []byte, timed bool) (encode, write time.Duration, err error) {
 	pb := getFrameBuf()
-	var t0, t1 time.Time
-	if timed {
-		t0 = time.Now()
-	}
 	b := beginFrame((*pb)[:0], ftype, id)
 	if build != nil {
 		b = build(b)
 	}
-	b, err = finishFrame(b)
+	b, err := finishFrame(b)
 	if err == nil {
 		*pb = b
-		if timed {
-			t1 = time.Now()
-			encode = t1.Sub(t0)
-		}
 		err = w.send(b)
-		if timed {
-			write = time.Since(t1)
-		}
 	} else {
 		w.logf("edge: frame build: %v", err)
 	}
 	putFrameBuf(pb)
-	return encode, write, err
+	return err
 }
 
 // --- payload primitives -----------------------------------------------------
@@ -446,9 +411,8 @@ func (r *wireReader) finish() error {
 // --- message codecs ---------------------------------------------------------
 //
 // One append/decode pair per message. Limits beyond what wireReader
-// enforces structurally: encrypted-key vectors are capped at 4×KeyLen and
-// batch fan-out at MaxBatch, so a hostile peer cannot request unbounded
-// allocation from a single frame.
+// enforces structurally: encrypted-key vectors are capped at 4×KeyLen, so
+// a hostile peer cannot request unbounded allocation from a single frame.
 
 const maxWireEncKey = 4 * KeyLen
 
@@ -614,98 +578,6 @@ func decodeComputeReply(p []byte) (*ComputeReply, error) {
 	}
 	if r.bool() {
 		rep.Result = r.ciphertext()
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-func appendBatchRequest(b []byte, req *BatchRequest) []byte {
-	b = appendString(b, req.SessionID)
-	b = binary.LittleEndian.AppendUint64(b, req.Epoch)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Blocks)))
-	for _, blk := range req.Blocks {
-		b = binary.LittleEndian.AppendUint32(b, blk)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Masked)))
-	for _, m := range req.Masked {
-		b = appendFloat64s(b, m)
-	}
-	return req.Trace.AppendBinary(b)
-}
-
-func decodeBatchRequest(p []byte) (*BatchRequest, error) {
-	r := &wireReader{b: p}
-	req := &BatchRequest{SessionID: r.str(), Epoch: r.u64()}
-	nb := int(r.u32())
-	if r.err != nil || nb < 0 || nb > MaxBatch || len(r.b) < 4*nb {
-		return nil, ErrBadFrame
-	}
-	req.Blocks = make([]uint32, nb)
-	for i := range req.Blocks {
-		req.Blocks[i] = r.u32()
-	}
-	nm := int(r.u32())
-	if r.err != nil || nm < 0 || nm > MaxBatch {
-		return nil, ErrBadFrame
-	}
-	req.Masked = make([][]float64, nm)
-	for i := range req.Masked {
-		req.Masked[i] = r.float64s()
-	}
-	req.Trace = r.traceContext()
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// appendBatchItem encodes one streamed batch result: the item index
-// followed by the BatchItem fields.
-func appendBatchItem(b []byte, index int, item *BatchItem) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(index))
-	b = binary.LittleEndian.AppendUint32(b, uint32(item.Code))
-	b = appendString(b, item.Err)
-	b = appendBool(b, item.Result != nil)
-	if item.Result != nil {
-		b = item.Result.AppendBinary(b)
-	}
-	return b
-}
-
-func decodeBatchItem(p []byte) (index int, item BatchItem, err error) {
-	r := &wireReader{b: p}
-	index = int(r.u32())
-	item.Code = serve.Code(r.u32())
-	item.Err = r.str()
-	if r.bool() {
-		item.Result = r.ciphertext()
-	}
-	if err := r.finish(); err != nil {
-		return 0, BatchItem{}, err
-	}
-	return index, item, nil
-}
-
-// appendBatchDone encodes the batch trailer (aggregates only; items were
-// streamed as frameBatchItem frames).
-func appendBatchDone(b []byte, rep *BatchReply) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(rep.Code))
-	b = appendString(b, rep.Err)
-	b = appendBool(b, rep.RekeyNeeded)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rep.ModeledTxDelay))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(rep.ModeledCmpDelay))
-}
-
-func decodeBatchDone(p []byte) (*BatchReply, error) {
-	r := &wireReader{b: p}
-	rep := &BatchReply{
-		Code:            serve.Code(r.u32()),
-		Err:             r.str(),
-		RekeyNeeded:     r.bool(),
-		ModeledTxDelay:  r.f64(),
-		ModeledCmpDelay: r.f64(),
 	}
 	if err := r.finish(); err != nil {
 		return nil, err

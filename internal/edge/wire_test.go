@@ -137,41 +137,20 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		t.Fatalf("compute reply: %+v err %v", gotCompRep, err)
 	}
 
-	batch := &BatchRequest{SessionID: "b", Epoch: 3, Blocks: []uint32{5, 6},
-		Masked: [][]float64{{1, 2}, {3}}}
-	gotBatch, err := decodeBatchRequest(appendBatchRequest(nil, batch))
-	if err != nil || gotBatch.SessionID != batch.SessionID || gotBatch.Epoch != batch.Epoch ||
-		len(gotBatch.Blocks) != 2 || gotBatch.Blocks[1] != 6 ||
-		len(gotBatch.Masked) != 2 || gotBatch.Masked[0][1] != 2 || gotBatch.Masked[1][0] != 3 {
-		t.Fatalf("batch request: %+v err %v", gotBatch, err)
-	}
-
-	idx, item, err := decodeBatchItem(appendBatchItem(nil, 7, &BatchItem{Code: serve.CodeOverloaded, Err: "full"}))
-	if err != nil || idx != 7 || item.Code != serve.CodeOverloaded || item.Err != "full" || item.Result != nil {
-		t.Fatalf("batch item: idx=%d %+v err %v", idx, item, err)
-	}
-
-	done := &BatchReply{RekeyNeeded: true, ModeledTxDelay: 1.5, ModeledCmpDelay: 2.5}
-	gotDone, err := decodeBatchDone(appendBatchDone(nil, done))
-	if err != nil || gotDone.Code != serve.CodeOK || !gotDone.RekeyNeeded ||
-		gotDone.ModeledTxDelay != 1.5 || gotDone.ModeledCmpDelay != 2.5 {
-		t.Fatalf("batch done: %+v err %v", gotDone, err)
-	}
-
 	rkRep, err := decodeRekeyReply(appendRekeyReply(nil, &RekeyReply{OK: true, Epoch: 4}))
 	if err != nil || !rkRep.OK || rkRep.Epoch != 4 {
 		t.Fatalf("rekey reply: %+v err %v", rkRep, err)
 	}
 
 	// Trailing garbage after a well-formed message is a protocol error.
-	withTrailer := append(appendBatchDone(nil, done), 0xFF)
-	if _, err := decodeBatchDone(withTrailer); !errors.Is(err, ErrBadFrame) {
+	withTrailer := append(appendComputeReply(nil, compRep), 0xFF)
+	if _, err := decodeComputeReply(withTrailer); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("trailing bytes: err = %v, want ErrBadFrame", err)
 	}
 }
 
 // TestTraceContextWireField pins the fixed 16-byte trace-context field on
-// Compute and Batch payloads: a sampled context round-trips, an unsampled
+// per-block request payloads: a sampled context round-trips, an unsampled
 // request carries sixteen zero bytes that decode to "no context", and a
 // payload without the whole field is rejected typed.
 func TestTraceContextWireField(t *testing.T) {
@@ -197,15 +176,6 @@ func TestTraceContextWireField(t *testing.T) {
 	}
 	if gotBare.Trace.Valid() {
 		t.Errorf("zero context decoded as valid: %+v", gotBare.Trace)
-	}
-
-	batch := &BatchRequest{SessionID: "b", Epoch: 1, Blocks: []uint32{1}, Masked: [][]float64{{1}}, Trace: tc}
-	gotBatch, err := decodeBatchRequest(appendBatchRequest(nil, batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotBatch.Trace != tc {
-		t.Errorf("batch trace round trip: %+v, want %+v", gotBatch.Trace, tc)
 	}
 
 	// The field is mandatory: absent, short or followed by garbage is a
@@ -315,9 +285,9 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 	f.Add(valid)
 	f.Add(valid[:frameHeaderLen])
-	f.Add([]byte{frameMagic0, frameMagic1, frameVersion, frameBatch})
-	f.Add(buildFrame(f, frameBatchItem, 9, func(b []byte) []byte {
-		return appendBatchItem(b, 0, &BatchItem{Code: serve.CodeOK})
+	f.Add([]byte{frameMagic0, frameMagic1, frameVersion, frameMatVec})
+	f.Add(buildFrame(f, frameComputeReply, 9, func(b []byte) []byte {
+		return appendComputeReply(b, &ComputeReply{Code: serve.CodeOverloaded, Err: "full"})
 	}))
 	// A compute frame with a sampled trace context in its fixed field.
 	f.Add(buildFrame(f, frameCompute, 11, func(b []byte) []byte {
@@ -362,16 +332,10 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		case frameSetupReply:
 			_, derr = decodeSetupReply(payload)
-		case frameCompute:
+		case frameCompute, frameMatVec:
 			_, derr = decodeComputeRequest(payload)
-		case frameComputeReply:
+		case frameComputeReply, frameMatVecReply:
 			_, derr = decodeComputeReply(payload)
-		case frameBatch:
-			_, derr = decodeBatchRequest(payload)
-		case frameBatchItem:
-			_, _, derr = decodeBatchItem(payload)
-		case frameBatchDone:
-			_, derr = decodeBatchDone(payload)
 		case frameRekey:
 			_, derr = decodeRekeyRequest(payload)
 		case frameRekeyReply:
