@@ -576,8 +576,8 @@ func (c *Controller) admitCapacity() int {
 
 // BindServe attaches the scheduler (queue occupancy and depth actuation)
 // and captures the store for live session-cap actuation (called by the
-// edge server at construction; the pools are not consulted).
-func (c *Controller) BindServe(_ *serve.PoolSet, sched *serve.Scheduler, store *serve.Store) {
+// edge server at construction).
+func (c *Controller) BindServe(sched *serve.Scheduler, store *serve.Store) {
 	c.tel.BindServe(sched)
 	if store != nil {
 		c.store.Store(store)

@@ -115,7 +115,6 @@ const sessionTTL = 5 * time.Minute
 // Snapshot.
 type Telemetry struct {
 	sessions sync.Map // string -> *SessionTelemetry
-	admitted atomic.Int64
 	denied   atomic.Int64
 
 	// sched is write-once at BindServe and read lock-free on the admission
@@ -191,18 +190,16 @@ func (t *Telemetry) ObserveShed(sessionID string, bytes int64) {
 	st.shedBytes.Add(bytes)
 }
 
-// ObserveAdmission records one admission decision.
+// ObserveAdmission records one admission decision; denials are what is
+// counted.
 func (t *Telemetry) ObserveAdmission(admitted bool) {
-	if admitted {
-		t.admitted.Add(1)
-	} else {
+	if !admitted {
 		t.denied.Add(1)
 	}
 }
 
-// Admitted and Denied report the admission decision counters.
-func (t *Telemetry) Admitted() int64 { return t.admitted.Load() }
-func (t *Telemetry) Denied() int64   { return t.denied.Load() }
+// Denied reports how many admission decisions were denials.
+func (t *Telemetry) Denied() int64 { return t.denied.Load() }
 
 // SessionProfile reports the profile a session registered on ("" if the
 // serving plane never told us).

@@ -18,12 +18,12 @@ import (
 // Implementations must be safe for concurrent use from the serving hot
 // path and must not call back into the Server.
 type Controller interface {
-	// BindServe attaches the server's per-profile evaluator pools,
-	// scheduler and session store so the control plane can read their
-	// utilization gauges and actuate its plan (live queue-depth and
-	// session-cap resizing). Called once from NewServer before any
-	// traffic; store may be consulted for its built capacity ceiling.
-	BindServe(pools *serve.PoolSet, sched *serve.Scheduler, store *serve.Store)
+	// BindServe attaches the server's scheduler and session store so the
+	// control plane can read their utilization gauges and actuate its
+	// plan (live queue-depth and session-cap resizing). Called once from
+	// NewServer before any traffic; store may be consulted for its built
+	// capacity ceiling.
+	BindServe(sched *serve.Scheduler, store *serve.Store)
 	// NegotiateProfile resolves the security profile a new session should
 	// run: requested "" lets the active plan steer (the per-route λ
 	// choice); a concrete ID is granted, downgraded to the plan's profile

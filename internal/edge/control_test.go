@@ -34,8 +34,8 @@ type fakeControl struct {
 	sessions   sync.Map // sessionID -> profileID from ObserveSession
 }
 
-func (f *fakeControl) BindServe(pools *serve.PoolSet, sched *serve.Scheduler, store *serve.Store) {
-	if pools != nil && sched != nil && store != nil {
+func (f *fakeControl) BindServe(sched *serve.Scheduler, store *serve.Store) {
+	if sched != nil && store != nil {
 		f.bound.Store(true)
 	}
 }

@@ -11,8 +11,8 @@
 //
 //	connection → serve.Store (sharded sessions, LRU-capped)
 //	           → serve.Scheduler (bounded queue, ErrOverloaded backpressure)
-//	           → serve.PoolSet (per-profile EvalPools, lazily built workers)
-//	           → transcipher/ckks core (per-profile context + cipher)
+//	           → the session profile's runtime: its serve.EvalPool (lazily
+//	             built workers) and the transcipher/ckks core (context + cipher)
 //
 // so N sessions cost key material only, while evaluator memory and
 // compute parallelism are bounded by the worker pools of the security

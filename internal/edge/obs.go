@@ -142,9 +142,7 @@ func newServerObs(reg *obs.Registry, s *Server) *serverObs {
 	return m
 }
 
-// registerPoolGauges publishes one profile pool's size/utilization the
-// moment the PoolSet factory builds it — profiles without traffic cost
-// no series, matching the lazy pool build.
+// registerPoolGauges publishes one profile pool's size/utilization.
 func (m *serverObs) registerPoolGauges(profileID string, p *serve.EvalPool) {
 	m.reg.GaugeFunc("quhe_eval_pool_size", "evaluator pool capacity per profile",
 		func() float64 { return float64(p.Size()) }, "profile", profileID)

@@ -114,13 +114,15 @@ type ServerConfig struct {
 }
 
 // profileRuntime is one security profile's serving substrate: the shared
-// CKKS context and the transciphering cipher over it. Runtimes are built
-// lazily per profile and cached for the server's lifetime; the matching
-// evaluator pool lives in the per-profile PoolSet.
+// CKKS context, the transciphering cipher over it and the evaluator pool
+// its blocks run on (workers materialize on first checkout, so a profile
+// without traffic costs no evaluator). Runtimes are built lazily per
+// profile and cached for the server's lifetime.
 type profileRuntime struct {
 	prof   *profile.Profile
 	ctx    *ckks.Context
 	cipher *transcipher.Cipher
+	pool   *serve.EvalPool
 
 	// The matvec plan — the model matrix's diagonals encoded at the
 	// transcipher output level and scale — is built once per profile on
@@ -141,18 +143,16 @@ type profileRuntime struct {
 type Server struct {
 	cfg ServerConfig
 	reg *profile.Registry
-	def *profileRuntime
 
-	// runtimes maps profile ID → *profileRuntime. Reads on the compute
-	// hot path are lock-free (sync.Map, plus the def fast path); rtMu
-	// only serializes first-use builds.
+	// runtimes maps profile ID → *profileRuntime, the one per-profile
+	// registry. Reads on the compute hot path are lock-free (sync.Map);
+	// rtMu only serializes first-use builds.
 	rtMu     sync.Mutex
 	runtimes sync.Map
 
 	listener net.Listener
 
 	store *serve.Store
-	pools *serve.PoolSet
 	sched *serve.Scheduler
 
 	// met is the observability instrument set, always on; debug the
@@ -293,37 +293,20 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		reg:   cfg.Profiles,
 		store: serve.NewStore(cfg.MaxSessions),
 	}
-	def, err := s.runtime(s.reg.DefaultID())
+	// The scheduler is built over the default runtime's pool and the
+	// instruments hook the scheduler, so that runtime is built first and
+	// published once both exist.
+	def, err := s.newRuntime(s.reg.DefaultID())
 	if err != nil {
 		return nil, fmt.Errorf("edge: default profile: %w", err)
 	}
-	s.def = def
-	s.pools = serve.NewPoolSet(func(profileID string) (*serve.EvalPool, error) {
-		rt, err := s.runtime(profileID)
-		if err != nil {
-			return nil, err
-		}
-		p := serve.NewEvalPool(rt.ctx, cfg.Workers, 1, func(int) any { return rt.cipher.NewScratch() })
-		p.SetProfileLabel(profileID)
-		// nil only for the default pool, built below before met exists.
-		if s.met != nil {
-			s.met.registerPoolGauges(profileID, p)
-		}
-		return p, nil
-	})
-	defPool, err := s.pools.Get(s.reg.DefaultID())
-	if err != nil {
-		return nil, fmt.Errorf("edge: default pool: %w", err)
-	}
-	s.sched = serve.NewScheduler(defPool, cfg.QueueDepth)
+	s.sched = serve.NewScheduler(def.pool, cfg.QueueDepth)
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	s.met = newServerObs(reg, s)
-	// The default pool was built before met existed; backfill its
-	// gauges so the first /metrics scrape already shows it.
-	s.met.registerPoolGauges(s.reg.DefaultID(), defPool)
+	s.publishRuntime(def)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		s.sched.Close()
@@ -332,7 +315,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	s.listener = ln
 	s.conns = make(map[net.Conn]*connState)
 	if cfg.Control != nil {
-		cfg.Control.BindServe(s.pools, s.sched, s.store)
+		cfg.Control.BindServe(s.sched, s.store)
 	}
 	if cfg.DebugAddr != "" {
 		dcfg := obs.DebugConfig{
@@ -388,16 +371,11 @@ func (s *Server) reapLoop() {
 	}
 }
 
-// runtime returns the profile's serving substrate, building and caching
-// it on first use. The default profile and already-built profiles
-// resolve without taking a lock (the per-request hot path); rtMu only
-// serializes first-use builds, and context construction is shared
-// process-wide through the profile registry, so only the cipher binding
-// is per server.
+// runtime returns the profile's serving substrate, building and
+// publishing it on first use. Already-built profiles resolve without
+// taking a lock (the per-request hot path); rtMu only serializes
+// first-use builds.
 func (s *Server) runtime(profileID string) (*profileRuntime, error) {
-	if def := s.def; def != nil && profileID == def.prof.ID {
-		return def, nil
-	}
 	if rt, ok := s.runtimes.Load(profileID); ok {
 		return rt.(*profileRuntime), nil
 	}
@@ -406,6 +384,18 @@ func (s *Server) runtime(profileID string) (*profileRuntime, error) {
 	if rt, ok := s.runtimes.Load(profileID); ok {
 		return rt.(*profileRuntime), nil
 	}
+	rt, err := s.newRuntime(profileID)
+	if err != nil {
+		return nil, err
+	}
+	s.publishRuntime(rt)
+	return rt, nil
+}
+
+// newRuntime builds a profile's runtime. Context construction is shared
+// process-wide through the profile registry, so only the cipher binding
+// and the (lazily materialized) evaluator pool are per server.
+func (s *Server) newRuntime(profileID string) (*profileRuntime, error) {
 	prof, ok := s.reg.Get(profileID)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown profile %q", serve.ErrProfileDenied, profileID)
@@ -418,27 +408,16 @@ func (s *Server) runtime(profileID string) (*profileRuntime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("edge: cipher for %s: %w", profileID, err)
 	}
-	rt := &profileRuntime{prof: prof, ctx: ctx, cipher: cipher}
-	s.runtimes.Store(profileID, rt)
-	return rt, nil
+	pool := serve.NewEvalPool(ctx, s.cfg.Workers, 1, func(int) any { return cipher.NewScratch() })
+	pool.SetProfileLabel(profileID)
+	return &profileRuntime{prof: prof, ctx: ctx, cipher: cipher, pool: pool}, nil
 }
 
-// sessionRuntime resolves a session's profile to its runtime and
-// evaluator pool.
-func (s *Server) sessionRuntime(sess *serve.Session) (*profileRuntime, *serve.EvalPool, error) {
-	profID := sess.Profile
-	if profID == "" {
-		profID = s.reg.DefaultID()
-	}
-	rt, err := s.runtime(profID)
-	if err != nil {
-		return nil, nil, err
-	}
-	pool, err := s.pools.Get(profID)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rt, pool, nil
+// publishRuntime makes a built runtime the profile's one: its pool gauges
+// appear with it, so profiles without traffic cost no series.
+func (s *Server) publishRuntime(rt *profileRuntime) {
+	s.met.registerPoolGauges(rt.prof.ID, rt.pool)
+	s.runtimes.Store(rt.prof.ID, rt)
 }
 
 // matvecPlan returns the profile's BSGS matrix–vector plan, building it
@@ -637,9 +616,6 @@ func (s *Server) SessionProfile(sessionID string) (string, bool) {
 	sess, ok := s.store.Peek(sessionID)
 	if !ok {
 		return "", false
-	}
-	if sess.Profile == "" {
-		return s.reg.DefaultID(), true
 	}
 	return sess.Profile, true
 }
@@ -921,9 +897,6 @@ func (s *Server) handleResume(fw *frameWriter, rd connReader, id uint64, req *Re
 			fmt.Sprintf("no session %q to resume (expired or evicted)", req.SessionID))
 	}
 	sessProf := sess.Profile
-	if sessProf == "" {
-		sessProf = s.reg.DefaultID()
-	}
 	reqProf := req.Profile
 	if reqProf == "" {
 		reqProf = s.reg.DefaultID()
@@ -976,20 +949,20 @@ func (s *Server) handleResume(fw *frameWriter, rd connReader, id uint64, req *Re
 
 // lookupCompute resolves a compute request's session and its profile
 // runtime before the job is queued, so the scheduler can route it to the
-// right per-profile pool.
-func (s *Server) lookupCompute(sessionID string) (*serve.Session, *profileRuntime, *serve.EvalPool, serve.Code, string) {
+// profile's pool.
+func (s *Server) lookupCompute(sessionID string) (*serve.Session, *profileRuntime, serve.Code, string) {
 	if s.draining.Load() {
-		return nil, nil, nil, serve.CodeDraining, "server draining; reconnect elsewhere"
+		return nil, nil, serve.CodeDraining, "server draining; reconnect elsewhere"
 	}
 	sess, ok := s.store.Get(sessionID)
 	if !ok {
-		return nil, nil, nil, serve.CodeUnknownSession, fmt.Sprintf("unknown session %q", sessionID)
+		return nil, nil, serve.CodeUnknownSession, fmt.Sprintf("unknown session %q", sessionID)
 	}
-	rt, pool, err := s.sessionRuntime(sess)
+	rt, err := s.runtime(sess.Profile)
 	if err != nil {
-		return nil, nil, nil, serve.CodeInternal, "profile runtime: " + err.Error()
+		return nil, nil, serve.CodeInternal, "profile runtime: " + err.Error()
 	}
-	return sess, rt, pool, serve.CodeOK, ""
+	return sess, rt, serve.CodeOK, ""
 }
 
 func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
@@ -1096,7 +1069,7 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 	if len(req.EncKey) != KeyLen || len(req.Nonce) == 0 {
 		return &RekeyReply{Code: serve.CodeBadRequest, Err: "incomplete rekey"}
 	}
-	rt, _, err := s.sessionRuntime(sess)
+	rt, err := s.runtime(sess.Profile)
 	if err != nil {
 		return &RekeyReply{Code: serve.CodeInternal, Err: "profile runtime: " + err.Error()}
 	}
@@ -1124,7 +1097,7 @@ func (s *Server) handleRotKeys(req *RotKeysRequest) *RotKeysReply {
 	if req.Keys == nil || len(req.Keys.Keys) == 0 {
 		return &RotKeysReply{Code: serve.CodeBadRequest, Err: "empty rotation key set"}
 	}
-	sess, rt, _, code, detail := s.lookupCompute(req.SessionID)
+	sess, rt, code, detail := s.lookupCompute(req.SessionID)
 	if code != serve.CodeOK {
 		return &RotKeysReply{Code: code, Err: detail}
 	}
@@ -1233,13 +1206,13 @@ func (s *Server) handleOp(o *op, id uint64, req *ComputeRequest, decodeStart tim
 	bt := s.met.newBlockTrace(req.SessionID, req.Block, id, decodeStart)
 	bt.adopt(req.Trace)
 	bt.span(stageIdxDecode, stageDecode, decodeStart, time.Since(decodeStart))
-	sess, rt, pool, code, detail := s.lookupCompute(req.SessionID)
+	sess, rt, code, detail := s.lookupCompute(req.SessionID)
 	if code != serve.CodeOK {
 		s.refuseBlock(cs, o, id, code, detail)
 		return
 	}
 	submitAt := time.Now()
-	if err := s.sched.SubmitTo(pool, func(w *serve.Worker) {
+	if err := s.sched.SubmitTo(rt.pool, func(w *serve.Worker) {
 		select {
 		case <-cs.gone:
 			// The connection is gone (peer hung up, or the server is

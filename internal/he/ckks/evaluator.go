@@ -17,7 +17,7 @@ import (
 // Encrypt its RNG), so an evaluator must not be used from multiple
 // goroutines concurrently; create one evaluator per goroutine instead —
 // contexts and keys are shared safely. Per-limb work inside one operation
-// fans out through the bounded ring.Parallel pool.
+// fans out through ring.ForEach over the bounded worker pool.
 type Evaluator struct {
 	ctx *Context
 	rng *rand.Rand
@@ -311,19 +311,12 @@ func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Cipherte
 
 	// Forward transforms of all four operand components, 4·limbs
 	// independent tasks in one fan-out.
-	pairs := [4][2]ring.RNSPoly{{ev.s0, a.C0}, {ev.s1, a.C1}, {ev.s2, b.C0}, {ev.s3, b.C1}}
-	nttTasks := make([]func(), 0, 4*limbs)
-	for i := 0; i < limbs; i++ {
-		mod := tower.Qi[i]
-		for _, pr := range pairs {
-			m, dst, in := mod, pr[0][i], pr[1][i]
-			nttTasks = append(nttTasks, func() {
-				copy(dst, in)
-				m.NTT(dst)
-			})
-		}
-	}
-	ring.ParallelIf(n, nttTasks...)
+	ring.ForEach(n, 4*limbs, func(k int) {
+		pr := [4][2]ring.RNSPoly{{ev.s0, a.C0}, {ev.s1, a.C1}, {ev.s2, b.C0}, {ev.s3, b.C1}}[k%4]
+		dst, in := pr[0][k/4], pr[1][k/4]
+		copy(dst, in)
+		tower.Qi[k/4].NTT(dst)
+	})
 
 	// Tensor per limb: (d̂0, d̂1, d̂2) = (â0·b̂0, â0·b̂1 + â1·b̂0, â1·b̂1).
 	// d̂0 and d̂1 wait in out's rows (the operands were copied out above, so
@@ -431,13 +424,10 @@ func (ev *Evaluator) keySwitch(d, dNTT ring.RNSPoly, parts [][2]ring.RNSPoly, le
 func (ev *Evaluator) keySwitchDown(level int) {
 	tower := ev.ctx.Tower
 	limbs := level + 1
-	n := ev.ctx.Params.N()
-	inttTasks := make([]func(), 0, 2*limbs)
-	for t := 0; t < limbs; t++ {
-		m, a0, a1 := tower.Qi[t], ev.acc0[t], ev.acc1[t]
-		inttTasks = append(inttTasks, func() { m.INTT(a0) }, func() { m.INTT(a1) })
-	}
-	ring.ParallelIf(n, inttTasks...)
+	ring.ForEach(ev.ctx.Params.N(), 2*limbs, func(k int) {
+		acc := [2]ring.RNSPoly{ev.acc0, ev.acc1}[k%2]
+		tower.Qi[k/2].INTT(acc[k/2])
+	})
 	tower.ModDownInto(ev.acc0[:limbs], ev.acc0[limbs], ev.acc0[:limbs])
 	tower.ModDownInto(ev.acc1[:limbs], ev.acc1[limbs], ev.acc1[:limbs])
 }

@@ -75,70 +75,17 @@ func (s *GaloisKeySet) Rotations() []int {
 }
 
 // GenGaloisKey builds the key switching σ_g(s) → s for a left rotation by
-// rot slots. Randomness is drawn up front like GenRelinKey, so the
-// per-cell arithmetic fans out deterministically over the worker pool.
+// rot slots; see genSwitchingKey.
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, rot int) *GaloisKey {
-	ctx := kg.ctx
-	n := ctx.Params.N()
-	limbs := len(ctx.Primes)
-	qp := limbs + 1
-	digits := limbs
+	n := kg.ctx.Params.N()
 	el := ring.GaloisElement(rot, n)
 	tab := ring.AutomorphismNTTTable(el, n)
-
-	as := make([]ring.RNSPoly, digits)
-	es := make([][]int64, digits)
-	for j := 0; j < digits; j++ {
-		as[j] = make(ring.RNSPoly, qp)
-		for t := 0; t < qp; t++ {
-			as[j][t] = kg.qpMod(t).UniformPoly(kg.rng)
-		}
-		es[j] = make([]int64, n)
-		kg.gaussianInts(es[j])
-	}
-
-	gk := &GaloisKey{Rot: rot, El: el, Parts: make([][2]ring.RNSPoly, digits)}
-	for j := range gk.Parts {
-		gk.Parts[j] = [2]ring.RNSPoly{make(ring.RNSPoly, qp), make(ring.RNSPoly, qp)}
-	}
-	cell := func(j, t int) func() {
-		return func() {
-			mod := kg.qpMod(t)
-			a := as[j][t]
-			mod.NTT(a) // â, plain NTT
-			p1 := make(ring.Poly, n)
-			mod.MForm(a, p1)
-			b := make(ring.Poly, n)
-			mod.MulCoeffwiseMontgomery(a, sk.S[t], b) // â·ŝ
-			mod.Neg(b, b)
-			eh := make(ring.Poly, n)
-			for k, v := range es[j] {
-				eh[k] = mod.FromInt64(v)
-			}
-			mod.NTT(eh)
-			mod.Add(b, eh, b)
-			if t == j {
-				// Gadget term: (P mod q_j)·σ_g(s) on limb j only. The NTT-
-				// domain automorphism is a pure gather, and Montgomery form
-				// commutes with it.
-				sg := make(ring.Poly, n)
-				ring.ApplyAutomorphismNTT(sk.S[t], tab, sg) // σ_g(ŝ), Montgomery
-				mod.InvMForm(sg, sg)                        // plain NTT
-				mod.MulScalar(sg, ctx.Special%ctx.Primes[j], sg)
-				mod.Add(b, sg, b)
-			}
-			mod.MForm(b, b)
-			gk.Parts[j][0][t], gk.Parts[j][1][t] = b, p1
-		}
-	}
-	tasks := make([]func(), 0, digits*qp)
-	for j := 0; j < digits; j++ {
-		for t := 0; t < qp; t++ {
-			tasks = append(tasks, cell(j, t))
-		}
-	}
-	ring.ParallelIf(n, tasks...)
-	return gk
+	// The NTT-domain automorphism is a pure gather, and Montgomery form
+	// commutes with it.
+	parts := kg.genSwitchingKey(sk, func(j int, out ring.Poly) {
+		ring.ApplyAutomorphismNTT(sk.S[j], tab, out) // σ_g(ŝ), Montgomery form
+	})
+	return &GaloisKey{Rot: rot, El: el, Parts: parts}
 }
 
 // GenGaloisKeys builds the key set for an explicit rotation list
@@ -294,28 +241,22 @@ func (ev *Evaluator) HoistInto(h *Hoisted, ct *Ciphertext) {
 func (ev *Evaluator) hoistDigits(h *Hoisted, ct *Ciphertext, c1NTT ring.RNSPoly) {
 	limbs := ct.Level + 1
 	h.level, h.scale = ct.Level, ct.Scale
-	tasks := make([]func(), 0, limbs*(limbs+1))
-	for j := 0; j < limbs; j++ {
-		for t := 0; t <= limbs; t++ {
-			mod, partIdx := ev.extLimb(t, ct.Level)
-			src, dst := ct.C1[j], h.dig[j][t]
-			switch {
-			case partIdx != j:
-				tasks = append(tasks, func() {
-					mod.ReduceInto(src, dst)
-					mod.NTT(dst)
-				})
-			case c1NTT != nil:
-				copy(dst, c1NTT[j])
-			default:
-				tasks = append(tasks, func() {
-					copy(dst, src)
-					mod.NTT(dst)
-				})
-			}
+	qp := limbs + 1
+	ring.ForEach(ev.ctx.Params.N(), limbs*qp, func(k int) {
+		j, t := k/qp, k%qp
+		mod, partIdx := ev.extLimb(t, ct.Level)
+		src, dst := ct.C1[j], h.dig[j][t]
+		switch {
+		case partIdx != j:
+			mod.ReduceInto(src, dst)
+			mod.NTT(dst)
+		case c1NTT != nil:
+			copy(dst, c1NTT[j])
+		default:
+			copy(dst, src)
+			mod.NTT(dst)
 		}
-	}
-	ring.ParallelIf(ev.ctx.Params.N(), tasks...)
+	})
 }
 
 // hoistedSwitch key-switches σ(c1) of a hoisted ciphertext into

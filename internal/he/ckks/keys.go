@@ -141,27 +141,19 @@ func (kg *KeyGenerator) gaussianInts(out []int64) {
 // GenSecretKey samples a ternary secret and spreads it over QP.
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	n := kg.ctx.Params.N()
-	qp := len(kg.ctx.Primes) + 1
 	vals := make([]int64, n)
 	kg.ternaryInts(vals)
-	s := make(ring.RNSPoly, qp)
-	limb := func(t int) func() {
-		return func() {
-			mod := kg.qpMod(t)
-			p := make(ring.Poly, n)
-			for j, v := range vals {
-				p[j] = mod.FromInt64(v)
-			}
-			mod.NTT(p)
-			mod.MForm(p, p)
-			s[t] = p
+	s := make(ring.RNSPoly, len(kg.ctx.Primes)+1)
+	ring.ForEach(n, len(s), func(t int) {
+		mod := kg.qpMod(t)
+		p := make(ring.Poly, n)
+		for j, v := range vals {
+			p[j] = mod.FromInt64(v)
 		}
-	}
-	tasks := make([]func(), qp)
-	for t := range tasks {
-		tasks[t] = limb(t)
-	}
-	ring.ParallelIf(n, tasks...)
+		mod.NTT(p)
+		mod.MForm(p, p)
+		s[t] = p
+	})
 	return &SecretKey{S: s}
 }
 
@@ -177,46 +169,59 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	e := make([]int64, n)
 	kg.gaussianInts(e)
 	pk := &PublicKey{P0: make(ring.RNSPoly, limbs), P1: make(ring.RNSPoly, limbs)}
-	limb := func(t int) func() {
-		return func() {
-			mod := kg.ctx.Tower.Qi[t]
-			mod.NTT(a[t]) // â, plain NTT
-			p1 := make(ring.Poly, n)
-			mod.MForm(a[t], p1)
-			p0 := make(ring.Poly, n)
-			mod.MulCoeffwiseMontgomery(a[t], sk.S[t], p0) // â·ŝ, plain NTT
-			mod.Neg(p0, p0)
-			eh := make(ring.Poly, n)
-			for j, v := range e {
-				eh[j] = mod.FromInt64(v)
-			}
-			mod.NTT(eh)
-			mod.Add(p0, eh, p0)
-			mod.MForm(p0, p0)
-			pk.P0[t], pk.P1[t] = p0, p1
-		}
-	}
-	tasks := make([]func(), limbs)
-	for t := range tasks {
-		tasks[t] = limb(t)
-	}
-	ring.ParallelIf(n, tasks...)
+	ring.ForEach(n, limbs, func(t int) {
+		b, p1 := kg.zeroSample(t, a[t], e, sk)
+		kg.ctx.Tower.Qi[t].MForm(b, b)
+		pk.P0[t], pk.P1[t] = b, p1
+	})
 	return pk
 }
 
-// GenRelinKey builds the hybrid key-switch key: one part per chain limb,
-// each an RLWE zero-sample over QP with (P mod q_j)·s² added into limb j
-// only. Randomness is drawn up front (per digit: a over every QP limb,
-// then e), so the per-digit arithmetic fans out deterministically.
+// zeroSample finishes one limb of an RLWE zero-sample under sk from its
+// pre-drawn randomness: b = −â·ŝ + ê in the plain NTT domain, not yet in
+// Montgomery form so a caller can still add a gadget term, and p1 = â as
+// stored (NTT, Montgomery). a is transformed in place.
+func (kg *KeyGenerator) zeroSample(t int, a ring.Poly, e []int64, sk *SecretKey) (b, p1 ring.Poly) {
+	n := len(a)
+	mod := kg.qpMod(t)
+	mod.NTT(a) // â, plain NTT
+	p1 = make(ring.Poly, n)
+	mod.MForm(a, p1)
+	b = make(ring.Poly, n)
+	mod.MulCoeffwiseMontgomery(a, sk.S[t], b) // â·ŝ, plain NTT
+	mod.Neg(b, b)
+	eh := make(ring.Poly, n)
+	for k, v := range e {
+		eh[k] = mod.FromInt64(v)
+	}
+	mod.NTT(eh)
+	mod.Add(b, eh, b)
+	return b, p1
+}
+
+// GenRelinKey builds the hybrid key-switch key from s² to s; see
+// genSwitchingKey.
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
+	return &RelinKey{Parts: kg.genSwitchingKey(sk, func(j int, out ring.Poly) {
+		kg.qpMod(j).MulCoeffwiseMontgomery(sk.S[j], sk.S[j], out) // ŝ², Montgomery form
+	})}
+}
+
+// genSwitchingKey builds the hybrid key-switch gadget from a secret g to
+// sk: one part per chain limb, each an RLWE zero-sample over QP with
+// (P mod q_j)·g added into limb j only. gadget(j, out) writes limb j of ĝ
+// (NTT domain, Montgomery form) into out. Randomness is drawn up front
+// (per digit: a over every QP limb, then e), so the digits × QP cells fan
+// out deterministically over the worker pool.
+func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, gadget func(j int, out ring.Poly)) [][2]ring.RNSPoly {
 	ctx := kg.ctx
 	n := ctx.Params.N()
-	limbs := len(ctx.Primes)
-	qp := limbs + 1
-	digits := limbs
+	digits := len(ctx.Primes)
+	qp := digits + 1
 
 	as := make([]ring.RNSPoly, digits)
 	es := make([][]int64, digits)
+	parts := make([][2]ring.RNSPoly, digits)
 	for j := 0; j < digits; j++ {
 		as[j] = make(ring.RNSPoly, qp)
 		for t := 0; t < qp; t++ {
@@ -224,46 +229,21 @@ func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
 		}
 		es[j] = make([]int64, n)
 		kg.gaussianInts(es[j])
+		parts[j] = [2]ring.RNSPoly{make(ring.RNSPoly, qp), make(ring.RNSPoly, qp)}
 	}
-
-	rlk := &RelinKey{Parts: make([][2]ring.RNSPoly, digits)}
-	for j := range rlk.Parts {
-		rlk.Parts[j] = [2]ring.RNSPoly{make(ring.RNSPoly, qp), make(ring.RNSPoly, qp)}
-	}
-	cell := func(j, t int) func() {
-		return func() {
-			mod := kg.qpMod(t)
-			a := as[j][t]
-			mod.NTT(a) // â, plain NTT
-			p1 := make(ring.Poly, n)
-			mod.MForm(a, p1)
-			b := make(ring.Poly, n)
-			mod.MulCoeffwiseMontgomery(a, sk.S[t], b) // â·ŝ
-			mod.Neg(b, b)
-			eh := make(ring.Poly, n)
-			for k, v := range es[j] {
-				eh[k] = mod.FromInt64(v)
-			}
-			mod.NTT(eh)
-			mod.Add(b, eh, b)
-			if t == j {
-				// Gadget term: (P mod q_j)·s² on limb j only.
-				s2 := make(ring.Poly, n)
-				mod.MulCoeffwiseMontgomery(sk.S[t], sk.S[t], s2) // ŝ², Montgomery form
-				mod.InvMForm(s2, s2)                             // plain NTT
-				mod.MulScalar(s2, ctx.Special%ctx.Primes[j], s2)
-				mod.Add(b, s2, b)
-			}
-			mod.MForm(b, b)
-			rlk.Parts[j][0][t], rlk.Parts[j][1][t] = b, p1
+	ring.ForEach(n, digits*qp, func(k int) {
+		j, t := k/qp, k%qp
+		mod := kg.qpMod(t)
+		b, p1 := kg.zeroSample(t, as[j][t], es[j], sk)
+		if t == j {
+			g := make(ring.Poly, n)
+			gadget(j, g)
+			mod.InvMForm(g, g) // plain NTT
+			mod.MulScalar(g, ctx.Special%ctx.Primes[j], g)
+			mod.Add(b, g, b)
 		}
-	}
-	tasks := make([]func(), 0, digits*qp)
-	for j := 0; j < digits; j++ {
-		for t := 0; t < qp; t++ {
-			tasks = append(tasks, cell(j, t))
-		}
-	}
-	ring.ParallelIf(n, tasks...)
-	return rlk
+		mod.MForm(b, b)
+		parts[j][0][t], parts[j][1][t] = b, p1
+	})
+	return parts
 }

@@ -357,9 +357,9 @@ func (ev *Evaluator) finishMatVec(plan *MatVecPlan, ct, acc, out *Ciphertext) er
 // transform before the rescale (the file header derives its transform
 // budget). gks must cover plan.Rotations(); out must not alias ct.
 //
-// A steady-state call allocates no buffer, only its limb fan-outs' task
-// closures and wait groups: 716 objects at the served shape (λ-128k,
-// 256×256, two levels below the top), pinned by
+// A steady-state call allocates no buffer, only the closure each of its
+// limb fan-outs hands ring.ForEach: 82 objects at the served shape
+// (λ-128k, 256×256, two levels below the top), pinned by
 // TestMatVecSteadyStateAllocs.
 func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
 	if plan.diags == nil {

@@ -350,7 +350,7 @@ func BenchmarkMatVec(b *testing.B) {
 
 // TestMatVecSteadyStateAllocs gates a warm served-shape MatVecInto's
 // allocations: nothing that scales with N, the matrix or the rotation
-// keys — only the limb fan-outs' task closures and wait groups.
+// keys — only the one closure each limb fan-out hands ring.ForEach.
 func TestMatVecSteadyStateAllocs(t *testing.T) {
 	ev, plan, ct, gks, out := servedMatVec(t)
 	run := func() {
@@ -359,14 +359,14 @@ func TestMatVecSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run() // warm: the evaluator's matvec scratch
-	// Measured 716 (-benchmem agrees): 81 fan-outs of three or four limbs
-	// at 8–10 objects each (the per-limb closures, their slice, the pool's
-	// wrappers and wait group) — two per baby rotation, three per giant
-	// step, one each for the input, the hoist, the first block and the
-	// output, two for the rescale. The coefficient-domain composition this
-	// replaced made 2,063. The bound leaves ~5% for runtime drift, not for
-	// a regression: one more fan-out per rotation is +270.
-	const bound = 750
+	// Measured 82 (-benchmem agrees): one object, the closure ring.ForEach
+	// runs per index, for each fan-out of three or four limbs — two per
+	// baby rotation, three per giant step, one each for the input, the
+	// hoist, the first block and the output, two for the rescale. When
+	// every fan-out built a task slice and wrapped each limb twice this
+	// was 716. The bound leaves ~5% for runtime drift, not for a
+	// regression: one more fan-out per rotation is +30.
+	const bound = 86
 	if allocs := testing.AllocsPerRun(3, run); allocs > bound {
 		t.Errorf("steady-state matvec allocates %v objects, bound %d", allocs, bound)
 	}

@@ -192,23 +192,6 @@ func NewModulus(q uint64, n int) (*Modulus, error) {
 	return newModulusWithRoot(q, n, psi)
 }
 
-// NewModulusWithRoot builds NTT tables for a possibly composite modulus q
-// from an explicitly supplied primitive 2N-th root of unity psi (e.g. the
-// CRT combination of per-prime roots for a CKKS modulus chain). It verifies
-// psi^N ≡ −1 (mod q) and that N is invertible mod q.
-func NewModulusWithRoot(q uint64, n int, psi uint64) (*Modulus, error) {
-	if err := checkModulusShape(q, n); err != nil {
-		return nil, err
-	}
-	if PowMod(psi, uint64(n), q) != q-1 {
-		return nil, fmt.Errorf("ring: psi = %d is not a primitive 2N-th root mod %d", psi, q)
-	}
-	if InvMod(uint64(n), q) == 0 {
-		return nil, fmt.Errorf("ring: N = %d not invertible mod %d", n, q)
-	}
-	return newModulusWithRoot(q, n, psi)
-}
-
 func checkModulusShape(q uint64, n int) error {
 	if n <= 1 || n&(n-1) != 0 {
 		return fmt.Errorf("ring: N = %d is not a power of two > 1", n)

@@ -133,23 +133,9 @@ func (t *Tower) NewPoly(limbs int) RNSPoly {
 	return p
 }
 
-// ForEachLimb runs f(i) for i in [0, limbs), fanning limbs out across the
-// worker pool when the ring degree makes it worthwhile. f must not share
-// mutable state across limbs.
-func (t *Tower) ForEachLimb(limbs int, f func(i int)) {
-	if limbs <= 1 || t.N < ParallelMinN {
-		for i := 0; i < limbs; i++ {
-			f(i)
-		}
-		return
-	}
-	tasks := make([]func(), limbs)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() { f(i) }
-	}
-	Parallel(tasks...)
-}
+// ForEachLimb runs f(i) for i in [0, limbs): ForEach at the tower's ring
+// degree. f must not share mutable state across limbs.
+func (t *Tower) ForEachLimb(limbs int, f func(i int)) { ForEach(t.N, limbs, f) }
 
 // FromInt64Into reduces the signed coefficients into every limb of out.
 func (t *Tower) FromInt64Into(vals []int64, out RNSPoly) {

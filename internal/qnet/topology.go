@@ -105,15 +105,6 @@ func (n *Network) Route(r int) Route {
 // (the entry a_{l+1,r+1} of the paper's A matrix).
 func (n *Network) Uses(r, l int) bool { return n.uses[r][l] }
 
-// Betas returns the β_l coefficients in link order.
-func (n *Network) Betas() []float64 {
-	out := make([]float64, len(n.links))
-	for i, l := range n.links {
-		out[i] = l.Beta
-	}
-	return out
-}
-
 // IncidenceMatrix returns A with A[l][r] = 1 when route r uses link l,
 // matching the paper's A := [a_ln].
 func (n *Network) IncidenceMatrix() [][]float64 {

@@ -7,7 +7,7 @@
 // The runtime decomposes into three pieces a request flows through:
 //
 //	connection → Store (sharded sessions) → Scheduler (bounded queue)
-//	           → PoolSet/EvalPool (per-profile evaluators) → transcipher/ckks core
+//	           → EvalPool (per-profile evaluators) → transcipher/ckks core
 //
 // Store is a hash-sharded session table with per-shard locks, LRU
 // eviction under a configurable session cap, and per-session usage
@@ -20,11 +20,11 @@
 // EvalPool owns a fixed number of Workers, each pairing a *ckks.Evaluator
 // (whose scratch buffers make it single-goroutine) with optional
 // caller-attached per-worker scratch (the edge server attaches
-// *transcipher.Scratch). Workers are built lazily on first checkout.
-// PoolSet keys one EvalPool per security profile, built on demand through
-// a factory, so compute parallelism — and evaluator memory — is bounded
-// by pool size × live profiles, never by the session count, and profiles
-// without traffic cost nothing.
+// *transcipher.Scratch). Workers are built lazily on first checkout, and
+// the edge server keeps one EvalPool per security profile runtime, so
+// compute parallelism — and evaluator memory — is bounded by pool size ×
+// live profiles, never by the session count, and profiles without
+// traffic cost nothing.
 //
 // Scheduler fans jobs out across the pools through one bounded queue:
 // Submit targets the default pool, SubmitTo any profile's pool. When the

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 
 	"quhe/internal/he/ckks"
@@ -32,7 +31,7 @@ type Worker struct {
 // the pool's capacity, and each worker's evaluator and scratch come into
 // existence on its first checkout. A pool for a security profile no
 // session ever uses therefore costs a struct, not Size() evaluators —
-// the property the per-profile PoolSet depends on.
+// which is what lets the edge server give every profile runtime its own.
 type EvalPool struct {
 	ch    chan *Worker
 	build func(i int) *Worker
@@ -119,79 +118,4 @@ func (p *EvalPool) Run(job func(*Worker)) {
 	pprof.Do(context.Background(), pprof.Labels("quhe_profile", p.label), func(context.Context) {
 		job(w)
 	})
-}
-
-// PoolSet is a lazily populated registry of EvalPools keyed on security
-// profile ID: the serving layer asks for a profile's pool and the set
-// builds it on first use through the factory, so only profiles with live
-// traffic cost worker capacity. Safe for concurrent use.
-type PoolSet struct {
-	mu      sync.RWMutex
-	pools   map[string]*EvalPool
-	factory func(profileID string) (*EvalPool, error)
-}
-
-// NewPoolSet builds an empty set over a pool factory.
-func NewPoolSet(factory func(profileID string) (*EvalPool, error)) *PoolSet {
-	return &PoolSet{pools: make(map[string]*EvalPool), factory: factory}
-}
-
-// Get returns the profile's pool, building it on first use. Concurrent
-// first gets for the same profile serialize on the set's lock; a factory
-// failure is returned to every caller and not cached.
-func (s *PoolSet) Get(profileID string) (*EvalPool, error) {
-	s.mu.RLock()
-	p := s.pools[profileID]
-	s.mu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.pools[profileID]; p != nil {
-		return p, nil
-	}
-	p, err := s.factory(profileID)
-	if err != nil {
-		return nil, err
-	}
-	s.pools[profileID] = p
-	return p, nil
-}
-
-// Peek returns the profile's pool only if it already exists.
-func (s *PoolSet) Peek(profileID string) (*EvalPool, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.pools[profileID]
-	return p, ok
-}
-
-// Each calls f for every built pool (iteration order unspecified).
-func (s *PoolSet) Each(f func(profileID string, p *EvalPool)) {
-	s.mu.RLock()
-	ids := make([]string, 0, len(s.pools))
-	pools := make([]*EvalPool, 0, len(s.pools))
-	for id, p := range s.pools {
-		ids = append(ids, id)
-		pools = append(pools, p)
-	}
-	s.mu.RUnlock()
-	for i := range ids {
-		f(ids[i], pools[i])
-	}
-}
-
-// Size aggregates the worker capacity of every built pool.
-func (s *PoolSet) Size() int {
-	total := 0
-	s.Each(func(_ string, p *EvalPool) { total += p.Size() })
-	return total
-}
-
-// InUse aggregates the checked-out workers across every built pool.
-func (s *PoolSet) InUse() int {
-	total := 0
-	s.Each(func(_ string, p *EvalPool) { total += p.InUse() })
-	return total
 }

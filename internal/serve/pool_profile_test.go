@@ -37,58 +37,6 @@ func TestPoolBuildsWorkersLazily(t *testing.T) {
 	pool.Put(w2)
 }
 
-func TestPoolSetKeysPoolsByProfile(t *testing.T) {
-	ctx := testContext(t)
-	var factoryCalls atomic.Int64
-	set := NewPoolSet(func(profileID string) (*EvalPool, error) {
-		if profileID == "broken" {
-			return nil, errors.New("no such profile")
-		}
-		factoryCalls.Add(1)
-		return NewEvalPool(ctx, 2, 1, nil), nil
-	})
-	a1, err := set.Get("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := set.Get("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Error("same profile resolved to distinct pools")
-	}
-	b, err := set.Get("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b == a1 {
-		t.Error("distinct profiles share a pool")
-	}
-	if factoryCalls.Load() != 2 {
-		t.Errorf("factory ran %d times, want 2", factoryCalls.Load())
-	}
-	if _, err := set.Get("broken"); err == nil {
-		t.Error("factory failure not surfaced")
-	}
-	if _, ok := set.Peek("broken"); ok {
-		t.Error("failed pool cached")
-	}
-	if set.Size() != 4 {
-		t.Errorf("aggregate Size = %d, want 4", set.Size())
-	}
-	w := a1.Get()
-	if set.InUse() != 1 {
-		t.Errorf("aggregate InUse = %d, want 1", set.InUse())
-	}
-	a1.Put(w)
-	ids := map[string]bool{}
-	set.Each(func(id string, _ *EvalPool) { ids[id] = true })
-	if !ids["a"] || !ids["b"] || len(ids) != 2 {
-		t.Errorf("Each visited %v", ids)
-	}
-}
-
 func TestSchedulerSubmitToRoutesPools(t *testing.T) {
 	ctx := testContext(t)
 	def := NewEvalPool(ctx, 1, 1, func(i int) any { return "default" })

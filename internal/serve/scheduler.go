@@ -20,13 +20,11 @@ type Job func(*Worker)
 // drain goroutine behind the heavy pool and starve light-profile
 // latency.
 //
-// Queue space is divided into weighted shares: class c may hold at most
-// limit·w_c/Σw queued jobs (minimum one), where the weights default to 1
-// per registered class and are tunable with SetShare. With a single
-// class the share is the whole limit — the pre-share behavior exactly —
-// and when a second profile's traffic (or an explicit SetShare
-// registration) appears, each class keeps a guaranteed reservation of
-// the queue that the other cannot flood away. A submission beyond its
+// Queue space is divided into equal shares: each of the k registered
+// classes may hold at most limit/k queued jobs (minimum one). With a
+// single class the share is the whole limit, and once a second profile's
+// first block registers its class, each keeps a guaranteed reservation
+// of the queue that the other cannot flood away. A submission beyond its
 // class share fails fast with ErrOverloaded — the explicit backpressure
 // signal the protocol layer forwards to clients instead of buffering
 // requests without limit.
@@ -46,11 +44,10 @@ type Scheduler struct {
 
 	waitObs atomic.Pointer[func(time.Duration)]
 
-	mu          sync.Mutex
-	classes     map[*EvalPool]*classQueue
-	totalWeight int
-	closed      bool
-	wg          sync.WaitGroup
+	mu      sync.Mutex
+	classes map[*EvalPool]*classQueue
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 type poolJob struct {
@@ -58,16 +55,15 @@ type poolJob struct {
 	at  time.Time
 }
 
-// classQueue is one pool's slice of the scheduler: a bounded queue plus
-// its share weight. Its channel is built at the scheduler's full
-// capacity so share boundaries can move (Resize, new classes) without
-// reallocating; admission control happens against depth, never against
-// channel occupancy, so the send in SubmitTo never blocks.
+// classQueue is one pool's slice of the scheduler: a bounded queue. Its
+// channel is built at the scheduler's full capacity so share boundaries
+// can move (Resize, new classes) without reallocating; admission control
+// happens against depth, never against channel occupancy, so the send in
+// SubmitTo never blocks.
 type classQueue struct {
-	pool   *EvalPool
-	weight int
-	depth  atomic.Int64
-	ch     chan poolJob
+	pool  *EvalPool
+	depth atomic.Int64
+	ch    chan poolJob
 }
 
 // NewScheduler starts one drain goroutine per pool worker over a queue of
@@ -96,9 +92,8 @@ func (s *Scheduler) classLocked(pool *EvalPool) *classQueue {
 	if c := s.classes[pool]; c != nil {
 		return c
 	}
-	c := &classQueue{pool: pool, weight: 1, ch: make(chan poolJob, s.maxDepth)}
+	c := &classQueue{pool: pool, ch: make(chan poolJob, s.maxDepth)}
 	s.classes[pool] = c
-	s.totalWeight += c.weight
 	for i := 0; i < pool.Size(); i++ {
 		s.wg.Add(1)
 		go s.drain(c)
@@ -106,17 +101,10 @@ func (s *Scheduler) classLocked(pool *EvalPool) *classQueue {
 	return c
 }
 
-// shareLocked computes the class's queue share under the live limit:
-// limit·w_c/Σw, at least one slot. Callers hold s.mu.
-func (s *Scheduler) shareLocked(c *classQueue, limit int) int {
-	share := limit
-	if s.totalWeight > c.weight {
-		share = limit * c.weight / s.totalWeight
-		if share < 1 {
-			share = 1
-		}
-	}
-	return share
+// shareLocked computes a class's queue share under the live limit: an
+// equal part, at least one slot. Callers hold s.mu.
+func (s *Scheduler) shareLocked() int {
+	return max(int(s.limit.Load())/len(s.classes), 1)
 }
 
 func (s *Scheduler) drain(c *classQueue) {
@@ -138,8 +126,7 @@ func (s *Scheduler) Submit(job Job) error { return s.SubmitTo(nil, job) }
 
 // SubmitTo enqueues a job to run on a worker of the given pool (nil
 // selects the default pool) without blocking. It returns ErrOverloaded
-// when the pool's weighted queue share is full or the scheduler is
-// closed.
+// when the pool's queue share is full or the scheduler is closed.
 func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 	if pool == nil {
 		pool = s.pool
@@ -151,7 +138,7 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 		return ErrOverloaded
 	}
 	c := s.classLocked(pool)
-	if int(c.depth.Load()) >= s.shareLocked(c, int(s.limit.Load())) {
+	if int(c.depth.Load()) >= s.shareLocked() {
 		s.mu.Unlock()
 		s.sheds.Add(1)
 		return ErrOverloaded
@@ -166,28 +153,6 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 	return nil
 }
 
-// SetShare sets the weight of a pool's queue class (nil selects the
-// default pool; weights below 1 clamp to 1). Registering a class —
-// implicitly here or by its first submission — reserves its share of the
-// queue from every other class, so a server that wants a light profile
-// protected before its first block arrives can register it up front.
-func (s *Scheduler) SetShare(pool *EvalPool, weight int) {
-	if pool == nil {
-		pool = s.pool
-	}
-	if weight < 1 {
-		weight = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	c := s.classLocked(pool)
-	s.totalWeight += weight - c.weight
-	c.weight = weight
-}
-
 // Share reports the pool's current queue share in slots (nil selects the
 // default pool) — the admission bound SubmitTo enforces for it.
 func (s *Scheduler) Share(pool *EvalPool) int {
@@ -196,11 +161,10 @@ func (s *Scheduler) Share(pool *EvalPool) int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.classes[pool]
-	if c == nil {
+	if s.classes[pool] == nil {
 		return 0
 	}
-	return s.shareLocked(c, int(s.limit.Load()))
+	return s.shareLocked()
 }
 
 // OnQueueWait installs an observer called with each job's queue wait —

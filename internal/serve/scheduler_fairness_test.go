@@ -23,11 +23,18 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 	light := fairnessPool()
 	sched := NewScheduler(heavy, 8)
 	defer sched.Close()
-	// Register the light class up front: its share is reserved before its
-	// first block arrives.
-	sched.SetShare(light, 1)
+	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 8 || ls != 0 {
+		t.Fatalf("shares %d/%d, want 8/0 (one class holds the whole limit, an unregistered pool nothing)", hs, ls)
+	}
+	// The light class registers by its first submission: from then on its
+	// share is reserved, before the block that needs it arrives.
+	first := make(chan struct{})
+	if err := sched.SubmitTo(light, func(*Worker) { close(first) }); err != nil {
+		t.Fatal(err)
+	}
+	<-first
 	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 4 || ls != 4 {
-		t.Fatalf("shares %d/%d, want 4/4 (limit 8, equal weights)", hs, ls)
+		t.Fatalf("shares %d/%d, want 4/4 (limit 8, two classes)", hs, ls)
 	}
 
 	// Wedge the heavy worker, then flood the heavy class until it sheds.
@@ -63,34 +70,15 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 		t.Fatal("light-profile job starved behind heavy flood")
 	}
 	close(release)
-}
 
-// TestSchedulerWeightedShares pins the share arithmetic: weights divide
-// the live limit proportionally, shares track Resize, and a class is
-// never squeezed below one slot.
-func TestSchedulerWeightedShares(t *testing.T) {
-	heavy := fairnessPool()
-	light := fairnessPool()
-	sched := NewScheduler(heavy, 8)
-	defer sched.Close()
-	if got := sched.Share(heavy); got != 8 {
-		t.Errorf("single-class share %d, want the whole limit 8", got)
-	}
-	sched.SetShare(heavy, 3)
-	sched.SetShare(light, 1)
-	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 6 || ls != 2 {
-		t.Errorf("weighted shares %d/%d, want 6/2", hs, ls)
-	}
+	// Shares track the live limit and never fall below one slot.
 	sched.Resize(4)
-	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 3 || ls != 1 {
-		t.Errorf("resized shares %d/%d, want 3/1", hs, ls)
+	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 2 || ls != 2 {
+		t.Errorf("resized shares %d/%d, want 2/2", hs, ls)
 	}
 	sched.Resize(1)
-	if ls := sched.Share(light); ls != 1 {
-		t.Errorf("floor share %d, want minimum 1", ls)
-	}
-	if got := sched.Share(fairnessPool()); got != 0 {
-		t.Errorf("unregistered pool share %d, want 0", got)
+	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 1 || ls != 1 {
+		t.Errorf("floor shares %d/%d, want 1/1", hs, ls)
 	}
 }
 

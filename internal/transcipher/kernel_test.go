@@ -337,8 +337,8 @@ func TestInstallKeyRejectsMalformed(t *testing.T) {
 
 // TestSteadyStateAllocs gates the serve path's allocations at λ-128k:
 // with a warm Scratch and an installed key, a block allocates its result
-// ciphertext (the reply encoder owns it) and the limb fan-outs' task
-// closures, nothing that scales with keyLen or N beyond that.
+// ciphertext (the reply encoder owns it) and one closure per limb
+// fan-out, nothing that scales with keyLen or N beyond that.
 func TestSteadyStateAllocs(t *testing.T) {
 	fx := newFixture(t, profile.IDLambda128k)
 	c, r := fx.ref.c, &fx.ref
@@ -350,12 +350,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run() // warm
-	// Measured 237 (2 result polys of 3 limbs + headers, the rest fan-out
-	// closures and wait groups: 3 linear forms, 4 rescales, 1 MulRelin, 2
-	// adds). The bound leaves ~5% for runtime drift, not for a regression:
-	// one stray per-coordinate allocation is +8, one
-	// per-coordinate-per-limb +40.
-	const bound = 250
+	// Measured 29 (2 result polys of 3 limbs + headers, the rest the one
+	// closure ring.ForEach takes per fan-out: 3 linear forms, 4 rescales,
+	// 1 MulRelin, 2 adds; 237 when each fan-out built a task slice). The
+	// bound leaves ~5% for runtime drift, not for a regression: one stray
+	// per-coordinate allocation is +8, one per-coordinate-per-limb +40.
+	const bound = 30
 	if allocs := testing.AllocsPerRun(5, run); allocs > bound {
 		t.Errorf("steady-state block allocates %v objects, bound %d", allocs, bound)
 	}
