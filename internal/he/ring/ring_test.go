@@ -376,18 +376,27 @@ func (r *referenceTables) intt(p Poly) {
 	}
 }
 
-// testSizes returns the ring degrees exercised by the sweep tests; -short
-// keeps only the small ones.
+// testSizes returns the ring degrees exercised by the sweep tests: every
+// log N from 1 to 13, so both parities of the stage count, the leftover
+// radix-2 stage, the peeled quads and the N < 16 shapes are all covered;
+// -short stops at 256.
 func testSizes() []int {
+	maxLogN := 13
 	if testing.Short() {
-		return []int{2, 8, 64, 256}
+		maxLogN = 8
 	}
-	return []int{2, 8, 64, 256, 1024, 4096}
+	sizes := make([]int, 0, maxLogN)
+	for logN := 1; logN <= maxLogN; logN++ {
+		sizes = append(sizes, 1<<logN)
+	}
+	return sizes
 }
 
 // TestNTTMatchesReference verifies the lazy Montgomery NTT/INTT produce
 // outputs bit-identical to the strict division-based reference across
-// primes and sizes.
+// primes and sizes, and that INTT(NTT(p)) == p. Beside random inputs the
+// 61-bit prime — the one that leaves the lazy ranges the least headroom
+// below 2⁶⁴ — gets the inputs that drive them to their ends.
 func TestNTTMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, n := range testSizes() {
@@ -401,20 +410,36 @@ func TestNTTMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newReferenceTables(t, q, n)
-			p := m.UniformPoly(rng)
-			want := p.Copy()
-			m.NTT(p)
-			ref.ntt(want)
-			for i := range p {
-				if p[i] != want[i] {
-					t.Fatalf("N=%d q=%d: NTT[%d] = %d, want %d", n, q, i, p[i], want[i])
+			inputs := map[string]Poly{"random": m.UniformPoly(rng)}
+			if bitLen == 61 {
+				inputs["zero"] = m.NewPoly()
+				inputs["q-1"] = m.NewPoly()
+				inputs["0,q-1"] = m.NewPoly()
+				inputs["q-1,0"] = m.NewPoly()
+				for i := 0; i < n; i++ {
+					inputs["q-1"][i] = q - 1
+					inputs["0,q-1"][i] = uint64(i&1) * (q - 1)
+					inputs["q-1,0"][i] = uint64(1-i&1) * (q - 1)
 				}
 			}
-			m.INTT(p)
-			ref.intt(want)
-			for i := range p {
-				if p[i] != want[i] {
-					t.Fatalf("N=%d q=%d: INTT[%d] = %d, want %d", n, q, i, p[i], want[i])
+			for name, orig := range inputs {
+				p, want := orig.Copy(), orig.Copy()
+				m.NTT(p)
+				ref.ntt(want)
+				for i := range p {
+					if p[i] != want[i] {
+						t.Fatalf("N=%d q=%d %s: NTT[%d] = %d, want %d", n, q, name, i, p[i], want[i])
+					}
+				}
+				m.INTT(p)
+				ref.intt(want)
+				for i := range p {
+					if p[i] != want[i] {
+						t.Fatalf("N=%d q=%d %s: INTT[%d] = %d, want %d", n, q, name, i, p[i], want[i])
+					}
+					if p[i] != orig[i] {
+						t.Fatalf("N=%d q=%d %s: round trip[%d] = %d, want %d", n, q, name, i, p[i], orig[i])
+					}
 				}
 			}
 		}
