@@ -20,7 +20,9 @@ import (
 // composite modulus (the limbs are CRT views of the same integers, not
 // independent samples). Uniform polynomials are the exception: sampling
 // each limb independently IS the uniform distribution over the composite
-// modulus, by CRT.
+// modulus, by CRT — and since the NTT and the Montgomery map are
+// bijections of a limb, a uniform key component is drawn directly as
+// stored (NTT domain, Montgomery form) and never transformed.
 
 // SecretKey is the RLWE secret: one ternary polynomial over the extended
 // basis QP (chain limbs 0..Depth, then the special limb last), NTT
@@ -162,41 +164,38 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	n := kg.ctx.Params.N()
 	limbs := len(kg.ctx.Primes)
-	a := make(ring.RNSPoly, limbs)
+	pk := &PublicKey{P0: make(ring.RNSPoly, limbs), P1: make(ring.RNSPoly, limbs)}
 	for t := 0; t < limbs; t++ {
-		a[t] = kg.ctx.Tower.Qi[t].UniformPoly(kg.rng)
+		pk.P1[t] = kg.ctx.Tower.Qi[t].UniformPoly(kg.rng) // â, drawn as stored
 	}
 	e := make([]int64, n)
 	kg.gaussianInts(e)
-	pk := &PublicKey{P0: make(ring.RNSPoly, limbs), P1: make(ring.RNSPoly, limbs)}
 	ring.ForEach(n, limbs, func(t int) {
-		b, p1 := kg.zeroSample(t, a[t], e, sk)
-		kg.ctx.Tower.Qi[t].MForm(b, b)
-		pk.P0[t], pk.P1[t] = b, p1
+		pk.P0[t] = kg.zeroSample(t, pk.P1[t], e, sk)
 	})
 	return pk
 }
 
 // zeroSample finishes one limb of an RLWE zero-sample under sk from its
-// pre-drawn randomness: b = −â·ŝ + ê in the plain NTT domain, not yet in
-// Montgomery form so a caller can still add a gadget term, and p1 = â as
-// stored (NTT, Montgomery). a is transformed in place.
-func (kg *KeyGenerator) zeroSample(t int, a ring.Poly, e []int64, sk *SecretKey) (b, p1 ring.Poly) {
+// pre-drawn randomness and returns b = −â·ŝ + ê as stored (NTT domain,
+// Montgomery form). a is read as the stored second component â itself: a
+// uniform limb is uniform in either domain and either form, so it is drawn
+// where it is kept and never transformed, and its Montgomery product with
+// ŝ is already in stored form — a caller adds a gadget term in that form.
+func (kg *KeyGenerator) zeroSample(t int, a ring.Poly, e []int64, sk *SecretKey) (b ring.Poly) {
 	n := len(a)
 	mod := kg.qpMod(t)
-	mod.NTT(a) // â, plain NTT
-	p1 = make(ring.Poly, n)
-	mod.MForm(a, p1)
 	b = make(ring.Poly, n)
-	mod.MulCoeffwiseMontgomery(a, sk.S[t], b) // â·ŝ, plain NTT
+	mod.MulCoeffwiseMontgomery(a, sk.S[t], b) // â·ŝ, Montgomery form
 	mod.Neg(b, b)
 	eh := make(ring.Poly, n)
 	for k, v := range e {
 		eh[k] = mod.FromInt64(v)
 	}
 	mod.NTT(eh)
+	mod.MForm(eh, eh)
 	mod.Add(b, eh, b)
-	return b, p1
+	return b
 }
 
 // GenRelinKey builds the hybrid key-switch key from s² to s; see
@@ -219,31 +218,27 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, gadget func(j int, out ri
 	digits := len(ctx.Primes)
 	qp := digits + 1
 
-	as := make([]ring.RNSPoly, digits)
 	es := make([][]int64, digits)
 	parts := make([][2]ring.RNSPoly, digits)
 	for j := 0; j < digits; j++ {
-		as[j] = make(ring.RNSPoly, qp)
+		parts[j] = [2]ring.RNSPoly{make(ring.RNSPoly, qp), make(ring.RNSPoly, qp)}
 		for t := 0; t < qp; t++ {
-			as[j][t] = kg.qpMod(t).UniformPoly(kg.rng)
+			parts[j][1][t] = kg.qpMod(t).UniformPoly(kg.rng) // â_j, drawn as stored
 		}
 		es[j] = make([]int64, n)
 		kg.gaussianInts(es[j])
-		parts[j] = [2]ring.RNSPoly{make(ring.RNSPoly, qp), make(ring.RNSPoly, qp)}
 	}
 	ring.ForEach(n, digits*qp, func(k int) {
 		j, t := k/qp, k%qp
-		mod := kg.qpMod(t)
-		b, p1 := kg.zeroSample(t, as[j][t], es[j], sk)
+		b := kg.zeroSample(t, parts[j][1][t], es[j], sk)
 		if t == j {
+			mod := kg.qpMod(t)
 			g := make(ring.Poly, n)
 			gadget(j, g)
-			mod.InvMForm(g, g) // plain NTT
-			mod.MulScalar(g, ctx.Special%ctx.Primes[j], g)
+			mod.MulScalar(g, ctx.Special%ctx.Primes[j], g) // a plain scalar keeps the form
 			mod.Add(b, g, b)
 		}
-		mod.MForm(b, b)
-		parts[j][0][t], parts[j][1][t] = b, p1
+		parts[j][0][t] = b
 	})
 	return parts
 }
