@@ -63,11 +63,12 @@ const (
 // lazy inner product: one Montgomery reduction per sum, not per term), one
 // ciphertext mul-relin, four rescales, 25 encodes — on the depth-4
 // built-in chains at LogN 10–12: Calibrate's best-of-nine block time at
-// RefHz over L·N·log2(N) measured 307, 310, 265 on the 2-core reference
-// box, the last with limb fan-out (430, 410, 300 by the same procedure
+// RefHz over L·N·log2(N) measured 249, 253, 198 on the 2-core reference
+// box, the last with limb fan-out (303, 314, 241 the same hour with the
+// radix-2 transform, which held 300 against 307, 310, 265; 430, 410, 300
 // before the lazy sums; PR 13 recorded 440, 407, 363). Calibrate
 // supersedes it with a live measurement.
-const modeledCyclesPerLimbNLogN = 300.0
+const modeledCyclesPerLimbNLogN = 255.0
 
 // RefHz is the reference server clock the cost coefficients are expressed
 // against and every modeled serving delay is reported at (the paper's
@@ -82,14 +83,15 @@ const RefHz = 3.3e9
 // the hoisted decomposition is shared across the rotation set, leaving
 // only the per-rotation inner products. Fitted against this repository's
 // RotateHoistedInto on the built-in chains: best of fifteen at each
-// profile's top level, at RefHz over L·N·log2(N), measured 26, 26, 24 on
-// the 2-core reference box (51, 50, 40 before the lazy gather sums — the
-// 95 this constant held since PR 10 had gone stale by half already). A
-// served 256×256 matvec at λ-128k spends 29 per rotation all-in
-// (MatVecInto's time over its 30 rotations, diagonal sums and the
-// unhoisted giant-step switches included), so the constant sits between
-// the two.
-const modeledRotCyclesPerLimbNLogN = 28.0
+// profile's top level, at RefHz over L·N·log2(N), measured 21, 21, 18 on
+// the 2-core reference box (23, 24, 22 the same hour with the radix-2
+// transform, which held 28 against 26, 26, 24; 51, 50, 40 before the lazy
+// gather sums — the 95 this constant held since PR 10 had gone stale by
+// half already). A served 256×256 matvec at λ-128k spends 20 per rotation
+// all-in (MatVecInto's 45 ms over its 30 rotations, diagonal sums and the
+// unhoisted giant-step switches included; 26 with the radix-2 transform),
+// so the constant sits at the upper of the two.
+const modeledRotCyclesPerLimbNLogN = 21.0
 
 // chainDepth is the rescaling depth every built-in profile runs at. The
 // transcipher itself consumes two levels (linear + quadratic keystream

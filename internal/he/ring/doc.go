@@ -109,6 +109,19 @@
 // only in the stateless helpers (MulMod, PowMod) used at construction time
 // and as the property-test oracle.
 //
+// The transform (ntt.go) is radix 4: each pass over a limb runs two
+// butterfly stages — four quarter-slices of a block, three twiddles, the
+// values between the two stages staying in registers — so a limb is loaded
+// and stored ⌈log N / 2⌉ times. The two stages at quarter length 1 run as
+// straight-line code over contiguous quads; the forward transform reduces
+// to [0, q) inside that last pass and the inverse folds N⁻¹ into its last
+// stage, so neither makes a separate sweep. An odd log N leaves one radix-2
+// stage, run where it has a single twiddle: first forward, last inverse.
+// Between butterflies coefficients stay lazily reduced — [0, 4q) forward,
+// [0, 2q) inverse — through the same butterfly, in the same order per
+// coefficient, as a one-stage-per-pass loop, so outputs are bit-identical
+// to the strict division-based reference the tests keep.
+//
 // # Zero-allocation conventions
 //
 // Methods suffixed Into write into caller-provided (or internally pooled)
