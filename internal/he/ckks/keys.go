@@ -187,14 +187,13 @@ func (kg *KeyGenerator) zeroSample(t int, a ring.Poly, e []int64, sk *SecretKey)
 	mod := kg.qpMod(t)
 	b = make(ring.Poly, n)
 	mod.MulCoeffwiseMontgomery(a, sk.S[t], b) // â·ŝ, Montgomery form
-	mod.Neg(b, b)
 	eh := make(ring.Poly, n)
 	for k, v := range e {
 		eh[k] = mod.FromInt64(v)
 	}
 	mod.NTT(eh)
 	mod.MForm(eh, eh)
-	mod.Add(b, eh, b)
+	mod.Sub(eh, b, b)
 	return b
 }
 

@@ -100,6 +100,7 @@ func (m *Modulus) NTT(p Poly) {
 	p = p[:n]
 	groups, t := 1, n // groups blocks of length t are still to be transformed
 	if bits.TrailingZeros(uint(n))&1 == 1 {
+		// Odd log N: the leftover stage, one twiddle over the two halves.
 		s := psi[1]
 		x, y := p[:n/2], p[n/2:]
 		y = y[:len(x)]
@@ -125,6 +126,7 @@ func (m *Modulus) NTT(p Poly) {
 			}
 		}
 	}
+	// Last two stages on contiguous quads, reduced to [0, q) before the store.
 	w1, w2 := psi[n/4:n/2], psi[n/2:n]
 	for i := range w1 {
 		s1, s2, s3 := w1[i], w2[2*i], w2[2*i+1]
@@ -150,6 +152,7 @@ func (m *Modulus) INTT(p Poly) {
 	p = p[:n]
 	groups, t := n, 1 // groups blocks of length t are already transformed
 	if n >= 8 {
+		// First two stages on contiguous quads (N = 2 and 4 are a last pass only).
 		w1, w2 := psiInv[n/2:n], psiInv[n/4:n/2]
 		for i := range w2 {
 			s1, s2, s3 := w1[2*i], w1[2*i+1], w2[i]
@@ -175,6 +178,7 @@ func (m *Modulus) INTT(p Poly) {
 		}
 	}
 	if groups == 4 {
+		// Even log N: the last two stages, N⁻¹ folded into the second.
 		s1, s2 := psiInv[2], psiInv[3]
 		a, b, c, d := quarters(p)
 		for j := range a {
@@ -185,6 +189,7 @@ func (m *Modulus) INTT(p Poly) {
 		}
 		return
 	}
+	// Odd log N: the leftover stage, N⁻¹ folded in.
 	x, y := p[:n/2], p[n/2:]
 	y = y[:len(x)]
 	for j := range x {
