@@ -289,8 +289,10 @@ func stage1Vars(b *testing.B, cfg *core.Config) core.Variables {
 	return v
 }
 
-// BenchmarkAblationStage1ProjGrad measures the projected-gradient ablation
-// solver for Stage 1 against BenchmarkStage1Barrier.
+// BenchmarkAblationStage1ProjGrad times the live solver: Stage1ProjGrad is
+// qnet.Stage1.Solve, the call control.Controller.Replan makes on every
+// replan, here on the paper's configuration beside BenchmarkStage1Barrier
+// (the paper's algorithm, which TestLiveStage1MatchesBarrier pins it to).
 func BenchmarkAblationStage1ProjGrad(b *testing.B) {
 	cfg := paperCfg(b)
 	for i := 0; i < b.N; i++ {

@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"quhe/internal/he/profile"
+	"quhe/internal/mathutil"
 	"quhe/internal/obs"
-	"quhe/internal/optimize"
 	"quhe/internal/qkd"
 	"quhe/internal/qnet"
 	"quhe/internal/serve"
@@ -53,14 +53,6 @@ type Config struct {
 	// LambdaSet is the ascending CKKS degree choice set (17d). Default
 	// {2^15, 2^16, 2^17}.
 	LambdaSet []float64
-	// Profiles is the security-profile registry the per-route λ choice is
-	// actuated through: each route's planned λ resolves to a registry
-	// profile and new sessions on the route are steered to it at
-	// negotiation time. Only registry members whose λ is in LambdaSet are
-	// candidates, so pinning LambdaSet pins the actuation too. Nil
-	// selects profile.Default(), which must then match the edge server's
-	// registry.
-	Profiles *profile.Registry
 	// BaseRekeyBytes is the per-key byte budget at λ = LambdaRef; budgets
 	// scale from it via DeriveRekeyBudget. Default 1 MiB.
 	BaseRekeyBytes int64
@@ -92,9 +84,6 @@ func (c Config) withDefaults() Config {
 	if len(c.LambdaSet) == 0 {
 		c.LambdaSet = []float64{32768, 65536, 131072}
 	}
-	if c.Profiles == nil {
-		c.Profiles = profile.Default()
-	}
 	if c.BaseRekeyBytes <= 0 {
 		c.BaseRekeyBytes = 1 << 20
 	}
@@ -114,9 +103,10 @@ func (c Config) withDefaults() Config {
 // the edge server's control-plane interface (BindServe / AdmitSession /
 // AdmitCompute / RekeyBudget / ObserveCompute).
 type Controller struct {
-	cfg Config
-	tel *Telemetry
-	met *controlObs // nil when Config.Metrics is unset
+	cfg    Config
+	tel    *Telemetry
+	met    *controlObs // nil when Config.Metrics is unset
+	stage1 qnet.Stage1 // the rate-allocation program P2 over cfg.Network at phiMin
 
 	plan   atomic.Pointer[Plan]
 	seq    atomic.Uint64
@@ -152,7 +142,11 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("control: %d security weights for %d routes",
 			len(cfg.SecurityWeights), cfg.Network.NumRoutes())
 	}
-	c := &Controller{cfg: cfg, tel: NewTelemetry(), stop: make(chan struct{})}
+	stage1, err := qnet.NewStage1(cfg.Network, mathutil.Fill(cfg.Network.NumRoutes(), phiMin))
+	if err != nil {
+		return nil, err
+	}
+	c := &Controller{cfg: cfg, tel: NewTelemetry(), stage1: stage1, stop: make(chan struct{})}
 	if cfg.Metrics != nil {
 		c.met = newControlObs(cfg.Metrics, cfg.KeyCenter)
 	}
@@ -297,16 +291,19 @@ func (c *Controller) Replan() (*Plan, error) {
 
 	snap := c.tel.Snapshot()
 
-	phi, w, logU, err := c.solveAllocation()
+	// The rate allocation is the paper's Stage-1 program, solved where the
+	// reproduction solves it (qnet.Stage1; core.Stage1ProjGrad is this call).
+	sol, err := c.stage1.Solve()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("control: stage-1 solve: %w", err)
 	}
+	phi, w := sol.Phi, sol.W
 	plan := &Plan{
 		Seq:               c.seq.Add(1),
 		At:                snap.At,
 		Phi:               phi,
 		Werner:            w,
-		LogUtility:        logU,
+		LogUtility:        sol.LogUtility,
 		RekeyBudget:       make(map[string]int64, len(snap.Sessions)),
 		DemandBytesPerSec: snap.DemandBytesPerSec,
 	}
@@ -368,76 +365,6 @@ func (c *Controller) Replan() (*Plan, error) {
 	return plan, nil
 }
 
-// solveAllocation maximizes ln U_qkd (Eq. 6) over the per-route rate
-// allocation by projected gradient over the box [phiMin, φ_max], with
-// infeasible points (link capacity or SKF threshold violations, 19a/20c)
-// rejected through an infinite objective — the Stage-1 program P2/P3 in
-// its projected-gradient form.
-func (c *Controller) solveAllocation() (phi, w []float64, logU float64, err error) {
-	net := c.cfg.Network
-	n := net.NumRoutes()
-
-	// Per-route upper bounds: a route may use at most its bottleneck
-	// link's capacity share (capacity / routes sharing the link), so any
-	// box point keeps every link load strictly below β_l.
-	fanout := make([]int, net.NumLinks())
-	for l := 0; l < net.NumLinks(); l++ {
-		for r := 0; r < n; r++ {
-			if net.Uses(r, l) {
-				fanout[l]++
-			}
-		}
-	}
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	x0 := make([]float64, n)
-	for r := 0; r < n; r++ {
-		lo[r] = phiMin
-		hi[r] = math.Inf(1)
-		for l := 0; l < net.NumLinks(); l++ {
-			if net.Uses(r, l) {
-				share := 0.95 * net.Link(l).Beta / float64(fanout[l])
-				if share < hi[r] {
-					hi[r] = share
-				}
-			}
-		}
-		if hi[r] < lo[r] {
-			hi[r] = lo[r]
-		}
-		x0[r] = lo[r]
-	}
-
-	f := func(p []float64) float64 {
-		if !net.FeasibleRates(p) {
-			return math.Inf(1)
-		}
-		wr, werr := net.WernerFromRates(p)
-		if werr != nil {
-			return math.Inf(1)
-		}
-		lu, uerr := net.LogUtility(p, wr)
-		if uerr != nil || math.IsInf(lu, -1) {
-			return math.Inf(1)
-		}
-		return -lu
-	}
-	if math.IsInf(f(x0), 1) {
-		return nil, nil, 0, errors.New("control: phiMin allocation infeasible")
-	}
-	res, err := optimize.MinimizeProjGrad(f, optimize.Box{Lo: lo, Hi: hi}, x0,
-		optimize.PGOptions{MaxIter: 200, Tol: 1e-7})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("control: stage-1 solve: %w", err)
-	}
-	phi = res.X
-	w, err = net.WernerFromRates(phi)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return phi, w, -res.Value, nil
-}
-
 // measuredDelaySec converts a profile's measured p99 block latency into
 // the rate-scaled delay form profile.ServeDelaySec uses (blocks/s ×
 // seconds per block), so the two are comparable term for term. Zero when
@@ -457,12 +384,12 @@ func measuredDelaySec(ps ProfileSnapshot, p *profile.Profile, demandBytesPerSec 
 func (c *Controller) routeCandidates() []*profile.Profile {
 	var cands []*profile.Profile
 	for _, lambda := range c.cfg.LambdaSet {
-		if p, ok := c.cfg.Profiles.ByLambda(lambda); ok {
+		if p, ok := profile.Default().ByLambda(lambda); ok {
 			cands = append(cands, p)
 		}
 	}
 	if len(cands) == 0 {
-		cands = []*profile.Profile{c.cfg.Profiles.Default()}
+		cands = []*profile.Profile{profile.Default().Default()}
 	}
 	return cands
 }
@@ -519,7 +446,7 @@ func (c *Controller) chooseRouteProfiles(snap Snapshot) (lambdas []float64, prof
 // actually runs (its registered profile), the plan default when the
 // profile is unknown.
 func (c *Controller) profileBudget(plan *Plan, profileID string) int64 {
-	if p, ok := c.cfg.Profiles.Get(profileID); ok {
+	if p, ok := profile.Default().Get(profileID); ok {
 		return DeriveRekeyBudget(c.cfg.BaseRekeyBytes, p.Lambda)
 	}
 	return plan.DefaultRekeyBudget
@@ -592,7 +519,7 @@ func (c *Controller) BindServe(sched *serve.Scheduler, store *serve.Store) {
 // allows, and denied (typed serve.ErrProfileDenied) when the registry
 // does not know it.
 func (c *Controller) NegotiateProfile(sessionID, requested string) (string, error) {
-	reg := c.cfg.Profiles
+	reg := profile.Default()
 	planned := reg.DefaultID()
 	if p := c.plan.Load(); p != nil {
 		if route := c.cfg.RouteOf(sessionID); route >= 0 {
@@ -645,7 +572,7 @@ func (c *Controller) AdmitSession(sessionID string, resident int) error {
 		// the provisioning rate tells the client when.
 		if avail, err := kc.Available(sessionID); err == nil && avail < withdrawBytes {
 			c.tel.ObserveAdmission(false)
-			return serve.NewKeyExhausted(c.keyRetryAfter(sessionID, withdrawBytes-avail),
+			return serve.NewKeyExhausted(kc.RefillWait(sessionID, withdrawBytes),
 				fmt.Sprintf("key pool for %q holds %d of %d bytes the next rekey needs",
 					sessionID, avail, withdrawBytes))
 		}
@@ -685,29 +612,13 @@ func (c *Controller) AdmitCompute(sessionID string, usedBytes, pendingBytes int6
 				// retry hint, so the client backs off instead of spinning
 				// between CodeRekeyRequired and failed withdrawals.
 				c.tel.ObserveShed(sessionID, pendingBytes)
-				return serve.NewKeyExhausted(c.keyRetryAfter(sessionID, withdrawBytes-avail),
+				return serve.NewKeyExhausted(kc.RefillWait(sessionID, withdrawBytes),
 					fmt.Sprintf("key budget exhausted and pool for %q holds %d of %d bytes a rekey needs",
 						sessionID, avail, withdrawBytes))
 			}
 		}
 	}
 	return nil
-}
-
-// keyRetryAfter converts a key-pool shortfall into a wait estimate from
-// the session's provisioned secret-key rate (bits/s): the time the QKD
-// plane needs to manufacture the missing bytes. 0 = unknown rate, retry
-// at the caller's discretion.
-func (c *Controller) keyRetryAfter(sessionID string, deficitBytes int) time.Duration {
-	kc := c.cfg.KeyCenter
-	if kc == nil || deficitBytes <= 0 {
-		return 0
-	}
-	rate, err := kc.Rate(sessionID)
-	if err != nil || rate <= 0 {
-		return 0
-	}
-	return time.Duration(float64(deficitBytes*8) / rate * float64(time.Second))
 }
 
 // RekeyBudget returns the per-key byte budget for a session (0 only when

@@ -21,10 +21,13 @@
 // Plan. Controller.Replan re-solves the paper's program over the snapshot
 // and publishes an immutable Plan through an atomic pointer:
 //
-//   - Plan.Phi / Plan.Werner — the Stage-1 entanglement-rate allocation:
-//     projected gradient ascent on ln U_qkd (Eq. 6) over the box
-//     [φ_min, φ_max] with link-capacity and SKF-threshold violations
-//     (Eqs. 19a, 20c) rejected as infeasible; Werner parameters are the
+//   - Plan.Phi / Plan.Werner — the Stage-1 entanglement-rate allocation.
+//     The program (P2: −ln U_qkd of Eq. 6 under 17a/19a/20c, its boxes and
+//     start point) and its projected-gradient solver live in
+//     internal/qnet/stage1.go; Replan calls qnet.Stage1.Solve at φ_min =
+//     1e-2, the same entry point core.SolveStage1 reaches with
+//     Stage1ProjGrad, and TestLiveStage1MatchesBarrier pins the result to
+//     the paper's barrier method (Algorithm 1). Werner parameters are the
 //     capacity-saturating point w* of Eq. (18).
 //   - Plan.RouteLambda / Plan.RouteProfile — the CKKS degree chosen from
 //     the discrete set (17d), per route: the importance-weighted security

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"quhe/internal/mathutil"
 	"quhe/internal/optimize"
 	"quhe/internal/qnet"
 )
@@ -24,9 +23,10 @@ const (
 	Stage1SA
 	// Stage1RS is the random-selection baseline: 10⁴ uniform samples.
 	Stage1RS
-	// Stage1ProjGrad is an ablation solver: projected gradient descent
-	// with line search on the penalized rate objective (between the
-	// barrier method and the fixed-step GD baseline in sophistication).
+	// Stage1ProjGrad is projected gradient descent with line search on the
+	// penalized rate objective (between the barrier method and the
+	// fixed-step GD baseline in sophistication): qnet.Stage1.Solve, the
+	// solver the live planner runs, timed here beside the paper's.
 	Stage1ProjGrad
 )
 
@@ -80,82 +80,6 @@ type Stage1Result struct {
 	Converged bool
 }
 
-// stage1Objective evaluates the P2 objective (19) at rates phi, returning
-// +Inf outside the feasible region. It is shared by all four solvers (the
-// baselines work on φ directly; the barrier works on ϕ = ln φ).
-func (c *Config) stage1Objective(phi []float64) float64 {
-	for i, p := range phi {
-		if p < c.PhiMin[i] || math.IsNaN(p) {
-			return math.Inf(1)
-		}
-	}
-	if !c.Net.FeasibleRates(phi) {
-		return math.Inf(1)
-	}
-	w, err := c.Net.WernerFromRates(phi)
-	if err != nil {
-		return math.Inf(1)
-	}
-	s := math.Log(c.AlphaQKD)
-	for r := range phi {
-		wr, err := c.Net.EndToEndWerner(r, w)
-		if err != nil {
-			return math.Inf(1)
-		}
-		f := qnet.SecretKeyFraction(wr)
-		if f <= 0 {
-			return math.Inf(1)
-		}
-		s += math.Log(phi[r]) + math.Log(f)
-	}
-	return -s
-}
-
-// stage1Penalized is the finite-everywhere merit function used by the
-// gradient-descent baseline: the P2 objective inside the feasible region and
-// a linear penalty outside it, so fixed-step GD can recover from infeasible
-// excursions instead of seeing an infinite cliff.
-func (c *Config) stage1Penalized(phi []float64) float64 {
-	const (
-		penaltyBase  = 1e3
-		penaltyScale = 1e3
-	)
-	viol := 0.0
-	for i, p := range phi {
-		if p < c.PhiMin[i] {
-			viol += c.PhiMin[i] - p
-		}
-	}
-	loads, err := c.Net.LinkLoads(phi)
-	if err != nil {
-		return math.Inf(1)
-	}
-	for l, load := range loads {
-		if beta := c.Net.Link(l).Beta; load >= beta {
-			viol += load/beta - 1 + 1e-6
-		}
-	}
-	if viol == 0 {
-		w, err := c.Net.WernerFromRates(phi)
-		if err != nil {
-			return math.Inf(1)
-		}
-		for r := range phi {
-			wr, err := c.Net.EndToEndWerner(r, w)
-			if err != nil {
-				return math.Inf(1)
-			}
-			if wr <= qnet.WernerZeroSKF {
-				viol += qnet.WernerZeroSKF - wr + 1e-6
-			}
-		}
-	}
-	if viol > 0 {
-		return penaltyBase + penaltyScale*viol
-	}
-	return c.stage1Objective(phi)
-}
-
 // SolveStage1 runs Algorithm 1 (or a baseline) and returns the optimal
 // (φ, w) block. The barrier path optimizes over ϕ = ln φ, in which P3 is
 // convex (Kar & Wehner), with constraints (20a)–(20c).
@@ -165,12 +89,15 @@ func (c *Config) SolveStage1(opts Stage1Options) (Stage1Result, error) {
 	}
 	start := time.Now()
 	var res Stage1Result
-	var err error
+	prog, err := qnet.NewStage1(c.Net, c.PhiMin)
+	if err != nil {
+		return res, err
+	}
 	switch opts.Method {
 	case Stage1Barrier:
-		res, err = c.solveStage1Barrier()
+		res, err = c.solveStage1Barrier(prog)
 	case Stage1GD, Stage1SA, Stage1RS, Stage1ProjGrad:
-		res, err = c.solveStage1Heuristic(opts)
+		res, err = c.solveStage1Heuristic(prog, opts)
 	default:
 		return res, fmt.Errorf("core: unknown stage-1 method %d", int(opts.Method))
 	}
@@ -189,19 +116,26 @@ func (c *Config) SolveStage1(opts Stage1Options) (Stage1Result, error) {
 	return res, nil
 }
 
-func (c *Config) solveStage1Barrier() (Stage1Result, error) {
+// alphaShift is the constant −ln α_qkd by which the paper's objective (19)
+// sits above the Stage-1 program's −ln U_qkd (qnet.Stage1).
+func (c *Config) alphaShift() float64 { return -math.Log(c.AlphaQKD) }
+
+func (c *Config) solveStage1Barrier(prog qnet.Stage1) (Stage1Result, error) {
 	var res Stage1Result
 	n := c.N()
 
-	// Objective in ϕ-space: P3 (20).
+	// Objective in ϕ-space: P3 (20). phiOf maps ϕ to rates in one buffer the
+	// objective and the (20c) constraints share — the barrier evaluates them
+	// one at a time, thousands of times per Newton step.
+	phi := make([]float64, n)
 	phiOf := func(x []float64) []float64 {
-		phi := make([]float64, n)
 		for i := range x {
 			phi[i] = math.Exp(x[i])
 		}
 		return phi
 	}
-	f0 := func(x []float64) float64 { return c.stage1Objective(phiOf(x)) }
+	shift := c.alphaShift()
+	f0 := func(x []float64) float64 { return prog.Objective(phiOf(x)) + shift }
 
 	var ineqs []optimize.Ineq
 	// (20a): ϕ_n ≥ ln φ_min — linear in ϕ-space.
@@ -238,15 +172,7 @@ func (c *Config) solveStage1Barrier() (Stage1Result, error) {
 	for r := 0; r < n; r++ {
 		r := r
 		ineqs = append(ineqs, optimize.FuncIneq(func(x []float64) float64 {
-			w, err := c.Net.WernerFromRates(phiOf(x))
-			if err != nil {
-				return 1
-			}
-			wr, err := c.Net.EndToEndWerner(r, w)
-			if err != nil {
-				return 1
-			}
-			return qnet.WernerZeroSKF*(1+1e-9) - wr
+			return qnet.WernerZeroSKF*(1+1e-9) - c.Net.RouteWerner(r, phiOf(x))
 		}))
 	}
 
@@ -262,7 +188,7 @@ func (c *Config) solveStage1Barrier() (Stage1Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("core: stage 1 barrier: %w", err)
 	}
-	res.Phi = phiOf(bres.X)
+	res.Phi = append([]float64(nil), phiOf(bres.X)...)
 	res.Objective = bres.Value
 	res.Iters = bres.NewtonIters
 	res.Trace = bres.Values
@@ -270,15 +196,11 @@ func (c *Config) solveStage1Barrier() (Stage1Result, error) {
 	return res, nil
 }
 
-func (c *Config) solveStage1Heuristic(opts Stage1Options) (Stage1Result, error) {
+func (c *Config) solveStage1Heuristic(prog qnet.Stage1, opts Stage1Options) (Stage1Result, error) {
 	var res Stage1Result
-	n := c.N()
-	box := c.stage1Box()
-	x0 := make([]float64, n)
-	for i := range x0 {
-		x0[i] = c.PhiMin[i] * 1.05
-	}
-	f := c.stage1Objective
+	box, x0 := prog.Box(), prog.Start()
+	shift := c.alphaShift()
+	f := func(phi []float64) float64 { return prog.Objective(phi) + shift }
 
 	switch opts.Method {
 	case Stage1GD:
@@ -286,7 +208,8 @@ func (c *Config) solveStage1Heuristic(opts Stage1Options) (Stage1Result, error) 
 		if iters <= 0 {
 			iters = 200000
 		}
-		r, err := optimize.GradientDescent(c.stage1Penalized, box, x0, optimize.GDOptions{LearningRate: 0.01, MaxIter: iters, Tol: 1e-12})
+		penalized := func(phi []float64) float64 { return prog.Penalized(phi) + shift }
+		r, err := optimize.GradientDescent(penalized, box, x0, optimize.GDOptions{LearningRate: 0.01, MaxIter: iters, Tol: 1e-12})
 		if err != nil {
 			return res, fmt.Errorf("core: stage 1 GD: %w", err)
 		}
@@ -302,11 +225,15 @@ func (c *Config) solveStage1Heuristic(opts Stage1Options) (Stage1Result, error) 
 		}
 		res.Phi, res.Objective, res.Iters, res.Trace, res.Converged = r.X, r.Value, r.Iters, r.Values, r.Converged
 	case Stage1ProjGrad:
-		r, err := optimize.MinimizeProjGrad(c.stage1Penalized, box, x0, optimize.PGOptions{MaxIter: 2000, Tol: 1e-10})
+		// The solver the running planner calls (control.Controller.Replan).
+		sol, err := prog.Solve()
 		if err != nil {
 			return res, fmt.Errorf("core: stage 1 projected gradient: %w", err)
 		}
-		res.Phi, res.Objective, res.Iters, res.Trace, res.Converged = r.X, r.Value, r.Iters, r.Values, r.Converged
+		for i := range sol.Trace {
+			sol.Trace[i] += shift
+		}
+		res.Phi, res.Objective, res.Iters, res.Trace, res.Converged = sol.Phi, -sol.LogUtility+shift, sol.Iters, sol.Trace, sol.Converged
 	case Stage1RS:
 		samples := opts.RSSamples
 		if samples <= 0 {
@@ -315,67 +242,11 @@ func (c *Config) solveStage1Heuristic(opts Stage1Options) (Stage1Result, error) 
 		// The paper's RS baseline samples "uniformly from the feasible
 		// space"; use the largest axis-aligned box that is feasible at its
 		// worst corner, so every draw is admissible.
-		r, err := optimize.RandomSearch(f, c.stage1FeasibleBox(), optimize.RSOptions{Samples: samples, Seed: opts.Seed})
+		r, err := optimize.RandomSearch(f, prog.FeasibleBox(), optimize.RSOptions{Samples: samples, Seed: opts.Seed})
 		if err != nil {
 			return res, fmt.Errorf("core: stage 1 RS: %w", err)
 		}
 		res.Phi, res.Objective, res.Iters, res.Trace, res.Converged = r.X, r.Value, r.Iters, r.Values, r.Converged
 	}
 	return res, nil
-}
-
-// stage1FeasibleBox returns [φ_min, φ_min + τ] with the largest uniform
-// increment τ whose upper corner still satisfies every Stage-1 constraint.
-// The constraints are monotone in each rate (loads grow, end-to-end Werner
-// parameters shrink), so corner feasibility implies the whole box is
-// feasible — every uniform sample from it is admissible.
-func (c *Config) stage1FeasibleBox() optimize.Box {
-	n := c.N()
-	corner := func(tau float64) []float64 {
-		phi := make([]float64, n)
-		for i := range phi {
-			phi[i] = c.PhiMin[i] + tau
-		}
-		return phi
-	}
-	feasible := func(tau float64) bool {
-		return !math.IsInf(c.stage1Objective(corner(tau)), 1)
-	}
-	lo, hi := 0.0, 1.0
-	for feasible(hi) {
-		lo = hi
-		hi *= 2
-		if hi > 1e6 {
-			break
-		}
-	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if feasible(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	tau := lo * 0.999 // stay strictly inside
-	return optimize.Box{Lo: mathutil.Clone(c.PhiMin), Hi: corner(tau)}
-}
-
-// stage1Box bounds φ for the heuristic baselines: [φ_min, route bottleneck
-// capacity], the smallest β over the route's links (the rate a route could
-// sustain if it had its bottleneck to itself).
-func (c *Config) stage1Box() optimize.Box {
-	n := c.N()
-	lo := mathutil.Clone(c.PhiMin)
-	hi := make([]float64, n)
-	for r := 0; r < n; r++ {
-		bottleneck := math.Inf(1)
-		for l := 0; l < c.Net.NumLinks(); l++ {
-			if c.Net.Uses(r, l) && c.Net.Link(l).Beta < bottleneck {
-				bottleneck = c.Net.Link(l).Beta
-			}
-		}
-		hi[r] = bottleneck
-	}
-	return optimize.Box{Lo: lo, Hi: hi}
 }

@@ -188,13 +188,17 @@ func TestStage1MethodString(t *testing.T) {
 
 func TestStage1PenalizedMatchesObjectiveInside(t *testing.T) {
 	c := PaperConfig(1)
+	prog, err := qnet.NewStage1(c.Net, c.PhiMin)
+	if err != nil {
+		t.Fatal(err)
+	}
 	phi := mathutil.Clone(paperTableV)
-	if got, want := c.stage1Penalized(phi), c.stage1Objective(phi); got != want {
+	if got, want := prog.Penalized(phi), prog.Objective(phi); got != want {
 		t.Errorf("penalized (%v) != raw (%v) at feasible point", got, want)
 	}
 	// Outside: finite, larger than any feasible value.
 	bad := mathutil.Fill(6, 100)
-	if got := c.stage1Penalized(bad); math.IsInf(got, 0) || got < 1e3 {
+	if got := prog.Penalized(bad); math.IsInf(got, 0) || got < 1e3 {
 		t.Errorf("penalized at infeasible point = %v, want finite ≥ 1e3", got)
 	}
 }

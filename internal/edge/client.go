@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"quhe/internal/chacha20"
 	"quhe/internal/he/ckks"
 	"quhe/internal/he/profile"
 	"quhe/internal/obs"
@@ -44,9 +45,6 @@ type DialConfig struct {
 	// ID is granted or downgraded per the active plan — Client.Profile
 	// reports what the session actually runs.
 	Profile string
-	// Profiles overrides the profile registry (nil = profile.Default()).
-	// It must agree with the server's registry for non-default profiles.
-	Profiles *profile.Registry
 	// Dialer overrides how the transport connection is established (fault
 	// injection, proxies, custom networks). nil dials plain TCP bounded by
 	// defaultDialTimeout.
@@ -286,10 +284,7 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 	if seed == 0 {
 		seed = 1
 	}
-	reg := dcfg.Profiles
-	if reg == nil {
-		reg = profile.Default()
-	}
+	reg := profile.Default()
 	if dcfg.Profile != "" {
 		if _, ok := reg.Get(dcfg.Profile); !ok {
 			return nil, fmt.Errorf("edge: %w: unknown profile %q", serve.ErrProfileDenied, dcfg.Profile)
@@ -399,9 +394,8 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		c.teardown()
 		return nil, errors.New("edge: setup rejected: missing reply")
 	}
-	if !reply.Setup.OK {
+	if setupErr := replyError(reply.Setup.Code, reply.Setup.Err); setupErr != nil {
 		c.teardown()
-		setupErr := replyError(reply.Setup.Code, reply.Setup.Err)
 		// A profile grant can go stale between the query and Setup when a
 		// replan moves the route's λ mid-dial: renegotiate from scratch
 		// (fresh connection, fresh grant, fresh keys) a bounded number of
@@ -509,8 +503,8 @@ func queryProfile(conn net.Conn, br *bufio.Reader, sessionID, requested string) 
 	if err != nil {
 		return "", err
 	}
-	if rep.Code != serve.CodeOK {
-		return "", fmt.Errorf("edge: profile rejected: %w", replyError(rep.Code, rep.Err))
+	if err := replyError(rep.Code, rep.Err); err != nil {
+		return "", fmt.Errorf("edge: profile rejected: %w", err)
 	}
 	if rep.Granted == "" {
 		return "", errors.New("edge: profile negotiation granted nothing")
@@ -524,7 +518,7 @@ func queryProfile(conn net.Conn, br *bufio.Reader, sessionID, requested string) 
 func nonceFor(sessionID string, epoch uint64) []byte {
 	h := fnv.New32a()
 	h.Write([]byte(sessionID))
-	nonce := make([]byte, 12)
+	nonce := make([]byte, chacha20.NonceSize)
 	binary.LittleEndian.PutUint64(nonce[:8], epoch)
 	binary.LittleEndian.PutUint32(nonce[8:], h.Sum32())
 	return nonce
@@ -800,8 +794,8 @@ func resumeHandshake(conn net.Conn, br *bufio.Reader, sessionID string, epoch ui
 	if err != nil {
 		return err
 	}
-	if !rep.OK {
-		return fmt.Errorf("edge: resume rejected: %w", replyError(rep.Code, rep.Err))
+	if err := replyError(rep.Code, rep.Err); err != nil {
+		return fmt.Errorf("edge: resume rejected: %w", err)
 	}
 	return nil
 }
@@ -1136,8 +1130,8 @@ func (p *Pending) reply() (*ComputeReply, error) {
 		return nil, errors.New("edge: malformed reply")
 	}
 	p.c.noteReply(rep.ModeledTxDelay, rep.ModeledCmpDelay, rep.RekeyNeeded, p.epoch)
-	if rep.Code != serve.CodeOK || rep.Err != "" {
-		return nil, replyError(rep.Code, rep.Err)
+	if err := replyError(rep.Code, rep.Err); err != nil {
+		return nil, err
 	}
 	if rep.Result == nil {
 		return nil, errors.New("edge: malformed reply: missing result")
@@ -1235,8 +1229,8 @@ func (c *Client) EnableMatVec() error {
 	if rep == nil {
 		return errors.New("edge: malformed reply")
 	}
-	if !rep.OK {
-		return fmt.Errorf("edge: rotation keys rejected: %w", replyError(rep.Code, rep.Err))
+	if err := replyError(rep.Code, rep.Err); err != nil {
+		return fmt.Errorf("edge: rotation keys rejected: %w", err)
 	}
 	c.rotInstalled = true
 	return nil
@@ -1374,29 +1368,11 @@ func (c *Client) rekeyLocked(cause string) error {
 	if err != nil {
 		if errors.Is(err, qkd.ErrInsufficientKey) {
 			return fmt.Errorf("edge: rekey withdraw: %w",
-				serve.NewKeyExhausted(c.keyRetryAfter(), err.Error()))
+				serve.NewKeyExhausted(c.kc.RefillWait(c.sessionID, RekeyWithdrawBytes), err.Error()))
 		}
 		return fmt.Errorf("edge: rekey withdraw: %w", err)
 	}
 	return c.rekeyWith(material)
-}
-
-// keyRetryAfter estimates how long the key centre needs to provision the
-// shortfall for the next withdrawal, from its secret-key rate (bits/s).
-func (c *Client) keyRetryAfter() time.Duration {
-	avail, err := c.kc.Available(c.sessionID)
-	if err != nil {
-		avail = 0
-	}
-	deficit := RekeyWithdrawBytes - avail
-	if deficit <= 0 {
-		return 0
-	}
-	rate, err := c.kc.Rate(c.sessionID)
-	if err != nil || rate <= 0 {
-		return 0
-	}
-	return time.Duration(float64(deficit*8) / rate * float64(time.Second))
 }
 
 // RekeyWith rotates the session's transciphering key using explicit fresh
@@ -1439,8 +1415,8 @@ func (c *Client) rekeyWith(qkdKey []byte) error {
 	if rep == nil {
 		return errors.New("edge: malformed reply")
 	}
-	if !rep.OK {
-		return fmt.Errorf("edge: rekey rejected: %w", replyError(rep.Code, rep.Err))
+	if err := replyError(rep.Code, rep.Err); err != nil {
+		return fmt.Errorf("edge: rekey rejected: %w", err)
 	}
 	c.keyMu.Lock()
 	c.key, c.nonce, c.epoch, c.resumeAuth = key, nonce, rep.Epoch, auth

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"quhe/internal/chacha20"
 	"quhe/internal/he/ckks"
 	"quhe/internal/he/ring"
 	"quhe/internal/serve"
@@ -133,26 +134,26 @@ func TestInstallValidationV3(t *testing.T) {
 		return rep
 	}
 	for name, k := range p.hostileKeys(t) {
-		if rep := p.setup(t, p.setupRequest("v3", k)); rep.OK || rep.Code != serve.CodeBadRequest {
+		if rep := p.setup(t, p.setupRequest("v3", k)); rep.Code != serve.CodeBadRequest {
 			t.Errorf("setup, transciphering key with %s: reply %+v, want CodeBadRequest", name, rep)
 		}
 	}
 	for name, g := range p.hostileGadgets(p.rlk.Parts) {
 		req := p.setupRequest("v3", p.encKey(t))
 		req.RLK = &ckks.RelinKey{Parts: g.parts}
-		if rep := p.setup(t, req); rep.OK || rep.Code != g.code {
+		if rep := p.setup(t, req); rep.Code != g.code {
 			t.Errorf("setup, relinearization key with %s: reply %+v, want %v", name, rep, g.code)
 		}
 	}
 	checkSessions(t, srv, "after hostile setups", 0)
 	p.register(t, "v3")
 	for name, k := range p.hostileKeys(t) {
-		if rep := rekey(k); rep.OK || rep.Code != serve.CodeBadRequest {
+		if rep := rekey(k); rep.Code != serve.CodeBadRequest {
 			t.Errorf("rekey, %s: reply %+v, want CodeBadRequest", name, rep)
 		}
 	}
 	checkEpoch(t, srv, "v3", "after hostile rekeys", 1)
-	if rep := rekey(p.encKey(t)); !rep.OK || rep.Epoch != 2 {
+	if rep := rekey(p.encKey(t)); replyError(rep.Code, rep.Err) != nil || rep.Epoch != 2 {
 		t.Fatalf("good rekey: %+v", rep)
 	}
 
@@ -180,7 +181,7 @@ func TestInstallValidationV3(t *testing.T) {
 			set.Keys[el] = gk
 		}
 		set.Keys[victim] = &ckks.GaloisKey{Rot: good.Keys[victim].Rot, El: victim, Parts: g.parts}
-		if rep := upload(set); rep.OK || rep.Code != g.code {
+		if rep := upload(set); rep.Code != g.code {
 			t.Errorf("rotation key with %s: reply %+v, want %v", name, rep, g.code)
 		}
 	}
@@ -203,11 +204,52 @@ func TestInstallValidationV3(t *testing.T) {
 	if rep := compute(frameMatVec, frameMatVecReply, 1); rep.Code != serve.CodeMatVecUnavailable {
 		t.Errorf("matvec without installed rotation keys: %+v, want CodeMatVecUnavailable", rep)
 	}
-	if rep := upload(good); !rep.OK {
+	if rep := upload(good); replyError(rep.Code, rep.Err) != nil {
 		t.Fatalf("good rotation keys refused: %+v", rep)
 	}
 	if rep := compute(frameMatVec, frameMatVecReply, 2); rep.Code != serve.CodeOK {
 		t.Errorf("matvec after the good upload: %+v", rep)
+	}
+}
+
+// TestNonceLengthEnforced: Setup and Rekey hold the masking nonce to the
+// cipher's exact length. The keystream expansion copies the nonce into a
+// fixed array, so before this check an empty Setup nonce ran every block
+// under the all-zero nonce and a 13-byte one was silently truncated — the
+// server unmasking under a nonce the client never used. Refusals are typed,
+// leave no session and no epoch bump, and keep the connection usable.
+func TestNonceLengthEnforced(t *testing.T) {
+	srv := startServer(t, Model{Weights: []float64{1}})
+	p := newRawPeer(t, 193)
+	p.dial(t, srv.Addr())
+
+	rekey := func(nonce []byte) *RekeyReply {
+		t.Helper()
+		req := &RekeyRequest{SessionID: "nonce", EncKey: p.encKey(t), Nonce: nonce}
+		rep, err := decodeRekeyReply(p.call(t, frameRekey, frameRekeyReply, func(b []byte) []byte { return appendRekeyRequest(b, req) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	bad := [][]byte{nil, make([]byte, chacha20.NonceSize-1), make([]byte, chacha20.NonceSize+1)}
+	for _, nonce := range bad {
+		req := p.setupRequest("nonce", p.encKey(t))
+		req.Nonce = nonce
+		if rep := p.setup(t, req); rep.Code != serve.CodeBadRequest {
+			t.Errorf("setup with a %d-byte nonce: reply %+v, want CodeBadRequest", len(nonce), rep)
+		}
+	}
+	checkSessions(t, srv, "after bad-nonce setups", 0)
+	p.register(t, "nonce")
+	for _, nonce := range bad {
+		if rep := rekey(nonce); rep.Code != serve.CodeBadRequest {
+			t.Errorf("rekey with a %d-byte nonce: reply %+v, want CodeBadRequest", len(nonce), rep)
+		}
+	}
+	checkEpoch(t, srv, "nonce", "after bad-nonce rekeys", 1)
+	if rep := rekey(make([]byte, chacha20.NonceSize)); replyError(rep.Code, rep.Err) != nil || rep.Epoch != 2 {
+		t.Fatalf("good rekey: %+v", rep)
 	}
 }
 

@@ -48,12 +48,11 @@ type serverObs struct {
 	queueWait *obs.Histogram
 	stages    [6]*obs.Histogram // indexed by stage constants below
 
-	// codeCounters maps serve.Code → its prebuilt counter; evalHists maps
-	// profile ID → its latency histogram. Both domains are small and
-	// bounded (codes at build time, profiles by the registry), per the
-	// obs label-cardinality rules.
-	codeMu       sync.Mutex
-	codeCounters map[serve.Code]*obs.Counter
+	// codeCounters holds one prebuilt counter per serve.Code (nil at a
+	// slot that is not a code); evalHists maps profile ID → its latency
+	// histogram. Both domains are small and bounded (codes at build time,
+	// profiles by the registry), per the obs label-cardinality rules.
+	codeCounters [serve.NumCodes]*obs.Counter
 	evalMu       sync.Mutex
 	evalHists    map[string]*obs.Histogram
 
@@ -105,9 +104,13 @@ func newServerObs(reg *obs.Registry, s *Server) *serverObs {
 		idleTimeouts:    reg.Counter("quhe_edge_idle_timeouts_total", "connections reclaimed by the idle read deadline"),
 		drains:          reg.Counter("quhe_edge_drains_total", "graceful drains initiated"),
 		queueWait:       reg.Histogram("quhe_serve_queue_wait_seconds", "scheduler queue wait per job"),
-		codeCounters:    make(map[serve.Code]*obs.Counter),
 		evalHists:       make(map[string]*obs.Histogram),
 		latencySLOs:     make(map[string]*obs.SLOTracker),
+	}
+	for c := range m.codeCounters {
+		if code := serve.Code(c); code.Known() {
+			m.codeCounters[c] = reg.Counter("quhe_serve_compute_total", "compute outcomes by code", "code", code.String())
+		}
 	}
 	m.slos = obs.NewSLOSet(reg)
 	m.availSLO = m.slos.Add("availability", sloObjective)
@@ -152,16 +155,13 @@ func (m *serverObs) registerPoolGauges(profileID string, p *serve.EvalPool) {
 		func() float64 { return float64(p.Built()) }, "profile", profileID)
 }
 
-// codeCounter returns the prebuilt counter for a compute outcome code.
+// codeCounter returns the prebuilt counter for a compute outcome code;
+// a value outside the code table counts as internal, as it travels.
 func (m *serverObs) codeCounter(code serve.Code) *obs.Counter {
-	m.codeMu.Lock()
-	c := m.codeCounters[code]
-	if c == nil {
-		c = m.reg.Counter("quhe_serve_compute_total", "compute outcomes by code", "code", code.String())
-		m.codeCounters[code] = c
+	if !code.Known() {
+		code = serve.CodeInternal
 	}
-	m.codeMu.Unlock()
-	return c
+	return m.codeCounters[code]
 }
 
 // evalHist returns the per-profile eval latency histogram.

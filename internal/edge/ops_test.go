@@ -38,7 +38,7 @@ func TestOpGates(t *testing.T) {
 			keys := &RotKeysRequest{SessionID: "gated",
 				Keys: ckks.NewKeyGenerator(p.ctx, 403).GenGaloisKeys(p.sk, ckks.BSGSRotations(len(testMatrix)))}
 			if rep, err := decodeRotKeysReply(p.call(t, frameRotKeys, frameRotKeysReply,
-				func(b []byte) []byte { return appendRotKeysRequest(b, keys) })); err != nil || !rep.OK {
+				func(b []byte) []byte { return appendRotKeysRequest(b, keys) })); err != nil || replyError(rep.Code, rep.Err) != nil {
 				t.Fatalf("rotation keys: %+v err %v", rep, err)
 			}
 

@@ -48,7 +48,6 @@ type SetupRequest struct {
 
 // SetupReply acknowledges session registration.
 type SetupReply struct {
-	OK  bool
 	Err string
 	// Code types the failure.
 	Code serve.Code
@@ -131,7 +130,6 @@ type RekeyRequest struct {
 
 // RekeyReply acknowledges a rekey with the session's new epoch.
 type RekeyReply struct {
-	OK    bool
 	Err   string
 	Code  serve.Code
 	Epoch uint64
@@ -152,7 +150,6 @@ type RotKeysRequest struct {
 
 // RotKeysReply acknowledges a rotation-key installation.
 type RotKeysReply struct {
-	OK   bool
 	Err  string
 	Code serve.Code
 }
@@ -186,7 +183,6 @@ type ResumeProof struct {
 // typed (serve.CodeResumeRejected and friends) and the client falls back
 // to a full re-dial.
 type ResumeReply struct {
-	OK   bool
 	Err  string
 	Code serve.Code
 	// Epoch echoes the session's current key epoch on a grant.

@@ -42,7 +42,7 @@ func newRawPeer(t testing.TB, seed int64) *rawPeer {
 	kg := ckks.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
 	p := &rawPeer{ctx: ctx, cipher: cipher, ev: ckks.NewEvaluator(ctx, seed+1),
-		sk: sk, pk: kg.GenPublicKey(sk), rlk: kg.GenRelinKey(sk), nonce: []byte("edge:raw")}
+		sk: sk, pk: kg.GenPublicKey(sk), rlk: kg.GenRelinKey(sk), nonce: []byte("edge:rawpeer")}
 	if p.key, err = cipher.DeriveKey([]byte("raw-peer-material")); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func (p *rawPeer) setup(t testing.TB, req *SetupRequest) *SetupReply {
 // register completes a good Setup for session id.
 func (p *rawPeer) register(t testing.TB, id string) {
 	t.Helper()
-	if rep := p.setup(t, p.setupRequest(id, p.encKey(t))); !rep.OK {
+	if rep := p.setup(t, p.setupRequest(id, p.encKey(t))); replyError(rep.Code, rep.Err) != nil {
 		t.Fatalf("setup of %q refused: %+v", id, rep)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"quhe/internal/chacha20"
 	"quhe/internal/he/ckks"
 	"quhe/internal/he/profile"
 	"quhe/internal/obs"
@@ -68,10 +69,6 @@ type ServerConfig struct {
 	// budgets (derived from the paper's security-level utility) take
 	// precedence and RekeyBytes is only the fallback.
 	RekeyBytes int64
-	// Profiles is the security-profile registry sessions may register on:
-	// the paper's λ choice actuated as real CKKS parameter sets. Nil
-	// selects the shared built-in registry (profile.Default()).
-	Profiles *profile.Registry
 	// Control, when non-nil, closes the loop with a control plane
 	// (internal/control): Setup and compute admission are delegated to
 	// it, profile negotiation follows its per-route λ plan, rekey budgets
@@ -285,12 +282,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	} else if cfg.MaxSessions < 0 {
 		cfg.MaxSessions = 0 // unbounded
 	}
-	if cfg.Profiles == nil {
-		cfg.Profiles = profile.Default()
-	}
 	s := &Server{
 		cfg:   cfg,
-		reg:   cfg.Profiles,
+		reg:   profile.Default(),
 		store: serve.NewStore(cfg.MaxSessions),
 	}
 	// The scheduler is built over the default runtime's pool and the
@@ -942,7 +936,7 @@ func (s *Server) handleResume(fw *frameWriter, rd connReader, id uint64, req *Re
 	rd.cs.attach(sess)
 	s.met.resumes.Inc()
 	s.cfg.Logf("edge: session %q resumed at epoch %d", sess.ID, req.Epoch)
-	rep := &ResumeReply{OK: true, Epoch: req.Epoch}
+	rep := &ResumeReply{Epoch: req.Epoch}
 	fw.sendFrame(frameResumeReply, id, func(b []byte) []byte { return appendResumeReply(b, rep) })
 	return nil
 }
@@ -1021,7 +1015,11 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 	// validated here, before the session exists: the relinearization key
 	// against the profile's ring, then the transciphering key — which
 	// InstallKey also converts, in place, to the evaluation form every
-	// block will read; the session never sees another form.
+	// block will read; the session never sees another form — and the nonce
+	// those blocks will be unmasked under.
+	if detail := checkNonce(req.Nonce); detail != "" {
+		return &SetupReply{Code: serve.CodeBadRequest, Err: detail}
+	}
 	if err := rt.ctx.CheckSwitchingKey(req.RLK.Parts); err != nil {
 		return &SetupReply{Code: keyCode(err), Err: "relinearization key: " + err.Error()}
 	}
@@ -1047,7 +1045,18 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 	s.cfg.Logf("edge: session %q registered on %s (%d resident)", req.SessionID, profID, s.store.Len())
 	// MatVecDim tells the client which rotation keys the matvec kernel
 	// needs (ckks.BSGSRotations of this dimension); zero = no matrix here.
-	return &SetupReply{OK: true, Profile: profID, MatVecDim: len(s.cfg.Model.Matrix)}
+	return &SetupReply{Profile: profID, MatVecDim: len(s.cfg.Model.Matrix)}
+}
+
+// checkNonce holds a Setup or Rekey nonce to the cipher's exact length: the
+// keystream expansion copies it into a fixed array, so a short one (the
+// empty one included) would run zero-padded and a long one truncated —
+// either way under a nonce the client did not mask with.
+func checkNonce(nonce []byte) (detail string) {
+	if len(nonce) != chacha20.NonceSize {
+		return fmt.Sprintf("nonce is %d bytes, want %d", len(nonce), chacha20.NonceSize)
+	}
+	return ""
 }
 
 // keyCode types a ckks.Context.CheckSwitchingKey failure for the wire: a
@@ -1066,8 +1075,11 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 		return &RekeyReply{Code: serve.CodeUnknownSession,
 			Err: fmt.Sprintf("unknown session %q", req.SessionID)}
 	}
-	if len(req.EncKey) != KeyLen || len(req.Nonce) == 0 {
+	if len(req.EncKey) != KeyLen {
 		return &RekeyReply{Code: serve.CodeBadRequest, Err: "incomplete rekey"}
+	}
+	if detail := checkNonce(req.Nonce); detail != "" {
+		return &RekeyReply{Code: serve.CodeBadRequest, Err: detail}
 	}
 	rt, err := s.runtime(sess.Profile)
 	if err != nil {
@@ -1085,7 +1097,7 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 	sess.SetResumeAuth(req.ResumeAuth)
 	s.met.rekeys.Inc()
 	s.cfg.Logf("edge: session %q rekeyed to epoch %d", req.SessionID, epoch)
-	return &RekeyReply{OK: true, Epoch: epoch}
+	return &RekeyReply{Epoch: epoch}
 }
 
 // handleRotKeys installs a session's Galois rotation keys for the matvec
@@ -1117,7 +1129,7 @@ func (s *Server) handleRotKeys(req *RotKeysRequest) *RotKeysReply {
 	sess.SetRotKeys(req.Keys)
 	s.cfg.Logf("edge: session %q installed %d rotation keys (matvec dim %d)",
 		sess.ID, len(req.Keys.Keys), plan.Dim())
-	return &RotKeysReply{OK: true}
+	return &RotKeysReply{}
 }
 
 // op is one row of the per-block op table: everything that differs

@@ -495,7 +495,6 @@ func appendSetupReply(b []byte, rep *SetupReply) []byte {
 func decodeSetupReply(p []byte) (*SetupReply, error) {
 	r := &wireReader{b: p}
 	rep := &SetupReply{Code: serve.Code(r.u32()), Err: r.str(), Profile: r.str(), MatVecDim: int(r.u32())}
-	rep.OK = rep.Code == serve.CodeOK && rep.Err == ""
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -615,7 +614,6 @@ func appendRekeyReply(b []byte, rep *RekeyReply) []byte {
 func decodeRekeyReply(p []byte) (*RekeyReply, error) {
 	r := &wireReader{b: p}
 	rep := &RekeyReply{Code: serve.Code(r.u32()), Err: r.str(), Epoch: r.u64()}
-	rep.OK = rep.Code == serve.CodeOK && rep.Err == ""
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -683,7 +681,6 @@ func appendResumeReply(b []byte, rep *ResumeReply) []byte {
 func decodeResumeReply(p []byte) (*ResumeReply, error) {
 	r := &wireReader{b: p}
 	rep := &ResumeReply{Code: serve.Code(r.u32()), Err: r.str(), Epoch: r.u64()}
-	rep.OK = rep.Code == serve.CodeOK && rep.Err == ""
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -719,7 +716,6 @@ func appendRotKeysReply(b []byte, rep *RotKeysReply) []byte {
 func decodeRotKeysReply(p []byte) (*RotKeysReply, error) {
 	r := &wireReader{b: p}
 	rep := &RotKeysReply{Code: serve.Code(r.u32()), Err: r.str()}
-	rep.OK = rep.Code == serve.CodeOK && rep.Err == ""
 	if err := r.finish(); err != nil {
 		return nil, err
 	}

@@ -107,16 +107,16 @@ func TestFrameDecodeTypedErrors(t *testing.T) {
 func TestPayloadCodecsRoundTrip(t *testing.T) {
 	setupRep := &SetupReply{Code: serve.CodeParamMismatch, Err: "logN"}
 	gotSetupRep, err := decodeSetupReply(appendSetupReply(nil, setupRep))
-	if err != nil || gotSetupRep.Code != setupRep.Code || gotSetupRep.Err != setupRep.Err || gotSetupRep.OK {
+	if err != nil || gotSetupRep.Code != setupRep.Code || gotSetupRep.Err != setupRep.Err {
 		t.Fatalf("setup reply: %+v err %v", gotSetupRep, err)
 	}
-	okRep, err := decodeSetupReply(appendSetupReply(nil, &SetupReply{OK: true, Profile: "p", MatVecDim: 8}))
-	if err != nil || !okRep.OK || okRep.Profile != "p" || okRep.MatVecDim != 8 {
+	okRep, err := decodeSetupReply(appendSetupReply(nil, &SetupReply{Profile: "p", MatVecDim: 8}))
+	if err != nil || okRep.Code != serve.CodeOK || okRep.Profile != "p" || okRep.MatVecDim != 8 {
 		t.Fatalf("setup ok reply: %+v err %v", okRep, err)
 	}
 	// Profile and MatVecDim are fixed fields: a reply that stops before
 	// them (the retired optional-trailing layout) does not decode.
-	enc := appendSetupReply(nil, &SetupReply{OK: true})
+	enc := appendSetupReply(nil, &SetupReply{})
 	if _, err := decodeSetupReply(enc[:len(enc)-8]); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("setup reply without its fixed fields: err = %v, want ErrBadFrame", err)
 	}
@@ -137,8 +137,8 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		t.Fatalf("compute reply: %+v err %v", gotCompRep, err)
 	}
 
-	rkRep, err := decodeRekeyReply(appendRekeyReply(nil, &RekeyReply{OK: true, Epoch: 4}))
-	if err != nil || !rkRep.OK || rkRep.Epoch != 4 {
+	rkRep, err := decodeRekeyReply(appendRekeyReply(nil, &RekeyReply{Epoch: 4}))
+	if err != nil || rkRep.Code != serve.CodeOK || rkRep.Epoch != 4 {
 		t.Fatalf("rekey reply: %+v err %v", rkRep, err)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"quhe/internal/qnet"
 )
@@ -78,6 +79,25 @@ func (kc *KeyCenter) Rate(clientID string) (float64, error) {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownClient, clientID)
 	}
 	return p.ratePerSec, nil
+}
+
+// RefillWait estimates how long the client's pool needs to grow to
+// needBytes at its provisioned secret-key rate (bits/s): the time the QKD
+// plane takes to manufacture the shortfall. 0 when the pool already holds
+// needBytes, and when the wait cannot be estimated (unknown client, no
+// positive rate) — retry at the caller's discretion.
+func (kc *KeyCenter) RefillWait(clientID string, needBytes int) time.Duration {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	p, ok := kc.pools[clientID]
+	if !ok || p.ratePerSec <= 0 {
+		return 0
+	}
+	deficit := needBytes - len(p.buf)
+	if deficit <= 0 {
+		return 0
+	}
+	return time.Duration(float64(deficit*8) / p.ratePerSec * float64(time.Second))
 }
 
 // Deposit adds key material to a client's pool (called after a successful

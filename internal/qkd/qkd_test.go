@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"quhe/internal/qnet"
 )
@@ -247,5 +248,32 @@ func TestRunExchangeDeposits(t *testing.T) {
 	}
 	if n != len(res.Key) {
 		t.Errorf("pool holds %d bytes, exchange produced %d", n, len(res.Key))
+	}
+}
+
+// TestRefillWait: the one key-refill estimate — shortfall bits over the
+// provisioned rate — and its three "no estimate" cases.
+func TestRefillWait(t *testing.T) {
+	kc := NewKeyCenter()
+	if err := kc.Provision("c", 800); err != nil { // 100 bytes/s
+		t.Fatal(err)
+	}
+	if err := kc.Deposit("c", make([]byte, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if got := kc.RefillWait("c", 32); got != 200*time.Millisecond {
+		t.Errorf("20-byte shortfall at 100 B/s: wait %v, want 200ms", got)
+	}
+	if got := kc.RefillWait("c", 12); got != 0 {
+		t.Errorf("funded pool: wait %v, want 0", got)
+	}
+	if got := kc.RefillWait("ghost", 32); got != 0 {
+		t.Errorf("unknown client: wait %v, want 0", got)
+	}
+	if err := kc.Provision("c", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := kc.RefillWait("c", 32); got != 0 {
+		t.Errorf("unprovisioned rate: wait %v, want 0", got)
 	}
 }

@@ -192,6 +192,27 @@ func (n *Network) EndToEndWerner(r int, w []float64) (float64, error) {
 	return prod, nil
 }
 
+// RouteWerner returns ̟_r at the Eq. (18) point of phi: the product over
+// route r's links of w_l = 1 − (Σ_n a_ln φ_n)/β_l. It is EndToEndWerner of
+// WernerFromRates, bit for bit, touching only the route's own links and
+// allocating nothing.
+func (n *Network) RouteWerner(r int, phi []float64) float64 {
+	prod := 1.0
+	for l, link := range n.links {
+		if !n.uses[r][l] {
+			continue
+		}
+		load := 0.0
+		for q := range n.routes {
+			if n.uses[q][l] {
+				load += phi[q]
+			}
+		}
+		prod *= 1 - load/link.Beta
+	}
+	return prod
+}
+
 // DeriveBeta computes β = 3κη/(2T) from the physical link model used in the
 // paper's source topology [31]: η is the transmissivity from one end to the
 // midpoint with fibre attenuation alphaDBPerKm, κ is the link inefficiency

@@ -53,11 +53,11 @@ const (
 	// refuses. Distinct from CodeParamMismatch: the parameters may be
 	// perfectly valid, the policy just does not allow them here.
 	CodeProfileDenied
-	// CodeWireFormat is retired: it rejected peers that had not negotiated
+	// Wire value 12 is retired (it rejected peers that had not negotiated
 	// the residue-tower ciphertext layout, which the one wire version now
-	// implies. Nothing emits it; the slot stays because codes are wire
-	// values and must not be renumbered.
-	CodeWireFormat
+	// implies). The slot stays blank because codes are wire values and
+	// must not be renumbered; it reads as an unknown code.
+	_
 	// CodeDeadline reports a request that exceeded its deadline (a
 	// per-request timeout or a canceled context). Surfaced locally by
 	// protocol clients — the reply may still be in flight, but the caller
@@ -103,7 +103,6 @@ var (
 	ErrConnClosed        = errors.New("serve: connection closed")
 	ErrAdmissionDenied   = errors.New("serve: admission denied")
 	ErrProfileDenied     = errors.New("serve: security profile denied")
-	ErrWireFormat        = errors.New("serve: ciphertext wire format not negotiated")
 	ErrDeadline          = errors.New("serve: deadline exceeded")
 	ErrKeyExhausted      = errors.New("serve: qkd key exhausted")
 	ErrDraining          = errors.New("serve: server draining")
@@ -111,47 +110,57 @@ var (
 	ErrMatVecUnavailable = errors.New("serve: encrypted matvec unavailable")
 )
 
-var codeToErr = map[Code]error{
-	CodeBadRequest:        ErrBadRequest,
-	CodeParamMismatch:     ErrParamMismatch,
-	CodeUnknownSession:    ErrUnknownSession,
-	CodeDuplicateSession:  ErrDuplicateSession,
-	CodeOversized:         ErrOversized,
-	CodeOverloaded:        ErrOverloaded,
-	CodeRekeyRequired:     ErrRekeyRequired,
-	CodeInternal:          ErrInternal,
-	CodeConnClosed:        ErrConnClosed,
-	CodeAdmissionDenied:   ErrAdmissionDenied,
-	CodeProfileDenied:     ErrProfileDenied,
-	CodeWireFormat:        ErrWireFormat,
-	CodeDeadline:          ErrDeadline,
-	CodeKeyExhausted:      ErrKeyExhausted,
-	CodeDraining:          ErrDraining,
-	CodeResumeRejected:    ErrResumeRejected,
-	CodeMatVecUnavailable: ErrMatVecUnavailable,
+// codes is the one table of the code space, indexed by Code: the name logs
+// and metrics use and the sentinel the code travels as. A slot with no
+// name (the retired wire value) is not a code.
+var codes = [...]struct {
+	name string
+	err  error
+}{
+	CodeOK:                {"ok", nil},
+	CodeBadRequest:        {"bad-request", ErrBadRequest},
+	CodeParamMismatch:     {"param-mismatch", ErrParamMismatch},
+	CodeUnknownSession:    {"unknown-session", ErrUnknownSession},
+	CodeDuplicateSession:  {"duplicate-session", ErrDuplicateSession},
+	CodeOversized:         {"oversized", ErrOversized},
+	CodeOverloaded:        {"overloaded", ErrOverloaded},
+	CodeRekeyRequired:     {"rekey-required", ErrRekeyRequired},
+	CodeInternal:          {"internal", ErrInternal},
+	CodeConnClosed:        {"conn-closed", ErrConnClosed},
+	CodeAdmissionDenied:   {"admission-denied", ErrAdmissionDenied},
+	CodeProfileDenied:     {"profile-denied", ErrProfileDenied},
+	CodeDeadline:          {"deadline", ErrDeadline},
+	CodeKeyExhausted:      {"key-exhausted", ErrKeyExhausted},
+	CodeDraining:          {"draining", ErrDraining},
+	CodeResumeRejected:    {"resume-rejected", ErrResumeRejected},
+	CodeMatVecUnavailable: {"matvec-unavailable", ErrMatVecUnavailable},
 }
 
+// NumCodes bounds the code space: every Code is in [0, NumCodes).
+const NumCodes = len(codes)
+
+// Known reports whether c names a row of the table.
+func (c Code) Known() bool { return c >= 0 && int(c) < NumCodes && codes[c].name != "" }
+
 // Err returns the sentinel error for the code, or nil for CodeOK.
-// Unrecognized codes (a newer peer) map to ErrInternal.
+// Unrecognized codes (a newer peer, the retired slot) map to ErrInternal.
 func (c Code) Err() error {
-	if c == CodeOK {
-		return nil
+	if !c.Known() {
+		return ErrInternal
 	}
-	if err, ok := codeToErr[c]; ok {
-		return err
-	}
-	return ErrInternal
+	return codes[c].err
 }
 
 // CodeOf maps an error back to its wire code: nil reports CodeOK and
-// errors outside the sentinel set report CodeInternal.
+// errors outside the sentinel set report CodeInternal. The table is walked
+// in code order, so an error wrapping two sentinels reports the lower code.
 func CodeOf(err error) Code {
 	if err == nil {
 		return CodeOK
 	}
-	for code, sentinel := range codeToErr {
-		if errors.Is(err, sentinel) {
-			return code
+	for c, row := range codes {
+		if row.err != nil && errors.Is(err, row.err) {
+			return Code(c)
 		}
 	}
 	return CodeInternal
@@ -159,45 +168,10 @@ func CodeOf(err error) Code {
 
 // String names the code for logs and metrics.
 func (c Code) String() string {
-	switch c {
-	case CodeOK:
-		return "ok"
-	case CodeBadRequest:
-		return "bad-request"
-	case CodeParamMismatch:
-		return "param-mismatch"
-	case CodeUnknownSession:
-		return "unknown-session"
-	case CodeDuplicateSession:
-		return "duplicate-session"
-	case CodeOversized:
-		return "oversized"
-	case CodeOverloaded:
-		return "overloaded"
-	case CodeRekeyRequired:
-		return "rekey-required"
-	case CodeInternal:
-		return "internal"
-	case CodeConnClosed:
-		return "conn-closed"
-	case CodeAdmissionDenied:
-		return "admission-denied"
-	case CodeProfileDenied:
-		return "profile-denied"
-	case CodeWireFormat:
-		return "wire-format"
-	case CodeDeadline:
-		return "deadline"
-	case CodeKeyExhausted:
-		return "key-exhausted"
-	case CodeDraining:
-		return "draining"
-	case CodeResumeRejected:
-		return "resume-rejected"
-	case CodeMatVecUnavailable:
-		return "matvec-unavailable"
+	if !c.Known() {
+		return "unknown"
 	}
-	return "unknown"
+	return codes[c].name
 }
 
 // KeyExhaustedError is the carrier for CodeKeyExhausted: it wraps

@@ -24,15 +24,40 @@ func testContext(t testing.TB) *ckks.Context {
 }
 
 func TestCodeRoundTrip(t *testing.T) {
-	codes := []Code{CodeBadRequest, CodeParamMismatch, CodeUnknownSession,
-		CodeDuplicateSession, CodeOversized, CodeOverloaded, CodeRekeyRequired,
-		CodeInternal, CodeConnClosed}
-	for _, c := range codes {
+	// Every row of the table: code ↔ sentinel ↔ name, each used once.
+	names := map[string]Code{}
+	sentinels := map[error]Code{}
+	known := 0
+	for c := Code(0); int(c) < NumCodes; c++ {
+		if !c.Known() {
+			continue
+		}
+		known++
 		if got := CodeOf(c.Err()); got != c {
 			t.Errorf("CodeOf(%v.Err()) = %v", c, got)
 		}
-		if c.String() == "unknown" {
-			t.Errorf("code %d has no name", c)
+		if prev, dup := sentinels[c.Err()]; dup || (c == CodeOK) != (c.Err() == nil) {
+			t.Errorf("code %v: sentinel %v (also code %v)", c, c.Err(), prev)
+		}
+		sentinels[c.Err()] = c
+		if prev, dup := names[c.String()]; dup || c.String() == "unknown" || c.String() == "" {
+			t.Errorf("code %d named %q (also code %d)", c, c.String(), prev)
+		}
+		names[c.String()] = c
+	}
+	if known != 17 {
+		t.Errorf("%d known codes, want 17", known)
+	}
+	// Codes are wire values: the retired slot keeps its number so nothing
+	// after it moved, and it — like any value outside the table — reads
+	// as an unknown code that travels as ErrInternal.
+	if CodeProfileDenied != 11 || CodeDeadline != 13 || CodeMatVecUnavailable != 17 || NumCodes != 18 {
+		t.Errorf("codes renumbered: profile-denied %d deadline %d matvec-unavailable %d of %d",
+			CodeProfileDenied, CodeDeadline, CodeMatVecUnavailable, NumCodes)
+	}
+	for _, c := range []Code{12, -1, Code(NumCodes), 999} {
+		if c.Known() || c.Err() != ErrInternal || c.String() != "unknown" {
+			t.Errorf("code %d: known %v, err %v, name %q; want unknown → ErrInternal", c, c.Known(), c.Err(), c.String())
 		}
 	}
 	if CodeOf(nil) != CodeOK {
@@ -47,9 +72,6 @@ func TestCodeRoundTrip(t *testing.T) {
 	}
 	if CodeOf(errors.New("other")) != CodeInternal {
 		t.Error("foreign error should map to CodeInternal")
-	}
-	if Code(999).Err() != ErrInternal {
-		t.Error("unknown code should map to ErrInternal")
 	}
 }
 
