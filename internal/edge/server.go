@@ -39,6 +39,31 @@ type Model struct {
 	MatrixBias []float64
 }
 
+// ErrRotKeysTooLarge reports a model matrix whose rotation keys cannot be
+// uploaded: on some served profile the RotKeys frame carrying
+// ckks.BSGSRotations of its dimension would exceed the frame size limit,
+// so every client would spend its key generation and then fail
+// EnableMatVec with ErrFrameTooLarge. NewServer refuses such a model.
+var ErrRotKeysTooLarge = errors.New("edge: model matrix rotation keys exceed the frame size limit")
+
+// checkRotKeysFrame sizes the RotKeys payload a model matrix of dimension
+// dim implies on every profile of reg — the key set plus the session ID's
+// length prefix — and fails with ErrRotKeysTooLarge, naming the profile
+// and the size, when one exceeds maxFramePayload.
+func checkRotKeysFrame(reg *profile.Registry, dim int) error {
+	if dim == 0 {
+		return nil
+	}
+	keys := len(ckks.BSGSRotations(dim))
+	for _, p := range reg.Profiles() {
+		if size := bytesSize("") + p.Params.GaloisKeySetBinarySize(keys); size > maxFramePayload {
+			return fmt.Errorf("%w: dimension %d needs %d rotation keys, a %d-byte RotKeys payload on profile %s (limit %d)",
+				ErrRotKeysTooLarge, dim, keys, size, p.ID, maxFramePayload)
+		}
+	}
+	return nil
+}
+
 // ServerConfig parameterizes the edge server.
 type ServerConfig struct {
 	// Model is the inference applied to every block.
@@ -266,7 +291,8 @@ func (cs *connState) detachAll(nowUnixNano int64) {
 // NewServer builds a server over the profile registry and starts
 // listening on addr (use "127.0.0.1:0" for tests). The default profile's
 // runtime is built eagerly so configuration errors fail here, not on the
-// first Setup.
+// first Setup; so does a model matrix whose rotation keys no client could
+// upload (ErrRotKeysTooLarge).
 func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
@@ -281,6 +307,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		cfg.MaxSessions = 1024
 	} else if cfg.MaxSessions < 0 {
 		cfg.MaxSessions = 0 // unbounded
+	}
+	if err := checkRotKeysFrame(profile.Default(), len(cfg.Model.Matrix)); err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:   cfg,

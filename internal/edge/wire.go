@@ -10,7 +10,11 @@ package edge
 //	offset 16    payload
 //	offset 16+n  crc      CRC32C (Castagnoli) over header and payload
 //
-// Frames are built into pooled buffers and written through one
+// Frames are sized before they are built: a message carrying CKKS key or
+// ciphertext material computes its exact payload size from the codecs'
+// BinarySize and grows its pooled buffer once, checksum trailer
+// included, so a multi-megabyte key upload costs one allocation of its own
+// size instead of a geometric series of them. Frames are written through one
 // bufio.Writer per connection under a mutex, so a frame reaches the
 // socket as a single coalesced write and concurrent senders (the server's
 // reply writer and its decode loop answering setups, a client's callers)
@@ -29,6 +33,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 
 	"quhe/internal/he/ckks"
@@ -51,7 +56,9 @@ const (
 
 	// maxFramePayload bounds a frame so a corrupt or hostile length field
 	// cannot force a huge allocation. The largest legitimate frame is a
-	// Setup (relin key dominates): ~18 MiB at LogN 15.
+	// RotKeys upload: 59 MB for a 256×256 model matrix's 30 keys at
+	// λ-128k (LogN 12). NewServer rejects a model whose key set would not
+	// fit (ErrRotKeysTooLarge).
 	maxFramePayload = 64 << 20
 
 	// wireBufSize sizes the per-connection bufio reader/writer.
@@ -260,6 +267,16 @@ func (w *frameWriter) sendFrame(ftype byte, id uint64, build func(b []byte) []by
 
 // --- payload primitives -----------------------------------------------------
 
+// growFrame reserves room in a frame under construction for a payload of
+// the given size and the checksum trailer finishFrame appends, so the
+// appends that follow allocate nothing.
+func growFrame(b []byte, payload int) []byte {
+	return slices.Grow(b, payload+crcTrailerLen)
+}
+
+// bytesSize is the encoded size of a length-prefixed string or byte field.
+func bytesSize[T string | []byte](v T) int { return 4 + len(v) }
+
 func appendString(b []byte, s string) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
@@ -416,6 +433,14 @@ func (r *wireReader) finish() error {
 
 const maxWireEncKey = 4 * KeyLen
 
+func ciphertextsSize(cts []*ckks.Ciphertext) int {
+	n := 4
+	for _, ct := range cts {
+		n += ct.BinarySize()
+	}
+	return n
+}
+
 func appendCiphertexts(b []byte, cts []*ckks.Ciphertext) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(cts)))
 	for _, ct := range cts {
@@ -441,6 +466,8 @@ func (r *wireReader) ciphertexts(max int) []*ckks.Ciphertext {
 }
 
 func appendSetupRequest(b []byte, req *SetupRequest) []byte {
+	b = growFrame(b, bytesSize(req.SessionID)+4+4+req.PK.BinarySize()+req.RLK.BinarySize()+
+		ciphertextsSize(req.EncKey)+bytesSize(req.Nonce)+bytesSize(req.Profile)+bytesSize(req.ResumeAuth))
 	b = appendString(b, req.SessionID)
 	b = binary.LittleEndian.AppendUint32(b, uint32(req.LogN))
 	b = binary.LittleEndian.AppendUint32(b, uint32(req.Depth))
@@ -561,6 +588,7 @@ func appendComputeReply(b []byte, rep *ComputeReply) []byte {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rep.ModeledCmpDelay))
 	b = appendBool(b, rep.Result != nil)
 	if rep.Result != nil {
+		b = growFrame(b, rep.Result.BinarySize())
 		b = rep.Result.AppendBinary(b)
 	}
 	return b
@@ -585,6 +613,8 @@ func decodeComputeReply(p []byte) (*ComputeReply, error) {
 }
 
 func appendRekeyRequest(b []byte, req *RekeyRequest) []byte {
+	b = growFrame(b, bytesSize(req.SessionID)+ciphertextsSize(req.EncKey)+
+		bytesSize(req.Nonce)+bytesSize(req.ResumeAuth))
 	b = appendString(b, req.SessionID)
 	b = appendCiphertexts(b, req.EncKey)
 	b = appendBytes(b, req.Nonce)
@@ -688,6 +718,7 @@ func decodeResumeReply(p []byte) (*ResumeReply, error) {
 }
 
 func appendRotKeysRequest(b []byte, req *RotKeysRequest) []byte {
+	b = growFrame(b, bytesSize(req.SessionID)+req.Keys.BinarySize())
 	b = appendString(b, req.SessionID)
 	return req.Keys.AppendBinary(b)
 }

@@ -174,3 +174,19 @@ func FuzzGaloisKeyRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestGaloisKeySetEncodeAllocs fences the key-set encode into a nil
+// buffer at two allocations: the buffer, grown once to BinarySize, and
+// the element-order slice. A geometric regrowth of the buffer would show
+// up here as one allocation per doubling.
+func TestGaloisKeySetEncodeAllocs(t *testing.T) {
+	ctx := wireTestContext(t)
+	kg := NewKeyGenerator(ctx, 37)
+	gks := kg.GenGaloisKeys(kg.GenSecretKey(), BSGSRotations(64))
+	allocs := testing.AllocsPerRun(16, func() {
+		_ = gks.AppendBinary(nil)
+	})
+	if allocs > 2 {
+		t.Errorf("galois key set encode allocates %v times into a nil buffer, want ≤ 2", allocs)
+	}
+}

@@ -6,14 +6,20 @@ package ckks
 // frames (internal/edge). Conventions:
 //
 //   - AppendBinary appends the value's encoding to a caller-provided
-//     buffer and returns the extended slice. With a buffer of sufficient
-//     capacity (e.g. one drawn from a frame pool) it performs zero
-//     allocations.
+//     buffer and returns the extended slice. It grows b at most once, up
+//     front, to BinarySize() more bytes — the exact count it appends — so
+//     a multi-megabyte key costs one allocation of its own size, and
+//     with a buffer of sufficient capacity (e.g. one drawn from a frame
+//     pool, or pre-sized by a container from the parts' BinarySize) it
+//     performs zero allocations.
 //   - DecodeFrom consumes one value from the front of a buffer and
 //     returns the byte count consumed. Ciphertext and Plaintext decode
 //     into their receiver, reusing existing limb storage when its
 //     capacity suffices — a decode loop over a pre-sized receiver is
 //     allocation-free in steady state.
+//   - Key decoders (PublicKey, RelinKey, GaloisKey) back each RNS
+//     polynomial with one slab cut into capped limbs: key material is
+//     immutable once installed, so no limb ever grows into its neighbour.
 //   - Ownership: everything DecodeFrom produces is copied out of the
 //     input buffer; callers may reuse the buffer immediately. The inverse
 //     does not hold for receivers — a Ciphertext decoded into a pooled
@@ -40,7 +46,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"quhe/internal/he/ring"
 )
@@ -111,6 +117,15 @@ func reuseRNS(p ring.RNSPoly, limbs, n int) ring.RNSPoly {
 	return p
 }
 
+// limbsBinarySize is the byte count appendLimbs appends for p.
+func limbsBinarySize(p ring.RNSPoly) int {
+	n := 0
+	for _, limb := range p {
+		n += 8 * len(limb)
+	}
+	return n
+}
+
 // appendLimbs appends each limb's raw coefficient run.
 func appendLimbs(b []byte, p ring.RNSPoly) []byte {
 	for _, limb := range p {
@@ -132,6 +147,11 @@ func decodeLimbs(b []byte, p ring.RNSPoly) (int, error) {
 	return off, nil
 }
 
+// BinarySize returns the byte count AppendBinary appends for ct.
+func (ct *Ciphertext) BinarySize() int {
+	return polyHeaderLen + limbsBinarySize(ct.C0) + limbsBinarySize(ct.C1)
+}
+
 // AppendBinary appends ct's wire encoding to b: the poly header followed
 // by the raw limb runs of c0 then c1 (16·N·(level+1) bytes of payload).
 // The layout describes coefficient-form limbs only, so an evaluation-form
@@ -140,6 +160,7 @@ func (ct *Ciphertext) AppendBinary(b []byte) []byte {
 	if ct.evalForm {
 		panic(ErrEvalForm) // no error return; reaching here is a caller bug
 	}
+	b = slices.Grow(b, ct.BinarySize())
 	n := 0
 	if len(ct.C0) > 0 {
 		n = len(ct.C0[0])
@@ -177,9 +198,13 @@ func (ct *Ciphertext) DecodeFrom(b []byte) (int, error) {
 	return off + k, nil
 }
 
+// BinarySize returns the byte count AppendBinary appends for pt.
+func (pt *Plaintext) BinarySize() int { return polyHeaderLen + limbsBinarySize(pt.Value) }
+
 // AppendBinary appends pt's wire encoding to b (poly header + the limb
 // runs).
 func (pt *Plaintext) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, pt.BinarySize())
 	n := 0
 	if len(pt.Value) > 0 {
 		n = len(pt.Value[0])
@@ -211,15 +236,17 @@ func (pt *Plaintext) DecodeFrom(b []byte) (int, error) {
 
 // decodeRNSFresh decodes limbs runs of degree n into fresh storage: key
 // material is retained for a session's lifetime, so it never aliases a
-// transient decode buffer.
+// transient decode buffer. The limbs are cut from one slab with their
+// capacity capped at n, so an append to one can never write into the next.
 func decodeRNSFresh(b []byte, limbs, n int) (ring.RNSPoly, int, error) {
 	if len(b) < limbs*8*n {
 		return nil, 0, ErrShortBuffer
 	}
+	slab := make([]uint64, limbs*n)
 	out := make(ring.RNSPoly, limbs)
 	off := 0
 	for i := range out {
-		out[i] = make(ring.Poly, n)
+		out[i] = slab[i*n : (i+1)*n : (i+1)*n]
 		k, err := out[i].DecodeFrom(b[off:])
 		if err != nil {
 			return nil, 0, err
@@ -229,9 +256,18 @@ func decodeRNSFresh(b []byte, limbs, n int) (ring.RNSPoly, int, error) {
 	return out, off, nil
 }
 
+// publicKeyHeaderLen is the PublicKey prefix: limbs (u8) | degree (u32).
+const publicKeyHeaderLen = 1 + 4
+
+// BinarySize returns the byte count AppendBinary appends for pk.
+func (pk *PublicKey) BinarySize() int {
+	return publicKeyHeaderLen + limbsBinarySize(pk.P0) + limbsBinarySize(pk.P1)
+}
+
 // AppendBinary appends pk's wire encoding: limbs (u8) | degree (u32) |
 // P0 limbs | P1 limbs.
 func (pk *PublicKey) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, pk.BinarySize())
 	n := 0
 	if len(pk.P0) > 0 {
 		n = len(pk.P0[0])
@@ -245,7 +281,7 @@ func (pk *PublicKey) AppendBinary(b []byte) []byte {
 // DecodeFrom decodes a public key from the front of b into pk (fresh
 // storage; see decodeRNSFresh) and returns the bytes consumed.
 func (pk *PublicKey) DecodeFrom(b []byte) (int, error) {
-	if len(b) < 5 {
+	if len(b) < publicKeyHeaderLen {
 		return 0, ErrShortBuffer
 	}
 	limbs := int(b[0])
@@ -253,7 +289,7 @@ func (pk *PublicKey) DecodeFrom(b []byte) (int, error) {
 	if limbs == 0 || limbs > maxWireLimbs || n == 0 || n > maxWireN || n&(n-1) != 0 {
 		return 0, ErrMalformed
 	}
-	off := 5
+	off := publicKeyHeaderLen
 	p0, k, err := decodeRNSFresh(b[off:], limbs, n)
 	if err != nil {
 		return 0, err
@@ -267,9 +303,23 @@ func (pk *PublicKey) DecodeFrom(b []byte) (int, error) {
 	return off + k, nil
 }
 
+// gadgetHeaderLen is the RelinKey prefix: digits (u8) | limbs (u8) |
+// degree (u32).
+const gadgetHeaderLen = 1 + 1 + 4
+
+// BinarySize returns the byte count AppendBinary appends for rlk.
+func (rlk *RelinKey) BinarySize() int {
+	n := gadgetHeaderLen
+	for _, part := range rlk.Parts {
+		n += limbsBinarySize(part[0]) + limbsBinarySize(part[1])
+	}
+	return n
+}
+
 // AppendBinary appends rlk's wire encoding: digits (u8) | limbs (u8) |
 // degree (u32) | per digit, the component-0 then component-1 limb runs.
 func (rlk *RelinKey) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, rlk.BinarySize())
 	limbs, n := 0, 0
 	if len(rlk.Parts) > 0 {
 		limbs = len(rlk.Parts[0][0])
@@ -292,10 +342,21 @@ func (rlk *RelinKey) AppendBinary(b []byte) []byte {
 // drive unbounded allocation.
 const maxWireGaloisKeys = 1024
 
+// galoisKeyHeaderLen is the GaloisKey prefix ahead of its gadget:
+// rot (i32) | element (u64).
+const galoisKeyHeaderLen = 4 + 8
+
+// BinarySize returns the byte count AppendBinary appends for gk.
+func (gk *GaloisKey) BinarySize() int {
+	rk := RelinKey{Parts: gk.Parts}
+	return galoisKeyHeaderLen + rk.BinarySize()
+}
+
 // AppendBinary appends gk's wire encoding: rot (i32) | element (u64) |
 // then the gadget in the RelinKey part layout (digits | limbs | degree |
 // per-digit component runs).
 func (gk *GaloisKey) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, gk.BinarySize())
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(gk.Rot)))
 	b = binary.LittleEndian.AppendUint64(b, gk.El)
 	rk := RelinKey{Parts: gk.Parts}
@@ -307,13 +368,13 @@ func (gk *GaloisKey) AppendBinary(b []byte) []byte {
 // rotation/element pair is validated against the decoded ring degree so a
 // key can never be installed under the wrong automorphism.
 func (gk *GaloisKey) DecodeFrom(b []byte) (int, error) {
-	if len(b) < 12 {
+	if len(b) < galoisKeyHeaderLen {
 		return 0, ErrShortBuffer
 	}
 	rot := int(int32(binary.LittleEndian.Uint32(b[0:4])))
 	el := binary.LittleEndian.Uint64(b[4:12])
 	var rk RelinKey
-	k, err := rk.DecodeFrom(b[12:])
+	k, err := rk.DecodeFrom(b[galoisKeyHeaderLen:])
 	if err != nil {
 		return 0, err
 	}
@@ -322,17 +383,40 @@ func (gk *GaloisKey) DecodeFrom(b []byte) (int, error) {
 		return 0, ErrMalformed
 	}
 	gk.Rot, gk.El, gk.Parts = rot, el, rk.Parts
-	return 12 + k, nil
+	return galoisKeyHeaderLen + k, nil
+}
+
+// keySetHeaderLen is the GaloisKeySet prefix: count (u16).
+const keySetHeaderLen = 2
+
+// BinarySize returns the byte count AppendBinary appends for s.
+func (s *GaloisKeySet) BinarySize() int {
+	n := keySetHeaderLen
+	for _, gk := range s.Keys {
+		n += gk.BinarySize()
+	}
+	return n
+}
+
+// GaloisKeySetBinarySize returns the encoded size of a set of the given
+// number of Galois keys generated under p — what GaloisKeySet.BinarySize
+// reports for it — without generating one: a key's gadget carries one
+// digit per chain prime, each component over the chain plus the special
+// prime.
+func (p Params) GaloisKeySetBinarySize(keys int) int {
+	digits, limbs := p.Depth+1, p.Depth+2
+	return keySetHeaderLen + keys*(galoisKeyHeaderLen+gadgetHeaderLen+digits*2*limbs*8*p.N())
 }
 
 // AppendBinary appends the key set: count (u16) | keys in ascending
 // element order (deterministic bytes for identical sets).
 func (s *GaloisKeySet) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, s.BinarySize())
 	els := make([]uint64, 0, len(s.Keys))
 	for el := range s.Keys {
 		els = append(els, el)
 	}
-	sort.Slice(els, func(i, j int) bool { return els[i] < els[j] })
+	slices.Sort(els)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(els)))
 	for _, el := range els {
 		b = s.Keys[el].AppendBinary(b)
@@ -344,14 +428,14 @@ func (s *GaloisKeySet) AppendBinary(b []byte) []byte {
 // storage) and returns the bytes consumed. Duplicate elements are
 // rejected.
 func (s *GaloisKeySet) DecodeFrom(b []byte) (int, error) {
-	if len(b) < 2 {
+	if len(b) < keySetHeaderLen {
 		return 0, ErrShortBuffer
 	}
 	count := int(binary.LittleEndian.Uint16(b))
 	if count > maxWireGaloisKeys {
 		return 0, ErrMalformed
 	}
-	off := 2
+	off := keySetHeaderLen
 	keys := make(map[uint64]*GaloisKey, count)
 	for i := 0; i < count; i++ {
 		gk := new(GaloisKey)
@@ -372,7 +456,7 @@ func (s *GaloisKeySet) DecodeFrom(b []byte) (int, error) {
 // DecodeFrom decodes a relinearization key from the front of b into rlk
 // (fresh storage) and returns the bytes consumed.
 func (rlk *RelinKey) DecodeFrom(b []byte) (int, error) {
-	if len(b) < 6 {
+	if len(b) < gadgetHeaderLen {
 		return 0, ErrShortBuffer
 	}
 	digits, limbs := int(b[0]), int(b[1])
@@ -381,7 +465,7 @@ func (rlk *RelinKey) DecodeFrom(b []byte) (int, error) {
 		limbs == 0 || limbs > maxWireLimbs || n == 0 || n > maxWireN || n&(n-1) != 0 {
 		return 0, ErrMalformed
 	}
-	off := 6
+	off := gadgetHeaderLen
 	parts := make([][2]ring.RNSPoly, digits)
 	for i := range parts {
 		for j := 0; j < 2; j++ {

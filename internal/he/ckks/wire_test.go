@@ -300,3 +300,32 @@ func byteAt(data []byte, i int) byte {
 	}
 	return data[i%len(data)]
 }
+
+// TestKeyDecodeSlabLimbs checks that decoded key limbs, cut from one slab
+// per RNS polynomial, are capped at N coefficients, so no limb can grow
+// into its neighbour's storage.
+func TestKeyDecodeSlabLimbs(t *testing.T) {
+	ctx := wireTestContext(t)
+	n := ctx.Params.N()
+	kg := NewKeyGenerator(ctx, 43)
+	sk := kg.GenSecretKey()
+	var pk PublicKey
+	if _, err := pk.DecodeFrom(kg.GenPublicKey(sk).AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	var gk GaloisKey
+	if _, err := gk.DecodeFrom(kg.GenGaloisKey(sk, 1).AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	polys := []ring.RNSPoly{pk.P0, pk.P1}
+	for _, part := range gk.Parts {
+		polys = append(polys, part[0], part[1])
+	}
+	for i, p := range polys {
+		for j, limb := range p {
+			if len(limb) != n || cap(limb) != n {
+				t.Fatalf("poly %d limb %d: len %d cap %d, want both %d", i, j, len(limb), cap(limb), n)
+			}
+		}
+	}
+}

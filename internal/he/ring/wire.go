@@ -3,6 +3,7 @@ package ring
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // ErrShortBuffer reports a wire buffer too short for the value being
@@ -16,16 +17,12 @@ var ErrShortBuffer = errors.New("ring: short buffer")
 // to straight 8-byte stores — no reflection, no per-coefficient branching —
 // and appending into a buffer with sufficient capacity performs no
 // allocation, which is what lets protocol layers reuse pooled frame
-// buffers across messages.
+// buffers across messages. Containers size their buffer once for the
+// whole value (ckks BinarySize), so this grow is a no-op on their path.
 func (p Poly) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, 8*len(p))
 	off := len(b)
-	n := 8 * len(p)
-	if cap(b)-off < n {
-		grown := make([]byte, off, (off+n)+(off+n)/4)
-		copy(grown, b)
-		b = grown
-	}
-	b = b[: off+n : cap(b)]
+	b = b[:off+8*len(p)]
 	dst := b[off:]
 	for i, v := range p {
 		binary.LittleEndian.PutUint64(dst[8*i:], v)
