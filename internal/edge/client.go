@@ -379,7 +379,6 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		SessionID:  sessionID,
 		LogN:       ctx.Params.LogN,
 		Depth:      ctx.Params.Depth,
-		PK:         pk,
 		RLK:        rlk,
 		EncKey:     encKey,
 		Nonce:      c.nonce,

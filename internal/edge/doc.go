@@ -68,7 +68,7 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x05
+//	offset 2     version  0x06
 //	offset 3     type     one of 17: hello, and a request and a reply type
 //	                      each for setup, compute, matvec, rekey, profile
 //	                      and rotation keys, plus the four resume frames
@@ -91,6 +91,17 @@
 // always end in the 16-byte trace context, all zero when the request is
 // unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
+//
+// Version 6 ships switching keys seeded and Setup without a public key.
+// A relinearization or Galois key travels as its gadget header (digit and
+// limb counts, degree, the extended basis's moduli), a 32-byte seed and
+// its component-0 runs only; the uniform component 1 is expanded from the
+// seed by AES-256-CTR on decode, straight into evaluation form — half the
+// bytes of version 5 on the wire, in the read buffer and in the decoder.
+// Setup carries the session ID, LogN and Depth, the relinearization key,
+// the HE-encrypted transciphering key, the nonce, Profile and ResumeAuth;
+// the client's public key stays with the client, the only party that
+// encrypts under it.
 //
 // A connection opens with an empty hello frame from the client, echoed by
 // the server. The version byte names the whole wire format — framing,

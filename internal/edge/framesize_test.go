@@ -26,7 +26,7 @@ func TestKeyFramesAllocateOnce(t *testing.T) {
 		encKey[i] = ctx.NewCiphertext(ctx.MaxLevel())
 	}
 	setup := &SetupRequest{SessionID: "sess", LogN: ctx.Params.LogN, Depth: ctx.Params.Depth,
-		PK: kg.GenPublicKey(sk), RLK: kg.GenRelinKey(sk), EncKey: encKey,
+		RLK: kg.GenRelinKey(sk), EncKey: encKey,
 		Nonce: []byte("nonce"), Profile: profile.IDDefault, ResumeAuth: make([]byte, 32)}
 	rekey := &RekeyRequest{SessionID: "sess", EncKey: encKey, Nonce: []byte("nonce"), ResumeAuth: make([]byte, 32)}
 	rotKeys := &RotKeysRequest{SessionID: "sess", Keys: kg.GenGaloisKeys(sk, ckks.BSGSRotations(64))}
@@ -63,8 +63,8 @@ func TestKeyFramesAllocateOnce(t *testing.T) {
 // TestNewServerRejectsUnsendableModel: a model matrix whose rotation keys
 // cannot fit one RotKeys frame on some profile is refused up front with a
 // typed error naming the profile, while the benchmark's 256×256 model —
-// 30 keys, ≈59 MB at λ-128k — is accepted. Dimension 2048 needs 89 keys,
-// ≈87 MB already at λ-64k.
+// 30 keys, ≈29.5 MB at λ-128k — is accepted. Dimension 2048 needs 89
+// keys: ≈44 MB fits at λ-64k, ≈88 MB at λ-128k does not.
 func TestNewServerRejectsUnsendableModel(t *testing.T) {
 	square := func(dim int) [][]float64 {
 		row := make([]float64, dim) // the size check reads the dimension only
@@ -81,7 +81,7 @@ func TestNewServerRejectsUnsendableModel(t *testing.T) {
 		srv.Close()
 		t.Fatal("dimension-2048 model accepted")
 	}
-	if !errors.Is(err, ErrRotKeysTooLarge) || !strings.Contains(err.Error(), "profile "+profile.IDLambda64k) {
-		t.Fatalf("dimension-2048 model: err = %v, want ErrRotKeysTooLarge naming %s", err, profile.IDLambda64k)
+	if !errors.Is(err, ErrRotKeysTooLarge) || !strings.Contains(err.Error(), "profile "+profile.IDLambda128k) {
+		t.Fatalf("dimension-2048 model: err = %v, want ErrRotKeysTooLarge naming %s", err, profile.IDLambda128k)
 	}
 }

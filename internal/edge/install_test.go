@@ -42,55 +42,64 @@ func (p *rawPeer) hostileKeys(t *testing.T) map[string][]*ckks.Ciphertext {
 	return keys
 }
 
-// hostileGadgets returns malformed variants of a key-switch gadget (a
-// relinearization or rotation key's Parts) with the code each must be
-// refused under: a gadget built for another ring is a parameter mismatch,
-// an unreduced residue a bad request. Each variant is a deep copy; parts
-// is left intact.
-func (p *rawPeer) hostileGadgets(parts [][2]ring.RNSPoly) map[string]struct {
-	parts [][2]ring.RNSPoly
-	code  serve.Code
+// hostileGadgets returns malformed variants of a switching key (a
+// relinearization key or a rotation key's gadget) with the code each must
+// be refused under: a gadget built for another ring is a parameter
+// mismatch, an unreduced residue a bad request. Component 1 travels as a
+// seed and is expanded by the server, so every variant tampers with what
+// the wire carries: the basis, the shape and component 0. Each variant is
+// a deep copy; k is left intact.
+func (p *rawPeer) hostileGadgets(k *ckks.SwitchingKey) map[string]struct {
+	key  *ckks.SwitchingKey
+	code serve.Code
 } {
-	clone := func() [][2]ring.RNSPoly {
-		out := make([][2]ring.RNSPoly, len(parts))
-		for j := range parts {
-			for c := range parts[j] {
-				out[j][c] = make(ring.RNSPoly, len(parts[j][c]))
-				for l, limb := range parts[j][c] {
-					out[j][c][l] = append(ring.Poly(nil), limb...)
+	clone := func() *ckks.SwitchingKey {
+		out := &ckks.SwitchingKey{QP: append([]uint64(nil), k.QP...), Seed: k.Seed,
+			Parts: make([][2]ring.RNSPoly, len(k.Parts))}
+		for j := range k.Parts {
+			for c := range k.Parts[j] {
+				out.Parts[j][c] = make(ring.RNSPoly, len(k.Parts[j][c]))
+				for l, limb := range k.Parts[j][c] {
+					out.Parts[j][c][l] = append(ring.Poly(nil), limb...)
 				}
 			}
 		}
 		return out
 	}
 	type variant = struct {
-		parts [][2]ring.RNSPoly
-		code  serve.Code
+		key  *ckks.SwitchingKey
+		code serve.Code
 	}
 	out := map[string]variant{}
-	out["one digit"] = variant{clone()[:1], serve.CodeParamMismatch}
+	one := clone()
+	one.Parts = one.Parts[:1]
+	out["one digit"] = variant{one, serve.CodeParamMismatch}
 	half := clone()
-	for j := range half {
-		for c := range half[j] {
-			for l := range half[j][c] {
-				half[j][c][l] = half[j][c][l][:len(half[j][c][l])/2]
+	for j := range half.Parts {
+		for c := range half.Parts[j] {
+			for l := range half.Parts[j][c] {
+				half.Parts[j][c][l] = half.Parts[j][c][l][:len(half.Parts[j][c][l])/2]
 			}
 		}
 	}
 	out["half degree"] = variant{half, serve.CodeParamMismatch}
 	short := clone()
-	for j := range short {
-		for c := range short[j] {
-			short[j][c] = short[j][c][:len(short[j][c])-1]
+	short.QP = short.QP[:len(short.QP)-1]
+	for j := range short.Parts {
+		for c := range short.Parts[j] {
+			short.Parts[j][c] = short.Parts[j][c][:len(short.Parts[j][c])-1]
 		}
 	}
 	out["special limb missing"] = variant{short, serve.CodeParamMismatch}
+	other := clone()
+	other.QP[1] = p.ctx.Primes[0]
+	out["another basis"] = variant{other, serve.CodeParamMismatch}
 	unreduced := clone()
-	unreduced[1][0][2][7] = p.ctx.Primes[2]
+	unreduced.Parts[1][0][2][7] = p.ctx.Primes[2]
 	out["residue equal to its prime"] = variant{unreduced, serve.CodeBadRequest}
 	special := clone()
-	last := len(special[0][1]) - 1
-	special[0][1][last][0] = ^uint64(0)
+	last := len(special.Parts[0][0]) - 1
+	special.Parts[0][0][last][0] = ^uint64(0)
 	out["all-ones residue on the special limb"] = variant{special, serve.CodeBadRequest}
 	return out
 }
@@ -138,9 +147,9 @@ func TestInstallValidationV3(t *testing.T) {
 			t.Errorf("setup, transciphering key with %s: reply %+v, want CodeBadRequest", name, rep)
 		}
 	}
-	for name, g := range p.hostileGadgets(p.rlk.Parts) {
+	for name, g := range p.hostileGadgets(p.rlk) {
 		req := p.setupRequest("v3", p.encKey(t))
-		req.RLK = &ckks.RelinKey{Parts: g.parts}
+		req.RLK = g.key
 		if rep := p.setup(t, req); rep.Code != g.code {
 			t.Errorf("setup, relinearization key with %s: reply %+v, want %v", name, rep, g.code)
 		}
@@ -175,12 +184,12 @@ func TestInstallValidationV3(t *testing.T) {
 		victim = el
 		break
 	}
-	for name, g := range p.hostileGadgets(good.Keys[victim].Parts) {
+	for name, g := range p.hostileGadgets(&good.Keys[victim].SwitchingKey) {
 		set := &ckks.GaloisKeySet{Keys: make(map[uint64]*ckks.GaloisKey, len(good.Keys))}
 		for el, gk := range good.Keys {
 			set.Keys[el] = gk
 		}
-		set.Keys[victim] = &ckks.GaloisKey{Rot: good.Keys[victim].Rot, El: victim, Parts: g.parts}
+		set.Keys[victim] = &ckks.GaloisKey{Rot: good.Keys[victim].Rot, El: victim, SwitchingKey: *g.key}
 		if rep := upload(set); rep.Code != g.code {
 			t.Errorf("rotation key with %s: reply %+v, want %v", name, rep, g.code)
 		}

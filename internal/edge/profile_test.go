@@ -136,7 +136,6 @@ func TestSetupEnforcesPlanProfile(t *testing.T) {
 		SessionID: "bypass",
 		LogN:      prof.Params.LogN,
 		Depth:     prof.Params.Depth,
-		PK:        &ckks.PublicKey{},
 		RLK:       &ckks.RelinKey{},
 		EncKey:    make([]*ckks.Ciphertext, KeyLen),
 		Profile:   profile.IDLambda128k,

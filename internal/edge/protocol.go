@@ -22,15 +22,15 @@ func DefaultParams() ckks.Params {
 // KeyLen is the transciphering key length used by the runtime.
 const KeyLen = 8
 
-// SetupRequest registers a client session: its public evaluation material
-// and the HE-encrypted transciphering key. Registering an ID that is
+// SetupRequest registers a client session: its relinearization key and
+// the HE-encrypted transciphering key. The client's public key stays with
+// the client, which alone encrypts under it. Registering an ID that is
 // already live fails with serve.CodeDuplicateSession — key rotation must
 // use the explicit Rekey message instead.
 type SetupRequest struct {
 	SessionID string
 	// LogN/Depth guard against parameter mismatches between endpoints.
 	LogN, Depth int
-	PK          *ckks.PublicKey
 	RLK         *ckks.RelinKey
 	EncKey      []*ckks.Ciphertext
 	Nonce       []byte

@@ -106,7 +106,7 @@ func (p *rawPeer) encKey(t testing.TB) []*ckks.Ciphertext {
 
 func (p *rawPeer) setupRequest(id string, encKey []*ckks.Ciphertext) *SetupRequest {
 	return &SetupRequest{SessionID: id, LogN: p.ctx.Params.LogN, Depth: p.ctx.Params.Depth,
-		PK: p.pk, RLK: p.rlk, EncKey: encKey, Nonce: p.nonce}
+		RLK: p.rlk, EncKey: encKey, Nonce: p.nonce}
 }
 
 // setup sends req and returns the server's verdict.

@@ -1008,7 +1008,7 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 				req.LogN, req.Depth, profID, prof.Params.LogN, prof.Params.Depth),
 		}
 	}
-	if req.SessionID == "" || req.PK == nil || req.RLK == nil || len(req.EncKey) != KeyLen {
+	if req.SessionID == "" || req.RLK == nil || len(req.EncKey) != KeyLen {
 		return &SetupReply{Err: "incomplete setup", Code: serve.CodeBadRequest}
 	}
 	ctl := s.cfg.Control
@@ -1049,13 +1049,13 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 	if detail := checkNonce(req.Nonce); detail != "" {
 		return &SetupReply{Code: serve.CodeBadRequest, Err: detail}
 	}
-	if err := rt.ctx.CheckSwitchingKey(req.RLK.Parts); err != nil {
+	if err := rt.ctx.CheckSwitchingKey(req.RLK); err != nil {
 		return &SetupReply{Code: keyCode(err), Err: "relinearization key: " + err.Error()}
 	}
 	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
 		return &SetupReply{Code: serve.CodeBadRequest, Err: "transciphering key: " + err.Error()}
 	}
-	sess := serve.NewSession(req.SessionID, profID, req.PK, req.RLK, req.EncKey, req.Nonce)
+	sess := serve.NewSession(req.SessionID, profID, nil, req.RLK, req.EncKey, req.Nonce)
 	if len(req.ResumeAuth) > 0 {
 		sess.SetResumeAuth(req.ResumeAuth)
 	}
@@ -1147,7 +1147,7 @@ func (s *Server) handleRotKeys(req *RotKeysRequest) *RotKeysReply {
 		return &RotKeysReply{Code: serve.CodeOf(err), Err: err.Error()}
 	}
 	for el, gk := range req.Keys.Keys {
-		if err := rt.ctx.CheckSwitchingKey(gk.Parts); err != nil {
+		if err := rt.ctx.CheckSwitchingKey(&gk.SwitchingKey); err != nil {
 			return &RotKeysReply{Code: keyCode(err),
 				Err: fmt.Sprintf("rotation key for element %d: %v", el, err)}
 		}

@@ -49,14 +49,15 @@ const (
 	// together. Any incompatible change bumps it; a peer that opens with
 	// another value is closed, never negotiated with. (3 was the last
 	// version with optional trailers and hello feature flags, 4 the last
-	// with batch frames.)
-	frameVersion = 5
+	// with batch frames, 5 the last with a public key in Setup and both
+	// switching-key components on the wire.)
+	frameVersion = 6
 
 	frameHeaderLen = 16
 
 	// maxFramePayload bounds a frame so a corrupt or hostile length field
 	// cannot force a huge allocation. The largest legitimate frame is a
-	// RotKeys upload: 59 MB for a 256×256 model matrix's 30 keys at
+	// RotKeys upload: 29.5 MB for a 256×256 model matrix's 30 keys at
 	// λ-128k (LogN 12). NewServer rejects a model whose key set would not
 	// fit (ErrRotKeysTooLarge).
 	maxFramePayload = 64 << 20
@@ -466,12 +467,11 @@ func (r *wireReader) ciphertexts(max int) []*ckks.Ciphertext {
 }
 
 func appendSetupRequest(b []byte, req *SetupRequest) []byte {
-	b = growFrame(b, bytesSize(req.SessionID)+4+4+req.PK.BinarySize()+req.RLK.BinarySize()+
+	b = growFrame(b, bytesSize(req.SessionID)+4+4+req.RLK.BinarySize()+
 		ciphertextsSize(req.EncKey)+bytesSize(req.Nonce)+bytesSize(req.Profile)+bytesSize(req.ResumeAuth))
 	b = appendString(b, req.SessionID)
 	b = binary.LittleEndian.AppendUint32(b, uint32(req.LogN))
 	b = binary.LittleEndian.AppendUint32(b, uint32(req.Depth))
-	b = req.PK.AppendBinary(b)
 	b = req.RLK.AppendBinary(b)
 	b = appendCiphertexts(b, req.EncKey)
 	b = appendBytes(b, req.Nonce)
@@ -485,15 +485,7 @@ func decodeSetupRequest(p []byte) (*SetupRequest, error) {
 		SessionID: r.str(),
 		LogN:      int(r.u32()),
 		Depth:     int(r.u32()),
-		PK:        new(ckks.PublicKey),
 		RLK:       new(ckks.RelinKey),
-	}
-	if r.err == nil {
-		if n, err := req.PK.DecodeFrom(r.b); err != nil {
-			r.fail()
-		} else {
-			r.b = r.b[n:]
-		}
 	}
 	if r.err == nil {
 		if n, err := req.RLK.DecodeFrom(r.b); err != nil {

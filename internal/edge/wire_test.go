@@ -301,7 +301,7 @@ func FuzzFrameDecode(f *testing.F) {
 	p := newRawPeer(f, 311)
 	f.Add(buildFrame(f, frameSetup, 13, func(b []byte) []byte {
 		req := p.setupRequest("fuzz", p.encKey(f))
-		req.RLK = &ckks.RelinKey{Parts: req.RLK.Parts[:1]}
+		req.RLK = &ckks.RelinKey{QP: req.RLK.QP, Seed: req.RLK.Seed, Parts: req.RLK.Parts[:1]}
 		return appendSetupRequest(b, req)
 	}))
 
@@ -328,7 +328,7 @@ func FuzzFrameDecode(f *testing.F) {
 			if req, derr = decodeSetupRequest(payload); derr == nil {
 				// What handleSetup runs on a decoded key before a worker
 				// may index it: any shape must come back as an error.
-				_ = p.ctx.CheckSwitchingKey(req.RLK.Parts)
+				_ = p.ctx.CheckSwitchingKey(req.RLK)
 			}
 		case frameSetupReply:
 			_, derr = decodeSetupReply(payload)

@@ -31,12 +31,17 @@ func goldenPolyHeader(b []byte, level int, scale float64, n int) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(n))
 }
 
-func goldenGadget(b []byte, parts [][2]ring.RNSPoly) []byte {
-	b = append(b, byte(len(parts)), byte(len(parts[0][0])))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(parts[0][0][0])))
-	for _, part := range parts {
+// goldenGadget writes a switching key as it travels: header, moduli and
+// seed, then the component-0 runs — component 1 is the seed's expansion.
+func goldenGadget(b []byte, k *ckks.SwitchingKey) []byte {
+	b = append(b, byte(len(k.Parts)), byte(len(k.Parts[0][0])))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(k.Parts[0][0][0])))
+	for _, q := range k.QP {
+		b = binary.LittleEndian.AppendUint64(b, q)
+	}
+	b = append(b, k.Seed[:]...)
+	for _, part := range k.Parts {
 		b = goldenLimbs(b, part[0])
-		b = goldenLimbs(b, part[1])
 	}
 	return b
 }
@@ -44,7 +49,7 @@ func goldenGadget(b []byte, parts [][2]ring.RNSPoly) []byte {
 func goldenGaloisKey(b []byte, gk *ckks.GaloisKey) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(gk.Rot)))
 	b = binary.LittleEndian.AppendUint64(b, gk.El)
-	return goldenGadget(b, gk.Parts)
+	return goldenGadget(b, &gk.SwitchingKey)
 }
 
 // fillCiphertext writes a distinct, deterministic value into every
@@ -112,7 +117,7 @@ func TestBinarySizeMatchesEncoding(t *testing.T) {
 			g = goldenLimbs(goldenLimbs(g, pk.P0), pk.P1)
 			cases = append(cases, sized{"public key", pk.BinarySize(), pk.AppendBinary(nil), g})
 
-			cases = append(cases, sized{"relin key", rlk.BinarySize(), rlk.AppendBinary(nil), goldenGadget(nil, rlk.Parts)})
+			cases = append(cases, sized{"relin key", rlk.BinarySize(), rlk.AppendBinary(nil), goldenGadget(nil, rlk)})
 			cases = append(cases, sized{"galois key", gk.BinarySize(), gk.AppendBinary(nil), goldenGaloisKey(nil, gk)})
 
 			els := make([]uint64, 0, len(set.Keys))

@@ -18,15 +18,14 @@ var ErrNoGaloisKey = errors.New("ckks: missing galois key for rotation")
 // s, enabling homomorphic slot rotation: part j is an RLWE zero-sample
 // over the extended basis QP with the gadget (P mod q_j)·σ_g(s) added
 // into limb j only — exactly the RelinKey construction with σ_g(s) in
-// place of s². Layout matches RelinKey (Parts[digit][component][limb],
-// NTT domain, Montgomery form) so the hybrid key-switch core is shared.
+// place of s², so the gadget is a SwitchingKey and the hybrid key-switch
+// core is shared.
 type GaloisKey struct {
 	// Rot is the slot rotation this key implements (left by Rot); El is
 	// its Galois group element 5^Rot mod 2N.
 	Rot int
 	El  uint64
-	// Parts is the hybrid key-switch gadget; see RelinKey.Parts.
-	Parts [][2]ring.RNSPoly
+	SwitchingKey
 }
 
 // GaloisKeySet holds the rotation keys of one session, keyed by Galois
@@ -82,10 +81,10 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, rot int) *GaloisKey {
 	tab := ring.AutomorphismNTTTable(el, n)
 	// The NTT-domain automorphism is a pure gather, and Montgomery form
 	// commutes with it.
-	parts := kg.genSwitchingKey(sk, func(j int, out ring.Poly) {
+	k := kg.genSwitchingKey(sk, func(j int, out ring.Poly) {
 		ring.ApplyAutomorphismNTT(sk.S[j], tab, out) // σ_g(ŝ), Montgomery form
 	})
-	return &GaloisKey{Rot: rot, El: el, Parts: parts}
+	return &GaloisKey{Rot: rot, El: el, SwitchingKey: k}
 }
 
 // GenGaloisKeys builds the key set for an explicit rotation list

@@ -3,13 +3,14 @@ package ckks
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"quhe/internal/he/ring"
 )
 
 func galoisKeysEqual(a, b *GaloisKey) bool {
-	if a.Rot != b.Rot || a.El != b.El || len(a.Parts) != len(b.Parts) {
+	if a.Rot != b.Rot || a.El != b.El || !slices.Equal(a.QP, b.QP) || a.Seed != b.Seed || len(a.Parts) != len(b.Parts) {
 		return false
 	}
 	for d := range a.Parts {
@@ -143,27 +144,35 @@ func FuzzGaloisKeyRoundTrip(f *testing.F) {
 				t.Fatalf("untyped set decode error: %v", err)
 			}
 		}
-		// Constructive round trip: a well-formed key whose coefficients
-		// derive from the input.
+		// Constructive round trip: a well-formed key whose moduli, seed and
+		// component-0 coefficients derive from the input, component 1
+		// expanded from that seed as a generator would.
 		const n, digits, limbs = 64, 2, 3
+		word := func(i int) uint64 {
+			var v uint64
+			for by := 0; by < 8; by++ {
+				v = v<<8 | uint64(byteAt(data, 8*i+by))
+			}
+			return v
+		}
 		rot := int(byteAt(data, 0)) % (n / 2)
-		src := &GaloisKey{Rot: rot, El: ring.GaloisElement(rot, n), Parts: make([][2]ring.RNSPoly, digits)}
-		for d := 0; d < digits; d++ {
-			for j := 0; j < 2; j++ {
-				src.Parts[d][j] = make(ring.RNSPoly, limbs)
-				for ell := 0; ell < limbs; ell++ {
-					p := make(ring.Poly, n)
-					for i := range p {
-						var v uint64
-						for by := 0; by < 8; by++ {
-							v = v<<8 | uint64(byteAt(data, 8*(n*(limbs*(2*d+j)+ell)+i)+by))
-						}
-						p[i] = v
-					}
-					src.Parts[d][j][ell] = p
+		src := &GaloisKey{Rot: rot, El: ring.GaloisElement(rot, n)}
+		src.QP = make([]uint64, limbs)
+		for t := range src.QP {
+			src.QP[t] = 2 + word(t)%(1<<62-2)
+		}
+		for i := range src.Seed {
+			src.Seed[i] = byteAt(data, 3*i+1)
+		}
+		src.Parts = newGadget(digits, limbs, n)
+		for d, part := range src.Parts {
+			for ell, limb := range part[0] {
+				for i := range limb {
+					limb[i] = word(n*(limbs*d+ell) + i)
 				}
 			}
 		}
+		expandUniform(&src.Seed, src.QP, src.Parts)
 		enc := src.AppendBinary(nil)
 		got := new(GaloisKey)
 		if k, err := got.DecodeFrom(enc); err != nil || k != len(enc) {
@@ -188,5 +197,30 @@ func TestGaloisKeySetEncodeAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("galois key set encode allocates %v times into a nil buffer, want ≤ 2", allocs)
+	}
+}
+
+// TestSeededKeyDecodeAllocs pins the allocations of one decoded Galois key
+// to a small constant that does not grow with the digit or limb count: the
+// key, its moduli, the gadget's three backing arrays and the PRG's cipher
+// and stream — never one per (digit, limb) cell.
+func TestSeededKeyDecodeAllocs(t *testing.T) {
+	var counts []float64
+	for _, depth := range []int{1, 4} {
+		ctx, err := NewContext(Params{LogN: 10, BaseBits: 40, ScaleBits: 30, Depth: depth, Sigma: 3.2, SpecialBits: 61})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg := NewKeyGenerator(ctx, 41)
+		enc := kg.GenGaloisKey(kg.GenSecretKey(), 1).AppendBinary(nil)
+		allocs := testing.AllocsPerRun(16, func() {
+			if _, err := new(GaloisKey).DecodeFrom(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] > 8 {
+		t.Errorf("galois key decode allocates %v times at depth 1 and %v at depth 4, want one constant ≤ 8", counts[0], counts[1])
 	}
 }

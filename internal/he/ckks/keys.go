@@ -1,9 +1,15 @@
 package ckks
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"quhe/internal/he/ring"
 )
@@ -22,7 +28,11 @@ import (
 // each limb independently IS the uniform distribution over the composite
 // modulus, by CRT — and since the NTT and the Montgomery map are
 // bijections of a limb, a uniform key component is drawn directly as
-// stored (NTT domain, Montgomery form) and never transformed.
+// stored (NTT domain, Montgomery form) and never transformed. A switching
+// key's uniform half is not drawn from the generator's RNG at all: it is
+// expanded from a per-key 32-byte seed by a PRG (expandUniform), straight
+// into the key's storage, so the wire carries the seed instead of the
+// half and the receiver expands the same limbs where it stores them.
 
 // SecretKey is the RLWE secret: one ternary polynomial over the extended
 // basis QP (chain limbs 0..Depth, then the special limb last), NTT
@@ -38,39 +48,59 @@ type PublicKey struct {
 	P0, P1 ring.RNSPoly
 }
 
-// RelinKey relinearizes degree-2 ciphertexts by hybrid key switching.
-// Part j is an RLWE sample over the extended basis QP carrying the j-th
-// RNS gadget of P·s²:
+// SeedSize is the byte length of a switching key's seed: the AES-256 key
+// its uniform half expands from.
+const SeedSize = 32
+
+// SwitchingKey is a hybrid key-switch gadget from a secret g to s. Part j
+// is an RLWE sample over the extended basis QP carrying the j-th RNS
+// gadget of P·g:
 //
-//	rlk_j = (−a_j·s + e_j + P·u_j·s², a_j),  u_j ≡ δ_ij (mod q_i), u_j ≡ 0 (mod P),
+//	swk_j = (−a_j·s + e_j + P·u_j·g, a_j),  u_j ≡ δ_ij (mod q_i), u_j ≡ 0 (mod P),
 //
-// so folding the digits D_j = [d2]_{q_j} through the parts accumulates
-// P·d2·s² (+ small noise) over QP, and dividing by P (ModDown) returns it
+// so folding the digits D_j = [d]_{q_j} through the parts accumulates
+// P·d·g (+ small noise) over QP, and dividing by P (ModDown) returns it
 // to the chain with the noise scaled away. Parts[j][c][t]: digit j,
 // component c ∈ {0,1}, limb t (chain limbs then the special limb), NTT
-// domain, Montgomery form.
-type RelinKey struct {
+// domain, Montgomery form. Every a_j = Parts[j][1] is the expansion of
+// Seed over QP (expandUniform), so Seed and QP stand in for component 1
+// on the wire. Immutable once built; safe for concurrent readers.
+type SwitchingKey struct {
+	// QP lists the moduli of the basis the gadget spans: the chain primes,
+	// then the special prime.
+	QP    []uint64
+	Seed  [SeedSize]byte
 	Parts [][2]ring.RNSPoly
 }
+
+// RelinKey relinearizes degree-2 ciphertexts: the switching key from s²
+// to s.
+type RelinKey = SwitchingKey
 
 // ErrKeyShape reports key-switching material built for another ring: the
 // wrong digit count, limb count or degree for the context.
 var ErrKeyShape = errors.New("ckks: switching key does not fit the context")
 
-// CheckSwitchingKey validates a hybrid key-switch gadget (RelinKey.Parts,
-// GaloisKey.Parts) from outside the trust boundary: one digit per chain
-// prime and every component over the extended basis QP with N
-// coefficients per limb (ErrKeyShape otherwise), every residue below its
-// modulus (ErrMalformed otherwise). keySwitch indexes digits and limbs by
-// the context's counts and its lazy-reduction MACs assume reduced inputs,
-// so a key that fails here would panic or corrupt a worker mid-evaluation.
-func (c *Context) CheckSwitchingKey(parts [][2]ring.RNSPoly) error {
+// CheckSwitchingKey validates a hybrid key-switch gadget (a RelinKey, a
+// GaloisKey's SwitchingKey) from outside the trust boundary: the basis QP
+// of the context, one digit per chain prime and every component over QP
+// with N coefficients per limb (ErrKeyShape otherwise), and every
+// component-0 residue below its modulus (ErrMalformed otherwise).
+// Component 1 is not scanned: it was expanded under QP, so a key whose QP
+// is the context's is reduced there by construction. keySwitch indexes
+// digits and limbs by the context's counts and its lazy-reduction MACs
+// assume reduced inputs, so a key that fails here would panic or corrupt
+// a worker mid-evaluation.
+func (c *Context) CheckSwitchingKey(k *SwitchingKey) error {
 	digits, n := len(c.Primes), c.Params.N()
-	if len(parts) != digits {
-		return fmt.Errorf("%w: %d digits, want %d", ErrKeyShape, len(parts), digits)
+	if !slices.Equal(k.QP, c.qp) {
+		return fmt.Errorf("%w: gadget over another basis", ErrKeyShape)
 	}
-	for j := range parts {
-		for _, comp := range parts[j] {
+	if len(k.Parts) != digits {
+		return fmt.Errorf("%w: %d digits, want %d", ErrKeyShape, len(k.Parts), digits)
+	}
+	for j, part := range k.Parts {
+		for _, comp := range part {
 			if len(comp) != digits+1 {
 				return fmt.Errorf("%w: digit %d spans %d limbs, want %d", ErrKeyShape, j, len(comp), digits+1)
 			}
@@ -78,14 +108,13 @@ func (c *Context) CheckSwitchingKey(parts [][2]ring.RNSPoly) error {
 				if len(limb) != n {
 					return fmt.Errorf("%w: digit %d limb %d holds %d coefficients, want %d", ErrKeyShape, j, t, len(limb), n)
 				}
-				q := c.Special
-				if t < digits {
-					q = c.Primes[t]
-				}
-				for _, v := range limb {
-					if v >= q {
-						return fmt.Errorf("%w: unreduced residue in digit %d limb %d", ErrMalformed, j, t)
-					}
+			}
+		}
+		for t, limb := range part[0] {
+			q := c.qp[t]
+			for _, v := range limb {
+				if v >= q {
+					return fmt.Errorf("%w: unreduced residue in digit %d limb %d", ErrMalformed, j, t)
 				}
 			}
 		}
@@ -164,72 +193,67 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	n := kg.ctx.Params.N()
 	limbs := len(kg.ctx.Primes)
-	pk := &PublicKey{P0: make(ring.RNSPoly, limbs), P1: make(ring.RNSPoly, limbs)}
+	pk := &PublicKey{P0: kg.ctx.Tower.NewPoly(limbs), P1: make(ring.RNSPoly, limbs)}
 	for t := 0; t < limbs; t++ {
 		pk.P1[t] = kg.ctx.Tower.Qi[t].UniformPoly(kg.rng) // â, drawn as stored
 	}
 	e := make([]int64, n)
 	kg.gaussianInts(e)
 	ring.ForEach(n, limbs, func(t int) {
-		pk.P0[t] = kg.zeroSample(t, pk.P1[t], e, sk)
+		kg.zeroSampleInto(t, pk.P1[t], e, sk, pk.P0[t])
 	})
 	return pk
 }
 
-// zeroSample finishes one limb of an RLWE zero-sample under sk from its
-// pre-drawn randomness and returns b = −â·ŝ + ê as stored (NTT domain,
+// zeroSampleInto finishes one limb of an RLWE zero-sample under sk from
+// its pre-drawn randomness, writing b = −â·ŝ + ê as stored (NTT domain,
 // Montgomery form). a is read as the stored second component â itself: a
 // uniform limb is uniform in either domain and either form, so it is drawn
 // where it is kept and never transformed, and its Montgomery product with
 // ŝ is already in stored form — a caller adds a gadget term in that form.
-func (kg *KeyGenerator) zeroSample(t int, a ring.Poly, e []int64, sk *SecretKey) (b ring.Poly) {
-	n := len(a)
+func (kg *KeyGenerator) zeroSampleInto(t int, a ring.Poly, e []int64, sk *SecretKey, b ring.Poly) {
 	mod := kg.qpMod(t)
-	b = make(ring.Poly, n)
-	mod.MulCoeffwiseMontgomery(a, sk.S[t], b) // â·ŝ, Montgomery form
-	eh := make(ring.Poly, n)
 	for k, v := range e {
-		eh[k] = mod.FromInt64(v)
+		b[k] = mod.FromInt64(v)
 	}
-	mod.NTT(eh)
-	mod.MForm(eh, eh)
-	mod.Sub(eh, b, b)
-	return b
+	mod.NTT(b)
+	mod.MForm(b, b)
+	mod.MulCoeffwiseMontgomeryThenSub(a, sk.S[t], b)
 }
 
 // GenRelinKey builds the hybrid key-switch key from s² to s; see
 // genSwitchingKey.
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
-	return &RelinKey{Parts: kg.genSwitchingKey(sk, func(j int, out ring.Poly) {
+	k := kg.genSwitchingKey(sk, func(j int, out ring.Poly) {
 		kg.qpMod(j).MulCoeffwiseMontgomery(sk.S[j], sk.S[j], out) // ŝ², Montgomery form
-	})}
+	})
+	return &k
 }
 
 // genSwitchingKey builds the hybrid key-switch gadget from a secret g to
 // sk: one part per chain limb, each an RLWE zero-sample over QP with
 // (P mod q_j)·g added into limb j only. gadget(j, out) writes limb j of ĝ
-// (NTT domain, Montgomery form) into out. Randomness is drawn up front
-// (per digit: a over every QP limb, then e), so the digits × QP cells fan
-// out deterministically over the worker pool.
-func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, gadget func(j int, out ring.Poly)) [][2]ring.RNSPoly {
+// (NTT domain, Montgomery form) into out. The seed and the errors are
+// drawn from the RNG and the uniform half expanded up front, so the
+// digits × QP cells then fan out deterministically over the worker pool.
+func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, gadget func(j int, out ring.Poly)) SwitchingKey {
 	ctx := kg.ctx
 	n := ctx.Params.N()
 	digits := len(ctx.Primes)
 	qp := digits + 1
 
-	es := make([][]int64, digits)
-	parts := make([][2]ring.RNSPoly, digits)
-	for j := 0; j < digits; j++ {
-		parts[j] = [2]ring.RNSPoly{make(ring.RNSPoly, qp), make(ring.RNSPoly, qp)}
-		for t := 0; t < qp; t++ {
-			parts[j][1][t] = kg.qpMod(t).UniformPoly(kg.rng) // â_j, drawn as stored
-		}
-		es[j] = make([]int64, n)
-		kg.gaussianInts(es[j])
+	var seed [SeedSize]byte
+	for i := 0; i < SeedSize; i += 8 {
+		binary.LittleEndian.PutUint64(seed[i:], kg.rng.Uint64())
 	}
-	ring.ForEach(n, digits*qp, func(k int) {
-		j, t := k/qp, k%qp
-		b := kg.zeroSample(t, parts[j][1][t], es[j], sk)
+	es := make([]int64, digits*n)
+	kg.gaussianInts(es)
+	parts := newGadget(digits, qp, n)
+	expandUniform(&seed, ctx.qp, parts)
+	ring.ForEach(n, digits*qp, func(c int) {
+		j, t := c/qp, c%qp
+		b := parts[j][0][t]
+		kg.zeroSampleInto(t, parts[j][1][t], es[j*n:(j+1)*n], sk, b)
 		if t == j {
 			mod := kg.qpMod(t)
 			g := make(ring.Poly, n)
@@ -237,7 +261,70 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, gadget func(j int, out ri
 			mod.MulScalar(g, ctx.Special%ctx.Primes[j], g) // a plain scalar keeps the form
 			mod.Add(b, g, b)
 		}
-		parts[j][0][t] = b
 	})
+	return SwitchingKey{QP: ctx.qp, Seed: seed, Parts: parts}
+}
+
+// newGadget allocates a digits × 2 × limbs gadget of degree n in three
+// allocations: the parts, the limb headers and one coefficient slab, cut
+// into limbs capped at n so no limb can grow into its neighbour.
+func newGadget(digits, limbs, n int) [][2]ring.RNSPoly {
+	parts := make([][2]ring.RNSPoly, digits)
+	polys := make([]ring.Poly, digits*2*limbs)
+	slab := make([]uint64, len(polys)*n)
+	for i := range polys {
+		polys[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	for j := range parts {
+		for c := range parts[j] {
+			i := (2*j + c) * limbs
+			parts[j][c] = polys[i : i+limbs : i+limbs]
+		}
+	}
 	return parts
+}
+
+// expandChunk is the keystream buffer expandUniform draws through.
+const expandChunk = 4096
+
+var expandBufs = sync.Pool{New: func() any { return new([expandChunk]byte) }}
+
+// expandUniform writes the uniform half of a switching key, Parts[j][1],
+// from its seed: the AES-256-CTR keystream under seed (zero IV) is read as
+// little-endian 64-bit words and consumed in digit, limb, coefficient
+// order, each word masked to the bit length of its limb's modulus q and
+// rejected while ≥ q. Since q < 2⁶² the mask never overflows and at least
+// half of all words are accepted, whatever the moduli. The words land as
+// stored: a uniform residue is uniform in the NTT domain and Montgomery
+// form alike. One stream per key keeps the expansion at a fixed handful of
+// allocations (the cipher and its stream) however many cells the key has.
+func expandUniform(seed *[SeedSize]byte, qp []uint64, parts [][2]ring.RNSPoly) {
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		panic(err) // unreachable: SeedSize is a valid AES key length
+	}
+	var iv [aes.BlockSize]byte
+	stream := cipher.NewCTR(block, iv[:])
+	buf := expandBufs.Get().(*[expandChunk]byte)
+	defer expandBufs.Put(buf)
+	off := expandChunk
+	for _, part := range parts {
+		for t, limb := range part[1] {
+			q := qp[t]
+			mask := uint64(1)<<bits.Len64(q) - 1
+			for k := 0; k < len(limb); {
+				if off == expandChunk {
+					clear(buf[:])
+					stream.XORKeyStream(buf[:], buf[:])
+					off = 0
+				}
+				v := binary.LittleEndian.Uint64(buf[off:]) & mask
+				off += 8
+				if v < q {
+					limb[k] = v
+					k++
+				}
+			}
+		}
+	}
 }

@@ -91,6 +91,8 @@ type Context struct {
 	Primes  []uint64
 	Special uint64
 	Tower   *ring.Tower
+
+	qp []uint64 // the extended basis QP: Primes, then Special (read-only)
 }
 
 // NewContext searches the chain and special primes and builds the tower.
@@ -109,12 +111,12 @@ func NewContext(p Params) (*Context, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckks: prime chain: %w", err)
 	}
-	chain, special := primes[:p.Depth+1], primes[p.Depth+1]
+	chain, special := primes[:p.Depth+1:p.Depth+1], primes[p.Depth+1]
 	tower, err := ring.NewTower(n, chain, special)
 	if err != nil {
 		return nil, fmt.Errorf("ckks: tower: %w", err)
 	}
-	return &Context{Params: p, Primes: chain, Special: special, Tower: tower}, nil
+	return &Context{Params: p, Primes: chain, Special: special, Tower: tower, qp: primes}, nil
 }
 
 // Limb returns the NTT context of chain prime q_i.

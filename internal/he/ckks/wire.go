@@ -17,9 +17,10 @@ package ckks
 //     into their receiver, reusing existing limb storage when its
 //     capacity suffices — a decode loop over a pre-sized receiver is
 //     allocation-free in steady state.
-//   - Key decoders (PublicKey, RelinKey, GaloisKey) back each RNS
-//     polynomial with one slab cut into capped limbs: key material is
-//     immutable once installed, so no limb ever grows into its neighbour.
+//   - Key decoders back their coefficients with one slab cut into capped
+//     limbs (one per RNS polynomial for a PublicKey, one per gadget for a
+//     RelinKey or GaloisKey): key material is immutable once installed,
+//     so no limb ever grows into its neighbour.
 //   - Ownership: everything DecodeFrom produces is copied out of the
 //     input buffer; callers may reuse the buffer immediately. The inverse
 //     does not hold for receivers — a Ciphertext decoded into a pooled
@@ -34,9 +35,16 @@ package ckks
 // Layouts: a ciphertext is the poly header (level | scale | degree)
 // followed by C0's limbs 0..level then C1's limbs, each limb an 8·N-byte
 // raw run — at level 0 this is bit-identical to the pre-RNS format. Keys
-// carry their limb count explicitly since relin keys span the extended
-// basis QP. The limb layout is part of the edge protocol's one frame
-// version (see internal/edge); a layout change is a version bump there.
+// carry their limb count explicitly since switching keys span the
+// extended basis QP. A switching key (RelinKey, GaloisKey) ships half of
+// itself: its gadget header names the basis — digit and limb counts,
+// degree and every QP modulus — and is followed by the 32-byte seed and
+// the component-0 runs only. Component 1 is uniform and carries no
+// secret, so the decoder expands it from the seed under the header's
+// moduli (expandUniform) straight into the key's slab, where it is
+// stored: NTT domain, Montgomery form, as the generator drew it. The limb
+// layout is part of the edge protocol's one frame version (see
+// internal/edge); a layout change is a version bump there.
 //
 // All integers are little-endian; float64s travel as IEEE 754 bits, so
 // round-trips are bit-exact (wire_test.go cross-checks against the
@@ -303,37 +311,88 @@ func (pk *PublicKey) DecodeFrom(b []byte) (int, error) {
 	return off + k, nil
 }
 
-// gadgetHeaderLen is the RelinKey prefix: digits (u8) | limbs (u8) |
-// degree (u32).
+// gadgetHeaderLen is the fixed SwitchingKey prefix: digits (u8) | limbs
+// (u8) | degree (u32). The limbs QP moduli (u64 each) and the seed follow.
 const gadgetHeaderLen = 1 + 1 + 4
 
-// BinarySize returns the byte count AppendBinary appends for rlk.
-func (rlk *RelinKey) BinarySize() int {
-	n := gadgetHeaderLen
-	for _, part := range rlk.Parts {
-		n += limbsBinarySize(part[0]) + limbsBinarySize(part[1])
+// gadgetSize is the encoded size of a switching key of the given shape.
+func gadgetSize(digits, limbs, n int) int {
+	return gadgetHeaderLen + 8*limbs + SeedSize + digits*limbs*8*n
+}
+
+// BinarySize returns the byte count AppendBinary appends for k.
+func (k *SwitchingKey) BinarySize() int {
+	n := gadgetHeaderLen + 8*len(k.QP) + SeedSize
+	for _, part := range k.Parts {
+		n += limbsBinarySize(part[0])
 	}
 	return n
 }
 
-// AppendBinary appends rlk's wire encoding: digits (u8) | limbs (u8) |
-// degree (u32) | per digit, the component-0 then component-1 limb runs.
-func (rlk *RelinKey) AppendBinary(b []byte) []byte {
-	b = slices.Grow(b, rlk.BinarySize())
-	limbs, n := 0, 0
-	if len(rlk.Parts) > 0 {
-		limbs = len(rlk.Parts[0][0])
-		if limbs > 0 {
-			n = len(rlk.Parts[0][0][0])
-		}
+// AppendBinary appends k's wire encoding: digits (u8) | limbs (u8) |
+// degree (u32) | QP moduli (u64 each) | seed | per digit, the component-0
+// limb runs. Component 1 is the seed's expansion and does not travel.
+func (k *SwitchingKey) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, k.BinarySize())
+	n := 0
+	if len(k.Parts) > 0 && len(k.Parts[0][0]) > 0 {
+		n = len(k.Parts[0][0][0])
 	}
-	b = append(b, byte(len(rlk.Parts)), byte(limbs))
+	b = append(b, byte(len(k.Parts)), byte(len(k.QP)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	for _, part := range rlk.Parts {
+	for _, q := range k.QP {
+		b = binary.LittleEndian.AppendUint64(b, q)
+	}
+	b = append(b, k.Seed[:]...)
+	for _, part := range k.Parts {
 		b = appendLimbs(b, part[0])
-		b = appendLimbs(b, part[1])
 	}
 	return b
+}
+
+// DecodeFrom decodes a switching key from the front of b into k (fresh
+// storage; key material is retained) and returns the bytes consumed:
+// component 0 is copied out of b and component 1 expanded from the seed
+// under the decoded moduli. Each modulus must lie in [2, 2⁶²) — the
+// expansion's termination bound — or the key is ErrMalformed; whether
+// they are the moduli of a served ring is Context.CheckSwitchingKey's
+// question.
+func (k *SwitchingKey) DecodeFrom(b []byte) (int, error) {
+	if len(b) < gadgetHeaderLen {
+		return 0, ErrShortBuffer
+	}
+	digits, limbs := int(b[0]), int(b[1])
+	n := int(binary.LittleEndian.Uint32(b[2:6]))
+	if digits == 0 || digits > maxWireDigits ||
+		limbs == 0 || limbs > maxWireLimbs || n == 0 || n > maxWireN || n&(n-1) != 0 {
+		return 0, ErrMalformed
+	}
+	size := gadgetSize(digits, limbs, n)
+	if len(b) < size {
+		return 0, ErrShortBuffer
+	}
+	off := gadgetHeaderLen
+	qp := make([]uint64, limbs)
+	for t := range qp {
+		qp[t] = binary.LittleEndian.Uint64(b[off:])
+		if qp[t] < 2 || qp[t] >= 1<<62 {
+			return 0, ErrMalformed
+		}
+		off += 8
+	}
+	var seed [SeedSize]byte
+	off += copy(seed[:], b[off:])
+	parts := newGadget(digits, limbs, n)
+	for _, part := range parts {
+		m, err := decodeLimbs(b[off:], part[0])
+		if err != nil {
+			return 0, err
+		}
+		off += m
+	}
+	expandUniform(&seed, qp, parts)
+	k.QP, k.Seed, k.Parts = qp, seed, parts
+	return size, nil
 }
 
 // maxWireGaloisKeys caps a decoded key set: the BSGS rotation set needs
@@ -348,19 +407,16 @@ const galoisKeyHeaderLen = 4 + 8
 
 // BinarySize returns the byte count AppendBinary appends for gk.
 func (gk *GaloisKey) BinarySize() int {
-	rk := RelinKey{Parts: gk.Parts}
-	return galoisKeyHeaderLen + rk.BinarySize()
+	return galoisKeyHeaderLen + gk.SwitchingKey.BinarySize()
 }
 
 // AppendBinary appends gk's wire encoding: rot (i32) | element (u64) |
-// then the gadget in the RelinKey part layout (digits | limbs | degree |
-// per-digit component runs).
+// then the gadget in the SwitchingKey layout.
 func (gk *GaloisKey) AppendBinary(b []byte) []byte {
 	b = slices.Grow(b, gk.BinarySize())
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(gk.Rot)))
 	b = binary.LittleEndian.AppendUint64(b, gk.El)
-	rk := RelinKey{Parts: gk.Parts}
-	return rk.AppendBinary(b)
+	return gk.SwitchingKey.AppendBinary(b)
 }
 
 // DecodeFrom decodes a Galois key from the front of b into gk (fresh
@@ -373,17 +429,17 @@ func (gk *GaloisKey) DecodeFrom(b []byte) (int, error) {
 	}
 	rot := int(int32(binary.LittleEndian.Uint32(b[0:4])))
 	el := binary.LittleEndian.Uint64(b[4:12])
-	var rk RelinKey
-	k, err := rk.DecodeFrom(b[galoisKeyHeaderLen:])
+	var k SwitchingKey
+	size, err := k.DecodeFrom(b[galoisKeyHeaderLen:])
 	if err != nil {
 		return 0, err
 	}
-	n := len(rk.Parts[0][0][0])
+	n := len(k.Parts[0][0][0])
 	if n < 4 || el != ring.GaloisElement(rot, n) {
 		return 0, ErrMalformed
 	}
-	gk.Rot, gk.El, gk.Parts = rot, el, rk.Parts
-	return galoisKeyHeaderLen + k, nil
+	gk.Rot, gk.El, gk.SwitchingKey = rot, el, k
+	return galoisKeyHeaderLen + size, nil
 }
 
 // keySetHeaderLen is the GaloisKeySet prefix: count (u16).
@@ -402,10 +458,9 @@ func (s *GaloisKeySet) BinarySize() int {
 // number of Galois keys generated under p — what GaloisKeySet.BinarySize
 // reports for it — without generating one: a key's gadget carries one
 // digit per chain prime, each component over the chain plus the special
-// prime.
+// prime, and ships its header, seed and component 0.
 func (p Params) GaloisKeySetBinarySize(keys int) int {
-	digits, limbs := p.Depth+1, p.Depth+2
-	return keySetHeaderLen + keys*(galoisKeyHeaderLen+gadgetHeaderLen+digits*2*limbs*8*p.N())
+	return keySetHeaderLen + keys*(galoisKeyHeaderLen+gadgetSize(p.Depth+1, p.Depth+2, p.N()))
 }
 
 // AppendBinary appends the key set: count (u16) | keys in ascending
@@ -450,33 +505,5 @@ func (s *GaloisKeySet) DecodeFrom(b []byte) (int, error) {
 		off += k
 	}
 	s.Keys = keys
-	return off, nil
-}
-
-// DecodeFrom decodes a relinearization key from the front of b into rlk
-// (fresh storage) and returns the bytes consumed.
-func (rlk *RelinKey) DecodeFrom(b []byte) (int, error) {
-	if len(b) < gadgetHeaderLen {
-		return 0, ErrShortBuffer
-	}
-	digits, limbs := int(b[0]), int(b[1])
-	n := int(binary.LittleEndian.Uint32(b[2:6]))
-	if digits == 0 || digits > maxWireDigits ||
-		limbs == 0 || limbs > maxWireLimbs || n == 0 || n > maxWireN || n&(n-1) != 0 {
-		return 0, ErrMalformed
-	}
-	off := gadgetHeaderLen
-	parts := make([][2]ring.RNSPoly, digits)
-	for i := range parts {
-		for j := 0; j < 2; j++ {
-			ps, k, err := decodeRNSFresh(b[off:], limbs, n)
-			if err != nil {
-				return 0, err
-			}
-			parts[i][j] = ps
-			off += k
-		}
-	}
-	rlk.Parts = parts
 	return off, nil
 }

@@ -326,6 +326,15 @@ func (m *Modulus) MulCoeffwiseMontgomery(a, bMont, out Poly) {
 	}
 }
 
+// MulCoeffwiseMontgomeryThenSub sets out −= a ⊙ bMont ⊙ 2⁻⁶⁴, the
+// subtracting form of MulCoeffwiseMontgomery. Slices may alias.
+func (m *Modulus) MulCoeffwiseMontgomeryThenSub(a, bMont, out Poly) {
+	q, qInv := m.Q, m.qInv
+	for i := range out {
+		out[i] = SubMod(out[i], MRed(a[i], bMont[i], q, qInv), q)
+	}
+}
+
 // MForm converts a to Montgomery form: out = a·2⁶⁴ mod q. Slices may alias.
 func (m *Modulus) MForm(a, out Poly) {
 	q, brc := m.Q, m.brc

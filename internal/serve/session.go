@@ -28,8 +28,7 @@ type Session struct {
 	// CKKS context, and the control plane derives the session's rekey
 	// budget from the profile's λ.
 	Profile string
-	// PK and RLK are the client's HE evaluation material; immutable.
-	PK  *ckks.PublicKey
+	// RLK is the client's relinearization key; immutable.
 	RLK *ckks.RelinKey
 
 	mu sync.RWMutex
@@ -81,10 +80,13 @@ type Stats struct {
 }
 
 // NewSession builds a session at epoch 1 holding the given key material,
-// registered on the given security profile ("" = server default).
-func NewSession(id, profile string, pk *ckks.PublicKey, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte) *Session {
+// registered on the given security profile ("" = server default). The
+// public-key argument is ignored: a server never encrypts under a
+// client's key, so a session does not hold one. It stays in the signature
+// for the callers that still pass it.
+func NewSession(id, profile string, _ *ckks.PublicKey, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte) *Session {
 	return &Session{
-		ID: id, Profile: profile, PK: pk, RLK: rlk,
+		ID: id, Profile: profile, RLK: rlk,
 		encKey: encKey,
 		nonce:  append([]byte(nil), nonce...),
 		epoch:  1,
