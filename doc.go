@@ -35,8 +35,9 @@
 //   - internal/experiments — regenerators for every table and figure in §VI
 //
 // Entry points: cmd/quhe (experiment runner), cmd/qkdsim (network
-// simulator), cmd/lwe-estimator (security estimator), cmd/edgeload (edge
-// serving load generator), and the runnable walkthroughs under examples/.
+// simulator), cmd/lwe-estimator (security estimator), the served-stack
+// benchmark (go run ./benchmark), and the runnable walkthroughs under
+// examples/.
 package quhe
 
 // Version identifies this reproduction's release.

@@ -249,6 +249,18 @@ func (c *Controller) Plan() *Plan { return c.plan.Load() }
 // the Controller interface so test fakes stay small.
 func (c *Controller) PlanJSON() any { return c.plan.Load() }
 
+// LedgerJSON returns the key centre's key-flow ledger snapshot, nil when
+// no ledger is attached — the hook behind the edge server's
+// /debug/keyledger, optional like PlanJSON.
+func (c *Controller) LedgerJSON() any {
+	if kc := c.cfg.KeyCenter; kc != nil {
+		if l := kc.KeyLedger(); l != nil {
+			return l.Snapshot()
+		}
+	}
+	return nil
+}
+
 // Start launches the periodic replanning loop. Idempotent.
 func (c *Controller) Start() {
 	if !c.started.CompareAndSwap(false, true) {

@@ -190,6 +190,10 @@ func TestResumeRoundTrip(t *testing.T) {
 	if st.Reconnects < 1 || st.Resumes < 1 {
 		t.Errorf("reconnects/resumes = %d/%d, want ≥1 each", st.Reconnects, st.Resumes)
 	}
+	// The server counts the grant too, on the series operators scrape.
+	if got := srv.ObsRegistry().Counter("quhe_resumes_total", "").Value(); got < 1 {
+		t.Errorf("quhe_resumes_total = %d, want ≥1", got)
+	}
 	if got := kc.Counters().Withdrawals; got != withdrawals {
 		t.Errorf("resume withdrew QKD key: %d withdrawals before, %d after", withdrawals, got)
 	}

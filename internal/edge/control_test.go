@@ -15,7 +15,10 @@ import (
 type fakeControl struct {
 	denySetup   atomic.Bool
 	denyCompute atomic.Bool
-	budget      atomic.Int64
+	// keyDry refuses computes as a drained QKD pool does: typed key
+	// exhaustion carrying a retry-after hint.
+	keyDry atomic.Bool
+	budget atomic.Int64
 	// steer, when non-empty, is the profile granted to every empty
 	// negotiation (a scripted per-route plan).
 	steer atomic.Value
@@ -78,6 +81,9 @@ func (f *fakeControl) AdmitCompute(sessionID string, usedBytes, pendingBytes int
 	}
 	if f.denyCompute.Load() {
 		return serve.ErrAdmissionDenied
+	}
+	if f.keyDry.Load() {
+		return serve.NewKeyExhausted(1500*time.Millisecond, "pool dry")
 	}
 	return nil
 }
@@ -157,6 +163,15 @@ func TestControlComputeAdmission(t *testing.T) {
 	// A batch is admitted item by item, like any block.
 	if _, err := c.ComputeBatch(2, [][]float64{{0.1}, {0.2}}); !errors.Is(err, serve.ErrAdmissionDenied) {
 		t.Errorf("denied batch err = %v, want serve.ErrAdmissionDenied", err)
+	}
+
+	// A key-exhaustion refusal is a typed shed the client can schedule,
+	// not an error: its retry hint survives the wire.
+	ctl.denyCompute.Store(false)
+	ctl.keyDry.Store(true)
+	_, err = c.Compute(4, []float64{0.5})
+	if d, ok := serve.RetryAfter(err); !errors.Is(err, serve.ErrKeyExhausted) || !ok || d <= 0 {
+		t.Errorf("key-exhausted compute err = %v, want serve.ErrKeyExhausted with a positive retry hint", err)
 	}
 }
 

@@ -230,14 +230,13 @@
 // text format, /debug/pprof/*, /debug/trace (filterable by ?session=
 // and ?limit=, 400 on malformed parameters), /debug/slo (availability
 // and per-profile latency attainment with multi-window burn rates),
-// /debug/keyledger (per-cause QKD withdrawal attribution when the
-// deployment wires ServerConfig.KeyLedgerJSON), and /debug/plan
-// rendering the controller's live plan when the attached Controller
-// implements PlanJSON. Security posture: the plane is off unless
-// configured, and it serves operational internals — latency profiles,
-// session counts, live pprof — without authentication, so bind it to
-// loopback (or a trusted scrape network) and never to the serving
-// address.
+// and /debug/plan and /debug/keyledger rendering the controller's live
+// plan and its key centre's per-cause QKD withdrawal ledger when the
+// attached Controller implements PlanJSON and LedgerJSON. Security
+// posture: the plane is off unless configured, and it serves operational
+// internals — latency profiles, session counts, live pprof — without
+// authentication, so bind it to loopback (or a trusted scrape network)
+// and never to the serving address.
 //
 // # Failure handling
 //
@@ -259,8 +258,8 @@
 //	                                                                     (three resends), jittered
 //	CodeKeyExhausted      yes, after retry-after retry_backoff event     serve.RetryAfter(err) gives the wait the
 //	                                                                     server derived from the QKD provisioning
-//	                                                                     rate; degradation, not failure — edgeload
-//	                                                                     counts these as shed_key_exhausted
+//	                                                                     rate; degradation, not failure — a shed
+//	                                                                     to schedule, not an error
 //	CodeAdmissionDenied   no (until replan)      wait span closes        the control plane's standing decision;
 //	                                                                     resending sooner than the next plan is noise
 //	CodeProfileDenied     no                     wait span closes        renegotiate the profile (redial); never run

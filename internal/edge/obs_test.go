@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -119,6 +120,9 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if m[`quhe_serve_compute_total{code="ok"}`] != blocks {
 		t.Errorf("ok compute counter = %g, want %d", m[`quhe_serve_compute_total{code="ok"}`], blocks)
 	}
+	if key := `quhe_slo_events_total{result="good",slo="availability"}`; m[key] != blocks {
+		t.Errorf("%s = %g, want %d", key, m[key], blocks)
+	}
 	if m["quhe_edge_rekeys_total"] != 1 {
 		t.Errorf("rekey counter = %g, want 1", m["quhe_edge_rekeys_total"])
 	}
@@ -127,6 +131,9 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	}
 	if m["quhe_serve_queue_capacity"] <= 0 {
 		t.Errorf("queue capacity gauge = %g", m["quhe_serve_queue_capacity"])
+	}
+	if body := getDebug(t, srv.DebugAddr(), "/debug/trace"); !strings.Contains(body, "traceEvents") {
+		t.Errorf("/debug/trace must serve the chrome dump, got %q", body)
 	}
 }
 
@@ -176,12 +183,42 @@ func TestTraceSpanSum(t *testing.T) {
 	}
 }
 
+// getDebug GETs one debug-plane page, failing the test unless it answers
+// 200, and returns the body.
+func getDebug(t *testing.T, addr, path string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s read: %v", path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s status %d", path, resp.StatusCode)
+	}
+	return string(body)
+}
+
 // TestDebugPlanWithController shares one registry between the edge
-// server and a real control plane and checks the combined /metrics page
-// plus /debug/plan rendering the controller's live plan.
+// server and a real control plane and checks the combined /metrics page,
+// /debug/plan rendering the controller's live plan and /debug/keyledger
+// rendering its key centre's ledger after one QKD-provisioned session.
 func TestDebugPlanWithController(t *testing.T) {
 	reg := obs.NewRegistry()
-	ctl, err := control.New(control.Config{Network: qnet.SURFnet(), Metrics: reg, KeyCenter: qkd.NewKeyCenter()})
+	kc := qkd.NewKeyCenter()
+	kc.AttachLedger(qkd.NewLedger())
+	// Funded before the controller's first plan, which sizes admission
+	// from the key stock.
+	if err := kc.Provision("ledger-sess", 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kc.RunExchange("ledger-sess", 0.97, 8192, 3); err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := control.New(control.Config{Network: qnet.SURFnet(), Metrics: reg, KeyCenter: kc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +232,14 @@ func TestDebugPlanWithController(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	client, err := DialQKD(srv.Addr(), "ledger-sess", kc, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Compute(0, []float64{0.5}); err != nil {
+		t.Fatal(err)
+	}
 
 	m := scrapeMetrics(t, srv.DebugAddr())
 	if m["quhe_control_replans_total"] < 1 {
@@ -203,17 +248,22 @@ func TestDebugPlanWithController(t *testing.T) {
 	if _, ok := m["quhe_qkd_stock_bytes"]; !ok {
 		t.Error("shared registry must carry the key-centre stock gauge")
 	}
+	if key := `quhe_keyledger_withdrawals_total{cause="setup"}`; m[key] < 1 {
+		t.Errorf("%s = %g, want ≥ 1", key, m[key])
+	}
+	if key := `quhe_keyledger_bytes_total{cause="setup"}`; m[key] < RekeyWithdrawBytes {
+		t.Errorf("%s = %g, want ≥ %d", key, m[key], RekeyWithdrawBytes)
+	}
 
-	resp, err := http.Get("http://" + srv.DebugAddr() + "/debug/plan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/plan status %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), `"RouteLambda"`) {
+	if body := getDebug(t, srv.DebugAddr(), "/debug/plan"); !strings.Contains(body, `"RouteLambda"`) {
 		t.Errorf("/debug/plan must render the live plan, got %q", body)
+	}
+	body := getDebug(t, srv.DebugAddr(), "/debug/keyledger")
+	var snap qkd.LedgerSnapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("/debug/keyledger: %v in %q", err, body)
+	}
+	if len(snap.Recent) == 0 || snap.Recent[0].Session != "ledger-sess" || snap.Recent[0].Cause != qkd.CauseSetup {
+		t.Errorf("/debug/keyledger must open with the session's setup withdrawal, got %+v", snap.Recent)
 	}
 }

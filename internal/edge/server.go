@@ -105,7 +105,7 @@ type ServerConfig struct {
 	// format, /debug/pprof/*, /debug/plan (the controller's live plan),
 	// /debug/trace (chrome://tracing span dump), /debug/slo (objectives,
 	// attainment and burn rates) and /debug/keyledger (the QKD key-flow
-	// ledger, when KeyLedgerJSON is wired). Off by default; bind
+	// ledger of the Control plane's key centre). Off by default; bind
 	// loopback ("127.0.0.1:0") unless the scrape network is trusted — the
 	// plane serves operational internals without authentication.
 	DebugAddr string
@@ -128,11 +128,6 @@ type ServerConfig struct {
 	// resume fails typed. 0 keeps the pre-window behavior — sessions
 	// survive disconnects until LRU eviction.
 	ResumeWindow time.Duration
-	// KeyLedgerJSON, when set, is rendered at /debug/keyledger on the
-	// debug plane. The server never sees QKD withdrawals itself (clients
-	// talk to the key centre directly), so the deployment wires in the
-	// ledger snapshot — typically qkd.(*Ledger).Snapshot via closure.
-	KeyLedgerJSON func() any
 }
 
 // profileRuntime is one security profile's serving substrate: the shared
@@ -342,15 +337,19 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.DebugAddr != "" {
 		dcfg := obs.DebugConfig{
-			Registry:  s.met.reg,
-			Tracer:    s.met.tracer,
-			SLO:       s.met.sloSnapshot,
-			KeyLedger: cfg.KeyLedgerJSON,
+			Registry: s.met.reg,
+			Tracer:   s.met.tracer,
+			SLO:      s.met.sloSnapshot,
 		}
 		// The Controller interface stays minimal; controllers that can
-		// render their plan opt into /debug/plan by implementing PlanJSON.
+		// render their plan or their key centre's ledger opt into
+		// /debug/plan and /debug/keyledger by implementing PlanJSON and
+		// LedgerJSON. The server never sees QKD withdrawals itself.
 		if pj, ok := cfg.Control.(interface{ PlanJSON() any }); ok {
 			dcfg.Plan = pj.PlanJSON
+		}
+		if lj, ok := cfg.Control.(interface{ LedgerJSON() any }); ok {
+			dcfg.KeyLedger = lj.LedgerJSON
 		}
 		ds, err := obs.ServeDebug(cfg.DebugAddr, dcfg)
 		if err != nil {

@@ -159,7 +159,10 @@ func finishFrame(b []byte) ([]byte, error) {
 // payload, and verifies its checksum trailer: a mismatch fails with the
 // typed ErrFrameChecksum instead of handing a corrupt payload to a
 // decoder. The returned payload aliases *buf and is valid until the next
-// readFrame with the same buffer; decoders copy what they keep.
+// readFrame with the same buffer; decoders copy what they keep. A frame
+// past frameBufRetain (a rotation-key upload) is read into a buffer of its
+// own that *buf does not keep, so it is garbage once decoded and a
+// connection does not hold its largest frame for its lifetime.
 func readFrame(br *bufio.Reader, buf *[]byte) (ftype byte, id uint64, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(br, hdr[:]); err != nil {
@@ -177,19 +180,23 @@ func readFrame(br *bufio.Reader, buf *[]byte) (ftype byte, id uint64, payload []
 	if n > maxFramePayload {
 		return 0, 0, nil, ErrFrameTooLarge
 	}
-	if cap(*buf) < n+crcTrailerLen {
-		*buf = make([]byte, n+crcTrailerLen)
+	b := *buf
+	if cap(b) < n+crcTrailerLen {
+		b = make([]byte, n+crcTrailerLen)
+		if n+crcTrailerLen <= frameBufRetain {
+			*buf = b
+		}
 	}
-	*buf = (*buf)[:n+crcTrailerLen]
-	if _, err = io.ReadFull(br, *buf); err != nil {
+	b = b[:n+crcTrailerLen]
+	if _, err = io.ReadFull(br, b); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, 0, nil, err
 	}
-	payload = (*buf)[:n]
+	payload = b[:n]
 	sum := crc32.Update(crc32.Checksum(hdr[:], crcTable), crcTable, payload)
-	if sum != binary.LittleEndian.Uint32((*buf)[n:]) {
+	if sum != binary.LittleEndian.Uint32(b[n:]) {
 		return 0, 0, nil, ErrFrameChecksum
 	}
 	return ftype, id, payload, nil
