@@ -40,8 +40,13 @@ func TestRotationHeavyRouteSteersLambda(t *testing.T) {
 	tel := ctl.Telemetry()
 	// Two observation rounds so the second snapshot sees a byte delta
 	// over a measurable dt. Route 1 is affine-only; route 2 carries the
-	// same bytes but every block fans out into hoisted rotations.
-	const blockBytes = 1 << 14
+	// same bytes but every block fans out into hoisted rotations. Demand
+	// is bytes over the time between the two snapshots, which a slow
+	// Replan (the race detector) stretches: the matvec route steps down
+	// only above ≈376 KB/s, so 512 KiB per snapshot holds it there for
+	// any gap under a second, while the affine route stays at the top
+	// level for any gap over ≈5 ms (the sleep below is 20).
+	const blockBytes = 1 << 19
 	const rotations = 1 << 12
 	report := func() {
 		tel.ObserveCompute("r1-affine", blockBytes, time.Millisecond, serve.CodeOK)

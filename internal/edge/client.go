@@ -1198,12 +1198,18 @@ func (c *Client) MatVecDim() int { return c.mvDim }
 
 // EnableMatVec generates the Galois rotation keys the server's hoisted
 // BSGS matrix–vector kernel needs (ckks.BSGSRotations of the advertised
-// dimension) and installs them on the server-side session. Call once
-// after Dial, before the first MatVec; repeated calls are no-ops. The
-// keys are public evaluation material: they live on the session, so they
-// survive rekeys and reconnect-and-resume without a re-upload. Fails
-// with an error wrapping serve.ErrMatVecUnavailable when the server holds
-// no matrix.
+// dimension) and uploads them to the server-side session, which installs
+// them as one set once the last has arrived. Call once after Dial, before
+// the first MatVec; repeated calls are no-ops. The keys stream one per
+// RotKeys frame, each generated into the same storage and sent without
+// waiting for the previous reply, so neither end ever holds more than one
+// key in flight; the call then waits for every reply, and the first
+// refusal is its error. The keys are public evaluation material: they live
+// on the session, so they survive rekeys and reconnect-and-resume without
+// a re-upload, but an upload cut short by a lost connection installs
+// nothing and is not replayed — call EnableMatVec again. Fails with an
+// error wrapping serve.ErrMatVecUnavailable when the server holds no
+// matrix.
 func (c *Client) EnableMatVec() error {
 	if c.mvDim == 0 {
 		return fmt.Errorf("edge: %w: server holds no model matrix", serve.ErrMatVecUnavailable)
@@ -1215,21 +1221,41 @@ func (c *Client) EnableMatVec() error {
 	}
 	// Rotation-key generation is pure public-material derivation from the
 	// secret key (read-only after dial); the offset keeps the generator's
-	// stream disjoint from the dial-time keygen and evaluator streams.
+	// stream disjoint from the dial-time keygen and evaluator streams. The
+	// keys come out as GenGaloisKeys would build them, in its order. Each
+	// send copies the key into its frame before returning, and a RotKeys
+	// request is never replayed, so the next key may overwrite the storage.
 	kg := ckks.NewKeyGenerator(c.ctx, c.seed+2)
-	gks := kg.GenGaloisKeys(c.sk, ckks.BSGSRotations(c.mvDim))
-	reply, err := c.roundTrip(&envelope{RotKeys: &RotKeysRequest{
-		SessionID: c.sessionID, Keys: gks,
-	}})
+	req := &RotKeysRequest{SessionID: c.sessionID, Key: new(ckks.GaloisKey)}
+	var calls []*call
+	var err error
+	for _, rot := range ckks.KeyRotations(c.ctx.Params.N(), ckks.BSGSRotations(c.mvDim)) {
+		kg.GenGaloisKeyInto(c.sk, rot, req.Key)
+		cl, serr := c.send(&envelope{RotKeys: req})
+		if serr != nil {
+			err = fmt.Errorf("edge: rotation keys: %w", serr)
+			break
+		}
+		calls = append(calls, cl)
+	}
+	for _, cl := range calls {
+		reply, werr := c.wait(cl)
+		if err != nil {
+			continue
+		}
+		switch {
+		case werr != nil:
+			err = fmt.Errorf("edge: rotation keys: %w", werr)
+		case reply.RotKeys == nil:
+			err = errors.New("edge: malformed reply")
+		default:
+			if rerr := replyError(reply.RotKeys.Code, reply.RotKeys.Err); rerr != nil {
+				err = fmt.Errorf("edge: rotation keys rejected: %w", rerr)
+			}
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("edge: rotation keys: %w", err)
-	}
-	rep := reply.RotKeys
-	if rep == nil {
-		return errors.New("edge: malformed reply")
-	}
-	if err := replyError(rep.Code, rep.Err); err != nil {
-		return fmt.Errorf("edge: rotation keys rejected: %w", err)
+		return err
 	}
 	c.rotInstalled = true
 	return nil

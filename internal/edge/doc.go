@@ -68,7 +68,7 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x06
+//	offset 2     version  0x07
 //	offset 3     type     one of 17: hello, and a request and a reply type
 //	                      each for setup, compute, matvec, rekey, profile
 //	                      and rotation keys, plus the four resume frames
@@ -91,6 +91,20 @@
 // always end in the 16-byte trace context, all zero when the request is
 // unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
+//
+// Version 7 uploads rotation keys one per frame. A RotKeys request is the
+// session ID and one Galois key; the client generates each key into the
+// same storage and sends it without waiting for the previous reply, then
+// collects every reply, so neither end holds more than one key in flight
+// and no frame grows with the model (the largest legal frame is a λ-128k
+// Setup, under the 4 MiB cap; one λ-128k key is under 1 MB). The server
+// checks each key as it arrives and keeps it in a set pending on the
+// connection; the set is installed on the session atomically the moment
+// it covers the plan's rotations, and until then the session serves no
+// matvec. A repeated key, a key for a rotation outside the plan and a key
+// after the set is installed are refused typed. A partial set dies with
+// its connection: resume re-attaches the session, not the upload, and the
+// client uploads again.
 //
 // Version 6 ships switching keys seeded and Setup without a public key.
 // A relinearization or Galois key travels as its gadget header (digit and
@@ -134,7 +148,8 @@
 // level. Anything else is refused before a lazy-reduction transform or an
 // indexed digit loop can see it; a refused Setup registers nothing, a
 // refused Rekey leaves the live key and epoch untouched, a refused
-// upload leaves the session without rotation keys. An accepted
+// rotation key stays out of the pending set, so the session gets no
+// rotation keys until a good one takes its place. An accepted
 // transciphering key is converted in place to the evaluation form the
 // keystream kernel reads (transcipher.Cipher.InstallKey): 2·KeyLen
 // forward transforms per limb once per key generation instead of once

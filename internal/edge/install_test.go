@@ -166,37 +166,32 @@ func TestInstallValidationV3(t *testing.T) {
 		t.Fatalf("good rekey: %+v", rep)
 	}
 
-	// Rotation keys: one bad key anywhere in the set refuses the whole
-	// upload, and the session keeps serving Computes without matvec.
-	rots := ckks.BSGSRotations(len(testMatrix))
-	good := ckks.NewKeyGenerator(p.ctx, 193).GenGaloisKeys(p.sk, rots)
-	upload := func(set *ckks.GaloisKeySet) *RotKeysReply {
+	// Rotation keys: every hostile variant of one key, sent mid-stream, is
+	// refused typed and kept out of the connection's pending set, so the
+	// upload stays incomplete — nothing is installed, and the session keeps
+	// serving Computes without matvec — until the good key arrives.
+	keys := p.rotKeys("v3", 193, len(testMatrix))
+	victim := len(keys) / 2
+	upload := func(reqs []*RotKeysRequest) {
 		t.Helper()
-		req := &RotKeysRequest{SessionID: "v3", Keys: set}
-		rep, err := decodeRotKeysReply(p.call(t, frameRotKeys, frameRotKeysReply, func(b []byte) []byte { return appendRotKeysRequest(b, req) }))
-		if err != nil {
-			t.Fatal(err)
+		for _, req := range reqs {
+			if rep := p.uploadKey(t, req); replyError(rep.Code, rep.Err) != nil {
+				t.Fatalf("good rotation key %d refused: %+v", req.Key.Rot, rep)
+			}
 		}
-		return rep
 	}
-	var victim uint64
-	for el := range good.Keys {
-		victim = el
-		break
-	}
-	for name, g := range p.hostileGadgets(&good.Keys[victim].SwitchingKey) {
-		set := &ckks.GaloisKeySet{Keys: make(map[uint64]*ckks.GaloisKey, len(good.Keys))}
-		for el, gk := range good.Keys {
-			set.Keys[el] = gk
-		}
-		set.Keys[victim] = &ckks.GaloisKey{Rot: good.Keys[victim].Rot, El: victim, SwitchingKey: *g.key}
-		if rep := upload(set); rep.Code != g.code {
+	upload(keys[:victim])
+	good := keys[victim].Key
+	for name, g := range p.hostileGadgets(&good.SwitchingKey) {
+		bad := &RotKeysRequest{SessionID: "v3", Key: &ckks.GaloisKey{Rot: good.Rot, El: good.El, SwitchingKey: *g.key}}
+		if rep := p.uploadKey(t, bad); rep.Code != g.code {
 			t.Errorf("rotation key with %s: reply %+v, want %v", name, rep, g.code)
 		}
 	}
+	upload(keys[victim+1:])
 	sess, _ := srv.store.Peek("v3")
 	if sess.RotKeys() != nil {
-		t.Fatal("a refused rotation-key upload was installed")
+		t.Fatal("a rotation-key set missing its refused key was installed")
 	}
 	compute := func(ftype, want byte, block uint32) *ComputeReply {
 		t.Helper()
@@ -213,9 +208,7 @@ func TestInstallValidationV3(t *testing.T) {
 	if rep := compute(frameMatVec, frameMatVecReply, 1); rep.Code != serve.CodeMatVecUnavailable {
 		t.Errorf("matvec without installed rotation keys: %+v, want CodeMatVecUnavailable", rep)
 	}
-	if rep := upload(good); replyError(rep.Code, rep.Err) != nil {
-		t.Fatalf("good rotation keys refused: %+v", rep)
-	}
+	upload(keys[victim : victim+1])
 	if rep := compute(frameMatVec, frameMatVecReply, 2); rep.Code != serve.CodeOK {
 		t.Errorf("matvec after the good upload: %+v", rep)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"quhe/internal/he/ckks"
 	"quhe/internal/serve"
 )
 
@@ -35,12 +34,7 @@ func TestOpGates(t *testing.T) {
 			p := newRawPeer(t, 401)
 			p.dial(t, srv.Addr())
 			p.register(t, "gated")
-			keys := &RotKeysRequest{SessionID: "gated",
-				Keys: ckks.NewKeyGenerator(p.ctx, 403).GenGaloisKeys(p.sk, ckks.BSGSRotations(len(testMatrix)))}
-			if rep, err := decodeRotKeysReply(p.call(t, frameRotKeys, frameRotKeysReply,
-				func(b []byte) []byte { return appendRotKeysRequest(b, keys) })); err != nil || replyError(rep.Code, rep.Err) != nil {
-				t.Fatalf("rotation keys: %+v err %v", rep, err)
-			}
+			p.uploadRotKeys(t, "gated", 403, len(testMatrix))
 
 			block := uint32(0)
 			request := func(epoch uint64, slots int) func(b []byte) []byte {

@@ -135,20 +135,21 @@ type RekeyReply struct {
 	Epoch uint64
 }
 
-// RotKeysRequest installs the client's Galois rotation keys on its
-// server-side session. The set must cover every rotation of the server's
-// BSGS plan (ckks.BSGSRotations of the advertised MatVecDim) and every
-// key must pass ckks.Context.CheckSwitchingKey for the session's
-// profile; an incomplete, mismatched or unreduced upload is rejected
-// typed at installation time instead of failing mid-evaluation. Keys
+// RotKeysRequest uploads one of the client's Galois rotation keys to its
+// server-side session. Each key must pass ckks.Context.CheckSwitchingKey
+// for the session's profile and be for a rotation of the server's BSGS
+// plan (ckks.BSGSRotations of the advertised MatVecDim) not uploaded yet;
+// a mismatched, unreduced, repeated or unplanned key is refused typed
+// before it is kept. The connection collects accepted keys and installs
+// them on the session as one set once they cover the plan. Installed keys
 // live on the session, so they survive reconnect-and-resume without a
-// re-upload.
+// re-upload; a partial set lives on the connection and dies with it.
 type RotKeysRequest struct {
 	SessionID string
-	Keys      *ckks.GaloisKeySet
+	Key       *ckks.GaloisKey
 }
 
-// RotKeysReply acknowledges a rotation-key installation.
+// RotKeysReply acknowledges one rotation key.
 type RotKeysReply struct {
 	Err  string
 	Code serve.Code

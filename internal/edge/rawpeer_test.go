@@ -128,6 +128,40 @@ func (p *rawPeer) register(t testing.TB, id string) {
 	}
 }
 
+// rotKeys returns the RotKeys requests of a session's upload for a
+// dimension-dim model, one rotation key each, in the order a Client sends
+// them, generated from seed.
+func (p *rawPeer) rotKeys(id string, seed int64, dim int) []*RotKeysRequest {
+	kg := ckks.NewKeyGenerator(p.ctx, seed)
+	var reqs []*RotKeysRequest
+	for _, rot := range ckks.KeyRotations(p.ctx.Params.N(), ckks.BSGSRotations(dim)) {
+		reqs = append(reqs, &RotKeysRequest{SessionID: id, Key: kg.GenGaloisKey(p.sk, rot)})
+	}
+	return reqs
+}
+
+// uploadKey sends one rotation key and returns the server's verdict.
+func (p *rawPeer) uploadKey(t testing.TB, req *RotKeysRequest) *RotKeysReply {
+	t.Helper()
+	rep, err := decodeRotKeysReply(p.call(t, frameRotKeys, frameRotKeysReply,
+		func(b []byte) []byte { return appendRotKeysRequest(b, req) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// uploadRotKeys uploads every rotation key of session id's dimension-dim
+// plan, each of which must be accepted.
+func (p *rawPeer) uploadRotKeys(t testing.TB, id string, seed int64, dim int) {
+	t.Helper()
+	for _, req := range p.rotKeys(id, seed, dim) {
+		if rep := p.uploadKey(t, req); replyError(rep.Code, rep.Err) != nil {
+			t.Fatalf("rotation key %d refused: %+v", req.Key.Rot, rep)
+		}
+	}
+}
+
 // mask pads data to a full block and masks it under the peer's key.
 func (p *rawPeer) mask(t testing.TB, block uint32, data []float64) []float64 {
 	t.Helper()

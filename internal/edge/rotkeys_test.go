@@ -1,0 +1,124 @@
+package edge
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	"quhe/internal/serve"
+)
+
+// matvecRaw sends one MatVec block of session id (x replicated across the
+// slots, as Client.MatVecAsync packs it) and returns the reply.
+func (p *rawPeer) matvecRaw(t *testing.T, id string, block uint32, x []float64) *ComputeReply {
+	t.Helper()
+	full := make([]float64, p.cipher.Slots())
+	for j := range full {
+		full[j] = x[j%len(x)]
+	}
+	req := &ComputeRequest{SessionID: id, Block: block, Epoch: 1, Masked: p.mask(t, block, full)}
+	rep, err := decodeComputeReply(p.call(t, frameMatVec, frameMatVecReply,
+		func(b []byte) []byte { return appendComputeRequest(b, req) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// checkMatVec holds a served matvec reply to testMatrix·x + testMatrixBias.
+func (p *rawPeer) checkMatVec(t *testing.T, rep *ComputeReply, x []float64) {
+	t.Helper()
+	if rep.Code != serve.CodeOK || rep.Result == nil {
+		t.Fatalf("matvec: %+v, want a result", rep)
+	}
+	got := p.decrypt(rep.Result)
+	for i, want := range plainMatVec(testMatrix, testMatrixBias, x) {
+		if math.Abs(got[i]-want) > 0.01 {
+			t.Errorf("matvec slot %d = %v, want %v", i, got[i], want)
+		}
+	}
+}
+
+// TestRotKeysUploadRefusals: a rotation key that arrives twice, one for a
+// rotation outside BSGSRotations of the model dimension, and one after the
+// set is installed are each refused typed, and the connection keeps
+// serving: the upload completes around the refusals and matvec runs on the
+// set it installed.
+func TestRotKeysUploadRefusals(t *testing.T) {
+	srv := startServer(t, Model{Weights: []float64{1}, Matrix: testMatrix, MatrixBias: testMatrixBias})
+	p := newRawPeer(t, 211)
+	p.dial(t, srv.Addr())
+	p.register(t, "refusals")
+	keys := p.rotKeys("refusals", 213, len(testMatrix))
+	outside := p.rotKeys("refusals", 213, 4*len(testMatrix))
+
+	refused := func(what string, req *RotKeysRequest, detail string) {
+		t.Helper()
+		rep := p.uploadKey(t, req)
+		if rep.Code != serve.CodeBadRequest || !strings.Contains(rep.Err, detail) {
+			t.Errorf("%s: reply %+v, want CodeBadRequest saying %q", what, rep, detail)
+		}
+	}
+	if rep := p.uploadKey(t, keys[0]); replyError(rep.Code, rep.Err) != nil {
+		t.Fatalf("first key refused: %+v", rep)
+	}
+	refused("the first key again", keys[0], "uploaded twice")
+	refused("a key outside the plan", outside[len(outside)-1], "not a rotation of the dimension-4 matvec plan")
+	sess, _ := srv.store.Peek("refusals")
+	if sess.RotKeys() != nil {
+		t.Fatal("rotation keys installed before the set was complete")
+	}
+	for _, req := range keys[1:] {
+		if rep := p.uploadKey(t, req); replyError(rep.Code, rep.Err) != nil {
+			t.Fatalf("rotation key %d refused: %+v", req.Key.Rot, rep)
+		}
+	}
+	if got := len(sess.RotKeys().Rotations()); got != len(keys) {
+		t.Fatalf("%d rotation keys installed, want %d", got, len(keys))
+	}
+	refused("a key after install", keys[0], "already installed")
+	x := []float64{0.5, -0.25, 1, 0.75}
+	p.checkMatVec(t, p.matvecRaw(t, "refusals", 1, x), x)
+}
+
+// TestInterruptedRotKeysUpload: a peer that sends some of a session's
+// rotation keys and drops the connection installs nothing — the partial
+// set lived on the connection — and a resume does not bring it back. On
+// the resumed connection matvec is unavailable until a fresh upload, which
+// then installs and serves.
+func TestInterruptedRotKeysUpload(t *testing.T) {
+	srv := startServer(t, Model{Weights: []float64{1}, Matrix: testMatrix, MatrixBias: testMatrixBias})
+	p := newRawPeer(t, 221)
+	p.dial(t, srv.Addr())
+	auth := make([]byte, 32)
+	auth[0] = 7
+	req := p.setupRequest("interrupted", p.encKey(t))
+	req.ResumeAuth = auth
+	if rep := p.setup(t, req); replyError(rep.Code, rep.Err) != nil {
+		t.Fatalf("setup: %+v", rep)
+	}
+	keys := p.rotKeys("interrupted", 223, len(testMatrix))
+	for _, req := range keys[:len(keys)-1] {
+		if rep := p.uploadKey(t, req); replyError(rep.Code, rep.Err) != nil {
+			t.Fatalf("rotation key %d refused: %+v", req.Key.Rot, rep)
+		}
+	}
+	p.conn.Close()
+
+	q := *p
+	q.buf = nil
+	q.dial(t, srv.Addr())
+	if err := resumeHandshake(q.conn, q.br, "interrupted", 1, "", auth); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	sess, _ := srv.store.Peek("interrupted")
+	if sess.RotKeys() != nil {
+		t.Fatal("an interrupted upload was installed")
+	}
+	x := []float64{-0.5, 0.25, 0.125, 1}
+	if rep := q.matvecRaw(t, "interrupted", 1, x); rep.Code != serve.CodeMatVecUnavailable {
+		t.Fatalf("matvec after an interrupted upload: %+v, want CodeMatVecUnavailable", rep)
+	}
+	q.uploadRotKeys(t, "interrupted", 223, len(testMatrix))
+	q.checkMatVec(t, q.matvecRaw(t, "interrupted", 2, x), x)
+}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"quhe/internal/chacha20"
 	"quhe/internal/he/ckks"
 	"quhe/internal/he/profile"
+	"quhe/internal/he/ring"
 	"quhe/internal/obs"
 	"quhe/internal/serve"
 	"quhe/internal/transcipher"
@@ -37,31 +39,6 @@ type Model struct {
 	Matrix [][]float64
 	// MatrixBias is added slot-wise to the matvec output; nil for none.
 	MatrixBias []float64
-}
-
-// ErrRotKeysTooLarge reports a model matrix whose rotation keys cannot be
-// uploaded: on some served profile the RotKeys frame carrying
-// ckks.BSGSRotations of its dimension would exceed the frame size limit,
-// so every client would spend its key generation and then fail
-// EnableMatVec with ErrFrameTooLarge. NewServer refuses such a model.
-var ErrRotKeysTooLarge = errors.New("edge: model matrix rotation keys exceed the frame size limit")
-
-// checkRotKeysFrame sizes the RotKeys payload a model matrix of dimension
-// dim implies on every profile of reg — the key set plus the session ID's
-// length prefix — and fails with ErrRotKeysTooLarge, naming the profile
-// and the size, when one exceeds maxFramePayload.
-func checkRotKeysFrame(reg *profile.Registry, dim int) error {
-	if dim == 0 {
-		return nil
-	}
-	keys := len(ckks.BSGSRotations(dim))
-	for _, p := range reg.Profiles() {
-		if size := bytesSize("") + p.Params.GaloisKeySetBinarySize(keys); size > maxFramePayload {
-			return fmt.Errorf("%w: dimension %d needs %d rotation keys, a %d-byte RotKeys payload on profile %s (limit %d)",
-				ErrRotKeysTooLarge, dim, keys, size, p.ID, maxFramePayload)
-		}
-	}
-	return nil
 }
 
 // ServerConfig parameterizes the edge server.
@@ -151,6 +128,12 @@ type profileRuntime struct {
 	mvPlan *ckks.MatVecPlan
 	mvRots int
 	mvErr  error
+	// mvKeys lists the Galois elements a session's rotation-key upload
+	// must cover on this profile's ring: one per rotation of
+	// ckks.KeyRotations of the plan's rotations, which are
+	// ckks.BSGSRotations of the model dimension — known without encoding
+	// the plan.
+	mvKeys []uint64
 }
 
 // Server is the QuHE edge server: it accepts client sessions — each on a
@@ -223,6 +206,13 @@ type connState struct {
 
 	mu       sync.Mutex
 	attached map[string]*serve.Session
+
+	// rotKeys holds each session's rotation-key upload in progress on this
+	// connection: the keys accepted so far, installed on the session as one
+	// set once they cover its matvec plan. Only the decode loop touches it,
+	// and nothing else refers to it, so a partial set dies with the
+	// connection and a resume starts the upload over.
+	rotKeys map[*serve.Session]*ckks.GaloisKeySet
 }
 
 // opReply is one finished op reply on its way to the connection's reply
@@ -286,8 +276,7 @@ func (cs *connState) detachAll(nowUnixNano int64) {
 // NewServer builds a server over the profile registry and starts
 // listening on addr (use "127.0.0.1:0" for tests). The default profile's
 // runtime is built eagerly so configuration errors fail here, not on the
-// first Setup; so does a model matrix whose rotation keys no client could
-// upload (ErrRotKeysTooLarge).
+// first Setup.
 func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
@@ -302,9 +291,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		cfg.MaxSessions = 1024
 	} else if cfg.MaxSessions < 0 {
 		cfg.MaxSessions = 0 // unbounded
-	}
-	if err := checkRotKeysFrame(profile.Default(), len(cfg.Model.Matrix)); err != nil {
-		return nil, err
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -432,7 +418,14 @@ func (s *Server) newRuntime(profileID string) (*profileRuntime, error) {
 	}
 	pool := serve.NewEvalPool(ctx, s.cfg.Workers, 1, func(int) any { return cipher.NewScratch() })
 	pool.SetProfileLabel(profileID)
-	return &profileRuntime{prof: prof, ctx: ctx, cipher: cipher, pool: pool}, nil
+	rt := &profileRuntime{prof: prof, ctx: ctx, cipher: cipher, pool: pool}
+	if dim := len(s.cfg.Model.Matrix); dim > 0 {
+		n := ctx.Params.N()
+		for _, rot := range ckks.KeyRotations(n, ckks.BSGSRotations(dim)) {
+			rt.mvKeys = append(rt.mvKeys, ring.GaloisElement(rot, n))
+		}
+	}
+	return rt, nil
 }
 
 // publishRuntime makes a built runtime the profile's one: its pool gauges
@@ -856,7 +849,7 @@ func (s *Server) dispatch(fw *frameWriter, ftype byte, id uint64, payload []byte
 		if err != nil {
 			return err
 		}
-		rep := s.handleRotKeys(req)
+		rep := s.handleRotKeys(req, cs)
 		fw.sendFrame(frameRotKeysReply, id, func(b []byte) []byte { return appendRotKeysReply(b, rep) })
 	default:
 		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, ftype)
@@ -1128,35 +1121,54 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 	return &RekeyReply{Epoch: epoch}
 }
 
-// handleRotKeys installs a session's Galois rotation keys for the matvec
-// kernel, validating the upload at installation time: every key must fit
-// the session profile's ring with reduced residues, and the set must
-// cover every rotation of the BSGS plan — so a bad set fails here, typed,
-// instead of mid-evaluation on a worker.
-func (s *Server) handleRotKeys(req *RotKeysRequest) *RotKeysReply {
-	if req.Keys == nil || len(req.Keys.Keys) == 0 {
-		return &RotKeysReply{Code: serve.CodeBadRequest, Err: "empty rotation key set"}
-	}
+// handleRotKeys takes one rotation key of a session's upload, validating
+// it before it is kept: it must fit the session profile's ring with
+// reduced residues, be for a rotation of the BSGS plan, and be the first
+// key for its rotation; and the session must not have its set already.
+// Accepted keys collect on the connection, and the set is installed on
+// the session the moment it covers the plan — so a worker only ever sees
+// a complete set, and a bad key fails here, typed, instead of
+// mid-evaluation.
+func (s *Server) handleRotKeys(req *RotKeysRequest, cs *connState) *RotKeysReply {
 	sess, rt, code, detail := s.lookupCompute(req.SessionID)
 	if code != serve.CodeOK {
 		return &RotKeysReply{Code: code, Err: detail}
 	}
-	plan, err := s.matvecPlan(rt)
-	if err != nil {
-		return &RotKeysReply{Code: serve.CodeOf(err), Err: err.Error()}
+	dim := len(s.cfg.Model.Matrix)
+	if dim == 0 {
+		return &RotKeysReply{Code: serve.CodeMatVecUnavailable, Err: "no model matrix configured"}
 	}
-	for el, gk := range req.Keys.Keys {
-		if err := rt.ctx.CheckSwitchingKey(&gk.SwitchingKey); err != nil {
-			return &RotKeysReply{Code: keyCode(err),
-				Err: fmt.Sprintf("rotation key for element %d: %v", el, err)}
+	gk := req.Key
+	if sess.RotKeys() != nil {
+		return &RotKeysReply{Code: serve.CodeBadRequest,
+			Err: fmt.Sprintf("rotation key %d: the session's rotation keys are already installed", gk.Rot)}
+	}
+	if err := rt.ctx.CheckSwitchingKey(&gk.SwitchingKey); err != nil {
+		return &RotKeysReply{Code: keyCode(err), Err: fmt.Sprintf("rotation key %d: %v", gk.Rot, err)}
+	}
+	if !slices.Contains(rt.mvKeys, gk.El) {
+		return &RotKeysReply{Code: serve.CodeBadRequest,
+			Err: fmt.Sprintf("rotation key %d: not a rotation of the dimension-%d matvec plan", gk.Rot, dim)}
+	}
+	set := cs.rotKeys[sess]
+	if set == nil {
+		set = &ckks.GaloisKeySet{Keys: make(map[uint64]*ckks.GaloisKey, len(rt.mvKeys))}
+		if cs.rotKeys == nil {
+			cs.rotKeys = make(map[*serve.Session]*ckks.GaloisKeySet, 1)
 		}
+		cs.rotKeys[sess] = set
 	}
-	if err := req.Keys.Covers(rt.ctx.Params.N(), plan.Rotations()); err != nil {
-		return &RotKeysReply{Code: serve.CodeBadRequest, Err: "rotation keys: " + err.Error()}
+	if set.Key(gk.El) != nil {
+		return &RotKeysReply{Code: serve.CodeBadRequest,
+			Err: fmt.Sprintf("rotation key %d: uploaded twice", gk.Rot)}
 	}
-	sess.SetRotKeys(req.Keys)
-	s.cfg.Logf("edge: session %q installed %d rotation keys (matvec dim %d)",
-		sess.ID, len(req.Keys.Keys), plan.Dim())
+	set.Keys[gk.El] = gk
+	if len(set.Keys) == len(rt.mvKeys) {
+		delete(cs.rotKeys, sess)
+		sess.SetRotKeys(set)
+		s.cfg.Logf("edge: session %q installed %d rotation keys (matvec dim %d)",
+			sess.ID, len(set.Keys), dim)
+	}
 	return &RotKeysReply{}
 }
 

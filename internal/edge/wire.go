@@ -13,9 +13,9 @@ package edge
 // Frames are sized before they are built: a message carrying CKKS key or
 // ciphertext material computes its exact payload size from the codecs'
 // BinarySize and grows its pooled buffer once, checksum trailer
-// included, so a multi-megabyte key upload costs one allocation of its own
-// size instead of a geometric series of them. Frames are written through one
-// bufio.Writer per connection under a mutex, so a frame reaches the
+// included, so a megabyte key frame costs at most one allocation of its
+// own size instead of a geometric series of them. Frames are written
+// through one bufio.Writer per connection under a mutex, so a frame reaches the
 // socket as a single coalesced write and concurrent senders (the server's
 // reply writer and its decode loop answering setups, a client's callers)
 // interleave at frame granularity — the per-connection fairness point.
@@ -50,17 +50,21 @@ const (
 	// another value is closed, never negotiated with. (3 was the last
 	// version with optional trailers and hello feature flags, 4 the last
 	// with batch frames, 5 the last with a public key in Setup and both
-	// switching-key components on the wire.)
-	frameVersion = 6
+	// switching-key components on the wire, 6 the last to upload a whole
+	// rotation-key set in one frame.)
+	frameVersion = 7
 
 	frameHeaderLen = 16
 
 	// maxFramePayload bounds a frame so a corrupt or hostile length field
-	// cannot force a huge allocation. The largest legitimate frame is a
-	// RotKeys upload: 29.5 MB for a 256×256 model matrix's 30 keys at
-	// λ-128k (LogN 12). NewServer rejects a model whose key set would not
-	// fit (ErrRotKeysTooLarge).
-	maxFramePayload = 64 << 20
+	// cannot force a huge allocation, and it is also the largest frame
+	// buffer the pool keeps. Every legal frame fits whatever the model: the
+	// largest is a λ-128k Setup (3,604,768 payload bytes, mostly its
+	// relinearization key), then a λ-128k Rekey (2,621,605), then one
+	// λ-128k rotation key (983,138) — rotation keys travel one per frame,
+	// so the model dimension sets the number of RotKeys frames, not their
+	// size. TestEveryLegalFrameFits sizes them on every profile.
+	maxFramePayload = 4 << 20
 
 	// wireBufSize sizes the per-connection bufio reader/writer.
 	wireBufSize = 64 << 10
@@ -115,19 +119,18 @@ var (
 	ErrFrameChecksum = errors.New("edge: frame checksum mismatch")
 )
 
-// frameBufs pools frame build/read buffers. Buffers that grew past the
-// retention cap (a giant Setup) are dropped rather than pinned forever.
+// frameBufs pools frame build/read buffers. A buffer that grew past what
+// the largest legal frame needs (a build that failed with
+// ErrFrameTooLarge) is dropped rather than pinned forever.
 var frameBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
 }}
 
-const frameBufRetain = 4 << 20
-
 func getFrameBuf() *[]byte { return frameBufs.Get().(*[]byte) }
 
 func putFrameBuf(pb *[]byte) {
-	if cap(*pb) > frameBufRetain {
+	if cap(*pb) > frameHeaderLen+maxFramePayload+crcTrailerLen {
 		return
 	}
 	*pb = (*pb)[:0]
@@ -159,10 +162,7 @@ func finishFrame(b []byte) ([]byte, error) {
 // payload, and verifies its checksum trailer: a mismatch fails with the
 // typed ErrFrameChecksum instead of handing a corrupt payload to a
 // decoder. The returned payload aliases *buf and is valid until the next
-// readFrame with the same buffer; decoders copy what they keep. A frame
-// past frameBufRetain (a rotation-key upload) is read into a buffer of its
-// own that *buf does not keep, so it is garbage once decoded and a
-// connection does not hold its largest frame for its lifetime.
+// readFrame with the same buffer; decoders copy what they keep.
 func readFrame(br *bufio.Reader, buf *[]byte) (ftype byte, id uint64, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(br, hdr[:]); err != nil {
@@ -183,9 +183,7 @@ func readFrame(br *bufio.Reader, buf *[]byte) (ftype byte, id uint64, payload []
 	b := *buf
 	if cap(b) < n+crcTrailerLen {
 		b = make([]byte, n+crcTrailerLen)
-		if n+crcTrailerLen <= frameBufRetain {
-			*buf = b
-		}
+		*buf = b
 	}
 	b = b[:n+crcTrailerLen]
 	if _, err = io.ReadFull(br, b); err != nil {
@@ -717,16 +715,16 @@ func decodeResumeReply(p []byte) (*ResumeReply, error) {
 }
 
 func appendRotKeysRequest(b []byte, req *RotKeysRequest) []byte {
-	b = growFrame(b, bytesSize(req.SessionID)+req.Keys.BinarySize())
+	b = growFrame(b, bytesSize(req.SessionID)+req.Key.BinarySize())
 	b = appendString(b, req.SessionID)
-	return req.Keys.AppendBinary(b)
+	return req.Key.AppendBinary(b)
 }
 
 func decodeRotKeysRequest(p []byte) (*RotKeysRequest, error) {
 	r := &wireReader{b: p}
-	req := &RotKeysRequest{SessionID: r.str(), Keys: new(ckks.GaloisKeySet)}
+	req := &RotKeysRequest{SessionID: r.str(), Key: new(ckks.GaloisKey)}
 	if r.err == nil {
-		if n, err := req.Keys.DecodeFrom(r.b); err != nil {
+		if n, err := req.Key.DecodeFrom(r.b); err != nil {
 			r.fail()
 		} else {
 			r.b = r.b[n:]

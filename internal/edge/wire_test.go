@@ -57,44 +57,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadBufferSkipsLargeFrame pins what a connection's read buffer keeps:
-// a frame within frameBufRetain grows it and is reused, while a frame past
-// the cap (a rotation-key upload) is read whole into a buffer of its own,
-// so the connection's buffer never takes the largest frame's size.
-func TestReadBufferSkipsLargeFrame(t *testing.T) {
-	small := buildFrame(t, frameCompute, 1, func(b []byte) []byte {
-		return appendComputeRequest(b, &ComputeRequest{SessionID: "s", Masked: []float64{1}})
-	})
-	body := bytes.Repeat([]byte{7}, frameBufRetain+1)
-	large := buildFrame(t, frameRotKeys, 2, func(b []byte) []byte { return append(b, body...) })
-	var buf []byte
-	read := func(frame []byte) []byte {
-		t.Helper()
-		_, _, payload, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payload
-	}
-
-	read(small)
-	kept := cap(buf)
-	if kept == 0 || kept > frameBufRetain {
-		t.Fatalf("small frame left a %d-byte buffer", kept)
-	}
-	if payload := read(large); !bytes.Equal(payload, body) {
-		t.Fatalf("large frame payload: %d bytes, want the %d sent", len(payload), len(body))
-	}
-	if cap(buf) != kept {
-		t.Errorf("a %d-byte frame grew the connection's buffer to %d, want it left at %d", len(large), cap(buf), kept)
-	}
-	before := &buf[:1][0]
-	read(small)
-	if &buf[:1][0] != before {
-		t.Error("buffer within the cap not reused for the next frame")
-	}
-}
-
 func TestFrameDecodeTypedErrors(t *testing.T) {
 	valid := buildFrame(t, frameCompute, 1, func(b []byte) []byte {
 		return appendComputeRequest(b, &ComputeRequest{SessionID: "s", Masked: []float64{1}})
@@ -378,6 +340,13 @@ func FuzzFrameDecode(f *testing.F) {
 			_, derr = decodeRekeyRequest(payload)
 		case frameRekeyReply:
 			_, derr = decodeRekeyReply(payload)
+		case frameRotKeys:
+			var req *RotKeysRequest
+			if req, derr = decodeRotKeysRequest(payload); derr == nil {
+				_ = p.ctx.CheckSwitchingKey(&req.Key.SwitchingKey)
+			}
+		case frameRotKeysReply:
+			_, derr = decodeRotKeysReply(payload)
 		}
 		if derr != nil && !errors.Is(derr, ErrBadFrame) {
 			t.Fatalf("untyped payload error for frame type %d: %v", ftype, derr)

@@ -42,24 +42,6 @@ func (s *GaloisKeySet) Key(el uint64) *GaloisKey {
 	return s.Keys[el]
 }
 
-// Covers verifies the set holds a key for every rotation in rots on a
-// ring of degree n, so a server can reject an incomplete upload at
-// installation time instead of failing mid-evaluation. Identity rotations
-// (element 1) need no key. The error wraps ErrNoGaloisKey and names the
-// first missing rotation.
-func (s *GaloisKeySet) Covers(n int, rots []int) error {
-	for _, rot := range rots {
-		el := ring.GaloisElement(rot, n)
-		if el == 1 {
-			continue
-		}
-		if s.Key(el) == nil {
-			return fmt.Errorf("%w: rotation %d (element %d)", ErrNoGaloisKey, rot, el)
-		}
-	}
-	return nil
-}
-
 // Rotations lists the slot rotations the set covers, ascending.
 func (s *GaloisKeySet) Rotations() []int {
 	if s == nil {
@@ -74,33 +56,53 @@ func (s *GaloisKeySet) Rotations() []int {
 }
 
 // GenGaloisKey builds the key switching σ_g(s) → s for a left rotation by
-// rot slots; see genSwitchingKey.
+// rot slots; see GenGaloisKeyInto.
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, rot int) *GaloisKey {
-	n := kg.ctx.Params.N()
-	el := ring.GaloisElement(rot, n)
-	tab := ring.AutomorphismNTTTable(el, n)
-	// The NTT-domain automorphism is a pure gather, and Montgomery form
-	// commutes with it.
-	k := kg.genSwitchingKey(sk, func(j int, out ring.Poly) {
-		ring.ApplyAutomorphismNTT(sk.S[j], tab, out) // σ_g(ŝ), Montgomery form
-	})
-	return &GaloisKey{Rot: rot, El: el, SwitchingKey: k}
+	gk := new(GaloisKey)
+	kg.GenGaloisKeyInto(sk, rot, gk)
+	return gk
 }
 
-// GenGaloisKeys builds the key set for an explicit rotation list
-// (duplicates and rotations ≡ 0 mod slots are skipped).
-func (kg *KeyGenerator) GenGaloisKeys(sk *SecretKey, rots []int) *GaloisKeySet {
-	set := &GaloisKeySet{Keys: make(map[uint64]*GaloisKey, len(rots))}
+// GenGaloisKeyInto builds the key GenGaloisKey(sk, rot) returns into gk,
+// drawing the same randomness: gk's gadget is overwritten in place when it
+// has the context's shape, so one GaloisKey serves a stream of keys that
+// are each consumed (encoded, say) before the next is generated. gk must
+// not be shared with a reader while it is rewritten.
+func (kg *KeyGenerator) GenGaloisKeyInto(sk *SecretKey, rot int, gk *GaloisKey) {
 	n := kg.ctx.Params.N()
+	el := ring.GaloisElement(rot, n)
+	kg.genSwitchingKeyInto(sk, ring.AutomorphismNTTTable(el, n), &gk.SwitchingKey)
+	gk.Rot, gk.El = rot, el
+}
+
+// KeyRotations lists the rotations of rots that need a Galois key on a
+// ring of degree n, in order: the identity (element 1, a rotation ≡ 0 mod
+// slots) and a repeat of an element already listed are dropped. It is the
+// order GenGaloisKeys draws its keys in, so generating these one by one
+// with GenGaloisKeyInto from the same generator state reproduces the set
+// bit for bit.
+func KeyRotations(n int, rots []int) []int {
+	seen := make(map[uint64]bool, len(rots))
+	out := make([]int, 0, len(rots))
 	for _, rot := range rots {
 		el := ring.GaloisElement(rot, n)
-		if el == 1 {
+		if el == 1 || seen[el] {
 			continue
 		}
-		if _, ok := set.Keys[el]; ok {
-			continue
-		}
-		set.Keys[el] = kg.GenGaloisKey(sk, rot)
+		seen[el] = true
+		out = append(out, rot)
+	}
+	return out
+}
+
+// GenGaloisKeys builds the key set for an explicit rotation list: one key
+// per rotation of KeyRotations(rots).
+func (kg *KeyGenerator) GenGaloisKeys(sk *SecretKey, rots []int) *GaloisKeySet {
+	keyRots := KeyRotations(kg.ctx.Params.N(), rots)
+	set := &GaloisKeySet{Keys: make(map[uint64]*GaloisKey, len(keyRots))}
+	for _, rot := range keyRots {
+		gk := kg.GenGaloisKey(sk, rot)
+		set.Keys[gk.El] = gk
 	}
 	return set
 }

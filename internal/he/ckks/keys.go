@@ -127,6 +127,18 @@ func (c *Context) CheckSwitchingKey(k *SwitchingKey) error {
 type KeyGenerator struct {
 	ctx *Context
 	rng *rand.Rand
+
+	// Scratch one switching key's generation hands to the next: the errors
+	// of every digit, one gadget term per digit, and the cell fan-out with
+	// the key it is filling (sk, the gadget's automorphism table — nil for
+	// the relinearization gadget ŝ² — and the parts), so a key generated
+	// into reused storage allocates only its PRG.
+	es    []int64
+	g     []ring.Poly
+	cell  func(c int)
+	sk    *SecretKey
+	tab   []uint32
+	parts [][2]ring.RNSPoly
 }
 
 // NewKeyGenerator builds a key generator over the context. seed=0 selects
@@ -135,7 +147,9 @@ func NewKeyGenerator(ctx *Context, seed int64) *KeyGenerator {
 	if seed == 0 {
 		seed = 1
 	}
-	return &KeyGenerator{ctx: ctx, rng: rand.New(rand.NewSource(seed))}
+	kg := &KeyGenerator{ctx: ctx, rng: rand.New(rand.NewSource(seed))}
+	kg.cell = kg.switchingCell
+	return kg
 }
 
 // qpMod returns the modulus of extended-basis limb t: chain limb t, or
@@ -222,21 +236,22 @@ func (kg *KeyGenerator) zeroSampleInto(t int, a ring.Poly, e []int64, sk *Secret
 }
 
 // GenRelinKey builds the hybrid key-switch key from s² to s; see
-// genSwitchingKey.
+// genSwitchingKeyInto.
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
-	k := kg.genSwitchingKey(sk, func(j int, out ring.Poly) {
-		kg.qpMod(j).MulCoeffwiseMontgomery(sk.S[j], sk.S[j], out) // ŝ², Montgomery form
-	})
-	return &k
+	k := new(RelinKey)
+	kg.genSwitchingKeyInto(sk, nil, k)
+	return k
 }
 
-// genSwitchingKey builds the hybrid key-switch gadget from a secret g to
-// sk: one part per chain limb, each an RLWE zero-sample over QP with
-// (P mod q_j)·g added into limb j only. gadget(j, out) writes limb j of ĝ
-// (NTT domain, Montgomery form) into out. The seed and the errors are
-// drawn from the RNG and the uniform half expanded up front, so the
-// digits × QP cells then fan out deterministically over the worker pool.
-func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, gadget func(j int, out ring.Poly)) SwitchingKey {
+// genSwitchingKeyInto builds into k the hybrid key-switch gadget from a
+// secret g to sk: one part per chain limb, each an RLWE zero-sample over
+// QP with (P mod q_j)·g added into limb j only. g is σ(s) under the
+// NTT-domain gather table tab, or s² for a nil tab. The seed and the
+// errors are drawn from the RNG and the uniform half expanded up front,
+// so the digits × QP cells then fan out deterministically over the worker
+// pool. k's parts are overwritten in place when they have the context's
+// shape, and replaced by a fresh gadget otherwise.
+func (kg *KeyGenerator) genSwitchingKeyInto(sk *SecretKey, tab []uint32, k *SwitchingKey) {
 	ctx := kg.ctx
 	n := ctx.Params.N()
 	digits := len(ctx.Primes)
@@ -246,23 +261,69 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, gadget func(j int, out ri
 	for i := 0; i < SeedSize; i += 8 {
 		binary.LittleEndian.PutUint64(seed[i:], kg.rng.Uint64())
 	}
-	es := make([]int64, digits*n)
-	kg.gaussianInts(es)
-	parts := newGadget(digits, qp, n)
-	expandUniform(&seed, ctx.qp, parts)
-	ring.ForEach(n, digits*qp, func(c int) {
-		j, t := c/qp, c%qp
-		b := parts[j][0][t]
-		kg.zeroSampleInto(t, parts[j][1][t], es[j*n:(j+1)*n], sk, b)
-		if t == j {
-			mod := kg.qpMod(t)
-			g := make(ring.Poly, n)
-			gadget(j, g)
-			mod.MulScalar(g, ctx.Special%ctx.Primes[j], g) // a plain scalar keeps the form
-			mod.Add(b, g, b)
+	if kg.es == nil {
+		kg.es = make([]int64, digits*n)
+		kg.g = make([]ring.Poly, digits)
+		for j := range kg.g {
+			kg.g[j] = make(ring.Poly, n)
 		}
-	})
-	return SwitchingKey{QP: ctx.qp, Seed: seed, Parts: parts}
+	}
+	kg.gaussianInts(kg.es)
+	if !gadgetFits(k.Parts, digits, qp, n) {
+		k.Parts = newGadget(digits, qp, n)
+	}
+	expandUniform(&seed, ctx.qp, k.Parts)
+	kg.sk, kg.tab, kg.parts = sk, tab, k.Parts
+	ring.ForEach(n, digits*qp, kg.cell)
+	kg.sk, kg.tab, kg.parts = nil, nil, nil
+	k.QP, k.Seed = ctx.qp, seed
+}
+
+// switchingCell finishes cell c = (digit j, limb t) of the key
+// genSwitchingKeyInto is filling: the zero-sample's limb, plus the gadget
+// term on the digit's own limb. Cells write disjoint limbs, and digit j
+// alone uses the term scratch g[j], so they run concurrently.
+func (kg *KeyGenerator) switchingCell(c int) {
+	ctx := kg.ctx
+	n := ctx.Params.N()
+	qp := len(ctx.Primes) + 1
+	j, t := c/qp, c%qp
+	b := kg.parts[j][0][t]
+	kg.zeroSampleInto(t, kg.parts[j][1][t], kg.es[j*n:(j+1)*n], kg.sk, b)
+	if t != j {
+		return
+	}
+	mod, s, g := kg.qpMod(t), kg.sk.S[j], kg.g[j]
+	if kg.tab == nil {
+		mod.MulCoeffwiseMontgomery(s, s, g) // ŝ², Montgomery form
+	} else {
+		// The NTT-domain automorphism is a pure gather, and Montgomery form
+		// commutes with it.
+		ring.ApplyAutomorphismNTT(s, kg.tab, g) // σ_g(ŝ), Montgomery form
+	}
+	mod.MulScalar(g, ctx.Special%ctx.Primes[j], g) // a plain scalar keeps the form
+	mod.Add(b, g, b)
+}
+
+// gadgetFits reports whether parts is a digits × 2 × limbs gadget of
+// degree n, so a key can be regenerated in its storage.
+func gadgetFits(parts [][2]ring.RNSPoly, digits, limbs, n int) bool {
+	if len(parts) != digits {
+		return false
+	}
+	for _, part := range parts {
+		for _, comp := range part {
+			if len(comp) != limbs {
+				return false
+			}
+			for _, limb := range comp {
+				if len(limb) != n {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // newGadget allocates a digits × 2 × limbs gadget of degree n in three

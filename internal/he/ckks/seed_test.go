@@ -1,6 +1,7 @@
 package ckks_test
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
@@ -68,6 +69,79 @@ func TestSeededKeyDecodeMatchesGenerator(t *testing.T) {
 				t.Errorf("decoded Galois key refused: %v", err)
 			}
 		})
+	}
+}
+
+// TestGenGaloisKeyIntoMatchesSet: a stream of Galois keys generated one by
+// one into a single reused GaloisKey, over KeyRotations of a rotation list
+// carrying an identity and a repeat, encodes byte for byte like the keys
+// GenGaloisKeys builds from the same generator state, on every registered
+// profile — and every key after the first lands in the first one's gadget.
+func TestGenGaloisKeyIntoMatchesSet(t *testing.T) {
+	for _, prof := range profile.Default().Profiles() {
+		t.Run(prof.ID, func(t *testing.T) {
+			ctx, err := prof.Context()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rots := append(ckks.BSGSRotations(64), 0, 3)
+			setGen := ckks.NewKeyGenerator(ctx, 19)
+			set := setGen.GenGaloisKeys(setGen.GenSecretKey(), rots)
+			streamGen := ckks.NewKeyGenerator(ctx, 19)
+			sk := streamGen.GenSecretKey()
+
+			keyRots := ckks.KeyRotations(ctx.Params.N(), rots)
+			if len(keyRots) != len(set.Keys) {
+				t.Fatalf("KeyRotations lists %d rotations, the set holds %d keys", len(keyRots), len(set.Keys))
+			}
+			var gk ckks.GaloisKey
+			var slab *uint64
+			for i, rot := range keyRots {
+				streamGen.GenGaloisKeyInto(sk, rot, &gk)
+				want := set.Key(gk.El)
+				if want == nil || want.Rot != rot {
+					t.Fatalf("rotation %d: the set holds no key for element %d", rot, gk.El)
+				}
+				if !bytes.Equal(gk.AppendBinary(nil), want.AppendBinary(nil)) || !switchingKeysEqual(&gk.SwitchingKey, &want.SwitchingKey) {
+					t.Errorf("rotation %d: streamed key differs from the set's", rot)
+				}
+				if i == 0 {
+					slab = &gk.Parts[0][0][0][0]
+				} else if &gk.Parts[0][0][0][0] != slab {
+					t.Errorf("rotation %d: key generated into fresh storage, want the reused gadget", rot)
+				}
+			}
+		})
+	}
+}
+
+// TestGenGaloisKeyIntoAllocs: once a generator has built one key into a
+// GaloisKey, each further key into it allocates only the PRG's handful
+// (the seed, the AES cipher and its stream) — never its gadget, its errors
+// or its gadget terms — on every registered profile.
+func TestGenGaloisKeyIntoAllocs(t *testing.T) {
+	for _, prof := range profile.Default().Profiles() {
+		ctx, err := prof.Context()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg := ckks.NewKeyGenerator(ctx, 23)
+		sk := kg.GenSecretKey()
+		var gk ckks.GaloisKey
+		// The first pass builds the gadget and caches each rotation's
+		// automorphism table, which the ring keeps for the process.
+		const rots = 4
+		for rot := 1; rot <= rots; rot++ {
+			kg.GenGaloisKeyInto(sk, rot, &gk)
+		}
+		rot := 0
+		allocs := testing.AllocsPerRun(2*rots, func() {
+			rot = rot%rots + 1
+			kg.GenGaloisKeyInto(sk, rot, &gk)
+		})
+		if allocs > 4 {
+			t.Errorf("%s: %v allocations per key into reused storage, want ≤ 4", prof.ID, allocs)
+		}
 	}
 }
 

@@ -454,15 +454,6 @@ func (s *GaloisKeySet) BinarySize() int {
 	return n
 }
 
-// GaloisKeySetBinarySize returns the encoded size of a set of the given
-// number of Galois keys generated under p — what GaloisKeySet.BinarySize
-// reports for it — without generating one: a key's gadget carries one
-// digit per chain prime, each component over the chain plus the special
-// prime, and ships its header, seed and component 0.
-func (p Params) GaloisKeySetBinarySize(keys int) int {
-	return keySetHeaderLen + keys*(galoisKeyHeaderLen+gadgetSize(p.Depth+1, p.Depth+2, p.N()))
-}
-
 // AppendBinary appends the key set: count (u16) | keys in ascending
 // element order (deterministic bytes for identical sets).
 func (s *GaloisKeySet) AppendBinary(b []byte) []byte {

@@ -46,9 +46,11 @@ type Session struct {
 	// for a session registered without one.
 	resumeAuth []byte
 	// rotKeys holds the client's Galois rotation keys for the packed
-	// matrix–vector kernel. Uploaded once after Setup and kept on the
-	// session (not the connection) so a resumed client never re-uploads
-	// them. Nil until the client installs a set.
+	// matrix–vector kernel. The keys arrive one per frame and collect on
+	// the uploading connection; the set lands here whole, once it covers
+	// the plan, and stays on the session (not the connection) so a resumed
+	// client never re-uploads it. Nil until then: the session serves no
+	// matvec on a partial set.
 	rotKeys *ckks.GaloisKeySet
 
 	blocks          atomic.Int64
