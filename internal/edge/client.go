@@ -129,7 +129,7 @@ type Client struct {
 	br     *bufio.Reader
 
 	// mvDim is the server's packed model matrix dimension, learned from
-	// the SetupReply (0 = the server holds no matrix). seed is kept so
+	// the Setup reply (0 = the server holds no matrix). seed is kept so
 	// the rotation-key generation in EnableMatVec derives from the same
 	// deterministic stream as the dial-time keygen.
 	mvDim int
@@ -389,27 +389,24 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		c.teardown()
 		return nil, fmt.Errorf("edge: setup: %w", err)
 	}
-	if reply.Setup == nil {
-		c.teardown()
-		return nil, errors.New("edge: setup rejected: missing reply")
-	}
-	if setupErr := replyError(reply.Setup.Code, reply.Setup.Err); setupErr != nil {
+	rep, err := sessionReply("setup", reply.Session)
+	if err != nil {
 		c.teardown()
 		// A profile grant can go stale between the query and Setup when a
 		// replan moves the route's λ mid-dial: renegotiate from scratch
 		// (fresh connection, fresh grant, fresh keys) a bounded number of
 		// times before surfacing the typed denial.
-		if errors.Is(setupErr, serve.ErrProfileDenied) && attempt < 2 {
+		if errors.Is(err, serve.ErrProfileDenied) && attempt < 2 {
 			return dialAttempt(addr, sessionID, qkdKey, kc, seed, dcfg, attempt+1)
 		}
-		return nil, fmt.Errorf("edge: setup rejected: %w", setupErr)
+		return nil, err
 	}
-	if reply.Setup.Profile != prof.ID {
+	if rep.Profile != prof.ID {
 		c.teardown()
 		return nil, fmt.Errorf("edge: %w: registered on %q, granted %q",
-			serve.ErrProfileDenied, reply.Setup.Profile, prof.ID)
+			serve.ErrProfileDenied, rep.Profile, prof.ID)
 	}
-	c.mvDim = reply.Setup.MatVecDim
+	c.mvDim = rep.MatVecDim
 	// Arm the reconnect machinery only once the credential is registered
 	// server-side — a connection lost before this point has nothing to
 	// resume into.
@@ -495,20 +492,41 @@ func queryProfile(conn net.Conn, br *bufio.Reader, sessionID, requested string) 
 	if err != nil {
 		return "", fmt.Errorf("edge: profile query: %w", err)
 	}
-	if ftype != frameProfileReply {
-		return "", fmt.Errorf("%w: unexpected frame type %d in profile negotiation", ErrBadFrame, ftype)
-	}
-	rep, err := decodeProfileReply(payload)
+	rep, err := syncReply("profile", ftype, payload)
 	if err != nil {
 		return "", err
 	}
-	if err := replyError(rep.Code, rep.Err); err != nil {
-		return "", fmt.Errorf("edge: profile rejected: %w", err)
-	}
-	if rep.Granted == "" {
+	if rep.Profile == "" {
 		return "", errors.New("edge: profile negotiation granted nothing")
 	}
-	return rep.Granted, nil
+	return rep.Profile, nil
+}
+
+// syncReply reads the session reply that ends a synchronous dialog (the
+// profile query, the resume handshake) through sessionReply; any other
+// frame type there is a protocol violation.
+func syncReply(what string, ftype byte, payload []byte) (*SessionReply, error) {
+	if ftype != frameSessionReply {
+		return nil, fmt.Errorf("%w: unexpected frame type %d in %s dialog", ErrBadFrame, ftype, what)
+	}
+	rep, err := decodeSessionReply(payload)
+	if err != nil {
+		return nil, err
+	}
+	return sessionReply(what, rep)
+}
+
+// sessionReply reads a session-table reply the one way every caller does:
+// a missing reply is malformed, and a refusal is the typed error of its
+// code (replyError), named for the request it answers.
+func sessionReply(what string, rep *SessionReply) (*SessionReply, error) {
+	if rep == nil {
+		return nil, fmt.Errorf("edge: %s: malformed reply", what)
+	}
+	if err := replyError(rep.Code, rep.Err); err != nil {
+		return nil, fmt.Errorf("edge: %s rejected: %w", what, err)
+	}
+	return rep, nil
 }
 
 // nonceFor derives the per-epoch masking nonce: epoch and a session-ID
@@ -786,17 +804,8 @@ func resumeHandshake(conn net.Conn, br *bufio.Reader, sessionID string, epoch ui
 	}
 	// A reply in place of the challenge is a denial before it (unknown
 	// session, drift, draining).
-	if ftype != frameResumeReply {
-		return fmt.Errorf("%w: unexpected frame type %d in resume handshake", ErrBadFrame, ftype)
-	}
-	rep, err := decodeResumeReply(payload)
-	if err != nil {
-		return err
-	}
-	if err := replyError(rep.Code, rep.Err); err != nil {
-		return fmt.Errorf("edge: resume rejected: %w", err)
-	}
-	return nil
+	_, err = syncReply("resume", ftype, payload)
+	return err
 }
 
 // replayable reports whether the request may be re-sent on a resumed
@@ -823,37 +832,24 @@ func (c *Client) replayPending() {
 	}
 }
 
+// handleFrame decodes one reply and hands it to its waiting request: every
+// per-block op replies in the Compute layout, every other request in the
+// session layout.
 func (c *Client) handleFrame(ftype byte, id uint64, payload []byte) error {
+	reply := replyEnvelope{ID: id}
+	var err error
 	switch ftype {
-	case frameSetupReply:
-		rep, err := decodeSetupReply(payload)
-		if err != nil {
-			return err
-		}
-		c.deliver(replyEnvelope{ID: id, Setup: rep})
-	case frameComputeReply, frameMatVecReply:
-		// Every per-block op replies in the Compute layout.
-		rep, err := decodeComputeReply(payload)
-		if err != nil {
-			return err
-		}
-		c.deliver(replyEnvelope{ID: id, Compute: rep})
-	case frameRekeyReply:
-		rep, err := decodeRekeyReply(payload)
-		if err != nil {
-			return err
-		}
-		c.deliver(replyEnvelope{ID: id, Rekey: rep})
-	case frameRotKeysReply:
-		rep, err := decodeRotKeysReply(payload)
-		if err != nil {
-			return err
-		}
-		c.deliver(replyEnvelope{ID: id, RotKeys: rep})
+	case frameComputeReply:
+		reply.Compute, err = decodeComputeReply(payload)
+	case frameSessionReply:
+		reply.Session, err = decodeSessionReply(payload)
 	default:
-		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, ftype)
+		err = fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, ftype)
 	}
-	return nil
+	if err == nil {
+		c.deliver(reply)
+	}
+	return err
 }
 
 // send registers a fresh request ID, stamps and encodes the envelope, and
@@ -1243,15 +1239,10 @@ func (c *Client) EnableMatVec() error {
 		if err != nil {
 			continue
 		}
-		switch {
-		case werr != nil:
+		if werr != nil {
 			err = fmt.Errorf("edge: rotation keys: %w", werr)
-		case reply.RotKeys == nil:
-			err = errors.New("edge: malformed reply")
-		default:
-			if rerr := replyError(reply.RotKeys.Code, reply.RotKeys.Err); rerr != nil {
-				err = fmt.Errorf("edge: rotation keys rejected: %w", rerr)
-			}
+		} else {
+			_, err = sessionReply("rotation keys", reply.Session)
 		}
 	}
 	if err != nil {
@@ -1436,12 +1427,9 @@ func (c *Client) rekeyWith(qkdKey []byte) error {
 	if err != nil {
 		return err
 	}
-	rep := reply.Rekey
-	if rep == nil {
-		return errors.New("edge: malformed reply")
-	}
-	if err := replyError(rep.Code, rep.Err); err != nil {
-		return fmt.Errorf("edge: rekey rejected: %w", err)
+	rep, err := sessionReply("rekey", reply.Session)
+	if err != nil {
+		return err
 	}
 	c.keyMu.Lock()
 	c.key, c.nonce, c.epoch, c.resumeAuth = key, nonce, rep.Epoch, auth

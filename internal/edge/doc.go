@@ -68,10 +68,11 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x07
-//	offset 3     type     one of 17: hello, and a request and a reply type
-//	                      each for setup, compute, matvec, rekey, profile
-//	                      and rotation keys, plus the four resume frames
+//	offset 2     version  0x08
+//	offset 3     type     one of 12: hello; the requests setup, compute,
+//	                      matvec, rekey, profile, rotation keys and resume;
+//	                      the resume challenge and proof; and two replies,
+//	                      compute (every op) and session (everything else)
 //	offset 4     reqID    uint64, little-endian
 //	offset 12    length   uint32 payload byte count
 //	offset 16    payload
@@ -84,13 +85,22 @@
 // little-endian uint64 coefficient runs, one per residue-tower limb, via
 // the ckks/ring AppendBinary/DecodeFrom codecs — reflection-free and
 // allocation-free in steady state. Payload fields are all mandatory and
-// positional: Setup always carries Profile and ResumeAuth, a Setup reply
-// always carries Profile and MatVecDim (zero when the server holds no
-// model matrix — that is how matvec availability is learned), a Rekey
+// positional: Setup always carries Profile and ResumeAuth, a session reply
+// always carries Code, Err, Profile, Epoch and MatVecDim (MatVecDim is
+// zero when the server holds no model matrix — that is how a Setup reply
+// tells matvec availability), a Rekey
 // always carries the rotated ResumeAuth, and Compute/MatVec requests
 // always end in the 16-byte trace context, all zero when the request is
 // unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
+//
+// Version 8 has two reply frames. The five session replies — profile
+// grant, Setup, Rekey, each rotation key and Resume — were five types,
+// five codecs and five frames; they are one SessionReply in one layout on
+// frameSessionReply, each request reading the fields it has an answer
+// for. MatVec replies travel on frameComputeReply like every per-block op,
+// so the reply frame says only which table answered, and the request ID
+// says to what. Seventeen frame types became twelve.
 //
 // Version 7 uploads rotation keys one per frame. A RotKeys request is the
 // session ID and one Galois key; the client generates each key into the
@@ -159,8 +169,8 @@
 // # The op table
 //
 // What a session can run on a masked block is a table (ops in
-// server.go), one row per op: its request and reply frame types (both
-// carry the Compute codecs), whether the transcipher applies the model's
+// server.go), one row per op: its request frame type (every op uses the
+// Compute codecs and replies on frameComputeReply), whether the transcipher applies the model's
 // slot-wise weights and bias or the identity while it decrypts, and an
 // optional kernel run on the transcipher's output together with that
 // kernel's readiness check and trace stage. Today: compute (affine fused
@@ -189,6 +199,22 @@
 // that writes op replies, each the moment it is ready, out of order — so
 // a peer that stops reading stalls its own window, never an eval-pool
 // worker.
+//
+// # The session table
+//
+// Everything a connection asks that is not a block — the profile query,
+// Setup and Rekey (where the QKD-derived key material arrives), each
+// rotation key and Resume — is a row of a second table (sessionTable in
+// server.go), one row per request frame. A row decodes its payload (a
+// payload that does not decode closes the connection), validates what it
+// carries before installing anything, and returns one SessionReply: a
+// typed refusal, built by one helper, with nothing installed, or the
+// fields its request has an answer for. dispatch sends that reply on
+// frameSessionReply under the request's ID, so the decode loop has one
+// reply path for the whole session lifecycle. Resume's challenge and
+// proof run inside its row, the one sub-dialog; the client reads every
+// session reply through one helper that turns a refusal into the typed
+// error of its code.
 //
 // # Pooled buffers and ownership
 //

@@ -133,14 +133,10 @@ func TestInstallValidationV3(t *testing.T) {
 	p := newRawPeer(t, 191)
 	p.dial(t, srv.Addr())
 
-	rekey := func(k []*ckks.Ciphertext) *RekeyReply {
+	rekey := func(k []*ckks.Ciphertext) *SessionReply {
 		t.Helper()
 		req := &RekeyRequest{SessionID: "v3", EncKey: k, Nonce: []byte("edge:rekeyed")}
-		rep, err := decodeRekeyReply(p.call(t, frameRekey, frameRekeyReply, func(b []byte) []byte { return appendRekeyRequest(b, req) }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return p.session(t, frameRekey, func(b []byte) []byte { return appendRekeyRequest(b, req) })
 	}
 	for name, k := range p.hostileKeys(t) {
 		if rep := p.setup(t, p.setupRequest("v3", k)); rep.Code != serve.CodeBadRequest {
@@ -193,23 +189,23 @@ func TestInstallValidationV3(t *testing.T) {
 	if sess.RotKeys() != nil {
 		t.Fatal("a rotation-key set missing its refused key was installed")
 	}
-	compute := func(ftype, want byte, block uint32) *ComputeReply {
+	compute := func(ftype byte, block uint32) *ComputeReply {
 		t.Helper()
 		req := &ComputeRequest{SessionID: "v3", Block: block, Epoch: 2, Masked: make([]float64, 4)}
-		rep, err := decodeComputeReply(p.call(t, ftype, want, func(b []byte) []byte { return appendComputeRequest(b, req) }))
+		rep, err := decodeComputeReply(p.call(t, ftype, frameComputeReply, func(b []byte) []byte { return appendComputeRequest(b, req) }))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	if rep := compute(frameCompute, frameComputeReply, 0); rep.Code != serve.CodeOK {
+	if rep := compute(frameCompute, 0); rep.Code != serve.CodeOK {
 		t.Errorf("compute after refused uploads: %+v", rep)
 	}
-	if rep := compute(frameMatVec, frameMatVecReply, 1); rep.Code != serve.CodeMatVecUnavailable {
+	if rep := compute(frameMatVec, 1); rep.Code != serve.CodeMatVecUnavailable {
 		t.Errorf("matvec without installed rotation keys: %+v, want CodeMatVecUnavailable", rep)
 	}
 	upload(keys[victim : victim+1])
-	if rep := compute(frameMatVec, frameMatVecReply, 2); rep.Code != serve.CodeOK {
+	if rep := compute(frameMatVec, 2); rep.Code != serve.CodeOK {
 		t.Errorf("matvec after the good upload: %+v", rep)
 	}
 }
@@ -225,14 +221,10 @@ func TestNonceLengthEnforced(t *testing.T) {
 	p := newRawPeer(t, 193)
 	p.dial(t, srv.Addr())
 
-	rekey := func(nonce []byte) *RekeyReply {
+	rekey := func(nonce []byte) *SessionReply {
 		t.Helper()
 		req := &RekeyRequest{SessionID: "nonce", EncKey: p.encKey(t), Nonce: nonce}
-		rep, err := decodeRekeyReply(p.call(t, frameRekey, frameRekeyReply, func(b []byte) []byte { return appendRekeyRequest(b, req) }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return p.session(t, frameRekey, func(b []byte) []byte { return appendRekeyRequest(b, req) })
 	}
 	bad := [][]byte{nil, make([]byte, chacha20.NonceSize-1), make([]byte, chacha20.NonceSize+1)}
 	for _, nonce := range bad {

@@ -44,7 +44,7 @@ func TestOpGates(t *testing.T) {
 			}
 			try := func(what string, epoch uint64, slots int, want serve.Code) {
 				t.Helper()
-				rep, err := decodeComputeReply(p.call(t, o.req, o.reply, request(epoch, slots)))
+				rep, err := decodeComputeReply(p.call(t, o.req, frameComputeReply, request(epoch, slots)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,8 +112,8 @@ func TestOpGates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ftype != o.reply || id != 103 || rep.Code != serve.CodeOverloaded {
-				t.Errorf("behind a full queue: frame %d id %d code %v, want frame %d id 103 overloaded", ftype, id, rep.Code, o.reply)
+			if ftype != frameComputeReply || id != 103 || rep.Code != serve.CodeOverloaded {
+				t.Errorf("behind a full queue: frame %d id %d code %v, want frame %d id 103 overloaded", ftype, id, rep.Code, frameComputeReply)
 			}
 			close(release)
 			for _, held := range []*rawPeer{p, &q} {
@@ -122,7 +122,7 @@ func TestOpGates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ftype != o.reply || rep.Code != serve.CodeOK {
+				if ftype != frameComputeReply || rep.Code != serve.CodeOK {
 					t.Errorf("queued request %d: frame %d code %v (%q), want served", id, ftype, rep.Code, rep.Err)
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"quhe/internal/he/ckks"
 	"quhe/internal/he/profile"
 	"quhe/internal/serve"
 )
@@ -124,23 +123,21 @@ func TestProfileDowngradePerPlan(t *testing.T) {
 }
 
 // TestSetupEnforcesPlanProfile: a Setup that declares a profile above the
-// plan — a client bypassing (or ignoring) the advisory negotiation — is
-// denied typed at registration, so the per-route λ policy cannot be
-// sidestepped.
+// plan — a client bypassing (or ignoring) the advisory negotiation, here a
+// raw peer that skips the profile query — is denied typed at registration,
+// so the per-route λ policy cannot be sidestepped.
 func TestSetupEnforcesPlanProfile(t *testing.T) {
 	ctl := &fakeControl{}
 	ctl.steer.Store(profile.IDLambda32k)
 	srv := startControlledServer(t, ctl, ServerConfig{})
 	prof, _ := profile.Default().Get(profile.IDLambda128k)
-	rep := srv.handleSetup(&SetupRequest{
-		SessionID: "bypass",
-		LogN:      prof.Params.LogN,
-		Depth:     prof.Params.Depth,
-		RLK:       &ckks.RelinKey{},
-		EncKey:    make([]*ckks.Ciphertext, KeyLen),
-		Profile:   profile.IDLambda128k,
-	}, nil)
-	if rep.Code != serve.CodeProfileDenied {
+	p := newRawPeer(t, 131)
+	p.dial(t, srv.Addr())
+	// The plan check comes before the key material is validated, so the
+	// peer's default-profile keys never reach the λ-128k ring.
+	req := p.setupRequest("bypass", p.encKey(t))
+	req.LogN, req.Depth, req.Profile = prof.Params.LogN, prof.Params.Depth, profile.IDLambda128k
+	if rep := p.setup(t, req); rep.Code != serve.CodeProfileDenied {
 		t.Fatalf("bypass setup reply = %+v, want CodeProfileDenied", rep)
 	}
 	if srv.Sessions() != 0 {

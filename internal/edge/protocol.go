@@ -1,7 +1,10 @@
 package edge
 
 // This file holds the protocol's message types; the hand-rolled codecs
-// in wire.go marshal them into frames. See doc.go for the frame layout.
+// in wire.go marshal them into frames. Requests have one type each; the
+// replies have two: ComputeReply answers every per-block op (the op table
+// in server.go) and SessionReply every session-lifecycle request (the
+// session table). See doc.go for the frame layout.
 
 import (
 	"quhe/internal/he/ckks"
@@ -46,20 +49,6 @@ type SetupRequest struct {
 	ResumeAuth []byte
 }
 
-// SetupReply acknowledges session registration.
-type SetupReply struct {
-	Err string
-	// Code types the failure.
-	Code serve.Code
-	// Profile echoes the profile the session was registered on.
-	Profile string
-	// MatVecDim is the dimension of the server's packed model matrix,
-	// telling the client which rotation keys the BSGS kernel needs
-	// (ckks.BSGSRotations(MatVecDim)). Zero when the server holds no
-	// matrix: encrypted matvec is unavailable there.
-	MatVecDim int
-}
-
 // ProfileRequest asks the server which security profile a new session
 // should run. The client sends it before generating keys, so a
 // plan-steered or downgraded profile costs no wasted key generation.
@@ -70,13 +59,26 @@ type ProfileRequest struct {
 	Requested string
 }
 
-// ProfileReply carries the granted profile (which may be a downgrade of
-// the request when the active plan refuses the requested level) or a
-// typed denial.
-type ProfileReply struct {
-	Granted string
-	Err     string
-	Code    serve.Code
+// SessionReply answers every session-lifecycle request — the profile
+// query, Setup, Rekey, each RotKeys upload and Resume — in one layout.
+// Code and Err type a refusal; a request that was refused installed
+// nothing. On success the fields a request has an answer for are set and
+// the rest are zero.
+type SessionReply struct {
+	Code serve.Code
+	Err  string
+	// Profile is the granted profile of a profile query — which may be a
+	// downgrade of the request when the active plan refuses the requested
+	// level — and the profile a Setup registered the session on.
+	Profile string
+	// Epoch is the session's key epoch after a Rekey (the new one) or a
+	// granted Resume (the current one).
+	Epoch uint64
+	// MatVecDim, on a Setup reply, is the dimension of the server's packed
+	// model matrix, telling the client which rotation keys the BSGS kernel
+	// needs (ckks.BSGSRotations(MatVecDim)). Zero when the server holds no
+	// matrix: encrypted matvec is unavailable there.
+	MatVecDim int
 }
 
 // ComputeRequest uploads one symmetrically encrypted block. Every
@@ -128,13 +130,6 @@ type RekeyRequest struct {
 	ResumeAuth []byte
 }
 
-// RekeyReply acknowledges a rekey with the session's new epoch.
-type RekeyReply struct {
-	Err   string
-	Code  serve.Code
-	Epoch uint64
-}
-
 // RotKeysRequest uploads one of the client's Galois rotation keys to its
 // server-side session. Each key must pass ckks.Context.CheckSwitchingKey
 // for the session's profile and be for a rotation of the server's BSGS
@@ -149,18 +144,15 @@ type RotKeysRequest struct {
 	Key       *ckks.GaloisKey
 }
 
-// RotKeysReply acknowledges one rotation key.
-type RotKeysReply struct {
-	Err  string
-	Code serve.Code
-}
-
 // ResumeRequest re-attaches a reconnecting client to its server-side
 // session. The client names the session and proves it is the same
 // principal by answering the server's challenge with an HMAC under the
 // resume credential registered at Setup/Rekey — no key generation, no new
 // QKD withdrawal. Epoch and Profile must match the server's view exactly;
-// a divergence means the client missed a rotation and must re-dial.
+// a divergence means the client missed a rotation and must re-dial. On a
+// grant the connection is attached to the session and serves computes
+// immediately; a denial is typed (serve.CodeResumeRejected and friends)
+// and the client falls back to a full re-dial.
 type ResumeRequest struct {
 	SessionID string
 	Epoch     uint64
@@ -179,17 +171,6 @@ type ResumeProof struct {
 	MAC []byte
 }
 
-// ResumeReply grants or denies the resume. On a grant the connection is
-// attached to the session and serves computes immediately; a denial is
-// typed (serve.CodeResumeRejected and friends) and the client falls back
-// to a full re-dial.
-type ResumeReply struct {
-	Err  string
-	Code serve.Code
-	// Epoch echoes the session's current key epoch on a grant.
-	Epoch uint64
-}
-
 // envelope is the client's tagged union of in-flight requests (kept per
 // call so a reconnect can replay Computes). A per-block op travels as
 // Compute with Op naming its request frame.
@@ -202,12 +183,10 @@ type envelope struct {
 	RotKeys *RotKeysRequest
 }
 
-// replyEnvelope mirrors envelope for responses; Compute carries the
-// reply of every per-block op.
+// replyEnvelope mirrors envelope for responses: Compute carries the reply
+// of every per-block op, Session that of every other request.
 type replyEnvelope struct {
 	ID      uint64
-	Setup   *SetupReply
 	Compute *ComputeReply
-	Rekey   *RekeyReply
-	RotKeys *RotKeysReply
+	Session *SessionReply
 }

@@ -38,10 +38,10 @@ func plainMatVec(m [][]float64, bias, v []float64) []float64 {
 }
 
 // TestMatVecEndToEnd drives the complete encrypted matrix–vector path
-// over real TCP: SetupReply dimension advertisement, rotation-key upload, then a masked vector
-// transciphered and multiplied by the server's packed matrix with the
-// hoisted BSGS kernel — decrypted client-side and checked against the
-// plaintext product.
+// over real TCP: the dimension the Setup reply advertises, rotation-key
+// upload, then a masked vector transciphered and multiplied by the
+// server's packed matrix with the hoisted BSGS kernel — decrypted
+// client-side and checked against the plaintext product.
 func TestMatVecEndToEnd(t *testing.T) {
 	srv := startServer(t, Model{Matrix: testMatrix, MatrixBias: testMatrixBias})
 	client, err := Dial(srv.Addr(), "mv-client", []byte("qkd-material"), 42)
@@ -154,7 +154,7 @@ func TestMatVecWithoutRotationKeys(t *testing.T) {
 }
 
 // TestMatVecNotConfigured asserts the capability is absent end to end
-// when the server holds no matrix: the SetupReply reports dimension 0
+// when the server holds no matrix: the Setup reply reports dimension 0
 // and the client fails locally typed.
 func TestMatVecNotConfigured(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}})

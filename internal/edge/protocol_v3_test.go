@@ -99,8 +99,8 @@ func TestPendingFailTypedOnConnClose(t *testing.T) {
 		if ftype, _, _, err := readFrame(br, &buf); err != nil || ftype != frameProfile {
 			return
 		}
-		conn.Write(buildFrame(t, frameProfileReply, 0, func(b []byte) []byte {
-			return appendProfileReply(b, &ProfileReply{Granted: profile.IDDefault})
+		conn.Write(buildFrame(t, frameSessionReply, 0, func(b []byte) []byte {
+			return appendSessionReply(b, &SessionReply{Profile: profile.IDDefault})
 		}))
 		readFrame(br, &buf) // the Setup request — drop it on the floor
 	})

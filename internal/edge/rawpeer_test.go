@@ -109,15 +109,21 @@ func (p *rawPeer) setupRequest(id string, encKey []*ckks.Ciphertext) *SetupReque
 		RLK: p.rlk, EncKey: encKey, Nonce: p.nonce}
 }
 
-// setup sends req and returns the server's verdict.
-func (p *rawPeer) setup(t testing.TB, req *SetupRequest) *SetupReply {
+// session sends one session-lifecycle request of type ftype and returns
+// the server's verdict.
+func (p *rawPeer) session(t testing.TB, ftype byte, build func(b []byte) []byte) *SessionReply {
 	t.Helper()
-	rep, err := decodeSetupReply(p.call(t, frameSetup, frameSetupReply,
-		func(b []byte) []byte { return appendSetupRequest(b, req) }))
+	rep, err := decodeSessionReply(p.call(t, ftype, frameSessionReply, build))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// setup sends req and returns the server's verdict.
+func (p *rawPeer) setup(t testing.TB, req *SetupRequest) *SessionReply {
+	t.Helper()
+	return p.session(t, frameSetup, func(b []byte) []byte { return appendSetupRequest(b, req) })
 }
 
 // register completes a good Setup for session id.
@@ -141,14 +147,9 @@ func (p *rawPeer) rotKeys(id string, seed int64, dim int) []*RotKeysRequest {
 }
 
 // uploadKey sends one rotation key and returns the server's verdict.
-func (p *rawPeer) uploadKey(t testing.TB, req *RotKeysRequest) *RotKeysReply {
+func (p *rawPeer) uploadKey(t testing.TB, req *RotKeysRequest) *SessionReply {
 	t.Helper()
-	rep, err := decodeRotKeysReply(p.call(t, frameRotKeys, frameRotKeysReply,
-		func(b []byte) []byte { return appendRotKeysRequest(b, req) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
+	return p.session(t, frameRotKeys, func(b []byte) []byte { return appendRotKeysRequest(b, req) })
 }
 
 // uploadRotKeys uploads every rotation key of session id's dimension-dim

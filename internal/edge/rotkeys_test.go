@@ -17,7 +17,7 @@ func (p *rawPeer) matvecRaw(t *testing.T, id string, block uint32, x []float64) 
 		full[j] = x[j%len(x)]
 	}
 	req := &ComputeRequest{SessionID: id, Block: block, Epoch: 1, Masked: p.mask(t, block, full)}
-	rep, err := decodeComputeReply(p.call(t, frameMatVec, frameMatVecReply,
+	rep, err := decodeComputeReply(p.call(t, frameMatVec, frameComputeReply,
 		func(b []byte) []byte { return appendComputeRequest(b, req) }))
 	if err != nil {
 		t.Fatal(err)

@@ -721,7 +721,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		close(cs.replies)
 		<-writerDone
 	}()
-	rd := connReader{conn: conn, br: br, buf: buf, cs: cs}
+	sc := &sessionConn{conn: conn, br: br, buf: buf, cs: cs, fw: fw}
 	for {
 		if !s.awaitFrame(conn, br, cs) {
 			return
@@ -740,12 +740,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.met.framesIn.Inc()
 		s.met.bytesIn.Add(int64(frameHeaderLen + len(payload) + crcTrailerLen))
-		if err := s.dispatch(fw, ftype, id, payload, rd); err != nil {
+		if err := s.dispatch(ftype, id, payload, sc); err != nil {
 			// A payload that fails to decode is a protocol violation, not
 			// a request we can answer: kill the connection. net.ErrClosed
 			// is the teardown reaching an op frame that waited for its
-			// window slot.
-			if !errors.Is(err, net.ErrClosed) {
+			// window slot, serve.ErrConnClosed a write the frame writer
+			// already logged.
+			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, serve.ErrConnClosed) {
 				s.cfg.Logf("edge: payload (type %d): %v", ftype, err)
 			}
 			return
@@ -785,17 +786,22 @@ func (s *Server) awaitFrame(conn net.Conn, br *bufio.Reader, cs *connState) bool
 	}
 }
 
-// connReader bundles the read side of a connection for handlers that run
-// a sub-dialog inside the decode loop (the resume handshake).
-type connReader struct {
+// sessionConn is the connection as the session table's rows see it: its
+// state, its frame writer, and its read side for a row that runs a
+// sub-dialog inside the decode loop (the resume handshake).
+type sessionConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 	buf  *[]byte
 	cs   *connState
+	fw   *frameWriter
 }
 
-func (s *Server) dispatch(fw *frameWriter, ftype byte, id uint64, payload []byte, rd connReader) error {
-	cs := rd.cs
+// dispatch serves one request frame: an op frame goes down the op
+// pipeline, any other request to its session-table row, whose reply it
+// sends. An error is a protocol violation and ends the connection.
+func (s *Server) dispatch(ftype byte, id uint64, payload []byte, sc *sessionConn) error {
+	cs := sc.cs
 	if o := opFor(ftype); o != nil {
 		// The window wait comes before the block exists for the server: a
 		// peer ahead of its window is waiting on its own socket, which is
@@ -814,74 +820,79 @@ func (s *Server) dispatch(fw *frameWriter, ftype byte, id uint64, payload []byte
 		s.handleOp(o, id, req, decodeStart, cs)
 		return nil
 	}
-	cs.active.Add(1)
-	defer cs.active.Add(-1)
-	switch ftype {
-	case frameProfile:
-		req, err := decodeProfileRequest(payload)
-		if err != nil {
-			return err
-		}
-		rep := s.handleProfile(req)
-		fw.sendFrame(frameProfileReply, id, func(b []byte) []byte { return appendProfileReply(b, rep) })
-	case frameSetup:
-		req, err := decodeSetupRequest(payload)
-		if err != nil {
-			return err
-		}
-		rep := s.handleSetup(req, cs)
-		fw.sendFrame(frameSetupReply, id, func(b []byte) []byte { return appendSetupReply(b, rep) })
-	case frameResume:
-		req, err := decodeResumeRequest(payload)
-		if err != nil {
-			return err
-		}
-		return s.handleResume(fw, rd, id, req)
-	case frameRekey:
-		req, err := decodeRekeyRequest(payload)
-		if err != nil {
-			return err
-		}
-		rep := s.handleRekey(req)
-		fw.sendFrame(frameRekeyReply, id, func(b []byte) []byte { return appendRekeyReply(b, rep) })
-	case frameRotKeys:
-		req, err := decodeRotKeysRequest(payload)
-		if err != nil {
-			return err
-		}
-		rep := s.handleRotKeys(req, cs)
-		fw.sendFrame(frameRotKeysReply, id, func(b []byte) []byte { return appendRotKeysReply(b, rep) })
-	default:
+	handle := sessionTable[ftype]
+	if handle == nil {
 		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, ftype)
 	}
+	cs.active.Add(1)
+	defer cs.active.Add(-1)
+	rep, err := handle(s, sc, id, payload)
+	if err != nil {
+		return err
+	}
+	sc.fw.sendFrame(frameSessionReply, id, func(b []byte) []byte { return appendSessionReply(b, rep) })
 	return nil
+}
+
+// sessionRow is one row of the session table: it serves one request frame
+// that drives a session's lifecycle rather than a block. It decodes the
+// payload — a decode failure is a protocol violation — then validates
+// before it installs anything, and returns the reply, a refusal included.
+type sessionRow func(s *Server, sc *sessionConn, id uint64, payload []byte) (*SessionReply, error)
+
+// sessionTable is the op table's counterpart for session lifecycle: the
+// profile query, Setup and Rekey (QKD key delivery), rotation-key upload
+// and resume. Every row answers with one SessionReply on
+// frameSessionReply, sent by dispatch.
+var sessionTable = map[byte]sessionRow{
+	frameProfile: rowOf(decodeProfileRequest, (*Server).handleProfile),
+	frameSetup:   rowOf(decodeSetupRequest, (*Server).handleSetup),
+	frameRekey:   rowOf(decodeRekeyRequest, (*Server).handleRekey),
+	frameRotKeys: rowOf(decodeRotKeysRequest, (*Server).handleRotKeys),
+	frameResume:  rowOf(decodeResumeRequest, (*Server).handleResume),
+}
+
+// rowOf builds a session-table row from a request decoder and its handler.
+func rowOf[R any](decode func([]byte) (*R, error), handle func(*Server, *sessionConn, uint64, *R) (*SessionReply, error)) sessionRow {
+	return func(s *Server, sc *sessionConn, id uint64, payload []byte) (*SessionReply, error) {
+		req, err := decode(payload)
+		if err != nil {
+			return nil, err
+		}
+		return handle(s, sc, id, req)
+	}
+}
+
+// refuse is every session row's refusal: a typed reply, with nothing
+// installed.
+func refuse(code serve.Code, detail string) (*SessionReply, error) {
+	return &SessionReply{Code: code, Err: detail}, nil
 }
 
 // handleProfile resolves a pre-Setup profile query: the control plane's
 // per-route λ plan steers empty requests and may downgrade or deny
 // concrete ones; without a controller the server grants any profile its
 // registry knows (empty resolving to the default).
-func (s *Server) handleProfile(req *ProfileRequest) *ProfileReply {
+func (s *Server) handleProfile(_ *sessionConn, _ uint64, req *ProfileRequest) (*SessionReply, error) {
 	granted := req.Requested
 	if ctl := s.cfg.Control; ctl != nil {
 		g, err := ctl.NegotiateProfile(req.SessionID, req.Requested)
 		if err != nil {
 			s.cfg.Logf("edge: profile for %q denied: %v", req.SessionID, err)
-			return &ProfileReply{Code: serve.CodeOf(err), Err: controlDetail(err)}
+			return refuse(serve.CodeOf(err), controlDetail(err))
 		}
 		granted = g
 	} else if granted == "" {
 		granted = s.reg.DefaultID()
 	}
 	if _, ok := s.reg.Get(granted); !ok {
-		return &ProfileReply{Code: serve.CodeProfileDenied,
-			Err: fmt.Sprintf("security profile %q not served here", granted)}
+		return refuse(serve.CodeProfileDenied, fmt.Sprintf("security profile %q not served here", granted))
 	}
 	if granted != req.Requested && req.Requested != "" {
 		s.cfg.Logf("edge: session %q profile %q downgraded to %q per plan",
 			req.SessionID, req.Requested, granted)
 	}
-	return &ProfileReply{Granted: granted}
+	return &SessionReply{Profile: granted}, nil
 }
 
 // handleResume runs the session-resume sub-dialog inside the decode
@@ -892,13 +903,11 @@ func (s *Server) handleProfile(req *ProfileRequest) *ProfileReply {
 // Denials are typed replies; only protocol violations (a non-proof frame
 // mid-dialog, undecodable payloads) return an error and kill the
 // connection.
-func (s *Server) handleResume(fw *frameWriter, rd connReader, id uint64, req *ResumeRequest) error {
-	deny := func(code serve.Code, detail string) error {
+func (s *Server) handleResume(sc *sessionConn, id uint64, req *ResumeRequest) (*SessionReply, error) {
+	deny := func(code serve.Code, detail string) (*SessionReply, error) {
 		s.met.resumeRejects.Inc()
 		s.cfg.Logf("edge: resume of %q denied: %s (%s)", req.SessionID, code, detail)
-		rep := &ResumeReply{Code: code, Err: detail}
-		fw.sendFrame(frameResumeReply, id, func(b []byte) []byte { return appendResumeReply(b, rep) })
-		return nil
+		return refuse(code, detail)
 	}
 	if s.draining.Load() {
 		return deny(serve.CodeDraining, "server draining; re-dial elsewhere")
@@ -933,33 +942,31 @@ func (s *Server) handleResume(fw *frameWriter, rd connReader, id uint64, req *Re
 		return deny(serve.CodeInternal, "challenge generation failed")
 	}
 	ch := &ResumeChallenge{Challenge: challenge[:]}
-	if fw.sendFrame(frameResumeChallenge, id, func(b []byte) []byte { return appendResumeChallenge(b, ch) }) != nil {
-		return nil // connection already torn down
+	if err := sc.fw.sendFrame(frameResumeChallenge, id, func(b []byte) []byte { return appendResumeChallenge(b, ch) }); err != nil {
+		return nil, err // connection already torn down
 	}
 	if idle := s.cfg.IdleTimeout; idle > 0 {
-		rd.conn.SetReadDeadline(time.Now().Add(idle))
+		sc.conn.SetReadDeadline(time.Now().Add(idle))
 	}
-	ftype, pid, payload, err := readFrame(rd.br, rd.buf)
+	ftype, pid, payload, err := readFrame(sc.br, sc.buf)
 	if err != nil {
-		return fmt.Errorf("resume proof read: %w", err)
+		return nil, fmt.Errorf("resume proof read: %w", err)
 	}
 	if ftype != frameResumeProof || pid != id {
-		return fmt.Errorf("%w: expected resume proof, got frame type %d", ErrBadFrame, ftype)
+		return nil, fmt.Errorf("%w: expected resume proof, got frame type %d", ErrBadFrame, ftype)
 	}
 	proof, err := decodeResumeProof(payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !hmac.Equal(proof.MAC, resumeMAC(auth, challenge[:], sess.ID, req.Epoch)) {
 		return deny(serve.CodeResumeRejected, "possession proof failed")
 	}
 	s.store.Get(sess.ID) // authenticated: refresh LRU position
-	rd.cs.attach(sess)
+	sc.cs.attach(sess)
 	s.met.resumes.Inc()
 	s.cfg.Logf("edge: session %q resumed at epoch %d", sess.ID, req.Epoch)
-	rep := &ResumeReply{Epoch: req.Epoch}
-	fw.sendFrame(frameResumeReply, id, func(b []byte) []byte { return appendResumeReply(b, rep) })
-	return nil
+	return &SessionReply{Epoch: req.Epoch}, nil
 }
 
 // lookupCompute resolves a compute request's session and its profile
@@ -980,9 +987,9 @@ func (s *Server) lookupCompute(sessionID string) (*serve.Session, *profileRuntim
 	return sess, rt, serve.CodeOK, ""
 }
 
-func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
+func (s *Server) handleSetup(sc *sessionConn, _ uint64, req *SetupRequest) (*SessionReply, error) {
 	if s.draining.Load() {
-		return &SetupReply{Code: serve.CodeDraining, Err: "server draining; re-dial elsewhere"}
+		return refuse(serve.CodeDraining, "server draining; re-dial elsewhere")
 	}
 	profID := req.Profile
 	if profID == "" {
@@ -990,18 +997,15 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 	}
 	prof, ok := s.reg.Get(profID)
 	if !ok {
-		return &SetupReply{Code: serve.CodeProfileDenied,
-			Err: fmt.Sprintf("security profile %q not served here", profID)}
+		return refuse(serve.CodeProfileDenied, fmt.Sprintf("security profile %q not served here", profID))
 	}
 	if req.LogN != prof.Params.LogN || req.Depth != prof.Params.Depth {
-		return &SetupReply{
-			Code: serve.CodeParamMismatch,
-			Err: fmt.Sprintf("parameter mismatch: client logN=%d depth=%d, profile %s logN=%d depth=%d",
-				req.LogN, req.Depth, profID, prof.Params.LogN, prof.Params.Depth),
-		}
+		return refuse(serve.CodeParamMismatch,
+			fmt.Sprintf("parameter mismatch: client logN=%d depth=%d, profile %s logN=%d depth=%d",
+				req.LogN, req.Depth, profID, prof.Params.LogN, prof.Params.Depth))
 	}
 	if req.SessionID == "" || req.RLK == nil || len(req.EncKey) != KeyLen {
-		return &SetupReply{Err: "incomplete setup", Code: serve.CodeBadRequest}
+		return refuse(serve.CodeBadRequest, "incomplete setup")
 	}
 	ctl := s.cfg.Control
 	if ctl != nil && req.Profile != "" {
@@ -1012,25 +1016,24 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 		// is denied typed; the client renegotiates and redials.
 		granted, err := ctl.NegotiateProfile(req.SessionID, req.Profile)
 		if err != nil {
-			return &SetupReply{Code: serve.CodeOf(err), Err: controlDetail(err)}
+			return refuse(serve.CodeOf(err), controlDetail(err))
 		}
 		if granted != req.Profile {
-			return &SetupReply{Code: serve.CodeProfileDenied,
-				Err: fmt.Sprintf("profile %q not allowed on this route (plan wants %q); renegotiate",
-					req.Profile, granted)}
+			return refuse(serve.CodeProfileDenied,
+				fmt.Sprintf("profile %q not allowed on this route (plan wants %q); renegotiate", req.Profile, granted))
 		}
 	}
 	if ctl != nil {
 		if err := ctl.AdmitSession(req.SessionID, s.store.Len()); err != nil {
 			s.cfg.Logf("edge: session %q not admitted: %v", req.SessionID, err)
-			return &SetupReply{Code: serve.CodeOf(err), Err: controlDetail(err)}
+			return refuse(serve.CodeOf(err), controlDetail(err))
 		}
 	}
 	// Materialize the profile's runtime before registering, so the first
 	// compute never pays context construction on the hot path.
 	rt, err := s.runtime(profID)
 	if err != nil {
-		return &SetupReply{Code: serve.CodeInternal, Err: "profile runtime: " + err.Error()}
+		return refuse(serve.CodeInternal, "profile runtime: "+err.Error())
 	}
 	// Everything a worker will index or feed to a lazy-reduction kernel is
 	// validated here, before the session exists: the relinearization key
@@ -1039,34 +1042,30 @@ func (s *Server) handleSetup(req *SetupRequest, cs *connState) *SetupReply {
 	// block will read; the session never sees another form — and the nonce
 	// those blocks will be unmasked under.
 	if detail := checkNonce(req.Nonce); detail != "" {
-		return &SetupReply{Code: serve.CodeBadRequest, Err: detail}
+		return refuse(serve.CodeBadRequest, detail)
 	}
 	if err := rt.ctx.CheckSwitchingKey(req.RLK); err != nil {
-		return &SetupReply{Code: keyCode(err), Err: "relinearization key: " + err.Error()}
+		return refuse(keyCode(err), "relinearization key: "+err.Error())
 	}
 	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
-		return &SetupReply{Code: serve.CodeBadRequest, Err: "transciphering key: " + err.Error()}
+		return refuse(serve.CodeBadRequest, "transciphering key: "+err.Error())
 	}
 	sess := serve.NewSession(req.SessionID, profID, nil, req.RLK, req.EncKey, req.Nonce)
 	if len(req.ResumeAuth) > 0 {
 		sess.SetResumeAuth(req.ResumeAuth)
 	}
 	if err := s.store.Register(sess); err != nil {
-		return &SetupReply{
-			Code: serve.CodeOf(err),
-			Err:  fmt.Sprintf("session %q already registered (rekey instead of re-registering)", req.SessionID),
-		}
+		return refuse(serve.CodeOf(err),
+			fmt.Sprintf("session %q already registered (rekey instead of re-registering)", req.SessionID))
 	}
-	if cs != nil {
-		cs.attach(sess)
-	}
+	sc.cs.attach(sess)
 	if ctl != nil {
 		ctl.ObserveSession(req.SessionID, profID)
 	}
 	s.cfg.Logf("edge: session %q registered on %s (%d resident)", req.SessionID, profID, s.store.Len())
 	// MatVecDim tells the client which rotation keys the matvec kernel
 	// needs (ckks.BSGSRotations of this dimension); zero = no matrix here.
-	return &SetupReply{Profile: profID, MatVecDim: len(s.cfg.Model.Matrix)}
+	return &SessionReply{Profile: profID, MatVecDim: len(s.cfg.Model.Matrix)}, nil
 }
 
 // checkNonce holds a Setup or Rekey nonce to the cipher's exact length: the
@@ -1090,26 +1089,25 @@ func keyCode(err error) serve.Code {
 	return serve.CodeBadRequest
 }
 
-func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
+func (s *Server) handleRekey(_ *sessionConn, _ uint64, req *RekeyRequest) (*SessionReply, error) {
 	sess, ok := s.store.Get(req.SessionID)
 	if !ok {
-		return &RekeyReply{Code: serve.CodeUnknownSession,
-			Err: fmt.Sprintf("unknown session %q", req.SessionID)}
+		return refuse(serve.CodeUnknownSession, fmt.Sprintf("unknown session %q", req.SessionID))
 	}
 	if len(req.EncKey) != KeyLen {
-		return &RekeyReply{Code: serve.CodeBadRequest, Err: "incomplete rekey"}
+		return refuse(serve.CodeBadRequest, "incomplete rekey")
 	}
 	if detail := checkNonce(req.Nonce); detail != "" {
-		return &RekeyReply{Code: serve.CodeBadRequest, Err: detail}
+		return refuse(serve.CodeBadRequest, detail)
 	}
 	rt, err := s.runtime(sess.Profile)
 	if err != nil {
-		return &RekeyReply{Code: serve.CodeInternal, Err: "profile runtime: " + err.Error()}
+		return refuse(serve.CodeInternal, "profile runtime: "+err.Error())
 	}
 	// Same install step as Setup: validated and converted before the swap,
 	// so key, nonce and epoch still change together under the session lock.
 	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
-		return &RekeyReply{Code: serve.CodeBadRequest, Err: "transciphering key: " + err.Error()}
+		return refuse(serve.CodeBadRequest, "transciphering key: "+err.Error())
 	}
 	epoch := sess.Rekey(req.EncKey, req.Nonce)
 	// The resume credential is derived from the QKD key material, so it
@@ -1118,7 +1116,7 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 	sess.SetResumeAuth(req.ResumeAuth)
 	s.met.rekeys.Inc()
 	s.cfg.Logf("edge: session %q rekeyed to epoch %d", req.SessionID, epoch)
-	return &RekeyReply{Epoch: epoch}
+	return &SessionReply{Epoch: epoch}, nil
 }
 
 // handleRotKeys takes one rotation key of a session's upload, validating
@@ -1129,27 +1127,28 @@ func (s *Server) handleRekey(req *RekeyRequest) *RekeyReply {
 // the session the moment it covers the plan — so a worker only ever sees
 // a complete set, and a bad key fails here, typed, instead of
 // mid-evaluation.
-func (s *Server) handleRotKeys(req *RotKeysRequest, cs *connState) *RotKeysReply {
+func (s *Server) handleRotKeys(sc *sessionConn, _ uint64, req *RotKeysRequest) (*SessionReply, error) {
 	sess, rt, code, detail := s.lookupCompute(req.SessionID)
 	if code != serve.CodeOK {
-		return &RotKeysReply{Code: code, Err: detail}
+		return refuse(code, detail)
 	}
 	dim := len(s.cfg.Model.Matrix)
 	if dim == 0 {
-		return &RotKeysReply{Code: serve.CodeMatVecUnavailable, Err: "no model matrix configured"}
+		return refuse(serve.CodeMatVecUnavailable, "no model matrix configured")
 	}
 	gk := req.Key
 	if sess.RotKeys() != nil {
-		return &RotKeysReply{Code: serve.CodeBadRequest,
-			Err: fmt.Sprintf("rotation key %d: the session's rotation keys are already installed", gk.Rot)}
+		return refuse(serve.CodeBadRequest,
+			fmt.Sprintf("rotation key %d: the session's rotation keys are already installed", gk.Rot))
 	}
 	if err := rt.ctx.CheckSwitchingKey(&gk.SwitchingKey); err != nil {
-		return &RotKeysReply{Code: keyCode(err), Err: fmt.Sprintf("rotation key %d: %v", gk.Rot, err)}
+		return refuse(keyCode(err), fmt.Sprintf("rotation key %d: %v", gk.Rot, err))
 	}
 	if !slices.Contains(rt.mvKeys, gk.El) {
-		return &RotKeysReply{Code: serve.CodeBadRequest,
-			Err: fmt.Sprintf("rotation key %d: not a rotation of the dimension-%d matvec plan", gk.Rot, dim)}
+		return refuse(serve.CodeBadRequest,
+			fmt.Sprintf("rotation key %d: not a rotation of the dimension-%d matvec plan", gk.Rot, dim))
 	}
+	cs := sc.cs
 	set := cs.rotKeys[sess]
 	if set == nil {
 		set = &ckks.GaloisKeySet{Keys: make(map[uint64]*ckks.GaloisKey, len(rt.mvKeys))}
@@ -1159,8 +1158,7 @@ func (s *Server) handleRotKeys(req *RotKeysRequest, cs *connState) *RotKeysReply
 		cs.rotKeys[sess] = set
 	}
 	if set.Key(gk.El) != nil {
-		return &RotKeysReply{Code: serve.CodeBadRequest,
-			Err: fmt.Sprintf("rotation key %d: uploaded twice", gk.Rot)}
+		return refuse(serve.CodeBadRequest, fmt.Sprintf("rotation key %d: uploaded twice", gk.Rot))
 	}
 	set.Keys[gk.El] = gk
 	if len(set.Keys) == len(rt.mvKeys) {
@@ -1169,7 +1167,7 @@ func (s *Server) handleRotKeys(req *RotKeysRequest, cs *connState) *RotKeysReply
 		s.cfg.Logf("edge: session %q installed %d rotation keys (matvec dim %d)",
 			sess.ID, len(set.Keys), dim)
 	}
-	return &RotKeysReply{}
+	return &SessionReply{}, nil
 }
 
 // op is one row of the per-block op table: everything that differs
@@ -1178,9 +1176,9 @@ func (s *Server) handleRotKeys(req *RotKeysRequest, cs *connState) *RotKeysReply
 // → kernel → accounting] → encode → write — is handleOp and evalBlock,
 // shared by every row, so a new op is a kernel plus a row.
 type op struct {
-	// req and reply are the op's frame types; both carry the Compute
-	// codecs.
-	req, reply byte
+	// req is the op's request frame type. It carries the Compute request
+	// codec, and the op replies on frameComputeReply like every op.
+	req byte
 	// affine makes the transcipher apply the model's slot-wise weights and
 	// bias while it decrypts; otherwise it applies the identity and leaves
 	// the plain block for the kernel.
@@ -1202,10 +1200,10 @@ type op struct {
 
 var (
 	// opCompute is the slot-wise affine layer, fused into the transcipher.
-	opCompute = op{req: frameCompute, reply: frameComputeReply, affine: true}
+	opCompute = op{req: frameCompute, affine: true}
 	// opMatVec transciphers plain, then applies the packed model matrix
 	// with the hoisted BSGS kernel under the session's rotation keys.
-	opMatVec = op{req: frameMatVec, reply: frameMatVecReply,
+	opMatVec = op{req: frameMatVec,
 		ready: (*Server).matvecReady, kernel: (*Server).matvecKernel,
 		stage: stageMatVec, stageIdx: stageIdxMatVec}
 
@@ -1226,16 +1224,16 @@ func opFor(ftype byte) *op {
 // refuseBlock answers a per-block request that never reached a worker,
 // through the same hand-off as a served one: the decode loop holds the
 // request's window slot, so the send cannot block.
-func (s *Server) refuseBlock(cs *connState, o *op, id uint64, code serve.Code, detail string) {
+func (s *Server) refuseBlock(cs *connState, id uint64, code serve.Code, detail string) {
 	rep := ComputeReply{Code: code, Err: detail}
-	cs.replies <- opReply{frame: s.encodeReply(o, id, &rep)}
+	cs.replies <- opReply{frame: s.encodeReply(id, &rep)}
 }
 
 // encodeReply builds an op's reply frame in a pooled buffer, which the
 // reply writer returns to the pool; nil when the frame cannot be built.
-func (s *Server) encodeReply(o *op, id uint64, rep *ComputeReply) *[]byte {
+func (s *Server) encodeReply(id uint64, rep *ComputeReply) *[]byte {
 	pb := getFrameBuf()
-	b, err := finishFrame(appendComputeReply(beginFrame((*pb)[:0], o.reply, id), rep))
+	b, err := finishFrame(appendComputeReply(beginFrame((*pb)[:0], frameComputeReply, id), rep))
 	if err != nil {
 		s.cfg.Logf("edge: frame build: %v", err)
 		putFrameBuf(pb)
@@ -1260,7 +1258,7 @@ func (s *Server) handleOp(o *op, id uint64, req *ComputeRequest, decodeStart tim
 	bt.span(stageIdxDecode, stageDecode, decodeStart, time.Since(decodeStart))
 	sess, rt, code, detail := s.lookupCompute(req.SessionID)
 	if code != serve.CodeOK {
-		s.refuseBlock(cs, o, id, code, detail)
+		s.refuseBlock(cs, id, code, detail)
 		return
 	}
 	submitAt := time.Now()
@@ -1291,13 +1289,13 @@ func (s *Server) handleOp(o *op, id uint64, req *ComputeRequest, decodeStart tim
 		if o.kernel != nil {
 			bt.span(o.stageIdx, o.stage, evalEnd.Add(-kdur), kdur)
 		}
-		frame := s.encodeReply(o, id, &rep)
+		frame := s.encodeReply(id, &rep)
 		encoded := time.Now()
 		bt.span(stageIdxEncode, stageEncode, evalEnd, encoded.Sub(evalEnd))
 		cs.replies <- opReply{frame: frame, bt: bt, encoded: encoded}
 	}); err != nil {
 		s.met.shedQueueFull.Inc()
-		s.refuseBlock(cs, o, id, serve.CodeOf(err), fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()))
+		s.refuseBlock(cs, id, serve.CodeOf(err), fmt.Sprintf("queue full (depth %d)", s.sched.Capacity()))
 	}
 }
 

@@ -4,7 +4,7 @@ package edge
 //
 //	offset 0     magic    0xAD 0x51
 //	offset 2     version  frameVersion
-//	offset 3     type     frameHello, frameSetup, ...
+//	offset 3     type     frameHello, frameSetup, ..., frameSessionReply
 //	offset 4     reqID    uint64, little-endian
 //	offset 12    length   uint32 payload byte count, little-endian
 //	offset 16    payload
@@ -20,7 +20,9 @@ package edge
 // reply writer and its decode loop answering setups, a client's callers)
 // interleave at frame granularity — the per-connection fairness point.
 // Payload decoding copies everything it returns, so the read buffer is
-// reused for the next frame immediately.
+// reused for the next frame immediately. There is one codec pair per
+// request type and one per reply type, and two reply types: ComputeReply
+// for every per-block op and SessionReply for everything else.
 
 import (
 	"bufio"
@@ -51,8 +53,9 @@ const (
 	// version with optional trailers and hello feature flags, 4 the last
 	// with batch frames, 5 the last with a public key in Setup and both
 	// switching-key components on the wire, 6 the last to upload a whole
-	// rotation-key set in one frame.)
-	frameVersion = 7
+	// rotation-key set in one frame, 7 the last with a reply frame per
+	// session request and per op.)
+	frameVersion = 8
 
 	frameHeaderLen = 16
 
@@ -79,25 +82,22 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame types. Requests and replies are distinct so a corrupted direction
-// bit cannot alias a decode.
+// bit cannot alias a decode. Every per-block op replies on
+// frameComputeReply and every other request on frameSessionReply, the
+// last type: readFrame refuses anything past it.
 const (
 	frameHello byte = iota + 1
 	frameSetup
-	frameSetupReply
 	frameCompute
 	frameComputeReply
 	frameRekey
-	frameRekeyReply
 	frameProfile
-	frameProfileReply
 	frameResume
 	frameResumeChallenge
 	frameResumeProof
-	frameResumeReply
 	frameRotKeys
-	frameRotKeysReply
 	frameMatVec
-	frameMatVecReply
+	frameSessionReply
 )
 
 // Typed frame errors: fuzzing and tests assert corrupt input maps to
@@ -172,7 +172,7 @@ func readFrame(br *bufio.Reader, buf *[]byte) (ftype byte, id uint64, payload []
 		return 0, 0, nil, ErrBadFrame
 	}
 	ftype = hdr[3]
-	if ftype < frameHello || ftype > frameMatVecReply {
+	if ftype < frameHello || ftype > frameSessionReply {
 		return 0, 0, nil, ErrBadFrame
 	}
 	id = binary.LittleEndian.Uint64(hdr[4:12])
@@ -509,22 +509,6 @@ func decodeSetupRequest(p []byte) (*SetupRequest, error) {
 	return req, nil
 }
 
-func appendSetupReply(b []byte, rep *SetupReply) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(rep.Code))
-	b = appendString(b, rep.Err)
-	b = appendString(b, rep.Profile)
-	return binary.LittleEndian.AppendUint32(b, uint32(rep.MatVecDim))
-}
-
-func decodeSetupReply(p []byte) (*SetupReply, error) {
-	r := &wireReader{b: p}
-	rep := &SetupReply{Code: serve.Code(r.u32()), Err: r.str(), Profile: r.str(), MatVecDim: int(r.u32())}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
 func appendProfileRequest(b []byte, req *ProfileRequest) []byte {
 	b = appendString(b, req.SessionID)
 	return appendString(b, req.Requested)
@@ -539,15 +523,19 @@ func decodeProfileRequest(p []byte) (*ProfileRequest, error) {
 	return req, nil
 }
 
-func appendProfileReply(b []byte, rep *ProfileReply) []byte {
+// The session reply carries every field of the layout whatever the
+// request: a field the request has no answer for travels as zero.
+func appendSessionReply(b []byte, rep *SessionReply) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(rep.Code))
 	b = appendString(b, rep.Err)
-	return appendString(b, rep.Granted)
+	b = appendString(b, rep.Profile)
+	b = binary.LittleEndian.AppendUint64(b, rep.Epoch)
+	return binary.LittleEndian.AppendUint32(b, uint32(rep.MatVecDim))
 }
 
-func decodeProfileReply(p []byte) (*ProfileReply, error) {
+func decodeSessionReply(p []byte) (*SessionReply, error) {
 	r := &wireReader{b: p}
-	rep := &ProfileReply{Code: serve.Code(r.u32()), Err: r.str(), Granted: r.str()}
+	rep := &SessionReply{Code: serve.Code(r.u32()), Err: r.str(), Profile: r.str(), Epoch: r.u64(), MatVecDim: int(r.u32())}
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -632,21 +620,6 @@ func decodeRekeyRequest(p []byte) (*RekeyRequest, error) {
 	return req, nil
 }
 
-func appendRekeyReply(b []byte, rep *RekeyReply) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(rep.Code))
-	b = appendString(b, rep.Err)
-	return binary.LittleEndian.AppendUint64(b, rep.Epoch)
-}
-
-func decodeRekeyReply(p []byte) (*RekeyReply, error) {
-	r := &wireReader{b: p}
-	rep := &RekeyReply{Code: serve.Code(r.u32()), Err: r.str(), Epoch: r.u64()}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
 // maxResumeField bounds the variable-length resume handshake fields
 // (challenge, MAC): both are fixed-size in practice (16 and 32 bytes)
 // but the decoder tolerates growth without allowing unbounded allocation.
@@ -699,21 +672,6 @@ func decodeResumeProof(p []byte) (*ResumeProof, error) {
 	return pr, nil
 }
 
-func appendResumeReply(b []byte, rep *ResumeReply) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(rep.Code))
-	b = appendString(b, rep.Err)
-	return binary.LittleEndian.AppendUint64(b, rep.Epoch)
-}
-
-func decodeResumeReply(p []byte) (*ResumeReply, error) {
-	r := &wireReader{b: p}
-	rep := &ResumeReply{Code: serve.Code(r.u32()), Err: r.str(), Epoch: r.u64()}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
 func appendRotKeysRequest(b []byte, req *RotKeysRequest) []byte {
 	b = growFrame(b, bytesSize(req.SessionID)+req.Key.BinarySize())
 	b = appendString(b, req.SessionID)
@@ -736,23 +694,10 @@ func decodeRotKeysRequest(p []byte) (*RotKeysRequest, error) {
 	return req, nil
 }
 
-func appendRotKeysReply(b []byte, rep *RotKeysReply) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(rep.Code))
-	return appendString(b, rep.Err)
-}
-
-func decodeRotKeysReply(p []byte) (*RotKeysReply, error) {
-	r := &wireReader{b: p}
-	rep := &RotKeysReply{Code: serve.Code(r.u32()), Err: r.str()}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
 // Every per-block op (compute, matvec) uses the Compute codecs — the
 // payloads are field-identical (masked block in, ciphertext out); the
-// frame type alone selects the op.
+// request frame type alone selects the op, and every op replies on
+// frameComputeReply.
 
 // resumeMAC computes the resume possession proof:
 // HMAC-SHA256(auth, challenge || sessionID || epoch_le64). Shared by the

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,49 +104,117 @@ func TestFrameDecodeTypedErrors(t *testing.T) {
 	}
 }
 
-// TestPayloadCodecsRoundTrip exercises every message codec pair.
+// frameDecoders maps every frame type but the empty hello to the payload
+// decoder a peer runs on it. The fuzz target decodes through it, and
+// TestEveryFrameTypeFuzzed holds it to the frame types readFrame accepts,
+// so a new frame type cannot skip the fuzzer.
+var frameDecoders = map[byte]func(p []byte) (any, error){
+	frameSetup:           decoder(decodeSetupRequest),
+	frameCompute:         decoder(decodeComputeRequest),
+	frameMatVec:          decoder(decodeComputeRequest),
+	frameComputeReply:    decoder(decodeComputeReply),
+	frameRekey:           decoder(decodeRekeyRequest),
+	frameProfile:         decoder(decodeProfileRequest),
+	frameResume:          decoder(decodeResumeRequest),
+	frameResumeChallenge: decoder(decodeResumeChallenge),
+	frameResumeProof:     decoder(decodeResumeProof),
+	frameRotKeys:         decoder(decodeRotKeysRequest),
+	frameSessionReply:    decoder(decodeSessionReply),
+}
+
+func decoder[M any](decode func([]byte) (*M, error)) func([]byte) (any, error) {
+	return func(p []byte) (any, error) { return decode(p) }
+}
+
+// codecSample is one message codec pair under test: a sample message with
+// every field set, its payload, and the frame types that carry it.
+type codecSample struct {
+	name   string
+	ftypes []byte
+	msg    any
+	enc    []byte
+}
+
+func sampleOf[M any](name string, msg *M, appendMsg func([]byte, *M) []byte, ftypes ...byte) codecSample {
+	return codecSample{name: name, ftypes: ftypes, msg: msg, enc: appendMsg(nil, msg)}
+}
+
+// codecSamples returns one sample per codec pair, covering every frame
+// type but the hello. Key and ciphertext fields carry p's real material.
+func codecSamples(t testing.TB, p *rawPeer) []codecSample {
+	t.Helper()
+	setup := p.setupRequest("setup", p.encKey(t))
+	setup.Profile, setup.ResumeAuth = "p", []byte("auth")
+	tc := obs.TraceContext{TraceID: 0xabcdef, Parent: 0x123456, Sampled: true}
+	return []codecSample{
+		sampleOf("setup request", setup, appendSetupRequest, frameSetup),
+		sampleOf("profile request", &ProfileRequest{SessionID: "s", Requested: "r"}, appendProfileRequest, frameProfile),
+		sampleOf("compute request", &ComputeRequest{SessionID: "s", Block: 3, Masked: []float64{0.25, -1.5}, Epoch: 7, Trace: tc},
+			appendComputeRequest, frameCompute, frameMatVec),
+		sampleOf("compute reply", &ComputeReply{Result: p.encKey(t)[0], Code: serve.CodeRekeyRequired, Err: "budget",
+			RekeyNeeded: true, ModeledTxDelay: 0.5, ModeledCmpDelay: 0.25}, appendComputeReply, frameComputeReply),
+		sampleOf("rekey request", &RekeyRequest{SessionID: "s", EncKey: p.encKey(t), Nonce: []byte("nonce"), ResumeAuth: []byte("auth")},
+			appendRekeyRequest, frameRekey),
+		sampleOf("resume request", &ResumeRequest{SessionID: "s", Epoch: 4, Profile: "p"}, appendResumeRequest, frameResume),
+		sampleOf("resume challenge", &ResumeChallenge{Challenge: []byte("challenge")}, appendResumeChallenge, frameResumeChallenge),
+		sampleOf("resume proof", &ResumeProof{MAC: []byte("mac")}, appendResumeProof, frameResumeProof),
+		sampleOf("rotation-key request", &RotKeysRequest{SessionID: "s", Key: ckks.NewKeyGenerator(p.ctx, 3).GenGaloisKey(p.sk, 1)},
+			appendRotKeysRequest, frameRotKeys),
+		sampleOf("session reply", &SessionReply{Code: serve.CodeParamMismatch, Err: "logN", Profile: "p", Epoch: 5, MatVecDim: 8},
+			appendSessionReply, frameSessionReply),
+	}
+}
+
+// TestPayloadCodecsRoundTrip holds every message codec pair to its
+// sample: the payload decodes back to the message, and a payload one byte
+// short or one byte long is a protocol error — every field is mandatory
+// and a frame carries exactly one message.
 func TestPayloadCodecsRoundTrip(t *testing.T) {
-	setupRep := &SetupReply{Code: serve.CodeParamMismatch, Err: "logN"}
-	gotSetupRep, err := decodeSetupReply(appendSetupReply(nil, setupRep))
-	if err != nil || gotSetupRep.Code != setupRep.Code || gotSetupRep.Err != setupRep.Err {
-		t.Fatalf("setup reply: %+v err %v", gotSetupRep, err)
+	samples := codecSamples(t, newRawPeer(t, 107))
+	if len(samples) != 10 {
+		t.Fatalf("%d codec pairs sampled, want 10", len(samples))
 	}
-	okRep, err := decodeSetupReply(appendSetupReply(nil, &SetupReply{Profile: "p", MatVecDim: 8}))
-	if err != nil || okRep.Code != serve.CodeOK || okRep.Profile != "p" || okRep.MatVecDim != 8 {
-		t.Fatalf("setup ok reply: %+v err %v", okRep, err)
+	for _, c := range samples {
+		t.Run(c.name, func(t *testing.T) {
+			decode := frameDecoders[c.ftypes[0]]
+			got, err := decode(c.enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c.msg) {
+				t.Errorf("round trip: %+v, want %+v", got, c.msg)
+			}
+			if _, err := decode(c.enc[:len(c.enc)-1]); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("one byte short: err = %v, want ErrBadFrame", err)
+			}
+			if _, err := decode(append(c.enc[:len(c.enc):len(c.enc)], 0)); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("one byte long: err = %v, want ErrBadFrame", err)
+			}
+		})
 	}
-	// Profile and MatVecDim are fixed fields: a reply that stops before
-	// them (the retired optional-trailing layout) does not decode.
-	enc := appendSetupReply(nil, &SetupReply{})
-	if _, err := decodeSetupReply(enc[:len(enc)-8]); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("setup reply without its fixed fields: err = %v, want ErrBadFrame", err)
-	}
+}
 
-	q, err := decodeProfileRequest(appendProfileRequest(nil, &ProfileRequest{SessionID: "s", Requested: "r"}))
-	if err != nil || q.SessionID != "s" || q.Requested != "r" {
-		t.Fatalf("profile request: %+v err %v", q, err)
+// TestEveryFrameTypeFuzzed: every frame type readFrame accepts, the empty
+// hello aside, has a decoder in frameDecoders and a seed in codecSamples,
+// and nothing else has either.
+func TestEveryFrameTypeFuzzed(t *testing.T) {
+	seeded := map[byte]bool{}
+	for _, c := range codecSamples(t, newRawPeer(t, 109)) {
+		for _, ftype := range c.ftypes {
+			seeded[ftype] = true
+		}
 	}
-	grant, err := decodeProfileReply(appendProfileReply(nil, &ProfileReply{Granted: "g"}))
-	if err != nil || grant.Granted != "g" || grant.Code != serve.CodeOK {
-		t.Fatalf("profile reply: %+v err %v", grant, err)
-	}
-
-	compRep := &ComputeReply{Code: serve.CodeRekeyRequired, Err: "budget",
-		RekeyNeeded: true, ModeledTxDelay: 0.5, ModeledCmpDelay: 0.25}
-	gotCompRep, err := decodeComputeReply(appendComputeReply(nil, compRep))
-	if err != nil || *gotCompRep != *compRep {
-		t.Fatalf("compute reply: %+v err %v", gotCompRep, err)
-	}
-
-	rkRep, err := decodeRekeyReply(appendRekeyReply(nil, &RekeyReply{Epoch: 4}))
-	if err != nil || rkRep.Code != serve.CodeOK || rkRep.Epoch != 4 {
-		t.Fatalf("rekey reply: %+v err %v", rkRep, err)
-	}
-
-	// Trailing garbage after a well-formed message is a protocol error.
-	withTrailer := append(appendComputeReply(nil, compRep), 0xFF)
-	if _, err := decodeComputeReply(withTrailer); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("trailing bytes: err = %v, want ErrBadFrame", err)
+	for ftype := 0; ftype <= 0xFF; ftype++ {
+		var buf []byte
+		frame := buildFrame(t, byte(ftype), 1, nil)
+		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), &buf)
+		accepted := err == nil && byte(ftype) != frameHello
+		if _, ok := frameDecoders[byte(ftype)]; ok != accepted {
+			t.Errorf("frame type %d: readFrame accepts it: %v, has a decoder: %v", ftype, accepted, ok)
+		}
+		if seeded[byte(ftype)] != accepted {
+			t.Errorf("frame type %d: readFrame accepts it: %v, has a fuzz seed: %v", ftype, accepted, seeded[byte(ftype)])
+		}
 	}
 }
 
@@ -278,7 +347,8 @@ func TestFrameWriterTearsDownOnce(t *testing.T) {
 }
 
 // FuzzFrameDecode asserts the frame reader and every payload decoder
-// return typed errors on truncated or corrupt input and never panic.
+// return typed errors on truncated or corrupt input and never panic. It
+// is seeded with one valid frame of every type.
 func FuzzFrameDecode(f *testing.F) {
 	valid := buildFrame(f, frameCompute, 7, func(b []byte) []byte {
 		return appendComputeRequest(b, &ComputeRequest{SessionID: "s", Block: 1, Epoch: 1, Masked: []float64{0.5}})
@@ -289,13 +359,6 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(buildFrame(f, frameComputeReply, 9, func(b []byte) []byte {
 		return appendComputeReply(b, &ComputeReply{Code: serve.CodeOverloaded, Err: "full"})
 	}))
-	// A compute frame with a sampled trace context in its fixed field.
-	f.Add(buildFrame(f, frameCompute, 11, func(b []byte) []byte {
-		return appendComputeRequest(b, &ComputeRequest{
-			SessionID: "s", Block: 2, Epoch: 1, Masked: []float64{0.25},
-			Trace: obs.TraceContext{TraceID: 0xabcdef, Parent: 0x123456, Sampled: true},
-		})
-	}))
 	// A Setup whose relinearization key stops after one digit: well-formed
 	// on the wire, refused at install (see TestInstallValidation).
 	p := newRawPeer(f, 311)
@@ -304,6 +367,12 @@ func FuzzFrameDecode(f *testing.F) {
 		req.RLK = &ckks.RelinKey{QP: req.RLK.QP, Seed: req.RLK.Seed, Parts: req.RLK.Parts[:1]}
 		return appendSetupRequest(b, req)
 	}))
+	f.Add(buildFrame(f, frameHello, 0, nil))
+	for _, c := range codecSamples(f, p) {
+		for _, ftype := range c.ftypes {
+			f.Add(buildFrame(f, ftype, 15, func(b []byte) []byte { return append(b, c.enc...) }))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf []byte
@@ -321,35 +390,24 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			ftype, payload = data[3], data[frameHeaderLen:len(data)-crcTrailerLen]
 		}
-		var derr error
-		switch ftype {
-		case frameSetup:
-			var req *SetupRequest
-			if req, derr = decodeSetupRequest(payload); derr == nil {
-				// What handleSetup runs on a decoded key before a worker
-				// may index it: any shape must come back as an error.
-				_ = p.ctx.CheckSwitchingKey(req.RLK)
-			}
-		case frameSetupReply:
-			_, derr = decodeSetupReply(payload)
-		case frameCompute, frameMatVec:
-			_, derr = decodeComputeRequest(payload)
-		case frameComputeReply, frameMatVecReply:
-			_, derr = decodeComputeReply(payload)
-		case frameRekey:
-			_, derr = decodeRekeyRequest(payload)
-		case frameRekeyReply:
-			_, derr = decodeRekeyReply(payload)
-		case frameRotKeys:
-			var req *RotKeysRequest
-			if req, derr = decodeRotKeysRequest(payload); derr == nil {
-				_ = p.ctx.CheckSwitchingKey(&req.Key.SwitchingKey)
-			}
-		case frameRotKeysReply:
-			_, derr = decodeRotKeysReply(payload)
+		decode := frameDecoders[ftype]
+		if decode == nil {
+			return
 		}
-		if derr != nil && !errors.Is(derr, ErrBadFrame) {
-			t.Fatalf("untyped payload error for frame type %d: %v", ftype, derr)
+		msg, derr := decode(payload)
+		if derr != nil {
+			if !errors.Is(derr, ErrBadFrame) {
+				t.Fatalf("untyped payload error for frame type %d: %v", ftype, derr)
+			}
+			return
+		}
+		// What the server runs on a decoded key before a worker may index
+		// it: any shape must come back as an error, never a panic.
+		switch req := msg.(type) {
+		case *SetupRequest:
+			_ = p.ctx.CheckSwitchingKey(req.RLK)
+		case *RotKeysRequest:
+			_ = p.ctx.CheckSwitchingKey(&req.Key.SwitchingKey)
 		}
 	})
 }
