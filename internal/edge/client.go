@@ -1194,8 +1194,9 @@ func (c *Client) MatVecDim() int { return c.mvDim }
 
 // EnableMatVec generates the Galois rotation keys the server's hoisted
 // BSGS matrix–vector kernel needs (ckks.BSGSRotations of the advertised
-// dimension) and uploads them to the server-side session, which installs
-// them as one set once the last has arrived. Call once after Dial, before
+// dimension: the baby steps 1…n1−1 and the one giant step n1 its Horner
+// chain repeats, n1 keys) and uploads them to the server-side session,
+// which installs them as one set once the last has arrived. Call once after Dial, before
 // the first MatVec; repeated calls are no-ops. The keys stream one per
 // RotKeys frame, each generated into the same storage and sent without
 // waiting for the previous reply, so neither end ever holds more than one

@@ -68,7 +68,7 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x08
+//	offset 2     version  0x09
 //	offset 3     type     one of 12: hello; the requests setup, compute,
 //	                      matvec, rekey, profile, rotation keys and resume;
 //	                      the resume challenge and proof; and two replies,
@@ -93,6 +93,16 @@
 // always end in the 16-byte trace context, all zero when the request is
 // unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
+//
+// Version 9 takes one Galois key per giant step instead of one per giant
+// block. The BSGS kernel folds its giant blocks in by Horner's rule, each
+// step a rotation by n1, so the rotation set a session uploads and the
+// server accepts is ckks.BSGSRotations of the model dimension: the baby
+// steps 1…n1−1 and n1, n1 keys where version 8 took n1+n2−2 (16 instead
+// of 30 for a 256×256 model, 15.7 instead of 29.5 MB at λ-128k). A key for
+// any other giant rotation, 2·n1 included, is refused as outside the plan.
+// Frames and codecs are unchanged; the accepted set is what moved, and a
+// version-8 client would upload keys a version-9 server refuses.
 //
 // Version 8 has two reply frames. The five session replies — profile
 // grant, Setup, Rekey, each rotation key and Resume — were five types,

@@ -75,9 +75,9 @@ func TestKeyFramesAllocateOnce(t *testing.T) {
 // rotation key's RotKeys payload — sized by the codecs from BinarySize,
 // every variable field at its largest legal size — fit maxFramePayload:
 // no model dimension changes a frame's size, only the number of RotKeys
-// frames. Second, a server accepts a 2048×2048 model (89 rotation keys,
-// ≈88 MB at λ-128k, which as one frame would be twenty times the cap), and
-// a λ-128k client completes EnableMatVec against it in 89 frames.
+// frames. Second, a server accepts a 2048×2048 model (46 rotation keys,
+// ≈45 MB at λ-128k, which as one frame would be eleven times the cap), and
+// a λ-128k client completes EnableMatVec against it in 46 frames.
 func TestEveryLegalFrameFits(t *testing.T) {
 	for _, p := range profile.Default().Profiles() {
 		ctx, err := p.Context()
@@ -124,7 +124,7 @@ func TestEveryLegalFrameFits(t *testing.T) {
 	if err := client.EnableMatVec(); err != nil {
 		t.Fatalf("EnableMatVec at dimension %d: %v", dim, err)
 	}
-	const wantKeys = 89
+	const wantKeys = 46 // n1 = ⌈√2048⌉: baby steps 1…45 and the giant step 46
 	if frames := srv.met.framesIn.Value() - before; frames != wantKeys {
 		t.Errorf("EnableMatVec sent %d frames, want %d (one per rotation key)", frames, wantKeys)
 	}

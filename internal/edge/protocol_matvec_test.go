@@ -3,9 +3,9 @@ package edge
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
-	"quhe/internal/he/ckks"
 	"quhe/internal/serve"
 )
 
@@ -75,8 +75,9 @@ func TestMatVecEndToEnd(t *testing.T) {
 			t.Errorf("slot %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	// The reply prices the block with the rotations the kernel ran.
-	rots := len(ckks.BSGSRotations(len(testMatrix)))
+	// The reply prices the block with the key switches the kernel ran:
+	// at n = 4 (n1 = n2 = 2) one baby rotation and one giant step.
+	const rots = 2
 	if wantCmp := wantCmpDelay(t, client, 1, rots); client.LastCmpDelay != wantCmp {
 		t.Errorf("matvec cmp delay %v, want the registry's %v (%d rotations)", client.LastCmpDelay, wantCmp, rots)
 	}
@@ -92,6 +93,50 @@ func TestMatVecEndToEnd(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > 0.05 {
 			t.Errorf("short vector slot %d = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestMatVecPricedBySwitches serves a dense 16×16 model (n1 = n2 = 4),
+// where what a session uploads and what a block runs differ: the client
+// uploads the 4 keys of rotations 1…4, and the reply prices the block by
+// the 6 key switches the kernel ran, 3 baby rotations and 3 giant steps.
+func TestMatVecPricedBySwitches(t *testing.T) {
+	const dim = 16
+	m := make([][]float64, dim)
+	for i := range m {
+		m[i] = make([]float64, dim)
+		for j := range m[i] {
+			m[i][j] = 0.1 * math.Sin(float64(i*dim+j+1))
+		}
+	}
+	srv := startServer(t, Model{Matrix: m})
+	client, err := Dial(srv.Addr(), "priced", []byte("qkd-material"), 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.EnableMatVec(); err != nil {
+		t.Fatalf("EnableMatVec: %v", err)
+	}
+	sess, _ := srv.store.Peek("priced")
+	if got := sess.RotKeys().Rotations(); !slices.Equal(got, []int{1, 2, 3, 4}) {
+		t.Errorf("session installed rotation keys %v, want [1 2 3 4]", got)
+	}
+	v := make([]float64, dim)
+	for i := range v {
+		v[i] = math.Cos(float64(i))
+	}
+	got, err := client.MatVec(0, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range plainMatVec(m, nil, v) {
+		if math.Abs(got[i]-want) > 0.05 {
+			t.Errorf("slot %d = %v, want %v", i, got[i], want)
+		}
+	}
+	if want := wantCmpDelay(t, client, 1, 6); client.LastCmpDelay != want {
+		t.Errorf("matvec cmp delay %v, want the registry's %v (6 key switches)", client.LastCmpDelay, want)
 	}
 }
 

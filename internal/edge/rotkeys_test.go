@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"quhe/internal/he/ckks"
 	"quhe/internal/serve"
 )
 
@@ -40,17 +41,21 @@ func (p *rawPeer) checkMatVec(t *testing.T, rep *ComputeReply, x []float64) {
 }
 
 // TestRotKeysUploadRefusals: a rotation key that arrives twice, one for a
-// rotation outside BSGSRotations of the model dimension, and one after the
-// set is installed are each refused typed, and the connection keeps
-// serving: the upload completes around the refusals and matvec runs on the
-// set it installed.
+// rotation outside BSGSRotations of the model dimension, one for a giant
+// rotation 2·n1 (the Horner chain's giant steps all rotate by n1, so no
+// other multiple of n1 has a key) and one after the set is installed are
+// each refused typed, and the connection keeps serving: the upload
+// completes around the refusals and matvec runs on the set it installed.
 func TestRotKeysUploadRefusals(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}, Matrix: testMatrix, MatrixBias: testMatrixBias})
 	p := newRawPeer(t, 211)
 	p.dial(t, srv.Addr())
 	p.register(t, "refusals")
 	keys := p.rotKeys("refusals", 213, len(testMatrix))
-	outside := p.rotKeys("refusals", 213, 4*len(testMatrix))
+	kg := ckks.NewKeyGenerator(p.ctx, 217)
+	const n1 = 2 // ⌈√4⌉: the plan's rotations are 1 and 2
+	outside := &RotKeysRequest{SessionID: "refusals", Key: kg.GenGaloisKey(p.sk, n1+1)}
+	oldGiant := &RotKeysRequest{SessionID: "refusals", Key: kg.GenGaloisKey(p.sk, 2*n1)}
 
 	refused := func(what string, req *RotKeysRequest, detail string) {
 		t.Helper()
@@ -63,7 +68,8 @@ func TestRotKeysUploadRefusals(t *testing.T) {
 		t.Fatalf("first key refused: %+v", rep)
 	}
 	refused("the first key again", keys[0], "uploaded twice")
-	refused("a key outside the plan", outside[len(outside)-1], "not a rotation of the dimension-4 matvec plan")
+	refused("a key outside the plan", outside, "not a rotation of the dimension-4 matvec plan")
+	refused("a key for giant rotation 2·n1", oldGiant, "not a rotation of the dimension-4 matvec plan")
 	sess, _ := srv.store.Peek("refusals")
 	if sess.RotKeys() != nil {
 		t.Fatal("rotation keys installed before the set was complete")

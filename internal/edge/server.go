@@ -122,8 +122,10 @@ type profileRuntime struct {
 	// transcipher output level and scale — is built once per profile on
 	// first use and shared by every worker (plans are read-only during
 	// evaluation). mvErr latches a build failure so each request fails
-	// typed instead of retrying the doomed encode. mvRots is the plan's
-	// hoisted rotation count, what one matvec block adds to its price.
+	// typed instead of retrying the doomed encode. mvRots is the key
+	// switches one matvec block runs (MatVecPlan.KeySwitches: the baby
+	// rotations plus the giant steps), what it adds to the block's price;
+	// it is not the key count, since every giant step reuses one key.
 	mvOnce sync.Once
 	mvPlan *ckks.MatVecPlan
 	mvRots int
@@ -131,8 +133,8 @@ type profileRuntime struct {
 	// mvKeys lists the Galois elements a session's rotation-key upload
 	// must cover on this profile's ring: one per rotation of
 	// ckks.KeyRotations of the plan's rotations, which are
-	// ckks.BSGSRotations of the model dimension — known without encoding
-	// the plan.
+	// ckks.BSGSRotations of the model dimension (baby steps 1…n1−1 and the
+	// giant step n1) — known without encoding the plan.
 	mvKeys []uint64
 }
 
@@ -461,7 +463,7 @@ func (s *Server) matvecPlan(rt *profileRuntime) (*ckks.MatVecPlan, error) {
 			rt.mvErr = fmt.Errorf("%w: plan for profile %s: %v", serve.ErrMatVecUnavailable, rt.prof.ID, err)
 			return
 		}
-		rt.mvPlan, rt.mvRots = plan, len(plan.Rotations())
+		rt.mvPlan, rt.mvRots = plan, plan.KeySwitches()
 	})
 	return rt.mvPlan, rt.mvErr
 }

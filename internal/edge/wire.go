@@ -54,8 +54,8 @@ const (
 	// with batch frames, 5 the last with a public key in Setup and both
 	// switching-key components on the wire, 6 the last to upload a whole
 	// rotation-key set in one frame, 7 the last with a reply frame per
-	// session request and per op.)
-	frameVersion = 8
+	// session request and per op, 8 the last with a key per giant block.)
+	frameVersion = 9
 
 	frameHeaderLen = 16
 

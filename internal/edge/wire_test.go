@@ -77,7 +77,7 @@ func TestFrameDecodeTypedErrors(t *testing.T) {
 		t.Errorf("bad magic: err = %v, want ErrBadFrame", err)
 	}
 	badVersion := append([]byte(nil), valid...)
-	badVersion[2] = 9
+	badVersion[2] = frameVersion + 1
 	if err := read(badVersion); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("bad version: err = %v, want ErrBadFrame", err)
 	}

@@ -170,10 +170,12 @@ func (r strictRef) intt(ct *Ciphertext) {
 	}
 }
 
-// matVec is the pre-change MatVecInto: hoisted baby rotations brought to
-// coefficient form and transformed again, per-term strict diagonal MACs,
-// an inverse transform per giant block, a coefficient-domain RotateInto
-// per giant step, coefficient-domain accumulation, one rescale.
+// matVec is MatVecInto composed the pre-change way, in its Horner order:
+// hoisted baby rotations brought to coefficient form and transformed
+// again, per-term strict diagonal MACs, an inverse transform per giant
+// block, then the chain from the highest non-empty block down — a
+// coefficient-domain RotateInto by n1 per step, the block below added in
+// the coefficient domain — and one rescale.
 func (r strictRef) matVec(t *testing.T, plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet) *Ciphertext {
 	t.Helper()
 	tower := r.ctx.Tower
@@ -184,8 +186,9 @@ func (r strictRef) matVec(t *testing.T, plan *MatVecPlan, ct *Ciphertext, gks *G
 		babies[i] = r.rotateHoisted(t, ct, dig, i, gks)
 		r.ntt(babies[i])
 	}
-	var acc *Ciphertext
-	for k := 0; k < plan.n2; k++ {
+	blocks := make([]*Ciphertext, plan.n2) // nil for an empty block
+	top := -1
+	for k := range blocks {
 		var u *Ciphertext
 		for i, pt := range plan.diags[k] {
 			if pt == nil {
@@ -200,20 +203,22 @@ func (r strictRef) matVec(t *testing.T, plan *MatVecPlan, ct *Ciphertext, gks *G
 				r.mac(tower.Qi[l], babies[i].C1[l], nil, pt.Value[l], u.C1[l])
 			}
 		}
-		if u == nil {
-			continue
+		if u != nil {
+			r.intt(u)
+			blocks[k], top = u, k
 		}
-		r.intt(u)
-		if k > 0 {
-			u = r.rotate(t, u, k*plan.n1, gks)
-		}
-		if acc == nil {
-			acc = u
-			continue
-		}
-		for l := 0; l <= level; l++ {
-			tower.Qi[l].Add(acc.C0[l], u.C0[l], acc.C0[l])
-			tower.Qi[l].Add(acc.C1[l], u.C1[l], acc.C1[l])
+	}
+	var acc *Ciphertext
+	if top >= 0 {
+		acc = blocks[top]
+		for k := top - 1; k >= 0; k-- {
+			acc = r.rotate(t, acc, plan.n1, gks)
+			if u := blocks[k]; u != nil {
+				for l := 0; l <= level; l++ {
+					tower.Qi[l].Add(acc.C0[l], u.C0[l], acc.C0[l])
+					tower.Qi[l].Add(acc.C1[l], u.C1[l], acc.C1[l])
+				}
+			}
 		}
 	}
 	out := r.ctx.NewCiphertext(level - 1)
@@ -295,19 +300,22 @@ func (fx *bitIdentityFixture) encrypt(t *testing.T, n, level int) *Ciphertext {
 }
 
 // TestMatVecBitIdentity pins MatVecInto to the strict per-term,
-// coefficient-domain composition it replaced, limb for limb, on every
-// served profile at the served level (two below the top, where the
-// transcipher leaves a block), for a dense matrix with bias, one without,
-// a sparse one (nil diagonals inside blocks, giant blocks empty), one
-// whose unrotated block is empty and the zero matrix — twice through one
+// coefficient-domain composition it replaced, taken in the same Horner
+// order, limb for limb, on every served profile at the served level (two
+// below the top, where the transcipher leaves a block), for a dense
+// matrix with bias, one without, a sparse one (nil diagonals inside
+// blocks, giant blocks empty below and above the top one), one whose
+// unrotated block is empty and the zero matrix — twice through one
 // evaluator, so the second pass reads the scratch the first left behind.
+// Each case's plan reports the key switches the chain runs: n1−1 baby
+// rotations plus one giant step per block below the top non-empty one.
 func TestMatVecBitIdentity(t *testing.T) {
 	for _, prof := range servedProfiles {
 		fx := newBitIdentityFixture(t, prof.logN)
 		ref := strictRef{fx.ctx}
 		level := fx.ctx.MaxLevel() - 2
 		n := prof.dim
-		n1, _ := matVecSplit(n)
+		n1, n2 := matVecSplit(n)
 		dense, bias := randomMatrix(fx.rng, n)
 		// Sparse keeps diagonals 0, 2, 3 (block 0), one of block 1 and two
 		// of block 3: every other block is empty, these have holes. Late
@@ -334,11 +342,15 @@ func TestMatVecBitIdentity(t *testing.T) {
 			name string
 			m    [][]float64
 			bias []float64
-		}{{"dense+bias", dense, bias}, {"dense", dense, nil}, {"sparse", sparse, bias}, {"late", late, nil}, {"zero", zero, bias}}
+			top  int // highest non-empty giant block
+		}{{"dense+bias", dense, bias, n2 - 1}, {"dense", dense, nil, n2 - 1}, {"sparse", sparse, bias, 3}, {"late", late, nil, 3}, {"zero", zero, bias, 0}}
 		for _, tc := range cases {
 			plan, err := fx.ev.NewMatVecPlan(tc.m, tc.bias, level, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got, want := plan.KeySwitches(), n1-1+tc.top; got != want {
+				t.Errorf("%s %s: %d key switches, want %d", prof.id, tc.name, got, want)
 			}
 			if tc.name == "sparse" && (plan.diags[0][1] != nil || plan.diags[2][0] != nil || plan.diags[3][1] == nil) {
 				t.Fatal("sparse case does not have the holes it claims")

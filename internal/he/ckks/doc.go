@@ -43,9 +43,10 @@
 // products and one ModDown. The BSGS packed matrix–vector kernel
 // (linalg.go) builds on that: √n baby rotations from one hoisted
 // decomposition, diagonals stored NTT+Montgomery at plan build so a
-// giant block's inner sum is one lazy inner product per limb, and √n
-// giant rotations of the partial sums — O(√n) key-switches instead of the
-// naive n−1. The kernel never leaves the NTT domain between its own stages: key switches come
+// giant block's inner sum is one lazy inner product per limb, and the
+// partial sums folded in by Horner's rule, √n giant steps that all rotate
+// by n1 under one key — O(√n) key-switches instead of the naive n−1 under
+// n1 ≈ √n keys. The kernel never leaves the NTT domain between its own stages: key switches come
 // down from QP there (ring.Tower.ModDownNTT), rotations are gathers, and
 // one inverse transform per limb precedes the rescale — 441 limb
 // transforms for the served 256×256 at three limbs (6 input + 9 hoist +

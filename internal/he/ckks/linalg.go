@@ -15,14 +15,27 @@ import (
 //
 // and splitting d = k·n1 + i with n1 ≈ √n regroups the sum as
 //
-//	Mv = Σ_k rot_{k·n1}( Σ_i rot_{−k·n1}(diag_{k·n1+i}) ⊙ rot_i(v) ),
+//	Mv = Σ_k rot_{k·n1}(û_k),  û_k = Σ_i rot_{−k·n1}(diag_{k·n1+i}) ⊙ rot_i(v),
 //
 // so only n1−1 baby rotations of v plus n2−1 giant rotations of the inner
-// sums are needed — O(√n) key switches instead of O(n). The baby
+// sums are needed — O(√n) key switches instead of O(n). The giant
+// rotations are evaluated by Horner's rule, from the highest non-empty
+// block K down,
+//
+//	acc ← û_K;  acc ← rot_{n1}(acc) + û_k  for k = K−1, …, 0,
+//
+// so every giant step is a rotation by n1 under one Galois key, and a
+// session uploads n1 keys (rotations 1…n1). The baby
 // rotations all act on the same input, so the evaluator hoists them: one
 // O(L²) decomposition of v shared by every baby step. The pre-rotations
 // of the diagonals are free — they fold into the plaintext encoding at
 // plan-build time.
+//
+// Sparse matrices. The chain pays one giant step per block below K,
+// empty or not: an empty block adds nothing but is still rotated over,
+// since skipping it would need a key for a multiple of n1. A plan with
+// top block K runs n1−1 + K key switches (MatVecPlan.KeySwitches);
+// served models are dense, K = n2−1.
 //
 // Packing contract: n must divide the slot count and the input vector
 // must be replicated slots/n times (slot j holds v[j mod n]), so every
@@ -34,9 +47,9 @@ import (
 // shared decomposition and comes down from QP where it is
 // (rotateHoistedNTT); a giant block's inner sum over its non-empty
 // diagonals is a pair of lazy inner products per limb (ring.LazySum: one
-// Montgomery reduction per sum, not per term); a giant step gathers σ(û)
-// in the NTT domain and inverse-transforms only σ(û1), whose coefficients
-// the digit decomposition needs; and the accumulated sum is
+// Montgomery reduction per sum, not per term); a giant step gathers
+// σ(acc) in the NTT domain and inverse-transforms only σ(acc1), whose
+// coefficients the digit decomposition needs; and the accumulated sum is
 // inverse-transformed once, before the rescale. Limb transforms per call
 // at level ℓ (L = ℓ+1 chain limbs), n1 baby and n2 giant steps, every
 // block non-empty:
@@ -49,11 +62,12 @@ import (
 // (input) + 15·14 (each baby brought down to coefficients, then
 // transformed again) + 16·6 (an inverse pair per block) + 15·20 (giants)
 // = 624, with six to eight limb fan-outs per rotation where this has two
-// or three. The result is bit-identical to that composition's
-// (TestMatVecBitIdentity keeps it as a test-only reference): every step
-// is the same exact arithmetic mod q_i, moved across a linear transform.
-// The only ciphertexts that sit in the NTT domain between stages are the
-// evaluator's own matvecScratch; nothing in that form is returned.
+// or three. The result is bit-identical to that composition taken in the
+// same Horner order (TestMatVecBitIdentity keeps it as a test-only
+// reference): every step is the same exact arithmetic mod q_i, moved
+// across a linear transform. The only ciphertexts that sit in the NTT
+// domain between stages are the evaluator's own matvecScratch; nothing in
+// that form is returned.
 
 // MatVecPlan is a matrix (plus optional bias) pre-encoded for encrypted
 // matrix–vector evaluation at one level of the modulus chain. Plans are
@@ -64,6 +78,9 @@ type MatVecPlan struct {
 	n1, n2 int // baby / giant step counts, n1·n2 ≥ n
 	level  int // input level; output is level−1
 	scale  float64
+	// top is the highest giant block holding a non-zero diagonal, where
+	// MatVecInto's Horner chain starts; −1 for the zero matrix.
+	top int
 	// diags[k][i] is diag_{k·n1+i} pre-rotated right by k·n1, encoded at
 	// the plan level with scale Primes[level] (so one final rescale
 	// returns the input scale) and stored in the NTT + Montgomery domain:
@@ -88,17 +105,18 @@ func matVecSplit(n int) (n1, n2 int) {
 }
 
 // BSGSRotations returns the rotation set the BSGS kernel needs for
-// dimension n, ascending: baby steps 1..n1−1 and giant steps k·n1 for
-// k = 1..n2−1. Clients derive the Galois keys to upload from this; the
+// dimension n, ascending: baby steps 1..n1−1 and, when there is more than
+// one giant block, the one giant step n1 the Horner chain repeats — n1
+// rotations. Clients derive the Galois keys to upload from this; the
 // server derives the same set to validate them.
 func BSGSRotations(n int) []int {
 	n1, n2 := matVecSplit(n)
-	rots := make([]int, 0, n1+n2-2)
+	rots := make([]int, 0, n1)
 	for i := 1; i < n1; i++ {
 		rots = append(rots, i)
 	}
-	for k := 1; k < n2; k++ {
-		rots = append(rots, k*n1)
+	if n2 > 1 {
+		rots = append(rots, n1)
 	}
 	return rots
 }
@@ -189,7 +207,7 @@ func (ev *Evaluator) NewMatVecPlan(m [][]float64, bias []float64, level int, sca
 		scale = ev.ctx.Params.Scale()
 	}
 	n1, n2 := matVecSplit(n)
-	plan := &MatVecPlan{n: n, n1: n1, n2: n2, level: level, scale: scale}
+	plan := &MatVecPlan{n: n, n1: n1, n2: n2, level: level, scale: scale, top: -1}
 	enc := NewEncoder(ev.ctx)
 	slots := ev.ctx.Params.Slots()
 	dScale := float64(ev.ctx.Primes[level])
@@ -210,7 +228,7 @@ func (ev *Evaluator) NewMatVecPlan(m [][]float64, bias []float64, level int, sca
 				return nil, err
 			}
 			ev.nttMontgomery(pt)
-			plan.diags[k][i] = pt
+			plan.diags[k][i], plan.top = pt, k
 		}
 	}
 	if err := ev.encodeMatVecCommon(plan, bias); err != nil {
@@ -260,15 +278,23 @@ func (p *MatVecPlan) Dim() int { return p.n }
 // Level returns the input level the plan was encoded for.
 func (p *MatVecPlan) Level() int { return p.level }
 
-// Rotations returns the rotation set MatVecInto needs; callers must
-// supply a GaloisKeySet covering it. The naive path additionally needs
-// every rotation 1..n−1.
+// Rotations returns the rotation set MatVecInto needs, BSGSRotations of
+// the dimension: one key per rotation. Callers must supply a
+// GaloisKeySet covering it. The naive path additionally needs every
+// rotation 1..n−1.
 func (p *MatVecPlan) Rotations() []int { return BSGSRotations(p.n) }
 
+// KeySwitches returns the key switches one MatVecInto call runs on this
+// plan: the n1−1 baby rotations plus one giant step per block below the
+// highest non-empty one, empty blocks included — n1−1 + n2−1 for a dense
+// matrix, which is what a served block is priced by. It is not the key
+// count: the giant steps all switch under the one key of rotation n1.
+func (p *MatVecPlan) KeySwitches() int { return p.n1 - 1 + max(p.top, 0) }
+
 // matvecScratch is the evaluator-internal working set for matvec calls:
-// the hoisted decomposition, the baby-rotated inputs (each reused by all
-// n2 giant steps) and two accumulator ciphertexts. Allocated on first use
-// at full chain capacity, then reused. Between the stages of one
+// the hoisted decomposition, the baby-rotated inputs (each reused by
+// every giant block) and two accumulator ciphertexts. Allocated on first
+// use at full chain capacity, then reused. Between the stages of one
 // MatVecInto call these ciphertexts hold NTT-domain limbs (plain, not
 // Montgomery form: the plan's diagonals carry that factor) — the one
 // place a ciphertext is in a transform domain between stages besides the
@@ -278,8 +304,8 @@ func (p *MatVecPlan) Rotations() []int { return BSGSRotations(p.n) }
 type matvecScratch struct {
 	h      *Hoisted
 	babies []*Ciphertext
-	u      *Ciphertext // inner (baby) sum of one giant block, then its rotation
-	acc    *Ciphertext // outer (giant) accumulator
+	u      *Ciphertext // inner (baby) sum of one giant block
+	acc    *Ciphertext // the Horner chain over the giant blocks
 }
 
 func (ev *Evaluator) ensureMatVec(n1 int) *matvecScratch {
@@ -350,15 +376,16 @@ func (ev *Evaluator) finishMatVec(plan *MatVecPlan, ct, acc, out *Ciphertext) er
 }
 
 // MatVecInto computes out = M·ct (+ bias) with the hoisted BSGS kernel:
-// one hoisted decomposition feeds all baby rotations, each giant step
-// pays one full key switch, and a single rescale drops the diagonal
+// one hoisted decomposition feeds all baby rotations, the giant blocks
+// fold in by Horner's rule with each step paying one full key switch
+// under the rotation-n1 key, and a single rescale drops the diagonal
 // scale, leaving out at level−1 with the input scale. The kernel stays in
 // the NTT domain from the input's forward transform to the one inverse
 // transform before the rescale (the file header derives its transform
 // budget). gks must cover plan.Rotations(); out must not alias ct.
 //
 // A steady-state call allocates no buffer, only the closure each of its
-// limb fan-outs hands ring.ForEach: 82 objects at the served shape
+// limb fan-outs hands ring.ForEach: 81 objects at the served shape
 // (λ-128k, 256×256, two levels below the top), pinned by
 // TestMatVecSteadyStateAllocs.
 func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
@@ -389,69 +416,58 @@ func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKey
 		}
 	}
 
-	var acc *Ciphertext // mv.acc once a block has landed in it
-	for k, row := range plan.diags {
-		empty := true
-		for _, pt := range row {
-			empty = empty && pt == nil
+	if plan.top < 0 {
+		return ev.finishMatVec(plan, ct, nil, out) // the zero matrix
+	}
+	// Horner's rule over the giant blocks: the chain starts as the top
+	// block's inner sum, and each step below rotates it by n1 in place and
+	// adds that block's sum û (zero for an empty block).
+	acc, u := mv.acc, mv.u
+	top := plan.diags[plan.top]
+	tower.ForEachLimb(limbs, func(t int) { ev.blockSumLimb(t, top, mv.babies, acc) })
+	if plan.top > 0 {
+		gk, err := ev.galoisKey(plan.n1, gks)
+		if err != nil {
+			return err
 		}
-		if empty {
-			continue
-		}
-		// The block's inner sum û. Block 0 needs no rotation, so its sum is
-		// the accumulator's first term (it is the first non-empty block if
-		// it is one at all).
-		u := mv.u
-		var gk *GaloisKey
-		var tab []uint32
-		if k == 0 {
-			u = mv.acc
-		} else {
-			var err error
-			if gk, err = ev.galoisKey(k*plan.n1, gks); err != nil {
-				return err
-			}
-			tab = ev.gatherTable(gk)
-		}
-		tower.ForEachLimb(limbs, func(t int) {
-			mod := tower.Qi[t]
-			sum0 := mod.LazySum(ev.s1[t], ev.s2[t], u.C0[t])
-			sum1 := mod.LazySum(ev.s3[t], ev.s4[t], u.C1[t])
-			for i, pt := range row {
-				if pt != nil {
-					sum0.MulAdd(mv.babies[i].C0[t], pt.Value[t])
-					sum1.MulAdd(mv.babies[i].C1[t], pt.Value[t])
-				}
-			}
-			sum0.Reduce()
-			sum1.Reduce()
-			if k > 0 {
-				// The giant step's key-switch input σ(û1), in both domains.
-				ring.ApplyAutomorphismNTT(u.C1[t], tab, ev.s5[t])
-				copy(ev.s6[t], ev.s5[t])
-				mod.INTT(ev.s6[t])
-			}
-		})
-		if k > 0 {
-			// Giant step: rot_{k·n1}(û) lands in the accumulator if it is
-			// the first term, in û itself to be added otherwise.
-			ev.keySwitch(ev.s6, ev.s5, gk.Parts, level)
-			dst := u
-			if acc == nil {
-				dst = mv.acc
-			}
+		tab := ev.gatherTable(gk)
+		for k := plan.top - 1; k >= 0; k-- {
+			row := plan.diags[k]
 			tower.ForEachLimb(limbs, func(t int) {
-				ev.switchedLimbNTT(t, level, u.C0[t], tab, dst.C0[t], dst.C1[t])
-				if dst == u {
-					mod := tower.Qi[t]
-					mod.Add(acc.C0[t], u.C0[t], acc.C0[t])
-					mod.Add(acc.C1[t], u.C1[t], acc.C1[t])
-				}
+				// The giant step's key-switch input σ(acc1), in both domains.
+				ring.ApplyAutomorphismNTT(acc.C1[t], tab, ev.s5[t])
+				copy(ev.s6[t], ev.s5[t])
+				tower.Qi[t].INTT(ev.s6[t])
+				ev.blockSumLimb(t, row, mv.babies, u)
+			})
+			ev.keySwitch(ev.s6, ev.s5, gk.Parts, level)
+			tower.ForEachLimb(limbs, func(t int) {
+				mod := tower.Qi[t]
+				ev.switchedLimbNTT(t, level, acc.C0[t], tab, acc.C0[t], acc.C1[t])
+				mod.Add(acc.C0[t], u.C0[t], acc.C0[t])
+				mod.Add(acc.C1[t], u.C1[t], acc.C1[t])
 			})
 		}
-		acc = mv.acc
 	}
 	return ev.finishMatVec(plan, ct, acc, out)
+}
+
+// blockSumLimb writes limb t of a giant block's inner sum into u: a pair
+// of lazy inner products of the NTT-domain baby rotations against the
+// block's non-empty diagonals, zero for an empty block. Runs inside a
+// per-limb fan-out; s1..s4 of limb t are its scratch.
+func (ev *Evaluator) blockSumLimb(t int, row []*Plaintext, babies []*Ciphertext, u *Ciphertext) {
+	mod := ev.ctx.Tower.Qi[t]
+	sum0 := mod.LazySum(ev.s1[t], ev.s2[t], u.C0[t])
+	sum1 := mod.LazySum(ev.s3[t], ev.s4[t], u.C1[t])
+	for i, pt := range row {
+		if pt != nil {
+			sum0.MulAdd(babies[i].C0[t], pt.Value[t])
+			sum1.MulAdd(babies[i].C1[t], pt.Value[t])
+		}
+	}
+	sum0.Reduce()
+	sum1.Reduce()
 }
 
 // MatVecNaiveInto is the rotate-per-diagonal baseline: n−1 full key

@@ -3,6 +3,7 @@ package ckks
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -288,17 +289,36 @@ func TestMatVecPlanValidation(t *testing.T) {
 	}
 }
 
-// TestBSGSRotations pins the shared shape rule both endpoints derive.
+// TestBSGSRotations pins the shared shape rule both endpoints derive: the
+// baby steps 1..n1−1 and the one giant step n1, so n1 keys whenever there
+// is more than one giant block.
 func TestBSGSRotations(t *testing.T) {
 	got := BSGSRotations(64) // n1 = n2 = 8
-	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48, 56}
-	if len(got) != len(want) {
+	if want := []int{1, 2, 3, 4, 5, 6, 7, 8}; !slices.Equal(got, want) {
 		t.Fatalf("rotations %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rotations %v, want %v", got, want)
+	for n := 1; n <= 4096; n++ {
+		n1, n2 := matVecSplit(n)
+		want := n1 - 1
+		if n2 > 1 {
+			want = n1
 		}
+		if got := len(BSGSRotations(n)); got != want {
+			t.Fatalf("n = %d (n1 = %d, n2 = %d): %d rotations, want %d", n, n1, n2, got, want)
+		}
+	}
+}
+
+// TestMatVecKeySwitches pins what a served block is priced by apart from
+// what a session uploads: the dense 256×256 at λ-128k runs 15 baby
+// rotations and 15 giant steps, 30 key switches, under 16 keys.
+func TestMatVecKeySwitches(t *testing.T) {
+	_, plan, _, gks, _ := servedMatVec(t)
+	if got := plan.KeySwitches(); got != 30 {
+		t.Errorf("served plan runs %d key switches, want 30", got)
+	}
+	if got := len(plan.Rotations()); got != 16 || len(gks.Keys) != 16 {
+		t.Errorf("served plan needs %d rotations (%d keys), want 16", got, len(gks.Keys))
 	}
 }
 
@@ -359,10 +379,10 @@ func TestMatVecSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run() // warm: the evaluator's matvec scratch
-	// Measured 82 (-benchmem agrees): one object, the closure ring.ForEach
+	// Measured 81 (-benchmem agrees): one object, the closure ring.ForEach
 	// runs per index, for each fan-out of three or four limbs — two per
 	// baby rotation, three per giant step, one each for the input, the
-	// hoist, the first block and the output, two for the rescale. When
+	// hoist, the top block and the output, two for the rescale. When
 	// every fan-out built a task slice and wrapped each limb twice this
 	// was 716. The bound leaves ~5% for runtime drift, not for a
 	// regression: one more fan-out per rotation is +30.
