@@ -83,10 +83,8 @@ func quarterRound(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
 	return a, b, c, d
 }
 
-// block computes the keystream block for the current counter into c.buf.
-func (c *Cipher) block() {
-	var x [16]uint32
-	copy(x[:], c.state[:])
+// rounds applies ChaCha20's twenty rounds to x in place.
+func rounds(x *[16]uint32) {
 	for round := 0; round < 10; round++ {
 		// Column rounds.
 		x[0], x[4], x[8], x[12] = quarterRound(x[0], x[4], x[8], x[12])
@@ -99,11 +97,58 @@ func (c *Cipher) block() {
 		x[2], x[7], x[8], x[13] = quarterRound(x[2], x[7], x[8], x[13])
 		x[3], x[4], x[9], x[14] = quarterRound(x[3], x[4], x[9], x[14])
 	}
+}
+
+// KeystreamAt writes the keystream block at the given block counter into
+// dst. It reads only the bound key and nonce: the running counter and any
+// buffered keystream are untouched, so blocks may be drawn in any order.
+func (c *Cipher) KeystreamAt(counter uint32, dst *[BlockSize]byte) {
+	in := c.state
+	in[12] = counter
+	x := in
+	rounds(&x)
 	for i := 0; i < 16; i++ {
-		binary.LittleEndian.PutUint32(c.buf[4*i:], x[i]+c.state[i])
+		binary.LittleEndian.PutUint32(dst[4*i:], x[i]+in[i])
 	}
+}
+
+// block computes the keystream block for the current counter into c.buf.
+func (c *Cipher) block() {
+	c.KeystreamAt(c.state[12], &c.buf)
 	c.state[12]++ // advance the block counter
 	c.bufUsed = 0
+}
+
+// HNonceSize is the HChaCha20 nonce length in bytes.
+const HNonceSize = 16
+
+// HChaCha20 derives a 32-byte subkey from a 32-byte key and a 16-byte
+// nonce: the ChaCha20 rounds over (constants, key, nonce), keeping state
+// words 0–3 and 12–15 without the final addition. It is the subkey step of
+// XChaCha20 (draft-irtf-cfrg-xchacha §2.2), which turns one key into a
+// family of independent stream keys indexed by the nonce.
+func HChaCha20(key, nonce []byte) ([KeySize]byte, error) {
+	var out [KeySize]byte
+	if len(key) != KeySize {
+		return out, fmt.Errorf("chacha20: key must be %d bytes, got %d", KeySize, len(key))
+	}
+	if len(nonce) != HNonceSize {
+		return out, fmt.Errorf("chacha20: HChaCha20 nonce must be %d bytes, got %d", HNonceSize, len(nonce))
+	}
+	var x [16]uint32
+	copy(x[:4], sigma[:])
+	for i := 0; i < 8; i++ {
+		x[4+i] = binary.LittleEndian.Uint32(key[4*i:])
+	}
+	for i := 0; i < 4; i++ {
+		x[12+i] = binary.LittleEndian.Uint32(nonce[4*i:])
+	}
+	rounds(&x)
+	for i := 0; i < 4; i++ {
+		binary.LittleEndian.PutUint32(out[4*i:], x[i])
+		binary.LittleEndian.PutUint32(out[16+4*i:], x[12+i])
+	}
+	return out, nil
 }
 
 // XORKeyStream XORs src with the keystream into dst, which must be at least
@@ -128,12 +173,22 @@ func (c *Cipher) XORKeyStream(dst, src []byte) {
 }
 
 // Keystream fills dst with raw keystream bytes (i.e. the encryption of an
-// all-zero message).
+// all-zero message), continuing the stream exactly as XORKeyStream would.
+// Whole blocks are written straight into dst.
 func (c *Cipher) Keystream(dst []byte) {
-	for i := range dst {
-		dst[i] = 0
+	for len(dst) > 0 && c.bufUsed < BlockSize {
+		n := copy(dst, c.buf[c.bufUsed:])
+		c.bufUsed += n
+		dst = dst[n:]
 	}
-	c.XORKeyStream(dst, dst)
+	for ; len(dst) >= BlockSize; dst = dst[BlockSize:] {
+		c.KeystreamAt(c.state[12], (*[BlockSize]byte)(dst))
+		c.state[12]++
+	}
+	if len(dst) > 0 {
+		c.block()
+		c.bufUsed = copy(dst, c.buf[:])
+	}
 }
 
 // Seal encrypts the message with a fresh single-shot cipher; it is a

@@ -97,6 +97,23 @@ func TestStreamingMatchesOneShot(t *testing.T) {
 	if !bytes.Equal(streamed, oneShot) {
 		t.Error("chunked keystream diverges from one-shot")
 	}
+	// Raw keystream in the same chunks, interleaved with XORKeyStream.
+	if c, err = New(key, nonce, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, chunk := range []struct{ lo, hi int }{{0, 1}, {1, 63}, {63, 64}, {64, 129}, {129, 200}, {200, 300}} {
+		if i%2 == 0 {
+			c.Keystream(streamed[chunk.lo:chunk.hi])
+		} else {
+			c.XORKeyStream(streamed[chunk.lo:chunk.hi], make([]byte, chunk.hi-chunk.lo))
+		}
+	}
+	for i := range streamed {
+		streamed[i] ^= msg[i]
+	}
+	if !bytes.Equal(streamed, oneShot) {
+		t.Error("chunked raw keystream diverges from one-shot")
+	}
 }
 
 func TestCounterAdvances(t *testing.T) {
@@ -204,6 +221,16 @@ func TestKeystreamBitBalance(t *testing.T) {
 	}
 }
 
+func BenchmarkKeystream(b *testing.B) {
+	c, _ := New(make([]byte, KeySize), make([]byte, NonceSize), 0)
+	buf := make([]byte, 4096)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Keystream(buf)
+	}
+}
+
 func BenchmarkXORKeyStream(b *testing.B) {
 	key := make([]byte, KeySize)
 	nonce := make([]byte, NonceSize)
@@ -213,5 +240,54 @@ func BenchmarkXORKeyStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.XORKeyStream(buf, buf)
+	}
+}
+
+// TestHChaCha20Vector checks the subkey derivation against the test
+// vector of draft-irtf-cfrg-xchacha §2.2.1.
+func TestHChaCha20Vector(t *testing.T) {
+	key := mustHex(t, "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+	nonce := mustHex(t, "000000090000004a0000000031415927")
+	got, err := HChaCha20(key, nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustHex(t, "82413b4227b27bfed30e42508a877d73a0f9e4d58a74a853c12ec41326d3ecdc")
+	if !bytes.Equal(got[:], want) {
+		t.Errorf("subkey\n got %x\nwant %x", got, want)
+	}
+	if _, err := HChaCha20(key, nonce[:12]); err == nil {
+		t.Error("12-byte HChaCha20 nonce accepted")
+	}
+	if _, err := HChaCha20(key[:16], nonce); err == nil {
+		t.Error("16-byte key accepted")
+	}
+}
+
+// TestKeystreamAtMatchesStream draws blocks out of order and checks each
+// against the running keystream, which it must not disturb.
+func TestKeystreamAtMatchesStream(t *testing.T) {
+	key := make([]byte, KeySize)
+	for i := range key {
+		key[i] = byte(7 * i)
+	}
+	nonce := []byte("twelve bytes")
+	c, err := New(key, nonce, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := make([]byte, 8*BlockSize)
+	c.Keystream(stream[:BlockSize/2])
+	var blk [BlockSize]byte
+	c.KeystreamAt(5, &blk)
+	c.Keystream(stream[BlockSize/2:])
+	if !bytes.Equal(blk[:], stream[5*BlockSize:6*BlockSize]) {
+		t.Error("block 5 differs from the stream")
+	}
+	for _, ctr := range []uint32{7, 0, 3} {
+		c.KeystreamAt(ctr, &blk)
+		if !bytes.Equal(blk[:], stream[ctr*BlockSize:(ctr+1)*BlockSize]) {
+			t.Errorf("block %d differs from the stream", ctr)
+		}
 	}
 }

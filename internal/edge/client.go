@@ -996,27 +996,61 @@ func (c *Client) Epoch() uint64 {
 	return c.epoch
 }
 
-// mask pads and masks one block under a consistent snapshot of the
-// current key material, returning the epoch it was masked under.
-func (c *Client) mask(block uint32, data []float64) ([]float64, uint64, error) {
-	padded := make([]float64, c.Slots())
-	copy(padded, data)
+// mask masks data, zero-padded to the block, into dst under a consistent
+// snapshot of the current key material, returning the masked block and
+// the epoch it was masked under. A nil dst allocates the block; dst may
+// alias data.
+func (c *Client) mask(block uint32, data, dst []float64) ([]float64, uint64, error) {
+	if dst == nil {
+		dst = make([]float64, c.Slots())
+	}
 	c.keyMu.Lock()
 	key, nonce, epoch := c.key, c.nonce, c.epoch
 	c.keyMu.Unlock()
-	masked, err := c.cipher.Mask(key, nonce, block, padded)
-	if err != nil {
+	if err := c.cipher.MaskInto(dst, key, nonce, block, data); err != nil {
 		return nil, 0, fmt.Errorf("edge: mask: %w", err)
 	}
-	return masked, epoch, nil
+	return dst, epoch, nil
 }
 
-// decrypt recovers the slot values of an encrypted result.
-func (c *Client) decrypt(ct *ckks.Ciphertext) []float64 {
+// decodeBuf is one decryption's working set: the plaintext a reply
+// decrypts into and the FFT space it decodes through. Both are sized on
+// use, so one pool serves clients of every profile.
+type decodeBuf struct {
+	pt   ckks.Plaintext
+	work []complex128
+}
+
+// decodeBufs holds the working sets of decrypt, one per concurrent Wait
+// process-wide. It is a package-level pool, not a Client field: a pool
+// stays referenced by the runtime for two collections after its last
+// use, and a pool inside the Client would keep a closed client — its
+// evaluator and keys included — alive that long.
+var decodeBufs = sync.Pool{New: func() any { return new(decodeBuf) }}
+
+// decrypt recovers the first n slot values of an encrypted result and
+// returns its ciphertext to the reply pool. Only the decryption, which
+// runs on the evaluator's scratch, holds evMu; the decode runs on a
+// pooled working set, so concurrent Waits decode in parallel.
+func (c *Client) decrypt(ct *ckks.Ciphertext, n int) ([]float64, error) {
+	buf := decodeBufs.Get().(*decodeBuf)
+	defer decodeBufs.Put(buf)
 	c.evMu.Lock()
-	pt := c.ev.Decrypt(c.sk, ct)
+	err := c.ev.DecryptInto(c.sk, ct, &buf.pt)
 	c.evMu.Unlock()
-	return c.encoder.DecodeReal(pt)
+	replyPool.Put(ct)
+	if err != nil {
+		return nil, fmt.Errorf("edge: decrypt: %w", err)
+	}
+	size := c.ctx.Params.N()
+	if cap(buf.work) < size {
+		buf.work = make([]complex128, size)
+	}
+	out := make([]float64, n)
+	if err := c.encoder.DecodeRealInto(&buf.pt, buf.work[:size], out); err != nil {
+		return nil, fmt.Errorf("edge: decode: %w", err)
+	}
+	return out, nil
 }
 
 func (c *Client) noteReply(tx, cmp float64, rekeyNeeded bool, epoch uint64) {
@@ -1062,20 +1096,20 @@ func (c *Client) ComputeAsync(block uint32, data []float64) (*Pending, error) {
 	if len(data) > c.Slots() {
 		return nil, fmt.Errorf("edge: %d values exceed %d slots", len(data), c.Slots())
 	}
-	return c.submit(frameCompute, block, data, len(data))
+	return c.submit(frameCompute, block, data, nil, len(data))
 }
 
 // submit masks one block and sends it as a request of the given per-block
 // op without waiting — the body ComputeAsync and MatVecAsync share. n is
 // how many leading result slots Wait hands back.
-func (c *Client) submit(op byte, block uint32, data []float64, n int) (*Pending, error) {
+func (c *Client) submit(op byte, block uint32, data, dst []float64, n int) (*Pending, error) {
 	start := time.Now()
 	tc := c.tracer.sampleTrace()
 	var spans *clientSpans
 	if tc.Valid() {
 		spans = c.tracer.begin(tc, block, 0, start)
 	}
-	masked, epoch, err := c.mask(block, data)
+	masked, epoch, err := c.mask(block, data, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -1105,7 +1139,7 @@ func (p *Pending) Wait() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.c.decrypt(rep.Result)[:p.n], nil
+	return p.c.decrypt(rep.Result, p.n)
 }
 
 // reply blocks for the server's answer: a reply carrying a result, or the
@@ -1285,7 +1319,7 @@ func (c *Client) MatVecAsync(block uint32, data []float64) (*Pending, error) {
 			full[j] = data[k]
 		}
 	}
-	return c.submit(frameMatVec, block, full, dim)
+	return c.submit(frameMatVec, block, full, full, dim)
 }
 
 // ComputeBatch masks blocks start..start+len(data)-1 and pipelines them
@@ -1320,10 +1354,11 @@ func (c *Client) ComputeBatch(start uint32, data [][]float64) ([][]float64, erro
 			if errs[i] == nil {
 				var rep *ComputeReply
 				if rep, errs[i] = pend[i].reply(); errs[i] == nil {
-					out[i] = c.decrypt(rep.Result)[:len(data[i])]
-					tx, cmp = rep.ModeledTxDelay, rep.ModeledCmpDelay
-					served++
-					continue
+					if out[i], errs[i] = c.decrypt(rep.Result, len(data[i])); errs[i] == nil {
+						tx, cmp = rep.ModeledTxDelay, rep.ModeledCmpDelay
+						served++
+						continue
+					}
 				}
 			}
 			if first < 0 {

@@ -94,6 +94,17 @@
 // unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
 //
+// Version 10 changes what a masked block means, not how it travels. The
+// public keystream coefficients of block b used to be one ChaCha20 stream
+// per nonce, read from counter 3·b: a block reads 3·keyLen·slots·2/64
+// stream blocks, far more than three, so block b+1's coefficients were
+// block b's shifted by 192 bytes, and masked_{b+1}[s] − masked_b[s+96]
+// gave away data_{b+1}[s] − data_b[s+96]. Each block now draws its own
+// stream, keyed by the HChaCha20 subkey of the public expansion key and
+// nonce‖b and read from counter 0 (see internal/transcipher). Frames and
+// codecs are unchanged; a version-9 peer would mask and unmask under
+// different keystreams.
+//
 // Version 9 takes one Galois key per giant step instead of one per giant
 // block. The BSGS kernel folds its giant blocks in by Horner's rule, each
 // step a rotation by n1, so the rotation set a session uploads and the

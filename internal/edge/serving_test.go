@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -123,6 +124,114 @@ func TestServedComputeAllocs(t *testing.T) {
 	const bound = 42
 	if allocs := testing.AllocsPerRun(20, roundTrip); allocs > bound {
 		t.Errorf("a served Compute allocates %.1f times, want ≤ %d", allocs, bound)
+	}
+}
+
+// TestClientBlockAllocs pins the client's side of one block: masking
+// allocates the masked block, and decoding and decrypting the reply
+// allocate the reply envelope, the returned values and the decryption's
+// one limb fan-out closure. The reply ciphertext, the plaintext it
+// decrypts into and the FFT space it decodes through are reused from
+// block to block, so the bytes a block allocates stay far below one
+// ciphertext.
+func TestClientBlockAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	srv := startServer(t, Model{Weights: []float64{1}})
+	c, err := Dial(srv.Addr(), "client-allocs", []byte("k"), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	data := []float64{0.5, -0.25, 0.125}
+	pt, err := c.encoder.EncodeReal(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := c.ev.Encrypt(c.pk, pt)
+	payload := appendComputeReply(nil, &ComputeReply{Result: ct})
+	block := func() {
+		if _, _, err := c.mask(1, data, nil); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := decodeComputeReply(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.decrypt(rep.Result, len(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range data {
+			if math.Abs(got[i]-want) > 1e-6 {
+				t.Fatalf("slot %d = %v, want %v", i, got[i], want)
+			}
+		}
+	}
+	block() // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, block)
+	runtime.ReadMemStats(&after)
+	if allocs > 4 {
+		t.Errorf("a block's mask + reply decode + decrypt allocates %v objects, want 4", allocs)
+	}
+	perBlock := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	if limit := uint64(8*c.Slots()) + uint64(ct.BinarySize())/2; perBlock > limit {
+		t.Errorf("a block allocates %d bytes, want ≤ %d: the reply ciphertext (%d bytes) is not reused", perBlock, limit, ct.BinarySize())
+	}
+}
+
+// TestConcurrentWaitsOwnBlocks runs many Waits on one client at once:
+// decryption shares the client's evaluator under evMu while decodes run
+// on pooled working sets in parallel, and every Wait must still get its
+// own block's values.
+func TestConcurrentWaitsOwnBlocks(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Model: Model{Weights: []float64{1}}, Workers: 2, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr(), "waits", []byte("k"), 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const waiters, rounds = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, waiters*rounds)
+	for w := 0; w < waiters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				block := uint32(w*rounds + r)
+				data := []float64{float64(block) / 16, -float64(block) / 32, 0.25}
+				p, err := c.ComputeAsync(block, data)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := p.Wait()
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, want := range data {
+					if math.Abs(got[i]-want) > 0.01 {
+						errs <- fmt.Errorf("block %d slot %d = %v, want %v", block, i, got[i], want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -54,8 +54,10 @@ const (
 	// with batch frames, 5 the last with a public key in Setup and both
 	// switching-key components on the wire, 6 the last to upload a whole
 	// rotation-key set in one frame, 7 the last with a reply frame per
-	// session request and per op, 8 the last with a key per giant block.)
-	frameVersion = 9
+	// session request and per op, 8 the last with a key per giant block,
+	// 9 the last whose blocks read one coefficient stream per nonce at
+	// overlapping offsets.)
+	frameVersion = 10
 
 	frameHeaderLen = 16
 
@@ -392,11 +394,13 @@ func (r *wireReader) float64s() []float64 {
 // ciphertext decodes one ciphertext into fresh storage (candidates for
 // retention — key material, results handed to callers — must not alias
 // the frame buffer).
-func (r *wireReader) ciphertext() *ckks.Ciphertext {
+func (r *wireReader) ciphertext() *ckks.Ciphertext { return r.ciphertextInto(new(ckks.Ciphertext)) }
+
+// ciphertextInto consumes one ciphertext into ct, reusing its limbs.
+func (r *wireReader) ciphertextInto(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	if r.err != nil {
 		return nil
 	}
-	ct := new(ckks.Ciphertext)
 	n, err := ct.DecodeFrom(r.b)
 	if err != nil {
 		r.fail()
@@ -579,6 +583,14 @@ func appendComputeReply(b []byte, rep *ComputeReply) []byte {
 	return b
 }
 
+// replyPool recycles the result ciphertexts decodeComputeReply decodes
+// into. A client decrypts each reply once and hands its ciphertext back
+// (Client.decrypt), so a stream of replies reuses a few receivers' limbs
+// instead of allocating 2·(level+1)·N words per reply.
+var replyPool = sync.Pool{New: func() any { return new(ckks.Ciphertext) }}
+
+// decodeComputeReply decodes a per-block reply; its result ciphertext is
+// drawn from replyPool.
 func decodeComputeReply(p []byte) (*ComputeReply, error) {
 	r := &wireReader{b: p}
 	rep := &ComputeReply{
@@ -589,7 +601,7 @@ func decodeComputeReply(p []byte) (*ComputeReply, error) {
 		ModeledCmpDelay: r.f64(),
 	}
 	if r.bool() {
-		rep.Result = r.ciphertext()
+		rep.Result = r.ciphertextInto(replyPool.Get().(*ckks.Ciphertext))
 	}
 	if err := r.finish(); err != nil {
 		return nil, err

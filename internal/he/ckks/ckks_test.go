@@ -636,6 +636,75 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	eq("DropLevelInto", dropped, want)
 }
 
+// TestDecryptDecodeIntoMatchesAllocating pins the reusing forms to the
+// allocating ones bit for bit — through a plaintext that shrinks to a
+// lower level and grows back, and a prefix-only decode — and holds them
+// to the limb fan-out's one closure once the buffers are warm.
+func TestDecryptDecodeIntoMatchesAllocating(t *testing.T) {
+	ctx := testContext(t)
+	enc := NewEncoder(ctx)
+	kg := NewKeyGenerator(ctx, 44)
+	sk := kg.GenSecretKey()
+	ev := NewEvaluator(ctx, 45)
+	pt0, err := enc.Encode(randomSlots(rand.New(rand.NewSource(46)), ctx.Params.Slots()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := ev.Encrypt(kg.GenPublicKey(sk), pt0)
+	low, err := ev.DropLevel(top, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pt Plaintext
+	work := make([]complex128, ctx.Params.N())
+	out := make([]float64, ctx.Params.Slots())
+	for _, ct := range []*Ciphertext{top, low, top} {
+		want := ev.Decrypt(sk, ct)
+		if err := ev.DecryptInto(sk, ct, &pt); err != nil {
+			t.Fatal(err)
+		}
+		if pt.Level != want.Level || pt.Scale != want.Scale || len(pt.Value) != len(want.Value) {
+			t.Fatalf("level %d: plaintext level/scale/limbs %d/%g/%d, want %d/%g/%d",
+				ct.Level, pt.Level, pt.Scale, len(pt.Value), want.Level, want.Scale, len(want.Value))
+		}
+		for i := range want.Value {
+			for j := range want.Value[i] {
+				if pt.Value[i][j] != want.Value[i][j] {
+					t.Fatalf("level %d: limb %d coeff %d differs", ct.Level, i, j)
+				}
+			}
+		}
+		wantVals := enc.DecodeReal(want)
+		for _, n := range []int{len(out), 3} {
+			if err := enc.DecodeRealInto(&pt, work, out[:n]); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < n; j++ {
+				if math.Float64bits(out[j]) != math.Float64bits(wantVals[j]) {
+					t.Fatalf("level %d, %d slots: slot %d = %v, want %v", ct.Level, n, j, out[j], wantVals[j])
+				}
+			}
+		}
+	}
+	if err := enc.DecodeRealInto(&pt, work[1:], out); err == nil {
+		t.Error("short FFT buffer accepted")
+	}
+	if err := enc.DecodeRealInto(&pt, work, make([]float64, ctx.Params.Slots()+1)); err == nil {
+		t.Error("more values than slots accepted")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := ev.DecryptInto(sk, top, &pt); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.DecodeRealInto(&pt, work, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("warm DecryptInto + DecodeRealInto allocate %v objects, want at most the fan-out closure", allocs)
+	}
+}
+
 // TestMulRelinSquareAliasing covers squaring with both operands and the
 // output all aliased — the self-multiply pattern evaluator users hit.
 func TestMulRelinSquareAliasing(t *testing.T) {

@@ -149,19 +149,24 @@ func (e *Encoder) EncodeRealCoeffs(values []float64, scale float64, work []compl
 // Coefficients come back through the tower's centered CRT reconstruction
 // (exact up to q_0·q_1/2 ≈ 2¹⁰⁹, far beyond any plaintext magnitude).
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
-	n := e.ctx.Params.N()
-	tower := e.ctx.Tower
-	u := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		u[k] = complex(tower.CenteredFloat(pt.Value, k), 0) * e.zetaFwd[k]
-	}
-	fft(u, e.wFwd)
+	u := make([]complex128, e.ctx.Params.N())
+	e.spectrum(pt, u)
 	out := make([]complex128, e.ctx.Params.Slots())
 	inv := complex(1/pt.Scale, 0)
 	for j := range out {
 		out[j] = u[e.pos[j]] * inv
 	}
 	return out
+}
+
+// spectrum evaluates pt at the primitive 2N-th roots into u (N entries):
+// slot j's value times the scale lands at u[pos[j]].
+func (e *Encoder) spectrum(pt *Plaintext, u []complex128) {
+	tower := e.ctx.Tower
+	for k := range u {
+		u[k] = complex(tower.CenteredFloat(pt.Value, k), 0) * e.zetaFwd[k]
+	}
+	fft(u, e.wFwd)
 }
 
 // EncodeReal is a convenience wrapper for real-valued slot vectors.
@@ -182,14 +187,33 @@ func (e *Encoder) EncodeRealAtLevel(values []float64, scale float64, level int) 
 	return e.EncodeAtLevel(z, scale, level)
 }
 
-// DecodeReal decodes and keeps the real parts.
+// DecodeReal decodes and keeps the real parts: DecodeRealInto every slot
+// of fresh buffers.
 func (e *Encoder) DecodeReal(pt *Plaintext) []float64 {
-	z := e.Decode(pt)
-	out := make([]float64, len(z))
-	for i, v := range z {
-		out[i] = real(v)
-	}
+	out := make([]float64, e.ctx.Params.Slots())
+	e.decodeRealInto(pt, make([]complex128, e.ctx.Params.N()), out)
 	return out
+}
+
+// DecodeRealInto is the allocation-free core of DecodeReal: it writes the
+// real parts of the first len(out) slots of pt into out, using work (N
+// entries) as FFT space. Both buffers belong to the caller — the encoder
+// itself stays immutable, so concurrent decodes need only their own work
+// buffers. The values are bit-identical to DecodeReal's.
+func (e *Encoder) DecodeRealInto(pt *Plaintext, work []complex128, out []float64) error {
+	if n := e.ctx.Params.N(); len(work) != n || len(out) > n/2 {
+		return fmt.Errorf("ckks: decode buffers hold %d and %d entries, want %d and at most %d", len(work), len(out), n, n/2)
+	}
+	e.decodeRealInto(pt, work, out)
+	return nil
+}
+
+func (e *Encoder) decodeRealInto(pt *Plaintext, work []complex128, out []float64) {
+	e.spectrum(pt, work)
+	inv := complex(1/pt.Scale, 0)
+	for j := range out {
+		out[j] = real(work[e.pos[j]] * inv)
+	}
 }
 
 // fft is an in-place iterative radix-2 FFT with the given twiddle table

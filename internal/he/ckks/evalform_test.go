@@ -172,6 +172,7 @@ func TestEvalFormRejectedEverywhereElse(t *testing.T) {
 		"MatVecNaiveInto":  func() error { return ev.MatVecNaiveInto(naive, ef, gks, out) },
 		"TrivialSubInto":   func() error { return ev.TrivialSubInto(make([]int64, ctx.Params.N()), ef.Scale, ef, out) },
 		"EvalFormInto":     func() error { return ctx.EvalFormInto(ef, out) },
+		"DecryptInto":      func() error { return ev.DecryptInto(sk, ef, new(Plaintext)) },
 		"RotateHoistedInto out": func() error {
 			h := ev.NewHoisted()
 			ev.HoistInto(h, ct)

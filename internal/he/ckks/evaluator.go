@@ -134,13 +134,28 @@ func (ev *Evaluator) Trivial(pt *Plaintext) *Ciphertext {
 	}
 }
 
-// Decrypt recovers the plaintext m = c0 + c1·s at the ciphertext's level.
-// It panics with ErrEvalForm on an evaluation-form ciphertext.
+// Decrypt recovers the plaintext m = c0 + c1·s at the ciphertext's level:
+// DecryptInto a fresh plaintext. It panics with ErrEvalForm on an
+// evaluation-form ciphertext.
 func (ev *Evaluator) Decrypt(sk *SecretKey, ct *Ciphertext) *Plaintext {
-	if ct.evalForm {
-		panic(ErrEvalForm) // no error return; reaching here is a caller bug
+	pt := &Plaintext{Value: ev.ctx.Tower.NewPoly(ct.Level + 1)}
+	if err := ev.DecryptInto(sk, ct, pt); err != nil {
+		panic(err) // no error return; reaching here is a caller bug
 	}
-	m := ev.ctx.Tower.NewPoly(ct.Level + 1)
+	return pt
+}
+
+// DecryptInto writes the plaintext m = c0 + c1·s of ct into pt, reusing
+// pt's limb storage when its capacity suffices (it is resized to the
+// ciphertext's level and degree otherwise), so a client that decrypts
+// every reply into one plaintext allocates nothing per reply but the
+// limb fan-out. pt takes ct's scale and level. An evaluation-form
+// ciphertext fails with ErrEvalForm and leaves pt untouched.
+func (ev *Evaluator) DecryptInto(sk *SecretKey, ct *Ciphertext, pt *Plaintext) error {
+	if ct.evalForm {
+		return ErrEvalForm
+	}
+	m := reuseRNS(pt.Value, ct.Level+1, ev.ctx.Params.N())
 	ev.ctx.Tower.ForEachLimb(ct.Level+1, func(i int) {
 		mod := ev.ctx.Tower.Qi[i]
 		t := ev.s0[i]
@@ -150,7 +165,8 @@ func (ev *Evaluator) Decrypt(sk *SecretKey, ct *Ciphertext) *Plaintext {
 		mod.INTT(t)
 		mod.Add(t, ct.C0[i], m[i])
 	})
-	return &Plaintext{Value: m, Scale: ct.Scale, Level: ct.Level}
+	pt.Value, pt.Scale, pt.Level = m, ct.Scale, ct.Level
+	return nil
 }
 
 // AddInto sets out = a + b without allocating. Levels and scales must

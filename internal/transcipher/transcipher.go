@@ -22,6 +22,21 @@
 // behaviour the paper's cost hook f_eval(λ) (Eq. 29) models: the server
 // pays HE work per transciphered block, the client pays symmetric work.
 //
+// # Coefficient streams
+//
+// Each block's public coefficients come from a ChaCha20 stream of its
+// own: the key is the HChaCha20 subkey of a public expansion key and
+// nonce‖block, and the stream starts at counter 0. Blocks and nonces thus
+// draw disjoint streams — no block's coefficients are another's read at
+// an offset, and the 32-bit block index never wraps a counter. The stream
+// holds A's keyLen rows of slots int16 values, then B's, then C's. Both
+// ends read the same stream in different shapes. The client streams it:
+// Mask expands one 64-byte ChaCha20 block (32 slots of one row) at a time
+// and folds it into A·k, B·k and C·k for those slots on the stack, so it
+// allocates only its output. The server materializes it once per block
+// into its worker's Scratch, because the fused kernel encodes each row as
+// a plaintext. Tests hold the two to the same bits.
+//
 // # Evaluation form
 //
 // The server's work per block is three linear forms Σ_j pt_j·Enc(k_j)
@@ -46,6 +61,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"quhe/internal/chacha20"
 	"quhe/internal/he/ckks"
@@ -117,6 +133,10 @@ func (c *Cipher) DeriveKey(qkdKey []byte) ([]float64, error) {
 // coefficients: a public constant, 32 bytes.
 var publicExpandKey = []byte("quhe-transcipher-public-expand-1")
 
+// tile is the slot count one 64-byte ChaCha20 block expands: 32 int16
+// coefficients of one row.
+const tile = chacha20.BlockSize / 2
+
 // Scratch holds everything one transciphering evaluation needs per block
 // except the ciphertext it returns: the ChaCha20 state and raw expansion,
 // the three coefficient matrices, the plaintext staging vector, the
@@ -127,16 +147,14 @@ var publicExpandKey = []byte("quhe-transcipher-public-expand-1")
 // pair one Scratch with one evaluator (see serve.Worker).
 type Scratch struct {
 	stream    chacha20.Cipher
-	nonce     [chacha20.NonceSize]byte
 	raw       []byte
 	a, b, cc  [][]float64
 	plain     []float64
 	keyLen    int
 	slotCount int
 
-	// Homomorphic working set; nil in the coefficient-only scratch the
-	// symmetric side (Keystream, Mask) builds. ctx pins the context the
-	// buffers were sized for.
+	// Homomorphic working set. ctx pins the context the buffers were
+	// sized for.
 	ctx    *ckks.Context
 	work   []complex128
 	coeffs [][]int64        // one row per key coordinate; row 0 doubles for the masked block
@@ -147,53 +165,64 @@ type Scratch struct {
 	conv []*ckks.Ciphertext
 }
 
-// coeffScratch allocates the buffers the public coefficient expansion
-// fills — all the symmetric side needs.
-func (c *Cipher) coeffScratch() *Scratch {
-	slots := c.Slots()
-	alloc := func() [][]float64 {
+// NewScratch allocates per-worker transciphering buffers for this cipher.
+func (c *Cipher) NewScratch() *Scratch {
+	slots, n, top := c.Slots(), c.ctx.Params.N(), c.ctx.MaxLevel()
+	rows := func() [][]float64 {
 		m := make([][]float64, c.keyLen)
 		for j := range m {
 			m[j] = make([]float64, slots)
 		}
 		return m
 	}
-	return &Scratch{
+	sc := &Scratch{
 		raw:       make([]byte, 3*c.keyLen*slots*2),
-		a:         alloc(),
-		b:         alloc(),
-		cc:        alloc(),
+		a:         rows(),
+		b:         rows(),
+		cc:        rows(),
 		plain:     make([]float64, slots),
 		keyLen:    c.keyLen,
 		slotCount: slots,
+		ctx:       c.ctx,
+		work:      make([]complex128, n),
+		coeffs:    make([][]int64, c.keyLen),
+		u:         c.ctx.NewCiphertext(top),
+		v:         c.ctx.NewCiphertext(top),
 	}
-}
-
-// NewScratch allocates per-worker transciphering buffers for this cipher.
-func (c *Cipher) NewScratch() *Scratch {
-	sc := c.coeffScratch()
-	n, top := c.ctx.Params.N(), c.ctx.MaxLevel()
-	sc.ctx = c.ctx
-	sc.work = make([]complex128, n)
-	sc.coeffs = make([][]int64, c.keyLen)
 	for j := range sc.coeffs {
 		sc.coeffs[j] = make([]int64, n)
 	}
-	sc.u, sc.v = c.ctx.NewCiphertext(top), c.ctx.NewCiphertext(top)
 	return sc
 }
 
-// coeffBlockInto expands the public per-block coefficient vectors A, B, C
-// (each keyLen × slots) from ChaCha20 keyed by the public nonce into the
-// scratch buffers. Both ends compute it identically.
+// blockStream binds st to one block's coefficient stream: ChaCha20 under
+// the HChaCha20 subkey of (publicExpandKey, nonce‖block), from counter 0.
+// Every (nonce, block) pair thus draws its own stream, and no block's
+// expansion overlaps another's at any offset. The nonce is truncated or
+// zero-padded to 12 bytes.
+func blockStream(st *chacha20.Cipher, nonce []byte, block uint32) error {
+	var in [chacha20.HNonceSize]byte
+	copy(in[:chacha20.NonceSize], nonce)
+	binary.LittleEndian.PutUint32(in[chacha20.NonceSize:], block)
+	sub, err := chacha20.HChaCha20(publicExpandKey, in[:])
+	if err != nil {
+		return err
+	}
+	var zero [chacha20.NonceSize]byte
+	return st.Reset(sub[:], zero[:], 0)
+}
+
+// coeffBlockInto materializes the public per-block coefficient vectors
+// A, B, C (each keyLen × slots) into the scratch buffers — the server's
+// form, since the fused kernel encodes each row as a plaintext. The block
+// stream holds A's rows, then B's, then C's, each row slots int16 values;
+// MaskInto reads the same stream tile by tile.
 func (c *Cipher) coeffBlockInto(nonce []byte, block uint32, sc *Scratch) error {
 	if sc.keyLen != c.keyLen || sc.slotCount != c.Slots() {
 		return fmt.Errorf("transcipher: scratch sized %d×%d, cipher needs %d×%d",
 			sc.keyLen, sc.slotCount, c.keyLen, c.Slots())
 	}
-	sc.nonce = [chacha20.NonceSize]byte{}
-	copy(sc.nonce[:], nonce) // truncate/zero-pad to 12 bytes
-	if err := sc.stream.Reset(publicExpandKey, sc.nonce[:], block*3); err != nil {
+	if err := blockStream(&sc.stream, nonce, block); err != nil {
 		return err
 	}
 	slots := c.Slots()
@@ -216,53 +245,73 @@ func (c *Cipher) coeffBlockInto(nonce []byte, block uint32, sc *Scratch) error {
 	return nil
 }
 
-// coeffBlock is the allocating form of coeffBlockInto for the symmetric
-// side (client-side masking, the test oracle).
-func (c *Cipher) coeffBlock(nonce []byte, block uint32) (a, b, cc [][]float64, err error) {
-	sc := c.coeffScratch()
-	if err := c.coeffBlockInto(nonce, block, sc); err != nil {
-		return nil, nil, nil, err
-	}
-	return sc.a, sc.b, sc.cc, nil
-}
-
-// Keystream computes the plaintext keystream block: the client-side (and
-// test-oracle) evaluation of ks = A·k + (B·k)⊙(C·k).
-func (c *Cipher) Keystream(key []float64, nonce []byte, block uint32) ([]float64, error) {
+// MaskInto writes the masked block into dst: dst[s] = data[s] + ks[s] for
+// every slot s < len(dst), with data zero past its end, so the slots data
+// does not cover carry the bare keystream. dst may alias data. It is the
+// client's form of the keystream: the public coefficients are expanded
+// one ChaCha20 block (32 slots of one row) at a time and folded into
+// A·k, B·k and C·k for those slots on the stack, so it allocates nothing,
+// and the keystream is bit-identical to the server's materialized rows.
+func (c *Cipher) MaskInto(dst, key []float64, nonce []byte, block uint32, data []float64) error {
 	if len(key) != c.keyLen {
-		return nil, fmt.Errorf("transcipher: key has %d coordinates, want %d", len(key), c.keyLen)
-	}
-	a, b, cc, err := c.coeffBlock(nonce, block)
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("transcipher: key has %d coordinates, want %d", len(key), c.keyLen)
 	}
 	slots := c.Slots()
-	ks := make([]float64, slots)
-	for s := 0; s < slots; s++ {
-		var lin, u, v float64
-		for j := 0; j < c.keyLen; j++ {
-			lin += a[j][s] * key[j]
-			u += b[j][s] * key[j]
-			v += cc[j][s] * key[j]
+	if len(dst) > slots || len(data) > len(dst) {
+		return fmt.Errorf("transcipher: %d values into %d outputs, block holds %d slots", len(data), len(dst), slots)
+	}
+	var st chacha20.Cipher
+	if err := blockStream(&st, nonce, block); err != nil {
+		return err
+	}
+	norm := 32768 * float64(c.keyLen) // as coeffBlockInto
+	w := min(tile, slots)             // slots < 32 packs several rows in one ChaCha20 block
+	var raw [chacha20.BlockSize]byte
+	for s0 := 0; s0 < len(dst); s0 += w {
+		var acc [3][tile]float64 // A·k, B·k, C·k for slots s0..s0+w−1
+		for m := range acc {
+			for j, kj := range key {
+				e := (m*c.keyLen+j)*slots + s0 // coefficient index in the block stream
+				st.KeystreamAt(uint32(e/tile), &raw)
+				row := raw[2*(e%tile):]
+				for i := 0; i < w; i++ {
+					v := int16(binary.LittleEndian.Uint16(row[2*i:]))
+					acc[m][i] += float64(v) / norm * kj
+				}
+			}
 		}
-		ks[s] = lin + u*v
+		for i, s := 0, s0; i < w && s < len(dst); i, s = i+1, s+1 {
+			ks := acc[0][i] + acc[1][i]*acc[2][i]
+			if s < len(data) {
+				dst[s] = data[s] + ks
+			} else {
+				dst[s] = ks
+			}
+		}
+	}
+	return nil
+}
+
+// Keystream computes the plaintext keystream block ks = A·k + (B·k)⊙(C·k):
+// the mask of an all-zero block.
+func (c *Cipher) Keystream(key []float64, nonce []byte, block uint32) ([]float64, error) {
+	ks := make([]float64, c.Slots())
+	if err := c.MaskInto(ks, key, nonce, block, nil); err != nil {
+		return nil, err
 	}
 	return ks, nil
 }
 
-// Mask encrypts data symmetrically: out = data + ks (slot-wise). The
-// client sends the result in the clear alongside the HE-encrypted key.
+// Mask encrypts data symmetrically: out = data + ks (slot-wise), one slot
+// per value. The client sends the result in the clear alongside the
+// HE-encrypted key.
 func (c *Cipher) Mask(key []float64, nonce []byte, block uint32, data []float64) ([]float64, error) {
 	if len(data) > c.Slots() {
 		return nil, fmt.Errorf("transcipher: %d values exceed %d slots", len(data), c.Slots())
 	}
-	ks, err := c.Keystream(key, nonce, block)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]float64, len(data))
-	for i := range data {
-		out[i] = data[i] + ks[i]
+	if err := c.MaskInto(out, key, nonce, block, data); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -283,20 +332,21 @@ func (c *Cipher) Unmask(key []float64, nonce []byte, block uint32, masked []floa
 
 // EncryptKey produces the HE encryption of the key the client uploads:
 // one ciphertext per key coordinate, slot-replicated (avoiding rotations).
+// A slot vector that holds k in every slot is the constant polynomial k,
+// so each coordinate is encoded as the constant round(k·Δ) directly — the
+// value the FFT encoding rounds to, with no FFT — into one plaintext
+// reused across coordinates.
 func (c *Cipher) EncryptKey(ev *ckks.Evaluator, pk *ckks.PublicKey, key []float64) ([]*ckks.Ciphertext, error) {
 	if len(key) != c.keyLen {
 		return nil, fmt.Errorf("transcipher: key has %d coordinates, want %d", len(key), c.keyLen)
 	}
+	top := c.ctx.MaxLevel()
+	pt := &ckks.Plaintext{Value: c.ctx.Tower.NewPoly(top + 1), Scale: c.scale(), Level: top}
 	out := make([]*ckks.Ciphertext, c.keyLen)
-	slots := c.Slots()
 	for j, kj := range key {
-		rep := make([]float64, slots)
-		for s := range rep {
-			rep[s] = kj
-		}
-		pt, err := c.encoder.EncodeReal(rep, c.scale())
-		if err != nil {
-			return nil, err
+		k0 := int64(math.Round(kj * c.scale()))
+		for i, limb := range pt.Value {
+			limb[0] = c.ctx.Tower.Qi[i].FromInt64(k0)
 		}
 		out[j] = ev.Encrypt(pk, pt)
 	}

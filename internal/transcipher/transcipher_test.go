@@ -1,6 +1,7 @@
 package transcipher
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,31 +127,227 @@ func TestMaskUnmaskRoundTrip(t *testing.T) {
 func TestKeystreamBlockAndNonceSeparation(t *testing.T) {
 	c, _ := testCipher(t)
 	key, _ := c.DeriveKey([]byte("k"))
-	ks0, err := c.Keystream(key, []byte("n1"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks1, err := c.Keystream(key, []byte("n1"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ksN, err := c.Keystream(key, []byte("n2"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	identical := func(a, b []float64) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+	// Each block draws its own stream, so no block's keystream is another
+	// block's read at a shift: block b+1 must not replay block b from
+	// some offset on, nor block 2³²−1 wrap onto block 0. Two float64
+	// keystream values agree by chance with negligible probability, so a
+	// handful of equal slots at one shift is reuse.
+	blocks := []uint32{0, 1, 2, math.MaxUint32}
+	ks := make([][]float64, len(blocks))
+	for i, b := range blocks {
+		if ks[i], err = c.Keystream(key, []byte("n1"), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slots := c.Slots()
+	for i := range blocks {
+		for k := range blocks {
+			if i == k {
+				continue
+			}
+			for d := -slots + 1; d < slots; d++ {
+				equal := 0
+				for s := max(0, -d); s < slots && s+d < slots; s++ {
+					if ks[k][s] == ks[i][s+d] {
+						equal++
+					}
+				}
+				if equal >= 4 {
+					t.Errorf("block %d repeats block %d shifted by %d slots in %d slots", blocks[k], blocks[i], d, equal)
+				}
 			}
 		}
-		return true
 	}
-	if identical(ks0, ks1) {
-		t.Error("blocks 0 and 1 share a keystream")
+	for s := range ksN {
+		if ksN[s] == ks[0][s] {
+			t.Fatalf("nonces n1 and n2 share keystream slot %d", s)
+		}
 	}
-	if identical(ks0, ksN) {
-		t.Error("different nonces share a keystream")
+}
+
+// servedShape builds a cipher on the chain every served profile runs —
+// 60-bit base, four 50-bit scale primes — at ring degree 2^logN, with the
+// edge's eight key coordinates.
+func servedShape(t testing.TB, logN int) *Cipher {
+	t.Helper()
+	p, err := ckks.NewParams(logN, 60, 50, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := ckks.NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(ctx, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestStreamedKeystreamMatchesMaterialized pins the client's streamed
+// keystream to the server's materialized coefficient rows bit for bit:
+// at the three served ring degrees, at degrees whose rows are shorter
+// than one ChaCha20 block, and on blocks that straddle 2³¹ and end the
+// 32-bit block space.
+func TestStreamedKeystreamMatchesMaterialized(t *testing.T) {
+	for _, logN := range []int{4, 5, 10, 11, 12} {
+		c := servedShape(t, logN)
+		key, err := c.DeriveKey([]byte(fmt.Sprintf("stream-%d", logN)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonce := []byte("stream-nonce")
+		slots := c.Slots()
+		data := make([]float64, slots)
+		for s := range data {
+			data[s] = float64(s%7) / 8
+		}
+		for _, block := range []uint32{0, 1, 1 << 31, math.MaxUint32} {
+			a, b, cc, err := c.CoeffBlock(nonce, block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, slots)
+			for s := range want {
+				var lin, u, v float64
+				for j, kj := range key {
+					lin += a[j][s] * kj
+					u += b[j][s] * kj
+					v += cc[j][s] * kj
+				}
+				want[s] = lin + u*v
+			}
+			got, err := c.Keystream(key, nonce, block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A partial block in place: the covered prefix is data + ks,
+			// the tail the bare keystream, and the tail past dst untouched.
+			n := slots/2 + 1
+			masked := append([]float64(nil), data...)
+			if err := c.MaskInto(masked[:slots-1], key, nonce, block, masked[:n]); err != nil {
+				t.Fatal(err)
+			}
+			for s := range want {
+				if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+					t.Fatalf("logN %d block %d slot %d: streamed %v, materialized %v", logN, block, s, got[s], want[s])
+				}
+				m := want[s]
+				switch {
+				case s < n:
+					m = data[s] + want[s]
+				case s == slots-1:
+					m = data[s]
+				}
+				if math.Float64bits(masked[s]) != math.Float64bits(m) {
+					t.Fatalf("logN %d block %d slot %d: masked %v, want %v", logN, block, s, masked[s], m)
+				}
+			}
+		}
+	}
+}
+
+// TestEncryptKeyMatchesFFTEncoding pins the constant encoding of a key
+// coordinate to the FFT encoding of the slot-replicated coordinate,
+// residue for residue, at the three served ring degrees: for 2000 random
+// coordinates as DeriveKey draws them, and 0, ±1/2 and ±1. The FFT
+// encoding must come out as the constant round(k·Δ) and nothing else;
+// then EncryptKey, through an evaluator on the same seed, must produce
+// the very ciphertexts the FFT path does.
+func TestEncryptKeyMatchesFFTEncoding(t *testing.T) {
+	for _, logN := range []int{10, 11, 12} {
+		c := servedShape(t, logN)
+		ctx, enc, scale := c.ctx, ckks.NewEncoder(c.ctx), c.scale()
+		rng := rand.New(rand.NewSource(int64(logN)))
+		coords := []float64{0, 1, -1, 0.5, -0.5}
+		for i := 0; i < 2000; i++ {
+			coords = append(coords, float64(int16(rng.Uint32()))/32768)
+		}
+		rep := make([]float64, c.Slots())
+		for _, k := range coords {
+			for s := range rep {
+				rep[s] = k
+			}
+			pt, err := enc.EncodeReal(rep, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k0 := int64(math.Round(k * scale))
+			for i, limb := range pt.Value {
+				for j, r := range limb {
+					want := uint64(0)
+					if j == 0 {
+						want = ctx.Tower.Qi[i].FromInt64(k0)
+					}
+					if r != want {
+						t.Fatalf("logN %d, k = %v: FFT encoding limb %d coeff %d = %d, constant encoding %d", logN, k, i, j, r, want)
+					}
+				}
+			}
+		}
+
+		kg := ckks.NewKeyGenerator(ctx, 61)
+		pk := kg.GenPublicKey(kg.GenSecretKey())
+		for _, key := range [][]float64{coords[:c.keyLen], coords[c.keyLen : 2*c.keyLen]} {
+			got, err := c.EncryptKey(ckks.NewEvaluator(ctx, 62), pk, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := ckks.NewEvaluator(ctx, 62)
+			for j, kj := range key {
+				for s := range rep {
+					rep[s] = kj
+				}
+				pt, err := enc.EncodeReal(rep, scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ev.Encrypt(pk, pt)
+				if got[j].Level != want.Level || got[j].Scale != want.Scale {
+					t.Fatalf("logN %d coordinate %d: level/scale differ", logN, j)
+				}
+				for l := range want.C0 {
+					for x := range want.C0[l] {
+						if got[j].C0[l][x] != want.C0[l][x] || got[j].C1[l][x] != want.C1[l][x] {
+							t.Fatalf("logN %d coordinate %d: ciphertext differs at limb %d coeff %d", logN, j, l, x)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaskAllocs holds the client's masking to its output: the streamed
+// keystream lives on the stack.
+func TestMaskAllocs(t *testing.T) {
+	c := servedShape(t, 12)
+	key, err := c.DeriveKey([]byte("allocs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]float64, c.Slots())
+	nonce := []byte("allocs-nonce")
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := c.Mask(key, nonce, 9, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Mask allocates %v objects, want 1 (its output)", allocs)
+	}
+	dst := make([]float64, c.Slots())
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := c.MaskInto(dst, key, nonce, 9, data[:100]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("MaskInto allocates %v objects, want 0", allocs)
 	}
 }
 
@@ -405,4 +602,18 @@ func BenchmarkHomomorphicKeystream(b *testing.B) {
 		}
 	}
 	_ = sk
+}
+
+// BenchmarkMask times the client's masking of one full λ-128k block.
+func BenchmarkMask(b *testing.B) {
+	c := servedShape(b, 12)
+	key, _ := c.DeriveKey([]byte("k"))
+	data := make([]float64, c.Slots())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Mask(key, []byte("n"), uint32(i), data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
