@@ -1,11 +1,72 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"quhe/internal/mathutil"
+	"quhe/internal/qnet"
 )
+
+// checkFeasible verifies every constraint of P1 (17a)–(17i) at v, returning
+// a descriptive error for the first violation: the oracle every solver's
+// output is held to. tol is an absolute/relative
+// slack for the budget constraints (pass 0 for exact checking).
+func checkFeasible(c *Config, v Variables, tol float64) error {
+	n := c.N()
+	for i := 0; i < n; i++ {
+		if v.Phi[i] < c.PhiMin[i]-tol {
+			return fmt.Errorf("core: (17a) φ[%d] = %g < min %g", i, v.Phi[i], c.PhiMin[i])
+		}
+		if v.P[i] > c.PMax[i]*(1+tol)+tol {
+			return fmt.Errorf("core: (17e) p[%d] = %g > max %g", i, v.P[i], c.PMax[i])
+		}
+		if v.FC[i] > c.FCMax[i]*(1+tol)+tol {
+			return fmt.Errorf("core: (17g) f_c[%d] = %g > max %g", i, v.FC[i], c.FCMax[i])
+		}
+		found := false
+		for _, lam := range c.LambdaSet {
+			if v.Lambda[i] == lam {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return fmt.Errorf("core: (17d) λ[%d] = %g not in LambdaSet", i, v.Lambda[i])
+		}
+	}
+	for l, w := range v.W {
+		if w <= 0 || w > 1+tol {
+			return fmt.Errorf("core: (17b) w[%d] = %g outside (0,1]", l, w)
+		}
+	}
+	loads, err := c.Net.LinkLoads(v.Phi)
+	if err != nil {
+		return err
+	}
+	for l, load := range loads {
+		capacity := qnet.LinkCapacity(c.Net.Link(l).Beta, v.W[l])
+		if load > capacity*(1+tol)+tol {
+			return fmt.Errorf("core: (17c) link %d load %g > capacity %g", l+1, load, capacity)
+		}
+	}
+	if s := mathutil.Sum(v.B); s > c.BTotal*(1+tol)+tol {
+		return fmt.Errorf("core: (17f) Σb = %g > B_total %g", s, c.BTotal)
+	}
+	if s := mathutil.Sum(v.FS); s > c.FSTotal*(1+tol)+tol {
+		return fmt.Errorf("core: (17h) Σf_s = %g > f_total %g", s, c.FSTotal)
+	}
+	for i := 0; i < n; i++ {
+		d := c.ClientDelay(i, v.Lambda[i], v.P[i], v.B[i], v.FC[i], v.FS[i])
+		if d > v.T*(1+tol)+tol {
+			return fmt.Errorf("core: (17i) delay[%d] = %g > T %g", i, d, v.T)
+		}
+	}
+	return nil
+}
 
 func TestPaperConfigValid(t *testing.T) {
 	c := PaperConfig(1)
@@ -91,7 +152,7 @@ func TestDefaultVariablesFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CheckFeasible(v, 1e-9); err != nil {
+	if err := checkFeasible(c, v, 1e-9); err != nil {
 		t.Errorf("default variables infeasible: %v", err)
 	}
 }
@@ -104,7 +165,7 @@ func TestSampleVariablesFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.CheckFeasible(v, 1e-9); err != nil {
+		if err := checkFeasible(c, v, 1e-9); err != nil {
 			t.Errorf("sample %d infeasible: %v", i, err)
 		}
 	}
@@ -183,7 +244,7 @@ func TestCheckFeasibleViolations(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			v := base.Clone()
 			tt.mutate(&v)
-			err := c.CheckFeasible(v, 1e-9)
+			err := checkFeasible(c, v, 1e-9)
 			if err == nil {
 				t.Fatal("violation not detected")
 			}

@@ -20,7 +20,7 @@ func TestQuHEConvergesAndIsFeasible(t *testing.T) {
 	}
 	final := res.Vars.Clone()
 	final.T = res.Eval.Delay // T must cover the true max delay
-	if err := c.CheckFeasible(final, 1e-6); err != nil {
+	if err := checkFeasible(c, final, 1e-6); err != nil {
 		t.Errorf("QuHE solution infeasible: %v", err)
 	}
 	if res.StageCalls[0] != 1 {

@@ -148,7 +148,7 @@ func TestStage3ConstraintsHold(t *testing.T) {
 	}
 	final := v.Clone()
 	final.P, final.B, final.FC, final.FS, final.T = s3.P, s3.B, s3.FC, s3.FS, s3.T
-	if err := c.CheckFeasible(final, 1e-6); err != nil {
+	if err := checkFeasible(c, final, 1e-6); err != nil {
 		t.Errorf("stage 3 solution infeasible: %v", err)
 	}
 }

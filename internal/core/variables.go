@@ -6,7 +6,6 @@ import (
 
 	"quhe/internal/costmodel"
 	"quhe/internal/mathutil"
-	"quhe/internal/qnet"
 	"quhe/internal/wireless"
 )
 
@@ -128,62 +127,6 @@ func (c *Config) Evaluate(v Variables) (Evaluation, error) {
 	return ev, nil
 }
 
-// CheckFeasible verifies every constraint of P1 (17a)–(17i) at v, returning
-// a descriptive error for the first violation. tol is an absolute/relative
-// slack for the budget constraints (pass 0 for exact checking).
-func (c *Config) CheckFeasible(v Variables, tol float64) error {
-	n := c.N()
-	for i := 0; i < n; i++ {
-		if v.Phi[i] < c.PhiMin[i]-tol {
-			return fmt.Errorf("core: (17a) φ[%d] = %g < min %g", i, v.Phi[i], c.PhiMin[i])
-		}
-		if v.P[i] > c.PMax[i]*(1+tol)+tol {
-			return fmt.Errorf("core: (17e) p[%d] = %g > max %g", i, v.P[i], c.PMax[i])
-		}
-		if v.FC[i] > c.FCMax[i]*(1+tol)+tol {
-			return fmt.Errorf("core: (17g) f_c[%d] = %g > max %g", i, v.FC[i], c.FCMax[i])
-		}
-		found := false
-		for _, lam := range c.LambdaSet {
-			if v.Lambda[i] == lam {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("core: (17d) λ[%d] = %g not in LambdaSet", i, v.Lambda[i])
-		}
-	}
-	for l, w := range v.W {
-		if w <= 0 || w > 1+tol {
-			return fmt.Errorf("core: (17b) w[%d] = %g outside (0,1]", l, w)
-		}
-	}
-	loads, err := c.Net.LinkLoads(v.Phi)
-	if err != nil {
-		return err
-	}
-	for l, load := range loads {
-		capacity := qnet.LinkCapacity(c.Net.Link(l).Beta, v.W[l])
-		if load > capacity*(1+tol)+tol {
-			return fmt.Errorf("core: (17c) link %d load %g > capacity %g", l+1, load, capacity)
-		}
-	}
-	if s := mathutil.Sum(v.B); s > c.BTotal*(1+tol)+tol {
-		return fmt.Errorf("core: (17f) Σb = %g > B_total %g", s, c.BTotal)
-	}
-	if s := mathutil.Sum(v.FS); s > c.FSTotal*(1+tol)+tol {
-		return fmt.Errorf("core: (17h) Σf_s = %g > f_total %g", s, c.FSTotal)
-	}
-	for i := 0; i < n; i++ {
-		d := c.ClientDelay(i, v.Lambda[i], v.P[i], v.B[i], v.FC[i], v.FS[i])
-		if d > v.T*(1+tol)+tol {
-			return fmt.Errorf("core: (17i) delay[%d] = %g > T %g", i, d, v.T)
-		}
-	}
-	return nil
-}
-
 // DefaultVariables returns the deterministic feasible start the QuHE
 // algorithm iterates from: minimum-plus-margin entanglement rates with the
 // matching Eq. (18) Werner point, the smallest λ, and even resource splits
@@ -244,23 +187,4 @@ func (c *Config) maxDelay(v Variables) float64 {
 		}
 	}
 	return m
-}
-
-// lambdaIndexes maps each client's λ value back to its LambdaSet index.
-func (c *Config) lambdaIndexes(lambda []float64) ([]int, error) {
-	idx := make([]int, len(lambda))
-	for i, lam := range lambda {
-		found := -1
-		for j, v := range c.LambdaSet {
-			if v == lam {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("core: λ[%d] = %g not in LambdaSet", i, lam)
-		}
-		idx[i] = found
-	}
-	return idx, nil
 }

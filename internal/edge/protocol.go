@@ -8,19 +8,9 @@ package edge
 
 import (
 	"quhe/internal/he/ckks"
-	"quhe/internal/he/profile"
 	"quhe/internal/obs"
 	"quhe/internal/serve"
 )
-
-// DefaultParams returns the default security profile's CKKS parameter set
-// — a depth-4 residue tower; the transcipher consumes two of its levels
-// and the rest are inference headroom. Both endpoints derive it from the
-// same registry, so key material lines up without carrying parameters on
-// the wire.
-func DefaultParams() ckks.Params {
-	return profile.Default().Default().Params
-}
 
 // KeyLen is the transciphering key length used by the runtime.
 const KeyLen = 8

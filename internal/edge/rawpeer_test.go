@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"quhe/internal/he/ckks"
+	"quhe/internal/he/profile"
 	"quhe/internal/transcipher"
 )
 
@@ -31,7 +32,7 @@ type rawPeer struct {
 
 func newRawPeer(t testing.TB, seed int64) *rawPeer {
 	t.Helper()
-	ctx, err := ckks.NewContext(DefaultParams())
+	ctx, err := ckks.NewContext(profile.Default().Default().Params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"quhe/internal/he/profile"
 	"quhe/internal/qkd"
 	"quhe/internal/serve"
 )
@@ -519,7 +520,7 @@ func provisionedKeyCenter(t *testing.T, id string) *qkd.KeyCenter {
 }
 
 func TestRekeyAfterByteBudget(t *testing.T) {
-	blockBytes := int64(8 * DefaultParams().Slots())
+	blockBytes := int64(8 * profile.Default().Default().Params.Slots())
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		Model:      Model{Weights: []float64{1}},
 		RekeyBytes: blockBytes, // budget spent after one block
@@ -566,7 +567,7 @@ func TestRekeyAfterByteBudget(t *testing.T) {
 }
 
 func TestManualRekeyWithoutKeyCenter(t *testing.T) {
-	blockBytes := int64(8 * DefaultParams().Slots())
+	blockBytes := int64(8 * profile.Default().Default().Params.Slots())
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		Model:      Model{Weights: []float64{1}},
 		RekeyBytes: blockBytes,

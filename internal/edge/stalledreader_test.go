@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"quhe/internal/he/profile"
 )
 
 // stalledConn is a client-side connection whose reads block from the
@@ -53,7 +55,7 @@ func shrinkReadBuffer(conn net.Conn) {
 // (b) a real Client in ComputeBatch whose transport stops reading.
 func TestStalledReaderDoesNotPinWorkers(t *testing.T) {
 	const n = 256
-	data := make([]float64, DefaultParams().Slots())
+	data := make([]float64, profile.Default().Default().Params.Slots())
 	for i := range data {
 		data[i] = 0.25
 	}

@@ -9,11 +9,8 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-
-	"quhe/internal/core"
 )
 
 // DefaultWorkers is the worker count used when an Options.Workers is zero.
@@ -61,20 +58,4 @@ func parallelMap(n, workers int, f func(i int) error) error {
 	close(jobs)
 	wg.Wait()
 	return firstErr
-}
-
-// stage1Fixture solves Stage 1 once and installs the optimal (φ, w) block
-// into a fresh default variable assignment — the starting state every
-// whole-procedure experiment shares.
-func stage1Fixture(cfg *core.Config) (core.Variables, error) {
-	v, err := cfg.DefaultVariables()
-	if err != nil {
-		return v, err
-	}
-	s1, err := cfg.SolveStage1(core.Stage1Options{})
-	if err != nil {
-		return v, fmt.Errorf("experiments: stage 1 fixture: %w", err)
-	}
-	v.Phi, v.W = s1.Phi, s1.W
-	return v, nil
 }

@@ -78,7 +78,7 @@ type sized struct {
 // TestBinarySizeMatchesEncoding holds every CKKS wire type's BinarySize to
 // the length its AppendBinary appends, and that encoding to a golden one
 // built limb by limb, on every registered profile: ciphertexts at every
-// level, a plaintext, the public and relinearization keys, one Galois key
+// level, a plaintext, the relinearization key, one Galois key
 // and the BSGS key set of a 64×64 matrix. Byte identity with the golden
 // layout is what pins the wire to its frame version across codec changes.
 func TestBinarySizeMatchesEncoding(t *testing.T) {
@@ -91,7 +91,6 @@ func TestBinarySizeMatchesEncoding(t *testing.T) {
 			n := ctx.Params.N()
 			kg := ckks.NewKeyGenerator(ctx, 11)
 			sk := kg.GenSecretKey()
-			pk := kg.GenPublicKey(sk)
 			rlk := kg.GenRelinKey(sk)
 			gk := kg.GenGaloisKey(sk, 5)
 			set := kg.GenGaloisKeys(sk, ckks.BSGSRotations(64))
@@ -111,10 +110,6 @@ func TestBinarySizeMatchesEncoding(t *testing.T) {
 			pt := &ckks.Plaintext{Value: src.C0, Scale: ctx.Params.Scale(), Level: ctx.MaxLevel()}
 			g := goldenLimbs(goldenPolyHeader(nil, pt.Level, pt.Scale, n), pt.Value)
 			cases = append(cases, sized{"plaintext", pt.BinarySize(), pt.AppendBinary(nil), g})
-
-			g = binary.LittleEndian.AppendUint32(append([]byte(nil), byte(len(pk.P0))), uint32(n))
-			g = goldenLimbs(goldenLimbs(g, pk.P0), pk.P1)
-			cases = append(cases, sized{"public key", pk.BinarySize(), pk.AppendBinary(nil), g})
 
 			cases = append(cases, sized{"relin key", rlk.BinarySize(), rlk.AppendBinary(nil), goldenGadget(nil, rlk)})
 			cases = append(cases, sized{"galois key", gk.BinarySize(), gk.AppendBinary(nil), goldenGaloisKey(nil, gk)})

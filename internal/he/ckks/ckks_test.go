@@ -60,9 +60,9 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := NewParams(8, 40, 25, 4); err != nil {
 		t.Error("deep multi-limb chain rejected:", err)
 	}
-	p := DefaultParams()
-	if err := p.Validate(); err != nil {
-		t.Errorf("DefaultParams invalid: %v", err)
+	p, err := NewParams(11, 35, 25, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if p.Slots() != p.N()/2 {
 		t.Error("slots != N/2")

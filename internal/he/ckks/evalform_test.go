@@ -139,10 +139,6 @@ func TestEvalFormRejectedEverywhereElse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := ev.NewMatVecNaivePlan(m, bias, level, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := ctx.NewCiphertext(level)
 	second := func(_ *Ciphertext, err error) error { return err }
 	ops := map[string]func() error{
@@ -169,7 +165,6 @@ func TestEvalFormRejectedEverywhereElse(t *testing.T) {
 		"RotateInto 0":     func() error { return ev.RotateInto(ef, 0, gks, out) },
 		"Rotate":           func() error { return second(ev.Rotate(ef, 1, gks)) },
 		"MatVecInto":       func() error { return ev.MatVecInto(plan, ef, gks, out) },
-		"MatVecNaiveInto":  func() error { return ev.MatVecNaiveInto(naive, ef, gks, out) },
 		"TrivialSubInto":   func() error { return ev.TrivialSubInto(make([]int64, ctx.Params.N()), ef.Scale, ef, out) },
 		"EvalFormInto":     func() error { return ctx.EvalFormInto(ef, out) },
 		"DecryptInto":      func() error { return ev.DecryptInto(sk, ef, new(Plaintext)) },

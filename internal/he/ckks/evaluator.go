@@ -66,28 +66,6 @@ func NewEvaluator(ctx *Context, seed int64) *Evaluator {
 // Context returns the evaluator's CKKS context.
 func (ev *Evaluator) Context() *Context { return ev.ctx }
 
-// ternaryInts and gaussianInts sample with the same draw order as the
-// ring samplers, independent of limb count.
-func (ev *Evaluator) ternaryInts(out []int64) {
-	for i := range out {
-		switch ev.rng.Intn(3) {
-		case 0:
-			out[i] = 0
-		case 1:
-			out[i] = 1
-		default:
-			out[i] = -1
-		}
-	}
-}
-
-func (ev *Evaluator) gaussianInts(out []int64) {
-	sigma := ev.ctx.Params.Sigma
-	for i := range out {
-		out[i] = int64(ev.rng.NormFloat64()*sigma + 0.5)
-	}
-}
-
 // Encrypt encrypts a plaintext under the public key at the plaintext's
 // level: (c0, c1) = (p0·u + e0 + m, p1·u + e1) with ternary u. The public
 // key is stored in the NTT domain, so each limb costs one forward and two
@@ -96,9 +74,10 @@ func (ev *Evaluator) Encrypt(pk *PublicKey, pt *Plaintext) *Ciphertext {
 	out := ev.ctx.NewCiphertext(pt.Level)
 	// Sampling happens before any fan-out so the RNG stream order is fixed
 	// regardless of the execution strategy.
-	ev.ternaryInts(ev.iu)
-	ev.gaussianInts(ev.ie0)
-	ev.gaussianInts(ev.ie1)
+	sigma := ev.ctx.Params.Sigma
+	ternaryInts(ev.rng, ev.iu)
+	gaussianInts(ev.rng, sigma, ev.ie0)
+	gaussianInts(ev.rng, sigma, ev.ie1)
 	ev.ctx.Tower.ForEachLimb(pt.Level+1, func(i int) {
 		mod := ev.ctx.Tower.Qi[i]
 		u, t0, t1 := ev.s0[i], ev.s1[i], ev.s2[i]

@@ -107,18 +107,6 @@ func (kg *KeyGenerator) GenGaloisKeys(sk *SecretKey, rots []int) *GaloisKeySet {
 	return set
 }
 
-// GenRotationKeysPow2 builds the standard power-of-two key set (±1, ±2,
-// ±4, … up to slots/2): any rotation decomposes into at most log₂(slots)
-// applications.
-func (kg *KeyGenerator) GenRotationKeysPow2(sk *SecretKey) *GaloisKeySet {
-	slots := kg.ctx.Params.Slots()
-	var rots []int
-	for r := 1; r < slots; r <<= 1 {
-		rots = append(rots, r, -r)
-	}
-	return kg.GenGaloisKeys(sk, rots)
-}
-
 // reduceRot normalizes a rotation to [0, slots).
 func (ev *Evaluator) reduceRot(rot int) int {
 	slots := ev.ctx.Params.Slots()

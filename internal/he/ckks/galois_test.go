@@ -168,15 +168,15 @@ func TestRotationKeysPow2(t *testing.T) {
 	enc := NewEncoder(ctx)
 	rng := rand.New(rand.NewSource(63))
 
-	gks := kg.GenRotationKeysPow2(sk)
 	slots := ctx.Params.Slots()
 	// ± every power of two below slots; −slots/2 ≡ +slots/2 share one
 	// element, so the set has 2·log₂(slots) − 1 distinct keys.
-	want := 0
+	var rots []int
 	for r := 1; r < slots; r <<= 1 {
-		want += 2
+		rots = append(rots, r, -r)
 	}
-	want--
+	gks := kg.GenGaloisKeys(sk, rots)
+	want := len(rots) - 1
 	if got := len(gks.Keys); got != want {
 		t.Fatalf("pow2 set has %d keys, want %d", got, want)
 	}

@@ -161,11 +161,11 @@ func (kg *KeyGenerator) qpMod(t int) *ring.Modulus {
 	return kg.ctx.Tower.P
 }
 
-// ternaryInts fills out with coefficients from {−1, 0, 1}, matching the
-// draw order of ring.TernaryPolyInto.
-func (kg *KeyGenerator) ternaryInts(out []int64) {
+// ternaryInts fills out with coefficients from {−1, 0, 1}, one rng.Intn(3)
+// draw each: the secret and ephemeral distribution.
+func ternaryInts(rng *rand.Rand, out []int64) {
 	for i := range out {
-		switch kg.rng.Intn(3) {
+		switch rng.Intn(3) {
 		case 0:
 			out[i] = 0
 		case 1:
@@ -176,10 +176,11 @@ func (kg *KeyGenerator) ternaryInts(out []int64) {
 	}
 }
 
-// gaussianInts fills out with rounded-Gaussian error coefficients.
-func (kg *KeyGenerator) gaussianInts(out []int64) {
+// gaussianInts fills out with rounded-Gaussian error coefficients of
+// standard deviation sigma.
+func gaussianInts(rng *rand.Rand, sigma float64, out []int64) {
 	for i := range out {
-		out[i] = int64(kg.rng.NormFloat64()*kg.ctx.Params.Sigma + 0.5)
+		out[i] = int64(rng.NormFloat64()*sigma + 0.5)
 	}
 }
 
@@ -187,7 +188,7 @@ func (kg *KeyGenerator) gaussianInts(out []int64) {
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	n := kg.ctx.Params.N()
 	vals := make([]int64, n)
-	kg.ternaryInts(vals)
+	ternaryInts(kg.rng, vals)
 	s := make(ring.RNSPoly, len(kg.ctx.Primes)+1)
 	ring.ForEach(n, len(s), func(t int) {
 		mod := kg.qpMod(t)
@@ -212,7 +213,7 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 		pk.P1[t] = kg.ctx.Tower.Qi[t].UniformPoly(kg.rng) // â, drawn as stored
 	}
 	e := make([]int64, n)
-	kg.gaussianInts(e)
+	gaussianInts(kg.rng, kg.ctx.Params.Sigma, e)
 	ring.ForEach(n, limbs, func(t int) {
 		kg.zeroSampleInto(t, pk.P1[t], e, sk, pk.P0[t])
 	})
@@ -268,7 +269,7 @@ func (kg *KeyGenerator) genSwitchingKeyInto(sk *SecretKey, tab []uint32, k *Swit
 			kg.g[j] = make(ring.Poly, n)
 		}
 	}
-	kg.gaussianInts(kg.es)
+	gaussianInts(kg.rng, kg.ctx.Params.Sigma, kg.es)
 	if !gadgetFits(k.Parts, digits, qp, n) {
 		k.Parts = newGadget(digits, qp, n)
 	}

@@ -2,8 +2,36 @@ package ckks
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
+
+// TestSamplers checks the secret and error distributions every key and
+// ciphertext draws from: ternary values in {−1, 0, 1} and rounded
+// Gaussians of plausible size and zero mean at σ = 3.2.
+func TestSamplers(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	vals := make([]int64, 1024)
+
+	ternaryInts(rng, vals)
+	for i, c := range vals {
+		if c < -1 || c > 1 {
+			t.Fatalf("ternary coeff %d = %d", i, c)
+		}
+	}
+
+	gaussianInts(rng, 3.2, vals)
+	var sum float64
+	for _, c := range vals {
+		if c > 40 || c < -40 {
+			t.Fatalf("gaussian coeff %d implausibly large for σ=3.2", c)
+		}
+		sum += float64(c)
+	}
+	if mean := sum / float64(len(vals)); mean > 1 || mean < -1 {
+		t.Errorf("gaussian mean %v far from 0", mean)
+	}
+}
 
 // TestCheckSwitchingKey: generated relinearization and Galois keys pass;
 // a gadget over another basis or with the wrong digit count, limb count or

@@ -88,9 +88,6 @@ type MatVecPlan struct {
 	// no per-call transforms of the plaintext. Nil marks an all-zero
 	// diagonal (skipped).
 	diags [][]*Plaintext
-	// naive[d] is diag_d unrotated, for the rotate-per-diagonal baseline
-	// (same NTT + Montgomery storage); built only by NewMatVecNaivePlan.
-	naive []*Plaintext
 	// bias is encoded at level−1 with the input scale, added after the
 	// rescale; nil when no bias.
 	bias *Plaintext
@@ -149,20 +146,6 @@ func (ev *Evaluator) replicate(row []float64) []float64 {
 		out[j] = row[j%len(row)]
 	}
 	return out
-}
-
-// encodeMatVecCommon encodes the bias and returns the diagonal scale.
-func (ev *Evaluator) encodeMatVecCommon(plan *MatVecPlan, bias []float64) error {
-	if bias == nil {
-		return nil
-	}
-	enc := NewEncoder(ev.ctx)
-	pt, err := enc.EncodeRealAtLevel(ev.replicate(bias), plan.scale, plan.level-1)
-	if err != nil {
-		return err
-	}
-	plan.bias = pt
-	return nil
 }
 
 // nttMontgomery moves a freshly encoded diagonal plaintext into the
@@ -231,43 +214,12 @@ func (ev *Evaluator) NewMatVecPlan(m [][]float64, bias []float64, level int, sca
 			plan.diags[k][i], plan.top = pt, k
 		}
 	}
-	if err := ev.encodeMatVecCommon(plan, bias); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
-// NewMatVecNaivePlan pre-encodes the unrotated diagonals for the naive
-// rotate-per-diagonal evaluation — the benchmark baseline. Encoding cost
-// is identical to the BSGS plan so timing differences isolate rotations.
-func (ev *Evaluator) NewMatVecNaivePlan(m [][]float64, bias []float64, level int, scale float64) (*MatVecPlan, error) {
-	n, err := ev.checkMatVecShape(m, bias, level)
-	if err != nil {
-		return nil, err
-	}
-	if scale <= 0 {
-		scale = ev.ctx.Params.Scale()
-	}
-	n1, n2 := matVecSplit(n)
-	plan := &MatVecPlan{n: n, n1: n1, n2: n2, level: level, scale: scale}
-	enc := NewEncoder(ev.ctx)
-	slots := ev.ctx.Params.Slots()
-	dScale := float64(ev.ctx.Primes[level])
-	plan.naive = make([]*Plaintext, n)
-	for d := 0; d < n; d++ {
-		vals, zero := diagonal(m, d, 0, slots)
-		if zero {
-			continue
-		}
-		pt, err := enc.EncodeRealAtLevel(vals, dScale, level)
+	if bias != nil {
+		pt, err := enc.EncodeRealAtLevel(ev.replicate(bias), scale, level-1)
 		if err != nil {
 			return nil, err
 		}
-		ev.nttMontgomery(pt)
-		plan.naive[d] = pt
-	}
-	if err := ev.encodeMatVecCommon(plan, bias); err != nil {
-		return nil, err
+		plan.bias = pt
 	}
 	return plan, nil
 }
@@ -280,8 +232,7 @@ func (p *MatVecPlan) Level() int { return p.level }
 
 // Rotations returns the rotation set MatVecInto needs, BSGSRotations of
 // the dimension: one key per rotation. Callers must supply a
-// GaloisKeySet covering it. The naive path additionally needs every
-// rotation 1..n−1.
+// GaloisKeySet covering it.
 func (p *MatVecPlan) Rotations() []int { return BSGSRotations(p.n) }
 
 // KeySwitches returns the key switches one MatVecInto call runs on this
@@ -389,9 +340,6 @@ func (ev *Evaluator) finishMatVec(plan *MatVecPlan, ct, acc, out *Ciphertext) er
 // (λ-128k, 256×256, two levels below the top), pinned by
 // TestMatVecSteadyStateAllocs.
 func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
-	if plan.diags == nil {
-		return fmt.Errorf("ckks: plan built for naive evaluation")
-	}
 	if err := plan.checkInput(ct, out); err != nil {
 		return err
 	}
@@ -468,60 +416,4 @@ func (ev *Evaluator) blockSumLimb(t int, row []*Plaintext, babies []*Ciphertext,
 	}
 	sum0.Reduce()
 	sum1.Reduce()
-}
-
-// MatVecNaiveInto is the rotate-per-diagonal baseline: n−1 full key
-// switches, no hoisting, no BSGS regrouping. The MAC treatment matches
-// MatVecInto's (one NTT-domain lazy inner product per limb against the
-// pre-transformed diagonals, one inverse transform at the end) so the
-// benchmarked gap isolates rotation work. Kept for benchmarking the
-// kernel speedup; gks must cover rotations 1..n−1.
-func (ev *Evaluator) MatVecNaiveInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
-	if plan.naive == nil {
-		return fmt.Errorf("ckks: plan built for BSGS evaluation")
-	}
-	if err := plan.checkInput(ct, out); err != nil {
-		return err
-	}
-	// RotateInto runs between the terms and owns the evaluator's lazy
-	// rows, so the sums spanning it keep theirs in two spare babies.
-	mv := ev.ensureMatVec(3)
-	tower := ev.ctx.Tower
-	limbs := plan.level + 1
-	rot, wide0, wide1 := mv.babies[0], mv.babies[1], mv.babies[2]
-	sums := make([][2]ring.LazySum, limbs)
-	for t := range sums {
-		mod := tower.Qi[t]
-		sums[t] = [2]ring.LazySum{
-			mod.LazySum(wide0.C0[t], wide0.C1[t], mv.acc.C0[t]),
-			mod.LazySum(wide1.C0[t], wide1.C1[t], mv.acc.C1[t]),
-		}
-	}
-	var acc *Ciphertext
-	for d, pt := range plan.naive {
-		if pt == nil {
-			continue
-		}
-		if d == 0 {
-			for t := 0; t < limbs; t++ {
-				copy(rot.C0[t], ct.C0[t])
-				copy(rot.C1[t], ct.C1[t])
-			}
-		} else if err := ev.RotateInto(ct, d, gks, rot); err != nil {
-			return err
-		}
-		tower.ForEachLimb(limbs, func(t int) {
-			mod := tower.Qi[t]
-			mod.NTT(rot.C0[t])
-			mod.NTT(rot.C1[t])
-			sums[t][0].MulAdd(rot.C0[t], pt.Value[t])
-			sums[t][1].MulAdd(rot.C1[t], pt.Value[t])
-		})
-		acc = mv.acc
-	}
-	for t := range sums {
-		sums[t][0].Reduce()
-		sums[t][1].Reduce()
-	}
-	return ev.finishMatVec(plan, ct, acc, out)
 }

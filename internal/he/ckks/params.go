@@ -36,16 +36,6 @@ func NewParams(logN, baseBits, scaleBits, depth int) (Params, error) {
 	return p, p.Validate()
 }
 
-// DefaultParams returns a depth-1 instance at ring degree 2^11 — ample for
-// the repository's encrypted-inference and transciphering workloads.
-func DefaultParams() Params {
-	p, err := NewParams(11, 35, 25, 1)
-	if err != nil {
-		panic("ckks: invalid default params: " + err.Error())
-	}
-	return p
-}
-
 // N returns the ring degree.
 func (p Params) N() int { return 1 << p.LogN }
 

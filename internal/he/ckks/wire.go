@@ -18,8 +18,7 @@ package ckks
 //     capacity suffices — a decode loop over a pre-sized receiver is
 //     allocation-free in steady state.
 //   - Key decoders back their coefficients with one slab cut into capped
-//     limbs (one per RNS polynomial for a PublicKey, one per gadget for a
-//     RelinKey or GaloisKey): key material is immutable once installed,
+//     limbs (one per gadget for a RelinKey or GaloisKey): key material is immutable once installed,
 //     so no limb ever grows into its neighbour.
 //   - Ownership: everything DecodeFrom produces is copied out of the
 //     input buffer; callers may reuse the buffer immediately. The inverse
@@ -242,75 +241,6 @@ func (pt *Plaintext) DecodeFrom(b []byte) (int, error) {
 	return off + k, nil
 }
 
-// decodeRNSFresh decodes limbs runs of degree n into fresh storage: key
-// material is retained for a session's lifetime, so it never aliases a
-// transient decode buffer. The limbs are cut from one slab with their
-// capacity capped at n, so an append to one can never write into the next.
-func decodeRNSFresh(b []byte, limbs, n int) (ring.RNSPoly, int, error) {
-	if len(b) < limbs*8*n {
-		return nil, 0, ErrShortBuffer
-	}
-	slab := make([]uint64, limbs*n)
-	out := make(ring.RNSPoly, limbs)
-	off := 0
-	for i := range out {
-		out[i] = slab[i*n : (i+1)*n : (i+1)*n]
-		k, err := out[i].DecodeFrom(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += k
-	}
-	return out, off, nil
-}
-
-// publicKeyHeaderLen is the PublicKey prefix: limbs (u8) | degree (u32).
-const publicKeyHeaderLen = 1 + 4
-
-// BinarySize returns the byte count AppendBinary appends for pk.
-func (pk *PublicKey) BinarySize() int {
-	return publicKeyHeaderLen + limbsBinarySize(pk.P0) + limbsBinarySize(pk.P1)
-}
-
-// AppendBinary appends pk's wire encoding: limbs (u8) | degree (u32) |
-// P0 limbs | P1 limbs.
-func (pk *PublicKey) AppendBinary(b []byte) []byte {
-	b = slices.Grow(b, pk.BinarySize())
-	n := 0
-	if len(pk.P0) > 0 {
-		n = len(pk.P0[0])
-	}
-	b = append(b, byte(len(pk.P0)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	b = appendLimbs(b, pk.P0)
-	return appendLimbs(b, pk.P1)
-}
-
-// DecodeFrom decodes a public key from the front of b into pk (fresh
-// storage; see decodeRNSFresh) and returns the bytes consumed.
-func (pk *PublicKey) DecodeFrom(b []byte) (int, error) {
-	if len(b) < publicKeyHeaderLen {
-		return 0, ErrShortBuffer
-	}
-	limbs := int(b[0])
-	n := int(binary.LittleEndian.Uint32(b[1:5]))
-	if limbs == 0 || limbs > maxWireLimbs || n == 0 || n > maxWireN || n&(n-1) != 0 {
-		return 0, ErrMalformed
-	}
-	off := publicKeyHeaderLen
-	p0, k, err := decodeRNSFresh(b[off:], limbs, n)
-	if err != nil {
-		return 0, err
-	}
-	off += k
-	p1, k, err := decodeRNSFresh(b[off:], limbs, n)
-	if err != nil {
-		return 0, err
-	}
-	pk.P0, pk.P1 = p0, p1
-	return off + k, nil
-}
-
 // gadgetHeaderLen is the fixed SwitchingKey prefix: digits (u8) | limbs
 // (u8) | degree (u32). The limbs QP moduli (u64 each) and the seed follow.
 const gadgetHeaderLen = 1 + 1 + 4
@@ -396,8 +326,7 @@ func (k *SwitchingKey) DecodeFrom(b []byte) (int, error) {
 }
 
 // maxWireGaloisKeys caps a decoded key set: the BSGS rotation set needs
-// ~2·√slots keys (≤ 256 at the LogN 15 cap) and the power-of-two set
-// ~2·log₂(slots); 1024 leaves headroom without letting hostile input
+// ~2·√slots keys (≤ 256 at the LogN 15 cap); 1024 leaves headroom without letting hostile input
 // drive unbounded allocation.
 const maxWireGaloisKeys = 1024
 

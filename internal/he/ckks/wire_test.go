@@ -156,21 +156,7 @@ func TestKeyWireRoundTrip(t *testing.T) {
 	ctx := wireTestContext(t)
 	kg := NewKeyGenerator(ctx, 19)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinKey(sk)
-
-	gotPK := new(PublicKey)
-	encPK := pk.AppendBinary(nil)
-	if n, err := gotPK.DecodeFrom(encPK); err != nil || n != len(encPK) {
-		t.Fatalf("public key decode: n=%d err=%v", n, err)
-	}
-	for ell := range pk.P0 {
-		for i := range pk.P0[ell] {
-			if gotPK.P0[ell][i] != pk.P0[ell][i] || gotPK.P1[ell][i] != pk.P1[ell][i] {
-				t.Fatalf("public key limb %d coefficient %d differs", ell, i)
-			}
-		}
-	}
 
 	gotRLK := new(RelinKey)
 	encRLK := rlk.AppendBinary(nil)
@@ -199,7 +185,6 @@ func TestWireDecodeTruncated(t *testing.T) {
 	ctx := wireTestContext(t)
 	kg := NewKeyGenerator(ctx, 23)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	ct := randomCiphertext(ctx, 29, 1)
 
 	check := func(name string, enc []byte, decode func([]byte) (int, error)) {
@@ -216,9 +201,6 @@ func TestWireDecodeTruncated(t *testing.T) {
 	}
 	check("ciphertext", ct.AppendBinary(nil), func(b []byte) (int, error) {
 		return new(Ciphertext).DecodeFrom(b)
-	})
-	check("publickey", pk.AppendBinary(nil), func(b []byte) (int, error) {
-		return new(PublicKey).DecodeFrom(b)
 	})
 	check("relinkey", kg.GenRelinKey(sk).AppendBinary(nil), func(b []byte) (int, error) {
 		return new(RelinKey).DecodeFrom(b)
@@ -302,22 +284,18 @@ func byteAt(data []byte, i int) byte {
 }
 
 // TestKeyDecodeSlabLimbs checks that decoded key limbs, cut from one slab
-// per RNS polynomial, are capped at N coefficients, so no limb can grow
+// per gadget, are capped at N coefficients, so no limb can grow
 // into its neighbour's storage.
 func TestKeyDecodeSlabLimbs(t *testing.T) {
 	ctx := wireTestContext(t)
 	n := ctx.Params.N()
 	kg := NewKeyGenerator(ctx, 43)
 	sk := kg.GenSecretKey()
-	var pk PublicKey
-	if _, err := pk.DecodeFrom(kg.GenPublicKey(sk).AppendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
 	var gk GaloisKey
 	if _, err := gk.DecodeFrom(kg.GenGaloisKey(sk, 1).AppendBinary(nil)); err != nil {
 		t.Fatal(err)
 	}
-	polys := []ring.RNSPoly{pk.P0, pk.P1}
+	var polys []ring.RNSPoly
 	for _, part := range gk.Parts {
 		polys = append(polys, part[0], part[1])
 	}

@@ -156,9 +156,6 @@ func (p *Profile) CyclesPerBlock() float64 {
 	return p.ModeledCyclesPerBlock()
 }
 
-// Calibrated reports whether a measured coefficient has been installed.
-func (p *Profile) Calibrated() bool { return p.measuredCycles.Load() != 0 }
-
 // CyclesPerRotation returns the a·L·N·log2(N) cost model for one hoisted
 // Galois rotation on this profile's parameters, in cycles at RefHz.
 func (p *Profile) CyclesPerRotation() float64 {

@@ -104,9 +104,6 @@ func TestCalibrateInstallsCoefficient(t *testing.T) {
 		t.Skip("calibration runs a key generation")
 	}
 	p := profile.Default().Default()
-	if p.Calibrated() {
-		t.Log("profile already calibrated by another test; re-measuring")
-	}
 	d, err := p.Calibrate(8, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -114,13 +111,9 @@ func TestCalibrateInstallsCoefficient(t *testing.T) {
 	if d <= 0 {
 		t.Fatalf("calibration measured %v", d)
 	}
-	if !p.Calibrated() {
-		t.Fatal("Calibrated() false after Calibrate")
-	}
 	got := p.CyclesPerBlock()
-	want := d.Seconds() * profile.RefHz
-	if got <= 0 || got > 2*want || got < want/2 {
-		t.Errorf("CyclesPerBlock = %g, want ≈ %g (measured)", got, want)
+	if want := d.Seconds() * profile.RefHz; got != want {
+		t.Errorf("CyclesPerBlock = %g, want the measured %g", got, want)
 	}
 	// The modeled fallback should be in the same decade as the
 	// measurement — it is what uncalibrated controllers plan with.

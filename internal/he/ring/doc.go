@@ -90,8 +90,8 @@
 // # Single-modulus substrate
 //
 // N must be a power of two and q ≡ 1 (mod 2N) so a primitive 2N-th root of
-// unity exists; FindNTTPrime/FindNTTPrimes/FindNTTPrimesDistinct search
-// for such primes. q < 2⁶² (enforced at construction) leaves the 4q < 2⁶⁴
+// unity exists; FindNTTPrimes/FindNTTPrimesDistinct search for such
+// primes. q < 2⁶² (enforced at construction) leaves the 4q < 2⁶⁴
 // headroom the lazy NTT needs.
 //
 // A Modulus precomputes three constant sets at construction:
@@ -124,11 +124,10 @@
 //
 // # Zero-allocation conventions
 //
-// Methods suffixed Into write into caller-provided (or internally pooled)
-// buffers and perform no allocation in steady state: MulPolyInto draws its
-// single scratch buffer from a per-Modulus sync.Pool. NTT-domain fused ops
-// (MulCoeffwiseMontgomery, LazySum, ModDownNTT) let callers keep
-// ciphertext material in the transform domain across an operation chain and
-// reduce transform counts. The allocating variants (MulPoly, UniformPoly,
-// ...) remain as convenience wrappers.
+// Methods suffixed Into write into caller-provided buffers and perform no
+// allocation in steady state. NTT-domain fused ops (MulCoeffwiseMontgomery,
+// LazySum, ModDownNTT) let callers keep ciphertext material in the
+// transform domain across an operation chain and reduce transform counts.
+// The allocating variants (UniformPoly, ...) remain as convenience
+// wrappers.
 package ring

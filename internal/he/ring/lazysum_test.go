@@ -41,10 +41,7 @@ func TestLazySumOverflowBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tab := AutomorphismNTTTable(GaloisElement(3, n), n)
 	for _, bitLen := range []int{50, 60, 61} {
-		q, err := FindNTTPrime(bitLen, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := nttPrime(t, bitLen, n)
 		m, err := NewModulus(q, n)
 		if err != nil {
 			t.Fatal(err)
@@ -134,10 +131,7 @@ func TestLazySumMatchesStrictChain(t *testing.T) {
 
 func BenchmarkLazySum(b *testing.B) {
 	const n = 4096
-	q, err := FindNTTPrime(60, n)
-	if err != nil {
-		b.Fatal(err)
-	}
+	q := nttPrime(b, 60, n)
 	m, err := NewModulus(q, n)
 	if err != nil {
 		b.Fatal(err)

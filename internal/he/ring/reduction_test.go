@@ -13,10 +13,7 @@ func testPrimes(t testing.TB) []uint64 {
 	t.Helper()
 	out := make([]uint64, 0, 5)
 	for _, bitLen := range []int{20, 30, 45, 55, 61} {
-		q, err := FindNTTPrime(bitLen, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := nttPrime(t, bitLen, 256)
 		out = append(out, q)
 	}
 	return out

@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
-	"sync"
 )
 
 // AddMod returns (a + b) mod q for a, b < q.
@@ -71,45 +70,18 @@ func InvMod(a, q uint64) uint64 {
 	return uint64(t0)
 }
 
-// CRTPair combines residues r1 mod q1 and r2 mod q2 (coprime) into the
-// unique value mod q1·q2. The product q1·q2 must stay below 2⁶³ so the
-// final lift r1 + q1·t cannot wrap; CRTPair panics if it does not, rather
-// than silently returning a wrapped value.
-func CRTPair(r1, q1, r2, q2 uint64) uint64 {
-	if hi, lo := bits.Mul64(q1, q2); hi != 0 || lo >= 1<<63 {
-		panic(fmt.Sprintf("ring: CRTPair modulus product %d·%d exceeds 2^63", q1, q2))
-	}
-	inv := InvMod(q1%q2, q2)
-	t := MulMod(SubMod(r2%q2, r1%q2, q2), inv, q2)
-	return r1 + q1*t
-}
-
-// FindNTTPrime returns the largest prime q < 2^bitLen with q ≡ 1 (mod 2n).
-// bitLen must be in [20, 62]; n a power of two.
-func FindNTTPrime(bitLen, n int) (uint64, error) {
-	if bitLen < 20 || bitLen > 62 {
-		return 0, fmt.Errorf("ring: bitLen %d outside [20, 62]", bitLen)
-	}
-	if n <= 0 || n&(n-1) != 0 {
-		return 0, fmt.Errorf("ring: n = %d is not a positive power of two", n)
-	}
-	step := uint64(2 * n)
-	// Largest q ≡ 1 mod 2n below 2^bitLen.
-	q := (uint64(1)<<uint(bitLen) - 1)
-	q -= (q - 1) % step
-	for ; q > step; q -= step {
-		if new(big.Int).SetUint64(q).ProbablyPrime(20) {
-			return q, nil
-		}
-	}
-	return 0, fmt.Errorf("ring: no NTT prime of %d bits for n = %d", bitLen, n)
-}
-
-// FindNTTPrimes returns count distinct primes ≡ 1 (mod 2n) descending from
-// 2^bitLen.
+// FindNTTPrimes returns the count largest primes q < 2^bitLen with
+// q ≡ 1 (mod 2n), descending. bitLen must be in [1, 62] and n a positive
+// power of two.
 func FindNTTPrimes(bitLen, n, count int) ([]uint64, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("ring: count %d must be positive", count)
+	}
+	if bitLen < 1 || bitLen > 62 {
+		return nil, fmt.Errorf("ring: bitLen %d outside [1, 62]", bitLen)
+	}
+	if n <= 0 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("ring: n = %d is not a positive power of two", n)
 	}
 	out := make([]uint64, 0, count)
 	next := uint64(1)<<uint(bitLen) - 1
@@ -137,12 +109,6 @@ func findNTTPrimeBelow(start uint64, n int) (uint64, error) {
 	return 0, errors.New("ring: no NTT prime found")
 }
 
-// PrimitiveRoot2N exposes the primitive 2N-th root search for prime q so a
-// CKKS modulus chain can CRT-combine per-prime roots.
-func PrimitiveRoot2N(q uint64, n int) (uint64, error) {
-	return primitiveRoot2N(q, uint64(n))
-}
-
 // Modulus bundles the modulus q, the ring degree N, the precomputed
 // Montgomery/Barrett reduction constants and the negacyclic NTT tables
 // (twiddles in bit-reversed order and Montgomery form). It is immutable
@@ -161,8 +127,6 @@ type Modulus struct {
 	psiInvMont     []uint64 // ψ^{−i}·2⁶⁴, bit-reversed (inverse twiddles)
 	nInvMont       uint64   // N⁻¹·2⁶⁴ mod q (folded into the last INTT stage)
 	psiInvNInvMont uint64   // ψ^{−N/2}·N⁻¹·2⁶⁴ mod q (last-stage odd halves)
-
-	scratch sync.Pool // *Poly buffers for MulPolyInto
 }
 
 // ReduceInto reduces foreign residues (values mod any multiple of q, or
@@ -229,10 +193,6 @@ func newModulusWithRoot(q uint64, n int, psi uint64) (*Modulus, error) {
 	// fold N⁻¹ into it so the final full-array normalization pass is free.
 	lastPsi := InvMForm(m.psiInvMont[1], q, m.qInv)
 	m.psiInvNInvMont = MForm(MulMod(lastPsi, nInv, q), q, m.brc)
-	m.scratch.New = func() any {
-		p := make(Poly, n)
-		return &p
-	}
 	return m, nil
 }
 
@@ -362,51 +322,6 @@ func (m *Modulus) MulScalar(a Poly, c uint64, out Poly) {
 	}
 }
 
-// MulPoly returns the negacyclic product a·b using the NTT. Inputs are in
-// the coefficient domain and are not modified.
-func (m *Modulus) MulPoly(a, b Poly) Poly {
-	out := m.NewPoly()
-	m.MulPolyInto(a, b, out)
-	return out
-}
-
-// MulPolyInto sets out = a·b (negacyclic, coefficient domain) without
-// allocating: the single internal scratch buffer comes from a per-Modulus
-// pool. out may alias a or b; a and b are not modified.
-func (m *Modulus) MulPolyInto(a, b, out Poly) {
-	buf := m.scratch.Get().(*Poly)
-	bb := *buf
-	copy(bb, b)
-	copy(out, a)
-	m.NTT(out)
-	m.NTT(bb)
-	m.MulCoeffwise(out, bb, out)
-	m.INTT(out)
-	m.scratch.Put(buf)
-}
-
-// MulPolyNaive is the O(N²) schoolbook negacyclic product, used as a
-// correctness oracle for MulPoly.
-func (m *Modulus) MulPolyNaive(a, b Poly) Poly {
-	n := m.N
-	out := m.NewPoly()
-	for i := 0; i < n; i++ {
-		if a[i] == 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			k := i + j
-			prod := MulMod(a[i], b[j], m.Q)
-			if k < n {
-				out[k] = AddMod(out[k], prod, m.Q)
-			} else {
-				out[k-n] = SubMod(out[k-n], prod, m.Q) // X^N = −1
-			}
-		}
-	}
-	return out
-}
-
 // CenteredInt64 returns the centered representative of coefficient v in
 // (−q/2, q/2].
 func (m *Modulus) CenteredInt64(v uint64) int64 {
@@ -436,22 +351,6 @@ func (m *Modulus) FromInt64(v int64) uint64 {
 	return uint64(r)
 }
 
-// DivRound sets out[i] = round(centered(p[i]) / d) mod q — the approximate
-// rescaling step of CKKS. d must be positive.
-func (m *Modulus) DivRound(p Poly, d uint64, out Poly) {
-	half := int64(d) / 2
-	for i := range p {
-		c := m.CenteredInt64(p[i])
-		var r int64
-		if c >= 0 {
-			r = (c + half) / int64(d)
-		} else {
-			r = -((-c + half) / int64(d))
-		}
-		out[i] = m.FromInt64(r)
-	}
-}
-
 // UniformPoly samples a polynomial with uniform coefficients in [0, q).
 func (m *Modulus) UniformPoly(rng *rand.Rand) Poly {
 	p := m.NewPoly()
@@ -466,44 +365,6 @@ func (m *Modulus) UniformPolyInto(rng *rand.Rand, p Poly) {
 	}
 }
 
-// TernaryPoly samples coefficients from {−1, 0, 1} with equal probability
-// (the CKKS secret/ephemeral distribution).
-func (m *Modulus) TernaryPoly(rng *rand.Rand) Poly {
-	p := m.NewPoly()
-	m.TernaryPolyInto(rng, p)
-	return p
-}
-
-// TernaryPolyInto fills p with coefficients from {−1, 0, 1}.
-func (m *Modulus) TernaryPolyInto(rng *rand.Rand, p Poly) {
-	for i := range p {
-		switch rng.Intn(3) {
-		case 0:
-			p[i] = 0
-		case 1:
-			p[i] = 1
-		default:
-			p[i] = m.Q - 1
-		}
-	}
-}
-
-// GaussianPoly samples rounded-Gaussian error coefficients with the given
-// standard deviation (CKKS uses σ ≈ 3.2).
-func (m *Modulus) GaussianPoly(rng *rand.Rand, sigma float64) Poly {
-	p := m.NewPoly()
-	m.GaussianPolyInto(rng, sigma, p)
-	return p
-}
-
-// GaussianPolyInto fills p with rounded-Gaussian error coefficients.
-func (m *Modulus) GaussianPolyInto(rng *rand.Rand, sigma float64, p Poly) {
-	for i := range p {
-		v := int64(rng.NormFloat64()*sigma + 0.5)
-		p[i] = m.FromInt64(v)
-	}
-}
-
 // uniformUint64 draws uniformly from [0, q) without modulo bias.
 func uniformUint64(rng *rand.Rand, q uint64) uint64 {
 	max := ^uint64(0) - ^uint64(0)%q
@@ -513,19 +374,4 @@ func uniformUint64(rng *rand.Rand, q uint64) uint64 {
 			return v % q
 		}
 	}
-}
-
-// InfNorm returns the largest centered-absolute coefficient of p.
-func (m *Modulus) InfNorm(p Poly) uint64 {
-	var worst uint64
-	for _, v := range p {
-		c := m.CenteredInt64(v)
-		if c < 0 {
-			c = -c
-		}
-		if uint64(c) > worst {
-			worst = uint64(c)
-		}
-	}
-	return worst
 }

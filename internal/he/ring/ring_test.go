@@ -11,12 +11,51 @@ import (
 	"testing/quick"
 )
 
-func testModulus(t testing.TB, n int) *Modulus {
+// nttPrime returns the largest prime q < 2^bitLen with q ≡ 1 (mod 2n).
+func nttPrime(t testing.TB, bitLen, n int) uint64 {
 	t.Helper()
-	q, err := FindNTTPrime(50, n)
+	qs, err := FindNTTPrimes(bitLen, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return qs[0]
+}
+
+// mulPoly returns the negacyclic product a·b through the transform.
+func mulPoly(m *Modulus, a, b Poly) Poly {
+	fa, fb := a.Copy(), b.Copy()
+	m.NTT(fa)
+	m.NTT(fb)
+	m.MulCoeffwise(fa, fb, fa)
+	m.INTT(fa)
+	return fa
+}
+
+// mulPolyNaive is the O(N²) schoolbook negacyclic product, the oracle for
+// mulPoly.
+func mulPolyNaive(m *Modulus, a, b Poly) Poly {
+	n := m.N
+	out := m.NewPoly()
+	for i := 0; i < n; i++ {
+		if a[i] == 0 {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			k := i + j
+			prod := MulMod(a[i], b[j], m.Q)
+			if k < n {
+				out[k] = AddMod(out[k], prod, m.Q)
+			} else {
+				out[k-n] = SubMod(out[k-n], prod, m.Q) // X^N = −1
+			}
+		}
+	}
+	return out
+}
+
+func testModulus(t testing.TB, n int) *Modulus {
+	t.Helper()
+	q := nttPrime(t, 50, n)
 	m, err := NewModulus(q, n)
 	if err != nil {
 		t.Fatal(err)
@@ -44,10 +83,7 @@ func TestModArithmetic(t *testing.T) {
 }
 
 func TestMulModLargeOperands(t *testing.T) {
-	q, err := FindNTTPrime(61, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := nttPrime(t, 61, 1024)
 	a, b := q-1, q-2
 	// (q-1)(q-2) mod q = 2.
 	if got := MulMod(a, b, q); got != 2 {
@@ -56,21 +92,29 @@ func TestMulModLargeOperands(t *testing.T) {
 }
 
 func TestFindNTTPrime(t *testing.T) {
-	q, err := FindNTTPrime(30, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := nttPrime(t, 30, 1024)
 	if q%(2*1024) != 1 {
 		t.Errorf("q = %d not 1 mod 2N", q)
 	}
 	if q >= 1<<30 {
 		t.Errorf("q = %d too large", q)
 	}
-	if _, err := FindNTTPrime(10, 1024); err == nil {
-		t.Error("tiny bitLen accepted")
+	// The scale primes of small parameter sets sit below 20 bits.
+	if q := nttPrime(t, 18, 1024); q%(2*1024) != 1 || q >= 1<<18 {
+		t.Errorf("18-bit q = %d", q)
 	}
-	if _, err := FindNTTPrime(30, 1000); err == nil {
-		t.Error("non-power-of-two n accepted")
+	for _, c := range []struct {
+		name      string
+		bitLen, n int
+	}{
+		{"tiny bitLen", 10, 1024},
+		{"non-power-of-two n", 30, 1000},
+		{"zero n", 30, 0},
+		{"bitLen above 62", 64, 1024},
+	} {
+		if _, err := FindNTTPrimes(c.bitLen, c.n, 1); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -122,8 +166,8 @@ func TestMulPolyMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := m.UniformPoly(rng)
 		b := m.UniformPoly(rng)
-		fast := m.MulPoly(a, b)
-		slow := m.MulPolyNaive(a, b)
+		fast := mulPoly(m, a, b)
+		slow := mulPolyNaive(m, a, b)
 		for i := range fast {
 			if fast[i] != slow[i] {
 				t.Fatalf("trial %d: coeff %d: NTT %d != naive %d", trial, i, fast[i], slow[i])
@@ -139,7 +183,7 @@ func TestNegacyclicWraparound(t *testing.T) {
 	b := m.NewPoly()
 	a[7] = 1
 	b[1] = 1
-	got := m.MulPoly(a, b)
+	got := mulPoly(m, a, b)
 	want := m.NewPoly()
 	want[0] = m.Q - 1
 	for i := range got {
@@ -190,48 +234,68 @@ func TestCenteredLift(t *testing.T) {
 	}
 }
 
+// TestDivRound checks the CKKS rescaling step, RescaleInto, at its
+// rounding boundary: with q_ℓ odd and h = (q_ℓ−1)/2, x = y·q_ℓ ± h rounds
+// to y and x = y·q_ℓ ± (h+1) rounds away from y, for either sign of y.
 func TestDivRound(t *testing.T) {
+	const n = 16
+	tw := testTower(t, n, 2)
+	ql := int64(tw.Qi[1].Q)
+	h := (ql - 1) / 2
+	cases := []struct{ x, want int64 }{
+		{3 * ql, 3}, {-3 * ql, -3},
+		{3*ql + h, 3}, {3*ql + h + 1, 4},
+		{3*ql - h, 3}, {3*ql - h - 1, 2},
+		{-3*ql - h, -3}, {-3*ql - h - 1, -4},
+		{h, 0}, {-h, 0}, {h + 1, 1}, {-h - 1, -1},
+	}
+	vals := make([]int64, n)
+	for j, c := range cases {
+		vals[j] = c.x
+	}
+	in := tw.NewPoly(2)
+	tw.FromInt64Into(vals, in)
+	out := tw.NewPoly(1)
+	tw.RescaleInto(in, out)
+	for j, c := range cases {
+		if got := tw.Qi[0].CenteredInt64(out[0][j]); got != c.want {
+			t.Errorf("round((%d)/q_ℓ) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// TestInfNorm checks the centered lift that every coefficient-size bound
+// is stated in: a polynomial holding −7 and 5 has centered magnitudes 7
+// and 5, and the largest magnitude any residue lifts to is (q−1)/2, at
+// both (q−1)/2 and (q+1)/2.
+func TestInfNorm(t *testing.T) {
 	m := testModulus(t, 32)
 	p := m.NewPoly()
-	p[0] = 1000
-	p[1] = m.FromInt64(-1000)
-	p[2] = 1500
-	p[3] = m.FromInt64(-1500)
-	out := m.NewPoly()
-	m.DivRound(p, 1000, out)
-	if m.CenteredInt64(out[0]) != 1 || m.CenteredInt64(out[1]) != -1 {
-		t.Errorf("DivRound exact: %d, %d", m.CenteredInt64(out[0]), m.CenteredInt64(out[1]))
+	p[3] = m.FromInt64(-7)
+	p[9] = 5
+	var worst int64
+	for _, v := range p {
+		c := m.CenteredInt64(v)
+		if c < 0 {
+			c = -c
+		}
+		worst = max(worst, c)
 	}
-	if m.CenteredInt64(out[2]) != 2 || m.CenteredInt64(out[3]) != -2 {
-		t.Errorf("DivRound rounding: %d, %d (1.5 rounds away from zero)",
-			m.CenteredInt64(out[2]), m.CenteredInt64(out[3]))
+	if worst != 7 {
+		t.Errorf("largest centered magnitude = %d, want 7", worst)
+	}
+	h := int64(m.Q-1) / 2
+	if got := m.CenteredInt64(uint64(h)); got != h {
+		t.Errorf("CenteredInt64((q−1)/2) = %d, want %d", got, h)
+	}
+	if got := m.CenteredInt64(uint64(h) + 1); got != -h {
+		t.Errorf("CenteredInt64((q+1)/2) = %d, want %d", got, -h)
 	}
 }
 
 func TestSamplers(t *testing.T) {
 	m := testModulus(t, 1024)
 	rng := rand.New(rand.NewSource(4))
-
-	tern := m.TernaryPoly(rng)
-	for i, v := range tern {
-		if c := m.CenteredInt64(v); c < -1 || c > 1 {
-			t.Fatalf("ternary coeff %d = %d", i, c)
-		}
-	}
-
-	gauss := m.GaussianPoly(rng, 3.2)
-	var sum, count float64
-	for _, v := range gauss {
-		c := float64(m.CenteredInt64(v))
-		if c > 40 || c < -40 {
-			t.Fatalf("gaussian coeff %v implausibly large for σ=3.2", c)
-		}
-		sum += c
-		count++
-	}
-	if mean := sum / count; mean > 1 || mean < -1 {
-		t.Errorf("gaussian mean %v far from 0", mean)
-	}
 
 	uni := m.UniformPoly(rng)
 	var big int
@@ -245,16 +309,6 @@ func TestSamplers(t *testing.T) {
 	}
 	if frac := float64(big) / float64(len(uni)); frac < 0.4 || frac > 0.6 {
 		t.Errorf("uniform sampler skewed: %v above q/2", frac)
-	}
-}
-
-func TestInfNorm(t *testing.T) {
-	m := testModulus(t, 32)
-	p := m.NewPoly()
-	p[3] = m.FromInt64(-7)
-	p[9] = 5
-	if got := m.InfNorm(p); got != 7 {
-		t.Errorf("InfNorm = %d, want 7", got)
 	}
 }
 
@@ -291,8 +345,8 @@ func TestMulCommutative(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := m.UniformPoly(rng)
 		b := m.UniformPoly(rng)
-		ab := m.MulPoly(a, b)
-		ba := m.MulPoly(b, a)
+		ab := mulPoly(m, a, b)
+		ba := mulPoly(m, b, a)
 		for i := range ab {
 			if ab[i] != ba[i] {
 				return false
@@ -318,7 +372,7 @@ type referenceTables struct {
 
 func newReferenceTables(t *testing.T, q uint64, n int) *referenceTables {
 	t.Helper()
-	psi, err := PrimitiveRoot2N(q, n)
+	psi, err := primitiveRoot2N(q, uint64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,10 +455,7 @@ func TestNTTMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, n := range testSizes() {
 		for _, bitLen := range []int{30, 50, 61} {
-			q, err := FindNTTPrime(bitLen, n)
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := nttPrime(t, bitLen, n)
 			m, err := NewModulus(q, n)
 			if err != nil {
 				t.Fatal(err)
@@ -446,16 +497,13 @@ func TestNTTMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNTTRoundTripSweep checks NTT∘INTT = id and MulPoly against the
+// TestNTTRoundTripSweep checks NTT∘INTT = id and mulPoly against the
 // schoolbook oracle across primes and all supported sizes.
 func TestNTTRoundTripSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range testSizes() {
 		for _, bitLen := range []int{30, 61} {
-			q, err := FindNTTPrime(bitLen, n)
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := nttPrime(t, bitLen, n)
 			m, err := NewModulus(q, n)
 			if err != nil {
 				t.Fatal(err)
@@ -474,61 +522,90 @@ func TestNTTRoundTripSweep(t *testing.T) {
 			}
 			a := m.UniformPoly(rng)
 			b := m.UniformPoly(rng)
-			fast := m.MulPoly(a, b)
-			slow := m.MulPolyNaive(a, b)
+			fast := mulPoly(m, a, b)
+			slow := mulPolyNaive(m, a, b)
 			for i := range fast {
 				if fast[i] != slow[i] {
-					t.Fatalf("N=%d q=%d: MulPoly[%d] = %d, want %d", n, q, i, fast[i], slow[i])
+					t.Fatalf("N=%d q=%d: mulPoly[%d] = %d, want %d", n, q, i, fast[i], slow[i])
 				}
 			}
 		}
 	}
 }
 
-// TestMulPolyInto checks the allocation-free variant, including aliasing.
+// TestMulPolyInto checks the in-place negacyclic product the evaluator
+// builds from NTT, MulCoeffwise and INTT, with the product written over
+// either operand or into a separate buffer.
 func TestMulPolyInto(t *testing.T) {
 	m := testModulus(t, 64)
 	rng := rand.New(rand.NewSource(12))
 	a := m.UniformPoly(rng)
 	b := m.UniformPoly(rng)
-	want := m.MulPolyNaive(a, b)
+	want := mulPolyNaive(m, a, b)
 
-	out := m.NewPoly()
-	m.MulPolyInto(a, b, out)
-	for i := range out {
-		if out[i] != want[i] {
-			t.Fatalf("MulPolyInto[%d] = %d, want %d", i, out[i], want[i])
-		}
-	}
-
-	// out aliasing a, then b.
-	aa := a.Copy()
-	m.MulPolyInto(aa, b, aa)
-	bb := b.Copy()
-	m.MulPolyInto(a, bb, bb)
-	for i := range want {
-		if aa[i] != want[i] {
-			t.Fatalf("MulPolyInto(out=a)[%d] = %d, want %d", i, aa[i], want[i])
-		}
-		if bb[i] != want[i] {
-			t.Fatalf("MulPolyInto(out=b)[%d] = %d, want %d", i, bb[i], want[i])
+	fa, fb := a.Copy(), b.Copy()
+	m.NTT(fa)
+	m.NTT(fb)
+	for _, c := range []struct {
+		name string
+		out  func(x, y Poly) Poly
+	}{
+		{"out separate", func(x, y Poly) Poly { return m.NewPoly() }},
+		{"out=a", func(x, y Poly) Poly { return x }},
+		{"out=b", func(x, y Poly) Poly { return y }},
+	} {
+		x, y := fa.Copy(), fb.Copy()
+		out := c.out(x, y)
+		m.MulCoeffwise(x, y, out)
+		m.INTT(out)
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("%s: coeff %d = %d, want %d", c.name, i, out[i], want[i])
+			}
 		}
 	}
 }
 
+// TestCRTPair checks the two-limb CRT decode of CenteredFloat: residues
+// 777 mod q_0 and 123 mod q_1 decode to the centered value with exactly
+// those residues, and on a production-size tower, where q_0·q_1 exceeds
+// 2⁶⁴, values beyond 64 bits decode without wrapping.
 func TestCRTPair(t *testing.T) {
-	const q1, q2 = 12289, 40961 // both prime
-	r1, r2 := uint64(777), uint64(123)
-	v := CRTPair(r1, q1, r2, q2)
-	if v%q1 != r1 || v%q2 != r2 {
-		t.Errorf("CRTPair = %d: residues %d, %d, want %d, %d", v, v%q1, v%q2, r1, r2)
+	const q0, q1 = 12289, 40961 // both prime, ≡ 1 mod 32
+	tw, err := NewTower(16, []uint64{q0, q1}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CRTPair accepted modulus product ≥ 2^63")
+	p := tw.NewPoly(2)
+	p[0][0], p[1][0] = 777, 123
+	v := int64(tw.CenteredFloat(p, 0))
+	if float64(v) != tw.CenteredFloat(p, 0) {
+		t.Fatalf("CenteredFloat = %g, not an integer", tw.CenteredFloat(p, 0))
+	}
+	if r0, r1 := (v%q0+q0)%q0, (v%q1+q1)%q1; r0 != 777 || r1 != 123 {
+		t.Errorf("CenteredFloat = %d: residues %d, %d, want 777, 123", v, r0, r1)
+	}
+	if 2*v > q0*q1 || 2*v <= -q0*q1 {
+		t.Errorf("CenteredFloat = %d outside (−q_0·q_1/2, q_0·q_1/2]", v)
+	}
+
+	big2 := testTower(t, 16, 2)
+	if hi, _ := bits.Mul64(big2.Qi[0].Q, big2.Qi[1].Q); hi == 0 {
+		t.Fatal("production tower's q_0·q_1 fits in 64 bits")
+	}
+	wide := big2.NewPoly(2)
+	for _, x := range []float64{1 << 70, -(1 << 70)} {
+		for i, m := range big2.Qi {
+			r := PowMod(2, 70, m.Q)
+			if x < 0 {
+				r = m.Q - r
+			}
+			wide[i][1] = r
 		}
-	}()
-	CRTPair(1, 1<<32, 1, 1<<32) // product 2^64 wraps: must panic
+		if got := big2.CenteredFloat(wide, 1); got != x {
+			t.Errorf("CenteredFloat(%g) = %g", x, got)
+		}
+	}
 }
 
 // TestForEach pins the fan-out contract: every index runs exactly once on
@@ -600,39 +677,6 @@ func BenchmarkINTT(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.INTT(p)
-			}
-		})
-	}
-}
-
-func BenchmarkMulPoly(b *testing.B) {
-	for _, n := range benchSizes() {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			m := testModulus(b, n)
-			rng := rand.New(rand.NewSource(1))
-			p := m.UniformPoly(rng)
-			q := m.UniformPoly(rng)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.MulPoly(p, q)
-			}
-		})
-	}
-}
-
-func BenchmarkMulPolyInto(b *testing.B) {
-	for _, n := range benchSizes() {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			m := testModulus(b, n)
-			rng := rand.New(rand.NewSource(1))
-			p := m.UniformPoly(rng)
-			q := m.UniformPoly(rng)
-			out := m.NewPoly()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.MulPolyInto(p, q, out)
 			}
 		})
 	}

@@ -7,10 +7,7 @@ import (
 )
 
 func TestPolyWireRoundTrip(t *testing.T) {
-	q, err := FindNTTPrime(40, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := nttPrime(t, 40, 256)
 	m, err := NewModulus(q, 256)
 	if err != nil {
 		t.Fatal(err)

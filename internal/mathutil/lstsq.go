@@ -46,16 +46,6 @@ func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
 	return coeffs, nil
 }
 
-// PolyEval evaluates a polynomial with ascending coefficients at x using
-// Horner's rule.
-func PolyEval(coeffs []float64, x float64) float64 {
-	var y float64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		y = y*x + coeffs[i]
-	}
-	return y
-}
-
 // SolveLinear solves the augmented system [A | b] given as rows of length
 // n+1, using Gaussian elimination with partial pivoting. The input is
 // mutated. It returns the solution vector of length n.

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// polyEval evaluates a polynomial with ascending coefficients at x using
+// Horner's rule.
+func polyEval(coeffs []float64, x float64) float64 {
+	var y float64
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		y = y*x + coeffs[i]
+	}
+	return y
+}
+
 func TestPolyFitExactLine(t *testing.T) {
 	// y = 1.4789 + 0.002x — the paper's f_msl model.
 	xs := []float64{32768, 65536, 131072}
@@ -28,7 +38,7 @@ func TestPolyFitQuadratic(t *testing.T) {
 	xs := []float64{-2, -1, 0, 1, 2, 3}
 	ys := make([]float64, len(xs))
 	for i, x := range xs {
-		ys[i] = PolyEval(want, x)
+		ys[i] = polyEval(want, x)
 	}
 	got, err := PolyFit(xs, ys, 2)
 	if err != nil {
@@ -46,7 +56,7 @@ func TestPolyFitOverdeterminedNoisy(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		x := rng.Float64() * 10
 		xs = append(xs, x)
-		ys = append(ys, PolyEval(truth, x)+rng.NormFloat64()*0.01)
+		ys = append(ys, polyEval(truth, x)+rng.NormFloat64()*0.01)
 	}
 	got, err := PolyFit(xs, ys, 1)
 	if err != nil {
@@ -71,11 +81,11 @@ func TestPolyFitErrors(t *testing.T) {
 
 func TestPolyEval(t *testing.T) {
 	// 2 + 3x + x² at x=2 → 2+6+4 = 12
-	if got := PolyEval([]float64{2, 3, 1}, 2); got != 12 {
-		t.Errorf("PolyEval = %v, want 12", got)
+	if got := polyEval([]float64{2, 3, 1}, 2); got != 12 {
+		t.Errorf("polyEval = %v, want 12", got)
 	}
-	if got := PolyEval(nil, 5); got != 0 {
-		t.Errorf("PolyEval(nil) = %v, want 0", got)
+	if got := polyEval(nil, 5); got != 0 {
+		t.Errorf("polyEval(nil) = %v, want 0", got)
 	}
 }
 
@@ -153,7 +163,7 @@ func TestPolyFitRecoversRandomCubic(t *testing.T) {
 		ys := make([]float64, 12)
 		for i := range xs {
 			xs[i] = float64(i) - 6
-			ys[i] = PolyEval(truth, xs[i])
+			ys[i] = polyEval(truth, xs[i])
 		}
 		got, err := PolyFit(xs, ys, 3)
 		if err != nil {

@@ -157,20 +157,6 @@ func Min(x []float64) float64 {
 	return m
 }
 
-// ArgMax returns the index of the maximum entry of x, or -1 for empty input.
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range x {
-		if v > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Fill returns a length-n slice with every entry set to v.
 func Fill(n int, v float64) []float64 {
 	out := make([]float64, n)

@@ -106,11 +106,16 @@ func TestMinMaxArgMax(t *testing.T) {
 	if got := Min(x); got != 1 {
 		t.Errorf("Min = %v", got)
 	}
-	if got := ArgMax(x); got != 4 {
-		t.Errorf("ArgMax = %v", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %v, want -1", got)
+	// An empty slice has no extremum: both panic rather than invent one.
+	for name, f := range map[string]func([]float64) float64{"Max": Max, "Min": Min} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(nil) did not panic", name)
+				}
+			}()
+			f(nil)
+		}()
 	}
 }
 

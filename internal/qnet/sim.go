@@ -2,7 +2,6 @@ package qnet
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -211,28 +210,4 @@ func LinkCapacity(beta, w float64) float64 {
 		return 0
 	}
 	return c
-}
-
-// ErrInfeasibleAllocation indicates rate demands exceeding link capacity.
-var ErrInfeasibleAllocation = errors.New("qnet: allocation exceeds link capacity")
-
-// CheckAllocation verifies that loads fit capacities for the given Werner
-// point, wrapping ErrInfeasibleAllocation with the first violating link.
-func (n *Network) CheckAllocation(phi, w []float64) error {
-	loads, err := n.LinkLoads(phi)
-	if err != nil {
-		return err
-	}
-	if len(w) != len(n.links) {
-		return fmt.Errorf("qnet: %d werner values for %d links", len(w), len(n.links))
-	}
-	for l, load := range loads {
-		capacity := LinkCapacity(n.links[l].Beta, w[l])
-		// Small relative slack absorbs floating-point rounding when the
-		// allocation sits exactly at the Eq. (18) capacity point.
-		if load > capacity*(1+1e-9)+1e-12 {
-			return fmt.Errorf("%w: link %d load %.3f > capacity %.3f", ErrInfeasibleAllocation, l+1, load, capacity)
-		}
-	}
-	return nil
 }

@@ -105,21 +105,6 @@ func (n *Network) Route(r int) Route {
 // (the entry a_{l+1,r+1} of the paper's A matrix).
 func (n *Network) Uses(r, l int) bool { return n.uses[r][l] }
 
-// IncidenceMatrix returns A with A[l][r] = 1 when route r uses link l,
-// matching the paper's A := [a_ln].
-func (n *Network) IncidenceMatrix() [][]float64 {
-	a := make([][]float64, len(n.links))
-	for l := range a {
-		a[l] = make([]float64, len(n.routes))
-		for r := range n.routes {
-			if n.uses[r][l] {
-				a[l][r] = 1
-			}
-		}
-	}
-	return a
-}
-
 // LinkLoads returns, for each link, the total entanglement rate Σ_n a_ln·φ_n
 // imposed by the route allocation phi (pairs/second).
 func (n *Network) LinkLoads(phi []float64) ([]float64, error) {

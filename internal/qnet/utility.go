@@ -93,13 +93,3 @@ func (n *Network) LogUtility(phi, w []float64) (float64, error) {
 	}
 	return s, nil
 }
-
-// UtilityFromRates evaluates U_qkd at the capacity-saturating Werner point
-// w* of Eq. (18), the configuration Stage 1 proves optimal.
-func (n *Network) UtilityFromRates(phi []float64) (float64, error) {
-	w, err := n.WernerFromRates(phi)
-	if err != nil {
-		return 0, err
-	}
-	return n.Utility(phi, w)
-}

@@ -185,27 +185,38 @@ func TestLogUtilityNonPositiveRate(t *testing.T) {
 	}
 }
 
+// TestUtilityFromRates pins the Werner point of Eq. (18) as Stage 1's
+// optimum for given rates: U_qkd is positive there, and lowering the
+// Werner parameter of any link never raises it — strictly lowering it
+// when a route crosses that link.
 func TestUtilityFromRates(t *testing.T) {
 	n := SURFnet()
 	phi := []float64{2, 1, 1, 2, 0.7, 0.6}
-	u, err := n.UtilityFromRates(phi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u <= 0 {
-		t.Errorf("UtilityFromRates = %v, want > 0", u)
-	}
-	// Must equal explicit two-step computation.
 	w, err := n.WernerFromRates(phi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u2, err := n.Utility(phi, w)
+	u, err := n.Utility(phi, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u != u2 {
-		t.Errorf("UtilityFromRates = %v, explicit = %v", u, u2)
+	if u <= 0 {
+		t.Fatalf("utility at the Eq. (18) point = %v, want > 0", u)
+	}
+	for l := 0; l < n.NumLinks(); l++ {
+		lower := append([]float64(nil), w...)
+		lower[l] -= 0.01
+		ul, err := n.Utility(phi, lower)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := false
+		for r := range phi {
+			used = used || n.Uses(r, l)
+		}
+		if ul > u || (used && ul >= u) {
+			t.Errorf("link %d (used %v): utility %v after lowering w, %v at the Eq. (18) point", l, used, ul, u)
+		}
 	}
 }
 

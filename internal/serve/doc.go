@@ -27,8 +27,8 @@
 // traffic cost nothing.
 //
 // Scheduler fans jobs out across the pools through one bounded queue:
-// Submit targets the default pool, SubmitTo any profile's pool. When the
-// queue is at its live depth bound, Submit fails fast with ErrOverloaded
+// SubmitTo targets a profile's pool, nil the default one. When the
+// queue is at its live depth bound, SubmitTo fails fast with ErrOverloaded
 // instead of buffering without limit: explicit backpressure the protocol
 // layer maps onto typed replies so clients can shed or retry. The live
 // bound is resizable within the built capacity (Resize) — the control

@@ -119,11 +119,6 @@ func (s *Scheduler) drain(c *classQueue) {
 	}
 }
 
-// Submit enqueues a job for the scheduler's default pool. It returns
-// ErrOverloaded when the pool's queue share is full (or the scheduler is
-// closed); the job then never runs.
-func (s *Scheduler) Submit(job Job) error { return s.SubmitTo(nil, job) }
-
 // SubmitTo enqueues a job to run on a worker of the given pool (nil
 // selects the default pool) without blocking. It returns ErrOverloaded
 // when the pool's queue share is full or the scheduler is closed.
@@ -153,25 +148,11 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 	return nil
 }
 
-// Share reports the pool's current queue share in slots (nil selects the
-// default pool) — the admission bound SubmitTo enforces for it.
-func (s *Scheduler) Share(pool *EvalPool) int {
-	if pool == nil {
-		pool = s.pool
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.classes[pool] == nil {
-		return 0
-	}
-	return s.shareLocked()
-}
-
 // OnQueueWait installs an observer called with each job's queue wait —
 // the time between a successful submit and a drain goroutine picking it
 // up. The scheduler stays free of any metrics dependency; the serving
 // layer points this at its queue-wait histogram. A nil fn removes the
-// observer. Safe to call concurrently with Submit.
+// observer. Safe to call concurrently with SubmitTo.
 func (s *Scheduler) OnQueueWait(fn func(time.Duration)) {
 	if fn == nil {
 		s.waitObs.Store(nil)
@@ -195,7 +176,7 @@ func (s *Scheduler) MaxCapacity() int { return s.maxDepth }
 // Class shares scale with it. Shrinking never drops queued jobs: entries
 // beyond the new bound drain normally while new submissions shed until
 // occupancy falls below their class share. Safe to call concurrently
-// with Submit.
+// with SubmitTo.
 func (s *Scheduler) Resize(depth int) {
 	if depth < 1 {
 		depth = 1

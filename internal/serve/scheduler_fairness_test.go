@@ -23,7 +23,7 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 	light := fairnessPool()
 	sched := NewScheduler(heavy, 8)
 	defer sched.Close()
-	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 8 || ls != 0 {
+	if hs, ls := share(sched, heavy), share(sched, light); hs != 8 || ls != 0 {
 		t.Fatalf("shares %d/%d, want 8/0 (one class holds the whole limit, an unregistered pool nothing)", hs, ls)
 	}
 	// The light class registers by its first submission: from then on its
@@ -33,7 +33,7 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-first
-	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 4 || ls != 4 {
+	if hs, ls := share(sched, heavy), share(sched, light); hs != 4 || ls != 4 {
 		t.Fatalf("shares %d/%d, want 4/4 (limit 8, two classes)", hs, ls)
 	}
 
@@ -73,11 +73,11 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 
 	// Shares track the live limit and never fall below one slot.
 	sched.Resize(4)
-	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 2 || ls != 2 {
+	if hs, ls := share(sched, heavy), share(sched, light); hs != 2 || ls != 2 {
 		t.Errorf("resized shares %d/%d, want 2/2", hs, ls)
 	}
 	sched.Resize(1)
-	if hs, ls := sched.Share(heavy), sched.Share(light); hs != 1 || ls != 1 {
+	if hs, ls := share(sched, heavy), share(sched, light); hs != 1 || ls != 1 {
 		t.Errorf("floor shares %d/%d, want 1/1", hs, ls)
 	}
 }
@@ -119,4 +119,15 @@ func TestSchedulerShareAdmitsLateClass(t *testing.T) {
 		t.Fatal("late class job never ran")
 	}
 	close(release)
+}
+
+// share reports the pool's current queue share in slots (0 for a pool
+// with no class yet) — the admission bound SubmitTo enforces for it.
+func share(s *Scheduler, pool *EvalPool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.classes[pool] == nil {
+		return 0
+	}
+	return s.shareLocked()
 }

@@ -263,16 +263,16 @@ func TestSchedulerBackpressure(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	// First job occupies the single worker...
-	if err := sched.Submit(func(*Worker) { close(started); <-release }); err != nil {
+	if err := sched.SubmitTo(nil, func(*Worker) { close(started); <-release }); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// ...second fills the queue...
-	if err := sched.Submit(func(*Worker) {}); err != nil {
+	if err := sched.SubmitTo(nil, func(*Worker) {}); err != nil {
 		t.Fatal(err)
 	}
 	// ...third must be shed.
-	err := sched.Submit(func(*Worker) {})
+	err := sched.SubmitTo(nil, func(*Worker) {})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expected ErrOverloaded, got %v", err)
 	}
@@ -289,7 +289,7 @@ func TestSchedulerDrainsOnClose(t *testing.T) {
 	var done atomic.Int64
 	const jobs = 20
 	for i := 0; i < jobs; i++ {
-		if err := sched.Submit(func(*Worker) { done.Add(1) }); err != nil {
+		if err := sched.SubmitTo(nil, func(*Worker) { done.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,8 +297,8 @@ func TestSchedulerDrainsOnClose(t *testing.T) {
 	if done.Load() != jobs {
 		t.Errorf("ran %d of %d queued jobs before Close returned", done.Load(), jobs)
 	}
-	if err := sched.Submit(func(*Worker) {}); !errors.Is(err, ErrOverloaded) {
-		t.Errorf("Submit after Close = %v, want ErrOverloaded", err)
+	if err := sched.SubmitTo(nil, func(*Worker) {}); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("SubmitTo after Close = %v, want ErrOverloaded", err)
 	}
 	sched.Close() // idempotent
 }

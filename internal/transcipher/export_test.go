@@ -1,5 +1,7 @@
 package transcipher
 
+import "quhe/internal/he/ckks"
+
 // Test-only access for the external kernel tests, which import
 // he/profile (itself an importer of this package) and so cannot live in
 // package transcipher.
@@ -13,6 +15,17 @@ func (c *Cipher) CoeffBlock(nonce []byte, block uint32) (a, b, cc [][]float64, e
 		return nil, nil, nil, err
 	}
 	return sc.a, sc.b, sc.cc, nil
+}
+
+// HomomorphicKeystream evaluates the keystream block on the encrypted key,
+// Enc(ks) at level top−2: the server-side core of transciphering, kept as
+// the oracle the fused path's keystream half must match.
+func (c *Cipher) HomomorphicKeystream(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32) (*ckks.Ciphertext, error) {
+	sc := c.NewScratch()
+	if err := c.coeffBlockInto(nonce, block, sc); err != nil {
+		return nil, err
+	}
+	return c.evalKeystream(sc, ev, rlk, encKey)
 }
 
 // Scale exposes the encoding scale (the top rescaling prime).

@@ -81,8 +81,8 @@ func (r *reference) keystream(encKey []*ckks.Ciphertext, a, b, cc [][]float64) (
 	return ev.Add(lin, quad)
 }
 
-// affine is the pre-fusion TranscipherAffine; nil weights and bias give
-// the pre-fusion Transcipher.
+// affine is the pre-fusion TranscipherAffineWith; nil weights and bias
+// give pre-fusion plain transciphering.
 func (r *reference) affine(encKey []*ckks.Ciphertext, nonce []byte, block uint32, masked, weights, bias []float64) (*ckks.Ciphertext, error) {
 	a, b, cc, err := r.c.CoeffBlock(nonce, block)
 	if err != nil {
@@ -249,11 +249,11 @@ func TestKernelBitIdentity(t *testing.T) {
 				}
 				sameCiphertext(t, what+": nil weights", got, wantPlain)
 			}
-			got, err := c.Transcipher(ev, r.rlk, form.key, fx.nonce, block, fx.masked)
+			got, err := c.TranscipherAffineWith(nil, ev, r.rlk, form.key, fx.nonce, block, fx.masked, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameCiphertext(t, id+", "+form.name+": Transcipher", got, wantPlain)
+			sameCiphertext(t, id+", "+form.name+": nil scratch", got, wantPlain)
 			if got, err = c.HomomorphicKeystream(ev, r.rlk, form.key, fx.nonce, block); err != nil {
 				t.Fatal(err)
 			}

@@ -316,20 +316,6 @@ func (c *Cipher) Mask(key []float64, nonce []byte, block uint32, data []float64)
 	return out, nil
 }
 
-// Unmask inverts Mask given the key (client-side decryption; the server
-// uses Transcipher instead).
-func (c *Cipher) Unmask(key []float64, nonce []byte, block uint32, masked []float64) ([]float64, error) {
-	ks, err := c.Keystream(key, nonce, block)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(masked))
-	for i := range masked {
-		out[i] = masked[i] - ks[i]
-	}
-	return out, nil
-}
-
 // EncryptKey produces the HE encryption of the key the client uploads:
 // one ciphertext per key coordinate, slot-replicated (avoiding rotations).
 // A slot vector that holds k in every slot is the constant polynomial k,
@@ -412,16 +398,6 @@ func (c *Cipher) evalKeys(sc *Scratch, encKey []*ckks.Ciphertext) ([]*ckks.Ciphe
 	return sc.conv, nil
 }
 
-// HomomorphicKeystream evaluates the keystream block on the encrypted key:
-// the server-side core of transciphering. The result sits at level top−2.
-func (c *Cipher) HomomorphicKeystream(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32) (*ckks.Ciphertext, error) {
-	sc := c.NewScratch()
-	if err := c.coeffBlockInto(nonce, block, sc); err != nil {
-		return nil, err
-	}
-	return c.evalKeystream(sc, ev, rlk, encKey)
-}
-
 // evalKeystream evaluates A·k + (B·k)⊙(C·k) homomorphically for the public
 // coefficient matrices in sc.a, sc.b, sc.cc, returning a freshly
 // allocated ciphertext at level top−2 and scale Δ²/p; everything else
@@ -479,34 +455,27 @@ func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinK
 	return ks, nil
 }
 
-// Transcipher converts a masked (symmetrically encrypted) block into a
-// CKKS ciphertext of the underlying data: Enc(m) = Trivial(masked) − Enc(ks).
-func (c *Cipher) Transcipher(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32, masked []float64) (*ckks.Ciphertext, error) {
-	return c.TranscipherAffineWith(nil, ev, rlk, encKey, nonce, block, masked, nil, nil)
-}
-
-// TranscipherAffine fuses a slot-wise affine model into transciphering,
-// producing Enc(w⊙m + bias) at no extra homomorphic depth: the public
-// keystream coefficients are scaled by w before evaluation (so the server
-// computes Enc(w⊙ks)), while w⊙masked + bias is computed in plaintext —
+// TranscipherAffineWith converts a masked (symmetrically encrypted) block
+// into a CKKS ciphertext of the underlying data with a slot-wise affine
+// model fused in, producing Enc(w⊙m + bias) at no extra homomorphic
+// depth: the public keystream coefficients are scaled by w before
+// evaluation (so the server computes Enc(w⊙ks)), while w⊙masked + bias
+// is computed in plaintext —
 //
 //	Enc(w⊙m + bias) = Trivial(w⊙masked + bias) − Enc(w⊙ks).
 //
 // This is the linear-layer fusion used by RtF-style pipelines. |w| should
-// stay ≤ ~2 to preserve the evaluation's modulus headroom.
-func (c *Cipher) TranscipherAffine(ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32, masked, weights, bias []float64) (*ckks.Ciphertext, error) {
-	return c.TranscipherAffineWith(nil, ev, rlk, encKey, nonce, block, masked, weights, bias)
-}
-
-// TranscipherAffineWith is TranscipherAffine with caller-provided scratch
-// buffers — the serving hot path, where each pool worker reuses one
-// Scratch across every block it processes. A nil scratch allocates a
-// fresh one (equivalent to TranscipherAffine). encKey may be an installed
-// key (InstallKey; what a session holds) or still in coefficient form, in
+// stay ≤ ~2 to preserve the evaluation's modulus headroom. Weights and
+// bias shorter than the block leave the remaining slots at w = 1,
+// bias = 0, so nil weights and bias give plain transciphering,
+// Enc(m) = Trivial(masked) − Enc(ks).
+//
+// sc holds the call's buffers — the serving hot path, where each pool
+// worker reuses one Scratch across every block it processes; a nil
+// scratch allocates a fresh one. encKey may be an installed key
+// (InstallKey; what a session holds) or still in coefficient form, in
 // which case it is converted into the scratch for this call and left
-// untouched; the result is bit-identical either way. Weights and bias
-// shorter than the block leave the remaining slots at w = 1, bias = 0, so
-// nil weights and bias give the plain Transcipher.
+// untouched; the result is bit-identical either way.
 func (c *Cipher) TranscipherAffineWith(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext, nonce []byte, block uint32, masked, weights, bias []float64) (*ckks.Ciphertext, error) {
 	slots := c.Slots()
 	if len(masked) > slots || len(weights) > slots || len(bias) > slots {

@@ -113,13 +113,13 @@ func TestMaskUnmaskRoundTrip(t *testing.T) {
 	if movedCount < len(data)/2 {
 		t.Errorf("only %d of %d slots masked", movedCount, len(data))
 	}
-	got, err := c.Unmask(key, nonce, 0, masked)
+	ks, err := c.Keystream(key, nonce, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
-		if math.Abs(got[i]-data[i]) > 1e-12 {
-			t.Fatalf("slot %d: %v != %v", i, got[i], data[i])
+		if got := masked[i] - ks[i]; math.Abs(got-data[i]) > 1e-12 {
+			t.Fatalf("slot %d: %v != %v", i, got, data[i])
 		}
 	}
 }
@@ -424,7 +424,7 @@ func TestTranscipherEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := c.Transcipher(ev, rlk, encKey, nonce, 3, masked)
+	ct, err := c.TranscipherAffineWith(nil, ev, rlk, encKey, nonce, 3, masked, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestTranscipheredComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := c.Transcipher(ev, rlk, encKey, []byte("n"), 0, masked)
+	ct, err := c.TranscipherAffineWith(nil, ev, rlk, encKey, []byte("n"), 0, masked, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestTranscipheredComputation(t *testing.T) {
 
 // TestScratchReuseMatchesAllocating drives the serving hot path: one
 // Scratch reused across several blocks must produce bit-identical
-// ciphertexts to the allocating TranscipherAffine, including blocks that
+// ciphertexts to a fresh scratch per call, including blocks that
 // cover only a prefix of the slots (stale staging data must not leak).
 func TestScratchReuseMatchesAllocating(t *testing.T) {
 	c, ctx := testCipher(t)
@@ -539,7 +539,7 @@ func TestScratchReuseMatchesAllocating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.TranscipherAffine(evA, rlk, encKey, nonce, block, masked, weights, bias)
+		want, err := c.TranscipherAffineWith(nil, evA, rlk, encKey, nonce, block, masked, weights, bias)
 		if err != nil {
 			t.Fatal(err)
 		}

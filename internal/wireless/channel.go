@@ -5,7 +5,6 @@
 package wireless
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -27,12 +26,6 @@ func PathLossDB(dKm float64) float64 {
 
 // DBToLinear converts a decibel quantity to linear scale.
 func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
-
-// LinearToDB converts a linear power ratio to decibels.
-func LinearToDB(x float64) float64 { return 10 * math.Log10(x) }
-
-// DBmToWatts converts a power in dBm to watts.
-func DBmToWatts(dbm float64) float64 { return math.Pow(10, dbm/10) / 1000 }
 
 // Fading selects the small-scale fading distribution of a ChannelModel.
 type Fading int
@@ -125,84 +118,3 @@ func TxDelay(bits, rate float64) float64 {
 
 // TxEnergy returns Eq. (12): transmit power times transmission delay.
 func TxEnergy(pW, delay float64) float64 { return pW * delay }
-
-// FDMAPool tracks FDMA sub-band reservations against a total bandwidth
-// budget (Constraint 17f). It is safe for concurrent use by the edge server.
-type FDMAPool struct {
-	mu       sync.Mutex
-	total    float64
-	reserved map[string]float64
-}
-
-// NewFDMAPool creates a pool with the given total bandwidth in Hz.
-func NewFDMAPool(totalHz float64) (*FDMAPool, error) {
-	if totalHz <= 0 {
-		return nil, fmt.Errorf("wireless: total bandwidth must be positive, got %g", totalHz)
-	}
-	return &FDMAPool{total: totalHz, reserved: make(map[string]float64)}, nil
-}
-
-// Total returns the pool's total bandwidth in Hz.
-func (p *FDMAPool) Total() float64 { return p.total }
-
-// Available returns the unreserved bandwidth in Hz.
-func (p *FDMAPool) Available() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.available()
-}
-
-func (p *FDMAPool) available() float64 {
-	used := 0.0
-	for _, b := range p.reserved {
-		used += b
-	}
-	return p.total - used
-}
-
-// Reserve books bandwidth for a client, replacing any previous reservation
-// under the same ID. It fails without side effects when the pool would
-// overflow.
-func (p *FDMAPool) Reserve(id string, bHz float64) error {
-	if bHz <= 0 {
-		return fmt.Errorf("wireless: reservation must be positive, got %g", bHz)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	prev := p.reserved[id]
-	if p.available()+prev < bHz {
-		return fmt.Errorf("wireless: cannot reserve %g Hz for %q: only %g Hz available", bHz, id, p.available()+prev)
-	}
-	p.reserved[id] = bHz
-	return nil
-}
-
-// Release frees a client's reservation; releasing an unknown ID is a no-op.
-func (p *FDMAPool) Release(id string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.reserved, id)
-}
-
-// Reservation returns the bandwidth currently reserved for id (0 if none).
-func (p *FDMAPool) Reservation(id string) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reserved[id]
-}
-
-// EvenSplit reserves total/n for each of the given IDs, releasing all prior
-// reservations first. It implements the AA/OLAA baselines' bandwidth rule.
-func (p *FDMAPool) EvenSplit(ids []string) error {
-	if len(ids) == 0 {
-		return fmt.Errorf("wireless: EvenSplit needs at least one client")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.reserved = make(map[string]float64, len(ids))
-	share := p.total / float64(len(ids))
-	for _, id := range ids {
-		p.reserved[id] = share
-	}
-	return nil
-}

@@ -26,14 +26,9 @@ func TestUnitConversions(t *testing.T) {
 	if got := DBToLinear(30); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("DBToLinear(30) = %v, want 1000", got)
 	}
-	if got := LinearToDB(100); math.Abs(got-20) > 1e-12 {
-		t.Errorf("LinearToDB(100) = %v, want 20", got)
-	}
-	if got := DBmToWatts(30); math.Abs(got-1) > 1e-12 {
-		t.Errorf("DBmToWatts(30) = %v, want 1 W", got)
-	}
-	if got := DBmToWatts(-174); math.Abs(got-DefaultNoisePSDWHz) > 1e-30 {
-		t.Errorf("DBmToWatts(-174) = %v, want %v", got, DefaultNoisePSDWHz)
+	// −174 dBm/Hz: 10^(−174/10) mW/Hz, in W/Hz.
+	if want := math.Pow(10, -174.0/10) / 1000; math.Abs(DefaultNoisePSDWHz-want) > 1e-30 {
+		t.Errorf("DefaultNoisePSDWHz = %v, want %v", DefaultNoisePSDWHz, want)
 	}
 }
 
@@ -161,91 +156,4 @@ func TestChannelModelConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestFDMAPool(t *testing.T) {
-	p, err := NewFDMAPool(10e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Total() != 10e6 || p.Available() != 10e6 {
-		t.Errorf("fresh pool: total %v available %v", p.Total(), p.Available())
-	}
-	if err := p.Reserve("a", 6e6); err != nil {
-		t.Fatalf("Reserve a: %v", err)
-	}
-	if err := p.Reserve("b", 6e6); err == nil {
-		t.Error("over-reservation accepted")
-	}
-	if err := p.Reserve("b", 4e6); err != nil {
-		t.Fatalf("Reserve b: %v", err)
-	}
-	if p.Available() != 0 {
-		t.Errorf("Available = %v, want 0", p.Available())
-	}
-	// Re-reserving the same ID replaces, not adds.
-	if err := p.Reserve("a", 5e6); err != nil {
-		t.Fatalf("re-Reserve a: %v", err)
-	}
-	if got := p.Reservation("a"); got != 5e6 {
-		t.Errorf("Reservation(a) = %v, want 5e6", got)
-	}
-	p.Release("a")
-	if got := p.Reservation("a"); got != 0 {
-		t.Errorf("after Release, Reservation(a) = %v", got)
-	}
-	p.Release("missing") // no-op
-	if err := p.Reserve("c", -1); err == nil {
-		t.Error("negative reservation accepted")
-	}
-}
-
-func TestFDMAPoolEvenSplit(t *testing.T) {
-	p, err := NewFDMAPool(12e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []string{"n1", "n2", "n3"}
-	if err := p.EvenSplit(ids); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		if got := p.Reservation(id); got != 4e6 {
-			t.Errorf("Reservation(%s) = %v, want 4e6", id, got)
-		}
-	}
-	if err := p.EvenSplit(nil); err == nil {
-		t.Error("empty EvenSplit accepted")
-	}
-}
-
-func TestFDMAPoolConcurrent(t *testing.T) {
-	p, err := NewFDMAPool(1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			name := string(rune('a' + id))
-			for j := 0; j < 200; j++ {
-				if err := p.Reserve(name, 1e5); err == nil {
-					p.Release(name)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	// Pool must be consistent: nothing should remain over-reserved.
-	if avail := p.Available(); avail < 0 || avail > 1e6 {
-		t.Errorf("Available = %v after concurrent churn", avail)
-	}
-}
-
-func TestNewFDMAPoolInvalid(t *testing.T) {
-	if _, err := NewFDMAPool(0); err == nil {
-		t.Error("zero-bandwidth pool accepted")
-	}
 }
