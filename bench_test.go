@@ -214,7 +214,7 @@ func BenchmarkStage3FractionalProgramming(b *testing.B) {
 	v := stage1Vars(b, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.SolveStage3(v, core.Stage3Options{}); err != nil {
+		if _, err := cfg.SolveStage3(v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,31 +6,22 @@ import (
 	"time"
 )
 
+// Algorithm 4's outer loop: it stops when the P1 objective moves by less
+// than quheTol (relative; the paper's accuracy ε), or after quheMaxOuter
+// alternations of Stages 2 and 3.
+const (
+	quheTol      = 1e-4
+	quheMaxOuter = 10
+)
+
 // QuHEOptions tunes the whole-procedure Algorithm 4.
 type QuHEOptions struct {
-	// Tol is the outer convergence tolerance on the P1 objective; the
-	// paper's accuracy ε = 1e-4 is the default.
-	Tol float64
-	// MaxOuter bounds alternating iterations. Default 10.
-	MaxOuter int
 	// Initial overrides the deterministic feasible start (used by the
 	// Fig. 3 random-initialization study).
 	Initial *Variables
 	// Stage2Exhaustive switches Stage 2 from branch & bound to exhaustive
 	// enumeration (ablation).
 	Stage2Exhaustive bool
-	// Stage3 forwards options to Algorithm 3.
-	Stage3 Stage3Options
-}
-
-func (o QuHEOptions) defaults() QuHEOptions {
-	if o.Tol <= 0 {
-		o.Tol = 1e-4
-	}
-	if o.MaxOuter <= 0 {
-		o.MaxOuter = 10
-	}
-	return o
 }
 
 // SolveResult is the outcome of SolveQuHE or SolveBaseline.
@@ -51,7 +42,7 @@ type SolveResult struct {
 	Stage1 Stage1Result
 	Stage2 Stage2Result
 	Stage3 Stage3Result
-	// Converged reports outer-loop convergence within MaxOuter.
+	// Converged reports outer-loop convergence within quheMaxOuter.
 	Converged bool
 }
 
@@ -59,9 +50,8 @@ type SolveResult struct {
 // block (φ,w) is separable from the rest of the objective, so its optimum
 // never changes across outer iterations — matching Fig. 5(a)'s single call
 // per stage), then alternating Stage 2 / Stage 3 until the P1 objective
-// moves by less than Tol.
-func (c *Config) SolveQuHE(opts QuHEOptions) (SolveResult, error) {
-	o := opts.defaults()
+// moves by less than quheTol.
+func (c *Config) SolveQuHE(o QuHEOptions) (SolveResult, error) {
 	start := time.Now()
 	var res SolveResult
 
@@ -82,7 +72,7 @@ func (c *Config) SolveQuHE(opts QuHEOptions) (SolveResult, error) {
 	v.W = s1.W
 
 	prev := math.Inf(-1)
-	for iter := 0; iter < o.MaxOuter; iter++ {
+	for iter := 0; iter < quheMaxOuter; iter++ {
 		res.OuterIters++
 
 		s2, err := c.SolveStage2(v, !o.Stage2Exhaustive)
@@ -95,7 +85,7 @@ func (c *Config) SolveQuHE(opts QuHEOptions) (SolveResult, error) {
 		v.Lambda = s2.Lambda
 		v.T = s2.TS2
 
-		s3, err := c.SolveStage3(v, o.Stage3)
+		s3, err := c.SolveStage3(v)
 		if err != nil {
 			return res, fmt.Errorf("core: quhe outer %d: %w", iter, err)
 		}
@@ -108,7 +98,7 @@ func (c *Config) SolveQuHE(opts QuHEOptions) (SolveResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("core: quhe outer %d evaluate: %w", iter, err)
 		}
-		if math.Abs(ev.Objective-prev) < o.Tol*(1+math.Abs(ev.Objective)) {
+		if math.Abs(ev.Objective-prev) < quheTol*(1+math.Abs(ev.Objective)) {
 			res.Converged = true
 			prev = ev.Objective
 			break
@@ -208,7 +198,7 @@ func (c *Config) SolveBaseline(kind BaselineKind) (SolveResult, error) {
 		res.StageRuntime[1] += s2.Runtime
 		v.Lambda = s2.Lambda
 	case BaselineOCCR:
-		s3, err := c.SolveStage3(v, Stage3Options{})
+		s3, err := c.SolveStage3(v)
 		if err != nil {
 			return res, fmt.Errorf("core: baseline OCCR: %w", err)
 		}

@@ -28,6 +28,31 @@ func TestQuHEConvergesAndIsFeasible(t *testing.T) {
 	}
 }
 
+// TestSolveQuHEObjectivePinned pins the P1 objective SolveQuHE reaches on
+// five paper configurations, so a change to how the stages are solved
+// cannot move the optimum unnoticed. Barriers on finite-difference and on
+// exact derivatives both reach these values, to ~1e-12.
+func TestSolveQuHEObjectivePinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want float64
+	}{
+		{1, 7.91263764922},
+		{2, 7.86831465965},
+		{3, 7.90029575738},
+		{7, 7.91777359533},
+		{42, 7.82661211768},
+	} {
+		res, err := PaperConfig(tc.seed).SolveQuHE(QuHEOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", tc.seed, err)
+		}
+		if got := res.Eval.Objective; math.Abs(got-tc.want) > 1e-6*math.Abs(tc.want) {
+			t.Errorf("seed %d: objective %.11f, want %.11f (±1e-6 relative)", tc.seed, got, tc.want)
+		}
+	}
+}
+
 // TestMethodOrdering pins the headline shape of Fig. 5(d):
 // AA < OLAA, AA < OCCR, and QuHE strictly dominates every baseline.
 func TestMethodOrdering(t *testing.T) {

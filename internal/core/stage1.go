@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"quhe/internal/mathutil"
 	"quhe/internal/optimize"
 	"quhe/internal/qnet"
 )
@@ -122,28 +123,72 @@ func (c *Config) alphaShift() float64 { return -math.Log(c.AlphaQKD) }
 
 func (c *Config) solveStage1Barrier(prog qnet.Stage1) (Stage1Result, error) {
 	var res Stage1Result
-	n := c.N()
-
-	// Objective in ϕ-space: P3 (20). phiOf maps ϕ to rates in one buffer the
-	// objective and the (20c) constraints share — the barrier evaluates them
-	// one at a time, thousands of times per Newton step.
-	phi := make([]float64, n)
-	phiOf := func(x []float64) []float64 {
-		for i := range x {
-			phi[i] = math.Exp(x[i])
-		}
-		return phi
+	f0, ineqs, x0 := c.stage1Barrier(prog)
+	if f0.F(x0) == math.Inf(1) {
+		return res, fmt.Errorf("core: stage 1 start infeasible (PhiMin too aggressive)")
 	}
-	shift := c.alphaShift()
-	f0 := func(x []float64) float64 { return prog.Objective(phiOf(x)) + shift }
+	bres, err := optimize.MinimizeBarrier(f0, ineqs, x0, optimize.BarrierOptions{Tol: 1e-7})
+	if err != nil {
+		return res, fmt.Errorf("core: stage 1 barrier: %w", err)
+	}
+	res.Phi = expAll(bres.X)
+	res.Objective = bres.Value
+	res.Iters = bres.NewtonIters
+	res.Trace = bres.Values
+	res.Converged = bres.Converged
+	return res, nil
+}
 
-	var ineqs []optimize.Ineq
+// stage1Barrier states P3 (20) over ϕ = ln φ, where it is convex (Kar &
+// Wehner): the objective −Σ_n [ϕ_n + ln F_skf(̟_n)] − ln α_qkd, the
+// constraints (20a)–(20c), each with exact derivatives, and a strictly
+// feasible start.
+func (c *Config) stage1Barrier(prog qnet.Stage1) (f0 optimize.Smooth, ineqs []optimize.Smooth, x0 []float64) {
+	n := c.N()
+	shift := c.alphaShift()
+	// With F' = log2((1+w)/(1−w)) and F'' = 2/((1−w²) ln 2), each route
+	// adds −(F'/F)∇̟ to the gradient and −[(F''/F − (F'/F)²)∇̟∇̟ᵀ +
+	// (F'/F)∇²̟] to the Hessian; the −ϕ_n terms add −1 to the gradient.
+	skf := func(w float64) (d1, d2 float64) {
+		f := qnet.SecretKeyFraction(w)
+		d1 = math.Log2((1+w)/(1-w)) / f
+		return d1, 2/((1-w*w)*math.Ln2)/f - d1*d1
+	}
+	f0 = optimize.Smooth{
+		F: func(x []float64) float64 { return prog.Objective(expAll(x)) + shift },
+		Grad: func(x []float64) []float64 {
+			phi := expAll(x)
+			g := mathutil.Fill(n, -1)
+			for r := 0; r < n; r++ {
+				w, gw, _ := c.werner(r, phi)
+				d1, _ := skf(w)
+				mathutil.AXPYInPlace(-d1, gw, g)
+			}
+			return g
+		},
+		Hess: func(x []float64) [][]float64 {
+			phi := expAll(x)
+			h := mathutil.Square(n)
+			for r := 0; r < n; r++ {
+				w, gw, hw := c.werner(r, phi)
+				d1, d2 := skf(w)
+				for i := range h {
+					for j := range h[i] {
+						h[i][j] -= d2*gw[i]*gw[j] + d1*hw[i][j]
+					}
+				}
+			}
+			return h
+		},
+	}
+
 	// (20a): ϕ_n ≥ ln φ_min — linear in ϕ-space.
 	for i := 0; i < n; i++ {
 		ineqs = append(ineqs, optimize.BoundIneq(n, i, -1, math.Log(c.PhiMin[i])))
 	}
 	// (20b): Σ a_ln e^{ϕ_n} < β_l for every used link, normalized by β_l so
-	// all barrier terms share a scale.
+	// all barrier terms share a scale. Its gradient is a_ln e^{ϕ_n}/β_l,
+	// which is also its (diagonal) Hessian.
 	for l := 0; l < c.Net.NumLinks(); l++ {
 		used := false
 		for r := 0; r < n; r++ {
@@ -155,45 +200,119 @@ func (c *Config) solveStage1Barrier(prog qnet.Stage1) (Stage1Result, error) {
 		if !used {
 			continue
 		}
-		l := l
 		beta := c.Net.Link(l).Beta
-		ineqs = append(ineqs, optimize.FuncIneq(func(x []float64) float64 {
-			load := 0.0
+		grad := func(x []float64) []float64 {
+			g := make([]float64, n)
 			for r := 0; r < n; r++ {
 				if c.Net.Uses(r, l) {
-					load += math.Exp(x[r])
+					g[r] = math.Exp(x[r]) / beta
 				}
 			}
-			return load/beta - 1
-		}))
+			return g
+		}
+		ineqs = append(ineqs, optimize.Smooth{
+			F:    func(x []float64) float64 { return mathutil.Sum(grad(x)) - 1 },
+			Grad: grad,
+			Hess: func(x []float64) [][]float64 {
+				h := mathutil.Square(n)
+				for r, v := range grad(x) {
+					h[r][r] = v
+				}
+				return h
+			},
+		})
 	}
 	// (20c): ̟_n > WernerZeroSKF for every route. A small margin keeps the
 	// objective's own log term finite strictly inside the region.
 	for r := 0; r < n; r++ {
-		r := r
-		ineqs = append(ineqs, optimize.FuncIneq(func(x []float64) float64 {
-			return qnet.WernerZeroSKF*(1+1e-9) - c.Net.RouteWerner(r, phiOf(x))
-		}))
+		ineqs = append(ineqs, optimize.Smooth{
+			F: func(x []float64) float64 {
+				return qnet.WernerZeroSKF*(1+1e-9) - c.Net.RouteWerner(r, expAll(x))
+			},
+			Grad: func(x []float64) []float64 {
+				_, g, _ := c.werner(r, expAll(x))
+				return mathutil.Scale(-1, g)
+			},
+			Hess: func(x []float64) [][]float64 {
+				_, _, h := c.werner(r, expAll(x))
+				for _, row := range h {
+					for j := range row {
+						row[j] = -row[j]
+					}
+				}
+				return h
+			},
+		})
 	}
 
 	// Strictly feasible start: φ slightly above the minimum.
-	x0 := make([]float64, n)
+	x0 = make([]float64, n)
 	for i := range x0 {
 		x0[i] = math.Log(c.PhiMin[i] * 1.05)
 	}
-	if f0(x0) == math.Inf(1) {
-		return res, fmt.Errorf("core: stage 1 start infeasible (PhiMin too aggressive)")
+	return f0, ineqs, x0
+}
+
+// werner returns route r's end-to-end Werner parameter ̟_r at rates phi
+// with its gradient and Hessian in ϕ = ln φ. With u_l = Σ_q a_lq φ_q/β_l
+// the load of link l and c_l = 1/(β_l(1 − u_l)), ln ̟_r = Σ_{l∈r} ln(1 − u_l)
+// has
+//
+//	∂ ln ̟_r/∂ϕ_q = −Σ_{l∈r} a_lq φ_q c_l
+//	∂² ln ̟_r/∂ϕ_q∂ϕ_s = −Σ_{l∈r} a_lq φ_q c_l (δ_qs + a_ls φ_s c_l)
+//
+// and ∇̟_r = ̟_r ∇ln ̟_r, ∇²̟_r = ̟_r (∇² ln ̟_r + ∇ln ̟_r ∇ln ̟_rᵀ).
+func (c *Config) werner(r int, phi []float64) (w float64, g []float64, h [][]float64) {
+	n := len(phi)
+	g = make([]float64, n)
+	h = mathutil.Square(n)
+	v := make([]float64, n) // a_lq φ_q c_l for the current link
+	w = 1
+	for l := 0; l < c.Net.NumLinks(); l++ {
+		if !c.Net.Uses(r, l) {
+			continue
+		}
+		beta := c.Net.Link(l).Beta
+		load := 0.0
+		for q := range phi {
+			if c.Net.Uses(q, l) {
+				load += phi[q]
+			}
+		}
+		w *= 1 - load/beta
+		cl := 1 / (beta - load)
+		for q := range phi {
+			v[q] = 0
+			if c.Net.Uses(q, l) {
+				v[q] = phi[q] * cl
+			}
+		}
+		for q, vq := range v {
+			g[q] -= vq
+			h[q][q] -= vq
+			for s, vs := range v {
+				h[q][s] -= vq * vs
+			}
+		}
 	}
-	bres, err := optimize.MinimizeBarrier(f0, ineqs, x0, optimize.BarrierOptions{Tol: 1e-7})
-	if err != nil {
-		return res, fmt.Errorf("core: stage 1 barrier: %w", err)
+	for q := range g {
+		for s := range g {
+			h[q][s] = w * (h[q][s] + g[q]*g[s])
+		}
 	}
-	res.Phi = append([]float64(nil), phiOf(bres.X)...)
-	res.Objective = bres.Value
-	res.Iters = bres.NewtonIters
-	res.Trace = bres.Values
-	res.Converged = bres.Converged
-	return res, nil
+	for q := range g {
+		g[q] *= w
+	}
+	return w, g, h
+}
+
+// expAll returns e^x elementwise: the rates φ of log-rates ϕ.
+func expAll(x []float64) []float64 {
+	phi := make([]float64, len(x))
+	for i, v := range x {
+		phi[i] = math.Exp(v)
+	}
+	return phi
 }
 
 func (c *Config) solveStage1Heuristic(prog qnet.Stage1, opts Stage1Options) (Stage1Result, error) {

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"quhe/internal/optimize"
 )
 
 // stage2Fixture returns a config and variables after Stage 1, with server
@@ -142,7 +140,7 @@ func TestStage3ConstraintsHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Lambda = s2.Lambda
-	s3, err := c.SolveStage3(v, Stage3Options{})
+	s3, err := c.SolveStage3(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +165,7 @@ func TestStage3ImprovesOnStart(t *testing.T) {
 	}
 	startCost := c.AlphaT*startEval.Delay + c.AlphaE*startEval.Energy
 
-	s3, err := c.SolveStage3(v, Stage3Options{})
+	s3, err := c.SolveStage3(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +179,7 @@ func TestStage3ImprovesOnStart(t *testing.T) {
 
 func TestStage3GapTraceReachesTolerance(t *testing.T) {
 	c, v := stage2Fixture(t)
-	s3, err := c.SolveStage3(v, Stage3Options{Barrier: optimize.BarrierOptions{Tol: 1e-6}})
+	s3, err := c.SolveStage3(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +200,7 @@ func TestStage3GapTraceReachesTolerance(t *testing.T) {
 
 func TestStage3POBJTraceRecorded(t *testing.T) {
 	c, v := stage2Fixture(t)
-	s3, err := c.SolveStage3(v, Stage3Options{})
+	s3, err := c.SolveStage3(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +217,14 @@ func TestStage3POBJTraceRecorded(t *testing.T) {
 func TestStage3LambdaMismatch(t *testing.T) {
 	c, v := stage2Fixture(t)
 	v.Lambda = v.Lambda[:2]
-	if _, err := c.SolveStage3(v, Stage3Options{}); err == nil {
+	if _, err := c.SolveStage3(v); err == nil {
 		t.Error("short lambda accepted")
 	}
 }
 
 func TestStage3PowerWithinBounds(t *testing.T) {
 	c, v := stage2Fixture(t)
-	s3, err := c.SolveStage3(v, Stage3Options{})
+	s3, err := c.SolveStage3(v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,29 +11,14 @@ import (
 	"quhe/internal/optimize"
 )
 
-// Stage3Options tunes Algorithm 3. The zero value uses defaults.
-type Stage3Options struct {
-	// Tol is the outer (fractional-programming) convergence tolerance on
-	// the objective. Default 1e-5.
-	Tol float64
-	// MaxOuter bounds the z-update iterations. Default 30.
-	MaxOuter int
-	// Barrier configures the inner convex solves.
-	Barrier optimize.BarrierOptions
-}
-
-func (o Stage3Options) defaults() Stage3Options {
-	if o.Tol <= 0 {
-		// The inner barrier is solved to a duality gap of ~1e-6, so the
-		// outer objective carries noise of that order; a tighter outer
-		// tolerance would never be met.
-		o.Tol = 1e-5
-	}
-	if o.MaxOuter <= 0 {
-		o.MaxOuter = 30
-	}
-	return o
-}
+// Algorithm 3's outer loop: it stops when the P5 cost moves by less than
+// stage3Tol (relative), or after stage3MaxOuter z-updates. The inner
+// barrier is solved to a duality gap of ~1e-6, so the outer objective
+// carries noise of that order; a tighter outer tolerance would never be met.
+const (
+	stage3Tol      = 1e-5
+	stage3MaxOuter = 30
+)
 
 // Stage3Result reports a Stage-3 solve (Algorithm 3).
 type Stage3Result struct {
@@ -54,7 +39,7 @@ type Stage3Result struct {
 	// warm-started and carry no meaningful gap trajectory.
 	POBJ []float64
 	Gaps []float64
-	// Converged reports outer-loop convergence within MaxOuter.
+	// Converged reports outer-loop convergence within stage3MaxOuter.
 	Converged bool
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
@@ -102,25 +87,70 @@ func (s stage3Space) pack(p, b, fc, fs []float64, t float64) []float64 {
 	return x
 }
 
+// clientPoint is client i's resources at a scaled point x, the scales
+// that map its scaled power and clocks to them (∂p/∂p̃ and so on), and the
+// Shannon rate r(p, b) with its partials in the scaled power and bandwidth.
+type clientPoint struct {
+	p, b, fc, fs             float64
+	dp, dfc, dfs             float64
+	r, rp, rb, rpp, rpb, rbb float64
+}
+
+// client evaluates client i at the scaled point x. With a = g/N0 and
+// snr = a·p/b, r = b·log2(1 + snr) has
+//
+//	r_p = a/((1+snr) ln 2)            r_b = log2(1+snr) − snr/((1+snr) ln 2)
+//	r_pp = −a²/(b(1+snr)² ln 2)       r_pb = a·snr/(b(1+snr)² ln 2)
+//	r_bb = −snr²/(b(1+snr)² ln 2)
+//
+// each scaled by the chain rule. The partials are meaningful only inside
+// the domain p, b > 0.
+func (s stage3Space) client(x []float64, i int) clientPoint {
+	c, n := s.c, s.n
+	k := clientPoint{
+		p:   x[i] * c.PMax[i],
+		b:   x[n+i] * c.BTotal / float64(n),
+		fc:  x[2*n+i] * c.FCMax[i],
+		fs:  x[3*n+i] * c.FSTotal / float64(n),
+		dp:  c.PMax[i],
+		dfc: c.FCMax[i],
+		dfs: c.FSTotal / float64(n),
+	}
+	db := c.BTotal / float64(n)
+	k.r = c.Rate(i, k.p, k.b)
+	a := c.Gains[i] / c.NoisePSD
+	snr := a * k.p / k.b
+	q := 1 / ((1 + snr) * math.Ln2)
+	w := q / ((1 + snr) * k.b)
+	k.rp = a * q * k.dp
+	k.rb = (math.Log1p(snr)/math.Ln2 - snr*q) * db
+	k.rpp = -a * a * w * k.dp * k.dp
+	k.rpb = a * snr * w * k.dp * db
+	k.rbb = -snr * snr * w * db * db
+	return k
+}
+
+// rateTerm is the chain rule for a term φ(r) of the rate, given its first
+// and second derivatives d1 and d2 in r: the term's gradient and Hessian in
+// the scaled (p̃, b̃).
+func (k clientPoint) rateTerm(d1, d2 float64) (gp, gb, hpp, hpb, hbb float64) {
+	return d1 * k.rp, d1 * k.rb,
+		d2*k.rp*k.rp + d1*k.rpp, d2*k.rp*k.rb + d1*k.rpb, d2*k.rb*k.rb + d1*k.rbb
+}
+
 // delay returns client i's end-to-end delay at the scaled point x.
 func (s stage3Space) delay(x []float64, i int) float64 {
-	n := s.n
-	p := x[i] * s.c.PMax[i]
-	b := x[n+i] * s.c.BTotal / float64(n)
-	fc := x[2*n+i] * s.c.FCMax[i]
-	fs := x[3*n+i] * s.c.FSTotal / float64(n)
-	rate := s.c.Rate(i, p, b)
-	if rate <= 0 || fc <= 0 || fs <= 0 {
+	k := s.client(x, i)
+	if k.r <= 0 || k.fc <= 0 || k.fs <= 0 {
 		return math.Inf(1)
 	}
-	return s.c.SECycles[i]/fc + s.c.DTrBits[i]/rate + s.cycles[i]/fs
+	return s.c.SECycles[i]/k.fc + s.c.DTrBits[i]/k.r + s.cycles[i]/k.fs
 }
 
 // SolveStage3 runs Algorithm 3: alternating quadratic-transform updates
 // (Eq. 25) and inner barrier solves of the convexified problem P6 (Eq. 28),
 // with φ, w, λ fixed at v.
-func (c *Config) SolveStage3(v Variables, opts Stage3Options) (Stage3Result, error) {
-	o := opts.defaults()
+func (c *Config) SolveStage3(v Variables) (Stage3Result, error) {
 	start := time.Now()
 	var res Stage3Result
 	n := c.N()
@@ -163,7 +193,7 @@ func (c *Config) SolveStage3(v Variables, opts Stage3Options) (Stage3Result, err
 
 	z := make([]float64, n)
 	prevObj := math.Inf(1)
-	for outer := 0; outer < o.MaxOuter; outer++ {
+	for outer := 0; outer < stage3MaxOuter; outer++ {
 		res.Outer++
 		// Quadratic-transform update (Eq. 25): z_n = 1/(2 p_n d_n r_n).
 		pc, bc, _, _, _ := space.unpack(x)
@@ -179,11 +209,9 @@ func (c *Config) SolveStage3(v Variables, opts Stage3Options) (Stage3Result, err
 
 		// Warm start: after the first solve, x is near-optimal for the
 		// barely-changed z, so skip the early centering phases.
-		bopts := o.Barrier
+		var bopts optimize.BarrierOptions
 		if outer > 0 {
-			if bopts.T0 <= 0 {
-				bopts.T0 = 1e4
-			}
+			bopts.T0 = 1e4
 		}
 		bres, err := optimize.MinimizeBarrier(f0, ineqs, x, bopts)
 		if err != nil {
@@ -198,7 +226,7 @@ func (c *Config) SolveStage3(v Variables, opts Stage3Options) (Stage3Result, err
 
 		// True (untransformed) P5 objective for convergence checking.
 		obj := space.trueObjective(x)
-		if math.Abs(prevObj-obj) < o.Tol*(1+math.Abs(obj)) {
+		if math.Abs(prevObj-obj) < stage3Tol*(1+math.Abs(obj)) {
 			res.Converged = true
 			prevObj = obj
 			break
@@ -214,28 +242,61 @@ func (c *Config) SolveStage3(v Variables, opts Stage3Options) (Stage3Result, err
 
 // objective builds the convexified P6 cost (Eq. 28) for fixed z:
 //
-//	α_e Σ [κ_c f_se f_c² + κ_s C_n f_s² + (p d)² z + 1/(4 r² z)] + α_t T.
-func (s stage3Space) objective(z []float64) optimize.Func {
+//	α_e Σ [κ_c f_se f_c² + κ_s C_n f_s² + (p d)² z + 1/(4 r² z)] + α_t T
+//
+// with its exact derivatives. Each client's terms touch only its own four
+// coordinates, and T enters linearly, so the Hessian is block diagonal in
+// 4×4 blocks.
+func (s stage3Space) objective(z []float64) optimize.Smooth {
 	c := s.c
 	n := s.n
-	return func(x []float64) float64 {
-		p, b, fc, fs, t := s.unpack(x)
-		total := c.AlphaT * t
-		for i := 0; i < n; i++ {
-			if p[i] <= 0 || b[i] <= 0 || fc[i] <= 0 || fs[i] <= 0 {
-				return math.Inf(1)
+	return optimize.Smooth{
+		F: func(x []float64) float64 {
+			total := c.AlphaT * (x[4*n] * s.tScale)
+			for i := 0; i < n; i++ {
+				k := s.client(x, i)
+				if k.p <= 0 || k.b <= 0 || k.fc <= 0 || k.fs <= 0 || k.r <= 0 {
+					return math.Inf(1)
+				}
+				e := c.KappaClient[i]*c.SECycles[i]*k.fc*k.fc +
+					c.KappaServer*s.cycles[i]*k.fs*k.fs
+				pd := k.p * c.DTrBits[i]
+				e += pd*pd*z[i] + 1/(4*k.r*k.r*z[i])
+				total += c.AlphaE * e
 			}
-			e := c.KappaClient[i]*c.SECycles[i]*fc[i]*fc[i] +
-				c.KappaServer*s.cycles[i]*fs[i]*fs[i]
-			rate := c.Rate(i, p[i], b[i])
-			if rate <= 0 {
-				return math.Inf(1)
+			return total
+		},
+		Grad: func(x []float64) []float64 {
+			g := make([]float64, s.dim())
+			for i := 0; i < n; i++ {
+				k := s.client(x, i)
+				d2 := c.DTrBits[i] * c.DTrBits[i]
+				r3 := k.r * k.r * k.r
+				gp, gb, _, _, _ := k.rateTerm(-1/(2*z[i]*r3), 3/(2*z[i]*r3*k.r))
+				g[i] = c.AlphaE * (2*k.p*d2*z[i]*k.dp + gp)
+				g[n+i] = c.AlphaE * gb
+				g[2*n+i] = c.AlphaE * 2 * c.KappaClient[i] * c.SECycles[i] * k.fc * k.dfc
+				g[3*n+i] = c.AlphaE * 2 * c.KappaServer * s.cycles[i] * k.fs * k.dfs
 			}
-			pd := p[i] * c.DTrBits[i]
-			e += pd*pd*z[i] + 1/(4*rate*rate*z[i])
-			total += c.AlphaE * e
-		}
-		return total
+			g[4*n] = c.AlphaT * s.tScale
+			return g
+		},
+		Hess: func(x []float64) [][]float64 {
+			h := mathutil.Square(s.dim())
+			for i := 0; i < n; i++ {
+				k := s.client(x, i)
+				d2 := c.DTrBits[i] * c.DTrBits[i]
+				r3 := k.r * k.r * k.r
+				_, _, hpp, hpb, hbb := k.rateTerm(-1/(2*z[i]*r3), 3/(2*z[i]*r3*k.r))
+				h[i][i] = c.AlphaE * (2*d2*z[i]*k.dp*k.dp + hpp)
+				h[i][n+i] = c.AlphaE * hpb
+				h[n+i][i] = h[i][n+i]
+				h[n+i][n+i] = c.AlphaE * hbb
+				h[2*n+i][2*n+i] = c.AlphaE * 2 * c.KappaClient[i] * c.SECycles[i] * k.dfc * k.dfc
+				h[3*n+i][3*n+i] = c.AlphaE * 2 * c.KappaServer * s.cycles[i] * k.dfs * k.dfs
+			}
+			return h
+		},
 	}
 }
 
@@ -259,11 +320,11 @@ func (s stage3Space) trueObjective(x []float64) float64 {
 }
 
 // constraints assembles (17e)–(17i) in the scaled space.
-func (s stage3Space) constraints() []optimize.Ineq {
+func (s stage3Space) constraints() []optimize.Smooth {
 	n := s.n
 	dim := s.dim()
 	const eps = 1e-5
-	var ineqs []optimize.Ineq
+	var ineqs []optimize.Smooth
 	for i := 0; i < n; i++ {
 		ineqs = append(ineqs,
 			optimize.BoundIneq(dim, i, 1, -1),       // p̃ ≤ 1  (17e)
@@ -286,47 +347,46 @@ func (s stage3Space) constraints() []optimize.Ineq {
 		optimize.LinearIneq(fsSum, -float64(n)),
 		optimize.BoundIneq(dim, 4*n, -1, eps), // T̃ ≥ eps
 	)
-	// (17i): delay_i ≤ T, normalized by tScale; sparse analytic gradient
-	// plus a support-restricted finite-difference Hessian.
+	// (17i): delay_i ≤ T, normalized by tScale.
 	for i := 0; i < n; i++ {
-		i := i
-		support := []int{i, n + i, 2*n + i, 3*n + i, 4 * n}
-		f := func(x []float64) float64 {
-			return (s.delay(x, i) - x[4*n]*s.tScale) / s.tScale
-		}
-		ineqs = append(ineqs, optimize.Ineq{
-			F:    f,
-			Grad: s.delayGrad(i),
-			Hess: sparseHessian(f, support, dim),
-		})
+		ineqs = append(ineqs, s.delayRow(i))
 	}
 	return ineqs
 }
 
-// delayGrad returns the analytic gradient of the normalized delay
-// constraint for client i. Only the five supporting coordinates are nonzero.
-func (s stage3Space) delayGrad(i int) func([]float64) []float64 {
-	c := s.c
-	n := s.n
-	return func(x []float64) []float64 {
-		g := make([]float64, s.dim())
-		p := x[i] * c.PMax[i]
-		b := x[n+i] * c.BTotal / float64(n)
-		fc := x[2*n+i] * c.FCMax[i]
-		fs := x[3*n+i] * c.FSTotal / float64(n)
-		rate := c.Rate(i, p, b)
-		snr := p * c.Gains[i] / (c.NoisePSD * b)
-		ln2 := math.Ln2
-		// ∂r/∂p and ∂r/∂b of Shannon's formula.
-		drdp := c.Gains[i] / (c.NoisePSD * (1 + snr) * ln2)
-		drdb := (math.Log1p(snr) - snr/(1+snr)) / ln2
-		d := c.DTrBits[i]
-		g[i] = (-d / (rate * rate)) * drdp * c.PMax[i] / s.tScale
-		g[n+i] = (-d / (rate * rate)) * drdb * (c.BTotal / float64(n)) / s.tScale
-		g[2*n+i] = (-c.SECycles[i] / (fc * fc)) * c.FCMax[i] / s.tScale
-		g[3*n+i] = (-s.cycles[i] / (fs * fs)) * (c.FSTotal / float64(n)) / s.tScale
-		g[4*n] = -1
-		return g
+// delayRow is constraint (17i) for client i, (delay_i − T)/tScale ≤ 0, with
+// its exact derivatives. It touches client i's four coordinates and T, and
+// T enters linearly, so its Hessian is one 5×5 block whose T row is zero.
+func (s stage3Space) delayRow(i int) optimize.Smooth {
+	c, n := s.c, s.n
+	d, se, cy := c.DTrBits[i], c.SECycles[i], s.cycles[i]
+	return optimize.Smooth{
+		F: func(x []float64) float64 {
+			return (s.delay(x, i) - x[4*n]*s.tScale) / s.tScale
+		},
+		Grad: func(x []float64) []float64 {
+			k := s.client(x, i)
+			g := make([]float64, s.dim())
+			gp, gb, _, _, _ := k.rateTerm(-d/(k.r*k.r), 2*d/(k.r*k.r*k.r))
+			g[i] = gp / s.tScale
+			g[n+i] = gb / s.tScale
+			g[2*n+i] = -se * k.dfc / (k.fc * k.fc) / s.tScale
+			g[3*n+i] = -cy * k.dfs / (k.fs * k.fs) / s.tScale
+			g[4*n] = -1
+			return g
+		},
+		Hess: func(x []float64) [][]float64 {
+			k := s.client(x, i)
+			h := mathutil.Square(s.dim())
+			_, _, hpp, hpb, hbb := k.rateTerm(-d/(k.r*k.r), 2*d/(k.r*k.r*k.r))
+			h[i][i] = hpp / s.tScale
+			h[i][n+i] = hpb / s.tScale
+			h[n+i][i] = h[i][n+i]
+			h[n+i][n+i] = hbb / s.tScale
+			h[2*n+i][2*n+i] = 2 * se * k.dfc * k.dfc / (k.fc * k.fc * k.fc) / s.tScale
+			h[3*n+i][3*n+i] = 2 * cy * k.dfs * k.dfs / (k.fs * k.fs * k.fs) / s.tScale
+			return h
+		},
 	}
 }
 
@@ -370,38 +430,4 @@ func (s stage3Space) strictify(x []float64) []float64 {
 		out[4*n] = minT
 	}
 	return out
-}
-
-// sparseHessian builds a Hess closure that finite-differences f only over
-// the given support coordinates, scattering into a dim×dim matrix. It cuts
-// the cost of constraint Hessians from O(dim²) to O(|support|²) per call.
-func sparseHessian(f optimize.Func, support []int, dim int) func([]float64) [][]float64 {
-	return func(x []float64) [][]float64 {
-		reduced := func(y []float64) float64 {
-			xx := mathutil.Clone(x)
-			for k, idx := range support {
-				xx[idx] = y[k]
-			}
-			return f(xx)
-		}
-		y := make([]float64, len(support))
-		for k, idx := range support {
-			y[k] = x[idx]
-		}
-		small := optimize.Hessian(reduced, y)
-		out := make([][]float64, dim)
-		for i := range out {
-			out[i] = make([]float64, dim)
-		}
-		for a, ia := range support {
-			for b, ib := range support {
-				v := small[a][b]
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					v = 0
-				}
-				out[ia][ib] = v
-			}
-		}
-		return out
-	}
 }

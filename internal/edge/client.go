@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1238,7 +1239,9 @@ func (c *Client) MatVecDim() int { return c.mvDim }
 // refusal is its error. The keys are public evaluation material: they live
 // on the session, so they survive rekeys and reconnect-and-resume without
 // a re-upload, but an upload cut short by a lost connection installs
-// nothing and is not replayed — call EnableMatVec again. Fails with an
+// nothing and is not replayed — call EnableMatVec again. That retry also
+// succeeds when only replies were lost and the server did install the set:
+// its "already installed" refusal means the keys are in place. Fails with an
 // error wrapping serve.ErrMatVecUnavailable when the server holds no
 // matrix.
 func (c *Client) EnableMatVec() error {
@@ -1274,10 +1277,13 @@ func (c *Client) EnableMatVec() error {
 		if err != nil {
 			continue
 		}
-		if werr != nil {
+		switch rep := reply.Session; {
+		case werr != nil:
 			err = fmt.Errorf("edge: rotation keys: %w", werr)
-		} else {
-			_, err = sessionReply("rotation keys", reply.Session)
+		case rep != nil && rep.Code == serve.CodeBadRequest && strings.HasSuffix(rep.Err, rotKeysInstalled):
+			// A retry whose earlier upload the server did install.
+		default:
+			_, err = sessionReply("rotation keys", rep)
 		}
 	}
 	if err != nil {

@@ -128,3 +128,36 @@ func TestInterruptedRotKeysUpload(t *testing.T) {
 	q.uploadRotKeys(t, "interrupted", 223, len(testMatrix))
 	q.checkMatVec(t, q.matvecRaw(t, "interrupted", 2, x), x)
 }
+
+// TestEnableMatVecRetryAfterInstall: a client whose last rotation-key
+// reply was lost cannot tell that the server installed its set, so it
+// uploads again. Every key of the retry meets the server's "already
+// installed" refusal, which the client takes as success, and matvec
+// serves on the set the first upload installed.
+func TestEnableMatVecRetryAfterInstall(t *testing.T) {
+	srv := startServer(t, Model{Matrix: testMatrix, MatrixBias: testMatrixBias})
+	client, err := Dial(srv.Addr(), "mv-retry", []byte("qkd-material"), 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.EnableMatVec(); err != nil {
+		t.Fatalf("EnableMatVec: %v", err)
+	}
+	client.rotMu.Lock()
+	client.rotInstalled = false // as if the last reply had been lost
+	client.rotMu.Unlock()
+	if err := client.EnableMatVec(); err != nil {
+		t.Fatalf("EnableMatVec after the server installed the set: %v", err)
+	}
+	x := []float64{0.3, -0.6, 0.9, 0.1}
+	got, err := client.MatVec(0, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range plainMatVec(testMatrix, testMatrixBias, x) {
+		if math.Abs(got[i]-want) > 0.05 {
+			t.Errorf("matvec slot %d = %v, want %v", i, got[i], want)
+		}
+	}
+}

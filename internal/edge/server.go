@@ -1121,6 +1121,11 @@ func (s *Server) handleRekey(_ *sessionConn, _ uint64, req *RekeyRequest) (*Sess
 	return &SessionReply{Epoch: epoch}, nil
 }
 
+// rotKeysInstalled ends the refusal a rotation key meets when its session
+// already holds its set. Client.EnableMatVec takes exactly this refusal as
+// success: the set it is uploading is the one in place.
+const rotKeysInstalled = "the session's rotation keys are already installed"
+
 // handleRotKeys takes one rotation key of a session's upload, validating
 // it before it is kept: it must fit the session profile's ring with
 // reduced residues, be for a rotation of the BSGS plan, and be the first
@@ -1140,8 +1145,7 @@ func (s *Server) handleRotKeys(sc *sessionConn, _ uint64, req *RotKeysRequest) (
 	}
 	gk := req.Key
 	if sess.RotKeys() != nil {
-		return refuse(serve.CodeBadRequest,
-			fmt.Sprintf("rotation key %d: the session's rotation keys are already installed", gk.Rot))
+		return refuse(serve.CodeBadRequest, fmt.Sprintf("rotation key %d: %s", gk.Rot, rotKeysInstalled))
 	}
 	if err := rt.ctx.CheckSwitchingKey(&gk.SwitchingKey); err != nil {
 		return refuse(keyCode(err), fmt.Sprintf("rotation key %d: %v", gk.Rot, err))

@@ -52,7 +52,7 @@ func Fig4(cfg *core.Config) (Fig4Result, error) {
 	res.Stage2Iters = s2.Nodes
 	v.Lambda = s2.Lambda
 
-	s3, err := cfg.SolveStage3(v, core.Stage3Options{})
+	s3, err := cfg.SolveStage3(v)
 	if err != nil {
 		return res, fmt.Errorf("experiments: fig4 stage 3: %w", err)
 	}

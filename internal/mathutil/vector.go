@@ -157,6 +157,16 @@ func Min(x []float64) float64 {
 	return m
 }
 
+// Square returns an n×n zero matrix whose rows share one backing array.
+func Square(n int) [][]float64 {
+	back := make([]float64, n*n)
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = back[i*n : (i+1)*n : (i+1)*n]
+	}
+	return m
+}
+
 // Fill returns a length-n slice with every entry set to v.
 func Fill(n int, v float64) []float64 {
 	out := make([]float64, n)

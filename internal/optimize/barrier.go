@@ -8,87 +8,52 @@ import (
 	"quhe/internal/mathutil"
 )
 
-// Ineq is an inequality constraint F(x) ≤ 0 for the barrier method. Grad and
-// Hess are optional analytic derivatives; when nil they are estimated by
-// finite differences. Use LinearIneq for affine constraints — it supplies
-// exact constant derivatives, which dominates the cost of a barrier
-// iteration for the mostly-affine programs in this repository.
-type Ineq struct {
+// Smooth is a twice-differentiable function with its exact derivatives:
+// the objective of MinimizeBarrier or one of its constraints F(x) ≤ 0.
+// Grad is required. A nil Hess means F is affine, so its Hessian is zero
+// and the barrier adds none.
+type Smooth struct {
 	F    Func
 	Grad func(x []float64) []float64
 	Hess func(x []float64) [][]float64
 }
 
-// FuncIneq wraps a plain closure as a finite-differenced constraint.
-func FuncIneq(f Func) Ineq { return Ineq{F: f} }
-
-// LinearIneq builds the affine constraint a·x + b ≤ 0 with exact
-// derivatives (constant gradient, zero Hessian).
-func LinearIneq(a []float64, b float64) Ineq {
+// LinearIneq builds the affine constraint a·x + b ≤ 0.
+func LinearIneq(a []float64, b float64) Smooth {
 	coeff := mathutil.Clone(a)
-	return Ineq{
+	return Smooth{
 		F:    func(x []float64) float64 { return mathutil.Dot(coeff, x) + b },
 		Grad: func([]float64) []float64 { return coeff },
-		Hess: func(x []float64) [][]float64 {
-			h := make([][]float64, len(x))
-			for i := range h {
-				h[i] = make([]float64, len(x))
-			}
-			return h
-		},
 	}
 }
 
 // BoundIneq builds the single-coordinate constraint sign·x[i] + b ≤ 0.
 // With sign=+1 it expresses x[i] ≤ −b; with sign=−1 it expresses x[i] ≥ b.
-func BoundIneq(n, i int, sign, b float64) Ineq {
+func BoundIneq(n, i int, sign, b float64) Smooth {
 	a := make([]float64, n)
 	a[i] = sign
 	return LinearIneq(a, b)
 }
 
-// BarrierOptions configures the log-barrier interior-point method.
-// The zero value is usable: Defaults fills in standard settings.
+// BarrierOptions configures the log-barrier interior-point method. The
+// zero value starts at t = 1 and stops at a duality gap of 1e-6.
 type BarrierOptions struct {
 	// T0 is the initial barrier weight t. Default 1.
 	T0 float64
-	// Mu is the factor by which t grows between centering steps. Default 20.
-	Mu float64
 	// Tol is the target duality gap m/t at which the method stops.
 	// Default 1e-6.
 	Tol float64
-	// NewtonTol is the Newton-decrement tolerance of the inner solve.
-	// Default 1e-9.
-	NewtonTol float64
-	// MaxNewton bounds inner Newton iterations per centering step.
-	// Default 60.
-	MaxNewton int
-	// MaxOuter bounds the number of centering steps. Default 60.
-	MaxOuter int
 }
 
-// Defaults returns o with zero fields replaced by standard values.
-func (o BarrierOptions) Defaults() BarrierOptions {
-	if o.T0 <= 0 {
-		o.T0 = 1
-	}
-	if o.Mu <= 1 {
-		o.Mu = 20
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
-	}
-	if o.NewtonTol <= 0 {
-		o.NewtonTol = 1e-9
-	}
-	if o.MaxNewton <= 0 {
-		o.MaxNewton = 60
-	}
-	if o.MaxOuter <= 0 {
-		o.MaxOuter = 60
-	}
-	return o
-}
+// The barrier's fixed settings: t grows by barrierMu between centering
+// steps, a centering step ends when the Newton decrement falls below
+// newtonTol, and maxNewton and maxOuter bound the two loops.
+const (
+	barrierMu = 20
+	newtonTol = 1e-9
+	maxNewton = 60
+	maxOuter  = 60
+)
 
 // BarrierResult reports the outcome of MinimizeBarrier.
 type BarrierResult struct {
@@ -121,8 +86,7 @@ var ErrInfeasibleStart = errors.New("optimize: start point is not strictly feasi
 // This routine is the repository's substitute for the CVX interior-point
 // solver the paper uses; for the smooth convex programs of Stages 1 and 3 it
 // converges to the same KKT points.
-func MinimizeBarrier(f0 Func, ineqs []Ineq, x0 []float64, opts BarrierOptions) (BarrierResult, error) {
-	o := opts.Defaults()
+func MinimizeBarrier(f0 Smooth, ineqs []Smooth, x0 []float64, opts BarrierOptions) (BarrierResult, error) {
 	var res BarrierResult
 	if len(x0) == 0 {
 		return res, errors.New("optimize: empty start point")
@@ -132,11 +96,17 @@ func MinimizeBarrier(f0 Func, ineqs []Ineq, x0 []float64, opts BarrierOptions) (
 			return res, fmt.Errorf("%w: constraint %d = %g", ErrInfeasibleStart, i, v)
 		}
 	}
+	t, tol := opts.T0, opts.Tol
+	if t <= 0 {
+		t = 1
+	}
+	if tol <= 0 {
+		tol = 1e-6
+	}
 
 	n := len(x0)
 	m := float64(len(ineqs))
 	x := mathutil.Clone(x0)
-	t := o.T0
 
 	strictlyFeasible := func(p []float64) bool {
 		for _, c := range ineqs {
@@ -148,7 +118,7 @@ func MinimizeBarrier(f0 Func, ineqs []Ineq, x0 []float64, opts BarrierOptions) (
 	}
 	// ftVal evaluates t·f0 + φ, φ(x) = Σ −log(−fi(x)); +Inf off-domain.
 	ftVal := func(tt float64, p []float64) float64 {
-		v := tt * f0(p)
+		v := tt * f0.F(p)
 		if math.IsNaN(v) {
 			return math.Inf(1)
 		}
@@ -162,12 +132,12 @@ func MinimizeBarrier(f0 Func, ineqs []Ineq, x0 []float64, opts BarrierOptions) (
 		return v
 	}
 
-	for outer := 0; outer < o.MaxOuter; outer++ {
+	for outer := 0; outer < maxOuter; outer++ {
 		res.OuterIters++
-		for iter := 0; iter < o.MaxNewton; iter++ {
-			g, hess, err := barrierDerivatives(f0, ineqs, x, t)
-			if err != nil {
-				return res, fmt.Errorf("optimize: outer %d: %w", outer, err)
+		for iter := 0; iter < maxNewton; iter++ {
+			g, hess := barrierDerivatives(f0, ineqs, x, t)
+			if !mathutil.AllFinite(g) {
+				return res, fmt.Errorf("optimize: outer %d: non-finite barrier gradient", outer)
 			}
 			dir, ok := solveNewton(hess, g, n)
 			if !ok {
@@ -176,7 +146,7 @@ func MinimizeBarrier(f0 Func, ineqs []Ineq, x0 []float64, opts BarrierOptions) (
 			// Newton decrement: λ² = −gᵀd; stop when the quadratic model
 			// predicts negligible improvement.
 			decrement := -mathutil.Dot(g, dir) / 2
-			if decrement < o.NewtonTol && mathutil.Norm2(g) < 1e-4*(1+math.Abs(ftVal(t, x))) {
+			if decrement < newtonTol && mathutil.Norm2(g) < 1e-4*(1+math.Abs(ftVal(t, x))) {
 				break
 			}
 			fx := ftVal(t, x)
@@ -187,91 +157,55 @@ func MinimizeBarrier(f0 Func, ineqs []Ineq, x0 []float64, opts BarrierOptions) (
 			}
 			mathutil.AXPYInPlace(step, dir, x)
 			res.NewtonIters++
-			res.Values = append(res.Values, f0(x))
+			res.Values = append(res.Values, f0.F(x))
 		}
 		gap := m / t
 		res.Gaps = append(res.Gaps, gap)
-		if gap < o.Tol {
+		if gap < tol {
 			res.Converged = true
 			break
 		}
-		t *= o.Mu
+		t *= barrierMu
 	}
 	res.X = x
-	res.Value = f0(x)
+	res.Value = f0.F(x)
 	return res, nil
 }
 
 // barrierDerivatives assembles the gradient and Hessian of
-// t·f0 + Σ −log(−fi) from per-function derivatives:
+// t·f0 + Σ −log(−fi) at a strictly feasible x:
 //
 //	∇  = t∇f0 + Σ ∇fi/(−fi)
 //	∇² = t∇²f0 + Σ [ ∇fi∇fiᵀ/fi² + ∇²fi/(−fi) ]
-//
-// Derivatives of f0 and non-analytic constraints come from safe finite
-// differences, which never evaluate the logarithm off-domain.
-func barrierDerivatives(f0 Func, ineqs []Ineq, x []float64, t float64) ([]float64, [][]float64, error) {
-	n := len(x)
-	g := safeGradient(f0, x)
-	if !mathutil.AllFinite(g) {
-		return nil, nil, errors.New("non-finite objective gradient")
-	}
-	for i := range g {
-		g[i] *= t
-	}
-	hess := safeHessian(f0, x)
-	for i := range hess {
-		for j := range hess[i] {
-			hess[i][j] *= t
-			if math.IsNaN(hess[i][j]) || math.IsInf(hess[i][j], 0) {
-				hess[i][j] = 0
-			}
-		}
-	}
-	for k, c := range ineqs {
-		ci := c.F(x)
-		if ci >= 0 {
-			return nil, nil, fmt.Errorf("constraint %d non-negative (%g) at interior point", k, ci)
-		}
-		var gc []float64
-		if c.Grad != nil {
-			gc = c.Grad(x)
-		} else {
-			gc = safeGradient(c.F, x)
-		}
-		inv := 1 / (-ci)
-		inv2 := inv * inv
-		for i := 0; i < n; i++ {
-			g[i] += gc[i] * inv
+func barrierDerivatives(f0 Smooth, ineqs []Smooth, x []float64, t float64) ([]float64, [][]float64) {
+	g := mathutil.Scale(t, f0.Grad(x))
+	hess := mathutil.Square(len(x))
+	addHess(hess, f0, x, t)
+	for _, c := range ineqs {
+		inv := 1 / -c.F(x)
+		gc := c.Grad(x)
+		for i, gci := range gc {
+			g[i] += gci * inv
 			row := hess[i]
-			gci := gc[i]
-			for j := 0; j < n; j++ {
-				row[j] += gci * gc[j] * inv2
+			for j, gcj := range gc {
+				row[j] += gci * gcj * inv * inv
 			}
 		}
-		if c.Hess != nil {
-			hc := c.Hess(x)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					hess[i][j] += hc[i][j] * inv
-				}
-			}
-		} else {
-			hc := safeHessian(c.F, x)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					v := hc[i][j] * inv
-					if !math.IsNaN(v) && !math.IsInf(v, 0) {
-						hess[i][j] += v
-					}
-				}
-			}
+		addHess(hess, c, x, inv)
+	}
+	return g, hess
+}
+
+// addHess adds w·∇²f(x) to hess; an affine f adds nothing.
+func addHess(hess [][]float64, f Smooth, x []float64, w float64) {
+	if f.Hess == nil {
+		return
+	}
+	for i, row := range f.Hess(x) {
+		for j, v := range row {
+			hess[i][j] += w * v
 		}
 	}
-	if !mathutil.AllFinite(g) {
-		return nil, nil, errors.New("non-finite barrier gradient")
-	}
-	return g, hess, nil
 }
 
 // solveNewton solves H d = −g with growing ridge regularization and reports
@@ -294,62 +228,4 @@ func solveNewton(hess [][]float64, g []float64, n int) ([]float64, bool) {
 		}
 	}
 	return nil, false
-}
-
-// safeGradient is Gradient with one-sided fallbacks when an evaluation is
-// non-finite (e.g. a log-domain objective probed just past its boundary).
-func safeGradient(f Func, x []float64) []float64 {
-	g := make([]float64, len(x))
-	xx := mathutil.Clone(x)
-	var f0 float64
-	f0Known := false
-	for i := range x {
-		h := derivStep(x[i])
-		var gi float64
-		found := false
-		for attempt := 0; attempt < 6 && !found; attempt++ {
-			xx[i] = x[i] + h
-			fp := f(xx)
-			xx[i] = x[i] - h
-			fm := f(xx)
-			xx[i] = x[i]
-			pOK := !math.IsNaN(fp) && !math.IsInf(fp, 0)
-			mOK := !math.IsNaN(fm) && !math.IsInf(fm, 0)
-			switch {
-			case pOK && mOK:
-				gi = (fp - fm) / (2 * h)
-				found = true
-			case pOK || mOK:
-				if !f0Known {
-					f0 = f(x)
-					f0Known = true
-				}
-				if !math.IsNaN(f0) && !math.IsInf(f0, 0) {
-					if pOK {
-						gi = (fp - f0) / h
-					} else {
-						gi = (f0 - fm) / h
-					}
-					found = true
-				}
-			}
-			h /= 8
-		}
-		g[i] = gi
-	}
-	return g
-}
-
-// safeHessian is Hessian with non-finite entries replaced by zero; the ridge
-// regularization in solveNewton absorbs the resulting model error.
-func safeHessian(f Func, x []float64) [][]float64 {
-	h := Hessian(f, x)
-	for i := range h {
-		for j := range h[i] {
-			if math.IsNaN(h[i][j]) || math.IsInf(h[i][j], 0) {
-				h[i][j] = 0
-			}
-		}
-	}
-	return h
 }

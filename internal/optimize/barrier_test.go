@@ -9,6 +9,17 @@ import (
 	"quhe/internal/mathutil"
 )
 
+// fdSmooth wraps a bare function as a Smooth whose derivatives are the
+// finite-difference oracles Gradient and Hessian, so the barrier tests can
+// state their problems as closures.
+func fdSmooth(f Func) Smooth {
+	return Smooth{
+		F:    f,
+		Grad: func(x []float64) []float64 { return Gradient(f, x) },
+		Hess: func(x []float64) [][]float64 { return Hessian(f, x) },
+	}
+}
+
 // TestBarrierActiveConstraint solves
 //
 //	min (x−2)² + (y−3)²  s.t.  x+y ≤ 4, x ≥ 0, y ≥ 0
@@ -18,12 +29,12 @@ func TestBarrierActiveConstraint(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-2)*(x[0]-2) + (x[1]-3)*(x[1]-3)
 	}
-	ineqs := []Ineq{
-		FuncIneq(func(x []float64) float64 { return x[0] + x[1] - 4 }),
-		FuncIneq(func(x []float64) float64 { return -x[0] }),
-		FuncIneq(func(x []float64) float64 { return -x[1] }),
+	ineqs := []Smooth{
+		fdSmooth(func(x []float64) float64 { return x[0] + x[1] - 4 }),
+		fdSmooth(func(x []float64) float64 { return -x[0] }),
+		fdSmooth(func(x []float64) float64 { return -x[1] }),
 	}
-	res, err := MinimizeBarrier(f, ineqs, []float64{0.5, 0.5}, BarrierOptions{})
+	res, err := MinimizeBarrier(fdSmooth(f), ineqs, []float64{0.5, 0.5}, BarrierOptions{})
 	if err != nil {
 		t.Fatalf("MinimizeBarrier: %v", err)
 	}
@@ -44,8 +55,8 @@ func TestBarrierInteriorOptimum(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-1)*(x[0]-1) + 2*(x[1]-1)*(x[1]-1)
 	}
-	ineqs := []Ineq{FuncIneq(func(x []float64) float64 { return x[0] + x[1] - 100 })}
-	res, err := MinimizeBarrier(f, ineqs, []float64{5, 5}, BarrierOptions{})
+	ineqs := []Smooth{fdSmooth(func(x []float64) float64 { return x[0] + x[1] - 100 })}
+	res, err := MinimizeBarrier(fdSmooth(f), ineqs, []float64{5, 5}, BarrierOptions{})
 	if err != nil {
 		t.Fatalf("MinimizeBarrier: %v", err)
 	}
@@ -56,15 +67,15 @@ func TestBarrierInteriorOptimum(t *testing.T) {
 
 func TestBarrierInfeasibleStart(t *testing.T) {
 	f := func(x []float64) float64 { return x[0] }
-	ineqs := []Ineq{FuncIneq(func(x []float64) float64 { return x[0] - 1 })}
-	_, err := MinimizeBarrier(f, ineqs, []float64{2}, BarrierOptions{})
+	ineqs := []Smooth{fdSmooth(func(x []float64) float64 { return x[0] - 1 })}
+	_, err := MinimizeBarrier(fdSmooth(f), ineqs, []float64{2}, BarrierOptions{})
 	if !errors.Is(err, ErrInfeasibleStart) {
 		t.Errorf("err = %v, want ErrInfeasibleStart", err)
 	}
 }
 
 func TestBarrierEmptyStart(t *testing.T) {
-	if _, err := MinimizeBarrier(func([]float64) float64 { return 0 }, nil, nil, BarrierOptions{}); err == nil {
+	if _, err := MinimizeBarrier(fdSmooth(func([]float64) float64 { return 0 }), nil, nil, BarrierOptions{}); err == nil {
 		t.Error("empty start accepted")
 	}
 }
@@ -73,11 +84,11 @@ func TestBarrierEmptyStart(t *testing.T) {
 // decreasing — this is the property plotted in Fig. 4(d).
 func TestBarrierGapDecreases(t *testing.T) {
 	f := func(x []float64) float64 { return x[0] * x[0] }
-	ineqs := []Ineq{
-		FuncIneq(func(x []float64) float64 { return x[0] - 5 }),
-		FuncIneq(func(x []float64) float64 { return -x[0] - 5 }),
+	ineqs := []Smooth{
+		fdSmooth(func(x []float64) float64 { return x[0] - 5 }),
+		fdSmooth(func(x []float64) float64 { return -x[0] - 5 }),
 	}
-	res, err := MinimizeBarrier(f, ineqs, []float64{1}, BarrierOptions{})
+	res, err := MinimizeBarrier(fdSmooth(f), ineqs, []float64{1}, BarrierOptions{})
 	if err != nil {
 		t.Fatalf("MinimizeBarrier: %v", err)
 	}
@@ -98,14 +109,14 @@ func TestBarrierGapDecreases(t *testing.T) {
 // a feasible solution. Exercised on a random family of LP-like problems.
 func TestBarrierFeasibilityMaintained(t *testing.T) {
 	f := func(x []float64) float64 { return -x[0] - 2*x[1] } // maximize x+2y
-	ineqs := []Ineq{
+	ineqs := []Smooth{
 		LinearIneq([]float64{1, 1}, -3),
 		BoundIneq(2, 0, 1, -2),
 		BoundIneq(2, 1, 1, -2),
 		BoundIneq(2, 0, -1, 0),
 		BoundIneq(2, 1, -1, 0),
 	}
-	res, err := MinimizeBarrier(f, ineqs, []float64{0.1, 0.1}, BarrierOptions{})
+	res, err := MinimizeBarrier(fdSmooth(f), ineqs, []float64{0.1, 0.1}, BarrierOptions{})
 	if err != nil {
 		t.Fatalf("MinimizeBarrier: %v", err)
 	}
@@ -134,31 +145,20 @@ func TestBarrierLogDomain(t *testing.T) {
 		}
 		return s
 	}
-	ineqs := []Ineq{
-		FuncIneq(func(x []float64) float64 { return mathutil.Sum(x) - 1 }),
+	ineqs := []Smooth{
+		fdSmooth(func(x []float64) float64 { return mathutil.Sum(x) - 1 }),
 	}
 	for i := 0; i < n; i++ {
 		ineqs = append(ineqs, BoundIneq(n, i, -1, 1e-9))
 	}
 	x0 := mathutil.Fill(n, 0.1)
-	res, err := MinimizeBarrier(f, ineqs, x0, BarrierOptions{})
+	res, err := MinimizeBarrier(fdSmooth(f), ineqs, x0, BarrierOptions{})
 	if err != nil {
 		t.Fatalf("MinimizeBarrier: %v", err)
 	}
 	want := mathutil.Fill(n, 0.25)
 	if !mathutil.VecApproxEqual(res.X, want, 1e-3) {
 		t.Errorf("X = %v, want %v", res.X, want)
-	}
-}
-
-func TestBarrierOptionsDefaults(t *testing.T) {
-	o := BarrierOptions{}.Defaults()
-	if o.T0 != 1 || o.Mu != 20 || o.Tol != 1e-6 || o.MaxNewton != 60 || o.MaxOuter != 60 {
-		t.Errorf("Defaults = %+v", o)
-	}
-	custom := BarrierOptions{Mu: 50}.Defaults()
-	if custom.Mu != 50 {
-		t.Errorf("Defaults overwrote Mu: %v", custom.Mu)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestBarrierAgreesWithProjGradOnRandomQPs(t *testing.T) {
 		lo, hi := mathutil.Fill(n, -1.5), mathutil.Fill(n, 1.5)
 		box := Box{Lo: lo, Hi: hi}
 
-		var ineqs []Ineq
+		var ineqs []Smooth
 		for i := 0; i < n; i++ {
 			ineqs = append(ineqs,
 				BoundIneq(n, i, 1, -1.5),  // x_i ≤ 1.5
@@ -199,7 +199,7 @@ func TestBarrierAgreesWithProjGradOnRandomQPs(t *testing.T) {
 			)
 		}
 		x0 := make([]float64, n)
-		bres, err := MinimizeBarrier(f, ineqs, x0, BarrierOptions{})
+		bres, err := MinimizeBarrier(fdSmooth(f), ineqs, x0, BarrierOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: barrier: %v", trial, err)
 		}
@@ -220,11 +220,11 @@ func TestBarrierAgreesWithAnnealOnSmoothProblem(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-0.4)*(x[0]-0.4) + 2*(x[1]+0.3)*(x[1]+0.3)
 	}
-	ineqs := []Ineq{
+	ineqs := []Smooth{
 		BoundIneq(2, 0, 1, -2), BoundIneq(2, 0, -1, -2),
 		BoundIneq(2, 1, 1, -2), BoundIneq(2, 1, -1, -2),
 	}
-	bres, err := MinimizeBarrier(f, ineqs, []float64{0, 0}, BarrierOptions{})
+	bres, err := MinimizeBarrier(fdSmooth(f), ineqs, []float64{0, 0}, BarrierOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,13 @@
 //   - MaximizeBnB / MaximizeExhaustive: branch & bound over small discrete
 //     assignment spaces (Stage 2, Algorithm 2).
 //
-// Problems are expressed as plain closures over []float64; derivatives are
-// obtained by central finite differences, which is accurate and cheap at the
-// dimensions this repository works at (≤ ~30 variables).
+// Problems are expressed as plain closures over []float64. The two kinds of
+// solver get their derivatives differently. The barrier is second order and
+// takes exact ones: its objective and constraints are Smooth values that
+// carry their own gradient and Hessian. The first-order methods
+// (MinimizeProjGrad, GradientDescent) take a bare Func and estimate its
+// gradient by central differences (Gradient), which is accurate and cheap at
+// the dimensions this repository works at (≤ ~30 variables).
 package optimize
 
 import "math"
@@ -43,47 +47,4 @@ func Gradient(f Func, x []float64) []float64 {
 		g[i] = (fp - fm) / (2 * h)
 	}
 	return g
-}
-
-// Hessian estimates ∇²f(x) by central second differences. The result is
-// symmetrized. x is not modified.
-func Hessian(f Func, x []float64) [][]float64 {
-	n := len(x)
-	h := make([]float64, n)
-	for i := range x {
-		// Slightly larger step for second derivatives (eps^(1/4) scaling).
-		h[i] = 1.2207e-4 * math.Max(1, math.Abs(x[i]))
-	}
-	xx := make([]float64, n)
-	copy(xx, x)
-	f0 := f(xx)
-	hess := make([][]float64, n)
-	for i := range hess {
-		hess[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		// Diagonal: (f(x+h) - 2f(x) + f(x-h)) / h².
-		xx[i] = x[i] + h[i]
-		fp := f(xx)
-		xx[i] = x[i] - h[i]
-		fm := f(xx)
-		xx[i] = x[i]
-		hess[i][i] = (fp - 2*f0 + fm) / (h[i] * h[i])
-		for j := i + 1; j < n; j++ {
-			// Off-diagonal: four-point formula.
-			xx[i], xx[j] = x[i]+h[i], x[j]+h[j]
-			fpp := f(xx)
-			xx[i], xx[j] = x[i]+h[i], x[j]-h[j]
-			fpm := f(xx)
-			xx[i], xx[j] = x[i]-h[i], x[j]+h[j]
-			fmp := f(xx)
-			xx[i], xx[j] = x[i]-h[i], x[j]-h[j]
-			fmm := f(xx)
-			xx[i], xx[j] = x[i], x[j]
-			v := (fpp - fpm - fmp + fmm) / (4 * h[i] * h[j])
-			hess[i][j] = v
-			hess[j][i] = v
-		}
-	}
-	return hess
 }
