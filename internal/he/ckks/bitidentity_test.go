@@ -404,3 +404,32 @@ func TestRotateBitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestMulRelinSquareBitIdentity holds the squaring path of MulRelinInto
+// (a == b: two operand transforms per limb, tensor (â0², 2·â0·â1, â1²)) to
+// the general product of a with a copy of itself, limb for limb, on every
+// served profile at every level that can still be rescaled, into a
+// separate output and in place.
+func TestMulRelinSquareBitIdentity(t *testing.T) {
+	for _, prof := range servedProfiles {
+		fx := newBitIdentityFixture(t, prof.logN)
+		rlk := fx.kg.GenRelinKey(fx.sk)
+		for level := fx.ctx.MaxLevel(); level >= 1; level-- {
+			what := fmt.Sprintf("%s level %d", prof.id, level)
+			a := fx.encrypt(t, fx.ctx.Params.Slots(), level)
+			want := fx.ctx.NewCiphertext(level)
+			if err := fx.ev.MulRelinInto(a, a.Copy(), rlk, want); err != nil {
+				t.Fatal(err)
+			}
+			got := fx.ctx.NewCiphertext(level)
+			if err := fx.ev.MulRelinInto(a, a, rlk, got); err != nil {
+				t.Fatal(err)
+			}
+			sameCiphertext(t, what+": square", got, want)
+			if err := fx.ev.MulRelinInto(a, a, rlk, a); err != nil {
+				t.Fatal(err)
+			}
+			sameCiphertext(t, what+": square in place", a, want)
+		}
+	}
+}

@@ -113,19 +113,21 @@ func (e *Encoder) interpolate(u []complex128, scale float64, coeffs []int64) {
 	}
 }
 
-// EncodeRealCoeffs is the allocation-free core of EncodeRealAtLevel for
+// EncodeRealCoeffs is the allocation-free core of EncodeAtLevel for
 // callers that reduce the coefficients limb by limb themselves
 // (Evaluator.LinearFormInto, Evaluator.TrivialSubInto): it writes the N
-// rounded integer coefficients of the encoding of values at the given
-// scale (≤ 0 selects the default Δ) into coeffs, using work as FFT
-// space. Both buffers must hold N entries and belong to the caller — the
+// rounded integer coefficients of the encoding of the slot vector
+// values + i·imag at the given scale (≤ 0 selects the default Δ) into
+// coeffs, using work as FFT space. imag may be nil (a real vector) and
+// either row may be shorter than the other; missing entries are zero.
+// Both buffers must hold N entries and belong to the caller — the
 // encoder itself stays immutable. The coefficients are level-independent:
-// reducing them into limbs 0..ℓ gives exactly EncodeRealAtLevel's
-// plaintext at level ℓ.
-func (e *Encoder) EncodeRealCoeffs(values []float64, scale float64, work []complex128, coeffs []int64) error {
+// reducing them into limbs 0..ℓ gives exactly EncodeAtLevel's plaintext
+// of complex(values[j], imag[j]) at level ℓ.
+func (e *Encoder) EncodeRealCoeffs(values, imag []float64, scale float64, work []complex128, coeffs []int64) error {
 	n := e.ctx.Params.N()
-	if len(values) > n/2 {
-		return fmt.Errorf("ckks: %d values exceed %d slots", len(values), n/2)
+	if len(values) > n/2 || len(imag) > n/2 {
+		return fmt.Errorf("ckks: %d real and %d imaginary values exceed %d slots", len(values), len(imag), n/2)
 	}
 	if len(work) != n || len(coeffs) != n {
 		return fmt.Errorf("ckks: encode buffers hold %d and %d entries, want %d", len(work), len(coeffs), n)
@@ -136,8 +138,15 @@ func (e *Encoder) EncodeRealCoeffs(values []float64, scale float64, work []compl
 	for k := range work {
 		work[k] = 0
 	}
-	for j, v := range values {
-		k, z := e.pos[j], complex(v, 0)
+	for j := range max(len(values), len(imag)) {
+		var re, im float64
+		if j < len(values) {
+			re = values[j]
+		}
+		if j < len(imag) {
+			im = imag[j]
+		}
+		k, z := e.pos[j], complex(re, im)
 		work[k] = z
 		work[n-1-k] = cmplx.Conj(z)
 	}

@@ -61,7 +61,7 @@ func TestLinearFormMatchesMulPlainChain(t *testing.T) {
 			vals[j][i] = rng.Float64()*2 - 1
 		}
 		coeffs[j] = make([]int64, ctx.Params.N())
-		if err := enc.EncodeRealCoeffs(vals[j], scale, work, coeffs[j]); err != nil {
+		if err := enc.EncodeRealCoeffs(vals[j], nil, scale, work, coeffs[j]); err != nil {
 			t.Fatal(err)
 		}
 	}

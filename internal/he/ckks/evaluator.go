@@ -289,7 +289,10 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 // b). The pipeline is per-limb throughout: one forward-transform fan-out
 // for all four operand components, pointwise tensoring, hybrid key
 // switching of the degree-2 term over the extended basis QP, ModDown back
-// to the chain and the final inverse transforms.
+// to the chain and the final inverse transforms. A square (a == b, the
+// same pointer) transforms two operand components instead of four and
+// forms the tensor as (â0², 2·â0·â1, â1²) — the same residues as the
+// general product, since every pointwise product is reduced exactly.
 func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Ciphertext) error {
 	if rlk == nil || len(rlk.Parts) == 0 {
 		return errors.New("ckks: nil relinearization key")
@@ -304,13 +307,18 @@ func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Cipherte
 	limbs := a.Level + 1
 	n := ev.ctx.Params.N()
 
-	// Forward transforms of all four operand components, 4·limbs
-	// independent tasks in one fan-out.
-	ring.ForEach(n, 4*limbs, func(k int) {
-		pr := [4][2]ring.RNSPoly{{ev.s0, a.C0}, {ev.s1, a.C1}, {ev.s2, b.C0}, {ev.s3, b.C1}}[k%4]
-		dst, in := pr[0][k/4], pr[1][k/4]
+	// Forward transforms of the operand components, one fan-out of
+	// independent tasks: a's two, then b's two unless b is a.
+	square := a == b
+	comps := 4
+	if square {
+		comps = 2
+	}
+	ring.ForEach(n, comps*limbs, func(k int) {
+		pr := [4][2]ring.RNSPoly{{ev.s0, a.C0}, {ev.s1, a.C1}, {ev.s2, b.C0}, {ev.s3, b.C1}}[k%comps]
+		dst, in := pr[0][k/comps], pr[1][k/comps]
 		copy(dst, in)
-		tower.Qi[k/4].NTT(dst)
+		tower.Qi[k/comps].NTT(dst)
 	})
 
 	// Tensor per limb: (d̂0, d̂1, d̂2) = (â0·b̂0, â0·b̂1 + â1·b̂0, â1·b̂1).
@@ -319,10 +327,17 @@ func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Cipherte
 	// key switch's digit i on limb i, its coefficients every other digit.
 	tower.ForEachLimb(limbs, func(i int) {
 		mod := tower.Qi[i]
-		mod.MulCoeffwise(ev.s0[i], ev.s2[i], out.C0[i])        // d̂0
-		mod.MulCoeffwise(ev.s0[i], ev.s3[i], out.C1[i])        // d̂1
-		mod.MulCoeffwiseThenAdd(ev.s1[i], ev.s2[i], out.C1[i]) // d̂1 += â1·b̂0
-		mod.MulCoeffwise(ev.s1[i], ev.s3[i], ev.s5[i])         // d̂2
+		if square {
+			mod.MulCoeffwise(ev.s0[i], ev.s0[i], out.C0[i]) // d̂0 = â0²
+			mod.MulCoeffwise(ev.s0[i], ev.s1[i], out.C1[i]) // â0·â1
+			mod.Add(out.C1[i], out.C1[i], out.C1[i])        // d̂1 = 2·â0·â1
+			mod.MulCoeffwise(ev.s1[i], ev.s1[i], ev.s5[i])  // d̂2 = â1²
+		} else {
+			mod.MulCoeffwise(ev.s0[i], ev.s2[i], out.C0[i])        // d̂0
+			mod.MulCoeffwise(ev.s0[i], ev.s3[i], out.C1[i])        // d̂1
+			mod.MulCoeffwiseThenAdd(ev.s1[i], ev.s2[i], out.C1[i]) // d̂1 += â1·b̂0
+			mod.MulCoeffwise(ev.s1[i], ev.s3[i], ev.s5[i])         // d̂2
+		}
 		copy(ev.s6[i], ev.s5[i])
 		mod.INTT(ev.s6[i])
 	})

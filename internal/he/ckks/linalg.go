@@ -40,7 +40,10 @@ import (
 // Packing contract: n must divide the slot count and the input vector
 // must be replicated slots/n times (slot j holds v[j mod n]), so every
 // cyclic slot rotation by d < n acts as rotation mod n on each copy. The
-// result comes back in the same replicated layout.
+// result comes back in the same replicated layout. The diagonals are real,
+// so real and imaginary parts stay apart: the real parts of the result
+// are M times the real parts of the input, whatever the input's imaginary
+// parts hold (a transciphered block carries key-dependent values there).
 //
 // Transform budget. MatVecInto keeps the whole kernel in the NTT domain.
 // The input is transformed once; each baby rotation key-switches the

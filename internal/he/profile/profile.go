@@ -58,17 +58,22 @@ const (
 // every hot operation (NTT, coefficient-wise product, rescale) applies
 // once per limb, so per-block cost is linear in the chain length at fixed
 // N. Fitted against this repository's transcipher-and-infer operation as
-// a session serves it — 24 plaintext products folded into three fused
-// NTT-domain linear forms over an installed (evaluation-form) key (each a
-// lazy inner product: one Montgomery reduction per sum, not per term), one
-// ciphertext mul-relin, four rescales, 25 encodes — on the depth-4
-// built-in chains at LogN 10–12: Calibrate's best-of-nine block time at
-// RefHz over L·N·log2(N) measured 249, 253, 198 on the 2-core reference
-// box, the last with limb fan-out (303, 314, 241 the same hour with the
-// radix-2 transform, which held 300 against 307, 310, 265; 430, 410, 300
-// before the lazy sums; PR 13 recorded 440, 407, 363). Calibrate
-// supersedes it with a live measurement.
-const modeledCyclesPerLimbNLogN = 255.0
+// a session serves it — two fused NTT-domain linear forms over an
+// installed (evaluation-form) key, 16 plaintext products in all (eight
+// complex ones packing both quadratic factors, eight real ones for the
+// linear term; each form a lazy inner product, one Montgomery reduction
+// per sum), one squaring mul-relin, three rescales, 17 encodes — on the
+// depth-4 built-in chains at LogN 10–12. Calibrate's best-of-nine block
+// time at RefHz over L·N·log2(N), best of eight alternating runs on the
+// 2-core reference box, read 229, 225, 171 against 308, 330, 298 for the
+// three real forms and general product it replaced, the same hour (0.74,
+// 0.68, 0.57; medians of the eight 0.77, 0.66, 0.66). The box ran slower
+// than when that operation was fitted at 255 against 249, 253, 198, so
+// the constant is refit on that basis: 185, 172, 114, and a takes the
+// upper, as it did there. (Earlier fits of the three-form operation: 300
+// with the radix-2 transform, 410 before the lazy sums, 910 before the
+// fused forms.) Calibrate supersedes it with a live measurement.
+const modeledCyclesPerLimbNLogN = 185.0
 
 // RefHz is the reference server clock the cost coefficients are expressed
 // against and every modeled serving delay is reported at (the paper's

@@ -11,10 +11,12 @@ import (
 	"quhe/internal/transcipher"
 )
 
-// reference is the pre-fusion evaluation, kept as the oracle the fused
-// kernel must match bit for bit: one MulPlainInto → AddInto per key
-// coordinate with per-coordinate level drops, allocating ciphertext
-// arithmetic around it.
+// reference is the unfused evaluation, kept as the oracle the fused
+// kernel must match bit for bit: the same complex packing of the
+// quadratic factors, z_j = (B_j + C_j)/2 + i·(B_j − C_j)/2, evaluated as
+// one MulPlainInto → AddInto per key coordinate with per-coordinate level
+// drops, and the square through the general tensor (MulRelin of z and a
+// copy of z), with allocating ciphertext arithmetic around it.
 type reference struct {
 	c   *transcipher.Cipher
 	ctx *ckks.Context
@@ -25,12 +27,12 @@ type reference struct {
 
 func (r *reference) keystream(encKey []*ckks.Ciphertext, a, b, cc [][]float64) (*ckks.Ciphertext, error) {
 	ev, top := r.ev, r.ctx.MaxLevel()
-	linearForm := func(coeff [][]float64, at int) (*ckks.Ciphertext, error) {
+	linearForm := func(coeff [][]complex128, at int) (*ckks.Ciphertext, error) {
 		acc := r.ctx.NewCiphertext(at)
 		term := r.ctx.NewCiphertext(at)
 		dropped := r.ctx.NewCiphertext(at)
 		for j := range coeff {
-			pt, err := r.enc.EncodeRealAtLevel(coeff[j], r.c.Scale(), at)
+			pt, err := r.enc.EncodeAtLevel(coeff[j], r.c.Scale(), at)
 			if err != nil {
 				return nil, err
 			}
@@ -59,30 +61,39 @@ func (r *reference) keystream(encKey []*ckks.Ciphertext, a, b, cc [][]float64) (
 		}
 		return acc, nil
 	}
-	u, err := linearForm(b, top)
+	z := make([][]complex128, len(b))
+	lin := make([][]complex128, len(a))
+	for j := range z {
+		z[j] = make([]complex128, len(b[j]))
+		for s, bs := range b[j] {
+			cs := cc[j][s]
+			z[j][s] = complex((bs+cs)/2, (bs-cs)/2)
+		}
+		lin[j] = make([]complex128, len(a[j]))
+		for s, as := range a[j] {
+			lin[j][s] = complex(as, 0)
+		}
+	}
+	zk, err := linearForm(z, top)
 	if err != nil {
 		return nil, err
 	}
-	v, err := linearForm(cc, top)
-	if err != nil {
-		return nil, err
-	}
-	quad, err := ev.MulRelin(u, v, r.rlk)
+	quad, err := ev.MulRelin(zk, zk.Copy(), r.rlk)
 	if err != nil {
 		return nil, err
 	}
 	if quad, err = ev.Rescale(quad); err != nil {
 		return nil, err
 	}
-	lin, err := linearForm(a, top-1)
+	ak, err := linearForm(lin, top-1)
 	if err != nil {
 		return nil, err
 	}
-	return ev.Add(lin, quad)
+	return ev.Add(ak, quad)
 }
 
-// affine is the pre-fusion TranscipherAffineWith; nil weights and bias
-// give pre-fusion plain transciphering.
+// affine is the unfused TranscipherAffineWith; nil weights and bias give
+// unfused plain transciphering.
 func (r *reference) affine(encKey []*ckks.Ciphertext, nonce []byte, block uint32, masked, weights, bias []float64) (*ckks.Ciphertext, error) {
 	a, b, cc, err := r.c.CoeffBlock(nonce, block)
 	if err != nil {
@@ -141,9 +152,12 @@ func sameCiphertext(t *testing.T, what string, got, want *ckks.Ciphertext) {
 // fixture is one profile's key material and a masked block.
 type fixture struct {
 	ref                   reference
+	sk                    *ckks.SecretKey
+	key                   []float64          // the symmetric key
 	encKey                []*ckks.Ciphertext // coefficient form, as uploaded
 	installed             []*ckks.Ciphertext // the same key after InstallKey
 	nonce                 []byte
+	data                  []float64 // the block masked under key as block 7
 	masked, weights, bias []float64
 }
 
@@ -166,13 +180,13 @@ func newFixture(t testing.TB, id string) *fixture {
 	pk := kg.GenPublicKey(sk)
 	fx := &fixture{
 		ref:   reference{c: c, ctx: ctx, enc: ckks.NewEncoder(ctx), ev: ckks.NewEvaluator(ctx, 32), rlk: kg.GenRelinKey(sk)},
+		sk:    sk,
 		nonce: []byte("kernel-nonce"),
 	}
-	key, err := c.DeriveKey([]byte("kernel-test-key"))
-	if err != nil {
+	if fx.key, err = c.DeriveKey([]byte("kernel-test-key")); err != nil {
 		t.Fatal(err)
 	}
-	if fx.encKey, err = c.EncryptKey(fx.ref.ev, pk, key); err != nil {
+	if fx.encKey, err = c.EncryptKey(fx.ref.ev, pk, fx.key); err != nil {
 		t.Fatal(err)
 	}
 	fx.installed = make([]*ckks.Ciphertext, len(fx.encKey))
@@ -183,11 +197,11 @@ func newFixture(t testing.TB, id string) *fixture {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(33))
-	data := make([]float64, c.Slots())
+	fx.data = make([]float64, c.Slots())
 	fx.weights = make([]float64, c.Slots()/2) // shorter than the block: the tail passes through
 	fx.bias = make([]float64, c.Slots()/4)
-	for i := range data {
-		data[i] = rng.Float64()*2 - 1
+	for i := range fx.data {
+		fx.data[i] = rng.Float64()*2 - 1
 	}
 	for i := range fx.weights {
 		fx.weights[i] = rng.Float64()*3 - 1.5
@@ -195,16 +209,17 @@ func newFixture(t testing.TB, id string) *fixture {
 	for i := range fx.bias {
 		fx.bias[i] = rng.Float64() - 0.5
 	}
-	if fx.masked, err = c.Mask(key, fx.nonce, 7, data); err != nil {
+	if fx.masked, err = c.Mask(fx.key, fx.nonce, 7, fx.data); err != nil {
 		t.Fatal(err)
 	}
 	return fx
 }
 
-// TestKernelBitIdentity pins the fused NTT-domain kernel to the
-// MulPlainInto/AddInto/RescaleInto composition it replaced, limb for limb,
-// on every registered profile, through every entry point, for a key in
-// either form.
+// TestKernelBitIdentity pins the fused NTT-domain kernel — complex
+// linear forms and the squaring MulRelinInto — to its unfused
+// MulPlainInto/AddInto/RescaleInto and general-tensor composition, limb
+// for limb, on every registered profile, through every entry point, for a
+// key in either form.
 func TestKernelBitIdentity(t *testing.T) {
 	for _, id := range profile.Default().IDs() {
 		fx := newFixture(t, id)
@@ -350,12 +365,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run() // warm
-	// Measured 29 (2 result polys of 3 limbs + headers, the rest the one
-	// closure ring.ForEach takes per fan-out: 3 linear forms, 4 rescales,
-	// 1 MulRelin, 2 adds; 237 when each fan-out built a task slice). The
-	// bound leaves ~5% for runtime drift, not for a regression: one stray
-	// per-coordinate allocation is +8, one per-coordinate-per-limb +40.
-	const bound = 30
+	// Measured 26 (2 result polys of 3 limbs + headers, the rest the one
+	// closure ring.ForEach takes per fan-out: 2 linear forms, 3 rescales
+	// of two fan-outs each, 1 squaring MulRelin, 2 adds; 29 with a third
+	// linear form and its rescale, 237 when each fan-out built a task
+	// slice). The bound leaves one object for runtime drift, not for a
+	// regression: one stray per-coordinate allocation is +8, one
+	// per-coordinate-per-limb +40.
+	const bound = 27
 	if allocs := testing.AllocsPerRun(5, run); allocs > bound {
 		t.Errorf("steady-state block allocates %v objects, bound %d", allocs, bound)
 	}

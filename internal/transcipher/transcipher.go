@@ -37,15 +37,41 @@
 // into its worker's Scratch, because the fused kernel encodes each row as
 // a plaintext. Tests hold the two to the same bits.
 //
+// # One complex form for the quadratic term
+//
+// CKKS slots are complex, and the server needs only the real parts of a
+// block. With x = B·k and y = C·k, the server packs key row j as
+//
+//	z_j = (B_j + C_j)/2 + i·(B_j − C_j)/2,
+//
+// so z = Σ_j z_j·k_j = (x+y)/2 + i·(x−y)/2 and, slot by slot,
+//
+//	Re(z²) = ((x+y)² − (x−y)²)/4 = x⊙y,  Im(z²) = (x² − y²)/2.
+//
+// The server's work per block is therefore two linear forms
+// Σ_j pt_j·Enc(k_j) — the complex z at the top level and the real A·k one
+// level down — and one squaring (ckks.Evaluator.MulRelinInto with both
+// operands the same ciphertext: two operand transforms per limb instead
+// of four), where the textbook evaluation runs three real forms and a
+// general product: 136 limb transforms per λ-128k block (L = 5 limbs)
+// instead of 194, 17 encodes instead of 25. A served ciphertext holds the
+// data in the real parts of its slots and the key-dependent Im(z²) in the
+// imaginary parts (|Im| ≤ 0.12 measured on the built-in profiles, far
+// inside the modulus headroom). Every served op — the slot-wise affine
+// model, the real-diagonal matvec — is linear over C with real
+// coefficients, so it keeps the two apart, and the client decodes real
+// parts only. The client's keystream is the same real function
+// A·k + (B·k)⊙(C·k); nothing on the wire changes.
+//
 // # Evaluation form
 //
-// The server's work per block is three linear forms Σ_j pt_j·Enc(k_j)
-// over the same keyLen key ciphertexts, which change only at Setup and
-// Rekey. InstallKey therefore converts an uploaded key once, in place, to
-// ckks evaluation form (NTT domain, Montgomery form — see package ckks),
-// validating it on the way in, and each linear form runs as one fused
-// NTT-domain kernel (ckks.Evaluator.LinearFormInto) that transforms only
-// the plaintexts. The server's Setup/Rekey handlers are the converter —
+// Both linear forms run over the same keyLen key ciphertexts, which
+// change only at Setup and Rekey. InstallKey therefore converts an
+// uploaded key once, in place, to ckks evaluation form (NTT domain,
+// Montgomery form — see package ckks), validating it on the way in, and
+// each linear form runs as one fused NTT-domain kernel
+// (ckks.Evaluator.LinearFormInto) that transforms only the plaintexts.
+// The server's Setup/Rekey handlers are the converter —
 // a session holds exactly one form of its key, the installed one — and
 // evalKeystream is the only reader: an installed key is useless to every
 // other ckks operation, which refuse it typed. Callers that hold a key
@@ -158,7 +184,7 @@ type Scratch struct {
 	ctx    *ckks.Context
 	work   []complex128
 	coeffs [][]int64        // one row per key coordinate; row 0 doubles for the masked block
-	u, v   *ckks.Ciphertext // top-level accumulators of the two quadratic factors
+	u, v   *ckks.Ciphertext // top-level accumulators: z then z², and A·k
 	// conv receives the evaluation form of a key that arrives in
 	// coefficient form; allocated on first such key, never for a server
 	// whose sessions hold installed keys.
@@ -400,8 +426,10 @@ func (c *Cipher) evalKeys(sc *Scratch, encKey []*ckks.Ciphertext) ([]*ckks.Ciphe
 
 // evalKeystream evaluates A·k + (B·k)⊙(C·k) homomorphically for the public
 // coefficient matrices in sc.a, sc.b, sc.cc, returning a freshly
-// allocated ciphertext at level top−2 and scale Δ²/p; everything else
-// lives in the scratch.
+// allocated ciphertext at level top−2 and scale Δ²/p whose real parts
+// are the keystream (the imaginary parts hold (x²−y²)/2, see the package
+// doc); everything else lives in the scratch. B and C are packed into the
+// complex rows z_j in place, overwriting sc.b and sc.cc.
 func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinKey, encKey []*ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if sc.ctx != c.ctx {
 		return nil, errors.New("transcipher: scratch was not built by NewScratch for this context")
@@ -412,12 +440,17 @@ func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinK
 	}
 	top := c.ctx.MaxLevel()
 
-	// linearForm computes Rescale(Σ_j coeff_j ⊙ key_j) at level `at` into
-	// acc: keyLen encodes into the scratch's integer rows, then one fused
-	// NTT-domain kernel over the resident key.
-	linearForm := func(coeff [][]float64, at int, acc *ckks.Ciphertext) error {
-		for j := range coeff {
-			if err := c.encoder.EncodeRealCoeffs(coeff[j], c.scale(), sc.work, sc.coeffs[j]); err != nil {
+	// linearForm computes Rescale(Σ_j (re_j + i·im_j) ⊙ key_j) at level
+	// `at` into acc: keyLen encodes into the scratch's integer rows, then
+	// one fused NTT-domain kernel over the resident key. im nil is a real
+	// form.
+	linearForm := func(re, im [][]float64, at int, acc *ckks.Ciphertext) error {
+		for j := range re {
+			var imj []float64
+			if im != nil {
+				imj = im[j]
+			}
+			if err := c.encoder.EncodeRealCoeffs(re[j], imj, c.scale(), sc.work, sc.coeffs[j]); err != nil {
 				return err
 			}
 		}
@@ -427,15 +460,21 @@ func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinK
 		return ev.RescaleInto(acc, acc)
 	}
 
-	// Quadratic part: (B·k)⊙(C·k) at level top−1, one MulRelin, rescale.
-	if err := linearForm(sc.b, top, sc.u); err != nil {
-		return nil, err
-	}
-	if err := linearForm(sc.cc, top, sc.v); err != nil {
-		return nil, err
+	// Quadratic part: z_j = (B_j + C_j)/2 + i·(B_j − C_j)/2 packs both
+	// factors into one complex form, z = (x+y)/2 + i·(x−y)/2 for x = B·k,
+	// y = C·k, and Re(z²) = x⊙y. One form at the top level, one squaring,
+	// rescale: level top−1.
+	for j := range sc.b {
+		for s, bs := range sc.b[j] {
+			cs := sc.cc[j][s]
+			sc.b[j][s], sc.cc[j][s] = (bs+cs)/2, (bs-cs)/2
+		}
 	}
 	quad := sc.u
-	if err := ev.MulRelinInto(sc.u, sc.v, rlk, quad); err != nil {
+	if err := linearForm(sc.b, sc.cc, top, quad); err != nil {
+		return nil, err
+	}
+	if err := ev.MulRelinInto(quad, quad, rlk, quad); err != nil {
 		return nil, err
 	}
 	if err := ev.RescaleInto(quad, quad); err != nil {
@@ -443,9 +482,9 @@ func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinK
 	}
 	// Linear part evaluated one level down — on the key's first `top`
 	// limbs — so both paths end at level top−2 with identical scale Δ²/p
-	// (Δ equals the top prime). The product has consumed v, which takes it.
+	// (Δ equals the top prime).
 	lin := sc.v
-	if err := linearForm(sc.a, top-1, lin); err != nil {
+	if err := linearForm(sc.a, nil, top-1, lin); err != nil {
 		return nil, err
 	}
 	ks := c.ctx.NewCiphertext(top - 2)
@@ -464,11 +503,12 @@ func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinK
 //
 //	Enc(w⊙m + bias) = Trivial(w⊙masked + bias) − Enc(w⊙ks).
 //
-// This is the linear-layer fusion used by RtF-style pipelines. |w| should
-// stay ≤ ~2 to preserve the evaluation's modulus headroom. Weights and
-// bias shorter than the block leave the remaining slots at w = 1,
-// bias = 0, so nil weights and bias give plain transciphering,
-// Enc(m) = Trivial(masked) − Enc(ks).
+// Like every served ciphertext, the result holds the data in the real
+// parts of its slots (see the package doc). This is the linear-layer
+// fusion used by RtF-style pipelines. |w| should stay ≤ ~2 to preserve
+// the evaluation's modulus headroom. Weights and bias shorter than the
+// block leave the remaining slots at w = 1, bias = 0, so nil weights and
+// bias give plain transciphering, Enc(m) = Trivial(masked) − Enc(ks).
 //
 // sc holds the call's buffers — the serving hot path, where each pool
 // worker reuses one Scratch across every block it processes; a nil
@@ -516,7 +556,7 @@ func (c *Cipher) TranscipherAffineWith(sc *Scratch, ev *ckks.Evaluator, rlk *ckk
 		}
 		sc.plain[s] = v
 	}
-	if err := c.encoder.EncodeRealCoeffs(sc.plain, ks.Scale, sc.work, sc.coeffs[0]); err != nil {
+	if err := c.encoder.EncodeRealCoeffs(sc.plain, nil, ks.Scale, sc.work, sc.coeffs[0]); err != nil {
 		return nil, err
 	}
 	if err := ev.TrivialSubInto(sc.coeffs[0], ks.Scale, ks, ks); err != nil {

@@ -351,95 +351,6 @@ func TestMaskAllocs(t *testing.T) {
 	}
 }
 
-// TestHomomorphicKeystreamMatchesPlain is the core transciphering
-// correctness property: the server's homomorphically computed keystream
-// decrypts to the client's plaintext keystream.
-func TestHomomorphicKeystreamMatchesPlain(t *testing.T) {
-	c, ctx := testCipher(t)
-	kg := ckks.NewKeyGenerator(ctx, 5)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinKey(sk)
-	ev := ckks.NewEvaluator(ctx, 6)
-	enc := ckks.NewEncoder(ctx)
-
-	key, err := c.DeriveKey([]byte("qkd-derived"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKey, err := c.EncryptKey(ev, pk, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce := []byte("n")
-	want, err := c.Keystream(key, nonce, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ksCt, err := c.HomomorphicKeystream(ev, rlk, encKey, nonce, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ksCt.Level != 0 {
-		t.Errorf("keystream ciphertext at level %d, want 0", ksCt.Level)
-	}
-	got := enc.DecodeReal(ev.Decrypt(sk, ksCt))
-	worst := 0.0
-	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.02 {
-		t.Errorf("homomorphic keystream error %v", worst)
-	}
-}
-
-// TestTranscipherEndToEnd replays §III-A: client masks data under the QKD
-// key, server transciphers, result decrypts to the original data.
-func TestTranscipherEndToEnd(t *testing.T) {
-	c, ctx := testCipher(t)
-	kg := ckks.NewKeyGenerator(ctx, 7)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinKey(sk)
-	ev := ckks.NewEvaluator(ctx, 8)
-	enc := ckks.NewEncoder(ctx)
-
-	key, err := c.DeriveKey([]byte("shared-qkd-key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	data := make([]float64, c.Slots())
-	for i := range data {
-		data[i] = rng.Float64()*2 - 1
-	}
-	nonce := []byte("uplink-7")
-	masked, err := c.Mask(key, nonce, 3, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKey, err := c.EncryptKey(ev, pk, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := c.TranscipherAffineWith(nil, ev, rlk, encKey, nonce, 3, masked, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := enc.DecodeReal(ev.Decrypt(sk, ct))
-	worst := 0.0
-	for i := range data {
-		if d := math.Abs(got[i] - data[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.02 {
-		t.Errorf("transciphering error %v", worst)
-	}
-}
-
 // TestTranscipheredComputation goes one step further: after transciphering
 // the server computes on the recovered ciphertext (an encrypted weighted
 // sum), matching the paper's encrypted-prediction workload.
