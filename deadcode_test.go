@@ -2,9 +2,13 @@ package quhe_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -19,93 +23,96 @@ var productionAllowlist = map[string]string{
 	// The allocating CKKS operation API. Served paths run the Into forms;
 	// the op tests exercise these, and the conformance suite is to cover
 	// every op through them.
-	"ckks.Encoder.Decode":            "allocating CKKS op API, exercised by the op tests",
-	"ckks.Encoder.EncodeReal":        "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.AddPlain":        "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.SubPlain":        "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.MulPlain":        "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.MulRelin":        "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.Rescale":         "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.DropLevel":       "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.DropLevelInto":   "CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.Rotate":          "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.RotateInto":      "CKKS op API, the unhoisted rotation the hoisted kernels are tested against",
-	"ckks.Evaluator.Trivial":         "allocating CKKS op API, exercised by the op tests",
-	"ckks.MatVecPlan.Dim":            "CKKS op API: the dimension a plan was built for",
-	"experiments.ControlLoop":        "experiment driver the experiments tests run",
-	"experiments.ProfileMix":         "experiment driver the experiments tests run",
-	"profile.Profile.Calibrate":      "experiment driver: servers never calibrate, experiments hold the model against it",
-	"edge.DialWith":                  "edge client API whose fate the edge simplification decides",
-	"edge.DialQKD":                   "edge client API whose fate the edge simplification decides",
-	"edge.Client.RekeyWith":          "edge client API whose fate the edge simplification decides",
-	"edge.Server.Drain":              "edge operator API whose fate the edge simplification decides",
-	"edge.Server.Draining":           "edge operator API whose fate the edge simplification decides",
-	"edge.Server.ObsRegistry":        "edge operator API whose fate the edge simplification decides",
-	"edge.Server.SessionStats":       "edge operator API whose fate the edge simplification decides",
-	"obs.BlockTrace.SpanSum":         "obs operator API whose fate the edge simplification decides",
-	"obs.Tracer.WriteChrome":         "obs operator API whose fate the edge simplification decides",
-	"faultnet.Injector.CloseAll":     "the fault the edge chaos tests inject: every wrapped connection cut at once",
-	"ring.Modulus.LazySumTerms":      "the lazy-sum bound the ring and ckks tests size their worst cases by",
-	"mathutil.ApproxEqual":           "comparison helper the mathutil and optimize tests share",
-	"mathutil.VecApproxEqual":        "comparison helper the mathutil and optimize tests share",
-	"optimize.bnbQueue.Less":         "heap.Interface: container/heap calls it",
-	"qnet.eventQueue.Less":           "heap.Interface: container/heap calls it",
-	"serve.KeyExhaustedError.Unwrap": "errors.Is calls it, so a KeyExhaustedError is ErrKeyExhausted",
+	"ckks.Encoder.Decode":        "allocating CKKS op API, exercised by the op tests",
+	"ckks.Encoder.EncodeReal":    "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.Add":         "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.Sub":         "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.AddPlain":    "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.SubPlain":    "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.MulPlain":    "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.MulRelin":    "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.Rescale":     "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.DropLevel":   "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.Rotate":      "allocating CKKS op API, exercised by the op tests",
+	"ckks.Evaluator.Trivial":     "allocating CKKS op API, exercised by the op tests",
+	"ckks.MatVecPlan.Dim":        "CKKS op API: the dimension a plan was built for",
+	"experiments.ControlLoop":    "experiment driver the experiments tests run",
+	"experiments.ProfileMix":     "experiment driver the experiments tests run",
+	"edge.Server.DebugAddr":      "operator API: with DebugAddr \":0\" it is the only way to learn the debug plane's port",
+	"faultnet.New":               "fault injection for the edge chaos tests: only tests import the package",
+	"faultnet.Injector.Dialer":   "fault injection for the edge chaos tests: only tests import the package",
+	"faultnet.Injector.Listener": "fault injection for the edge chaos tests: only tests import the package",
+	"faultnet.Injector.Counters": "fault injection for the edge chaos tests: only tests import the package",
+	"faultnet.Injector.CloseAll": "fault injection for the edge chaos tests: only tests import the package",
+	"ring.Modulus.LazySumTerms":  "the lazy-sum bound the ring and ckks tests size their worst cases by",
+	"mathutil.VecApproxEqual":    "comparison helper the mathutil and optimize tests share",
 }
 
 // TestProductionCodeHasCallers fails on any non-test function or method
 // that production code does not reach and productionAllowlist does not
-// name, and on any allowlist entry that production reaches again or that
-// is gone.
+// name, and on any allowlist entry that is gone or that production code or
+// another entry reaches.
 func TestProductionCodeHasCallers(t *testing.T) {
-	dead, err := unreachableFuncs(".", nil)
+	prog, err := loadProgram(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name := range productionAllowlist {
-		if !slices.Contains(dead, name) {
-			t.Errorf("allowlist entry %s is stale: production reaches it, or it is gone", name)
-		}
-	}
-	if dead, err = unreachableFuncs(".", productionAllowlist); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range dead {
+	for _, name := range prog.unreachable(productionAllowlist) {
 		t.Errorf("%s has no production caller: delete it, move it into the test that uses it, or allowlist it with a reason", name)
+	}
+	for name := range productionAllowlist {
+		others := maps.Clone(productionAllowlist)
+		delete(others, name)
+		if !slices.Contains(prog.unreachable(others), name) {
+			t.Errorf("allowlist entry %s is stale: production code or another entry reaches it, or it is gone", name)
+		}
 	}
 }
 
 // TestDeadcodeFixture runs the scan on a fixture whose main calls one
-// function; of the other two, one is never called and one is called only
-// by the never-called one. Both must be flagged.
+// function, reads a field named like a function it never calls, and calls
+// two methods only through interfaces, one named and one anonymous. Of its
+// other functions, one is never called and one is called only by the
+// never-called one. Those two and the namesake of the field must be
+// flagged; the methods called through interfaces must not.
 func TestDeadcodeFixture(t *testing.T) {
-	dead, err := unreachableFuncs(filepath.Join("testdata", "deadcode"), nil)
+	prog, err := loadProgram(filepath.Join("testdata", "deadcode"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"deadcode.calledOnlyByDead", "deadcode.neverCalled"}
+	dead := prog.unreachable(nil)
+	want := []string{"deadcode.calledOnlyByDead", "deadcode.neverCalled", "deadcode.size"}
 	if !slices.Equal(dead, want) {
 		t.Fatalf("unreachable = %v, want %v", dead, want)
 	}
 }
 
-// unreachableFuncs parses every non-test .go file under root, skipping
-// testdata and dot directories, and returns the sorted keys of the
-// package-level functions and methods that nothing reachable references by
-// name. The roots are main, init, every non-function declaration (variable
-// initializers, interface method names) and the functions extra names.
-// A reached function reaches every function whose name it mentions, other
-// than itself, and the set grows to a fixed point, so a reference from an
-// unreachable function counts for nothing. Matching by name can miss a
-// function whose name collides with a reachable one, but it never flags a
-// function that is called.
-func unreachableFuncs(root string, extra map[string]string) ([]string, error) {
-	type fn struct {
-		key  string
-		decl *ast.FuncDecl
+// program is the type-checked non-test code under a root directory.
+type program struct {
+	info   *types.Info
+	funcs  map[*types.Func]*ast.FuncDecl // every package-level function and method
+	keys   map[*types.Func]string        // pkg.Name or pkg.Recv.Name
+	roots  []ast.Node                    // main, init and the package-level var and const declarations
+	ifaces map[string]bool               // the method names some interface declares
+}
+
+// loadProgram parses every non-test .go file under root, skipping testdata
+// and dot directories, and type-checks each directory as one package. The
+// module's own imports resolve to these packages and the rest to the
+// standard library, type-checked from source, so each function has one
+// object however many packages use it.
+func loadProgram(root string) (*program, error) {
+	fset := token.NewFileSet()
+	module := "main"
+	if gomod, err := os.ReadFile(filepath.Join(root, "go.mod")); err == nil {
+		for _, line := range strings.Split(string(gomod), "\n") {
+			if name, ok := strings.CutPrefix(line, "module "); ok {
+				module = strings.TrimSpace(name)
+			}
+		}
 	}
-	var funcs []fn
-	refs := map[string]bool{} // names mentioned by the reached code
+	files := map[string][]*ast.File{} // by import path
+	pkgKey := map[string]string{}     // by import path: the directory's name, or the package's at the root
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -119,83 +126,293 @@ func unreachableFuncs(root string, extra map[string]string) ([]string, error) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
-		pkg := filepath.Base(filepath.Dir(path))
-		if pkg == "." {
-			pkg = f.Name.Name
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
 		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil && (fd.Name.Name == "main" || fd.Name.Name == "init") {
-				mentions(decl, refs)
-				continue
-			}
-			key := pkg + "." + fd.Name.Name
-			if fd.Recv != nil {
-				key = pkg + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-			}
-			funcs = append(funcs, fn{key, fd})
+		importPath, key := module, filepath.Base(filepath.Dir(path))
+		if rel != "." {
+			importPath += "/" + filepath.ToSlash(rel)
 		}
+		if key == "." {
+			key = f.Name.Name
+		}
+		files[importPath] = append(files[importPath], f)
+		pkgKey[importPath] = key
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	reached := make([]bool, len(funcs))
-	for changed := true; changed; {
-		changed = false
-		for i, f := range funcs {
-			if reached[i] || !refs[f.decl.Name.Name] && extra[f.key] == "" {
-				continue
+
+	p := &program{
+		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		funcs:  map[*types.Func]*ast.FuncDecl{},
+		keys:   map[*types.Func]string{},
+		ifaces: map[string]bool{},
+	}
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
+		}
+		if files[path] == nil {
+			return std.Import(path)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, fset, files[path], p.info)
+		checked[path] = pkg
+		return pkg, err
+	}
+	for path := range files {
+		if _, err := imp(path); err != nil {
+			return nil, err
+		}
+	}
+
+	for path, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			for _, decl := range f.Decls {
+				p.index(pkgKey[path], decl)
 			}
-			reached[i], changed = true, true
-			if f.decl.Recv != nil {
-				mentions(f.decl.Recv, refs)
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					p.addInterface(p.info.TypeOf(it))
+				}
+				return true
+			})
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var addScope func(pkg *types.Package)
+	addScope = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				p.addInterface(tn.Type())
 			}
-			mentions(f.decl.Type, refs)
-			if f.decl.Body != nil {
-				mentions(f.decl.Body, refs)
+		}
+		for _, dep := range pkg.Imports() {
+			addScope(dep)
+		}
+	}
+	for _, pkg := range checked {
+		addScope(pkg)
+	}
+	p.addInterface(types.Universe.Lookup("error").Type())
+	return p, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// index records one package-level declaration of the package keyed pkg.
+func (p *program) index(pkg string, decl ast.Decl) {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil && (d.Name.Name == "main" || d.Name.Name == "init") {
+			p.roots = append(p.roots, d)
+			return
+		}
+		fn := p.info.Defs[d.Name].(*types.Func)
+		p.funcs[fn] = d
+		p.keys[fn] = pkg + "." + d.Name.Name
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			p.keys[fn] = pkg + "." + recvName(recv.Type()) + "." + d.Name.Name
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				p.roots = append(p.roots, vs)
 			}
 		}
 	}
+}
+
+// addInterface records the method names of t if t is an interface.
+func (p *program) addInterface(t types.Type) {
+	if it, ok := t.Underlying().(*types.Interface); ok {
+		for i := range it.NumMethods() {
+			p.ifaces[it.Method(i).Name()] = true
+		}
+	}
+}
+
+// recvName returns the name of a receiver's type, without pointer or type
+// arguments.
+func recvName(t types.Type) string {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return t.(*types.Named).Obj().Name()
+}
+
+// unreachable returns the sorted keys of the functions and methods that
+// nothing reachable uses. A function is reached when main, init, a
+// package-level var or const declaration, a reached function or a root
+// that extra names uses its object. A method is also reached when reached
+// code converts a value of its receiver type to an interface and some
+// interface, the standard library's included, declares a method of its
+// name: a call through an interface can then land on it. A reference from
+// an unreachable function counts for nothing. Reflection into the fields
+// of a converted value is not followed, so a method that only fmt or
+// encoding/json calls on a held value is flagged and needs an entry.
+func (p *program) unreachable(extra map[string]string) []string {
+	reached := map[*types.Func]bool{}
+	work := slices.Clone(p.roots)
+	reach := func(fn *types.Func) {
+		if decl := p.funcs[fn]; decl != nil && !reached[fn] {
+			reached[fn] = true
+			work = append(work, decl)
+		}
+	}
+	converted := map[types.Type]bool{}
+	convert := func(t types.Type) {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if converted[t] || types.IsInterface(t) {
+			return
+		}
+		converted[t] = true
+		mset := types.NewMethodSet(types.NewPointer(t))
+		for i := range mset.Len() {
+			if fn := mset.At(i).Obj().(*types.Func); p.ifaces[fn.Name()] {
+				reach(fn.Origin())
+			}
+		}
+	}
+	for fn, key := range p.keys {
+		if extra[key] != "" {
+			reach(fn)
+		}
+	}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := p.info.Uses[id].(*types.Func); ok {
+					reach(fn.Origin())
+				}
+				return true
+			}
+			p.conversions(n, convert)
+			return true
+		})
+	}
 	var dead []string
-	for i, f := range funcs {
-		if !reached[i] {
-			dead = append(dead, f.key)
+	for fn, key := range p.keys {
+		if !reached[fn] {
+			dead = append(dead, key)
 		}
 	}
 	slices.Sort(dead)
-	return dead, nil
+	return dead
 }
 
-// mentions adds every identifier under n to names.
-func mentions(n ast.Node, names map[string]bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			names[id.Name] = true
+// conversions calls convert with the type of each concrete value that n
+// converts to an interface: a call's argument or a conversion's operand, an
+// assigned or declared value, a returned value, a composite literal's
+// element and a sent value.
+func (p *program) conversions(n ast.Node, convert func(types.Type)) {
+	pair := func(from, to types.Type) {
+		if from != nil && to != nil && types.IsInterface(to) && !types.IsInterface(from) {
+			convert(from)
 		}
-		return true
-	})
-}
-
-// recvName returns a receiver's type name, without pointer or type
-// parameters.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
+	}
+	// assign pairs values with the types to(i) they are assigned to; a
+	// single value may be a call that returns several.
+	assign := func(values []ast.Expr, to func(i int) types.Type) {
+		if len(values) == 1 {
+			if tuple, ok := p.info.TypeOf(values[0]).(*types.Tuple); ok {
+				for i := range tuple.Len() {
+					pair(tuple.At(i).Type(), to(i))
+				}
+				return
+			}
+		}
+		for i, v := range values {
+			pair(p.info.TypeOf(v), to(i))
+		}
+	}
+	returns := func(body *ast.BlockStmt, sig *types.Signature) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.ReturnStmt:
+				assign(n.Results, func(i int) types.Type { return sig.Results().At(i).Type() })
+			}
+			return true
+		})
+	}
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		tv := p.info.Types[n.Fun]
+		if tv.IsType() {
+			assign(n.Args, func(int) types.Type { return tv.Type })
+			return
+		}
+		if tv.Type == nil {
+			return
+		}
+		sig, ok := tv.Type.Underlying().(*types.Signature)
+		if !ok {
+			return
+		}
+		params := sig.Params()
+		assign(n.Args, func(i int) types.Type {
+			if last := params.Len() - 1; sig.Variadic() && i >= last && !n.Ellipsis.IsValid() {
+				return params.At(last).Type().(*types.Slice).Elem()
+			}
+			return params.At(i).Type()
+		})
+	case *ast.AssignStmt:
+		assign(n.Rhs, func(i int) types.Type { return p.info.TypeOf(n.Lhs[i]) })
+	case *ast.ValueSpec:
+		assign(n.Values, func(i int) types.Type { return p.info.TypeOf(n.Names[i]) })
+	case *ast.FuncDecl:
+		if n.Body != nil {
+			returns(n.Body, p.info.Defs[n.Name].Type().(*types.Signature))
+		}
+	case *ast.FuncLit:
+		returns(n.Body, p.info.TypeOf(n).(*types.Signature))
+	case *ast.SendStmt:
+		pair(p.info.TypeOf(n.Value), p.info.TypeOf(n.Chan).Underlying().(*types.Chan).Elem())
+	case *ast.CompositeLit:
+		switch u := p.info.TypeOf(n).Underlying().(type) {
+		case *types.Struct:
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					pair(p.info.TypeOf(kv.Value), p.info.TypeOf(kv.Key))
+				} else {
+					pair(p.info.TypeOf(elt), u.Field(i).Type())
+				}
+			}
+		case *types.Map:
+			for _, elt := range n.Elts {
+				kv := elt.(*ast.KeyValueExpr)
+				pair(p.info.TypeOf(kv.Key), u.Key())
+				pair(p.info.TypeOf(kv.Value), u.Elem())
+			}
+		case interface{ Elem() types.Type }: // slice or array
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				pair(p.info.TypeOf(elt), u.Elem())
+			}
 		}
 	}
 }

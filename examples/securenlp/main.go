@@ -70,7 +70,7 @@ func main() {
 		log.Fatalf("withdraw: %v", err)
 	}
 
-	client, err := edge.Dial(server.Addr(), "nlp-client", qkdKey, 42)
+	client, err := edge.DialWith(server.Addr(), "nlp-client", qkdKey, 42, edge.DialConfig{})
 	if err != nil {
 		log.Fatalf("dial: %v", err)
 	}
@@ -125,6 +125,6 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\nserver processed %d blocks without ever seeing a plaintext\n",
-		server.Blocks("nlp-client"))
+	stats, _ := server.SessionStats("nlp-client")
+	fmt.Printf("\nserver processed %d blocks without ever seeing a plaintext\n", stats.Blocks)
 }

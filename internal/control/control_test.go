@@ -71,15 +71,12 @@ func TestReplanFeasibleAndActuates(t *testing.T) {
 		t.Errorf("default budget %d, want ≥ 1", plan.DefaultRekeyBudget)
 	}
 	// Actuation: every route's client is provisioned with a positive
-	// secret-key rate (the allocation keeps the SKF strictly positive).
+	// secret-key rate (the allocation keeps the SKF strictly positive), so
+	// its key pool has a finite, positive refill wait.
 	for r := 0; r < net.NumRoutes(); r++ {
 		id := fmt.Sprintf("client-%d", r+1)
-		rate, err := kc.Rate(id)
-		if err != nil {
-			t.Fatalf("route %d client unprovisioned: %v", r, err)
-		}
-		if rate <= 0 {
-			t.Errorf("route %d provisioned with rate %g, want > 0", r, rate)
+		if wait := kc.RefillWait(id, 1<<20); wait <= 0 {
+			t.Errorf("route %d client refill wait %v: unprovisioned or provisioned at rate 0", r, wait)
 		}
 	}
 	// Replanning bumps the sequence and never loses the budget floor.
@@ -207,8 +204,9 @@ func TestAdmitSessionCapacityAndStock(t *testing.T) {
 	if err := kc.Provision("starved", 1000); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := serve.RetryAfter(ctl.AdmitSession("starved", 0)); !ok || d <= 0 {
-		t.Errorf("retry-after = (%v, %v), want a positive hint", d, ok)
+	var ke *serve.KeyExhaustedError
+	if err := ctl.AdmitSession("starved", 0); !errors.As(err, &ke) || ke.RetryAfter <= 0 {
+		t.Errorf("starved session err = %v, want a positive retry hint", err)
 	}
 	// Over plan capacity every Setup is shed regardless of stock.
 	if err := ctl.AdmitSession("funded", plan.AdmitCapacity); !errors.Is(err, serve.ErrAdmissionDenied) {
@@ -326,7 +324,7 @@ func TestControlLoopConcurrentWithServing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := edge.DialQKD(srv.Addr(), ids[i], kc, int64(31+i))
+			c, err := edge.DialQKDWith(srv.Addr(), ids[i], kc, int64(31+i), edge.DialConfig{})
 			if err != nil {
 				t.Errorf("dial %s: %v", ids[i], err)
 				return

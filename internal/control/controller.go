@@ -238,9 +238,6 @@ func (m *controlObs) observePlanDelta(prev, next *Plan) {
 	}
 }
 
-// Telemetry returns the registry the serving plane publishes into.
-func (c *Controller) Telemetry() *Telemetry { return c.tel }
-
 // Plan returns the current plan (never nil after New).
 func (c *Controller) Plan() *Plan { return c.plan.Load() }
 

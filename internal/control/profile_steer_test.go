@@ -201,7 +201,7 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	// First session on route 2: steered to the idle plan's highest level.
-	first, err := edge.Dial(srv.Addr(), "r2-first", []byte("k"), 51)
+	first, err := edge.DialWith(srv.Addr(), "r2-first", []byte("k"), 51, edge.DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 	}
 
 	// The next new session on the route lands on the moved profile...
-	second, err := edge.Dial(srv.Addr(), "r2-second", []byte("k"), 52)
+	second, err := edge.DialWith(srv.Addr(), "r2-second", []byte("k"), 52, edge.DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,12 +242,12 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 		t.Fatalf("second session compute: %v", err)
 	}
 	// ...while the first keeps what it registered on, and the server
-	// tracks both.
-	if got, _ := srv.SessionProfile("r2-first"); got != profile.IDLambda128k {
+	// reports both to the controller.
+	if got := tel.SessionProfile("r2-first"); got != profile.IDLambda128k {
 		t.Errorf("first session migrated to %q", got)
 	}
-	if got, _ := srv.SessionProfile("r2-second"); got != plan.RouteProfile[2] {
-		t.Errorf("server records %q for second session, want %q", got, plan.RouteProfile[2])
+	if got := tel.SessionProfile("r2-second"); got != plan.RouteProfile[2] {
+		t.Errorf("server reported %q for second session, want %q", got, plan.RouteProfile[2])
 	}
 }
 

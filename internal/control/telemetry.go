@@ -198,9 +198,6 @@ func (t *Telemetry) ObserveAdmission(admitted bool) {
 	}
 }
 
-// Denied reports how many admission decisions were denials.
-func (t *Telemetry) Denied() int64 { return t.denied.Load() }
-
 // SessionProfile reports the profile a session registered on ("" if the
 // serving plane never told us).
 func (t *Telemetry) SessionProfile(sessionID string) string {

@@ -156,7 +156,7 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// Fault-tolerance event counters (see Stats).
+	// Fault-tolerance event counters, which the recovery tests read.
 	reconnects atomic.Int64
 	resumes    atomic.Int64
 	retries    atomic.Int64
@@ -174,7 +174,7 @@ type Client struct {
 	sk   *ckks.SecretKey
 	pk   *ckks.PublicKey
 
-	// kc, when attached via DialQKD, sources rekey withdrawals.
+	// kc, when attached via DialQKDWith, sources rekey withdrawals.
 	kc      *qkd.KeyCenter
 	rekeyMu sync.Mutex
 
@@ -217,54 +217,18 @@ type call struct {
 	err error
 }
 
-// ClientStats counts the client's fault-tolerance events since Dial.
-type ClientStats struct {
-	// Reconnects and Resumes count successful transport re-establishments
-	// and the session resumes that rode them (equal today; split so a
-	// future non-resume reconnect path stays observable).
-	Reconnects int64
-	Resumes    int64
-	// Retries counts transparent request retries under the unified retry
-	// policy; Replays counts in-flight Computes re-sent after a resume.
-	Retries int64
-	Replays int64
-	// Keygens counts HE key generations (1 at Dial; a resume performs
-	// none — that is the point of the resume handshake).
-	Keygens int64
-}
-
-// Stats snapshots the fault-tolerance counters.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		Reconnects: c.reconnects.Load(),
-		Resumes:    c.resumes.Load(),
-		Retries:    c.retries.Load(),
-		Replays:    c.replays.Load(),
-		Keygens:    c.keygens.Load(),
-	}
-}
-
-// Dial connects to an edge server, generates the client's HE keys, derives
-// the transciphering key from qkdKey (e.g. material withdrawn from the
-// qkd.KeyCenter), and registers the session.
-func Dial(addr, sessionID string, qkdKey []byte, seed int64) (*Client, error) {
-	return dialAttempt(addr, sessionID, qkdKey, nil, seed, DialConfig{}, 0)
-}
-
-// DialWith is Dial with explicit configuration.
+// DialWith connects to an edge server, generates the client's HE keys,
+// derives the transciphering key from qkdKey (e.g. material withdrawn from
+// the qkd.KeyCenter), and registers the session. The zero DialConfig asks
+// for the server's default profile and no reconnection.
 func DialWith(addr, sessionID string, qkdKey []byte, seed int64, cfg DialConfig) (*Client, error) {
 	return dialAttempt(addr, sessionID, qkdKey, nil, seed, cfg, 0)
 }
 
-// DialQKD is Dial with the key plane attached: the initial transciphering
-// key is withdrawn from the key centre's pool for sessionID, and the key
-// centre stays attached so Rekey (and the automatic rekey on
-// serve.ErrRekeyRequired) can draw fresh material.
-func DialQKD(addr, sessionID string, kc *qkd.KeyCenter, seed int64) (*Client, error) {
-	return DialQKDWith(addr, sessionID, kc, seed, DialConfig{})
-}
-
-// DialQKDWith is DialQKD with explicit configuration.
+// DialQKDWith is DialWith with the key plane attached: the initial
+// transciphering key is withdrawn from the key centre's pool for
+// sessionID, and the key centre stays attached so Rekey (and the automatic
+// rekey on serve.ErrRekeyRequired) can draw fresh material.
 func DialQKDWith(addr, sessionID string, kc *qkd.KeyCenter, seed int64, cfg DialConfig) (*Client, error) {
 	if kc == nil {
 		return nil, errors.New("edge: nil key centre")
@@ -682,10 +646,8 @@ func (c *Client) tryRecover(cause error) error {
 		}
 		lastErr = err
 		// A typed denial will not improve with retries: the session is
-		// gone (resume window expired), the state drifted, or the server
-		// is draining — surface it.
-		if errors.Is(err, serve.ErrResumeRejected) || errors.Is(err, serve.ErrUnknownSession) ||
-			errors.Is(err, serve.ErrDraining) {
+		// gone (resume window expired) or the state drifted — surface it.
+		if errors.Is(err, serve.ErrResumeRejected) || errors.Is(err, serve.ErrUnknownSession) {
 			return err
 		}
 	}
@@ -804,7 +766,7 @@ func resumeHandshake(conn net.Conn, br *bufio.Reader, sessionID string, epoch ui
 		}
 	}
 	// A reply in place of the challenge is a denial before it (unknown
-	// session, drift, draining).
+	// session, drift).
 	_, err = syncReply("resume", ftype, payload)
 	return err
 }
@@ -1189,7 +1151,7 @@ func (c *Client) rekeyedFor(err error, epoch uint64, attempt int) bool {
 // Compute runs one full pipeline round: mask data under the symmetric key,
 // upload, let the server transcipher + infer, then decrypt the encrypted
 // result locally. block must be unique per call within a session and key
-// epoch. With a key centre attached (DialQKD), Compute rekeys
+// epoch. With a key centre attached (DialQKDWith), Compute rekeys
 // transparently: proactively when the server advises the byte budget is
 // nearly spent, and under the retry budget when the server demands it.
 func (c *Client) Compute(block uint32, data []float64) ([]float64, error) {
@@ -1384,7 +1346,7 @@ func (c *Client) ComputeBatch(start uint32, data [][]float64) ([][]float64, erro
 }
 
 // Rekey withdraws fresh QKD material from the attached key centre and
-// rotates the session's transciphering key. Requires DialQKD. A depleted
+// rotates the session's transciphering key. Requires DialQKDWith. A depleted
 // pool fails with a *serve.KeyExhaustedError (wrapping
 // serve.ErrKeyExhausted) whose RetryAfter estimates when the pool's
 // provisioning rate will have covered the shortfall.
@@ -1398,7 +1360,7 @@ func (c *Client) Rekey() error {
 // epoch, collapsing the rekey attempts of many concurrently failed
 // in-flight requests into a single withdrawal: the first failure rotates,
 // the rest see the bumped epoch and simply retry under the new key.
-// Requires DialQKD.
+// Requires DialQKDWith.
 func (c *Client) RekeyIfEpoch(epoch uint64) error {
 	c.rekeyMu.Lock()
 	defer c.rekeyMu.Unlock()
@@ -1415,7 +1377,7 @@ func (c *Client) RekeyIfEpoch(epoch uint64) error {
 // can separate hygiene rotations from budget- and plan-driven ones.
 func (c *Client) rekeyLocked(cause string) error {
 	if c.kc == nil {
-		return errors.New("edge: rekey: no key centre attached (use DialQKD)")
+		return errors.New("edge: rekey: no key centre attached (use DialQKDWith)")
 	}
 	if c.resumedSinceRekey.Load() {
 		cause = qkd.CauseResumeRotation
@@ -1433,17 +1395,12 @@ func (c *Client) rekeyLocked(cause string) error {
 	return c.rekeyWith(material)
 }
 
-// RekeyWith rotates the session's transciphering key using explicit fresh
-// QKD material: the new key is derived, HE-encrypted and installed on the
+// rekeyWith rotates the session's transciphering key using fresh QKD
+// material: the new key is derived, HE-encrypted and installed on the
 // server, which bumps the session's key epoch and resets its byte budget.
 // Requests already in flight under the old epoch are rejected by the
 // server with serve.ErrRekeyRequired rather than mis-transciphered.
-func (c *Client) RekeyWith(qkdKey []byte) error {
-	c.rekeyMu.Lock()
-	defer c.rekeyMu.Unlock()
-	return c.rekeyWith(qkdKey)
-}
-
+// Callers hold rekeyMu.
 func (c *Client) rekeyWith(qkdKey []byte) error {
 	rekeyStart := time.Now()
 	key, err := c.cipher.DeriveKey(qkdKey)

@@ -145,14 +145,6 @@ func (s *clientSpans) spanDur(stage string, start time.Time, d time.Duration) {
 	s.bt.Spans = append(s.bt.Spans, obs.Span{Stage: stage, Start: start, Dur: d})
 }
 
-// context returns the wire context children re-parent under.
-func (s *clientSpans) context() obs.TraceContext {
-	if s == nil {
-		return obs.TraceContext{}
-	}
-	return obs.TraceContext{TraceID: s.bt.TraceID, Parent: s.bt.SpanID, Sampled: true}
-}
-
 // finish stamps the total and records the trace. Safe to call once.
 func (s *clientSpans) finish() {
 	if s == nil {

@@ -122,15 +122,15 @@ func TestControlSetupAdmission(t *testing.T) {
 	}
 
 	ctl.denySetup.Store(true)
-	if _, err := Dial(srv.Addr(), "shed-me", []byte("k"), 3); !errors.Is(err, serve.ErrAdmissionDenied) {
+	if _, err := DialWith(srv.Addr(), "shed-me", []byte("k"), 3, DialConfig{}); !errors.Is(err, serve.ErrAdmissionDenied) {
 		t.Fatalf("denied setup err = %v, want serve.ErrAdmissionDenied", err)
 	}
-	if srv.Sessions() != 0 {
-		t.Fatalf("%d sessions resident after denied setup", srv.Sessions())
+	if srv.store.Len() != 0 {
+		t.Fatalf("%d sessions resident after denied setup", srv.store.Len())
 	}
 
 	ctl.denySetup.Store(false)
-	c, err := Dial(srv.Addr(), "admit-me", []byte("k"), 4)
+	c, err := DialWith(srv.Addr(), "admit-me", []byte("k"), 4, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestControlSetupAdmission(t *testing.T) {
 func TestControlComputeAdmission(t *testing.T) {
 	ctl := &fakeControl{}
 	srv := startControlledServer(t, ctl, ServerConfig{})
-	c, err := Dial(srv.Addr(), "compute-admit", []byte("k"), 5)
+	c, err := DialWith(srv.Addr(), "compute-admit", []byte("k"), 5, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,8 @@ func TestControlComputeAdmission(t *testing.T) {
 	ctl.denyCompute.Store(false)
 	ctl.keyDry.Store(true)
 	_, err = c.Compute(4, []float64{0.5})
-	if d, ok := serve.RetryAfter(err); !errors.Is(err, serve.ErrKeyExhausted) || !ok || d <= 0 {
+	var ke *serve.KeyExhaustedError
+	if !errors.Is(err, serve.ErrKeyExhausted) || !errors.As(err, &ke) || ke.RetryAfter <= 0 {
 		t.Errorf("key-exhausted compute err = %v, want serve.ErrKeyExhausted with a positive retry hint", err)
 	}
 }
@@ -184,7 +185,7 @@ func TestControlDynamicBudgetOverridesStatic(t *testing.T) {
 	// block: the first compute is served, the second must demand a rekey.
 	ctl.budget.Store(1000)
 	srv := startControlledServer(t, ctl, ServerConfig{RekeyBytes: 1 << 30})
-	c, err := Dial(srv.Addr(), "dyn-budget", []byte("k"), 6)
+	c, err := DialWith(srv.Addr(), "dyn-budget", []byte("k"), 6, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestNilControlStaticCompat(t *testing.T) {
 	defer srv.Close()
 
 	// Static budget still enforced the old way.
-	c, err := Dial(srv.Addr(), "static", []byte("k"), 7)
+	c, err := DialWith(srv.Addr(), "static", []byte("k"), 7, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

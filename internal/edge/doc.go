@@ -68,7 +68,7 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x09
+//	offset 2     version  0x0a
 //	offset 3     type     one of 12: hello; the requests setup, compute,
 //	                      matvec, rekey, profile, rotation keys and resume;
 //	                      the resume challenge and proof; and two replies,
@@ -94,59 +94,44 @@
 // unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
 //
-// Version 10 changes what a masked block means, not how it travels. The
-// public keystream coefficients of block b used to be one ChaCha20 stream
-// per nonce, read from counter 3·b: a block reads 3·keyLen·slots·2/64
-// stream blocks, far more than three, so block b+1's coefficients were
-// block b's shifted by 192 bytes, and masked_{b+1}[s] − masked_b[s+96]
-// gave away data_{b+1}[s] − data_b[s+96]. Each block now draws its own
-// stream, keyed by the HChaCha20 subkey of the public expansion key and
-// nonce‖b and read from counter 0 (see internal/transcipher). Frames and
-// codecs are unchanged; a version-9 peer would mask and unmask under
-// different keystreams.
+// Each block's public keystream coefficients come from a ChaCha20 stream
+// of its own, keyed by the HChaCha20 subkey of the public expansion key
+// and nonce‖block and read from counter 0 (see internal/transcipher), so
+// no two blocks share keystream.
 //
-// Version 9 takes one Galois key per giant step instead of one per giant
-// block. The BSGS kernel folds its giant blocks in by Horner's rule, each
-// step a rotation by n1, so the rotation set a session uploads and the
-// server accepts is ckks.BSGSRotations of the model dimension: the baby
-// steps 1…n1−1 and n1, n1 keys where version 8 took n1+n2−2 (16 instead
-// of 30 for a 256×256 model, 15.7 instead of 29.5 MB at λ-128k). A key for
-// any other giant rotation, 2·n1 included, is refused as outside the plan.
-// Frames and codecs are unchanged; the accepted set is what moved, and a
-// version-8 client would upload keys a version-9 server refuses.
+// Replies travel on two frames. Every per-block op, matvec included,
+// answers on frameComputeReply; every session request — profile grant,
+// Setup, Rekey, each rotation key and Resume — answers with one
+// SessionReply on frameSessionReply, each request reading the fields it
+// has an answer for. The reply frame says only which table answered, and
+// the request ID says to what.
 //
-// Version 8 has two reply frames. The five session replies — profile
-// grant, Setup, Rekey, each rotation key and Resume — were five types,
-// five codecs and five frames; they are one SessionReply in one layout on
-// frameSessionReply, each request reading the fields it has an answer
-// for. MatVec replies travel on frameComputeReply like every per-block op,
-// so the reply frame says only which table answered, and the request ID
-// says to what. Seventeen frame types became twelve.
+// Switching keys travel seeded. A relinearization or Galois key is its
+// gadget header (digit and limb counts, degree, the extended basis's
+// moduli), a 32-byte seed and its component-0 runs only; the uniform
+// component 1 is expanded from the seed by AES-256-CTR on decode, straight
+// into evaluation form. Setup carries the session ID, LogN and Depth, the
+// relinearization key, the HE-encrypted transciphering key, the nonce,
+// Profile and ResumeAuth; the client's public key stays with the client,
+// the only party that encrypts under it.
 //
-// Version 7 uploads rotation keys one per frame. A RotKeys request is the
-// session ID and one Galois key; the client generates each key into the
-// same storage and sends it without waiting for the previous reply, then
-// collects every reply, so neither end holds more than one key in flight
-// and no frame grows with the model (the largest legal frame is a λ-128k
-// Setup, under the 4 MiB cap; one λ-128k key is under 1 MB). The server
-// checks each key as it arrives and keeps it in a set pending on the
-// connection; the set is installed on the session atomically the moment
-// it covers the plan's rotations, and until then the session serves no
-// matvec. A repeated key, a key for a rotation outside the plan and a key
-// after the set is installed are refused typed. A partial set dies with
-// its connection: resume re-attaches the session, not the upload, and the
-// client uploads again.
-//
-// Version 6 ships switching keys seeded and Setup without a public key.
-// A relinearization or Galois key travels as its gadget header (digit and
-// limb counts, degree, the extended basis's moduli), a 32-byte seed and
-// its component-0 runs only; the uniform component 1 is expanded from the
-// seed by AES-256-CTR on decode, straight into evaluation form — half the
-// bytes of version 5 on the wire, in the read buffer and in the decoder.
-// Setup carries the session ID, LogN and Depth, the relinearization key,
-// the HE-encrypted transciphering key, the nonce, Profile and ResumeAuth;
-// the client's public key stays with the client, the only party that
-// encrypts under it.
+// Rotation keys upload one per frame: a RotKeys request is the session ID
+// and one Galois key. The BSGS kernel folds its giant blocks in by
+// Horner's rule, each step a rotation by n1, so the rotation set a session
+// uploads and the server accepts is ckks.BSGSRotations of the model
+// dimension — the baby steps 1…n1−1 and n1, n1 keys (16 for a 256×256
+// model, 15.7 MB at λ-128k) — and a key for any other rotation is refused
+// as outside the plan. The client generates each key into the same storage
+// and sends it without waiting for the previous reply, then collects every
+// reply, so neither end holds more than one key in flight and no frame
+// grows with the model (the largest legal frame is a λ-128k Setup, under
+// the 4 MiB cap; one λ-128k key is under 1 MB). The server checks each key
+// as it arrives and keeps it in a set pending on the connection; the set
+// is installed on the session atomically the moment it covers the plan's
+// rotations, and until then the session serves no matvec. A repeated key
+// and a key after the set is installed are refused typed. A partial set
+// dies with its connection: resume re-attaches the session, not the
+// upload, and the client uploads again.
 //
 // A connection opens with an empty hello frame from the client, echoed by
 // the server. The version byte names the whole wire format — framing,
@@ -318,16 +303,14 @@
 //	CodeRekeyRequired     yes, after rekey       rekey event +           RekeyIfEpoch(epoch) then resend — automatic
 //	                                             retry_backoff event     inside Compute/ComputeBatch, budget-capped
 //	                                                                     (three resends), jittered
-//	CodeKeyExhausted      yes, after retry-after retry_backoff event     serve.RetryAfter(err) gives the wait the
-//	                                                                     server derived from the QKD provisioning
-//	                                                                     rate; degradation, not failure — a shed
-//	                                                                     to schedule, not an error
+//	CodeKeyExhausted      yes, after retry-after retry_backoff event     the *serve.KeyExhaustedError's RetryAfter
+//	                                                                     is the wait the server derived from the
+//	                                                                     QKD provisioning rate; degradation, not
+//	                                                                     failure — a shed to schedule, not an error
 //	CodeAdmissionDenied   no (until replan)      wait span closes        the control plane's standing decision;
 //	                                                                     resending sooner than the next plan is noise
 //	CodeProfileDenied     no                     wait span closes        renegotiate the profile (redial); never run
 //	                                                                     at a different λ than granted
-//	CodeDraining          no (this server)       wait span closes        dial another server; resume attempts are
-//	                                                                     also turned away while draining
 //	CodeResumeRejected    no                     recovery trace ends     the detached session is gone (window
 //	                                             (reconnect, failed      expired, epoch/profile drift, bad proof);
 //	                                             resume)                 full redial — new Setup, new key ceremony
@@ -353,9 +336,7 @@
 // connection may sit idle (a client waiting on its own in-flight replies is
 // not idle), ServerConfig.ResumeWindow lets a session outlive its
 // connection for resume (guarded by a challenge–MAC possession proof over
-// the QKD-derived resume credential, which rotates on rekey), and
-// Server.Drain winds down gracefully — new work turned away typed, in-
-// flight blocks finished, connections closed as they go quiet. The chaos
+// the QKD-derived resume credential, which rotates on rekey). The chaos
 // suite (chaos_test.go + internal/faultnet) pins the whole contract under
 // seeded byte-level faults: typed errors, no hangs, no wrong plaintexts,
 // and resumes that cost zero key material (TestResumeRoundTrip).

@@ -9,6 +9,12 @@ import (
 	"quhe/internal/qkd"
 )
 
+// blocks returns how many blocks the server has processed for a session.
+func blocks(srv *Server, sessionID string) int {
+	st, _ := srv.SessionStats(sessionID)
+	return int(st.Blocks)
+}
+
 func startServer(t *testing.T, model Model) *Server {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{Model: model})
@@ -46,7 +52,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client, err := Dial(srv.Addr(), "client-1", qkdKey, 42)
+	client, err := DialWith(srv.Addr(), "client-1", qkdKey, 42, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +72,15 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if want := wantCmpDelay(t, client, 1, 0); client.LastTxDelay <= 0 || client.LastCmpDelay != want {
 		t.Errorf("modeled delays: tx %v, cmp %v want the registry's %v", client.LastTxDelay, client.LastCmpDelay, want)
 	}
-	if srv.Blocks("client-1") != 1 {
-		t.Errorf("server processed %d blocks, want 1", srv.Blocks("client-1"))
+	if blocks(srv, "client-1") != 1 {
+		t.Errorf("server processed %d blocks, want 1", blocks(srv, "client-1"))
 	}
 }
 
 func TestMultipleBlocksSameSession(t *testing.T) {
 	model := Model{Weights: []float64{1, 1, 1, 1}}
 	srv := startServer(t, model)
-	client, err := Dial(srv.Addr(), "c", []byte("qkd-material"), 7)
+	client, err := DialWith(srv.Addr(), "c", []byte("qkd-material"), 7, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +98,8 @@ func TestMultipleBlocksSameSession(t *testing.T) {
 			}
 		}
 	}
-	if srv.Blocks("c") != 3 {
-		t.Errorf("server processed %d blocks, want 3", srv.Blocks("c"))
+	if blocks(srv, "c") != 3 {
+		t.Errorf("server processed %d blocks, want 3", blocks(srv, "c"))
 	}
 }
 
@@ -108,7 +114,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			name := "client-" + string(rune('a'+id))
-			client, err := Dial(srv.Addr(), name, []byte(name), int64(100+id))
+			client, err := DialWith(srv.Addr(), name, []byte(name), int64(100+id), DialConfig{})
 			if err != nil {
 				errs <- err
 				return
@@ -137,7 +143,7 @@ func (e *mismatchError) Error() string { return "mismatch: got wrong inference r
 
 func TestUnknownSessionRejected(t *testing.T) {
 	srv := startServer(t, Model{})
-	client, err := Dial(srv.Addr(), "known", []byte("k"), 5)
+	client, err := DialWith(srv.Addr(), "known", []byte("k"), 5, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestUnknownSessionRejected(t *testing.T) {
 
 func TestOversizedBlockRejected(t *testing.T) {
 	srv := startServer(t, Model{})
-	client, err := Dial(srv.Addr(), "c", []byte("k"), 5)
+	client, err := DialWith(srv.Addr(), "c", []byte("k"), 5, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +170,10 @@ func TestOversizedBlockRejected(t *testing.T) {
 
 func TestDialValidation(t *testing.T) {
 	srv := startServer(t, Model{})
-	if _, err := Dial(srv.Addr(), "", []byte("k"), 1); err == nil {
+	if _, err := DialWith(srv.Addr(), "", []byte("k"), 1, DialConfig{}); err == nil {
 		t.Error("empty session id accepted")
 	}
-	if _, err := Dial("127.0.0.1:1", "s", []byte("k"), 1); err == nil {
+	if _, err := DialWith("127.0.0.1:1", "s", []byte("k"), 1, DialConfig{}); err == nil {
 		t.Error("dead address accepted")
 	}
 }
@@ -177,7 +183,7 @@ func TestDialValidation(t *testing.T) {
 // the plaintext, yet the client recovers the model output exactly.
 func TestMaskedDataUnreadableByServer(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1, 1, 1, 1}})
-	client, err := Dial(srv.Addr(), "c", []byte("secret-key-material"), 11)
+	client, err := DialWith(srv.Addr(), "c", []byte("secret-key-material"), 11, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,8 @@ func TestKeyFramesAllocateOnce(t *testing.T) {
 // ≈45 MB at λ-128k, which as one frame would be eleven times the cap), and
 // a λ-128k client completes EnableMatVec against it in 46 frames.
 func TestEveryLegalFrameFits(t *testing.T) {
-	for _, p := range profile.Default().Profiles() {
+	for _, id := range profile.Default().IDs() {
+		p, _ := profile.Default().Get(id)
 		ctx, err := p.Context()
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +130,7 @@ func TestEveryLegalFrameFits(t *testing.T) {
 		t.Errorf("EnableMatVec sent %d frames, want %d (one per rotation key)", frames, wantKeys)
 	}
 	sess, _ := srv.store.Peek("wide")
-	if got := len(sess.RotKeys().Rotations()); got != wantKeys {
+	if got := len(sess.RotKeys().Keys); got != wantKeys {
 		t.Errorf("session installed %d rotation keys, want %d", got, wantKeys)
 	}
 }

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -108,7 +107,7 @@ func (p *rawPeer) hostileGadgets(k *ckks.SwitchingKey) map[string]struct {
 // trace and a good one took.
 func checkSessions(t *testing.T, srv *Server, what string, want int) {
 	t.Helper()
-	if got := srv.Sessions(); got != want {
+	if got := srv.store.Len(); got != want {
 		t.Fatalf("%s: %d sessions resident, want %d", what, got, want)
 	}
 }
@@ -262,7 +261,7 @@ func TestComputeConcurrentWithRekey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr(), "rotating", []byte("generation-0"), 61)
+	client, err := DialQKDWith(srv.Addr(), "rotating", provisionedKeyCenter(t, "rotating"), 61, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +306,7 @@ func TestComputeConcurrentWithRekey(t *testing.T) {
 		}(lane)
 	}
 	for r := 1; r <= rotations; r++ {
-		if err := client.RekeyWith([]byte(fmt.Sprintf("generation-%d", r))); err != nil {
+		if err := client.Rekey(); err != nil {
 			t.Errorf("rotation %d: %v", r, err)
 			break
 		}

@@ -37,13 +37,12 @@ type serverObs struct {
 	rekeys              *obs.Counter
 	shedQueueFull       *obs.Counter
 
-	// Fault-tolerance instruments (PR 8): session resume grants/denials,
-	// resume-window expiries, idle-deadline reclaims and drain invocations.
+	// Fault-tolerance instruments: session resume grants and denials,
+	// resume-window expiries and idle-deadline reclaims.
 	resumes       *obs.Counter
 	resumeRejects *obs.Counter
 	resumeExpired *obs.Counter
 	idleTimeouts  *obs.Counter
-	drains        *obs.Counter
 
 	queueWait *obs.Histogram
 	stages    [6]*obs.Histogram // indexed by stage constants below
@@ -102,7 +101,6 @@ func newServerObs(reg *obs.Registry, s *Server) *serverObs {
 		resumeRejects:   reg.Counter("quhe_edge_resume_rejects_total", "resume attempts denied (bad proof, epoch/profile drift, unknown session)"),
 		resumeExpired:   reg.Counter("quhe_edge_resume_window_expired_total", "detached sessions reaped after the resume window"),
 		idleTimeouts:    reg.Counter("quhe_edge_idle_timeouts_total", "connections reclaimed by the idle read deadline"),
-		drains:          reg.Counter("quhe_edge_drains_total", "graceful drains initiated"),
 		queueWait:       reg.Histogram("quhe_serve_queue_wait_seconds", "scheduler queue wait per job"),
 		evalHists:       make(map[string]*obs.Histogram),
 		latencySLOs:     make(map[string]*obs.SLOTracker),

@@ -76,7 +76,7 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if _, err := kc.RunExchange("obs-sess", 0.97, 8192, 3); err != nil {
 		t.Fatal(err)
 	}
-	client, err := DialQKD(srv.Addr(), "obs-sess", kc, 11)
+	client, err := DialQKDWith(srv.Addr(), "obs-sess", kc, 11, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTraceSpanSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr(), "trace-sess", []byte("qkd-material"), 13)
+	client, err := DialWith(srv.Addr(), "trace-sess", []byte("qkd-material"), 13, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,11 @@ func TestTraceSpanSum(t *testing.T) {
 			t.Errorf("block %d: %d spans, want 5", bt.Block, len(bt.Spans))
 			continue
 		}
-		sum, total := bt.SpanSum(), bt.Total
+		var sum time.Duration
+		for _, sp := range bt.Spans {
+			sum += sp.Dur
+		}
+		total := bt.Total
 		if gap := total - sum; gap < 0 || float64(gap) > 0.1*float64(total) {
 			t.Errorf("block %d: span sum %v vs total %v (gap %v exceeds 10%%)",
 				bt.Block, sum, total, gap)
@@ -232,7 +236,7 @@ func TestDebugPlanWithController(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := DialQKD(srv.Addr(), "ledger-sess", kc, 11)
+	client, err := DialQKDWith(srv.Addr(), "ledger-sess", kc, 11, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestOpGates(t *testing.T) {
 			ctl.budget.Store(1)
 			try("plan budget below one block", 1, slots, serve.CodeRekeyRequired)
 			ctl.budget.Store(0)
-			if got := srv.Blocks("gated"); got != 1 {
+			if got := blocks(srv, "gated"); got != 1 {
 				t.Errorf("%d blocks recorded, want only the served one", got)
 			}
 

@@ -14,6 +14,16 @@ import (
 // concurrent sessions on different security profiles — independently
 // keyed contexts at different ring degrees — compute correct results on
 // one server, interleaved.
+// sessionProfile reports the security profile the server registered a
+// session on.
+func sessionProfile(srv *Server, sessionID string) (string, bool) {
+	sess, ok := srv.store.Peek(sessionID)
+	if !ok {
+		return "", false
+	}
+	return sess.Profile, true
+}
+
 func TestMixedProfileSessions(t *testing.T) {
 	model := Model{Weights: []float64{0.5, -0.25}, Bias: []float64{0.1, 0.2}}
 	srv := startServer(t, model)
@@ -31,7 +41,7 @@ func TestMixedProfileSessions(t *testing.T) {
 		if got := c.Profile(); got != id {
 			t.Fatalf("client %d negotiated %q, want %q", i, got, id)
 		}
-		if got, ok := srv.SessionProfile(c.SessionID()); !ok || got != id {
+		if got, ok := sessionProfile(srv, c.SessionID()); !ok || got != id {
 			t.Fatalf("server records profile %q (ok=%v) for %s, want %q", got, ok, c.SessionID(), id)
 		}
 	}
@@ -65,8 +75,8 @@ func TestMixedProfileSessions(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if srv.Sessions() != 2 {
-		t.Errorf("%d sessions resident, want 2", srv.Sessions())
+	if srv.store.Len() != 2 {
+		t.Errorf("%d sessions resident, want 2", srv.store.Len())
 	}
 }
 
@@ -77,7 +87,7 @@ func TestControllerSteersEmptyRequest(t *testing.T) {
 	ctl := &fakeControl{}
 	ctl.steer.Store(profile.IDLambda64k)
 	srv := startControlledServer(t, ctl, ServerConfig{})
-	c, err := Dial(srv.Addr(), "steer-me", []byte("k"), 9)
+	c, err := DialWith(srv.Addr(), "steer-me", []byte("k"), 9, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +127,7 @@ func TestProfileDowngradePerPlan(t *testing.T) {
 	if got := c.Profile(); got != profile.IDLambda32k {
 		t.Errorf("downgraded profile = %q, want %q", got, profile.IDLambda32k)
 	}
-	if got, _ := srv.SessionProfile("downgrade-me"); got != profile.IDLambda32k {
+	if got, _ := sessionProfile(srv, "downgrade-me"); got != profile.IDLambda32k {
 		t.Errorf("server registered %q, want the downgrade", got)
 	}
 }
@@ -140,8 +150,8 @@ func TestSetupEnforcesPlanProfile(t *testing.T) {
 	if rep := p.setup(t, req); rep.Code != serve.CodeProfileDenied {
 		t.Fatalf("bypass setup reply = %+v, want CodeProfileDenied", rep)
 	}
-	if srv.Sessions() != 0 {
-		t.Errorf("%d sessions resident after denied bypass", srv.Sessions())
+	if srv.store.Len() != 0 {
+		t.Errorf("%d sessions resident after denied bypass", srv.store.Len())
 	}
 }
 

@@ -44,7 +44,7 @@ func plainMatVec(m [][]float64, bias, v []float64) []float64 {
 // client-side and checked against the plaintext product.
 func TestMatVecEndToEnd(t *testing.T) {
 	srv := startServer(t, Model{Matrix: testMatrix, MatrixBias: testMatrixBias})
-	client, err := Dial(srv.Addr(), "mv-client", []byte("qkd-material"), 42)
+	client, err := DialWith(srv.Addr(), "mv-client", []byte("qkd-material"), 42, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMatVecPricedBySwitches(t *testing.T) {
 		}
 	}
 	srv := startServer(t, Model{Matrix: m})
-	client, err := Dial(srv.Addr(), "priced", []byte("qkd-material"), 43)
+	client, err := DialWith(srv.Addr(), "priced", []byte("qkd-material"), 43, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,12 @@ func TestMatVecPricedBySwitches(t *testing.T) {
 		t.Fatalf("EnableMatVec: %v", err)
 	}
 	sess, _ := srv.store.Peek("priced")
-	if got := sess.RotKeys().Rotations(); !slices.Equal(got, []int{1, 2, 3, 4}) {
-		t.Errorf("session installed rotation keys %v, want [1 2 3 4]", got)
+	var rots []int
+	for _, gk := range sess.RotKeys().Keys {
+		rots = append(rots, gk.Rot)
+	}
+	if slices.Sort(rots); !slices.Equal(rots, []int{1, 2, 3, 4}) {
+		t.Errorf("session installed rotation keys %v, want [1 2 3 4]", rots)
 	}
 	v := make([]float64, dim)
 	for i := range v {
@@ -149,7 +153,7 @@ func TestMatVecAndComputeShareSession(t *testing.T) {
 		Matrix:  testMatrix, MatrixBias: testMatrixBias,
 	}
 	srv := startServer(t, model)
-	client, err := Dial(srv.Addr(), "mixed", []byte("k"), 7)
+	client, err := DialWith(srv.Addr(), "mixed", []byte("k"), 7, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +182,8 @@ func TestMatVecAndComputeShareSession(t *testing.T) {
 			t.Errorf("matvec slot %d = %v, want %v", i, mv[i], want[i])
 		}
 	}
-	if srv.Blocks("mixed") != 2 {
-		t.Errorf("server processed %d blocks, want 2", srv.Blocks("mixed"))
+	if blocks(srv, "mixed") != 2 {
+		t.Errorf("server processed %d blocks, want 2", blocks(srv, "mixed"))
 	}
 }
 
@@ -188,7 +192,7 @@ func TestMatVecAndComputeShareSession(t *testing.T) {
 // request at admission, not crash mid-kernel.
 func TestMatVecWithoutRotationKeys(t *testing.T) {
 	srv := startServer(t, Model{Matrix: testMatrix})
-	client, err := Dial(srv.Addr(), "no-keys", []byte("k"), 3)
+	client, err := DialWith(srv.Addr(), "no-keys", []byte("k"), 3, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +207,7 @@ func TestMatVecWithoutRotationKeys(t *testing.T) {
 // and the client fails locally typed.
 func TestMatVecNotConfigured(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}})
-	client, err := Dial(srv.Addr(), "plain", []byte("k"), 5)
+	client, err := DialWith(srv.Addr(), "plain", []byte("k"), 5, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +229,7 @@ func TestMatVecNotConfigured(t *testing.T) {
 // invalidate them.
 func TestMatVecSurvivesRekey(t *testing.T) {
 	srv := startServer(t, Model{Matrix: testMatrix, MatrixBias: testMatrixBias})
-	client, err := Dial(srv.Addr(), "rekeyed", []byte("first-material"), 13)
+	client, err := DialQKDWith(srv.Addr(), "rekeyed", provisionedKeyCenter(t, "rekeyed"), 13, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestMatVecSurvivesRekey(t *testing.T) {
 	if err := client.EnableMatVec(); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.RekeyWith([]byte("second-material")); err != nil {
+	if err := client.Rekey(); err != nil {
 		t.Fatalf("rekey: %v", err)
 	}
 	v := []float64{-0.5, 0.25, 0.75, -0.1}

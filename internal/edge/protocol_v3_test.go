@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"quhe/internal/he/profile"
+	"quhe/internal/obs"
 	"quhe/internal/serve"
 )
 
@@ -70,7 +71,7 @@ func TestPipelinedRepliesStreamOutOfOrder(t *testing.T) {
 			}
 			// The incremental-delivery claim: when the first reply
 			// arrived, the server had not yet evaluated every request.
-			if done := srv.Blocks("stream"); done >= n-1 {
+			if done := blocks(srv, "stream"); done >= n-1 {
 				t.Errorf("first reply arrived after %d of %d blocks: replies were buffered, not streamed", done, n)
 			}
 			if got := p.decrypt(rep.Result); math.Abs(got[0]-0.25) > 0.05 {
@@ -105,7 +106,7 @@ func TestPendingFailTypedOnConnClose(t *testing.T) {
 		readFrame(br, &buf) // the Setup request — drop it on the floor
 	})
 
-	_, err := Dial(ln.Addr().String(), "doomed", []byte("k"), 97)
+	_, err := DialWith(ln.Addr().String(), "doomed", []byte("k"), 97, DialConfig{})
 	if err == nil {
 		t.Fatal("dial against request-dropping server succeeded")
 	}
@@ -121,7 +122,7 @@ func TestPendingFailTypedOnConnClose(t *testing.T) {
 // the typed code to anything still waiting.
 func TestClientCloseFailsPendingTyped(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}})
-	client, err := Dial(srv.Addr(), "self-close", []byte("k"), 99)
+	client, err := DialWith(srv.Addr(), "self-close", []byte("k"), 99, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestDialFailsAgainstForeignListener(t *testing.T) {
 			t.Parallel()
 			ln := stubListener(t, peer)
 			start := time.Now()
-			_, err := Dial(ln.Addr().String(), "stranger", []byte("k"), 89)
+			_, err := DialWith(ln.Addr().String(), "stranger", []byte("k"), 89, DialConfig{})
 			if !errors.Is(err, ErrProtocolMismatch) {
 				t.Errorf("dial err = %v, want wrapping ErrProtocolMismatch", err)
 			}
@@ -204,7 +205,12 @@ func TestDialFailsAgainstForeignListener(t *testing.T) {
 // version's hello, garbage, a well-formed non-hello frame — is closed
 // without an ack, registers nothing, reaches no worker, and is counted.
 func TestStalePeersFailClosed(t *testing.T) {
-	srv := startServer(t, Model{Weights: []float64{1}})
+	reg := obs.NewRegistry()
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Model: Model{Weights: []float64{1}}, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	openers := map[string][]byte{
 		// How a gob-era client opened: the encoder's type definition for
 		// the request envelope.
@@ -229,15 +235,14 @@ func TestStalePeersFailClosed(t *testing.T) {
 		conn.Close()
 	}
 	checkSessions(t, srv, "after stale and foreign openers", 0)
-	reg := srv.ObsRegistry()
 	if got := reg.Counter("quhe_wire_protocol_mismatch_total", "").Value(); got != int64(len(openers)) {
 		t.Errorf("protocol mismatch counter = %d, want %d", got, len(openers))
 	}
-	if got := reg.Histogram("quhe_serve_queue_wait_seconds", "").Count(); got != 0 {
+	if got := reg.Histogram("quhe_serve_queue_wait_seconds", "").Snapshot().Count; got != 0 {
 		t.Errorf("stale peers put %d jobs through the scheduler", got)
 	}
 	// The server is unharmed: a current client still dials and computes.
-	c, err := Dial(srv.Addr(), "current", []byte("k"), 90)
+	c, err := DialWith(srv.Addr(), "current", []byte("k"), 90, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestRotKeysUploadRefusals(t *testing.T) {
 			t.Fatalf("rotation key %d refused: %+v", req.Key.Rot, rep)
 		}
 	}
-	if got := len(sess.RotKeys().Rotations()); got != len(keys) {
+	if got := len(sess.RotKeys().Keys); got != len(keys) {
 		t.Fatalf("%d rotation keys installed, want %d", got, len(keys))
 	}
 	refused("a key after install", keys[0], "already installed")
@@ -136,7 +136,7 @@ func TestInterruptedRotKeysUpload(t *testing.T) {
 // serves on the set the first upload installed.
 func TestEnableMatVecRetryAfterInstall(t *testing.T) {
 	srv := startServer(t, Model{Matrix: testMatrix, MatrixBias: testMatrixBias})
-	client, err := Dial(srv.Addr(), "mv-retry", []byte("qkd-material"), 43)
+	client, err := DialWith(srv.Addr(), "mv-retry", []byte("qkd-material"), 43, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"bufio"
-	"context"
 	"crypto/hmac"
 	"crypto/rand"
 	"errors"
@@ -168,16 +167,10 @@ type Server struct {
 	// conns tracks live connections so Close can tear them down: without
 	// it, a peer that stalls mid-read (reply writer blocked on its
 	// socket) would pin Close in wg.Wait forever. Each connection's state
-	// carries its in-flight work count (Drain's idleness signal) and its
-	// attached sessions (detached into the resume window on teardown).
+	// carries its in-flight work count and its attached sessions
+	// (detached into the resume window on teardown).
 	conns map[net.Conn]*connState
 
-	// draining rejects new sessions, resumes and computes while Drain
-	// winds live connections down; lnOnce makes the listener close safe
-	// to reach from both Drain and Close.
-	draining atomic.Bool
-	lnOnce   sync.Once
-	lnErr    error
 	// reapStop ends the resume-window reaper (nil when ResumeWindow is 0).
 	reapStop chan struct{}
 }
@@ -185,9 +178,8 @@ type Server struct {
 // connState is the server's per-connection bookkeeping. active counts
 // requests whose replies have not reached the socket yet: each admitted
 // op frame, from admission until the reply writer is done with its reply,
-// plus the frame a synchronous handler is answering. Drain closes a
-// connection only when it reads zero, and it is the occupancy of the
-// connection's window: the decode loop admits an op frame only while
+// plus the frame a synchronous handler is answering. It is the occupancy
+// of the connection's window: the decode loop admits an op frame only while
 // fewer than the scheduler's live capacity are in flight, so a peer that
 // outruns its window — or stops reading its replies — backs up its own
 // socket and nothing else. attached holds the sessions bound to the
@@ -471,10 +463,6 @@ func (s *Server) matvecPlan(rt *profileRuntime) (*ckks.MatVecPlan, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// ObsRegistry returns the server's metrics registry (the configured
-// shared one or the private default).
-func (s *Server) ObsRegistry() *obs.Registry { return s.met.reg }
-
 // Tracer returns the server's block tracer.
 func (s *Server) Tracer() *obs.Tracer { return s.met.tracer }
 
@@ -485,13 +473,6 @@ func (s *Server) DebugAddr() string {
 		return ""
 	}
 	return s.debug.Addr()
-}
-
-// closeListener closes the listener exactly once (Drain and Close both
-// reach it) and remembers the first close's error.
-func (s *Server) closeListener() error {
-	s.lnOnce.Do(func() { s.lnErr = s.listener.Close() })
-	return s.lnErr
 }
 
 // Close stops accepting, tears down live connections (so a stalled peer
@@ -512,7 +493,7 @@ func (s *Server) Close() error {
 	if s.debug != nil {
 		s.debug.Close()
 	}
-	err := s.closeListener()
+	err := s.listener.Close()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -523,60 +504,6 @@ func (s *Server) Close() error {
 	s.sched.Close()
 	return err
 }
-
-// Drain gracefully winds the server down for a restart: stop accepting,
-// turn new sessions, resumes and computes away with serve.CodeDraining,
-// let in-flight blocks finish, and close each connection the moment it
-// has no work left — nudging idle clients off to reconnect elsewhere.
-// Returns nil once every connection is gone, or ctx's error after
-// force-closing whatever remained when the context expired. Call Close
-// afterwards to release the remaining resources (scheduler, debug
-// plane); Drain leaves them running so in-flight work can finish.
-func (s *Server) Drain(ctx context.Context) error {
-	if !s.draining.Swap(true) {
-		s.met.drains.Inc()
-		s.cfg.Logf("edge: draining")
-	}
-	s.closeListener()
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		s.mu.Lock()
-		busy := 0
-		idle := make([]net.Conn, 0, len(s.conns))
-		for conn, cs := range s.conns {
-			if cs.active.Load() == 0 {
-				idle = append(idle, conn)
-			} else {
-				busy++
-			}
-		}
-		s.mu.Unlock()
-		for _, c := range idle {
-			c.Close()
-		}
-		if busy == 0 && len(idle) == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			s.mu.Lock()
-			conns := make([]net.Conn, 0, len(s.conns))
-			for c := range s.conns {
-				conns = append(conns, c)
-			}
-			s.mu.Unlock()
-			for _, c := range conns {
-				c.Close()
-			}
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
-}
-
-// Draining reports whether the server is turning new work away.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // trackConn registers a live connection for Close-time teardown; it
 // reports nil (and closes the connection) when the server is already
@@ -607,15 +534,6 @@ func (s *Server) forgetConn(conn net.Conn) {
 	}
 }
 
-// Blocks returns the number of blocks processed for a session. Read-only:
-// it does not refresh the session's LRU position.
-func (s *Server) Blocks(sessionID string) int {
-	if sess, ok := s.store.Peek(sessionID); ok {
-		return int(sess.Stats().Blocks)
-	}
-	return 0
-}
-
 // SessionStats snapshots a session's usage counters. Read-only: it does
 // not refresh the session's LRU position, so stats polling never protects
 // an idle session from eviction.
@@ -626,19 +544,6 @@ func (s *Server) SessionStats(sessionID string) (serve.Stats, bool) {
 	}
 	return sess.Stats(), true
 }
-
-// SessionProfile reports the security profile a session was registered
-// on. Read-only, like SessionStats.
-func (s *Server) SessionProfile(sessionID string) (string, bool) {
-	sess, ok := s.store.Peek(sessionID)
-	if !ok {
-		return "", false
-	}
-	return sess.Profile, true
-}
-
-// Sessions counts resident sessions.
-func (s *Server) Sessions() int { return s.store.Len() }
 
 // Evictions counts sessions displaced by the MaxSessions cap.
 func (s *Server) Evictions() int64 { return s.store.Evictions() }
@@ -911,9 +816,6 @@ func (s *Server) handleResume(sc *sessionConn, id uint64, req *ResumeRequest) (*
 		s.cfg.Logf("edge: resume of %q denied: %s (%s)", req.SessionID, code, detail)
 		return refuse(code, detail)
 	}
-	if s.draining.Load() {
-		return deny(serve.CodeDraining, "server draining; re-dial elsewhere")
-	}
 	// Peek, not Get: the session earns its LRU refresh only after the
 	// possession proof, so an unauthenticated probe cannot keep a session
 	// alive.
@@ -975,9 +877,6 @@ func (s *Server) handleResume(sc *sessionConn, id uint64, req *ResumeRequest) (*
 // runtime before the job is queued, so the scheduler can route it to the
 // profile's pool.
 func (s *Server) lookupCompute(sessionID string) (*serve.Session, *profileRuntime, serve.Code, string) {
-	if s.draining.Load() {
-		return nil, nil, serve.CodeDraining, "server draining; reconnect elsewhere"
-	}
 	sess, ok := s.store.Get(sessionID)
 	if !ok {
 		return nil, nil, serve.CodeUnknownSession, fmt.Sprintf("unknown session %q", sessionID)
@@ -990,9 +889,6 @@ func (s *Server) lookupCompute(sessionID string) (*serve.Session, *profileRuntim
 }
 
 func (s *Server) handleSetup(sc *sessionConn, _ uint64, req *SetupRequest) (*SessionReply, error) {
-	if s.draining.Load() {
-		return refuse(serve.CodeDraining, "server draining; re-dial elsewhere")
-	}
 	profID := req.Profile
 	if profID == "" {
 		profID = s.reg.DefaultID()

@@ -17,12 +17,12 @@ import (
 
 func TestDuplicateSetupRejected(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}})
-	c1, err := Dial(srv.Addr(), "dup", []byte("k1"), 3)
+	c1, err := DialWith(srv.Addr(), "dup", []byte("k1"), 3, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	_, err = Dial(srv.Addr(), "dup", []byte("k2"), 4)
+	_, err = DialWith(srv.Addr(), "dup", []byte("k2"), 4, DialConfig{})
 	if err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
@@ -41,7 +41,7 @@ func TestDuplicateSetupRejected(t *testing.T) {
 
 func TestTypedErrorCodesOnWire(t *testing.T) {
 	srv := startServer(t, Model{})
-	client, err := Dial(srv.Addr(), "typed", []byte("k"), 5)
+	client, err := DialWith(srv.Addr(), "typed", []byte("k"), 5, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPipelinedComputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr(), "pipe", []byte("k"), 9)
+	client, err := DialWith(srv.Addr(), "pipe", []byte("k"), 9, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPipelinedComputes(t *testing.T) {
 			t.Errorf("block %d = %v, want [%v %v]", i, got, want0, want1)
 		}
 	}
-	if n := srv.Blocks("pipe"); n != inFlight {
+	if n := blocks(srv, "pipe"); n != inFlight {
 		t.Errorf("server processed %d blocks, want %d", n, inFlight)
 	}
 }
@@ -140,7 +140,7 @@ func TestClientBlockAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	srv := startServer(t, Model{Weights: []float64{1}})
-	c, err := Dial(srv.Addr(), "client-allocs", []byte("k"), 13)
+	c, err := DialWith(srv.Addr(), "client-allocs", []byte("k"), 13, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestConcurrentWaitsOwnBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr(), "waits", []byte("k"), 17)
+	c, err := DialWith(srv.Addr(), "waits", []byte("k"), 17, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestConcurrentClientsPipelined(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			name := fmt.Sprintf("mt-%d", id)
-			client, err := Dial(srv.Addr(), name, []byte(name), int64(40+id))
+			client, err := DialWith(srv.Addr(), name, []byte(name), int64(40+id), DialConfig{})
 			if err != nil {
 				errs <- err
 				return
@@ -287,7 +287,7 @@ func TestConcurrentClientsPipelined(t *testing.T) {
 		t.Error(err)
 	}
 	for i := 0; i < clients; i++ {
-		if n := srv.Blocks(fmt.Sprintf("mt-%d", i)); n != perClient {
+		if n := blocks(srv, fmt.Sprintf("mt-%d", i)); n != perClient {
 			t.Errorf("client %d: %d blocks, want %d", i, n, perClient)
 		}
 	}
@@ -302,7 +302,7 @@ func TestBatchCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr(), "batch", []byte("k"), 13)
+	client, err := DialWith(srv.Addr(), "batch", []byte("k"), 13, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestBatchCompute(t *testing.T) {
 			t.Errorf("item %d = %v, want [%v %v]", i, got[i], want0, want1)
 		}
 	}
-	if n := srv.Blocks("batch"); n != len(data) {
+	if n := blocks(srv, "batch"); n != len(data) {
 		t.Errorf("server processed %d blocks, want %d", n, len(data))
 	}
 	if want := wantCmpDelay(t, client, len(data), 0); client.LastTxDelay <= 0 || client.LastCmpDelay != want {
@@ -354,7 +354,7 @@ func TestBatchStraddlesRekey(t *testing.T) {
 	srv := startControlledServer(t, ctl, ServerConfig{
 		Model: Model{Weights: []float64{2}}, Workers: 1, QueueDepth: 16,
 	})
-	client, err := Dial(srv.Addr(), "straddle", []byte("generation-0"), 31)
+	client, err := DialQKDWith(srv.Addr(), "straddle", provisionedKeyCenter(t, "straddle"), 31, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestBatchStraddlesRekey(t *testing.T) {
 			done <- result{out, err}
 		}()
 	})
-	if err := client.RekeyWith([]byte("generation-1")); err != nil {
+	if err := client.Rekey(); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
@@ -394,7 +394,7 @@ func TestBatchStraddlesRekey(t *testing.T) {
 	if client.Stats().Retries == 0 {
 		t.Error("no retry counted: the rotation did not land inside the batch")
 	}
-	if n := srv.Blocks("straddle"); n != len(data) {
+	if n := blocks(srv, "straddle"); n != len(data) {
 		t.Errorf("server served %d blocks, want %d (each item once)", n, len(data))
 	}
 }
@@ -416,7 +416,7 @@ func TestBackpressureShedsPipelinedLoad(t *testing.T) {
 	var clients [2]*Client
 	for i := range clients {
 		name := fmt.Sprintf("burst-%d", i)
-		if clients[i], err = Dial(srv.Addr(), name, []byte(name), int64(17+i)); err != nil {
+		if clients[i], err = DialWith(srv.Addr(), name, []byte(name), int64(17+i), DialConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		defer clients[i].Close()
@@ -472,7 +472,7 @@ func TestBatchLargerThanQueueServedWhenIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr(), "bigbatch", []byte("k"), 19)
+	client, err := DialWith(srv.Addr(), "bigbatch", []byte("k"), 19, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestBatchLargerThanQueueServedWhenIdle(t *testing.T) {
 			t.Errorf("item %d = %v, want 0.25", i, got[i][0])
 		}
 	}
-	if n := srv.Blocks("bigbatch"); n != len(data) {
+	if n := blocks(srv, "bigbatch"); n != len(data) {
 		t.Errorf("server processed %d blocks, want %d", n, len(data))
 	}
 }
@@ -531,7 +531,7 @@ func TestRekeyAfterByteBudget(t *testing.T) {
 	defer srv.Close()
 
 	kc := provisionedKeyCenter(t, "rk")
-	client, err := DialQKD(srv.Addr(), "rk", kc, 23)
+	client, err := DialQKDWith(srv.Addr(), "rk", kc, 23, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestManualRekeyWithoutKeyCenter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr(), "manual", []byte("initial-material"), 29)
+	client, err := DialWith(srv.Addr(), "manual", []byte("initial-material"), 29, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,23 +588,17 @@ func TestManualRekeyWithoutKeyCenter(t *testing.T) {
 	if !client.RekeyAdvised() {
 		t.Error("server did not advise rekey at a spent budget")
 	}
-	// Budget is now exhausted and no key centre is attached: typed error.
+	// Budget is now exhausted and no key centre is attached: typed error,
+	// and a manual rekey has no material to draw.
 	_, err = client.Compute(1, []float64{0.5})
 	if !errors.Is(err, serve.ErrRekeyRequired) {
 		t.Fatalf("budget-exhausted err = %v, want serve.ErrRekeyRequired", err)
 	}
-	if err := client.RekeyWith([]byte("fresh-material")); err != nil {
-		t.Fatal(err)
+	if err := client.Rekey(); err == nil {
+		t.Fatal("rekey without a key centre succeeded")
 	}
-	got, err := client.Compute(1, []float64{0.5})
-	if err != nil {
-		t.Fatalf("compute after manual rekey: %v", err)
-	}
-	if math.Abs(got[0]-0.5) > 0.05 {
-		t.Errorf("post-rekey result %v, want 0.5", got[0])
-	}
-	if client.Epoch() != 2 {
-		t.Errorf("client epoch = %d, want 2", client.Epoch())
+	if client.Epoch() != 1 {
+		t.Errorf("client epoch = %d, want 1", client.Epoch())
 	}
 }
 
@@ -621,14 +615,14 @@ func TestSessionEvictionUnderCap(t *testing.T) {
 
 	var clients []*Client
 	for i := 0; i < 3; i++ {
-		c, err := Dial(srv.Addr(), fmt.Sprintf("ev-%d", i), []byte("k"), int64(60+i))
+		c, err := DialWith(srv.Addr(), fmt.Sprintf("ev-%d", i), []byte("k"), int64(60+i), DialConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		clients = append(clients, c)
 	}
-	if n := srv.Sessions(); n != 2 {
+	if n := srv.store.Len(); n != 2 {
 		t.Errorf("resident sessions = %d, want 2", n)
 	}
 	if n := srv.Evictions(); n != 1 {

@@ -154,18 +154,18 @@ func TestStalledReaderDoesNotPinWorkers(t *testing.T) {
 					t.Fatalf("staller still making progress after 20s (%d blocks)", last)
 				}
 				time.Sleep(10 * time.Millisecond)
-				if got := srv.Blocks("staller"); got != last {
+				if got := blocks(srv, "staller"); got != last {
 					last, since = got, time.Now()
 				}
 			}
-			if got := srv.Blocks("staller"); got >= n {
+			if got := blocks(srv, "staller"); got >= n {
 				t.Fatalf("all %d blocks were answered: the peer never stalled", got)
 			}
 
 			// The single worker must be free to serve an unrelated client.
 			done := make(chan error, 1)
 			go func() {
-				client, err := Dial(srv.Addr(), "bystander", []byte("bystander-key"), 17)
+				client, err := DialWith(srv.Addr(), "bystander", []byte("bystander-key"), 17, DialConfig{})
 				if err != nil {
 					done <- err
 					return

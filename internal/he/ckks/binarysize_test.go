@@ -78,11 +78,12 @@ type sized struct {
 // TestBinarySizeMatchesEncoding holds every CKKS wire type's BinarySize to
 // the length its AppendBinary appends, and that encoding to a golden one
 // built limb by limb, on every registered profile: ciphertexts at every
-// level, a plaintext, the relinearization key, one Galois key
-// and the BSGS key set of a 64×64 matrix. Byte identity with the golden
+// level, the relinearization key, one Galois key and the BSGS key set of a
+// 64×64 matrix. Byte identity with the golden
 // layout is what pins the wire to its frame version across codec changes.
 func TestBinarySizeMatchesEncoding(t *testing.T) {
-	for _, prof := range profile.Default().Profiles() {
+	for _, id := range profile.Default().IDs() {
+		prof, _ := profile.Default().Get(id)
 		t.Run(prof.ID, func(t *testing.T) {
 			ctx, err := prof.Context()
 			if err != nil {
@@ -105,12 +106,6 @@ func TestBinarySizeMatchesEncoding(t *testing.T) {
 				cases = append(cases, sized{fmt.Sprintf("ciphertext level %d", level), ct.BinarySize(), ct.AppendBinary(nil), g})
 			}
 
-			src := ctx.NewCiphertext(ctx.MaxLevel())
-			fillCiphertext(src, 99)
-			pt := &ckks.Plaintext{Value: src.C0, Scale: ctx.Params.Scale(), Level: ctx.MaxLevel()}
-			g := goldenLimbs(goldenPolyHeader(nil, pt.Level, pt.Scale, n), pt.Value)
-			cases = append(cases, sized{"plaintext", pt.BinarySize(), pt.AppendBinary(nil), g})
-
 			cases = append(cases, sized{"relin key", rlk.BinarySize(), rlk.AppendBinary(nil), goldenGadget(nil, rlk)})
 			cases = append(cases, sized{"galois key", gk.BinarySize(), gk.AppendBinary(nil), goldenGaloisKey(nil, gk)})
 
@@ -119,7 +114,7 @@ func TestBinarySizeMatchesEncoding(t *testing.T) {
 				els = append(els, el)
 			}
 			slices.Sort(els)
-			g = binary.LittleEndian.AppendUint16(nil, uint16(len(els)))
+			g := binary.LittleEndian.AppendUint16(nil, uint16(len(els)))
 			for _, el := range els {
 				g = goldenGaloisKey(g, set.Keys[el])
 			}

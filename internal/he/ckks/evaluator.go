@@ -63,9 +63,6 @@ func NewEvaluator(ctx *Context, seed int64) *Evaluator {
 	}
 }
 
-// Context returns the evaluator's CKKS context.
-func (ev *Evaluator) Context() *Context { return ev.ctx }
-
 // Encrypt encrypts a plaintext under the public key at the plaintext's
 // level: (c0, c1) = (p0·u + e0 + m, p1·u + e1) with ternary u. The public
 // key is stored in the NTT domain, so each limb costs one forward and two

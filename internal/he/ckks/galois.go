@@ -3,7 +3,6 @@ package ckks
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"quhe/internal/he/ring"
 )
@@ -40,19 +39,6 @@ func (s *GaloisKeySet) Key(el uint64) *GaloisKey {
 		return nil
 	}
 	return s.Keys[el]
-}
-
-// Rotations lists the slot rotations the set covers, ascending.
-func (s *GaloisKeySet) Rotations() []int {
-	if s == nil {
-		return nil
-	}
-	rots := make([]int, 0, len(s.Keys))
-	for _, gk := range s.Keys {
-		rots = append(rots, gk.Rot)
-	}
-	sort.Ints(rots)
-	return rots
 }
 
 // GenGaloisKey builds the key switching σ_g(s) → s for a left rotation by

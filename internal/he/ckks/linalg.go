@@ -233,11 +233,6 @@ func (p *MatVecPlan) Dim() int { return p.n }
 // Level returns the input level the plan was encoded for.
 func (p *MatVecPlan) Level() int { return p.level }
 
-// Rotations returns the rotation set MatVecInto needs, BSGSRotations of
-// the dimension: one key per rotation. Callers must supply a
-// GaloisKeySet covering it.
-func (p *MatVecPlan) Rotations() []int { return BSGSRotations(p.n) }
-
 // KeySwitches returns the key switches one MatVecInto call runs on this
 // plan: the n1−1 baby rotations plus one giant step per block below the
 // highest non-empty one, empty blocks included — n1−1 + n2−1 for a dense
@@ -336,7 +331,7 @@ func (ev *Evaluator) finishMatVec(plan *MatVecPlan, ct, acc, out *Ciphertext) er
 // scale, leaving out at level−1 with the input scale. The kernel stays in
 // the NTT domain from the input's forward transform to the one inverse
 // transform before the rescale (the file header derives its transform
-// budget). gks must cover plan.Rotations(); out must not alias ct.
+// budget). gks must cover BSGSRotations(plan.Dim()); out must not alias ct.
 //
 // A steady-state call allocates no buffer, only the closure each of its
 // limb fan-outs hands ring.ForEach: 81 objects at the served shape

@@ -141,7 +141,7 @@ func plainMatVec(m [][]float64, v, bias []float64) []float64 {
 // the given level.
 func encryptReplicated(t *testing.T, ev *Evaluator, pk *PublicKey, v []float64, level int) *Ciphertext {
 	t.Helper()
-	enc := NewEncoder(ev.Context())
+	enc := NewEncoder(ev.ctx)
 	full := ev.replicate(v)
 	pt, err := enc.EncodeRealAtLevel(full, 0, level)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestMatVecAgainstPlaintext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gks := kg.GenGaloisKeys(sk, plan.Rotations())
+			gks := kg.GenGaloisKeys(sk, BSGSRotations(plan.Dim()))
 			ct := encryptReplicated(t, ev, pk, v, level)
 			out := ctx.NewCiphertext(level - 1)
 			if err := ev.MatVecInto(plan, ct, gks, out); err != nil {
@@ -239,11 +239,11 @@ func TestMatVecNaiveMatchesBSGS(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The naive path rotates by every diagonal index.
-	allRots := make([]int, 0, n-1+len(bsgs.Rotations()))
+	allRots := make([]int, 0, n-1+len(BSGSRotations(bsgs.Dim())))
 	for d := 1; d < n; d++ {
 		allRots = append(allRots, d)
 	}
-	allRots = append(allRots, bsgs.Rotations()...)
+	allRots = append(allRots, BSGSRotations(bsgs.Dim())...)
 	gks := kg.GenGaloisKeys(sk, allRots)
 
 	ct := encryptReplicated(t, ev, pk, v, level)
@@ -299,7 +299,7 @@ func TestHoistedBSGSBeatsNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rots := append([]int(nil), bsgs.Rotations()...)
+	rots := append([]int(nil), BSGSRotations(bsgs.Dim())...)
 	for d := 1; d < n; d++ {
 		rots = append(rots, d)
 	}
@@ -327,7 +327,7 @@ func TestHoistedBSGSBeatsNaive(t *testing.T) {
 	}
 	speedup := float64(rotated) / float64(hoisted)
 	t.Logf("n=%d: hoisted %v (%d rotations), naive %v (%d rotations), %.2fx",
-		n, hoisted, len(bsgs.Rotations()), rotated, n-1, speedup)
+		n, hoisted, len(BSGSRotations(bsgs.Dim())), rotated, n-1, speedup)
 	if speedup < 3 {
 		t.Errorf("hoisted BSGS is %.2fx over naive at n=%d, want ≥ 3x", speedup, n)
 	}
@@ -393,7 +393,7 @@ func TestMatVecKeySwitches(t *testing.T) {
 	if got := plan.KeySwitches(); got != 30 {
 		t.Errorf("served plan runs %d key switches, want 30", got)
 	}
-	if got := len(plan.Rotations()); got != 16 || len(gks.Keys) != 16 {
+	if got := len(BSGSRotations(plan.Dim())); got != 16 || len(gks.Keys) != 16 {
 		t.Errorf("served plan needs %d rotations (%d keys), want 16", got, len(gks.Keys))
 	}
 }
@@ -420,7 +420,7 @@ func servedMatVec(tb testing.TB) (ev *Evaluator, plan *MatVecPlan, ct *Ciphertex
 	if plan, err = ev.NewMatVecPlan(m, bias, level, 0); err != nil {
 		tb.Fatal(err)
 	}
-	gks = kg.GenGaloisKeys(sk, plan.Rotations())
+	gks = kg.GenGaloisKeys(sk, BSGSRotations(plan.Dim()))
 	pt, err := NewEncoder(ctx).EncodeRealAtLevel(ev.replicate(bias), 0, level)
 	if err != nil {
 		tb.Fatal(err)

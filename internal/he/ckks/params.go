@@ -45,9 +45,6 @@ func (p Params) Slots() int { return 1 << (p.LogN - 1) }
 // Scale returns the default encoding scale Δ = 2^ScaleBits.
 func (p Params) Scale() float64 { return float64(uint64(1) << uint(p.ScaleBits)) }
 
-// MaxLevel is the top level index (fresh ciphertexts live here).
-func (p Params) MaxLevel() int { return p.Depth }
-
 // Validate checks internal consistency.
 func (p Params) Validate() error {
 	if p.LogN < 3 || p.LogN > 15 {

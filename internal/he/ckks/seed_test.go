@@ -36,7 +36,8 @@ func switchingKeysEqual(a, b *ckks.SwitchingKey) bool {
 // bit-identical to the generator's key — component 1 included — and
 // passes the context's check, on every registered profile.
 func TestSeededKeyDecodeMatchesGenerator(t *testing.T) {
-	for _, prof := range profile.Default().Profiles() {
+	for _, id := range profile.Default().IDs() {
+		prof, _ := profile.Default().Get(id)
 		t.Run(prof.ID, func(t *testing.T) {
 			ctx, err := prof.Context()
 			if err != nil {
@@ -78,7 +79,8 @@ func TestSeededKeyDecodeMatchesGenerator(t *testing.T) {
 // GenGaloisKeys builds from the same generator state, on every registered
 // profile — and every key after the first lands in the first one's gadget.
 func TestGenGaloisKeyIntoMatchesSet(t *testing.T) {
-	for _, prof := range profile.Default().Profiles() {
+	for _, id := range profile.Default().IDs() {
+		prof, _ := profile.Default().Get(id)
 		t.Run(prof.ID, func(t *testing.T) {
 			ctx, err := prof.Context()
 			if err != nil {
@@ -120,7 +122,8 @@ func TestGenGaloisKeyIntoMatchesSet(t *testing.T) {
 // (the seed, the AES cipher and its stream) — never its gadget, its errors
 // or its gadget terms — on every registered profile.
 func TestGenGaloisKeyIntoAllocs(t *testing.T) {
-	for _, prof := range profile.Default().Profiles() {
+	for _, id := range profile.Default().IDs() {
+		prof, _ := profile.Default().Get(id)
 		ctx, err := prof.Context()
 		if err != nil {
 			t.Fatal(err)

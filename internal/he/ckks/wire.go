@@ -205,42 +205,6 @@ func (ct *Ciphertext) DecodeFrom(b []byte) (int, error) {
 	return off + k, nil
 }
 
-// BinarySize returns the byte count AppendBinary appends for pt.
-func (pt *Plaintext) BinarySize() int { return polyHeaderLen + limbsBinarySize(pt.Value) }
-
-// AppendBinary appends pt's wire encoding to b (poly header + the limb
-// runs).
-func (pt *Plaintext) AppendBinary(b []byte) []byte {
-	b = slices.Grow(b, pt.BinarySize())
-	n := 0
-	if len(pt.Value) > 0 {
-		n = len(pt.Value[0])
-	}
-	b = appendPolyHeader(b, pt.Level, pt.Scale, n)
-	return appendLimbs(b, pt.Value)
-}
-
-// DecodeFrom decodes one plaintext from the front of b into pt, reusing
-// pt's limb storage when possible, and returns the bytes consumed.
-func (pt *Plaintext) DecodeFrom(b []byte) (int, error) {
-	level, scale, n, err := decodePolyHeader(b)
-	if err != nil {
-		return 0, err
-	}
-	limbs := level + 1
-	off := polyHeaderLen
-	if len(b)-off < 8*n*limbs {
-		return 0, ErrShortBuffer
-	}
-	pt.Value = reuseRNS(pt.Value, limbs, n)
-	k, err := decodeLimbs(b[off:], pt.Value)
-	if err != nil {
-		return 0, err
-	}
-	pt.Level, pt.Scale = level, scale
-	return off + k, nil
-}
-
 // gadgetHeaderLen is the fixed SwitchingKey prefix: digits (u8) | limbs
 // (u8) | degree (u32). The limbs QP moduli (u64 each) and the seed follow.
 const gadgetHeaderLen = 1 + 1 + 4

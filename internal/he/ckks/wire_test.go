@@ -123,35 +123,6 @@ func TestCiphertextCodecZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestPlaintextWireRoundTrip(t *testing.T) {
-	ctx := wireTestContext(t)
-	kg := NewKeyGenerator(ctx, 17)
-	pt := &Plaintext{
-		Value: ctx.Tower.NewPoly(2),
-		Scale: ctx.Params.Scale(),
-		Level: 1,
-	}
-	for i := range pt.Value {
-		ctx.Limb(i).UniformPolyInto(kg.rng, pt.Value[i])
-	}
-	got := new(Plaintext)
-	enc := pt.AppendBinary(nil)
-	n, err := got.DecodeFrom(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(enc) || got.Level != pt.Level || got.Scale != pt.Scale {
-		t.Fatalf("header mismatch: n=%d level=%d scale=%v", n, got.Level, got.Scale)
-	}
-	for i := range pt.Value {
-		for j := range pt.Value[i] {
-			if got.Value[i][j] != pt.Value[i][j] {
-				t.Fatalf("limb %d coefficient %d differs", i, j)
-			}
-		}
-	}
-}
-
 func TestKeyWireRoundTrip(t *testing.T) {
 	ctx := wireTestContext(t)
 	kg := NewKeyGenerator(ctx, 19)

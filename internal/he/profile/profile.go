@@ -247,10 +247,6 @@ func (r *Registry) DefaultID() string { return r.defaultID }
 // Default returns the default profile.
 func (r *Registry) Default() *Profile { return r.byID[r.defaultID] }
 
-// Profiles returns the members in ascending-λ order. The slice is shared;
-// callers must not mutate it.
-func (r *Registry) Profiles() []*Profile { return r.order }
-
 // IDs returns the member IDs in ascending-λ order.
 func (r *Registry) IDs() []string {
 	ids := make([]string, len(r.order))

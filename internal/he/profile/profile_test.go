@@ -29,13 +29,15 @@ func TestDefaultRegistryShape(t *testing.T) {
 		t.Errorf("default params LogN=%d Depth=%d, want 10/≥4",
 			def.Params.LogN, def.Params.Depth)
 	}
-	for _, p := range reg.Profiles() {
+	var profs []*profile.Profile
+	for _, id := range ids {
+		p, _ := reg.Get(id)
 		if p.Params.Depth < 4 {
 			t.Errorf("%s: depth %d, want ≥ 4", p.ID, p.Params.Depth)
 		}
+		profs = append(profs, p)
 	}
 	// λ, MSL and cost coefficients are strictly increasing in the order.
-	profs := reg.Profiles()
 	for i := 1; i < len(profs); i++ {
 		if profs[i].Lambda <= profs[i-1].Lambda {
 			t.Errorf("λ not increasing: %g after %g", profs[i].Lambda, profs[i-1].Lambda)

@@ -199,10 +199,9 @@ func TestModulusPointwiseOps(t *testing.T) {
 	}
 
 	// InvMForm undoes MForm.
-	m.InvMForm(bM, bM)
 	for i := range bM {
-		if bM[i] != b[i] {
-			t.Fatalf("InvMForm[%d] = %d, want %d", i, bM[i], b[i])
+		if got := InvMForm(bM[i], m.Q, m.qInv); got != b[i] {
+			t.Fatalf("InvMForm[%d] = %d, want %d", i, got, b[i])
 		}
 	}
 

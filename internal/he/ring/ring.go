@@ -303,15 +303,6 @@ func (m *Modulus) MForm(a, out Poly) {
 	}
 }
 
-// InvMForm takes a polynomial out of Montgomery form: out = a ⊙ 2⁻⁶⁴.
-// Slices may alias.
-func (m *Modulus) InvMForm(a, out Poly) {
-	q, qInv := m.Q, m.qInv
-	for i := range out {
-		out[i] = InvMForm(a[i], q, qInv)
-	}
-}
-
 // MulScalar sets out = c·a via one MForm of the scalar and per-coefficient
 // Montgomery products.
 func (m *Modulus) MulScalar(a Poly, c uint64, out Poly) {

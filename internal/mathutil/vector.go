@@ -59,18 +59,6 @@ func NormInf(x []float64) float64 {
 	return m
 }
 
-// Add returns x + y element-wise.
-func Add(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mathutil: Add length mismatch %d != %d", len(x), len(y)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
 // Sub returns x − y element-wise.
 func Sub(x, y []float64) []float64 {
 	if len(x) != len(y) {
@@ -127,34 +115,6 @@ func Sum(x []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// Max returns the maximum entry of x. It panics on an empty slice.
-func Max(x []float64) float64 {
-	if len(x) == 0 {
-		panic("mathutil: Max of empty slice")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum entry of x. It panics on an empty slice.
-func Min(x []float64) float64 {
-	if len(x) == 0 {
-		panic("mathutil: Min of empty slice")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Square returns an n×n zero matrix whose rows share one backing array.

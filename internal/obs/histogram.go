@@ -108,21 +108,6 @@ func (h *Histogram) Observe(v float64) {
 	h.max.Max(v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Quantile returns the q-quantile of a point-in-time snapshot.
-func (h *Histogram) Quantile(q float64) float64 {
-	s := h.Snapshot()
-	return s.Quantile(q)
-}
-
 // Snapshot captures the histogram's state. Buckets are loaded
 // individually, so a snapshot taken under concurrent writers is a
 // consistent-enough view: Count is recomputed from the captured buckets
@@ -189,12 +174,4 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }

@@ -30,9 +30,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is a float64 that can move both ways. All methods are atomic.
 type Gauge struct{ bits atomic.Uint64 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add moves the gauge by delta.
 func (g *Gauge) Add(delta float64) {
 	for {

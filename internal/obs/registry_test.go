@@ -110,7 +110,7 @@ func labelsWithoutLe(key string) string {
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("quhe_frames_total", "frames seen", "dir", "in").Add(7)
-	r.Gauge("quhe_depth", "queue depth").Set(3.5)
+	r.Gauge("quhe_depth", "queue depth").Add(3.5)
 	r.GaugeFunc("quhe_stock_bytes", "key stock", func() float64 { return 123 })
 	h := r.Histogram("quhe_lat_seconds", "latency", "profile", `we"ird\p`)
 	for i := 1; i <= 100; i++ {
@@ -151,7 +151,7 @@ func TestRegistryConcurrentWritersAndScrapers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				r.Counter("quhe_stress_total", "").Inc()
-				r.Gauge("quhe_stress_gauge", "").Set(float64(i))
+				r.Gauge("quhe_stress_gauge", "").Add(1)
 				r.Histogram("quhe_stress_seconds", "", "w", fmt.Sprint(wr%3)).Observe(float64(i%100) / 10)
 			}
 		}()
@@ -184,7 +184,7 @@ func TestRegistryConcurrentWritersAndScrapers(t *testing.T) {
 	}
 	var total int64
 	for _, w := range []string{"0", "1", "2"} {
-		total += r.Histogram("quhe_stress_seconds", "", "w", w).Count()
+		total += r.Histogram("quhe_stress_seconds", "", "w", w).Snapshot().Count
 	}
 	if total != writers*perWriter {
 		t.Fatalf("lost observations: %d, want %d", total, writers*perWriter)

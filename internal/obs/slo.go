@@ -62,9 +62,6 @@ func NewSLOTracker(name string, objective float64, windows ...time.Duration) *SL
 	}
 }
 
-// Name returns the tracker's objective name.
-func (t *SLOTracker) Name() string { return t.name }
-
 // Observe records one event against the objective.
 func (t *SLOTracker) Observe(good bool) { t.observeAt(time.Now(), good) }
 
@@ -237,13 +234,6 @@ func (s *SLOSet) Add(name string, objective float64, windows ...time.Duration) *
 		}
 	}
 	return t
-}
-
-// Get returns the tracker for name, or nil when absent.
-func (s *SLOSet) Get(name string) *SLOTracker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slos[name]
 }
 
 // Snapshot captures every tracker in insertion order — the /debug/slo

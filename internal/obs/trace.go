@@ -105,21 +105,6 @@ type BlockTrace struct {
 	Spans   []Span
 }
 
-// Context returns the wire context a child process should be re-parented
-// under: this trace's ID with its root span as parent.
-func (bt *BlockTrace) Context() TraceContext {
-	return TraceContext{TraceID: bt.TraceID, Parent: bt.SpanID, Sampled: bt.TraceID != 0}
-}
-
-// SpanSum returns the summed duration of the trace's spans.
-func (bt *BlockTrace) SpanSum() time.Duration {
-	var sum time.Duration
-	for _, sp := range bt.Spans {
-		sum += sp.Dur
-	}
-	return sum
-}
-
 // spanRing is one session's fixed-capacity trace buffer: the newest
 // perSession traces survive, older ones are overwritten in place.
 type spanRing struct {
@@ -165,7 +150,7 @@ func (rg *spanRing) snapshot() []BlockTrace {
 //
 // Buffer ownership: Record takes ownership of the trace's Spans slice —
 // the caller must not reuse or mutate it afterwards (build a fresh slice
-// per block; they are small). Dump and WriteChrome return copies that
+// per block; they are small). Dump and DumpFiltered return copies that
 // share those Spans; treat dumped traces as read-only.
 type Tracer struct {
 	perSession  int
@@ -254,12 +239,6 @@ type chromeEvent struct {
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChrome renders the buffered traces as chrome://tracing-compatible
-// JSON; see WriteChromeTraces.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	return WriteChromeTraces(w, t.Dump())
 }
 
 // WriteChromeTraces renders traces as chrome://tracing-compatible JSON:

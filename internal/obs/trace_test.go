@@ -24,8 +24,12 @@ func mkTrace(session string, block uint32, at time.Time) BlockTrace {
 
 func TestSpanSum(t *testing.T) {
 	bt := mkTrace("s", 1, time.Now())
-	if bt.SpanSum() != 3*time.Millisecond {
-		t.Fatalf("SpanSum = %v, want 3ms", bt.SpanSum())
+	var sum time.Duration
+	for _, sp := range bt.Spans {
+		sum += sp.Dur
+	}
+	if sum != 3*time.Millisecond {
+		t.Fatalf("span sum = %v, want 3ms", sum)
 	}
 }
 
@@ -85,7 +89,7 @@ func TestWriteChrome(t *testing.T) {
 	tr.Record(mkTrace("sess-a", 7, base))
 	tr.Record(mkTrace("sess-b", 9, base.Add(time.Second)))
 	var b strings.Builder
-	if err := tr.WriteChrome(&b); err != nil {
+	if err := WriteChromeTraces(&b, tr.Dump()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -101,7 +105,7 @@ func TestWriteChrome(t *testing.T) {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("WriteChrome output is not valid JSON: %v", err)
+		t.Fatalf("WriteChromeTraces output is not valid JSON: %v", err)
 	}
 	if doc.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q, want ms", doc.DisplayTimeUnit)
@@ -148,7 +152,7 @@ func TestWriteChrome(t *testing.T) {
 
 func TestWriteChromeEmpty(t *testing.T) {
 	var b strings.Builder
-	if err := NewTracer(0, 0).WriteChrome(&b); err != nil {
+	if err := WriteChromeTraces(&b, NewTracer(0, 0).Dump()); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid([]byte(b.String())) {

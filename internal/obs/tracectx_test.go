@@ -61,18 +61,6 @@ func TestTraceContextValid(t *testing.T) {
 	}
 }
 
-func TestBlockTraceContext(t *testing.T) {
-	bt := BlockTrace{TraceID: 11, SpanID: 22, Parent: 33}
-	tc := bt.Context()
-	if tc.TraceID != 11 || tc.Parent != 22 || !tc.Sampled {
-		t.Errorf("Context() = %+v, want {11 22 true}", tc)
-	}
-	var zero BlockTrace
-	if zero.Context().Valid() || zero.Context().Sampled {
-		t.Error("zero trace must yield an invalid, unsampled context")
-	}
-}
-
 func TestDumpFiltered(t *testing.T) {
 	tr := NewTracer(8, 0)
 	base := time.Unix(0, 0)

@@ -55,15 +55,6 @@ func TestBoxHelpers(t *testing.T) {
 	if err := box.Validate(3); err == nil {
 		t.Error("wrong-dimension Validate passed")
 	}
-	if !box.Contains([]float64{0, 0}) {
-		t.Error("Contains rejected interior point")
-	}
-	if box.Contains([]float64{6, 0}) {
-		t.Error("Contains accepted exterior point")
-	}
-	if box.Contains([]float64{0}) {
-		t.Error("Contains accepted wrong-dimension point")
-	}
 	x := []float64{-9, 9}
 	box.Project(x)
 	if !mathutil.VecApproxEqual(x, []float64{-5, 5}, 0) {

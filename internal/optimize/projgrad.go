@@ -31,19 +31,6 @@ func (b Box) Project(x []float64) {
 	mathutil.ClampVecInPlace(x, b.Lo, b.Hi)
 }
 
-// Contains reports whether x lies inside the box (inclusive).
-func (b Box) Contains(x []float64) bool {
-	if len(x) != len(b.Lo) {
-		return false
-	}
-	for i := range x {
-		if x[i] < b.Lo[i] || x[i] > b.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // PGOptions configures MinimizeProjGrad.
 type PGOptions struct {
 	// MaxIter bounds the number of projected-gradient steps. Default 500.

@@ -70,17 +70,6 @@ func (kc *KeyCenter) Provision(clientID string, ratePerSec float64) error {
 	return nil
 }
 
-// Rate returns the provisioned secret-key rate for a client.
-func (kc *KeyCenter) Rate(clientID string) (float64, error) {
-	kc.mu.Lock()
-	defer kc.mu.Unlock()
-	p, ok := kc.pools[clientID]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownClient, clientID)
-	}
-	return p.ratePerSec, nil
-}
-
 // RefillWait estimates how long the client's pool needs to grow to
 // needBytes at its provisioned secret-key rate (bits/s): the time the QKD
 // plane takes to manufacture the shortfall. 0 when the pool already holds

@@ -3,6 +3,7 @@ package qkd
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -126,6 +127,17 @@ func TestKeyFractionMatchesTheory(t *testing.T) {
 	if math.Abs(gotBits-wantBits) > 16 {
 		t.Errorf("final key %v bits, want ≈ %v", gotBits, wantBits)
 	}
+}
+
+// Rate returns the provisioned secret-key rate for a client.
+func (kc *KeyCenter) Rate(clientID string) (float64, error) {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	p, ok := kc.pools[clientID]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownClient, clientID)
+	}
+	return p.ratePerSec, nil
 }
 
 func TestKeyCenterLifecycle(t *testing.T) {

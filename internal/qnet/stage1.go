@@ -190,8 +190,14 @@ type Stage1Solution struct {
 // Penalized over Box from Start. The objective is convex in ln φ (Kar &
 // Wehner) and the iterates stay in the feasible region once inside it, so
 // the fixed point is the optimum the barrier method of Algorithm 1 reaches
-// (TestLiveStage1MatchesBarrier pins the two) at a few percent of its cost —
-// which is why this, not the barrier, is what the running planner calls.
+// (TestLiveStage1MatchesBarrier pins the two). Time does not separate them:
+// on SURFnet at control's φ_min both take ≈1.5 ms on a 2-core Xeon, the
+// barrier in 21 Newton steps and this in 78 gradient steps. Allocation
+// does: the barrier (core.Stage1Barrier) allocates 8,295 times (823 KB)
+// per solve, this 249 times (14 KB), and the planner replans inside every
+// op of the benchmark's churn workload, whose allocs_per_op is bounded at
+// 2%. That is why this, not the barrier, is what the running planner
+// calls; make the barrier allocation-lean before swapping them.
 // It fails with ErrStage1Infeasible when Start is not feasible.
 func (p Stage1) Solve() (Stage1Solution, error) {
 	var sol Stage1Solution

@@ -68,28 +68,3 @@ func (n *Network) Utility(phi, w []float64) (float64, error) {
 	}
 	return u, nil
 }
-
-// LogUtility computes ln U_qkd = Σ_n [ln φ_n + ln F_skf(̟_n)], the form
-// Stage 1 optimizes (Problem P2/P3). It returns −Inf when the utility is
-// zero or an allocation is non-positive.
-func (n *Network) LogUtility(phi, w []float64) (float64, error) {
-	if len(phi) != len(n.routes) {
-		return 0, fmt.Errorf("qnet: %d rates for %d routes", len(phi), len(n.routes))
-	}
-	s := 0.0
-	for r := range n.routes {
-		if phi[r] <= 0 {
-			return math.Inf(-1), nil
-		}
-		wr, err := n.EndToEndWerner(r, w)
-		if err != nil {
-			return 0, err
-		}
-		f := SecretKeyFraction(wr)
-		if f <= 0 {
-			return math.Inf(-1), nil
-		}
-		s += math.Log(phi[r]) + math.Log(f)
-	}
-	return s, nil
-}

@@ -70,11 +70,10 @@ const (
 	// retry-after hint (see KeyExhaustedError) and clients should retry
 	// after the hinted delay rather than tearing the session down.
 	CodeKeyExhausted
-	// CodeDraining rejects new work on a server that is gracefully
-	// draining for restart: existing in-flight blocks finish, but new
-	// sessions, resumes and computes are turned away so connections wind
-	// down. Clients should reconnect elsewhere (or later).
-	CodeDraining
+	// Wire value 15 is retired (it turned new work away from a server
+	// draining for restart, which no server does). Like value 12, the slot
+	// stays blank so later codes keep their wire values.
+	_
 	// CodeResumeRejected rejects a session-resume attempt: the session is
 	// gone (expired past the resume window, evicted, or never existed),
 	// the presented epoch or profile does not match, or the possession
@@ -105,14 +104,13 @@ var (
 	ErrProfileDenied     = errors.New("serve: security profile denied")
 	ErrDeadline          = errors.New("serve: deadline exceeded")
 	ErrKeyExhausted      = errors.New("serve: qkd key exhausted")
-	ErrDraining          = errors.New("serve: server draining")
 	ErrResumeRejected    = errors.New("serve: session resume rejected")
 	ErrMatVecUnavailable = errors.New("serve: encrypted matvec unavailable")
 )
 
 // codes is the one table of the code space, indexed by Code: the name logs
 // and metrics use and the sentinel the code travels as. A slot with no
-// name (the retired wire value) is not a code.
+// name (a retired wire value) is not a code.
 var codes = [...]struct {
 	name string
 	err  error
@@ -131,7 +129,6 @@ var codes = [...]struct {
 	CodeProfileDenied:     {"profile-denied", ErrProfileDenied},
 	CodeDeadline:          {"deadline", ErrDeadline},
 	CodeKeyExhausted:      {"key-exhausted", ErrKeyExhausted},
-	CodeDraining:          {"draining", ErrDraining},
 	CodeResumeRejected:    {"resume-rejected", ErrResumeRejected},
 	CodeMatVecUnavailable: {"matvec-unavailable", ErrMatVecUnavailable},
 }
@@ -143,7 +140,7 @@ const NumCodes = len(codes)
 func (c Code) Known() bool { return c >= 0 && int(c) < NumCodes && codes[c].name != "" }
 
 // Err returns the sentinel error for the code, or nil for CodeOK.
-// Unrecognized codes (a newer peer, the retired slot) map to ErrInternal.
+// Unrecognized codes (a newer peer, a retired slot) map to ErrInternal.
 func (c Code) Err() error {
 	if !c.Known() {
 		return ErrInternal
@@ -229,14 +226,4 @@ func ParseKeyExhausted(detail string) *KeyExhaustedError {
 		}
 	}
 	return e
-}
-
-// RetryAfter extracts the retry hint from an error chain carrying a
-// KeyExhaustedError, reporting ok=false when none is present.
-func RetryAfter(err error) (time.Duration, bool) {
-	var ke *KeyExhaustedError
-	if errors.As(err, &ke) {
-		return ke.RetryAfter, true
-	}
-	return 0, false
 }

@@ -24,8 +24,9 @@ type Worker struct {
 // It replaces the evaluator-per-session design: N sessions share
 // Size() evaluators, so evaluator memory and compute parallelism are
 // bounded by the pool, not by the session count. Get blocks until a
-// worker is free, which is the pool's implicit backpressure for callers
-// that bypass the Scheduler (the synchronous v1 protocol path).
+// worker is free. The Scheduler runs one drain goroutine per worker, each
+// checking out through Run, so in the serving path a checkout never waits:
+// the Scheduler's bounded queue, not Get, is the backpressure.
 //
 // Workers are built lazily: construction registers a build function and
 // the pool's capacity, and each worker's evaluator and scratch come into
@@ -38,8 +39,8 @@ type EvalPool struct {
 	next  atomic.Int32
 	size  int32
 	// label, when non-empty, is the quhe_profile pprof label value Run
-	// and Do execute jobs under (set once at construction time, before
-	// the pool is published).
+	// executes jobs under (set once at construction time, before the pool
+	// is published).
 	label string
 }
 
@@ -100,7 +101,7 @@ func (p *EvalPool) Get() *Worker {
 func (p *EvalPool) Put(w *Worker) { p.ch <- w }
 
 // SetProfileLabel attaches a pprof label value (the security profile ID)
-// to jobs executed through Run/Do, so CPU and goroutine profiles split
+// to jobs executed through Run, so CPU and goroutine profiles split
 // eval time by profile. Call before the pool is shared; not synchronized.
 func (p *EvalPool) SetProfileLabel(id string) { p.label = id }
 

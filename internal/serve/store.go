@@ -147,20 +147,6 @@ func (s *Store) Peek(id string) (*Session, bool) {
 	return el.Value.(*Session), true
 }
 
-// Remove deletes a session, reporting whether it existed.
-func (s *Store) Remove(id string) bool {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.byID[id]
-	if !ok {
-		return false
-	}
-	sh.lru.Remove(el)
-	delete(sh.byID, id)
-	return true
-}
-
 // SweepExpired removes sessions whose resume window has expired: no
 // attached connections and detached since before the cutoff (unix nanos).
 // Sessions that never attached a connection (detach time 0) are left

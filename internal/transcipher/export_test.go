@@ -30,3 +30,13 @@ func (c *Cipher) HomomorphicKeystream(ev *ckks.Evaluator, rlk *ckks.RelinKey, en
 
 // Scale exposes the encoding scale (the top rescaling prime).
 func (c *Cipher) Scale() float64 { return c.scale() }
+
+// Keystream computes the plaintext keystream block ks = A·k + (B·k)⊙(C·k):
+// the mask of an all-zero block.
+func (c *Cipher) Keystream(key []float64, nonce []byte, block uint32) ([]float64, error) {
+	ks := make([]float64, c.Slots())
+	if err := c.MaskInto(ks, key, nonce, block, nil); err != nil {
+		return nil, err
+	}
+	return ks, nil
+}

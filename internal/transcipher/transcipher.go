@@ -115,20 +115,8 @@ func New(ctx *ckks.Context, keyLen int) (*Cipher, error) {
 	return &Cipher{ctx: ctx, encoder: ckks.NewEncoder(ctx), keyLen: keyLen}, nil
 }
 
-// Params returns a depth-2 CKKS parameter set sized for transciphering.
-func Params() ckks.Params {
-	p, err := ckks.NewParams(10, 24, 18, 2)
-	if err != nil {
-		panic("transcipher: invalid built-in params: " + err.Error())
-	}
-	return p
-}
-
 // scale returns the encoding scale: exactly the top rescaling prime.
 func (c *Cipher) scale() float64 { return float64(c.ctx.Primes[c.ctx.MaxLevel()]) }
-
-// KeyLen returns the number of key coordinates.
-func (c *Cipher) KeyLen() int { return c.keyLen }
 
 // Slots returns the block size in plaintext slots.
 func (c *Cipher) Slots() int { return c.ctx.Params.Slots() }
@@ -316,16 +304,6 @@ func (c *Cipher) MaskInto(dst, key []float64, nonce []byte, block uint32, data [
 		}
 	}
 	return nil
-}
-
-// Keystream computes the plaintext keystream block ks = A·k + (B·k)⊙(C·k):
-// the mask of an all-zero block.
-func (c *Cipher) Keystream(key []float64, nonce []byte, block uint32) ([]float64, error) {
-	ks := make([]float64, c.Slots())
-	if err := c.MaskInto(ks, key, nonce, block, nil); err != nil {
-		return nil, err
-	}
-	return ks, nil
 }
 
 // Mask encrypts data symmetrically: out = data + ks (slot-wise), one slot

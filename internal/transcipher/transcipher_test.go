@@ -61,7 +61,7 @@ func TestDeriveKeyDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(k1) != c.KeyLen() {
+	if len(k1) != c.keyLen {
 		t.Fatalf("key has %d coords", len(k1))
 	}
 	same, diff := true, false
@@ -481,16 +481,6 @@ func TestScratchSizeMismatchRejected(t *testing.T) {
 	}
 	if err := c.coeffBlockInto([]byte("n"), 0, other.NewScratch()); err == nil {
 		t.Error("foreign scratch accepted")
-	}
-}
-
-func TestParamsBuiltIn(t *testing.T) {
-	p := Params()
-	if p.Depth < 2 {
-		t.Errorf("built-in depth %d < 2", p.Depth)
-	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("built-in params invalid: %v", err)
 	}
 }
 

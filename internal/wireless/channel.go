@@ -64,9 +64,6 @@ func NewChannelModel(noisePSD float64, fading Fading, seed int64) *ChannelModel 
 	return &ChannelModel{noisePSD: noisePSD, fading: fading, rng: rand.New(rand.NewSource(seed))}
 }
 
-// NoisePSD returns the model's noise power spectral density in W/Hz.
-func (m *ChannelModel) NoisePSD() float64 { return m.noisePSD }
-
 // SampleGain draws the linear power gain g_n for a client at distance dKm:
 // path loss, times an Exp(1) Rayleigh power coefficient when enabled.
 func (m *ChannelModel) SampleGain(dKm float64) float64 {

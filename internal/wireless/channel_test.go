@@ -97,8 +97,8 @@ func TestChannelModelGainNoFading(t *testing.T) {
 	if got := m.SampleGain(1); math.Abs(got-want) > 1e-18 {
 		t.Errorf("SampleGain = %v, want %v", got, want)
 	}
-	if m.NoisePSD() != DefaultNoisePSDWHz {
-		t.Errorf("NoisePSD = %v, want default", m.NoisePSD())
+	if m.noisePSD != DefaultNoisePSDWHz {
+		t.Errorf("noise PSD = %v, want default", m.noisePSD)
 	}
 }
 
