@@ -289,19 +289,6 @@ func stage1Vars(b *testing.B, cfg *core.Config) core.Variables {
 	return v
 }
 
-// BenchmarkAblationStage1ProjGrad times the live solver: Stage1ProjGrad is
-// qnet.Stage1.Solve, the call control.Controller.Replan makes on every
-// replan, here on the paper's configuration beside BenchmarkStage1Barrier
-// (the paper's algorithm, which TestLiveStage1MatchesBarrier pins it to).
-func BenchmarkAblationStage1ProjGrad(b *testing.B) {
-	cfg := paperCfg(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.SolveStage1(core.Stage1Options{Method: core.Stage1ProjGrad}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationStage1SimAnnealing measures the simulated-annealing
 // baseline at its default budget for the Fig. 5(b) runtime comparison.
 func BenchmarkAblationStage1SimAnnealing(b *testing.B) {

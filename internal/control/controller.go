@@ -300,8 +300,9 @@ func (c *Controller) Replan() (*Plan, error) {
 
 	snap := c.tel.Snapshot()
 
-	// The rate allocation is the paper's Stage-1 program, solved where the
-	// reproduction solves it (qnet.Stage1; core.Stage1ProjGrad is this call).
+	// The rate allocation is the paper's Stage-1 program, solved by the
+	// paper's Algorithm 1 (qnet.Stage1.Solve, the call core.SolveStage1
+	// makes).
 	sol, err := c.stage1.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("control: stage-1 solve: %w", err)

@@ -6,13 +6,11 @@ import (
 	"testing"
 
 	"quhe/internal/control"
-	"quhe/internal/core"
 	"quhe/internal/mathutil"
 	"quhe/internal/qnet"
 )
 
-// livePhiMin is control's phiMin constant (17a), which the pin holds the
-// reproduction's solver to.
+// livePhiMin is control's phiMin constant (17a).
 const livePhiMin = 1e-2
 
 // scaledSURFnet is SURFnet with every link capacity multiplied by scale.
@@ -50,20 +48,26 @@ func star(t *testing.T, n int, beta float64) *qnet.Network {
 	return net
 }
 
-// TestLiveStage1MatchesBarrier pins the plan the running system acts on to
-// the optimum the reproduction reports: on each network the controller's
-// allocation (qnet.Stage1.Solve, projected gradient) agrees with the
-// paper's Algorithm 1 (core.SolveStage1, barrier method) on the same
-// program at the controller's φ_min.
-func TestLiveStage1MatchesBarrier(t *testing.T) {
+// TestLiveStage1Pinned pins the plan the running system acts on to the
+// paper's Algorithm 1 optimum: on each network the controller's allocation
+// (qnet.Stage1.Solve at the controller's φ_min) holds ln U_qkd and φ as
+// core.SolveStage1's barrier method reported them when the planner still
+// ran a solver of its own, so the switch to the one solver is held to the
+// optimum both then reached.
+func TestLiveStage1Pinned(t *testing.T) {
 	nets := []struct {
 		name string
 		net  *qnet.Network
+		logU float64
+		phi  []float64
 	}{
-		{"surfnet", qnet.SURFnet()},
-		{"surfnet-beta/10", scaledSURFnet(t, 0.1)},
-		{"star-2", star(t, 2, 50)},
-		{"star-8", star(t, 8, 50)},
+		{"surfnet", qnet.SURFnet(), -4.5846133688923016,
+			[]float64{2.0983836851595528, 1.106015826829562, 1.1034308305121912, 1.8722541243210524, 0.6864090237441764, 0.5781156046309195}},
+		// Dividing every capacity by 10 divides the optimal rates by 10.
+		{"surfnet-beta/10", scaledSURFnet(t, 0.1), -18.400123926856576,
+			[]float64{0.20983836853042617, 0.11060158269403224, 0.11034308306232153, 0.18722541244350477, 0.06864090238357665, 0.05781156047238336}},
+		{"star-2", star(t, 2, 50), 0.13162352182282122, []float64{2.508653848678093, 2.508653848678093}},
+		{"star-8", star(t, 8, 50), -10.56386080166784, mathutil.Fill(8, 0.6271634662426099)},
 	}
 	for _, tc := range nets {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,23 +76,15 @@ func TestLiveStage1MatchesBarrier(t *testing.T) {
 				t.Fatal(err)
 			}
 			plan := ctl.Plan()
-
-			cfg := core.PaperConfig(1) // α_qkd = 1: Objective is −ln U_qkd
-			cfg.Net = tc.net
-			cfg.PhiMin = mathutil.Fill(tc.net.NumRoutes(), livePhiMin)
-			ref, err := cfg.SolveStage1(core.Stage1Options{Method: core.Stage1Barrier})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dU := math.Abs(plan.LogUtility + ref.Objective)
+			dU := math.Abs(plan.LogUtility - tc.logU)
 			if dU > 1e-9 {
-				t.Errorf("plan ln U_qkd = %.12f, barrier optimum %.12f", plan.LogUtility, -ref.Objective)
+				t.Errorf("plan ln U_qkd = %.12f, pinned barrier optimum %.12f", plan.LogUtility, tc.logU)
 			}
 			worst := 0.0
-			for r, want := range ref.Phi {
+			for r, want := range tc.phi {
 				rel := math.Abs(plan.Phi[r]-want) / want
 				if rel > 1e-5 {
-					t.Errorf("φ[%d] = %.9f, barrier %.9f", r+1, plan.Phi[r], want)
+					t.Errorf("φ[%d] = %.9f, pinned %.9f", r+1, plan.Phi[r], want)
 				}
 				worst = math.Max(worst, rel)
 			}

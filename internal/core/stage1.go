@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"quhe/internal/mathutil"
 	"quhe/internal/optimize"
 	"quhe/internal/qnet"
 )
@@ -24,11 +23,6 @@ const (
 	Stage1SA
 	// Stage1RS is the random-selection baseline: 10⁴ uniform samples.
 	Stage1RS
-	// Stage1ProjGrad is projected gradient descent with line search on the
-	// penalized rate objective (between the barrier method and the
-	// fixed-step GD baseline in sophistication): qnet.Stage1.Solve, the
-	// solver the live planner runs, timed here beside the paper's.
-	Stage1ProjGrad
 )
 
 // String implements fmt.Stringer with the labels used in Fig. 5(b)/(c).
@@ -42,8 +36,6 @@ func (m Stage1Method) String() string {
 		return "SA"
 	case Stage1RS:
 		return "RS"
-	case Stage1ProjGrad:
-		return "ProjGrad"
 	default:
 		return fmt.Sprintf("Stage1Method(%d)", int(m))
 	}
@@ -97,7 +89,7 @@ func (c *Config) SolveStage1(opts Stage1Options) (Stage1Result, error) {
 	switch opts.Method {
 	case Stage1Barrier:
 		res, err = c.solveStage1Barrier(prog)
-	case Stage1GD, Stage1SA, Stage1RS, Stage1ProjGrad:
+	case Stage1GD, Stage1SA, Stage1RS:
 		res, err = c.solveStage1Heuristic(prog, opts)
 	default:
 		return res, fmt.Errorf("core: unknown stage-1 method %d", int(opts.Method))
@@ -121,198 +113,20 @@ func (c *Config) SolveStage1(opts Stage1Options) (Stage1Result, error) {
 // sits above the Stage-1 program's −ln U_qkd (qnet.Stage1).
 func (c *Config) alphaShift() float64 { return -math.Log(c.AlphaQKD) }
 
+// solveStage1Barrier is Algorithm 1: qnet.Stage1.Solve, the one Stage-1
+// solver, with its objective −ln U_qkd shifted by −ln α_qkd.
 func (c *Config) solveStage1Barrier(prog qnet.Stage1) (Stage1Result, error) {
 	var res Stage1Result
-	f0, ineqs, x0 := c.stage1Barrier(prog)
-	if f0.F(x0) == math.Inf(1) {
-		return res, fmt.Errorf("core: stage 1 start infeasible (PhiMin too aggressive)")
-	}
-	bres, err := optimize.MinimizeBarrier(f0, ineqs, x0, optimize.BarrierOptions{Tol: 1e-7})
+	sol, err := prog.Solve()
 	if err != nil {
 		return res, fmt.Errorf("core: stage 1 barrier: %w", err)
 	}
-	res.Phi = expAll(bres.X)
-	res.Objective = bres.Value
-	res.Iters = bres.NewtonIters
-	res.Trace = bres.Values
-	res.Converged = bres.Converged
-	return res, nil
-}
-
-// stage1Barrier states P3 (20) over ϕ = ln φ, where it is convex (Kar &
-// Wehner): the objective −Σ_n [ϕ_n + ln F_skf(̟_n)] − ln α_qkd, the
-// constraints (20a)–(20c), each with exact derivatives, and a strictly
-// feasible start.
-func (c *Config) stage1Barrier(prog qnet.Stage1) (f0 optimize.Smooth, ineqs []optimize.Smooth, x0 []float64) {
-	n := c.N()
 	shift := c.alphaShift()
-	// With F' = log2((1+w)/(1−w)) and F'' = 2/((1−w²) ln 2), each route
-	// adds −(F'/F)∇̟ to the gradient and −[(F''/F − (F'/F)²)∇̟∇̟ᵀ +
-	// (F'/F)∇²̟] to the Hessian; the −ϕ_n terms add −1 to the gradient.
-	skf := func(w float64) (d1, d2 float64) {
-		f := qnet.SecretKeyFraction(w)
-		d1 = math.Log2((1+w)/(1-w)) / f
-		return d1, 2/((1-w*w)*math.Ln2)/f - d1*d1
+	for i := range sol.Trace {
+		sol.Trace[i] += shift
 	}
-	f0 = optimize.Smooth{
-		F: func(x []float64) float64 { return prog.Objective(expAll(x)) + shift },
-		Grad: func(x []float64) []float64 {
-			phi := expAll(x)
-			g := mathutil.Fill(n, -1)
-			for r := 0; r < n; r++ {
-				w, gw, _ := c.werner(r, phi)
-				d1, _ := skf(w)
-				mathutil.AXPYInPlace(-d1, gw, g)
-			}
-			return g
-		},
-		Hess: func(x []float64) [][]float64 {
-			phi := expAll(x)
-			h := mathutil.Square(n)
-			for r := 0; r < n; r++ {
-				w, gw, hw := c.werner(r, phi)
-				d1, d2 := skf(w)
-				for i := range h {
-					for j := range h[i] {
-						h[i][j] -= d2*gw[i]*gw[j] + d1*hw[i][j]
-					}
-				}
-			}
-			return h
-		},
-	}
-
-	// (20a): ϕ_n ≥ ln φ_min — linear in ϕ-space.
-	for i := 0; i < n; i++ {
-		ineqs = append(ineqs, optimize.BoundIneq(n, i, -1, math.Log(c.PhiMin[i])))
-	}
-	// (20b): Σ a_ln e^{ϕ_n} < β_l for every used link, normalized by β_l so
-	// all barrier terms share a scale. Its gradient is a_ln e^{ϕ_n}/β_l,
-	// which is also its (diagonal) Hessian.
-	for l := 0; l < c.Net.NumLinks(); l++ {
-		used := false
-		for r := 0; r < n; r++ {
-			if c.Net.Uses(r, l) {
-				used = true
-				break
-			}
-		}
-		if !used {
-			continue
-		}
-		beta := c.Net.Link(l).Beta
-		grad := func(x []float64) []float64 {
-			g := make([]float64, n)
-			for r := 0; r < n; r++ {
-				if c.Net.Uses(r, l) {
-					g[r] = math.Exp(x[r]) / beta
-				}
-			}
-			return g
-		}
-		ineqs = append(ineqs, optimize.Smooth{
-			F:    func(x []float64) float64 { return mathutil.Sum(grad(x)) - 1 },
-			Grad: grad,
-			Hess: func(x []float64) [][]float64 {
-				h := mathutil.Square(n)
-				for r, v := range grad(x) {
-					h[r][r] = v
-				}
-				return h
-			},
-		})
-	}
-	// (20c): ̟_n > WernerZeroSKF for every route. A small margin keeps the
-	// objective's own log term finite strictly inside the region.
-	for r := 0; r < n; r++ {
-		ineqs = append(ineqs, optimize.Smooth{
-			F: func(x []float64) float64 {
-				return qnet.WernerZeroSKF*(1+1e-9) - c.Net.RouteWerner(r, expAll(x))
-			},
-			Grad: func(x []float64) []float64 {
-				_, g, _ := c.werner(r, expAll(x))
-				return mathutil.Scale(-1, g)
-			},
-			Hess: func(x []float64) [][]float64 {
-				_, _, h := c.werner(r, expAll(x))
-				for _, row := range h {
-					for j := range row {
-						row[j] = -row[j]
-					}
-				}
-				return h
-			},
-		})
-	}
-
-	// Strictly feasible start: φ slightly above the minimum.
-	x0 = make([]float64, n)
-	for i := range x0 {
-		x0[i] = math.Log(c.PhiMin[i] * 1.05)
-	}
-	return f0, ineqs, x0
-}
-
-// werner returns route r's end-to-end Werner parameter ̟_r at rates phi
-// with its gradient and Hessian in ϕ = ln φ. With u_l = Σ_q a_lq φ_q/β_l
-// the load of link l and c_l = 1/(β_l(1 − u_l)), ln ̟_r = Σ_{l∈r} ln(1 − u_l)
-// has
-//
-//	∂ ln ̟_r/∂ϕ_q = −Σ_{l∈r} a_lq φ_q c_l
-//	∂² ln ̟_r/∂ϕ_q∂ϕ_s = −Σ_{l∈r} a_lq φ_q c_l (δ_qs + a_ls φ_s c_l)
-//
-// and ∇̟_r = ̟_r ∇ln ̟_r, ∇²̟_r = ̟_r (∇² ln ̟_r + ∇ln ̟_r ∇ln ̟_rᵀ).
-func (c *Config) werner(r int, phi []float64) (w float64, g []float64, h [][]float64) {
-	n := len(phi)
-	g = make([]float64, n)
-	h = mathutil.Square(n)
-	v := make([]float64, n) // a_lq φ_q c_l for the current link
-	w = 1
-	for l := 0; l < c.Net.NumLinks(); l++ {
-		if !c.Net.Uses(r, l) {
-			continue
-		}
-		beta := c.Net.Link(l).Beta
-		load := 0.0
-		for q := range phi {
-			if c.Net.Uses(q, l) {
-				load += phi[q]
-			}
-		}
-		w *= 1 - load/beta
-		cl := 1 / (beta - load)
-		for q := range phi {
-			v[q] = 0
-			if c.Net.Uses(q, l) {
-				v[q] = phi[q] * cl
-			}
-		}
-		for q, vq := range v {
-			g[q] -= vq
-			h[q][q] -= vq
-			for s, vs := range v {
-				h[q][s] -= vq * vs
-			}
-		}
-	}
-	for q := range g {
-		for s := range g {
-			h[q][s] = w * (h[q][s] + g[q]*g[s])
-		}
-	}
-	for q := range g {
-		g[q] *= w
-	}
-	return w, g, h
-}
-
-// expAll returns e^x elementwise: the rates φ of log-rates ϕ.
-func expAll(x []float64) []float64 {
-	phi := make([]float64, len(x))
-	for i, v := range x {
-		phi[i] = math.Exp(v)
-	}
-	return phi
+	res.Phi, res.Objective, res.Iters, res.Trace, res.Converged = sol.Phi, -sol.LogUtility+shift, sol.NewtonIters, sol.Trace, sol.Converged
+	return res, nil
 }
 
 func (c *Config) solveStage1Heuristic(prog qnet.Stage1, opts Stage1Options) (Stage1Result, error) {
@@ -343,16 +157,6 @@ func (c *Config) solveStage1Heuristic(prog qnet.Stage1, opts Stage1Options) (Sta
 			return res, fmt.Errorf("core: stage 1 SA: %w", err)
 		}
 		res.Phi, res.Objective, res.Iters, res.Trace, res.Converged = r.X, r.Value, r.Iters, r.Values, r.Converged
-	case Stage1ProjGrad:
-		// The solver the running planner calls (control.Controller.Replan).
-		sol, err := prog.Solve()
-		if err != nil {
-			return res, fmt.Errorf("core: stage 1 projected gradient: %w", err)
-		}
-		for i := range sol.Trace {
-			sol.Trace[i] += shift
-		}
-		res.Phi, res.Objective, res.Iters, res.Trace, res.Converged = sol.Phi, -sol.LogUtility+shift, sol.Iters, sol.Trace, sol.Converged
 	case Stage1RS:
 		samples := opts.RSSamples
 		if samples <= 0 {

@@ -266,8 +266,7 @@ func (s stage3Space) objective(z []float64) optimize.Smooth {
 			}
 			return total
 		},
-		Grad: func(x []float64) []float64 {
-			g := make([]float64, s.dim())
+		Grad: func(x, g []float64) {
 			for i := 0; i < n; i++ {
 				k := s.client(x, i)
 				d2 := c.DTrBits[i] * c.DTrBits[i]
@@ -279,23 +278,20 @@ func (s stage3Space) objective(z []float64) optimize.Smooth {
 				g[3*n+i] = c.AlphaE * 2 * c.KappaServer * s.cycles[i] * k.fs * k.dfs
 			}
 			g[4*n] = c.AlphaT * s.tScale
-			return g
 		},
-		Hess: func(x []float64) [][]float64 {
-			h := mathutil.Square(s.dim())
+		Hess: func(x []float64, w float64, h [][]float64) {
 			for i := 0; i < n; i++ {
 				k := s.client(x, i)
 				d2 := c.DTrBits[i] * c.DTrBits[i]
 				r3 := k.r * k.r * k.r
 				_, _, hpp, hpb, hbb := k.rateTerm(-1/(2*z[i]*r3), 3/(2*z[i]*r3*k.r))
-				h[i][i] = c.AlphaE * (2*d2*z[i]*k.dp*k.dp + hpp)
-				h[i][n+i] = c.AlphaE * hpb
-				h[n+i][i] = h[i][n+i]
-				h[n+i][n+i] = c.AlphaE * hbb
-				h[2*n+i][2*n+i] = c.AlphaE * 2 * c.KappaClient[i] * c.SECycles[i] * k.dfc * k.dfc
-				h[3*n+i][3*n+i] = c.AlphaE * 2 * c.KappaServer * s.cycles[i] * k.dfs * k.dfs
+				h[i][i] += w * c.AlphaE * (2*d2*z[i]*k.dp*k.dp + hpp)
+				h[i][n+i] += w * c.AlphaE * hpb
+				h[n+i][i] += w * c.AlphaE * hpb
+				h[n+i][n+i] += w * c.AlphaE * hbb
+				h[2*n+i][2*n+i] += w * c.AlphaE * 2 * c.KappaClient[i] * c.SECycles[i] * k.dfc * k.dfc
+				h[3*n+i][3*n+i] += w * c.AlphaE * 2 * c.KappaServer * s.cycles[i] * k.dfs * k.dfs
 			}
-			return h
 		},
 	}
 }
@@ -327,12 +323,12 @@ func (s stage3Space) constraints() []optimize.Smooth {
 	var ineqs []optimize.Smooth
 	for i := 0; i < n; i++ {
 		ineqs = append(ineqs,
-			optimize.BoundIneq(dim, i, 1, -1),       // p̃ ≤ 1  (17e)
-			optimize.BoundIneq(dim, i, -1, eps),     // p̃ ≥ eps
-			optimize.BoundIneq(dim, n+i, -1, eps),   // b̃ ≥ eps
-			optimize.BoundIneq(dim, 2*n+i, 1, -1),   // f̃c ≤ 1 (17g)
-			optimize.BoundIneq(dim, 2*n+i, -1, eps), // f̃c ≥ eps
-			optimize.BoundIneq(dim, 3*n+i, -1, eps), // f̃s ≥ eps
+			optimize.BoundIneq(i, 1, -1),       // p̃ ≤ 1  (17e)
+			optimize.BoundIneq(i, -1, eps),     // p̃ ≥ eps
+			optimize.BoundIneq(n+i, -1, eps),   // b̃ ≥ eps
+			optimize.BoundIneq(2*n+i, 1, -1),   // f̃c ≤ 1 (17g)
+			optimize.BoundIneq(2*n+i, -1, eps), // f̃c ≥ eps
+			optimize.BoundIneq(3*n+i, -1, eps), // f̃s ≥ eps
 		)
 	}
 	// Σ b̃ ≤ N (17f) and Σ f̃s ≤ N (17h).
@@ -345,7 +341,7 @@ func (s stage3Space) constraints() []optimize.Smooth {
 	ineqs = append(ineqs,
 		optimize.LinearIneq(bSum, -float64(n)),
 		optimize.LinearIneq(fsSum, -float64(n)),
-		optimize.BoundIneq(dim, 4*n, -1, eps), // T̃ ≥ eps
+		optimize.BoundIneq(4*n, -1, eps), // T̃ ≥ eps
 	)
 	// (17i): delay_i ≤ T, normalized by tScale.
 	for i := 0; i < n; i++ {
@@ -364,28 +360,25 @@ func (s stage3Space) delayRow(i int) optimize.Smooth {
 		F: func(x []float64) float64 {
 			return (s.delay(x, i) - x[4*n]*s.tScale) / s.tScale
 		},
-		Grad: func(x []float64) []float64 {
+		Grad: func(x, g []float64) {
 			k := s.client(x, i)
-			g := make([]float64, s.dim())
+			clear(g)
 			gp, gb, _, _, _ := k.rateTerm(-d/(k.r*k.r), 2*d/(k.r*k.r*k.r))
 			g[i] = gp / s.tScale
 			g[n+i] = gb / s.tScale
 			g[2*n+i] = -se * k.dfc / (k.fc * k.fc) / s.tScale
 			g[3*n+i] = -cy * k.dfs / (k.fs * k.fs) / s.tScale
 			g[4*n] = -1
-			return g
 		},
-		Hess: func(x []float64) [][]float64 {
+		Hess: func(x []float64, w float64, h [][]float64) {
 			k := s.client(x, i)
-			h := mathutil.Square(s.dim())
 			_, _, hpp, hpb, hbb := k.rateTerm(-d/(k.r*k.r), 2*d/(k.r*k.r*k.r))
-			h[i][i] = hpp / s.tScale
-			h[i][n+i] = hpb / s.tScale
-			h[n+i][i] = h[i][n+i]
-			h[n+i][n+i] = hbb / s.tScale
-			h[2*n+i][2*n+i] = 2 * se * k.dfc * k.dfc / (k.fc * k.fc * k.fc) / s.tScale
-			h[3*n+i][3*n+i] = 2 * cy * k.dfs * k.dfs / (k.fs * k.fs * k.fs) / s.tScale
-			return h
+			h[i][i] += w * hpp / s.tScale
+			h[i][n+i] += w * hpb / s.tScale
+			h[n+i][i] += w * hpb / s.tScale
+			h[n+i][n+i] += w * hbb / s.tScale
+			h[2*n+i][2*n+i] += w * 2 * se * k.dfc * k.dfc / (k.fc * k.fc * k.fc) / s.tScale
+			h[3*n+i][3*n+i] += w * 2 * cy * k.dfs * k.dfs / (k.fs * k.fs * k.fs) / s.tScale
 		},
 	}
 }

@@ -48,38 +48,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the maximum absolute entry of x, or 0 for an empty slice.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Sub returns x − y element-wise.
-func Sub(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mathutil: Sub length mismatch %d != %d", len(x), len(y)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
-}
-
-// Scale returns a*x element-wise.
-func Scale(a float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = a * x[i]
-	}
-	return out
-}
-
 // AXPYInPlace computes y ← y + a*x in place.
 func AXPYInPlace(a float64, x, y []float64) {
 	if len(x) != len(y) {

@@ -40,27 +40,6 @@ func TestNorms(t *testing.T) {
 	if got := Norm2(x); got != 5 {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
-	if got := NormInf(x); got != 4 {
-		t.Errorf("NormInf = %v, want 4", got)
-	}
-	if got := NormInf(nil); got != 0 {
-		t.Errorf("NormInf(nil) = %v, want 0", got)
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{10, 20}
-	if got := Sub(y, x); !VecApproxEqual(got, []float64{9, 18}, 0) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := Scale(3, x); !VecApproxEqual(got, []float64{3, 6}, 0) {
-		t.Errorf("Scale = %v", got)
-	}
-	// Inputs must be unchanged.
-	if x[0] != 1 || y[0] != 10 {
-		t.Error("Sub/Scale mutated their inputs")
-	}
 }
 
 func TestAXPYInPlace(t *testing.T) {
@@ -163,7 +142,7 @@ func TestDotPropertySymmetric(t *testing.T) {
 	}
 }
 
-// Property: Norm2(Scale(a, x)) == |a|·Norm2(x) within floating error.
+// Property: Norm2(a·x) == |a|·Norm2(x) within floating error.
 func TestNormScaleProperty(t *testing.T) {
 	f := func(x []float64, a float64) bool {
 		if !AllFinite(x) || math.IsNaN(a) || math.IsInf(a, 0) || math.Abs(a) > 1e6 {
@@ -174,7 +153,11 @@ func TestNormScaleProperty(t *testing.T) {
 				return true
 			}
 		}
-		lhs := Norm2(Scale(a, x))
+		ax := make([]float64, len(x))
+		for i, v := range x {
+			ax[i] = a * v
+		}
+		lhs := Norm2(ax)
 		rhs := math.Abs(a) * Norm2(x)
 		return ApproxEqual(lhs, rhs, 1e-9)
 	}

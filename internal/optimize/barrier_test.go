@@ -15,8 +15,12 @@ import (
 func fdSmooth(f Func) Smooth {
 	return Smooth{
 		F:    f,
-		Grad: func(x []float64) []float64 { return Gradient(f, x) },
-		Hess: func(x []float64) [][]float64 { return Hessian(f, x) },
+		Grad: func(x, g []float64) { copy(g, Gradient(f, x)) },
+		Hess: func(x []float64, w float64, h [][]float64) {
+			for i, row := range Hessian(f, x) {
+				mathutil.AXPYInPlace(w, row, h[i])
+			}
+		},
 	}
 }
 
@@ -111,10 +115,10 @@ func TestBarrierFeasibilityMaintained(t *testing.T) {
 	f := func(x []float64) float64 { return -x[0] - 2*x[1] } // maximize x+2y
 	ineqs := []Smooth{
 		LinearIneq([]float64{1, 1}, -3),
-		BoundIneq(2, 0, 1, -2),
-		BoundIneq(2, 1, 1, -2),
-		BoundIneq(2, 0, -1, 0),
-		BoundIneq(2, 1, -1, 0),
+		BoundIneq(0, 1, -2),
+		BoundIneq(1, 1, -2),
+		BoundIneq(0, -1, 0),
+		BoundIneq(1, -1, 0),
 	}
 	res, err := MinimizeBarrier(fdSmooth(f), ineqs, []float64{0.1, 0.1}, BarrierOptions{})
 	if err != nil {
@@ -149,7 +153,7 @@ func TestBarrierLogDomain(t *testing.T) {
 		fdSmooth(func(x []float64) float64 { return mathutil.Sum(x) - 1 }),
 	}
 	for i := 0; i < n; i++ {
-		ineqs = append(ineqs, BoundIneq(n, i, -1, 1e-9))
+		ineqs = append(ineqs, BoundIneq(i, -1, 1e-9))
 	}
 	x0 := mathutil.Fill(n, 0.1)
 	res, err := MinimizeBarrier(fdSmooth(f), ineqs, x0, BarrierOptions{})
@@ -194,8 +198,8 @@ func TestBarrierAgreesWithProjGradOnRandomQPs(t *testing.T) {
 		var ineqs []Smooth
 		for i := 0; i < n; i++ {
 			ineqs = append(ineqs,
-				BoundIneq(n, i, 1, -1.5),  // x_i ≤ 1.5
-				BoundIneq(n, i, -1, -1.5), // x_i ≥ −1.5
+				BoundIneq(i, 1, -1.5),  // x_i ≤ 1.5
+				BoundIneq(i, -1, -1.5), // x_i ≥ −1.5
 			)
 		}
 		x0 := make([]float64, n)
@@ -221,8 +225,8 @@ func TestBarrierAgreesWithAnnealOnSmoothProblem(t *testing.T) {
 		return (x[0]-0.4)*(x[0]-0.4) + 2*(x[1]+0.3)*(x[1]+0.3)
 	}
 	ineqs := []Smooth{
-		BoundIneq(2, 0, 1, -2), BoundIneq(2, 0, -1, -2),
-		BoundIneq(2, 1, 1, -2), BoundIneq(2, 1, -1, -2),
+		BoundIneq(0, 1, -2), BoundIneq(0, -1, -2),
+		BoundIneq(1, 1, -2), BoundIneq(1, -1, -2),
 	}
 	bres, err := MinimizeBarrier(fdSmooth(f), ineqs, []float64{0, 0}, BarrierOptions{})
 	if err != nil {

@@ -2,11 +2,36 @@ package optimize
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
 	"quhe/internal/mathutil"
 )
+
+// Box describes per-coordinate bounds Lo[i] ≤ x[i] ≤ Hi[i].
+type Box struct {
+	Lo, Hi []float64
+}
+
+// Validate checks that the box is well formed for dimension n.
+func (b Box) Validate(n int) error {
+	if len(b.Lo) != n || len(b.Hi) != n {
+		return fmt.Errorf("optimize: box dimension %d/%d, want %d: %w",
+			len(b.Lo), len(b.Hi), n, mathutil.ErrDimensionMismatch)
+	}
+	for i := range b.Lo {
+		if b.Lo[i] > b.Hi[i] {
+			return fmt.Errorf("optimize: box bound %d inverted: [%g, %g]", i, b.Lo[i], b.Hi[i])
+		}
+	}
+	return nil
+}
+
+// Project clamps x into the box in place.
+func (b Box) Project(x []float64) {
+	mathutil.ClampVecInPlace(x, b.Lo, b.Hi)
+}
 
 // GDOptions configures the fixed-learning-rate gradient descent baseline.
 // The QuHE paper uses learning rate 0.01 for its Stage-1 "GD" baseline

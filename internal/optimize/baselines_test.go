@@ -15,38 +15,6 @@ func unitBox2() Box {
 	return Box{Lo: []float64{-5, -5}, Hi: []float64{5, 5}}
 }
 
-func TestProjGradInterior(t *testing.T) {
-	res, err := MinimizeProjGrad(bowl, unitBox2(), []float64{4, 4}, PGOptions{})
-	if err != nil {
-		t.Fatalf("MinimizeProjGrad: %v", err)
-	}
-	if !mathutil.VecApproxEqual(res.X, []float64{1, -2}, 1e-4) {
-		t.Errorf("X = %v, want [1 -2]", res.X)
-	}
-	if !res.Converged {
-		t.Error("did not converge")
-	}
-}
-
-func TestProjGradBindingBox(t *testing.T) {
-	// Optimum (1,-2) is outside the box [0,0.5]² → solution clamps.
-	box := Box{Lo: []float64{0, 0}, Hi: []float64{0.5, 0.5}}
-	res, err := MinimizeProjGrad(bowl, box, []float64{0.2, 0.2}, PGOptions{})
-	if err != nil {
-		t.Fatalf("MinimizeProjGrad: %v", err)
-	}
-	if !mathutil.VecApproxEqual(res.X, []float64{0.5, 0}, 1e-5) {
-		t.Errorf("X = %v, want [0.5 0]", res.X)
-	}
-}
-
-func TestProjGradBadBox(t *testing.T) {
-	box := Box{Lo: []float64{1}, Hi: []float64{0}}
-	if _, err := MinimizeProjGrad(bowl, box, []float64{0}, PGOptions{}); err == nil {
-		t.Error("inverted box accepted")
-	}
-}
-
 func TestBoxHelpers(t *testing.T) {
 	box := unitBox2()
 	if err := box.Validate(2); err != nil {
@@ -69,22 +37,6 @@ func TestGradientDescentConverges(t *testing.T) {
 	}
 	if !mathutil.VecApproxEqual(res.X, []float64{1, -2}, 1e-2) {
 		t.Errorf("X = %v, want [1 -2]", res.X)
-	}
-}
-
-func TestGradientDescentSlowerThanBarrierStyleMethods(t *testing.T) {
-	// GD at fixed lr needs many more iterations than projected gradient
-	// with line search — the effect behind Fig. 5(b).
-	gd, err := GradientDescent(bowl, unitBox2(), []float64{4, 4}, GDOptions{LearningRate: 0.001})
-	if err != nil {
-		t.Fatalf("GradientDescent: %v", err)
-	}
-	pg, err := MinimizeProjGrad(bowl, unitBox2(), []float64{4, 4}, PGOptions{})
-	if err != nil {
-		t.Fatalf("MinimizeProjGrad: %v", err)
-	}
-	if gd.Iters <= pg.Iters {
-		t.Errorf("expected GD (%d iters) to need more iterations than projected gradient (%d)", gd.Iters, pg.Iters)
 	}
 }
 

@@ -4,19 +4,19 @@
 //
 //   - MinimizeBarrier: log-barrier damped-Newton interior-point method for
 //     smooth convex programs with inequality constraints (Stages 1 and 3).
-//   - MinimizeProjGrad: projected gradient descent over box constraints.
 //   - GradientDescent, Anneal, RandomSearch: the Stage-1 baselines from the
-//     paper (§VI-B).
+//     paper (§VI-B), over a Box.
 //   - MaximizeBnB / MaximizeExhaustive: branch & bound over small discrete
 //     assignment spaces (Stage 2, Algorithm 2).
 //
 // Problems are expressed as plain closures over []float64. The two kinds of
 // solver get their derivatives differently. The barrier is second order and
 // takes exact ones: its objective and constraints are Smooth values that
-// carry their own gradient and Hessian. The first-order methods
-// (MinimizeProjGrad, GradientDescent) take a bare Func and estimate its
-// gradient by central differences (Gradient), which is accurate and cheap at
-// the dimensions this repository works at (≤ ~30 variables).
+// write their own gradient and Hessian into the barrier's workspace. The
+// gradient-descent baseline takes a bare Func and estimates its gradient by
+// central differences (Gradient), as the paper's baselines do; that is
+// accurate and cheap at the dimensions this repository works at (≤ ~30
+// variables).
 package optimize
 
 import "math"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"quhe/internal/mathutil"
 	"quhe/internal/optimize"
 )
 
@@ -22,10 +23,11 @@ var ErrStage1Infeasible = errors.New("qnet: stage-1 program infeasible at the mi
 //	(20c) ̟_n > WernerZeroSKF
 //
 // This file is the tree's only definition of that program — objective,
-// penalized merit, boxes, start point — and of the projected-gradient
-// solver over it. internal/core wraps it in the paper's configuration (the
-// barrier method of Algorithm 1 and the Fig. 5 baselines minimize
-// Objective − ln α_qkd); internal/control calls Solve on every replan.
+// penalized merit, boxes, start point, its convex log-rate form P3 — and
+// of its one solver, Solve, the barrier method of Algorithm 1.
+// internal/core wraps it in the paper's configuration (Algorithm 1 and the
+// Fig. 5 baselines minimize Objective − ln α_qkd); internal/control calls
+// Solve on every replan.
 type Stage1 struct {
 	net    *Network
 	phiMin []float64
@@ -178,43 +180,241 @@ type Stage1Solution struct {
 	Phi, W []float64
 	// LogUtility is ln U_qkd at (Phi, W): minus the minimized objective.
 	LogUtility float64
-	// Iters counts projected-gradient steps; Trace is the objective after
-	// each; Converged reports that the last step moved φ by less than the
-	// solver's tolerance.
-	Iters     int
-	Trace     []float64
-	Converged bool
+	// NewtonIters counts the barrier's Newton steps; Trace is the
+	// objective −ln U_qkd after each (Fig. 4(a)); Converged reports that
+	// the duality gap fell below the solve's tolerance.
+	NewtonIters int
+	Trace       []float64
+	Converged   bool
 }
 
-// Solve minimizes the program by projected gradient with backtracking on
-// Penalized over Box from Start. The objective is convex in ln φ (Kar &
-// Wehner) and the iterates stay in the feasible region once inside it, so
-// the fixed point is the optimum the barrier method of Algorithm 1 reaches
-// (TestLiveStage1MatchesBarrier pins the two). Time does not separate them:
-// on SURFnet at control's φ_min both take ≈1.5 ms on a 2-core Xeon, the
-// barrier in 21 Newton steps and this in 78 gradient steps. Allocation
-// does: the barrier (core.Stage1Barrier) allocates 8,295 times (823 KB)
-// per solve, this 249 times (14 KB), and the planner replans inside every
-// op of the benchmark's churn workload, whose allocs_per_op is bounded at
-// 2%. That is why this, not the barrier, is what the running planner
-// calls; make the barrier allocation-lean before swapping them.
-// It fails with ErrStage1Infeasible when Start is not feasible.
+// Solve runs Algorithm 1: the log-barrier interior-point method
+// (optimize.MinimizeBarrier) over P3, the program in log-rates ϕ = ln φ,
+// where it is convex (Kar & Wehner), from Start to a duality gap of 1e-7.
+// It is the one Stage-1 solver: the running planner (control.Replan) and
+// the reproduction (core.SolveStage1) both call it. Each call owns its
+// scratch, so concurrent calls on one Stage1 are safe, and its Newton steps
+// allocate nothing: on SURFnet at control's φ_min = 1e-2 a solve takes 21
+// Newton steps, 114 allocations (6 KB) and ≈0.5 ms on a 2-core Xeon
+// 2.1 GHz (TestStage1SolveAllocs bounds the count). It fails with
+// ErrStage1Infeasible when Start is not strictly feasible.
 func (p Stage1) Solve() (Stage1Solution, error) {
 	var sol Stage1Solution
-	x0 := p.Start()
-	if _, viol := p.merit(x0); viol > 0 {
+	f0, ineqs, x0 := newP3(p).statement()
+	res, err := optimize.MinimizeBarrier(f0, ineqs, x0, optimize.BarrierOptions{Tol: 1e-7})
+	if errors.Is(err, optimize.ErrInfeasibleStart) {
 		return sol, ErrStage1Infeasible
 	}
-	res, err := optimize.MinimizeProjGrad(p.Penalized, p.Box(), x0, optimize.PGOptions{MaxIter: 2000, Tol: 1e-10})
 	if err != nil {
-		return sol, fmt.Errorf("qnet: stage-1 projected gradient: %w", err)
+		return sol, fmt.Errorf("qnet: stage-1 barrier: %w", err)
 	}
-	w, err := p.net.WernerFromRates(res.X)
+	phi := make([]float64, len(res.X))
+	expInto(phi, res.X)
+	w, err := p.net.WernerFromRates(phi)
 	if err != nil {
 		return sol, err
 	}
 	return Stage1Solution{
-		Phi: res.X, W: w, LogUtility: -res.Value,
-		Iters: res.Iters, Trace: res.Values, Converged: res.Converged,
+		Phi: phi, W: w, LogUtility: -res.Value,
+		NewtonIters: res.NewtonIters, Trace: res.Values, Converged: res.Converged,
 	}, nil
+}
+
+// p3 states the program for the barrier as P3 (20) over ϕ = ln φ: the
+// objective −Σ_n [ϕ_n + ln F_skf(̟_n)], the constraints (20a)–(20c), each
+// with exact derivatives, and a strictly feasible start. Its slices are the
+// scratch the derivatives write through, so a p3 serves one solve.
+type p3 struct {
+	Stage1
+	phi, gw, v []float64   // rates e^ϕ, a route's ∇̟, one link's a_lq φ_q c_l
+	hw         [][]float64 // a route's ∇²̟
+}
+
+func newP3(p Stage1) *p3 {
+	n := len(p.phiMin)
+	return &p3{Stage1: p, phi: make([]float64, n), gw: make([]float64, n), v: make([]float64, n), hw: mathutil.Square(n)}
+}
+
+// statement builds the barrier's objective, constraints and start point.
+func (p *p3) statement() (f0 optimize.Smooth, ineqs []optimize.Smooth, x0 []float64) {
+	n := len(p.phiMin)
+	// With F' = log2((1+w)/(1−w)) and F'' = 2/((1−w²) ln 2), each route
+	// adds −(F'/F)∇̟ to the gradient and −[(F''/F − (F'/F)²)∇̟∇̟ᵀ +
+	// (F'/F)∇²̟] to the Hessian; the −ϕ_n terms add −1 to the gradient.
+	skf := func(w float64) (d1, d2 float64) {
+		f := SecretKeyFraction(w)
+		d1 = math.Log2((1+w)/(1-w)) / f
+		return d1, 2/((1-w*w)*math.Ln2)/f - d1*d1
+	}
+	f0 = optimize.Smooth{
+		F: func(x []float64) float64 { return p.Objective(p.rates(x)) },
+		Grad: func(x, g []float64) {
+			phi := p.rates(x)
+			for i := range g {
+				g[i] = -1
+			}
+			for r := range phi {
+				d1, _ := skf(p.werner(r, phi, false))
+				mathutil.AXPYInPlace(-d1, p.gw, g)
+			}
+		},
+		Hess: func(x []float64, wt float64, h [][]float64) {
+			phi := p.rates(x)
+			for r := range phi {
+				d1, d2 := skf(p.werner(r, phi, true))
+				for i, row := range h {
+					for j := range row {
+						row[j] -= wt * (d2*p.gw[i]*p.gw[j] + d1*p.hw[i][j])
+					}
+				}
+			}
+		},
+	}
+
+	net := p.net
+	ineqs = make([]optimize.Smooth, 0, 2*n+len(net.links))
+	// (20a): ϕ_n ≥ ln φ_min — linear in ϕ-space.
+	for i, lo := range p.phiMin {
+		ineqs = append(ineqs, optimize.BoundIneq(i, -1, math.Log(lo)))
+	}
+	// (20b): Σ a_ln e^{ϕ_n} < β_l for every used link, normalized by β_l so
+	// all barrier terms share a scale. Its gradient is a_ln e^{ϕ_n}/β_l,
+	// which is also its (diagonal) Hessian.
+	for l, link := range net.links {
+		used := false
+		for r := range p.phiMin {
+			used = used || net.uses[r][l]
+		}
+		if !used {
+			continue
+		}
+		beta := link.Beta
+		ineqs = append(ineqs, optimize.Smooth{
+			F: func(x []float64) float64 {
+				sum := 0.0
+				for r, v := range x {
+					if net.uses[r][l] {
+						sum += math.Exp(v) / beta
+					}
+				}
+				return sum - 1
+			},
+			Grad: func(x, g []float64) {
+				for r, v := range x {
+					g[r] = 0
+					if net.uses[r][l] {
+						g[r] = math.Exp(v) / beta
+					}
+				}
+			},
+			Hess: func(x []float64, wt float64, h [][]float64) {
+				for r, v := range x {
+					if net.uses[r][l] {
+						h[r][r] += wt * math.Exp(v) / beta
+					}
+				}
+			},
+		})
+	}
+	// (20c): ̟_n > WernerZeroSKF for every route. A small margin keeps the
+	// objective's own log term finite strictly inside the region.
+	for r := range p.phiMin {
+		ineqs = append(ineqs, optimize.Smooth{
+			F: func(x []float64) float64 {
+				return WernerZeroSKF*(1+1e-9) - net.RouteWerner(r, p.rates(x))
+			},
+			Grad: func(x, g []float64) {
+				p.werner(r, p.rates(x), false)
+				for i, v := range p.gw {
+					g[i] = -v
+				}
+			},
+			Hess: func(x []float64, wt float64, h [][]float64) {
+				p.werner(r, p.rates(x), true)
+				for i, row := range h {
+					mathutil.AXPYInPlace(-wt, p.hw[i], row)
+				}
+			},
+		})
+	}
+
+	// Strictly feasible start: φ slightly above the minimum.
+	x0 = p.Start()
+	for i, v := range x0 {
+		x0[i] = math.Log(v)
+	}
+	return f0, ineqs, x0
+}
+
+// rates writes e^x into the scratch rates and returns them.
+func (p *p3) rates(x []float64) []float64 {
+	expInto(p.phi, x)
+	return p.phi
+}
+
+// werner returns route r's end-to-end Werner parameter ̟_r at rates phi,
+// writing its gradient in ϕ = ln φ into gw and, when hess is set, its
+// Hessian into hw. With u_l = Σ_q a_lq φ_q/β_l the load of link l and
+// c_l = 1/(β_l(1 − u_l)), ln ̟_r = Σ_{l∈r} ln(1 − u_l) has
+//
+//	∂ ln ̟_r/∂ϕ_q = −Σ_{l∈r} a_lq φ_q c_l
+//	∂² ln ̟_r/∂ϕ_q∂ϕ_s = −Σ_{l∈r} a_lq φ_q c_l (δ_qs + a_ls φ_s c_l)
+//
+// and ∇̟_r = ̟_r ∇ln ̟_r, ∇²̟_r = ̟_r (∇² ln ̟_r + ∇ln ̟_r ∇ln ̟_rᵀ).
+func (p *p3) werner(r int, phi []float64, hess bool) float64 {
+	net, g, h, v := p.net, p.gw, p.hw, p.v
+	clear(g)
+	if hess {
+		for _, row := range h {
+			clear(row)
+		}
+	}
+	w := 1.0
+	for l, link := range net.links {
+		if !net.uses[r][l] {
+			continue
+		}
+		load := 0.0
+		for q := range phi {
+			if net.uses[q][l] {
+				load += phi[q]
+			}
+		}
+		w *= 1 - load/link.Beta
+		cl := 1 / (link.Beta - load)
+		for q := range phi {
+			v[q] = 0
+			if net.uses[q][l] {
+				v[q] = phi[q] * cl
+			}
+		}
+		for q, vq := range v {
+			g[q] -= vq
+			if !hess {
+				continue
+			}
+			h[q][q] -= vq
+			for s, vs := range v {
+				h[q][s] -= vq * vs
+			}
+		}
+	}
+	if hess {
+		for q := range g {
+			for s := range g {
+				h[q][s] = w * (h[q][s] + g[q]*g[s])
+			}
+		}
+	}
+	for q := range g {
+		g[q] *= w
+	}
+	return w
+}
+
+// expInto writes e^x elementwise into phi: the rates of log-rates x.
+func expInto(phi, x []float64) {
+	for i, v := range x {
+		phi[i] = math.Exp(v)
+	}
 }

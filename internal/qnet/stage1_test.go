@@ -3,6 +3,9 @@ package qnet
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"quhe/internal/optimize"
@@ -153,4 +156,113 @@ func TestStage1SolveInfeasible(t *testing.T) {
 	if _, err := p.Solve(); !errors.Is(err, ErrStage1Infeasible) {
 		t.Errorf("Solve err = %v, want ErrStage1Infeasible", err)
 	}
+}
+
+// TestStage1SolveAllocs holds the live solve's allocation count: the
+// planner re-solves on every replan, inside every op of the benchmark's
+// churn workload. 249 is what the projected-gradient solver it replaced
+// made; the barrier's Newton steps allocate nothing, so what is left is
+// the statement's closures, the workspaces and the trace.
+func TestStage1SolveAllocs(t *testing.T) {
+	p := surfnetStage1(t, 1e-2)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 249 {
+		t.Errorf("Solve makes %.0f allocations, want ≤ 249", allocs)
+	}
+	t.Logf("%.0f allocations per solve (bound 249)", allocs)
+}
+
+// TestStage1DerivativesMatchFiniteDifferences holds every derivative the
+// barrier takes of P3 to finite differences at random rates from the
+// feasible box (kept off its upper corner so a step stays in the domain):
+// each gradient to central differences of its function, each Hessian (as
+// the weighted sum Hess adds) to central differences of the exact
+// gradient.
+func TestStage1DerivativesMatchFiniteDifferences(t *testing.T) {
+	const tol = 1e-6
+	p := surfnetStage1(t, 0.5)
+	f0, ineqs, _ := newP3(p).statement()
+	box := p.FeasibleBox()
+	rng := rand.New(rand.NewSource(33))
+	worst := 0.0
+	for k := 0; k < 20; k++ {
+		x := make([]float64, len(box.Lo))
+		for i := range x {
+			x[i] = math.Log(box.Lo[i] + 0.9*rng.Float64()*(box.Hi[i]-box.Lo[i]))
+		}
+		for j, f := range append([]optimize.Smooth{f0}, ineqs...) {
+			grad := func(x []float64) []float64 {
+				g := make([]float64, len(x))
+				f.Grad(x, g)
+				return g
+			}
+			errs := []float64{relErr(grad(x), optimize.Gradient(f.F, x))}
+			// Hess adds w·∇²F: add half of it to a matrix of ones and
+			// read it back.
+			hess := make([][]float64, len(x))
+			for i := range hess {
+				hess[i] = make([]float64, len(x))
+				for j := range hess[i] {
+					hess[i][j] = 1
+				}
+			}
+			if f.Hess != nil {
+				f.Hess(x, 0.5, hess)
+			}
+			for i, row := range hess {
+				for j := range row {
+					row[j] = (row[j] - 1) / 0.5
+				}
+				errs = append(errs, relErr(row, optimize.Gradient(func(x []float64) float64 { return grad(x)[i] }, x)))
+			}
+			for _, e := range errs {
+				if e > tol {
+					t.Errorf("point %d, function %d (0 is the objective): relative error %.2e > %.0e", k, j, e, tol)
+				}
+				worst = math.Max(worst, e)
+			}
+		}
+	}
+	t.Logf("worst relative error %.1e (bound %.0e)", worst, tol)
+}
+
+// relErr is the largest entry of |got − want| relative to the largest
+// entry of either vector.
+func relErr(got, want []float64) float64 {
+	worst, scale := 0.0, 0.0
+	for i := range want {
+		worst = math.Max(worst, math.Abs(got[i]-want[i]))
+		scale = math.Max(scale, math.Max(math.Abs(got[i]), math.Abs(want[i])))
+	}
+	if scale == 0 {
+		return 0
+	}
+	return worst / scale
+}
+
+// TestStage1SolveConcurrent: each Solve owns its scratch, so solves of one
+// Stage1 on several goroutines (the Fig. 3 workers share one config) reach
+// the same optimum bit for bit. Run it under -race.
+func TestStage1SolveConcurrent(t *testing.T) {
+	p := surfnetStage1(t, 1e-2)
+	want, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := p.Solve()
+			if err != nil || got.LogUtility != want.LogUtility || !slices.Equal(got.Phi, want.Phi) {
+				t.Errorf("concurrent solve: ln U %v φ %v err %v, want %v %v", got.LogUtility, got.Phi, err, want.LogUtility, want.Phi)
+			}
+		}()
+	}
+	wg.Wait()
 }

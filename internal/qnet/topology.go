@@ -101,10 +101,6 @@ func (n *Network) Route(r int) Route {
 	return rt
 }
 
-// Uses reports whether 0-based route r traverses 0-based link l
-// (the entry a_{l+1,r+1} of the paper's A matrix).
-func (n *Network) Uses(r, l int) bool { return n.uses[r][l] }
-
 // LinkLoads returns, for each link, the total entanglement rate Σ_n a_ln·φ_n
 // imposed by the route allocation phi (pairs/second).
 func (n *Network) LinkLoads(phi []float64) ([]float64, error) {

@@ -67,8 +67,8 @@ func TestSURFnetTableIII(t *testing.T) {
 	}
 }
 
-// TestIncidenceMatrix reads the paper's A matrix through Uses, its entry
-// a_{l+1,r+1}.
+// TestIncidenceMatrix reads the paper's A matrix through uses: uses[r][l]
+// is its entry a_{l+1,r+1}.
 func TestIncidenceMatrix(t *testing.T) {
 	n := SURFnet()
 	if n.NumLinks() != 18 || n.NumRoutes() != 6 {
@@ -76,11 +76,11 @@ func TestIncidenceMatrix(t *testing.T) {
 	}
 	for r := 0; r < n.NumRoutes(); r++ {
 		// Link 17 serves routes 1 and 2 only.
-		if got, want := n.Uses(r, 16), r < 2; got != want {
+		if got, want := n.uses[r][16], r < 2; got != want {
 			t.Errorf("A[17][%d] = %v, want %v", r+1, got, want)
 		}
 		// Link 6 is on no route in Table III.
-		if n.Uses(r, 5) {
+		if n.uses[r][5] {
 			t.Errorf("A[6][%d] set, want 0", r+1)
 		}
 	}

@@ -238,7 +238,7 @@ func TestUtilityFromRates(t *testing.T) {
 		}
 		used := false
 		for r := range phi {
-			used = used || n.Uses(r, l)
+			used = used || n.uses[r][l]
 		}
 		if ul > u || (used && ul >= u) {
 			t.Errorf("link %d (used %v): utility %v after lowering w, %v at the Eq. (18) point", l, used, ul, u)
