@@ -68,7 +68,7 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x0a
+//	offset 2     version  0x0b
 //	offset 3     type     one of 12: hello; the requests setup, compute,
 //	                      matvec, rekey, profile, rotation keys and resume;
 //	                      the resume challenge and proof; and two replies,
@@ -120,7 +120,7 @@
 // Horner's rule, each step a rotation by n1, so the rotation set a session
 // uploads and the server accepts is ckks.BSGSRotations of the model
 // dimension — the baby steps 1…n1−1 and n1, n1 keys (16 for a 256×256
-// model, 15.7 MB at λ-128k) — and a key for any other rotation is refused
+// model, 10.5 MB at λ-128k) — and a key for any other rotation is refused
 // as outside the plan. The client generates each key into the same storage
 // and sends it without waiting for the previous reply, then collects every
 // reply, so neither end holds more than one key in flight and no frame
@@ -182,7 +182,13 @@
 // kernel's readiness check and trace stage. Today: compute (affine fused
 // into the transcipher, no kernel) and matvec (identity, then the hoisted
 // BSGS matrix kernel under the session's rotation keys, traced as the
-// matvec stage). Everything else is one pipeline shared by every row,
+// matvec stage). The deepest row sets every profile's chain: the
+// transcipher's transcipher.Levels plus the matvec kernel's
+// ckks.MatVecLevels, depth 3 (profile.NewRegistry refuses a shallower
+// profile). A compute reply leaves at level 1, two limbs; a matvec reply
+// at level 0, one 60-bit limb at a ≈50-bit scale, so each of its slots
+// must satisfy |M·v + bias| < 2⁹ to decode (ckks linalg.go, "Headroom").
+// Everything else is one pipeline shared by every row,
 //
 //	window → decode → session lookup → submit to the profile's pool →
 //	  [ready → slot bound → key epoch → AdmitCompute → rekey budget →

@@ -91,7 +91,16 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("rekey: %v", err)
 	}
 
-	m := scrapeMetrics(t, srv.DebugAddr())
+	// The reply writer observes a block's write span just after its reply
+	// frame hits the socket, so the last block's can land after the client
+	// has read the reply and rekeyed: poll briefly for it.
+	var m map[string]float64
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		m = scrapeMetrics(t, srv.DebugAddr())
+		if m[`quhe_stage_seconds_count{stage="write"}`] >= blocks || time.Now().After(deadline) {
+			break
+		}
+	}
 	for _, stage := range []string{"decode", "queue_wait", "eval", "encode", "write"} {
 		key := fmt.Sprintf(`quhe_stage_seconds_count{stage="%s"}`, stage)
 		if m[key] < blocks {

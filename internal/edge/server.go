@@ -431,10 +431,12 @@ func (s *Server) publishRuntime(rt *profileRuntime) {
 
 // matvecPlan returns the profile's BSGS matrix–vector plan, building it
 // on first use. The plan targets the transcipher output contract — level
-// top−2 at scale Δ²/p (Δ the top prime, p the one below) — so a MatVec
-// request transciphers its block and feeds the result straight into the
-// kernel with no level or scale adjustment. Built with a throwaway
-// evaluator; the plan itself is immutable and shared across workers.
+// top−transcipher.Levels at scale Δ²/p (Δ the top prime, p the one
+// below) — so a MatVec request transciphers its block and feeds the
+// result straight into the kernel with no level or scale adjustment. The
+// registry guarantees every profile is deep enough for the kernel's level
+// (profile.NewRegistry). Built with a throwaway evaluator; the plan
+// itself is immutable and shared across workers.
 func (s *Server) matvecPlan(rt *profileRuntime) (*ckks.MatVecPlan, error) {
 	rt.mvOnce.Do(func() {
 		if len(s.cfg.Model.Matrix) == 0 {
@@ -442,15 +444,10 @@ func (s *Server) matvecPlan(rt *profileRuntime) (*ckks.MatVecPlan, error) {
 			return
 		}
 		top := rt.ctx.MaxLevel()
-		if top < 3 {
-			rt.mvErr = fmt.Errorf("%w: profile %s too shallow (depth %d; matvec needs the transcipher's two levels plus one)",
-				serve.ErrMatVecUnavailable, rt.prof.ID, top)
-			return
-		}
 		delta := float64(rt.ctx.Primes[top])
 		scale := delta * delta / float64(rt.ctx.Primes[top-1])
 		ev := ckks.NewEvaluator(rt.ctx, 1)
-		plan, err := ev.NewMatVecPlan(s.cfg.Model.Matrix, s.cfg.Model.MatrixBias, top-2, scale)
+		plan, err := ev.NewMatVecPlan(s.cfg.Model.Matrix, s.cfg.Model.MatrixBias, top-transcipher.Levels, scale)
 		if err != nil {
 			rt.mvErr = fmt.Errorf("%w: plan for profile %s: %v", serve.ErrMatVecUnavailable, rt.prof.ID, err)
 			return
@@ -1321,14 +1318,15 @@ func (s *Server) matvecReady(rt *profileRuntime, sess *serve.Session) (serve.Cod
 }
 
 // matvecKernel applies the packed model matrix to a plain-transciphered
-// block. The transcipher output contract (level top−2, scale Δ²/p)
-// matches the plan by construction, so the kernel consumes it directly.
+// block. The transcipher output contract (level top−transcipher.Levels,
+// scale Δ²/p) matches the plan by construction, so the kernel consumes it
+// directly and leaves its result ckks.MatVecLevels lower.
 func (s *Server) matvecKernel(rt *profileRuntime, w *serve.Worker, sess *serve.Session, ct *ckks.Ciphertext) (*ckks.Ciphertext, int, serve.Code, string) {
 	plan, err := s.matvecPlan(rt)
 	if err != nil {
 		return nil, 0, serve.CodeOf(err), err.Error()
 	}
-	out := rt.ctx.NewCiphertext(plan.Level() - 1)
+	out := rt.ctx.NewCiphertext(plan.Level() - ckks.MatVecLevels)
 	if err := w.Ev.MatVecInto(plan, ct, sess.RotKeys(), out); err != nil {
 		code := serve.CodeInternal
 		if errors.Is(err, ckks.ErrNoGaloisKey) {

@@ -56,17 +56,17 @@ const (
 	// rotation-key set in one frame, 7 the last with a reply frame per
 	// session request and per op, 8 the last with a key per giant block,
 	// 9 the last whose blocks read one coefficient stream per nonce at
-	// overlapping offsets.)
-	frameVersion = 10
+	// overlapping offsets, 10 the last with depth-4 chains.)
+	frameVersion = 11
 
 	frameHeaderLen = 16
 
 	// maxFramePayload bounds a frame so a corrupt or hostile length field
 	// cannot force a huge allocation, and it is also the largest frame
 	// buffer the pool keeps. Every legal frame fits whatever the model: the
-	// largest is a λ-128k Setup (3,604,768 payload bytes, mostly its
-	// relinearization key), then a λ-128k Rekey (2,621,605), then one
-	// λ-128k rotation key (983,138) — rotation keys travel one per frame,
+	// largest is a λ-128k Setup (2,752,841 payload bytes, mostly its
+	// relinearization key), then a λ-128k Rekey (2,097,380), then one
+	// λ-128k rotation key (655,518) — rotation keys travel one per frame,
 	// so the model dimension sets the number of RotKeys frames, not their
 	// size. TestEveryLegalFrameFits sizes them on every profile.
 	maxFramePayload = 4 << 20

@@ -41,11 +41,12 @@ func TestControlLoopDynamicBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving-plane experiment")
 	}
-	// Sized for the depth-4 residue towers: blocks cost ~3x the old
-	// single-modulus chains, which lowers the observed demand rate and
-	// with it the controller's rate-based budget stretch. The scarce-key
-	// network keeps the stretch decision decisive at the slower block
-	// rate instead of leaving it on the demand-threshold knife edge.
+	// Sized for multi-limb residue towers: blocks cost several times the
+	// old single-modulus chains (≈3x measured on depth-4 towers; the
+	// depth-3 ones cost about 4/5 of that), which lowers the observed
+	// demand rate and with it the controller's rate-based budget stretch. The scarce-key network
+	// keeps the stretch decision decisive at the slower block rate
+	// instead of leaving it on the demand-threshold knife edge.
 	res, err := ControlLoop(ControlLoopOptions{
 		Clients:  2,
 		Blocks:   16,

@@ -60,9 +60,10 @@ type ProfileMixStat struct {
 	// Served and Errors count the profile's blocks across its clients.
 	Served int64 `json:"served"`
 	Errors int64 `json:"errors"`
-	// MeanMs / P50Ms summarize client-observed per-block latency.
+	// MeanMs / P50Ms / MinMs summarize client-observed per-block latency.
 	MeanMs float64 `json:"latency_ms_mean"`
 	P50Ms  float64 `json:"latency_ms_p50"`
+	MinMs  float64 `json:"latency_ms_min"`
 	// CoeffMs is the per-block latency implied by the cost coefficient
 	// the planner and the replies price an affine block with
 	// (profile.BlockCycles(0) at the reference clock, calibrated before
@@ -165,6 +166,7 @@ func ProfileMix(opts ProfileMixOptions) (ProfileMixResult, error) {
 			sort.Float64s(lats)
 			stat.MeanMs = sum / float64(len(lats))
 			stat.P50Ms = lats[len(lats)/2]
+			stat.MinMs = lats[0]
 			stat.CoeffOverMeasured = stat.CoeffMs / stat.MeanMs
 		}
 		if stat.CoeffOverMeasured < 0.5 || stat.CoeffOverMeasured > 2 {

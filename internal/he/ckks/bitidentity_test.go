@@ -253,10 +253,31 @@ func sameCiphertext(t *testing.T, what string, got, want *Ciphertext) {
 	}
 }
 
-// servedProfiles are the parameter sets of the three registered security
-// profiles (profile.Default: one 60-bit base prime, four 50-bit scale
-// primes, the 61-bit special prime; LogN 10–12). Spelled out here because
-// package profile imports ckks.
+// The served chain (profile.Default): the transcipher's keystream layers
+// leave a block transcipherLevels below the top (transcipher.Levels,
+// spelled out because package transcipher imports ckks), and the matvec
+// kernel takes it MatVecLevels further, to level 0.
+// TestServedFixturesMatchProfiles holds both to the registry.
+const (
+	transcipherLevels = 2
+	servedDepth       = transcipherLevels + MatVecLevels
+)
+
+// servedParams is the parameter set of the registered security profile at
+// ring degree 2^logN: one 60-bit base prime, servedDepth 50-bit scale
+// primes, the 61-bit special prime.
+func servedParams(tb testing.TB, logN int) Params {
+	tb.Helper()
+	p, err := NewParams(logN, 60, 50, servedDepth)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// servedProfiles are the three registered security profiles (LogN 10–12
+// on servedParams). Spelled out here because package profile imports
+// ckks.
 var servedProfiles = []struct {
 	id   string
 	logN int
@@ -274,11 +295,7 @@ type bitIdentityFixture struct {
 
 func newBitIdentityFixture(t *testing.T, logN int) *bitIdentityFixture {
 	t.Helper()
-	p, err := NewParams(logN, 60, 50, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := NewContext(p)
+	ctx, err := NewContext(servedParams(t, logN))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,19 +318,19 @@ func (fx *bitIdentityFixture) encrypt(t *testing.T, n, level int) *Ciphertext {
 
 // TestMatVecBitIdentity pins MatVecInto to the strict per-term,
 // coefficient-domain composition it replaced, taken in the same Horner
-// order, limb for limb, on every served profile at the served level (two
-// below the top, where the transcipher leaves a block), for a dense
-// matrix with bias, one without, a sparse one (nil diagonals inside
-// blocks, giant blocks empty below and above the top one), one whose
-// unrotated block is empty and the zero matrix — twice through one
-// evaluator, so the second pass reads the scratch the first left behind.
-// Each case's plan reports the key switches the chain runs: n1−1 baby
+// order, limb for limb, on every served profile at the served level
+// (transcipherLevels below the top, where the transcipher leaves a
+// block), for a dense matrix with bias, one without, a sparse one (nil
+// diagonals inside blocks, giant blocks empty below and above the top
+// one), one whose unrotated block is empty and the zero matrix — twice
+// through one evaluator, so the second pass reads the scratch the first
+// left behind. Each case's plan reports the key switches the chain runs: n1−1 baby
 // rotations plus one giant step per block below the top non-empty one.
 func TestMatVecBitIdentity(t *testing.T) {
 	for _, prof := range servedProfiles {
 		fx := newBitIdentityFixture(t, prof.logN)
 		ref := strictRef{fx.ctx}
-		level := fx.ctx.MaxLevel() - 2
+		level := fx.ctx.MaxLevel() - transcipherLevels
 		n := prof.dim
 		n1, n2 := matVecSplit(n)
 		dense, bias := randomMatrix(fx.rng, n)
@@ -357,7 +374,7 @@ func TestMatVecBitIdentity(t *testing.T) {
 			}
 			want := ref.matVec(t, plan, ct, gks)
 			for pass := 0; pass < 2; pass++ {
-				got := fx.ctx.NewCiphertext(level - 1)
+				got := fx.ctx.NewCiphertext(level - MatVecLevels)
 				if err := fx.ev.MatVecInto(plan, ct, gks, got); err != nil {
 					t.Fatal(err)
 				}
@@ -377,7 +394,7 @@ func TestRotateBitIdentity(t *testing.T) {
 		rots := []int{0, 1, 5, -3, fx.ctx.Params.Slots() / 2}
 		gks := fx.kg.GenGaloisKeys(fx.sk, rots)
 		h := fx.ev.NewHoisted()
-		for _, level := range []int{fx.ctx.MaxLevel(), fx.ctx.MaxLevel() - 2} {
+		for _, level := range []int{fx.ctx.MaxLevel(), fx.ctx.MaxLevel() - transcipherLevels} {
 			ct := fx.encrypt(t, fx.ctx.Params.Slots(), level)
 			dig := ref.hoist(ct)
 			for pass := 0; pass < 2; pass++ {

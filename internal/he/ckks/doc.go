@@ -48,12 +48,13 @@
 // by n1 under one key — O(√n) key-switches instead of the naive n−1 under
 // n1 ≈ √n keys. The kernel never leaves the NTT domain between its own stages: key switches come
 // down from QP there (ring.Tower.ModDownNTT), rotations are gathers, and
-// one inverse transform per limb precedes the rescale — 441 limb
-// transforms for the served 256×256 at three limbs (6 input + 9 hoist +
-// 15·8 babies + 15·20 giants + 6 output) against the 624 (12 + 6 + 15·14
-// + 16·6 + 15·20) of the coefficient-domain composition it is
-// bit-identical to. The evaluator's matvec scratch is the one place a
-// ciphertext sits in the NTT domain between stages; it is never returned.
+// one inverse transform per limb precedes the rescale — 282 limb
+// transforms for the served 256×256 at two limbs (4 input + 4 hoist +
+// 15·6 babies + 15·12 giants + 4 output); at three limbs, 441 against the
+// 624 (12 + 6 + 15·14 + 16·6 + 15·20) of the coefficient-domain
+// composition it is bit-identical to. The evaluator's matvec scratch is
+// the one place a ciphertext sits in the NTT domain between stages; it is
+// never returned.
 // Every inner product here and in the key switch is a ring.LazySum: one
 // Montgomery reduction per sum instead of one per term. Versus
 // production CKKS (SEAL / Lattigo / OpenFHE) there is still no

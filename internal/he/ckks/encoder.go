@@ -155,8 +155,10 @@ func (e *Encoder) EncodeRealCoeffs(values, imag []float64, scale float64, work [
 }
 
 // Decode recovers the slot vector from a plaintext, dividing by its scale.
-// Coefficients come back through the tower's centered CRT reconstruction
-// (exact up to q_0·q_1/2 ≈ 2¹⁰⁹, far beyond any plaintext magnitude).
+// Coefficients come back through the tower's centered reconstruction,
+// exact up to q_0·q_1/2 ≈ 2¹⁰⁹ from two limbs up but only up to q_0/2 at
+// level 0: a level-0 slot decodes while |m|·scale < q_0/2, |m| < 2⁹ at a
+// 60-bit q_0 and a ≈50-bit scale (the matvec output bound, linalg.go).
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	u := make([]complex128, e.ctx.Params.N())
 	e.spectrum(pt, u)

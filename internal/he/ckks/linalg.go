@@ -45,6 +45,18 @@ import (
 // are M times the real parts of the input, whatever the input's imaginary
 // parts hold (a transciphered block carries key-dependent values there).
 //
+// Headroom: the result keeps the input scale, MatVecLevels below the
+// input. On the served chain that is level 0, one 60-bit limb, so every
+// result slot has to satisfy |M·v + bias|·scale < q_0/2 to decode — with
+// a ≈50-bit scale, |M·v + bias| < 2⁹, imaginary parts included.
+// TestLevelZeroHeadroom decodes level-0 values up to 2⁸ on every served
+// chain. The benchmark's dense models (entries up to 1/√n, |v| ≤ 1,
+// |bias| ≤ 0.5) stay below √n + 0.5 = 16.5 at n = 256 by construction,
+// below 9.5 by their largest row sums, and read at most 1.71 on their
+// payloads (seeds 1, 2, 7); examples/securenlp's 8×8 stays below 1.12
+// and reads 0.52. The imaginary parts a transciphered input carries
+// (|Im| ≤ 0.12) add at most 0.12·√n ≈ 1.9 at n = 256.
+//
 // Transform budget. MatVecInto keeps the whole kernel in the NTT domain.
 // The input is transformed once; each baby rotation key-switches the
 // shared decomposition and comes down from QP where it is
@@ -60,17 +72,22 @@ import (
 //	input 2L + hoist L² + babies (n1−1)·2(L+1)
 //	  + giants (n2−1)·(L + L² + 2(L+1)) + output 2L
 //
-// — 6 + 9 + 15·8 + 15·20 + 6 = 441 for the served 256×256 at L = 3. The
-// coefficient-domain composition this replaced spent 12 (full hoist) + 6
-// (input) + 15·14 (each baby brought down to coefficients, then
-// transformed again) + 16·6 (an inverse pair per block) + 15·20 (giants)
-// = 624, with six to eight limb fan-outs per rotation where this has two
-// or three. The result is bit-identical to that composition taken in the
+// — 4 + 4 + 15·6 + 15·12 + 4 = 282 for the served 256×256 at L = 2, and
+// 441 at L = 3. At L = 3 the coefficient-domain composition this replaced
+// spent 12 (full hoist) + 6 (input) + 15·14 (each baby brought down to
+// coefficients, then transformed again) + 16·6 (an inverse pair per
+// block) + 15·20 (giants) = 624, with six to eight limb fan-outs per
+// rotation where this has two or three. The result is bit-identical to that composition taken in the
 // same Horner order (TestMatVecBitIdentity keeps it as a test-only
 // reference): every step is the same exact arithmetic mod q_i, moved
 // across a linear transform. The only ciphertexts that sit in the NTT
 // domain between stages are the evaluator's own matvecScratch; nothing in
 // that form is returned.
+
+// MatVecLevels is the number of modulus levels MatVecInto consumes: its
+// one rescale drops the diagonal scale, so a plan at level ℓ leaves its
+// result at level ℓ−MatVecLevels.
+const MatVecLevels = 1
 
 // MatVecPlan is a matrix (plus optional bias) pre-encoded for encrypted
 // matrix–vector evaluation at one level of the modulus chain. Plans are
@@ -135,8 +152,8 @@ func (ev *Evaluator) checkMatVecShape(m [][]float64, bias []float64, level int) 
 	if bias != nil && len(bias) != n {
 		return 0, fmt.Errorf("ckks: bias length %d, want %d", len(bias), n)
 	}
-	if level < 1 || level > ev.ctx.MaxLevel() {
-		return 0, fmt.Errorf("ckks: matvec level %d outside [1, %d]", level, ev.ctx.MaxLevel())
+	if level < MatVecLevels || level > ev.ctx.MaxLevel() {
+		return 0, fmt.Errorf("ckks: matvec level %d outside [%d, %d]", level, MatVecLevels, ev.ctx.MaxLevel())
 	}
 	return n, nil
 }
@@ -335,7 +352,7 @@ func (ev *Evaluator) finishMatVec(plan *MatVecPlan, ct, acc, out *Ciphertext) er
 //
 // A steady-state call allocates no buffer, only the closure each of its
 // limb fan-outs hands ring.ForEach: 81 objects at the served shape
-// (λ-128k, 256×256, two levels below the top), pinned by
+// (λ-128k, 256×256, transcipher.Levels below the top), pinned by
 // TestMatVecSteadyStateAllocs.
 func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
 	if err := plan.checkInput(ct, out); err != nil {

@@ -274,11 +274,7 @@ func TestHoistedBSGSBeatsNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
 	}
-	p, err := NewParams(12, 60, 50, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := NewContext(p)
+	ctx, err := NewContext(servedParams(t, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,6 +326,84 @@ func TestHoistedBSGSBeatsNaive(t *testing.T) {
 		n, hoisted, len(BSGSRotations(bsgs.Dim())), rotated, n-1, speedup)
 	if speedup < 3 {
 		t.Errorf("hoisted BSGS is %.2fx over naive at n=%d, want ≥ 3x", speedup, n)
+	}
+}
+
+// TestLevelZeroHeadroom states the served matvec reply's bound: one
+// 60-bit limb at the kernel's output scale Δ²/p (the transcipher's), so a
+// slot decodes while |m|·scale < q_0/2. A constant vector is the tight
+// case — its one non-zero coefficient is m·scale — while a spread vector's
+// coefficients are far smaller. On every served chain a level-0
+// ciphertext holding a constant 2⁸, then values spread over [−2⁸, 2⁸] —
+// brought there as the kernel brings its result, a plaintext product at
+// scale q_1 and one rescale — decrypts and decodes within 2⁻²⁴, and a
+// constant 2¹⁰ wraps.
+func TestLevelZeroHeadroom(t *testing.T) {
+	for _, prof := range servedProfiles {
+		ctx, err := NewContext(servedParams(t, prof.logN))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg := NewKeyGenerator(ctx, int64(500+prof.logN))
+		sk := kg.GenSecretKey()
+		pk := kg.GenPublicKey(sk)
+		ev := NewEvaluator(ctx, int64(600+prof.logN))
+		enc := NewEncoder(ctx)
+		rng := rand.New(rand.NewSource(int64(700 + prof.logN)))
+		top := ctx.MaxLevel()
+		scale := float64(ctx.Primes[top]) * float64(ctx.Primes[top]) / float64(ctx.Primes[top-1])
+		ones := make([]float64, ctx.Params.Slots())
+		for i := range ones {
+			ones[i] = 1
+		}
+		unit, err := enc.EncodeRealAtLevel(ones, float64(ctx.Primes[1]), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// atLevelZero returns the decoded level-0 image of vals.
+		atLevelZero := func(vals []float64) []float64 {
+			pt, err := enc.EncodeRealAtLevel(vals, scale, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prod, err := ev.MulPlain(ev.Encrypt(pk, pt), unit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := ev.Rescale(prod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Level != 0 {
+				t.Fatalf("%s: result at level %d, want 0", prof.id, out.Level)
+			}
+			return enc.DecodeReal(ev.Decrypt(sk, out))
+		}
+		constant := func(v float64) []float64 {
+			vals := make([]float64, ctx.Params.Slots())
+			for i := range vals {
+				vals[i] = v
+			}
+			return vals
+		}
+		spread := make([]float64, ctx.Params.Slots())
+		for i := range spread {
+			spread[i] = (2*rng.Float64() - 1) * (1 << 8)
+		}
+		for _, c := range []struct {
+			name string
+			vals []float64
+		}{{"constant 2⁸", constant(1 << 8)}, {"spread over ±2⁸", spread}} {
+			worst := maxAbsDiff(atLevelZero(c.vals), c.vals)
+			t.Logf("%s %s at level 0, scale 2^%.2f: worst error %.3g (%.1f bits)",
+				prof.id, c.name, math.Log2(scale), worst, -math.Log2(worst))
+			if worst > 0x1p-24 {
+				t.Errorf("%s: %s decodes off by %g at level 0, want ≤ 2⁻²⁴", prof.id, c.name, worst)
+			}
+		}
+		if e := maxAbsDiff(atLevelZero(constant(1<<10)), constant(1<<10)); e < 1 {
+			t.Errorf("%s: a constant 2¹⁰ decoded within %g at level 0; the stated bound is 2⁹", prof.id, e)
+		}
 	}
 }
 
@@ -399,15 +473,11 @@ func TestMatVecKeySwitches(t *testing.T) {
 }
 
 // servedMatVec builds the benchmark's matvec-128k-sat shape: λ-128k
-// parameters (LogN 12, 60/50×4/61 chain), dense 256×256 with bias, input
-// two levels below the top where the transcipher leaves a block.
+// parameters (servedParams at LogN 12), dense 256×256 with bias, input
+// transcipherLevels below the top where the transcipher leaves a block.
 func servedMatVec(tb testing.TB) (ev *Evaluator, plan *MatVecPlan, ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) {
 	tb.Helper()
-	p, err := NewParams(12, 60, 50, 4)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ctx, err := NewContext(p)
+	ctx, err := NewContext(servedParams(tb, 12))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -415,7 +485,7 @@ func servedMatVec(tb testing.TB) (ev *Evaluator, plan *MatVecPlan, ct *Ciphertex
 	sk := kg.GenSecretKey()
 	ev = NewEvaluator(ctx, 102)
 	const n = 256
-	level := ctx.MaxLevel() - 2
+	level := ctx.MaxLevel() - transcipherLevels
 	m, bias := randomMatrix(rand.New(rand.NewSource(103)), n)
 	if plan, err = ev.NewMatVecPlan(m, bias, level, 0); err != nil {
 		tb.Fatal(err)
@@ -425,7 +495,7 @@ func servedMatVec(tb testing.TB) (ev *Evaluator, plan *MatVecPlan, ct *Ciphertex
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ev, plan, ev.Encrypt(kg.GenPublicKey(sk), pt), gks, ctx.NewCiphertext(level - 1)
+	return ev, plan, ev.Encrypt(kg.GenPublicKey(sk), pt), gks, ctx.NewCiphertext(level - MatVecLevels)
 }
 
 // BenchmarkMatVec times one served-shape MatVecInto on a warm evaluator
@@ -456,7 +526,7 @@ func TestMatVecSteadyStateAllocs(t *testing.T) {
 	}
 	run() // warm: the evaluator's matvec scratch
 	// Measured 81 (-benchmem agrees): one object, the closure ring.ForEach
-	// runs per index, for each fan-out of three or four limbs — two per
+	// runs per index, for each fan-out of two or three limbs — two per
 	// baby rotation, three per giant step, one each for the input, the
 	// hoist, the top block and the output, two for the rescale. When
 	// every fan-out built a task slice and wrapped each limb twice this

@@ -8,13 +8,16 @@
 // Each Profile pairs the paper-scale λ it models (the value f_msl, Eq. 30,
 // is evaluated at) with a scaled-down ckks.Params the repository can
 // actually run (LogN 10–12 instead of 15–17, preserving the relative
-// ordering of security level and compute cost). Every profile carries an honest multi-limb residue tower — a
-// 60-bit base prime, four 50-bit rescaling primes and a 61-bit special
-// prime for hybrid key switching — so the λ choice actuates real RNS
-// chains, not single-modulus stand-ins. Contexts are built lazily and
-// cached per profile — prime search and NTT-table construction happen
-// once per process, and every server, client and worker pool over the
-// same profile shares one immutable context.
+// ordering of security level and compute cost). Every profile carries an
+// honest multi-limb residue tower — a 60-bit base prime, one 50-bit
+// rescaling prime per level its deepest served op consumes (servedDepth:
+// three, log QP = 60 + 3·50 + 61 = 271) and a 61-bit special prime for
+// hybrid key switching — so the λ choice actuates real RNS chains, not
+// single-modulus stand-ins, and no limb is carried that no op reaches.
+// NewRegistry refuses a profile shallower than that. Contexts are built
+// lazily and cached per profile — prime search and NTT-table construction
+// happen once per process, and every server, client and worker pool over
+// the same profile shares one immutable context.
 //
 // This package is the one place a served block is priced. BlockCycles is
 // an a·L·N·log2(N) model of the per-limb NTT-bound work — the
@@ -38,6 +41,7 @@ import (
 
 	"quhe/internal/costmodel"
 	"quhe/internal/he/ckks"
+	"quhe/internal/transcipher"
 )
 
 // Built-in profile IDs, ordered by ascending security level. IDDefault is
@@ -63,16 +67,22 @@ const (
 // complex ones packing both quadratic factors, eight real ones for the
 // linear term; each form a lazy inner product, one Montgomery reduction
 // per sum), one squaring mul-relin, three rescales, 17 encodes — on the
-// depth-4 built-in chains at LogN 10–12. Calibrate's best-of-nine block
-// time at RefHz over L·N·log2(N), best of eight alternating runs on the
-// 2-core reference box, read 229, 225, 171 against 308, 330, 298 for the
-// three real forms and general product it replaced, the same hour (0.74,
-// 0.68, 0.57; medians of the eight 0.77, 0.66, 0.66). The box ran slower
-// than when that operation was fitted at 255 against 249, 253, 198, so
-// the constant is refit on that basis: 185, 172, 114, and a takes the
-// upper, as it did there. (Earlier fits of the three-form operation: 300
+// depth-4 chains the built-in profiles ran before they took servedDepth,
+// at LogN 10–12. Calibrate's best-of-nine block time at RefHz over
+// L·N·log2(N), best of eight alternating runs on the 2-core reference
+// box, read 229, 225, 171 against 308, 330, 298 for the three real
+// forms and general product it replaced, the same hour (0.74, 0.68, 0.57;
+// medians of the eight 0.77, 0.66, 0.66). The box ran slower than when
+// that operation was fitted at 255 against 249, 253, 198, so the
+// constant is refit on that basis: 185, 172, 114, and a takes the upper,
+// as it did there. (Earlier fits of the three-form operation: 300
 // with the radix-2 transform, 410 before the lazy sums, 910 before the
-// fused forms.) Calibrate supersedes it with a live measurement.
+// fused forms.) The model is per limb, so it carries over to the depth-3
+// chains unrefit. Three ProfileMix runs of eight blocks per profile at
+// each depth, the same hour: CoeffOverMeasured (calibrated coefficient
+// over mean client latency) read 0.74–1.06 at depth 3 against 0.56–0.93
+// at depth 4, and the uncalibrated model over that latency 0.50–0.75
+// against 0.47–0.82. Calibrate supersedes it with a live measurement.
 const modeledCyclesPerLimbNLogN = 185.0
 
 // RefHz is the reference server clock the cost coefficients are expressed
@@ -95,15 +105,16 @@ const RefHz = 3.3e9
 // half already). A served 256×256 matvec at λ-128k spends 20 per rotation
 // all-in (MatVecInto's 45 ms over its 30 rotations, diagonal sums and the
 // unhoisted giant-step switches included; 26 with the radix-2 transform),
-// so the constant sits at the upper of the two.
+// so the constant sits at the upper of the two. On the depth-3 chain it
+// reads 22 (BenchmarkMatVec ≈39 ms, against ≈54 ms, 24, for the depth-4
+// chain the same hour), so the per-limb constant carries over unrefit.
 const modeledRotCyclesPerLimbNLogN = 21.0
 
-// chainDepth is the rescaling depth every built-in profile runs at. The
-// transcipher itself consumes two levels (linear + quadratic keystream
-// layers); the remaining levels are headroom for encrypted inference on
-// top of the transciphered block, giving every profile an honest
-// multi-limb residue tower (L = chainDepth+1 limbs).
-const chainDepth = 4
+// servedDepth is the rescaling depth the deepest served op consumes: the
+// transcipher's keystream layers, then the matvec kernel on its output.
+// Every built-in profile runs exactly this deep (L = servedDepth+1 limbs),
+// and NewRegistry refuses any profile shallower.
+const servedDepth = transcipher.Levels + ckks.MatVecLevels
 
 // Profile binds one of the paper's λ security levels to a runnable CKKS
 // parameter set. Profiles are immutable after registration except for the
@@ -201,7 +212,8 @@ type Registry struct {
 
 // NewRegistry assembles a registry from validated profiles; the first
 // profile (after sorting by ascending λ) with the lowest λ becomes the
-// default unless defaultID names another member.
+// default unless defaultID names another member. A profile shallower than
+// servedDepth is refused: a session on it could not run every served op.
 func NewRegistry(defaultID string, profiles ...*Profile) (*Registry, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("profile: empty registry")
@@ -216,6 +228,10 @@ func NewRegistry(defaultID string, profiles ...*Profile) (*Registry, error) {
 		}
 		if err := p.Params.Validate(); err != nil {
 			return nil, fmt.Errorf("profile: %s: %w", p.ID, err)
+		}
+		if p.Params.Depth < servedDepth {
+			return nil, fmt.Errorf("profile: %s: depth %d is shallower than the %d levels the served ops consume (transcipher %d, matvec %d)",
+				p.ID, p.Params.Depth, servedDepth, transcipher.Levels, ckks.MatVecLevels)
 		}
 		if _, dup := r.byID[p.ID]; dup {
 			return nil, fmt.Errorf("profile: duplicate ID %q", p.ID)
@@ -292,13 +308,13 @@ func Default() *Registry {
 	defaultOnce.Do(func() {
 		mk := func(id string, lambda float64) *Profile {
 			// Every profile runs a full-width residue tower: 60-bit base
-			// prime, four 50-bit scale primes (chainDepth rescales) and the
-			// 61-bit special prime for hybrid key switching. Only the ring
-			// degree varies with λ — the chain shape is what production
-			// RNS-CKKS parameter sets look like, and the wide scale keeps
-			// serving accuracy far beyond the inference tolerance at every
-			// degree.
-			params, err := ckks.NewParams(logNFor(id), 60, 50, chainDepth)
+			// prime, one 50-bit scale prime per served level (servedDepth
+			// rescales) and the 61-bit special prime for hybrid key
+			// switching. Only the ring degree varies with λ — the chain
+			// shape is what production RNS-CKKS parameter sets look like,
+			// and the wide scale keeps serving accuracy far beyond the
+			// inference tolerance at every degree.
+			params, err := ckks.NewParams(logNFor(id), 60, 50, servedDepth)
 			if err != nil {
 				panic("profile: invalid built-in params for " + id + ": " + err.Error())
 			}

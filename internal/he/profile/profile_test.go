@@ -1,10 +1,12 @@
 package profile_test
 
 import (
+	"strings"
 	"testing"
 
 	"quhe/internal/he/ckks"
 	"quhe/internal/he/profile"
+	"quhe/internal/transcipher"
 )
 
 func TestDefaultRegistryShape(t *testing.T) {
@@ -22,18 +24,19 @@ func TestDefaultRegistryShape(t *testing.T) {
 	if reg.DefaultID() != profile.IDDefault {
 		t.Errorf("default = %q, want %q", reg.DefaultID(), profile.IDDefault)
 	}
-	// Every profile must carry an honest multi-limb chain (depth ≥ 4) so
-	// the control plane's λ choice actuates a real residue tower.
+	// Every profile carries the chain its deepest served op consumes —
+	// the transcipher's two levels and the matvec kernel's one — and not
+	// a limb more.
 	def := reg.Default()
-	if def.Params.LogN != 10 || def.Params.Depth < 4 {
-		t.Errorf("default params LogN=%d Depth=%d, want 10/≥4",
+	if def.Params.LogN != 10 || def.Params.Depth != 3 {
+		t.Errorf("default params LogN=%d Depth=%d, want 10/3",
 			def.Params.LogN, def.Params.Depth)
 	}
 	var profs []*profile.Profile
 	for _, id := range ids {
 		p, _ := reg.Get(id)
-		if p.Params.Depth < 4 {
-			t.Errorf("%s: depth %d, want ≥ 4", p.ID, p.Params.Depth)
+		if p.Params.Depth != 3 {
+			t.Errorf("%s: depth %d, want 3", p.ID, p.Params.Depth)
 		}
 		profs = append(profs, p)
 	}
@@ -52,6 +55,25 @@ func TestDefaultRegistryShape(t *testing.T) {
 	}
 	if _, ok := reg.ByLambda(12345); ok {
 		t.Error("ByLambda matched a λ outside the set")
+	}
+}
+
+// TestBuiltInParamsFollowServedOps pins every registered profile to the
+// chain the served ops derive: a 60-bit base prime, one 50-bit scale
+// prime per level the transcipher and the matvec kernel consume, at the
+// profile's ring degree.
+func TestBuiltInParamsFollowServedOps(t *testing.T) {
+	logN := map[string]int{profile.IDLambda32k: 10, profile.IDLambda64k: 11, profile.IDLambda128k: 12}
+	reg := profile.Default()
+	for _, id := range reg.IDs() {
+		p, _ := reg.Get(id)
+		want, err := ckks.NewParams(logN[id], 60, 50, transcipher.Levels+ckks.MatVecLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Params != want {
+			t.Errorf("%s: params %+v, want %+v", id, p.Params, want)
+		}
 	}
 }
 
@@ -74,7 +96,7 @@ func TestContextCachedAndShared(t *testing.T) {
 }
 
 func TestRegistryValidation(t *testing.T) {
-	good, err := ckks.NewParams(10, 25, 18, 2)
+	good, err := ckks.NewParams(10, 25, 18, transcipher.Levels+ckks.MatVecLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +117,32 @@ func TestRegistryValidation(t *testing.T) {
 	if _, err := profile.NewRegistry("",
 		&profile.Profile{ID: "bad", Lambda: 1, Params: bad}); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// TestRegistryRefusesShallowProfile: a profile with fewer levels than the
+// transcipher and the matvec kernel consume together is refused at
+// registry build, by name, even beside a deep enough one.
+func TestRegistryRefusesShallowProfile(t *testing.T) {
+	deep, err := ckks.NewParams(10, 25, 18, transcipher.Levels+ckks.MatVecLevels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shallow, err := ckks.NewParams(10, 25, 18, transcipher.Levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = profile.NewRegistry("",
+		&profile.Profile{ID: "deep", Lambda: 1, Params: deep},
+		&profile.Profile{ID: "too-shallow", Lambda: 2, Params: shallow})
+	if err == nil {
+		t.Fatal("registry accepted a profile shallower than the served ops")
+	}
+	if !strings.Contains(err.Error(), "too-shallow") {
+		t.Errorf("refusal %q does not name the profile", err)
+	}
+	if _, err := profile.NewRegistry("", &profile.Profile{ID: "deep", Lambda: 1, Params: deep}); err != nil {
+		t.Errorf("registry refused a profile exactly as deep as the served ops: %v", err)
 	}
 }
 

@@ -365,14 +365,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run() // warm
-	// Measured 26 (2 result polys of 3 limbs + headers, the rest the one
+	// Measured 24 (2 result polys of 2 limbs + headers, the rest the one
 	// closure ring.ForEach takes per fan-out: 2 linear forms, 3 rescales
-	// of two fan-outs each, 1 squaring MulRelin, 2 adds; 29 with a third
-	// linear form and its rescale, 237 when each fan-out built a task
-	// slice). The bound leaves one object for runtime drift, not for a
-	// regression: one stray per-coordinate allocation is +8, one
-	// per-coordinate-per-limb +40.
-	const bound = 27
+	// of two fan-outs each, 1 squaring MulRelin, 2 adds; 26 when the
+	// result had 3 limbs on the depth-4 chain, 29 with a third linear form
+	// and its rescale, 237 when each fan-out built a task slice). The
+	// bound leaves one object for runtime drift, not for a regression: one
+	// stray per-coordinate allocation is +8, one per-coordinate-per-limb
+	// +32.
+	const bound = 25
 	if allocs := testing.AllocsPerRun(5, run); allocs > bound {
 		t.Errorf("steady-state block allocates %v objects, bound %d", allocs, bound)
 	}

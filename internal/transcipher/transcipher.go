@@ -53,14 +53,14 @@
 // level down — and one squaring (ckks.Evaluator.MulRelinInto with both
 // operands the same ciphertext: two operand transforms per limb instead
 // of four), where the textbook evaluation runs three real forms and a
-// general product: 136 limb transforms per λ-128k block (L = 5 limbs)
-// instead of 194, 17 encodes instead of 25. A served ciphertext holds the
-// data in the real parts of its slots and the key-dependent Im(z²) in the
-// imaginary parts (|Im| ≤ 0.12 measured on the built-in profiles, far
-// inside the modulus headroom). Every served op — the slot-wise affine
-// model, the real-diagonal matvec — is linear over C with real
-// coefficients, so it keeps the two apart, and the client decodes real
-// parts only. The client's keystream is the same real function
+// general product: 102 limb transforms per λ-128k block (L = 4 limbs:
+// 71 forward, 31 inverse) instead of 148, 17 encodes instead of 25. A
+// served ciphertext holds the data in the real parts of its slots and the
+// key-dependent Im(z²) in the imaginary parts (|Im| ≤ 0.12 measured on
+// the built-in profiles, far inside the modulus headroom). Every served
+// op — the slot-wise affine model, the real-diagonal matvec — is linear
+// over C with real coefficients, so it keeps the two apart, and the
+// client decodes real parts only. The client's keystream is the same real function
 // A·k + (B·k)⊙(C·k); nothing on the wire changes.
 //
 // # Evaluation form
@@ -101,13 +101,17 @@ type Cipher struct {
 	keyLen  int
 }
 
-// New builds a transciphering cipher. The context needs depth ≥ 2 (one
-// level for the linear layer, one for the quadratic), and the encoding
-// scale must equal the top rescaling prime so the linear and quadratic
-// paths land on identical scales.
+// Levels is the number of modulus levels the keystream evaluation
+// consumes — one for the linear layer, one for the quadratic — so a
+// transciphered block leaves at level top−Levels.
+const Levels = 2
+
+// New builds a transciphering cipher. The context needs depth ≥ Levels,
+// and the encoding scale must equal the top rescaling prime so the linear
+// and quadratic paths land on identical scales.
 func New(ctx *ckks.Context, keyLen int) (*Cipher, error) {
-	if ctx.Params.Depth < 2 {
-		return nil, fmt.Errorf("transcipher: need CKKS depth ≥ 2, got %d", ctx.Params.Depth)
+	if ctx.Params.Depth < Levels {
+		return nil, fmt.Errorf("transcipher: need CKKS depth ≥ %d, got %d", Levels, ctx.Params.Depth)
 	}
 	if keyLen < 2 || keyLen > 64 {
 		return nil, fmt.Errorf("transcipher: keyLen %d outside [2, 64]", keyLen)
@@ -465,7 +469,7 @@ func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinK
 	if err := linearForm(sc.a, nil, top-1, lin); err != nil {
 		return nil, err
 	}
-	ks := c.ctx.NewCiphertext(top - 2)
+	ks := c.ctx.NewCiphertext(top - Levels)
 	if err := ev.AddInto(lin, quad, ks); err != nil {
 		return nil, err
 	}

@@ -170,11 +170,12 @@ func TestKeystreamBlockAndNonceSeparation(t *testing.T) {
 }
 
 // servedShape builds a cipher on the chain every served profile runs —
-// 60-bit base, four 50-bit scale primes — at ring degree 2^logN, with the
-// edge's eight key coordinates.
+// 60-bit base, one 50-bit scale prime per level the keystream and the
+// matvec kernel consume — at ring degree 2^logN, with the edge's eight key
+// coordinates.
 func servedShape(t testing.TB, logN int) *Cipher {
 	t.Helper()
-	p, err := ckks.NewParams(logN, 60, 50, 4)
+	p, err := ckks.NewParams(logN, 60, 50, Levels+ckks.MatVecLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
