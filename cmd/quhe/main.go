@@ -7,12 +7,17 @@
 //	quhe -exp fig4|fig5a|fig5bc|fig5d|table5|table6|topology
 //	quhe -exp fig6 [-sweep bandwidth|power|client-cpu|server-cpu|all] [-points 5]
 //	quhe -exp all
+//	quhe -exp control|profilemix
 //
-// All experiments run on the paper's SURFnet configuration with channel
-// gains drawn from the given seed.
+// All paper experiments run on the paper's SURFnet configuration with
+// channel gains drawn from the given seed. control and profilemix are
+// serving-plane experiments, not part of -exp all: each serves encrypted
+// sessions on loopback and prints its result as JSON
+// (experiments.ControlLoop, experiments.ProfileMix).
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +38,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("quhe", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "all", "experiment: fig3, fig4, fig5a, fig5bc, fig5d, fig6, table5, table6, topology, all")
+		exp     = fs.String("exp", "all", "experiment: fig3, fig4, fig5a, fig5bc, fig5d, fig6, table5, table6, topology, all; control, profilemix")
 		seed    = fs.Int64("seed", 1, "RNG seed for channel gains and stochastic baselines")
 		samples = fs.Int("samples", 100, "number of random initializations for fig3")
 		points  = fs.Int("points", 5, "sweep points per fig6 panel")
@@ -69,6 +74,10 @@ func run(args []string) error {
 			return runTable(cfg, *seed, experiments.Table5)
 		case "table6":
 			return runTable(cfg, *seed, experiments.Table6)
+		case "control":
+			return printJSON(experiments.ControlLoop())
+		case "profilemix":
+			return printJSON(experiments.ProfileMix())
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -220,4 +229,14 @@ func runTable(cfg *core.Config, seed int64, gen func(*core.Config, int64) (exper
 	}
 	t.Render(os.Stdout)
 	return nil
+}
+
+// printJSON prints a serving-plane experiment's result as indented JSON.
+func printJSON[T any](res T, err error) error {
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(res)
 }

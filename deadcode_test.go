@@ -20,32 +20,10 @@ import (
 // with the reason it stays. Keys read pkg.Name or pkg.Recv.Name. An entry
 // is a root of the scan, so what it calls needs no entry of its own.
 var productionAllowlist = map[string]string{
-	// The allocating CKKS operation API. Served paths run the Into forms;
-	// the op tests exercise these, and the conformance suite is to cover
-	// every op through them.
-	"ckks.Encoder.Decode":        "allocating CKKS op API, exercised by the op tests",
-	"ckks.Encoder.EncodeReal":    "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.Add":         "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.Sub":         "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.AddPlain":    "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.SubPlain":    "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.MulPlain":    "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.MulRelin":    "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.Rescale":     "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.DropLevel":   "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.Rotate":      "allocating CKKS op API, exercised by the op tests",
-	"ckks.Evaluator.Trivial":     "allocating CKKS op API, exercised by the op tests",
-	"ckks.MatVecPlan.Dim":        "CKKS op API: the dimension a plan was built for",
-	"experiments.ControlLoop":    "experiment driver the experiments tests run",
-	"experiments.ProfileMix":     "experiment driver the experiments tests run",
-	"edge.Server.DebugAddr":      "operator API: with DebugAddr \":0\" it is the only way to learn the debug plane's port",
-	"faultnet.New":               "fault injection for the edge chaos tests: only tests import the package",
-	"faultnet.Injector.Dialer":   "fault injection for the edge chaos tests: only tests import the package",
-	"faultnet.Injector.Listener": "fault injection for the edge chaos tests: only tests import the package",
-	"faultnet.Injector.Counters": "fault injection for the edge chaos tests: only tests import the package",
-	"faultnet.Injector.CloseAll": "fault injection for the edge chaos tests: only tests import the package",
-	"ring.Modulus.LazySumTerms":  "the lazy-sum bound the ring and ckks tests size their worst cases by",
-	"mathutil.VecApproxEqual":    "comparison helper the mathutil and optimize tests share",
+	"ckks.MatVecPlan.Dim":       "CKKS op API: the dimension a plan was built for, which sizes its rotation keys",
+	"edge.Server.DebugAddr":     "operator API: with DebugAddr \":0\" it is the only way to learn the debug plane's port",
+	"ring.Modulus.LazySumTerms": "the lazy-sum bound the ring and ckks tests size their worst cases by",
+	"mathutil.VecApproxEqual":   "comparison helper the mathutil and optimize tests share",
 }
 
 // TestProductionCodeHasCallers fails on any non-test function or method

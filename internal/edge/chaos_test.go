@@ -1,6 +1,6 @@
 package edge
 
-// Chaos suite: drives the client through the faultnet injector and
+// Chaos suite: drives the client through the fault injector and
 // asserts the failure contract: every injected transport fault surfaces
 // as a typed error (serve.ErrConnClosed / serve.ErrDeadline), never a hang
 // and never a wrong plaintext; and a killed connection resumes its session
@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"quhe/internal/faultnet"
 	"quhe/internal/obs"
 	"quhe/internal/qkd"
 	"quhe/internal/serve"
@@ -82,7 +81,7 @@ func (a *armedConn) SetWriteDeadline(t time.Time) error { return a.raw.SetWriteD
 
 // armedDialer dials plain TCP and wraps the result so the fault schedule
 // can be switched on mid-session.
-func armedDialer(inj *faultnet.Injector, armed *atomic.Bool) func(network, addr string) (net.Conn, error) {
+func armedDialer(inj *faultInjector, armed *atomic.Bool) func(network, addr string) (net.Conn, error) {
 	return func(network, addr string) (net.Conn, error) {
 		raw, err := net.DialTimeout(network, addr, 5*time.Second)
 		if err != nil {
@@ -114,17 +113,17 @@ func chaosServer(t *testing.T, cfg ServerConfig) *Server {
 func TestChaosMatrix(t *testing.T) {
 	faults := []struct {
 		name string
-		spec faultnet.Spec
+		spec faultSpec
 	}{
-		{"drop", faultnet.Spec{DropProb: 1}},
-		{"stall", faultnet.Spec{StallProb: 1, Stall: 3 * chaosIdle}},
-		{"corrupt", faultnet.Spec{CorruptProb: 1}},
+		{"drop", faultSpec{DropProb: 1}},
+		{"stall", faultSpec{StallProb: 1, Stall: 3 * chaosIdle}},
+		{"corrupt", faultSpec{CorruptProb: 1}},
 	}
 	for _, fault := range faults {
 		t.Run("v3/"+fault.name, func(t *testing.T) {
 			t.Parallel()
 			srv := chaosServer(t, ServerConfig{IdleTimeout: chaosIdle})
-			inj := faultnet.New(faultnet.Config{Seed: 11, Write: fault.spec})
+			inj := newFaultInjector(faultConfig{Seed: 11, Write: fault.spec})
 			var armed atomic.Bool
 			client, err := DialWith(srv.Addr(), "chaos-"+fault.name, []byte("chaos-material"), 21,
 				DialConfig{Dialer: armedDialer(inj, &armed), RequestTimeout: 10 * time.Second})
@@ -179,7 +178,7 @@ func TestResumeRoundTrip(t *testing.T) {
 	if _, err := kc.RunExchange("resume-rt", 0.97, 8192, 5); err != nil {
 		t.Fatal(err)
 	}
-	inj := faultnet.New(faultnet.Config{Seed: 3}) // no faults: pure kill switch
+	inj := newFaultInjector(faultConfig{Seed: 3}) // no faults: pure kill switch
 	client, err := DialQKDWith(srv.Addr(), "resume-rt", kc, 9, DialConfig{
 		Dialer:         inj.Dialer(2 * time.Second),
 		Reconnect:      true,
@@ -238,7 +237,7 @@ func TestBatchReplaysAcrossDrop(t *testing.T) {
 		Model: Model{Weights: []float64{0.5}, Bias: []float64{0.1}}, Workers: 1, QueueDepth: 16,
 		ResumeWindow: 10 * time.Second,
 	})
-	inj := faultnet.New(faultnet.Config{Seed: 5}) // no faults: pure kill switch
+	inj := newFaultInjector(faultConfig{Seed: 5}) // no faults: pure kill switch
 	client, err := DialWith(srv.Addr(), "batch-drop", []byte("material"), 33, DialConfig{
 		Dialer:         inj.Dialer(2 * time.Second),
 		Reconnect:      true,

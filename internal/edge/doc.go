@@ -343,7 +343,8 @@
 // not idle), ServerConfig.ResumeWindow lets a session outlive its
 // connection for resume (guarded by a challenge–MAC possession proof over
 // the QKD-derived resume credential, which rotates on rekey). The chaos
-// suite (chaos_test.go + internal/faultnet) pins the whole contract under
-// seeded byte-level faults: typed errors, no hangs, no wrong plaintexts,
-// and resumes that cost zero key material (TestResumeRoundTrip).
+// suite (chaos_test.go, with the seeded fault injector in faultnet_test.go)
+// pins the whole contract under seeded byte-level faults: typed errors, no
+// hangs, no wrong plaintexts, and resumes that cost zero key material
+// (TestResumeRoundTrip).
 package edge

@@ -146,7 +146,7 @@ func TestClientBlockAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	data := []float64{0.5, -0.25, 0.125}
-	pt, err := c.encoder.EncodeReal(data, 0)
+	pt, err := c.encoder.EncodeRealAtLevel(data, 0, c.ctx.MaxLevel())
 	if err != nil {
 		t.Fatal(err)
 	}

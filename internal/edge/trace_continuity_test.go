@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"quhe/internal/faultnet"
 	"quhe/internal/obs"
 	"quhe/internal/qkd"
 )
@@ -58,7 +57,7 @@ func TestTraceContinuityAcrossResume(t *testing.T) {
 	}
 	// Every write dies once armed: the kill lands deterministically on the
 	// in-flight compute under test, not between requests.
-	inj := faultnet.New(faultnet.Config{Seed: 11, Write: faultnet.Spec{DropProb: 1}})
+	inj := newFaultInjector(faultConfig{Seed: 11, Write: faultSpec{DropProb: 1}})
 	var armed atomic.Bool
 	clientTr := obs.NewTracer(0, 0)
 	client, err := DialQKDWith(srv.Addr(), "trace-rt", kc, 9, DialConfig{
@@ -210,7 +209,7 @@ func TestRekeyCauseAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inj := faultnet.New(faultnet.Config{Seed: 7})
+	inj := newFaultInjector(faultConfig{Seed: 7})
 	client, err := DialQKDWith(srv.Addr(), "cause-rt", kc, 9, DialConfig{
 		Dialer:         inj.Dialer(2 * time.Second),
 		Reconnect:      true,

@@ -13,61 +13,40 @@ import (
 	"quhe/internal/serve"
 )
 
-// ControlLoopOptions sizes the closed-loop serving experiment.
-type ControlLoopOptions struct {
-	// Clients is the concurrent session count. Default 2.
-	Clients int
-	// Blocks is the compute count per client. Default 16.
-	Blocks int
-	// StockBytes is each client's initial QKD key stock — small enough
-	// that the run exhausts it. Default 160 (the initial withdrawal plus
-	// four rekeys at 32 bytes each).
-	StockBytes int
-	// BaseRekeyBytes is the per-key byte budget at λ_ref. The default
-	// 8192 forces a rekey every second padded block, so the static
-	// scenario burns through its stock mid-run.
-	BaseRekeyBytes int64
-	// Interval is the controller's replanning period. Default 20ms.
-	Interval time.Duration
-	// Pace is a delay between block rounds (not counted as serving
-	// latency) giving the periodic controller a realistic duty cycle
-	// relative to the workload. Default 5ms.
-	Pace time.Duration
-	// Workers sizes the server pool. Default 2.
-	Workers int
-	// Network is the quantum network the controller plans over. Default
-	// qnet.SURFnet(). Tests pass a scaled-down topology to pin the
-	// key-scarcity regime independently of how fast the serving plane
-	// happens to drain blocks.
-	Network *qnet.Network
-}
+// The closed-loop experiment's workload. Two clients each compute 16
+// blocks, one round every controlPace (not counted as serving latency,
+// it gives the periodic controller a realistic duty cycle), against a
+// two-worker server. Each client starts with five rekey withdrawals of
+// QKD key (the initial one plus four rekeys), and a per-key budget of
+// 8192 bytes at λ_ref forces a rekey every second padded block, so the
+// static scenario burns through its stock mid-run.
+const (
+	controlClients        = 2
+	controlBlocks         = 16
+	controlWorkers        = 2
+	controlStockBytes     = 5 * edge.RekeyWithdrawBytes
+	controlBaseRekeyBytes = 8192
+	controlInterval       = 15 * time.Millisecond // the controller's replanning period
+	controlPace           = 2 * time.Millisecond
+)
 
-func (o ControlLoopOptions) withDefaults() ControlLoopOptions {
-	if o.Clients <= 0 {
-		o.Clients = 2
+// scarceKeyNetwork is SURFnet with every link's entanglement rate scaled
+// down 10x: the topology the paper evaluates, in the key-scarce regime the
+// experiment exists to show. Pinning scarcity in the network rather than
+// in the workload's timing keeps the controller's budget stretch off the
+// demand-threshold knife edge however fast the serving plane drains blocks.
+func scarceKeyNetwork() (*qnet.Network, error) {
+	ref := qnet.SURFnet()
+	links := make([]qnet.Link, ref.NumLinks())
+	for l := range links {
+		links[l] = ref.Link(l)
+		links[l].Beta /= 10
 	}
-	if o.Blocks <= 0 {
-		o.Blocks = 16
+	routes := make([]qnet.Route, ref.NumRoutes())
+	for r := range routes {
+		routes[r] = ref.Route(r)
 	}
-	if o.StockBytes <= 0 {
-		o.StockBytes = 5 * edge.RekeyWithdrawBytes
-	}
-	if o.BaseRekeyBytes <= 0 {
-		o.BaseRekeyBytes = 8192
-	}
-	if o.Interval <= 0 {
-		o.Interval = 20 * time.Millisecond
-	}
-	if o.Pace <= 0 {
-		o.Pace = 5 * time.Millisecond
-	}
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.Network == nil {
-		o.Network = qnet.SURFnet()
-	}
-	return o
+	return qnet.New(links, routes)
 }
 
 // ControlScenario reports one serving run of the experiment.
@@ -118,23 +97,25 @@ func scenarioUtility(msl float64, served int64, latencySumS float64) float64 {
 }
 
 // ControlLoop runs the closed-loop experiment: the same finite-key
-// serving workload twice — once with the static per-key budget constant
-// (admit-until-evicted, the pre-control runtime) and once with the
-// control plane re-planning budgets, provisioning and admission online —
-// and scores both with the paper's utility-cost terms. The static run
-// burns its key stock at the constant rekey cadence and strands once the
-// pool is dry; the controller stretches budgets to the cadence the key
-// plane sustains and sheds what it cannot fund with typed admission
-// denials instead of stalling.
-func ControlLoop(opts ControlLoopOptions) (ControlLoopResult, error) {
-	opts = opts.withDefaults()
+// serving workload twice over scarceKeyNetwork — once with the static
+// per-key budget constant (admit-until-evicted, the pre-control runtime)
+// and once with the control plane re-planning budgets, provisioning and
+// admission online — and scores both with the paper's utility-cost terms.
+// The static run burns its key stock at the constant rekey cadence and
+// strands once the pool is dry; the controller stretches budgets to the
+// cadence the key plane sustains and sheds what it cannot fund with typed
+// admission denials instead of stalling.
+func ControlLoop() (ControlLoopResult, error) {
 	var res ControlLoopResult
-	var err error
-	if res.Static, _, err = runControlScenario("static", false, opts); err != nil {
+	network, err := scarceKeyNetwork()
+	if err != nil {
+		return res, err
+	}
+	if res.Static, _, err = runControlScenario("static", false, network); err != nil {
 		return res, err
 	}
 	var planSeq uint64
-	if res.Dynamic, planSeq, err = runControlScenario("dynamic", true, opts); err != nil {
+	if res.Dynamic, planSeq, err = runControlScenario("dynamic", true, network); err != nil {
 		return res, err
 	}
 	res.PlanSeq = planSeq
@@ -142,24 +123,23 @@ func ControlLoop(opts ControlLoopOptions) (ControlLoopResult, error) {
 	return res, nil
 }
 
-func runControlScenario(name string, dynamic bool, opts ControlLoopOptions) (ControlScenario, uint64, error) {
+func runControlScenario(name string, dynamic bool, network *qnet.Network) (ControlScenario, uint64, error) {
 	sc := ControlScenario{Name: name}
-	network := opts.Network
 	kc := qkd.NewKeyCenter()
-	ids := make([]string, opts.Clients)
+	ids := make([]string, controlClients)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%s-%d", name, i)
 		if err := kc.Provision(ids[i], 64); err != nil {
 			return sc, 0, err
 		}
-		if err := kc.Deposit(ids[i], make([]byte, opts.StockBytes)); err != nil {
+		if err := kc.Deposit(ids[i], make([]byte, controlStockBytes)); err != nil {
 			return sc, 0, err
 		}
 	}
 
 	cfg := edge.ServerConfig{
 		Model:   edge.Model{Weights: []float64{0.5}, Bias: []float64{0.1}},
-		Workers: opts.Workers,
+		Workers: controlWorkers,
 	}
 	var ctl *control.Controller
 	if dynamic {
@@ -167,8 +147,8 @@ func runControlScenario(name string, dynamic bool, opts ControlLoopOptions) (Con
 		ctl, err = control.New(control.Config{
 			Network:        network,
 			KeyCenter:      kc,
-			Interval:       opts.Interval,
-			BaseRekeyBytes: opts.BaseRekeyBytes,
+			Interval:       controlInterval,
+			BaseRekeyBytes: controlBaseRekeyBytes,
 		})
 		if err != nil {
 			return sc, 0, err
@@ -177,7 +157,7 @@ func runControlScenario(name string, dynamic bool, opts ControlLoopOptions) (Con
 		defer ctl.Stop()
 		cfg.Control = ctl
 	} else {
-		cfg.RekeyBytes = control.DeriveRekeyBudget(opts.BaseRekeyBytes, control.LambdaRef)
+		cfg.RekeyBytes = control.DeriveRekeyBudget(controlBaseRekeyBytes, control.LambdaRef)
 	}
 	srv, err := edge.NewServer("127.0.0.1:0", cfg)
 	if err != nil {
@@ -185,7 +165,7 @@ func runControlScenario(name string, dynamic bool, opts ControlLoopOptions) (Con
 	}
 	defer srv.Close()
 
-	clients := make([]*edge.Client, opts.Clients)
+	clients := make([]*edge.Client, controlClients)
 	for i, id := range ids {
 		// Both scenarios pin the default security profile: this
 		// experiment isolates the budget/admission loop, so the λ
@@ -202,9 +182,9 @@ func runControlScenario(name string, dynamic bool, opts ControlLoopOptions) (Con
 	}
 
 	data := []float64{0.25, 0.5}
-	for blk := 0; blk < opts.Blocks; blk++ {
+	for blk := 0; blk < controlBlocks; blk++ {
 		if blk > 0 {
-			time.Sleep(opts.Pace)
+			time.Sleep(controlPace)
 		}
 		for _, c := range clients {
 			t0 := time.Now()

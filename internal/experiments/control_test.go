@@ -1,59 +1,17 @@
 package experiments
 
-import (
-	"testing"
-	"time"
+import "testing"
 
-	"quhe/internal/qnet"
-)
-
-// scarceKeyNetwork is SURFnet with every link's entanglement rate scaled
-// down 10x: the same topology the paper evaluates, in the key-scarce
-// regime where the static rekey cadence is clearly unsustainable. Pinning
-// scarcity in the network (rather than in the workload's timing) keeps
-// the dynamic-vs-static comparison deterministic no matter how fast the
-// serving plane drains blocks on the test machine.
-func scarceKeyNetwork(t *testing.T) *qnet.Network {
-	t.Helper()
-	ref := qnet.SURFnet()
-	links := make([]qnet.Link, ref.NumLinks())
-	for l := range links {
-		links[l] = ref.Link(l)
-		links[l].Beta /= 10
-	}
-	routes := make([]qnet.Route, ref.NumRoutes())
-	for r := range routes {
-		routes[r] = ref.Route(r)
-	}
-	net, err := qnet.New(links, routes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
-}
-
-// TestControlLoopDynamicBeatsStatic runs the closed-loop experiment at
-// reduced size and asserts the qualitative claim the bench quantifies:
-// under a finite key stock the static budget strands blocks once the pool
-// is dry, while the control plane adapts the rekey cadence (or sheds with
-// typed denials) and ends with strictly higher utility.
+// TestControlLoopDynamicBeatsStatic runs the closed-loop experiment and
+// asserts the qualitative claim it quantifies: under a finite key stock
+// the static budget strands blocks once the pool is dry, while the control
+// plane adapts the rekey cadence (or sheds with typed denials) and ends
+// with strictly higher utility.
 func TestControlLoopDynamicBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving-plane experiment")
 	}
-	// Sized for multi-limb residue towers: blocks cost several times the
-	// old single-modulus chains (≈3x measured on depth-4 towers; the
-	// depth-3 ones cost about 4/5 of that), which lowers the observed
-	// demand rate and with it the controller's rate-based budget stretch. The scarce-key network
-	// keeps the stretch decision decisive at the slower block rate
-	// instead of leaving it on the demand-threshold knife edge.
-	res, err := ControlLoop(ControlLoopOptions{
-		Clients:  2,
-		Blocks:   16,
-		Interval: 15 * time.Millisecond,
-		Pace:     2 * time.Millisecond,
-		Network:  scarceKeyNetwork(t),
-	})
+	res, err := ControlLoop()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,29 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
 
-// TestProfileMixServesAllLevels runs the mixed-security workload at
-// reduced size: every profile serves correct results side by side, and
-// measured latency rises with λ. The ordering compares each profile's
-// fastest of eight blocks: one block preempted on a shared host can lift
-// a mean past the next profile's, but not a minimum. A coefficient
-// outside 2x of measured latency is only logged — timing on a shared host
-// is too noisy to gate — and CoeffMs here is the value ProfileMix just calibrated on this host,
-// not the modeled constant an uncalibrated server prices blocks with.
+	"quhe/internal/he/profile"
+)
+
+// TestProfileMixServesAllLevels runs the mixed-security workload: every
+// profile serves correct results side by side, and measured latency rises
+// with λ. The ordering compares each profile's fastest of eight blocks:
+// one block preempted on a shared host can lift a mean past the next
+// profile's, but not a minimum. A coefficient outside 2x of measured
+// latency is only logged — timing on a shared host is too noisy to gate.
+// The run's calibration must leave every profile's price where it was.
 func TestProfileMixServesAllLevels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving-plane experiment")
 	}
-	const blocks = 8
-	res, err := ProfileMix(ProfileMixOptions{Blocks: blocks})
+	const blocks = profileMixBlocks
+	priceMs := map[string]float64{}
+	for _, id := range profile.Default().IDs() {
+		p, _ := profile.Default().Get(id)
+		priceMs[id] = 1e3 * p.BlockCycles(0) / profile.RefHz
+	}
+	res, err := ProfileMix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +37,11 @@ func TestProfileMixServesAllLevels(t *testing.T) {
 		if p.Served != blocks {
 			t.Errorf("%s: served %d, want %d", p.Profile, p.Served, blocks)
 		}
-		if p.CoeffMs <= 0 || p.MeanMs <= 0 || p.MinMs <= 0 {
+		if p.CoeffMs <= 0 || p.CalibratedMs <= 0 || p.MeanMs <= 0 || p.MinMs <= 0 {
 			t.Errorf("%s: empty latency stats %+v", p.Profile, p)
+		}
+		if p.CoeffMs != priceMs[p.Profile] {
+			t.Errorf("%s: priced at %g ms after calibrating, %g ms before", p.Profile, p.CoeffMs, priceMs[p.Profile])
 		}
 	}
 	// Higher λ must cost more: the fastest block's latency is increasing

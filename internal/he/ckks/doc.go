@@ -26,7 +26,7 @@
 // Relinearization uses the special-prime hybrid construction instead of
 // digit decomposition: the key generator draws one key part per chain
 // limb over the extended basis QP (P a prime ≥ every q_i), part j
-// carrying P·s² on limb j only. MulRelin decomposes the degree-2 term
+// carrying P·s² on limb j only. MulRelinInto decomposes the degree-2 term
 // into its RNS digits D_j = [d2]_{q_j}, folds each digit through part j
 // on every target limb (O(L²) per-limb NTTs, parallel over targets), and
 // divides the accumulated product by P (ring.Tower.ModDownInto), which

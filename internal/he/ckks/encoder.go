@@ -16,7 +16,7 @@ import (
 // of the Galois group (order N/2 mod 2N), the automorphism σ_{5^r}: X →
 // X^(5^r) maps the root of slot j+r onto the root of slot j — i.e. a
 // single automorphism plus key switch rotates the slot vector cyclically
-// left by r (Evaluator.RotateInto). With the natural 2j+1 ordering the
+// left by r (Evaluator.RotateHoistedInto). With the natural 2j+1 ordering the
 // same automorphism scatters slots in index-arithmetic order, and packed
 // linear algebra would be impossible. Slot-wise operations (add, mul,
 // transciphering) are ordering-agnostic; the ordering is internal and
@@ -63,12 +63,6 @@ func NewEncoder(ctx *Context) *Encoder {
 		pow5 = (pow5 * 5) & mask
 	}
 	return e
-}
-
-// Encode embeds up to Slots() complex values into a top-level plaintext at
-// the given scale (≤ 0 selects the default Δ). Missing slots are zero.
-func (e *Encoder) Encode(values []complex128, scale float64) (*Plaintext, error) {
-	return e.EncodeAtLevel(values, scale, e.ctx.MaxLevel())
 }
 
 // EncodeAtLevel embeds values at an explicit level of the modulus chain.
@@ -154,22 +148,6 @@ func (e *Encoder) EncodeRealCoeffs(values, imag []float64, scale float64, work [
 	return nil
 }
 
-// Decode recovers the slot vector from a plaintext, dividing by its scale.
-// Coefficients come back through the tower's centered reconstruction,
-// exact up to q_0·q_1/2 ≈ 2¹⁰⁹ from two limbs up but only up to q_0/2 at
-// level 0: a level-0 slot decodes while |m|·scale < q_0/2, |m| < 2⁹ at a
-// 60-bit q_0 and a ≈50-bit scale (the matvec output bound, linalg.go).
-func (e *Encoder) Decode(pt *Plaintext) []complex128 {
-	u := make([]complex128, e.ctx.Params.N())
-	e.spectrum(pt, u)
-	out := make([]complex128, e.ctx.Params.Slots())
-	inv := complex(1/pt.Scale, 0)
-	for j := range out {
-		out[j] = u[e.pos[j]] * inv
-	}
-	return out
-}
-
 // spectrum evaluates pt at the primitive 2N-th roots into u (N entries):
 // slot j's value times the scale lands at u[pos[j]].
 func (e *Encoder) spectrum(pt *Plaintext, u []complex128) {
@@ -178,15 +156,6 @@ func (e *Encoder) spectrum(pt *Plaintext, u []complex128) {
 		u[k] = complex(tower.CenteredFloat(pt.Value, k), 0) * e.zetaFwd[k]
 	}
 	fft(u, e.wFwd)
-}
-
-// EncodeReal is a convenience wrapper for real-valued slot vectors.
-func (e *Encoder) EncodeReal(values []float64, scale float64) (*Plaintext, error) {
-	z := make([]complex128, len(values))
-	for i, v := range values {
-		z[i] = complex(v, 0)
-	}
-	return e.Encode(z, scale)
 }
 
 // EncodeRealAtLevel encodes real values at an explicit level.
@@ -199,7 +168,11 @@ func (e *Encoder) EncodeRealAtLevel(values []float64, scale float64, level int) 
 }
 
 // DecodeReal decodes and keeps the real parts: DecodeRealInto every slot
-// of fresh buffers.
+// of fresh buffers. Coefficients come back through the tower's centered
+// reconstruction, exact up to q_0·q_1/2 ≈ 2¹⁰⁹ from two limbs up but only
+// up to q_0/2 at level 0: a level-0 slot decodes while |m|·scale < q_0/2,
+// |m| < 2⁹ at a 60-bit q_0 and a ≈50-bit scale (the matvec output bound,
+// linalg.go).
 func (e *Encoder) DecodeReal(pt *Plaintext) []float64 {
 	out := make([]float64, e.ctx.Params.Slots())
 	e.decodeRealInto(pt, make([]complex128, e.ctx.Params.N()), out)

@@ -168,8 +168,8 @@ func (ev *Evaluator) LinearFormInto(keys []*Ciphertext, coeffs [][]int64, scale 
 
 // TrivialSubInto sets out = (m, 0) − ct, where m is the plaintext with
 // the given integer coefficients (Encoder.EncodeRealCoeffs) at ct's level
-// and scale — Sub(Trivial(pt), ct) without materializing the plaintext,
-// its trivial ciphertext or a zero c1. out needs ct's limbs and may alias
+// and scale — the trivial ciphertext (pt, 0) minus ct, without
+// materializing the plaintext, that ciphertext or its zero c1. out needs ct's limbs and may alias
 // ct.
 func (ev *Evaluator) TrivialSubInto(coeffs []int64, scale float64, ct, out *Ciphertext) error {
 	if err := coeffForm(ct, out); err != nil {

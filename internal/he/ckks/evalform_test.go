@@ -150,7 +150,6 @@ func TestEvalFormRejectedEverywhereElse(t *testing.T) {
 		"SubInto out":      func() error { return ev.SubInto(ct, ct, ef) },
 		"Sub":              func() error { return second(ev.Sub(ef, ct)) },
 		"AddPlain":         func() error { return second(ev.AddPlain(ef, pt)) },
-		"SubPlain":         func() error { return second(ev.SubPlain(ef, pt)) },
 		"MulPlainInto":     func() error { return ev.MulPlainInto(ef, pt, out) },
 		"MulPlainInto out": func() error { return ev.MulPlainInto(ct, pt, ef) },
 		"MulPlain":         func() error { return second(ev.MulPlain(ef, pt)) },

@@ -10,9 +10,9 @@ import (
 )
 
 // Evaluator performs CKKS encryption, decryption and homomorphic
-// arithmetic over one context. The allocating methods (Encrypt, Add,
-// MulRelin, ...) return fresh outputs and never mutate their operands; the
-// Into variants write into caller-provided ciphertexts and allocate
+// arithmetic over one context. Encrypt and Decrypt return fresh outputs;
+// every arithmetic operation is an Into method, the form the served paths
+// run, which writes into a caller-provided ciphertext and allocates
 // nothing. All methods share the evaluator's internal scratch buffers (and
 // Encrypt its RNG), so an evaluator must not be used from multiple
 // goroutines concurrently; create one evaluator per goroutine instead —
@@ -98,18 +98,6 @@ func (ev *Evaluator) Encrypt(pk *PublicKey, pt *Plaintext) *Ciphertext {
 	return out
 }
 
-// Trivial wraps a plaintext as the ciphertext (m, 0), which any key
-// decrypts. The server's transciphering path uses it to lift received
-// symmetric ciphertexts into the HE domain (Enc(c) in §III-A.4).
-func (ev *Evaluator) Trivial(pt *Plaintext) *Ciphertext {
-	return &Ciphertext{
-		C0:    pt.Value.Copy(),
-		C1:    ev.ctx.Tower.NewPoly(pt.Level + 1),
-		Scale: pt.Scale,
-		Level: pt.Level,
-	}
-}
-
 // Decrypt recovers the plaintext m = c0 + c1·s at the ciphertext's level:
 // DecryptInto a fresh plaintext. It panics with ErrEvalForm on an
 // evaluation-form ciphertext.
@@ -163,84 +151,6 @@ func (ev *Evaluator) AddInto(a, b, out *Ciphertext) error {
 	return nil
 }
 
-// Add returns a + b. Levels and scales must match.
-func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.matchLevels(a, b); err != nil {
-		return nil, err
-	}
-	out := ev.ctx.NewCiphertext(a.Level)
-	if err := ev.AddInto(a, b, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SubInto sets out = a − b without allocating. Levels and scales must
-// match; out may alias a or b.
-func (ev *Evaluator) SubInto(a, b, out *Ciphertext) error {
-	if err := ev.matchLevels(a, b); err != nil {
-		return err
-	}
-	if err := coeffForm(out); err != nil {
-		return err
-	}
-	ev.ctx.Tower.ForEachLimb(a.Level+1, func(i int) {
-		mod := ev.ctx.Tower.Qi[i]
-		mod.Sub(a.C0[i], b.C0[i], out.C0[i])
-		mod.Sub(a.C1[i], b.C1[i], out.C1[i])
-	})
-	out.Scale, out.Level = a.Scale, a.Level
-	return nil
-}
-
-// Sub returns a − b. Levels and scales must match.
-func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.matchLevels(a, b); err != nil {
-		return nil, err
-	}
-	out := ev.ctx.NewCiphertext(a.Level)
-	if err := ev.SubInto(a, b, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AddPlain returns ct + pt. Levels and scales must match.
-func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := coeffForm(ct); err != nil {
-		return nil, err
-	}
-	if ct.Level != pt.Level {
-		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
-	}
-	if err := matchScales(ct.Scale, pt.Scale); err != nil {
-		return nil, err
-	}
-	out := ct.Copy()
-	for i := 0; i <= ct.Level; i++ {
-		ev.ctx.Tower.Qi[i].Add(out.C0[i], pt.Value[i], out.C0[i])
-	}
-	return out, nil
-}
-
-// SubPlain returns ct − pt. Levels and scales must match.
-func (ev *Evaluator) SubPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if err := coeffForm(ct); err != nil {
-		return nil, err
-	}
-	if ct.Level != pt.Level {
-		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
-	}
-	if err := matchScales(ct.Scale, pt.Scale); err != nil {
-		return nil, err
-	}
-	out := ct.Copy()
-	for i := 0; i <= ct.Level; i++ {
-		ev.ctx.Tower.Qi[i].Sub(out.C0[i], pt.Value[i], out.C0[i])
-	}
-	return out, nil
-}
-
 // MulPlainInto sets out = ct·pt without allocating; the output scale is
 // the product of scales (rescale afterwards to come back down). Levels must
 // match; out may alias ct.
@@ -267,18 +177,6 @@ func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext
 	})
 	out.Scale, out.Level = ct.Scale*pt.Scale, ct.Level
 	return nil
-}
-
-// MulPlain returns ct·pt; see MulPlainInto.
-func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
-	if ct.Level != pt.Level {
-		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
-	}
-	out := ev.ctx.NewCiphertext(ct.Level)
-	if err := ev.MulPlainInto(ct, pt, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MulRelinInto multiplies two ciphertexts and relinearizes the degree-2
@@ -354,23 +252,6 @@ func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Cipherte
 	})
 	out.Scale, out.Level = a.Scale*b.Scale, a.Level
 	return nil
-}
-
-// MulRelin multiplies two ciphertexts and relinearizes the degree-2 term
-// with rlk. The output scale is the product of the input scales; rescale
-// afterwards.
-func (ev *Evaluator) MulRelin(a, b *Ciphertext, rlk *RelinKey) (*Ciphertext, error) {
-	if rlk == nil || len(rlk.Parts) == 0 {
-		return nil, errors.New("ckks: nil relinearization key")
-	}
-	if a.Level != b.Level {
-		return nil, fmt.Errorf("ckks: level mismatch %d vs %d", a.Level, b.Level)
-	}
-	out := ev.ctx.NewCiphertext(a.Level)
-	if err := ev.MulRelinInto(a, b, rlk, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // extLimb returns limb t of the extended basis at the given level — chain
@@ -469,58 +350,6 @@ func (ev *Evaluator) RescaleInto(ct, out *Ciphertext) error {
 	tower.RescaleInto(ct.C1[:ct.Level+1], out.C1[:ct.Level])
 	out.Scale, out.Level = ct.Scale/float64(ev.ctx.Primes[ct.Level]), ct.Level-1
 	return nil
-}
-
-// Rescale divides the ciphertext by its level's prime and switches it down
-// one level — the CKKS modulus-switching rescale. The tracked scale shrinks
-// by exactly that prime.
-func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
-	if ct.Level == 0 {
-		return nil, errors.New("ckks: cannot rescale below level 0")
-	}
-	out := ev.ctx.NewCiphertext(ct.Level - 1)
-	if err := ev.RescaleInto(ct, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DropLevelInto reduces the ciphertext to a lower level without dividing,
-// writing into out without allocating (out may alias ct). In RNS the
-// reduction mod a divisor of the modulus is just dropping limbs. The scale
-// is unchanged.
-func (ev *Evaluator) DropLevelInto(ct *Ciphertext, level int, out *Ciphertext) error {
-	if err := coeffForm(ct, out); err != nil {
-		return err
-	}
-	if level < 0 || level > ct.Level {
-		return fmt.Errorf("ckks: cannot drop from level %d to %d", ct.Level, level)
-	}
-	for i := 0; i <= level; i++ {
-		copy(out.C0[i], ct.C0[i])
-		copy(out.C1[i], ct.C1[i])
-	}
-	out.Scale, out.Level = ct.Scale, level
-	return nil
-}
-
-// DropLevel reduces the ciphertext to a lower level without dividing
-// (aligning operands that took different paths). The scale is unchanged.
-func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
-	if err := coeffForm(ct); err != nil {
-		return nil, err
-	}
-	if level < 0 || level > ct.Level {
-		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d", ct.Level, level)
-	}
-	if level == ct.Level {
-		return ct.Copy(), nil
-	}
-	out := ev.ctx.NewCiphertext(level)
-	if err := ev.DropLevelInto(ct, level, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (ev *Evaluator) matchLevels(a, b *Ciphertext) error {

@@ -103,58 +103,6 @@ func (ev *Evaluator) reduceRot(rot int) int {
 	return r
 }
 
-// RotateInto rotates the slot vector left by rot (negative = right),
-// writing into out without allocating; out may alias ct. One coefficient-
-// domain automorphism of both components plus one hybrid key switch of
-// σ(c1) — the O(L²) decompose/ModUp path. For many rotations of the same
-// ciphertext, hoist instead (HoistInto + RotateHoistedInto).
-func (ev *Evaluator) RotateInto(ct *Ciphertext, rot int, gks *GaloisKeySet, out *Ciphertext) error {
-	if err := coeffForm(ct, out); err != nil {
-		return err
-	}
-	if ev.reduceRot(rot) == 0 {
-		if out != ct {
-			return ev.DropLevelInto(ct, ct.Level, out)
-		}
-		return nil
-	}
-	gk, err := ev.galoisKey(rot, gks)
-	if err != nil {
-		return err
-	}
-	el := gk.El
-	tower := ev.ctx.Tower
-	limbs := ct.Level + 1
-	// σ(c1) in the coefficient domain (and transformed, for its own limb's
-	// digit), then key-switch it from σ(s) to s.
-	tower.ForEachLimb(limbs, func(i int) {
-		mod := tower.Qi[i]
-		mod.AutomorphismCoeffs(ct.C1[i], el, ev.s6[i])
-		copy(ev.s5[i], ev.s6[i])
-		mod.NTT(ev.s5[i])
-	})
-	ev.keySwitch(ev.s6, ev.s5, gk.Parts, ct.Level)
-	ev.keySwitchDown(ct.Level)
-	// out = (σ(c0) + acc0, acc1).
-	tower.ForEachLimb(limbs, func(i int) {
-		mod := tower.Qi[i]
-		mod.AutomorphismCoeffs(ct.C0[i], el, ev.s0[i])
-		mod.Add(ev.s0[i], ev.acc0[i], out.C0[i])
-		copy(out.C1[i], ev.acc1[i])
-	})
-	out.Scale, out.Level = ct.Scale, ct.Level
-	return nil
-}
-
-// Rotate returns the slot vector rotated left by rot; see RotateInto.
-func (ev *Evaluator) Rotate(ct *Ciphertext, rot int, gks *GaloisKeySet) (*Ciphertext, error) {
-	out := ev.ctx.NewCiphertext(ct.Level)
-	if err := ev.RotateInto(ct, rot, gks, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Hoisted carries a ciphertext decomposed for rotation reuse: the RNS
 // digits of c1 lifted to every extended-basis limb in the NTT domain (the
 // O(L²) ModUp done once), plus coefficient-domain copies of both

@@ -15,7 +15,7 @@ import (
 )
 
 // Key material is stored per limb in the NTT domain and Montgomery form:
-// evaluator hot paths (Encrypt, Decrypt, MulRelin key switching) then
+// evaluator hot paths (Encrypt, Decrypt, MulRelinInto key switching) then
 // consume keys with a single fused Montgomery multiply-accumulate per
 // coefficient and never transform key polynomials per operation. Both
 // endpoints of the edge protocol run this package, and the wire codec

@@ -62,7 +62,7 @@ func TestKeySwitchNoiseBoundVsBigInt(t *testing.T) {
 		mod.MulCoeffwiseMontgomery(want, sk.S[i], want)
 		mod.INTT(want)
 		mod.Add(t1, c0[i], t1)
-		mod.Sub(t1, want, ePoly[i])
+		subLimb(mod, t1, want, ePoly[i])
 	}
 
 	// Centered big.Int CRT reconstruction of every error coefficient.

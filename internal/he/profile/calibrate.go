@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"quhe/internal/he/ckks"
@@ -11,14 +10,12 @@ import (
 
 // Calibrate measures the profile's real per-block serving cost — one
 // transcipher-and-infer operation (the edge server's unit of work) on the
-// profile's parameters — and installs it as the profile's cost
-// coefficient, expressed in cycles at RefHz so it remains comparable to
-// the modeled value. keyLen is the transciphering key length of the
-// runtime being calibrated for (edge.KeyLen). The minimum of rounds runs
-// is kept, which discards scheduler noise; rounds below 1 default to 3.
-//
-// Servers never calibrate (see the package comment): this is for
-// experiments that hold the modeled coefficient against a measurement.
+// profile's parameters — and returns it. It installs nothing: the profile
+// keeps pricing blocks with the model (see the package comment), and the
+// measurement is for experiments that hold that model against the host.
+// keyLen is the transciphering key length of the runtime being measured
+// for (edge.KeyLen). The minimum of rounds runs is kept, which discards
+// scheduler noise; rounds below 1 default to 3.
 func (p *Profile) Calibrate(keyLen, rounds int) (time.Duration, error) {
 	if rounds < 1 {
 		rounds = 3
@@ -74,6 +71,5 @@ func (p *Profile) Calibrate(keyLen, rounds int) (time.Duration, error) {
 			best = elapsed
 		}
 	}
-	p.measuredCycles.Store(math.Float64bits(best.Seconds() * RefHz))
 	return best, nil
 }

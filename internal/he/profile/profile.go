@@ -25,11 +25,12 @@
 // with constants fitted to the repository's own evaluator. The edge
 // server's ModeledCmpDelay reply fields, the controller's per-route λ
 // choice (ServeDelaySec) and experiments.ProfileMix's CoeffMs all read it,
-// so they are the same number. Servers run on the modeled constants;
-// Calibrate swaps the per-block one for a live measurement and is for
-// experiments (ProfileMix holds it against per-op latency). The planner
-// needs no calibration: it already holds the model against the live
-// per-profile p99 it measures on every served block.
+// so they are the same number. Profiles are immutable: Calibrate measures
+// a block on the host and returns the measurement without installing it,
+// so ProfileMix can show it beside the modeled price and nothing served
+// after it in the process prices blocks differently. The planner needs no
+// calibration: it already holds the model against the live per-profile
+// p99 it measures on every served block.
 package profile
 
 import (
@@ -37,7 +38,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"quhe/internal/costmodel"
 	"quhe/internal/he/ckks"
@@ -79,10 +79,9 @@ const (
 // with the radix-2 transform, 410 before the lazy sums, 910 before the
 // fused forms.) The model is per limb, so it carries over to the depth-3
 // chains unrefit. Three ProfileMix runs of eight blocks per profile at
-// each depth, the same hour: CoeffOverMeasured (calibrated coefficient
-// over mean client latency) read 0.74–1.06 at depth 3 against 0.56–0.93
-// at depth 4, and the uncalibrated model over that latency 0.50–0.75
-// against 0.47–0.82. Calibrate supersedes it with a live measurement.
+// each depth, the same hour: the calibrated measurement over mean client
+// latency read 0.74–1.06 at depth 3 against 0.56–0.93 at depth 4, and the
+// model over that latency 0.50–0.75 against 0.47–0.82.
 const modeledCyclesPerLimbNLogN = 185.0
 
 // RefHz is the reference server clock the cost coefficients are expressed
@@ -117,8 +116,7 @@ const modeledRotCyclesPerLimbNLogN = 21.0
 const servedDepth = transcipher.Levels + ckks.MatVecLevels
 
 // Profile binds one of the paper's λ security levels to a runnable CKKS
-// parameter set. Profiles are immutable after registration except for the
-// calibrated cost coefficient, which is updated atomically.
+// parameter set. Profiles are immutable after registration.
 type Profile struct {
 	// ID names the profile on the wire and in plans.
 	ID string
@@ -131,10 +129,6 @@ type Profile struct {
 	ctxOnce sync.Once
 	ctx     *ckks.Context
 	ctxErr  error
-
-	// measuredCycles holds the calibrated per-block cost in cycles at
-	// RefHz as float64 bits (0 = not calibrated).
-	measuredCycles atomic.Uint64
 }
 
 // MSL returns f_msl(Lambda), the profile's security level in bits (Eq. 30).
@@ -153,23 +147,13 @@ func (p *Profile) Context() (*ckks.Context, error) {
 	return p.ctx, p.ctxErr
 }
 
-// ModeledCyclesPerBlock returns the uncalibrated a·L·N·log2(N) cost model
-// for one transcipher-and-infer block on this profile's parameters, in
-// cycles at RefHz, with L the profile's residue-tower limb count.
-func (p *Profile) ModeledCyclesPerBlock() float64 {
+// CyclesPerBlock returns the a·L·N·log2(N) cost model for one
+// transcipher-and-infer block on this profile's parameters, in cycles at
+// RefHz, with L the profile's residue-tower limb count.
+func (p *Profile) CyclesPerBlock() float64 {
 	n := float64(p.Params.N())
 	l := float64(p.Params.Depth + 1)
 	return modeledCyclesPerLimbNLogN * l * n * math.Log2(n)
-}
-
-// CyclesPerBlock returns the per-block cost coefficient the control plane
-// should plan with: the calibrated measurement when one exists, the
-// modeled value otherwise.
-func (p *Profile) CyclesPerBlock() float64 {
-	if bits := p.measuredCycles.Load(); bits != 0 {
-		return math.Float64frombits(bits)
-	}
-	return p.ModeledCyclesPerBlock()
 }
 
 // CyclesPerRotation returns the a·L·N·log2(N) cost model for one hoisted

@@ -240,13 +240,6 @@ func (m *Modulus) Add(a, b, out Poly) {
 	}
 }
 
-// Sub sets out = a − b (any domain). Slices may alias.
-func (m *Modulus) Sub(a, b, out Poly) {
-	for i := range out {
-		out[i] = SubMod(a[i], b[i], m.Q)
-	}
-}
-
 // Neg sets out = −a.
 func (m *Modulus) Neg(a, out Poly) {
 	for i := range out {

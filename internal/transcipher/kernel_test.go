@@ -30,18 +30,14 @@ func (r *reference) keystream(encKey []*ckks.Ciphertext, a, b, cc [][]float64) (
 	linearForm := func(coeff [][]complex128, at int) (*ckks.Ciphertext, error) {
 		acc := r.ctx.NewCiphertext(at)
 		term := r.ctx.NewCiphertext(at)
-		dropped := r.ctx.NewCiphertext(at)
 		for j := range coeff {
 			pt, err := r.enc.EncodeAtLevel(coeff[j], r.c.Scale(), at)
 			if err != nil {
 				return nil, err
 			}
 			ctj := encKey[j]
-			if ctj.Level != at {
-				if err := ev.DropLevelInto(ctj, at, dropped); err != nil {
-					return nil, err
-				}
-				ctj = dropped
+			if ctj.Level != at { // in RNS, dropping a level is dropping limbs
+				ctj = &ckks.Ciphertext{C0: ctj.C0[:at+1], C1: ctj.C1[:at+1], Scale: ctj.Scale, Level: at}
 			}
 			if j == 0 {
 				if err := ev.MulPlainInto(ctj, pt, acc); err != nil {
@@ -78,18 +74,19 @@ func (r *reference) keystream(encKey []*ckks.Ciphertext, a, b, cc [][]float64) (
 	if err != nil {
 		return nil, err
 	}
-	quad, err := ev.MulRelin(zk, zk.Copy(), r.rlk)
-	if err != nil {
+	quad := r.ctx.NewCiphertext(zk.Level)
+	if err := ev.MulRelinInto(zk, zk.Copy(), r.rlk, quad); err != nil {
 		return nil, err
 	}
-	if quad, err = ev.Rescale(quad); err != nil {
+	if err := ev.RescaleInto(quad, quad); err != nil {
 		return nil, err
 	}
 	ak, err := linearForm(lin, top-1)
 	if err != nil {
 		return nil, err
 	}
-	return ev.Add(ak, quad)
+	ks := r.ctx.NewCiphertext(top - 2)
+	return ks, ev.AddInto(ak, quad, ks)
 }
 
 // affine is the unfused TranscipherAffineWith; nil weights and bias give
@@ -129,7 +126,16 @@ func (r *reference) affine(encKey []*ckks.Ciphertext, nonce []byte, block uint32
 	if err != nil {
 		return nil, err
 	}
-	return r.ev.Sub(r.ev.Trivial(pt), ks)
+	// (m, 0) − ks, limb by limb.
+	out := r.ctx.NewCiphertext(ks.Level)
+	for i := range out.C0 {
+		mod := r.ctx.Tower.Qi[i]
+		mod.Neg(ks.C0[i], out.C0[i])
+		mod.Add(pt.Value[i], out.C0[i], out.C0[i])
+		mod.Neg(ks.C1[i], out.C1[i])
+	}
+	out.Scale = ks.Scale
+	return out, nil
 }
 
 func sameCiphertext(t *testing.T, what string, got, want *ckks.Ciphertext) {

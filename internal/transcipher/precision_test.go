@@ -2,6 +2,7 @@ package transcipher_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"quhe/internal/he/ckks"
@@ -17,9 +18,23 @@ const (
 	imagBound = 0.5     // |Im| of a keystream slot
 )
 
-// decodeSlots decrypts ct and returns its complex slot values.
+// decodeSlots decrypts ct and returns its complex slot values. The
+// imaginary parts are the real parts of −i·m, and −i·m is m·(−X^{N/2}):
+// X^{N/2} is i at every slot's root ζ^(5^j), since 5^j ≡ 1 mod 4.
 func decodeSlots(fx *fixture, ct *ckks.Ciphertext) []complex128 {
-	return fx.ref.enc.Decode(fx.ref.ev.Decrypt(fx.sk, ct))
+	pt := fx.ref.ev.Decrypt(fx.sk, ct)
+	re := fx.ref.enc.DecodeReal(pt)
+	h := fx.ref.ctx.Params.N() / 2
+	for i, limb := range pt.Value {
+		lo := slices.Clone(limb[:h])
+		copy(limb, limb[h:])
+		fx.ref.ctx.Tower.Qi[i].Neg(lo, limb[h:])
+	}
+	z := make([]complex128, len(re))
+	for s, im := range fx.ref.enc.DecodeReal(pt) {
+		z[s] = complex(re[s], im)
+	}
+	return z
 }
 
 // TestHomomorphicKeystreamMatchesPlain is the core transciphering

@@ -274,7 +274,7 @@ func TestEncryptKeyMatchesFFTEncoding(t *testing.T) {
 			for s := range rep {
 				rep[s] = k
 			}
-			pt, err := enc.EncodeReal(rep, scale)
+			pt, err := enc.EncodeRealAtLevel(rep, scale, ctx.MaxLevel())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +304,7 @@ func TestEncryptKeyMatchesFFTEncoding(t *testing.T) {
 				for s := range rep {
 					rep[s] = kj
 				}
-				pt, err := enc.EncodeReal(rep, scale)
+				pt, err := enc.EncodeRealAtLevel(rep, scale, ctx.MaxLevel())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -386,20 +386,21 @@ func TestTranscipheredComputation(t *testing.T) {
 	// Additive encrypted computation at the bottom level: ct + ct − bias
 	// (a multiplicative step would exceed the small base modulus of this
 	// test's 24-bit chain; the securenlp example runs one with room).
-	doubled, err := ev.Add(ct, ct)
+	outCt := ctx.NewCiphertext(ct.Level)
+	if err := ev.AddInto(ct, ct, outCt); err != nil {
+		t.Fatal(err)
+	}
+	negBias := make([]float64, c.Slots())
+	for i := range negBias {
+		negBias[i] = -0.1
+	}
+	biasPt, err := enc.EncodeRealAtLevel(negBias, outCt.Scale, outCt.Level)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bias := make([]float64, c.Slots())
-	for i := range bias {
-		bias[i] = 0.1
-	}
-	biasPt, err := ckks.NewEncoder(ctx).EncodeRealAtLevel(bias, doubled.Scale, doubled.Level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outCt, err := ev.SubPlain(doubled, biasPt)
-	if err != nil {
+	trivial := ctx.NewCiphertext(biasPt.Level) // (−bias, 0)
+	trivial.C0, trivial.Scale = biasPt.Value, biasPt.Scale
+	if err := ev.AddInto(outCt, trivial, outCt); err != nil {
 		t.Fatal(err)
 	}
 	got := enc.DecodeReal(ev.Decrypt(sk, outCt))
