@@ -25,8 +25,8 @@
 //     paths never transform keys per operation.
 //   - internal/transcipher — HE-friendly cipher and homomorphic decryption,
 //     with per-worker Scratch buffers for the serving hot path
-//   - internal/serve       — multi-tenant serving runtime: sharded LRU
-//     session store, shared evaluator pool, bounded scheduler with
+//   - internal/serve       — multi-tenant serving runtime: one exact-LRU
+//     session table, shared evaluator pool, bounded scheduler with
 //     typed backpressure, QKD-epoch session state
 //   - internal/edge        — TCP edge runtime running the full pipeline
 //     over internal/serve: one framed, checksummed wire protocol

@@ -3,7 +3,10 @@ package control_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,9 +215,59 @@ func TestAdmitSessionCapacityAndStock(t *testing.T) {
 	if err := ctl.AdmitSession("funded", plan.AdmitCapacity); !errors.Is(err, serve.ErrAdmissionDenied) {
 		t.Errorf("over-capacity err = %v, want ErrAdmissionDenied", err)
 	}
-	if ctl.Telemetry().Denied() < 2 {
-		t.Errorf("denied counter %d, want ≥ 2", ctl.Telemetry().Denied())
+}
+
+// TestEvictedSessionLeavesPlan: a registered session's telemetry lives as
+// long as the bound store keeps the session. A session the store evicted
+// is absent from the next snapshot and from the plan's budgets, however
+// recently it served; traffic for a session the store never held leaves
+// after a round without any.
+func TestEvictedSessionLeavesPlan(t *testing.T) {
+	ctl, err := control.New(control.Config{Network: qnet.SURFnet()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	store := serve.NewStore(2)
+	ctl.BindServe(nil, store)
+	register := func(id string) {
+		t.Helper()
+		if err := store.Register(serve.NewSession(id, profile.IDLambda32k, nil, nil, nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+		ctl.ObserveSession(id, profile.IDLambda32k)
+		ctl.ObserveCompute(id, 1<<10, time.Millisecond, serve.CodeOK)
+	}
+	register("a")
+	register("b")
+	ctl.ObserveCompute("ghost", 1<<10, time.Millisecond, serve.CodeOK) // never registered
+	plan, err := ctl.Replan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := budgeted(plan); got != "a,b,ghost" {
+		t.Fatalf("budgeted sessions %q before eviction, want a,b,ghost", got)
+	}
+	ctl.ObserveCompute("a", 1<<10, time.Millisecond, serve.CodeOK)
+	register("c") // evicts a, the LRU session
+	plan, err = ctl.Replan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := budgeted(plan); got != "b,c" {
+		t.Errorf("budgeted sessions %q after a's eviction, want b,c", got)
+	}
+	var snapped []string
+	for _, s := range ctl.Telemetry().Snapshot().Sessions {
+		snapped = append(snapped, s.ID)
+	}
+	if got := strings.Join(snapped, ","); got != "b,c" {
+		t.Errorf("snapshot sessions %q after a's eviction, want b,c", got)
+	}
+}
+
+// budgeted lists the sessions a plan holds a rekey budget for, sorted.
+func budgeted(p *control.Plan) string {
+	return strings.Join(slices.Sorted(maps.Keys(p.RekeyBudget)), ",")
 }
 
 func TestAdmitComputeShedsUnfundableRekey(t *testing.T) {

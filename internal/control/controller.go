@@ -112,10 +112,8 @@ type Controller struct {
 	seq    atomic.Uint64
 	planMu sync.Mutex // serializes Replan (snapshot deltas + actuation)
 
-	// store is the bound session store (actuated for live MaxSessions
-	// resizing); storeCeiling is its built cap at bind time — the bound
-	// resizing never raises the cap above what the server was built with.
-	store        atomic.Pointer[serve.Store]
+	// storeCeiling is the bound session store's built cap — live resizing
+	// never raises the cap above what the server was built with.
 	storeCeiling atomic.Int64
 
 	stopOnce sync.Once
@@ -349,7 +347,7 @@ func (c *Controller) Replan() (*Plan, error) {
 	if sched := c.tel.sched.Load(); sched != nil && plan.QueueHighWater > 0 {
 		sched.Resize(plan.QueueHighWater)
 	}
-	if store := c.store.Load(); store != nil {
+	if store := c.tel.store.Load(); store != nil {
 		if ceiling := int(c.storeCeiling.Load()); ceiling > 0 {
 			target := ceiling
 			if plan.AdmitCapacity >= 0 && plan.AdmitCapacity < ceiling {
@@ -515,9 +513,8 @@ func (c *Controller) admitCapacity() int {
 // and captures the store for live session-cap actuation (called by the
 // edge server at construction).
 func (c *Controller) BindServe(sched *serve.Scheduler, store *serve.Store) {
-	c.tel.BindServe(sched)
+	c.tel.BindServe(sched, store)
 	if store != nil {
-		c.store.Store(store)
 		c.storeCeiling.Store(int64(store.MaxSessions()))
 	}
 }
@@ -570,7 +567,6 @@ func (c *Controller) AdmitSession(sessionID string, resident int) error {
 		return nil
 	}
 	if p.AdmitCapacity >= 0 && resident >= p.AdmitCapacity {
-		c.tel.ObserveAdmission(false)
 		return fmt.Errorf("%w: %d sessions at plan capacity %d",
 			serve.ErrAdmissionDenied, resident, p.AdmitCapacity)
 	}
@@ -581,13 +577,11 @@ func (c *Controller) AdmitSession(sessionID string, resident int) error {
 		// own as the pool refills, and the retry-after hint derived from
 		// the provisioning rate tells the client when.
 		if avail, err := kc.Available(sessionID); err == nil && avail < withdrawBytes {
-			c.tel.ObserveAdmission(false)
 			return serve.NewKeyExhausted(kc.RefillWait(sessionID, withdrawBytes),
 				fmt.Sprintf("key pool for %q holds %d of %d bytes the next rekey needs",
 					sessionID, avail, withdrawBytes))
 		}
 	}
-	c.tel.ObserveAdmission(true)
 	return nil
 }
 
@@ -605,7 +599,6 @@ func (c *Controller) AdmitCompute(sessionID string, usedBytes, pendingBytes int6
 	}
 	if p.QueueHighWater > 0 {
 		if sched := c.tel.sched.Load(); sched != nil && sched.QueueDepth() >= p.QueueHighWater {
-			c.tel.ObserveAdmission(false)
 			c.tel.ObserveShed(sessionID, pendingBytes)
 			return fmt.Errorf("%w: queue occupancy %d at plan high-water %d",
 				serve.ErrAdmissionDenied, sched.QueueDepth(), p.QueueHighWater)
@@ -614,7 +607,6 @@ func (c *Controller) AdmitCompute(sessionID string, usedBytes, pendingBytes int6
 	if kc := c.cfg.KeyCenter; kc != nil {
 		if budget := c.budgetFor(p, sessionID); budget > 0 && usedBytes+pendingBytes >= budget {
 			if avail, err := kc.Available(sessionID); err == nil && avail < withdrawBytes {
-				c.tel.ObserveAdmission(false)
 				// Denied bytes still count as demand: a fully shed session
 				// must keep registering load with the predictor, or its
 				// budget collapses to the idle default and it can never

@@ -9,14 +9,17 @@
 // # The loop: telemetry → plan → actuation
 //
 // Sense. Telemetry is the lock-cheap registry the serving plane publishes
-// into. The edge server pushes one observation per served block
-// (per-session byte, block and rotation counts and a latency histogram: a
-// sync.Map load plus a few atomics on the hot path); the serve.Scheduler
-// is bound once at server construction for admission's queue-occupancy
-// check; the qkd.KeyCenter contributes per-client key stock and
+// into. The edge server pushes one observation per served or shed block
+// (per-session demand bytes, block and rotation counts and a latency
+// histogram: a sync.Map load plus a few atomics on the hot path); the
+// serve.Scheduler and serve.Store are bound once at server construction,
+// the scheduler for admission's queue-occupancy check, the store so a
+// session's telemetry lives exactly as long as the store keeps the
+// session; the qkd.KeyCenter contributes per-client key stock and
 // provisioned rates (PoolStats). Telemetry.Snapshot carries exactly what
 // Replan reads: per-session demand rates derived from byte deltas between
-// snapshots, and per-profile served work with the merged p99 latency.
+// snapshots, served blocks and rotations, and per-profile served blocks
+// with the merged p99 latency.
 //
 // Plan. Controller.Replan re-solves the paper's program over the snapshot
 // and publishes an immutable Plan through an atomic pointer:

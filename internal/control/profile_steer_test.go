@@ -253,7 +253,7 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 
 // TestShedTrafficFeedsDemand is the demand-predictor satellite: admission
 // denials must register as demand, so a fully shed session does not look
-// idle to the planner.
+// idle to the planner, without counting as served blocks.
 func TestShedTrafficFeedsDemand(t *testing.T) {
 	net := qnet.SURFnet()
 	ctl, err := control.New(control.Config{Network: net})
@@ -279,11 +279,11 @@ func TestShedTrafficFeedsDemand(t *testing.T) {
 	for _, s := range snap.Sessions {
 		if s.ID == "shed-only" {
 			found = true
-			if s.ShedBytes != 2<<20 {
-				t.Errorf("ShedBytes = %d, want %d", s.ShedBytes, 2<<20)
+			if s.BytesPerSec <= 0 {
+				t.Errorf("shed-only session demand %.0f B/s, want > 0", s.BytesPerSec)
 			}
-			if s.Bytes != 0 {
-				t.Errorf("shed traffic leaked into served bytes: %d", s.Bytes)
+			if s.Blocks != 0 {
+				t.Errorf("shed traffic counted as %d served blocks", s.Blocks)
 			}
 		}
 	}
@@ -292,8 +292,9 @@ func TestShedTrafficFeedsDemand(t *testing.T) {
 	}
 }
 
-// TestProfileTelemetryAggregates pins the per-profile telemetry export:
-// sessions registered on distinct profiles aggregate separately.
+// TestProfileTelemetryAggregates pins the per-profile telemetry the
+// planner reads: served blocks of sessions registered on distinct
+// profiles aggregate separately, and a failed block serves nothing.
 func TestProfileTelemetryAggregates(t *testing.T) {
 	tel := control.NewTelemetry()
 	tel.ObserveSession("a", profile.IDLambda32k)
@@ -302,14 +303,12 @@ func TestProfileTelemetryAggregates(t *testing.T) {
 	tel.ObserveCompute("a", 100, time.Millisecond, serve.CodeOK)
 	tel.ObserveCompute("b", 200, 2*time.Millisecond, serve.CodeOK)
 	tel.ObserveCompute("c", 300, 4*time.Millisecond, serve.CodeOK)
+	tel.ObserveCompute("c", 300, 4*time.Millisecond, serve.CodeOverloaded)
 	snap := tel.Snapshot()
 	lo := snap.Profiles[profile.IDLambda32k]
 	hi := snap.Profiles[profile.IDLambda64k]
-	if lo.Sessions != 1 || hi.Sessions != 2 {
-		t.Errorf("profile session counts: %d/%d, want 1/2", lo.Sessions, hi.Sessions)
-	}
-	if lo.Bytes != 100 || hi.Bytes != 500 {
-		t.Errorf("profile byte totals: %d/%d, want 100/500", lo.Bytes, hi.Bytes)
+	if lo.Blocks != 1 || hi.Blocks != 2 {
+		t.Errorf("profile served blocks: %d/%d, want 1/2", lo.Blocks, hi.Blocks)
 	}
 	if tel.SessionProfile("b") != profile.IDLambda64k {
 		t.Errorf("SessionProfile(b) = %q", tel.SessionProfile("b"))
@@ -319,7 +318,7 @@ func TestProfileTelemetryAggregates(t *testing.T) {
 // TestReplanActuatesSchedulerAndStore is the controller-resizing
 // satellite: a replan moves the live scheduler depth to the plan's
 // high-water and the store's session cap to the admission capacity
-// (clamped to the built ceiling).
+// (clamped to the built ceiling), and the store holds that cap exactly.
 func TestReplanActuatesSchedulerAndStore(t *testing.T) {
 	net := qnet.SURFnet()
 	ctl, err := control.New(control.Config{Network: net, MaxSessions: 4})
@@ -357,5 +356,16 @@ func TestReplanActuatesSchedulerAndStore(t *testing.T) {
 	}
 	if plan2.AdmitCapacity != 4 {
 		t.Errorf("admit capacity %d, want MaxSessions 4", plan2.AdmitCapacity)
+	}
+	// The server's store, built for 64, holds exactly the planned 4.
+	store := ctl.Telemetry().Store()
+	for i := 0; i < 8; i++ {
+		if err := store.Register(serve.NewSession(fmt.Sprintf("s%d", i), "", nil, nil, nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if store.Len() != 4 || store.Evictions() != 4 {
+		t.Errorf("store at plan capacity 4 holds %d sessions after 8 registrations (%d evictions), want 4 (4)",
+			store.Len(), store.Evictions())
 	}
 }

@@ -19,21 +19,17 @@ const ewmaAlpha = 0.2
 // are updated atomically on the compute hot path — the registry adds one
 // sync.Map load and a handful of atomic ops per block.
 type SessionTelemetry struct {
-	bytes  atomic.Int64
 	blocks atomic.Int64
 	// demand counts every byte the session *asked* to have served —
-	// completed blocks, failed blocks and admission-denied traffic alike.
-	// The demand predictor reads this instead of the served-bytes
-	// counter, so a fully shed session still registers load and its
-	// budget does not collapse to the idle default.
-	demand    atomic.Int64
-	shedBytes atomic.Int64
+	// completed blocks, failed blocks and admission-denied traffic alike —
+	// so a fully shed session still registers load and its budget does
+	// not collapse to the idle default.
+	demand atomic.Int64
 	// rotations counts the hoisted Galois rotations served for the
 	// session (the BSGS matvec kernel's per-block rotation fan-out);
 	// affine-only sessions stay at zero. The planner divides by served
 	// blocks to recover the session's rotation intensity.
 	rotations atomic.Int64
-	lastSeen  atomic.Int64 // unix nanos
 	// lat is the per-block latency histogram (seconds). Its snapshots
 	// merge across a profile's sessions into the p99 the replanner holds
 	// against its modeled delay.
@@ -56,13 +52,12 @@ type SessionTelemetry struct {
 
 // SessionSnapshot is a point-in-time view of one session's telemetry.
 type SessionSnapshot struct {
-	ID            string
-	Bytes, Blocks int64
+	ID string
+	// Blocks counts the session's served blocks.
+	Blocks int64
 	// Profile is the security profile the session registered on ("" when
 	// the serving plane never reported one).
 	Profile string
-	// ShedBytes counts traffic denied by admission since registration.
-	ShedBytes int64
 	// Rotations counts the hoisted Galois rotations served for the
 	// session (0 for affine-only traffic). Rotations/Blocks is the
 	// session's rotation intensity the rotation-aware λ choice plans
@@ -79,14 +74,8 @@ type SessionSnapshot struct {
 // ProfileSnapshot aggregates one security profile's serving state for a
 // planning round.
 type ProfileSnapshot struct {
-	// Sessions counts sessions registered on the profile.
-	Sessions int
-	// BytesPerSec is the aggregate demand rate of those sessions.
-	BytesPerSec float64
-	// Blocks and Bytes total the served work; Rotations totals the hoisted
-	// Galois rotations those blocks carried.
-	Blocks, Bytes int64
-	Rotations     int64
+	// Blocks totals the blocks served on the profile.
+	Blocks int64
 	// LatencyP99Ms is the 99th percentile of the merged per-block latency
 	// histograms of the profile's sessions — the measured tail the
 	// replanner holds against its modeled delay.
@@ -104,32 +93,35 @@ type Snapshot struct {
 	Profiles map[string]ProfileSnapshot
 }
 
-// sessionTTL prunes telemetry for sessions with no traffic (evicted or
-// abandoned) so the registry cannot grow without bound.
-const sessionTTL = 5 * time.Minute
-
 // Telemetry is the lock-cheap registry the serving plane publishes into:
-// per-session byte counts and block latencies pushed by the edge server
-// on every block, and per-session profiles reported at registration. It
+// per-session demand bytes, served blocks and block latencies pushed by
+// the edge server on every block, and per-session profiles reported at
+// registration. It
 // is the sensing half of the control loop; Controller.Replan consumes
-// Snapshot.
+// Snapshot. A registered session's entry lives as long as the bound
+// session store keeps the session: Snapshot drops the rest.
 type Telemetry struct {
 	sessions sync.Map // string -> *SessionTelemetry
-	denied   atomic.Int64
 
-	// sched is write-once at BindServe and read lock-free on the admission
-	// hot path (queue occupancy) and by Replan (queue actuation).
+	// sched and store are write-once at BindServe. sched is read
+	// lock-free on the admission hot path (queue occupancy) and by Replan
+	// (queue actuation); store by Replan (session-cap actuation) and by
+	// Snapshot, which keeps only the sessions it holds.
 	sched atomic.Pointer[serve.Scheduler]
+	store atomic.Pointer[serve.Store]
 }
 
 // NewTelemetry builds an empty registry.
 func NewTelemetry() *Telemetry { return &Telemetry{} }
 
-// BindServe attaches the serving plane's scheduler. Called by the edge
-// server at construction; sched may be nil.
-func (t *Telemetry) BindServe(sched *serve.Scheduler) {
+// BindServe attaches the serving plane's scheduler and session store.
+// Called by the edge server at construction; either may be nil.
+func (t *Telemetry) BindServe(sched *serve.Scheduler, store *serve.Store) {
 	if sched != nil {
 		t.sched.Store(sched)
+	}
+	if store != nil {
+		t.store.Store(store)
 	}
 }
 
@@ -144,22 +136,18 @@ func (t *Telemetry) session(id string) *SessionTelemetry {
 // ObserveSession records a registration and the security profile the
 // session landed on.
 func (t *Telemetry) ObserveSession(sessionID, profileID string) {
-	st := t.session(sessionID)
-	st.lastSeen.Store(time.Now().UnixNano())
-	st.profile.Store(profileID)
+	t.session(sessionID).profile.Store(profileID)
 }
 
 // ObserveCompute records one served (or failed) block for a session. The
 // attempted bytes count as demand regardless of outcome.
 func (t *Telemetry) ObserveCompute(sessionID string, bytes int64, latency time.Duration, code serve.Code) {
 	st := t.session(sessionID)
-	st.lastSeen.Store(time.Now().UnixNano())
 	st.demand.Add(bytes)
 	if code != serve.CodeOK {
 		return
 	}
 	st.blocks.Add(1)
-	st.bytes.Add(bytes)
 	st.lat.Observe(latency.Seconds())
 }
 
@@ -172,9 +160,7 @@ func (t *Telemetry) ObserveRotations(sessionID string, n int) {
 	if n <= 0 {
 		return
 	}
-	st := t.session(sessionID)
-	st.lastSeen.Store(time.Now().UnixNano())
-	st.rotations.Add(int64(n))
+	t.session(sessionID).rotations.Add(int64(n))
 }
 
 // ObserveShed records traffic the admission controller refused for a
@@ -184,18 +170,7 @@ func (t *Telemetry) ObserveShed(sessionID string, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	st := t.session(sessionID)
-	st.lastSeen.Store(time.Now().UnixNano())
-	st.demand.Add(bytes)
-	st.shedBytes.Add(bytes)
-}
-
-// ObserveAdmission records one admission decision; denials are what is
-// counted.
-func (t *Telemetry) ObserveAdmission(admitted bool) {
-	if !admitted {
-		t.denied.Add(1)
-	}
+	t.session(sessionID).demand.Add(bytes)
 }
 
 // SessionProfile reports the profile a session registered on ("" if the
@@ -211,7 +186,11 @@ func (t *Telemetry) SessionProfile(sessionID string) string {
 
 // Snapshot captures the registry for one planning round, computing
 // per-session demand rates from the demand-byte deltas since the previous
-// call and pruning sessions idle past the TTL. It is called by the
+// call. It drops what the bound store does not hold: a registered
+// session (ObserveSession) as soon as the store evicts or sweeps it, an
+// entry no registration made (a block that finished after its session
+// was evicted, or synthetic traffic) once a round passes without demand
+// for it. With no store bound nothing is dropped. It is called by the
 // Controller under its plan lock; the hot-path publishers never block on
 // it.
 func (t *Telemetry) Snapshot() Snapshot {
@@ -219,23 +198,24 @@ func (t *Telemetry) Snapshot() Snapshot {
 	snap := Snapshot{At: now, Profiles: make(map[string]ProfileSnapshot)}
 	// Per-profile merged latency histograms, finalized after the Range.
 	profLat := make(map[string]obs.HistSnapshot)
+	store := t.store.Load()
 	t.sessions.Range(func(k, v any) bool {
 		id, st := k.(string), v.(*SessionTelemetry)
-		if last := st.lastSeen.Load(); last != 0 && now.Sub(time.Unix(0, last)) > sessionTTL {
-			t.sessions.Delete(k)
-			return true
+		demand := st.demand.Load()
+		if store != nil && (st.profile.Load() != nil || demand == st.prevDemand) {
+			if _, ok := store.Peek(id); !ok {
+				t.sessions.Delete(k)
+				return true
+			}
 		}
 		s := SessionSnapshot{
 			ID:        id,
-			Bytes:     st.bytes.Load(),
 			Blocks:    st.blocks.Load(),
-			ShedBytes: st.shedBytes.Load(),
 			Rotations: st.rotations.Load(),
 		}
 		if p, ok := st.profile.Load().(string); ok {
 			s.Profile = p
 		}
-		demand := st.demand.Load()
 		if !st.prevAt.IsZero() {
 			if dt := now.Sub(st.prevAt).Seconds(); dt > 0 {
 				rate := float64(demand-st.prevDemand) / dt
@@ -251,11 +231,7 @@ func (t *Telemetry) Snapshot() Snapshot {
 		snap.DemandBytesPerSec += s.BytesPerSec
 		if s.Profile != "" {
 			ps := snap.Profiles[s.Profile]
-			ps.Sessions++
-			ps.BytesPerSec += s.BytesPerSec
 			ps.Blocks += s.Blocks
-			ps.Bytes += s.Bytes
-			ps.Rotations += s.Rotations
 			snap.Profiles[s.Profile] = ps
 			profLat[s.Profile] = profLat[s.Profile].Merge(st.lat.Snapshot())
 		}

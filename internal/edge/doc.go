@@ -9,7 +9,7 @@
 // The server is a thin protocol shell over the multi-tenant serving
 // runtime in internal/serve. A request flows
 //
-//	connection → serve.Store (sharded sessions, LRU-capped)
+//	connection → serve.Store (one session table, LRU-capped)
 //	           → serve.Scheduler (bounded queue, ErrOverloaded backpressure)
 //	           → the session profile's runtime: its serve.EvalPool (lazily
 //	             built workers) and the transcipher/ckks core (context + cipher)

@@ -236,7 +236,7 @@ func TestConcurrentWaitsOwnBlocks(t *testing.T) {
 	}
 }
 
-// TestConcurrentClientsPipelined exercises the sharded store and shared
+// TestConcurrentClientsPipelined exercises the session table and shared
 // pool under many clients × many in-flight blocks (run with -race in CI).
 func TestConcurrentClientsPipelined(t *testing.T) {
 	model := Model{Weights: []float64{3}}

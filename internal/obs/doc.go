@@ -71,8 +71,9 @@
 // flight (stage timestamps stamped inline), then handed to
 // Tracer.Record exactly once, after the reply frame reached the socket.
 // Record takes ownership of the Spans slice: the caller must not reuse
-// or mutate it afterwards. Traces land in fixed-capacity per-session
-// ring buffers (newest wins); Dump and DumpFiltered copy the ring
+// or mutate it afterwards. Traces land in per-session ring buffers that
+// start at eight slots and double up to the per-session bound, then keep
+// the newest traces; Dump and DumpFiltered copy the ring
 // contents out but share the recorded Spans slices, so dumped traces
 // are read-only. The session ring count is capped; traces beyond the
 // cap are dropped and counted, never buffered unboundedly.

@@ -105,40 +105,42 @@ type BlockTrace struct {
 	Spans   []Span
 }
 
-// spanRing is one session's fixed-capacity trace buffer: the newest
-// perSession traces survive, older ones are overwritten in place.
+// ringFirstSlots is the slot count a session's ring starts with: enough
+// for a short-lived session's whole life in one allocation.
+const ringFirstSlots = 8
+
+// spanRing is one session's bounded trace buffer: it grows by doubling
+// up to max traces, then the newest max survive and older ones are
+// overwritten in place.
 type spanRing struct {
 	mu   sync.Mutex
 	buf  []BlockTrace
-	next int
-	full bool
+	max  int
+	next int // the oldest slot, once buf holds max traces
 }
 
 func (rg *spanRing) record(bt BlockTrace) {
 	rg.mu.Lock()
-	if rg.next == len(rg.buf) {
-		rg.next, rg.full = 0, true
+	if len(rg.buf) == rg.max {
+		rg.buf[rg.next] = bt
+		rg.next = (rg.next + 1) % rg.max
+	} else {
+		if len(rg.buf) == cap(rg.buf) {
+			grown := make([]BlockTrace, len(rg.buf), min(2*cap(rg.buf), rg.max))
+			copy(grown, rg.buf)
+			rg.buf = grown
+		}
+		rg.buf = append(rg.buf, bt)
 	}
-	rg.buf[rg.next] = bt
-	rg.next++
 	rg.mu.Unlock()
 }
 
 func (rg *spanRing) snapshot() []BlockTrace {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	n := rg.next
-	if rg.full {
-		n = len(rg.buf)
-	}
-	out := make([]BlockTrace, n)
-	if rg.full {
-		copy(out, rg.buf[rg.next:])
-		copy(out[len(rg.buf)-rg.next:], rg.buf[:rg.next])
-	} else {
-		copy(out, rg.buf[:n])
-	}
-	return out
+	out := make([]BlockTrace, 0, len(rg.buf))
+	out = append(out, rg.buf[rg.next:]...)
+	return append(out, rg.buf[:rg.next]...)
 }
 
 // Tracer collects BlockTraces into per-session ring buffers. Recording
@@ -189,7 +191,7 @@ func (t *Tracer) Record(bt BlockTrace) {
 			t.dropped.Add(1)
 			return
 		}
-		rg = &spanRing{buf: make([]BlockTrace, t.perSession)}
+		rg = &spanRing{buf: make([]BlockTrace, 0, min(ringFirstSlots, t.perSession)), max: t.perSession}
 		t.rings[bt.Session] = rg
 	}
 	t.mu.Unlock()

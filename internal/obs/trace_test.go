@@ -50,6 +50,37 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
+// TestRingGrowsWithUse: a session's ring starts at a handful of slots and
+// doubles toward its bound, so a short session holds a few traces' worth
+// of memory, and a ring whose bound is no power of two fills to exactly
+// the bound before it overwrites.
+func TestRingGrowsWithUse(t *testing.T) {
+	tr := NewTracer(0, 0)
+	base := time.Unix(0, 0)
+	for i := uint32(0); i < 5; i++ {
+		tr.Record(mkTrace("short", i, base.Add(time.Duration(i)*time.Second)))
+	}
+	if c := cap(tr.rings["short"].buf); c > 8 {
+		t.Errorf("a 5-trace session's ring holds %d slots, want ≤ 8", c)
+	}
+	tr = NewTracer(20, 0)
+	for i := uint32(0); i < 50; i++ {
+		tr.Record(mkTrace("long", i, base.Add(time.Duration(i)*time.Second)))
+		if c := cap(tr.rings["long"].buf); c > 20 {
+			t.Fatalf("ring grew to %d slots past its bound of 20", c)
+		}
+	}
+	got := tr.Dump()
+	if len(got) != 20 {
+		t.Fatalf("ring kept %d traces, want 20", len(got))
+	}
+	for i, bt := range got {
+		if want := uint32(30 + i); bt.Block != want {
+			t.Errorf("trace %d: block %d, want %d", i, bt.Block, want)
+		}
+	}
+}
+
 func TestSessionCapDrops(t *testing.T) {
 	tr := NewTracer(2, 3)
 	base := time.Unix(0, 0)

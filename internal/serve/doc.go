@@ -6,12 +6,12 @@
 //
 // The runtime decomposes into three pieces a request flows through:
 //
-//	connection → Store (sharded sessions) → Scheduler (bounded queue)
+//	connection → Store (session table) → Scheduler (bounded queue)
 //	           → EvalPool (per-profile evaluators) → transcipher/ckks core
 //
-// Store is a hash-sharded session table with per-shard locks, LRU
-// eviction under a configurable session cap, and per-session usage
-// counters. Registering N sessions costs key material only — not
+// Store is one session table — one lock, one map, one LRU list — with
+// exact LRU eviction under a configurable session cap, and per-session
+// usage counters. Registering N sessions costs key material only — not
 // evaluators — so memory grows with sessions, compute state with workers.
 // Each Session carries the security profile it registered on, and the
 // live session cap is resizable (SetMaxSessions) so a control plane can
@@ -27,10 +27,11 @@
 // traffic cost nothing.
 //
 // Scheduler fans jobs out across the pools through one bounded queue:
-// SubmitTo targets a profile's pool, nil the default one. When the
-// queue is at its live depth bound, SubmitTo fails fast with ErrOverloaded
-// instead of buffering without limit: explicit backpressure the protocol
-// layer maps onto typed replies so clients can shed or retry. The live
+// SubmitTo targets a profile's pool, and a pool holds a share of the
+// queue from its first submission on. When the queue is at its live
+// depth bound, SubmitTo fails fast with ErrOverloaded instead of
+// buffering without limit: explicit backpressure the protocol layer maps
+// onto typed replies so clients can shed or retry. The live
 // bound is resizable within the built capacity (Resize) — the control
 // plane applies its plan's queue high-water to it every replan.
 //

@@ -45,7 +45,7 @@ func TestSchedulerSubmitToRoutesPools(t *testing.T) {
 	defer sched.Close()
 
 	got := make(chan string, 2)
-	if err := sched.SubmitTo(nil, func(w *Worker) { got <- w.Scratch.(string) }); err != nil {
+	if err := sched.SubmitTo(def, func(w *Worker) { got <- w.Scratch.(string) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.SubmitTo(alt, func(w *Worker) { got <- w.Scratch.(string) }); err != nil {
@@ -95,7 +95,7 @@ func TestSchedulerResizeConcurrent(t *testing.T) {
 		go func() {
 			defer submitters.Done()
 			for i := 0; i < 500; i++ {
-				err := sched.SubmitTo(nil, func(*Worker) { ran.Add(1) })
+				err := sched.SubmitTo(pool, func(*Worker) { ran.Add(1) })
 				if err == nil {
 					accepted.Add(1)
 				} else if errors.Is(err, ErrOverloaded) {
@@ -121,7 +121,7 @@ func TestSchedulerResizeConcurrent(t *testing.T) {
 }
 
 func TestStoreSetMaxSessionsShrinksLive(t *testing.T) {
-	st := NewStoreShards(1, 8)
+	st := NewStore(8)
 	if st.MaxSessions() != 8 {
 		t.Fatalf("MaxSessions = %d, want 8", st.MaxSessions())
 	}

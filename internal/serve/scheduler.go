@@ -12,19 +12,19 @@ import (
 type Job func(*Worker)
 
 // Scheduler fans jobs out across evaluator pools through bounded
-// per-pool queues. Each distinct pool submitted to — by default the pool
-// the scheduler was built over, or a per-profile pool passed to SubmitTo —
-// gets its own queue class with its own drain goroutines (one per pool
-// worker), so a class blocked on its pool's workers never wedges another
-// class's dispatch: a flood of heavy-profile blocks cannot park every
-// drain goroutine behind the heavy pool and starve light-profile
-// latency.
+// per-pool queues. Each distinct pool submitted to gets its own queue
+// class with its own drain goroutines (one per pool worker), registered
+// by the pool's first submission, so a class blocked on its pool's
+// workers never wedges another class's dispatch: a flood of
+// heavy-profile blocks cannot park every drain goroutine behind the heavy
+// pool and starve light-profile latency.
 //
 // Queue space is divided into equal shares: each of the k registered
-// classes may hold at most limit/k queued jobs (minimum one). With a
-// single class the share is the whole limit, and once a second profile's
-// first block registers its class, each keeps a guaranteed reservation
-// of the queue that the other cannot flood away. A submission beyond its
+// classes may hold at most limit/k queued jobs (minimum one). A pool
+// that has never been submitted to holds no share, so a lone served
+// profile gets the whole limit, and once a second profile's first block
+// registers its class, each keeps a guaranteed reservation of the queue
+// that the other cannot flood away. A submission beyond its
 // class share fails fast with ErrOverloaded — the explicit backpressure
 // signal the protocol layer forwards to clients instead of buffering
 // requests without limit.
@@ -35,7 +35,6 @@ type Job func(*Worker)
 // shrinking plan turns into real CodeOverloaded backpressure, not just
 // advisory admission sheds. Shares scale with the live bound.
 type Scheduler struct {
-	pool     *EvalPool
 	maxDepth int
 
 	limit atomic.Int64 // live depth bound, ≤ maxDepth
@@ -66,22 +65,18 @@ type classQueue struct {
 	ch    chan poolJob
 }
 
-// NewScheduler starts one drain goroutine per pool worker over a queue of
-// the given depth (≤ 0 selects 4× the pool size). The built depth is the
-// ceiling Resize can never exceed.
+// NewScheduler builds a scheduler over a queue of the given depth (≤ 0
+// selects 4× the pool's size). The built depth is the ceiling Resize can
+// never exceed. No class exists until a pool's first submission.
 func NewScheduler(pool *EvalPool, queueDepth int) *Scheduler {
 	if queueDepth <= 0 {
 		queueDepth = 4 * pool.Size()
 	}
 	s := &Scheduler{
-		pool:     pool,
 		maxDepth: queueDepth,
 		classes:  make(map[*EvalPool]*classQueue),
 	}
 	s.limit.Store(int64(queueDepth))
-	s.mu.Lock()
-	s.classLocked(pool)
-	s.mu.Unlock()
 	return s
 }
 
@@ -119,13 +114,10 @@ func (s *Scheduler) drain(c *classQueue) {
 	}
 }
 
-// SubmitTo enqueues a job to run on a worker of the given pool (nil
-// selects the default pool) without blocking. It returns ErrOverloaded
-// when the pool's queue share is full or the scheduler is closed.
+// SubmitTo enqueues a job to run on a worker of the given pool without
+// blocking. It returns ErrOverloaded when the pool's queue share is full
+// or the scheduler is closed.
 func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
-	if pool == nil {
-		pool = s.pool
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

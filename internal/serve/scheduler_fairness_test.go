@@ -23,8 +23,8 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 	light := fairnessPool()
 	sched := NewScheduler(heavy, 8)
 	defer sched.Close()
-	if hs, ls := share(sched, heavy), share(sched, light); hs != 8 || ls != 0 {
-		t.Fatalf("shares %d/%d, want 8/0 (one class holds the whole limit, an unregistered pool nothing)", hs, ls)
+	if hs, ls := share(sched, heavy), share(sched, light); hs != 0 || ls != 0 {
+		t.Fatalf("shares %d/%d, want 0/0 (no pool holds a share before its first submission)", hs, ls)
 	}
 	// The light class registers by its first submission: from then on its
 	// share is reserved, before the block that needs it arrives.
@@ -33,17 +33,21 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-first
-	if hs, ls := share(sched, heavy), share(sched, light); hs != 4 || ls != 4 {
-		t.Fatalf("shares %d/%d, want 4/4 (limit 8, two classes)", hs, ls)
+	if hs, ls := share(sched, heavy), share(sched, light); hs != 0 || ls != 8 {
+		t.Fatalf("shares %d/%d, want 0/8 (the one registered class holds the whole limit)", hs, ls)
 	}
 
-	// Wedge the heavy worker, then flood the heavy class until it sheds.
+	// Wedge the heavy worker — registering the heavy class — then flood
+	// the heavy class until it sheds.
 	release := make(chan struct{})
 	running := make(chan struct{})
 	if err := sched.SubmitTo(heavy, func(*Worker) { close(running); <-release }); err != nil {
 		t.Fatal(err)
 	}
 	<-running
+	if hs, ls := share(sched, heavy), share(sched, light); hs != 4 || ls != 4 {
+		t.Fatalf("shares %d/%d, want 4/4 (limit 8, two classes)", hs, ls)
+	}
 	admitted := 0
 	for ; admitted < 100; admitted++ {
 		if err := sched.SubmitTo(heavy, func(*Worker) {}); err != nil {
@@ -119,6 +123,34 @@ func TestSchedulerShareAdmitsLateClass(t *testing.T) {
 		t.Fatal("late class job never ran")
 	}
 	close(release)
+}
+
+// TestSchedulerLonePoolAdmitsFullDepth: when only a pool other than the
+// one the scheduler was built over serves, that pool's class holds the
+// whole live depth — the idle build pool reserves nothing.
+func TestSchedulerLonePoolAdmitsFullDepth(t *testing.T) {
+	for _, depth := range []int{8, 6} {
+		sched := NewScheduler(fairnessPool(), 8)
+		sched.Resize(depth)
+		other := fairnessPool()
+		release := make(chan struct{})
+		running := make(chan struct{})
+		if err := sched.SubmitTo(other, func(*Worker) { close(running); <-release }); err != nil {
+			t.Fatal(err)
+		}
+		<-running
+		admitted := 0
+		for ; admitted < 100; admitted++ {
+			if err := sched.SubmitTo(other, func(*Worker) {}); err != nil {
+				break
+			}
+		}
+		close(release)
+		sched.Close()
+		if admitted != depth {
+			t.Errorf("live depth %d: the lone serving pool queued %d jobs, want %d", depth, admitted, depth)
+		}
+	}
 }
 
 // share reports the pool's current queue share in slots (0 for a pool

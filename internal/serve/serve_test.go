@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,7 +92,7 @@ func TestStoreRegisterAndDuplicate(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	st := NewStoreShards(1, 2)
+	st := NewStore(2)
 	for _, id := range []string{"a", "b"} {
 		if err := st.Register(NewSession(id, "", nil, nil, nil, nil)); err != nil {
 			t.Fatal(err)
@@ -119,10 +120,43 @@ func TestStoreLRUEviction(t *testing.T) {
 	if st.Evictions() != 1 {
 		t.Errorf("Evictions = %d, want 1", st.Evictions())
 	}
+
+	// Whatever cap the store was built with, a live cap below it is exact:
+	// the table evicts nothing before the cap, holds exactly the cap from
+	// then on, and each eviction takes the least-recently-used session.
+	rng := rand.New(rand.NewSource(39))
+	for _, built := range []int{64, 1024} {
+		for _, live := range []int{4, 16} {
+			st := NewStore(built)
+			st.SetMaxSessions(live)
+			ids := make([]string, live+4)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("%016x", rng.Uint64())
+				if err := st.Register(NewSession(ids[i], "", nil, nil, nil, nil)); err != nil {
+					t.Fatal(err)
+				}
+				if i == len(ids)-2 {
+					st.Get(ids[3]) // the oldest resident becomes the most recently used
+				}
+				resident := min(i+1, live)
+				if st.Len() != resident || st.Evictions() != int64(i+1-resident) {
+					t.Fatalf("built %d, live cap %d, %d registered: Len %d, Evictions %d; want %d, %d",
+						built, live, i+1, st.Len(), st.Evictions(), resident, i+1-resident)
+				}
+			}
+			for i, id := range ids {
+				// The first three are the LRU victims, then the fifth: the
+				// touched fourth survives the last registration.
+				if _, ok := st.Peek(id); ok != (i == 3 || i > 4) {
+					t.Errorf("built %d, live cap %d: session %d (of %d) resident = %v", built, live, i, len(ids), ok)
+				}
+			}
+		}
+	}
 }
 
 func TestStorePeekDoesNotTouchLRU(t *testing.T) {
-	st := NewStoreShards(1, 2)
+	st := NewStore(2)
 	for _, id := range []string{"a", "b"} {
 		if err := st.Register(NewSession(id, "", nil, nil, nil, nil)); err != nil {
 			t.Fatal(err)
@@ -258,16 +292,16 @@ func TestSchedulerBackpressure(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	// First job occupies the single worker...
-	if err := sched.SubmitTo(nil, func(*Worker) { close(started); <-release }); err != nil {
+	if err := sched.SubmitTo(pool, func(*Worker) { close(started); <-release }); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// ...second fills the queue...
-	if err := sched.SubmitTo(nil, func(*Worker) {}); err != nil {
+	if err := sched.SubmitTo(pool, func(*Worker) {}); err != nil {
 		t.Fatal(err)
 	}
 	// ...third must be shed.
-	err := sched.SubmitTo(nil, func(*Worker) {})
+	err := sched.SubmitTo(pool, func(*Worker) {})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expected ErrOverloaded, got %v", err)
 	}
@@ -284,7 +318,7 @@ func TestSchedulerDrainsOnClose(t *testing.T) {
 	var done atomic.Int64
 	const jobs = 20
 	for i := 0; i < jobs; i++ {
-		if err := sched.SubmitTo(nil, func(*Worker) { done.Add(1) }); err != nil {
+		if err := sched.SubmitTo(pool, func(*Worker) { done.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +326,7 @@ func TestSchedulerDrainsOnClose(t *testing.T) {
 	if done.Load() != jobs {
 		t.Errorf("ran %d of %d queued jobs before Close returned", done.Load(), jobs)
 	}
-	if err := sched.SubmitTo(nil, func(*Worker) {}); !errors.Is(err, ErrOverloaded) {
+	if err := sched.SubmitTo(pool, func(*Worker) {}); !errors.Is(err, ErrOverloaded) {
 		t.Errorf("SubmitTo after Close = %v, want ErrOverloaded", err)
 	}
 	sched.Close() // idempotent

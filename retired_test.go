@@ -80,6 +80,8 @@ var retiredNames = []retiredRow{
 		paths: goFiles, why: "profiles take the depth their served ops consume"},
 	{name: "one edge operator and client surface", pattern: `\bServer\.Drain\b|\.Drain\(|\bDraining\b|\bObsRegistry\b|\bRekeyWith\b|\bDialQKD\(|\bWriteChrome\b|\bSpanSum\b|\bCodeDraining\b|\bErrDraining\b|\bedge\.Dial\(`,
 		paths: goAndMarkdown, exclude: notesOrBench, why: "the drain, the zero-config dials, the explicit-material rekey, the registry accessor and the obs helpers only tests called stay retired"},
+	{name: "one session table", pattern: `\bNewStoreShards\b|\bDefaultShards\b|\bstoreShard\b|\bsessionTTL\b|\bObserveAdmission\b`,
+		paths: goFiles, exclude: notBench, why: "the store is one exact LRU under one lock, and telemetry lives as long as the store keeps the session, not for an idle TTL"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
