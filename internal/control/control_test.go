@@ -16,6 +16,7 @@ import (
 	"quhe/internal/costmodel"
 	"quhe/internal/edge"
 	"quhe/internal/he/profile"
+	"quhe/internal/obs"
 	"quhe/internal/qkd"
 	"quhe/internal/qnet"
 	"quhe/internal/serve"
@@ -228,7 +229,7 @@ func TestEvictedSessionLeavesPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := serve.NewStore(2)
-	ctl.BindServe(nil, store)
+	ctl.BindServe(nil, store, obs.NewRegistry())
 	register := func(id string) {
 		t.Helper()
 		if err := store.Register(serve.NewSession(id, profile.IDLambda32k, nil, nil, nil, nil)); err != nil {

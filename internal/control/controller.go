@@ -3,7 +3,6 @@ package control
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -33,7 +32,9 @@ const (
 	withdrawBytes = serve.RekeyWithdrawBytes
 )
 
-// Config parameterizes a Controller.
+// Config parameterizes a Controller. It holds what the planner solves
+// over and nothing about where it reports: the instruments go on the
+// registry of the edge server that binds the controller (BindServe).
 type Config struct {
 	// Network is the QKD topology whose routes the allocation is solved
 	// over. Required.
@@ -42,9 +43,6 @@ type Config struct {
 	// (ProvisionFromAllocation) and consulted for projected key
 	// consumption at admission time.
 	KeyCenter *qkd.KeyCenter
-	// ClientID maps a 0-based route index to its key-centre client ID.
-	// Default "client-<route+1>", matching qkd.ProvisionFromAllocation.
-	ClientID func(route int) string
 	// RouteOf maps a session ID to the 0-based route serving it. Default:
 	// FNV-1a hash of the ID modulo the route count.
 	RouteOf func(sessionID string) int
@@ -61,24 +59,20 @@ type Config struct {
 	MaxSessions int
 	// Interval is the replanning period of Start. Default 1s.
 	Interval time.Duration
-	// Metrics, when set, receives the control plane's instrumentation:
-	// replan durations and counts, plan-delta counters, and key-centre
-	// stock/flow series. Nil disables control-plane metrics.
-	Metrics *obs.Registry
-	// Logf sinks diagnostics; nil discards them.
-	Logf func(format string, args ...interface{})
 }
 
 func (c Config) withDefaults() Config {
-	if c.ClientID == nil {
-		c.ClientID = func(route int) string { return fmt.Sprintf("client-%d", route+1) }
-	}
 	if c.RouteOf == nil {
 		routes := uint32(c.Network.NumRoutes())
 		c.RouteOf = func(sessionID string) int {
-			h := fnv.New32a()
-			h.Write([]byte(sessionID))
-			return int(h.Sum32() % routes)
+			// FNV-1a, spelled out: hash/fnv's hasher escapes to the heap
+			// once New inlines this function, and Replan routes every
+			// session on every call.
+			h := uint32(2166136261)
+			for i := 0; i < len(sessionID); i++ {
+				h = (h ^ uint32(sessionID[i])) * 16777619
+			}
+			return int(h % routes)
 		}
 	}
 	if len(c.LambdaSet) == 0 {
@@ -90,9 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...interface{}) {}
-	}
 	return c
 }
 
@@ -100,13 +91,12 @@ func (c Config) withDefaults() Config {
 // optimization program: it periodically re-solves the utility-cost
 // allocation over the live Snapshot and publishes a Plan that the edge
 // server's admission and rekey-budget hooks read lock-free. It implements
-// the edge server's control-plane interface (BindServe / AdmitSession /
-// AdmitCompute / RekeyBudget / ObserveCompute).
+// the edge server's control-plane interface (edge.Controller).
 type Controller struct {
 	cfg    Config
 	tel    *Telemetry
-	met    *controlObs // nil when Config.Metrics is unset
-	stage1 qnet.Stage1 // the rate-allocation program P2 over cfg.Network at phiMin
+	met    atomic.Pointer[controlObs] // on the server's registry, from BindServe on
+	stage1 qnet.Stage1                // the rate-allocation program P2 over cfg.Network at phiMin
 
 	plan   atomic.Pointer[Plan]
 	seq    atomic.Uint64
@@ -145,20 +135,19 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{cfg: cfg, tel: NewTelemetry(), stage1: stage1, stop: make(chan struct{})}
-	if cfg.Metrics != nil {
-		c.met = newControlObs(cfg.Metrics, cfg.KeyCenter)
-	}
 	if _, err := c.Replan(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// controlObs is the control plane's instrument set on the shared obs
-// registry: replan timing, plan-delta counters and key-centre series.
+// controlObs is the control plane's instrument set on the edge server's
+// registry: replan timing and failures, plan-delta counters and
+// key-centre series.
 type controlObs struct {
 	replanSeconds  *obs.Histogram
 	replans        *obs.Counter
+	replanFailures *obs.Counter
 	capacityShifts *obs.Counter
 	budgetShifts   *obs.Counter
 	routeShifts    *obs.Counter
@@ -168,6 +157,7 @@ func newControlObs(reg *obs.Registry, kc *qkd.KeyCenter) *controlObs {
 	m := &controlObs{
 		replanSeconds:  reg.Histogram("quhe_control_replan_seconds", "control-loop replan duration"),
 		replans:        reg.Counter("quhe_control_replans_total", "completed replans"),
+		replanFailures: reg.Counter("quhe_control_replan_failures_total", "replans of the periodic loop that failed"),
 		capacityShifts: reg.Counter("quhe_control_plan_changes_total", "plan deltas by changed field", "field", "admit_capacity"),
 		budgetShifts:   reg.Counter("quhe_control_plan_changes_total", "", "field", "rekey_budget"),
 		routeShifts:    reg.Counter("quhe_control_plan_changes_total", "", "field", "route_profile"),
@@ -222,7 +212,7 @@ func newControlObs(reg *obs.Registry, kc *qkd.KeyCenter) *controlObs {
 // replans — a flapping route profile or admission capacity shows up as a
 // rate here long before it shows up as client-visible churn.
 func (m *controlObs) observePlanDelta(prev, next *Plan) {
-	if m == nil || prev == nil || next == nil {
+	if prev == nil {
 		return
 	}
 	if prev.AdmitCapacity != next.AdmitCapacity {
@@ -239,14 +229,13 @@ func (m *controlObs) observePlanDelta(prev, next *Plan) {
 // Plan returns the current plan (never nil after New).
 func (c *Controller) Plan() *Plan { return c.plan.Load() }
 
-// PlanJSON returns the current plan as a JSON-marshalable value — the
-// hook the edge server's /debug/plan endpoint type-asserts for, kept off
-// the Controller interface so test fakes stay small.
+// PlanJSON returns the current plan as a JSON-marshalable value — what
+// the edge server's /debug/plan renders.
 func (c *Controller) PlanJSON() any { return c.plan.Load() }
 
 // LedgerJSON returns the key centre's key-flow ledger snapshot, nil when
-// no ledger is attached — the hook behind the edge server's
-// /debug/keyledger, optional like PlanJSON.
+// no ledger is attached — what the edge server's /debug/keyledger
+// renders.
 func (c *Controller) LedgerJSON() any {
 	if kc := c.cfg.KeyCenter; kc != nil {
 		if l := kc.KeyLedger(); l != nil {
@@ -272,7 +261,9 @@ func (c *Controller) Start() {
 				return
 			case <-ticker.C:
 				if _, err := c.Replan(); err != nil {
-					c.cfg.Logf("control: replan: %v", err)
+					if m := c.met.Load(); m != nil {
+						m.replanFailures.Inc()
+					}
 				}
 			}
 		}
@@ -340,7 +331,7 @@ func (c *Controller) Replan() (*Plan, error) {
 	// admission capacity (never above the built ceiling), so the plan is
 	// enforced by the runtime itself, not only advised at admission time.
 	if c.cfg.KeyCenter != nil {
-		if err := c.cfg.KeyCenter.ProvisionFromAllocation(c.cfg.Network, phi, w, c.cfg.ClientID); err != nil {
+		if err := c.cfg.KeyCenter.ProvisionFromAllocation(c.cfg.Network, phi, w); err != nil {
 			return nil, fmt.Errorf("control: provision: %w", err)
 		}
 	}
@@ -360,16 +351,12 @@ func (c *Controller) Replan() (*Plan, error) {
 		}
 	}
 
-	prev := c.plan.Load()
-	c.plan.Store(plan)
-	if c.met != nil {
-		c.met.replans.Inc()
-		c.met.replanSeconds.Observe(time.Since(replanStart).Seconds())
-		c.met.observePlanDelta(prev, plan)
+	prev := c.plan.Swap(plan)
+	if m := c.met.Load(); m != nil {
+		m.replans.Inc()
+		m.replanSeconds.Observe(time.Since(replanStart).Seconds())
+		m.observePlanDelta(prev, plan)
 	}
-	c.cfg.Logf("control: plan %d: lnU=%.3f budget=%d capacity=%d demand=%.0fB/s sessions=%d routes=%v",
-		plan.Seq, plan.LogUtility, plan.DefaultRekeyBudget,
-		plan.AdmitCapacity, plan.DemandBytesPerSec, len(snap.Sessions), plan.RouteProfile)
 	return plan, nil
 }
 
@@ -509,14 +496,17 @@ func (c *Controller) admitCapacity() int {
 
 // --- edge control-plane hooks ----------------------------------------------
 
-// BindServe attaches the scheduler (queue occupancy and depth actuation)
-// and captures the store for live session-cap actuation (called by the
-// edge server at construction).
-func (c *Controller) BindServe(sched *serve.Scheduler, store *serve.Store) {
+// BindServe attaches the scheduler (queue occupancy and depth actuation),
+// captures the store for live session-cap actuation and builds the
+// control plane's instruments on the server's registry (called by the
+// edge server at construction). Replans from then on are counted and
+// timed there, and the key centre's stock and flow read from there.
+func (c *Controller) BindServe(sched *serve.Scheduler, store *serve.Store, reg *obs.Registry) {
 	c.tel.BindServe(sched, store)
 	if store != nil {
 		c.storeCeiling.Store(int64(store.MaxSessions()))
 	}
+	c.met.Store(newControlObs(reg, c.cfg.KeyCenter))
 }
 
 // NegotiateProfile resolves the security profile a new session should
@@ -649,8 +639,7 @@ func (c *Controller) ObserveCompute(sessionID string, bytes int64, latency time.
 }
 
 // ObserveRotations records the hoisted Galois rotations a served matvec
-// block carried (the edge server calls this through its optional
-// RotationObserver hook). The rotation intensity feeds the λ choice: a
+// block carried. The rotation intensity feeds the λ choice: a
 // rotation-heavy route pays its key-switch work in the planner's delay
 // term.
 func (c *Controller) ObserveRotations(sessionID string, n int) {

@@ -74,6 +74,14 @@
 // fully shed session keeps registering load instead of collapsing to the
 // idle default budget.
 //
+// Observe. BindServe builds the control plane's instruments on the edge
+// server's registry, so every served controller is instrumented: replan
+// counts, timings and loop failures (quhe_control_*), plan deltas, and
+// with a key centre its stock and flow (quhe_qkd_*, quhe_keyledger_*).
+// The instrument set is published atomically, so a Start loop running
+// before the server binds is safe; a controller no server binds records
+// nothing.
+//
 // A nil controller on edge.ServerConfig.Control disables the whole loop
 // and restores the static pre-control behavior bit-for-bit; the compat
 // tests in internal/edge pin that.

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"quhe/internal/obs"
 	"quhe/internal/qkd"
 	"quhe/internal/serve"
 )
@@ -165,11 +164,9 @@ func TestChaosMatrix(t *testing.T) {
 // without a new QKD withdrawal — the whole point of resume: reconnect cost
 // is one challenge-MAC round trip, not a key ceremony.
 func TestResumeRoundTrip(t *testing.T) {
-	reg := obs.NewRegistry()
 	srv := chaosServer(t, ServerConfig{
 		IdleTimeout:  2 * time.Second,
 		ResumeWindow: 10 * time.Second,
-		Obs:          reg,
 	})
 	kc := qkd.NewKeyCenter()
 	if err := kc.Provision("resume-rt", 1000); err != nil {
@@ -219,7 +216,7 @@ func TestResumeRoundTrip(t *testing.T) {
 		t.Errorf("reconnects/resumes = %d/%d, want ≥1 each", st.Reconnects, st.Resumes)
 	}
 	// The server counts the grant too, on the series operators scrape.
-	if got := reg.Counter("quhe_resumes_total", "").Value(); got < 1 {
+	if got := srv.met.resumes.Value(); got < 1 {
 		t.Errorf("quhe_resumes_total = %d, want ≥1", got)
 	}
 	if got := kc.Counters().Withdrawals; got != withdrawals {

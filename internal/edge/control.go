@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"quhe/internal/obs"
 	"quhe/internal/serve"
 )
 
@@ -20,10 +21,12 @@ import (
 type Controller interface {
 	// BindServe attaches the server's scheduler and session store so the
 	// control plane can read their utilization gauges and actuate its
-	// plan (live queue-depth and session-cap resizing). Called once from
-	// NewServer before any traffic; store may be consulted for its built
-	// capacity ceiling.
-	BindServe(sched *serve.Scheduler, store *serve.Store)
+	// plan (live queue-depth and session-cap resizing), and the server's
+	// metrics registry, which carries the control plane's series on the
+	// same /metrics page as the server's. Called once from NewServer
+	// before any traffic; store may be consulted for its built capacity
+	// ceiling.
+	BindServe(sched *serve.Scheduler, store *serve.Store, reg *obs.Registry)
 	// NegotiateProfile resolves the security profile a new session should
 	// run: requested "" lets the active plan steer (the per-route λ
 	// choice); a concrete ID is granted, downgraded to the plan's profile
@@ -49,15 +52,17 @@ type Controller interface {
 	// ObserveCompute records one block's outcome: masked payload bytes,
 	// evaluation latency and the resulting code.
 	ObserveCompute(sessionID string, bytes int64, latency time.Duration, code serve.Code)
-}
-
-// RotationObserver is an optional Controller extension: control planes
-// that implement it receive the hoisted Galois rotation count of every
-// served matvec block (alongside the block's ObserveCompute), so the
-// rotation intensity can feed the planner's delay models. Controllers
-// without it simply see matvec traffic as bytes.
-type RotationObserver interface {
+	// ObserveRotations records the hoisted Galois rotation count of a
+	// served matvec block, alongside its ObserveCompute, so the rotation
+	// intensity can feed the planner's delay models.
 	ObserveRotations(sessionID string, n int)
+	// PlanJSON returns the live plan as a JSON-marshalable value, what
+	// the debug plane renders at /debug/plan.
+	PlanJSON() any
+	// LedgerJSON returns the key-flow ledger's snapshot of the control
+	// plane's key centre (nil for none), what the debug plane renders at
+	// /debug/keyledger. The server never sees QKD withdrawals itself.
+	LedgerJSON() any
 }
 
 // controlDetail extracts the human-readable detail of a typed control

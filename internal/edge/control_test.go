@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"quhe/internal/he/profile"
+	"quhe/internal/obs"
 	"quhe/internal/serve"
 )
 
@@ -37,8 +38,8 @@ type fakeControl struct {
 	sessions   sync.Map // sessionID -> profileID from ObserveSession
 }
 
-func (f *fakeControl) BindServe(sched *serve.Scheduler, store *serve.Store) {
-	if sched != nil && store != nil {
+func (f *fakeControl) BindServe(sched *serve.Scheduler, store *serve.Store, reg *obs.Registry) {
+	if sched != nil && store != nil && reg != nil {
 		f.bound.Store(true)
 	}
 }
@@ -95,6 +96,12 @@ func (f *fakeControl) ObserveCompute(sessionID string, bytes int64, latency time
 	f.lastBytes.Store(bytes)
 	f.lastCode.Store(int64(code))
 }
+
+func (f *fakeControl) ObserveRotations(sessionID string, n int) {}
+
+func (f *fakeControl) PlanJSON() any { return nil }
+
+func (f *fakeControl) LedgerJSON() any { return nil }
 
 func startControlledServer(t *testing.T, ctl Controller, cfg ServerConfig) *Server {
 	t.Helper()

@@ -254,10 +254,14 @@
 // gauges, compute outcomes by code, scheduler queue depth/sheds, session
 // and rekey counters, NTT inline-degradation and QKD flow counters via
 // the control plane) plus a per-block tracer on the per-block op path —
-// every block's stage spans, ring-buffered per session, dumpable as
-// chrome://tracing JSON. Instrumentation is always on — there is no bare
-// serving path — and ServerConfig.Obs shares one registry between the
-// server and a control plane so a single scrape shows the whole loop.
+// every block's stage spans, ring-buffered per session for the 1024
+// sessions recorded most recently (a new session evicts the least recent
+// one's ring), dumpable as chrome://tracing JSON. Instrumentation is
+// always on — there is no bare serving path, and no switch for it. Each
+// server owns one registry and hands it to its Controller at
+// construction (BindServe), so a controlled server's single scrape shows
+// the whole loop: replans, plan deltas and key-centre stock beside the
+// serving series.
 //
 // Tracing is distributed and causal. A client armed with
 // DialConfig.Tracer mints a per-block trace context (trace ID, root
@@ -283,9 +287,9 @@
 // text format, /debug/pprof/*, /debug/trace (filterable by ?session=
 // and ?limit=, 400 on malformed parameters), /debug/slo (availability
 // and per-profile latency attainment with multi-window burn rates),
-// and /debug/plan and /debug/keyledger rendering the controller's live
-// plan and its key centre's per-cause QKD withdrawal ledger when the
-// attached Controller implements PlanJSON and LedgerJSON. Security
+// and, with a Controller attached, /debug/plan and /debug/keyledger
+// rendering its live plan and its key centre's per-cause QKD withdrawal
+// ledger (Controller.PlanJSON and LedgerJSON). Security
 // posture: the plane is off unless configured, and it serves operational
 // internals — latency profiles, session counts, live pprof — without
 // authentication, so bind it to loopback (or a trusted scrape network)

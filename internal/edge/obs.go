@@ -24,7 +24,8 @@ const (
 // serverObs is the edge server's instrument set: every counter, gauge
 // and histogram the serving path touches, resolved once at construction
 // so hot-path updates are pure atomics on held pointers. Every server
-// has one: the instrumented path is the only serving path.
+// has one, on a registry of its own that it also hands to its Controller:
+// the instrumented path is the only serving path.
 type serverObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -84,7 +85,8 @@ const (
 	stageIdxWrite
 )
 
-func newServerObs(reg *obs.Registry, s *Server) *serverObs {
+func newServerObs(s *Server) *serverObs {
+	reg := obs.NewRegistry()
 	m := &serverObs{
 		reg:             reg,
 		tracer:          obs.NewTracer(0, 0),
@@ -135,9 +137,6 @@ func newServerObs(reg *obs.Registry, s *Server) *serverObs {
 	})
 	reg.CounterFunc("quhe_ring_inline_degradations_total", "NTT fan-out tasks run inline on a saturated worker pool", func() float64 {
 		return float64(ring.InlineDegradations())
-	})
-	reg.CounterFunc("quhe_trace_dropped_total", "block traces dropped by the tracer session cap", func() float64 {
-		return float64(m.tracer.Dropped())
 	})
 	s.sched.OnQueueWait(func(d time.Duration) { m.queueWait.Observe(d.Seconds()) })
 	return m

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"quhe/internal/control"
-	"quhe/internal/obs"
 	"quhe/internal/qkd"
 	"quhe/internal/qnet"
 )
@@ -215,12 +214,11 @@ func getDebug(t *testing.T, addr, path string) string {
 	return string(body)
 }
 
-// TestDebugPlanWithController shares one registry between the edge
-// server and a real control plane and checks the combined /metrics page,
-// /debug/plan rendering the controller's live plan and /debug/keyledger
-// rendering its key centre's ledger after one QKD-provisioned session.
+// TestDebugPlanWithController serves a real control plane and checks
+// that the server's /metrics page carries its series, /debug/plan renders
+// its live plan and /debug/keyledger its key centre's ledger after one
+// QKD-provisioned session.
 func TestDebugPlanWithController(t *testing.T) {
-	reg := obs.NewRegistry()
 	kc := qkd.NewKeyCenter()
 	kc.AttachLedger(qkd.NewLedger())
 	// Funded before the controller's first plan, which sizes admission
@@ -231,14 +229,13 @@ func TestDebugPlanWithController(t *testing.T) {
 	if _, err := kc.RunExchange("ledger-sess", 0.97, 8192, 3); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := control.New(control.Config{Network: qnet.SURFnet(), Metrics: reg, KeyCenter: kc})
+	ctl, err := control.New(control.Config{Network: qnet.SURFnet(), KeyCenter: kc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		Model:     Model{Weights: []float64{1}},
 		Control:   ctl,
-		Obs:       reg,
 		DebugAddr: "127.0.0.1:0",
 	})
 	if err != nil {
@@ -253,13 +250,16 @@ func TestDebugPlanWithController(t *testing.T) {
 	if _, err := client.Compute(0, []float64{0.5}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ctl.Replan(); err != nil {
+		t.Fatal(err)
+	}
 
 	m := scrapeMetrics(t, srv.DebugAddr())
 	if m["quhe_control_replans_total"] < 1 {
-		t.Error("shared registry must carry the control plane's series")
+		t.Error("the server's registry must carry the control plane's series")
 	}
 	if _, ok := m["quhe_qkd_stock_bytes"]; !ok {
-		t.Error("shared registry must carry the key-centre stock gauge")
+		t.Error("the server's registry must carry the key-centre stock gauge")
 	}
 	if key := `quhe_keyledger_withdrawals_total{cause="setup"}`; m[key] < 1 {
 		t.Errorf("%s = %g, want ≥ 1", key, m[key])
@@ -278,5 +278,34 @@ func TestDebugPlanWithController(t *testing.T) {
 	}
 	if len(snap.Recent) == 0 || snap.Recent[0].Session != "ledger-sess" || snap.Recent[0].Cause != qkd.CauseSetup {
 		t.Errorf("/debug/keyledger must open with the session's setup withdrawal, got %+v", snap.Recent)
+	}
+}
+
+// TestControlSeriesOnServerRegistry: a served controller is instrumented
+// with nothing but the wiring production uses — a controller with a key
+// centre and a server with no registry of its own handed in. One replan
+// later the server's registry carries the replan and key-stock series.
+func TestControlSeriesOnServerRegistry(t *testing.T) {
+	ctl, err := control.New(control.Config{Network: qnet.SURFnet(), KeyCenter: qkd.NewKeyCenter()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startControlledServer(t, ctl, ServerConfig{})
+	if _, err := ctl.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := srv.met.reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	for _, want := range []string{
+		"quhe_control_replans_total 1",
+		"quhe_control_replan_seconds_count 1",
+		"quhe_qkd_stock_bytes ",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("the server's registry lacks %q", want)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"quhe/internal/he/profile"
-	"quhe/internal/obs"
 	"quhe/internal/serve"
 )
 
@@ -205,8 +204,7 @@ func TestDialFailsAgainstForeignListener(t *testing.T) {
 // version's hello, garbage, a well-formed non-hello frame — is closed
 // without an ack, registers nothing, reaches no worker, and is counted.
 func TestStalePeersFailClosed(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Model: Model{Weights: []float64{1}}, Obs: reg})
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Model: Model{Weights: []float64{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +233,10 @@ func TestStalePeersFailClosed(t *testing.T) {
 		conn.Close()
 	}
 	checkSessions(t, srv, "after stale and foreign openers", 0)
-	if got := reg.Counter("quhe_wire_protocol_mismatch_total", "").Value(); got != int64(len(openers)) {
+	if got := srv.met.protoMismatches.Value(); got != int64(len(openers)) {
 		t.Errorf("protocol mismatch counter = %d, want %d", got, len(openers))
 	}
-	if got := reg.Histogram("quhe_serve_queue_wait_seconds", "").Snapshot().Count; got != 0 {
+	if got := srv.met.queueWait.Snapshot().Count; got != 0 {
 		t.Errorf("stale peers put %d jobs through the scheduler", got)
 	}
 	// The server is unharmed: a current client still dials and computes.

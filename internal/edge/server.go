@@ -40,7 +40,11 @@ type Model struct {
 	MatrixBias []float64
 }
 
-// ServerConfig parameterizes the edge server.
+// ServerConfig parameterizes the edge server. It has no observability
+// options: every server builds its own metrics registry and tracer,
+// instruments its whole serving path on them, and hands the registry to
+// its Control plane (Controller.BindServe); DebugAddr only decides whether
+// they are reachable over HTTP.
 type ServerConfig struct {
 	// Model is the inference applied to every block.
 	Model Model
@@ -85,10 +89,6 @@ type ServerConfig struct {
 	// loopback ("127.0.0.1:0") unless the scrape network is trusted — the
 	// plane serves operational internals without authentication.
 	DebugAddr string
-	// Obs is the metrics registry the server publishes into. Nil creates
-	// a private registry; pass a shared one to combine server and
-	// control-plane series on a single /metrics page.
-	Obs *obs.Registry
 	// IdleTimeout bounds how long a connection may sit with no inbound
 	// frames and no in-flight work before the server closes it: half-dead
 	// peers release their sessions back to resumable state instead of
@@ -299,11 +299,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("edge: default profile: %w", err)
 	}
 	s.sched = serve.NewScheduler(def.pool, cfg.QueueDepth)
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	s.met = newServerObs(reg, s)
+	s.met = newServerObs(s)
 	s.publishRuntime(def)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -313,7 +309,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	s.listener = ln
 	s.conns = make(map[net.Conn]*connState)
 	if cfg.Control != nil {
-		cfg.Control.BindServe(s.sched, s.store)
+		cfg.Control.BindServe(s.sched, s.store, s.met.reg)
 	}
 	if cfg.DebugAddr != "" {
 		dcfg := obs.DebugConfig{
@@ -321,15 +317,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 			Tracer:   s.met.tracer,
 			SLO:      s.met.sloSnapshot,
 		}
-		// The Controller interface stays minimal; controllers that can
-		// render their plan or their key centre's ledger opt into
-		// /debug/plan and /debug/keyledger by implementing PlanJSON and
-		// LedgerJSON. The server never sees QKD withdrawals itself.
-		if pj, ok := cfg.Control.(interface{ PlanJSON() any }); ok {
-			dcfg.Plan = pj.PlanJSON
-		}
-		if lj, ok := cfg.Control.(interface{ LedgerJSON() any }); ok {
-			dcfg.KeyLedger = lj.LedgerJSON
+		if cfg.Control != nil {
+			dcfg.Plan = cfg.Control.PlanJSON
+			dcfg.KeyLedger = cfg.Control.LedgerJSON
 		}
 		ds, err := obs.ServeDebug(cfg.DebugAddr, dcfg)
 		if err != nil {
@@ -1292,12 +1282,8 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 	d := time.Since(start)
 	if ctl != nil {
 		ctl.ObserveCompute(sess.ID, pending, d, code)
-		// Control planes that track rotation intensity price the
-		// block's key-switch work in the planner's delay term.
 		if rots > 0 {
-			if ro, ok := ctl.(RotationObserver); ok {
-				ro.ObserveRotations(sess.ID, rots)
-			}
+			ctl.ObserveRotations(sess.ID, rots)
 		}
 	}
 	s.met.observeEval(rt.prof.ID, d)

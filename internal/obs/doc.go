@@ -75,8 +75,10 @@
 // start at eight slots and double up to the per-session bound, then keep
 // the newest traces; Dump and DumpFiltered copy the ring
 // contents out but share the recorded Spans slices, so dumped traces
-// are read-only. The session ring count is capped; traces beyond the
-// cap are dropped and counted, never buffered unboundedly.
+// are read-only. The session ring count is capped exactly, as
+// serve.Store caps sessions: a trace for a new session at the cap evicts
+// the ring of the least recently recorded session, so the tracer never
+// refuses a trace and never grows without bound.
 //
 // # Debug plane security posture
 //

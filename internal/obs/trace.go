@@ -1,13 +1,13 @@
 package obs
 
 import (
+	"container/list"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -113,10 +113,11 @@ const ringFirstSlots = 8
 // up to max traces, then the newest max survive and older ones are
 // overwritten in place.
 type spanRing struct {
-	mu   sync.Mutex
-	buf  []BlockTrace
-	max  int
-	next int // the oldest slot, once buf holds max traces
+	session string
+	mu      sync.Mutex
+	buf     []BlockTrace
+	max     int
+	next    int // the oldest slot, once buf holds max traces
 }
 
 func (rg *spanRing) record(bt BlockTrace) {
@@ -143,12 +144,14 @@ func (rg *spanRing) snapshot() []BlockTrace {
 	return append(out, rg.buf[:rg.next]...)
 }
 
-// Tracer collects BlockTraces into per-session ring buffers. Recording
-// takes one short per-session mutex (never shared across sessions on the
-// hot path) and no allocation beyond the caller-built trace; dumps copy
-// everything out, so a dump never blocks recording for long. The session
-// ring count is capped: traces for sessions beyond the cap are counted
-// as dropped rather than growing the tracer without bound.
+// Tracer collects BlockTraces into per-session ring buffers, one map and
+// one LRU list under one lock, the shape of serve.Store. Recording takes
+// that lock for a lookup and a list move, then one short per-session
+// mutex, and allocates nothing for a session that already has a ring;
+// dumps copy everything out, so a dump never blocks recording for long.
+// The session ring count is capped exactly: a trace for a new session at
+// the cap evicts the ring of the least recently recorded session, so the
+// tracer always holds the sessions that served last.
 //
 // Buffer ownership: Record takes ownership of the trace's Spans slice —
 // the caller must not reuse or mutate it afterwards (build a fresh slice
@@ -159,9 +162,8 @@ type Tracer struct {
 	maxSessions int
 
 	mu    sync.Mutex
-	rings map[string]*spanRing
-
-	dropped atomic.Int64
+	rings map[string]*list.Element
+	lru   *list.List // front = most recently recorded; values are *spanRing
 }
 
 // NewTracer builds a tracer keeping the last perSession traces (≤ 0:
@@ -176,30 +178,35 @@ func NewTracer(perSession, maxSessions int) *Tracer {
 	return &Tracer{
 		perSession:  perSession,
 		maxSessions: maxSessions,
-		rings:       make(map[string]*spanRing),
+		rings:       make(map[string]*list.Element),
+		lru:         list.New(),
 	}
 }
 
-// Record stores one block trace, taking ownership of bt.Spans. Traces
-// for new sessions past the session cap are dropped (and counted).
+// Record stores one block trace, taking ownership of bt.Spans. A new
+// session at the session cap evicts the least recently recorded one.
 func (t *Tracer) Record(bt BlockTrace) {
 	t.mu.Lock()
-	rg := t.rings[bt.Session]
-	if rg == nil {
+	el := t.rings[bt.Session]
+	if el != nil {
+		t.lru.MoveToFront(el)
+	} else {
 		if len(t.rings) >= t.maxSessions {
-			t.mu.Unlock()
-			t.dropped.Add(1)
-			return
+			oldest := t.lru.Back()
+			t.lru.Remove(oldest)
+			delete(t.rings, oldest.Value.(*spanRing).session)
 		}
-		rg = &spanRing{buf: make([]BlockTrace, 0, min(ringFirstSlots, t.perSession)), max: t.perSession}
-		t.rings[bt.Session] = rg
+		el = t.lru.PushFront(&spanRing{
+			session: bt.Session,
+			buf:     make([]BlockTrace, 0, min(ringFirstSlots, t.perSession)),
+			max:     t.perSession,
+		})
+		t.rings[bt.Session] = el
 	}
+	rg := el.Value.(*spanRing)
 	t.mu.Unlock()
 	rg.record(bt)
 }
-
-// Dropped counts traces discarded by the session cap.
-func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
 
 // Dump returns every buffered trace, ordered by start time.
 func (t *Tracer) Dump() []BlockTrace { return t.DumpFiltered("", 0) }
@@ -211,12 +218,12 @@ func (t *Tracer) DumpFiltered(session string, limit int) []BlockTrace {
 	t.mu.Lock()
 	rings := make([]*spanRing, 0, len(t.rings))
 	if session != "" {
-		if rg := t.rings[session]; rg != nil {
-			rings = append(rings, rg)
+		if el := t.rings[session]; el != nil {
+			rings = append(rings, el.Value.(*spanRing))
 		}
 	} else {
-		for _, rg := range t.rings {
-			rings = append(rings, rg)
+		for el := t.lru.Front(); el != nil; el = el.Next() {
+			rings = append(rings, el.Value.(*spanRing))
 		}
 	}
 	t.mu.Unlock()

@@ -60,13 +60,13 @@ func TestRingGrowsWithUse(t *testing.T) {
 	for i := uint32(0); i < 5; i++ {
 		tr.Record(mkTrace("short", i, base.Add(time.Duration(i)*time.Second)))
 	}
-	if c := cap(tr.rings["short"].buf); c > 8 {
+	if c := cap(ringOf(tr, "short").buf); c > 8 {
 		t.Errorf("a 5-trace session's ring holds %d slots, want ≤ 8", c)
 	}
 	tr = NewTracer(20, 0)
 	for i := uint32(0); i < 50; i++ {
 		tr.Record(mkTrace("long", i, base.Add(time.Duration(i)*time.Second)))
-		if c := cap(tr.rings["long"].buf); c > 20 {
+		if c := cap(ringOf(tr, "long").buf); c > 20 {
 			t.Fatalf("ring grew to %d slots past its bound of 20", c)
 		}
 	}
@@ -81,22 +81,51 @@ func TestRingGrowsWithUse(t *testing.T) {
 	}
 }
 
-func TestSessionCapDrops(t *testing.T) {
+// ringOf returns a session's ring, nil when the tracer holds none.
+func ringOf(tr *Tracer, session string) *spanRing {
+	if el := tr.rings[session]; el != nil {
+		return el.Value.(*spanRing)
+	}
+	return nil
+}
+
+// TestTracerEvictsLeastRecentSession: at the session cap a new session's
+// trace evicts the ring of the session recorded least recently, never
+// the new trace, and recording into a held ring allocates nothing.
+func TestTracerEvictsLeastRecentSession(t *testing.T) {
 	tr := NewTracer(2, 3)
 	base := time.Unix(0, 0)
-	for i := 0; i < 5; i++ {
-		tr.Record(mkTrace(fmt.Sprintf("s%d", i), 0, base.Add(time.Duration(i)*time.Second)))
+	for i, id := range []string{"s0", "s1", "s2", "s0", "s3"} {
+		tr.Record(mkTrace(id, uint32(i), base.Add(time.Duration(i)*time.Second)))
 	}
-	if got := tr.Dropped(); got != 2 {
-		t.Fatalf("Dropped = %d, want 2", got)
+	if got := len(tr.rings); got != 3 {
+		t.Fatalf("tracer holds %d rings, want 3", got)
 	}
-	if got := len(tr.Dump()); got != 3 {
-		t.Fatalf("Dump kept %d traces, want 3", got)
+	if got := tr.DumpFiltered("s1", 0); len(got) != 0 {
+		t.Errorf("s1, recorded least recently, kept %d traces; want it evicted", len(got))
 	}
-	// Existing sessions keep recording past the cap.
-	tr.Record(mkTrace("s0", 1, base.Add(10*time.Second)))
-	if got := tr.Dropped(); got != 2 {
-		t.Fatalf("recording into an existing session must not drop (Dropped=%d)", got)
+	for id, want := range map[string]int{"s0": 2, "s2": 1, "s3": 1} {
+		if got := len(tr.DumpFiltered(id, 0)); got != want {
+			t.Errorf("%s: %d traces dumped, want %d", id, got, want)
+		}
+	}
+	bt := mkTrace("s3", 9, base)
+	if allocs := testing.AllocsPerRun(100, func() { tr.Record(bt) }); allocs != 0 {
+		t.Errorf("recording into a held ring allocated %.0f times, want 0", allocs)
+	}
+
+	tr = NewTracer(0, 0)
+	for i := 0; i < 1030; i++ {
+		tr.Record(mkTrace(fmt.Sprintf("sess-%d", i), 0, base.Add(time.Duration(i)*time.Millisecond)))
+	}
+	if got := len(tr.rings); got != 1024 {
+		t.Errorf("1030 sessions left %d rings, want the cap of 1024", got)
+	}
+	if got := tr.DumpFiltered("sess-1029", 0); len(got) != 1 {
+		t.Errorf("the last session dumped %d traces, want 1", len(got))
+	}
+	if got := tr.DumpFiltered("sess-5", 0); len(got) != 0 {
+		t.Errorf("sess-5, among the six oldest, kept %d traces", len(got))
 	}
 }
 

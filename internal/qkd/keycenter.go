@@ -3,6 +3,7 @@ package qkd
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,11 +212,9 @@ func (kc *KeyCenter) PoolStats() []PoolStat {
 //
 //	rate_n = φ_n · F_skf(̟_n)   [secret pairs ≈ bits per second],
 //
-// tying the key centre directly to the QuHE optimizer's output.
-func (kc *KeyCenter) ProvisionFromAllocation(net *qnet.Network, phi, w []float64, clientID func(route int) string) error {
-	if clientID == nil {
-		clientID = func(route int) string { return fmt.Sprintf("client-%d", route+1) }
-	}
+// tying the key centre directly to the QuHE optimizer's output. Route r's
+// client is "client-<r+1>".
+func (kc *KeyCenter) ProvisionFromAllocation(net *qnet.Network, phi, w []float64) error {
 	if len(phi) != net.NumRoutes() {
 		return fmt.Errorf("qkd: %d rates for %d routes", len(phi), net.NumRoutes())
 	}
@@ -225,7 +224,7 @@ func (kc *KeyCenter) ProvisionFromAllocation(net *qnet.Network, phi, w []float64
 			return err
 		}
 		rate := phi[r] * qnet.SecretKeyFraction(ew)
-		if err := kc.Provision(clientID(r), rate); err != nil {
+		if err := kc.Provision("client-"+strconv.Itoa(r+1), rate); err != nil {
 			return err
 		}
 	}

@@ -220,7 +220,7 @@ func TestProvisionFromAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	kc := NewKeyCenter()
-	if err := kc.ProvisionFromAllocation(net, phi, w, nil); err != nil {
+	if err := kc.ProvisionFromAllocation(net, phi, w); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < net.NumRoutes(); r++ {
@@ -237,7 +237,7 @@ func TestProvisionFromAllocation(t *testing.T) {
 			t.Errorf("route %d rate = %v, want %v", r+1, got, want)
 		}
 	}
-	if err := kc.ProvisionFromAllocation(net, phi[:2], w, nil); err == nil {
+	if err := kc.ProvisionFromAllocation(net, phi[:2], w); err == nil {
 		t.Error("short phi accepted")
 	}
 }

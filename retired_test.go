@@ -82,6 +82,10 @@ var retiredNames = []retiredRow{
 		paths: goAndMarkdown, exclude: notesOrBench, why: "the drain, the zero-config dials, the explicit-material rekey, the registry accessor and the obs helpers only tests called stay retired"},
 	{name: "one session table", pattern: `\bNewStoreShards\b|\bDefaultShards\b|\bstoreShard\b|\bsessionTTL\b|\bObserveAdmission\b`,
 		paths: goFiles, exclude: notBench, why: "the store is one exact LRU under one lock, and telemetry lives as long as the store keeps the session, not for an idle TTL"},
+	{name: "one observability plane", pattern: `\bRotationObserver\b|\bDropped\(\)|quhe_trace_dropped_total|\b(Metrics|Obs)\s+\*obs\.Registry|\b(Metrics|Obs):\s|\bcfg\.(Metrics|Obs|ClientID)\b|\bClientID\s+func\(|\bClientID:\s+func|\bclientID func\(route int\)`,
+		paths: goFiles, exclude: notBench, why: "control series go on the server's registry, the tracer evicts instead of dropping, and the optional controller hooks and the config fields nobody set stay retired"},
+	{name: "one observability plane: the planner has no log hook", pattern: `\bLogf\s+func|cfg\.Logf`,
+		paths: []string{"internal/control"}, why: "a failed replan is counted on the server's registry; nothing else in the planner was logged"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
