@@ -93,10 +93,13 @@ func (c Config) withDefaults() Config {
 // server's admission and rekey-budget hooks read lock-free. It implements
 // the edge server's control-plane interface (edge.Controller).
 type Controller struct {
-	cfg    Config
-	tel    *Telemetry
-	met    atomic.Pointer[controlObs] // on the server's registry, from BindServe on
-	stage1 qnet.Stage1                // the rate-allocation program P2 over cfg.Network at phiMin
+	cfg Config
+	tel *Telemetry
+	met atomic.Pointer[controlObs] // on the server's registry, from BindServe on
+	// stage1 is the rate allocation, P2 over cfg.Network at phiMin solved
+	// once by New: the program reads no telemetry, so every plan publishes
+	// this one solution, its Phi and W slices shared read-only.
+	stage1 qnet.Stage1Solution
 
 	plan   atomic.Pointer[Plan]
 	seq    atomic.Uint64
@@ -112,9 +115,11 @@ type Controller struct {
 	started  atomic.Bool
 }
 
-// New validates the configuration and builds a Controller with one initial
-// plan already solved (cold-start telemetry), so admission and budget
-// queries work before the first Start tick.
+// New validates the configuration, solves the Stage-1 rate allocation —
+// its inputs, the network and φ_min, are fixed here, so it is solved once
+// — and builds a Controller with one initial plan already published
+// (cold-start telemetry), so admission and budget queries work before the
+// first Start tick.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Network == nil {
 		return nil, errors.New("control: nil network")
@@ -134,7 +139,14 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, tel: NewTelemetry(), stage1: stage1, stop: make(chan struct{})}
+	// The rate allocation is the paper's Stage-1 program, solved by the
+	// paper's Algorithm 1 (qnet.Stage1.Solve, the call core.SolveStage1
+	// makes).
+	sol, err := stage1.Solve()
+	if err != nil {
+		return nil, fmt.Errorf("control: stage-1 solve: %w", err)
+	}
+	c := &Controller{cfg: cfg, tel: NewTelemetry(), stage1: sol, stop: make(chan struct{})}
 	if _, err := c.Replan(); err != nil {
 		return nil, err
 	}
@@ -278,8 +290,8 @@ func (c *Controller) Stop() {
 }
 
 // Replan runs one control iteration: snapshot telemetry, re-solve the
-// allocation and the per-route λ choice, derive budgets and capacity,
-// actuate the key centre, and publish the new plan atomically. Serialized
+// per-route λ choice over New's rate allocation, derive budgets and
+// capacity, actuate the key centre, and publish the new plan atomically. Serialized
 // internally; safe to call concurrently with the Start loop and with the
 // admission hooks.
 func (c *Controller) Replan() (*Plan, error) {
@@ -288,21 +300,13 @@ func (c *Controller) Replan() (*Plan, error) {
 	replanStart := time.Now()
 
 	snap := c.tel.Snapshot()
-
-	// The rate allocation is the paper's Stage-1 program, solved by the
-	// paper's Algorithm 1 (qnet.Stage1.Solve, the call core.SolveStage1
-	// makes).
-	sol, err := c.stage1.Solve()
-	if err != nil {
-		return nil, fmt.Errorf("control: stage-1 solve: %w", err)
-	}
-	phi, w := sol.Phi, sol.W
+	phi, w := c.stage1.Phi, c.stage1.W
 	plan := &Plan{
 		Seq:               c.seq.Add(1),
 		At:                snap.At,
 		Phi:               phi,
 		Werner:            w,
-		LogUtility:        sol.LogUtility,
+		LogUtility:        c.stage1.LogUtility,
 		RekeyBudget:       make(map[string]int64, len(snap.Sessions)),
 		DemandBytesPerSec: snap.DemandBytesPerSec,
 	}

@@ -27,11 +27,12 @@
 //   - Plan.Phi / Plan.Werner — the Stage-1 entanglement-rate allocation.
 //     The program (P2: −ln U_qkd of Eq. 6 under 17a/19a/20c, and its
 //     convex log-rate form P3) and its one solver, the paper's barrier
-//     method (Algorithm 1), live in internal/qnet/stage1.go; Replan calls
-//     qnet.Stage1.Solve at φ_min = 1e-2, the entry point core.SolveStage1
-//     reaches, and TestLiveStage1Pinned holds the result to the barrier
-//     optimum. Werner parameters are the capacity-saturating point w* of
-//     Eq. (18).
+//     method (Algorithm 1), live in internal/qnet/stage1.go. The program's
+//     inputs — the network and φ_min = 1e-2 — are fixed at New, and no
+//     telemetry enters it, so New calls qnet.Stage1.Solve once (the entry
+//     point core.SolveStage1 reaches) and every plan publishes that
+//     solution; TestLiveStage1Pinned holds it to the barrier optimum.
+//     Werner parameters are the capacity-saturating point w* of Eq. (18).
 //   - Plan.RouteLambda / Plan.RouteProfile — the CKKS degree chosen from
 //     the discrete set (17d), per route: the importance-weighted security
 //     utility α_msl·ς_n·f_msl(λ) (Eqs. 9, 30) traded against α_T·T_cmp

@@ -75,8 +75,10 @@ func TestControllerMetrics(t *testing.T) {
 
 // TestReplanInstrumentsAllocateNothing: binding the instruments adds no
 // allocation to a replan, which the churn workload runs on every op of
-// its first lane, and what a replan allocates per session it plans for
-// stays under one object, so routing a session allocates nothing.
+// its first lane; a replan at one session, which re-solves no Stage 1
+// (New fixes its inputs and solves it), stays within 32 allocations; and
+// what a replan allocates per session it plans for stays under one
+// object, so routing a session allocates nothing.
 func TestReplanInstrumentsAllocateNothing(t *testing.T) {
 	replanAllocs := func(bind bool, sessions int) float64 {
 		ctl, err := control.New(control.Config{Network: qnet.SURFnet(), KeyCenter: qkd.NewKeyCenter()})
@@ -100,6 +102,9 @@ func TestReplanInstrumentsAllocateNothing(t *testing.T) {
 	bare, bound := replanAllocs(false, 1), replanAllocs(true, 1)
 	if bound > bare {
 		t.Errorf("a replan allocates %.0f times with its instruments bound, %.0f without", bound, bare)
+	}
+	if bound > 32 {
+		t.Errorf("a replan at one session allocates %.0f times, want ≤ 32: is Stage 1 re-solved per replan?", bound)
 	}
 	many := replanAllocs(true, 65)
 	if many-bound > 64 {

@@ -68,7 +68,7 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x0b
+//	offset 2     version  0x0c
 //	offset 3     type     one of 12: hello; the requests setup, compute,
 //	                      matvec, rekey, profile, rotation keys and resume;
 //	                      the resume challenge and proof; and two replies,
@@ -110,7 +110,11 @@
 // gadget header (digit and limb counts, degree, the extended basis's
 // moduli), a 32-byte seed and its component-0 runs only; the uniform
 // component 1 is expanded from the seed by AES-256-CTR on decode, straight
-// into evaluation form. Setup carries the session ID, LogN and Depth, the
+// into evaluation form. Each key is as wide as the level the server
+// switches it at, which the profile derives (ckks.Context.RelinLevel and
+// GaloisLevel): the relinearization key is built for the transcipher's
+// squaring level, top−1, 3 digits × 4 limbs on the depth-3 chain, and a
+// Galois key for the matvec level, top−2, 2 digits × 3 limbs. Setup carries the session ID, LogN and Depth, the
 // relinearization key, the HE-encrypted transciphering key, the nonce,
 // Profile and ResumeAuth; the client's public key stays with the client,
 // the only party that encrypts under it.
@@ -120,12 +124,12 @@
 // Horner's rule, each step a rotation by n1, so the rotation set a session
 // uploads and the server accepts is ckks.BSGSRotations of the model
 // dimension — the baby steps 1…n1−1 and n1, n1 keys (16 for a 256×256
-// model, 10.5 MB at λ-128k) — and a key for any other rotation is refused
+// model, 3.1 MB at λ-128k) — and a key for any other rotation is refused
 // as outside the plan. The client generates each key into the same storage
 // and sends it without waiting for the previous reply, then collects every
 // reply, so neither end holds more than one key in flight and no frame
 // grows with the model (the largest legal frame is a λ-128k Setup, under
-// the 4 MiB cap; one λ-128k key is under 1 MB). The server checks each key
+// the 4 MiB cap; one λ-128k key's frame is 196,750 bytes of payload). The server checks each key
 // as it arrives and keeps it in a set pending on the connection; the set
 // is installed on the session atomically the moment it covers the plan's
 // rotations, and until then the session serves no matvec. A repeated key
@@ -156,10 +160,11 @@
 // Setup, Rekey and rotation-key upload are where key material crosses
 // the trust boundary, and each validates before installing: the
 // relinearization key and every Galois key must fit the session
-// profile's ring — one digit per chain prime, every component over the
-// extended basis with N coefficients per limb (serve.CodeParamMismatch
-// otherwise) — with every residue below its modulus (serve.CodeBadRequest;
-// ckks.Context.CheckSwitchingKey), and the transciphering key ciphertexts
+// profile's ring at the level the server switches it at — one digit per
+// chain prime of that level, every component over that level's extended
+// basis with N coefficients per limb, so a key for any other level is
+// refused (serve.CodeParamMismatch) — with every residue below its
+// modulus (serve.CodeBadRequest; ckks.Context.CheckSwitchingKey), and the transciphering key ciphertexts
 // must sit at the top level, one limb of N reduced coefficients per
 // level. Anything else is refused before a lazy-reduction transform or an
 // indexed digit loop can see it; a refused Setup registers nothing, a
@@ -185,14 +190,22 @@
 // matvec stage). The deepest row sets every profile's chain: the
 // transcipher's transcipher.Levels plus the matvec kernel's
 // ckks.MatVecLevels, depth 3 (profile.NewRegistry refuses a shallower
-// profile). A compute reply leaves at level 1, two limbs; a matvec reply
-// at level 0, one 60-bit limb at a ≈50-bit scale, so each of its slots
-// must satisfy |M·v + bias| < 2⁹ to decode (ckks linalg.go, "Headroom").
+// profile). Every reply leaves at level 0, one 60-bit limb at a ≈50-bit
+// scale: a matvec reply lands there, and a compute reply, which the
+// transcipher leaves at level 1, is sliced to its bottom limb before it
+// is encoded (ckks.Ciphertext.DropTo; the client decrypts the same
+// integer from half the bytes). A slot then decodes while |m| < 2⁹ (ckks
+// linalg.go, "Headroom"), so NewServer refuses, with ErrModelHeadroom, a
+// model whose reply slots at inputs |x| ≤ 1 could pass 2⁸ in |Re| + |Im|:
+// |w|·|x| + |bias| + max(w², 1)/2 per affine slot, the last term the
+// transcipher's imaginary parts, and Σ_j |M_ij|·(|x| + 1/2) + |bias| per
+// matrix row.
 // Everything else is one pipeline shared by every row,
 //
 //	window → decode → session lookup → submit to the profile's pool →
 //	  [ready → slot bound → key epoch → AdmitCompute → rekey budget →
-//	   transcipher → kernel → RecordBlock / ObserveCompute → encode] →
+//	   transcipher → kernel → level 0 → RecordBlock / ObserveCompute →
+//	   encode] →
 //	hand-off → write
 //
 // in handleOp and evalBlock; a Client.ComputeBatch is that many compute

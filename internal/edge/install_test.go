@@ -94,7 +94,7 @@ func (p *rawPeer) hostileGadgets(k *ckks.SwitchingKey) map[string]struct {
 	other.QP[1] = p.ctx.Primes[0]
 	out["another basis"] = variant{other, serve.CodeParamMismatch}
 	unreduced := clone()
-	unreduced.Parts[1][0][2][7] = p.ctx.Primes[2]
+	unreduced.Parts[1][0][1][7] = p.ctx.Primes[1]
 	out["residue equal to its prime"] = variant{unreduced, serve.CodeBadRequest}
 	special := clone()
 	last := len(special.Parts[0][0]) - 1

@@ -10,11 +10,12 @@ import (
 	"quhe/internal/transcipher"
 )
 
-// rawPeer is a hand-rolled client: a real client's key material on the
-// default profile plus, once dialed, a connection driven frame by frame —
-// for tests that observe frame order, stall the read side, or send what
-// a real Client never would.
+// rawPeer is a hand-rolled client: a real client's key material on one
+// profile (the default unless built by newRawPeerOn) plus, once dialed, a
+// connection driven frame by frame — for tests that observe frame order,
+// stall the read side, or send what a real Client never would.
 type rawPeer struct {
+	prof   string
 	ctx    *ckks.Context
 	cipher *transcipher.Cipher
 	ev     *ckks.Evaluator
@@ -32,7 +33,17 @@ type rawPeer struct {
 
 func newRawPeer(t testing.TB, seed int64) *rawPeer {
 	t.Helper()
-	ctx, err := ckks.NewContext(profile.Default().Default().Params)
+	return newRawPeerOn(t, seed, profile.IDDefault)
+}
+
+// newRawPeerOn builds a raw peer whose keys and Setup are on profile id.
+func newRawPeerOn(t testing.TB, seed int64, id string) *rawPeer {
+	t.Helper()
+	prof, ok := profile.Default().Get(id)
+	if !ok {
+		t.Fatalf("no profile %q", id)
+	}
+	ctx, err := prof.Context()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +53,7 @@ func newRawPeer(t testing.TB, seed int64) *rawPeer {
 	}
 	kg := ckks.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
-	p := &rawPeer{ctx: ctx, cipher: cipher, ev: ckks.NewEvaluator(ctx, seed+1),
+	p := &rawPeer{prof: id, ctx: ctx, cipher: cipher, ev: ckks.NewEvaluator(ctx, seed+1),
 		sk: sk, pk: kg.GenPublicKey(sk), rlk: kg.GenRelinKey(sk), nonce: []byte("edge:rawpeer")}
 	if p.key, err = cipher.DeriveKey([]byte("raw-peer-material")); err != nil {
 		t.Fatal(err)
@@ -107,7 +118,7 @@ func (p *rawPeer) encKey(t testing.TB) []*ckks.Ciphertext {
 
 func (p *rawPeer) setupRequest(id string, encKey []*ckks.Ciphertext) *SetupRequest {
 	return &SetupRequest{SessionID: id, LogN: p.ctx.Params.LogN, Depth: p.ctx.Params.Depth,
-		RLK: p.rlk, EncKey: encKey, Nonce: p.nonce}
+		RLK: p.rlk, EncKey: encKey, Nonce: p.nonce, Profile: p.prof}
 }
 
 // session sends one session-lifecycle request of type ftype and returns

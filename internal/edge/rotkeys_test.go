@@ -40,17 +40,50 @@ func (p *rawPeer) checkMatVec(t *testing.T, rep *ComputeReply, x []float64) {
 	}
 }
 
-// TestRotKeysUploadRefusals: a rotation key that arrives twice, one for a
-// rotation outside BSGSRotations of the model dimension, one for a giant
-// rotation 2·n1 (the Horner chain's giant steps all rotate by n1, so no
-// other multiple of n1 has a key) and one after the set is installed are
-// each refused typed, and the connection keeps serving: the upload
-// completes around the refusals and matvec runs on the set it installed.
+// wrongWidth returns generators over p's ring whose keys are one level
+// too narrow and one too wide for the levels the profile serves them at.
+func (p *rawPeer) wrongWidth(t *testing.T, seed int64) map[string]*ckks.KeyGenerator {
+	t.Helper()
+	out := map[string]*ckks.KeyGenerator{}
+	for name, d := range map[string]int{"one level too narrow": -1, "one level too wide": 1} {
+		ctx, err := p.ctx.WithKeyLevels(p.ctx.RelinLevel()+d, p.ctx.GaloisLevel()+d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = ckks.NewKeyGenerator(ctx, seed)
+	}
+	return out
+}
+
+// TestRotKeysUploadRefusals: a Setup whose relinearization key, or a
+// rotation key whose gadget, is one level too narrow or too wide for the
+// level the profile switches it at is refused as a parameter mismatch; a
+// rotation key that arrives twice, one for a rotation outside
+// BSGSRotations of the model dimension, one for a giant rotation 2·n1
+// (the Horner chain's giant steps all rotate by n1, so no other multiple
+// of n1 has a key) and one after the set is installed are each refused
+// typed, and the connection keeps serving: the upload completes around
+// the refusals and matvec runs on the set it installed.
 func TestRotKeysUploadRefusals(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}, Matrix: testMatrix, MatrixBias: testMatrixBias})
 	p := newRawPeer(t, 211)
 	p.dial(t, srv.Addr())
+	wrong := p.wrongWidth(t, 219)
+	for name, kg := range wrong {
+		req := p.setupRequest("refusals", p.encKey(t))
+		req.RLK = kg.GenRelinKey(p.sk)
+		if rep := p.setup(t, req); rep.Code != serve.CodeParamMismatch || !strings.Contains(rep.Err, "relinearization key") {
+			t.Errorf("setup with a relinearization key %s: reply %+v, want CodeParamMismatch", name, rep)
+		}
+	}
+	checkSessions(t, srv, "after setups with keys of the wrong width", 0)
 	p.register(t, "refusals")
+	for name, kg := range wrong {
+		req := &RotKeysRequest{SessionID: "refusals", Key: kg.GenGaloisKey(p.sk, 1)}
+		if rep := p.uploadKey(t, req); rep.Code != serve.CodeParamMismatch {
+			t.Errorf("rotation key %s: reply %+v, want CodeParamMismatch", name, rep)
+		}
+	}
 	keys := p.rotKeys("refusals", 213, len(testMatrix))
 	kg := ckks.NewKeyGenerator(p.ctx, 217)
 	const n1 = 2 // ⌈√4⌉: the plan's rotations are 1 and 2

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -24,11 +25,12 @@ import (
 )
 
 // Model is the inference the server evaluates on encrypted data. The
-// slot-wise affine layer out[i] = Weights[i]·x[i] + Bias[i] (Weights
-// quantized to multiples of 1/WeightScale when applied) serves every
+// slot-wise affine layer out[i] = Weights[i]·x[i] + Bias[i] serves every
 // Compute; an optional square Matrix additionally enables the encrypted
 // matrix–vector path out = Matrix·x + MatrixBias, evaluated with the
-// hoisted BSGS rotation kernel on MatVec requests.
+// hoisted BSGS rotation kernel on MatVec requests. Both replies leave at
+// level 0, so NewServer refuses a model whose output could outgrow it
+// (ErrModelHeadroom).
 type Model struct {
 	Weights []float64
 	Bias    []float64
@@ -38,6 +40,73 @@ type Model struct {
 	Matrix [][]float64
 	// MatrixBias is added slot-wise to the matvec output; nil for none.
 	MatrixBias []float64
+}
+
+// ErrModelHeadroom reports a model whose replies could wrap. Every reply
+// leaves at level 0 — one 60-bit limb at a ≈50-bit scale — so a slot
+// decodes only while |m| < 2⁹ (ckks linalg.go, "Headroom"), and NewServer
+// refuses a model whose output bound, at inputs |x| ≤ inputBound,
+// exceeds replyBound.
+var ErrModelHeadroom = errors.New("edge: model output exceeds the level-0 reply headroom")
+
+const (
+	// inputBound is the |x| every slot of a Compute or MatVec input is
+	// assumed to stay within when a model's output is bounded: the range
+	// the benchmark's payloads and the examples' inputs are drawn from.
+	inputBound = 1.0
+	// replyBound is the largest |Re| + |Im| a reply slot may reach. That
+	// sum bounds the slot's complex modulus, which bounds every
+	// coefficient of the plaintext the client decrypts, a constant
+	// vector's one coefficient included. It is 2⁸, the magnitude
+	// TestLevelZeroHeadroom decodes at level 0 on every served chain: half
+	// the 2⁹ a 60-bit limb holds at a 50-bit scale, the other half left to
+	// the noise.
+	replyBound = 1 << 8
+)
+
+// blockIm bounds the imaginary part of a slot the transcipher leaves at
+// weight w. The slot holds Im(z²) = (x² − y²)/2 with x = w·(B·k) and
+// y = C·k (transcipher package doc), and |B·k|, |C·k| ≤ 1 for key
+// coordinates in [−1, 1] by the coefficients' normalization, so
+// |Im| ≤ max(w², 1)/2. It grows with w², not w, and its mean is not zero:
+// under one weight on every slot it lands in the constant coefficient
+// at full size.
+func blockIm(w float64) float64 { return math.Max(w*w, 1) / 2 }
+
+// checkHeadroom bounds the served model's reply slots, real and imaginary
+// parts, at inputs |x| ≤ inputBound by replyBound: the affine layer slot
+// by slot, |w_i|·|x| + |b_i| + blockIm(w_i) (w = 1 and b = 0 past the
+// ends of Weights and Bias); the matrix row by row over a block
+// transciphered at w = 1, Σ_j |M_ij|·(|x| + blockIm(1)) + |b_i|, since a
+// real matrix maps real and imaginary parts alike. Either past the bound,
+// or not a number, is ErrModelHeadroom.
+func checkHeadroom(m Model) error {
+	slots := max(len(m.Weights), len(m.Bias), 1)
+	for i := 0; i < slots; i++ {
+		w, b := 1.0, 0.0
+		if i < len(m.Weights) {
+			w = m.Weights[i]
+		}
+		if i < len(m.Bias) {
+			b = m.Bias[i]
+		}
+		if bound := math.Abs(w)*inputBound + math.Abs(b) + blockIm(w); !(bound <= replyBound) {
+			return fmt.Errorf("%w: affine slot %d reaches %g at |x| ≤ %g, bound %d", ErrModelHeadroom, i, bound, inputBound, replyBound)
+		}
+	}
+	for i, row := range m.Matrix {
+		bound := 0.0
+		for _, v := range row {
+			bound += math.Abs(v) * (inputBound + blockIm(1))
+		}
+		if i < len(m.MatrixBias) {
+			bound += math.Abs(m.MatrixBias[i])
+		}
+		if !(bound <= replyBound) {
+			return fmt.Errorf("%w: matrix row %d reaches %g at |x| ≤ %g, bound %d", ErrModelHeadroom, i, bound, inputBound, replyBound)
+		}
+	}
+	return nil
 }
 
 // ServerConfig parameterizes the edge server. It has no observability
@@ -272,6 +341,9 @@ func (cs *connState) detachAll(nowUnixNano int64) {
 // runtime is built eagerly so configuration errors fail here, not on the
 // first Setup.
 func NewServer(addr string, cfg ServerConfig) (*Server, error) {
+	if err := checkHeadroom(cfg.Model); err != nil {
+		return nil, err
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
@@ -423,10 +495,12 @@ func (s *Server) publishRuntime(rt *profileRuntime) {
 // on first use. The plan targets the transcipher output contract — level
 // top−transcipher.Levels at scale Δ²/p (Δ the top prime, p the one
 // below) — so a MatVec request transciphers its block and feeds the
-// result straight into the kernel with no level or scale adjustment. The
-// registry guarantees every profile is deep enough for the kernel's level
-// (profile.NewRegistry). Built with a throwaway evaluator; the plan
-// itself is immutable and shared across workers.
+// result straight into the kernel with no level or scale adjustment.
+// That level is the context's GaloisLevel, which the profile derives from
+// the same contract, so the plan and the rotation keys it reads agree by
+// construction. The registry guarantees every profile is deep enough for
+// the kernel's level (profile.NewRegistry). Built with a throwaway
+// evaluator; the plan itself is immutable and shared across workers.
 func (s *Server) matvecPlan(rt *profileRuntime) (*ckks.MatVecPlan, error) {
 	rt.mvOnce.Do(func() {
 		if len(s.cfg.Model.Matrix) == 0 {
@@ -437,7 +511,7 @@ func (s *Server) matvecPlan(rt *profileRuntime) (*ckks.MatVecPlan, error) {
 		delta := float64(rt.ctx.Primes[top])
 		scale := delta * delta / float64(rt.ctx.Primes[top-1])
 		ev := ckks.NewEvaluator(rt.ctx, 1)
-		plan, err := ev.NewMatVecPlan(s.cfg.Model.Matrix, s.cfg.Model.MatrixBias, top-transcipher.Levels, scale)
+		plan, err := ev.NewMatVecPlan(s.cfg.Model.Matrix, s.cfg.Model.MatrixBias, rt.ctx.GaloisLevel(), scale)
 		if err != nil {
 			rt.mvErr = fmt.Errorf("%w: plan for profile %s: %v", serve.ErrMatVecUnavailable, rt.prof.ID, err)
 			return
@@ -929,7 +1003,7 @@ func (s *Server) handleSetup(sc *sessionConn, _ uint64, req *SetupRequest) (*Ses
 	if detail := checkNonce(req.Nonce); detail != "" {
 		return refuse(serve.CodeBadRequest, detail)
 	}
-	if err := rt.ctx.CheckSwitchingKey(req.RLK); err != nil {
+	if err := rt.ctx.CheckSwitchingKey(req.RLK, rt.ctx.RelinLevel()); err != nil {
 		return refuse(keyCode(err), "relinearization key: "+err.Error())
 	}
 	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
@@ -1030,7 +1104,7 @@ func (s *Server) handleRotKeys(sc *sessionConn, _ uint64, req *RotKeysRequest) (
 	if sess.RotKeys() != nil {
 		return refuse(serve.CodeBadRequest, fmt.Sprintf("rotation key %d: %s", gk.Rot, rotKeysInstalled))
 	}
-	if err := rt.ctx.CheckSwitchingKey(&gk.SwitchingKey); err != nil {
+	if err := rt.ctx.CheckSwitchingKey(&gk.SwitchingKey, rt.ctx.GaloisLevel()); err != nil {
 		return refuse(keyCode(err), fmt.Sprintf("rotation key %d: %v", gk.Rot, err))
 	}
 	if !slices.Contains(rt.mvKeys, gk.El) {
@@ -1277,7 +1351,15 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 		kdur = time.Since(kstart)
 	}
 	if code == serve.CodeOK {
-		sess.RecordBlock(pending)
+		// The client only decrypts, and NewServer held the model to the
+		// level-0 headroom, so every reply leaves at the floor: one limb,
+		// a slice of the transcipher's two for an affine block (a matvec
+		// reply is there already).
+		if err := result.DropTo(0); err != nil {
+			result, code, detail = nil, serve.CodeInternal, "reply: "+err.Error()
+		} else {
+			sess.RecordBlock(pending)
+		}
 	}
 	d := time.Since(start)
 	if ctl != nil {

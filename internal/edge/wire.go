@@ -56,8 +56,10 @@ const (
 	// rotation-key set in one frame, 7 the last with a reply frame per
 	// session request and per op, 8 the last with a key per giant block,
 	// 9 the last whose blocks read one coefficient stream per nonce at
-	// overlapping offsets, 10 the last with depth-4 chains.)
-	frameVersion = 11
+	// overlapping offsets, 10 the last with depth-4 chains, 11 the last
+	// with switching keys over the whole chain and affine replies at
+	// level 1.)
+	frameVersion = 12
 
 	frameHeaderLen = 16
 

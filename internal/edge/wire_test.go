@@ -405,9 +405,9 @@ func FuzzFrameDecode(f *testing.F) {
 		// it: any shape must come back as an error, never a panic.
 		switch req := msg.(type) {
 		case *SetupRequest:
-			_ = p.ctx.CheckSwitchingKey(req.RLK)
+			_ = p.ctx.CheckSwitchingKey(req.RLK, p.ctx.RelinLevel())
 		case *RotKeysRequest:
-			_ = p.ctx.CheckSwitchingKey(&req.Key.SwitchingKey)
+			_ = p.ctx.CheckSwitchingKey(&req.Key.SwitchingKey, p.ctx.GaloisLevel())
 		}
 	})
 }

@@ -195,7 +195,7 @@ func (ev *Evaluator) RotateInto(ct *Ciphertext, rot int, gks *GaloisKeySet, out 
 		}
 		return nil
 	}
-	gk, err := ev.galoisKey(rot, gks)
+	gk, err := ev.galoisKey(rot, gks, ct.Level)
 	if err != nil {
 		return err
 	}

@@ -33,20 +33,24 @@ func (r strictRef) mac(mod *ring.Modulus, a ring.Poly, tab []uint32, bMont, out 
 }
 
 // qp returns extended-basis limb t at the given level: chain limbs
-// 0..level, then the special limb; partIdx is its index inside key parts.
-func (r strictRef) qp(t, level int) (mod *ring.Modulus, partIdx int) {
-	if t <= level {
+// 0..level, then the special limb; partIdx is its index inside the key
+// parts given, where the special limb is the last (−1 for nil parts).
+func (r strictRef) qp(t, level int, parts [][2]ring.RNSPoly) (mod *ring.Modulus, partIdx int) {
+	switch {
+	case t <= level:
 		return r.ctx.Tower.Qi[t], t
+	case parts == nil:
+		return r.ctx.Tower.P, -1
 	}
-	return r.ctx.Tower.P, r.ctx.Tower.Limbs()
+	return r.ctx.Tower.P, len(parts[0][0]) - 1
 }
 
 // digit lifts RNS digit j of d (coefficient domain) to extended-basis limb
 // t and transforms it.
 func (r strictRef) digit(d ring.RNSPoly, j, t, level int) ring.Poly {
-	mod, partIdx := r.qp(t, level)
+	mod, _ := r.qp(t, level, nil)
 	dig := make(ring.Poly, len(d[j]))
-	if partIdx == j {
+	if t == j {
 		copy(dig, d[j])
 	} else {
 		mod.ReduceInto(d[j], dig)
@@ -61,7 +65,7 @@ func (r strictRef) down(acc [2]ring.RNSPoly, level int) [2]ring.RNSPoly {
 	limbs := level + 1
 	for c := range acc {
 		for t := 0; t <= limbs; t++ {
-			mod, _ := r.qp(t, level)
+			mod, _ := r.qp(t, level, nil)
 			mod.INTT(acc[c][t])
 		}
 		r.ctx.Tower.ModDownInto(acc[c][:limbs], acc[c][limbs], acc[c][:limbs])
@@ -107,7 +111,7 @@ func (r strictRef) rotate(t *testing.T, ct *Ciphertext, rot int, gks *GaloisKeyS
 	}
 	acc := r.newAcc(level)
 	for tt := 0; tt <= level+1; tt++ {
-		mod, partIdx := r.qp(tt, level)
+		mod, partIdx := r.qp(tt, level, gk.Parts)
 		for j := 0; j <= level; j++ {
 			dig := r.digit(sc1, j, tt, level)
 			r.mac(mod, dig, nil, gk.Parts[j][0][partIdx], acc[0][tt])
@@ -147,7 +151,7 @@ func (r strictRef) rotateHoisted(t *testing.T, ct *Ciphertext, dig []ring.RNSPol
 	level := ct.Level
 	acc := r.newAcc(level)
 	for tt := 0; tt <= level+1; tt++ {
-		mod, partIdx := r.qp(tt, level)
+		mod, partIdx := r.qp(tt, level, gk.Parts)
 		for j := 0; j <= level; j++ {
 			r.mac(mod, dig[j][tt], tab, gk.Parts[j][0][partIdx], acc[0][tt])
 			r.mac(mod, dig[j][tt], tab, gk.Parts[j][1][partIdx], acc[1][tt])

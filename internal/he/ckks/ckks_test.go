@@ -74,7 +74,7 @@ func TestContextChain(t *testing.T) {
 	if ctx.MaxLevel() != 1 {
 		t.Fatalf("MaxLevel = %d, want 1", ctx.MaxLevel())
 	}
-	if ctx.Tower.Limbs() != len(ctx.Primes) {
+	if len(ctx.Tower.Qi) != len(ctx.Primes) {
 		t.Error("tower limb count differs from the prime chain")
 	}
 	for i, q := range ctx.Primes {

@@ -24,13 +24,22 @@
 // # Hybrid key switching
 //
 // Relinearization uses the special-prime hybrid construction instead of
-// digit decomposition: the key generator draws one key part per chain
-// limb over the extended basis QP (P a prime ≥ every q_i), part j
-// carrying P·s² on limb j only. MulRelinInto decomposes the degree-2 term
-// into its RNS digits D_j = [d2]_{q_j}, folds each digit through part j
-// on every target limb (O(L²) per-limb NTTs, parallel over targets), and
-// divides the accumulated product by P (ring.Tower.ModDownInto), which
-// scales the key-switch noise down by P ≈ 2⁶¹.
+// digit decomposition. A key is built for the level l it is used at: one
+// key part per chain limb 0..l over the extended basis QP_l = q_0…q_l·P
+// (P a prime ≥ every q_i, its limb at index l+1), part j carrying P·s² on
+// limb j only — (l+1) digits × (l+2) limbs, the cells a switch at level l
+// reads and no others. MulRelinInto decomposes the degree-2 term into its
+// RNS digits D_j = [d2]_{q_j}, folds each digit through part j on every
+// target limb (O(L²) per-limb NTTs, parallel over targets), and divides
+// the accumulated product by P (ring.Tower.ModDownInto), which scales the
+// key-switch noise down by P ≈ 2⁶¹. The context names the levels its keys
+// are built for (Context.WithKeyLevels; the top level, which serves every
+// level, unless narrowed): a security profile builds the relinearization
+// key for the transcipher's squaring level and Galois keys for the matvec
+// level, 12 and 6 limb-polys per component on the depth-3 chain instead
+// of the whole chain's 20. Context.CheckSwitchingKey refuses a key of any
+// other width, and a switch through a key built for a lower level than
+// its operand is ErrKeyShape.
 //
 // # Galois rotations and hoisting
 //

@@ -195,6 +195,9 @@ func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Cipherte
 	if a.Level != b.Level {
 		return fmt.Errorf("ckks: level mismatch %d vs %d", a.Level, b.Level)
 	}
+	if rlk.Level() < a.Level {
+		return fmt.Errorf("%w: relinearization key built for level %d, operands at %d", ErrKeyShape, rlk.Level(), a.Level)
+	}
 	if err := coeffForm(a, b, out); err != nil {
 		return err
 	}
@@ -254,16 +257,26 @@ func (ev *Evaluator) MulRelinInto(a, b *Ciphertext, rlk *RelinKey, out *Cipherte
 	return nil
 }
 
-// extLimb returns limb t of the extended basis at the given level — chain
-// limbs 0..level, then the special limb at index level+1 — and the index
-// of that limb inside key-switch parts (where the special limb sits after
-// the full chain).
-func (ev *Evaluator) extLimb(t, level int) (mod *ring.Modulus, partIdx int) {
-	tower := ev.ctx.Tower
+// extLimb returns the modulus of limb t of the extended basis at the
+// given level: chain limbs 0..level, then the special limb at index
+// level+1.
+func (ev *Evaluator) extLimb(t, level int) *ring.Modulus {
 	if t <= level {
-		return tower.Qi[t], t
+		return ev.ctx.Tower.Qi[t]
 	}
-	return tower.P, tower.Limbs()
+	return ev.ctx.Tower.P
+}
+
+// keyLimb is the index of that limb inside a key-switch gadget: chain
+// limbs at their own index, the special limb last, where the key's own
+// width puts it (index l+1 for a key built for level l ≥ level). A
+// switch at level reads digits 0..level and these limbs, whatever the
+// key's level.
+func keyLimb(t, level int, parts [][2]ring.RNSPoly) int {
+	if t <= level {
+		return t
+	}
+	return len(parts[0][0]) - 1
 }
 
 // keySwitch folds the RNS digits of d (limbs 0..level, given in both
@@ -281,7 +294,7 @@ func (ev *Evaluator) extLimb(t, level int) (mod *ring.Modulus, partIdx int) {
 func (ev *Evaluator) keySwitch(d, dNTT ring.RNSPoly, parts [][2]ring.RNSPoly, level int) {
 	limbs := level + 1
 	ev.ctx.Tower.ForEachLimb(limbs+1, func(t int) {
-		mod, partIdx := ev.extLimb(t, level)
+		mod, partIdx := ev.extLimb(t, level), keyLimb(t, level, parts)
 		dig := ev.dig[t]
 		sum0 := mod.LazySum(ev.s1[t], ev.s2[t], ev.acc0[t])
 		sum1 := mod.LazySum(ev.s3[t], ev.s4[t], ev.acc1[t])

@@ -15,10 +15,10 @@ var ErrNoGaloisKey = errors.New("ckks: missing galois key for rotation")
 
 // GaloisKey switches a ciphertext from the rotated secret σ_g(s) back to
 // s, enabling homomorphic slot rotation: part j is an RLWE zero-sample
-// over the extended basis QP with the gadget (P mod q_j)·σ_g(s) added
-// into limb j only — exactly the RelinKey construction with σ_g(s) in
-// place of s², so the gadget is a SwitchingKey and the hybrid key-switch
-// core is shared.
+// over the extended basis QP_l of the key's level l with the gadget
+// (P mod q_j)·σ_g(s) added into limb j only — exactly the RelinKey
+// construction with σ_g(s) in place of s², so the gadget is a
+// SwitchingKey and the hybrid key-switch core is shared.
 type GaloisKey struct {
 	// Rot is the slot rotation this key implements (left by Rot); El is
 	// its Galois group element 5^Rot mod 2N.
@@ -42,7 +42,7 @@ func (s *GaloisKeySet) Key(el uint64) *GaloisKey {
 }
 
 // GenGaloisKey builds the key switching σ_g(s) → s for a left rotation by
-// rot slots; see GenGaloisKeyInto.
+// rot slots, for the context's GaloisLevel; see GenGaloisKeyInto.
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, rot int) *GaloisKey {
 	gk := new(GaloisKey)
 	kg.GenGaloisKeyInto(sk, rot, gk)
@@ -51,13 +51,13 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, rot int) *GaloisKey {
 
 // GenGaloisKeyInto builds the key GenGaloisKey(sk, rot) returns into gk,
 // drawing the same randomness: gk's gadget is overwritten in place when it
-// has the context's shape, so one GaloisKey serves a stream of keys that
+// has the key level's shape, so one GaloisKey serves a stream of keys that
 // are each consumed (encoded, say) before the next is generated. gk must
 // not be shared with a reader while it is rewritten.
 func (kg *KeyGenerator) GenGaloisKeyInto(sk *SecretKey, rot int, gk *GaloisKey) {
 	n := kg.ctx.Params.N()
 	el := ring.GaloisElement(rot, n)
-	kg.genSwitchingKeyInto(sk, ring.AutomorphismNTTTable(el, n), &gk.SwitchingKey)
+	kg.genSwitchingKeyInto(sk, ring.AutomorphismNTTTable(el, n), kg.ctx.galoisLevel, &gk.SwitchingKey)
 	gk.Rot, gk.El = rot, el
 }
 
@@ -167,10 +167,10 @@ func (ev *Evaluator) hoistDigits(h *Hoisted, ct *Ciphertext, c1NTT ring.RNSPoly)
 	qp := limbs + 1
 	ring.ForEach(ev.ctx.Params.N(), limbs*qp, func(k int) {
 		j, t := k/qp, k%qp
-		mod, partIdx := ev.extLimb(t, ct.Level)
+		mod := ev.extLimb(t, ct.Level)
 		src, dst := ct.C1[j], h.dig[j][t]
 		switch {
-		case partIdx != j:
+		case t != j:
 			mod.ReduceInto(src, dst)
 			mod.NTT(dst)
 		case c1NTT != nil:
@@ -193,7 +193,7 @@ func (ev *Evaluator) hoistDigits(h *Hoisted, ct *Ciphertext, c1NTT ring.RNSPoly)
 func (ev *Evaluator) hoistedSwitch(h *Hoisted, gk *GaloisKey, tab []uint32) {
 	limbs := h.level + 1
 	ev.ctx.Tower.ForEachLimb(limbs+1, func(t int) {
-		mod, partIdx := ev.extLimb(t, h.level)
+		mod, partIdx := ev.extLimb(t, h.level), keyLimb(t, h.level, gk.Parts)
 		sum0 := mod.LazySum(ev.s1[t], ev.s2[t], ev.acc0[t])
 		sum1 := mod.LazySum(ev.s3[t], ev.s4[t], ev.acc1[t])
 		for j := 0; j < limbs; j++ {
@@ -209,12 +209,17 @@ func (ev *Evaluator) hoistedSwitch(h *Hoisted, gk *GaloisKey, tab []uint32) {
 	})
 }
 
-// galoisKey resolves the key of a non-identity rotation.
-func (ev *Evaluator) galoisKey(rot int, gks *GaloisKeySet) (*GaloisKey, error) {
+// galoisKey resolves the key of a non-identity rotation at the given
+// level: a key built for a lower level lacks the digits and limbs the
+// switch reads, and is ErrKeyShape.
+func (ev *Evaluator) galoisKey(rot int, gks *GaloisKeySet, level int) (*GaloisKey, error) {
 	el := ring.GaloisElement(rot, ev.ctx.Params.N())
 	gk := gks.Key(el)
 	if gk == nil {
 		return nil, fmt.Errorf("%w: rotation %d (element %d)", ErrNoGaloisKey, rot, el)
+	}
+	if gk.Level() < level {
+		return nil, fmt.Errorf("%w: Galois key for rotation %d built for level %d, used at %d", ErrKeyShape, rot, gk.Level(), level)
 	}
 	return gk, nil
 }
@@ -242,7 +247,7 @@ func (ev *Evaluator) RotateHoistedInto(h *Hoisted, rot int, gks *GaloisKeySet, o
 		out.Scale, out.Level = h.scale, h.level
 		return nil
 	}
-	gk, err := ev.galoisKey(rot, gks)
+	gk, err := ev.galoisKey(rot, gks, h.level)
 	if err != nil {
 		return err
 	}
@@ -265,7 +270,7 @@ func (ev *Evaluator) RotateHoistedInto(h *Hoisted, rot int, gks *GaloisKeySet, o
 // RotateHoistedInto's 2·(limbs+1) plus the 2·limbs a caller would spend
 // transforming its result again. rot must not be the identity.
 func (ev *Evaluator) rotateHoistedNTT(h *Hoisted, c0 ring.RNSPoly, rot int, gks *GaloisKeySet, out *Ciphertext) error {
-	gk, err := ev.galoisKey(rot, gks)
+	gk, err := ev.galoisKey(rot, gks, h.level)
 	if err != nil {
 		return err
 	}

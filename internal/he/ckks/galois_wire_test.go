@@ -120,16 +120,19 @@ func TestGaloisKeyCodecZeroAlloc(t *testing.T) {
 
 // FuzzGaloisKeyRoundTrip asserts (1) hostile decodes fail typed and never
 // panic, and (2) a structurally valid key built from the fuzz input
-// round-trips bit-identically.
+// round-trips bit-identically. The corpus seeds keys of every width a
+// depth-3 chain builds, the served matvec level's among them.
 func FuzzGaloisKeyRoundTrip(f *testing.F) {
-	ctx, err := NewContext(Params{LogN: 6, BaseBits: 25, ScaleBits: 16, Depth: 1, Sigma: 3.2, SpecialBits: 26})
+	ctx, err := NewContext(Params{LogN: 6, BaseBits: 25, ScaleBits: 16, Depth: 3, Sigma: 3.2, SpecialBits: 26})
 	if err != nil {
 		f.Fatal(err)
 	}
-	kg := NewKeyGenerator(ctx, 33)
-	seed := kg.GenGaloisKey(kg.GenSecretKey(), 3).AppendBinary(nil)
-	f.Add(seed)
-	f.Add(seed[:20])
+	sk := NewKeyGenerator(ctx, 33).GenSecretKey()
+	for level := 0; level <= ctx.MaxLevel(); level++ {
+		seed := keyGenAt(f, ctx, level, 33).GenGaloisKey(sk, 3).AppendBinary(nil)
+		f.Add(seed)
+		f.Add(seed[:20])
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gk := new(GaloisKey)
@@ -211,16 +214,20 @@ func TestSeededKeyDecodeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kg := NewKeyGenerator(ctx, 41)
-		enc := kg.GenGaloisKey(kg.GenSecretKey(), 1).AppendBinary(nil)
-		allocs := testing.AllocsPerRun(16, func() {
-			if _, err := new(GaloisKey).DecodeFrom(enc); err != nil {
-				t.Fatal(err)
-			}
-		})
-		counts = append(counts, allocs)
+		// A key over the whole chain and one built for level 1, the
+		// served matvec level.
+		for _, level := range []int{depth, 1} {
+			kg := keyGenAt(t, ctx, level, 41)
+			enc := kg.GenGaloisKey(kg.GenSecretKey(), 1).AppendBinary(nil)
+			allocs := testing.AllocsPerRun(16, func() {
+				if _, err := new(GaloisKey).DecodeFrom(enc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			counts = append(counts, allocs)
+		}
 	}
-	if counts[0] != counts[1] || counts[1] > 8 {
-		t.Errorf("galois key decode allocates %v times at depth 1 and %v at depth 4, want one constant ≤ 8", counts[0], counts[1])
+	if counts[0] != counts[1] || counts[0] != counts[2] || counts[0] != counts[3] || counts[0] > 8 {
+		t.Errorf("galois key decode allocates %v times at depth 1 (keys for levels 1, 1) and %v at depth 4 (levels 4, 1), want one constant ≤ 8", counts[:2], counts[2:])
 	}
 }

@@ -52,57 +52,69 @@ type PublicKey struct {
 // its uniform half expands from.
 const SeedSize = 32
 
-// SwitchingKey is a hybrid key-switch gadget from a secret g to s. Part j
-// is an RLWE sample over the extended basis QP carrying the j-th RNS
-// gadget of P·g:
+// SwitchingKey is a hybrid key-switch gadget from a secret g to s, built
+// for one level l: the level it is used at. Part j, for each digit
+// j = 0..l, is an RLWE sample over the extended basis QP_l = q_0…q_l·P
+// carrying the j-th RNS gadget of P·g:
 //
 //	swk_j = (−a_j·s + e_j + P·u_j·g, a_j),  u_j ≡ δ_ij (mod q_i), u_j ≡ 0 (mod P),
 //
 // so folding the digits D_j = [d]_{q_j} through the parts accumulates
-// P·d·g (+ small noise) over QP, and dividing by P (ModDown) returns it
-// to the chain with the noise scaled away. Parts[j][c][t]: digit j,
-// component c ∈ {0,1}, limb t (chain limbs then the special limb), NTT
+// P·d·g (+ small noise) over QP_l, and dividing by P (ModDown) returns it
+// to the chain with the noise scaled away. A switch at level l reads
+// exactly these l+1 digits × l+2 limbs, and nothing of the primes above
+// l, so the key carries nothing else. Parts[j][c][t]: digit j, component
+// c ∈ {0,1}, limb t (chain limbs 0..l, then the special limb at l+1), NTT
 // domain, Montgomery form. Every a_j = Parts[j][1] is the expansion of
 // Seed over QP (expandUniform), so Seed and QP stand in for component 1
 // on the wire. Immutable once built; safe for concurrent readers.
 type SwitchingKey struct {
-	// QP lists the moduli of the basis the gadget spans: the chain primes,
-	// then the special prime.
+	// QP lists the moduli of the basis the gadget spans: chain primes
+	// 0..l, then the special prime.
 	QP    []uint64
 	Seed  [SeedSize]byte
 	Parts [][2]ring.RNSPoly
 }
 
+// Level is the level the key was built for: one less than its digit
+// count. It switches ciphertexts at any level up to it.
+func (k *SwitchingKey) Level() int { return len(k.Parts) - 1 }
+
 // RelinKey relinearizes degree-2 ciphertexts: the switching key from s²
 // to s.
 type RelinKey = SwitchingKey
 
-// ErrKeyShape reports key-switching material built for another ring: the
-// wrong digit count, limb count or degree for the context.
+// ErrKeyShape reports key-switching material built for another ring or
+// another level: the wrong basis, digit count, limb count or degree.
 var ErrKeyShape = errors.New("ckks: switching key does not fit the context")
 
 // CheckSwitchingKey validates a hybrid key-switch gadget (a RelinKey, a
-// GaloisKey's SwitchingKey) from outside the trust boundary: the basis QP
-// of the context, one digit per chain prime and every component over QP
-// with N coefficients per limb (ErrKeyShape otherwise), and every
-// component-0 residue below its modulus (ErrMalformed otherwise).
+// GaloisKey's SwitchingKey) from outside the trust boundary against the
+// level it will be used at: the context's basis QP_level (chain primes
+// 0..level, then the special prime), one digit per chain prime of that
+// level and every component over QP_level with N coefficients per limb —
+// ErrKeyShape otherwise, a key built for any other level included — and
+// every component-0 residue below its modulus (ErrMalformed otherwise).
 // Component 1 is not scanned: it was expanded under QP, so a key whose QP
 // is the context's is reduced there by construction. keySwitch indexes
-// digits and limbs by the context's counts and its lazy-reduction MACs
-// assume reduced inputs, so a key that fails here would panic or corrupt
-// a worker mid-evaluation.
-func (c *Context) CheckSwitchingKey(k *SwitchingKey) error {
-	digits, n := len(c.Primes), c.Params.N()
-	if !slices.Equal(k.QP, c.qp) {
-		return fmt.Errorf("%w: gadget over another basis", ErrKeyShape)
+// digits and limbs by the key's width and its lazy-reduction MACs assume
+// reduced inputs, so a key that fails here would panic or corrupt a
+// worker mid-evaluation.
+func (c *Context) CheckSwitchingKey(k *SwitchingKey, level int) error {
+	if level < 0 || level > c.MaxLevel() {
+		return fmt.Errorf("%w: no level %d on a chain of top level %d", ErrKeyShape, level, c.MaxLevel())
+	}
+	qp, digits, n := c.qp[level], level+1, c.Params.N()
+	if !slices.Equal(k.QP, qp) {
+		return fmt.Errorf("%w: gadget over another basis (%d moduli, want %d for level %d)", ErrKeyShape, len(k.QP), len(qp), level)
 	}
 	if len(k.Parts) != digits {
-		return fmt.Errorf("%w: %d digits, want %d", ErrKeyShape, len(k.Parts), digits)
+		return fmt.Errorf("%w: %d digits, want %d for level %d", ErrKeyShape, len(k.Parts), digits, level)
 	}
 	for j, part := range k.Parts {
 		for _, comp := range part {
-			if len(comp) != digits+1 {
-				return fmt.Errorf("%w: digit %d spans %d limbs, want %d", ErrKeyShape, j, len(comp), digits+1)
+			if len(comp) != len(qp) {
+				return fmt.Errorf("%w: digit %d spans %d limbs, want %d", ErrKeyShape, j, len(comp), len(qp))
 			}
 			for t, limb := range comp {
 				if len(limb) != n {
@@ -111,7 +123,7 @@ func (c *Context) CheckSwitchingKey(k *SwitchingKey) error {
 			}
 		}
 		for t, limb := range part[0] {
-			q := c.qp[t]
+			q := qp[t]
 			for _, v := range limb {
 				if v >= q {
 					return fmt.Errorf("%w: unreduced residue in digit %d limb %d", ErrMalformed, j, t)
@@ -131,13 +143,14 @@ type KeyGenerator struct {
 	// Scratch one switching key's generation hands to the next: the errors
 	// of every digit, one gadget term per digit, and the cell fan-out with
 	// the key it is filling (sk, the gadget's automorphism table — nil for
-	// the relinearization gadget ŝ² — and the parts), so a key generated
-	// into reused storage allocates only its PRG.
+	// the relinearization gadget ŝ² — its level and the parts), so a key
+	// generated into reused storage allocates only its PRG.
 	es    []int64
 	g     []ring.Poly
 	cell  func(c int)
 	sk    *SecretKey
 	tab   []uint32
+	level int
 	parts [][2]ring.RNSPoly
 }
 
@@ -236,61 +249,67 @@ func (kg *KeyGenerator) zeroSampleInto(t int, a ring.Poly, e []int64, sk *Secret
 	mod.MulCoeffwiseMontgomeryThenSub(a, sk.S[t], b)
 }
 
-// GenRelinKey builds the hybrid key-switch key from s² to s; see
-// genSwitchingKeyInto.
+// GenRelinKey builds the hybrid key-switch key from s² to s for the
+// context's RelinLevel; see genSwitchingKeyInto.
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *RelinKey {
 	k := new(RelinKey)
-	kg.genSwitchingKeyInto(sk, nil, k)
+	kg.genSwitchingKeyInto(sk, nil, kg.ctx.relinLevel, k)
 	return k
 }
 
 // genSwitchingKeyInto builds into k the hybrid key-switch gadget from a
-// secret g to sk: one part per chain limb, each an RLWE zero-sample over
-// QP with (P mod q_j)·g added into limb j only. g is σ(s) under the
-// NTT-domain gather table tab, or s² for a nil tab. The seed and the
-// errors are drawn from the RNG and the uniform half expanded up front,
-// so the digits × QP cells then fan out deterministically over the worker
-// pool. k's parts are overwritten in place when they have the context's
-// shape, and replaced by a fresh gadget otherwise.
-func (kg *KeyGenerator) genSwitchingKeyInto(sk *SecretKey, tab []uint32, k *SwitchingKey) {
+// secret g to sk for use at the given level: one part per chain limb
+// 0..level, each an RLWE zero-sample over QP_level (those limbs, then the
+// special limb at level+1) with (P mod q_j)·g added into limb j only. g
+// is σ(s) under the NTT-domain gather table tab, or s² for a nil tab. The
+// seed and the errors are drawn from the RNG and the uniform half
+// expanded up front, so the (level+1) × (level+2) cells then fan out
+// deterministically over the worker pool. k's parts are overwritten in
+// place when they have the level's shape, and replaced by a fresh gadget
+// otherwise. Every key this package builds comes from here.
+func (kg *KeyGenerator) genSwitchingKeyInto(sk *SecretKey, tab []uint32, level int, k *SwitchingKey) {
 	ctx := kg.ctx
 	n := ctx.Params.N()
-	digits := len(ctx.Primes)
-	qp := digits + 1
+	digits, qp := level+1, level+2
 
 	var seed [SeedSize]byte
 	for i := 0; i < SeedSize; i += 8 {
 		binary.LittleEndian.PutUint64(seed[i:], kg.rng.Uint64())
 	}
 	if kg.es == nil {
-		kg.es = make([]int64, digits*n)
-		kg.g = make([]ring.Poly, digits)
+		kg.es = make([]int64, len(ctx.Primes)*n)
+		kg.g = make([]ring.Poly, len(ctx.Primes))
 		for j := range kg.g {
 			kg.g[j] = make(ring.Poly, n)
 		}
 	}
-	gaussianInts(kg.rng, kg.ctx.Params.Sigma, kg.es)
+	gaussianInts(kg.rng, kg.ctx.Params.Sigma, kg.es[:digits*n])
 	if !gadgetFits(k.Parts, digits, qp, n) {
 		k.Parts = newGadget(digits, qp, n)
 	}
-	expandUniform(&seed, ctx.qp, k.Parts)
-	kg.sk, kg.tab, kg.parts = sk, tab, k.Parts
+	expandUniform(&seed, ctx.qp[level], k.Parts)
+	kg.sk, kg.tab, kg.level, kg.parts = sk, tab, level, k.Parts
 	ring.ForEach(n, digits*qp, kg.cell)
 	kg.sk, kg.tab, kg.parts = nil, nil, nil
-	k.QP, k.Seed = ctx.qp, seed
+	k.QP, k.Seed = ctx.qp[level], seed
 }
 
-// switchingCell finishes cell c = (digit j, limb t) of the key
+// switchingCell finishes cell c = (digit j, key limb t) of the key
 // genSwitchingKeyInto is filling: the zero-sample's limb, plus the gadget
-// term on the digit's own limb. Cells write disjoint limbs, and digit j
+// term on the digit's own limb. Key limb level+1 is the special limb,
+// limb len(Primes) of the secret. Cells write disjoint limbs, and digit j
 // alone uses the term scratch g[j], so they run concurrently.
 func (kg *KeyGenerator) switchingCell(c int) {
 	ctx := kg.ctx
 	n := ctx.Params.N()
-	qp := len(ctx.Primes) + 1
+	qp := kg.level + 2
 	j, t := c/qp, c%qp
+	st := t
+	if t > kg.level {
+		st = len(ctx.Primes)
+	}
 	b := kg.parts[j][0][t]
-	kg.zeroSampleInto(t, kg.parts[j][1][t], kg.es[j*n:(j+1)*n], kg.sk, b)
+	kg.zeroSampleInto(st, kg.parts[j][1][t], kg.es[j*n:(j+1)*n], kg.sk, b)
 	if t != j {
 		return
 	}

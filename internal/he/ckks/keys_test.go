@@ -33,21 +33,22 @@ func TestSamplers(t *testing.T) {
 	}
 }
 
-// TestCheckSwitchingKey: generated relinearization and Galois keys pass;
-// a gadget over another basis or with the wrong digit count, limb count or
-// degree is ErrKeyShape and one with a component-0 residue at or above its
-// modulus — chain or special — is ErrMalformed. keySwitch indexes and
-// multiplies on these assumptions.
+// TestCheckSwitchingKey: generated relinearization and Galois keys pass
+// at the level they were built for; a gadget over another basis or with
+// the wrong digit count, limb count or degree is ErrKeyShape and one with
+// a component-0 residue at or above its modulus — chain or special — is
+// ErrMalformed. keySwitch indexes and multiplies on these assumptions.
 func TestCheckSwitchingKey(t *testing.T) {
 	ctx := testContext(t)
+	top := ctx.MaxLevel()
 	kg := NewKeyGenerator(ctx, 5)
 	sk := kg.GenSecretKey()
 	fresh := func() *SwitchingKey { return kg.GenRelinKey(sk) }
-	if err := ctx.CheckSwitchingKey(fresh()); err != nil {
+	if err := ctx.CheckSwitchingKey(fresh(), top); err != nil {
 		t.Fatalf("generated relinearization key refused: %v", err)
 	}
 	for el, gk := range kg.GenGaloisKeys(sk, []int{1, -2}).Keys {
-		if err := ctx.CheckSwitchingKey(&gk.SwitchingKey); err != nil {
+		if err := ctx.CheckSwitchingKey(&gk.SwitchingKey, top); err != nil {
 			t.Fatalf("generated Galois key %d refused: %v", el, err)
 		}
 	}
@@ -72,7 +73,7 @@ func TestCheckSwitchingKey(t *testing.T) {
 	for _, tc := range cases {
 		k := fresh()
 		tc.mut(k)
-		if err := ctx.CheckSwitchingKey(k); !errors.Is(err, tc.want) {
+		if err := ctx.CheckSwitchingKey(k, top); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}

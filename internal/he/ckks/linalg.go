@@ -389,7 +389,7 @@ func (ev *Evaluator) MatVecInto(plan *MatVecPlan, ct *Ciphertext, gks *GaloisKey
 	top := plan.diags[plan.top]
 	tower.ForEachLimb(limbs, func(t int) { ev.blockSumLimb(t, top, mv.babies, acc) })
 	if plan.top > 0 {
-		gk, err := ev.galoisKey(plan.n1, gks)
+		gk, err := ev.galoisKey(plan.n1, gks, plan.level)
 		if err != nil {
 			return err
 		}

@@ -79,10 +79,18 @@ type Context struct {
 	Special uint64
 	Tower   *ring.Tower
 
-	qp []uint64 // the extended basis QP: Primes, then Special (read-only)
+	// qp[l] is the extended basis a switching key for level l spans: chain
+	// primes 0..l, then Special (read-only).
+	qp [][]uint64
+	// The levels the context's relinearization and Galois keys are built
+	// for; see WithKeyLevels.
+	relinLevel, galoisLevel int
 }
 
 // NewContext searches the chain and special primes and builds the tower.
+// Its switching keys are built for the top level, which serves every
+// level; WithKeyLevels narrows them to the levels an application's ops
+// switch at.
 func NewContext(p Params) (*Context, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -103,8 +111,36 @@ func NewContext(p Params) (*Context, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckks: tower: %w", err)
 	}
-	return &Context{Params: p, Primes: chain, Special: special, Tower: tower, qp: primes}, nil
+	qp := make([][]uint64, len(chain))
+	for l := range qp {
+		qp[l] = append(chain[:l+1:l+1], special)
+	}
+	top := len(chain) - 1
+	return &Context{Params: p, Primes: chain, Special: special, Tower: tower, qp: qp, relinLevel: top, galoisLevel: top}, nil
 }
+
+// WithKeyLevels returns a context over the same tower whose
+// relinearization key is built for level relin and whose Galois keys for
+// level galois: the levels the ops it serves key-switch at. A key for
+// level l spans l+1 digits × l+2 QP limbs (KeyGenerator.GenRelinKey), is
+// refused at any other width by CheckSwitchingKey, and switches a
+// ciphertext at any level up to l.
+func (c *Context) WithKeyLevels(relin, galois int) (*Context, error) {
+	for _, l := range []int{relin, galois} {
+		if l < 0 || l > c.MaxLevel() {
+			return nil, fmt.Errorf("ckks: key level %d outside [0, %d]", l, c.MaxLevel())
+		}
+	}
+	out := *c
+	out.relinLevel, out.galoisLevel = relin, galois
+	return &out, nil
+}
+
+// RelinLevel is the level the context's relinearization key is built for.
+func (c *Context) RelinLevel() int { return c.relinLevel }
+
+// GaloisLevel is the level the context's Galois keys are built for.
+func (c *Context) GaloisLevel() int { return c.galoisLevel }
 
 // Limb returns the NTT context of chain prime q_i.
 func (c *Context) Limb(i int) *ring.Modulus { return c.Tower.Qi[i] }
@@ -147,6 +183,23 @@ type Ciphertext struct {
 // representation of a multiplicand consumed only by
 // Evaluator.LinearFormInto. Every other operation rejects it.
 func (ct *Ciphertext) IsEvalForm() bool { return ct.evalForm }
+
+// DropTo lowers a coefficient-form ct to the given level in place by
+// slicing off the limbs above it: the modulus switch down the chain that
+// keeps the scale. Limb i of a level-ℓ ciphertext is already its residue
+// mod q_i, so ct decrypts to the same integer message at the lower level
+// whenever that message fits there (|m|·Scale < q_0/2 at level 0); the
+// dropped limbs' storage stays behind the slices.
+func (ct *Ciphertext) DropTo(level int) error {
+	if ct.evalForm {
+		return ErrEvalForm
+	}
+	if level < 0 || level > ct.Level {
+		return fmt.Errorf("ckks: cannot drop a level-%d ciphertext to level %d", ct.Level, level)
+	}
+	ct.C0, ct.C1, ct.Level = ct.C0[:level+1], ct.C1[:level+1], level
+	return nil
+}
 
 // Copy returns an independent copy (in the same form).
 func (ct *Ciphertext) Copy() *Ciphertext {

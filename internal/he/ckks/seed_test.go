@@ -54,7 +54,7 @@ func TestSeededKeyDecodeMatchesGenerator(t *testing.T) {
 			if !switchingKeysEqual(rlk, &gotRLK) {
 				t.Error("decoded relinearization key differs from the generator's")
 			}
-			if err := ctx.CheckSwitchingKey(&gotRLK); err != nil {
+			if err := ctx.CheckSwitchingKey(&gotRLK, ctx.RelinLevel()); err != nil {
 				t.Errorf("decoded relinearization key refused: %v", err)
 			}
 
@@ -66,7 +66,7 @@ func TestSeededKeyDecodeMatchesGenerator(t *testing.T) {
 			if gotGK.Rot != gk.Rot || gotGK.El != gk.El || !switchingKeysEqual(&gk.SwitchingKey, &gotGK.SwitchingKey) {
 				t.Error("decoded Galois key differs from the generator's")
 			}
-			if err := ctx.CheckSwitchingKey(&gotGK.SwitchingKey); err != nil {
+			if err := ctx.CheckSwitchingKey(&gotGK.SwitchingKey, ctx.GaloisLevel()); err != nil {
 				t.Errorf("decoded Galois key refused: %v", err)
 			}
 		})

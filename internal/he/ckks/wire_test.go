@@ -260,20 +260,22 @@ func byteAt(data []byte, i int) byte {
 func TestKeyDecodeSlabLimbs(t *testing.T) {
 	ctx := wireTestContext(t)
 	n := ctx.Params.N()
-	kg := NewKeyGenerator(ctx, 43)
-	sk := kg.GenSecretKey()
-	var gk GaloisKey
-	if _, err := gk.DecodeFrom(kg.GenGaloisKey(sk, 1).AppendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
-	var polys []ring.RNSPoly
-	for _, part := range gk.Parts {
-		polys = append(polys, part[0], part[1])
-	}
-	for i, p := range polys {
-		for j, limb := range p {
-			if len(limb) != n || cap(limb) != n {
-				t.Fatalf("poly %d limb %d: len %d cap %d, want both %d", i, j, len(limb), cap(limb), n)
+	for level := 0; level <= ctx.MaxLevel(); level++ {
+		kg := keyGenAt(t, ctx, level, 43)
+		sk := kg.GenSecretKey()
+		var gk GaloisKey
+		if _, err := gk.DecodeFrom(kg.GenGaloisKey(sk, 1).AppendBinary(nil)); err != nil {
+			t.Fatal(err)
+		}
+		var polys []ring.RNSPoly
+		for _, part := range gk.Parts {
+			polys = append(polys, part[0], part[1])
+		}
+		for i, p := range polys {
+			for j, limb := range p {
+				if len(limb) != n || cap(limb) != n {
+					t.Fatalf("key for level %d, poly %d limb %d: len %d cap %d, want both %d", level, i, j, len(limb), cap(limb), n)
+				}
 			}
 		}
 	}

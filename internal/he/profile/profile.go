@@ -115,6 +115,16 @@ const modeledRotCyclesPerLimbNLogN = 21.0
 // and NewRegistry refuses any profile shallower.
 const servedDepth = transcipher.Levels + ckks.MatVecLevels
 
+// keyLevels are the levels the served ops key-switch at on a chain whose
+// top level is top: the transcipher's one squaring runs
+// transcipher.RelinDrop below the top, and the matvec kernel rotates the
+// block the transcipher leaves transcipher.Levels below it. A profile's
+// context builds every session key for exactly these levels, so a key
+// carries no digit or limb its op does not read.
+func keyLevels(top int) (relin, galois int) {
+	return top - transcipher.RelinDrop, top - transcipher.Levels
+}
+
 // Profile binds one of the paper's λ security levels to a runnable CKKS
 // parameter set. Profiles are immutable after registration.
 type Profile struct {
@@ -138,11 +148,16 @@ func (p *Profile) MSL() float64 { return costmodel.MinSecurityLevel(p.Lambda) }
 func (p *Profile) Slots() int { return p.Params.Slots() }
 
 // Context returns the profile's CKKS context, building it on first use and
-// caching it for every later caller. Contexts are immutable and safe to
+// caching it for every later caller. Its keys are built for the levels
+// the served ops switch at (keyLevels). Contexts are immutable and safe to
 // share across servers, clients and pools.
 func (p *Profile) Context() (*ckks.Context, error) {
 	p.ctxOnce.Do(func() {
-		p.ctx, p.ctxErr = ckks.NewContext(p.Params)
+		ctx, err := ckks.NewContext(p.Params)
+		if err == nil {
+			ctx, err = ctx.WithKeyLevels(keyLevels(ctx.MaxLevel()))
+		}
+		p.ctx, p.ctxErr = ctx, err
 	})
 	return p.ctx, p.ctxErr
 }

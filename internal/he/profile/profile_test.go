@@ -77,6 +77,42 @@ func TestBuiltInParamsFollowServedOps(t *testing.T) {
 	}
 }
 
+// TestKeysAtServedLevels: every registered profile's context builds the
+// relinearization key for the transcipher's squaring level, top−1 (level
+// 2 on the depth-3 chain: 3 digits × 4 QP limbs), and Galois keys for the
+// level the matvec kernel rotates at, top−transcipher.Levels (level 1: 2
+// digits × 3 limbs) — and the keys it builds have those widths.
+func TestKeysAtServedLevels(t *testing.T) {
+	reg := profile.Default()
+	for _, id := range reg.IDs() {
+		p, _ := reg.Get(id)
+		ctx, err := p.Context()
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := ctx.MaxLevel()
+		if got, want := ctx.RelinLevel(), top-transcipher.RelinDrop; got != want || got != 2 {
+			t.Errorf("%s: relinearization keys for level %d, want %d (2 on the served chain)", id, got, want)
+		}
+		if got, want := ctx.GaloisLevel(), top-transcipher.Levels; got != want || got != 1 {
+			t.Errorf("%s: Galois keys for level %d, want %d (1 on the served chain)", id, got, want)
+		}
+		kg := ckks.NewKeyGenerator(ctx, 7)
+		sk := kg.GenSecretKey()
+		gk := kg.GenGaloisKey(sk, 1)
+		for _, k := range []struct {
+			name          string
+			key           *ckks.SwitchingKey
+			digits, limbs int
+		}{{"relinearization", kg.GenRelinKey(sk), 3, 4}, {"galois", &gk.SwitchingKey, 2, 3}} {
+			if len(k.key.Parts) != k.digits || len(k.key.Parts[0][0]) != k.limbs || len(k.key.QP) != k.limbs {
+				t.Errorf("%s: %s key spans %d digits × %d limbs over %d moduli, want %d × %d",
+					id, k.name, len(k.key.Parts), len(k.key.Parts[0][0]), len(k.key.QP), k.digits, k.limbs)
+			}
+		}
+	}
+}
+
 func TestContextCachedAndShared(t *testing.T) {
 	p := profile.Default().Default()
 	c1, err := p.Context()

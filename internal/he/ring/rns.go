@@ -121,9 +121,6 @@ func NewTower(n int, qs []uint64, p uint64) (*Tower, error) {
 	return t, nil
 }
 
-// Limbs returns the chain length L (the special prime is not counted).
-func (t *Tower) Limbs() int { return len(t.Qi) }
-
 // NewPoly allocates a zero RNS polynomial with the given limb count.
 func (t *Tower) NewPoly(limbs int) RNSPoly {
 	p := make(RNSPoly, limbs)

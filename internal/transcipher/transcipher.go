@@ -106,6 +106,11 @@ type Cipher struct {
 // transciphered block leaves at level top−Levels.
 const Levels = 2
 
+// RelinDrop is how far below the top the keystream's one squaring runs —
+// after the quadratic form's rescale — so the relinearization key is used
+// at level top−RelinDrop and at no other.
+const RelinDrop = 1
+
 // New builds a transciphering cipher. The context needs depth ≥ Levels,
 // and the encoding scale must equal the top rescaling prime so the linear
 // and quadratic paths land on identical scales.
