@@ -187,7 +187,7 @@ func (t *Telemetry) SessionProfile(sessionID string) string {
 // Snapshot captures the registry for one planning round, computing
 // per-session demand rates from the demand-byte deltas since the previous
 // call. It drops what the bound store does not hold: a registered
-// session (ObserveSession) as soon as the store evicts or sweeps it, an
+// session (ObserveSession) as soon as the store evicts or removes it, an
 // entry no registration made (a block that finished after its session
 // was evicted, or synthetic traffic) once a round passes without demand
 // for it. With no store bound nothing is dropped. It is called by the

@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,30 +45,16 @@ type DialConfig struct {
 	// ID is granted or downgraded per the active plan — Client.Profile
 	// reports what the session actually runs.
 	Profile string
-	// Dialer overrides how the transport connection is established (fault
-	// injection, proxies, custom networks). nil dials plain TCP bounded by
-	// defaultDialTimeout.
-	Dialer func(network, addr string) (net.Conn, error)
 	// RequestTimeout bounds the wait for each reply — a Compute, a MatVec,
 	// a Rekey, each item of a ComputeBatch. Expiry abandons the request (a
 	// late reply is dropped) and fails the call with an error wrapping
 	// serve.ErrDeadline. 0 = no deadline.
 	RequestTimeout time.Duration
-	// Reconnect enables automatic recovery from connection loss: up to
-	// defaultReconnectAttempts redials per outage under jittered
-	// capped-exponential backoff, session resume (no re-keygen, no new QKD
-	// withdrawal), and replay of in-flight Compute requests — a
-	// ComputeBatch's items included — on the resumed transport. In-flight
-	// Setup/Rekey/MatVec requests fail typed instead of replaying — a
-	// replayed rekey could double-bump the key epoch. Pair with
-	// RequestTimeout so a request lost in the reconnect window cannot
-	// block its caller forever.
-	Reconnect bool
 	// Tracer, when set, collects client-side spans (dial, handshake,
-	// keygen, setup, mask/submit/wait per sampled compute, reconnect,
-	// resume, replay, rekey, retry backoff) into the shared internal/obs
-	// trace model. Sampled blocks carry their trace context on the wire,
-	// so the server's stage spans land in the same trace. nil = untraced.
+	// keygen, setup, mask/submit/wait per sampled compute, rekey, retry
+	// backoff) into the shared internal/obs trace model. Sampled blocks
+	// carry their trace context on the wire, so the server's stage spans
+	// land in the same trace. nil = untraced.
 	Tracer *obs.Tracer
 	// TraceSample is the fraction of Compute requests sampled into full
 	// traces when Tracer is set (≤ 0 or > 1 = 1.0, i.e. every block).
@@ -79,55 +64,49 @@ type DialConfig struct {
 	// Route labels the session's QKD route in the key-flow ledger
 	// attached to the key centre (attribution only; empty is fine).
 	Route string
+
+	// dialer, when set, establishes the transport connection in place of
+	// plain TCP: the seam the fault-injection tests dial through.
+	dialer func(network, addr string) (net.Conn, error)
 }
 
-// Client-side fault-tolerance constants (see DialConfig).
+// Client-side timing and retry constants (see DialConfig).
 const (
 	defaultDialTimeout = 5 * time.Second
-	// Redials per outage, and their backoff: the first wait, doubling per
-	// attempt with ±50% jitter up to the cap.
-	defaultReconnectAttempts   = 5
-	defaultReconnectBackoff    = 50 * time.Millisecond
-	defaultReconnectBackoffMax = 2 * time.Second
 	// defaultRetryBudget caps the transparent resends of the unified retry
 	// policy — requests refused for their key epoch or byte budget —
 	// before the typed error surfaces to the caller.
 	defaultRetryBudget = 3
 	// The unified retry policy's jitter window for in-place request
-	// retries (much tighter than reconnect backoff: the connection is
-	// healthy, we only yield to let a rotation settle).
+	// retries: the connection is healthy, the client only yields to let a
+	// rotation settle.
 	retryBackoffBase = 5 * time.Millisecond
 	retryBackoffMax  = 250 * time.Millisecond
 )
 
 // negotiateTimeout bounds each reply of the synchronous pre-read-loop
-// dialogs (hello ack, profile grant, resume handshake). A peer speaking
-// another version closes at once, so the deadline only bites against a
-// hung or silent one.
+// dialogs (hello ack, profile grant). A peer speaking another version
+// closes at once, so the deadline only bites against a hung or silent one.
 const negotiateTimeout = 5 * time.Second
 
 // Client is a QuHE edge client node: it owns the HE secret key, masks data
 // under the QKD-derived symmetric key, and decrypts the server's encrypted
-// results. One Client drives one TCP connection: ComputeAsync/ComputeBatch
-// keep multiple requests in flight and a reader goroutine matches
-// out-of-order replies by request ID. Safe for concurrent use.
+// results. One Client drives one TCP connection, and its session lives
+// exactly as long as that connection: once the connection is lost every
+// call fails with an error wrapping serve.ErrConnClosed, and the caller
+// dials again. ComputeAsync/ComputeBatch keep multiple requests in flight
+// and a reader goroutine matches out-of-order replies by request ID. Safe
+// for concurrent use.
 type Client struct {
 	sessionID string
-	addr      string
 	dcfg      DialConfig
 
 	// prof is the security profile the server granted and the session
 	// runs on.
 	prof *profile.Profile
 
-	// connMu guards the live transport (conn/fw/br), which a reconnect
-	// swaps wholesale; gen bumps on every swap so a sender that failed
-	// mid-swap can tell a dead connection from a replaced one.
-	connMu sync.Mutex
-	gen    uint64
-	conn   net.Conn
-	fw     *frameWriter
-	br     *bufio.Reader
+	conn net.Conn
+	fw   *frameWriter
 
 	// mvDim is the server's packed model matrix dimension, learned from
 	// the Setup reply (0 = the server holds no matrix). seed is kept so
@@ -136,32 +115,21 @@ type Client struct {
 	mvDim int
 	seed  int64
 	// rotMu guards rotInstalled: EnableMatVec uploads the Galois keys at
-	// most once per client (they live on the server-side session and
-	// survive reconnect-and-resume).
+	// most once per client (they live on the server-side session).
 	rotMu        sync.Mutex
 	rotInstalled bool
 	// tracer emits client-side spans (nil = untraced).
 	tracer *clientTracer
-	// resumedSinceRekey marks that the session resumed on a fresh
-	// transport and the resume credential has not rotated since; the
-	// next ledgered rekey is attributed to resume-rotation.
-	resumedSinceRekey atomic.Bool
 
-	closed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
 
-	// rng drives backoff jitter; seeded, so a chaos run's retry timing is
+	// rng drives backoff jitter; seeded, so a run's retry timing is
 	// reproducible per client.
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	// Fault-tolerance event counters, which the recovery tests read.
-	reconnects atomic.Int64
-	resumes    atomic.Int64
-	retries    atomic.Int64
-	replays    atomic.Int64
-	keygens    atomic.Int64
+	// retries counts transparent resends under the unified retry policy.
+	retries atomic.Int64
 
 	ctx     *ckks.Context
 	cipher  *transcipher.Cipher
@@ -178,13 +146,10 @@ type Client struct {
 	kc      *qkd.KeyCenter
 	rekeyMu sync.Mutex
 
-	// keyMu also guards resumeAuth: the resume credential is derived from
-	// the QKD material and rotates atomically with the key.
-	keyMu      sync.Mutex
-	key        []float64
-	nonce      []byte
-	epoch      uint64
-	resumeAuth []byte
+	keyMu sync.Mutex
+	key   []float64
+	nonce []byte
+	epoch uint64
 
 	nextID  atomic.Uint64
 	pendMu  sync.Mutex
@@ -208,19 +173,17 @@ type Client struct {
 	LastCmpDelay float64
 }
 
-// call is one in-flight request: its reply channel, the envelope (kept so
-// a reconnect can replay Compute requests), and an optional per-call
-// terminal error set before the channel is closed.
+// call is one in-flight request: its ID and its reply channel, closed
+// without a reply when the connection fails.
 type call struct {
-	ch  chan replyEnvelope
-	env *envelope
-	err error
+	id uint64
+	ch chan replyEnvelope
 }
 
 // DialWith connects to an edge server, generates the client's HE keys,
 // derives the transciphering key from qkdKey (e.g. material withdrawn from
 // the qkd.KeyCenter), and registers the session. The zero DialConfig asks
-// for the server's default profile and no reconnection.
+// for the server's default profile.
 func DialWith(addr, sessionID string, qkdKey []byte, seed int64, cfg DialConfig) (*Client, error) {
 	return dialAttempt(addr, sessionID, qkdKey, nil, seed, cfg, 0)
 }
@@ -307,14 +270,11 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 
 	keygenDur := time.Since(keygenStart)
 
-	resumeAuth := deriveResumeAuth(qkdKey)
 	c := &Client{
 		sessionID: sessionID,
-		addr:      addr,
 		dcfg:      dcfg,
 		conn:      conn,
 		fw:        newFrameWriter(conn, func() { conn.Close() }, nil),
-		br:        br,
 		prof:      prof,
 		seed:      seed,
 		rng:       rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
@@ -330,25 +290,23 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		epoch:     1,
 		pending:   make(map[uint64]*call),
 	}
-	c.keygens.Store(1)
 	c.tracer = newClientTracer(dcfg.Tracer, sessionID, dcfg.TraceSample, func() uint64 {
 		c.rngMu.Lock()
 		v := c.rng.Uint64()
 		c.rngMu.Unlock()
 		return v
 	})
-	go c.readLoop()
+	go c.readLoop(br)
 
 	setupStart := time.Now()
 	reply, err := c.roundTrip(&envelope{Setup: &SetupRequest{
-		SessionID:  sessionID,
-		LogN:       ctx.Params.LogN,
-		Depth:      ctx.Params.Depth,
-		RLK:        rlk,
-		EncKey:     encKey,
-		Nonce:      c.nonce,
-		Profile:    prof.ID,
-		ResumeAuth: resumeAuth,
+		SessionID: sessionID,
+		LogN:      ctx.Params.LogN,
+		Depth:     ctx.Params.Depth,
+		RLK:       rlk,
+		EncKey:    encKey,
+		Nonce:     c.nonce,
+		Profile:   prof.ID,
 	}})
 	if err != nil {
 		c.teardown()
@@ -372,12 +330,6 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 			serve.ErrProfileDenied, rep.Profile, prof.ID)
 	}
 	c.mvDim = rep.MatVecDim
-	// Arm the reconnect machinery only once the credential is registered
-	// server-side — a connection lost before this point has nothing to
-	// resume into.
-	c.keyMu.Lock()
-	c.resumeAuth = resumeAuth
-	c.keyMu.Unlock()
 	// The dial trace: one client-lane record covering the whole session
 	// establishment, split into its expensive stages.
 	if cs := c.tracer.begin(obs.TraceContext{}, 0, 0, dialStart); cs != nil {
@@ -392,8 +344,8 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 
 // exchange writes one frame and reads the peer's next one under
 // negotiateTimeout: the step of every synchronous dialog that runs before
-// a connection has a read loop (hello, profile query, resume handshake).
-// The frame is built in — and the returned payload aliases — *buf.
+// a connection has a read loop (hello, profile query). The frame is built
+// in — and the returned payload aliases — *buf.
 func exchange(conn net.Conn, br *bufio.Reader, buf *[]byte, ftype byte, build func(b []byte) []byte) (byte, []byte, error) {
 	f := beginFrame((*buf)[:0], ftype, 0)
 	if build != nil {
@@ -413,17 +365,6 @@ func exchange(conn net.Conn, br *bufio.Reader, buf *[]byte, ftype byte, build fu
 	return rtype, payload, err
 }
 
-// dialFunc resolves the configured dialer (DialConfig.Dialer, or plain
-// TCP bounded by defaultDialTimeout).
-func dialFunc(dcfg DialConfig) func(network, addr string) (net.Conn, error) {
-	if dcfg.Dialer != nil {
-		return dcfg.Dialer
-	}
-	return func(network, addr string) (net.Conn, error) {
-		return net.DialTimeout(network, addr, defaultDialTimeout)
-	}
-}
-
 // negotiate establishes the transport: dial, then the hello exchange. The
 // frame version names the whole wire format, so there is nothing to
 // bargain over — a server that speaks it echoes the empty hello, and any
@@ -431,7 +372,13 @@ func dialFunc(dcfg DialConfig) func(network, addr string) (net.Conn, error) {
 // protocol, or stayed silent past negotiateTimeout) fails with an error
 // wrapping ErrProtocolMismatch.
 func negotiate(addr string, dcfg DialConfig) (net.Conn, *bufio.Reader, error) {
-	conn, err := dialFunc(dcfg)("tcp", addr)
+	var conn net.Conn
+	var err error
+	if dcfg.dialer != nil {
+		conn, err = dcfg.dialer("tcp", addr)
+	} else {
+		conn, err = net.DialTimeout("tcp", addr, defaultDialTimeout)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("edge: dial: %w", err)
 	}
@@ -468,8 +415,8 @@ func queryProfile(conn net.Conn, br *bufio.Reader, sessionID, requested string) 
 }
 
 // syncReply reads the session reply that ends a synchronous dialog (the
-// profile query, the resume handshake) through sessionReply; any other
-// frame type there is a protocol violation.
+// profile query) through sessionReply; any other frame type there is a
+// protocol violation.
 func syncReply(what string, ftype byte, payload []byte) (*SessionReply, error) {
 	if ftype != frameSessionReply {
 		return nil, fmt.Errorf("%w: unexpected frame type %d in %s dialog", ErrBadFrame, ftype, what)
@@ -528,17 +475,11 @@ func replyError(code serve.Code, detail string) error {
 	return fmt.Errorf("edge: server: %w: %s", sentinel, detail)
 }
 
-// teardown marks the client closed and closes the transport exactly once;
-// the read loop's terminal path and Close both funnel through it, so there
-// is no double-close race between them.
+// teardown closes the transport exactly once; the read loop's terminal
+// path and Close both funnel through it, so there is no double-close race
+// between them.
 func (c *Client) teardown() {
-	c.closed.Store(true)
-	c.closeOnce.Do(func() {
-		c.connMu.Lock()
-		conn := c.conn
-		c.connMu.Unlock()
-		c.closeErr = conn.Close()
-	})
+	c.closeOnce.Do(func() { c.closeErr = c.conn.Close() })
 }
 
 // failPending fails every in-flight request with err (the first failure
@@ -566,27 +507,10 @@ func (c *Client) deliver(reply replyEnvelope) {
 	}
 }
 
-// readLoop dispatches replies to their waiting requests by ID. On
-// connection error it either recovers the session (reconnect + resume,
-// when enabled) or fails every pending request with an error wrapping
-// serve.ErrConnClosed, so callers can branch on the failure class.
-func (c *Client) readLoop() {
-	for {
-		err := c.readConn()
-		if rerr := c.tryRecover(err); rerr != nil {
-			c.failPending(rerr)
-			c.teardown()
-			return
-		}
-	}
-}
-
-// readConn drains one transport generation, returning the first
-// connection error.
-func (c *Client) readConn() error {
-	c.connMu.Lock()
-	br := c.br
-	c.connMu.Unlock()
+// readLoop dispatches replies to their waiting requests by ID until the
+// connection fails, then fails every pending request with an error
+// wrapping serve.ErrConnClosed, so callers can branch on the failure class.
+func (c *Client) readLoop(br *bufio.Reader) {
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
 	for {
@@ -595,99 +519,11 @@ func (c *Client) readConn() error {
 			err = c.handleFrame(ftype, id, payload)
 		}
 		if err != nil {
-			return err
+			c.failPending(fmt.Errorf("edge: recv: %w: %v", serve.ErrConnClosed, err))
+			c.teardown()
+			return
 		}
 	}
-}
-
-// canRecover reports whether the automatic reconnect machinery is armed:
-// enabled, a registered credential, and the client not closed.
-func (c *Client) canRecover() bool {
-	if c.closed.Load() || !c.dcfg.Reconnect {
-		return false
-	}
-	c.keyMu.Lock()
-	armed := len(c.resumeAuth) > 0
-	c.keyMu.Unlock()
-	return armed
-}
-
-// tryRecover attempts reconnect + session resume after a transport
-// failure. It returns nil when the session was re-attached (the read loop
-// continues on the new transport) and the terminal error otherwise.
-func (c *Client) tryRecover(cause error) error {
-	terminal := fmt.Errorf("edge: recv: %w: %v", serve.ErrConnClosed, cause)
-	if !c.canRecover() {
-		return terminal
-	}
-	// Setup/Rekey/MatVec requests caught mid-flight are not replayed (a
-	// replayed rekey would double-bump the epoch); fail them typed now.
-	// Compute requests stay registered for replay on the resumed transport.
-	c.shedNonReplayable(cause)
-	// The recovery trace adopts the trace identity of the oldest
-	// in-flight compute, so the outage's backoff/reconnect/resume/replay
-	// spans land inside the trace of the block they delayed.
-	rec := c.tracer.beginLinked(c.oldestPendingTrace(), time.Now())
-	defer rec.finish()
-	var lastErr error
-	for attempt := 0; attempt < defaultReconnectAttempts; attempt++ {
-		backoffStart := time.Now()
-		time.Sleep(c.jitter(attempt, defaultReconnectBackoff, defaultReconnectBackoffMax))
-		rec.span(cstageBackoff, backoffStart)
-		if c.closed.Load() {
-			return terminal
-		}
-		err := c.reconnectOnce(rec)
-		if err == nil {
-			replayStart := time.Now()
-			c.replayPending()
-			rec.span(cstageReplay, replayStart)
-			return nil
-		}
-		lastErr = err
-		// A typed denial will not improve with retries: the session is
-		// gone (resume window expired) or the state drifted — surface it.
-		if errors.Is(err, serve.ErrResumeRejected) || errors.Is(err, serve.ErrUnknownSession) {
-			return err
-		}
-	}
-	return fmt.Errorf("edge: reconnect failed after %d attempts: %w (last: %v)",
-		defaultReconnectAttempts, serve.ErrConnClosed, lastErr)
-}
-
-// oldestPendingTrace returns the wire trace context of the lowest-ID
-// in-flight Compute carrying one (zero context when none does) — the
-// causal anchor for the recovery trace.
-func (c *Client) oldestPendingTrace() obs.TraceContext {
-	var tc obs.TraceContext
-	var best uint64
-	c.pendMu.Lock()
-	for id, cl := range c.pending {
-		if !cl.env.replayable() || !cl.env.Compute.Trace.Valid() {
-			continue
-		}
-		if tc.TraceID == 0 || id < best {
-			tc, best = cl.env.Compute.Trace, id
-		}
-	}
-	c.pendMu.Unlock()
-	return tc
-}
-
-// shedNonReplayable fails every in-flight request except Computes with a
-// typed per-call error.
-func (c *Client) shedNonReplayable(cause error) {
-	c.pendMu.Lock()
-	for id, cl := range c.pending {
-		if cl.env.replayable() {
-			continue
-		}
-		delete(c.pending, id)
-		cl.err = fmt.Errorf("edge: %w: connection lost mid-request (not replayed): %v",
-			serve.ErrConnClosed, cause)
-		close(cl.ch)
-	}
-	c.pendMu.Unlock()
 }
 
 // jitter computes a capped exponential backoff with ±50% jitter from the
@@ -708,91 +544,6 @@ func (c *Client) jitter(attempt int, base, max time.Duration) time.Duration {
 	j := c.rng.Int63n(half + 1)
 	c.rngMu.Unlock()
 	return time.Duration(half + j)
-}
-
-// reconnectOnce redials, repeats the hello and runs the resume handshake;
-// on success the new transport is installed and the counters bumped. rec,
-// when non-nil, receives the reconnect and resume spans.
-func (c *Client) reconnectOnce(rec *clientSpans) error {
-	reconnectStart := time.Now()
-	conn, br, err := negotiate(c.addr, c.dcfg)
-	if err != nil {
-		return err
-	}
-	rec.span(cstageReconnect, reconnectStart)
-	c.keyMu.Lock()
-	auth, epoch := c.resumeAuth, c.epoch
-	c.keyMu.Unlock()
-	resumeStart := time.Now()
-	if err := resumeHandshake(conn, br, c.sessionID, epoch, c.prof.ID, auth); err != nil {
-		conn.Close()
-		return err
-	}
-	rec.span(cstageResume, resumeStart)
-	fw := newFrameWriter(conn, func() { conn.Close() }, nil)
-	c.connMu.Lock()
-	c.conn, c.br, c.fw = conn, br, fw
-	c.gen++
-	c.connMu.Unlock()
-	c.resumedSinceRekey.Store(true)
-	c.reconnects.Add(1)
-	c.resumes.Add(1)
-	return nil
-}
-
-// resumeHandshake proves key possession on a fresh connection and
-// re-attaches the session: Resume → Challenge → Proof → Reply, run
-// synchronously like the hello (no read loop is consuming this
-// connection yet).
-func resumeHandshake(conn net.Conn, br *bufio.Reader, sessionID string, epoch uint64, profileID string, auth []byte) error {
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	ftype, payload, err := exchange(conn, br, buf, frameResume, func(b []byte) []byte {
-		return appendResumeRequest(b, &ResumeRequest{SessionID: sessionID, Epoch: epoch, Profile: profileID})
-	})
-	if err != nil {
-		return fmt.Errorf("edge: resume: %w", err)
-	}
-	if ftype == frameResumeChallenge {
-		ch, err := decodeResumeChallenge(payload)
-		if err != nil {
-			return err
-		}
-		ftype, payload, err = exchange(conn, br, buf, frameResumeProof, func(b []byte) []byte {
-			return appendResumeProof(b, &ResumeProof{MAC: resumeMAC(auth, ch.Challenge, sessionID, epoch)})
-		})
-		if err != nil {
-			return fmt.Errorf("edge: resume: %w", err)
-		}
-	}
-	// A reply in place of the challenge is a denial before it (unknown
-	// session, drift).
-	_, err = syncReply("resume", ftype, payload)
-	return err
-}
-
-// replayable reports whether the request may be re-sent on a resumed
-// transport: plain Computes only.
-func (e *envelope) replayable() bool { return e.Compute != nil && e.Op == frameCompute }
-
-// replayPending re-sends the Compute requests that were in flight when
-// the connection died, in request-ID order, on the fresh transport.
-func (c *Client) replayPending() {
-	c.pendMu.Lock()
-	items := make([]*envelope, 0, len(c.pending))
-	for _, cl := range c.pending {
-		if cl.env.replayable() {
-			items = append(items, cl.env)
-		}
-	}
-	c.pendMu.Unlock()
-	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-	for _, env := range items {
-		c.replays.Add(1)
-		if err := c.write(env); err != nil {
-			return // the new connection died too; the next recovery round replays
-		}
-	}
 }
 
 // handleFrame decodes one reply and hands it to its waiting request: every
@@ -820,7 +571,7 @@ func (c *Client) handleFrame(ftype byte, id uint64, payload []byte) error {
 func (c *Client) send(env *envelope) (*call, error) {
 	id := c.nextID.Add(1)
 	env.ID = id
-	cl := &call{ch: make(chan replyEnvelope, 1), env: env}
+	cl := &call{id: id, ch: make(chan replyEnvelope, 1)}
 	c.pendMu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
@@ -830,13 +581,7 @@ func (c *Client) send(env *envelope) (*call, error) {
 	c.pending[id] = cl
 	c.pendMu.Unlock()
 
-	if err := c.write(env); err != nil {
-		// With reconnect armed, a Compute whose write hit the dying
-		// connection stays registered: the recovery pass replays it on
-		// the resumed transport, or fails it typed when recovery gives up.
-		if env.replayable() && c.canRecover() {
-			return cl, nil
-		}
+	if err := sendEnvelope(c.fw, env); err != nil {
 		c.pendMu.Lock()
 		delete(c.pending, id)
 		c.pendMu.Unlock()
@@ -845,28 +590,6 @@ func (c *Client) send(env *envelope) (*call, error) {
 		return nil, fmt.Errorf("edge: send: %w: %v", serve.ErrConnClosed, err)
 	}
 	return cl, nil
-}
-
-// write encodes and sends env on the current transport. A write that
-// failed because the transport was swapped mid-call (a racing reconnect)
-// retries on the new generation; one that failed on the live generation
-// returns the error.
-func (c *Client) write(env *envelope) error {
-	for {
-		c.connMu.Lock()
-		fw, gen := c.fw, c.gen
-		c.connMu.Unlock()
-		err := sendEnvelope(fw, env)
-		if err == nil {
-			return nil
-		}
-		c.connMu.Lock()
-		cur := c.gen
-		c.connMu.Unlock()
-		if cur == gen {
-			return err
-		}
-	}
 }
 
 func sendEnvelope(fw *frameWriter, env *envelope) error {
@@ -896,7 +619,11 @@ func (c *Client) wait(cl *call) (replyEnvelope, error) {
 	select {
 	case reply, ok := <-cl.ch:
 		if !ok {
-			return replyEnvelope{}, c.callErr(cl)
+			// The read loop records the connection's error before it closes
+			// any channel.
+			c.pendMu.Lock()
+			defer c.pendMu.Unlock()
+			return replyEnvelope{}, c.readErr
 		}
 		return reply, nil
 	case <-timeout:
@@ -905,25 +632,10 @@ func (c *Client) wait(cl *call) (replyEnvelope, error) {
 	}
 }
 
-// callErr resolves the terminal error of a failed call: its per-call
-// error if one was set, else the connection's.
-func (c *Client) callErr(cl *call) error {
-	if cl.err != nil {
-		return cl.err
-	}
-	c.pendMu.Lock()
-	err := c.readErr
-	c.pendMu.Unlock()
-	if err == nil {
-		err = errors.New("edge: connection closed")
-	}
-	return err
-}
-
 // abandon deregisters a call whose waiter gave up.
 func (c *Client) abandon(cl *call) {
 	c.pendMu.Lock()
-	delete(c.pending, cl.env.ID)
+	delete(c.pending, cl.id)
 	c.pendMu.Unlock()
 }
 
@@ -1086,7 +798,7 @@ func (c *Client) submit(op byte, block uint32, data, dst []float64, n int) (*Pen
 	}
 	spans.span(cstageSubmit, submitStart)
 	if spans != nil {
-		spans.bt.ReqID = cl.env.ID
+		spans.bt.ReqID = cl.id
 	}
 	return &Pending{
 		c: c, cl: cl, n: n, block: block, epoch: epoch,
@@ -1198,14 +910,12 @@ func (c *Client) MatVecDim() int { return c.mvDim }
 // RotKeys frame, each generated into the same storage and sent without
 // waiting for the previous reply, so neither end ever holds more than one
 // key in flight; the call then waits for every reply, and the first
-// refusal is its error. The keys are public evaluation material: they live
-// on the session, so they survive rekeys and reconnect-and-resume without
-// a re-upload, but an upload cut short by a lost connection installs
-// nothing and is not replayed — call EnableMatVec again. That retry also
-// succeeds when only replies were lost and the server did install the set:
-// its "already installed" refusal means the keys are in place. Fails with an
-// error wrapping serve.ErrMatVecUnavailable when the server holds no
-// matrix.
+// refusal is its error. The keys are public evaluation material: they
+// live on the session, through every rekey. A retry after a failed call
+// succeeds when only replies were lost (RequestTimeout) and the server did
+// install the set: its "already installed" refusal means the keys are in
+// place. Fails with an error wrapping serve.ErrMatVecUnavailable when the
+// server holds no matrix.
 func (c *Client) EnableMatVec() error {
 	if c.mvDim == 0 {
 		return fmt.Errorf("edge: %w: server holds no model matrix", serve.ErrMatVecUnavailable)
@@ -1219,8 +929,8 @@ func (c *Client) EnableMatVec() error {
 	// secret key (read-only after dial); the offset keeps the generator's
 	// stream disjoint from the dial-time keygen and evaluator streams. The
 	// keys come out as GenGaloisKeys would build them, in its order. Each
-	// send copies the key into its frame before returning, and a RotKeys
-	// request is never replayed, so the next key may overwrite the storage.
+	// send copies the key into its frame before returning, so the next key
+	// may overwrite the storage.
 	kg := ckks.NewKeyGenerator(c.ctx, c.seed+2)
 	req := &RotKeysRequest{SessionID: c.sessionID, Key: new(ckks.GaloisKey)}
 	var calls []*call
@@ -1270,9 +980,7 @@ func (c *Client) MatVec(block uint32, data []float64) ([]float64, error) {
 // MatVecAsync masks one input vector and sends it without waiting,
 // mirroring ComputeAsync. The vector is replicated across the slot space
 // (slot j carries v[j mod dim]) because the BSGS kernel's giant-step
-// windows read the full vector at every offset. On reconnect, in-flight
-// matvec requests are failed typed rather than replayed — the rotation
-// keys survive server-side, so the caller just resubmits.
+// windows read the full vector at every offset.
 func (c *Client) MatVecAsync(block uint32, data []float64) (*Pending, error) {
 	dim := c.mvDim
 	if dim == 0 {
@@ -1371,16 +1079,10 @@ func (c *Client) RekeyIfEpoch(epoch uint64) error {
 }
 
 // rekeyLocked draws fresh material and rotates; callers hold rekeyMu.
-// The withdrawal is attributed in the key-flow ledger under cause —
-// except that the first rotation after a successful resume is recorded
-// as resume-rotation regardless of what triggered it, so ledger readers
-// can separate hygiene rotations from budget- and plan-driven ones.
+// The withdrawal is attributed in the key-flow ledger under cause.
 func (c *Client) rekeyLocked(cause string) error {
 	if c.kc == nil {
 		return errors.New("edge: rekey: no key centre attached (use DialQKDWith)")
-	}
-	if c.resumedSinceRekey.Load() {
-		cause = qkd.CauseResumeRotation
 	}
 	material, err := c.kc.WithdrawAttributed(c.sessionID, RekeyWithdrawBytes, qkd.Attribution{
 		Route: c.dcfg.Route, Profile: c.prof.ID, Cause: cause,
@@ -1417,11 +1119,8 @@ func (c *Client) rekeyWith(qkdKey []byte) error {
 	if err != nil {
 		return fmt.Errorf("edge: rekey encrypt: %w", err)
 	}
-	// The resume credential is derived from the QKD material, so it
-	// rotates with the key.
-	auth := deriveResumeAuth(qkdKey)
 	reply, err := c.roundTrip(&envelope{Rekey: &RekeyRequest{
-		SessionID: c.sessionID, EncKey: encKey, Nonce: nonce, ResumeAuth: auth,
+		SessionID: c.sessionID, EncKey: encKey, Nonce: nonce,
 	}})
 	if err != nil {
 		return err
@@ -1431,12 +1130,11 @@ func (c *Client) rekeyWith(qkdKey []byte) error {
 		return err
 	}
 	c.keyMu.Lock()
-	c.key, c.nonce, c.epoch, c.resumeAuth = key, nonce, rep.Epoch, auth
+	c.key, c.nonce, c.epoch = key, nonce, rep.Epoch
 	c.keyMu.Unlock()
 	c.statMu.Lock()
 	c.rekeyAdvisedEpoch = 0
 	c.statMu.Unlock()
-	c.resumedSinceRekey.Store(false)
 	c.tracer.event(cstageRekey, rekeyStart)
 	return nil
 }

@@ -7,9 +7,8 @@ import (
 )
 
 // Client-side span names. Lifecycle stages (dial/handshake/keygen/setup,
-// reconnect/resume/replay, rekey, backoff) are recorded whenever a
-// tracer is armed — they are rare and each one explains a latency cliff;
-// per-compute stages (mask/submit/wait) are recorded only for sampled
+// rekey, retry backoff) are recorded whenever a tracer is armed — they
+// are rare and each one explains a latency cliff; per-compute stages (mask/submit/wait) are recorded only for sampled
 // blocks, whose trace context also crosses the wire so the server's
 // decode→...→write spans land in the same trace.
 const (
@@ -20,10 +19,6 @@ const (
 	cstageMask      = "mask"
 	cstageSubmit    = "submit"
 	cstageWait      = "wait"
-	cstageBackoff   = "backoff"
-	cstageReconnect = "reconnect"
-	cstageResume    = "resume"
-	cstageReplay    = "replay"
 	cstageRekey     = "rekey"
 	cstageRetry     = "retry_backoff"
 )
@@ -40,8 +35,8 @@ type clientTracer struct {
 	session string
 	sample  float64
 	// id draws seeded pseudo-random bits for trace/span IDs and the
-	// per-compute sampling decision (the client's jitter RNG, so chaos
-	// runs trace reproducibly).
+	// per-compute sampling decision (the client's jitter RNG, so a seeded
+	// run traces reproducibly).
 	id func() uint64
 }
 
@@ -91,9 +86,7 @@ func (t *clientTracer) sampleTrace() obs.TraceContext {
 
 // clientSpans accumulates one client-side trace and records it on
 // finish. The zero context form (lifecycle traces) mints a fresh trace
-// ID; a compute's sampled context threads its identity through, and a
-// recovery trace adopts the context of the oldest in-flight compute so
-// the outage lands inside the trace of the block it delayed.
+// ID; a compute's sampled context threads its identity through.
 type clientSpans struct {
 	t  *clientTracer
 	bt obs.BlockTrace
@@ -119,17 +112,6 @@ func (t *clientTracer) begin(tc obs.TraceContext, block uint32, reqID uint64, st
 		bt.TraceID, bt.SpanID = t.newID(), t.newSpanID()
 	}
 	return &clientSpans{t: t, bt: bt}
-}
-
-// beginLinked opens a trace re-parented under another process-local
-// span: same trace ID, Parent pointing at the adopted root. Used for the
-// recovery trace, whose parent is the stalled compute's submit span.
-func (t *clientTracer) beginLinked(tc obs.TraceContext, start time.Time) *clientSpans {
-	cs := t.begin(obs.TraceContext{}, 0, 0, start)
-	if cs != nil && tc.Valid() {
-		cs.bt.TraceID, cs.bt.Parent = tc.TraceID, tc.Parent
-	}
-	return cs
 }
 
 // span appends a stage lasting from start to now.

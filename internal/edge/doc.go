@@ -68,11 +68,11 @@
 // included, is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x0c
-//	offset 3     type     one of 12: hello; the requests setup, compute,
-//	                      matvec, rekey, profile, rotation keys and resume;
-//	                      the resume challenge and proof; and two replies,
-//	                      compute (every op) and session (everything else)
+//	offset 2     version  0x0d
+//	offset 3     type     one of 9: hello; the requests setup, compute,
+//	                      matvec, rekey, profile and rotation keys; and two
+//	                      replies, compute (every op) and session
+//	                      (everything else)
 //	offset 4     reqID    uint64, little-endian
 //	offset 12    length   uint32 payload byte count
 //	offset 16    payload
@@ -85,13 +85,11 @@
 // little-endian uint64 coefficient runs, one per residue-tower limb, via
 // the ckks/ring AppendBinary/DecodeFrom codecs — reflection-free and
 // allocation-free in steady state. Payload fields are all mandatory and
-// positional: Setup always carries Profile and ResumeAuth, a session reply
-// always carries Code, Err, Profile, Epoch and MatVecDim (MatVecDim is
-// zero when the server holds no model matrix — that is how a Setup reply
-// tells matvec availability), a Rekey
-// always carries the rotated ResumeAuth, and Compute/MatVec requests
-// always end in the 16-byte trace context, all zero when the request is
-// unsampled. A decoder that runs out of bytes, or has bytes
+// positional: Setup always carries Profile, a session reply always
+// carries Code, Err, Profile, Epoch and MatVecDim (MatVecDim is zero when
+// the server holds no model matrix — that is how a Setup reply tells
+// matvec availability), and Compute/MatVec requests always end in the
+// 16-byte trace context, all zero when the request is unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
 //
 // Each block's public keystream coefficients come from a ChaCha20 stream
@@ -101,7 +99,7 @@
 //
 // Replies travel on two frames. Every per-block op, matvec included,
 // answers on frameComputeReply; every session request — profile grant,
-// Setup, Rekey, each rotation key and Resume — answers with one
+// Setup, Rekey and each rotation key — answers with one
 // SessionReply on frameSessionReply, each request reading the fields it
 // has an answer for. The reply frame says only which table answered, and
 // the request ID says to what.
@@ -115,8 +113,8 @@
 // GaloisLevel): the relinearization key is built for the transcipher's
 // squaring level, top−1, 3 digits × 4 limbs on the depth-3 chain, and a
 // Galois key for the matvec level, top−2, 2 digits × 3 limbs. Setup carries the session ID, LogN and Depth, the
-// relinearization key, the HE-encrypted transciphering key, the nonce,
-// Profile and ResumeAuth; the client's public key stays with the client,
+// relinearization key, the HE-encrypted transciphering key, the nonce and
+// Profile; the client's public key stays with the client,
 // the only party that encrypts under it.
 //
 // Rotation keys upload one per frame: a RotKeys request is the session ID
@@ -134,8 +132,7 @@
 // is installed on the session atomically the moment it covers the plan's
 // rotations, and until then the session serves no matvec. A repeated key
 // and a key after the set is installed are refused typed. A partial set
-// dies with its connection: resume re-attaches the session, not the
-// upload, and the client uploads again.
+// dies with its connection, as the session does.
 //
 // A connection opens with an empty hello frame from the client, echoed by
 // the server. The version byte names the whole wire format — framing,
@@ -151,11 +148,25 @@
 //
 // After the hello the client runs the profile query, then Setup, both
 // answered in order; from then on requests carry nonzero IDs, many may be
-// in flight, and replies return out of order matched by ID. A reconnect
-// replaces query and Setup with the resume handshake (frameResume →
-// challenge → proof → reply), which re-attaches the session by a MAC
-// under the QKD-derived credential that Setup registered and every Rekey
-// rotates.
+// in flight, and replies return out of order matched by ID.
+//
+// # Session lifetime
+//
+// A session lives exactly as long as the connection that sent its Setup.
+// Every later request names its session by ID, and the server resolves
+// the ID only among the sessions the request's own connection registered:
+// any other ID, another connection's live session included, is
+// serve.CodeUnknownSession, so a peer cannot rekey, upload keys to or
+// compute on a session it did not register (and spend the QKD key behind
+// it). When the connection ends — the client closes it, the idle deadline
+// reclaims it, the transport is lost — its teardown removes its sessions
+// from the session table, by identity: a session evicted and registered
+// again under the same ID, on another connection, stays. The control
+// plane's next plan no longer holds them, and the ID is free for a new
+// Setup at once. Nothing outlives the connection and nothing resumes: a
+// client whose connection is lost sees serve.ErrConnClosed on every
+// pending and later call, and dials again — a new Setup with new QKD key
+// material.
 //
 // Setup, Rekey and rotation-key upload are where key material crosses
 // the trust boundary, and each validates before installing: the
@@ -228,18 +239,17 @@
 // # The session table
 //
 // Everything a connection asks that is not a block — the profile query,
-// Setup and Rekey (where the QKD-derived key material arrives), each
-// rotation key and Resume — is a row of a second table (sessionTable in
+// Setup and Rekey (where the QKD-derived key material arrives) and each
+// rotation key — is a row of a second table (sessionTable in
 // server.go), one row per request frame. A row decodes its payload (a
 // payload that does not decode closes the connection), validates what it
 // carries before installing anything, and returns one SessionReply: a
 // typed refusal, built by one helper, with nothing installed, or the
 // fields its request has an answer for. dispatch sends that reply on
 // frameSessionReply under the request's ID, so the decode loop has one
-// reply path for the whole session lifecycle. Resume's challenge and
-// proof run inside its row, the one sub-dialog; the client reads every
-// session reply through one helper that turns a refusal into the typed
-// error of its code.
+// reply path for the whole session lifecycle and no row reads a frame of
+// its own. The client reads every session reply through one helper that
+// turns a refusal into the typed error of its code.
 //
 // # Pooled buffers and ownership
 //
@@ -280,19 +290,15 @@
 // DialConfig.Tracer mints a per-block trace context (trace ID, root
 // span, sampled bit — obs.TraceContext), records its own spans
 // (dial/handshake/keygen/setup on dial; mask/submit/wait per sampled
-// compute; backoff/reconnect/resume/replay on recovery; rekey and
-// retry_backoff as standalone events) under Proc "client", and sends the
+// compute; rekey and retry_backoff as standalone events) under Proc
+// "client", and sends the
 // 16-byte context in the request frame. The server re-parents its stage
 // spans under that
 // context, so the two halves merge into one trace ID in a combined
 // chrome dump. DialConfig.TraceSample bounds the per-block cost:
 // lifecycle spans are always recorded (rare, each explains a latency
 // cliff), per-compute spans and wire contexts follow the seeded
-// sampling decision. A recovery pass adopts the trace identity of the
-// oldest in-flight compute, so an outage's reconnect/resume/replay
-// spans land inside the trace of the block they delayed — the
-// continuity the chaos suite pins across a mid-flight transport kill.
-// Eval-pool workers additionally run under a quhe_profile pprof label,
+// sampling decision. Eval-pool workers additionally run under a quhe_profile pprof label,
 // splitting CPU profiles by security profile.
 //
 // The metrics become reachable only when ServerConfig.DebugAddr binds
@@ -316,8 +322,7 @@
 // looks like in a client trace dump (the "traced as" column; a sampled
 // block's wait span always closes with the outcome, so untraced-as rows
 // just end there). The matrix — the client's automatic behavior is what
-// Client does on its own when DialConfig.Reconnect and the unified retry
-// policy are armed:
+// Client's unified retry policy does on its own:
 //
 //	code (serve.*)        retryable?             traced as               client action
 //	--------------------  ---------------------  ----------------------  ------------------------------------------
@@ -334,17 +339,13 @@
 //	                                                                     resending sooner than the next plan is noise
 //	CodeProfileDenied     no                     wait span closes        renegotiate the profile (redial); never run
 //	                                                                     at a different λ than granted
-//	CodeResumeRejected    no                     recovery trace ends     the detached session is gone (window
-//	                                             (reconnect, failed      expired, epoch/profile drift, bad proof);
-//	                                             resume)                 full redial — new Setup, new key ceremony
-//	CodeUnknownSession    no                     wait span closes        session evicted or never registered: redial
-//	CodeConnClosed        via reconnect          recovery trace —        with Reconnect armed the client redials
-//	                                             backoff/reconnect/      (capped exponential backoff + jitter),
-//	                                             resume/replay spans     resumes the session (zero keygens, zero QKD
-//	                                             under the stalled       withdrawals) and replays in-flight Computes,
-//	                                             block's trace ID        a ComputeBatch's items included; in-flight
-//	                                                                     Setup/Rekey/MatVec fail typed — replaying a
-//	                                                                     rekey could double-bump the epoch
+//	CodeUnknownSession    no                     wait span closes        the session was evicted, ended with its
+//	                                                                     connection, was never registered, or was
+//	                                                                     registered by another connection: redial
+//	CodeConnClosed        no (session gone)      wait span closes        the connection is gone and its session with
+//	                                                                     it; every pending call fails with this
+//	                                                                     code: redial — new Setup, new QKD key — and
+//	                                                                     resend what the caller still wants
 //	CodeDeadline          caller's choice        wait span closes at     the request was abandoned after
 //	                                             the timeout             DialConfig.RequestTimeout; a late reply is
 //	                                                                     dropped, so a resend is safe but the block
@@ -356,12 +357,9 @@
 //	                                                                     distinguishes a transient from a real bug
 //
 // Server-side hardening: ServerConfig.IdleTimeout bounds how long a
-// connection may sit idle (a client waiting on its own in-flight replies is
-// not idle), ServerConfig.ResumeWindow lets a session outlive its
-// connection for resume (guarded by a challenge–MAC possession proof over
-// the QKD-derived resume credential, which rotates on rekey). The chaos
-// suite (chaos_test.go, with the seeded fault injector in faultnet_test.go)
-// pins the whole contract under seeded byte-level faults: typed errors, no
-// hangs, no wrong plaintexts, and resumes that cost zero key material
-// (TestResumeRoundTrip).
+// connection may sit idle (a client waiting on its own in-flight replies
+// is not idle); an idle close ends the connection's sessions like any
+// other. The chaos suite (chaos_test.go, with the seeded fault injector in
+// faultnet_test.go) pins the whole contract under seeded byte-level
+// faults: typed errors, no hangs, no wrong plaintexts.
 package edge

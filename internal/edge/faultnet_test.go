@@ -102,7 +102,7 @@ func (inj *faultInjector) Wrap(conn net.Conn) *faultConn {
 	return c
 }
 
-// Dialer returns a dial function (as accepted by DialConfig.Dialer)
+// Dialer returns a dial function (as the DialConfig dialer seam takes it)
 // that dials TCP with the given timeout and wraps the result.
 func (inj *faultInjector) Dialer(timeout time.Duration) func(network, addr string) (net.Conn, error) {
 	return func(network, addr string) (net.Conn, error) {
@@ -120,7 +120,7 @@ func (inj *faultInjector) Listener(ln net.Listener) net.Listener {
 }
 
 // CloseAll force-closes every live wrapped connection — the chaos
-// "pull the plug" switch for kill-and-reconnect tests.
+// "pull the plug" switch.
 func (inj *faultInjector) CloseAll() int {
 	inj.mu.Lock()
 	conns := make([]*faultConn, 0, len(inj.live))

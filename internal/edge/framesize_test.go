@@ -20,10 +20,10 @@ func keyFrames(t testing.TB, ctx *ckks.Context, profileID string) (*SetupRequest
 		encKey[i] = ctx.NewCiphertext(ctx.MaxLevel())
 	}
 	id := strings.Repeat("s", 64)
-	nonce, auth := make([]byte, 12), make([]byte, 32)
+	nonce := make([]byte, 12)
 	setup := &SetupRequest{SessionID: id, LogN: ctx.Params.LogN, Depth: ctx.Params.Depth,
-		RLK: kg.GenRelinKey(sk), EncKey: encKey, Nonce: nonce, Profile: profileID, ResumeAuth: auth}
-	rekey := &RekeyRequest{SessionID: id, EncKey: encKey, Nonce: nonce, ResumeAuth: auth}
+		RLK: kg.GenRelinKey(sk), EncKey: encKey, Nonce: nonce, Profile: profileID}
+	rekey := &RekeyRequest{SessionID: id, EncKey: encKey, Nonce: nonce}
 	rotKeys := &RotKeysRequest{SessionID: id, Key: kg.GenGaloisKey(sk, 1)}
 	return setup, rekey, rotKeys
 }

@@ -38,12 +38,8 @@ type serverObs struct {
 	rekeys              *obs.Counter
 	shedQueueFull       *obs.Counter
 
-	// Fault-tolerance instruments: session resume grants and denials,
-	// resume-window expiries and idle-deadline reclaims.
-	resumes       *obs.Counter
-	resumeRejects *obs.Counter
-	resumeExpired *obs.Counter
-	idleTimeouts  *obs.Counter
+	// idleTimeouts counts connections the idle read deadline reclaimed.
+	idleTimeouts *obs.Counter
 
 	queueWait *obs.Histogram
 	stages    [6]*obs.Histogram // indexed by stage constants below
@@ -99,9 +95,6 @@ func newServerObs(s *Server) *serverObs {
 		conns:           reg.Gauge("quhe_edge_conns", "live connections"),
 		rekeys:          reg.Counter("quhe_edge_rekeys_total", "successful session rekeys"),
 		shedQueueFull:   reg.Counter("quhe_serve_shed_total", "requests shed by reason", "reason", "queue_full"),
-		resumes:         reg.Counter("quhe_resumes_total", "sessions re-attached by the resume handshake"),
-		resumeRejects:   reg.Counter("quhe_edge_resume_rejects_total", "resume attempts denied (bad proof, epoch/profile drift, unknown session)"),
-		resumeExpired:   reg.Counter("quhe_edge_resume_window_expired_total", "detached sessions reaped after the resume window"),
 		idleTimeouts:    reg.Counter("quhe_edge_idle_timeouts_total", "connections reclaimed by the idle read deadline"),
 		queueWait:       reg.Histogram("quhe_serve_queue_wait_seconds", "scheduler queue wait per job"),
 		evalHists:       make(map[string]*obs.Histogram),
@@ -119,9 +112,6 @@ func newServerObs(s *Server) *serverObs {
 	}
 	reg.GaugeFunc("quhe_edge_sessions", "resident sessions", func() float64 {
 		return float64(s.store.Len())
-	})
-	reg.GaugeFunc("quhe_resume_window_sessions", "sessions detached inside the resume window", func() float64 {
-		return float64(s.store.Detached())
 	})
 	reg.CounterFunc("quhe_edge_evictions_total", "sessions displaced by the session cap", func() float64 {
 		return float64(s.store.Evictions())

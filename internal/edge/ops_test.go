@@ -37,14 +37,14 @@ func TestOpGates(t *testing.T) {
 			p.uploadRotKeys(t, "gated", 403, len(testMatrix))
 
 			block := uint32(0)
-			request := func(epoch uint64, slots int) func(b []byte) []byte {
+			request := func(id string, epoch uint64, slots int) func(b []byte) []byte {
 				block++
-				req := &ComputeRequest{SessionID: "gated", Block: block, Epoch: epoch, Masked: make([]float64, slots)}
+				req := &ComputeRequest{SessionID: id, Block: block, Epoch: epoch, Masked: make([]float64, slots)}
 				return func(b []byte) []byte { return appendComputeRequest(b, req) }
 			}
 			try := func(what string, epoch uint64, slots int, want serve.Code) {
 				t.Helper()
-				rep, err := decodeComputeReply(p.call(t, o.req, frameComputeReply, request(epoch, slots)))
+				rep, err := decodeComputeReply(p.call(t, o.req, frameComputeReply, request("gated", epoch, slots)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,17 +96,21 @@ func TestOpGates(t *testing.T) {
 			// Queue full: park the one worker inside a block, fill the
 			// one queue slot behind it, and the third request is shed.
 			// A connection's window is the queue's depth, so it takes
-			// three connections: each holds one request in flight.
+			// three connections: each holds one request in flight, for a
+			// session of its own.
 			q, r := *p, *p
 			q.buf, r.buf = nil, nil
 			q.dial(t, srv.Addr())
 			r.dial(t, srv.Addr())
-			release := parkFirstBlock(ctl, func() { p.send(t, o.req, 101, request(1, slots)) })
-			q.send(t, o.req, 102, request(1, slots))
+			q.register(t, "gated-q")
+			q.uploadRotKeys(t, "gated-q", 403, len(testMatrix))
+			r.register(t, "gated-r")
+			release := parkFirstBlock(ctl, func() { p.send(t, o.req, 101, request("gated", 1, slots)) })
+			q.send(t, o.req, 102, request("gated-q", 1, slots))
 			for deadline := time.Now().Add(2 * time.Second); srv.sched.QueueDepth() < 1 && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
-			r.send(t, o.req, 103, request(1, slots))
+			r.send(t, o.req, 103, request("gated-r", 1, slots))
 			ftype, id, payload := r.recv(t)
 			rep, err := decodeComputeReply(payload)
 			if err != nil {

@@ -19,7 +19,9 @@ const KeyLen = 8
 // the HE-encrypted transciphering key. The client's public key stays with
 // the client, which alone encrypts under it. Registering an ID that is
 // already live fails with serve.CodeDuplicateSession — key rotation must
-// use the explicit Rekey message instead.
+// use the explicit Rekey message instead. The session lives as long as the
+// connection that sent its Setup, and only that connection may name it:
+// a request from any other is refused with serve.CodeUnknownSession.
 type SetupRequest struct {
 	SessionID string
 	// LogN/Depth guard against parameter mismatches between endpoints.
@@ -32,11 +34,6 @@ type SetupRequest struct {
 	// the server's default profile; a non-empty ID must be known to the
 	// server's registry and match LogN/Depth.
 	Profile string
-	// ResumeAuth registers the session's resume credential: a secret the
-	// client derives from the current QKD key material, against which a
-	// reconnect proves key possession (challenge HMAC) to re-attach
-	// without a re-keygen. Empty disables resume for the session.
-	ResumeAuth []byte
 }
 
 // ProfileRequest asks the server which security profile a new session
@@ -50,7 +47,7 @@ type ProfileRequest struct {
 }
 
 // SessionReply answers every session-lifecycle request — the profile
-// query, Setup, Rekey, each RotKeys upload and Resume — in one layout.
+// query, Setup, Rekey and each RotKeys upload — in one layout.
 // Code and Err type a refusal; a request that was refused installed
 // nothing. On success the fields a request has an answer for are set and
 // the rest are zero.
@@ -61,8 +58,7 @@ type SessionReply struct {
 	// downgrade of the request when the active plan refuses the requested
 	// level — and the profile a Setup registered the session on.
 	Profile string
-	// Epoch is the session's key epoch after a Rekey (the new one) or a
-	// granted Resume (the current one).
+	// Epoch is the session's key epoch after a Rekey (the new one).
 	Epoch uint64
 	// MatVecDim, on a Setup reply, is the dimension of the server's packed
 	// model matrix, telling the client which rotation keys the BSGS kernel
@@ -114,10 +110,6 @@ type RekeyRequest struct {
 	SessionID string
 	EncKey    []*ckks.Ciphertext
 	Nonce     []byte
-	// ResumeAuth rotates the session's resume credential alongside the
-	// key material (it is derived from the QKD key, so a new key means a
-	// new credential); see SetupRequest.ResumeAuth.
-	ResumeAuth []byte
 }
 
 // RotKeysRequest uploads one of the client's Galois rotation keys to its
@@ -127,43 +119,14 @@ type RekeyRequest struct {
 // a mismatched, unreduced, repeated or unplanned key is refused typed
 // before it is kept. The connection collects accepted keys and installs
 // them on the session as one set once they cover the plan. Installed keys
-// live on the session, so they survive reconnect-and-resume without a
-// re-upload; a partial set lives on the connection and dies with it.
+// live on the session for as long as it lives, through every rekey.
 type RotKeysRequest struct {
 	SessionID string
 	Key       *ckks.GaloisKey
 }
 
-// ResumeRequest re-attaches a reconnecting client to its server-side
-// session. The client names the session and proves it is the same
-// principal by answering the server's challenge with an HMAC under the
-// resume credential registered at Setup/Rekey — no key generation, no new
-// QKD withdrawal. Epoch and Profile must match the server's view exactly;
-// a divergence means the client missed a rotation and must re-dial. On a
-// grant the connection is attached to the session and serves computes
-// immediately; a denial is typed (serve.CodeResumeRejected and friends)
-// and the client falls back to a full re-dial.
-type ResumeRequest struct {
-	SessionID string
-	Epoch     uint64
-	Profile   string
-}
-
-// ResumeChallenge carries the server's random challenge for the resume
-// possession proof.
-type ResumeChallenge struct {
-	Challenge []byte
-}
-
-// ResumeProof answers a ResumeChallenge:
-// HMAC-SHA256(resumeAuth, challenge || sessionID || epoch).
-type ResumeProof struct {
-	MAC []byte
-}
-
-// envelope is the client's tagged union of in-flight requests (kept per
-// call so a reconnect can replay Computes). A per-block op travels as
-// Compute with Op naming its request frame.
+// envelope is the client's tagged union of requests. A per-block op
+// travels as Compute with Op naming its request frame.
 type envelope struct {
 	ID      uint64
 	Setup   *SetupRequest

@@ -122,18 +122,14 @@ func TestRotKeysUploadRefusals(t *testing.T) {
 
 // TestInterruptedRotKeysUpload: a peer that sends some of a session's
 // rotation keys and drops the connection installs nothing — the partial
-// set lived on the connection — and a resume does not bring it back. On
-// the resumed connection matvec is unavailable until a fresh upload, which
-// then installs and serves.
+// set lived on the connection — and the session ends with it. A redial
+// registers the ID afresh, without rotation keys: matvec is unavailable
+// there until a full upload, which then installs and serves.
 func TestInterruptedRotKeysUpload(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}, Matrix: testMatrix, MatrixBias: testMatrixBias})
 	p := newRawPeer(t, 221)
 	p.dial(t, srv.Addr())
-	auth := make([]byte, 32)
-	auth[0] = 7
-	req := p.setupRequest("interrupted", p.encKey(t))
-	req.ResumeAuth = auth
-	if rep := p.setup(t, req); replyError(rep.Code, rep.Err) != nil {
+	if rep := p.setup(t, p.setupRequest("interrupted", p.encKey(t))); replyError(rep.Code, rep.Err) != nil {
 		t.Fatalf("setup: %+v", rep)
 	}
 	keys := p.rotKeys("interrupted", 223, len(testMatrix))
@@ -143,12 +139,13 @@ func TestInterruptedRotKeysUpload(t *testing.T) {
 		}
 	}
 	p.conn.Close()
+	waitSessionGone(t, srv, "interrupted")
 
 	q := *p
 	q.buf = nil
 	q.dial(t, srv.Addr())
-	if err := resumeHandshake(q.conn, q.br, "interrupted", 1, "", auth); err != nil {
-		t.Fatalf("resume: %v", err)
+	if rep := q.setup(t, q.setupRequest("interrupted", q.encKey(t))); replyError(rep.Code, rep.Err) != nil {
+		t.Fatalf("setup after the drop: %+v", rep)
 	}
 	sess, _ := srv.store.Peek("interrupted")
 	if sess.RotKeys() != nil {

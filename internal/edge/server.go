@@ -2,8 +2,6 @@ package edge
 
 import (
 	"bufio"
-	"crypto/hmac"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -159,20 +157,14 @@ type ServerConfig struct {
 	// plane serves operational internals without authentication.
 	DebugAddr string
 	// IdleTimeout bounds how long a connection may sit with no inbound
-	// frames and no in-flight work before the server closes it: half-dead
-	// peers release their sessions back to resumable state instead of
-	// pinning them. A connection waiting on its own replies (queued or
-	// unwritten op replies) is not idle. The timeout also bounds a
-	// single frame's read, so it must comfortably exceed the worst-case
-	// frame transfer time (Setup frames run to megabytes). 0 disables.
+	// frames and no in-flight work before the server closes it: a
+	// half-dead peer's sessions end with its connection instead of
+	// pinning the session table. A connection waiting on its own replies
+	// (queued or unwritten op replies) is not idle. The timeout also
+	// bounds a single frame's read, so it must comfortably exceed the
+	// worst-case frame transfer time (Setup frames run to megabytes).
+	// 0 disables.
 	IdleTimeout time.Duration
-	// ResumeWindow bounds how long a session outlives its last connection
-	// before being reclaimed: within the window a reconnecting client can
-	// resume (session ID + epoch + possession proof) with no re-keygen
-	// and no new QKD withdrawal; past it the session is swept and a
-	// resume fails typed. 0 keeps the pre-window behavior — sessions
-	// survive disconnects until LRU eviction.
-	ResumeWindow time.Duration
 }
 
 // profileRuntime is one security profile's serving substrate: the shared
@@ -236,12 +228,9 @@ type Server struct {
 	// conns tracks live connections so Close can tear them down: without
 	// it, a peer that stalls mid-read (reply writer blocked on its
 	// socket) would pin Close in wg.Wait forever. Each connection's state
-	// carries its in-flight work count and its attached sessions
-	// (detached into the resume window on teardown).
+	// carries its in-flight work count and the sessions it registered,
+	// which its teardown removes from the store.
 	conns map[net.Conn]*connState
-
-	// reapStop ends the resume-window reaper (nil when ResumeWindow is 0).
-	reapStop chan struct{}
 }
 
 // connState is the server's per-connection bookkeeping. active counts
@@ -251,9 +240,7 @@ type Server struct {
 // of the connection's window: the decode loop admits an op frame only while
 // fewer than the scheduler's live capacity are in flight, so a peer that
 // outruns its window — or stops reading its replies — backs up its own
-// socket and nothing else. attached holds the sessions bound to the
-// connection (by Setup or a granted resume); on teardown each is
-// detached into the resume window.
+// socket and nothing else.
 type connState struct {
 	active atomic.Int64
 	// freed wakes the decode loop after the reply writer released a
@@ -266,15 +253,18 @@ type connState struct {
 	// blocks: workers evaluate and encode, only the writer touches the
 	// socket.
 	replies chan opReply
+	// fw sends the connection's frames: the decode loop's session replies
+	// and the reply writer's op replies. Set once the hello is answered.
+	fw *frameWriter
 
-	mu       sync.Mutex
-	attached map[string]*serve.Session
-
+	// sessions holds the sessions this connection registered, by ID: the
+	// only sessions its requests may name, and the ones its teardown
+	// removes from the store. Only the decode loop touches it.
+	sessions map[string]*serve.Session
 	// rotKeys holds each session's rotation-key upload in progress on this
 	// connection: the keys accepted so far, installed on the session as one
 	// set once they cover its matvec plan. Only the decode loop touches it,
-	// and nothing else refers to it, so a partial set dies with the
-	// connection and a resume starts the upload over.
+	// so a partial set dies with the connection.
 	rotKeys map[*serve.Session]*ckks.GaloisKeySet
 }
 
@@ -311,29 +301,6 @@ func (cs *connState) release() {
 	case cs.freed <- struct{}{}:
 	default:
 	}
-}
-
-// attach binds a session to the connection (idempotent per session).
-func (cs *connState) attach(sess *serve.Session) {
-	cs.mu.Lock()
-	if _, ok := cs.attached[sess.ID]; !ok {
-		if cs.attached == nil {
-			cs.attached = make(map[string]*serve.Session, 1)
-		}
-		cs.attached[sess.ID] = sess
-		sess.Attach()
-	}
-	cs.mu.Unlock()
-}
-
-// detachAll releases every attached session into the resume window.
-func (cs *connState) detachAll(nowUnixNano int64) {
-	cs.mu.Lock()
-	for _, sess := range cs.attached {
-		sess.Detach(nowUnixNano)
-	}
-	cs.attached = nil
-	cs.mu.Unlock()
 }
 
 // NewServer builds a server over the profile registry and starts
@@ -401,38 +368,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		}
 		s.debug = ds
 	}
-	if cfg.ResumeWindow > 0 {
-		s.reapStop = make(chan struct{})
-		s.wg.Add(1)
-		go s.reapLoop()
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
-}
-
-// reapLoop sweeps sessions whose resume window has expired: detached
-// longer than ResumeWindow ago, reclaimed ahead of normal LRU pressure.
-func (s *Server) reapLoop() {
-	defer s.wg.Done()
-	tick := s.cfg.ResumeWindow / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.reapStop:
-			return
-		case <-t.C:
-			cutoff := time.Now().Add(-s.cfg.ResumeWindow).UnixNano()
-			if n := s.store.SweepExpired(cutoff); n > 0 {
-				s.met.resumeExpired.Add(int64(n))
-				s.cfg.Logf("edge: resume window expired for %d sessions", n)
-			}
-		}
-	}
 }
 
 // runtime returns the profile's serving substrate, building and
@@ -558,9 +496,6 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	if s.reapStop != nil {
-		close(s.reapStop)
-	}
 	s.wg.Wait()
 	s.sched.Close()
 	return err
@@ -587,12 +522,8 @@ func (s *Server) trackConn(conn net.Conn) *connState {
 
 func (s *Server) forgetConn(conn net.Conn) {
 	s.mu.Lock()
-	cs := s.conns[conn]
 	delete(s.conns, conn)
 	s.mu.Unlock()
-	if cs != nil {
-		cs.detachAll(time.Now().UnixNano())
-	}
 }
 
 // SessionStats snapshots a session's usage counters. Read-only: it does
@@ -672,24 +603,30 @@ func (s *Server) serveConn(conn net.Conn) {
 	if fw.sendFrame(frameHello, 0, nil) != nil {
 		return
 	}
+	cs.fw = fw
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		s.writeReplies(fw, cs)
+		s.writeReplies(cs)
 	}()
 	defer func() {
+		// The connection's sessions end with it. Removal is by identity, so
+		// a session evicted and registered again under its ID, on another
+		// connection, stays.
+		teardown()
+		for _, sess := range cs.sessions {
+			s.store.Remove(sess)
+		}
 		// Stop the reply writer. With the connection closed its writes fail
 		// at once and blocks still queued are skipped, so the in-flight ops
 		// drain promptly; once none is left no worker can send again (only
 		// this loop admits), and the hand-off can close.
-		teardown()
 		for cs.active.Load() > 0 {
 			<-cs.freed
 		}
 		close(cs.replies)
 		<-writerDone
 	}()
-	sc := &sessionConn{conn: conn, br: br, buf: buf, cs: cs, fw: fw}
 	for {
 		if !s.awaitFrame(conn, br, cs) {
 			return
@@ -708,7 +645,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.met.framesIn.Inc()
 		s.met.bytesIn.Add(int64(frameHeaderLen + len(payload) + crcTrailerLen))
-		if err := s.dispatch(ftype, id, payload, sc); err != nil {
+		if err := s.dispatch(ftype, id, payload, cs); err != nil {
 			// A payload that fails to decode is a protocol violation, not
 			// a request we can answer: kill the connection. net.ErrClosed
 			// is the teardown reaching an op frame that waited for its
@@ -725,8 +662,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // awaitFrame enforces the idle deadline before a blocking read: it peeks
 // for the next byte under a read deadline of IdleTimeout, extending the
 // wait while the connection has in-flight work (a client waiting on its
-// own replies is not idle). A true idle expiry closes the connection —
-// the session detaches into the resume window. With IdleTimeout unset it
+// own replies is not idle). A true idle expiry closes the connection, and
+// its sessions end with it. With IdleTimeout unset it
 // is a no-op and the subsequent read blocks indefinitely. Returns false
 // when the connection should be torn down (the caller's read would fail
 // anyway).
@@ -754,22 +691,10 @@ func (s *Server) awaitFrame(conn net.Conn, br *bufio.Reader, cs *connState) bool
 	}
 }
 
-// sessionConn is the connection as the session table's rows see it: its
-// state, its frame writer, and its read side for a row that runs a
-// sub-dialog inside the decode loop (the resume handshake).
-type sessionConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	buf  *[]byte
-	cs   *connState
-	fw   *frameWriter
-}
-
 // dispatch serves one request frame: an op frame goes down the op
 // pipeline, any other request to its session-table row, whose reply it
 // sends. An error is a protocol violation and ends the connection.
-func (s *Server) dispatch(ftype byte, id uint64, payload []byte, sc *sessionConn) error {
-	cs := sc.cs
+func (s *Server) dispatch(ftype byte, id uint64, payload []byte, cs *connState) error {
 	if o := opFor(ftype); o != nil {
 		// The window wait comes before the block exists for the server: a
 		// peer ahead of its window is waiting on its own socket, which is
@@ -794,11 +719,11 @@ func (s *Server) dispatch(ftype byte, id uint64, payload []byte, sc *sessionConn
 	}
 	cs.active.Add(1)
 	defer cs.active.Add(-1)
-	rep, err := handle(s, sc, id, payload)
+	rep, err := handle(s, cs, payload)
 	if err != nil {
 		return err
 	}
-	sc.fw.sendFrame(frameSessionReply, id, func(b []byte) []byte { return appendSessionReply(b, rep) })
+	cs.fw.sendFrame(frameSessionReply, id, func(b []byte) []byte { return appendSessionReply(b, rep) })
 	return nil
 }
 
@@ -806,28 +731,27 @@ func (s *Server) dispatch(ftype byte, id uint64, payload []byte, sc *sessionConn
 // that drives a session's lifecycle rather than a block. It decodes the
 // payload — a decode failure is a protocol violation — then validates
 // before it installs anything, and returns the reply, a refusal included.
-type sessionRow func(s *Server, sc *sessionConn, id uint64, payload []byte) (*SessionReply, error)
+type sessionRow func(s *Server, cs *connState, payload []byte) (*SessionReply, error)
 
 // sessionTable is the op table's counterpart for session lifecycle: the
-// profile query, Setup and Rekey (QKD key delivery), rotation-key upload
-// and resume. Every row answers with one SessionReply on
-// frameSessionReply, sent by dispatch.
+// profile query, Setup and Rekey (QKD key delivery) and rotation-key
+// upload. Every row answers with one SessionReply on frameSessionReply,
+// sent by dispatch.
 var sessionTable = map[byte]sessionRow{
 	frameProfile: rowOf(decodeProfileRequest, (*Server).handleProfile),
 	frameSetup:   rowOf(decodeSetupRequest, (*Server).handleSetup),
 	frameRekey:   rowOf(decodeRekeyRequest, (*Server).handleRekey),
 	frameRotKeys: rowOf(decodeRotKeysRequest, (*Server).handleRotKeys),
-	frameResume:  rowOf(decodeResumeRequest, (*Server).handleResume),
 }
 
 // rowOf builds a session-table row from a request decoder and its handler.
-func rowOf[R any](decode func([]byte) (*R, error), handle func(*Server, *sessionConn, uint64, *R) (*SessionReply, error)) sessionRow {
-	return func(s *Server, sc *sessionConn, id uint64, payload []byte) (*SessionReply, error) {
+func rowOf[R any](decode func([]byte) (*R, error), handle func(*Server, *connState, *R) (*SessionReply, error)) sessionRow {
+	return func(s *Server, cs *connState, payload []byte) (*SessionReply, error) {
 		req, err := decode(payload)
 		if err != nil {
 			return nil, err
 		}
-		return handle(s, sc, id, req)
+		return handle(s, cs, req)
 	}
 }
 
@@ -841,7 +765,7 @@ func refuse(code serve.Code, detail string) (*SessionReply, error) {
 // per-route λ plan steers empty requests and may downgrade or deny
 // concrete ones; without a controller the server grants any profile its
 // registry knows (empty resolving to the default).
-func (s *Server) handleProfile(_ *sessionConn, _ uint64, req *ProfileRequest) (*SessionReply, error) {
+func (s *Server) handleProfile(_ *connState, req *ProfileRequest) (*SessionReply, error) {
 	granted := req.Requested
 	if ctl := s.cfg.Control; ctl != nil {
 		g, err := ctl.NegotiateProfile(req.SessionID, req.Requested)
@@ -863,83 +787,16 @@ func (s *Server) handleProfile(_ *sessionConn, _ uint64, req *ProfileRequest) (*
 	return &SessionReply{Profile: granted}, nil
 }
 
-// handleResume runs the session-resume sub-dialog inside the decode
-// loop: verify the session/epoch/profile claim, challenge the client,
-// check the possession proof (HMAC under the resume credential the
-// session registered at Setup/Rekey), and on success attach the
-// connection to the session — no key generation, no QKD withdrawal.
-// Denials are typed replies; only protocol violations (a non-proof frame
-// mid-dialog, undecodable payloads) return an error and kill the
-// connection.
-func (s *Server) handleResume(sc *sessionConn, id uint64, req *ResumeRequest) (*SessionReply, error) {
-	deny := func(code serve.Code, detail string) (*SessionReply, error) {
-		s.met.resumeRejects.Inc()
-		s.cfg.Logf("edge: resume of %q denied: %s (%s)", req.SessionID, code, detail)
-		return refuse(code, detail)
-	}
-	// Peek, not Get: the session earns its LRU refresh only after the
-	// possession proof, so an unauthenticated probe cannot keep a session
-	// alive.
-	sess, ok := s.store.Peek(req.SessionID)
-	if !ok {
-		return deny(serve.CodeUnknownSession,
-			fmt.Sprintf("no session %q to resume (expired or evicted)", req.SessionID))
-	}
-	sessProf := sess.Profile
-	reqProf := req.Profile
-	if reqProf == "" {
-		reqProf = s.reg.DefaultID()
-	}
-	if reqProf != sessProf {
-		return deny(serve.CodeResumeRejected,
-			fmt.Sprintf("profile mismatch: session on %q, resume claims %q", sessProf, reqProf))
-	}
-	if epoch := sess.Epoch(); epoch != req.Epoch {
-		return deny(serve.CodeResumeRejected,
-			fmt.Sprintf("epoch mismatch: session at %d, resume claims %d — re-dial", epoch, req.Epoch))
-	}
-	auth := sess.ResumeAuth()
-	if len(auth) == 0 {
-		return deny(serve.CodeResumeRejected, "session registered without a resume credential")
-	}
-	var challenge [16]byte
-	if _, err := rand.Read(challenge[:]); err != nil {
-		return deny(serve.CodeInternal, "challenge generation failed")
-	}
-	ch := &ResumeChallenge{Challenge: challenge[:]}
-	if err := sc.fw.sendFrame(frameResumeChallenge, id, func(b []byte) []byte { return appendResumeChallenge(b, ch) }); err != nil {
-		return nil, err // connection already torn down
-	}
-	if idle := s.cfg.IdleTimeout; idle > 0 {
-		sc.conn.SetReadDeadline(time.Now().Add(idle))
-	}
-	ftype, pid, payload, err := readFrame(sc.br, sc.buf)
-	if err != nil {
-		return nil, fmt.Errorf("resume proof read: %w", err)
-	}
-	if ftype != frameResumeProof || pid != id {
-		return nil, fmt.Errorf("%w: expected resume proof, got frame type %d", ErrBadFrame, ftype)
-	}
-	proof, err := decodeResumeProof(payload)
-	if err != nil {
-		return nil, err
-	}
-	if !hmac.Equal(proof.MAC, resumeMAC(auth, challenge[:], sess.ID, req.Epoch)) {
-		return deny(serve.CodeResumeRejected, "possession proof failed")
-	}
-	s.store.Get(sess.ID) // authenticated: refresh LRU position
-	sc.cs.attach(sess)
-	s.met.resumes.Inc()
-	s.cfg.Logf("edge: session %q resumed at epoch %d", sess.ID, req.Epoch)
-	return &SessionReply{Epoch: req.Epoch}, nil
-}
-
-// lookupCompute resolves a compute request's session and its profile
-// runtime before the job is queued, so the scheduler can route it to the
-// profile's pool.
-func (s *Server) lookupCompute(sessionID string) (*serve.Session, *profileRuntime, serve.Code, string) {
-	sess, ok := s.store.Get(sessionID)
-	if !ok {
+// lookupSession resolves the session a request names, and its profile
+// runtime, for every request but Setup: a block before it is queued (so
+// the scheduler can route it to the profile's pool), a Rekey and a
+// rotation key. Only a session the request's own connection registered,
+// and the store still holds, resolves, and a hit refreshes its LRU
+// position; any other ID, another connection's included, is an unknown
+// session, and the lookup touches nothing.
+func (s *Server) lookupSession(cs *connState, sessionID string) (*serve.Session, *profileRuntime, serve.Code, string) {
+	sess := cs.sessions[sessionID]
+	if sess == nil || !s.store.Touch(sess) {
 		return nil, nil, serve.CodeUnknownSession, fmt.Sprintf("unknown session %q", sessionID)
 	}
 	rt, err := s.runtime(sess.Profile)
@@ -949,7 +806,7 @@ func (s *Server) lookupCompute(sessionID string) (*serve.Session, *profileRuntim
 	return sess, rt, serve.CodeOK, ""
 }
 
-func (s *Server) handleSetup(sc *sessionConn, _ uint64, req *SetupRequest) (*SessionReply, error) {
+func (s *Server) handleSetup(cs *connState, req *SetupRequest) (*SessionReply, error) {
 	profID := req.Profile
 	if profID == "" {
 		profID = s.reg.DefaultID()
@@ -1010,14 +867,23 @@ func (s *Server) handleSetup(sc *sessionConn, _ uint64, req *SetupRequest) (*Ses
 		return refuse(serve.CodeBadRequest, "transciphering key: "+err.Error())
 	}
 	sess := serve.NewSession(req.SessionID, profID, nil, req.RLK, req.EncKey, req.Nonce)
-	if len(req.ResumeAuth) > 0 {
-		sess.SetResumeAuth(req.ResumeAuth)
-	}
 	if err := s.store.Register(sess); err != nil {
 		return refuse(serve.CodeOf(err),
 			fmt.Sprintf("session %q already registered (rekey instead of re-registering)", req.SessionID))
 	}
-	sc.cs.attach(sess)
+	// Forget what the store has evicted, so a connection pins no more
+	// sessions, and no more partial key uploads, than the store holds,
+	// however many Setups it sends.
+	for id, own := range cs.sessions {
+		if cur, ok := s.store.Peek(id); !ok || cur != own {
+			delete(cs.sessions, id)
+			delete(cs.rotKeys, own)
+		}
+	}
+	if cs.sessions == nil {
+		cs.sessions = make(map[string]*serve.Session, 1)
+	}
+	cs.sessions[sess.ID] = sess
 	if ctl != nil {
 		ctl.ObserveSession(req.SessionID, profID)
 	}
@@ -1048,10 +914,10 @@ func keyCode(err error) serve.Code {
 	return serve.CodeBadRequest
 }
 
-func (s *Server) handleRekey(_ *sessionConn, _ uint64, req *RekeyRequest) (*SessionReply, error) {
-	sess, ok := s.store.Get(req.SessionID)
-	if !ok {
-		return refuse(serve.CodeUnknownSession, fmt.Sprintf("unknown session %q", req.SessionID))
+func (s *Server) handleRekey(cs *connState, req *RekeyRequest) (*SessionReply, error) {
+	sess, rt, code, detail := s.lookupSession(cs, req.SessionID)
+	if code != serve.CodeOK {
+		return refuse(code, detail)
 	}
 	if len(req.EncKey) != KeyLen {
 		return refuse(serve.CodeBadRequest, "incomplete rekey")
@@ -1059,20 +925,12 @@ func (s *Server) handleRekey(_ *sessionConn, _ uint64, req *RekeyRequest) (*Sess
 	if detail := checkNonce(req.Nonce); detail != "" {
 		return refuse(serve.CodeBadRequest, detail)
 	}
-	rt, err := s.runtime(sess.Profile)
-	if err != nil {
-		return refuse(serve.CodeInternal, "profile runtime: "+err.Error())
-	}
 	// Same install step as Setup: validated and converted before the swap,
 	// so key, nonce and epoch still change together under the session lock.
 	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
 		return refuse(serve.CodeBadRequest, "transciphering key: "+err.Error())
 	}
 	epoch := sess.Rekey(req.EncKey, req.Nonce)
-	// The resume credential is derived from the QKD key material, so it
-	// rotates with it; a rekey without one clears the credential rather
-	// than leaving a stale epoch's secret valid.
-	sess.SetResumeAuth(req.ResumeAuth)
 	s.met.rekeys.Inc()
 	s.cfg.Logf("edge: session %q rekeyed to epoch %d", req.SessionID, epoch)
 	return &SessionReply{Epoch: epoch}, nil
@@ -1091,8 +949,8 @@ const rotKeysInstalled = "the session's rotation keys are already installed"
 // the session the moment it covers the plan — so a worker only ever sees
 // a complete set, and a bad key fails here, typed, instead of
 // mid-evaluation.
-func (s *Server) handleRotKeys(sc *sessionConn, _ uint64, req *RotKeysRequest) (*SessionReply, error) {
-	sess, rt, code, detail := s.lookupCompute(req.SessionID)
+func (s *Server) handleRotKeys(cs *connState, req *RotKeysRequest) (*SessionReply, error) {
+	sess, rt, code, detail := s.lookupSession(cs, req.SessionID)
 	if code != serve.CodeOK {
 		return refuse(code, detail)
 	}
@@ -1111,7 +969,6 @@ func (s *Server) handleRotKeys(sc *sessionConn, _ uint64, req *RotKeysRequest) (
 		return refuse(serve.CodeBadRequest,
 			fmt.Sprintf("rotation key %d: not a rotation of the dimension-%d matvec plan", gk.Rot, dim))
 	}
-	cs := sc.cs
 	set := cs.rotKeys[sess]
 	if set == nil {
 		set = &ckks.GaloisKeySet{Keys: make(map[uint64]*ckks.GaloisKey, len(rt.mvKeys))}
@@ -1219,7 +1076,7 @@ func (s *Server) handleOp(o *op, id uint64, req *ComputeRequest, decodeStart tim
 	bt := s.met.newBlockTrace(req.SessionID, req.Block, id, decodeStart)
 	bt.adopt(req.Trace)
 	bt.span(stageIdxDecode, stageDecode, decodeStart, time.Since(decodeStart))
-	sess, rt, code, detail := s.lookupCompute(req.SessionID)
+	sess, rt, code, detail := s.lookupSession(cs, req.SessionID)
 	if code != serve.CodeOK {
 		s.refuseBlock(cs, id, code, detail)
 		return
@@ -1268,11 +1125,11 @@ func (s *Server) handleOp(o *op, id uint64, req *ComputeRequest, decodeStart tim
 // stays on this connection. The write span starts where encoding ended,
 // so the hand-off wait is in the ledger and the stage spans still tile
 // the block's total. Runs until serveConn closes the hand-off.
-func (s *Server) writeReplies(fw *frameWriter, cs *connState) {
+func (s *Server) writeReplies(cs *connState) {
 	for r := range cs.replies {
 		sent := false
 		if r.frame != nil {
-			sent = fw.send(*r.frame) == nil
+			sent = cs.fw.send(*r.frame) == nil
 			putFrameBuf(r.frame)
 		}
 		if r.bt != nil {

@@ -279,17 +279,17 @@ func TestConcurrentClientsPipelined(t *testing.T) {
 					errs <- fmt.Errorf("%s block %d: got %v, want 0.6", name, b, got[0])
 				}
 			}
+			// Counted before the deferred Close: the session ends with
+			// its connection.
+			if n := blocks(srv, name); n != perClient {
+				errs <- fmt.Errorf("%s: %d blocks, want %d", name, n, perClient)
+			}
 		}(i)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	for i := 0; i < clients; i++ {
-		if n := blocks(srv, fmt.Sprintf("mt-%d", i)); n != perClient {
-			t.Errorf("client %d: %d blocks, want %d", i, n, perClient)
-		}
 	}
 }
 
@@ -391,7 +391,7 @@ func TestBatchStraddlesRekey(t *testing.T) {
 	if got := client.Epoch(); got != 2 {
 		t.Errorf("client at epoch %d, want 2", got)
 	}
-	if client.Stats().Retries == 0 {
+	if client.retries.Load() == 0 {
 		t.Error("no retry counted: the rotation did not land inside the batch")
 	}
 	if n := blocks(srv, "straddle"); n != len(data) {

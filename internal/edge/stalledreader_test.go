@@ -103,7 +103,7 @@ func TestStalledReaderDoesNotPinWorkers(t *testing.T) {
 		{"ComputeBatch", func(t *testing.T, srv *Server) string {
 			var sc *stalledConn
 			client, err := DialWith(srv.Addr(), "staller", []byte("staller-key"), 203, DialConfig{
-				Dialer: func(network, addr string) (net.Conn, error) {
+				dialer: func(network, addr string) (net.Conn, error) {
 					raw, err := net.Dial(network, addr)
 					if err != nil {
 						return nil, err

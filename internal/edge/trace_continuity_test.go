@@ -1,15 +1,13 @@
 package edge
 
-// Distributed-trace continuity (PR 9): one block's trace identity must
-// survive the full fault path — client submit, transport kill, reconnect,
-// resume, replay, server decode→…→write — so a merged chrome dump shows
-// the whole life of the block as a single trace ID across both process
-// lanes. Run under -race in CI.
+// Distributed-trace continuity: one block's trace identity crosses the
+// wire — client mask/submit/wait, server decode→…→write — so a merged
+// chrome dump shows the whole life of the block as a single trace ID
+// across both process lanes. Run under -race in CI.
 
 import (
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,11 +39,12 @@ func stages(bt obs.BlockTrace) []string {
 	return out
 }
 
-func TestTraceContinuityAcrossResume(t *testing.T) {
-	srv := chaosServer(t, ServerConfig{
-		IdleTimeout:  2 * time.Second,
-		ResumeWindow: 10 * time.Second,
-	})
+// TestTraceContinuity follows one sampled block through both processes:
+// the server re-parents its stage spans under the client's trace
+// context, a client dump and a server dump merge into one trace, and the
+// key-flow ledger reconciles with the key centre.
+func TestTraceContinuity(t *testing.T) {
+	srv := chaosServer(t, ServerConfig{})
 	kc := qkd.NewKeyCenter()
 	ledger := qkd.NewLedger()
 	kc.AttachLedger(ledger)
@@ -55,14 +54,8 @@ func TestTraceContinuityAcrossResume(t *testing.T) {
 	if _, err := kc.RunExchange("trace-rt", 0.97, 8192, 5); err != nil {
 		t.Fatal(err)
 	}
-	// Every write dies once armed: the kill lands deterministically on the
-	// in-flight compute under test, not between requests.
-	inj := newFaultInjector(faultConfig{Seed: 11, Write: faultSpec{DropProb: 1}})
-	var armed atomic.Bool
 	clientTr := obs.NewTracer(0, 0)
 	client, err := DialQKDWith(srv.Addr(), "trace-rt", kc, 9, DialConfig{
-		Dialer:         armedDialer(inj, &armed),
-		Reconnect:      true,
 		RequestTimeout: 15 * time.Second,
 		Tracer:         clientTr,
 		TraceSample:    1,
@@ -73,32 +66,13 @@ func TestTraceContinuityAcrossResume(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Warmup: a healthy traced block proves the happy path first.
-	if _, err := client.Compute(1, []float64{0.8}); err != nil {
+	const block = 2
+	res, err := client.Compute(block, []float64{0.8})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Kill the transport mid-submit: the compute's send hits the dying
-	// connection, stays registered, and the client reconnects, resumes
-	// the session and replays the envelope — which still carries the
-	// block's original trace context.
-	const block = 2
-	armed.Store(true)
-	p, err := client.ComputeAsync(block, []float64{0.8})
-	if err != nil {
-		t.Fatalf("submit across transport kill: %v", err)
-	}
-	armed.Store(false) // let the reconnect transport live
-	res, err := p.Wait()
-	if err != nil {
-		t.Fatalf("wait across transport kill: %v", err)
-	}
 	if math.Abs(res[0]-0.5) > 1e-3 {
-		t.Fatalf("replayed block result %g, want ≈0.5", res[0])
-	}
-	st := client.Stats()
-	if st.Reconnects < 1 || st.Resumes < 1 {
-		t.Fatalf("reconnects/resumes = %d/%d, want ≥1 each (fault path not exercised)", st.Reconnects, st.Resumes)
+		t.Fatalf("traced block result %g, want ≈0.5", res[0])
 	}
 
 	clientTraces := clientTr.Dump()
@@ -113,23 +87,8 @@ func TestTraceContinuityAcrossResume(t *testing.T) {
 		t.Errorf("client trace proc = %q, want client", cbt.Proc)
 	}
 
-	// The recovery trace (reconnect/resume/replay) must share the stalled
-	// block's trace ID: the outage belongs to the block it delayed.
-	rec, ok := findTrace(clientTraces, 0, "resume")
-	if !ok {
-		t.Fatal("no recovery trace with a resume span")
-	}
-	if rec.TraceID != cbt.TraceID {
-		t.Errorf("recovery trace ID %x, want the stalled block's %x", rec.TraceID, cbt.TraceID)
-	}
-	for _, want := range []string{"reconnect", "resume", "replay"} {
-		if _, ok := findTrace(clientTraces, 0, want); !ok {
-			t.Errorf("recovery trace missing %s span (have %v)", want, stages(rec))
-		}
-	}
-
-	// The server's trace for the replayed block must be re-parented under
-	// the client's context: same trace ID, parent = the client root span.
+	// The server's trace for the block must be re-parented under the
+	// client's context: same trace ID, parent = the client root span.
 	// The server records its trace just after the reply frame hits the
 	// socket, so poll briefly.
 	var sbt obs.BlockTrace
@@ -144,7 +103,7 @@ func TestTraceContinuityAcrossResume(t *testing.T) {
 		t.Fatalf("no server trace for block %d", block)
 	}
 	if sbt.TraceID != cbt.TraceID {
-		t.Fatalf("server trace ID %x, client %x — continuity broken across resume", sbt.TraceID, cbt.TraceID)
+		t.Fatalf("server trace ID %x, client %x — continuity broken across the wire", sbt.TraceID, cbt.TraceID)
 	}
 	if sbt.Parent != cbt.SpanID {
 		t.Errorf("server parent span %x, want client root %x", sbt.Parent, cbt.SpanID)
@@ -170,8 +129,7 @@ func TestTraceContinuityAcrossResume(t *testing.T) {
 		t.Errorf("merged dump mentions the trace ID %d times, want ≥2 (both lanes)", got)
 	}
 
-	// The ledger saw exactly the key centre's withdrawals (setup only —
-	// resume must not withdraw).
+	// The ledger saw exactly the key centre's withdrawals: the setup's.
 	w, bytes := ledger.Totals()
 	fc := kc.Counters()
 	if w != fc.Withdrawals || bytes != fc.WithdrawnBytes {
@@ -195,9 +153,9 @@ func traceHex(v uint64) string {
 
 // TestRekeyCauseAttribution pins the cause resolution of rekey
 // withdrawals: explicit Rekey → replan, epoch-guarded auto rekey →
-// budget-rekey, and the first rotation after a resume → resume-rotation.
+// budget-rekey.
 func TestRekeyCauseAttribution(t *testing.T) {
-	srv := chaosServer(t, ServerConfig{ResumeWindow: 10 * time.Second})
+	srv := chaosServer(t, ServerConfig{})
 	kc := qkd.NewKeyCenter()
 	ledger := qkd.NewLedger()
 	kc.AttachLedger(ledger)
@@ -209,10 +167,7 @@ func TestRekeyCauseAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inj := newFaultInjector(faultConfig{Seed: 7})
 	client, err := DialQKDWith(srv.Addr(), "cause-rt", kc, 9, DialConfig{
-		Dialer:         inj.Dialer(2 * time.Second),
-		Reconnect:      true,
 		RequestTimeout: 15 * time.Second,
 		Route:          "route-9",
 	})
@@ -239,34 +194,5 @@ func TestRekeyCauseAttribution(t *testing.T) {
 	}
 	if got := ledger.CauseWithdrawals(qkd.CauseBudgetRekey); got != 1 {
 		t.Errorf("budget-rekey withdrawals = %d, want 1", got)
-	}
-
-	// Resume, then rekey: hygiene rotation attributed to the resume even
-	// though the trigger below is the explicit API.
-	if _, err := client.Compute(1, []float64{0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if n := inj.CloseAll(); n == 0 {
-		t.Fatal("no live connection to kill")
-	}
-	if _, err := client.Compute(2, []float64{0.5}); err != nil {
-		t.Fatalf("compute across kill: %v", err)
-	}
-	if client.Stats().Resumes < 1 {
-		t.Fatal("session did not resume")
-	}
-	if err := client.Rekey(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ledger.CauseWithdrawals(qkd.CauseResumeRotation); got != 1 {
-		t.Errorf("resume-rotation withdrawals = %d, want 1", got)
-	}
-	// The resume flag clears on that rotation: the next rekey is back to
-	// its caller's cause.
-	if err := client.Rekey(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ledger.CauseWithdrawals(qkd.CauseReplan); got != 2 {
-		t.Errorf("replan withdrawals after flag clear = %d, want 2", got)
 	}
 }

@@ -26,8 +26,6 @@ package edge
 
 import (
 	"bufio"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,17 +56,17 @@ const (
 	// 9 the last whose blocks read one coefficient stream per nonce at
 	// overlapping offsets, 10 the last with depth-4 chains, 11 the last
 	// with switching keys over the whole chain and affine replies at
-	// level 1.)
-	frameVersion = 12
+	// level 1, 12 the last with session resume.)
+	frameVersion = 13
 
 	frameHeaderLen = 16
 
 	// maxFramePayload bounds a frame so a corrupt or hostile length field
 	// cannot force a huge allocation, and it is also the largest frame
 	// buffer the pool keeps. Every legal frame fits whatever the model: the
-	// largest is a λ-128k Setup (2,752,841 payload bytes, mostly its
-	// relinearization key), then a λ-128k Rekey (2,097,380), then one
-	// λ-128k rotation key (655,518) — rotation keys travel one per frame,
+	// largest is a λ-128k Setup (2,490,653 payload bytes, mostly its
+	// relinearization key), then a λ-128k Rekey (2,097,344), then one
+	// λ-128k rotation key (196,750) — rotation keys travel one per frame,
 	// so the model dimension sets the number of RotKeys frames, not their
 	// size. TestEveryLegalFrameFits sizes them on every profile.
 	maxFramePayload = 4 << 20
@@ -96,9 +94,6 @@ const (
 	frameComputeReply
 	frameRekey
 	frameProfile
-	frameResume
-	frameResumeChallenge
-	frameResumeProof
 	frameRotKeys
 	frameMatVec
 	frameSessionReply
@@ -479,15 +474,14 @@ func (r *wireReader) ciphertexts(max int) []*ckks.Ciphertext {
 
 func appendSetupRequest(b []byte, req *SetupRequest) []byte {
 	b = growFrame(b, bytesSize(req.SessionID)+4+4+req.RLK.BinarySize()+
-		ciphertextsSize(req.EncKey)+bytesSize(req.Nonce)+bytesSize(req.Profile)+bytesSize(req.ResumeAuth))
+		ciphertextsSize(req.EncKey)+bytesSize(req.Nonce)+bytesSize(req.Profile))
 	b = appendString(b, req.SessionID)
 	b = binary.LittleEndian.AppendUint32(b, uint32(req.LogN))
 	b = binary.LittleEndian.AppendUint32(b, uint32(req.Depth))
 	b = req.RLK.AppendBinary(b)
 	b = appendCiphertexts(b, req.EncKey)
 	b = appendBytes(b, req.Nonce)
-	b = appendString(b, req.Profile)
-	return appendBytes(b, req.ResumeAuth)
+	return appendString(b, req.Profile)
 }
 
 func decodeSetupRequest(p []byte) (*SetupRequest, error) {
@@ -508,7 +502,6 @@ func decodeSetupRequest(p []byte) (*SetupRequest, error) {
 	req.EncKey = r.ciphertexts(maxWireEncKey)
 	req.Nonce = r.bytes()
 	req.Profile = r.str()
-	req.ResumeAuth = r.bytes()
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -612,78 +605,23 @@ func decodeComputeReply(p []byte) (*ComputeReply, error) {
 }
 
 func appendRekeyRequest(b []byte, req *RekeyRequest) []byte {
-	b = growFrame(b, bytesSize(req.SessionID)+ciphertextsSize(req.EncKey)+
-		bytesSize(req.Nonce)+bytesSize(req.ResumeAuth))
+	b = growFrame(b, bytesSize(req.SessionID)+ciphertextsSize(req.EncKey)+bytesSize(req.Nonce))
 	b = appendString(b, req.SessionID)
 	b = appendCiphertexts(b, req.EncKey)
-	b = appendBytes(b, req.Nonce)
-	return appendBytes(b, req.ResumeAuth)
+	return appendBytes(b, req.Nonce)
 }
 
 func decodeRekeyRequest(p []byte) (*RekeyRequest, error) {
 	r := &wireReader{b: p}
 	req := &RekeyRequest{
-		SessionID:  r.str(),
-		EncKey:     r.ciphertexts(maxWireEncKey),
-		Nonce:      r.bytes(),
-		ResumeAuth: r.bytes(),
+		SessionID: r.str(),
+		EncKey:    r.ciphertexts(maxWireEncKey),
+		Nonce:     r.bytes(),
 	}
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
 	return req, nil
-}
-
-// maxResumeField bounds the variable-length resume handshake fields
-// (challenge, MAC): both are fixed-size in practice (16 and 32 bytes)
-// but the decoder tolerates growth without allowing unbounded allocation.
-const maxResumeField = 64
-
-func appendResumeRequest(b []byte, req *ResumeRequest) []byte {
-	b = appendString(b, req.SessionID)
-	b = binary.LittleEndian.AppendUint64(b, req.Epoch)
-	return appendString(b, req.Profile)
-}
-
-func decodeResumeRequest(p []byte) (*ResumeRequest, error) {
-	r := &wireReader{b: p}
-	req := &ResumeRequest{SessionID: r.str(), Epoch: r.u64(), Profile: r.str()}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-func appendResumeChallenge(b []byte, ch *ResumeChallenge) []byte {
-	return appendBytes(b, ch.Challenge)
-}
-
-func decodeResumeChallenge(p []byte) (*ResumeChallenge, error) {
-	r := &wireReader{b: p}
-	ch := &ResumeChallenge{Challenge: r.bytes()}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	if len(ch.Challenge) == 0 || len(ch.Challenge) > maxResumeField {
-		return nil, ErrBadFrame
-	}
-	return ch, nil
-}
-
-func appendResumeProof(b []byte, pr *ResumeProof) []byte {
-	return appendBytes(b, pr.MAC)
-}
-
-func decodeResumeProof(p []byte) (*ResumeProof, error) {
-	r := &wireReader{b: p}
-	pr := &ResumeProof{MAC: r.bytes()}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	if len(pr.MAC) == 0 || len(pr.MAC) > maxResumeField {
-		return nil, ErrBadFrame
-	}
-	return pr, nil
 }
 
 func appendRotKeysRequest(b []byte, req *RotKeysRequest) []byte {
@@ -712,27 +650,3 @@ func decodeRotKeysRequest(p []byte) (*RotKeysRequest, error) {
 // payloads are field-identical (masked block in, ciphertext out); the
 // request frame type alone selects the op, and every op replies on
 // frameComputeReply.
-
-// resumeMAC computes the resume possession proof:
-// HMAC-SHA256(auth, challenge || sessionID || epoch_le64). Shared by the
-// client (proving) and server (verifying) sides.
-func resumeMAC(auth, challenge []byte, sessionID string, epoch uint64) []byte {
-	mac := hmac.New(sha256.New, auth)
-	mac.Write(challenge)
-	mac.Write([]byte(sessionID))
-	var e [8]byte
-	binary.LittleEndian.PutUint64(e[:], epoch)
-	mac.Write(e[:])
-	return mac.Sum(nil)
-}
-
-// deriveResumeAuth derives the session resume credential from raw QKD key
-// material, domain-separated from every other use of the key. The
-// credential is registered with the server at Setup/Rekey and never
-// reused across epochs (the material changes every rotation).
-func deriveResumeAuth(qkdMaterial []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("quhe/resume/v1"))
-	h.Write(qkdMaterial)
-	return h.Sum(nil)
-}

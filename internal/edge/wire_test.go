@@ -109,17 +109,14 @@ func TestFrameDecodeTypedErrors(t *testing.T) {
 // TestEveryFrameTypeFuzzed holds it to the frame types readFrame accepts,
 // so a new frame type cannot skip the fuzzer.
 var frameDecoders = map[byte]func(p []byte) (any, error){
-	frameSetup:           decoder(decodeSetupRequest),
-	frameCompute:         decoder(decodeComputeRequest),
-	frameMatVec:          decoder(decodeComputeRequest),
-	frameComputeReply:    decoder(decodeComputeReply),
-	frameRekey:           decoder(decodeRekeyRequest),
-	frameProfile:         decoder(decodeProfileRequest),
-	frameResume:          decoder(decodeResumeRequest),
-	frameResumeChallenge: decoder(decodeResumeChallenge),
-	frameResumeProof:     decoder(decodeResumeProof),
-	frameRotKeys:         decoder(decodeRotKeysRequest),
-	frameSessionReply:    decoder(decodeSessionReply),
+	frameSetup:        decoder(decodeSetupRequest),
+	frameCompute:      decoder(decodeComputeRequest),
+	frameMatVec:       decoder(decodeComputeRequest),
+	frameComputeReply: decoder(decodeComputeReply),
+	frameRekey:        decoder(decodeRekeyRequest),
+	frameProfile:      decoder(decodeProfileRequest),
+	frameRotKeys:      decoder(decodeRotKeysRequest),
+	frameSessionReply: decoder(decodeSessionReply),
 }
 
 func decoder[M any](decode func([]byte) (*M, error)) func([]byte) (any, error) {
@@ -144,7 +141,7 @@ func sampleOf[M any](name string, msg *M, appendMsg func([]byte, *M) []byte, fty
 func codecSamples(t testing.TB, p *rawPeer) []codecSample {
 	t.Helper()
 	setup := p.setupRequest("setup", p.encKey(t))
-	setup.Profile, setup.ResumeAuth = "p", []byte("auth")
+	setup.Profile = "p"
 	tc := obs.TraceContext{TraceID: 0xabcdef, Parent: 0x123456, Sampled: true}
 	return []codecSample{
 		sampleOf("setup request", setup, appendSetupRequest, frameSetup),
@@ -153,11 +150,8 @@ func codecSamples(t testing.TB, p *rawPeer) []codecSample {
 			appendComputeRequest, frameCompute, frameMatVec),
 		sampleOf("compute reply", &ComputeReply{Result: p.encKey(t)[0], Code: serve.CodeRekeyRequired, Err: "budget",
 			RekeyNeeded: true, ModeledTxDelay: 0.5, ModeledCmpDelay: 0.25}, appendComputeReply, frameComputeReply),
-		sampleOf("rekey request", &RekeyRequest{SessionID: "s", EncKey: p.encKey(t), Nonce: []byte("nonce"), ResumeAuth: []byte("auth")},
+		sampleOf("rekey request", &RekeyRequest{SessionID: "s", EncKey: p.encKey(t), Nonce: []byte("nonce")},
 			appendRekeyRequest, frameRekey),
-		sampleOf("resume request", &ResumeRequest{SessionID: "s", Epoch: 4, Profile: "p"}, appendResumeRequest, frameResume),
-		sampleOf("resume challenge", &ResumeChallenge{Challenge: []byte("challenge")}, appendResumeChallenge, frameResumeChallenge),
-		sampleOf("resume proof", &ResumeProof{MAC: []byte("mac")}, appendResumeProof, frameResumeProof),
 		sampleOf("rotation-key request", &RotKeysRequest{SessionID: "s", Key: ckks.NewKeyGenerator(p.ctx, 3).GenGaloisKey(p.sk, 1)},
 			appendRotKeysRequest, frameRotKeys),
 		sampleOf("session reply", &SessionReply{Code: serve.CodeParamMismatch, Err: "logN", Profile: "p", Epoch: 5, MatVecDim: 8},
@@ -171,8 +165,8 @@ func codecSamples(t testing.TB, p *rawPeer) []codecSample {
 // and a frame carries exactly one message.
 func TestPayloadCodecsRoundTrip(t *testing.T) {
 	samples := codecSamples(t, newRawPeer(t, 107))
-	if len(samples) != 10 {
-		t.Fatalf("%d codec pairs sampled, want 10", len(samples))
+	if len(samples) != 7 {
+		t.Fatalf("%d codec pairs sampled, want 7", len(samples))
 	}
 	for _, c := range samples {
 		t.Run(c.name, func(t *testing.T) {
@@ -373,6 +367,19 @@ func FuzzFrameDecode(f *testing.F) {
 			f.Add(buildFrame(f, ftype, 15, func(b []byte) []byte { return append(b, c.enc...) }))
 		}
 	}
+	// What version 13 retired must fail typed: a frame in the previous
+	// version, a frame type past the last one (the resume frames sat there
+	// by count), and a Setup payload that still ends in the retired resume
+	// credential.
+	previous := buildFrame(f, frameProfile, 16, func(b []byte) []byte {
+		return appendProfileRequest(b, &ProfileRequest{SessionID: "s"})
+	})
+	previous[2] = frameVersion - 1
+	f.Add(previous)
+	f.Add(buildFrame(f, frameSessionReply+1, 17, func(b []byte) []byte { return appendString(b, "s") }))
+	f.Add(buildFrame(f, frameSetup, 18, func(b []byte) []byte {
+		return appendBytes(appendSetupRequest(b, p.setupRequest("fuzz", p.encKey(f))), make([]byte, 32))
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf []byte

@@ -43,7 +43,7 @@
 // bounded at build time. Allowed label domains: security profile IDs
 // (the registry's fixed set), pipeline stage names, wire direction
 // (in/out), shed reason, serve.Code
-// strings, withdrawal causes (qkd.Causes(), five values), SLO names
+// strings, withdrawal causes (qkd.Causes(), four values), SLO names
 // (availability plus latency-<profile>) and SLO window labels (the
 // fixed DefaultSLOWindows set). Session IDs, request IDs, block
 // numbers, routes and anything else

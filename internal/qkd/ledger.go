@@ -19,9 +19,6 @@ const (
 	// CauseReplan is an explicit rotation requested by the caller or
 	// control plane outside budget pressure.
 	CauseReplan = "replan"
-	// CauseResumeRotation is the first rotation after a session resume,
-	// refreshing the resume credential that survived the old transport.
-	CauseResumeRotation = "resume-rotation"
 	// CauseUnattributed covers withdrawals that reached the key centre
 	// without attribution (plain Withdraw with a ledger attached). The
 	// ledger still counts them, so its totals always reconcile with the
@@ -32,7 +29,7 @@ const (
 // Causes returns every ledger cause label — the bounded domain for
 // metric labels.
 func Causes() []string {
-	return []string{CauseSetup, CauseBudgetRekey, CauseReplan, CauseResumeRotation, CauseUnattributed}
+	return []string{CauseSetup, CauseBudgetRekey, CauseReplan, CauseUnattributed}
 }
 
 // Attribution labels one withdrawal with the decision that spent the key

@@ -11,7 +11,9 @@
 //
 // Store is one session table — one lock, one map, one LRU list — with
 // exact LRU eviction under a configurable session cap, and per-session
-// usage counters. Registering N sessions costs key material only — not
+// usage counters. A session is resident from its registration until it is
+// evicted or removed; the edge server removes it, by identity, when the
+// connection that registered it ends. Registering N sessions costs key material only — not
 // evaluators — so memory grows with sessions, compute state with workers.
 // Each Session carries the security profile it registered on, and the
 // live session cap is resizable (SetMaxSessions) so a control plane can

@@ -22,8 +22,9 @@ const (
 	// CodeParamMismatch rejects sessions whose CKKS parameters differ from
 	// the server's.
 	CodeParamMismatch
-	// CodeUnknownSession rejects operations on unregistered (or evicted)
-	// sessions.
+	// CodeUnknownSession rejects operations on a session the request's
+	// connection did not register, or one that is gone (evicted, or its
+	// connection closed).
 	CodeUnknownSession
 	// CodeDuplicateSession rejects re-registration of a live session ID.
 	CodeDuplicateSession
@@ -74,11 +75,10 @@ const (
 	// draining for restart, which no server does). Like value 12, the slot
 	// stays blank so later codes keep their wire values.
 	_
-	// CodeResumeRejected rejects a session-resume attempt: the session is
-	// gone (expired past the resume window, evicted, or never existed),
-	// the presented epoch or profile does not match, or the possession
-	// proof failed. The client must fall back to a full re-dial.
-	CodeResumeRejected
+	// Wire value 16 is retired (it refused a session resume; a session now
+	// ends with its connection, so there is nothing to resume). Blank, as
+	// 12 and 15 are.
+	_
 	// CodeMatVecUnavailable rejects an encrypted matrix–vector request the
 	// server cannot serve: it has no matrix configured, or the session has
 	// not uploaded the rotation keys the kernel needs. The detail string
@@ -104,7 +104,6 @@ var (
 	ErrProfileDenied     = errors.New("serve: security profile denied")
 	ErrDeadline          = errors.New("serve: deadline exceeded")
 	ErrKeyExhausted      = errors.New("serve: qkd key exhausted")
-	ErrResumeRejected    = errors.New("serve: session resume rejected")
 	ErrMatVecUnavailable = errors.New("serve: encrypted matvec unavailable")
 )
 
@@ -129,7 +128,6 @@ var codes = [...]struct {
 	CodeProfileDenied:     {"profile-denied", ErrProfileDenied},
 	CodeDeadline:          {"deadline", ErrDeadline},
 	CodeKeyExhausted:      {"key-exhausted", ErrKeyExhausted},
-	CodeResumeRejected:    {"resume-rejected", ErrResumeRejected},
 	CodeMatVecUnavailable: {"matvec-unavailable", ErrMatVecUnavailable},
 }
 

@@ -46,18 +46,18 @@ func TestCodeRoundTrip(t *testing.T) {
 		}
 		names[c.String()] = c
 	}
-	if known != 16 {
-		t.Errorf("%d known codes, want 16", known)
+	if known != 15 {
+		t.Errorf("%d known codes, want 15", known)
 	}
 	// Codes are wire values: the retired slots keep their numbers so
 	// nothing after them moved, and they — like any value outside the
 	// table — read as unknown codes that travel as ErrInternal.
-	if CodeProfileDenied != 11 || CodeDeadline != 13 || CodeKeyExhausted != 14 || CodeResumeRejected != 16 ||
+	if CodeProfileDenied != 11 || CodeDeadline != 13 || CodeKeyExhausted != 14 ||
 		CodeMatVecUnavailable != 17 || NumCodes != 18 {
-		t.Errorf("codes renumbered: profile-denied %d deadline %d key-exhausted %d resume-rejected %d matvec-unavailable %d of %d",
-			CodeProfileDenied, CodeDeadline, CodeKeyExhausted, CodeResumeRejected, CodeMatVecUnavailable, NumCodes)
+		t.Errorf("codes renumbered: profile-denied %d deadline %d key-exhausted %d matvec-unavailable %d of %d",
+			CodeProfileDenied, CodeDeadline, CodeKeyExhausted, CodeMatVecUnavailable, NumCodes)
 	}
-	for _, c := range []Code{12, 15, -1, Code(NumCodes), 999} {
+	for _, c := range []Code{12, 15, 16, -1, Code(NumCodes), 999} {
 		if c.Known() || c.Err() != ErrInternal || c.String() != "unknown" {
 			t.Errorf("code %d: known %v, err %v, name %q; want unknown → ErrInternal", c, c.Known(), c.Err(), c.String())
 		}
@@ -88,6 +88,36 @@ func TestStoreRegisterAndDuplicate(t *testing.T) {
 	}
 	if _, ok := st.Get("a"); !ok {
 		t.Fatal("session lost")
+	}
+}
+
+// TestStoreRemoveByIdentity holds Remove to the session it is handed: a
+// session evicted and re-registered under its ID survives the removal of
+// the old one, and a removal is not counted as an eviction.
+func TestStoreRemoveByIdentity(t *testing.T) {
+	st := NewStore(1)
+	old := NewSession("a", "", nil, nil, nil, nil)
+	if err := st.Register(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Register(NewSession("b", "", nil, nil, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	again := NewSession("a", "", nil, nil, nil, nil)
+	if err := st.Register(again); err != nil {
+		t.Fatal(err)
+	}
+	if st.Remove(old) {
+		t.Error("removing the evicted session removed its successor")
+	}
+	if got, ok := st.Peek("a"); !ok || got != again {
+		t.Fatal("the re-registered session is gone")
+	}
+	if !st.Remove(again) || st.Len() != 0 {
+		t.Errorf("Remove of the resident session: %d left", st.Len())
+	}
+	if st.Evictions() != 2 {
+		t.Errorf("evictions = %d, want 2 (removals are not evictions)", st.Evictions())
 	}
 }
 

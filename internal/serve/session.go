@@ -18,7 +18,9 @@ const RekeyWithdrawBytes = 32
 // nonce and epoch), and usage counters. Key material is swapped atomically
 // by Rekey while computes running on old snapshots finish consistently —
 // the epoch lets the protocol layer reject blocks masked under a stale
-// key instead of transciphering them into garbage.
+// key instead of transciphering them into garbage. The edge server keeps a
+// session exactly as long as the connection that registered it: only that
+// connection may name it, and its teardown removes it (Store.Remove).
 type Session struct {
 	// ID names the session; immutable.
 	ID string
@@ -39,32 +41,17 @@ type Session struct {
 	encKey []*ckks.Ciphertext
 	nonce  []byte
 	epoch  uint64
-	// resumeAuth is the session's resume credential: a secret derived by
-	// the client from the current QKD key material and registered at
-	// Setup/Rekey, against which a reconnecting client proves key
-	// possession (challenge HMAC) to re-attach without a re-keygen. Nil
-	// for a session registered without one.
-	resumeAuth []byte
 	// rotKeys holds the client's Galois rotation keys for the packed
 	// matrix–vector kernel. The keys arrive one per frame and collect on
 	// the uploading connection; the set lands here whole, once it covers
-	// the plan, and stays on the session (not the connection) so a resumed
-	// client never re-uploads it. Nil until then: the session serves no
-	// matvec on a partial set.
+	// the plan, and stays there through every rekey. Nil until then: the
+	// session serves no matvec on a partial set.
 	rotKeys *ckks.GaloisKeySet
 
 	blocks          atomic.Int64
 	bytes           atomic.Int64
 	bytesSinceRekey atomic.Int64
 	rekeys          atomic.Int64
-
-	// conns counts transport connections currently attached to the
-	// session; detachedAt records (unix nanos) when the last one went
-	// away. Together they drive the resume window: a session with
-	// conns == 0 survives until detachedAt + ResumeWindow, then is
-	// reclaimed by Store.SweepExpired.
-	conns      atomic.Int64
-	detachedAt atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of a session's usage counters.
@@ -119,26 +106,10 @@ func (s *Session) Rekey(encKey []*ckks.Ciphertext, nonce []byte) uint64 {
 	return epoch
 }
 
-// SetResumeAuth installs (or rotates, on rekey) the session's resume
-// credential. A nil or empty value disables resume for the session.
-func (s *Session) SetResumeAuth(auth []byte) {
-	s.mu.Lock()
-	s.resumeAuth = append([]byte(nil), auth...)
-	s.mu.Unlock()
-}
-
-// ResumeAuth returns the current resume credential (nil when the session
-// never registered one). The returned slice must not be mutated.
-func (s *Session) ResumeAuth() []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.resumeAuth
-}
-
 // SetRotKeys installs the session's Galois rotation-key set for the
 // encrypted matrix–vector kernel, replacing any previous set. Rotation
 // keys are public evaluation material derived from the secret key; they
-// survive rekeys (which rotate only the transciphering key) and resumes.
+// survive rekeys, which rotate only the transciphering key.
 func (s *Session) SetRotKeys(gks *ckks.GaloisKeySet) {
 	s.mu.Lock()
 	s.rotKeys = gks
@@ -151,31 +122,6 @@ func (s *Session) RotKeys() *ckks.GaloisKeySet {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.rotKeys
-}
-
-// Attach records a transport connection binding to the session, clearing
-// any pending resume-window deadline.
-func (s *Session) Attach() {
-	s.conns.Add(1)
-	s.detachedAt.Store(0)
-}
-
-// Detach records a transport connection going away at the given time
-// (unix nanos). When the last connection detaches the session enters the
-// resume window.
-func (s *Session) Detach(nowUnixNano int64) {
-	if s.conns.Add(-1) <= 0 {
-		s.detachedAt.Store(nowUnixNano)
-	}
-}
-
-// Detached reports whether the session has no attached connections, and
-// if so since when (unix nanos; 0 also means "never attached").
-func (s *Session) Detached() (since int64, detached bool) {
-	if s.conns.Load() > 0 {
-		return 0, false
-	}
-	return s.detachedAt.Load(), true
 }
 
 // RecordBlock accounts one processed block of the given byte size and

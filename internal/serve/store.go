@@ -8,7 +8,9 @@ import (
 
 // Store is the session table: one lock, one map and one LRU list. A
 // configurable cap bounds the resident sessions exactly; registering at
-// the cap evicts the least-recently-used session.
+// the cap evicts the least-recently-used session. A session leaves by that
+// eviction or by Remove, which the edge server calls when the connection
+// that registered the session ends.
 type Store struct {
 	mu   sync.Mutex
 	byID map[string]*list.Element
@@ -87,38 +89,34 @@ func (s *Store) Peek(id string) (*Session, bool) {
 	return el.Value.(*Session), true
 }
 
-// SweepExpired removes sessions whose resume window has expired: no
-// attached connections and detached since before the cutoff (unix nanos).
-// Sessions that never attached a connection (detach time 0) are left
-// alone — they belong to direct store users, not the resume machinery.
-// Returns the number of sessions reclaimed.
-func (s *Store) SweepExpired(cutoffUnixNano int64) int {
+// Touch marks sess most recently used if it is the session its ID names
+// now, and reports whether it is: Get by identity, for a caller that
+// already holds the session and must neither see nor refresh another one
+// registered under the same ID since.
+func (s *Store) Touch(sess *Session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reclaimed := 0
-	for el := s.lru.Front(); el != nil; {
-		next := el.Next()
-		if since, detached := el.Value.(*Session).Detached(); detached && since != 0 && since < cutoffUnixNano {
-			s.removeLocked(el)
-			reclaimed++
-		}
-		el = next
+	el, ok := s.byID[sess.ID]
+	if !ok || el.Value.(*Session) != sess {
+		return false
 	}
-	return reclaimed
+	s.lru.MoveToFront(el)
+	return true
 }
 
-// Detached counts resident sessions with no attached connection — the
-// population currently inside the resume window.
-func (s *Store) Detached() int {
+// Remove drops sess if it is the session its ID names now, and reports
+// whether it was. It removes by identity, not by ID: a connection's
+// teardown releases the session that connection registered, never one
+// registered since under the same ID. A removal is not an eviction.
+func (s *Store) Remove(sess *Session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	total := 0
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		if since, detached := el.Value.(*Session).Detached(); detached && since != 0 {
-			total++
-		}
+	el, ok := s.byID[sess.ID]
+	if !ok || el.Value.(*Session) != sess {
+		return false
 	}
-	return total
+	s.removeLocked(el)
+	return true
 }
 
 // Len counts resident sessions.

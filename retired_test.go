@@ -91,6 +91,9 @@ var retiredNames = []retiredRow{
 	{name: "one Stage-1 solve", pattern: `\.Solve\(\)`,
 		paths: []string{"internal/control"}, exclude: notTests, want: map[string]int{"internal/control/controller.go": 1},
 		why: "the rate allocation's inputs are fixed at New, which solves it; a replan re-solves only what telemetry moves"},
+	{name: "a session is its connection", pattern: `frameResume|Resume(Request|Challenge|Proof|Auth|Window)|\bReconnect\b|SweepExpired|(Code|Err)ResumeRejected|CauseResumeRotation|\b(handleResume|resumeHandshake|tryRecover|reconnectOnce|replayPending|reapLoop)\b`,
+		paths: []string{"*.go", "README.md"}, exclude: notBench,
+		why: "a session ends with the connection that registered it, so the resume plane — its frames, credential, knobs, reaper and client recovery — stays retired from the code and the README"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
