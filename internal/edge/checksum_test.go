@@ -9,7 +9,7 @@ import (
 )
 
 func TestChecksumFrameRoundTrip(t *testing.T) {
-	req := &ComputeRequest{SessionID: "crc", Block: 3, Epoch: 2, Masked: []float64{0.5, -1.25}}
+	req := &ComputeRequest{Block: 3, Epoch: 2, Masked: []float64{0.5, -1.25}}
 	frame := buildFrame(t, frameCompute, 9, func(b []byte) []byte { return appendComputeRequest(b, req) })
 	var buf []byte
 	ftype, id, payload, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), &buf)
@@ -23,7 +23,7 @@ func TestChecksumFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SessionID != req.SessionID || got.Block != req.Block || len(got.Masked) != 2 {
+	if got.Block != req.Block || len(got.Masked) != 2 {
 		t.Fatalf("decoded %+v, want %+v", got, req)
 	}
 }
@@ -32,7 +32,7 @@ func TestChecksumFrameRoundTrip(t *testing.T) {
 // the typed ErrFrameChecksum instead of reaching a payload decoder as
 // garbage.
 func TestCorruptFrameTypedError(t *testing.T) {
-	req := &ComputeRequest{SessionID: "corrupt", Block: 1, Masked: []float64{1, 2, 3, 4}}
+	req := &ComputeRequest{Block: 1, Masked: []float64{1, 2, 3, 4}}
 	frame := buildFrame(t, frameCompute, 5, func(b []byte) []byte { return appendComputeRequest(b, req) })
 
 	// Flip one payload byte at a position that keeps header and length

@@ -84,9 +84,10 @@ const (
 	retryBackoffMax  = 250 * time.Millisecond
 )
 
-// negotiateTimeout bounds each reply of the synchronous pre-read-loop
-// dialogs (hello ack, profile grant). A peer speaking another version
-// closes at once, so the deadline only bites against a hung or silent one.
+// negotiateTimeout bounds each reply of the client's opening (the profile
+// grant, the Setup verdict), which it reads before its read loop exists. A
+// peer speaking another version closes at once, so the deadline only bites
+// against a hung or silent one.
 const negotiateTimeout = 5 * time.Second
 
 // Client is a QuHE edge client node: it owns the HE secret key, masks data
@@ -188,23 +189,29 @@ func DialWith(addr, sessionID string, qkdKey []byte, seed int64, cfg DialConfig)
 	return dialAttempt(addr, sessionID, qkdKey, nil, seed, cfg, 0)
 }
 
-// DialQKDWith is DialWith with the key plane attached: the initial
-// transciphering key is withdrawn from the key centre's pool for
-// sessionID, and the key centre stays attached so Rekey (and the automatic
-// rekey on serve.ErrRekeyRequired) can draw fresh material.
+// DialQKDWith is DialWith with the key plane attached: once the server has
+// granted the session's profile, the initial transciphering key is
+// withdrawn from the key centre's pool for sessionID, attributed to the
+// granted profile, and the key centre stays attached so Rekey (and the
+// automatic rekey on serve.ErrRekeyRequired) can draw fresh material. A
+// dial refused before the grant — locally for an unknown profile, or at
+// the profile query (a duplicate session ID, a denied profile) — spends no
+// key. One refused at Setup has spent it: the control plane admits a
+// session there, against the pool the withdrawal drew from.
 func DialQKDWith(addr, sessionID string, kc *qkd.KeyCenter, seed int64, cfg DialConfig) (*Client, error) {
 	if kc == nil {
 		return nil, errors.New("edge: nil key centre")
 	}
-	material, err := kc.WithdrawAttributed(sessionID, RekeyWithdrawBytes, qkd.Attribution{
-		Route: cfg.Route, Profile: cfg.Profile, Cause: qkd.CauseSetup,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("edge: qkd withdraw: %w", err)
-	}
-	return dialAttempt(addr, sessionID, material, kc, seed, cfg, 0)
+	return dialAttempt(addr, sessionID, nil, kc, seed, cfg, 0)
 }
 
+// dialAttempt runs the client's half of the opening on a fresh connection:
+// the profile query, the key centre's withdrawal when qkdKey is nil, key
+// generation for the granted profile, then Setup — each reply read here,
+// before the read loop starts. A Setup refused because the grant went
+// stale (a replan moved the route's λ mid-dial) is retried from scratch
+// (fresh connection, fresh grant, fresh keys, the QKD key already drawn) a
+// bounded number of times before the typed denial surfaces.
 func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed int64, dcfg DialConfig, attempt int) (*Client, error) {
 	if sessionID == "" {
 		return nil, errors.New("edge: empty session id")
@@ -220,36 +227,62 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 	}
 
 	dialStart := time.Now()
-	conn, br, err := negotiate(addr, dcfg)
+	var conn net.Conn
+	var err error
+	if dcfg.dialer != nil {
+		conn, err = dcfg.dialer("tcp", addr)
+	} else {
+		conn, err = net.DialTimeout("tcp", addr, defaultDialTimeout)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("edge: dial: %w", err)
 	}
 	dialDur := time.Since(dialStart)
-	// Profile resolution happens before key generation so a plan-steered
-	// or downgraded profile never costs a wasted keygen.
-	handshakeStart := time.Now()
-	granted, err := queryProfile(conn, br, sessionID, dcfg.Profile)
-	if err != nil {
+	br := bufio.NewReaderSize(conn, wireBufSize)
+	fw := newFrameWriter(conn, func() { conn.Close() }, nil)
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	fail := func(err error) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	prof, ok := reg.Get(granted)
+	// Profile resolution happens before key generation and the withdrawal,
+	// so a plan-steered or downgraded profile never costs a wasted keygen
+	// and a refused one spends no QKD key. The query is the connection's
+	// first frame: a peer that does not answer it in this frame version is
+	// not a server of this protocol.
+	handshakeStart := time.Now()
+	rep, err := exchange(fw, conn, br, buf, frameProfile, func(b []byte) []byte {
+		return appendProfileRequest(b, &ProfileRequest{SessionID: sessionID, Requested: dcfg.Profile})
+	})
+	if err != nil {
+		return fail(fmt.Errorf("%w (profile query: %v)", ErrProtocolMismatch, err))
+	}
+	if rep, err = sessionReply("profile", rep); err != nil {
+		return fail(err)
+	}
+	prof, ok := reg.Get(rep.Profile)
 	if !ok {
-		conn.Close()
-		return nil, fmt.Errorf("edge: %w: server granted unknown profile %q", serve.ErrProfileDenied, granted)
+		return fail(fmt.Errorf("edge: %w: server granted unknown profile %q", serve.ErrProfileDenied, rep.Profile))
 	}
 	handshakeDur := time.Since(handshakeStart)
+	if qkdKey == nil {
+		qkdKey, err = kc.WithdrawAttributed(sessionID, RekeyWithdrawBytes, qkd.Attribution{
+			Route: dcfg.Route, Profile: prof.ID, Cause: qkd.CauseSetup,
+		})
+		if err != nil {
+			return fail(fmt.Errorf("edge: qkd withdraw: %w", err))
+		}
+	}
 
 	keygenStart := time.Now()
 	ctx, err := prof.Context()
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("edge: context: %w", err)
+		return fail(fmt.Errorf("edge: context: %w", err))
 	}
 	cipher, err := transcipher.New(ctx, KeyLen)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("edge: cipher: %w", err)
+		return fail(fmt.Errorf("edge: cipher: %w", err))
 	}
 	kg := ckks.NewKeyGenerator(ctx, seed)
 	sk := kg.GenSecretKey()
@@ -259,23 +292,49 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 
 	key, err := cipher.DeriveKey(qkdKey)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("edge: derive key: %w", err)
+		return fail(fmt.Errorf("edge: derive key: %w", err))
 	}
 	encKey, err := cipher.EncryptKey(ev, pk, key)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("edge: encrypt key: %w", err)
+		return fail(fmt.Errorf("edge: encrypt key: %w", err))
 	}
-
 	keygenDur := time.Since(keygenStart)
+
+	nonce := nonceFor(sessionID, 1)
+	setupStart := time.Now()
+	rep, err = exchange(fw, conn, br, buf, frameSetup, func(b []byte) []byte {
+		return appendSetupRequest(b, &SetupRequest{
+			SessionID: sessionID,
+			LogN:      ctx.Params.LogN,
+			Depth:     ctx.Params.Depth,
+			RLK:       rlk,
+			EncKey:    encKey,
+			Nonce:     nonce,
+			Profile:   prof.ID,
+		})
+	})
+	if err != nil {
+		return fail(fmt.Errorf("edge: setup: %w: %v", serve.ErrConnClosed, err))
+	}
+	if rep, err = sessionReply("setup", rep); err != nil {
+		conn.Close()
+		if errors.Is(err, serve.ErrProfileDenied) && attempt < 2 {
+			return dialAttempt(addr, sessionID, qkdKey, kc, seed, dcfg, attempt+1)
+		}
+		return nil, err
+	}
+	if rep.Profile != prof.ID {
+		return fail(fmt.Errorf("edge: %w: registered on %q, granted %q",
+			serve.ErrProfileDenied, rep.Profile, prof.ID))
+	}
 
 	c := &Client{
 		sessionID: sessionID,
 		dcfg:      dcfg,
 		conn:      conn,
-		fw:        newFrameWriter(conn, func() { conn.Close() }, nil),
+		fw:        fw,
 		prof:      prof,
+		mvDim:     rep.MatVecDim,
 		seed:      seed,
 		rng:       rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
 		ctx:       ctx,
@@ -286,7 +345,7 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		pk:        pk,
 		kc:        kc,
 		key:       key,
-		nonce:     nonceFor(sessionID, 1),
+		nonce:     nonce,
 		epoch:     1,
 		pending:   make(map[uint64]*call),
 	}
@@ -297,39 +356,6 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 		return v
 	})
 	go c.readLoop(br)
-
-	setupStart := time.Now()
-	reply, err := c.roundTrip(&envelope{Setup: &SetupRequest{
-		SessionID: sessionID,
-		LogN:      ctx.Params.LogN,
-		Depth:     ctx.Params.Depth,
-		RLK:       rlk,
-		EncKey:    encKey,
-		Nonce:     c.nonce,
-		Profile:   prof.ID,
-	}})
-	if err != nil {
-		c.teardown()
-		return nil, fmt.Errorf("edge: setup: %w", err)
-	}
-	rep, err := sessionReply("setup", reply.Session)
-	if err != nil {
-		c.teardown()
-		// A profile grant can go stale between the query and Setup when a
-		// replan moves the route's λ mid-dial: renegotiate from scratch
-		// (fresh connection, fresh grant, fresh keys) a bounded number of
-		// times before surfacing the typed denial.
-		if errors.Is(err, serve.ErrProfileDenied) && attempt < 2 {
-			return dialAttempt(addr, sessionID, qkdKey, kc, seed, dcfg, attempt+1)
-		}
-		return nil, err
-	}
-	if rep.Profile != prof.ID {
-		c.teardown()
-		return nil, fmt.Errorf("edge: %w: registered on %q, granted %q",
-			serve.ErrProfileDenied, rep.Profile, prof.ID)
-	}
-	c.mvDim = rep.MatVecDim
 	// The dial trace: one client-lane record covering the whole session
 	// establishment, split into its expensive stages.
 	if cs := c.tracer.begin(obs.TraceContext{}, 0, 0, dialStart); cs != nil {
@@ -342,95 +368,28 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 	return c, nil
 }
 
-// exchange writes one frame and reads the peer's next one under
-// negotiateTimeout: the step of every synchronous dialog that runs before
-// a connection has a read loop (hello, profile query). The frame is built
-// in — and the returned payload aliases — *buf.
-func exchange(conn net.Conn, br *bufio.Reader, buf *[]byte, ftype byte, build func(b []byte) []byte) (byte, []byte, error) {
-	f := beginFrame((*buf)[:0], ftype, 0)
-	if build != nil {
-		f = build(f)
-	}
-	f, err := finishFrame(f)
-	if err != nil {
-		return 0, nil, err
-	}
-	*buf = f
-	if _, err := conn.Write(f); err != nil {
-		return 0, nil, err
+// exchange sends one frame of the opening and reads the server's verdict
+// under negotiateTimeout. Anything but a session reply that decodes is an
+// error; a refusal is the caller's to read (sessionReply).
+func exchange(fw *frameWriter, conn net.Conn, br *bufio.Reader, buf *[]byte, ftype byte, build func(b []byte) []byte) (*SessionReply, error) {
+	if err := fw.sendFrame(ftype, 0, build); err != nil {
+		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(negotiateTimeout))
 	defer conn.SetReadDeadline(time.Time{})
 	rtype, _, payload, err := readFrame(br, buf)
-	return rtype, payload, err
-}
-
-// negotiate establishes the transport: dial, then the hello exchange. The
-// frame version names the whole wire format, so there is nothing to
-// bargain over — a server that speaks it echoes the empty hello, and any
-// other outcome (the peer closed, answered in another version or
-// protocol, or stayed silent past negotiateTimeout) fails with an error
-// wrapping ErrProtocolMismatch.
-func negotiate(addr string, dcfg DialConfig) (net.Conn, *bufio.Reader, error) {
-	var conn net.Conn
-	var err error
-	if dcfg.dialer != nil {
-		conn, err = dcfg.dialer("tcp", addr)
-	} else {
-		conn, err = net.DialTimeout("tcp", addr, defaultDialTimeout)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("edge: dial: %w", err)
-	}
-	br := bufio.NewReaderSize(conn, wireBufSize)
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	ftype, payload, err := exchange(conn, br, buf, frameHello, nil)
-	if err != nil || ftype != frameHello || len(payload) != 0 {
-		conn.Close()
-		return nil, nil, fmt.Errorf("%w (hello not acknowledged: frame type %d, err %v)", ErrProtocolMismatch, ftype, err)
-	}
-	return conn, br, nil
-}
-
-// queryProfile runs the pre-Setup profile negotiation on a freshly
-// handshaken connection.
-func queryProfile(conn net.Conn, br *bufio.Reader, sessionID, requested string) (string, error) {
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	ftype, payload, err := exchange(conn, br, buf, frameProfile, func(b []byte) []byte {
-		return appendProfileRequest(b, &ProfileRequest{SessionID: sessionID, Requested: requested})
-	})
-	if err != nil {
-		return "", fmt.Errorf("edge: profile query: %w", err)
-	}
-	rep, err := syncReply("profile", ftype, payload)
-	if err != nil {
-		return "", err
-	}
-	if rep.Profile == "" {
-		return "", errors.New("edge: profile negotiation granted nothing")
-	}
-	return rep.Profile, nil
-}
-
-// syncReply reads the session reply that ends a synchronous dialog (the
-// profile query) through sessionReply; any other frame type there is a
-// protocol violation.
-func syncReply(what string, ftype byte, payload []byte) (*SessionReply, error) {
-	if ftype != frameSessionReply {
-		return nil, fmt.Errorf("%w: unexpected frame type %d in %s dialog", ErrBadFrame, ftype, what)
-	}
-	rep, err := decodeSessionReply(payload)
 	if err != nil {
 		return nil, err
 	}
-	return sessionReply(what, rep)
+	if rtype != frameSessionReply {
+		return nil, fmt.Errorf("%w: frame type %d in the opening", ErrBadFrame, rtype)
+	}
+	return decodeSessionReply(payload)
 }
 
-// sessionReply reads a session-table reply the one way every caller does:
-// a missing reply is malformed, and a refusal is the typed error of its
-// code (replyError), named for the request it answers.
+// sessionReply reads a session reply the one way every caller does: a
+// missing reply is malformed, and a refusal is the typed error of its code
+// (replyError), named for the request it answers.
 func sessionReply(what string, rep *SessionReply) (*SessionReply, error) {
 	if rep == nil {
 		return nil, fmt.Errorf("edge: %s: malformed reply", what)
@@ -566,11 +525,11 @@ func (c *Client) handleFrame(ftype byte, id uint64, payload []byte) error {
 	return err
 }
 
-// send registers a fresh request ID, stamps and encodes the envelope, and
-// returns the call its reply will arrive on.
-func (c *Client) send(env *envelope) (*call, error) {
+// send registers a fresh request ID, sends the session frame of type
+// ftype whose payload build appends under it, and returns the call its
+// reply will arrive on.
+func (c *Client) send(ftype byte, build func(b []byte) []byte) (*call, error) {
 	id := c.nextID.Add(1)
-	env.ID = id
 	cl := &call{id: id, ch: make(chan replyEnvelope, 1)}
 	c.pendMu.Lock()
 	if c.readErr != nil {
@@ -581,7 +540,7 @@ func (c *Client) send(env *envelope) (*call, error) {
 	c.pending[id] = cl
 	c.pendMu.Unlock()
 
-	if err := sendEnvelope(c.fw, env); err != nil {
+	if err := c.fw.sendFrame(ftype, id, build); err != nil {
 		c.pendMu.Lock()
 		delete(c.pending, id)
 		c.pendMu.Unlock()
@@ -590,20 +549,6 @@ func (c *Client) send(env *envelope) (*call, error) {
 		return nil, fmt.Errorf("edge: send: %w: %v", serve.ErrConnClosed, err)
 	}
 	return cl, nil
-}
-
-func sendEnvelope(fw *frameWriter, env *envelope) error {
-	switch {
-	case env.Setup != nil:
-		return fw.sendFrame(frameSetup, env.ID, func(b []byte) []byte { return appendSetupRequest(b, env.Setup) })
-	case env.Compute != nil:
-		return fw.sendFrame(env.Op, env.ID, func(b []byte) []byte { return appendComputeRequest(b, env.Compute) })
-	case env.Rekey != nil:
-		return fw.sendFrame(frameRekey, env.ID, func(b []byte) []byte { return appendRekeyRequest(b, env.Rekey) })
-	case env.RotKeys != nil:
-		return fw.sendFrame(frameRotKeys, env.ID, func(b []byte) []byte { return appendRotKeysRequest(b, env.RotKeys) })
-	}
-	return errors.New("edge: empty envelope")
 }
 
 // wait blocks for the reply subject to the configured RequestTimeout;
@@ -639,8 +584,8 @@ func (c *Client) abandon(cl *call) {
 	c.pendMu.Unlock()
 }
 
-func (c *Client) roundTrip(env *envelope) (replyEnvelope, error) {
-	cl, err := c.send(env)
+func (c *Client) roundTrip(ftype byte, build func(b []byte) []byte) (replyEnvelope, error) {
+	cl, err := c.send(ftype, build)
 	if err != nil {
 		return replyEnvelope{}, err
 	}
@@ -790,9 +735,8 @@ func (c *Client) submit(op byte, block uint32, data, dst []float64, n int) (*Pen
 	}
 	spans.span(cstageMask, start)
 	submitStart := time.Now()
-	cl, err := c.send(&envelope{Op: op, Compute: &ComputeRequest{
-		SessionID: c.sessionID, Block: block, Masked: masked, Epoch: epoch, Trace: tc,
-	}})
+	req := ComputeRequest{Block: block, Masked: masked, Epoch: epoch, Trace: tc}
+	cl, err := c.send(op, func(b []byte) []byte { return appendComputeRequest(b, &req) })
 	if err != nil {
 		return nil, err
 	}
@@ -932,12 +876,12 @@ func (c *Client) EnableMatVec() error {
 	// send copies the key into its frame before returning, so the next key
 	// may overwrite the storage.
 	kg := ckks.NewKeyGenerator(c.ctx, c.seed+2)
-	req := &RotKeysRequest{SessionID: c.sessionID, Key: new(ckks.GaloisKey)}
+	req := &RotKeysRequest{Key: new(ckks.GaloisKey)}
 	var calls []*call
 	var err error
 	for _, rot := range ckks.KeyRotations(c.ctx.Params.N(), ckks.BSGSRotations(c.mvDim)) {
 		kg.GenGaloisKeyInto(c.sk, rot, req.Key)
-		cl, serr := c.send(&envelope{RotKeys: req})
+		cl, serr := c.send(frameRotKeys, func(b []byte) []byte { return appendRotKeysRequest(b, req) })
 		if serr != nil {
 			err = fmt.Errorf("edge: rotation keys: %w", serr)
 			break
@@ -1119,9 +1063,9 @@ func (c *Client) rekeyWith(qkdKey []byte) error {
 	if err != nil {
 		return fmt.Errorf("edge: rekey encrypt: %w", err)
 	}
-	reply, err := c.roundTrip(&envelope{Rekey: &RekeyRequest{
-		SessionID: c.sessionID, EncKey: encKey, Nonce: nonce,
-	}})
+	reply, err := c.roundTrip(frameRekey, func(b []byte) []byte {
+		return appendRekeyRequest(b, &RekeyRequest{EncKey: encKey, Nonce: nonce})
+	})
 	if err != nil {
 		return err
 	}

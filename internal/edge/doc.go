@@ -28,8 +28,9 @@
 // listener.
 //
 // Profile negotiation is the first thing a session does: before
-// generating any keys the client sends a frameProfile query (session ID +
-// requested profile, possibly empty for "let the plan steer"). The server
+// generating any keys or drawing QKD key the client sends a frameProfile
+// query (session ID + requested profile, possibly empty for "let the plan
+// steer"); an ID already live is refused there as a duplicate. The server
 // — its control plane's per-route λ plan, when one is attached — answers
 // with the granted profile: the request itself, the plan's choice (or the
 // registry default) for an empty request, a *downgrade* to the route's
@@ -64,15 +65,14 @@
 //
 // # Wire protocol
 //
-// There is one protocol and one version of it. Every frame, hello
-// included, is
+// There is one protocol and one version of it. Every frame is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x0d
-//	offset 3     type     one of 9: hello; the requests setup, compute,
-//	                      matvec, rekey, profile and rotation keys; and two
-//	                      replies, compute (every op) and session
-//	                      (everything else)
+//	offset 2     version  0x0e
+//	offset 3     type     one of 8: the opening requests profile and setup;
+//	                      the session requests compute, matvec, rekey and
+//	                      rotation keys; and two replies, compute (every
+//	                      op) and session (everything else)
 //	offset 4     reqID    uint64, little-endian
 //	offset 12    length   uint32 payload byte count
 //	offset 16    payload
@@ -98,11 +98,14 @@
 // no two blocks share keystream.
 //
 // Replies travel on two frames. Every per-block op, matvec included,
-// answers on frameComputeReply; every session request — profile grant,
-// Setup, Rekey and each rotation key — answers with one
-// SessionReply on frameSessionReply, each request reading the fields it
-// has an answer for. The reply frame says only which table answered, and
-// the request ID says to what.
+// answers on frameComputeReply. Every other request — profile query,
+// Setup, Rekey and each rotation key — has a handler in server.go that
+// decodes its payload (one that does not decode closes the connection),
+// validates before it installs anything and answers with one SessionReply
+// on frameSessionReply: a typed refusal with nothing installed, or the
+// fields its request has an answer for. The request ID says what a reply
+// answers, and the client turns every refusal into the typed error of its
+// code through one helper.
 //
 // Switching keys travel seeded. A relinearization or Galois key is its
 // gadget header (digit and limb counts, degree, the extended basis's
@@ -117,8 +120,7 @@
 // Profile; the client's public key stays with the client,
 // the only party that encrypts under it.
 //
-// Rotation keys upload one per frame: a RotKeys request is the session ID
-// and one Galois key. The BSGS kernel folds its giant blocks in by
+// Rotation keys upload one per frame: a RotKeys request is one Galois key. The BSGS kernel folds its giant blocks in by
 // Horner's rule, each step a rotation by n1, so the rotation set a session
 // uploads and the server accepts is ckks.BSGSRotations of the model
 // dimension — the baby steps 1…n1−1 and n1, n1 keys (16 for a 256×256
@@ -127,46 +129,56 @@
 // and sends it without waiting for the previous reply, then collects every
 // reply, so neither end holds more than one key in flight and no frame
 // grows with the model (the largest legal frame is a λ-128k Setup, under
-// the 4 MiB cap; one λ-128k key's frame is 196,750 bytes of payload). The server checks each key
+// the 4 MiB cap; one λ-128k key's frame is 196,682 bytes of payload). The server checks each key
 // as it arrives and keeps it in a set pending on the connection; the set
 // is installed on the session atomically the moment it covers the plan's
 // rotations, and until then the session serves no matvec. A repeated key
 // and a key after the set is installed are refused typed. A partial set
 // dies with its connection, as the session does.
 //
-// A connection opens with an empty hello frame from the client, echoed by
-// the server. The version byte names the whole wire format — framing,
-// field lists, ciphertext layout — so there is nothing to negotiate and
-// no feature flags: an incompatible change bumps frameVersion. A version
-// mismatch therefore looks like this: the server reads a first frame that
-// is not a current-version hello (a gob stream from a retired client, the
-// previous version's hello, garbage), counts it in
-// quhe_wire_protocol_mismatch_total and closes without replying, before
-// any session or worker is touched; the client, whose hello was not
-// echoed within negotiateTimeout, fails the dial with an error wrapping
-// ErrProtocolMismatch. There is no fallback generation to redial on.
+// # The opening
 //
-// After the hello the client runs the profile query, then Setup, both
-// answered in order; from then on requests carry nonzero IDs, many may be
-// in flight, and replies return out of order matched by ID.
+// A connection has two phases. The opening is the profile query and
+// Setup, the only frames that name a session: the client sends each and
+// reads its reply before it starts its read loop, and the server reads and
+// answers each before it starts the connection's reply writer. A refused
+// Setup installs nothing and the opening goes on; it ends when a Setup
+// registers. The server reads the whole opening under one bound,
+// openingTimeout from accept, so a peer that never registers is closed,
+// and the idle deadline starts only after Setup: the client's key
+// generation between the two frames is not idleness. A session frame in
+// the opening, or an opening frame after it, closes the connection.
+//
+// The version byte names the whole wire format — framing, field lists,
+// ciphertext layout — so there is nothing to negotiate and no feature
+// flags: an incompatible change bumps frameVersion. A version mismatch
+// therefore looks like this: the server reads a first frame that is not a
+// current-version profile query or Setup (a gob stream from a retired
+// client, the previous version's query, garbage, a session frame), counts
+// it in quhe_wire_protocol_mismatch_total and closes without replying,
+// before any session or worker is touched; the client, whose query was not
+// answered within negotiateTimeout, fails the dial with an error wrapping
+// ErrProtocolMismatch. There is no fallback generation to redial on.
 //
 // # Session lifetime
 //
-// A session lives exactly as long as the connection that sent its Setup.
-// Every later request names its session by ID, and the server resolves
-// the ID only among the sessions the request's own connection registered:
-// any other ID, another connection's live session included, is
-// serve.CodeUnknownSession, so a peer cannot rekey, upload keys to or
-// compute on a session it did not register (and spend the QKD key behind
-// it). When the connection ends — the client closes it, the idle deadline
-// reclaims it, the transport is lost — its teardown removes its sessions
+// After the opening the connection is its session. Compute, MatVec, Rekey
+// and RotKeys frames carry no session ID: each acts on the session the
+// connection's Setup registered, so no connection can reach another's
+// session (and spend the QKD key behind it). Requests carry nonzero IDs,
+// many may be in flight, and replies return out of order matched by ID.
+// When the connection ends — the client closes it, the idle deadline
+// reclaims it, the transport is lost — its teardown removes its session
 // from the session table, by identity: a session evicted and registered
 // again under the same ID, on another connection, stays. The control
-// plane's next plan no longer holds them, and the ID is free for a new
-// Setup at once. Nothing outlives the connection and nothing resumes: a
-// client whose connection is lost sees serve.ErrConnClosed on every
-// pending and later call, and dials again — a new Setup with new QKD key
-// material.
+// plane's next plan no longer holds it, and the ID is free for a new Setup
+// at once. Nothing outlives the connection and nothing resumes: a client
+// whose connection is lost sees serve.ErrConnClosed on every pending and
+// later call, and dials again — a new Setup with new QKD key material.
+// DialQKDWith draws that key after the profile grant, so a dial refused
+// locally or at the query spends none; admission is a Setup decision made
+// against the pool after the withdrawal, so a dial refused there has spent
+// its bytes.
 //
 // Setup, Rekey and rotation-key upload are where key material crosses
 // the trust boundary, and each validates before installing: the
@@ -235,21 +247,6 @@
 // that writes op replies, each the moment it is ready, out of order — so
 // a peer that stops reading stalls its own window, never an eval-pool
 // worker.
-//
-// # The session table
-//
-// Everything a connection asks that is not a block — the profile query,
-// Setup and Rekey (where the QKD-derived key material arrives) and each
-// rotation key — is a row of a second table (sessionTable in
-// server.go), one row per request frame. A row decodes its payload (a
-// payload that does not decode closes the connection), validates what it
-// carries before installing anything, and returns one SessionReply: a
-// typed refusal, built by one helper, with nothing installed, or the
-// fields its request has an answer for. dispatch sends that reply on
-// frameSessionReply under the request's ID, so the decode loop has one
-// reply path for the whole session lifecycle and no row reads a frame of
-// its own. The client reads every session reply through one helper that
-// turns a refusal into the typed error of its code.
 //
 // # Pooled buffers and ownership
 //
@@ -326,22 +323,22 @@
 //
 //	code (serve.*)        retryable?             traced as               client action
 //	--------------------  ---------------------  ----------------------  ------------------------------------------
-//	CodeOverloaded        yes, immediately       retry_backoff event     back off briefly and resend; the queue was
-//	                                                                     full at that instant (load, not state)
+//	CodeOverloaded        yes, immediately       wait span closes        the caller backs off briefly and resends;
+//	                                                                     the queue was full at that instant (load,
+//	                                                                     not state). Not retried automatically
 //	CodeRekeyRequired     yes, after rekey       rekey event +           RekeyIfEpoch(epoch) then resend — automatic
 //	                                             retry_backoff event     inside Compute/ComputeBatch, budget-capped
 //	                                                                     (three resends), jittered
-//	CodeKeyExhausted      yes, after retry-after retry_backoff event     the *serve.KeyExhaustedError's RetryAfter
-//	                                                                     is the wait the server derived from the
-//	                                                                     QKD provisioning rate; degradation, not
-//	                                                                     failure — a shed to schedule, not an error
+//	CodeKeyExhausted      yes, after retry-after wait span closes        the caller waits the *serve.KeyExhaustedError's
+//	                                                                     RetryAfter, derived from the QKD
+//	                                                                     provisioning rate; degradation, not failure.
+//	                                                                     Not retried automatically
 //	CodeAdmissionDenied   no (until replan)      wait span closes        the control plane's standing decision;
 //	                                                                     resending sooner than the next plan is noise
 //	CodeProfileDenied     no                     wait span closes        renegotiate the profile (redial); never run
 //	                                                                     at a different λ than granted
-//	CodeUnknownSession    no                     wait span closes        the session was evicted, ended with its
-//	                                                                     connection, was never registered, or was
-//	                                                                     registered by another connection: redial
+//	CodeUnknownSession    no                     wait span closes        the session was evicted (MaxSessions) or
+//	                                                                     ended with its connection: redial
 //	CodeConnClosed        no (session gone)      wait span closes        the connection is gone and its session with
 //	                                                                     it; every pending call fails with this
 //	                                                                     code: redial — new Setup, new QKD key — and
@@ -356,10 +353,11 @@
 //	CodeInternal          maybe once             wait span closes        server-side evaluation failure; one resend
 //	                                                                     distinguishes a transient from a real bug
 //
-// Server-side hardening: ServerConfig.IdleTimeout bounds how long a
-// connection may sit idle (a client waiting on its own in-flight replies
-// is not idle); an idle close ends the connection's sessions like any
-// other. The chaos suite (chaos_test.go, with the seeded fault injector in
+// Server-side hardening: openingTimeout bounds a connection without a
+// session in time (not yet in bytes: it holds its buffers until then), and
+// ServerConfig.IdleTimeout bounds how long a connection may sit idle after
+// Setup (a client waiting on its own in-flight replies is not idle); either
+// close ends the connection's session like any other. The chaos suite (chaos_test.go, with the seeded fault injector in
 // faultnet_test.go) pins the whole contract under seeded byte-level
 // faults: typed errors, no hangs, no wrong plaintexts.
 package edge

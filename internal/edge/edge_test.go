@@ -141,17 +141,31 @@ type mismatchError struct{ got float64 }
 
 func (e *mismatchError) Error() string { return "mismatch: got wrong inference result" }
 
-func TestUnknownSessionRejected(t *testing.T) {
-	srv := startServer(t, Model{})
-	client, err := DialWith(srv.Addr(), "known", []byte("k"), 5, DialConfig{})
+// evictedClient dials a session and evicts it by dialing another past a
+// one-session cap, returning the client whose session is gone while its
+// connection lives on.
+func evictedClient(t *testing.T) *Client {
+	t.Helper()
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{MaxSessions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	// Forge a request under a different session by mutating the ID.
-	client.sessionID = "forged"
-	if _, err := client.Compute(0, []float64{1}); err == nil || !strings.Contains(err.Error(), "unknown session") {
-		t.Errorf("forged session err = %v", err)
+	t.Cleanup(func() { srv.Close() })
+	var clients [2]*Client
+	for i, id := range []string{"evicted", "resident"} {
+		if clients[i], err = DialWith(srv.Addr(), id, []byte("k"), int64(5+i), DialConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { clients[i].Close() })
+	}
+	return clients[0]
+}
+
+// TestUnknownSessionRejected: a connection whose session the store has
+// evicted is served no more.
+func TestUnknownSessionRejected(t *testing.T) {
+	if _, err := evictedClient(t).Compute(0, []float64{1}); err == nil || !strings.Contains(err.Error(), "unknown session") {
+		t.Errorf("evicted session err = %v", err)
 	}
 }
 

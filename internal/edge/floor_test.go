@@ -31,7 +31,7 @@ func computeOnce(t *testing.T, p *rawPeer, id string, x []float64) ([]float64, [
 		t.Fatalf("setup refused: %+v", rep)
 	}
 	masked := p.mask(t, 1, x)
-	req := &ComputeRequest{SessionID: id, Block: 1, Epoch: 1, Masked: masked}
+	req := &ComputeRequest{Block: 1, Epoch: 1, Masked: masked}
 	rep, err := decodeComputeReply(p.call(t, frameCompute, frameComputeReply,
 		func(b []byte) []byte { return appendComputeRequest(b, req) }))
 	if err != nil {

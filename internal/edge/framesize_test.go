@@ -23,8 +23,8 @@ func keyFrames(t testing.TB, ctx *ckks.Context, profileID string) (*SetupRequest
 	nonce := make([]byte, 12)
 	setup := &SetupRequest{SessionID: id, LogN: ctx.Params.LogN, Depth: ctx.Params.Depth,
 		RLK: kg.GenRelinKey(sk), EncKey: encKey, Nonce: nonce, Profile: profileID}
-	rekey := &RekeyRequest{SessionID: id, EncKey: encKey, Nonce: nonce}
-	rotKeys := &RotKeysRequest{SessionID: id, Key: kg.GenGaloisKey(sk, 1)}
+	rekey := &RekeyRequest{EncKey: encKey, Nonce: nonce}
+	rotKeys := &RotKeysRequest{Key: kg.GenGaloisKey(sk, 1)}
 	return setup, rekey, rotKeys
 }
 

@@ -134,7 +134,7 @@ func TestInstallValidationV3(t *testing.T) {
 
 	rekey := func(k []*ckks.Ciphertext) *SessionReply {
 		t.Helper()
-		req := &RekeyRequest{SessionID: "v3", EncKey: k, Nonce: []byte("edge:rekeyed")}
+		req := &RekeyRequest{EncKey: k, Nonce: []byte("edge:rekeyed")}
 		return p.session(t, frameRekey, func(b []byte) []byte { return appendRekeyRequest(b, req) })
 	}
 	for name, k := range p.hostileKeys(t) {
@@ -165,7 +165,7 @@ func TestInstallValidationV3(t *testing.T) {
 	// refused typed and kept out of the connection's pending set, so the
 	// upload stays incomplete — nothing is installed, and the session keeps
 	// serving Computes without matvec — until the good key arrives.
-	keys := p.rotKeys("v3", 193, len(testMatrix))
+	keys := p.rotKeys(193, len(testMatrix))
 	victim := len(keys) / 2
 	upload := func(reqs []*RotKeysRequest) {
 		t.Helper()
@@ -178,7 +178,7 @@ func TestInstallValidationV3(t *testing.T) {
 	upload(keys[:victim])
 	good := keys[victim].Key
 	for name, g := range p.hostileGadgets(&good.SwitchingKey) {
-		bad := &RotKeysRequest{SessionID: "v3", Key: &ckks.GaloisKey{Rot: good.Rot, El: good.El, SwitchingKey: *g.key}}
+		bad := &RotKeysRequest{Key: &ckks.GaloisKey{Rot: good.Rot, El: good.El, SwitchingKey: *g.key}}
 		if rep := p.uploadKey(t, bad); rep.Code != g.code {
 			t.Errorf("rotation key with %s: reply %+v, want %v", name, rep, g.code)
 		}
@@ -190,7 +190,7 @@ func TestInstallValidationV3(t *testing.T) {
 	}
 	compute := func(ftype byte, block uint32) *ComputeReply {
 		t.Helper()
-		req := &ComputeRequest{SessionID: "v3", Block: block, Epoch: 2, Masked: make([]float64, 4)}
+		req := &ComputeRequest{Block: block, Epoch: 2, Masked: make([]float64, 4)}
 		rep, err := decodeComputeReply(p.call(t, ftype, frameComputeReply, func(b []byte) []byte { return appendComputeRequest(b, req) }))
 		if err != nil {
 			t.Fatal(err)
@@ -222,7 +222,7 @@ func TestNonceLengthEnforced(t *testing.T) {
 
 	rekey := func(nonce []byte) *SessionReply {
 		t.Helper()
-		req := &RekeyRequest{SessionID: "nonce", EncKey: p.encKey(t), Nonce: nonce}
+		req := &RekeyRequest{EncKey: p.encKey(t), Nonce: nonce}
 		return p.session(t, frameRekey, func(b []byte) []byte { return appendRekeyRequest(b, req) })
 	}
 	bad := [][]byte{nil, make([]byte, chacha20.NonceSize-1), make([]byte, chacha20.NonceSize+1)}

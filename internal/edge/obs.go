@@ -38,11 +38,11 @@ type serverObs struct {
 	rekeys              *obs.Counter
 	shedQueueFull       *obs.Counter
 
-	// idleTimeouts counts connections the idle read deadline reclaimed.
+	// idleTimeouts counts connections a read deadline reclaimed: idle
+	// after Setup, or still without a session at the opening's bound.
 	idleTimeouts *obs.Counter
 
-	queueWait *obs.Histogram
-	stages    [6]*obs.Histogram // indexed by stage constants below
+	stages [6]*obs.Histogram // indexed by stage constants below
 
 	// codeCounters holds one prebuilt counter per serve.Code (nil at a
 	// slot that is not a code); evalHists maps profile ID → its latency
@@ -91,12 +91,11 @@ func newServerObs(s *Server) *serverObs {
 		bytesIn:         reg.Counter("quhe_wire_bytes_total", "wire bytes by direction", "dir", "in"),
 		bytesOut:        reg.Counter("quhe_wire_bytes_total", "", "dir", "out"),
 		checksumFails:   reg.Counter("quhe_wire_checksum_failures_total", "frames rejected by CRC32C trailer mismatch"),
-		protoMismatches: reg.Counter("quhe_wire_protocol_mismatch_total", "connections closed for not opening with a hello in the current frame version"),
+		protoMismatches: reg.Counter("quhe_wire_protocol_mismatch_total", "connections closed for not opening with a profile query or Setup in the current frame version"),
 		conns:           reg.Gauge("quhe_edge_conns", "live connections"),
 		rekeys:          reg.Counter("quhe_edge_rekeys_total", "successful session rekeys"),
 		shedQueueFull:   reg.Counter("quhe_serve_shed_total", "requests shed by reason", "reason", "queue_full"),
-		idleTimeouts:    reg.Counter("quhe_edge_idle_timeouts_total", "connections reclaimed by the idle read deadline"),
-		queueWait:       reg.Histogram("quhe_serve_queue_wait_seconds", "scheduler queue wait per job"),
+		idleTimeouts:    reg.Counter("quhe_edge_idle_timeouts_total", "connections reclaimed by the idle or opening read deadline"),
 		evalHists:       make(map[string]*obs.Histogram),
 		latencySLOs:     make(map[string]*obs.SLOTracker),
 	}
@@ -128,7 +127,6 @@ func newServerObs(s *Server) *serverObs {
 	reg.CounterFunc("quhe_ring_inline_degradations_total", "NTT fan-out tasks run inline on a saturated worker pool", func() float64 {
 		return float64(ring.InlineDegradations())
 	})
-	s.sched.OnQueueWait(func(d time.Duration) { m.queueWait.Observe(d.Seconds()) })
 	return m
 }
 

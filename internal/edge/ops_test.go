@@ -34,17 +34,17 @@ func TestOpGates(t *testing.T) {
 			p := newRawPeer(t, 401)
 			p.dial(t, srv.Addr())
 			p.register(t, "gated")
-			p.uploadRotKeys(t, "gated", 403, len(testMatrix))
+			p.uploadRotKeys(t, 403, len(testMatrix))
 
 			block := uint32(0)
-			request := func(id string, epoch uint64, slots int) func(b []byte) []byte {
+			request := func(epoch uint64, slots int) func(b []byte) []byte {
 				block++
-				req := &ComputeRequest{SessionID: id, Block: block, Epoch: epoch, Masked: make([]float64, slots)}
+				req := &ComputeRequest{Block: block, Epoch: epoch, Masked: make([]float64, slots)}
 				return func(b []byte) []byte { return appendComputeRequest(b, req) }
 			}
 			try := func(what string, epoch uint64, slots int, want serve.Code) {
 				t.Helper()
-				rep, err := decodeComputeReply(p.call(t, o.req, frameComputeReply, request("gated", epoch, slots)))
+				rep, err := decodeComputeReply(p.call(t, o.req, frameComputeReply, request(epoch, slots)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,14 +103,14 @@ func TestOpGates(t *testing.T) {
 			q.dial(t, srv.Addr())
 			r.dial(t, srv.Addr())
 			q.register(t, "gated-q")
-			q.uploadRotKeys(t, "gated-q", 403, len(testMatrix))
+			q.uploadRotKeys(t, 403, len(testMatrix))
 			r.register(t, "gated-r")
-			release := parkFirstBlock(ctl, func() { p.send(t, o.req, 101, request("gated", 1, slots)) })
-			q.send(t, o.req, 102, request("gated-q", 1, slots))
+			release := parkFirstBlock(ctl, func() { p.send(t, o.req, 101, request(1, slots)) })
+			q.send(t, o.req, 102, request(1, slots))
 			for deadline := time.Now().Add(2 * time.Second); srv.sched.QueueDepth() < 1 && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
-			r.send(t, o.req, 103, request("gated-r", 1, slots))
+			r.send(t, o.req, 103, request(1, slots))
 			ftype, id, payload := r.recv(t)
 			rep, err := decodeComputeReply(payload)
 			if err != nil {

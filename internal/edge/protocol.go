@@ -3,8 +3,10 @@ package edge
 // This file holds the protocol's message types; the hand-rolled codecs
 // in wire.go marshal them into frames. Requests have one type each; the
 // replies have two: ComputeReply answers every per-block op (the op table
-// in server.go) and SessionReply every session-lifecycle request (the
-// session table). See doc.go for the frame layout.
+// in server.go) and SessionReply every other request. Only the opening's
+// two requests, the profile query and Setup, name a session: every later
+// frame on the connection is about the session its Setup registered. See
+// doc.go for the frame layout and the two phases.
 
 import (
 	"quhe/internal/he/ckks"
@@ -19,9 +21,10 @@ const KeyLen = 8
 // the HE-encrypted transciphering key. The client's public key stays with
 // the client, which alone encrypts under it. Registering an ID that is
 // already live fails with serve.CodeDuplicateSession — key rotation must
-// use the explicit Rekey message instead. The session lives as long as the
-// connection that sent its Setup, and only that connection may name it:
-// a request from any other is refused with serve.CodeUnknownSession.
+// use the explicit Rekey message instead. A refused Setup installs nothing
+// and the connection stays in its opening; an accepted one ends the
+// opening, and from then on the connection is the session: it lives as
+// long as the connection, and no frame can name it from another.
 type SetupRequest struct {
 	SessionID string
 	// LogN/Depth guard against parameter mismatches between endpoints.
@@ -37,10 +40,12 @@ type SetupRequest struct {
 }
 
 // ProfileRequest asks the server which security profile a new session
-// should run. The client sends it before generating keys, so a
-// plan-steered or downgraded profile costs no wasted key generation.
+// should run: the connection's first frame. The client sends it before
+// generating keys or drawing QKD key, so a plan-steered or downgraded
+// profile costs no wasted key generation, and a refused one spends no key.
 // Requested may be empty — "let the plan steer" — or a concrete profile
-// ID the client wants.
+// ID the client wants. An ID already live on the server is refused with
+// serve.CodeDuplicateSession.
 type ProfileRequest struct {
 	SessionID string
 	Requested string
@@ -67,13 +72,13 @@ type SessionReply struct {
 	MatVecDim int
 }
 
-// ComputeRequest uploads one symmetrically encrypted block. Every
-// per-block op (see the op table in server.go) shares it: the request
-// frame's type selects what the server evaluates on the block.
+// ComputeRequest uploads one symmetrically encrypted block of the
+// connection's session. Every per-block op (see the op table in server.go)
+// shares it: the request frame's type selects what the server evaluates
+// on the block.
 type ComputeRequest struct {
-	SessionID string
-	Block     uint32
-	Masked    []float64
+	Block  uint32
+	Masked []float64
 	// Epoch is the key epoch the block was masked under. Zero skips the
 	// check; a stale nonzero epoch is rejected with
 	// serve.CodeRekeyRequired rather than transciphered into garbage.
@@ -104,16 +109,15 @@ type ComputeReply struct {
 }
 
 // RekeyRequest installs fresh HE-encrypted transciphering key material
-// (drawn from a new qkd.KeyCenter withdrawal) for a live session,
-// bumping its key epoch and resetting the byte budget.
+// (drawn from a new qkd.KeyCenter withdrawal) for the connection's
+// session, bumping its key epoch and resetting the byte budget.
 type RekeyRequest struct {
-	SessionID string
-	EncKey    []*ckks.Ciphertext
-	Nonce     []byte
+	EncKey []*ckks.Ciphertext
+	Nonce  []byte
 }
 
-// RotKeysRequest uploads one of the client's Galois rotation keys to its
-// server-side session. Each key must pass ckks.Context.CheckSwitchingKey
+// RotKeysRequest uploads one of the client's Galois rotation keys to the
+// connection's session. Each key must pass ckks.Context.CheckSwitchingKey
 // for the session's profile and be for a rotation of the server's BSGS
 // plan (ckks.BSGSRotations of the advertised MatVecDim) not uploaded yet;
 // a mismatched, unreduced, repeated or unplanned key is refused typed
@@ -121,23 +125,12 @@ type RekeyRequest struct {
 // them on the session as one set once they cover the plan. Installed keys
 // live on the session for as long as it lives, through every rekey.
 type RotKeysRequest struct {
-	SessionID string
-	Key       *ckks.GaloisKey
+	Key *ckks.GaloisKey
 }
 
-// envelope is the client's tagged union of requests. A per-block op
-// travels as Compute with Op naming its request frame.
-type envelope struct {
-	ID      uint64
-	Setup   *SetupRequest
-	Compute *ComputeRequest
-	Op      byte
-	Rekey   *RekeyRequest
-	RotKeys *RotKeysRequest
-}
-
-// replyEnvelope mirrors envelope for responses: Compute carries the reply
-// of every per-block op, Session that of every other request.
+// replyEnvelope is one reply the client's read loop hands to the request
+// it answers: Compute carries the reply of every per-block op, Session
+// that of every other request.
 type replyEnvelope struct {
 	ID      uint64
 	Compute *ComputeReply

@@ -36,7 +36,7 @@ func TestPipelinedRepliesStreamOutOfOrder(t *testing.T) {
 
 	const n = 32
 	request := func(i int) func(b []byte) []byte {
-		req := &ComputeRequest{SessionID: "stream", Block: uint32(i), Masked: p.mask(t, uint32(i), []float64{0.25})}
+		req := &ComputeRequest{Block: uint32(i), Masked: p.mask(t, uint32(i), []float64{0.25})}
 		return func(b []byte) []byte { return appendComputeRequest(b, req) }
 	}
 	release := parkFirstBlock(ctl, func() { p.send(t, frameCompute, 1, request(1)) })
@@ -88,14 +88,10 @@ func TestPipelinedRepliesStreamOutOfOrder(t *testing.T) {
 // in flight, the client fails them with an error wrapping
 // serve.ErrConnClosed (the typed code for torn-down connections).
 func TestPendingFailTypedOnConnClose(t *testing.T) {
-	// A stub server that acks the hello and answers the profile query,
-	// then kills the connection on the first pending request.
+	// A stub server that answers the profile query, then kills the
+	// connection on the Setup.
 	ln := stubListener(t, func(conn net.Conn, br *bufio.Reader) {
 		var buf []byte
-		if ftype, _, _, err := readFrame(br, &buf); err != nil || ftype != frameHello {
-			return
-		}
-		conn.Write(buildFrame(t, frameHello, 0, nil))
 		if ftype, _, _, err := readFrame(br, &buf); err != nil || ftype != frameProfile {
 			return
 		}
@@ -163,20 +159,20 @@ func staleFrame(version, ftype byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
-// TestDialFailsAgainstForeignListener: a listener that never acks the
-// hello — it closes on it as the retired gob servers did, acks in the
-// previous frame version, or says nothing — fails the dial with an error
-// wrapping ErrProtocolMismatch within negotiateTimeout. There is no
-// fallback to redial on.
+// TestDialFailsAgainstForeignListener: a listener that never answers the
+// profile query, the opening's first frame — it closes on it as the
+// retired gob servers did, answers in the previous frame version, or says
+// nothing — fails the dial with an error wrapping ErrProtocolMismatch
+// within negotiateTimeout. There is no fallback to redial on.
 func TestDialFailsAgainstForeignListener(t *testing.T) {
 	t.Parallel()
 	peers := map[string]func(conn net.Conn, br *bufio.Reader){
-		"closes on the hello": func(conn net.Conn, br *bufio.Reader) {
+		"closes on the profile query": func(conn net.Conn, br *bufio.Reader) {
 			br.ReadByte()
 		},
 		"acks the previous version": func(conn net.Conn, br *bufio.Reader) {
 			br.ReadByte()
-			conn.Write(staleFrame(frameVersion-1, frameHello))
+			conn.Write(staleFrame(frameVersion-1, frameSessionReply))
 			io.Copy(io.Discard, br) // until the client hangs up
 		},
 		"never answers": func(conn net.Conn, br *bufio.Reader) {
@@ -200,9 +196,10 @@ func TestDialFailsAgainstForeignListener(t *testing.T) {
 }
 
 // TestStalePeersFailClosed: a connection that opens with anything but a
-// hello in the current frame version — a gob stream, the previous
-// version's hello, garbage, a well-formed non-hello frame — is closed
-// without an ack, registers nothing, reaches no worker, and is counted.
+// profile query or a Setup in the current frame version — a gob stream,
+// the previous version's profile query, garbage, a well-formed session
+// frame, a profile query that does not decode — is closed without a
+// reply, registers nothing, reaches no worker, and is counted.
 func TestStalePeersFailClosed(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{Model: Model{Weights: []float64{1}}})
 	if err != nil {
@@ -213,10 +210,14 @@ func TestStalePeersFailClosed(t *testing.T) {
 		// How a gob-era client opened: the encoder's type definition for
 		// the request envelope.
 		"gob stream":             []byte("\x4a\xff\x81\x03\x01\x01\x08envelope\x01\xff\x82\x00\x01\x07\x01\x02ID\x01\x06\x00\x01\x05Setup"),
-		"previous frame version": staleFrame(frameVersion-1, frameHello),
+		"previous frame version": staleFrame(frameVersion-1, frameProfile),
 		"garbage":                bytes.Repeat([]byte{0x5a}, 2*frameHeaderLen),
-		"request before hello":   buildFrame(t, frameProfile, 1, func(b []byte) []byte { return appendProfileRequest(b, &ProfileRequest{SessionID: "eager"}) }),
-		"hello with a payload":   buildFrame(t, frameHello, 0, func(b []byte) []byte { return append(b, 0x3f) }),
+		"compute before Setup": buildFrame(t, frameCompute, 1, func(b []byte) []byte {
+			return appendComputeRequest(b, &ComputeRequest{Block: 1, Masked: []float64{0.5}})
+		}),
+		"profile query with a trailing byte": buildFrame(t, frameProfile, 1, func(b []byte) []byte {
+			return append(appendProfileRequest(b, &ProfileRequest{SessionID: "eager"}), 0x3f)
+		}),
 	}
 	for name, opener := range openers {
 		conn, err := net.Dial("tcp", srv.Addr())
@@ -236,7 +237,7 @@ func TestStalePeersFailClosed(t *testing.T) {
 	if got := srv.met.protoMismatches.Value(); got != int64(len(openers)) {
 		t.Errorf("protocol mismatch counter = %d, want %d", got, len(openers))
 	}
-	if got := srv.met.queueWait.Snapshot().Count; got != 0 {
+	if got := srv.met.stages[stageIdxQueueWait].Snapshot().Count; got != 0 {
 		t.Errorf("stale peers put %d jobs through the scheduler", got)
 	}
 	// The server is unharmed: a current client still dials and computes.

@@ -61,8 +61,8 @@ func newRawPeerOn(t testing.TB, seed int64, id string) *rawPeer {
 	return p
 }
 
-// dial connects and completes the hello exchange; the connection closes
-// with the test.
+// dial connects; the connection closes with the test. The peer is in its
+// opening until a Setup of its registers.
 func (p *rawPeer) dial(t testing.TB, addr string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -71,10 +71,6 @@ func (p *rawPeer) dial(t testing.TB, addr string) {
 	}
 	t.Cleanup(func() { conn.Close() })
 	p.conn, p.br = conn, bufio.NewReaderSize(conn, wireBufSize)
-	p.send(t, frameHello, 0, nil)
-	if ftype, _, payload := p.recv(t); ftype != frameHello || len(payload) != 0 {
-		t.Fatalf("hello ack: frame type %d, %d payload bytes", ftype, len(payload))
-	}
 }
 
 func (p *rawPeer) send(t testing.TB, ftype byte, id uint64, build func(b []byte) []byte) {
@@ -146,14 +142,14 @@ func (p *rawPeer) register(t testing.TB, id string) {
 	}
 }
 
-// rotKeys returns the RotKeys requests of a session's upload for a
-// dimension-dim model, one rotation key each, in the order a Client sends
-// them, generated from seed.
-func (p *rawPeer) rotKeys(id string, seed int64, dim int) []*RotKeysRequest {
+// rotKeys returns the RotKeys requests of an upload for a dimension-dim
+// model, one rotation key each, in the order a Client sends them,
+// generated from seed.
+func (p *rawPeer) rotKeys(seed int64, dim int) []*RotKeysRequest {
 	kg := ckks.NewKeyGenerator(p.ctx, seed)
 	var reqs []*RotKeysRequest
 	for _, rot := range ckks.KeyRotations(p.ctx.Params.N(), ckks.BSGSRotations(dim)) {
-		reqs = append(reqs, &RotKeysRequest{SessionID: id, Key: kg.GenGaloisKey(p.sk, rot)})
+		reqs = append(reqs, &RotKeysRequest{Key: kg.GenGaloisKey(p.sk, rot)})
 	}
 	return reqs
 }
@@ -164,11 +160,11 @@ func (p *rawPeer) uploadKey(t testing.TB, req *RotKeysRequest) *SessionReply {
 	return p.session(t, frameRotKeys, func(b []byte) []byte { return appendRotKeysRequest(b, req) })
 }
 
-// uploadRotKeys uploads every rotation key of session id's dimension-dim
-// plan, each of which must be accepted.
-func (p *rawPeer) uploadRotKeys(t testing.TB, id string, seed int64, dim int) {
+// uploadRotKeys uploads every rotation key of the connection's session's
+// dimension-dim plan, each of which must be accepted.
+func (p *rawPeer) uploadRotKeys(t testing.TB, seed int64, dim int) {
 	t.Helper()
-	for _, req := range p.rotKeys(id, seed, dim) {
+	for _, req := range p.rotKeys(seed, dim) {
 		if rep := p.uploadKey(t, req); replyError(rep.Code, rep.Err) != nil {
 			t.Fatalf("rotation key %d refused: %+v", req.Key.Rot, rep)
 		}

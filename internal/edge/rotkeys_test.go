@@ -9,15 +9,16 @@ import (
 	"quhe/internal/serve"
 )
 
-// matvecRaw sends one MatVec block of session id (x replicated across the
-// slots, as Client.MatVecAsync packs it) and returns the reply.
-func (p *rawPeer) matvecRaw(t *testing.T, id string, block uint32, x []float64) *ComputeReply {
+// matvecRaw sends one MatVec block of the connection's session (x
+// replicated across the slots, as Client.MatVecAsync packs it) and returns
+// the reply.
+func (p *rawPeer) matvecRaw(t *testing.T, block uint32, x []float64) *ComputeReply {
 	t.Helper()
 	full := make([]float64, p.cipher.Slots())
 	for j := range full {
 		full[j] = x[j%len(x)]
 	}
-	req := &ComputeRequest{SessionID: id, Block: block, Epoch: 1, Masked: p.mask(t, block, full)}
+	req := &ComputeRequest{Block: block, Epoch: 1, Masked: p.mask(t, block, full)}
 	rep, err := decodeComputeReply(p.call(t, frameMatVec, frameComputeReply,
 		func(b []byte) []byte { return appendComputeRequest(b, req) }))
 	if err != nil {
@@ -79,16 +80,16 @@ func TestRotKeysUploadRefusals(t *testing.T) {
 	checkSessions(t, srv, "after setups with keys of the wrong width", 0)
 	p.register(t, "refusals")
 	for name, kg := range wrong {
-		req := &RotKeysRequest{SessionID: "refusals", Key: kg.GenGaloisKey(p.sk, 1)}
+		req := &RotKeysRequest{Key: kg.GenGaloisKey(p.sk, 1)}
 		if rep := p.uploadKey(t, req); rep.Code != serve.CodeParamMismatch {
 			t.Errorf("rotation key %s: reply %+v, want CodeParamMismatch", name, rep)
 		}
 	}
-	keys := p.rotKeys("refusals", 213, len(testMatrix))
+	keys := p.rotKeys(213, len(testMatrix))
 	kg := ckks.NewKeyGenerator(p.ctx, 217)
 	const n1 = 2 // ⌈√4⌉: the plan's rotations are 1 and 2
-	outside := &RotKeysRequest{SessionID: "refusals", Key: kg.GenGaloisKey(p.sk, n1+1)}
-	oldGiant := &RotKeysRequest{SessionID: "refusals", Key: kg.GenGaloisKey(p.sk, 2*n1)}
+	outside := &RotKeysRequest{Key: kg.GenGaloisKey(p.sk, n1+1)}
+	oldGiant := &RotKeysRequest{Key: kg.GenGaloisKey(p.sk, 2*n1)}
 
 	refused := func(what string, req *RotKeysRequest, detail string) {
 		t.Helper()
@@ -117,7 +118,7 @@ func TestRotKeysUploadRefusals(t *testing.T) {
 	}
 	refused("a key after install", keys[0], "already installed")
 	x := []float64{0.5, -0.25, 1, 0.75}
-	p.checkMatVec(t, p.matvecRaw(t, "refusals", 1, x), x)
+	p.checkMatVec(t, p.matvecRaw(t, 1, x), x)
 }
 
 // TestInterruptedRotKeysUpload: a peer that sends some of a session's
@@ -132,7 +133,7 @@ func TestInterruptedRotKeysUpload(t *testing.T) {
 	if rep := p.setup(t, p.setupRequest("interrupted", p.encKey(t))); replyError(rep.Code, rep.Err) != nil {
 		t.Fatalf("setup: %+v", rep)
 	}
-	keys := p.rotKeys("interrupted", 223, len(testMatrix))
+	keys := p.rotKeys(223, len(testMatrix))
 	for _, req := range keys[:len(keys)-1] {
 		if rep := p.uploadKey(t, req); replyError(rep.Code, rep.Err) != nil {
 			t.Fatalf("rotation key %d refused: %+v", req.Key.Rot, rep)
@@ -152,11 +153,11 @@ func TestInterruptedRotKeysUpload(t *testing.T) {
 		t.Fatal("an interrupted upload was installed")
 	}
 	x := []float64{-0.5, 0.25, 0.125, 1}
-	if rep := q.matvecRaw(t, "interrupted", 1, x); rep.Code != serve.CodeMatVecUnavailable {
+	if rep := q.matvecRaw(t, 1, x); rep.Code != serve.CodeMatVecUnavailable {
 		t.Fatalf("matvec after an interrupted upload: %+v, want CodeMatVecUnavailable", rep)
 	}
-	q.uploadRotKeys(t, "interrupted", 223, len(testMatrix))
-	q.checkMatVec(t, q.matvecRaw(t, "interrupted", 2, x), x)
+	q.uploadRotKeys(t, 223, len(testMatrix))
+	q.checkMatVec(t, q.matvecRaw(t, 2, x), x)
 }
 
 // TestEnableMatVecRetryAfterInstall: a client whose last rotation-key

@@ -156,14 +156,14 @@ type ServerConfig struct {
 	// loopback ("127.0.0.1:0") unless the scrape network is trusted — the
 	// plane serves operational internals without authentication.
 	DebugAddr string
-	// IdleTimeout bounds how long a connection may sit with no inbound
-	// frames and no in-flight work before the server closes it: a
-	// half-dead peer's sessions end with its connection instead of
-	// pinning the session table. A connection waiting on its own replies
-	// (queued or unwritten op replies) is not idle. The timeout also
-	// bounds a single frame's read, so it must comfortably exceed the
-	// worst-case frame transfer time (Setup frames run to megabytes).
-	// 0 disables.
+	// IdleTimeout bounds how long a connection may sit after its Setup
+	// with no inbound frames and no in-flight work before the server
+	// closes it: a half-dead peer's session ends with its connection
+	// instead of pinning the session table. A connection waiting on its
+	// own replies (queued or unwritten op replies) is not idle. The
+	// timeout also bounds a single frame's read, so it must comfortably
+	// exceed the worst-case frame transfer time (Rekey frames run to
+	// megabytes). The opening has a fixed bound of its own. 0 disables.
 	IdleTimeout time.Duration
 }
 
@@ -228,7 +228,7 @@ type Server struct {
 	// conns tracks live connections so Close can tear them down: without
 	// it, a peer that stalls mid-read (reply writer blocked on its
 	// socket) would pin Close in wg.Wait forever. Each connection's state
-	// carries its in-flight work count and the sessions it registered,
+	// carries its in-flight work count and the session it registered,
 	// which its teardown removes from the store.
 	conns map[net.Conn]*connState
 }
@@ -254,18 +254,17 @@ type connState struct {
 	// socket.
 	replies chan opReply
 	// fw sends the connection's frames: the decode loop's session replies
-	// and the reply writer's op replies. Set once the hello is answered.
+	// and the reply writer's op replies.
 	fw *frameWriter
 
-	// sessions holds the sessions this connection registered, by ID: the
-	// only sessions its requests may name, and the ones its teardown
-	// removes from the store. Only the decode loop touches it.
-	sessions map[string]*serve.Session
-	// rotKeys holds each session's rotation-key upload in progress on this
-	// connection: the keys accepted so far, installed on the session as one
-	// set once they cover its matvec plan. Only the decode loop touches it,
-	// so a partial set dies with the connection.
-	rotKeys map[*serve.Session]*ckks.GaloisKeySet
+	// sess is the session the connection's Setup registered, nil until
+	// then: the one session its frames act on, and the one its teardown
+	// removes from the store. rotKeys is its rotation-key upload in
+	// progress: the keys accepted so far, installed on the session as one
+	// set once they cover its matvec plan. Only the decode loop touches
+	// either, so a partial set dies with the connection.
+	sess    *serve.Session
+	rotKeys *ckks.GaloisKeySet
 }
 
 // opReply is one finished op reply on its way to the connection's reply
@@ -555,13 +554,23 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn drives one connection: the hello exchange, then a decode
-// loop dispatching request frames. Replies go through one frameWriter per
-// connection: the decode loop answers the synchronous requests itself,
-// and op replies reach the socket through the connection's reply writer
-// as soon as each worker finishes. The writers and the read loop share
-// one close-once teardown, so a writer-side failure and the loop's exit
-// cannot double-close the connection.
+// openingTimeout bounds a connection's opening: from accept until a Setup
+// registers its session, every frame is read against one deadline this
+// far out. The opening spans the client's key generation, which the idle
+// deadline must not count, and without a bound a peer that connects and
+// never sends Setup would hold a connection and its buffers for good. The
+// slowest opening the edge tests run under -race took 0.62 s on a 2-core
+// box; the bound leaves 16x that for a loaded host or a slow link.
+const openingTimeout = 10 * time.Second
+
+// serveConn drives one connection through its two phases: the opening
+// (open), then a decode loop dispatching the frames of the session the
+// opening registered. Replies go through one frameWriter per connection:
+// the opening's and the synchronous handlers' session replies, and op
+// replies, which reach the socket through the connection's reply writer as
+// soon as each worker finishes. The writers and the read loop share one
+// close-once teardown, so a writer-side failure and the loop's exit cannot
+// double-close the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	cs := s.trackConn(conn)
 	if cs == nil {
@@ -578,49 +587,36 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer teardown()
 	s.met.conns.Add(1)
 	defer s.met.conns.Add(-1)
+	// The session ends with its connection. Removal is by identity, so a
+	// session evicted and registered again under its ID, on another
+	// connection, stays.
+	defer func() {
+		if cs.sess != nil {
+			s.store.Remove(cs.sess)
+		}
+	}()
 	br := bufio.NewReaderSize(conn, wireBufSize)
 	buf := getFrameBuf()
 	defer putFrameBuf(buf)
-	// A peer that does not open with a hello in the current frame version
-	// — a retired gob client, an older framed client, a port scanner — is
-	// closed before it can register a session or reach a worker. There is
-	// nothing to negotiate: the version names the whole wire format.
-	if !s.awaitFrame(conn, br, cs) {
-		return
-	}
-	if ftype, _, payload, err := readFrame(br, buf); err != nil || ftype != frameHello || len(payload) != 0 {
-		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-			s.met.protoMismatches.Inc()
-			s.cfg.Logf("edge: closing peer that did not open with a v%d hello (type %d, err %v)", frameVersion, ftype, err)
-		}
-		return
-	}
-	fw := newFrameWriter(conn, teardown, s.cfg.Logf)
-	fw.countSend = func(n int) {
+	cs.fw = newFrameWriter(conn, teardown, s.cfg.Logf)
+	cs.fw.countSend = func(n int) {
 		s.met.framesOut.Inc()
 		s.met.bytesOut.Add(int64(n))
 	}
-	if fw.sendFrame(frameHello, 0, nil) != nil {
+	if !s.open(conn, br, buf, cs) {
 		return
 	}
-	cs.fw = fw
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		s.writeReplies(cs)
 	}()
 	defer func() {
-		// The connection's sessions end with it. Removal is by identity, so
-		// a session evicted and registered again under its ID, on another
-		// connection, stays.
-		teardown()
-		for _, sess := range cs.sessions {
-			s.store.Remove(sess)
-		}
 		// Stop the reply writer. With the connection closed its writes fail
 		// at once and blocks still queued are skipped, so the in-flight ops
 		// drain promptly; once none is left no worker can send again (only
 		// this loop admits), and the hand-off can close.
+		teardown()
 		for cs.active.Load() > 0 {
 			<-cs.freed
 		}
@@ -631,11 +627,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if !s.awaitFrame(conn, br, cs) {
 			return
 		}
-		ftype, id, payload, err := readFrame(br, buf)
+		ftype, id, payload, err := s.recv(br, buf)
 		if err != nil {
-			if errors.Is(err, ErrFrameChecksum) {
-				s.met.checksumFails.Inc()
-			}
 			// EOF is a normal goodbye; net.ErrClosed is our own Close
 			// tearing the connection down.
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
@@ -643,14 +636,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		s.met.framesIn.Inc()
-		s.met.bytesIn.Add(int64(frameHeaderLen + len(payload) + crcTrailerLen))
 		if err := s.dispatch(ftype, id, payload, cs); err != nil {
-			// A payload that fails to decode is a protocol violation, not
-			// a request we can answer: kill the connection. net.ErrClosed
-			// is the teardown reaching an op frame that waited for its
-			// window slot, serve.ErrConnClosed a write the frame writer
-			// already logged.
+			// A payload that fails to decode, or an opening frame after the
+			// opening, is a protocol violation, not a request we can answer:
+			// kill the connection. net.ErrClosed is the teardown reaching an
+			// op frame that waited for its window slot, serve.ErrConnClosed a
+			// write the frame writer already logged.
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, serve.ErrConnClosed) {
 				s.cfg.Logf("edge: payload (type %d): %v", ftype, err)
 			}
@@ -659,14 +650,71 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// recv reads the connection's next frame and counts it.
+func (s *Server) recv(br *bufio.Reader, buf *[]byte) (byte, uint64, []byte, error) {
+	ftype, id, payload, err := readFrame(br, buf)
+	if err != nil {
+		if errors.Is(err, ErrFrameChecksum) {
+			s.met.checksumFails.Inc()
+		}
+		return 0, 0, nil, err
+	}
+	s.met.framesIn.Inc()
+	s.met.bytesIn.Add(int64(frameHeaderLen + len(payload) + crcTrailerLen))
+	return ftype, id, payload, nil
+}
+
+// open runs the connection's opening: profile queries and Setups, each
+// read and answered here, in order, before the reply writer exists, all
+// under one openingTimeout deadline. A refused Setup installs nothing and
+// the opening goes on; it ends, true, when a Setup registers the
+// connection's session. Anything else ends the connection: a read error,
+// the deadline, a payload that does not decode or a session frame before
+// Setup. A peer whose first frame is not an opening frame of this version —
+// a retired gob client, an older framed client, a port scanner — is
+// counted as a protocol mismatch and closed without a reply, before it can
+// register a session or reach a worker: the version names the whole wire
+// format, so there is nothing to negotiate.
+func (s *Server) open(conn net.Conn, br *bufio.Reader, buf *[]byte, cs *connState) bool {
+	conn.SetReadDeadline(time.Now().Add(openingTimeout))
+	for first := true; cs.sess == nil; first = false {
+		ftype, id, payload, err := s.recv(br, buf)
+		var rep *SessionReply
+		if err == nil {
+			switch ftype {
+			case frameProfile:
+				rep, err = s.handleProfile(payload)
+			case frameSetup:
+				rep, err = s.handleSetup(cs, payload)
+			default:
+				err = fmt.Errorf("%w: frame type %d before Setup", ErrBadFrame, ftype)
+			}
+		}
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				s.met.idleTimeouts.Inc()
+			} else if first && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				s.met.protoMismatches.Inc()
+			}
+			s.cfg.Logf("edge: closing connection in its opening (frame type %d): %v", ftype, err)
+			return false
+		}
+		if cs.fw.sendFrame(frameSessionReply, id, func(b []byte) []byte { return appendSessionReply(b, rep) }) != nil {
+			return false
+		}
+	}
+	conn.SetReadDeadline(time.Time{})
+	return true
+}
+
 // awaitFrame enforces the idle deadline before a blocking read: it peeks
 // for the next byte under a read deadline of IdleTimeout, extending the
 // wait while the connection has in-flight work (a client waiting on its
 // own replies is not idle). A true idle expiry closes the connection, and
-// its sessions end with it. With IdleTimeout unset it
-// is a no-op and the subsequent read blocks indefinitely. Returns false
-// when the connection should be torn down (the caller's read would fail
-// anyway).
+// its session ends with it. With IdleTimeout unset it is a no-op and the
+// subsequent read blocks indefinitely. Returns false when the connection
+// should be torn down (the caller's read would fail anyway).
 func (s *Server) awaitFrame(conn net.Conn, br *bufio.Reader, cs *connState) bool {
 	idle := s.cfg.IdleTimeout
 	if idle <= 0 {
@@ -691,9 +739,10 @@ func (s *Server) awaitFrame(conn net.Conn, br *bufio.Reader, cs *connState) bool
 	}
 }
 
-// dispatch serves one request frame: an op frame goes down the op
-// pipeline, any other request to its session-table row, whose reply it
-// sends. An error is a protocol violation and ends the connection.
+// dispatch serves one session frame: an op frame goes down the op
+// pipeline, a Rekey or a rotation key to its handler, whose reply it
+// sends. An error is a protocol violation and ends the connection; an
+// opening frame here is one.
 func (s *Server) dispatch(ftype byte, id uint64, payload []byte, cs *connState) error {
 	if o := opFor(ftype); o != nil {
 		// The window wait comes before the block exists for the server: a
@@ -713,13 +762,18 @@ func (s *Server) dispatch(ftype byte, id uint64, payload []byte, cs *connState) 
 		s.handleOp(o, id, req, decodeStart, cs)
 		return nil
 	}
-	handle := sessionTable[ftype]
-	if handle == nil {
-		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, ftype)
-	}
 	cs.active.Add(1)
 	defer cs.active.Add(-1)
-	rep, err := handle(s, cs, payload)
+	var rep *SessionReply
+	var err error
+	switch ftype {
+	case frameRekey:
+		rep, err = s.handleRekey(cs, payload)
+	case frameRotKeys:
+		rep, err = s.handleRotKeys(cs, payload)
+	default:
+		err = fmt.Errorf("%w: frame type %d after Setup", ErrBadFrame, ftype)
+	}
 	if err != nil {
 		return err
 	}
@@ -727,45 +781,28 @@ func (s *Server) dispatch(ftype byte, id uint64, payload []byte, cs *connState) 
 	return nil
 }
 
-// sessionRow is one row of the session table: it serves one request frame
-// that drives a session's lifecycle rather than a block. It decodes the
-// payload — a decode failure is a protocol violation — then validates
-// before it installs anything, and returns the reply, a refusal included.
-type sessionRow func(s *Server, cs *connState, payload []byte) (*SessionReply, error)
-
-// sessionTable is the op table's counterpart for session lifecycle: the
-// profile query, Setup and Rekey (QKD key delivery) and rotation-key
-// upload. Every row answers with one SessionReply on frameSessionReply,
-// sent by dispatch.
-var sessionTable = map[byte]sessionRow{
-	frameProfile: rowOf(decodeProfileRequest, (*Server).handleProfile),
-	frameSetup:   rowOf(decodeSetupRequest, (*Server).handleSetup),
-	frameRekey:   rowOf(decodeRekeyRequest, (*Server).handleRekey),
-	frameRotKeys: rowOf(decodeRotKeysRequest, (*Server).handleRotKeys),
-}
-
-// rowOf builds a session-table row from a request decoder and its handler.
-func rowOf[R any](decode func([]byte) (*R, error), handle func(*Server, *connState, *R) (*SessionReply, error)) sessionRow {
-	return func(s *Server, cs *connState, payload []byte) (*SessionReply, error) {
-		req, err := decode(payload)
-		if err != nil {
-			return nil, err
-		}
-		return handle(s, cs, req)
-	}
-}
-
-// refuse is every session row's refusal: a typed reply, with nothing
+// refuse is every session handler's refusal: a typed reply, with nothing
 // installed.
 func refuse(code serve.Code, detail string) (*SessionReply, error) {
 	return &SessionReply{Code: code, Err: detail}, nil
 }
 
-// handleProfile resolves a pre-Setup profile query: the control plane's
-// per-route λ plan steers empty requests and may downgrade or deny
-// concrete ones; without a controller the server grants any profile its
-// registry knows (empty resolving to the default).
-func (s *Server) handleProfile(_ *connState, req *ProfileRequest) (*SessionReply, error) {
+// handleProfile resolves a profile query of the opening: an ID already
+// live in the store is refused as a duplicate before the client spends
+// key generation or QKD key on it (Setup checks again, for a race); the
+// control plane's per-route λ plan steers empty requests and may downgrade
+// or deny concrete ones; without a controller the server grants any
+// profile its registry knows (empty resolving to the default). Every
+// session handler decodes its own payload; a decode failure is a protocol
+// violation.
+func (s *Server) handleProfile(payload []byte) (*SessionReply, error) {
+	req, err := decodeProfileRequest(payload)
+	if err != nil {
+		return nil, err
+	}
+	if _, live := s.store.Peek(req.SessionID); live {
+		return refuse(serve.CodeDuplicateSession, fmt.Sprintf("session %q already registered", req.SessionID))
+	}
 	granted := req.Requested
 	if ctl := s.cfg.Control; ctl != nil {
 		g, err := ctl.NegotiateProfile(req.SessionID, req.Requested)
@@ -787,17 +824,16 @@ func (s *Server) handleProfile(_ *connState, req *ProfileRequest) (*SessionReply
 	return &SessionReply{Profile: granted}, nil
 }
 
-// lookupSession resolves the session a request names, and its profile
-// runtime, for every request but Setup: a block before it is queued (so
-// the scheduler can route it to the profile's pool), a Rekey and a
-// rotation key. Only a session the request's own connection registered,
-// and the store still holds, resolves, and a hit refreshes its LRU
-// position; any other ID, another connection's included, is an unknown
-// session, and the lookup touches nothing.
-func (s *Server) lookupSession(cs *connState, sessionID string) (*serve.Session, *profileRuntime, serve.Code, string) {
-	sess := cs.sessions[sessionID]
-	if sess == nil || !s.store.Touch(sess) {
-		return nil, nil, serve.CodeUnknownSession, fmt.Sprintf("unknown session %q", sessionID)
+// lookupSession resolves the connection's session, and its profile
+// runtime, for every session frame: a block before it is queued (so the
+// scheduler can route it to the profile's pool), a Rekey and a rotation
+// key. It resolves while the store still holds the session, and a hit
+// refreshes its LRU position; a session the store has evicted is unknown,
+// and the lookup touches nothing.
+func (s *Server) lookupSession(cs *connState) (*serve.Session, *profileRuntime, serve.Code, string) {
+	sess := cs.sess
+	if !s.store.Touch(sess) {
+		return nil, nil, serve.CodeUnknownSession, fmt.Sprintf("session %q was evicted", sess.ID)
 	}
 	rt, err := s.runtime(sess.Profile)
 	if err != nil {
@@ -806,7 +842,13 @@ func (s *Server) lookupSession(cs *connState, sessionID string) (*serve.Session,
 	return sess, rt, serve.CodeOK, ""
 }
 
-func (s *Server) handleSetup(cs *connState, req *SetupRequest) (*SessionReply, error) {
+// handleSetup registers the connection's session from a Setup of the
+// opening, validating everything it carries first.
+func (s *Server) handleSetup(cs *connState, payload []byte) (*SessionReply, error) {
+	req, err := decodeSetupRequest(payload)
+	if err != nil {
+		return nil, err
+	}
 	profID := req.Profile
 	if profID == "" {
 		profID = s.reg.DefaultID()
@@ -871,19 +913,7 @@ func (s *Server) handleSetup(cs *connState, req *SetupRequest) (*SessionReply, e
 		return refuse(serve.CodeOf(err),
 			fmt.Sprintf("session %q already registered (rekey instead of re-registering)", req.SessionID))
 	}
-	// Forget what the store has evicted, so a connection pins no more
-	// sessions, and no more partial key uploads, than the store holds,
-	// however many Setups it sends.
-	for id, own := range cs.sessions {
-		if cur, ok := s.store.Peek(id); !ok || cur != own {
-			delete(cs.sessions, id)
-			delete(cs.rotKeys, own)
-		}
-	}
-	if cs.sessions == nil {
-		cs.sessions = make(map[string]*serve.Session, 1)
-	}
-	cs.sessions[sess.ID] = sess
+	cs.sess = sess
 	if ctl != nil {
 		ctl.ObserveSession(req.SessionID, profID)
 	}
@@ -914,8 +944,12 @@ func keyCode(err error) serve.Code {
 	return serve.CodeBadRequest
 }
 
-func (s *Server) handleRekey(cs *connState, req *RekeyRequest) (*SessionReply, error) {
-	sess, rt, code, detail := s.lookupSession(cs, req.SessionID)
+func (s *Server) handleRekey(cs *connState, payload []byte) (*SessionReply, error) {
+	req, err := decodeRekeyRequest(payload)
+	if err != nil {
+		return nil, err
+	}
+	sess, rt, code, detail := s.lookupSession(cs)
 	if code != serve.CodeOK {
 		return refuse(code, detail)
 	}
@@ -932,7 +966,7 @@ func (s *Server) handleRekey(cs *connState, req *RekeyRequest) (*SessionReply, e
 	}
 	epoch := sess.Rekey(req.EncKey, req.Nonce)
 	s.met.rekeys.Inc()
-	s.cfg.Logf("edge: session %q rekeyed to epoch %d", req.SessionID, epoch)
+	s.cfg.Logf("edge: session %q rekeyed to epoch %d", sess.ID, epoch)
 	return &SessionReply{Epoch: epoch}, nil
 }
 
@@ -949,8 +983,12 @@ const rotKeysInstalled = "the session's rotation keys are already installed"
 // the session the moment it covers the plan — so a worker only ever sees
 // a complete set, and a bad key fails here, typed, instead of
 // mid-evaluation.
-func (s *Server) handleRotKeys(cs *connState, req *RotKeysRequest) (*SessionReply, error) {
-	sess, rt, code, detail := s.lookupSession(cs, req.SessionID)
+func (s *Server) handleRotKeys(cs *connState, payload []byte) (*SessionReply, error) {
+	req, err := decodeRotKeysRequest(payload)
+	if err != nil {
+		return nil, err
+	}
+	sess, rt, code, detail := s.lookupSession(cs)
 	if code != serve.CodeOK {
 		return refuse(code, detail)
 	}
@@ -969,20 +1007,16 @@ func (s *Server) handleRotKeys(cs *connState, req *RotKeysRequest) (*SessionRepl
 		return refuse(serve.CodeBadRequest,
 			fmt.Sprintf("rotation key %d: not a rotation of the dimension-%d matvec plan", gk.Rot, dim))
 	}
-	set := cs.rotKeys[sess]
-	if set == nil {
-		set = &ckks.GaloisKeySet{Keys: make(map[uint64]*ckks.GaloisKey, len(rt.mvKeys))}
-		if cs.rotKeys == nil {
-			cs.rotKeys = make(map[*serve.Session]*ckks.GaloisKeySet, 1)
-		}
-		cs.rotKeys[sess] = set
+	if cs.rotKeys == nil {
+		cs.rotKeys = &ckks.GaloisKeySet{Keys: make(map[uint64]*ckks.GaloisKey, len(rt.mvKeys))}
 	}
+	set := cs.rotKeys
 	if set.Key(gk.El) != nil {
 		return refuse(serve.CodeBadRequest, fmt.Sprintf("rotation key %d: uploaded twice", gk.Rot))
 	}
 	set.Keys[gk.El] = gk
 	if len(set.Keys) == len(rt.mvKeys) {
-		delete(cs.rotKeys, sess)
+		cs.rotKeys = nil
 		sess.SetRotKeys(set)
 		s.cfg.Logf("edge: session %q installed %d rotation keys (matvec dim %d)",
 			sess.ID, len(set.Keys), dim)
@@ -1073,10 +1107,10 @@ func (s *Server) encodeReply(id uint64, rep *ComputeReply) *[]byte {
 // spans also feed the quhe_stage_seconds histograms. Every path ends in
 // exactly one hand-off, which is what releases the request's window slot.
 func (s *Server) handleOp(o *op, id uint64, req *ComputeRequest, decodeStart time.Time, cs *connState) {
-	bt := s.met.newBlockTrace(req.SessionID, req.Block, id, decodeStart)
+	bt := s.met.newBlockTrace(cs.sess.ID, req.Block, id, decodeStart)
 	bt.adopt(req.Trace)
 	bt.span(stageIdxDecode, stageDecode, decodeStart, time.Since(decodeStart))
-	sess, rt, code, detail := s.lookupSession(cs, req.SessionID)
+	sess, rt, code, detail := s.lookupSession(cs)
 	if code != serve.CodeOK {
 		s.refuseBlock(cs, id, code, detail)
 		return

@@ -1,17 +1,18 @@
 package edge
 
-// A session lives exactly as long as the connection that registered it,
-// and only that connection may name it.
+// A connection is its session: it opens with a profile query and a Setup,
+// every later frame acts on the session that Setup registered, and the
+// session ends with the connection.
 
 import (
 	"errors"
-	"maps"
+	"io"
 	"math"
-	"slices"
 	"testing"
 	"time"
 
 	"quhe/internal/control"
+	"quhe/internal/qkd"
 	"quhe/internal/qnet"
 	"quhe/internal/serve"
 )
@@ -45,11 +46,11 @@ func waitConns(t *testing.T, srv *Server, n int) {
 	}
 }
 
-// computeRaw sends one Compute block of session id at epoch 1 and returns
-// the reply.
-func (p *rawPeer) computeRaw(t *testing.T, id string, block uint32, x []float64) *ComputeReply {
+// computeRaw sends one Compute block of the connection's session at
+// epoch 1 and returns the reply.
+func (p *rawPeer) computeRaw(t *testing.T, block uint32, x []float64) *ComputeReply {
 	t.Helper()
-	req := &ComputeRequest{SessionID: id, Block: block, Epoch: 1, Masked: p.mask(t, block, x)}
+	req := &ComputeRequest{Block: block, Epoch: 1, Masked: p.mask(t, block, x)}
 	rep, err := decodeComputeReply(p.call(t, frameCompute, frameComputeReply,
 		func(b []byte) []byte { return appendComputeRequest(b, req) }))
 	if err != nil {
@@ -72,40 +73,148 @@ func (p *rawPeer) checkIdentity(t *testing.T, rep *ComputeReply, x []float64) {
 	}
 }
 
-// TestForeignSessionRefused: a second connection names another
-// connection's session in a Rekey, a rotation key and a Compute. Each is
-// refused as an unknown session, the victim stays at epoch 1 with no
-// rotation keys, and its next block decodes under the key it registered.
+// expectClosed holds the server to closing p's connection without another
+// byte.
+func (p *rawPeer) expectClosed(t *testing.T, what string) {
+	t.Helper()
+	p.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := io.Copy(io.Discard, p.br); err != nil || n != 0 {
+		t.Errorf("%s: server sent %d bytes (err %v), want a silent close", what, n, err)
+	}
+}
+
+// TestForeignSessionRefused: a session frame names no session, so a
+// connection without one has nothing to send it to. A connection that
+// sends a Rekey, a rotation key or a Compute before any Setup is closed
+// without a reply; the victim, live on another connection, stays at
+// epoch 1 with no rotation keys, and its next block decodes under the key
+// it registered.
 func TestForeignSessionRefused(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}, Matrix: testMatrix, MatrixBias: testMatrixBias})
 	victim := newRawPeer(t, 301)
 	victim.dial(t, srv.Addr())
 	victim.register(t, "victim")
 
-	intruder := newRawPeer(t, 303)
-	intruder.dial(t, srv.Addr())
 	x := []float64{0.5, -0.25, 0.125, 1}
-	refusals := map[string]serve.Code{
-		"rekey": intruder.session(t, frameRekey, func(b []byte) []byte {
-			return appendRekeyRequest(b, &RekeyRequest{SessionID: "victim", EncKey: intruder.encKey(t), Nonce: []byte("edge:intrude")})
-		}).Code,
-		"rotation key": intruder.uploadKey(t, intruder.rotKeys("victim", 305, len(testMatrix))[0]).Code,
-		"compute":      intruder.computeRaw(t, "victim", 1, x).Code,
+	intruder := newRawPeer(t, 303)
+	frames := map[string][]byte{
+		"rekey": buildFrame(t, frameRekey, 1, func(b []byte) []byte {
+			return appendRekeyRequest(b, &RekeyRequest{EncKey: intruder.encKey(t), Nonce: []byte("edge:intrude")})
+		}),
+		"rotation key": buildFrame(t, frameRotKeys, 1, func(b []byte) []byte {
+			return appendRotKeysRequest(b, intruder.rotKeys(305, len(testMatrix))[0])
+		}),
+		"compute": buildFrame(t, frameCompute, 1, func(b []byte) []byte {
+			return appendComputeRequest(b, &ComputeRequest{Block: 1, Epoch: 1, Masked: intruder.mask(t, 1, x)})
+		}),
 	}
-	for what, code := range refusals {
-		if code != serve.CodeUnknownSession {
-			t.Errorf("foreign %s: code %v, want %v", what, code, serve.CodeUnknownSession)
+	for what, frame := range frames {
+		intruder.dial(t, srv.Addr())
+		if _, err := intruder.conn.Write(frame); err != nil {
+			t.Fatal(err)
 		}
+		intruder.expectClosed(t, "a "+what+" before Setup")
 	}
 
 	st, ok := srv.SessionStats("victim")
 	if !ok || st.Epoch != 1 || st.Rekeys != 0 || st.Blocks != 0 {
-		t.Fatalf("victim after the foreign requests: %+v (resident %v), want epoch 1, untouched", st, ok)
+		t.Fatalf("victim after the foreign frames: %+v (resident %v), want epoch 1, untouched", st, ok)
 	}
 	if sess, _ := srv.store.Peek("victim"); sess.RotKeys() != nil {
 		t.Error("a foreign connection installed rotation keys on the victim")
 	}
-	victim.checkIdentity(t, victim.computeRaw(t, "victim", 1, x), x)
+	victim.checkIdentity(t, victim.computeRaw(t, 1, x), x)
+}
+
+// TestOpeningEndsAtSetup: once a Setup has registered, the opening is
+// over, and a profile query or a Setup on that connection is a protocol
+// violation. The server closes the connection without a reply, and its
+// session leaves the store with it.
+func TestOpeningEndsAtSetup(t *testing.T) {
+	srv := startServer(t, Model{Weights: []float64{1}})
+	p := newRawPeer(t, 331)
+	late := []struct {
+		what  string
+		ftype byte
+		build func(b []byte) []byte
+	}{
+		{"profile query", frameProfile, func(b []byte) []byte {
+			return appendProfileRequest(b, &ProfileRequest{SessionID: "again"})
+		}},
+		{"setup", frameSetup, func(b []byte) []byte { return appendSetupRequest(b, p.setupRequest("again", p.encKey(t))) }},
+	}
+	for _, l := range late {
+		p.dial(t, srv.Addr())
+		p.register(t, "opened")
+		p.send(t, l.ftype, 9, l.build)
+		p.expectClosed(t, "a "+l.what+" after Setup")
+		waitSessionGone(t, srv, "opened")
+		if _, ok := srv.SessionStats("again"); ok {
+			t.Errorf("a %s after Setup registered a second session", l.what)
+		}
+	}
+}
+
+// TestIdleDeadlineStartsAtSetup: the idle deadline does not count the
+// opening, which spans the client's key generation. A peer that sends its
+// profile query, waits twice the idle timeout and only then sends Setup is
+// registered and served.
+func TestIdleDeadlineStartsAtSetup(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{Model: Model{Weights: []float64{1}}, IdleTimeout: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := newRawPeer(t, 341)
+	p.dial(t, srv.Addr())
+	rep := p.session(t, frameProfile, func(b []byte) []byte {
+		return appendProfileRequest(b, &ProfileRequest{SessionID: "slow-keygen"})
+	})
+	if replyError(rep.Code, rep.Err) != nil {
+		t.Fatalf("profile query refused: %+v", rep)
+	}
+	time.Sleep(2 * idle)
+	p.register(t, "slow-keygen")
+	x := []float64{0.25}
+	p.checkIdentity(t, p.computeRaw(t, 1, x), x)
+}
+
+// TestDialSpendsKeyOnlyAfterGrant: DialQKDWith draws its QKD key once the
+// profile query is granted, so a dial refused before that — locally for an
+// unknown profile, or at the query for a session ID already live — leaves
+// the key centre's withdrawals where they were. The one withdrawal a good
+// dial makes is attributed to the profile the server granted.
+func TestDialSpendsKeyOnlyAfterGrant(t *testing.T) {
+	srv := startServer(t, Model{Weights: []float64{1}})
+	kc := provisionedKeyCenter(t, "spend")
+	ledger := qkd.NewLedger()
+	kc.AttachLedger(ledger)
+	withdrawals := func() int64 { return kc.Counters().Withdrawals }
+
+	if _, err := DialQKDWith(srv.Addr(), "spend", kc, 351, DialConfig{Profile: "no-such-profile"}); !errors.Is(err, serve.ErrProfileDenied) {
+		t.Fatalf("dial on an unknown profile: %v, want serve.ErrProfileDenied", err)
+	}
+	if n := withdrawals(); n != 0 {
+		t.Errorf("a dial refused for its profile made %d withdrawals, want 0", n)
+	}
+	c, err := DialQKDWith(srv.Addr(), "spend", kc, 353, DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if n := withdrawals(); n != 1 {
+		t.Fatalf("a good dial made %d withdrawals, want 1", n)
+	}
+	if _, err := DialQKDWith(srv.Addr(), "spend", kc, 355, DialConfig{}); !errors.Is(err, serve.ErrDuplicateSession) {
+		t.Fatalf("dial under a live ID: %v, want serve.ErrDuplicateSession", err)
+	}
+	if n := withdrawals(); n != 1 {
+		t.Errorf("a dial refused as a duplicate withdrew: %d withdrawals, want 1", n)
+	}
+	if sessions := ledger.Snapshot().Sessions; len(sessions) != 1 || sessions[0].Profile != c.Profile() {
+		t.Errorf("ledger sessions %+v, want one attributed to the granted profile %q", sessions, c.Profile())
+	}
 }
 
 // TestSessionEndsWithConnection: however a connection ends — the client
@@ -127,9 +236,7 @@ func TestSessionEndsWithConnection(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		// Long enough that the deadline cannot fire inside the dial, whose
-		// key generation runs between two frames, under -race too.
-		{"idle", 2 * time.Second, func(*testing.T, *Client, *faultInjector) {}},
+		{"idle", 300 * time.Millisecond, func(*testing.T, *Client, *faultInjector) {}},
 		{"lost", 0, func(t *testing.T, _ *Client, inj *faultInjector) {
 			if inj.CloseAll() != 1 {
 				t.Fatal("no live connection to cut")
@@ -216,50 +323,8 @@ func TestTeardownRemovesByIdentity(t *testing.T) {
 		t.Fatal("the first connection's teardown removed the session registered after it")
 	}
 	x := []float64{0.25, -0.5}
-	second.checkIdentity(t, second.computeRaw(t, "s", 1, x), x)
-	if rep := other.computeRaw(t, "t", 1, x); rep.Code != serve.CodeUnknownSession {
+	second.checkIdentity(t, second.computeRaw(t, 1, x), x)
+	if rep := other.computeRaw(t, 1, x); rep.Code != serve.CodeUnknownSession {
 		t.Errorf("evicted session served: %+v", rep)
-	}
-}
-
-// TestConnectionPinsOnlyResidentSessions: a connection that registers
-// session after session past the store's cap holds on to the resident
-// ones only, so the key material it pins is bounded by the cap and not
-// by the Setups it sent.
-func TestConnectionPinsOnlyResidentSessions(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{Model: Model{Weights: []float64{1}}, MaxSessions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	p := newRawPeer(t, 321)
-	p.dial(t, srv.Addr())
-	for _, id := range []string{"a", "b", "c", "d"} {
-		p.register(t, id)
-	}
-	srv.mu.Lock()
-	var cs *connState
-	for _, c := range srv.conns {
-		cs = c
-	}
-	srv.mu.Unlock()
-	// The decode loop owns cs.sessions. Its teardown forgets the
-	// connection under srv.mu, after its last write to the map, so once
-	// the connection is forgotten the map can be read here.
-	p.conn.Close()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		srv.mu.Lock()
-		n := len(srv.conns)
-		srv.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the connection was never torn down")
-		}
-	}
-	pinned := slices.Sorted(maps.Keys(cs.sessions))
-	if !slices.Equal(pinned, []string{"c", "d"}) {
-		t.Errorf("the connection pinned sessions %v, want the resident c, d", pinned)
 	}
 }

@@ -4,7 +4,7 @@ package edge
 //
 //	offset 0     magic    0xAD 0x51
 //	offset 2     version  frameVersion
-//	offset 3     type     frameHello, frameSetup, ..., frameSessionReply
+//	offset 3     type     frameSetup, ..., frameSessionReply
 //	offset 4     reqID    uint64, little-endian
 //	offset 12    length   uint32 payload byte count, little-endian
 //	offset 16    payload
@@ -17,7 +17,7 @@ package edge
 // own size instead of a geometric series of them. Frames are written
 // through one bufio.Writer per connection under a mutex, so a frame reaches the
 // socket as a single coalesced write and concurrent senders (the server's
-// reply writer and its decode loop answering setups, a client's callers)
+// reply writer and its decode loop answering rekeys, a client's callers)
 // interleave at frame granularity — the per-connection fairness point.
 // Payload decoding copies everything it returns, so the read buffer is
 // reused for the next frame immediately. There is one codec pair per
@@ -56,8 +56,9 @@ const (
 	// 9 the last whose blocks read one coefficient stream per nonce at
 	// overlapping offsets, 10 the last with depth-4 chains, 11 the last
 	// with switching keys over the whole chain and affine replies at
-	// level 1, 12 the last with session resume.)
-	frameVersion = 13
+	// level 1, 12 the last with session resume, 13 the last with a hello
+	// and a session ID in every session frame.)
+	frameVersion = 14
 
 	frameHeaderLen = 16
 
@@ -65,8 +66,8 @@ const (
 	// cannot force a huge allocation, and it is also the largest frame
 	// buffer the pool keeps. Every legal frame fits whatever the model: the
 	// largest is a λ-128k Setup (2,490,653 payload bytes, mostly its
-	// relinearization key), then a λ-128k Rekey (2,097,344), then one
-	// λ-128k rotation key (196,750) — rotation keys travel one per frame,
+	// relinearization key), then a λ-128k Rekey (2,097,276), then one
+	// λ-128k rotation key (196,682) — rotation keys travel one per frame,
 	// so the model dimension sets the number of RotKeys frames, not their
 	// size. TestEveryLegalFrameFits sizes them on every profile.
 	maxFramePayload = 4 << 20
@@ -84,12 +85,12 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame types. Requests and replies are distinct so a corrupted direction
-// bit cannot alias a decode. Every per-block op replies on
-// frameComputeReply and every other request on frameSessionReply, the
-// last type: readFrame refuses anything past it.
+// bit cannot alias a decode. frameProfile and frameSetup are the opening
+// frames, the rest of the requests the session frames (see doc.go). Every
+// per-block op replies on frameComputeReply and every other request on
+// frameSessionReply, the last type: readFrame refuses anything past it.
 const (
-	frameHello byte = iota + 1
-	frameSetup
+	frameSetup byte = iota + 1
 	frameCompute
 	frameComputeReply
 	frameRekey
@@ -108,8 +109,8 @@ var (
 	// ErrFrameTooLarge reports a frame whose length field exceeds
 	// maxFramePayload.
 	ErrFrameTooLarge = errors.New("edge: frame exceeds size limit")
-	// ErrProtocolMismatch reports a peer that did not acknowledge the
-	// client's hello: it speaks another frame version, another protocol
+	// ErrProtocolMismatch reports a peer that did not answer the client's
+	// profile query: it speaks another frame version, another protocol
 	// altogether, or nothing at all within negotiateTimeout.
 	ErrProtocolMismatch = errors.New("edge: peer does not speak this protocol version")
 	// ErrFrameChecksum reports a frame whose CRC32C trailer does not match
@@ -171,7 +172,7 @@ func readFrame(br *bufio.Reader, buf *[]byte) (ftype byte, id uint64, payload []
 		return 0, 0, nil, ErrBadFrame
 	}
 	ftype = hdr[3]
-	if ftype < frameHello || ftype > frameSessionReply {
+	if ftype < frameSetup || ftype > frameSessionReply {
 		return 0, 0, nil, ErrBadFrame
 	}
 	id = binary.LittleEndian.Uint64(hdr[4:12])
@@ -252,14 +253,10 @@ func (w *frameWriter) send(frame []byte) error {
 }
 
 // sendFrame builds a frame from a payload-appending closure in a pooled
-// buffer and sends it. build may be nil for empty payloads.
+// buffer and sends it.
 func (w *frameWriter) sendFrame(ftype byte, id uint64, build func(b []byte) []byte) error {
 	pb := getFrameBuf()
-	b := beginFrame((*pb)[:0], ftype, id)
-	if build != nil {
-		b = build(b)
-	}
-	b, err := finishFrame(b)
+	b, err := finishFrame(build(beginFrame((*pb)[:0], ftype, id)))
 	if err == nil {
 		*pb = b
 		err = w.send(b)
@@ -542,7 +539,6 @@ func decodeSessionReply(p []byte) (*SessionReply, error) {
 }
 
 func appendComputeRequest(b []byte, req *ComputeRequest) []byte {
-	b = appendString(b, req.SessionID)
 	b = binary.LittleEndian.AppendUint32(b, req.Block)
 	b = binary.LittleEndian.AppendUint64(b, req.Epoch)
 	b = appendFloat64s(b, req.Masked)
@@ -552,11 +548,10 @@ func appendComputeRequest(b []byte, req *ComputeRequest) []byte {
 func decodeComputeRequest(p []byte) (*ComputeRequest, error) {
 	r := &wireReader{b: p}
 	req := &ComputeRequest{
-		SessionID: r.str(),
-		Block:     r.u32(),
-		Epoch:     r.u64(),
-		Masked:    r.float64s(),
-		Trace:     r.traceContext(),
+		Block:  r.u32(),
+		Epoch:  r.u64(),
+		Masked: r.float64s(),
+		Trace:  r.traceContext(),
 	}
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -605,8 +600,7 @@ func decodeComputeReply(p []byte) (*ComputeReply, error) {
 }
 
 func appendRekeyRequest(b []byte, req *RekeyRequest) []byte {
-	b = growFrame(b, bytesSize(req.SessionID)+ciphertextsSize(req.EncKey)+bytesSize(req.Nonce))
-	b = appendString(b, req.SessionID)
+	b = growFrame(b, ciphertextsSize(req.EncKey)+bytesSize(req.Nonce))
 	b = appendCiphertexts(b, req.EncKey)
 	return appendBytes(b, req.Nonce)
 }
@@ -614,9 +608,8 @@ func appendRekeyRequest(b []byte, req *RekeyRequest) []byte {
 func decodeRekeyRequest(p []byte) (*RekeyRequest, error) {
 	r := &wireReader{b: p}
 	req := &RekeyRequest{
-		SessionID: r.str(),
-		EncKey:    r.ciphertexts(maxWireEncKey),
-		Nonce:     r.bytes(),
+		EncKey: r.ciphertexts(maxWireEncKey),
+		Nonce:  r.bytes(),
 	}
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -625,20 +618,16 @@ func decodeRekeyRequest(p []byte) (*RekeyRequest, error) {
 }
 
 func appendRotKeysRequest(b []byte, req *RotKeysRequest) []byte {
-	b = growFrame(b, bytesSize(req.SessionID)+req.Key.BinarySize())
-	b = appendString(b, req.SessionID)
-	return req.Key.AppendBinary(b)
+	return req.Key.AppendBinary(growFrame(b, req.Key.BinarySize()))
 }
 
 func decodeRotKeysRequest(p []byte) (*RotKeysRequest, error) {
 	r := &wireReader{b: p}
-	req := &RotKeysRequest{SessionID: r.str(), Key: new(ckks.GaloisKey)}
-	if r.err == nil {
-		if n, err := req.Key.DecodeFrom(r.b); err != nil {
-			r.fail()
-		} else {
-			r.b = r.b[n:]
-		}
+	req := &RotKeysRequest{Key: new(ckks.GaloisKey)}
+	if n, err := req.Key.DecodeFrom(r.b); err != nil {
+		r.fail()
+	} else {
+		r.b = r.b[n:]
 	}
 	if err := r.finish(); err != nil {
 		return nil, err

@@ -32,7 +32,7 @@ func buildFrame(t testing.TB, ftype byte, id uint64, build func(b []byte) []byte
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	req := &ComputeRequest{SessionID: "sess", Block: 42, Epoch: 7, Masked: []float64{0.25, -1.5, 3.75}}
+	req := &ComputeRequest{Block: 42, Epoch: 7, Masked: []float64{0.25, -1.5, 3.75}}
 	frame := buildFrame(t, frameCompute, 99, func(b []byte) []byte { return appendComputeRequest(b, req) })
 
 	var buf []byte
@@ -47,7 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SessionID != req.SessionID || got.Block != req.Block || got.Epoch != req.Epoch ||
+	if got.Block != req.Block || got.Epoch != req.Epoch ||
 		len(got.Masked) != len(req.Masked) {
 		t.Fatalf("decoded %+v", got)
 	}
@@ -60,7 +60,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameDecodeTypedErrors(t *testing.T) {
 	valid := buildFrame(t, frameCompute, 1, func(b []byte) []byte {
-		return appendComputeRequest(b, &ComputeRequest{SessionID: "s", Masked: []float64{1}})
+		return appendComputeRequest(b, &ComputeRequest{Masked: []float64{1}})
 	})
 	read := func(b []byte) error {
 		var buf []byte
@@ -104,8 +104,8 @@ func TestFrameDecodeTypedErrors(t *testing.T) {
 	}
 }
 
-// frameDecoders maps every frame type but the empty hello to the payload
-// decoder a peer runs on it. The fuzz target decodes through it, and
+// frameDecoders maps every frame type to the payload decoder a peer runs
+// on it. The fuzz target decodes through it, and
 // TestEveryFrameTypeFuzzed holds it to the frame types readFrame accepts,
 // so a new frame type cannot skip the fuzzer.
 var frameDecoders = map[byte]func(p []byte) (any, error){
@@ -137,7 +137,7 @@ func sampleOf[M any](name string, msg *M, appendMsg func([]byte, *M) []byte, fty
 }
 
 // codecSamples returns one sample per codec pair, covering every frame
-// type but the hello. Key and ciphertext fields carry p's real material.
+// type. Key and ciphertext fields carry p's real material.
 func codecSamples(t testing.TB, p *rawPeer) []codecSample {
 	t.Helper()
 	setup := p.setupRequest("setup", p.encKey(t))
@@ -146,13 +146,13 @@ func codecSamples(t testing.TB, p *rawPeer) []codecSample {
 	return []codecSample{
 		sampleOf("setup request", setup, appendSetupRequest, frameSetup),
 		sampleOf("profile request", &ProfileRequest{SessionID: "s", Requested: "r"}, appendProfileRequest, frameProfile),
-		sampleOf("compute request", &ComputeRequest{SessionID: "s", Block: 3, Masked: []float64{0.25, -1.5}, Epoch: 7, Trace: tc},
+		sampleOf("compute request", &ComputeRequest{Block: 3, Masked: []float64{0.25, -1.5}, Epoch: 7, Trace: tc},
 			appendComputeRequest, frameCompute, frameMatVec),
 		sampleOf("compute reply", &ComputeReply{Result: p.encKey(t)[0], Code: serve.CodeRekeyRequired, Err: "budget",
 			RekeyNeeded: true, ModeledTxDelay: 0.5, ModeledCmpDelay: 0.25}, appendComputeReply, frameComputeReply),
-		sampleOf("rekey request", &RekeyRequest{SessionID: "s", EncKey: p.encKey(t), Nonce: []byte("nonce")},
+		sampleOf("rekey request", &RekeyRequest{EncKey: p.encKey(t), Nonce: []byte("nonce")},
 			appendRekeyRequest, frameRekey),
-		sampleOf("rotation-key request", &RotKeysRequest{SessionID: "s", Key: ckks.NewKeyGenerator(p.ctx, 3).GenGaloisKey(p.sk, 1)},
+		sampleOf("rotation-key request", &RotKeysRequest{Key: ckks.NewKeyGenerator(p.ctx, 3).GenGaloisKey(p.sk, 1)},
 			appendRotKeysRequest, frameRotKeys),
 		sampleOf("session reply", &SessionReply{Code: serve.CodeParamMismatch, Err: "logN", Profile: "p", Epoch: 5, MatVecDim: 8},
 			appendSessionReply, frameSessionReply),
@@ -188,9 +188,9 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEveryFrameTypeFuzzed: every frame type readFrame accepts, the empty
-// hello aside, has a decoder in frameDecoders and a seed in codecSamples,
-// and nothing else has either.
+// TestEveryFrameTypeFuzzed: every frame type readFrame accepts has a
+// decoder in frameDecoders and a seed in codecSamples, and nothing else
+// has either.
 func TestEveryFrameTypeFuzzed(t *testing.T) {
 	seeded := map[byte]bool{}
 	for _, c := range codecSamples(t, newRawPeer(t, 109)) {
@@ -202,7 +202,7 @@ func TestEveryFrameTypeFuzzed(t *testing.T) {
 		var buf []byte
 		frame := buildFrame(t, byte(ftype), 1, nil)
 		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), &buf)
-		accepted := err == nil && byte(ftype) != frameHello
+		accepted := err == nil
 		if _, ok := frameDecoders[byte(ftype)]; ok != accepted {
 			t.Errorf("frame type %d: readFrame accepts it: %v, has a decoder: %v", ftype, accepted, ok)
 		}
@@ -219,7 +219,7 @@ func TestEveryFrameTypeFuzzed(t *testing.T) {
 func TestTraceContextWireField(t *testing.T) {
 	tc := obs.TraceContext{TraceID: 0xfeed, Parent: 0xbeef, Sampled: true}
 
-	req := &ComputeRequest{SessionID: "s", Block: 1, Epoch: 2, Masked: []float64{1}, Trace: tc}
+	req := &ComputeRequest{Block: 1, Epoch: 2, Masked: []float64{1}, Trace: tc}
 	enc := appendComputeRequest(nil, req)
 	got, err := decodeComputeRequest(enc)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestTraceContextWireField(t *testing.T) {
 		t.Errorf("compute trace round trip: %+v, want %+v", got.Trace, tc)
 	}
 
-	bare := appendComputeRequest(nil, &ComputeRequest{SessionID: "s", Block: 1, Epoch: 2, Masked: []float64{1}})
+	bare := appendComputeRequest(nil, &ComputeRequest{Block: 1, Epoch: 2, Masked: []float64{1}})
 	if len(bare) != len(enc) || !bytes.Equal(bare[len(bare)-obs.TraceContextLen:], make([]byte, obs.TraceContextLen)) {
 		t.Error("an unsampled request must carry a zero context of the same width")
 	}
@@ -332,7 +332,9 @@ func TestFrameWriterTearsDownOnce(t *testing.T) {
 		t.Fatal("no send failed despite the injected write error")
 	}
 	// The writer stays dead: later sends fail typed without touching conn.
-	if err := fw.sendFrame(frameHello, 0, nil); !errors.Is(err, serve.ErrConnClosed) {
+	if err := fw.sendFrame(frameComputeReply, 0, func(b []byte) []byte {
+		return appendComputeReply(b, &ComputeReply{Code: serve.CodeOK})
+	}); !errors.Is(err, serve.ErrConnClosed) {
 		t.Errorf("post-teardown send err = %v, want serve.ErrConnClosed", err)
 	}
 	if got := conn.closes.Load(); got != 1 {
@@ -345,7 +347,7 @@ func TestFrameWriterTearsDownOnce(t *testing.T) {
 // is seeded with one valid frame of every type.
 func FuzzFrameDecode(f *testing.F) {
 	valid := buildFrame(f, frameCompute, 7, func(b []byte) []byte {
-		return appendComputeRequest(b, &ComputeRequest{SessionID: "s", Block: 1, Epoch: 1, Masked: []float64{0.5}})
+		return appendComputeRequest(b, &ComputeRequest{Block: 1, Epoch: 1, Masked: []float64{0.5}})
 	})
 	f.Add(valid)
 	f.Add(valid[:frameHeaderLen])
@@ -361,24 +363,24 @@ func FuzzFrameDecode(f *testing.F) {
 		req.RLK = &ckks.RelinKey{QP: req.RLK.QP, Seed: req.RLK.Seed, Parts: req.RLK.Parts[:1]}
 		return appendSetupRequest(b, req)
 	}))
-	f.Add(buildFrame(f, frameHello, 0, nil))
+	// An opening frame with nothing in it, the shape of the retired hello.
+	f.Add(buildFrame(f, frameProfile, 0, func(b []byte) []byte { return b }))
 	for _, c := range codecSamples(f, p) {
 		for _, ftype := range c.ftypes {
 			f.Add(buildFrame(f, ftype, 15, func(b []byte) []byte { return append(b, c.enc...) }))
 		}
 	}
-	// What version 13 retired must fail typed: a frame in the previous
-	// version, a frame type past the last one (the resume frames sat there
-	// by count), and a Setup payload that still ends in the retired resume
-	// credential.
+	// What version 14 retired must fail typed: a frame in the previous
+	// version, a frame type past the last one, and a session frame whose
+	// payload still opens with the retired session ID.
 	previous := buildFrame(f, frameProfile, 16, func(b []byte) []byte {
 		return appendProfileRequest(b, &ProfileRequest{SessionID: "s"})
 	})
 	previous[2] = frameVersion - 1
 	f.Add(previous)
 	f.Add(buildFrame(f, frameSessionReply+1, 17, func(b []byte) []byte { return appendString(b, "s") }))
-	f.Add(buildFrame(f, frameSetup, 18, func(b []byte) []byte {
-		return appendBytes(appendSetupRequest(b, p.setupRequest("fuzz", p.encKey(f))), make([]byte, 32))
+	f.Add(buildFrame(f, frameRekey, 18, func(b []byte) []byte {
+		return appendRekeyRequest(appendString(b, "s"), &RekeyRequest{EncKey: p.encKey(f), Nonce: make([]byte, 12)})
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

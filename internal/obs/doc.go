@@ -26,7 +26,6 @@
 // `ring` (NTT worker pool). Examples:
 //
 //	quhe_serve_queue_depth                 gauge
-//	quhe_serve_queue_wait_seconds          histogram
 //	quhe_serve_shed_total{reason="..."}    counter
 //	quhe_eval_seconds{profile="..."}       histogram
 //	quhe_stage_seconds{stage="eval"}       histogram

@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Job is one unit of homomorphic work. The scheduler hands it an
@@ -41,17 +40,10 @@ type Scheduler struct {
 	depth atomic.Int64 // queued across all classes (not yet picked up)
 	sheds atomic.Int64
 
-	waitObs atomic.Pointer[func(time.Duration)]
-
 	mu      sync.Mutex
 	classes map[*EvalPool]*classQueue
 	closed  bool
 	wg      sync.WaitGroup
-}
-
-type poolJob struct {
-	job Job
-	at  time.Time
 }
 
 // classQueue is one pool's slice of the scheduler: a bounded queue. Its
@@ -62,7 +54,7 @@ type poolJob struct {
 type classQueue struct {
 	pool  *EvalPool
 	depth atomic.Int64
-	ch    chan poolJob
+	ch    chan Job
 }
 
 // NewScheduler builds a scheduler over a queue of the given depth (≤ 0
@@ -87,7 +79,7 @@ func (s *Scheduler) classLocked(pool *EvalPool) *classQueue {
 	if c := s.classes[pool]; c != nil {
 		return c
 	}
-	c := &classQueue{pool: pool, ch: make(chan poolJob, s.maxDepth)}
+	c := &classQueue{pool: pool, ch: make(chan Job, s.maxDepth)}
 	s.classes[pool] = c
 	for i := 0; i < pool.Size(); i++ {
 		s.wg.Add(1)
@@ -104,13 +96,10 @@ func (s *Scheduler) shareLocked() int {
 
 func (s *Scheduler) drain(c *classQueue) {
 	defer s.wg.Done()
-	for pj := range c.ch {
+	for job := range c.ch {
 		c.depth.Add(-1)
 		s.depth.Add(-1)
-		if obs := s.waitObs.Load(); obs != nil {
-			(*obs)(time.Since(pj.at))
-		}
-		c.pool.Run(pj.job)
+		c.pool.Run(job)
 	}
 }
 
@@ -135,22 +124,9 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 	// Send under the lock: the channel holds maxDepth ≥ share slots so
 	// this never blocks, and Close (which also takes the lock) can never
 	// close the channel under the send.
-	c.ch <- poolJob{job: job, at: time.Now()}
+	c.ch <- job
 	s.mu.Unlock()
 	return nil
-}
-
-// OnQueueWait installs an observer called with each job's queue wait —
-// the time between a successful submit and a drain goroutine picking it
-// up. The scheduler stays free of any metrics dependency; the serving
-// layer points this at its queue-wait histogram. A nil fn removes the
-// observer. Safe to call concurrently with SubmitTo.
-func (s *Scheduler) OnQueueWait(fn func(time.Duration)) {
-	if fn == nil {
-		s.waitObs.Store(nil)
-		return
-	}
-	s.waitObs.Store(&fn)
 }
 
 // QueueDepth reports the jobs currently waiting (not yet picked up)

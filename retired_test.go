@@ -94,6 +94,9 @@ var retiredNames = []retiredRow{
 	{name: "a session is its connection", pattern: `frameResume|Resume(Request|Challenge|Proof|Auth|Window)|\bReconnect\b|SweepExpired|(Code|Err)ResumeRejected|CauseResumeRotation|\b(handleResume|resumeHandshake|tryRecover|reconnectOnce|replayPending|reapLoop)\b`,
 		paths: []string{"*.go", "README.md"}, exclude: notBench,
 		why: "a session ends with the connection that registered it, so the resume plane — its frames, credential, knobs, reaper and client recovery — stays retired from the code and the README"},
+	{name: "a connection is its session", pattern: `\bframeHello\b|\bOnQueueWait\b|quhe_serve_queue_wait_seconds|\bsessionTable\b|\browOf\b`,
+		paths: []string{"*.go", "README.md"}, exclude: notBench,
+		why: "the opening's first frame carries the version, so the hello stays retired; after Setup no frame names a session, so the per-connection session table and its row builder stay retired; a block's queue wait is measured once, as the queue_wait stage"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
