@@ -203,7 +203,7 @@ func BenchmarkStage2BranchAndBound(b *testing.B) {
 	v := stage1Vars(b, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.SolveStage2(v, true); err != nil {
+		if _, err := cfg.SolveStage2(v); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,19 +230,6 @@ func BenchmarkQuHEFullProcedure(b *testing.B) {
 }
 
 // --- Ablations ---------------------------------------------------------------
-
-// BenchmarkAblationStage2Exhaustive measures Stage 2 without branch & bound
-// (full 3^N enumeration) for comparison with BenchmarkStage2BranchAndBound.
-func BenchmarkAblationStage2Exhaustive(b *testing.B) {
-	cfg := paperCfg(b)
-	v := stage1Vars(b, cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.SolveStage2(v, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkAblationStage1GradientDescent measures the paper's GD baseline at
 // its full iteration budget — the Fig. 5(b) runtime gap versus the barrier.

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,12 +27,21 @@ var productionAllowlist = map[string]string{
 	"mathutil.VecApproxEqual":   "comparison helper the mathutil and optimize tests share",
 }
 
+// fieldAllowlist names the exported fields of …Config and …Options structs
+// that stay although no production code writes them, each with the reason
+// it stays. Keys read pkg.Type.Field.
+var fieldAllowlist = map[string]string{
+	"edge.ServerConfig.DebugAddr":    "deployment setting: the address an operator scrapes the debug plane on; the serving binary of ROADMAP 10(a) sets it, and that writer retires this entry",
+	"edge.ServerConfig.IdleTimeout":  "deployment setting: how long a silent peer may hold a session depends on the link it sits behind; the serving binary of ROADMAP 10(a) sets it, and that writer retires this entry",
+	"edge.DialConfig.RequestTimeout": "deployment setting: how long a reply may take depends on the link to the edge node; the serving binary of ROADMAP 10(a) sets it, and that writer retires this entry",
+}
+
 // TestProductionCodeHasCallers fails on any non-test function or method
 // that production code does not reach and productionAllowlist does not
 // name, and on any allowlist entry that is gone or that production code or
 // another entry reaches.
 func TestProductionCodeHasCallers(t *testing.T) {
-	prog, err := loadProgram(".")
+	prog, err := rootProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +54,44 @@ func TestProductionCodeHasCallers(t *testing.T) {
 		if !slices.Contains(prog.unreachable(others), name) {
 			t.Errorf("allowlist entry %s is stale: production code or another entry reaches it, or it is gone", name)
 		}
+	}
+}
+
+// TestConfigFieldsHaveWriters fails on any exported field of an exported
+// …Config or …Options struct that production code does not write and
+// fieldAllowlist does not name, and on any allowlist entry that is gone or
+// that production code writes.
+func TestConfigFieldsHaveWriters(t *testing.T) {
+	prog, err := rootProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unwritten := prog.unwritten()
+	for _, name := range unwritten {
+		if fieldAllowlist[name] == "" {
+			t.Errorf("%s has no production writer: delete it and fix its value in code, or allowlist it with a reason", name)
+		}
+	}
+	for name := range fieldAllowlist {
+		if !slices.Contains(unwritten, name) {
+			t.Errorf("allowlist entry %s is stale: production code writes it, or it is gone", name)
+		}
+	}
+}
+
+// TestDeadcodeFieldFixture runs the field scan on the fixture, whose knob
+// package declares a Config with four fields: main writes one in a keyed
+// literal and one by assignment, the package's own default writes a third,
+// and nothing writes the fourth. The last two must be flagged.
+func TestDeadcodeFieldFixture(t *testing.T) {
+	prog, err := loadProgram(filepath.Join("testdata", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unwritten := prog.unwritten()
+	want := []string{"knob.Config.Defaulted", "knob.Config.Unwritten"}
+	if !slices.Equal(unwritten, want) {
+		t.Fatalf("unwritten = %v, want %v", unwritten, want)
 	}
 }
 
@@ -65,13 +113,20 @@ func TestDeadcodeFixture(t *testing.T) {
 	}
 }
 
+// rootProgram is the repository's program, loaded once for both gates:
+// loading type-checks the standard library from source, which takes
+// seconds.
+var rootProgram = sync.OnceValues(func() (*program, error) { return loadProgram(".") })
+
 // program is the type-checked non-test code under a root directory.
 type program struct {
-	info   *types.Info
-	funcs  map[*types.Func]*ast.FuncDecl // every package-level function and method
-	keys   map[*types.Func]string        // pkg.Name or pkg.Recv.Name
-	roots  []ast.Node                    // main, init and the package-level var and const declarations
-	ifaces map[string]bool               // the method names some interface declares
+	info    *types.Info
+	funcs   map[*types.Func]*ast.FuncDecl // every package-level function and method
+	keys    map[*types.Func]string        // pkg.Name or pkg.Recv.Name
+	roots   []ast.Node                    // main, init and the package-level var and const declarations
+	ifaces  map[string]bool               // the method names some interface declares
+	knobs   map[*types.Var]string         // the exported fields of exported …Config and …Options structs, as pkg.Type.Field
+	written map[*types.Var]bool           // the fields some code writes (see write)
 }
 
 // loadProgram parses every non-test .go file under root, skipping testdata
@@ -128,10 +183,12 @@ func loadProgram(root string) (*program, error) {
 	}
 
 	p := &program{
-		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
-		funcs:  map[*types.Func]*ast.FuncDecl{},
-		keys:   map[*types.Func]string{},
-		ifaces: map[string]bool{},
+		info:    &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+		funcs:   map[*types.Func]*ast.FuncDecl{},
+		keys:    map[*types.Func]string{},
+		ifaces:  map[string]bool{},
+		knobs:   map[*types.Var]string{},
+		written: map[*types.Var]bool{},
 	}
 	std := importer.ForCompiler(fset, "source", nil)
 	checked := map[string]*types.Package{}
@@ -155,6 +212,7 @@ func loadProgram(root string) (*program, error) {
 	}
 
 	for path, pkgFiles := range files {
+		p.addKnobs(pkgKey[path], checked[path])
 		for _, f := range pkgFiles {
 			for _, decl := range f.Decls {
 				p.index(pkgKey[path], decl)
@@ -163,6 +221,7 @@ func loadProgram(root string) (*program, error) {
 				if it, ok := n.(*ast.InterfaceType); ok {
 					p.addInterface(p.info.TypeOf(it))
 				}
+				p.write(checked[path], n)
 				return true
 			})
 		}
@@ -215,6 +274,76 @@ func (p *program) index(pkg string, decl ast.Decl) {
 			}
 		}
 	}
+}
+
+// addKnobs records the exported fields of the exported structs of pkg, keyed
+// pkgKey, whose names end in Config or Options.
+func (p *program) addKnobs(pkgKey string, pkg *types.Package) {
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					p.knobs[f] = pkgKey + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+}
+
+// write records the fields that n, in package pkg, writes: each element of
+// a struct composite literal, keyed or not, and the field an assignment or
+// an increment stores into when pkg is not the field's own. A package
+// assigning its own type's field is filling a default, which sets nothing a
+// caller chose.
+func (p *program) write(pkg *types.Package, n ast.Node) {
+	assigned := func(lhs ast.Expr) {
+		if sel, ok := lhs.(*ast.SelectorExpr); ok {
+			if f, ok := p.info.Uses[sel.Sel].(*types.Var); ok && f.IsField() && f.Pkg() != pkg {
+				p.written[f] = true
+			}
+		}
+	}
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		t := p.info.TypeOf(n)
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				p.written[p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)] = true
+			} else {
+				p.written[st.Field(i)] = true
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			assigned(lhs)
+		}
+	case *ast.IncDecStmt:
+		assigned(n.X)
+	}
+}
+
+// unwritten returns the sorted keys of the recorded …Config and …Options
+// fields that no code writes.
+func (p *program) unwritten() []string {
+	var out []string
+	for f, key := range p.knobs {
+		if !p.written[f] {
+			out = append(out, key)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // addInterface records the method names of t if t is an interface.

@@ -129,18 +129,18 @@ func TestBudgetTracksSecurityLevel(t *testing.T) {
 	// are budgeted at the λ of the profile they were granted — steered or
 	// requested — and the fallback is the budget of a λ some route runs.
 	ctl, err := control.New(control.Config{
-		Network: net, BaseRekeyBytes: base, RouteOf: routeByPrefix(net.NumRoutes()),
+		Network: net, BaseRekeyBytes: base,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := ctl.Telemetry()
-	tel.ObserveCompute("r0-busy", 16, time.Millisecond, serve.CodeOK)
+	tel.ObserveCompute(control.SessionOnRoute(net.NumRoutes(), 0, "busy"), 16, time.Millisecond, serve.CodeOK)
 	if _, err := ctl.Replan(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	tel.ObserveCompute("r0-busy", 16, time.Millisecond, serve.CodeOK)
+	tel.ObserveCompute(control.SessionOnRoute(net.NumRoutes(), 0, "busy"), 16, time.Millisecond, serve.CodeOK)
 	plan, err := ctl.Replan()
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestBudgetTracksSecurityLevel(t *testing.T) {
 		id, request string
 		want        int64
 	}{
-		{"r1-steered", "", at128k},
-		{"r1-asked-low", profile.IDLambda32k, at32k},
+		{control.SessionOnRoute(net.NumRoutes(), 1, "steered"), "", at128k},
+		{control.SessionOnRoute(net.NumRoutes(), 1, "asked-low"), profile.IDLambda32k, at32k},
 	} {
 		granted, err := ctl.NegotiateProfile(c.id, c.request)
 		if err != nil {
@@ -190,7 +190,7 @@ func TestAdmitSessionCapacityAndStock(t *testing.T) {
 	if err := kc.Deposit("starved", make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := control.New(control.Config{Network: net, KeyCenter: kc, MaxSessions: 64})
+	ctl, err := control.New(control.Config{Network: net, KeyCenter: kc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,38 +43,17 @@ type Config struct {
 	// (ProvisionFromAllocation) and consulted for projected key
 	// consumption at admission time.
 	KeyCenter *qkd.KeyCenter
-	// RouteOf maps a session ID to the 0-based route serving it. Default:
-	// FNV-1a hash of the ID modulo the route count.
-	RouteOf func(sessionID string) int
-	// SecurityWeights is ς_n per route (Eq. 9). Default: all 1.
-	SecurityWeights []float64
 	// LambdaSet is the ascending CKKS degree choice set (17d). Default
 	// {2^15, 2^16, 2^17}.
 	LambdaSet []float64
 	// BaseRekeyBytes is the per-key byte budget at λ = LambdaRef; budgets
 	// scale from it via DeriveRekeyBudget. Default 1 MiB.
 	BaseRekeyBytes int64
-	// MaxSessions caps AdmitCapacity regardless of key stock
-	// (0 = no cap beyond what the key plane sustains).
-	MaxSessions int
 	// Interval is the replanning period of Start. Default 1s.
 	Interval time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.RouteOf == nil {
-		routes := uint32(c.Network.NumRoutes())
-		c.RouteOf = func(sessionID string) int {
-			// FNV-1a, spelled out: hash/fnv's hasher escapes to the heap
-			// once New inlines this function, and Replan routes every
-			// session on every call.
-			h := uint32(2166136261)
-			for i := 0; i < len(sessionID); i++ {
-				h = (h ^ uint32(sessionID[i])) * 16777619
-			}
-			return int(h % routes)
-		}
-	}
 	if len(c.LambdaSet) == 0 {
 		c.LambdaSet = []float64{32768, 65536, 131072}
 	}
@@ -85,6 +64,18 @@ func (c Config) withDefaults() Config {
 		c.Interval = time.Second
 	}
 	return c
+}
+
+// routeOf maps a session ID to the 0-based route serving it: the FNV-1a
+// hash of the ID modulo the route count. The hash is spelled out because
+// hash/fnv's hasher escapes to the heap, and Replan routes every session
+// on every call.
+func routeOf(sessionID string, routes int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(sessionID); i++ {
+		h = (h ^ uint32(sessionID[i])) * 16777619
+	}
+	return int(h % uint32(routes))
 }
 
 // Controller closes the loop between serving telemetry and the paper's
@@ -125,16 +116,6 @@ func New(cfg Config) (*Controller, error) {
 		return nil, errors.New("control: nil network")
 	}
 	cfg = cfg.withDefaults()
-	if len(cfg.SecurityWeights) == 0 {
-		cfg.SecurityWeights = make([]float64, cfg.Network.NumRoutes())
-		for i := range cfg.SecurityWeights {
-			cfg.SecurityWeights[i] = 1
-		}
-	}
-	if len(cfg.SecurityWeights) != cfg.Network.NumRoutes() {
-		return nil, fmt.Errorf("control: %d security weights for %d routes",
-			len(cfg.SecurityWeights), cfg.Network.NumRoutes())
-	}
 	stage1, err := qnet.NewStage1(cfg.Network, mathutil.Fill(cfg.Network.NumRoutes(), phiMin))
 	if err != nil {
 		return nil, err
@@ -394,7 +375,7 @@ func (c *Controller) routeCandidates() []*profile.Profile {
 }
 
 // chooseRouteProfiles solves the λ choice (17d), per route: the candidate
-// profile maximizing α_msl·ς_r·f_msl(λ) − α_T·T_cmp of the route's own
+// profile maximizing α_msl·f_msl(λ) − α_T·T_cmp of the route's own
 // predicted demand, with T_cmp the registry's price of that demand
 // (profile.ServeDelaySec — the number replies report per block) held
 // against the profile's measured p99. At idle every route runs the
@@ -408,11 +389,10 @@ func (c *Controller) chooseRouteProfiles(snap Snapshot) (lambdas []float64, prof
 	routeRots := make([]int64, n)
 	routeBlocks := make([]int64, n)
 	for _, s := range snap.Sessions {
-		if route := c.cfg.RouteOf(s.ID); route >= 0 && route < n {
-			demand[route] += s.BytesPerSec
-			routeRots[route] += s.Rotations
-			routeBlocks[route] += s.Blocks
-		}
+		route := routeOf(s.ID, n)
+		demand[route] += s.BytesPerSec
+		routeRots[route] += s.Rotations
+		routeBlocks[route] += s.Blocks
 	}
 	lambdas = make([]float64, n)
 	profiles = make([]string, n)
@@ -431,7 +411,7 @@ func (c *Controller) chooseRouteProfiles(snap Snapshot) (lambdas []float64, prof
 			delay := math.Max(
 				p.ServeDelaySec(demand[r], rotPerBlock, profile.RefHz),
 				measuredDelaySec(snap.Profiles[p.ID], p, demand[r]))
-			score := AlphaMSL*c.cfg.SecurityWeights[r]*p.MSL() - AlphaT*delay
+			score := AlphaMSL*p.MSL() - AlphaT*delay
 			if score > bestScore {
 				best, bestScore = p, score
 			}
@@ -457,10 +437,10 @@ func (c *Controller) profileBudget(plan *Plan, profileID string) int64 {
 // of pool material).
 func (c *Controller) sessionBudget(plan *Plan, s SessionSnapshot, phi, w []float64) int64 {
 	budget := c.profileBudget(plan, s.Profile)
-	route := c.cfg.RouteOf(s.ID)
-	if route < 0 || route >= len(phi) || s.BytesPerSec <= 0 {
+	if s.BytesPerSec <= 0 {
 		return budget
 	}
+	route := routeOf(s.ID, len(phi))
 	ew, err := c.cfg.Network.EndToEndWerner(route, w)
 	if err != nil {
 		return budget
@@ -480,22 +460,18 @@ func (c *Controller) sessionBudget(plan *Plan, s SessionSnapshot, phi, w []float
 
 // admitCapacity targets the session count whose next key rotations the
 // current key stock can fund (pools only grow via explicit deposits, so
-// no projected replenishment is credited). Without a key centre the only
-// bound is MaxSessions; -1 means unbounded and 0 genuinely admits
-// nothing new.
+// no projected replenishment is credited). Without a key centre it is -1,
+// unbounded: the server's own session cap is then the only bound. 0
+// genuinely admits nothing new.
 func (c *Controller) admitCapacity() int {
-	capacity := -1
-	if c.cfg.KeyCenter != nil {
-		bytes := 0
-		for _, p := range c.cfg.KeyCenter.PoolStats() {
-			bytes += p.AvailableBytes
-		}
-		capacity = bytes / withdrawBytes
+	if c.cfg.KeyCenter == nil {
+		return -1
 	}
-	if c.cfg.MaxSessions > 0 && (capacity < 0 || capacity > c.cfg.MaxSessions) {
-		capacity = c.cfg.MaxSessions
+	bytes := 0
+	for _, p := range c.cfg.KeyCenter.PoolStats() {
+		bytes += p.AvailableBytes
 	}
-	return capacity
+	return bytes / withdrawBytes
 }
 
 // --- edge control-plane hooks ----------------------------------------------
@@ -523,10 +499,8 @@ func (c *Controller) NegotiateProfile(sessionID, requested string) (string, erro
 	reg := profile.Default()
 	planned := reg.DefaultID()
 	if p := c.plan.Load(); p != nil {
-		if route := c.cfg.RouteOf(sessionID); route >= 0 {
-			if rp := p.ProfileForRoute(route); rp != "" {
-				planned = rp
-			}
+		if rp := p.ProfileForRoute(routeOf(sessionID, c.cfg.Network.NumRoutes())); rp != "" {
+			planned = rp
 		}
 	}
 	if requested == "" {

@@ -34,10 +34,12 @@
 //     solution; TestLiveStage1Pinned holds it to the barrier optimum.
 //     Werner parameters are the capacity-saturating point w* of Eq. (18).
 //   - Plan.RouteLambda / Plan.RouteProfile — the CKKS degree chosen from
-//     the discrete set (17d), per route: the importance-weighted security
-//     utility α_msl·ς_n·f_msl(λ) (Eqs. 9, 30) traded against α_T·T_cmp
-//     (Eq. 13) of the route's own predicted demand — highest security at
-//     idle, stepping down as demand grows. T_cmp is the security-profile
+//     the discrete set (17d), per route: the security utility
+//     α_msl·f_msl(λ) (Eqs. 9, 30; every route's importance weight ς_n is
+//     1) traded against α_T·T_cmp (Eq. 13) of the route's own predicted
+//     demand — highest security at idle, stepping down as demand grows.
+//     A session's route is the FNV-1a hash of its ID modulo the route
+//     count. T_cmp is the security-profile
 //     registry's price of that demand (profile.ServeDelaySec over
 //     profile.BlockCycles, the same number every reply reports per block
 //     in ModeledCmpDelay), never below the profile's measured p99. This
@@ -54,8 +56,9 @@
 //     planned RouteLambda.
 //   - Plan.AdmitCapacity / Plan.QueueHighWater — the admission envelope:
 //     the session count whose next rotations the current key stock can
-//     fund, and the scheduler occupancy above which work is shed before
-//     the hard queue boundary.
+//     fund (unbounded without a key centre, where the server's own
+//     session cap is the bound), and the scheduler occupancy above which
+//     work is shed before the hard queue boundary.
 //
 // Actuate. Each replan provisions the key centre from the fresh allocation
 // (qkd.KeyCenter.ProvisionFromAllocation, rate_n = φ_n·F_skf(̟_n)),

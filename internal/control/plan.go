@@ -23,8 +23,9 @@ type Plan struct {
 	Seq uint64
 	At  time.Time
 
-	// RouteLambda is the per-route λ choice (17d solved per route against
-	// the route's own security weight and predicted demand), and
+	// RouteLambda is the per-route λ choice (17d solved per route: the
+	// security utility α_msl·f_msl(λ) against the modeled delay of the
+	// route's own predicted demand), and
 	// RouteProfile the security-profile ID actuating it: new sessions on
 	// a route are steered to RouteProfile[route] at negotiation time.
 	// Both are indexed by the 0-based route index.

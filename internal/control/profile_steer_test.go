@@ -9,21 +9,10 @@ import (
 	"quhe/internal/control"
 	"quhe/internal/edge"
 	"quhe/internal/he/profile"
+	"quhe/internal/qkd"
 	"quhe/internal/qnet"
 	"quhe/internal/serve"
 )
-
-// routeByPrefix maps session IDs of the form "r<route>-..." to their
-// route, so tests can place sessions deterministically.
-func routeByPrefix(routes int) func(string) int {
-	return func(sessionID string) int {
-		var r int
-		if _, err := fmt.Sscanf(sessionID, "r%d-", &r); err != nil || r < 0 || r >= routes {
-			return 0
-		}
-		return r
-	}
-}
 
 // TestNegotiateProfileSteersAndDowngrades pins the negotiation contract:
 // empty requests follow the plan's per-route profile, requests above the
@@ -31,7 +20,7 @@ func routeByPrefix(routes int) func(string) int {
 // profiles are denied typed.
 func TestNegotiateProfileSteersAndDowngrades(t *testing.T) {
 	net := qnet.SURFnet()
-	ctl, err := control.New(control.Config{Network: net, RouteOf: routeByPrefix(net.NumRoutes())})
+	ctl, err := control.New(control.Config{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +35,18 @@ func TestNegotiateProfileSteersAndDowngrades(t *testing.T) {
 			t.Errorf("idle route %d planned %q, want %q", r, id, profile.IDLambda128k)
 		}
 	}
-	got, err := ctl.NegotiateProfile("r0-steered", "")
+	on0 := func(name string) string { return control.SessionOnRoute(net.NumRoutes(), 0, name) }
+	got, err := ctl.NegotiateProfile(on0("steered"), "")
 	if err != nil || got != profile.IDLambda128k {
 		t.Errorf("empty request → (%q, %v), want plan profile %q", got, err, profile.IDLambda128k)
 	}
 	// An explicit request at or below the plan is honored as asked.
-	got, err = ctl.NegotiateProfile("r0-explicit", profile.IDLambda32k)
+	got, err = ctl.NegotiateProfile(on0("explicit"), profile.IDLambda32k)
 	if err != nil || got != profile.IDLambda32k {
 		t.Errorf("explicit request → (%q, %v), want %q", got, err, profile.IDLambda32k)
 	}
 	// Unknown profiles are denied typed.
-	if _, err := ctl.NegotiateProfile("r0-bogus", "no-such-profile"); !errors.Is(err, serve.ErrProfileDenied) {
+	if _, err := ctl.NegotiateProfile(on0("bogus"), "no-such-profile"); !errors.Is(err, serve.ErrProfileDenied) {
 		t.Errorf("unknown profile err = %v, want serve.ErrProfileDenied", err)
 	}
 }
@@ -67,7 +57,7 @@ func TestNegotiateProfileSteersAndDowngrades(t *testing.T) {
 func TestRoutePinnedByLambdaSet(t *testing.T) {
 	net := qnet.SURFnet()
 	ctl, err := control.New(control.Config{
-		Network: net, LambdaSet: []float64{32768}, RouteOf: routeByPrefix(net.NumRoutes()),
+		Network: net, LambdaSet: []float64{32768},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +67,7 @@ func TestRoutePinnedByLambdaSet(t *testing.T) {
 			t.Errorf("pinned route %d planned %q, want %q", r, id, profile.IDLambda32k)
 		}
 	}
-	got, err := ctl.NegotiateProfile("r1-high", profile.IDLambda128k)
+	got, err := ctl.NegotiateProfile(control.SessionOnRoute(net.NumRoutes(), 1, "high"), profile.IDLambda128k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,26 +84,24 @@ func TestRoutePinnedByLambdaSet(t *testing.T) {
 func TestReplanMovesRouteLambda(t *testing.T) {
 	net := qnet.SURFnet()
 	routes := net.NumRoutes()
-	ctl, err := control.New(control.Config{
-		Network: net,
-		RouteOf: routeByPrefix(routes),
-	})
+	ctl, err := control.New(control.Config{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := ctl.NegotiateProfile("r1-before", ""); got != profile.IDLambda128k {
+	on1 := func(name string) string { return control.SessionOnRoute(routes, 1, name) }
+	if got, _ := ctl.NegotiateProfile(on1("before"), ""); got != profile.IDLambda128k {
 		t.Fatalf("pre-demand steering = %q, want %q", got, profile.IDLambda128k)
 	}
 
 	// Report crushing demand on route 1: two observation rounds so the
 	// second snapshot sees a byte delta over a measurable dt.
 	tel := ctl.Telemetry()
-	tel.ObserveCompute("r1-hot", 1<<26, 5*time.Millisecond, serve.CodeOK)
+	tel.ObserveCompute(on1("hot"), 1<<26, 5*time.Millisecond, serve.CodeOK)
 	if _, err := ctl.Replan(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	tel.ObserveCompute("r1-hot", 1<<26, 5*time.Millisecond, serve.CodeOK)
+	tel.ObserveCompute(on1("hot"), 1<<26, 5*time.Millisecond, serve.CodeOK)
 	plan, err := ctl.Replan()
 	if err != nil {
 		t.Fatal(err)
@@ -128,49 +116,12 @@ func TestReplanMovesRouteLambda(t *testing.T) {
 		}
 	}
 	// The next new session on route 1 is steered to the new profile.
-	got, err := ctl.NegotiateProfile("r1-after", "")
+	got, err := ctl.NegotiateProfile(on1("after"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != plan.RouteProfile[1] {
 		t.Errorf("post-replan steering = %q, want plan's %q", got, plan.RouteProfile[1])
-	}
-
-	// Security weights (ς_n, Eq. 9): routes 1 and 2 carry the same demand,
-	// four times what makes a weight-1 route indifferent between λ-128k
-	// and λ-64k. The step-down point scales with the weight, so route 2 at
-	// ς = 16 holds the highest level where route 1 at ς = 1 gives it up.
-	// (The factors leave the wall-clock window 4x of slack either way.)
-	hi, _ := profile.Default().Get(profile.IDLambda128k)
-	mid, _ := profile.Default().Get(profile.IDLambda64k)
-	stepDown := control.AlphaMSL * (hi.MSL() - mid.MSL()) /
-		(control.AlphaT * (hi.ServeDelaySec(1, 0, profile.RefHz) - mid.ServeDelaySec(1, 0, profile.RefHz)))
-	const window = 40 * time.Millisecond
-	perWindow := int64(4 * stepDown * window.Seconds())
-	weights := []float64{1, 1, 16, 1, 1, 1}
-	ctl, err = control.New(control.Config{
-		Network: net, RouteOf: routeByPrefix(routes), SecurityWeights: weights[:routes],
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tel = ctl.Telemetry()
-	report := func() {
-		tel.ObserveCompute("r1-light", perWindow, time.Millisecond, serve.CodeOK)
-		tel.ObserveCompute("r2-heavy", perWindow, time.Millisecond, serve.CodeOK)
-	}
-	report()
-	if _, err := ctl.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(window)
-	report()
-	if plan, err = ctl.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	if plan.RouteLambda[1] >= hi.Lambda || plan.RouteLambda[2] != hi.Lambda {
-		t.Errorf("equal demand %.0f B/s (weight-1 step-down at %.0f): ς=1 route at λ=%g, ς=16 route at λ=%g; want only the lighter weight to step down",
-			plan.DemandBytesPerSec/2, stepDown, plan.RouteLambda[1], plan.RouteLambda[2])
 	}
 }
 
@@ -183,13 +134,12 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 		t.Skip("serving-plane integration test")
 	}
 	net := qnet.SURFnet()
-	ctl, err := control.New(control.Config{
-		Network: net,
-		RouteOf: routeByPrefix(net.NumRoutes()),
-	})
+	ctl, err := control.New(control.Config{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
+	on2 := func(name string) string { return control.SessionOnRoute(net.NumRoutes(), 2, name) }
+	firstID, secondID := on2("first"), on2("second")
 	srv, err := edge.NewServer("127.0.0.1:0", edge.ServerConfig{
 		Model:   edge.Model{Weights: []float64{1}},
 		Workers: 2,
@@ -201,7 +151,7 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	// First session on route 2: steered to the idle plan's highest level.
-	first, err := edge.DialWith(srv.Addr(), "r2-first", []byte("k"), 51, edge.DialConfig{})
+	first, err := edge.DialWith(srv.Addr(), firstID, []byte("k"), 51, edge.DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +165,12 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 
 	// Crushing demand lands on route 2; the next replan moves its λ down.
 	tel := ctl.Telemetry()
-	tel.ObserveCompute("r2-hot", 1<<26, 5*time.Millisecond, serve.CodeOK)
+	tel.ObserveCompute(on2("hot"), 1<<26, 5*time.Millisecond, serve.CodeOK)
 	if _, err := ctl.Replan(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	tel.ObserveCompute("r2-hot", 1<<26, 5*time.Millisecond, serve.CodeOK)
+	tel.ObserveCompute(on2("hot"), 1<<26, 5*time.Millisecond, serve.CodeOK)
 	plan, err := ctl.Replan()
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +180,7 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 	}
 
 	// The next new session on the route lands on the moved profile...
-	second, err := edge.DialWith(srv.Addr(), "r2-second", []byte("k"), 52, edge.DialConfig{})
+	second, err := edge.DialWith(srv.Addr(), secondID, []byte("k"), 52, edge.DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +193,10 @@ func TestReplanSteersNextSessionEndToEnd(t *testing.T) {
 	}
 	// ...while the first keeps what it registered on, and the server
 	// reports both to the controller.
-	if got := tel.SessionProfile("r2-first"); got != profile.IDLambda128k {
+	if got := tel.SessionProfile(firstID); got != profile.IDLambda128k {
 		t.Errorf("first session migrated to %q", got)
 	}
-	if got := tel.SessionProfile("r2-second"); got != plan.RouteProfile[2] {
+	if got := tel.SessionProfile(secondID); got != plan.RouteProfile[2] {
 		t.Errorf("server reported %q for second session, want %q", got, plan.RouteProfile[2])
 	}
 }
@@ -317,11 +267,19 @@ func TestProfileTelemetryAggregates(t *testing.T) {
 
 // TestReplanActuatesSchedulerAndStore is the controller-resizing
 // satellite: a replan moves the live scheduler depth to the plan's
-// high-water and the store's session cap to the admission capacity
-// (clamped to the built ceiling), and the store holds that cap exactly.
+// high-water and the store's session cap to the admission capacity — the
+// rotations a 128-byte key stock funds — clamped to the built ceiling, and
+// the store holds that cap exactly.
 func TestReplanActuatesSchedulerAndStore(t *testing.T) {
 	net := qnet.SURFnet()
-	ctl, err := control.New(control.Config{Network: net, MaxSessions: 4})
+	kc := qkd.NewKeyCenter()
+	if err := kc.Provision("stock", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := kc.Deposit("stock", make([]byte, 4*serve.RekeyWithdrawBytes)); err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := control.New(control.Config{Network: net, KeyCenter: kc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +313,7 @@ func TestReplanActuatesSchedulerAndStore(t *testing.T) {
 		t.Errorf("high-water decayed to %d after resize — computed from live instead of built capacity", plan2.QueueHighWater)
 	}
 	if plan2.AdmitCapacity != 4 {
-		t.Errorf("admit capacity %d, want MaxSessions 4", plan2.AdmitCapacity)
+		t.Errorf("admit capacity %d, want 4 (128 stock bytes / %d per rotation)", plan2.AdmitCapacity, serve.RekeyWithdrawBytes)
 	}
 	// The server's store, built for 64, holds exactly the planned 4.
 	store := ctl.Telemetry().Store()

@@ -29,13 +29,12 @@ func lambdaOf(t *testing.T, id string) float64 {
 // route's — same bytes, different cost.
 func TestRotationHeavyRouteSteersLambda(t *testing.T) {
 	net := qnet.SURFnet()
-	ctl, err := control.New(control.Config{
-		Network: net,
-		RouteOf: routeByPrefix(net.NumRoutes()),
-	})
+	ctl, err := control.New(control.Config{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
+	affineID := control.SessionOnRoute(net.NumRoutes(), 1, "affine")
+	matvecID := control.SessionOnRoute(net.NumRoutes(), 2, "matvec")
 
 	tel := ctl.Telemetry()
 	// Two observation rounds so the second snapshot sees a byte delta
@@ -49,9 +48,9 @@ func TestRotationHeavyRouteSteersLambda(t *testing.T) {
 	const blockBytes = 1 << 19
 	const rotations = 1 << 12
 	report := func() {
-		tel.ObserveCompute("r1-affine", blockBytes, time.Millisecond, serve.CodeOK)
-		tel.ObserveCompute("r2-matvec", blockBytes, time.Millisecond, serve.CodeOK)
-		tel.ObserveRotations("r2-matvec", rotations)
+		tel.ObserveCompute(affineID, blockBytes, time.Millisecond, serve.CodeOK)
+		tel.ObserveCompute(matvecID, blockBytes, time.Millisecond, serve.CodeOK)
+		tel.ObserveRotations(matvecID, rotations)
 	}
 	report()
 	if _, err := ctl.Replan(); err != nil {
@@ -80,10 +79,10 @@ func TestRotationHeavyRouteSteersLambda(t *testing.T) {
 	// Telemetry carries the rotation counts that drove the decision.
 	snap := tel.Snapshot()
 	for _, s := range snap.Sessions {
-		if s.ID == "r2-matvec" && s.Rotations != 2*rotations {
+		if s.ID == matvecID && s.Rotations != 2*rotations {
 			t.Errorf("session rotations = %d, want %d", s.Rotations, 2*rotations)
 		}
-		if s.ID == "r1-affine" && s.Rotations != 0 {
+		if s.ID == affineID && s.Rotations != 0 {
 			t.Errorf("affine session recorded %d rotations", s.Rotations)
 		}
 	}

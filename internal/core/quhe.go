@@ -19,9 +19,6 @@ type QuHEOptions struct {
 	// Initial overrides the deterministic feasible start (used by the
 	// Fig. 3 random-initialization study).
 	Initial *Variables
-	// Stage2Exhaustive switches Stage 2 from branch & bound to exhaustive
-	// enumeration (ablation).
-	Stage2Exhaustive bool
 }
 
 // SolveResult is the outcome of SolveQuHE or SolveBaseline.
@@ -75,7 +72,7 @@ func (c *Config) SolveQuHE(o QuHEOptions) (SolveResult, error) {
 	for iter := 0; iter < quheMaxOuter; iter++ {
 		res.OuterIters++
 
-		s2, err := c.SolveStage2(v, !o.Stage2Exhaustive)
+		s2, err := c.SolveStage2(v)
 		if err != nil {
 			return res, fmt.Errorf("core: quhe outer %d: %w", iter, err)
 		}
@@ -189,7 +186,7 @@ func (c *Config) SolveBaseline(kind BaselineKind) (SolveResult, error) {
 	case BaselineAA:
 		// Nothing to optimize.
 	case BaselineOLAA:
-		s2, err := c.SolveStage2(v, true)
+		s2, err := c.SolveStage2(v)
 		if err != nil {
 			return res, fmt.Errorf("core: baseline OLAA: %w", err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -124,18 +125,17 @@ func TestQuHEFromRandomStartsStaysGood(t *testing.T) {
 	}
 }
 
+// TestQuHEExhaustiveStage2Matches checks that the λ SolveQuHE ends on is
+// the exhaustive Stage-2 optimum at its final variables.
 func TestQuHEExhaustiveStage2Matches(t *testing.T) {
 	c := PaperConfig(1)
-	bnb, err := c.SolveQuHE(QuHEOptions{})
+	res, err := c.SolveQuHE(QuHEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exh, err := c.SolveQuHE(QuHEOptions{Stage2Exhaustive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(bnb.Eval.Objective-exh.Eval.Objective) > 1e-3*(1+math.Abs(exh.Eval.Objective)) {
-		t.Errorf("BnB objective %v != exhaustive %v", bnb.Eval.Objective, exh.Eval.Objective)
+	lambda, _, _ := exhaustiveStage2(t, c, res.Vars)
+	if !slices.Equal(res.Vars.Lambda, lambda) {
+		t.Errorf("final λ %v, exhaustive optimum at the final variables %v", res.Vars.Lambda, lambda)
 	}
 }
 

@@ -41,16 +41,19 @@ func (m Stage1Method) String() string {
 	}
 }
 
+// rsSamples is the RS baseline's budget: the paper's 10⁴ uniform draws.
+const rsSamples = 10000
+
 // Stage1Options tunes the Stage-1 solvers. The zero value uses defaults.
 type Stage1Options struct {
 	// Method selects the solver; default Stage1Barrier.
 	Method Stage1Method
 	// Seed seeds the stochastic baselines (SA, RS); 0 means fixed default.
 	Seed int64
-	// GDIters, SAIters, RSSamples override baseline budgets when positive.
-	GDIters   int
-	SAIters   int
-	RSSamples int
+	// GDIters and SAIters override the GD and SA budgets when positive.
+	// RS always takes the paper's rsSamples draws.
+	GDIters int
+	SAIters int
 }
 
 // Stage1Result reports a Stage-1 solve.
@@ -158,14 +161,10 @@ func (c *Config) solveStage1Heuristic(prog qnet.Stage1, opts Stage1Options) (Sta
 		}
 		res.Phi, res.Objective, res.Iters, res.Trace, res.Converged = r.X, r.Value, r.Iters, r.Values, r.Converged
 	case Stage1RS:
-		samples := opts.RSSamples
-		if samples <= 0 {
-			samples = 10000 // the paper's 10⁴ uniform draws
-		}
 		// The paper's RS baseline samples "uniformly from the feasible
 		// space"; use the largest axis-aligned box that is feasible at its
 		// worst corner, so every draw is admissible.
-		r, err := optimize.RandomSearch(f, prog.FeasibleBox(), optimize.RSOptions{Samples: samples, Seed: opts.Seed})
+		r, err := optimize.RandomSearch(f, prog.FeasibleBox(), optimize.RSOptions{Samples: rsSamples, Seed: opts.Seed})
 		if err != nil {
 			return res, fmt.Errorf("core: stage 1 RS: %w", err)
 		}

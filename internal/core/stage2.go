@@ -19,13 +19,11 @@ type Stage2Result struct {
 	// Objective is F*_s2: the full P1 objective (22) at λ* with the other
 	// blocks fixed.
 	Objective float64
-	// Nodes counts branch-and-bound subproblems (or leaf evaluations for
-	// the exhaustive solver).
+	// Nodes counts the branch-and-bound subproblems popped.
 	Nodes int
-	// Trace is the per-node convergence curve for Fig. 4(b): the popped
-	// upper bound for branch & bound (non-increasing onto the optimum,
-	// the certificate mirror of the paper's rising incumbent), or the
-	// single optimal value for the exhaustive solver.
+	// Trace is the per-node convergence curve for Fig. 4(b): the upper
+	// bound of each popped subproblem after the root, non-increasing onto
+	// the optimum (the certificate mirror of the paper's rising incumbent).
 	Trace []float64
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
@@ -85,9 +83,8 @@ func (t stage2Terms) value(alphaT float64, assign []int) float64 {
 }
 
 // SolveStage2 runs Algorithm 2: branch & bound over λ with the other blocks
-// fixed at v. With useBnB=false it enumerates exhaustively instead (the
-// correctness oracle and the paper's fallback method).
-func (c *Config) SolveStage2(v Variables, useBnB bool) (Stage2Result, error) {
+// fixed at v.
+func (c *Config) SolveStage2(v Variables) (Stage2Result, error) {
 	start := time.Now()
 	var res Stage2Result
 	terms, err := c.stage2Terms(v)
@@ -96,64 +93,53 @@ func (c *Config) SolveStage2(v Variables, useBnB bool) (Stage2Result, error) {
 	}
 	n := c.N()
 	m := len(c.LambdaSet)
-	value := func(assign []int) float64 { return terms.value(c.AlphaT, assign) }
-
-	var assign []int
-	if useBnB {
-		// Optimistic bound: best per-client rewards for unassigned clients;
-		// the −α_t·max-delay term is bounded by the smallest achievable
-		// maximum (assigned delays are committed, unassigned take their
-		// per-client minimum delay).
-		upper := func(partial []int, assigned int) float64 {
-			s := terms.constPart
-			dmax := 0.0
-			for i := 0; i < assigned; i++ {
-				s += terms.reward[i][partial[i]]
-				if d := terms.delay[i][partial[i]]; d > dmax {
-					dmax = d
+	// Optimistic bound: best per-client rewards for unassigned clients;
+	// the −α_t·max-delay term is bounded by the smallest achievable
+	// maximum (assigned delays are committed, unassigned take their
+	// per-client minimum delay).
+	upper := func(partial []int, assigned int) float64 {
+		s := terms.constPart
+		dmax := 0.0
+		for i := 0; i < assigned; i++ {
+			s += terms.reward[i][partial[i]]
+			if d := terms.delay[i][partial[i]]; d > dmax {
+				dmax = d
+			}
+		}
+		for i := assigned; i < n; i++ {
+			best := math.Inf(-1)
+			minDelay := math.Inf(1)
+			for j := 0; j < m; j++ {
+				if terms.reward[i][j] > best {
+					best = terms.reward[i][j]
+				}
+				if terms.delay[i][j] < minDelay {
+					minDelay = terms.delay[i][j]
 				}
 			}
-			for i := assigned; i < n; i++ {
-				best := math.Inf(-1)
-				minDelay := math.Inf(1)
-				for j := 0; j < m; j++ {
-					if terms.reward[i][j] > best {
-						best = terms.reward[i][j]
-					}
-					if terms.delay[i][j] < minDelay {
-						minDelay = terms.delay[i][j]
-					}
-				}
-				s += best
-				if minDelay > dmax {
-					dmax = minDelay
-				}
+			s += best
+			if minDelay > dmax {
+				dmax = minDelay
 			}
-			return s - c.AlphaT*dmax
 		}
-		bres, err := optimize.MaximizeBnB(optimize.BnBProblem{
-			NumVars:    n,
-			NumChoices: m,
-			Value:      value,
-			UpperBound: upper,
-		})
-		if err != nil {
-			return res, fmt.Errorf("core: stage 2 branch and bound: %w", err)
-		}
-		assign = bres.Assign
-		res.Objective = bres.Value
-		res.Nodes = bres.Nodes
-		res.Trace = bres.Bounds
-		// The root's +Inf bound is a sentinel, not data.
-		if len(res.Trace) > 0 && math.IsInf(res.Trace[0], 1) {
-			res.Trace = res.Trace[1:]
-		}
-	} else {
-		a, best, evals := optimize.MaximizeExhaustive(n, m, value)
-		assign = a
-		res.Objective = best
-		res.Nodes = evals
-		res.Trace = []float64{best}
+		return s - c.AlphaT*dmax
+	}
+	bres, err := optimize.MaximizeBnB(optimize.BnBProblem{
+		NumVars:    n,
+		NumChoices: m,
+		Value:      func(assign []int) float64 { return terms.value(c.AlphaT, assign) },
+		UpperBound: upper,
+	})
+	if err != nil {
+		return res, fmt.Errorf("core: stage 2 branch and bound: %w", err)
+	}
+	assign := bres.Assign
+	res.Objective = bres.Value
+	res.Nodes = bres.Nodes
+	res.Trace = bres.Bounds
+	// The root's +Inf bound is a sentinel, not data.
+	if len(res.Trace) > 0 && math.IsInf(res.Trace[0], 1) {
+		res.Trace = res.Trace[1:]
 	}
 
 	res.Lambda = make([]float64, n)

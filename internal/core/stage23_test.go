@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -22,6 +23,41 @@ func stage2Fixture(t *testing.T) (*Config, Variables) {
 	return c, v
 }
 
+// exhaustiveStage2 is Stage 2's correctness oracle: it enumerates every
+// assignment of LambdaSet indices over the stage2Terms at v and returns
+// the best λ per client, its F_s2 value and the number of leaves valued.
+func exhaustiveStage2(t *testing.T, c *Config, v Variables) (lambda []float64, best float64, leaves int) {
+	t.Helper()
+	terms, err := c.stage2Terms(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, m := c.N(), len(c.LambdaSet)
+	cur, arg := make([]int, n), make([]int, n)
+	best = math.Inf(-1)
+	var rec func(i int)
+	rec = func(i int) {
+		if i == n {
+			leaves++
+			if val := terms.value(c.AlphaT, cur); val > best {
+				best = val
+				copy(arg, cur)
+			}
+			return
+		}
+		for j := 0; j < m; j++ {
+			cur[i] = j
+			rec(i + 1)
+		}
+	}
+	rec(0)
+	lambda = make([]float64, n)
+	for i, j := range arg {
+		lambda[i] = c.LambdaSet[j]
+	}
+	return lambda, best, leaves
+}
+
 func TestStage2BnBMatchesExhaustive(t *testing.T) {
 	c, v := stage2Fixture(t)
 	// Try several server allocations to exercise different optimal mixes.
@@ -30,20 +66,17 @@ func TestStage2BnBMatchesExhaustive(t *testing.T) {
 		for i := range vv.FS {
 			vv.FS[i] *= scale
 		}
-		bnb, err := c.SolveStage2(vv, true)
+		bnb, err := c.SolveStage2(vv)
 		if err != nil {
 			t.Fatalf("scale %v bnb: %v", scale, err)
 		}
-		exh, err := c.SolveStage2(vv, false)
-		if err != nil {
-			t.Fatalf("scale %v exhaustive: %v", scale, err)
-		}
-		if math.Abs(bnb.Objective-exh.Objective) > 1e-9 {
-			t.Errorf("scale %v: BnB obj %v != exhaustive %v", scale, bnb.Objective, exh.Objective)
+		lambda, best, _ := exhaustiveStage2(t, c, vv)
+		if math.Abs(bnb.Objective-best) > 1e-9 {
+			t.Errorf("scale %v: BnB obj %v != exhaustive %v", scale, bnb.Objective, best)
 		}
 		for i := range bnb.Lambda {
-			if bnb.Lambda[i] != exh.Lambda[i] {
-				t.Errorf("scale %v: λ[%d] BnB %v != exhaustive %v", scale, i, bnb.Lambda[i], exh.Lambda[i])
+			if bnb.Lambda[i] != lambda[i] {
+				t.Errorf("scale %v: λ[%d] BnB %v != exhaustive %v", scale, i, bnb.Lambda[i], lambda[i])
 			}
 		}
 	}
@@ -51,20 +84,59 @@ func TestStage2BnBMatchesExhaustive(t *testing.T) {
 
 func TestStage2BnBPrunes(t *testing.T) {
 	c, v := stage2Fixture(t)
-	bnb, err := c.SolveStage2(v, true)
+	bnb, err := c.SolveStage2(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exh, err := c.SolveStage2(v, false)
-	if err != nil {
-		t.Fatal(err)
+	_, _, leaves := exhaustiveStage2(t, c, v)
+	// Exhaustive values 3^6 = 729 leaves; BnB should expand fewer nodes.
+	if leaves != 729 {
+		t.Errorf("exhaustive leaves = %d, want 729", leaves)
 	}
-	// Exhaustive evaluates 3^6 = 729 leaves; BnB should expand fewer nodes.
-	if exh.Nodes != 729 {
-		t.Errorf("exhaustive evals = %d, want 729", exh.Nodes)
+	if bnb.Nodes >= leaves {
+		t.Errorf("BnB nodes %d >= exhaustive %d: no pruning", bnb.Nodes, leaves)
 	}
-	if bnb.Nodes >= exh.Nodes {
-		t.Errorf("BnB nodes %d >= exhaustive %d: no pruning", bnb.Nodes, exh.Nodes)
+}
+
+// TestStage2Pinned pins the last Stage-2 solve of SolveQuHE on five paper
+// configurations bit for bit — λ, T*_s2, the objective, the node count and
+// the bound trace — so a change to how Stage 2 is solved cannot move its
+// result or its search unnoticed. The values are those of an amd64 build.
+func TestStage2Pinned(t *testing.T) {
+	const lo, hi = 32768, 131072
+	for _, tc := range []struct {
+		seed     int64
+		ts2, obj float64
+		nodes    int
+		trace    []float64
+		lambda   [6]float64
+	}{
+		{1, 15438.797557160824, 7.912605922982097, 10,
+			[]float64{9.850112738613086, 8.881251531249625, 8.703926070625588, 8.055807556998753, 7.9126077870218, 7.91260592351272, 7.912605923470963, 7.912605922982097, 7.735064863262125},
+			[6]float64{lo, lo, lo, hi, hi, hi}},
+		{2, 15794.415142145017, 7.868308462387748, 9,
+			[]float64{9.810429033034142, 8.83880542418564, 8.553145993352661, 7.868310766541379, 7.868308462387748, 7.868308462387748, 7.868308462387748, 7.846554579041312},
+			[6]float64{lo, lo, lo, hi, hi, hi}},
+		{3, 15468.581904420671, 7.900246699785055, 10,
+			[]float64{9.836949310921577, 8.867314725506741, 8.635931119401166, 7.989508456355768, 7.900248288968203, 7.900246699881958, 7.900246699785055, 7.900246699785055, 7.677342312690017},
+			[6]float64{lo, lo, lo, hi, hi, hi}},
+		{7, 15415.780348357317, 7.917728249126176, 10,
+			[]float64{9.85753770088138, 8.886722434223337, 8.710409181452272, 7.948700838238528, 7.917730152191472, 7.917728249355871, 7.917728249355871, 7.917728249126176, 7.739593914794231},
+			[6]float64{lo, lo, lo, hi, hi, hi}},
+		{42, 15980.421544439054, 7.826570163816128, 10,
+			[]float64{9.767174449622065, 8.798652022787273, 8.638170932816623, 7.9902503131682145, 7.826572000157507, 7.826570163816128, 7.826570163816128, 7.826570163816128, 7.669648505981833},
+			[6]float64{lo, lo, lo, hi, hi, hi}},
+	} {
+		res, err := PaperConfig(tc.seed).SolveQuHE(QuHEOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", tc.seed, err)
+		}
+		s2 := res.Stage2
+		if !slices.Equal(s2.Lambda, tc.lambda[:]) || s2.TS2 != tc.ts2 || s2.Objective != tc.obj ||
+			s2.Nodes != tc.nodes || !slices.Equal(s2.Trace, tc.trace) {
+			t.Errorf("seed %d: Stage 2 λ %v TS2 %v objective %v nodes %d trace %v; want λ %v TS2 %v objective %v nodes %d trace %v",
+				tc.seed, s2.Lambda, s2.TS2, s2.Objective, s2.Nodes, s2.Trace, tc.lambda, tc.ts2, tc.obj, tc.nodes, tc.trace)
+		}
 	}
 }
 
@@ -73,7 +145,7 @@ func TestStage2SecurityWeightDrivesUpgrade(t *testing.T) {
 	// With tiny α_msl nothing upgrades.
 	small := c.Clone()
 	small.AlphaMSL = 1e-6
-	res, err := small.SolveStage2(v, true)
+	res, err := small.SolveStage2(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +157,7 @@ func TestStage2SecurityWeightDrivesUpgrade(t *testing.T) {
 	// With huge α_msl everything maxes out.
 	big := c.Clone()
 	big.AlphaMSL = 10
-	res, err = big.SolveStage2(v, true)
+	res, err = big.SolveStage2(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +170,7 @@ func TestStage2SecurityWeightDrivesUpgrade(t *testing.T) {
 
 func TestStage2TS2IsMaxDelay(t *testing.T) {
 	c, v := stage2Fixture(t)
-	res, err := c.SolveStage2(v, true)
+	res, err := c.SolveStage2(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +192,7 @@ func TestStage2HigherWeightGetsNoLessSecurity(t *testing.T) {
 	for i := range v.FS {
 		v.FS[i] *= 0.3
 	}
-	res, err := c.SolveStage2(v, true)
+	res, err := c.SolveStage2(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +207,7 @@ func TestStage2HigherWeightGetsNoLessSecurity(t *testing.T) {
 
 func TestStage3ConstraintsHold(t *testing.T) {
 	c, v := stage2Fixture(t)
-	s2, err := c.SolveStage2(v, true)
+	s2, err := c.SolveStage2(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +225,7 @@ func TestStage3ConstraintsHold(t *testing.T) {
 
 func TestStage3ImprovesOnStart(t *testing.T) {
 	c, v := stage2Fixture(t)
-	s2, err := c.SolveStage2(v, true)
+	s2, err := c.SolveStage2(v)
 	if err != nil {
 		t.Fatal(err)
 	}

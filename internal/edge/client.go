@@ -51,8 +51,8 @@ type DialConfig struct {
 	// serve.ErrDeadline. 0 = no deadline.
 	RequestTimeout time.Duration
 	// Tracer, when set, collects client-side spans (dial, handshake,
-	// keygen, setup, mask/submit/wait per sampled compute, rekey, retry
-	// backoff) into the shared internal/obs trace model. Sampled blocks
+	// keygen, setup, mask/submit/wait per sampled compute, rekey) into
+	// the shared internal/obs trace model. Sampled blocks
 	// carry their trace context on the wire, so the server's stage spans
 	// land in the same trace. nil = untraced.
 	Tracer *obs.Tracer
@@ -61,9 +61,6 @@ type DialConfig struct {
 	// Lifecycle spans are always recorded — they are rare and each one
 	// explains a latency cliff.
 	TraceSample float64
-	// Route labels the session's QKD route in the key-flow ledger
-	// attached to the key centre (attribution only; empty is fine).
-	Route string
 
 	// dialer, when set, establishes the transport connection in place of
 	// plain TCP: the seam the fault-injection tests dial through.
@@ -77,11 +74,6 @@ const (
 	// policy — requests refused for their key epoch or byte budget —
 	// before the typed error surfaces to the caller.
 	defaultRetryBudget = 3
-	// The unified retry policy's jitter window for in-place request
-	// retries: the connection is healthy, the client only yields to let a
-	// rotation settle.
-	retryBackoffBase = 5 * time.Millisecond
-	retryBackoffMax  = 250 * time.Millisecond
 )
 
 // negotiateTimeout bounds each reply of the client's opening (the profile
@@ -125,8 +117,8 @@ type Client struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// rng drives backoff jitter; seeded, so a run's retry timing is
-	// reproducible per client.
+	// rng draws trace IDs and sampling decisions; seeded, so a run traces
+	// reproducibly per client.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 	// retries counts transparent resends under the unified retry policy.
@@ -268,7 +260,7 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 	handshakeDur := time.Since(handshakeStart)
 	if qkdKey == nil {
 		qkdKey, err = kc.WithdrawAttributed(sessionID, RekeyWithdrawBytes, qkd.Attribution{
-			Route: dcfg.Route, Profile: prof.ID, Cause: qkd.CauseSetup,
+			Profile: prof.ID, Cause: qkd.CauseSetup,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("edge: qkd withdraw: %w", err))
@@ -483,26 +475,6 @@ func (c *Client) readLoop(br *bufio.Reader) {
 			return
 		}
 	}
-}
-
-// jitter computes a capped exponential backoff with ±50% jitter from the
-// client's seeded RNG.
-func (c *Client) jitter(attempt int, base, max time.Duration) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	c.rngMu.Lock()
-	j := c.rng.Int63n(half + 1)
-	c.rngMu.Unlock()
-	return time.Duration(half + j)
 }
 
 // handleFrame decodes one reply and hands it to its waiting request: every
@@ -791,16 +763,14 @@ func (p *Pending) reply() (*ComputeReply, error) {
 // under epoch and refused with err may be resent when the refusal is the
 // server demanding a rekey, the retry budget is not spent, and the key
 // has rotated past epoch — by another goroutine, or by the withdrawal made
-// here (which needs a key centre). It applies the policy's jittered
-// backoff and counts the retry.
+// here (which needs a key centre). It counts the retry. The resend goes out
+// at once: the epoch moves only once the server's Rekey reply has
+// confirmed the new key, so there is no rotation left to wait for.
 func (c *Client) rekeyedFor(err error, epoch uint64, attempt int) bool {
 	if !errors.Is(err, serve.ErrRekeyRequired) || attempt >= defaultRetryBudget || c.RekeyIfEpoch(epoch) != nil {
 		return false
 	}
 	c.retries.Add(1)
-	start := time.Now()
-	time.Sleep(c.jitter(attempt, retryBackoffBase, retryBackoffMax))
-	c.tracer.event(cstageRetry, start)
 	return true
 }
 
@@ -1029,7 +999,7 @@ func (c *Client) rekeyLocked(cause string) error {
 		return errors.New("edge: rekey: no key centre attached (use DialQKDWith)")
 	}
 	material, err := c.kc.WithdrawAttributed(c.sessionID, RekeyWithdrawBytes, qkd.Attribution{
-		Route: c.dcfg.Route, Profile: c.prof.ID, Cause: cause,
+		Profile: c.prof.ID, Cause: cause,
 	})
 	if err != nil {
 		if errors.Is(err, qkd.ErrInsufficientKey) {

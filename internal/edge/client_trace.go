@@ -20,7 +20,6 @@ const (
 	cstageSubmit    = "submit"
 	cstageWait      = "wait"
 	cstageRekey     = "rekey"
-	cstageRetry     = "retry_backoff"
 )
 
 // traceProcClient labels client-emitted traces' process lane in merged
@@ -35,7 +34,7 @@ type clientTracer struct {
 	session string
 	sample  float64
 	// id draws seeded pseudo-random bits for trace/span IDs and the
-	// per-compute sampling decision (the client's jitter RNG, so a seeded
+	// per-compute sampling decision (the client's seeded RNG, so a seeded
 	// run traces reproducibly).
 	id func() uint64
 }

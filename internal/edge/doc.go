@@ -287,7 +287,7 @@
 // DialConfig.Tracer mints a per-block trace context (trace ID, root
 // span, sampled bit — obs.TraceContext), records its own spans
 // (dial/handshake/keygen/setup on dial; mask/submit/wait per sampled
-// compute; rekey and retry_backoff as standalone events) under Proc
+// compute; rekey as a standalone event) under Proc
 // "client", and sends the
 // 16-byte context in the request frame. The server re-parents its stage
 // spans under that
@@ -295,8 +295,9 @@
 // chrome dump. DialConfig.TraceSample bounds the per-block cost:
 // lifecycle spans are always recorded (rare, each explains a latency
 // cliff), per-compute spans and wire contexts follow the seeded
-// sampling decision. Eval-pool workers additionally run under a quhe_profile pprof label,
-// splitting CPU profiles by security profile.
+// sampling decision. Each scheduler drain goroutine additionally takes
+// its pool's quhe_profile pprof label once, when it starts, splitting CPU
+// profiles by security profile.
 //
 // The metrics become reachable only when ServerConfig.DebugAddr binds
 // the HTTP debug plane (obs.ServeDebug): /metrics in the Prometheus
@@ -326,9 +327,11 @@
 //	CodeOverloaded        yes, immediately       wait span closes        the caller backs off briefly and resends;
 //	                                                                     the queue was full at that instant (load,
 //	                                                                     not state). Not retried automatically
-//	CodeRekeyRequired     yes, after rekey       rekey event +           RekeyIfEpoch(epoch) then resend — automatic
-//	                                             retry_backoff event     inside Compute/ComputeBatch, budget-capped
-//	                                                                     (three resends), jittered
+//	CodeRekeyRequired     yes, after rekey       rekey event             RekeyIfEpoch(epoch) then resend at once —
+//	                                                                     automatic inside Compute/ComputeBatch,
+//	                                                                     budget-capped (three resends); no sleep:
+//	                                                                     the epoch moves only once the server's
+//	                                                                     Rekey reply confirmed the new key
 //	CodeKeyExhausted      yes, after retry-after wait span closes        the caller waits the *serve.KeyExhaustedError's
 //	                                                                     RetryAfter, derived from the QKD
 //	                                                                     provisioning rate; degradation, not failure.

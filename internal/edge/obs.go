@@ -121,9 +121,6 @@ func newServerObs(s *Server) *serverObs {
 	reg.GaugeFunc("quhe_serve_queue_capacity", "live scheduler depth bound", func() float64 {
 		return float64(s.sched.Capacity())
 	})
-	reg.CounterFunc("quhe_serve_scheduler_sheds_total", "submissions rejected by the scheduler", func() float64 {
-		return float64(s.sched.Sheds())
-	})
 	reg.CounterFunc("quhe_ring_inline_degradations_total", "NTT fan-out tasks run inline on a saturated worker pool", func() float64 {
 		return float64(ring.InlineDegradations())
 	})

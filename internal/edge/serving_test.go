@@ -109,14 +109,15 @@ func TestServedComputeAllocs(t *testing.T) {
 		}
 	}
 	roundTrip() // warm the pools: evaluator, scratch, frame buffers
-	// Measured 34: the decoded request, the trace and its spans, the job
+	// Measured 31: the decoded request, the trace and its spans, the job
 	// closure, and mostly the result ciphertext the transcipher builds. It
 	// was 64 — with the worker writing the reply itself, and again with the
 	// hand-off — until MulRelinInto and keySwitchDown stopped building task
-	// slices that N = 1024 then ran serially, and 35 while every request
-	// carried its session ID, decoded into a string of its own. The bound is
-	// +5%, rounded up.
-	const bound = 36
+	// slices that N = 1024 then ran serially, 35 while every request
+	// carried its session ID, decoded into a string of its own, and 34
+	// while every job set its profile's pprof label itself (pprof.Do). The
+	// bound is +5%, rounded up.
+	const bound = 33
 	allocs := testing.AllocsPerRun(20, roundTrip)
 	t.Logf("a served Compute allocates %.1f times (bound %d)", allocs, bound)
 	if allocs > bound {
@@ -418,6 +419,7 @@ func TestBackpressureShedsPipelinedLoad(t *testing.T) {
 		defer clients[i].Close()
 	}
 
+	shedBefore := srv.met.shedQueueFull.Value()
 	const burst = 32
 	pendings := make([]*Pending, burst)
 	for i := 0; i < burst; i++ {
@@ -446,6 +448,10 @@ func TestBackpressureShedsPipelinedLoad(t *testing.T) {
 		t.Error("no requests shed: backpressure not engaged")
 	}
 	t.Logf("burst of %d: %d served, %d shed", burst, served, shed)
+	// Each refusal is counted once, as a queue_full shed.
+	if got := srv.met.shedQueueFull.Value() - shedBefore; got != int64(shed) {
+		t.Errorf(`quhe_serve_shed_total{reason="queue_full"} moved by %d, want %d (the CodeOverloaded replies)`, got, shed)
+	}
 
 	// The connections and sessions survive shedding.
 	for _, client := range clients {

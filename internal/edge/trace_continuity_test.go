@@ -59,7 +59,6 @@ func TestTraceContinuity(t *testing.T) {
 		RequestTimeout: 15 * time.Second,
 		Tracer:         clientTr,
 		TraceSample:    1,
-		Route:          "route-1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +168,6 @@ func TestRekeyCauseAttribution(t *testing.T) {
 	}
 	client, err := DialQKDWith(srv.Addr(), "cause-rt", kc, 9, DialConfig{
 		RequestTimeout: 15 * time.Second,
-		Route:          "route-9",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func Fig4(cfg *core.Config) (Fig4Result, error) {
 	}
 	v.Phi, v.W = s1.Phi, s1.W
 
-	s2, err := cfg.SolveStage2(v, true)
+	s2, err := cfg.SolveStage2(v)
 	if err != nil {
 		return res, fmt.Errorf("experiments: fig4 stage 2: %w", err)
 	}

@@ -26,7 +26,8 @@
 // `ring` (NTT worker pool). Examples:
 //
 //	quhe_serve_queue_depth                 gauge
-//	quhe_serve_shed_total{reason="..."}    counter
+//	quhe_serve_queue_capacity              gauge
+//	quhe_serve_shed_total{reason="..."}    counter (each refused block once)
 //	quhe_eval_seconds{profile="..."}       histogram
 //	quhe_stage_seconds{stage="eval"}       histogram
 //	quhe_wire_bytes_total{dir="in"}        counter

@@ -104,14 +104,17 @@ func GradientDescent(f Func, box Box, x0 []float64, opts GDOptions) (Result, err
 	return res, nil
 }
 
+// The annealing schedule: the starting temperature and the geometric
+// cooling factor per step.
+const (
+	saInitTemp = 1.0
+	saCooling  = 0.9995
+)
+
 // SAOptions configures simulated annealing (the simulannealbnd substitute).
 type SAOptions struct {
 	// Iters is the number of proposal steps. Default 20000.
 	Iters int
-	// InitTemp is the starting temperature. Default 1.
-	InitTemp float64
-	// Cooling is the geometric cooling factor per step. Default 0.9995.
-	Cooling float64
 	// StepFrac scales proposal moves relative to box width. Default 0.1.
 	StepFrac float64
 	// Seed seeds the internal RNG; 0 means a fixed default seed so runs
@@ -122,12 +125,6 @@ type SAOptions struct {
 func (o SAOptions) defaults() SAOptions {
 	if o.Iters <= 0 {
 		o.Iters = 20000
-	}
-	if o.InitTemp <= 0 {
-		o.InitTemp = 1
-	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		o.Cooling = 0.9995
 	}
 	if o.StepFrac <= 0 {
 		o.StepFrac = 0.1
@@ -153,7 +150,7 @@ func Anneal(f Func, box Box, x0 []float64, opts SAOptions) (Result, error) {
 	fx := f(x)
 	best := mathutil.Clone(x)
 	fbest := fx
-	temp := o.InitTemp
+	temp := saInitTemp
 	width := make([]float64, len(x))
 	for i := range width {
 		width[i] = box.Hi[i] - box.Lo[i]
@@ -175,7 +172,7 @@ func Anneal(f Func, box Box, x0 []float64, opts SAOptions) (Result, error) {
 				res.Values = append(res.Values, fbest)
 			}
 		}
-		temp *= o.Cooling
+		temp *= saCooling
 	}
 	res.X = best
 	res.Value = fbest

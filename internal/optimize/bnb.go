@@ -117,29 +117,3 @@ func MaximizeBnB(p BnBProblem) (BnBResult, error) {
 	res.Value = best
 	return res, nil
 }
-
-// MaximizeExhaustive enumerates every assignment and returns the best. It is
-// the correctness oracle for MaximizeBnB and the ablation baseline for the
-// Stage-2 bench. evals reports the number of Value calls (NumChoices^NumVars).
-func MaximizeExhaustive(numVars, numChoices int, value func([]int) float64) (assign []int, best float64, evals int) {
-	assign = make([]int, numVars)
-	cur := make([]int, numVars)
-	best = math.Inf(-1)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == numVars {
-			evals++
-			if v := value(cur); v > best {
-				best = v
-				copy(assign, cur)
-			}
-			return
-		}
-		for c := 0; c < numChoices; c++ {
-			cur[i] = c
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return assign, best, evals
-}

@@ -6,6 +6,32 @@ import (
 	"testing"
 )
 
+// MaximizeExhaustive enumerates every assignment and returns the best: the
+// correctness oracle for MaximizeBnB. evals reports the number of Value
+// calls (NumChoices^NumVars).
+func MaximizeExhaustive(numVars, numChoices int, value func([]int) float64) (assign []int, best float64, evals int) {
+	assign = make([]int, numVars)
+	cur := make([]int, numVars)
+	best = math.Inf(-1)
+	var rec func(i int)
+	rec = func(i int) {
+		if i == numVars {
+			evals++
+			if v := value(cur); v > best {
+				best = v
+				copy(assign, cur)
+			}
+			return
+		}
+		for c := 0; c < numChoices; c++ {
+			cur[i] = c
+			rec(i + 1)
+		}
+	}
+	rec(0)
+	return assign, best, evals
+}
+
 // separableProblem builds a BnB problem whose objective is a sum of
 // per-variable scores, with the exact per-variable max as upper bound.
 func separableProblem(scores [][]float64) BnBProblem {

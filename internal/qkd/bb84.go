@@ -36,6 +36,10 @@ const AbortThreshold = 0.11
 // eavesdropper present).
 var ErrAborted = errors.New("qkd: estimated QBER above abort threshold")
 
+// sampleFrac is the fraction of sifted bits sacrificed for QBER
+// estimation.
+const sampleFrac = 0.25
+
 // ExchangeConfig parameterizes one key exchange.
 type ExchangeConfig struct {
 	// Protocol selects BB84 (default) or BBM92.
@@ -50,9 +54,6 @@ type ExchangeConfig struct {
 	// Eavesdrop enables an intercept-resend attacker on every qubit,
 	// which adds ~25% errors on sifted bits.
 	Eavesdrop bool
-	// SampleFrac is the fraction of sifted bits sacrificed for QBER
-	// estimation. Default 0.25.
-	SampleFrac float64
 	// Seed drives all randomness; 0 selects a fixed default.
 	Seed int64
 }
@@ -63,9 +64,6 @@ func (c ExchangeConfig) defaults() ExchangeConfig {
 	}
 	if c.RawBits <= 0 {
 		c.RawBits = 4096
-	}
-	if c.SampleFrac <= 0 || c.SampleFrac >= 1 {
-		c.SampleFrac = 0.25
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -153,7 +151,7 @@ func Exchange(cfg ExchangeConfig) (ExchangeResult, error) {
 	}
 
 	// Parameter estimation: sacrifice a random sample.
-	sample := rng.Perm(res.SiftedBits)[:int(c.SampleFrac*float64(res.SiftedBits))]
+	sample := rng.Perm(res.SiftedBits)[:int(sampleFrac*float64(res.SiftedBits))]
 	inSample := make(map[int]bool, len(sample))
 	errs := 0
 	for _, idx := range sample {

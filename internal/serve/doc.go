@@ -45,9 +45,13 @@
 // sibling, raised by the control plane (internal/control) when a plan —
 // not the queue — refuses the work.
 //
-// The Scheduler and EvalPool also expose cheap gauges (QueueDepth, Sheds,
-// InUse) that the control plane's telemetry snapshots to drive those
-// plans.
+// The Scheduler and EvalPool also expose cheap gauges (QueueDepth,
+// Capacity, InUse) that the control plane and the edge server's
+// registry read; a refusal is counted once, by the edge server, as
+// quhe_serve_shed_total{reason="queue_full"}. Each drain goroutine takes
+// its pool's quhe_profile pprof label once, when it starts, so CPU and
+// goroutine profiles split eval time by security profile at no cost per
+// job.
 //
 // Sessions tie the serving plane to the key plane: each Session tracks a
 // transciphering key epoch and the bytes processed under the current key,

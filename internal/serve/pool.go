@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"runtime/pprof"
 	"sync/atomic"
 
 	"quhe/internal/he/ckks"
@@ -38,9 +36,9 @@ type EvalPool struct {
 	build func(i int) *Worker
 	next  atomic.Int32
 	size  int32
-	// label, when non-empty, is the quhe_profile pprof label value Run
-	// executes jobs under (set once at construction time, before the pool
-	// is published).
+	// label, when non-empty, is the quhe_profile pprof label value the
+	// Scheduler's drain goroutines for this pool carry (set once at
+	// construction time, before the pool is published).
 	label string
 }
 
@@ -101,22 +99,15 @@ func (p *EvalPool) Get() *Worker {
 func (p *EvalPool) Put(w *Worker) { p.ch <- w }
 
 // SetProfileLabel attaches a pprof label value (the security profile ID)
-// to jobs executed through Run, so CPU and goroutine profiles split
-// eval time by profile. Call before the pool is shared; not synchronized.
+// to the pool: the Scheduler's drain goroutines for it run under the
+// quhe_profile label, so CPU and goroutine profiles split eval time by
+// profile. Call before the pool is shared; not synchronized.
 func (p *EvalPool) SetProfileLabel(id string) { p.label = id }
 
 // Run executes job with an exclusively held worker, blocking for
-// checkout. When a profile label is set, the job runs under the
-// quhe_profile pprof label so profiles attribute eval samples per
-// security profile.
+// checkout. It sets no label: a job runs under its caller's.
 func (p *EvalPool) Run(job func(*Worker)) {
 	w := p.Get()
 	defer p.Put(w)
-	if p.label == "" {
-		job(w)
-		return
-	}
-	pprof.Do(context.Background(), pprof.Labels("quhe_profile", p.label), func(context.Context) {
-		job(w)
-	})
+	job(w)
 }

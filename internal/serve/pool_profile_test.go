@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,6 +37,30 @@ func TestPoolBuildsWorkersLazily(t *testing.T) {
 		t.Errorf("checkout with a free worker built another (%d total)", built.Load())
 	}
 	pool.Put(w2)
+}
+
+// TestDrainCarriesProfileLabel: while a job on a labelled pool blocks, the
+// goroutine profile shows the drain running it under the pool's
+// quhe_profile label, which the drain took once, when it started.
+func TestDrainCarriesProfileLabel(t *testing.T) {
+	pool := NewEvalPoolFunc(1, func(int) *Worker { return &Worker{} })
+	pool.SetProfileLabel("label-probe")
+	s := NewScheduler(pool, 4)
+	defer s.Close()
+	running, release := make(chan struct{}), make(chan struct{})
+	if err := s.SubmitTo(pool, func(*Worker) { close(running); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	var b bytes.Buffer
+	err := pprof.Lookup("goroutine").WriteTo(&b, 1)
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"quhe_profile":"label-probe"`; !bytes.Contains(b.Bytes(), []byte(want)) {
+		t.Errorf("goroutine profile has no %s label while the job blocks:\n%s", want, b.String())
+	}
 }
 
 func TestSchedulerSubmitToRoutesPools(t *testing.T) {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 )
@@ -38,7 +40,6 @@ type Scheduler struct {
 
 	limit atomic.Int64 // live depth bound, ≤ maxDepth
 	depth atomic.Int64 // queued across all classes (not yet picked up)
-	sheds atomic.Int64
 
 	mu      sync.Mutex
 	classes map[*EvalPool]*classQueue
@@ -94,8 +95,14 @@ func (s *Scheduler) shareLocked() int {
 	return max(int(s.limit.Load())/len(s.classes), 1)
 }
 
+// drain runs one class's jobs on its pool until Close. A drain serves one
+// pool for its whole life, so it takes the pool's profile label once, at
+// start, and every job it runs is attributed to that profile.
 func (s *Scheduler) drain(c *classQueue) {
 	defer s.wg.Done()
+	if c.pool.label != "" {
+		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("quhe_profile", c.pool.label)))
+	}
 	for job := range c.ch {
 		c.depth.Add(-1)
 		s.depth.Add(-1)
@@ -110,13 +117,11 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.sheds.Add(1)
 		return ErrOverloaded
 	}
 	c := s.classLocked(pool)
 	if int(c.depth.Load()) >= s.shareLocked() {
 		s.mu.Unlock()
-		s.sheds.Add(1)
 		return ErrOverloaded
 	}
 	c.depth.Add(1)
@@ -154,10 +159,6 @@ func (s *Scheduler) Resize(depth int) {
 	}
 	s.limit.Store(int64(depth))
 }
-
-// Sheds counts submissions rejected with ErrOverloaded since construction —
-// a telemetry input for the control plane's admission decisions.
-func (s *Scheduler) Sheds() int64 { return s.sheds.Load() }
 
 // Close stops intake, runs the jobs already queued to completion and
 // waits for the drain goroutines to exit. Safe to call more than once.

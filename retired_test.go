@@ -97,6 +97,15 @@ var retiredNames = []retiredRow{
 	{name: "a connection is its session", pattern: `\bframeHello\b|\bOnQueueWait\b|quhe_serve_queue_wait_seconds|\bsessionTable\b|\browOf\b`,
 		paths: []string{"*.go", "README.md"}, exclude: notBench,
 		why: "the opening's first frame carries the version, so the hello stays retired; after Setup no frame names a session, so the per-connection session table and its row builder stay retired; a block's queue wait is measured once, as the queue_wait stage"},
+	{name: "every knob has a production writer", pattern: `\bRouteOf\b|\bSampleFrac\b|\bRSSamples\b|\bInitTemp\b|\bCooling\b|\bStage2Exhaustive\b|\bMaximizeExhaustive\b|\buseBnB\b|\bretryBackoff(Base|Max)\b|\bcstageRetry\b|retry_backoff|\bjitter\(|\bSheds\(\)|quhe_serve_scheduler_sheds_total`,
+		paths: goFiles, exclude: []string{"*_test.go", "benchmark"},
+		why: "config fields nothing but tests set stay retired with the code behind them: routes are a hash, the QBER sample, RS budget and annealing schedule are constants, Stage 2 has one solver (its exhaustive oracle is test code), a confirmed rotation's resend does not sleep, and a shed is counted once"},
+	{name: "every knob has a production writer: the planner's weights and cap", pattern: `\bSecurityWeights\b|cfg\.MaxSessions|\bMaxSessions\s+int\b|\bMaxSessions:`,
+		paths: []string{"internal/control"}, exclude: notTests,
+		why: "every route's importance weight is 1 and the plan's admit capacity is the key stock's; core.Config.SecurityWeights and ServerConfig.MaxSessions stay"},
+	{name: "every knob has a production writer: the dial's route label", pattern: `\bRoute\s+string\b|dcfg\.Route\b`,
+		paths: []string{"internal/edge"}, exclude: notTests,
+		why: "no wiring named a session's route at dial; a route comes with ROADMAP item 2"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.

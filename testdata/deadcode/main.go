@@ -3,7 +3,11 @@
 // nothing calls, and calls two methods only through interfaces, one named
 // and one anonymous. Of the other functions, one is never called (its only
 // reference is to itself) and one is called only by the never-called one.
+// It also writes two of the fields of knob.Config, one in a keyed literal
+// and one by assignment.
 package main
+
+import "deadcode/knob"
 
 type box struct{ size int }
 
@@ -19,6 +23,9 @@ func (tagged) tag() {}
 
 func main() {
 	called()
+	cfg := knob.Config{Written: 1}
+	cfg.Assigned = 2
+	_ = knob.Use(cfg)
 	_ = box{size: 1}.size
 	var n namer = named{}
 	_ = n.name()
