@@ -74,12 +74,14 @@ func (p *Plan) ProfileForRoute(route int) string {
 //
 //	budget(λ) = base · f_msl(λ) / f_msl(LambdaRef)
 //
-// with f_msl from Eq. (30). A transciphering key is exposed through
-// CKKS-encrypted material, so the byte volume one key may safely cover
-// scales with the HE security level protecting it: at λ = 2^15 the budget
-// is exactly base, and it grows monotonically in f_msl(λ) — the property
-// the control tests assert. Budgets never derive to zero: any positive
-// base yields a budget of at least one byte.
+// with f_msl from Eq. (30). The budget paces QKD spend: it is how many
+// bytes a session masks per key before it withdraws fresh key, scaled
+// with the HE security level the plan buys. At λ = 2^15 the budget is
+// exactly base, and it grows monotonically in f_msl(λ) — the property the
+// control tests assert. It does not bound the key's exposure: 44 known
+// slots recover a transciphering key (see package transcipher's data
+// limit), far below any budget. Budgets never derive to zero: any
+// positive base yields a budget of at least one byte.
 func DeriveRekeyBudget(base int64, lambda float64) int64 {
 	if base <= 0 {
 		return 0

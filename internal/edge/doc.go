@@ -281,7 +281,10 @@
 // server owns one registry and hands it to its Controller at
 // construction (BindServe), so a controlled server's single scrape shows
 // the whole loop: replans, plan deltas and key-centre stock beside the
-// serving series.
+// serving series. Each computed block is counted once, in
+// quhe_serve_compute_total{code} and in its profile's quhe_eval_seconds;
+// availability and latency objectives are expressions over those two
+// (see package obs).
 //
 // Tracing is distributed and causal. A client armed with
 // DialConfig.Tracer mints a per-block trace context (trace ID, root
@@ -302,9 +305,8 @@
 // The metrics become reachable only when ServerConfig.DebugAddr binds
 // the HTTP debug plane (obs.ServeDebug): /metrics in the Prometheus
 // text format, /debug/pprof/*, /debug/trace (filterable by ?session=
-// and ?limit=, 400 on malformed parameters), /debug/slo (availability
-// and per-profile latency attainment with multi-window burn rates),
-// and, with a Controller attached, /debug/plan and /debug/keyledger
+// and ?limit=, 400 on malformed parameters) and, with a Controller
+// attached, /debug/plan and /debug/keyledger
 // rendering its live plan and its key centre's per-cause QKD withdrawal
 // ledger (Controller.PlanJSON and LedgerJSON). Security
 // posture: the plane is off unless configured, and it serves operational

@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"sync"
 	"time"
 
 	"quhe/internal/he/ring"
@@ -23,7 +22,8 @@ const (
 
 // serverObs is the edge server's instrument set: every counter, gauge
 // and histogram the serving path touches, resolved once at construction
-// so hot-path updates are pure atomics on held pointers. Every server
+// (a profile's eval histogram once, when its runtime is published) so
+// hot-path updates are pure atomics on held pointers. Every server
 // has one, on a registry of its own that it also hands to its Controller:
 // the instrumented path is the only serving path.
 type serverObs struct {
@@ -45,32 +45,12 @@ type serverObs struct {
 	stages [6]*obs.Histogram // indexed by stage constants below
 
 	// codeCounters holds one prebuilt counter per serve.Code (nil at a
-	// slot that is not a code); evalHists maps profile ID → its latency
-	// histogram. Both domains are small and bounded (codes at build time,
-	// profiles by the registry), per the obs label-cardinality rules.
+	// slot that is not a code): the code domain is fixed at build time,
+	// per the obs label-cardinality rules. Each computed block lands in
+	// exactly one of them; the per-profile eval histogram is held on the
+	// profile's runtime (registerProfile).
 	codeCounters [serve.NumCodes]*obs.Counter
-	evalMu       sync.Mutex
-	evalHists    map[string]*obs.Histogram
-
-	// SLO plane: availability is fed one event per computed block (good =
-	// CodeOK), per-profile latency one event per eval (good = under the
-	// target). Trackers register their quhe_slo_* series on first use;
-	// the profile domain is bounded by the registry, so the slo label
-	// stays within the obs cardinality rules.
-	slos        *obs.SLOSet
-	availSLO    *obs.SLOTracker
-	latencySLOs map[string]*obs.SLOTracker // guarded by evalMu
 }
-
-// sloObjective is the default objective for the built-in server SLOs
-// (99% of blocks served OK; 99% of evals under the latency target).
-const sloObjective = 0.99
-
-// sloLatencyTarget is the per-eval latency threshold the latency SLOs
-// count against. CKKS evals at the default profile run well under this
-// on commodity hardware; sustained breaches mean queueing or an
-// oversized profile, which is exactly what the burn rate should show.
-const sloLatencyTarget = 250 * time.Millisecond
 
 const (
 	stageIdxDecode = iota
@@ -96,16 +76,12 @@ func newServerObs(s *Server) *serverObs {
 		rekeys:          reg.Counter("quhe_edge_rekeys_total", "successful session rekeys"),
 		shedQueueFull:   reg.Counter("quhe_serve_shed_total", "requests shed by reason", "reason", "queue_full"),
 		idleTimeouts:    reg.Counter("quhe_edge_idle_timeouts_total", "connections reclaimed by the idle or opening read deadline"),
-		evalHists:       make(map[string]*obs.Histogram),
-		latencySLOs:     make(map[string]*obs.SLOTracker),
 	}
 	for c := range m.codeCounters {
 		if code := serve.Code(c); code.Known() {
 			m.codeCounters[c] = reg.Counter("quhe_serve_compute_total", "compute outcomes by code", "code", code.String())
 		}
 	}
-	m.slos = obs.NewSLOSet(reg)
-	m.availSLO = m.slos.Add("availability", sloObjective)
 	for i, stage := range []string{stageDecode, stageQueueWait, stageEval, stageMatVec, stageEncode, stageWrite} {
 		m.stages[i] = reg.Histogram("quhe_stage_seconds", "per-stage serving latency", "stage", stage)
 	}
@@ -127,14 +103,18 @@ func newServerObs(s *Server) *serverObs {
 	return m
 }
 
-// registerPoolGauges publishes one profile pool's size/utilization.
-func (m *serverObs) registerPoolGauges(profileID string, p *serve.EvalPool) {
+// registerProfile publishes one profile's pool size/utilization gauges
+// and returns its eval latency histogram, resolved here once so each
+// block observes a held pointer. The profile domain is bounded by the
+// registry, per the obs label-cardinality rules.
+func (m *serverObs) registerProfile(profileID string, p *serve.EvalPool) *obs.Histogram {
 	m.reg.GaugeFunc("quhe_eval_pool_size", "evaluator pool capacity per profile",
 		func() float64 { return float64(p.Size()) }, "profile", profileID)
 	m.reg.GaugeFunc("quhe_eval_pool_in_use", "evaluators checked out per profile",
 		func() float64 { return float64(p.InUse()) }, "profile", profileID)
 	m.reg.GaugeFunc("quhe_eval_pool_built", "evaluators materialized per profile",
 		func() float64 { return float64(p.Built()) }, "profile", profileID)
+	return m.reg.Histogram("quhe_eval_seconds", "transcipher-and-infer latency per profile", "profile", profileID)
 }
 
 // codeCounter returns the prebuilt counter for a compute outcome code;
@@ -145,41 +125,6 @@ func (m *serverObs) codeCounter(code serve.Code) *obs.Counter {
 	}
 	return m.codeCounters[code]
 }
-
-// evalHist returns the per-profile eval latency histogram.
-func (m *serverObs) evalHist(profileID string) *obs.Histogram {
-	m.evalMu.Lock()
-	h := m.evalHists[profileID]
-	if h == nil {
-		h = m.reg.Histogram("quhe_eval_seconds", "transcipher-and-infer latency per profile", "profile", profileID)
-		m.evalHists[profileID] = h
-	}
-	m.evalMu.Unlock()
-	return h
-}
-
-// observeOutcome feeds one computed block's outcome into the
-// availability SLO.
-func (m *serverObs) observeOutcome(code serve.Code) {
-	m.availSLO.Observe(code == serve.CodeOK)
-}
-
-// observeEval feeds one eval's latency into the profile's histogram and
-// its latency SLO (lazily created, like the histogram).
-func (m *serverObs) observeEval(profileID string, d time.Duration) {
-	m.evalHist(profileID).Observe(d.Seconds())
-	m.evalMu.Lock()
-	t := m.latencySLOs[profileID]
-	if t == nil {
-		t = m.slos.Add("latency-"+profileID, sloObjective)
-		m.latencySLOs[profileID] = t
-	}
-	m.evalMu.Unlock()
-	t.Observe(d <= sloLatencyTarget)
-}
-
-// sloSnapshot renders the SLO plane for /debug/slo.
-func (m *serverObs) sloSnapshot() any { return m.slos.Snapshot() }
 
 // observeSpan feeds one stage span into its latency histogram.
 func (m *serverObs) observeSpan(idx int, d time.Duration) {

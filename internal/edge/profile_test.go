@@ -10,10 +10,6 @@ import (
 	"quhe/internal/serve"
 )
 
-// TestMixedProfileSessions is the acceptance-criterion test: two
-// concurrent sessions on different security profiles — independently
-// keyed contexts at different ring degrees — compute correct results on
-// one server, interleaved.
 // sessionProfile reports the security profile the server registered a
 // session on.
 func sessionProfile(srv *Server, sessionID string) (string, bool) {
@@ -24,6 +20,11 @@ func sessionProfile(srv *Server, sessionID string) (string, bool) {
 	return sess.Profile, true
 }
 
+// TestMixedProfileSessions is the acceptance-criterion test: two
+// concurrent sessions on different security profiles — independently
+// keyed contexts at different ring degrees — compute correct results on
+// one server, interleaved, and each block is counted in its own
+// profile's eval histogram.
 func TestMixedProfileSessions(t *testing.T) {
 	model := Model{Weights: []float64{0.5, -0.25}, Bias: []float64{0.1, 0.2}}
 	srv := startServer(t, model)
@@ -77,6 +78,33 @@ func TestMixedProfileSessions(t *testing.T) {
 	wg.Wait()
 	if srv.store.Len() != 2 {
 		t.Errorf("%d sessions resident, want 2", srv.store.Len())
+	}
+
+	// A served block raises its own profile's eval count and no other's,
+	// the unserved λ-128k's included. The registry hands back the series
+	// /metrics exports, so this also holds each runtime's held histogram
+	// to the exported one.
+	evalCount := func(id string) int64 {
+		return srv.met.reg.Histogram("quhe_eval_seconds", "", "profile", id).Snapshot().Count
+	}
+	before := map[string]int64{}
+	for _, id := range []string{profiles[0], profiles[1], profile.IDLambda128k} {
+		before[id] = evalCount(id)
+	}
+	if before[profiles[0]] != 4 || before[profiles[1]] != 4 {
+		t.Errorf("eval counts %v after 4 blocks per profile", before)
+	}
+	if _, err := clients[0].Compute(4, data); err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range before {
+		want := n
+		if id == profiles[0] {
+			want++
+		}
+		if got := evalCount(id); got != want {
+			t.Errorf("%s eval count %d after one %s block, want %d", id, got, profiles[0], want)
+		}
 	}
 }
 

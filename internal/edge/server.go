@@ -150,11 +150,11 @@ type ServerConfig struct {
 	// DebugAddr, when non-empty, binds the observability debug plane
 	// (obs.ServeDebug) on that address: /metrics in the Prometheus text
 	// format, /debug/pprof/*, /debug/plan (the controller's live plan),
-	// /debug/trace (chrome://tracing span dump), /debug/slo (objectives,
-	// attainment and burn rates) and /debug/keyledger (the QKD key-flow
-	// ledger of the Control plane's key centre). Off by default; bind
-	// loopback ("127.0.0.1:0") unless the scrape network is trusted — the
-	// plane serves operational internals without authentication.
+	// /debug/trace (chrome://tracing span dump) and /debug/keyledger (the
+	// QKD key-flow ledger of the Control plane's key centre). Off by
+	// default; bind loopback ("127.0.0.1:0") unless the scrape network is
+	// trusted — the plane serves operational internals without
+	// authentication.
 	DebugAddr string
 	// IdleTimeout bounds how long a connection may sit after its Setup
 	// with no inbound frames and no in-flight work before the server
@@ -168,15 +168,17 @@ type ServerConfig struct {
 }
 
 // profileRuntime is one security profile's serving substrate: the shared
-// CKKS context, the transciphering cipher over it and the evaluator pool
+// CKKS context, the transciphering cipher over it, the evaluator pool
 // its blocks run on (workers materialize on first checkout, so a profile
-// without traffic costs no evaluator). Runtimes are built lazily per
-// profile and cached for the server's lifetime.
+// without traffic costs no evaluator) and the eval latency histogram its
+// blocks land in. Runtimes are built lazily per profile and cached for
+// the server's lifetime.
 type profileRuntime struct {
-	prof   *profile.Profile
-	ctx    *ckks.Context
-	cipher *transcipher.Cipher
-	pool   *serve.EvalPool
+	prof     *profile.Profile
+	ctx      *ckks.Context
+	cipher   *transcipher.Cipher
+	pool     *serve.EvalPool
+	evalHist *obs.Histogram // set by publishRuntime
 
 	// The matvec plan — the model matrix's diagonals encoded at the
 	// transcipher output level and scale — is built once per profile on
@@ -353,7 +355,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		dcfg := obs.DebugConfig{
 			Registry: s.met.reg,
 			Tracer:   s.met.tracer,
-			SLO:      s.met.sloSnapshot,
 		}
 		if cfg.Control != nil {
 			dcfg.Plan = cfg.Control.PlanJSON
@@ -422,9 +423,10 @@ func (s *Server) newRuntime(profileID string) (*profileRuntime, error) {
 }
 
 // publishRuntime makes a built runtime the profile's one: its pool gauges
-// appear with it, so profiles without traffic cost no series.
+// and eval histogram appear with it, so profiles without traffic cost no
+// series.
 func (s *Server) publishRuntime(rt *profileRuntime) {
-	s.met.registerPoolGauges(rt.prof.ID, rt.pool)
+	rt.evalHist = s.met.registerProfile(rt.prof.ID, rt.pool)
 	s.runtimes.Store(rt.prof.ID, rt)
 }
 
@@ -1192,10 +1194,7 @@ const modeledUplinkBps = 5e6
 // rots is that count, for the caller's modeled delay; kdur is the kernel's
 // share of the time, for its trace split.
 func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *serve.Session, reqEpoch uint64, block uint32, masked []float64) (result *ckks.Ciphertext, rots int, kdur time.Duration, code serve.Code, detail string) {
-	defer func() {
-		s.met.codeCounter(code).Inc()
-		s.met.observeOutcome(code)
-	}()
+	defer func() { s.met.codeCounter(code).Inc() }()
 	if o.ready != nil {
 		if code, detail := o.ready(s, rt, sess); code != serve.CodeOK {
 			return nil, 0, 0, code, detail
@@ -1259,7 +1258,7 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 			ctl.ObserveRotations(sess.ID, rots)
 		}
 	}
-	s.met.observeEval(rt.prof.ID, d)
+	rt.evalHist.Observe(d.Seconds())
 	return result, rots, kdur, code, detail
 }
 

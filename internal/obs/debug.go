@@ -12,8 +12,8 @@ import (
 
 // DebugConfig wires the debug plane's handlers. Every field is optional:
 // a nil Registry serves an empty /metrics, a nil Tracer 404s
-// /debug/trace, a nil Plan 404s /debug/plan, and likewise for the
-// KeyLedger and SLO hooks.
+// /debug/trace, a nil Plan 404s /debug/plan, and a nil KeyLedger 404s
+// /debug/keyledger.
 type DebugConfig struct {
 	// Registry backs /metrics (Prometheus text exposition format).
 	Registry *Registry
@@ -25,9 +25,6 @@ type DebugConfig struct {
 	// KeyLedger, when set, is marshaled to JSON at /debug/keyledger —
 	// the QKD key-flow ledger's attributed-withdrawal snapshot.
 	KeyLedger func() any
-	// SLO, when set, is marshaled to JSON at /debug/slo — the SLO
-	// tracker's objectives, attainment and burn rates.
-	SLO func() any
 }
 
 // traceDumpMaxLimit bounds the limit= query parameter on /debug/trace.
@@ -74,11 +71,11 @@ func jsonHandler(fn func() any) http.HandlerFunc {
 }
 
 // DebugServer is the opt-in HTTP debug plane: /metrics, /debug/pprof/*,
-// /debug/plan and /debug/trace on one listener. It exists only when
-// explicitly configured (edge.ServerConfig.DebugAddr); bind it to
-// loopback unless the scrape network is trusted — it serves operational
-// internals (latency profiles, session counts, pprof) with no
-// authentication.
+// /debug/plan, /debug/keyledger and /debug/trace on one listener. It
+// exists only when explicitly configured (edge.ServerConfig.DebugAddr);
+// bind it to loopback unless the scrape network is trusted — it serves
+// operational internals (latency profiles, session counts, pprof) with
+// no authentication.
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -104,7 +101,6 @@ func ServeDebug(addr string, cfg DebugConfig) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/plan", jsonHandler(cfg.Plan))
 	mux.HandleFunc("/debug/keyledger", jsonHandler(cfg.KeyLedger))
-	mux.HandleFunc("/debug/slo", jsonHandler(cfg.SLO))
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.Tracer == nil {
 			http.NotFound(w, nil)

@@ -100,10 +100,9 @@ func TestDebugTraceParams(t *testing.T) {
 	}
 }
 
-func TestDebugKeyLedgerAndSLO(t *testing.T) {
+func TestDebugKeyLedger(t *testing.T) {
 	ds, err := ServeDebug("127.0.0.1:0", DebugConfig{
 		KeyLedger: func() any { return map[string]int{"withdrawals": 7} },
-		SLO:       func() any { return []string{"availability"} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,10 +113,6 @@ func TestDebugKeyLedgerAndSLO(t *testing.T) {
 	code, ctype, body := get(t, base+"/debug/keyledger")
 	if code != 200 || !strings.HasPrefix(ctype, "application/json") || !strings.Contains(body, "7") {
 		t.Errorf("/debug/keyledger = %d %q %q", code, ctype, body)
-	}
-	code, ctype, body = get(t, base+"/debug/slo")
-	if code != 200 || !strings.HasPrefix(ctype, "application/json") || !strings.Contains(body, "availability") {
-		t.Errorf("/debug/slo = %d %q %q", code, ctype, body)
 	}
 }
 
@@ -136,9 +131,6 @@ func TestDebugPlaneNilHooks(t *testing.T) {
 	}
 	if code, _, _ := get(t, base+"/debug/keyledger"); code != 404 {
 		t.Errorf("/debug/keyledger without hook: status %d, want 404", code)
-	}
-	if code, _, _ := get(t, base+"/debug/slo"); code != 404 {
-		t.Errorf("/debug/slo without hook: status %d, want 404", code)
 	}
 	if code, _, body := get(t, base+"/metrics"); code != 200 || body != "" {
 		t.Errorf("/metrics without Registry: status %d body %q, want empty 200", code, body)

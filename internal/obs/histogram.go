@@ -6,8 +6,9 @@ import (
 )
 
 // The bucket layout is log-linear and fixed for every Histogram in the
-// process: each power-of-two octave [2^e, 2^(e+1)) is split into
-// histSubBuckets equal linear sub-buckets, covering exponents
+// process: each power-of-two octave (2^e, 2^(e+1)] is split into
+// histSubBuckets equal linear sub-buckets, each closed at its upper
+// bound as a Prometheus `le` bucket is, covering exponents
 // [histMinExp, histMaxExp], with one underflow bucket below and one
 // overflow bucket above. A shared layout is what makes snapshots
 // mergeable across histograms (per-session → per-profile → global) by
@@ -28,22 +29,29 @@ const (
 	NumBuckets = 1 + histOctaves*histSubBuckets + 1
 )
 
-// bucketOf maps a value to its bucket index. NaN, zero, negatives and
-// anything below the grid land in the underflow bucket; anything at or
-// above 2^(histMaxExp+1) lands in the overflow bucket.
+// bucketOf maps a value to the bucket whose (lower, upper] range holds
+// it, so a value equal to BucketUpper(i) is counted in bucket i, at its
+// `le`. NaN, zero, negatives and anything up to 2^histMinExp land in the
+// underflow bucket; anything above 2^(histMaxExp+1) lands in the
+// overflow bucket.
 func bucketOf(v float64) int {
-	if !(v >= math.Ldexp(1, histMinExp)) {
+	if !(v > math.Ldexp(1, histMinExp)) {
 		return 0
 	}
-	if v >= math.Ldexp(1, histMaxExp+1) {
+	if v > math.Ldexp(1, histMaxExp+1) {
 		return NumBuckets - 1
 	}
 	e := math.Ilogb(v)
-	sub := int((math.Ldexp(v, -e) - 1) * histSubBuckets) // mantissa in [1,2)
-	if sub >= histSubBuckets {
-		sub = histSubBuckets - 1
+	// The mantissa is in [1,2), so x is exact and in [0, histSubBuckets);
+	// an integral x puts v on the lower bound of the sub-bucket that
+	// [lower, upper) ranges would pick, which is the upper bound of the
+	// bucket before it.
+	x := (math.Ldexp(v, -e) - 1) * histSubBuckets
+	i := 1 + (e-histMinExp)*histSubBuckets + int(x)
+	if x == math.Trunc(x) {
+		i--
 	}
-	return 1 + (e-histMinExp)*histSubBuckets + sub
+	return i
 }
 
 // BucketUpper returns the inclusive upper bound of bucket i — the `le`

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -198,6 +200,44 @@ func TestBucketEdges(t *testing.T) {
 		}
 		if b > 0 && v < BucketUpper(b-1) {
 			t.Fatalf("value %g below bucket %d lower bound %g", v, b, BucketUpper(b-1))
+		}
+	}
+}
+
+// TestBoundCountedAtItsLe: a bucket's `le` bound is inclusive, as
+// Prometheus reads it. Every bound on the grid, the underflow bucket's
+// 2^histMinExp included, lands in the bucket it bounds, so with one
+// observation per bound the exposition counts i+1 observations at
+// le = BucketUpper(i); and an eval of exactly 250 ms is counted under
+// le="0.25", the latency objective's bucket.
+func TestBoundCountedAtItsLe(t *testing.T) {
+	r := NewRegistry()
+	grid := r.Histogram("quhe_grid_seconds", "")
+	for i := 0; i < NumBuckets-1; i++ {
+		u := BucketUpper(i)
+		if got := bucketOf(u); got != i {
+			t.Errorf("bucketOf(BucketUpper(%d) = %g) = %d", i, u, got)
+		}
+		grid.Observe(u)
+	}
+	for _, v := range []float64{0.125, 0.25, 1} {
+		r.Histogram("quhe_point_seconds", "", "v", formatFloat(v)).Observe(v)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples := checkPromText(t, b.String())
+	for i := 0; i < NumBuckets-1; i++ {
+		key := fmt.Sprintf(`quhe_grid_seconds_bucket{le="%s"}`, formatFloat(BucketUpper(i)))
+		if got := samples[key]; got != float64(i+1) {
+			t.Errorf("%s = %g, want %d", key, got, i+1)
+		}
+	}
+	for _, v := range []string{"0.125", "0.25", "1"} {
+		key := fmt.Sprintf(`quhe_point_seconds_bucket{v="%s",le="%s"}`, v, v)
+		if got := samples[key]; got != 1 {
+			t.Errorf("%s = %g, want 1", key, got)
 		}
 	}
 }

@@ -79,8 +79,19 @@
 // pass it as is; it is converted into the Scratch for that call, at
 // 2·keyLen extra transforms per limb, and the result is bit-identical.
 //
-// The toy cipher's concrete security is NOT argued here; it is a
-// structural stand-in.
+// # Data limit
+//
+// The cipher is a structural stand-in, and it does not survive known
+// plaintext. A, B and C are public, so ks is linear in the keyLen
+// coordinates k_j and the keyLen(keyLen+1)/2 products k_i·k_j: 44
+// monomials at the edge server's keyLen of 8. Any 44 known (data,
+// masked) slots under one key solve for the key exactly
+// (TestKnownPlaintextRecoversKey); fewer may do, since keyLen quadratic
+// equations in keyLen unknowns already have finitely many solutions. A key must therefore never mask data an
+// attacker may know; rekeying bounds QKD spend per key, not this
+// exposure. A keystream that survives known plaintext needs arithmetic
+// mod t (BFV-side ciphers such as HERA and Rubato), which this tree
+// does not have.
 package transcipher
 
 import (

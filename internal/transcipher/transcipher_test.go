@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"quhe/internal/he/ckks"
+	"quhe/internal/mathutil"
 )
 
 func testCipher(t testing.TB) (*Cipher, *ckks.Context) {
@@ -122,6 +123,71 @@ func TestMaskUnmaskRoundTrip(t *testing.T) {
 			t.Fatalf("slot %d: %v != %v", i, got, data[i])
 		}
 	}
+}
+
+// TestKnownPlaintextRecoversKey pins the keystream's data limit. With
+// A, B and C public, ks = A·k + (B·k)⊙(C·k) is linear in the keyLen
+// coordinates k_j and the keyLen(keyLen+1)/2 products k_i·k_j, 8 + 36 = 44
+// monomials at keyLen 8. So 44 known (data, masked) slots of one block
+// are a square linear system, and solving it returns every key
+// coordinate exactly on DeriveKey's 2⁻¹⁵ grid: the cipher does not
+// survive 44 known slots under one key.
+func TestKnownPlaintextRecoversKey(t *testing.T) {
+	c, _ := testCipher(t)
+	key, err := c.DeriveKey([]byte("known plaintext"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.keyLen
+	unknowns := n + n*(n+1)/2
+	if unknowns != 44 || c.Slots() < unknowns {
+		t.Fatalf("%d monomials over %d slots", unknowns, c.Slots())
+	}
+	nonce, block := []byte("kp-nonce"), uint32(3)
+	rng := rand.New(rand.NewSource(5))
+	data := make([]float64, unknowns)
+	for i := range data {
+		data[i] = 2*rng.Float64() - 1
+	}
+	masked, err := c.Mask(key, nonce, block, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := c.NewScratch()
+	if err := c.coeffBlockInto(nonce, block, sc); err != nil {
+		t.Fatal(err)
+	}
+	// Row s: the monomials' coefficients at slot s, then ks[s]. The
+	// product k_i·k_j (i < j) carries B_i C_j + B_j C_i, the square B_i C_i.
+	aug := make([][]float64, unknowns)
+	for s := range aug {
+		row := make([]float64, 0, unknowns+1)
+		for j := 0; j < n; j++ {
+			row = append(row, sc.a[j][s])
+		}
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				v := sc.b[i][s] * sc.cc[j][s]
+				if i != j {
+					v += sc.b[j][s] * sc.cc[i][s]
+				}
+				row = append(row, v)
+			}
+		}
+		aug[s] = append(row, masked[s]-data[s])
+	}
+	sol, err := mathutil.SolveLinear(aug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for j, kj := range key {
+		worst = max(worst, math.Abs(sol[j]-kj))
+		if got := math.Round(sol[j]*32768) / 32768; got != kj {
+			t.Errorf("k_%d recovered as %v (grid %v), want %v", j, sol[j], got, kj)
+		}
+	}
+	t.Logf("44 known slots recover all %d key coordinates, worst error %.2g", n, worst)
 }
 
 func TestKeystreamBlockAndNonceSeparation(t *testing.T) {
