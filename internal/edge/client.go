@@ -295,15 +295,7 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 	nonce := nonceFor(sessionID, 1)
 	setupStart := time.Now()
 	rep, err = exchange(fw, conn, br, buf, frameSetup, func(b []byte) []byte {
-		return appendSetupRequest(b, &SetupRequest{
-			SessionID: sessionID,
-			LogN:      ctx.Params.LogN,
-			Depth:     ctx.Params.Depth,
-			RLK:       rlk,
-			EncKey:    encKey,
-			Nonce:     nonce,
-			Profile:   prof.ID,
-		})
+		return appendSetupRequest(b, &SetupRequest{RLK: rlk, EncKey: encKey, Nonce: nonce})
 	})
 	if err != nil {
 		return fail(fmt.Errorf("edge: setup: %w: %v", serve.ErrConnClosed, err))
@@ -314,10 +306,6 @@ func dialAttempt(addr, sessionID string, qkdKey []byte, kc *qkd.KeyCenter, seed 
 			return dialAttempt(addr, sessionID, qkdKey, kc, seed, dcfg, attempt+1)
 		}
 		return nil, err
-	}
-	if rep.Profile != prof.ID {
-		return fail(fmt.Errorf("edge: %w: registered on %q, granted %q",
-			serve.ErrProfileDenied, rep.Profile, prof.ID))
 	}
 
 	c := &Client{

@@ -23,6 +23,9 @@ type fakeControl struct {
 	// steer, when non-empty, is the profile granted to every empty
 	// negotiation (a scripted per-route plan).
 	steer atomic.Value
+	// lowerTo, when set, replaces steer once the first negotiation has
+	// been answered: a replan landing between a grant and its Setup.
+	lowerTo atomic.Value
 
 	// admitHook, when set, runs inside AdmitCompute — on the eval worker —
 	// so a test can park a worker mid-block.
@@ -45,7 +48,11 @@ func (f *fakeControl) BindServe(sched *serve.Scheduler, store *serve.Store, reg 
 }
 
 func (f *fakeControl) NegotiateProfile(sessionID, requested string) (string, error) {
-	f.negotiated.Add(1)
+	if f.negotiated.Add(1) == 1 {
+		if lower, _ := f.lowerTo.Load().(string); lower != "" {
+			defer f.steer.Store(lower)
+		}
+	}
 	reg := profile.Default()
 	planned, _ := f.steer.Load().(string)
 	if planned == "" {

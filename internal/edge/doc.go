@@ -30,21 +30,20 @@
 // Profile negotiation is the first thing a session does: before
 // generating any keys or drawing QKD key the client sends a frameProfile
 // query (session ID + requested profile, possibly empty for "let the plan
-// steer"); an ID already live is refused there as a duplicate. The server
-// — its control plane's per-route λ plan, when one is attached — answers
-// with the granted profile: the request itself, the plan's choice (or the
-// registry default) for an empty request, a *downgrade* to the route's
-// planned profile when the request demands a higher λ than the plan
-// allows, or a typed serve.CodeProfileDenied for profiles the registry
-// does not know. The client builds its context and keys for the granted
-// profile and names it in Setup, which enforces that the declared
-// parameters match the profile's and echoes the profile back.
+// steer"); an empty ID is refused there as a bad request, a live one as a
+// duplicate. The server — its control plane's per-route λ plan, when one
+// is attached — answers with the granted profile: the request itself, the
+// plan's choice (or the registry default) for an empty request, a
+// *downgrade* to the route's planned profile when the request demands a
+// higher λ than the plan allows, or a typed serve.CodeProfileDenied for
+// profiles the registry does not know. The connection keeps the grant
+// (session ID and profile), and Setup registers exactly it: the client
+// builds its keys for the granted profile, and Setup carries only those.
 //
 // Downgrade rule: requests at or below the plan pass as asked; requests
-// above it are granted the planned profile instead, and Setup re-checks
-// the declared profile against the current plan so the advisory query
-// cannot be bypassed (a grant the plan moved below mid-dial is denied
-// typed; the client renegotiates and redials). The ModeledCmpDelay reply
+// above it are granted the planned profile instead. Setup asks the plan
+// again, and a grant it moved below mid-dial is denied typed; the client
+// renegotiates and redials. The ModeledCmpDelay reply
 // field is the session profile's registry price of the blocks served
 // (profile.BlockCycles, with the rotations a matvec block ran, at
 // profile.RefHz) — the same number the control plane's λ choice plans
@@ -68,7 +67,7 @@
 // There is one protocol and one version of it. Every frame is
 //
 //	offset 0     magic    0xAD 0x51
-//	offset 2     version  0x0e
+//	offset 2     version  0x0f
 //	offset 3     type     one of 8: the opening requests profile and setup;
 //	                      the session requests compute, matvec, rekey and
 //	                      rotation keys; and two replies, compute (every
@@ -85,9 +84,9 @@
 // little-endian uint64 coefficient runs, one per residue-tower limb, via
 // the ckks/ring AppendBinary/DecodeFrom codecs — reflection-free and
 // allocation-free in steady state. Payload fields are all mandatory and
-// positional: Setup always carries Profile, a session reply always
-// carries Code, Err, Profile, Epoch and MatVecDim (MatVecDim is zero when
-// the server holds no model matrix — that is how a Setup reply tells
+// positional: a session reply always carries Code, Err, Profile, Epoch
+// and MatVecDim (Profile answers a profile query only; MatVecDim is zero
+// when the server holds no model matrix — that is how a Setup reply tells
 // matvec availability), and Compute/MatVec requests always end in the
 // 16-byte trace context, all zero when the request is unsampled. A decoder that runs out of bytes, or has bytes
 // left over, reports ErrBadFrame and the connection is closed.
@@ -115,10 +114,10 @@
 // switches it at, which the profile derives (ckks.Context.RelinLevel and
 // GaloisLevel): the relinearization key is built for the transcipher's
 // squaring level, top−1, 3 digits × 4 limbs on the depth-3 chain, and a
-// Galois key for the matvec level, top−2, 2 digits × 3 limbs. Setup carries the session ID, LogN and Depth, the
-// relinearization key, the HE-encrypted transciphering key, the nonce and
-// Profile; the client's public key stays with the client,
-// the only party that encrypts under it.
+// Galois key for the matvec level, top−2, 2 digits × 3 limbs. Setup carries
+// the relinearization key, the HE-encrypted transciphering key and the
+// nonce; the client's public key stays with the client, the only party
+// that encrypts under it.
 //
 // Rotation keys upload one per frame: a RotKeys request is one Galois key. The BSGS kernel folds its giant blocks in by
 // Horner's rule, each step a rotation by n1, so the rotation set a session
@@ -128,8 +127,8 @@
 // as outside the plan. The client generates each key into the same storage
 // and sends it without waiting for the previous reply, then collects every
 // reply, so neither end holds more than one key in flight and no frame
-// grows with the model (the largest legal frame is a λ-128k Setup, under
-// the 4 MiB cap; one λ-128k key's frame is 196,682 bytes of payload). The server checks each key
+// grows with the model (the largest legal frame is a λ-128k Setup, 2,490,562
+// bytes of payload under the 4 MiB cap; one λ-128k key's frame is 196,682). The server checks each key
 // as it arrives and keeps it in a set pending on the connection; the set
 // is installed on the session atomically the moment it covers the plan's
 // rotations, and until then the session serves no matvec. A repeated key
@@ -138,23 +137,24 @@
 //
 // # The opening
 //
-// A connection has two phases. The opening is the profile query and
-// Setup, the only frames that name a session: the client sends each and
-// reads its reply before it starts its read loop, and the server reads and
+// A connection has two phases. The opening is the profile query, the only
+// frame that names a session, and Setup: the client sends each and reads
+// its reply before it starts its read loop, and the server reads and
 // answers each before it starts the connection's reply writer. A refused
 // Setup installs nothing and the opening goes on; it ends when a Setup
 // registers. The server reads the whole opening under one bound,
 // openingTimeout from accept, so a peer that never registers is closed,
 // and the idle deadline starts only after Setup: the client's key
-// generation between the two frames is not idleness. A session frame in
-// the opening, or an opening frame after it, closes the connection.
+// generation between the two frames is not idleness. A session frame or
+// a Setup without a grant in the opening, or an opening frame after it,
+// closes the connection without a reply.
 //
 // The version byte names the whole wire format — framing, field lists,
 // ciphertext layout — so there is nothing to negotiate and no feature
 // flags: an incompatible change bumps frameVersion. A version mismatch
 // therefore looks like this: the server reads a first frame that is not a
-// current-version profile query or Setup (a gob stream from a retired
-// client, the previous version's query, garbage, a session frame), counts
+// current-version profile query (a gob stream from a retired client, the
+// previous version's query, garbage, a session frame, a Setup), counts
 // it in quhe_wire_protocol_mismatch_total and closes without replying,
 // before any session or worker is touched; the client, whose query was not
 // answered within negotiateTimeout, fails the dial with an error wrapping

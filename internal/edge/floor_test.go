@@ -27,7 +27,8 @@ func payloadBytes(ct *ckks.Ciphertext) int {
 func computeOnce(t *testing.T, p *rawPeer, id string, x []float64) ([]float64, []*ckks.Ciphertext, *ckks.Ciphertext) {
 	t.Helper()
 	encKey := p.encKey(t)
-	if rep := p.setup(t, p.setupRequest(id, encKey)); replyError(rep.Code, rep.Err) != nil {
+	p.grant(t, id)
+	if rep := p.setup(t, p.setupRequest(encKey)); replyError(rep.Code, rep.Err) != nil {
 		t.Fatalf("setup refused: %+v", rep)
 	}
 	masked := p.mask(t, 1, x)

@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"strings"
 	"testing"
 
 	"quhe/internal/he/ckks"
@@ -11,7 +10,7 @@ import (
 // keyFrames builds the three requests that carry key material — a Setup, a
 // Rekey and one rotation key's RotKeys — on a profile's context, each
 // field at its largest legal size.
-func keyFrames(t testing.TB, ctx *ckks.Context, profileID string) (*SetupRequest, *RekeyRequest, *RotKeysRequest) {
+func keyFrames(t testing.TB, ctx *ckks.Context) (*SetupRequest, *RekeyRequest, *RotKeysRequest) {
 	t.Helper()
 	kg := ckks.NewKeyGenerator(ctx, 5)
 	sk := kg.GenSecretKey()
@@ -19,10 +18,8 @@ func keyFrames(t testing.TB, ctx *ckks.Context, profileID string) (*SetupRequest
 	for i := range encKey {
 		encKey[i] = ctx.NewCiphertext(ctx.MaxLevel())
 	}
-	id := strings.Repeat("s", 64)
 	nonce := make([]byte, 12)
-	setup := &SetupRequest{SessionID: id, LogN: ctx.Params.LogN, Depth: ctx.Params.Depth,
-		RLK: kg.GenRelinKey(sk), EncKey: encKey, Nonce: nonce, Profile: profileID}
+	setup := &SetupRequest{RLK: kg.GenRelinKey(sk), EncKey: encKey, Nonce: nonce}
 	rekey := &RekeyRequest{EncKey: encKey, Nonce: nonce}
 	rotKeys := &RotKeysRequest{Key: kg.GenGaloisKey(sk, 1)}
 	return setup, rekey, rotKeys
@@ -40,7 +37,7 @@ func TestKeyFramesAllocateOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup, rekey, rotKeys := keyFrames(t, ctx, profile.IDDefault)
+	setup, rekey, rotKeys := keyFrames(t, ctx)
 
 	buf := make([]byte, 0, 4096)
 	for _, c := range []struct {
@@ -85,7 +82,7 @@ func TestEveryLegalFrameFits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		setup, rekey, rotKeys := keyFrames(t, ctx, p.ID)
+		setup, rekey, rotKeys := keyFrames(t, ctx)
 		for _, c := range []struct {
 			name string
 			size int

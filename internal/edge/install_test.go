@@ -137,13 +137,14 @@ func TestInstallValidationV3(t *testing.T) {
 		req := &RekeyRequest{EncKey: k, Nonce: []byte("edge:rekeyed")}
 		return p.session(t, frameRekey, func(b []byte) []byte { return appendRekeyRequest(b, req) })
 	}
+	p.grant(t, "v3")
 	for name, k := range p.hostileKeys(t) {
-		if rep := p.setup(t, p.setupRequest("v3", k)); rep.Code != serve.CodeBadRequest {
+		if rep := p.setup(t, p.setupRequest(k)); rep.Code != serve.CodeBadRequest {
 			t.Errorf("setup, transciphering key with %s: reply %+v, want CodeBadRequest", name, rep)
 		}
 	}
 	for name, g := range p.hostileGadgets(p.rlk) {
-		req := p.setupRequest("v3", p.encKey(t))
+		req := p.setupRequest(p.encKey(t))
 		req.RLK = g.key
 		if rep := p.setup(t, req); rep.Code != g.code {
 			t.Errorf("setup, relinearization key with %s: reply %+v, want %v", name, rep, g.code)
@@ -226,8 +227,9 @@ func TestNonceLengthEnforced(t *testing.T) {
 		return p.session(t, frameRekey, func(b []byte) []byte { return appendRekeyRequest(b, req) })
 	}
 	bad := [][]byte{nil, make([]byte, chacha20.NonceSize-1), make([]byte, chacha20.NonceSize+1)}
+	p.grant(t, "nonce")
 	for _, nonce := range bad {
-		req := p.setupRequest("nonce", p.encKey(t))
+		req := p.setupRequest(p.encKey(t))
 		req.Nonce = nonce
 		if rep := p.setup(t, req); rep.Code != serve.CodeBadRequest {
 			t.Errorf("setup with a %d-byte nonce: reply %+v, want CodeBadRequest", len(nonce), rep)

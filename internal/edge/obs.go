@@ -71,7 +71,7 @@ func newServerObs(s *Server) *serverObs {
 		bytesIn:         reg.Counter("quhe_wire_bytes_total", "wire bytes by direction", "dir", "in"),
 		bytesOut:        reg.Counter("quhe_wire_bytes_total", "", "dir", "out"),
 		checksumFails:   reg.Counter("quhe_wire_checksum_failures_total", "frames rejected by CRC32C trailer mismatch"),
-		protoMismatches: reg.Counter("quhe_wire_protocol_mismatch_total", "connections closed for not opening with a profile query or Setup in the current frame version"),
+		protoMismatches: reg.Counter("quhe_wire_protocol_mismatch_total", "connections closed for not opening with a profile query in the current frame version"),
 		conns:           reg.Gauge("quhe_edge_conns", "live connections"),
 		rekeys:          reg.Counter("quhe_edge_rekeys_total", "successful session rekeys"),
 		shedQueueFull:   reg.Counter("quhe_serve_shed_total", "requests shed by reason", "reason", "queue_full"),

@@ -16,9 +16,9 @@ var opNames = map[byte]string{frameCompute: "compute", frameMatVec: "matvec"}
 // TestOpGates drives every row of the op table through the gates all ops
 // share, over raw frames (a real Client refuses to send some of these):
 // a served block is observed once with its bytes and traced with the op's
-// stages; a stale epoch, an oversized block, a control-plane denial, an
-// exhausted plan budget and a full queue are each refused under the same
-// code whatever the op.
+// stages; a stale epoch, a block that names no epoch, an oversized block,
+// a control-plane denial, an exhausted plan budget and a full queue are
+// each refused under the same code whatever the op.
 func TestOpGates(t *testing.T) {
 	for _, o := range ops {
 		name, ok := opNames[o.req]
@@ -80,6 +80,7 @@ func TestOpGates(t *testing.T) {
 			}
 
 			try("stale epoch", 7, slots, serve.CodeRekeyRequired)
+			try("no epoch", 0, slots, serve.CodeRekeyRequired)
 			try("oversized block", 1, p.cipher.Slots()+1, serve.CodeOversized)
 			ctl.denyCompute.Store(true)
 			try("control-plane denial", 1, slots, serve.CodeAdmissionDenied)

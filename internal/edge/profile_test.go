@@ -160,27 +160,102 @@ func TestProfileDowngradePerPlan(t *testing.T) {
 	}
 }
 
-// TestSetupEnforcesPlanProfile: a Setup that declares a profile above the
-// plan — a client bypassing (or ignoring) the advisory negotiation, here a
-// raw peer that skips the profile query — is denied typed at registration,
-// so the per-route λ policy cannot be sidestepped.
+// TestSetupEnforcesPlanProfile: a Setup names no profile, so a peer can
+// only register what the plan granted it. A Setup on a connection with no
+// grant — a raw peer that skips the profile query, or one whose query was
+// refused — closes the connection without a reply and registers nothing.
 func TestSetupEnforcesPlanProfile(t *testing.T) {
 	ctl := &fakeControl{}
 	ctl.steer.Store(profile.IDLambda32k)
 	srv := startControlledServer(t, ctl, ServerConfig{})
-	prof, _ := profile.Default().Get(profile.IDLambda128k)
 	p := newRawPeer(t, 131)
+	for _, c := range []struct {
+		what  string
+		query string // requested profile; "" sends no query
+	}{
+		{"a Setup with no query", ""},
+		{"a Setup after a refused query", "no-such-profile"},
+	} {
+		p.dial(t, srv.Addr())
+		if c.query != "" {
+			rep := p.session(t, frameProfile, func(b []byte) []byte {
+				return appendProfileRequest(b, &ProfileRequest{SessionID: "bypass", Requested: c.query})
+			})
+			if rep.Code != serve.CodeProfileDenied {
+				t.Fatalf("query for %q: %+v, want CodeProfileDenied", c.query, rep)
+			}
+		}
+		p.send(t, frameSetup, 9, func(b []byte) []byte { return appendSetupRequest(b, p.setupRequest(p.encKey(t))) })
+		p.expectClosed(t, c.what)
+	}
+	if n, admits := srv.store.Len(), ctl.admits.Load(); n != 0 || admits != 0 {
+		t.Errorf("%d sessions resident and %d admitted after Setups with no grant", n, admits)
+	}
+}
+
+// TestProfileQueryNeedsSessionID: the profile query names the session, so
+// a query with an empty ID is refused as a bad request and grants nothing.
+func TestProfileQueryNeedsSessionID(t *testing.T) {
+	srv := startServer(t, Model{Weights: []float64{1}})
+	p := newRawPeer(t, 133)
 	p.dial(t, srv.Addr())
-	// The plan check comes before the key material is validated, so the
-	// peer's default-profile keys never reach the λ-128k ring.
-	req := p.setupRequest("bypass", p.encKey(t))
-	req.LogN, req.Depth, req.Profile = prof.Params.LogN, prof.Params.Depth, profile.IDLambda128k
-	if rep := p.setup(t, req); rep.Code != serve.CodeProfileDenied {
-		t.Fatalf("bypass setup reply = %+v, want CodeProfileDenied", rep)
+	rep := p.session(t, frameProfile, func(b []byte) []byte {
+		return appendProfileRequest(b, &ProfileRequest{})
+	})
+	if rep.Code != serve.CodeBadRequest || rep.Profile != "" {
+		t.Fatalf("query with an empty session ID: %+v, want CodeBadRequest", rep)
 	}
-	if srv.store.Len() != 0 {
-		t.Errorf("%d sessions resident after denied bypass", srv.store.Len())
+	p.send(t, frameSetup, 9, func(b []byte) []byte { return appendSetupRequest(b, p.setupRequest(p.encKey(t))) })
+	p.expectClosed(t, "a Setup after a query with an empty session ID")
+	checkSessions(t, srv, "after a query with an empty session ID", 0)
+}
+
+// TestStaleGrantRedials: a replan that lowers the route's λ between the
+// profile query and Setup makes the grant stale. The Setup is refused
+// CodeProfileDenied and registers nothing; DialQKDWith then renegotiates
+// on a fresh connection, lands on the lowered profile and draws its QKD
+// key once.
+func TestStaleGrantRedials(t *testing.T) {
+	stale := func(t *testing.T) (*fakeControl, *Server) {
+		ctl := &fakeControl{}
+		ctl.steer.Store(profile.IDLambda64k)
+		ctl.lowerTo.Store(profile.IDLambda32k)
+		return ctl, startControlledServer(t, ctl, ServerConfig{})
 	}
+	t.Run("setup refused", func(t *testing.T) {
+		ctl, srv := stale(t)
+		p := newRawPeerOn(t, 137, profile.IDLambda64k)
+		p.dial(t, srv.Addr())
+		p.grant(t, "stale")
+		if rep := p.setup(t, p.setupRequest(p.encKey(t))); rep.Code != serve.CodeProfileDenied {
+			t.Fatalf("Setup on a stale grant: %+v, want CodeProfileDenied", rep)
+		}
+		if n, admits := srv.store.Len(), ctl.admits.Load(); n != 0 || admits != 0 {
+			t.Errorf("%d sessions resident and %d admitted after a stale grant", n, admits)
+		}
+	})
+	t.Run("dial redials", func(t *testing.T) {
+		ctl, srv := stale(t)
+		kc := provisionedKeyCenter(t, "stale")
+		c, err := DialQKDWith(srv.Addr(), "stale", kc, 139, DialConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if got := c.Profile(); got != profile.IDLambda32k {
+			t.Errorf("redialed onto %q, want %q", got, profile.IDLambda32k)
+		}
+		if got, _ := sessionProfile(srv, "stale"); got != profile.IDLambda32k {
+			t.Errorf("server registered %q, want %q", got, profile.IDLambda32k)
+		}
+		// Two openings, each a query and a Setup.
+		if n := ctl.negotiated.Load(); n != 4 {
+			t.Errorf("%d negotiations, want 4", n)
+		}
+		if n := kc.Counters().Withdrawals; n != 1 {
+			t.Errorf("the dial made %d withdrawals, want 1", n)
+		}
+	})
 }
 
 // TestUnknownProfileDenied: requesting a profile the registry does not

@@ -3,10 +3,10 @@ package edge
 // This file holds the protocol's message types; the hand-rolled codecs
 // in wire.go marshal them into frames. Requests have one type each; the
 // replies have two: ComputeReply answers every per-block op (the op table
-// in server.go) and SessionReply every other request. Only the opening's
-// two requests, the profile query and Setup, name a session: every later
-// frame on the connection is about the session its Setup registered. See
-// doc.go for the frame layout and the two phases.
+// in server.go) and SessionReply every other request. Only the profile
+// query names a session: Setup registers what it granted, and every later
+// frame on the connection is about that session. See doc.go for the frame
+// layout and the two phases.
 
 import (
 	"quhe/internal/he/ckks"
@@ -17,34 +17,27 @@ import (
 // KeyLen is the transciphering key length used by the runtime.
 const KeyLen = 8
 
-// SetupRequest registers a client session: its relinearization key and
-// the HE-encrypted transciphering key. The client's public key stays with
-// the client, which alone encrypts under it. Registering an ID that is
-// already live fails with serve.CodeDuplicateSession — key rotation must
-// use the explicit Rekey message instead. A refused Setup installs nothing
-// and the connection stays in its opening; an accepted one ends the
-// opening, and from then on the connection is the session: it lives as
-// long as the connection, and no frame can name it from another.
+// SetupRequest carries a session's keys: its relinearization key, the
+// HE-encrypted transciphering key and its blocks' nonce. It names no
+// session, profile or parameters: the server registers what the
+// connection's profile query granted, and closes a connection that sends
+// Setup with no grant. A refused Setup installs nothing and the opening
+// goes on; an accepted one ends it, and from then on the connection is the
+// session: it lives as long as the connection, and no frame can name it
+// from another.
 type SetupRequest struct {
-	SessionID string
-	// LogN/Depth guard against parameter mismatches between endpoints.
-	LogN, Depth int
-	RLK         *ckks.RelinKey
-	EncKey      []*ckks.Ciphertext
-	Nonce       []byte
-	// Profile is the security profile the session's key material was
-	// built for — what the pre-Setup profile query granted. Empty selects
-	// the server's default profile; a non-empty ID must be known to the
-	// server's registry and match LogN/Depth.
-	Profile string
+	RLK    *ckks.RelinKey
+	EncKey []*ckks.Ciphertext
+	Nonce  []byte
 }
 
 // ProfileRequest asks the server which security profile a new session
-// should run: the connection's first frame. The client sends it before
-// generating keys or drawing QKD key, so a plan-steered or downgraded
-// profile costs no wasted key generation, and a refused one spends no key.
-// Requested may be empty — "let the plan steer" — or a concrete profile
-// ID the client wants. An ID already live on the server is refused with
+// should run: the connection's first frame, and the only one naming the
+// session. The client sends it before generating keys or drawing QKD key,
+// so a plan-steered or downgraded profile costs no wasted key generation,
+// and a refused one spends no key. Requested may be empty — "let the plan
+// steer" — or a concrete profile ID the client wants. An empty SessionID
+// is refused with serve.CodeBadRequest, a live one with
 // serve.CodeDuplicateSession.
 type ProfileRequest struct {
 	SessionID string
@@ -59,9 +52,9 @@ type ProfileRequest struct {
 type SessionReply struct {
 	Code serve.Code
 	Err  string
-	// Profile is the granted profile of a profile query — which may be a
-	// downgrade of the request when the active plan refuses the requested
-	// level — and the profile a Setup registered the session on.
+	// Profile answers a profile query only: the granted profile, which may
+	// be a downgrade of the request when the active plan refuses the
+	// requested level.
 	Profile string
 	// Epoch is the session's key epoch after a Rekey (the new one).
 	Epoch uint64
@@ -79,9 +72,9 @@ type SessionReply struct {
 type ComputeRequest struct {
 	Block  uint32
 	Masked []float64
-	// Epoch is the key epoch the block was masked under. Zero skips the
-	// check; a stale nonzero epoch is rejected with
-	// serve.CodeRekeyRequired rather than transciphered into garbage.
+	// Epoch is the key epoch the block was masked under, 1 from Setup on.
+	// Any other epoch than the session's — zero included — is rejected
+	// with serve.CodeRekeyRequired rather than transciphered into garbage.
 	Epoch uint64
 	// Trace is the distributed-trace context the server re-parents its
 	// stage spans under: a fixed 16-byte field, zero when the block is

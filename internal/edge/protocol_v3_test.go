@@ -36,7 +36,7 @@ func TestPipelinedRepliesStreamOutOfOrder(t *testing.T) {
 
 	const n = 32
 	request := func(i int) func(b []byte) []byte {
-		req := &ComputeRequest{Block: uint32(i), Masked: p.mask(t, uint32(i), []float64{0.25})}
+		req := &ComputeRequest{Block: uint32(i), Epoch: 1, Masked: p.mask(t, uint32(i), []float64{0.25})}
 		return func(b []byte) []byte { return appendComputeRequest(b, req) }
 	}
 	release := parkFirstBlock(ctl, func() { p.send(t, frameCompute, 1, request(1)) })
@@ -196,7 +196,7 @@ func TestDialFailsAgainstForeignListener(t *testing.T) {
 }
 
 // TestStalePeersFailClosed: a connection that opens with anything but a
-// profile query or a Setup in the current frame version — a gob stream,
+// profile query in the current frame version — a gob stream,
 // the previous version's profile query, garbage, a well-formed session
 // frame, a profile query that does not decode — is closed without a
 // reply, registers nothing, reaches no worker, and is counted.
@@ -213,7 +213,7 @@ func TestStalePeersFailClosed(t *testing.T) {
 		"previous frame version": staleFrame(frameVersion-1, frameProfile),
 		"garbage":                bytes.Repeat([]byte{0x5a}, 2*frameHeaderLen),
 		"compute before Setup": buildFrame(t, frameCompute, 1, func(b []byte) []byte {
-			return appendComputeRequest(b, &ComputeRequest{Block: 1, Masked: []float64{0.5}})
+			return appendComputeRequest(b, &ComputeRequest{Block: 1, Epoch: 1, Masked: []float64{0.5}})
 		}),
 		"profile query with a trailing byte": buildFrame(t, frameProfile, 1, func(b []byte) []byte {
 			return append(appendProfileRequest(b, &ProfileRequest{SessionID: "eager"}), 0x3f)

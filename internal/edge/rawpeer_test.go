@@ -36,7 +36,8 @@ func newRawPeer(t testing.TB, seed int64) *rawPeer {
 	return newRawPeerOn(t, seed, profile.IDDefault)
 }
 
-// newRawPeerOn builds a raw peer whose keys and Setup are on profile id.
+// newRawPeerOn builds a raw peer whose keys and profile query are on
+// profile id.
 func newRawPeerOn(t testing.TB, seed int64, id string) *rawPeer {
 	t.Helper()
 	prof, ok := profile.Default().Get(id)
@@ -62,7 +63,7 @@ func newRawPeerOn(t testing.TB, seed int64, id string) *rawPeer {
 }
 
 // dial connects; the connection closes with the test. The peer is in its
-// opening until a Setup of its registers.
+// opening until a Setup after a granted query registers.
 func (p *rawPeer) dial(t testing.TB, addr string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -112,9 +113,23 @@ func (p *rawPeer) encKey(t testing.TB) []*ckks.Ciphertext {
 	return k
 }
 
-func (p *rawPeer) setupRequest(id string, encKey []*ckks.Ciphertext) *SetupRequest {
-	return &SetupRequest{SessionID: id, LogN: p.ctx.Params.LogN, Depth: p.ctx.Params.Depth,
-		RLK: p.rlk, EncKey: encKey, Nonce: p.nonce, Profile: p.prof}
+// setupRequest is a Setup of the peer's keys, encKey its transciphering
+// key.
+func (p *rawPeer) setupRequest(encKey []*ckks.Ciphertext) *SetupRequest {
+	return &SetupRequest{RLK: p.rlk, EncKey: encKey, Nonce: p.nonce}
+}
+
+// grant sends the profile query for session id, asking for the peer's
+// profile, which must be granted: the grant is what the connection's
+// next Setup registers.
+func (p *rawPeer) grant(t testing.TB, id string) {
+	t.Helper()
+	rep := p.session(t, frameProfile, func(b []byte) []byte {
+		return appendProfileRequest(b, &ProfileRequest{SessionID: id, Requested: p.prof})
+	})
+	if replyError(rep.Code, rep.Err) != nil || rep.Profile != p.prof {
+		t.Fatalf("profile query for %q on %s: %+v", id, p.prof, rep)
+	}
 }
 
 // session sends one session-lifecycle request of type ftype and returns
@@ -134,10 +149,11 @@ func (p *rawPeer) setup(t testing.TB, req *SetupRequest) *SessionReply {
 	return p.session(t, frameSetup, func(b []byte) []byte { return appendSetupRequest(b, req) })
 }
 
-// register completes a good Setup for session id.
+// register opens session id: its profile query, then a good Setup.
 func (p *rawPeer) register(t testing.TB, id string) {
 	t.Helper()
-	if rep := p.setup(t, p.setupRequest(id, p.encKey(t))); replyError(rep.Code, rep.Err) != nil {
+	p.grant(t, id)
+	if rep := p.setup(t, p.setupRequest(p.encKey(t))); replyError(rep.Code, rep.Err) != nil {
 		t.Fatalf("setup of %q refused: %+v", id, rep)
 	}
 }

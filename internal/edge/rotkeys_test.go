@@ -70,8 +70,9 @@ func TestRotKeysUploadRefusals(t *testing.T) {
 	p := newRawPeer(t, 211)
 	p.dial(t, srv.Addr())
 	wrong := p.wrongWidth(t, 219)
+	p.grant(t, "refusals")
 	for name, kg := range wrong {
-		req := p.setupRequest("refusals", p.encKey(t))
+		req := p.setupRequest(p.encKey(t))
 		req.RLK = kg.GenRelinKey(p.sk)
 		if rep := p.setup(t, req); rep.Code != serve.CodeParamMismatch || !strings.Contains(rep.Err, "relinearization key") {
 			t.Errorf("setup with a relinearization key %s: reply %+v, want CodeParamMismatch", name, rep)
@@ -130,9 +131,7 @@ func TestInterruptedRotKeysUpload(t *testing.T) {
 	srv := startServer(t, Model{Weights: []float64{1}, Matrix: testMatrix, MatrixBias: testMatrixBias})
 	p := newRawPeer(t, 221)
 	p.dial(t, srv.Addr())
-	if rep := p.setup(t, p.setupRequest("interrupted", p.encKey(t))); replyError(rep.Code, rep.Err) != nil {
-		t.Fatalf("setup: %+v", rep)
-	}
+	p.register(t, "interrupted")
 	keys := p.rotKeys(223, len(testMatrix))
 	for _, req := range keys[:len(keys)-1] {
 		if rep := p.uploadKey(t, req); replyError(rep.Code, rep.Err) != nil {
@@ -145,9 +144,7 @@ func TestInterruptedRotKeysUpload(t *testing.T) {
 	q := *p
 	q.buf = nil
 	q.dial(t, srv.Addr())
-	if rep := q.setup(t, q.setupRequest("interrupted", q.encKey(t))); replyError(rep.Code, rep.Err) != nil {
-		t.Fatalf("setup after the drop: %+v", rep)
-	}
+	q.register(t, "interrupted")
 	sess, _ := srv.store.Peek("interrupted")
 	if sess.RotKeys() != nil {
 		t.Fatal("an interrupted upload was installed")

@@ -259,12 +259,15 @@ type connState struct {
 	// and the reply writer's op replies.
 	fw *frameWriter
 
-	// sess is the session the connection's Setup registered, nil until
-	// then: the one session its frames act on, and the one its teardown
-	// removes from the store. rotKeys is its rotation-key upload in
-	// progress: the keys accepted so far, installed on the session as one
-	// set once they cover its matvec plan. Only the decode loop touches
-	// either, so a partial set dies with the connection.
+	// grantID and grant are the last granted profile query's session ID
+	// and profile, what Setup registers. sess is the session it registered,
+	// nil until then: the one session its frames act on, and the one its
+	// teardown removes from the store. rotKeys is its rotation-key upload
+	// in progress, installed on the session as one set once it covers the
+	// matvec plan. Only the decode loop touches these, so a partial set
+	// dies with the connection.
+	grantID string
+	grant   *profile.Profile
 	sess    *serve.Session
 	rotKeys *ckks.GaloisKeySet
 }
@@ -671,12 +674,12 @@ func (s *Server) recv(br *bufio.Reader, buf *[]byte) (byte, uint64, []byte, erro
 // under one openingTimeout deadline. A refused Setup installs nothing and
 // the opening goes on; it ends, true, when a Setup registers the
 // connection's session. Anything else ends the connection: a read error,
-// the deadline, a payload that does not decode or a session frame before
-// Setup. A peer whose first frame is not an opening frame of this version —
-// a retired gob client, an older framed client, a port scanner — is
-// counted as a protocol mismatch and closed without a reply, before it can
-// register a session or reach a worker: the version names the whole wire
-// format, so there is nothing to negotiate.
+// the deadline, a payload that does not decode, a session frame or a
+// Setup without a grant. A peer whose first frame is not a profile query
+// of this version — a retired gob client, an older framed client, a port
+// scanner — is counted as a protocol mismatch and closed without a reply,
+// before it can register a session or reach a worker: the version names
+// the whole wire format, so there is nothing to negotiate.
 func (s *Server) open(conn net.Conn, br *bufio.Reader, buf *[]byte, cs *connState) bool {
 	conn.SetReadDeadline(time.Now().Add(openingTimeout))
 	for first := true; cs.sess == nil; first = false {
@@ -685,7 +688,7 @@ func (s *Server) open(conn net.Conn, br *bufio.Reader, buf *[]byte, cs *connStat
 		if err == nil {
 			switch ftype {
 			case frameProfile:
-				rep, err = s.handleProfile(payload)
+				rep, err = s.handleProfile(cs, payload)
 			case frameSetup:
 				rep, err = s.handleSetup(cs, payload)
 			default:
@@ -789,18 +792,21 @@ func refuse(code serve.Code, detail string) (*SessionReply, error) {
 	return &SessionReply{Code: code, Err: detail}, nil
 }
 
-// handleProfile resolves a profile query of the opening: an ID already
-// live in the store is refused as a duplicate before the client spends
-// key generation or QKD key on it (Setup checks again, for a race); the
-// control plane's per-route λ plan steers empty requests and may downgrade
-// or deny concrete ones; without a controller the server grants any
-// profile its registry knows (empty resolving to the default). Every
-// session handler decodes its own payload; a decode failure is a protocol
-// violation.
-func (s *Server) handleProfile(payload []byte) (*SessionReply, error) {
+// handleProfile resolves a profile query of the opening into the grant
+// Setup registers. An empty ID is a bad request, and one already live in
+// the store a duplicate, refused before the client spends key generation
+// or QKD key on it (Setup checks again, for a race); the control plane's
+// per-route λ plan steers empty requests and may downgrade or deny
+// concrete ones; without a controller the server grants any profile its
+// registry knows (empty resolving to the default). Every session handler
+// decodes its own payload; a decode failure is a protocol violation.
+func (s *Server) handleProfile(cs *connState, payload []byte) (*SessionReply, error) {
 	req, err := decodeProfileRequest(payload)
 	if err != nil {
 		return nil, err
+	}
+	if req.SessionID == "" {
+		return refuse(serve.CodeBadRequest, "empty session id")
 	}
 	if _, live := s.store.Peek(req.SessionID); live {
 		return refuse(serve.CodeDuplicateSession, fmt.Sprintf("session %q already registered", req.SessionID))
@@ -816,13 +822,15 @@ func (s *Server) handleProfile(payload []byte) (*SessionReply, error) {
 	} else if granted == "" {
 		granted = s.reg.DefaultID()
 	}
-	if _, ok := s.reg.Get(granted); !ok {
+	prof, ok := s.reg.Get(granted)
+	if !ok {
 		return refuse(serve.CodeProfileDenied, fmt.Sprintf("security profile %q not served here", granted))
 	}
 	if granted != req.Requested && req.Requested != "" {
 		s.cfg.Logf("edge: session %q profile %q downgraded to %q per plan",
 			req.SessionID, req.Requested, granted)
 	}
+	cs.grantID, cs.grant = req.SessionID, prof
 	return &SessionReply{Profile: granted}, nil
 }
 
@@ -844,54 +852,37 @@ func (s *Server) lookupSession(cs *connState) (*serve.Session, *profileRuntime, 
 	return sess, rt, serve.CodeOK, ""
 }
 
-// handleSetup registers the connection's session from a Setup of the
-// opening, validating everything it carries first.
+// handleSetup registers the connection's grant, validating the keys the
+// Setup carries first; a Setup with no grant is a protocol violation.
 func (s *Server) handleSetup(cs *connState, payload []byte) (*SessionReply, error) {
+	if cs.grant == nil {
+		return nil, fmt.Errorf("%w: Setup before a granted profile query", ErrBadFrame)
+	}
 	req, err := decodeSetupRequest(payload)
 	if err != nil {
 		return nil, err
 	}
-	profID := req.Profile
-	if profID == "" {
-		profID = s.reg.DefaultID()
-	}
-	prof, ok := s.reg.Get(profID)
-	if !ok {
-		return refuse(serve.CodeProfileDenied, fmt.Sprintf("security profile %q not served here", profID))
-	}
-	if req.LogN != prof.Params.LogN || req.Depth != prof.Params.Depth {
-		return refuse(serve.CodeParamMismatch,
-			fmt.Sprintf("parameter mismatch: client logN=%d depth=%d, profile %s logN=%d depth=%d",
-				req.LogN, req.Depth, profID, prof.Params.LogN, prof.Params.Depth))
-	}
-	if req.SessionID == "" || req.RLK == nil || len(req.EncKey) != KeyLen {
-		return refuse(serve.CodeBadRequest, "incomplete setup")
-	}
+	id, prof := cs.grantID, cs.grant
 	ctl := s.cfg.Control
-	if ctl != nil && req.Profile != "" {
-		// Re-check the declared profile against the *current* plan: the
-		// pre-Setup query is advisory, so without this a client could
-		// skip (or ignore) the negotiation and register above the
-		// route's planned λ. A grant that the plan has since moved below
-		// is denied typed; the client renegotiates and redials.
-		granted, err := ctl.NegotiateProfile(req.SessionID, req.Profile)
+	if ctl != nil {
+		// A replan since the query may have moved the route's λ below the
+		// grant: a stale grant is denied typed, and the client redials.
+		granted, err := ctl.NegotiateProfile(id, prof.ID)
 		if err != nil {
 			return refuse(serve.CodeOf(err), controlDetail(err))
 		}
-		if granted != req.Profile {
+		if granted != prof.ID {
 			return refuse(serve.CodeProfileDenied,
-				fmt.Sprintf("profile %q not allowed on this route (plan wants %q); renegotiate", req.Profile, granted))
+				fmt.Sprintf("profile %q not allowed on this route (plan wants %q); renegotiate", prof.ID, granted))
 		}
-	}
-	if ctl != nil {
-		if err := ctl.AdmitSession(req.SessionID, s.store.Len()); err != nil {
-			s.cfg.Logf("edge: session %q not admitted: %v", req.SessionID, err)
+		if err := ctl.AdmitSession(id, s.store.Len()); err != nil {
+			s.cfg.Logf("edge: session %q not admitted: %v", id, err)
 			return refuse(serve.CodeOf(err), controlDetail(err))
 		}
 	}
 	// Materialize the profile's runtime before registering, so the first
 	// compute never pays context construction on the hot path.
-	rt, err := s.runtime(profID)
+	rt, err := s.runtime(prof.ID)
 	if err != nil {
 		return refuse(serve.CodeInternal, "profile runtime: "+err.Error())
 	}
@@ -910,19 +901,19 @@ func (s *Server) handleSetup(cs *connState, payload []byte) (*SessionReply, erro
 	if err := rt.cipher.InstallKey(req.EncKey); err != nil {
 		return refuse(serve.CodeBadRequest, "transciphering key: "+err.Error())
 	}
-	sess := serve.NewSession(req.SessionID, profID, nil, req.RLK, req.EncKey, req.Nonce)
+	sess := serve.NewSession(id, prof.ID, nil, req.RLK, req.EncKey, req.Nonce)
 	if err := s.store.Register(sess); err != nil {
 		return refuse(serve.CodeOf(err),
-			fmt.Sprintf("session %q already registered (rekey instead of re-registering)", req.SessionID))
+			fmt.Sprintf("session %q already registered (rekey instead of re-registering)", id))
 	}
 	cs.sess = sess
 	if ctl != nil {
-		ctl.ObserveSession(req.SessionID, profID)
+		ctl.ObserveSession(id, prof.ID)
 	}
-	s.cfg.Logf("edge: session %q registered on %s (%d resident)", req.SessionID, profID, s.store.Len())
+	s.cfg.Logf("edge: session %q registered on %s (%d resident)", id, prof.ID, s.store.Len())
 	// MatVecDim tells the client which rotation keys the matvec kernel
 	// needs (ckks.BSGSRotations of this dimension); zero = no matrix here.
-	return &SessionReply{Profile: profID, MatVecDim: len(s.cfg.Model.Matrix)}, nil
+	return &SessionReply{MatVecDim: len(s.cfg.Model.Matrix)}, nil
 }
 
 // checkNonce holds a Setup or Rekey nonce to the cipher's exact length: the
@@ -954,9 +945,6 @@ func (s *Server) handleRekey(cs *connState, payload []byte) (*SessionReply, erro
 	sess, rt, code, detail := s.lookupSession(cs)
 	if code != serve.CodeOK {
 		return refuse(code, detail)
-	}
-	if len(req.EncKey) != KeyLen {
-		return refuse(serve.CodeBadRequest, "incomplete rekey")
 	}
 	if detail := checkNonce(req.Nonce); detail != "" {
 		return refuse(serve.CodeBadRequest, detail)
@@ -1205,7 +1193,7 @@ func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *ser
 			fmt.Sprintf("block of %d slots exceeds %d", len(masked), rt.cipher.Slots())
 	}
 	encKey, nonce, epoch := sess.Keys()
-	if reqEpoch != 0 && reqEpoch != epoch {
+	if reqEpoch != epoch {
 		return nil, 0, 0, serve.CodeRekeyRequired,
 			fmt.Sprintf("block masked under key epoch %d, session at %d", reqEpoch, epoch)
 	}

@@ -98,7 +98,7 @@ func TestServedComputeAllocs(t *testing.T) {
 	p := newRawPeer(t, 11)
 	p.dial(t, srv.Addr())
 	p.register(t, "allocs")
-	req := &ComputeRequest{Block: 1, Masked: p.mask(t, 1, []float64{0.5})}
+	req := &ComputeRequest{Block: 1, Epoch: 1, Masked: p.mask(t, 1, []float64{0.5})}
 	frame := buildFrame(t, frameCompute, 7, func(b []byte) []byte { return appendComputeRequest(b, req) })
 	roundTrip := func() {
 		if _, err := p.conn.Write(frame); err != nil {

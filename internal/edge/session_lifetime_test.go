@@ -141,7 +141,7 @@ func TestOpeningEndsAtSetup(t *testing.T) {
 		{"profile query", frameProfile, func(b []byte) []byte {
 			return appendProfileRequest(b, &ProfileRequest{SessionID: "again"})
 		}},
-		{"setup", frameSetup, func(b []byte) []byte { return appendSetupRequest(b, p.setupRequest("again", p.encKey(t))) }},
+		{"setup", frameSetup, func(b []byte) []byte { return appendSetupRequest(b, p.setupRequest(p.encKey(t))) }},
 	}
 	for _, l := range late {
 		p.dial(t, srv.Addr())

@@ -71,7 +71,7 @@ func TestStalledReaderDoesNotPinWorkers(t *testing.T) {
 			p.register(t, "staller")
 			frames := make([][]byte, n)
 			for i := range frames {
-				req := &ComputeRequest{Block: uint32(i), Masked: p.mask(t, uint32(i), data)}
+				req := &ComputeRequest{Block: uint32(i), Epoch: 1, Masked: p.mask(t, uint32(i), data)}
 				frames[i] = buildFrame(t, frameCompute, uint64(10+i), func(b []byte) []byte { return appendComputeRequest(b, req) })
 			}
 			// Never read a byte again. Each write waits until the server

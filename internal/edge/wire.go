@@ -57,15 +57,16 @@ const (
 	// overlapping offsets, 10 the last with depth-4 chains, 11 the last
 	// with switching keys over the whole chain and affine replies at
 	// level 1, 12 the last with session resume, 13 the last with a hello
-	// and a session ID in every session frame.)
-	frameVersion = 14
+	// and a session ID in every session frame, 14 the last with a session
+	// ID, parameters and a profile in Setup.)
+	frameVersion = 15
 
 	frameHeaderLen = 16
 
 	// maxFramePayload bounds a frame so a corrupt or hostile length field
 	// cannot force a huge allocation, and it is also the largest frame
 	// buffer the pool keeps. Every legal frame fits whatever the model: the
-	// largest is a λ-128k Setup (2,490,653 payload bytes, mostly its
+	// largest is a λ-128k Setup (2,490,562 payload bytes, mostly its
 	// relinearization key), then a λ-128k Rekey (2,097,276), then one
 	// λ-128k rotation key (196,682) — rotation keys travel one per frame,
 	// so the model dimension sets the number of RotKeys frames, not their
@@ -470,35 +471,22 @@ func (r *wireReader) ciphertexts(max int) []*ckks.Ciphertext {
 }
 
 func appendSetupRequest(b []byte, req *SetupRequest) []byte {
-	b = growFrame(b, bytesSize(req.SessionID)+4+4+req.RLK.BinarySize()+
-		ciphertextsSize(req.EncKey)+bytesSize(req.Nonce)+bytesSize(req.Profile))
-	b = appendString(b, req.SessionID)
-	b = binary.LittleEndian.AppendUint32(b, uint32(req.LogN))
-	b = binary.LittleEndian.AppendUint32(b, uint32(req.Depth))
+	b = growFrame(b, req.RLK.BinarySize()+ciphertextsSize(req.EncKey)+bytesSize(req.Nonce))
 	b = req.RLK.AppendBinary(b)
 	b = appendCiphertexts(b, req.EncKey)
-	b = appendBytes(b, req.Nonce)
-	return appendString(b, req.Profile)
+	return appendBytes(b, req.Nonce)
 }
 
 func decodeSetupRequest(p []byte) (*SetupRequest, error) {
 	r := &wireReader{b: p}
-	req := &SetupRequest{
-		SessionID: r.str(),
-		LogN:      int(r.u32()),
-		Depth:     int(r.u32()),
-		RLK:       new(ckks.RelinKey),
-	}
-	if r.err == nil {
-		if n, err := req.RLK.DecodeFrom(r.b); err != nil {
-			r.fail()
-		} else {
-			r.b = r.b[n:]
-		}
+	req := &SetupRequest{RLK: new(ckks.RelinKey)}
+	if n, err := req.RLK.DecodeFrom(r.b); err != nil {
+		r.fail()
+	} else {
+		r.b = r.b[n:]
 	}
 	req.EncKey = r.ciphertexts(maxWireEncKey)
 	req.Nonce = r.bytes()
-	req.Profile = r.str()
 	if err := r.finish(); err != nil {
 		return nil, err
 	}

@@ -140,8 +140,7 @@ func sampleOf[M any](name string, msg *M, appendMsg func([]byte, *M) []byte, fty
 // type. Key and ciphertext fields carry p's real material.
 func codecSamples(t testing.TB, p *rawPeer) []codecSample {
 	t.Helper()
-	setup := p.setupRequest("setup", p.encKey(t))
-	setup.Profile = "p"
+	setup := p.setupRequest(p.encKey(t))
 	tc := obs.TraceContext{TraceID: 0xabcdef, Parent: 0x123456, Sampled: true}
 	return []codecSample{
 		sampleOf("setup request", setup, appendSetupRequest, frameSetup),
@@ -359,7 +358,7 @@ func FuzzFrameDecode(f *testing.F) {
 	// on the wire, refused at install (see TestInstallValidation).
 	p := newRawPeer(f, 311)
 	f.Add(buildFrame(f, frameSetup, 13, func(b []byte) []byte {
-		req := p.setupRequest("fuzz", p.encKey(f))
+		req := p.setupRequest(p.encKey(f))
 		req.RLK = &ckks.RelinKey{QP: req.RLK.QP, Seed: req.RLK.Seed, Parts: req.RLK.Parts[:1]}
 		return appendSetupRequest(b, req)
 	}))
@@ -370,9 +369,9 @@ func FuzzFrameDecode(f *testing.F) {
 			f.Add(buildFrame(f, ftype, 15, func(b []byte) []byte { return append(b, c.enc...) }))
 		}
 	}
-	// What version 14 retired must fail typed: a frame in the previous
-	// version, a frame type past the last one, and a session frame whose
-	// payload still opens with the retired session ID.
+	// What versions 14 and 15 retired must fail typed: a frame in the
+	// previous version, a frame type past the last one, and a session frame
+	// or a Setup whose payload still opens with the retired session ID.
 	previous := buildFrame(f, frameProfile, 16, func(b []byte) []byte {
 		return appendProfileRequest(b, &ProfileRequest{SessionID: "s"})
 	})
@@ -381,6 +380,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(buildFrame(f, frameSessionReply+1, 17, func(b []byte) []byte { return appendString(b, "s") }))
 	f.Add(buildFrame(f, frameRekey, 18, func(b []byte) []byte {
 		return appendRekeyRequest(appendString(b, "s"), &RekeyRequest{EncKey: p.encKey(f), Nonce: make([]byte, 12)})
+	}))
+	f.Add(buildFrame(f, frameSetup, 19, func(b []byte) []byte {
+		return appendSetupRequest(appendString(b, "s"), p.setupRequest(p.encKey(f)))
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -17,7 +17,9 @@
 // NewRegistry refuses a profile shallower than that. Contexts are built
 // lazily and cached per profile — prime search and NTT-table construction
 // happen once per process, and every server, client and worker pool over
-// the same profile shares one immutable context.
+// the same profile shares one immutable context. A session's profile
+// crosses the wire once, as the ID its profile query is granted; its
+// parameters never do.
 //
 // This package is the one place a served block is priced. BlockCycles is
 // an a·L·N·log2(N) model of the per-limb NTT-bound work — the
@@ -45,9 +47,9 @@ import (
 )
 
 // Built-in profile IDs, ordered by ascending security level. IDDefault is
-// the profile every peer that skips profile negotiation is pinned to;
-// both endpoints derive identical parameters from it, so key material and
-// ciphertexts line up without carrying parameters on the wire.
+// the profile an empty request is granted when no plan steers it. Both
+// endpoints derive identical parameters from a profile ID, so key material
+// and ciphertexts line up without carrying parameters on the wire.
 const (
 	IDLambda32k  = "lambda-32k"
 	IDLambda64k  = "lambda-64k"

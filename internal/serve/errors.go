@@ -19,8 +19,8 @@ const (
 	CodeOK Code = iota
 	// CodeBadRequest rejects malformed or incomplete requests.
 	CodeBadRequest
-	// CodeParamMismatch rejects sessions whose CKKS parameters differ from
-	// the server's.
+	// CodeParamMismatch rejects a switching key whose shape does not fit
+	// the session profile's ring at the level the server switches it at.
 	CodeParamMismatch
 	// CodeUnknownSession rejects operations on a session the request's
 	// connection did not register, or one that is gone (evicted, or its

@@ -109,6 +109,9 @@ var retiredNames = []retiredRow{
 	{name: "count a block once", pattern: `SLOTracker|SLOSet|DefaultSLOWindows|quhe_slo_|/debug/slo|sloObjective|sloLatencyTarget|evalHists`,
 		paths: []string{"*.go", "README.md"}, exclude: notBench,
 		why: "a computed block lands once in quhe_serve_compute_total and once in its profile's quhe_eval_seconds, held on the profile's runtime; objectives are expressions over those, so the tracker plane, its page and the second histogram map stay retired"},
+	{name: "the grant is the session", pattern: `incomplete setup|incomplete rekey|parameter mismatch: client logN`,
+		paths: []string{"*.go", "README.md"}, exclude: notBench,
+		why: "Setup carries only keys and registers the profile query's grant, so no server code checks a session ID, profile, LogN or Depth a client declared; the query refuses an empty ID, and InstallKey refuses a key of the wrong length"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
