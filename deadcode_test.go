@@ -21,10 +21,11 @@ import (
 // with the reason it stays. Keys read pkg.Name or pkg.Recv.Name. An entry
 // is a root of the scan, so what it calls needs no entry of its own.
 var productionAllowlist = map[string]string{
-	"ckks.MatVecPlan.Dim":       "CKKS op API: the dimension a plan was built for, which sizes its rotation keys",
-	"edge.Server.DebugAddr":     "operator API: with DebugAddr \":0\" it is the only way to learn the debug plane's port",
-	"ring.Modulus.LazySumTerms": "the lazy-sum bound the ring and ckks tests size their worst cases by",
-	"mathutil.VecApproxEqual":   "comparison helper the mathutil and optimize tests share",
+	"ckks.MatVecPlan.Dim":        "CKKS op API: the dimension a plan was built for, which sizes its rotation keys",
+	"ckks.Encoder.EncodeAtLevel": "CKKS op API: the complex-slot encode, which the transcipher kernel's oracle in another package's tests encodes its complex rows with; the served paths fill the transform's input themselves (EncodeRealAtLevel, EncodeRealCoeffs)",
+	"edge.Server.DebugAddr":      "operator API: with DebugAddr \":0\" it is the only way to learn the debug plane's port",
+	"ring.Modulus.LazySumTerms":  "the lazy-sum bound the ring and ckks tests size their worst cases by",
+	"mathutil.VecApproxEqual":    "comparison helper the mathutil and optimize tests share",
 }
 
 // fieldAllowlist names the exported fields of …Config and …Options structs

@@ -594,8 +594,8 @@ func (c *Client) mask(block uint32, data, dst []float64) ([]float64, uint64, err
 }
 
 // decodeBuf is one decryption's working set: the plaintext a reply
-// decrypts into and the FFT space it decodes through. Both are sized on
-// use, so one pool serves clients of every profile.
+// decrypts into and the FFT space (N/2 entries) it decodes through. Both
+// are sized on use, so one pool serves clients of every profile.
 type decodeBuf struct {
 	pt   ckks.Plaintext
 	work []complex128
@@ -622,7 +622,7 @@ func (c *Client) decrypt(ct *ckks.Ciphertext, n int) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("edge: decrypt: %w", err)
 	}
-	size := c.ctx.Params.N()
+	size := c.ctx.Params.Slots()
 	if cap(buf.work) < size {
 		buf.work = make([]complex128, size)
 	}

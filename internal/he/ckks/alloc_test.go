@@ -29,12 +29,11 @@ func (e *Encoder) EncodeReal(values []float64, scale float64) (*Plaintext, error
 
 // Decode recovers the complex slot vector, dividing by the scale.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
-	u := make([]complex128, e.ctx.Params.N())
-	e.spectrum(pt, u)
 	out := make([]complex128, e.ctx.Params.Slots())
+	e.decode(pt, out)
 	inv := complex(1/pt.Scale, 0)
 	for j := range out {
-		out[j] = u[e.pos[j]] * inv
+		out[j] *= inv
 	}
 	return out
 }

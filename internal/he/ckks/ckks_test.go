@@ -656,7 +656,7 @@ func TestDecryptDecodeIntoMatchesAllocating(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pt Plaintext
-	work := make([]complex128, ctx.Params.N())
+	work := make([]complex128, ctx.Params.Slots())
 	out := make([]float64, ctx.Params.Slots())
 	for _, ct := range []*Ciphertext{top, low, top} {
 		want := ev.Decrypt(sk, ct)

@@ -3,13 +3,13 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 )
 
 // Encoder maps complex slot vectors to ring plaintexts through the
-// canonical embedding: a message z ∈ C^{N/2} is interpolated at the
-// primitive 2N-th roots of unity (with conjugate symmetry so coefficients
-// come out real), scaled by Δ and rounded.
+// canonical embedding: slot j of a plaintext m holds m(ζ^(5^j mod 2N)),
+// ζ = exp(iπ/N), divided by the scale Δ; encoding scales by Δ and rounds.
 //
 // Slots follow the Galois orbit ordering: slot j sits at the root
 // ζ^(5^j mod 2N), not ζ^(2j+1). Since 5 generates the rotation subgroup
@@ -22,88 +22,142 @@ import (
 // transciphering) are ordering-agnostic; the ordering is internal and
 // both endpoints derive it identically.
 //
+// The transform is half length. Since 5^j ≡ 1 mod 4, X^{N/2} evaluates
+// to i^(5^j) = i in every slot, so m(ζ^(5^j)) = Σ_{k<N/2} (c_k +
+// i·c_{k+N/2})·ζ^(5^j·k): one N/2-point "special" FFT over the orbit maps
+// the coefficient pairs to the slots. Encoding runs it inverse and reads
+// coefficients 0…N/2−1 from the real parts, N/2…N−1 from the imaginary
+// ones; decoding runs it forward. Its tables belong to the Context (built
+// once by NewContext and carried over by WithKeyLevels), so an encoder is
+// the context alone.
+//
 // Encoders are immutable and safe for concurrent use.
 type Encoder struct {
 	ctx *Context
-	// twiddles for the length-N complex FFT.
-	wFwd, wInv []complex128
-	// zetaFwd[k] = ζ^k, zetaInv[k] = ζ^{−k} with ζ = exp(iπ/N).
-	zetaFwd, zetaInv []complex128
-	// pos[j] = ((5^j mod 2N) − 1)/2: the natural-order index of slot j's
-	// root, the scatter/gather layer that turns σ_5-orbit rotations into
-	// cyclic slot shifts.
-	pos []int
 }
 
 // NewEncoder builds an encoder for the context.
-func NewEncoder(ctx *Context) *Encoder {
-	n := ctx.Params.N()
-	e := &Encoder{
-		ctx:     ctx,
-		wFwd:    make([]complex128, n/2),
-		wInv:    make([]complex128, n/2),
-		zetaFwd: make([]complex128, n),
-		zetaInv: make([]complex128, n),
-		pos:     make([]int, n/2),
+func NewEncoder(ctx *Context) *Encoder { return &Encoder{ctx: ctx} }
+
+// specialFFT holds the tables of the N/2-point special FFT. Stage h of
+// the forward transform (h = 1, 2, …, N/4: butterflies h apart) multiplies
+// by exp(2πi·(5^j mod 8h)/8h), j < h; fwd holds those twiddles stage by
+// stage in the order the Cooley–Tukey loop reads them, inv their
+// conjugates in the order of the Gentleman–Sande loop (h = N/4, …, 1).
+// rev is the bit-reversal permutation of N/2 indices. Read-only.
+type specialFFT struct {
+	fwd, inv []complex128
+	rev      []uint32
+}
+
+func newSpecialFFT(slots int) *specialFFT {
+	f := &specialFFT{
+		fwd: make([]complex128, 0, slots),
+		inv: make([]complex128, 0, slots),
+		rev: make([]uint32, slots),
 	}
-	for i := 0; i < n/2; i++ {
-		ang := 2 * math.Pi * float64(i) / float64(n)
-		e.wFwd[i] = cmplx.Exp(complex(0, ang))
-		e.wInv[i] = cmplx.Exp(complex(0, -ang))
+	for h := 1; h < slots; h <<= 1 {
+		for j, pow5 := 0, 1; j < h; j, pow5 = j+1, pow5*5%(8*h) {
+			f.fwd = append(f.fwd, cmplx.Rect(1, 2*math.Pi*float64(pow5)/float64(8*h)))
+		}
 	}
-	for k := 0; k < n; k++ {
-		ang := math.Pi * float64(k) / float64(n)
-		e.zetaFwd[k] = cmplx.Exp(complex(0, ang))
-		e.zetaInv[k] = cmplx.Exp(complex(0, -ang))
+	for h := slots / 2; h >= 1; h >>= 1 {
+		for _, w := range f.fwd[h-1 : 2*h-1] {
+			f.inv = append(f.inv, cmplx.Conj(w))
+		}
 	}
-	pow5 := uint64(1)
-	mask := uint64(2*n - 1)
-	for j := 0; j < n/2; j++ {
-		e.pos[j] = int((pow5 - 1) >> 1)
-		pow5 = (pow5 * 5) & mask
+	shift := 32 - bits.Len(uint(slots-1))
+	for k := range f.rev {
+		f.rev[k] = bits.Reverse32(uint32(k)) >> shift
 	}
-	return e
+	return f
+}
+
+// forward runs the Cooley–Tukey stages over a, which holds the coefficient
+// pairs c_k + i·c_{k+N/2} at rev[k]; it leaves slot j's value at a[j].
+func (f *specialFFT) forward(a []complex128) {
+	w := f.fwd
+	for h := 1; h < len(a); h <<= 1 {
+		tw := w[:h]
+		w = w[h:]
+		for i := 0; i < len(a); i += 2 * h {
+			x, y := a[i:i+h], a[i+h:i+2*h]
+			x, y = x[:len(tw)], y[:len(tw)]
+			for j, wj := range tw {
+				u, v := x[j], y[j]*wj
+				x[j], y[j] = u+v, u-v
+			}
+		}
+	}
+}
+
+// inverse runs the Gentleman–Sande stages over the slot vector a; it
+// leaves N/2 times the coefficient pair c_k + i·c_{k+N/2} at a[rev[k]].
+func (f *specialFFT) inverse(a []complex128) {
+	w := f.inv
+	for h := len(a) / 2; h >= 1; h >>= 1 {
+		tw := w[:h]
+		w = w[h:]
+		for i := 0; i < len(a); i += 2 * h {
+			x, y := a[i:i+h], a[i+h:i+2*h]
+			x, y = x[:len(tw)], y[:len(tw)]
+			for j, wj := range tw {
+				u, v := x[j], y[j]
+				x[j], y[j] = u+v, (u-v)*wj
+			}
+		}
+	}
 }
 
 // EncodeAtLevel embeds values at an explicit level of the modulus chain.
 func (e *Encoder) EncodeAtLevel(values []complex128, scale float64, level int) (*Plaintext, error) {
-	n := e.ctx.Params.N()
-	slots := e.ctx.Params.Slots()
-	if len(values) > slots {
-		return nil, fmt.Errorf("ckks: %d values exceed %d slots", len(values), slots)
+	work := make([]complex128, e.ctx.Params.Slots())
+	if len(values) > len(work) {
+		return nil, fmt.Errorf("ckks: %d values exceed %d slots", len(values), len(work))
 	}
+	copy(work, values)
+	return e.plaintext(work, scale, level)
+}
+
+// EncodeRealAtLevel encodes real values at an explicit level.
+func (e *Encoder) EncodeRealAtLevel(values []float64, scale float64, level int) (*Plaintext, error) {
+	work := make([]complex128, e.ctx.Params.Slots())
+	if len(values) > len(work) {
+		return nil, fmt.Errorf("ckks: %d values exceed %d slots", len(values), len(work))
+	}
+	for j, v := range values {
+		work[j] = complex(v, 0)
+	}
+	return e.plaintext(work, scale, level)
+}
+
+// plaintext encodes the slot vector in work (overwritten) at the level.
+func (e *Encoder) plaintext(work []complex128, scale float64, level int) (*Plaintext, error) {
 	if level < 0 || level > e.ctx.MaxLevel() {
 		return nil, fmt.Errorf("ckks: level %d outside [0, %d]", level, e.ctx.MaxLevel())
 	}
 	if scale <= 0 {
 		scale = e.ctx.Params.Scale()
 	}
-	// Conjugate-symmetric extension in orbit order: slot j's value lands
-	// at natural index pos[j] (root ζ^(5^j)), its conjugate at the
-	// mirrored index N−1−pos[j] (root ζ^(2N−5^j)).
-	u := make([]complex128, n)
-	for j, z := range values {
-		k := e.pos[j]
-		u[k] = z
-		u[n-1-k] = cmplx.Conj(z)
-	}
-	coeffs := make([]int64, n)
-	e.interpolate(u, scale, coeffs)
+	coeffs := make([]int64, e.ctx.Params.N())
+	e.encode(work, scale, coeffs)
 	pt := &Plaintext{Value: e.ctx.Tower.NewPoly(level + 1), Scale: scale, Level: level}
 	e.ctx.Tower.FromInt64Into(coeffs, pt.Value)
 	return pt, nil
 }
 
-// interpolate turns the conjugate-symmetric slot layout u (overwritten)
-// into integer coefficients: c_k = Δ · ζ^{−k} · IDFT(u)_k (real by
-// symmetry), rounded once; callers reduce them into whichever limbs they
-// need.
-func (e *Encoder) interpolate(u []complex128, scale float64, coeffs []int64) {
-	fft(u, e.wInv)
-	inv := 1 / float64(len(u))
-	for k := range coeffs {
-		c := real(u[k]*e.zetaInv[k]) * inv * scale
-		coeffs[k] = int64(math.Round(c))
+// encode turns the slot vector in work (N/2 entries, overwritten) into
+// the N integer coefficients round(scale·c_k), rounded once; callers
+// reduce them into whichever limbs they need.
+func (e *Encoder) encode(work []complex128, scale float64, coeffs []int64) {
+	f := e.ctx.fft
+	f.inverse(work)
+	s := scale / float64(len(work))
+	lo, hi := coeffs[:len(f.rev)], coeffs[len(f.rev):]
+	for k, r := range f.rev {
+		c := work[r]
+		lo[k] = int64(math.Round(real(c) * s))
+		hi[k] = int64(math.Round(imag(c) * s))
 	}
 }
 
@@ -112,27 +166,24 @@ func (e *Encoder) interpolate(u []complex128, scale float64, coeffs []int64) {
 // (Evaluator.LinearFormInto, Evaluator.TrivialSubInto): it writes the N
 // rounded integer coefficients of the encoding of the slot vector
 // values + i·imag at the given scale (≤ 0 selects the default Δ) into
-// coeffs, using work as FFT space. imag may be nil (a real vector) and
-// either row may be shorter than the other; missing entries are zero.
-// Both buffers must hold N entries and belong to the caller — the
-// encoder itself stays immutable. The coefficients are level-independent:
-// reducing them into limbs 0..ℓ gives exactly EncodeAtLevel's plaintext
-// of complex(values[j], imag[j]) at level ℓ.
+// coeffs, using work (N/2 entries) as FFT space. imag may be nil (a real
+// vector) and either row may be shorter than the other; missing entries
+// are zero. Both buffers belong to the caller — the encoder itself stays
+// immutable. The coefficients are level-independent: reducing them into
+// limbs 0..ℓ gives exactly EncodeAtLevel's plaintext of
+// complex(values[j], imag[j]) at level ℓ.
 func (e *Encoder) EncodeRealCoeffs(values, imag []float64, scale float64, work []complex128, coeffs []int64) error {
 	n := e.ctx.Params.N()
 	if len(values) > n/2 || len(imag) > n/2 {
 		return fmt.Errorf("ckks: %d real and %d imaginary values exceed %d slots", len(values), len(imag), n/2)
 	}
-	if len(work) != n || len(coeffs) != n {
-		return fmt.Errorf("ckks: encode buffers hold %d and %d entries, want %d", len(work), len(coeffs), n)
+	if len(work) != n/2 || len(coeffs) != n {
+		return fmt.Errorf("ckks: encode buffers hold %d and %d entries, want %d and %d", len(work), len(coeffs), n/2, n)
 	}
 	if scale <= 0 {
 		scale = e.ctx.Params.Scale()
 	}
-	for k := range work {
-		work[k] = 0
-	}
-	for j := range max(len(values), len(imag)) {
+	for j := range work {
 		var re, im float64
 		if j < len(values) {
 			re = values[j]
@@ -140,31 +191,19 @@ func (e *Encoder) EncodeRealCoeffs(values, imag []float64, scale float64, work [
 		if j < len(imag) {
 			im = imag[j]
 		}
-		k, z := e.pos[j], complex(re, im)
-		work[k] = z
-		work[n-1-k] = cmplx.Conj(z)
+		work[j] = complex(re, im)
 	}
-	e.interpolate(work, scale, coeffs)
+	e.encode(work, scale, coeffs)
 	return nil
 }
 
-// spectrum evaluates pt at the primitive 2N-th roots into u (N entries):
-// slot j's value times the scale lands at u[pos[j]].
-func (e *Encoder) spectrum(pt *Plaintext, u []complex128) {
-	tower := e.ctx.Tower
-	for k := range u {
-		u[k] = complex(tower.CenteredFloat(pt.Value, k), 0) * e.zetaFwd[k]
+// decode writes the slots of pt times its scale into work (N/2 entries).
+func (e *Encoder) decode(pt *Plaintext, work []complex128) {
+	f, tower := e.ctx.fft, e.ctx.Tower
+	for k, r := range f.rev {
+		work[r] = complex(tower.CenteredFloat(pt.Value, k), tower.CenteredFloat(pt.Value, k+len(f.rev)))
 	}
-	fft(u, e.wFwd)
-}
-
-// EncodeRealAtLevel encodes real values at an explicit level.
-func (e *Encoder) EncodeRealAtLevel(values []float64, scale float64, level int) (*Plaintext, error) {
-	z := make([]complex128, len(values))
-	for i, v := range values {
-		z[i] = complex(v, 0)
-	}
-	return e.EncodeAtLevel(z, scale, level)
+	f.forward(work)
 }
 
 // DecodeReal decodes and keeps the real parts: DecodeRealInto every slot
@@ -175,56 +214,27 @@ func (e *Encoder) EncodeRealAtLevel(values []float64, scale float64, level int) 
 // linalg.go).
 func (e *Encoder) DecodeReal(pt *Plaintext) []float64 {
 	out := make([]float64, e.ctx.Params.Slots())
-	e.decodeRealInto(pt, make([]complex128, e.ctx.Params.N()), out)
+	e.decodeRealInto(pt, make([]complex128, len(out)), out)
 	return out
 }
 
 // DecodeRealInto is the allocation-free core of DecodeReal: it writes the
-// real parts of the first len(out) slots of pt into out, using work (N
+// real parts of the first len(out) slots of pt into out, using work (N/2
 // entries) as FFT space. Both buffers belong to the caller — the encoder
 // itself stays immutable, so concurrent decodes need only their own work
 // buffers. The values are bit-identical to DecodeReal's.
 func (e *Encoder) DecodeRealInto(pt *Plaintext, work []complex128, out []float64) error {
-	if n := e.ctx.Params.N(); len(work) != n || len(out) > n/2 {
-		return fmt.Errorf("ckks: decode buffers hold %d and %d entries, want %d and at most %d", len(work), len(out), n, n/2)
+	if slots := e.ctx.Params.Slots(); len(work) != slots || len(out) > slots {
+		return fmt.Errorf("ckks: decode buffers hold %d and %d entries, want %d and at most %d", len(work), len(out), slots, slots)
 	}
 	e.decodeRealInto(pt, work, out)
 	return nil
 }
 
 func (e *Encoder) decodeRealInto(pt *Plaintext, work []complex128, out []float64) {
-	e.spectrum(pt, work)
-	inv := complex(1/pt.Scale, 0)
+	e.decode(pt, work)
+	inv := 1 / pt.Scale
 	for j := range out {
-		out[j] = real(work[e.pos[j]] * inv)
-	}
-}
-
-// fft is an in-place iterative radix-2 FFT with the given twiddle table
-// (wFwd for the forward transform, wInv for the inverse without the 1/n
-// normalization).
-func fft(a []complex128, w []complex128) {
-	n := len(a)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-	for length := 2; length <= n; length <<= 1 {
-		step := n / length
-		for start := 0; start < n; start += length {
-			for k := 0; k < length/2; k++ {
-				u := a[start+k]
-				v := a[start+k+length/2] * w[k*step]
-				a[start+k] = u + v
-				a[start+k+length/2] = u - v
-			}
-		}
+		out[j] = real(work[j]) * inv
 	}
 }

@@ -47,7 +47,7 @@ func TestLinearFormMatchesMulPlainChain(t *testing.T) {
 	efKeys := make([]*Ciphertext, terms)
 	vals := make([][]float64, terms)
 	coeffs := make([][]int64, terms)
-	work := make([]complex128, ctx.Params.N())
+	work := make([]complex128, ctx.Params.Slots())
 	scale := ctx.Params.Scale()
 	for j := range keys {
 		keys[j] = ct.Copy()

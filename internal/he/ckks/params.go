@@ -85,6 +85,8 @@ type Context struct {
 	// The levels the context's relinearization and Galois keys are built
 	// for; see WithKeyLevels.
 	relinLevel, galoisLevel int
+	// fft holds the encoder's transform tables (read-only).
+	fft *specialFFT
 }
 
 // NewContext searches the chain and special primes and builds the tower.
@@ -116,7 +118,7 @@ func NewContext(p Params) (*Context, error) {
 		qp[l] = append(chain[:l+1:l+1], special)
 	}
 	top := len(chain) - 1
-	return &Context{Params: p, Primes: chain, Special: special, Tower: tower, qp: qp, relinLevel: top, galoisLevel: top}, nil
+	return &Context{Params: p, Primes: chain, Special: special, Tower: tower, qp: qp, relinLevel: top, galoisLevel: top, fft: newSpecialFFT(p.Slots())}, nil
 }
 
 // WithKeyLevels returns a context over the same tower whose

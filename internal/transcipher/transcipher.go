@@ -174,7 +174,8 @@ const tile = chacha20.BlockSize / 2
 // Scratch holds everything one transciphering evaluation needs per block
 // except the ciphertext it returns: the ChaCha20 state and raw expansion,
 // the three coefficient matrices, the plaintext staging vector, the
-// encoder's FFT space and integer coefficients, and the accumulators of
+// encoder's FFT space (N/2 entries: the special FFT runs at half length)
+// and its N integer coefficients per row, and the accumulators of
 // the homomorphic evaluation. A serving worker reuses one Scratch across
 // every block it processes, so a block's steady-state allocations are its
 // result and the limb fan-outs' closures. Not safe for concurrent use —
@@ -218,7 +219,7 @@ func (c *Cipher) NewScratch() *Scratch {
 		keyLen:    c.keyLen,
 		slotCount: slots,
 		ctx:       c.ctx,
-		work:      make([]complex128, n),
+		work:      make([]complex128, slots),
 		coeffs:    make([][]int64, c.keyLen),
 		u:         c.ctx.NewCiphertext(top),
 		v:         c.ctx.NewCiphertext(top),

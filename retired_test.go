@@ -112,6 +112,9 @@ var retiredNames = []retiredRow{
 	{name: "the grant is the session", pattern: `incomplete setup|incomplete rekey|parameter mismatch: client logN`,
 		paths: []string{"*.go", "README.md"}, exclude: notBench,
 		why: "Setup carries only keys and registers the profile query's grant, so no server code checks a session ID, profile, LogN or Depth a client declared; the query refuses an empty ID, and InstallKey refuses a key of the wrong length"},
+	{name: "one encoder transform", pattern: `zetaInv|zetaFwd|func fft\(|interpolate\(|spectrum\(`,
+		paths: []string{"internal/he"}, exclude: notTests,
+		why: "the encoder runs one N/2-point special FFT each way, with its tables held by the context; the N-point transform over a conjugate-symmetric vector, its ζ^k twist tables and the helpers around it stay retired"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
