@@ -21,9 +21,10 @@ import (
 // deployment in the tree runs these values, so they are constants, not
 // options.
 const (
-	// AlphaMSL and AlphaT weight the security utility against the modeled
-	// compute delay in the per-route λ choice: the §VI-A calibrated α_msl
-	// (see internal/core) and the paper's delay weight scale.
+	// AlphaMSL and AlphaT weight the routes' summed security utility
+	// against the largest route delay in the λ choice (Stage 2, Eq. 22):
+	// the §VI-A calibrated α_msl (see internal/core) and the paper's delay
+	// weight scale.
 	AlphaMSL = 5e-2
 	AlphaT   = 0.4
 	// phiMin is the minimum per-route rate (17a).
@@ -43,8 +44,8 @@ type Config struct {
 	// (ProvisionFromAllocation) and consulted for projected key
 	// consumption at admission time.
 	KeyCenter *qkd.KeyCenter
-	// LambdaSet is the ascending CKKS degree choice set (17d). Default
-	// {2^15, 2^16, 2^17}.
+	// LambdaSet is the ascending CKKS degree choice set (17d), each a λ
+	// some registered security profile runs. Default {2^15, 2^16, 2^17}.
 	LambdaSet []float64
 	// BaseRekeyBytes is the per-key byte budget at λ = LambdaRef; budgets
 	// scale from it via DeriveRekeyBudget. Default 1 MiB.
@@ -91,6 +92,14 @@ type Controller struct {
 	// once by New: the program reads no telemetry, so every plan publishes
 	// this one solution, its Phi and W slices shared read-only.
 	stage1 qnet.Stage1Solution
+	// stage2 is the λ choice, route × candidate: cands are the profiles
+	// of cfg.LambdaSet, and the reward table, α_msl·f_msl, is filled by
+	// New. Each replan fills the delay table from the route demands it
+	// sums into demand, rots and blocks, all guarded by planMu.
+	stage2       qnet.Stage2
+	cands        []*profile.Profile
+	demand       []float64
+	rots, blocks []int64
 
 	plan   atomic.Pointer[Plan]
 	seq    atomic.Uint64
@@ -116,6 +125,15 @@ func New(cfg Config) (*Controller, error) {
 		return nil, errors.New("control: nil network")
 	}
 	cfg = cfg.withDefaults()
+	var cands []*profile.Profile
+	var reward []float64 // one row for every route: every route's weight ς is 1
+	for _, lambda := range cfg.LambdaSet {
+		p, ok := profile.Default().ByLambda(lambda)
+		if !ok {
+			return nil, fmt.Errorf("control: no security profile runs λ = %g of the λ set", lambda)
+		}
+		cands, reward = append(cands, p), append(reward, AlphaMSL*p.MSL())
+	}
 	stage1, err := qnet.NewStage1(cfg.Network, mathutil.Fill(cfg.Network.NumRoutes(), phiMin))
 	if err != nil {
 		return nil, err
@@ -127,7 +145,13 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("control: stage-1 solve: %w", err)
 	}
-	c := &Controller{cfg: cfg, tel: NewTelemetry(), stage1: sol, stop: make(chan struct{})}
+	n := cfg.Network.NumRoutes()
+	c := &Controller{cfg: cfg, tel: NewTelemetry(), stage1: sol, stop: make(chan struct{}), cands: cands,
+		stage2: qnet.Stage2{Reward: make([][]float64, n), Delay: make([][]float64, n), AlphaT: AlphaT},
+		demand: make([]float64, n), rots: make([]int64, n), blocks: make([]int64, n)}
+	for r := range n {
+		c.stage2.Reward[r], c.stage2.Delay[r] = reward, make([]float64, len(cands))
+	}
 	if _, err := c.Replan(); err != nil {
 		return nil, err
 	}
@@ -271,7 +295,7 @@ func (c *Controller) Stop() {
 }
 
 // Replan runs one control iteration: snapshot telemetry, re-solve the
-// per-route λ choice over New's rate allocation, derive budgets and
+// routes' λ choice over New's rate allocation, derive budgets and
 // capacity, actuate the key centre, and publish the new plan atomically. Serialized
 // internally; safe to call concurrently with the Start loop and with the
 // admission hooks.
@@ -291,7 +315,15 @@ func (c *Controller) Replan() (*Plan, error) {
 		RekeyBudget:       make(map[string]int64, len(snap.Sessions)),
 		DemandBytesPerSec: snap.DemandBytesPerSec,
 	}
-	plan.RouteLambda, plan.RouteProfile = c.chooseRouteProfiles(snap)
+	c.fillDelays(snap)
+	s2, err := c.stage2.Maximize()
+	if err != nil {
+		return nil, fmt.Errorf("control: stage-2 solve: %w", err)
+	}
+	plan.RouteLambda, plan.RouteProfile = make([]float64, len(s2.Assign)), make([]string, len(s2.Assign))
+	for r, j := range s2.Assign {
+		plan.RouteLambda[r], plan.RouteProfile[r] = c.cands[j].Lambda, c.cands[j].ID
+	}
 	// A session the plan knows nothing about is budgeted at the lowest λ
 	// any route runs — never at a λ no route runs.
 	plan.DefaultRekeyBudget = DeriveRekeyBudget(c.cfg.BaseRekeyBytes, slices.Min(plan.RouteLambda))
@@ -357,68 +389,34 @@ func measuredDelaySec(ps ProfileSnapshot, p *profile.Profile, demandBytesPerSec 
 	return blocksPerSec * ps.LatencyP99Ms / 1e3
 }
 
-// routeCandidates returns the profiles the per-route λ choice may
-// actuate: registry members whose λ is in LambdaSet (so pinning the set
-// pins the actuation), falling back to the registry default when the set
-// and the registry are disjoint.
-func (c *Controller) routeCandidates() []*profile.Profile {
-	var cands []*profile.Profile
-	for _, lambda := range c.cfg.LambdaSet {
-		if p, ok := profile.Default().ByLambda(lambda); ok {
-			cands = append(cands, p)
-		}
-	}
-	if len(cands) == 0 {
-		cands = []*profile.Profile{profile.Default().Default()}
-	}
-	return cands
-}
-
-// chooseRouteProfiles solves the λ choice (17d), per route: the candidate
-// profile maximizing α_msl·f_msl(λ) − α_T·T_cmp of the route's own
-// predicted demand, with T_cmp the registry's price of that demand
-// (profile.ServeDelaySec — the number replies report per block) held
-// against the profile's measured p99. At idle every route runs the
-// highest security level; a route whose sessions push heavy demand is
-// stepped down independently of its neighbours. This is the only loop
-// that scores candidate profiles.
-func (c *Controller) chooseRouteProfiles(snap Snapshot) (lambdas []float64, profiles []string) {
-	n := c.cfg.Network.NumRoutes()
-	cands := c.routeCandidates()
-	demand := make([]float64, n)
-	routeRots := make([]int64, n)
-	routeBlocks := make([]int64, n)
+// fillDelays fills the Stage-2 delay table from a snapshot: route r's
+// delay under candidate j is the registry's price of the route's predicted
+// demand (profile.ServeDelaySec, the number replies report per block) held
+// against the profile's measured p99. The route's observed rotation
+// intensity scales the per-block cost, so a matvec-heavy route pays its
+// hoisted key-switch work and is stepped down earlier than an affine
+// route at the same byte rate.
+func (c *Controller) fillDelays(snap Snapshot) {
+	clear(c.demand)
+	clear(c.rots)
+	clear(c.blocks)
 	for _, s := range snap.Sessions {
-		route := routeOf(s.ID, n)
-		demand[route] += s.BytesPerSec
-		routeRots[route] += s.Rotations
-		routeBlocks[route] += s.Blocks
+		r := routeOf(s.ID, len(c.demand))
+		c.demand[r] += s.BytesPerSec
+		c.rots[r] += s.Rotations
+		c.blocks[r] += s.Blocks
 	}
-	lambdas = make([]float64, n)
-	profiles = make([]string, n)
-	for r := 0; r < n; r++ {
-		// The route's observed rotation intensity scales the per-block
-		// cost: a matvec-heavy route pays its hoisted key-switch work in
-		// the delay term and is stepped down earlier than an affine route
-		// at the same byte rate.
+	for r, row := range c.stage2.Delay {
 		rotPerBlock := 0.0
-		if routeBlocks[r] > 0 && routeRots[r] > 0 {
-			rotPerBlock = float64(routeRots[r]) / float64(routeBlocks[r])
+		if c.blocks[r] > 0 && c.rots[r] > 0 {
+			rotPerBlock = float64(c.rots[r]) / float64(c.blocks[r])
 		}
-		best := cands[0]
-		bestScore := math.Inf(-1)
-		for _, p := range cands {
-			delay := math.Max(
-				p.ServeDelaySec(demand[r], rotPerBlock, profile.RefHz),
-				measuredDelaySec(snap.Profiles[p.ID], p, demand[r]))
-			score := AlphaMSL*p.MSL() - AlphaT*delay
-			if score > bestScore {
-				best, bestScore = p, score
-			}
+		for j, p := range c.cands {
+			row[j] = math.Max(
+				p.ServeDelaySec(c.demand[r], rotPerBlock, profile.RefHz),
+				measuredDelaySec(snap.Profiles[p.ID], p, c.demand[r]))
 		}
-		lambdas[r], profiles[r] = best.Lambda, best.ID
 	}
-	return lambdas, profiles
 }
 
 // profileBudget is the U_msl-scaled rekey budget at the λ a session

@@ -1,10 +1,10 @@
 // Package control is the closed-loop control plane of the QuHE serving
 // stack: it connects the live serving runtime (internal/serve,
 // internal/edge, internal/qkd) to the paper's utility-cost optimization
-// program (internal/optimize, internal/qnet, and internal/costmodel for
-// f_msl only), so the resource knobs the runtime used to hard-code — the
-// per-key rekey byte budget, the QKD provisioning rates, how much work to
-// admit — are re-derived online from telemetry instead.
+// program (internal/qnet, and internal/costmodel for f_msl only), so the
+// resource knobs the runtime used to hard-code — the per-key rekey byte
+// budget, the QKD provisioning rates, how much work to admit — are
+// re-derived online from telemetry instead.
 //
 // # The loop: telemetry → plan → actuation
 //
@@ -34,18 +34,19 @@
 //     solution; TestLiveStage1Pinned holds it to the barrier optimum.
 //     Werner parameters are the capacity-saturating point w* of Eq. (18).
 //   - Plan.RouteLambda / Plan.RouteProfile — the CKKS degree chosen from
-//     the discrete set (17d), per route: the security utility
-//     α_msl·f_msl(λ) (Eqs. 9, 30; every route's importance weight ς_n is
-//     1) traded against α_T·T_cmp (Eq. 13) of the route's own predicted
-//     demand — highest security at idle, stepping down as demand grows.
-//     A session's route is the FNV-1a hash of its ID modulo the route
-//     count. T_cmp is the security-profile
-//     registry's price of that demand (profile.ServeDelaySec over
-//     profile.BlockCycles, the same number every reply reports per block
-//     in ModeledCmpDelay), never below the profile's measured p99. This
-//     is the only λ choice: each planned λ is a runnable CKKS parameter
-//     set (internal/he/profile), and NegotiateProfile steers every new
-//     session on the route to it.
+//     the discrete set (17d) for every route at once, by the paper's
+//     Stage 2 (Eq. 22, qnet.Stage2.Maximize — Algorithm 2, the solver
+//     core.SolveStage2 runs) over a route × profile table: Σ_r
+//     α_msl·f_msl(λ_r) (Eqs. 9, 30; every ς_n is 1) less α_T times the
+//     largest route delay T_cmp (Eq. 13). At idle every route runs the
+//     highest level; under load only the routes that set the max step
+//     down. A route's T_cmp is the registry's price of its predicted
+//     demand (profile.ServeDelaySec, the number every reply reports per
+//     block in ModeledCmpDelay), never below the profile's measured p99;
+//     a session's route is the FNV-1a hash of its ID modulo the route
+//     count. New refuses a LambdaSet λ no registered profile runs. This
+//     is the only λ choice, and NegotiateProfile steers every new
+//     session on the route to its planned profile.
 //   - Plan.RekeyBudget / Plan.DefaultRekeyBudget — rekey byte budgets at
 //     the λ each session actually runs, via DeriveRekeyBudget (budget
 //     scales with f_msl(λ), Eq. 30, relative to λ_ref = 2^15), stretched

@@ -14,21 +14,22 @@ const LambdaRef = 32768
 // Plan is one output of the control loop: the resource allocation the
 // admission controller and the edge server actuate until the next replan.
 // Fields map back to the paper's program P1 (Eq. 17): Phi/Werner are the
-// Stage-1 key-rate block (Eqs. 18–20), RouteLambda the security-level
-// choice (17d) weighed by U_msl (Eq. 9) against the profile registry's
-// price of the route's demand, and the rekey budgets tie the per-key byte
-// exposure to f_msl (Eq. 30).
+// Stage-1 key-rate block (Eqs. 18–20), RouteLambda the Stage-2
+// security-level choice (17d): U_msl (Eq. 9) summed over the routes
+// against the largest of the profile registry's prices of the routes'
+// demands (Eq. 22), and the rekey budgets tie the per-key byte exposure to
+// f_msl (Eq. 30).
 type Plan struct {
 	// Seq increments per replan; At stamps when the plan was computed.
 	Seq uint64
 	At  time.Time
 
-	// RouteLambda is the per-route λ choice (17d solved per route: the
-	// security utility α_msl·f_msl(λ) against the modeled delay of the
-	// route's own predicted demand), and
-	// RouteProfile the security-profile ID actuating it: new sessions on
-	// a route are steered to RouteProfile[route] at negotiation time.
-	// Both are indexed by the 0-based route index.
+	// RouteLambda is the λ choice (17d) solved over all routes at once:
+	// Σ_r α_msl·f_msl(λ_r) against α_T times the largest route delay, so
+	// only a route that sets that max steps down. RouteProfile is the
+	// security-profile ID actuating it: new sessions on a route are
+	// steered to RouteProfile[route] at negotiation time. Both are
+	// indexed by the 0-based route index.
 	RouteLambda  []float64
 	RouteProfile []string
 

@@ -3,6 +3,7 @@ package control_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +74,15 @@ func TestRoutePinnedByLambdaSet(t *testing.T) {
 	}
 	if got != profile.IDLambda32k {
 		t.Errorf("request above plan granted %q, want downgrade to %q", got, profile.IDLambda32k)
+	}
+}
+
+// TestUnknownLambdaRefused: a λ no registered profile runs is refused by
+// New, named in the error, rather than dropped from the choice.
+func TestUnknownLambdaRefused(t *testing.T) {
+	_, err := control.New(control.Config{Network: qnet.SURFnet(), LambdaSet: []float64{12345}})
+	if err == nil || !strings.Contains(err.Error(), "12345") {
+		t.Errorf("New with λ set {12345}: err = %v, want a refusal naming 12345", err)
 	}
 }
 
@@ -325,5 +335,42 @@ func TestReplanActuatesSchedulerAndStore(t *testing.T) {
 	if store.Len() != 4 || store.Evictions() != 4 {
 		t.Errorf("store at plan capacity 4 holds %d sessions after 8 registrations (%d evictions), want 4 (4)",
 			store.Len(), store.Evictions())
+	}
+}
+
+// TestStage2CouplesRoutes: the λ choice is one program over every route,
+// whose delay term is the largest route delay. Route 1's demand sets that
+// max at any λ route 2 can take, so route 1 steps down while route 2,
+// carrying an eighth of its bytes, keeps the highest security level —
+// where scoring each route alone stepped route 2 down as well. The plan
+// reads the same for any gap between the snapshots from 2 ms to 300 ms
+// (the sleep is 20).
+func TestStage2CouplesRoutes(t *testing.T) {
+	net := qnet.SURFnet()
+	routes := net.NumRoutes()
+	ctl, err := control.New(control.Config{Network: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy := control.SessionOnRoute(routes, 1, "heavy")
+	light := control.SessionOnRoute(routes, 2, "light")
+	tel := ctl.Telemetry()
+	report := func() {
+		tel.ObserveCompute(heavy, 1<<26, 5*time.Millisecond, serve.CodeOK)
+		tel.ObserveCompute(light, 1<<23, 5*time.Millisecond, serve.CodeOK)
+	}
+	report()
+	if _, err := ctl.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	report()
+	plan, err := ctl.Replan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.RouteProfile[1] != profile.IDLambda32k || plan.RouteProfile[2] != profile.IDLambda128k {
+		t.Errorf("routes 1 and 2 planned %q and %q, want %q and %q (RouteLambda=%v)",
+			plan.RouteProfile[1], plan.RouteProfile[2], profile.IDLambda32k, profile.IDLambda128k, plan.RouteLambda)
 	}
 }

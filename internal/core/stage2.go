@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"quhe/internal/costmodel"
-	"quhe/internal/optimize"
+	"quhe/internal/qnet"
 )
 
 // Stage2Result reports a Stage-2 solve (Algorithm 2).
@@ -29,127 +28,59 @@ type Stage2Result struct {
 	Runtime time.Duration
 }
 
-// stage2Terms precomputes everything Stage 2 needs: per-client fixed delay
-// and energy (independent of λ) and per-choice delay/energy/security tables.
-type stage2Terms struct {
-	constPart float64     // α_qkd·U_qkd + fixed energies scaled by −α_e
-	reward    [][]float64 // reward[n][j]: α_msl·ς_n·f_msl − α_e·E_cmp for choice j
-	delay     [][]float64 // delay[n][j]: total client delay for choice j
-}
-
-func (c *Config) stage2Terms(v Variables) (stage2Terms, error) {
-	var t stage2Terms
+// stage2Terms fills the Stage-2 program (22) at v: per client, the reward
+// α_msl·ς_n·f_msl − α_e·E_cmp and the total delay of each λ in LambdaSet;
+// Const carries α_qkd·U_qkd and the λ-independent energies scaled by −α_e.
+func (c *Config) stage2Terms(v Variables) (qnet.Stage2, error) {
+	t := qnet.Stage2{AlphaT: c.AlphaT}
 	n := c.N()
 	uqkd, err := c.Net.Utility(v.Phi, v.W)
 	if err != nil {
 		return t, err
 	}
-	t.constPart = c.AlphaQKD * uqkd
+	t.Const = c.AlphaQKD * uqkd
 	m := len(c.LambdaSet)
-	t.reward = make([][]float64, n)
-	t.delay = make([][]float64, n)
+	t.Reward = make([][]float64, n)
+	t.Delay = make([][]float64, n)
 	for i := 0; i < n; i++ {
 		// Fixed (λ-independent) energy: encryption + transmission.
 		encE := costmodel.EncryptionEnergy(c.KappaClient[i], c.SECycles[i], v.FC[i])
 		rate := c.Rate(i, v.P[i], v.B[i])
 		trDelay := c.DTrBits[i] / rate
 		trE := v.P[i] * trDelay
-		t.constPart -= c.AlphaE * (encE + trE)
+		t.Const -= c.AlphaE * (encE + trE)
 
 		fixedDelay := costmodel.EncryptionDelay(c.SECycles[i], v.FC[i]) + trDelay
-		t.reward[i] = make([]float64, m)
-		t.delay[i] = make([]float64, m)
+		t.Reward[i] = make([]float64, m)
+		t.Delay[i] = make([]float64, m)
 		for j, lam := range c.LambdaSet {
 			sec := c.AlphaMSL * c.SecurityWeights[i] * costmodel.MinSecurityLevel(lam)
 			cmpE := costmodel.ComputeEnergy(c.KappaServer, lam, c.DCmpTokens[i], c.TokensPerSample[i], v.FS[i])
-			t.reward[i][j] = sec - c.AlphaE*cmpE
-			t.delay[i][j] = fixedDelay + costmodel.ComputeDelay(lam, c.DCmpTokens[i], c.TokensPerSample[i], v.FS[i])
+			t.Reward[i][j] = sec - c.AlphaE*cmpE
+			t.Delay[i][j] = fixedDelay + costmodel.ComputeDelay(lam, c.DCmpTokens[i], c.TokensPerSample[i], v.FS[i])
 		}
 	}
 	return t, nil
 }
 
-// value computes F_s2 (22) for a complete assignment of LambdaSet indices.
-func (t stage2Terms) value(alphaT float64, assign []int) float64 {
-	s := t.constPart
-	dmax := 0.0
-	for i, j := range assign {
-		s += t.reward[i][j]
-		if t.delay[i][j] > dmax {
-			dmax = t.delay[i][j]
-		}
-	}
-	return s - alphaT*dmax
-}
-
-// SolveStage2 runs Algorithm 2: branch & bound over λ with the other blocks
-// fixed at v.
+// SolveStage2 runs Algorithm 2 (qnet.Stage2.Maximize, the solver the live
+// planner runs over its routes) on the program at v, the other blocks fixed.
 func (c *Config) SolveStage2(v Variables) (Stage2Result, error) {
 	start := time.Now()
 	var res Stage2Result
-	terms, err := c.stage2Terms(v)
+	prog, err := c.stage2Terms(v)
 	if err != nil {
 		return res, fmt.Errorf("core: stage 2: %w", err)
 	}
-	n := c.N()
-	m := len(c.LambdaSet)
-	// Optimistic bound: best per-client rewards for unassigned clients;
-	// the −α_t·max-delay term is bounded by the smallest achievable
-	// maximum (assigned delays are committed, unassigned take their
-	// per-client minimum delay).
-	upper := func(partial []int, assigned int) float64 {
-		s := terms.constPart
-		dmax := 0.0
-		for i := 0; i < assigned; i++ {
-			s += terms.reward[i][partial[i]]
-			if d := terms.delay[i][partial[i]]; d > dmax {
-				dmax = d
-			}
-		}
-		for i := assigned; i < n; i++ {
-			best := math.Inf(-1)
-			minDelay := math.Inf(1)
-			for j := 0; j < m; j++ {
-				if terms.reward[i][j] > best {
-					best = terms.reward[i][j]
-				}
-				if terms.delay[i][j] < minDelay {
-					minDelay = terms.delay[i][j]
-				}
-			}
-			s += best
-			if minDelay > dmax {
-				dmax = minDelay
-			}
-		}
-		return s - c.AlphaT*dmax
-	}
-	bres, err := optimize.MaximizeBnB(optimize.BnBProblem{
-		NumVars:    n,
-		NumChoices: m,
-		Value:      func(assign []int) float64 { return terms.value(c.AlphaT, assign) },
-		UpperBound: upper,
-	})
+	sol, err := prog.Maximize()
 	if err != nil {
-		return res, fmt.Errorf("core: stage 2 branch and bound: %w", err)
+		return res, fmt.Errorf("core: stage 2: %w", err)
 	}
-	assign := bres.Assign
-	res.Objective = bres.Value
-	res.Nodes = bres.Nodes
-	res.Trace = bres.Bounds
-	// The root's +Inf bound is a sentinel, not data.
-	if len(res.Trace) > 0 && math.IsInf(res.Trace[0], 1) {
-		res.Trace = res.Trace[1:]
-	}
-
-	res.Lambda = make([]float64, n)
-	res.TS2 = 0
-	for i, j := range assign {
+	res.Lambda = make([]float64, len(sol.Assign))
+	for i, j := range sol.Assign {
 		res.Lambda[i] = c.LambdaSet[j]
-		if terms.delay[i][j] > res.TS2 {
-			res.TS2 = terms.delay[i][j]
-		}
 	}
+	res.TS2, res.Objective, res.Nodes, res.Trace = sol.MaxDelay, sol.Value, sol.Nodes, sol.Trace
 	res.Runtime = time.Since(start)
 	return res, nil
 }

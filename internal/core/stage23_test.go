@@ -24,11 +24,12 @@ func stage2Fixture(t *testing.T) (*Config, Variables) {
 }
 
 // exhaustiveStage2 is Stage 2's correctness oracle: it enumerates every
-// assignment of LambdaSet indices over the stage2Terms at v and returns
-// the best λ per client, its F_s2 value and the number of leaves valued.
+// assignment of LambdaSet indices over the program stage2Terms fills at v
+// and returns the best λ per client, its F_s2 value and the number of
+// leaves valued.
 func exhaustiveStage2(t *testing.T, c *Config, v Variables) (lambda []float64, best float64, leaves int) {
 	t.Helper()
-	terms, err := c.stage2Terms(v)
+	prog, err := c.stage2Terms(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,12 @@ func exhaustiveStage2(t *testing.T, c *Config, v Variables) (lambda []float64, b
 	rec = func(i int) {
 		if i == n {
 			leaves++
-			if val := terms.value(c.AlphaT, cur); val > best {
+			val, dmax := prog.Const, 0.0
+			for i, j := range cur {
+				val += prog.Reward[i][j]
+				dmax = math.Max(dmax, prog.Delay[i][j])
+			}
+			if val -= prog.AlphaT * dmax; val > best {
 				best = val
 				copy(arg, cur)
 			}

@@ -33,7 +33,8 @@ func TestKeyFramesAllocateOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	ctx, err := profile.Default().Default().Context()
+	def, _ := profile.Default().Get(profile.IDDefault)
+	ctx, err := def.Context()
 	if err != nil {
 		t.Fatal(err)
 	}

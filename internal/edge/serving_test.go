@@ -522,7 +522,8 @@ func provisionedKeyCenter(t *testing.T, id string) *qkd.KeyCenter {
 }
 
 func TestRekeyAfterByteBudget(t *testing.T) {
-	blockBytes := int64(8 * profile.Default().Default().Params.Slots())
+	def, _ := profile.Default().Get(profile.IDDefault)
+	blockBytes := int64(8 * def.Params.Slots())
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		Model:      Model{Weights: []float64{1}},
 		RekeyBytes: blockBytes, // budget spent after one block
@@ -569,7 +570,8 @@ func TestRekeyAfterByteBudget(t *testing.T) {
 }
 
 func TestManualRekeyWithoutKeyCenter(t *testing.T) {
-	blockBytes := int64(8 * profile.Default().Default().Params.Slots())
+	def, _ := profile.Default().Get(profile.IDDefault)
+	blockBytes := int64(8 * def.Params.Slots())
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		Model:      Model{Weights: []float64{1}},
 		RekeyBytes: blockBytes,

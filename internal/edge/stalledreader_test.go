@@ -55,7 +55,8 @@ func shrinkReadBuffer(conn net.Conn) {
 // (b) a real Client in ComputeBatch whose transport stops reading.
 func TestStalledReaderDoesNotPinWorkers(t *testing.T) {
 	const n = 256
-	data := make([]float64, profile.Default().Default().Params.Slots())
+	def, _ := profile.Default().Get(profile.IDDefault)
+	data := make([]float64, def.Params.Slots())
 	for i := range data {
 		data[i] = 0.25
 	}

@@ -152,7 +152,8 @@ func TestGenGaloisKeyIntoAllocs(t *testing.T) {
 // its component-0 runs decodes to ErrShortBuffer, for a relinearization
 // key and a Galois key alike.
 func TestSeededKeyTruncation(t *testing.T) {
-	ctx, err := profile.Default().Default().Context()
+	def, _ := profile.Default().Get(profile.IDDefault)
+	ctx, err := def.Context()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,9 +261,6 @@ func (r *Registry) Get(id string) (*Profile, bool) {
 // legacy peers resolve to).
 func (r *Registry) DefaultID() string { return r.defaultID }
 
-// Default returns the default profile.
-func (r *Registry) Default() *Profile { return r.byID[r.defaultID] }
-
 // IDs returns the member IDs in ascending-λ order.
 func (r *Registry) IDs() []string {
 	ids := make([]string, len(r.order))

@@ -27,7 +27,7 @@ func TestDefaultRegistryShape(t *testing.T) {
 	// Every profile carries the chain its deepest served op consumes —
 	// the transcipher's two levels and the matvec kernel's one — and not
 	// a limb more.
-	def := reg.Default()
+	def, _ := reg.Get(reg.DefaultID())
 	if def.Params.LogN != 10 || def.Params.Depth != 3 {
 		t.Errorf("default params LogN=%d Depth=%d, want 10/3",
 			def.Params.LogN, def.Params.Depth)
@@ -114,7 +114,7 @@ func TestKeysAtServedLevels(t *testing.T) {
 }
 
 func TestContextCachedAndShared(t *testing.T) {
-	p := profile.Default().Default()
+	p, _ := profile.Default().Get(profile.IDDefault)
 	c1, err := p.Context()
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestCalibrateInstallsNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs a key generation")
 	}
-	p := profile.Default().Default()
+	p, _ := profile.Default().Get(profile.IDDefault)
 	before := p.BlockCycles(0)
 	d, err := p.Calibrate(8, 2)
 	if err != nil {

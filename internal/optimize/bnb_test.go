@@ -1,236 +1,109 @@
-package optimize
+package optimize_test
 
 import (
 	"math"
-	"math/rand"
+	"slices"
 	"testing"
+
+	"quhe/internal/qnet"
 )
 
-// MaximizeExhaustive enumerates every assignment and returns the best: the
-// correctness oracle for MaximizeBnB. evals reports the number of Value
-// calls (NumChoices^NumVars).
-func MaximizeExhaustive(numVars, numChoices int, value func([]int) float64) (assign []int, best float64, evals int) {
-	assign = make([]int, numVars)
-	cur := make([]int, numVars)
+// The discrete solver the paper names beside these continuous ones,
+// Algorithm 2's branch and bound, is qnet.Stage2.Maximize. These tests hold
+// its search to exhaustive enumeration, as the tests beside them hold the
+// barrier to the baselines. They sit in package optimize_test because qnet
+// imports optimize.
+
+// exhaustive values every assignment of p from Eq. (22) and returns the
+// best value and the number of leaves valued (one per assignment).
+func exhaustive(p *qnet.Stage2) (best float64, leaves int) {
+	cur := make([]int, len(p.Reward))
 	best = math.Inf(-1)
 	var rec func(i int)
 	rec = func(i int) {
-		if i == numVars {
-			evals++
-			if v := value(cur); v > best {
-				best = v
-				copy(assign, cur)
+		if i == len(cur) {
+			leaves++
+			val, dmax := p.Const, 0.0
+			for i, j := range cur {
+				val += p.Reward[i][j]
+				dmax = math.Max(dmax, p.Delay[i][j])
+			}
+			if val -= p.AlphaT * dmax; val > best {
+				best = val
 			}
 			return
 		}
-		for c := 0; c < numChoices; c++ {
-			cur[i] = c
+		for j := range p.Reward[i] {
+			cur[i] = j
 			rec(i + 1)
 		}
 	}
 	rec(0)
-	return assign, best, evals
+	return best, leaves
 }
 
-// separableProblem builds a BnB problem whose objective is a sum of
-// per-variable scores, with the exact per-variable max as upper bound.
-func separableProblem(scores [][]float64) BnBProblem {
-	numVars := len(scores)
-	numChoices := len(scores[0])
-	maxPer := make([]float64, numVars)
-	for i, row := range scores {
-		maxPer[i] = math.Inf(-1)
-		for _, v := range row {
-			if v > maxPer[i] {
-				maxPer[i] = v
-			}
-		}
+// separable returns the program whose value is the sum of the chosen
+// rewards: no delay term.
+func separable(reward [][]float64) *qnet.Stage2 {
+	delay := make([][]float64, len(reward))
+	for i := range delay {
+		delay[i] = make([]float64, len(reward[i]))
 	}
-	return BnBProblem{
-		NumVars:    numVars,
-		NumChoices: numChoices,
-		Value: func(assign []int) float64 {
-			s := 0.0
-			for i, c := range assign {
-				s += scores[i][c]
-			}
-			return s
-		},
-		UpperBound: func(assign []int, assigned int) float64 {
-			s := 0.0
-			for i := 0; i < assigned; i++ {
-				s += scores[i][assign[i]]
-			}
-			for i := assigned; i < numVars; i++ {
-				s += maxPer[i]
-			}
-			return s
-		},
-	}
+	return &qnet.Stage2{Reward: reward, Delay: delay}
 }
 
-func TestBnBSeparableMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		numVars := 2 + rng.Intn(5)
-		numChoices := 2 + rng.Intn(3)
-		scores := make([][]float64, numVars)
-		for i := range scores {
-			scores[i] = make([]float64, numChoices)
-			for j := range scores[i] {
-				scores[i][j] = rng.NormFloat64() * 10
-			}
-		}
-		p := separableProblem(scores)
-		got, err := MaximizeBnB(p)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		_, want, _ := MaximizeExhaustive(numVars, numChoices, p.Value)
-		if math.Abs(got.Value-want) > 1e-12 {
-			t.Errorf("trial %d: BnB = %v, exhaustive = %v", trial, got.Value, want)
-		}
-	}
-}
-
-// TestBnBCoupledMaxTerm mimics Stage 2's structure: separable rewards minus
-// a max-delay coupling term.
-func TestBnBCoupledMaxTerm(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		numVars := 2 + rng.Intn(4)
-		numChoices := 3
-		reward := make([][]float64, numVars)
-		delay := make([][]float64, numVars)
-		for i := 0; i < numVars; i++ {
-			reward[i] = make([]float64, numChoices)
-			delay[i] = make([]float64, numChoices)
-			for j := 0; j < numChoices; j++ {
-				reward[i][j] = rng.Float64() * 10
-				delay[i][j] = rng.Float64() * 5
-			}
-		}
-		value := func(assign []int) float64 {
-			s, dmax := 0.0, 0.0
-			for i, c := range assign {
-				s += reward[i][c]
-				if delay[i][c] > dmax {
-					dmax = delay[i][c]
-				}
-			}
-			return s - dmax
-		}
-		// Admissible bound: max rewards for unassigned vars; the max-delay
-		// term is lower-bounded by the max over (assigned delays, min
-		// per-variable delay for the unassigned).
-		upper := func(assign []int, assigned int) float64 {
-			s := 0.0
-			dmax := 0.0
-			for i := 0; i < assigned; i++ {
-				s += reward[i][assign[i]]
-				if d := delay[i][assign[i]]; d > dmax {
-					dmax = d
-				}
-			}
-			for i := assigned; i < numVars; i++ {
-				best := math.Inf(-1)
-				minDelay := math.Inf(1)
-				for j := 0; j < numChoices; j++ {
-					if reward[i][j] > best {
-						best = reward[i][j]
-					}
-					if delay[i][j] < minDelay {
-						minDelay = delay[i][j]
-					}
-				}
-				s += best
-				if minDelay > dmax {
-					dmax = minDelay
-				}
-			}
-			return s - dmax
-		}
-		p := BnBProblem{NumVars: numVars, NumChoices: numChoices, Value: value, UpperBound: upper}
-		got, err := MaximizeBnB(p)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		_, want, _ := MaximizeExhaustive(numVars, numChoices, value)
-		if math.Abs(got.Value-want) > 1e-12 {
-			t.Errorf("trial %d: BnB = %v, exhaustive = %v", trial, got.Value, want)
-		}
-	}
-}
-
+// TestBnBPrunes: with a tight bound on a strongly separable program, branch
+// and bound pops far fewer nodes than the enumerator values leaves.
 func TestBnBPrunes(t *testing.T) {
-	// With a tight bound on a strongly separable problem, BnB should visit
-	// far fewer nodes than exhaustive enumeration evaluates leaves.
-	scores := make([][]float64, 8)
-	for i := range scores {
-		scores[i] = []float64{0, 100, 1} // choice 1 dominates
+	reward := make([][]float64, 8)
+	for i := range reward {
+		reward[i] = []float64{0, 100, 1} // choice 1 dominates
 	}
-	p := separableProblem(scores)
-	res, err := MaximizeBnB(p)
+	p := separable(reward)
+	sol, err := p.Maximize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, evals := MaximizeExhaustive(8, 3, p.Value)
-	if res.Nodes >= evals {
-		t.Errorf("BnB nodes %d >= exhaustive evals %d (no pruning)", res.Nodes, evals)
+	if _, leaves := exhaustive(p); sol.Nodes >= leaves {
+		t.Errorf("%d nodes popped for %d leaves valued (no pruning)", sol.Nodes, leaves)
 	}
-	for _, c := range res.Assign {
-		if c != 1 {
-			t.Errorf("Assign = %v, want all 1s", res.Assign)
-		}
+	if !slices.Equal(sol.Assign, []int{1, 1, 1, 1, 1, 1, 1, 1}) || sol.Value != 800 {
+		t.Errorf("Assign %v value %v, want all 1s at 800", sol.Assign, sol.Value)
 	}
 }
 
+// TestBnBIncumbentsMonotone: the trace of popped bounds, one per node after
+// the root, never rises, and it reaches the optimum.
 func TestBnBIncumbentsMonotone(t *testing.T) {
-	scores := [][]float64{{1, 5, 2}, {7, 3, 4}, {2, 2, 9}}
-	res, err := MaximizeBnB(separableProblem(scores))
+	sol, err := separable([][]float64{{1, 5, 2}, {7, 3, 4}, {2, 2, 9}}).Maximize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.Incumbents); i++ {
-		if res.Incumbents[i] < res.Incumbents[i-1] {
-			t.Errorf("incumbent decreased at %d: %v", i, res.Incumbents[:i+1])
+	if len(sol.Trace) != sol.Nodes-1 {
+		t.Errorf("trace of %d bounds for %d nodes, want one per node after the root", len(sol.Trace), sol.Nodes)
+	}
+	for i := 1; i < len(sol.Trace); i++ {
+		if sol.Trace[i] > sol.Trace[i-1] {
+			t.Errorf("bound rose at node %d: %v", i+1, sol.Trace[:i+1])
 		}
 	}
-	if res.Value != 5+7+9 {
-		t.Errorf("Value = %v, want 21", res.Value)
+	if sol.Value != 5+7+9 || !slices.Contains(sol.Trace, sol.Value) {
+		t.Errorf("Value %v, trace %v, want 21 reached by the trace", sol.Value, sol.Trace)
 	}
 }
 
-func TestBnBValidation(t *testing.T) {
-	if _, err := MaximizeBnB(BnBProblem{}); err == nil {
-		t.Error("zero problem accepted")
-	}
-	if _, err := MaximizeBnB(BnBProblem{NumVars: 1, NumChoices: 1}); err == nil {
-		t.Error("nil Value/UpperBound accepted")
-	}
-}
-
-func TestBnBUnsoundBoundDetected(t *testing.T) {
-	p := BnBProblem{
-		NumVars:    2,
-		NumChoices: 2,
-		Value:      func(a []int) float64 { return float64(a[0] + a[1]) },
-		// Bound of −∞ prunes everything.
-		UpperBound: func([]int, int) float64 { return math.Inf(-1) },
-	}
-	if _, err := MaximizeBnB(p); err == nil {
-		t.Error("unsound bound did not produce an error")
-	}
-}
-
+// TestExhaustiveCountsEvals: the enumerator values every one of the
+// choices^clients assignments and finds the best, as Maximize does.
 func TestExhaustiveCountsEvals(t *testing.T) {
-	_, best, evals := MaximizeExhaustive(3, 4, func(a []int) float64 {
-		return float64(a[0]*100 + a[1]*10 + a[2])
-	})
-	if evals != 64 {
-		t.Errorf("evals = %d, want 64", evals)
+	p := separable([][]float64{{0, 100, 200, 300}, {0, 10, 20, 30}, {0, 1, 2, 3}})
+	best, leaves := exhaustive(p)
+	if leaves != 64 {
+		t.Errorf("leaves = %d, want 64", leaves)
 	}
 	if best != 333 {
 		t.Errorf("best = %v, want 333", best)
+	}
+	if sol, err := p.Maximize(); err != nil || sol.Value != best {
+		t.Errorf("Maximize = %v (err %v), want %v", sol.Value, err, best)
 	}
 }

@@ -6,9 +6,9 @@
 //     smooth convex programs with inequality constraints (Stages 1 and 3).
 //   - GradientDescent, Anneal, RandomSearch: the Stage-1 baselines from the
 //     paper (§VI-B), over a Box.
-//   - MaximizeBnB: best-first branch & bound over small discrete
-//     assignment spaces (Stage 2, Algorithm 2). Its exhaustive oracle
-//     lives in the package's tests.
+//
+// Stage 2's discrete λ choice is solved by its own branch and bound
+// (Algorithm 2), qnet.Stage2.Maximize.
 //
 // Problems are expressed as plain closures over []float64. The two kinds of
 // solver get their derivatives differently. The barrier is second order and

@@ -26,8 +26,8 @@ var ErrStage1Infeasible = errors.New("qnet: stage-1 program infeasible at the mi
 // penalized merit, boxes, start point, its convex log-rate form P3 — and
 // of its one solver, Solve, the barrier method of Algorithm 1.
 // internal/core wraps it in the paper's configuration (Algorithm 1 and the
-// Fig. 5 baselines minimize Objective − ln α_qkd); internal/control calls
-// Solve on every replan.
+// Fig. 5 baselines minimize Objective − ln α_qkd); control.New calls Solve
+// once.
 type Stage1 struct {
 	net    *Network
 	phiMin []float64
@@ -191,8 +191,8 @@ type Stage1Solution struct {
 // Solve runs Algorithm 1: the log-barrier interior-point method
 // (optimize.MinimizeBarrier) over P3, the program in log-rates ϕ = ln φ,
 // where it is convex (Kar & Wehner), from Start to a duality gap of 1e-7.
-// It is the one Stage-1 solver: the running planner (control.Replan) and
-// the reproduction (core.SolveStage1) both call it. Each call owns its
+// It is the one Stage-1 solver: the running planner (control.New) and the
+// reproduction (core.SolveStage1) both call it. Each call owns its
 // scratch, so concurrent calls on one Stage1 are safe, and its Newton steps
 // allocate nothing: on SURFnet at control's φ_min = 1e-2 a solve takes 21
 // Newton steps, 114 allocations (6 KB) and ≈0.5 ms on a 2-core Xeon

@@ -3,6 +3,9 @@
 // client nodes, link capacities, the secret-key fraction, and the QKD
 // network utility (Eq. 6). It also contains a discrete-event entanglement
 // distribution simulator used to cross-validate the analytic capacity model.
+// It defines the two programs the planner and the reproduction share, each
+// with its one solver: Stage1 (P2, the rate allocation, Algorithm 1) and
+// Stage2 (Eq. 22, the λ choice: Σ rewards − α_T·max delay, Algorithm 2).
 //
 // Conventions: link and route IDs are 1-based as in the paper's Tables III
 // and IV; slice indices are 0-based. The Werner parameter w ∈ (0,1] measures

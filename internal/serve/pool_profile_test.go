@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolBuildsWorkersLazily(t *testing.T) {
@@ -41,26 +42,40 @@ func TestPoolBuildsWorkersLazily(t *testing.T) {
 
 // TestDrainCarriesProfileLabel: while a job on a labelled pool blocks, the
 // goroutine profile shows the drain running it under the pool's
-// quhe_profile label, which the drain took once, when it started.
+// quhe_profile label, which the drain took once, when it started. A
+// profile can miss a goroutine that changes state as it is taken, so the
+// test reads it until the job's own frame shows (at most 100 times) and
+// looks for the label on that goroutine's record.
 func TestDrainCarriesProfileLabel(t *testing.T) {
 	pool := NewEvalPoolFunc(1, func(int) *Worker { return &Worker{} })
 	pool.SetProfileLabel("label-probe")
 	s := NewScheduler(pool, 4)
 	defer s.Close()
 	running, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
 	if err := s.SubmitTo(pool, func(*Worker) { close(running); <-release }); err != nil {
 		t.Fatal(err)
 	}
 	<-running
+	const frame = "serve.TestDrainCarriesProfileLabel.func"
 	var b bytes.Buffer
-	err := pprof.Lookup("goroutine").WriteTo(&b, 1)
-	close(release)
-	if err != nil {
-		t.Fatal(err)
+	for range 100 {
+		b.Reset()
+		if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range bytes.Split(b.Bytes(), []byte("\n\n")) {
+			if !bytes.Contains(rec, []byte(frame)) {
+				continue
+			}
+			if want := `"quhe_profile":"label-probe"`; !bytes.Contains(rec, []byte(want)) {
+				t.Errorf("the blocked job's goroutine has no %s label:\n%s", want, rec)
+			}
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if want := `"quhe_profile":"label-probe"`; !bytes.Contains(b.Bytes(), []byte(want)) {
-		t.Errorf("goroutine profile has no %s label while the job blocks:\n%s", want, b.String())
-	}
+	t.Errorf("no goroutine profile of 100 shows the blocked job's frame %q; the last:\n%s", frame, b.String())
 }
 
 func TestSchedulerSubmitToRoutesPools(t *testing.T) {

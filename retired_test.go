@@ -115,6 +115,9 @@ var retiredNames = []retiredRow{
 	{name: "one encoder transform", pattern: `zetaInv|zetaFwd|func fft\(|interpolate\(|spectrum\(`,
 		paths: []string{"internal/he"}, exclude: notTests,
 		why: "the encoder runs one N/2-point special FFT each way, with its tables held by the context; the N-point transform over a conjugate-symmetric vector, its ζ^k twist tables and the helpers around it stay retired"},
+	{name: "one Stage-2 program", pattern: `\bMaximizeBnB\b|\bBnBProblem\b|\bBnBResult\b|\bIncumbents\b|\bchooseRouteProfiles\b|\brouteCandidates\b`,
+		paths: goFiles, exclude: notBench,
+		why: "the λ choice is qnet.Stage2, solved by its one branch and bound for the reproduction and the live planner alike, so the closure-generic solver, its incumbent trace and the planner's per-route scoring loop stay retired"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
