@@ -97,7 +97,7 @@ func newServerObs(s *Server) *serverObs {
 	reg.GaugeFunc("quhe_serve_queue_capacity", "live scheduler depth bound", func() float64 {
 		return float64(s.sched.Capacity())
 	})
-	reg.CounterFunc("quhe_ring_inline_degradations_total", "NTT fan-out tasks run inline on a saturated worker pool", func() float64 {
+	reg.CounterFunc("quhe_ring_inline_degradations_total", "parallel ring fan-outs that got no helper and ran wholly on their caller: every core was already running fan-out work, or no pool worker was parked", func() float64 {
 		return float64(ring.InlineDegradations())
 	})
 	return m

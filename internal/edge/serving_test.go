@@ -89,39 +89,48 @@ func TestPipelinedComputes(t *testing.T) {
 // Compute in steady state: the worker → writer hand-off passes pooled
 // buffers and a trace pointer by value and must add none. The client side
 // is a raw peer re-sending one prebuilt frame and reading replies into one
-// buffer, so what AllocsPerRun counts (process-wide) is the server's.
+// buffer, so what AllocsPerRun counts (process-wide) is the server's. At
+// λ-32k every ring.ForEach is a plain loop; at λ-128k the limb, row and
+// coefficient fan-outs run in parallel, recycling their claims, so the
+// two profiles allocate the same objects.
 func TestServedComputeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	srv := startServer(t, Model{Weights: []float64{1}})
-	p := newRawPeer(t, 11)
-	p.dial(t, srv.Addr())
-	p.register(t, "allocs")
-	req := &ComputeRequest{Block: 1, Epoch: 1, Masked: p.mask(t, 1, []float64{0.5})}
-	frame := buildFrame(t, frameCompute, 7, func(b []byte) []byte { return appendComputeRequest(b, req) })
-	roundTrip := func() {
-		if _, err := p.conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		if ftype, _, _ := p.recv(t); ftype != frameComputeReply {
-			t.Fatalf("reply frame type %d", ftype)
-		}
-	}
-	roundTrip() // warm the pools: evaluator, scratch, frame buffers
-	// Measured 31: the decoded request, the trace and its spans, the job
-	// closure, and mostly the result ciphertext the transcipher builds. It
-	// was 64 — with the worker writing the reply itself, and again with the
-	// hand-off — until MulRelinInto and keySwitchDown stopped building task
-	// slices that N = 1024 then ran serially, 35 while every request
-	// carried its session ID, decoded into a string of its own, and 34
-	// while every job set its profile's pprof label itself (pprof.Do). The
-	// bound is +5%, rounded up.
-	const bound = 33
-	allocs := testing.AllocsPerRun(20, roundTrip)
-	t.Logf("a served Compute allocates %.1f times (bound %d)", allocs, bound)
-	if allocs > bound {
-		t.Errorf("a served Compute allocates %.1f times, want ≤ %d", allocs, bound)
+	// Measured 31 at λ-32k: the decoded request, the trace and its spans,
+	// the job closure, and mostly the result ciphertext the transcipher
+	// builds. It was 64 — with the worker writing the reply itself, and
+	// again with the hand-off — until MulRelinInto and keySwitchDown
+	// stopped building task slices that N = 1024 then ran serially, 35
+	// while every request carried its session ID, decoded into a string of
+	// its own, and 34 while every job set its profile's pprof label itself
+	// (pprof.Do). Measured 31 at λ-128k too. Each bound is +5%, rounded up.
+	for _, c := range []struct {
+		id    string
+		bound float64
+	}{{profile.IDLambda32k, 33}, {profile.IDLambda128k, 33}} {
+		t.Run(c.id, func(t *testing.T) {
+			srv := startServer(t, Model{Weights: []float64{1}})
+			p := newRawPeerOn(t, 11, c.id)
+			p.dial(t, srv.Addr())
+			p.register(t, "allocs")
+			req := &ComputeRequest{Block: 1, Epoch: 1, Masked: p.mask(t, 1, []float64{0.5})}
+			frame := buildFrame(t, frameCompute, 7, func(b []byte) []byte { return appendComputeRequest(b, req) })
+			roundTrip := func() {
+				if _, err := p.conn.Write(frame); err != nil {
+					t.Fatal(err)
+				}
+				if ftype, _, _ := p.recv(t); ftype != frameComputeReply {
+					t.Fatalf("reply frame type %d", ftype)
+				}
+			}
+			roundTrip() // warm the pools: evaluator, scratch, frame buffers
+			allocs := testing.AllocsPerRun(20, roundTrip)
+			t.Logf("a served Compute allocates %.1f times (bound %v)", allocs, c.bound)
+			if allocs > c.bound {
+				t.Errorf("a served Compute allocates %.1f times, want ≤ %v", allocs, c.bound)
+			}
+		})
 	}
 }
 

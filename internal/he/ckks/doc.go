@@ -12,10 +12,10 @@
 // prime, CRT views of the same integer coefficients. Q can therefore be
 // hundreds of bits wide while all arithmetic stays in 64-bit words: a
 // level-ℓ object carries limbs 0..ℓ, operations apply per limb with that
-// limb's NTT context, and the independent limbs fan out across the
-// bounded worker pool through ring.ForEach — the multiplication
-// pipeline's parallelism grows with the chain length instead of being
-// capped at the two ciphertext components.
+// limb's NTT context, and the independent limbs fan out through
+// ring.ForEach, claimed one by one by the caller and helpers on idle cores
+// — the multiplication pipeline's parallelism grows with the chain length
+// instead of being capped at the two ciphertext components.
 //
 // Rescaling is the exact RNS rescale (ring.Tower.RescaleInto): dropping
 // the top limb divides by q_ℓ with a centered-remainder correction folded
@@ -98,9 +98,10 @@
 // Key material lives per limb in the NTT domain and Montgomery form (see
 // keys.go), the evaluator keeps per-instance scratch towers and offers
 // Into variants of every hot operation that allocate no buffer, and
-// per-limb work fans out through ring.ForEach — over the bounded worker
-// pool for ring degrees ≥ ring.ParallelMinN, at the cost of the one
-// closure the call is handed. Secrets and errors are sampled as small
+// per-limb work fans out through ring.ForEach — for ring degrees ≥
+// ring.ParallelMinN, onto helpers from the bounded worker pool while a
+// core is idle, at the cost of the one closure the call is handed (the
+// fan-out itself is recycled). Secrets and errors are sampled as small
 // integers once per coefficient and reduced into every limb, so RNG
 // stream order is independent of both the limb count and the execution
 // strategy.

@@ -21,10 +21,11 @@
 // read one donor limb and fold its centered remainder into every other
 // limb) and CenteredFloat (which CRT-combines the first two limbs for
 // decoding).
-// Because limbs are otherwise independent, per-limb work fans out over
-// the bounded worker pool through ForEach, the package's one fan-out
-// primitive (Tower.ForEachLimb is its limb-count form); calls must not
-// share mutable state across limbs.
+// Because limbs are otherwise independent, per-limb work fans out through
+// ForEach, the package's one fan-out primitive (Tower.ForEachLimb is its
+// limb-count form): the caller and helpers on idle cores claim limbs from
+// one shared counter, and no helper joins while fan-out work already
+// fills GOMAXPROCS cores. Calls must not share mutable state across limbs.
 //
 // # Montgomery domain invariants
 //

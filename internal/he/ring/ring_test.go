@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -603,48 +600,6 @@ func TestCRTPair(t *testing.T) {
 		if got := big2.CenteredFloat(wide, 1); got != x {
 			t.Errorf("CenteredFloat(%g) = %g", x, got)
 		}
-	}
-}
-
-// TestForEach pins the fan-out contract: every index runs exactly once on
-// both sides of ParallelMinN, and a nested ForEach under a saturated pool
-// completes by degrading inline (counted by InlineDegradations) instead of
-// waiting for a worker.
-func TestForEach(t *testing.T) {
-	for _, n := range []int{ParallelMinN / 2, ParallelMinN} {
-		for _, count := range []int{0, 1, 2, 8, 33} {
-			hits := make([]atomic.Int32, count)
-			ForEach(n, count, func(i int) { hits[i].Add(1) })
-			for i := range hits {
-				if got := hits[i].Load(); got != 1 {
-					t.Errorf("n=%d count=%d: index %d ran %d times", n, count, i, got)
-				}
-			}
-		}
-	}
-
-	// Saturate the pool: a blocking send completes only once a worker has
-	// taken the task, and each one taken parks its worker until release.
-	// With no worker free, every offered index of a two-deep fan-out has to
-	// run inline on this goroutine — none may wait for capacity.
-	var parked sync.WaitGroup
-	release := make(chan struct{})
-	for w := 1; w < runtime.GOMAXPROCS(0); w++ {
-		parked.Add(1)
-		parTasks <- parTask{func(int) { <-release }, 0, &parked}
-	}
-	before := InlineDegradations()
-	inner := 0
-	ForEach(ParallelMinN, 3, func(int) {
-		ForEach(ParallelMinN, 4, func(int) { inner++ })
-	})
-	close(release)
-	parked.Wait()
-	if inner != 12 {
-		t.Errorf("nested ForEach ran %d inner indices, want 12", inner)
-	}
-	if got := InlineDegradations() - before; got != 2+3*3 {
-		t.Errorf("InlineDegradations rose by %d under a saturated pool, want 11", got)
 	}
 }
 

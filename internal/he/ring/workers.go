@@ -11,58 +11,75 @@ import (
 // it ForEach is a plain loop.
 const ParallelMinN = 4096
 
-// The package-level worker pool bounds fan-out concurrency: ForEach — the
-// only sender — hands indices to a fixed set of workers over an unbuffered
-// channel and runs whatever no worker can take immediately inline on the
-// caller's goroutine. That makes nested fan-outs (serve.EvalPool workers
-// × per-limb ForEach) safe by construction — the total goroutine count is
-// pinned at the pool size no matter how deep the nesting, and a saturated
-// pool degrades to inline execution instead of spawning. Both levels earn
-// their keep on the 2-core reference box (ROADMAP item 1(c)): with the
-// inner level forced inline affine-128k-solo lost a fifth of its
-// throughput (p50 21 → 27 ms), while under matvec-128k-sat, where the
-// outer level already fills both cores, the inner one degrades inline and
-// costs nothing measurable.
+// The package-level worker pool runs fan-out work on idle cores. A
+// ForEach publishes one shared index counter; its caller and every helper
+// it got claim the next unclaimed index until none is left, so four limbs
+// split two and two on two cores however the helper's start lines up with
+// the caller's. A helper is offered only to an idle core: the package
+// counts the goroutines running fan-out work — callers inside a parallel
+// ForEach plus helpers — and offers one only while that count is below
+// GOMAXPROCS, and only to a worker parked at that instant. So nested
+// fan-outs (serve.EvalPool workers × per-limb ForEach) never oversubscribe
+// the cores: when eval workers already fill them, as under
+// matvec-128k-sat, every fan-out runs inline on its caller and waits for
+// no one. On a 2-core Xeon, claiming plus the transcipher's row fan-outs
+// took affine-128k-solo's latency_p50_ms from 10.27 to 8.91 ms (medians
+// of ten alternating runs a side, every pair a win) with matvec-128k-sat
+// flat; the pool before it offered each index once, to whichever worker
+// was parked at that instant, and so ran a 4-limb form 3/1 between caller
+// and worker.
 //
 // The pool is sized once at start-up — GOMAXPROCS−1 workers plus the
-// submitting goroutine itself — so submission is a lock-free send on a
+// submitting goroutine itself — so an offer is a lock-free send on a
 // channel that is never reassigned. On a single-core process there are no
 // workers and every ForEach runs fully inline.
 var (
-	parTasks = make(chan parTask)
+	parTasks = make(chan *fanOut)
+	parProcs = int32(runtime.GOMAXPROCS(0))
 
-	// parInline counts indices that degraded to inline execution because no
-	// pool worker could take them immediately — the saturation signal the
+	// parBusy counts the goroutines running fan-out work: callers inside
+	// a parallel ForEach plus helpers, each helper from the moment its
+	// core is reserved.
+	parBusy atomic.Int32
+
+	// parInline counts fan-outs that got no helper because every core was
+	// busy or no worker was parked — the saturation signal the
 	// observability layer surfaces as quhe_ring_inline_degradations_total.
 	parInline atomic.Int64
 )
 
-// parTask is one index of one fan-out, sent by value; with the wait group
-// recycled, the only object a ForEach costs is its caller's closure.
-type parTask struct {
-	f  func(i int)
-	i  int
-	wg *sync.WaitGroup
+// fanOut is one parallel ForEach: the index counter its participants
+// claim from, the helpers still running, and the first panic one of them
+// recovered.
+type fanOut struct {
+	f     func(i int)
+	count int64
+	next  atomic.Int64
+	wg    sync.WaitGroup
+
+	mu       sync.Mutex
+	panicked any
 }
 
-// wgFree recycles fan-outs' wait groups (a stack one cannot be shared with
-// the workers). A channel, not a sync.Pool, so the allocation gates read
-// the same under -race, where a sync.Pool drops puts at random. It holds
-// more than the goroutines any serving box fans out from at once; past
-// that a fan-out allocates its own and the surplus is dropped.
-var wgFree = make(chan *sync.WaitGroup, 64)
+// fanFree recycles fan-outs, so the only object a ForEach costs is its
+// caller's closure. A channel, not a sync.Pool, so the allocation gates
+// read the same under -race, where a sync.Pool drops puts at random. It
+// holds more than the goroutines any serving box fans out from at once;
+// past that a fan-out allocates its own and the surplus is dropped.
+var fanFree = make(chan *fanOut, 64)
 
-// InlineDegradations reports how many fan-out indices ran inline on the
-// caller because the worker pool was saturated. Monotonic; a rising rate
-// means fan-out is losing parallelism to pool contention.
+// InlineDegradations reports how many fan-outs ran wholly on their caller
+// because no core was idle to help. Monotonic; a rising rate means
+// fan-out is losing parallelism to saturation.
 func InlineDegradations() int64 { return parInline.Load() }
 
 func init() {
-	for i := 1; i < runtime.GOMAXPROCS(0); i++ {
+	for i := int32(1); i < parProcs; i++ {
 		go func() {
-			for t := range parTasks {
-				t.f(t.i)
-				t.wg.Done()
+			for fo := range parTasks {
+				fo.claim()
+				parBusy.Add(-1)
+				fo.wg.Done()
 			}
 		}()
 	}
@@ -70,12 +87,14 @@ func init() {
 
 // ForEach runs f(i) for every i in [0, count) and returns when all have
 // finished. Work on a ring of degree n < ParallelMinN, or a single index,
-// runs serially in order on the caller. Otherwise indices 1..count−1 are
-// offered to the bounded pool, any that no free worker picks up at once
-// run on the caller, and index 0 always does — so ForEach never blocks
-// waiting for capacity and nested calls cannot deadlock. Calls of f must
-// not share mutable state (in particular, no RNG use — keep sampling
-// outside fan-outs so results stay deterministic).
+// runs serially in order on the caller. Otherwise the caller offers
+// helpers to idle cores and then claims indices alongside them; it never
+// waits for capacity, only for helpers already running its indices, so
+// nested calls cannot deadlock. A panic in f stops the fan-out's claims
+// and is raised again on the caller once every helper has stopped; the
+// pool's workers survive it. Calls of f must not share mutable state (in
+// particular, no RNG use — keep sampling outside fan-outs so results stay
+// deterministic).
 func ForEach(n, count int, f func(i int)) {
 	if count <= 1 || n < ParallelMinN {
 		for i := 0; i < count; i++ {
@@ -83,26 +102,78 @@ func ForEach(n, count int, f func(i int)) {
 		}
 		return
 	}
-	var wg *sync.WaitGroup
+	var fo *fanOut
 	select {
-	case wg = <-wgFree:
+	case fo = <-fanFree:
 	default:
-		wg = new(sync.WaitGroup)
+		fo = new(fanOut)
 	}
-	wg.Add(count - 1)
-	for i := 1; i < count; i++ {
-		select {
-		case parTasks <- parTask{f, i, wg}:
-		default:
-			parInline.Add(1)
-			f(i)
-			wg.Done()
+	fo.f, fo.count = f, int64(count)
+	parBusy.Add(1)
+	fo.offerHelpers()
+	fo.claim()
+	fo.wg.Wait()
+	parBusy.Add(-1)
+	p := fo.panicked
+	fo.f, fo.panicked = nil, nil
+	fo.next.Store(0)
+	select {
+	case fanFree <- fo:
+	default:
+	}
+	if p != nil {
+		panic(p)
+	}
+}
+
+// offerHelpers hands the fan-out to parked workers, one per index past
+// the caller's, while a core is idle: each offer first reserves a core in
+// parBusy, and an offer no worker takes at once ends the offering.
+func (fo *fanOut) offerHelpers() {
+	helpers := int64(0)
+	for helpers < fo.count-1 {
+		b := parBusy.Load()
+		if b >= parProcs {
+			break
 		}
+		if !parBusy.CompareAndSwap(b, b+1) {
+			continue
+		}
+		fo.wg.Add(1)
+		select {
+		case parTasks <- fo:
+			helpers++
+			continue
+		default:
+		}
+		fo.wg.Done()
+		parBusy.Add(-1)
+		break
 	}
-	f(0)
-	wg.Wait()
-	select {
-	case wgFree <- wg:
-	default:
+	if helpers == 0 {
+		parInline.Add(1)
+	}
+}
+
+// claim runs the fan-out's next unclaimed index until none is left. A
+// panic in f is recorded, the remaining indices are withdrawn from every
+// participant, and claim returns.
+func (fo *fanOut) claim() {
+	defer func() {
+		if r := recover(); r != nil {
+			fo.mu.Lock()
+			if fo.panicked == nil {
+				fo.panicked = r
+			}
+			fo.mu.Unlock()
+			fo.next.Store(fo.count)
+		}
+	}()
+	for {
+		i := fo.next.Add(1) - 1
+		if i >= fo.count {
+			return
+		}
+		fo.f(int(i))
 	}
 }

@@ -102,6 +102,7 @@ import (
 
 	"quhe/internal/chacha20"
 	"quhe/internal/he/ckks"
+	"quhe/internal/he/ring"
 )
 
 // Cipher binds a CKKS context to the transciphering construction.
@@ -173,13 +174,16 @@ const tile = chacha20.BlockSize / 2
 
 // Scratch holds everything one transciphering evaluation needs per block
 // except the ciphertext it returns: the ChaCha20 state and raw expansion,
-// the three coefficient matrices, the plaintext staging vector, the
-// encoder's FFT space (N/2 entries: the special FFT runs at half length)
-// and its N integer coefficients per row, and the accumulators of
-// the homomorphic evaluation. A serving worker reuses one Scratch across
-// every block it processes, so a block's steady-state allocations are its
-// result and the limb fan-outs' closures. Not safe for concurrent use —
-// pair one Scratch with one evaluator (see serve.Worker).
+// the three coefficient matrices, the plaintext staging vector, and per
+// key coordinate the encoder's FFT space (N/2 entries: the special FFT
+// runs at half length; 256 KiB for the eight rows at λ-128k) and its N
+// integer coefficients, so a linear form's row encodes fan out over rows
+// (ring.ForEach) through a row encoder bound once here. It also holds the
+// accumulators of the homomorphic evaluation. A serving worker reuses one
+// Scratch across every block it processes, so a block's steady-state
+// allocations are its result and the limb fan-outs' closures. Not safe
+// for concurrent use — pair one Scratch with one evaluator (see
+// serve.Worker).
 type Scratch struct {
 	stream    chacha20.Cipher
 	raw       []byte
@@ -191,9 +195,23 @@ type Scratch struct {
 	// Homomorphic working set. ctx pins the context the buffers were
 	// sized for.
 	ctx    *ckks.Context
-	work   []complex128
+	work   [][]complex128   // FFT space, one row per key coordinate
 	coeffs [][]int64        // one row per key coordinate; row 0 doubles for the masked block
 	u, v   *ckks.Ciphertext // top-level accumulators: z then z², and A·k
+
+	// The linear form whose rows encodeRow encodes: re_j + i·im_j, im
+	// nil for a real form, each row's error in rowErr.
+	formRe, formIm [][]float64
+	rowErr         []error
+	encodeRow      func(j int)
+
+	// rows lists A's, B's and C's rows in block-stream order for fillRow,
+	// which expands one of them; rowBlocks is the ChaCha20 blocks a row
+	// spans, 0 when rows are not whole blocks and the stream is expanded
+	// whole first.
+	rows      [][]float64
+	rowBlocks int
+	fillRow   func(r int)
 	// conv receives the evaluation form of a key that arrives in
 	// coefficient form; allocated on first such key, never for a server
 	// whose sessions hold installed keys.
@@ -219,13 +237,38 @@ func (c *Cipher) NewScratch() *Scratch {
 		keyLen:    c.keyLen,
 		slotCount: slots,
 		ctx:       c.ctx,
-		work:      make([]complex128, slots),
+		work:      make([][]complex128, c.keyLen),
 		coeffs:    make([][]int64, c.keyLen),
 		u:         c.ctx.NewCiphertext(top),
 		v:         c.ctx.NewCiphertext(top),
+		rowErr:    make([]error, c.keyLen),
 	}
 	for j := range sc.coeffs {
+		sc.work[j] = make([]complex128, slots)
 		sc.coeffs[j] = make([]int64, n)
+	}
+	sc.rows = append(append(append(sc.rows, sc.a...), sc.b...), sc.cc...)
+	if rowBytes := 2 * slots; rowBytes%chacha20.BlockSize == 0 {
+		sc.rowBlocks = rowBytes / chacha20.BlockSize
+	}
+	// Entries are normalized by keyLen so |A·k|, |B·k|, |C·k| ≤ 1: the
+	// homomorphic evaluation then stays well inside the modulus headroom.
+	norm := 32768 * float64(c.keyLen)
+	sc.fillRow = func(r int) {
+		raw := sc.raw[2*slots*r : 2*slots*(r+1)]
+		for b := 0; b < sc.rowBlocks; b++ {
+			sc.stream.KeystreamAt(uint32(r*sc.rowBlocks+b), (*[chacha20.BlockSize]byte)(raw[b*chacha20.BlockSize:]))
+		}
+		for s, row := 0, sc.rows[r]; s < slots; s++ {
+			row[s] = float64(int16(binary.LittleEndian.Uint16(raw[2*s:]))) / norm
+		}
+	}
+	sc.encodeRow = func(j int) {
+		var im []float64
+		if sc.formIm != nil {
+			im = sc.formIm[j]
+		}
+		sc.rowErr[j] = c.encoder.EncodeRealCoeffs(sc.formRe[j], im, c.scale(), sc.work[j], sc.coeffs[j])
 	}
 	return sc
 }
@@ -251,7 +294,9 @@ func blockStream(st *chacha20.Cipher, nonce []byte, block uint32) error {
 // A, B, C (each keyLen × slots) into the scratch buffers — the server's
 // form, since the fused kernel encodes each row as a plaintext. The block
 // stream holds A's rows, then B's, then C's, each row slots int16 values;
-// MaskInto reads the same stream tile by tile.
+// MaskInto reads the same stream tile by tile. Rows that are whole
+// ChaCha20 blocks are expanded by addressing their blocks directly, so the
+// fill fans out over rows.
 func (c *Cipher) coeffBlockInto(nonce []byte, block uint32, sc *Scratch) error {
 	if sc.keyLen != c.keyLen || sc.slotCount != c.Slots() {
 		return fmt.Errorf("transcipher: scratch sized %d×%d, cipher needs %d×%d",
@@ -260,23 +305,10 @@ func (c *Cipher) coeffBlockInto(nonce []byte, block uint32, sc *Scratch) error {
 	if err := blockStream(&sc.stream, nonce, block); err != nil {
 		return err
 	}
-	slots := c.Slots()
-	sc.stream.Keystream(sc.raw)
-	// Entries are normalized by keyLen so |A·k|, |B·k|, |C·k| ≤ 1: the
-	// homomorphic evaluation then stays well inside the modulus headroom.
-	norm := 32768 * float64(c.keyLen)
-	fill := func(m [][]float64, off int) {
-		for j := 0; j < c.keyLen; j++ {
-			for s := 0; s < slots; s++ {
-				v := int16(binary.LittleEndian.Uint16(sc.raw[off+2*(j*slots+s):]))
-				m[j][s] = float64(v) / norm
-			}
-		}
+	if sc.rowBlocks == 0 {
+		sc.stream.Keystream(sc.raw)
 	}
-	stride := c.keyLen * slots * 2
-	fill(sc.a, 0)
-	fill(sc.b, stride)
-	fill(sc.cc, 2*stride)
+	ring.ForEach(c.ctx.Params.N(), len(sc.rows), sc.fillRow)
 	return nil
 }
 
@@ -440,16 +472,14 @@ func (c *Cipher) evalKeystream(sc *Scratch, ev *ckks.Evaluator, rlk *ckks.RelinK
 	top := c.ctx.MaxLevel()
 
 	// linearForm computes Rescale(Σ_j (re_j + i·im_j) ⊙ key_j) at level
-	// `at` into acc: keyLen encodes into the scratch's integer rows, then
-	// one fused NTT-domain kernel over the resident key. im nil is a real
-	// form.
+	// `at` into acc: keyLen encodes into the scratch's integer rows,
+	// fanned out over rows, then one fused NTT-domain kernel over the
+	// resident key. im nil is a real form.
 	linearForm := func(re, im [][]float64, at int, acc *ckks.Ciphertext) error {
-		for j := range re {
-			var imj []float64
-			if im != nil {
-				imj = im[j]
-			}
-			if err := c.encoder.EncodeRealCoeffs(re[j], imj, c.scale(), sc.work, sc.coeffs[j]); err != nil {
+		sc.formRe, sc.formIm = re, im
+		ring.ForEach(c.ctx.Params.N(), len(re), sc.encodeRow)
+		for _, err := range sc.rowErr {
+			if err != nil {
 				return err
 			}
 		}
@@ -555,7 +585,7 @@ func (c *Cipher) TranscipherAffineWith(sc *Scratch, ev *ckks.Evaluator, rlk *ckk
 		}
 		sc.plain[s] = v
 	}
-	if err := c.encoder.EncodeRealCoeffs(sc.plain, nil, ks.Scale, sc.work, sc.coeffs[0]); err != nil {
+	if err := c.encoder.EncodeRealCoeffs(sc.plain, nil, ks.Scale, sc.work[0], sc.coeffs[0]); err != nil {
 		return nil, err
 	}
 	if err := ev.TrivialSubInto(sc.coeffs[0], ks.Scale, ks, ks); err != nil {
