@@ -229,7 +229,7 @@ func TestEvictedSessionLeavesPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := serve.NewStore(2)
-	ctl.BindServe(nil, store, obs.NewRegistry())
+	ctl.BindServe(store, obs.NewRegistry())
 	register := func(id string) {
 		t.Helper()
 		if err := store.Register(serve.NewSession(id, profile.IDLambda32k, nil, nil, nil, nil)); err != nil {

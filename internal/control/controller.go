@@ -331,29 +331,16 @@ func (c *Controller) Replan() (*Plan, error) {
 		plan.RekeyBudget[s.ID] = c.sessionBudget(plan, s, phi, w)
 	}
 	plan.AdmitCapacity = c.admitCapacity()
-	// The queue envelope is 3/4 of the backlog the scheduler was built
-	// for. Since the plan now *actuates* this bound (Resize below), it is
-	// both the admission shed point (typed CodeAdmissionDenied, checked
-	// first on the control path) and the hard enqueue boundary — only
-	// submissions racing past a same-instant admission check see
-	// CodeOverloaded there.
-	if sched := c.tel.sched.Load(); sched != nil {
-		plan.QueueHighWater = 3 * sched.MaxCapacity() / 4
-	}
 
 	// Actuation: provision every route's client with the secret-key rate
-	// its allocation sustains (rate_n = φ_n·F_skf(̟_n), Eq. 4), and apply
-	// the plan's envelope to the live serving plane — the queue's depth
-	// bound moves to the high-water and the session cap follows the
-	// admission capacity (never above the built ceiling), so the plan is
-	// enforced by the runtime itself, not only advised at admission time.
+	// its allocation sustains (rate_n = φ_n·F_skf(̟_n), Eq. 4), and move
+	// the session cap to the admission capacity (never above the built
+	// ceiling), so the plan is enforced by the runtime itself, not only
+	// advised at admission time.
 	if c.cfg.KeyCenter != nil {
 		if err := c.cfg.KeyCenter.ProvisionFromAllocation(c.cfg.Network, phi, w); err != nil {
 			return nil, fmt.Errorf("control: provision: %w", err)
 		}
-	}
-	if sched := c.tel.sched.Load(); sched != nil && plan.QueueHighWater > 0 {
-		sched.Resize(plan.QueueHighWater)
 	}
 	if store := c.tel.store.Load(); store != nil {
 		if ceiling := int(c.storeCeiling.Load()); ceiling > 0 {
@@ -474,13 +461,13 @@ func (c *Controller) admitCapacity() int {
 
 // --- edge control-plane hooks ----------------------------------------------
 
-// BindServe attaches the scheduler (queue occupancy and depth actuation),
-// captures the store for live session-cap actuation and builds the
-// control plane's instruments on the server's registry (called by the
-// edge server at construction). Replans from then on are counted and
-// timed there, and the key centre's stock and flow read from there.
-func (c *Controller) BindServe(sched *serve.Scheduler, store *serve.Store, reg *obs.Registry) {
-	c.tel.BindServe(sched, store)
+// BindServe captures the store for live session-cap actuation and
+// builds the control plane's instruments on the server's registry
+// (called by the edge server at construction). Replans from then on are
+// counted and timed there, and the key centre's stock and flow read from
+// there.
+func (c *Controller) BindServe(store *serve.Store, reg *obs.Registry) {
+	c.tel.BindServe(store)
 	if store != nil {
 		c.storeCeiling.Store(int64(store.MaxSessions()))
 	}
@@ -553,8 +540,7 @@ func (c *Controller) AdmitSession(sessionID string, resident int) error {
 
 // AdmitCompute decides whether one block of pendingBytes may be
 // served for a session that has already used usedBytes of its current
-// key's budget. It sheds when the scheduler occupancy exceeds the plan's
-// high-water mark, and when serving would demand a key rotation the
+// key's budget. It sheds when serving would demand a key rotation the
 // session's depleted QKD pool cannot fund — the case that otherwise
 // leaves clients bouncing between CodeRekeyRequired and failed
 // withdrawals.
@@ -562,13 +548,6 @@ func (c *Controller) AdmitCompute(sessionID string, usedBytes, pendingBytes int6
 	p := c.plan.Load()
 	if p == nil {
 		return nil
-	}
-	if p.QueueHighWater > 0 {
-		if sched := c.tel.sched.Load(); sched != nil && sched.QueueDepth() >= p.QueueHighWater {
-			c.tel.ObserveShed(sessionID, pendingBytes)
-			return fmt.Errorf("%w: queue occupancy %d at plan high-water %d",
-				serve.ErrAdmissionDenied, sched.QueueDepth(), p.QueueHighWater)
-		}
 	}
 	if kc := c.cfg.KeyCenter; kc != nil {
 		if budget := c.budgetFor(p, sessionID); budget > 0 && usedBytes+pendingBytes >= budget {

@@ -12,10 +12,9 @@
 // into. The edge server pushes one observation per served or shed block
 // (per-session demand bytes, block and rotation counts and a latency
 // histogram: a sync.Map load plus a few atomics on the hot path); the
-// serve.Scheduler and serve.Store are bound once at server construction,
-// the scheduler for admission's queue-occupancy check, the store so a
-// session's telemetry lives exactly as long as the store keeps the
-// session; the qkd.KeyCenter contributes per-client key stock and
+// serve.Store is bound once at server construction, so a session's
+// telemetry lives exactly as long as the store keeps the session; the
+// qkd.KeyCenter contributes per-client key stock and
 // provisioned rates (PoolStats). Telemetry.Snapshot carries exactly what
 // Replan reads: per-session demand rates derived from byte deltas between
 // snapshots, served blocks and rotations, and per-profile served blocks
@@ -55,29 +54,32 @@
 //     replan is budgeted from its registered profile; the default — for a
 //     session whose profile is unknown — is the budget at the lowest
 //     planned RouteLambda.
-//   - Plan.AdmitCapacity / Plan.QueueHighWater — the admission envelope:
-//     the session count whose next rotations the current key stock can
-//     fund (unbounded without a key centre, where the server's own
-//     session cap is the bound), and the scheduler occupancy above which
-//     work is shed before the hard queue boundary.
+//   - Plan.AdmitCapacity — the session count whose next rotations the
+//     current key stock can fund (unbounded without a key centre, where
+//     the server's own session cap is the bound).
+//
+// The program has no queue term, and neither does the plan: the
+// scheduler's depth bound is the one edge.ServerConfig.QueueDepth sets,
+// with or without a controller.
 //
 // Actuate. Each replan provisions the key centre from the fresh allocation
-// (qkd.KeyCenter.ProvisionFromAllocation, rate_n = φ_n·F_skf(̟_n)),
-// applies the plan's queue high-water to the scheduler's live depth bound
-// (serve.Scheduler.Resize) and its admission capacity to the session
-// store's live cap (serve.Store.SetMaxSessions, never above the built
-// ceiling), and the edge server reads the plan on its hot paths: profile
-// negotiation consults NegotiateProfile (the per-route λ steering, with
-// downgrade of requests above the plan), Setup consults AdmitSession
-// (capacity + projected key consumption), every served block consults
-// AdmitCompute (queue occupancy + whether an imminent rekey is fundable)
-// and RekeyBudget (replacing the static edge.ServerConfig.RekeyBytes
-// constant, derived from each session's actual profile λ). Denials are
-// typed serve.ErrAdmissionDenied / serve.CodeAdmissionDenied on the wire,
-// so clients distinguish a policy shed from transient overload — and the
-// denied bytes still feed the demand EWMAs (Telemetry.ObserveShed), so a
-// fully shed session keeps registering load instead of collapsing to the
-// idle default budget.
+// (qkd.KeyCenter.ProvisionFromAllocation, rate_n = φ_n·F_skf(̟_n)) and
+// applies its admission capacity to the session store's live cap
+// (serve.Store.SetMaxSessions, never above the built ceiling), and the
+// edge server reads the plan on its hot paths: profile negotiation
+// consults NegotiateProfile (the per-route λ steering, with downgrade of
+// requests above the plan), Setup consults AdmitSession (capacity +
+// projected key consumption), every served block consults AdmitCompute
+// (whether an imminent rekey is fundable from the session's key pool —
+// online admission grounded in the finite key supply) and RekeyBudget
+// (replacing the static edge.ServerConfig.RekeyBytes constant, derived
+// from each session's actual profile λ). Denials are typed:
+// serve.ErrAdmissionDenied / serve.CodeAdmissionDenied for a session past
+// the plan's capacity, serve.ErrKeyExhausted / serve.CodeKeyExhausted
+// with a retry-after hint for a dry key pool, so clients distinguish a
+// policy shed from transient overload — and the denied bytes still feed
+// the demand EWMAs (Telemetry.ObserveShed), so a fully shed session keeps
+// registering load instead of collapsing to the idle default budget.
 //
 // Observe. BindServe builds the control plane's instruments on the edge
 // server's registry, so every served controller is instrumented: replan

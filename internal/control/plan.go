@@ -51,10 +51,8 @@ type Plan struct {
 
 	// AdmitCapacity is the target number of concurrent sessions the key
 	// plane can fund (negative = unbounded; 0 admits nothing new, e.g.
-	// every pool dry); QueueHighWater is the scheduler occupancy above
-	// which new work is shed by admission.
-	AdmitCapacity  int
-	QueueHighWater int
+	// every pool dry).
+	AdmitCapacity int
 
 	// DemandBytesPerSec echoes the telemetry demand the plan was solved
 	// against.

@@ -3,6 +3,8 @@ package control_test
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -275,12 +277,10 @@ func TestProfileTelemetryAggregates(t *testing.T) {
 	}
 }
 
-// TestReplanActuatesSchedulerAndStore is the controller-resizing
-// satellite: a replan moves the live scheduler depth to the plan's
-// high-water and the store's session cap to the admission capacity — the
-// rotations a 128-byte key stock funds — clamped to the built ceiling, and
-// the store holds that cap exactly.
-func TestReplanActuatesSchedulerAndStore(t *testing.T) {
+// TestReplanActuatesSessionCap: a replan moves the store's session cap
+// to the admission capacity — the rotations a 128-byte key stock funds —
+// clamped to the built ceiling, and the store holds that cap exactly.
+func TestReplanActuatesSessionCap(t *testing.T) {
 	net := qnet.SURFnet()
 	kc := qkd.NewKeyCenter()
 	if err := kc.Provision("stock", 0); err != nil {
@@ -308,22 +308,8 @@ func TestReplanActuatesSchedulerAndStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.QueueHighWater != 12 {
-		t.Errorf("high-water %d, want 12 (3/4 of built 16)", plan.QueueHighWater)
-	}
-	// The live scheduler bound and session cap now carry the plan. The
-	// server exposes neither directly, so assert through the controller's
-	// next plan (QueueHighWater derives from MaxCapacity, which must be
-	// unchanged) and through observable admission behavior below.
-	plan2, err := ctl.Replan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan2.QueueHighWater != 12 {
-		t.Errorf("high-water decayed to %d after resize — computed from live instead of built capacity", plan2.QueueHighWater)
-	}
-	if plan2.AdmitCapacity != 4 {
-		t.Errorf("admit capacity %d, want 4 (128 stock bytes / %d per rotation)", plan2.AdmitCapacity, serve.RekeyWithdrawBytes)
+	if plan.AdmitCapacity != 4 {
+		t.Errorf("admit capacity %d, want 4 (128 stock bytes / %d per rotation)", plan.AdmitCapacity, serve.RekeyWithdrawBytes)
 	}
 	// The server's store, built for 64, holds exactly the planned 4.
 	store := ctl.Telemetry().Store()
@@ -336,6 +322,50 @@ func TestReplanActuatesSchedulerAndStore(t *testing.T) {
 		t.Errorf("store at plan capacity 4 holds %d sessions after 8 registrations (%d evictions), want 4 (4)",
 			store.Len(), store.Evictions())
 	}
+}
+
+// TestControlledServerKeepsQueueDepth: the plan has no queue term, so a
+// replan leaves a controlled server's scheduler at the depth it was
+// built with, read where an operator reads it — the debug plane's
+// /metrics.
+func TestControlledServerKeepsQueueDepth(t *testing.T) {
+	ctl, err := control.New(control.Config{Network: qnet.SURFnet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := edge.NewServer("127.0.0.1:0", edge.ServerConfig{
+		Model:      edge.Model{Weights: []float64{1}},
+		Workers:    2,
+		QueueDepth: 16,
+		Control:    ctl,
+		DebugAddr:  "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := ctl.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + srv.DebugAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const series = "quhe_serve_queue_capacity "
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			if v != "16" {
+				t.Errorf("%s%s after a replan, want 16 (the built QueueDepth)", series, v)
+			}
+			return
+		}
+	}
+	t.Fatalf("no %q sample on /metrics", series)
 }
 
 // TestStage2CouplesRoutes: the λ choice is one program over every route,

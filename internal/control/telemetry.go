@@ -103,23 +103,17 @@ type Snapshot struct {
 type Telemetry struct {
 	sessions sync.Map // string -> *SessionTelemetry
 
-	// sched and store are write-once at BindServe. sched is read
-	// lock-free on the admission hot path (queue occupancy) and by Replan
-	// (queue actuation); store by Replan (session-cap actuation) and by
-	// Snapshot, which keeps only the sessions it holds.
-	sched atomic.Pointer[serve.Scheduler]
+	// store is write-once at BindServe, read by Replan (session-cap
+	// actuation) and by Snapshot, which keeps only the sessions it holds.
 	store atomic.Pointer[serve.Store]
 }
 
 // NewTelemetry builds an empty registry.
 func NewTelemetry() *Telemetry { return &Telemetry{} }
 
-// BindServe attaches the serving plane's scheduler and session store.
-// Called by the edge server at construction; either may be nil.
-func (t *Telemetry) BindServe(sched *serve.Scheduler, store *serve.Store) {
-	if sched != nil {
-		t.sched.Store(sched)
-	}
+// BindServe attaches the serving plane's session store. Called by the
+// edge server at construction; store may be nil.
+func (t *Telemetry) BindServe(store *serve.Store) {
 	if store != nil {
 		t.store.Store(store)
 	}

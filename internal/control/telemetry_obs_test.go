@@ -47,7 +47,7 @@ func TestControllerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	ctl.BindServe(nil, nil, reg)
+	ctl.BindServe(nil, reg)
 	for i := 0; i < 2; i++ {
 		if _, err := ctl.Replan(); err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestReplanInstrumentsAllocateNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		if bind {
-			ctl.BindServe(nil, nil, obs.NewRegistry())
+			ctl.BindServe(nil, obs.NewRegistry())
 		}
 		for i := 0; i < sessions; i++ {
 			id := fmt.Sprintf("s%d", i)

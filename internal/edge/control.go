@@ -19,14 +19,12 @@ import (
 // Implementations must be safe for concurrent use from the serving hot
 // path and must not call back into the Server.
 type Controller interface {
-	// BindServe attaches the server's scheduler and session store so the
-	// control plane can read their utilization gauges and actuate its
-	// plan (live queue-depth and session-cap resizing), and the server's
-	// metrics registry, which carries the control plane's series on the
-	// same /metrics page as the server's. Called once from NewServer
-	// before any traffic; store may be consulted for its built capacity
-	// ceiling.
-	BindServe(sched *serve.Scheduler, store *serve.Store, reg *obs.Registry)
+	// BindServe attaches the server's session store, so the control
+	// plane can actuate its plan's session cap, and the server's metrics
+	// registry, which carries the control plane's series on the same
+	// /metrics page as the server's. Called once from NewServer before
+	// any traffic; store may be consulted for its built capacity ceiling.
+	BindServe(store *serve.Store, reg *obs.Registry)
 	// NegotiateProfile resolves the security profile a new session should
 	// run: requested "" lets the active plan steer (the per-route λ
 	// choice); a concrete ID is granted, downgraded to the plan's profile

@@ -41,8 +41,8 @@ type fakeControl struct {
 	sessions   sync.Map // sessionID -> profileID from ObserveSession
 }
 
-func (f *fakeControl) BindServe(sched *serve.Scheduler, store *serve.Store, reg *obs.Registry) {
-	if sched != nil && store != nil && reg != nil {
+func (f *fakeControl) BindServe(store *serve.Store, reg *obs.Registry) {
+	if store != nil && reg != nil {
 		f.bound.Store(true)
 	}
 }

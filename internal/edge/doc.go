@@ -53,14 +53,15 @@
 //
 // ServerConfig.Control optionally attaches a closed-loop control plane
 // (the Controller interface, implemented by internal/control). With it,
-// Setup and compute admission become plan decisions — denials cross the
-// wire as serve.CodeAdmissionDenied — per-session rekey byte budgets are
-// derived online from the paper's security-level utility U_msl instead of
-// the static RekeyBytes constant, and the server publishes per-block
-// telemetry (bytes, latency, outcome) back into the plane. A nil Control
-// preserves the static admit-until-evicted behavior exactly; see
-// internal/control's package comment for the telemetry → plan → actuation
-// loop.
+// Setup and compute admission become plan decisions — a Setup past the
+// plan's capacity is refused serve.CodeAdmissionDenied, a block whose
+// rekey the session's key pool cannot fund serve.CodeKeyExhausted —
+// per-session rekey byte budgets are derived online from the paper's
+// security-level utility U_msl instead of the static RekeyBytes constant,
+// and the server publishes per-block telemetry (bytes, latency, outcome)
+// back into the plane. A nil Control preserves the static
+// admit-until-evicted behavior exactly; see internal/control's package
+// comment for the telemetry → plan → actuation loop.
 //
 // # Wire protocol
 //
@@ -238,8 +239,9 @@
 // TestOpGates walks every row through every gate.
 //
 // Each connection has a window and a reply writer. The decode loop admits
-// an op frame only while fewer than the scheduler's live capacity are in
-// flight on the connection, so a peer that outruns its window feels TCP
+// an op frame only while fewer than the scheduler's capacity
+// (ServerConfig.QueueDepth, controller or not) are in flight on the
+// connection, so a peer that outruns its window feels TCP
 // backpressure on its own socket, an idle server never sheds one
 // connection's burst, and serve.CodeOverloaded is what contention between
 // connections gets. Eval workers only evaluate and encode; they hand the

@@ -94,7 +94,7 @@ func newServerObs(s *Server) *serverObs {
 	reg.GaugeFunc("quhe_serve_queue_depth", "jobs waiting in the scheduler queue", func() float64 {
 		return float64(s.sched.QueueDepth())
 	})
-	reg.GaugeFunc("quhe_serve_queue_capacity", "live scheduler depth bound", func() float64 {
+	reg.GaugeFunc("quhe_serve_queue_capacity", "scheduler depth bound", func() float64 {
 		return float64(s.sched.Capacity())
 	})
 	reg.CounterFunc("quhe_ring_inline_degradations_total", "parallel ring fan-outs that got no helper and ran wholly on their caller: every core was already running fan-out work, or no pool worker was parked", func() float64 {

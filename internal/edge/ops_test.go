@@ -1,10 +1,17 @@
 package edge
 
 import (
+	"fmt"
+	"math"
 	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"quhe/internal/he/ckks"
+	"quhe/internal/he/ring"
 	"quhe/internal/serve"
 )
 
@@ -132,5 +139,95 @@ func TestOpGates(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvalPanicContained: a kernel that panics — here on a ring.ForEach
+// index, which a helper raises again on its caller — costs its block a
+// typed CodeInternal reply, counted once, with its stack logged, and
+// nothing more: the next block on the same connection runs on the same
+// worker, now holding a fresh evaluator, and decrypts to the model's
+// answer. Not parallel: it swaps a row of the package's op table.
+func TestEvalPanicContained(t *testing.T) {
+	kernel := opMatVec.kernel
+	var panicked atomic.Bool
+	evs := make(chan *ckks.Evaluator, 2) // the evaluator each call ran on
+	opMatVec.kernel = func(s *Server, rt *profileRuntime, w *serve.Worker, sess *serve.Session, ct *ckks.Ciphertext) (*ckks.Ciphertext, int, serve.Code, string) {
+		evs <- w.Ev
+		if panicked.CompareAndSwap(false, true) {
+			ring.ForEach(ring.ParallelMinN, 4, func(i int) {
+				if i == 3 {
+					panic("kernel fault")
+				}
+			})
+		}
+		return kernel(s, rt, w, sess, ct)
+	}
+	defer func() { opMatVec.kernel = kernel }()
+
+	var logMu sync.Mutex
+	var logged strings.Builder
+	srv, err := NewServer("127.0.0.1:0", ServerConfig{
+		Model:   Model{Weights: []float64{1}, Matrix: testMatrix},
+		Workers: 1,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			fmt.Fprintf(&logged, format+"\n", args...)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := newRawPeer(t, 421)
+	p.dial(t, srv.Addr())
+	p.register(t, "panicky")
+	p.uploadRotKeys(t, 423, len(testMatrix))
+
+	// The kernel reads the vector at every offset, so it fills the block
+	// (slot j carries x[j mod dim]), as the client's MatVec sends it.
+	x := []float64{0.5, -0.25, 0.75, 0.1}
+	tiled := make([]float64, p.cipher.Slots())
+	for j := range tiled {
+		tiled[j] = x[j%len(x)]
+	}
+	matvec := func(block uint32) *ComputeReply {
+		req := &ComputeRequest{Block: block, Epoch: 1, Masked: p.mask(t, block, tiled)}
+		rep, err := decodeComputeReply(p.call(t, frameMatVec, frameComputeReply,
+			func(b []byte) []byte { return appendComputeRequest(b, req) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if rep := matvec(1); rep.Code != serve.CodeInternal || rep.Result != nil || !strings.Contains(rep.Err, "kernel fault") {
+		t.Fatalf("panicking block replied %v (result %v, %q), want %v naming the panic", rep.Code, rep.Result != nil, rep.Err, serve.CodeInternal)
+	}
+	if n := srv.met.codeCounters[serve.CodeInternal].Value(); n != 1 {
+		t.Errorf(`quhe_serve_compute_total{code="internal"} = %d, want 1`, n)
+	}
+	logMu.Lock()
+	log := logged.String()
+	logMu.Unlock()
+	if !strings.Contains(log, "eval panic") || !strings.Contains(log, "goroutine ") {
+		t.Errorf("log holds no panic stack:\n%s", log)
+	}
+
+	rep := matvec(2)
+	if rep.Code != serve.CodeOK || rep.Result == nil {
+		t.Fatalf("block after the panic replied %v (%q), want ok", rep.Code, rep.Err)
+	}
+	got := p.decrypt(rep.Result)
+	for i, want := range plainMatVec(testMatrix, nil, x) {
+		if math.Abs(got[i]-want) > 1e-3 {
+			t.Errorf("slot %d after the panic = %v, want %v", i, got[i], want)
+		}
+	}
+	if n := srv.met.codeCounters[serve.CodeOK].Value(); n != 1 {
+		t.Errorf(`quhe_serve_compute_total{code="ok"} = %d, want 1`, n)
+	}
+	if before, after := <-evs, <-evs; before == after {
+		t.Error("the worker kept the evaluator the panic left behind")
 	}
 }

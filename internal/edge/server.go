@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -123,12 +124,11 @@ type ServerConfig struct {
 	// is bounded by Workers × live profiles, never by the session count.
 	Workers int
 	// QueueDepth bounds the scheduler backlog; requests that find it full
-	// are shed with serve.CodeOverloaded. Default 4×Workers. With a
-	// Control plane attached this is the built ceiling — the plan may
-	// shrink the live depth below it. The live depth is also each
-	// connection's window of in-flight op frames (see connState), so one
-	// connection never overflows the queue by itself: shedding is what
-	// contention between connections gets.
+	// are shed with serve.CodeOverloaded. Default 4×Workers. It is also
+	// each connection's window of in-flight op frames (see connState), so
+	// one connection never overflows the queue by itself: shedding is what
+	// contention between connections gets. A Control plane leaves it as
+	// it is.
 	QueueDepth int
 	// MaxSessions caps resident sessions; registering past the cap
 	// evicts the least recently used. Default 1024; negative = unbounded.
@@ -240,7 +240,7 @@ type Server struct {
 // op frame, from admission until the reply writer is done with its reply,
 // plus the frame a synchronous handler is answering. It is the occupancy
 // of the connection's window: the decode loop admits an op frame only while
-// fewer than the scheduler's live capacity are in flight, so a peer that
+// fewer than the scheduler's capacity are in flight, so a peer that
 // outruns its window — or stops reading its replies — backs up its own
 // socket and nothing else.
 type connState struct {
@@ -251,9 +251,8 @@ type connState struct {
 	freed chan struct{}
 	gone  chan struct{}
 	// replies is the worker → writer hand-off. It holds the scheduler's
-	// built capacity, which no window exceeds, so a worker's send never
-	// blocks: workers evaluate and encode, only the writer touches the
-	// socket.
+	// capacity, the window's size, so a worker's send never blocks:
+	// workers evaluate and encode, only the writer touches the socket.
 	replies chan opReply
 	// fw sends the connection's frames: the decode loop's session replies
 	// and the reply writer's op replies.
@@ -283,11 +282,11 @@ type opReply struct {
 	encoded time.Time
 }
 
-// admit blocks the decode loop until the connection's window has a free
-// slot and takes it; false when the connection was torn down first. Only
-// the decode loop admits, so the check and the increment cannot race.
-func (cs *connState) admit(window func() int) bool {
-	for int(cs.active.Load()) >= window() {
+// admit blocks the decode loop until fewer than window requests are in
+// flight and takes a slot; false when the connection was torn down first.
+// Only the decode loop admits, so the check and the increment cannot race.
+func (cs *connState) admit(window int) bool {
+	for int(cs.active.Load()) >= window {
 		select {
 		case <-cs.freed:
 		case <-cs.gone:
@@ -352,7 +351,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	s.listener = ln
 	s.conns = make(map[net.Conn]*connState)
 	if cfg.Control != nil {
-		cfg.Control.BindServe(s.sched, s.store, s.met.reg)
+		cfg.Control.BindServe(s.store, s.met.reg)
 	}
 	if cfg.DebugAddr != "" {
 		dcfg := obs.DebugConfig{
@@ -518,7 +517,7 @@ func (s *Server) trackConn(conn net.Conn) *connState {
 	cs := &connState{
 		freed:   make(chan struct{}, 1),
 		gone:    make(chan struct{}),
-		replies: make(chan opReply, s.sched.MaxCapacity()),
+		replies: make(chan opReply, s.sched.Capacity()),
 	}
 	s.conns[conn] = cs
 	return cs
@@ -753,7 +752,7 @@ func (s *Server) dispatch(ftype byte, id uint64, payload []byte, cs *connState) 
 		// The window wait comes before the block exists for the server: a
 		// peer ahead of its window is waiting on its own socket, which is
 		// not time any stage of the block spent.
-		if !cs.admit(s.sched.Capacity) {
+		if !cs.admit(s.sched.Capacity()) {
 			return net.ErrClosed
 		}
 		// The decode timestamp anchors the block's trace: the earliest
@@ -1180,9 +1179,19 @@ const modeledUplinkBps = 5e6
 // lands in the session profile's histogram and, with the block's bytes,
 // in the control plane, which is also told the rotations the kernel ran.
 // rots is that count, for the caller's modeled delay; kdur is the kernel's
-// share of the time, for its trace split.
+// share of the time, for its trace split. A panic in the eval — a kernel's,
+// or one ring.ForEach re-raised from a helper — is the block's
+// CodeInternal: its stack goes to Logf and the worker gets a fresh
+// evaluator and scratch, since the panic may have left them half-written.
 func (s *Server) evalBlock(o *op, rt *profileRuntime, w *serve.Worker, sess *serve.Session, reqEpoch uint64, block uint32, masked []float64) (result *ckks.Ciphertext, rots int, kdur time.Duration, code serve.Code, detail string) {
-	defer func() { s.met.codeCounter(code).Inc() }()
+	defer func() {
+		if p := recover(); p != nil {
+			result, rots, kdur, code, detail = nil, 0, 0, serve.CodeInternal, fmt.Sprintf("eval panicked: %v", p)
+			s.cfg.Logf("edge: eval panic (session %s, block %d): %v\n%s", sess.ID, block, p, debug.Stack())
+			rt.pool.Renew(w)
+		}
+		s.met.codeCounter(code).Inc()
+	}()
 	if o.ready != nil {
 		if code, detail := o.ready(s, rt, sess); code != serve.CodeOK {
 			return nil, 0, 0, code, detail

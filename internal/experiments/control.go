@@ -52,12 +52,10 @@ func scarceKeyNetwork() (*qnet.Network, error) {
 // ControlScenario reports one serving run of the experiment.
 type ControlScenario struct {
 	Name string `json:"name"`
-	// Served counts completed blocks; Denied the typed admission sheds
-	// (CodeAdmissionDenied, dynamic only); Stranded the blocks lost to
+	// Served counts completed blocks; Stranded the blocks lost to
 	// key exhaustion (rekey demanded but the pool cannot fund it — the
 	// static scenario's failure mode); Errors everything else.
 	Served   int64 `json:"served"`
-	Denied   int64 `json:"denied"`
 	Stranded int64 `json:"stranded"`
 	Errors   int64 `json:"errors"`
 	// Rekeys counts completed rotations; KeyBytesLeft the stock remaining
@@ -194,8 +192,6 @@ func runControlScenario(name string, dynamic bool, network *qnet.Network) (Contr
 			case err == nil:
 				sc.Served++
 				sc.LatencySumS += lat
-			case errors.Is(err, serve.ErrAdmissionDenied):
-				sc.Denied++
 			case errors.Is(err, serve.ErrRekeyRequired) || errors.Is(err, qkd.ErrInsufficientKey):
 				sc.Stranded++
 			default:

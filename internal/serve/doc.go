@@ -30,12 +30,11 @@
 //
 // Scheduler fans jobs out across the pools through one bounded queue:
 // SubmitTo targets a profile's pool, and a pool holds a share of the
-// queue from its first submission on. When the queue is at its live
-// depth bound, SubmitTo fails fast with ErrOverloaded instead of
-// buffering without limit: explicit backpressure the protocol layer maps
-// onto typed replies so clients can shed or retry. The live
-// bound is resizable within the built capacity (Resize) — the control
-// plane applies its plan's queue high-water to it every replan.
+// queue from its first submission on. The depth the scheduler is built
+// with is its one bound: when a pool's share of it is full, SubmitTo
+// fails fast with ErrOverloaded instead of buffering without limit —
+// explicit backpressure the protocol layer maps onto typed replies so
+// clients can shed or retry.
 //
 // Failures are identified by Code values that travel on the wire next to
 // a human-readable detail string; each code maps to a sentinel error
@@ -46,8 +45,8 @@
 // not the queue — refuses the work.
 //
 // The Scheduler and EvalPool also expose cheap gauges (QueueDepth,
-// Capacity, InUse) that the control plane and the edge server's
-// registry read; a refusal is counted once, by the edge server, as
+// Capacity, InUse) that the edge server's registry reads; a refusal is
+// counted once, by the edge server, as
 // quhe_serve_shed_total{reason="queue_full"}. Each drain goroutine takes
 // its pool's quhe_profile pprof label once, when it starts, so CPU and
 // goroutine profiles split eval time by security profile at no cost per

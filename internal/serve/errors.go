@@ -43,11 +43,11 @@ const (
 	// the wire (the wire is gone).
 	CodeConnClosed
 	// CodeAdmissionDenied sheds work the control plane refuses to admit:
-	// the projected QKD key consumption or queue occupancy exceeds the
-	// current resource plan. Unlike CodeOverloaded (a full queue right
-	// now) or CodeRekeyRequired (retry after rotating), admission denial
-	// is a policy decision — clients should back off or route elsewhere
-	// rather than retry immediately.
+	// a new session past the current resource plan's admission capacity.
+	// Unlike CodeOverloaded (a full queue right now) or CodeRekeyRequired
+	// (retry after rotating), admission denial is a policy decision —
+	// clients should back off or route elsewhere rather than retry
+	// immediately.
 	CodeAdmissionDenied
 	// CodeProfileDenied rejects a session whose requested security
 	// profile the server does not serve (unknown ID) or the active plan

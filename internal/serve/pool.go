@@ -16,15 +16,17 @@ type Worker struct {
 	Ev *ckks.Evaluator
 	// Scratch is caller-defined per-worker state (may be nil).
 	Scratch any
+	// idx is the index the pool built the worker at (Renew rebuilds it).
+	idx int
 }
 
 // EvalPool is a fixed-size pool of Workers over one shared CKKS context.
-// It replaces the evaluator-per-session design: N sessions share
-// Size() evaluators, so evaluator memory and compute parallelism are
-// bounded by the pool, not by the session count. Get blocks until a
-// worker is free. The Scheduler runs one drain goroutine per worker, each
-// checking out through Run, so in the serving path a checkout never waits:
-// the Scheduler's bounded queue, not Get, is the backpressure.
+// N sessions share Size() evaluators, so evaluator memory and compute
+// parallelism are bounded by the pool, not by the session count. Get
+// blocks until a worker is free. The Scheduler runs one drain goroutine
+// per worker, each checking out through Run, so in the serving path a
+// checkout never waits: the Scheduler's bounded queue, not Get, is the
+// backpressure.
 //
 // Workers are built lazily: construction registers a build function and
 // the pool's capacity, and each worker's evaluator and scratch come into
@@ -72,7 +74,7 @@ func (p *EvalPool) Size() int { return int(p.size) }
 func (p *EvalPool) Built() int { return int(p.next.Load()) }
 
 // InUse reports the workers currently checked out — the evaluator-pool
-// utilization gauge the control plane's telemetry snapshots.
+// utilization gauge the edge server's registry reads.
 func (p *EvalPool) InUse() int { return int(p.next.Load()) - len(p.ch) }
 
 // Get checks a worker out, blocking until one is free. While unbuilt
@@ -89,10 +91,20 @@ func (p *EvalPool) Get() *Worker {
 			break
 		}
 		if p.next.CompareAndSwap(n, n+1) {
-			return p.build(int(n))
+			w := p.build(int(n))
+			w.idx = int(n)
+			return w
 		}
 	}
 	return <-p.ch
+}
+
+// Renew rebuilds a checked-out worker's evaluator and scratch in place,
+// as the pool first built them: a job that panicked may have left them
+// half-written.
+func (p *EvalPool) Renew(w *Worker) {
+	fresh := p.build(w.idx)
+	w.Ev, w.Scratch = fresh.Ev, fresh.Scratch
 }
 
 // Put returns a worker obtained from Get.

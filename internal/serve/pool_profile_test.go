@@ -98,38 +98,18 @@ func TestSchedulerSubmitToRoutesPools(t *testing.T) {
 	}
 }
 
-// TestSchedulerResizeConcurrent is the satellite -race test: live resizes
-// racing a submission hammer must respect the shrinking bound (sheds
-// happen), never lose a job that was accepted, and never exceed the built
-// capacity.
-func TestSchedulerResizeConcurrent(t *testing.T) {
+// TestSchedulerConcurrentSubmitsRunOnce: four submitters racing on one
+// class against the depth bound must run every job that was accepted,
+// exactly once.
+func TestSchedulerConcurrentSubmitsRunOnce(t *testing.T) {
 	ctx := testContext(t)
 	pool := NewEvalPool(ctx, 2, 1, nil)
 	sched := NewScheduler(pool, 16)
-	if sched.MaxCapacity() != 16 || sched.Capacity() != 16 {
-		t.Fatalf("capacity %d/%d, want 16/16", sched.Capacity(), sched.MaxCapacity())
+	if sched.Capacity() != 16 {
+		t.Fatalf("capacity %d, want 16", sched.Capacity())
 	}
 
 	var accepted, ran, shed atomic.Int64
-	stop := make(chan struct{})
-	var resizer sync.WaitGroup
-	resizer.Add(1)
-	go func() { // resize hammer
-		defer resizer.Done()
-		sizes := []int{1, 4, 16, 2, 8, 0, 64} // clamped to [1, 16]
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			sched.Resize(sizes[i%len(sizes)])
-			if c := sched.Capacity(); c < 1 || c > 16 {
-				t.Errorf("live capacity %d outside [1, 16]", c)
-				return
-			}
-		}
-	}()
 	var submitters sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		submitters.Add(1)
@@ -149,8 +129,6 @@ func TestSchedulerResizeConcurrent(t *testing.T) {
 		}()
 	}
 	submitters.Wait()
-	close(stop)
-	resizer.Wait()
 	sched.Close()
 	if ran.Load() != accepted.Load() {
 		t.Errorf("accepted %d jobs but ran %d", accepted.Load(), ran.Load())
@@ -158,7 +136,7 @@ func TestSchedulerResizeConcurrent(t *testing.T) {
 	if accepted.Load() == 0 {
 		t.Error("no job was ever accepted")
 	}
-	t.Logf("accepted %d, shed %d under live resizing", accepted.Load(), shed.Load())
+	t.Logf("accepted %d, shed %d", accepted.Load(), shed.Load())
 }
 
 func TestStoreSetMaxSessionsShrinksLive(t *testing.T) {

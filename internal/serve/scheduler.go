@@ -20,26 +20,18 @@ type Job func(*Worker)
 // heavy-profile blocks cannot park every drain goroutine behind the heavy
 // pool and starve light-profile latency.
 //
-// Queue space is divided into equal shares: each of the k registered
-// classes may hold at most limit/k queued jobs (minimum one). A pool
-// that has never been submitted to holds no share, so a lone served
-// profile gets the whole limit, and once a second profile's first block
-// registers its class, each keeps a guaranteed reservation of the queue
-// that the other cannot flood away. A submission beyond its
-// class share fails fast with ErrOverloaded — the explicit backpressure
-// signal the protocol layer forwards to clients instead of buffering
-// requests without limit.
-//
-// The live depth bound is resizable within the capacity the scheduler
-// was built with (Resize): the control plane applies its plan's queue
-// high-water to the live boundary instead of only recording it, so a
-// shrinking plan turns into real CodeOverloaded backpressure, not just
-// advisory admission sheds. Shares scale with the live bound.
+// Queue space is divided into equal shares of the depth the scheduler
+// was built with, its one bound: each of the k registered classes may
+// hold at most depth/k queued jobs (minimum one). A pool that has never
+// been submitted to holds no share, so a lone served profile gets the
+// whole depth, and once a second profile's first block registers its
+// class, each keeps a guaranteed reservation of the queue that the other
+// cannot flood away. A submission beyond its class share fails fast with
+// ErrOverloaded — the explicit backpressure signal the protocol layer
+// forwards to clients instead of buffering requests without limit.
 type Scheduler struct {
-	maxDepth int
-
-	limit atomic.Int64 // live depth bound, ≤ maxDepth
-	depth atomic.Int64 // queued across all classes (not yet picked up)
+	capacity int          // the built depth bound
+	depth    atomic.Int64 // queued across all classes (not yet picked up)
 
 	mu      sync.Mutex
 	classes map[*EvalPool]*classQueue
@@ -48,8 +40,8 @@ type Scheduler struct {
 }
 
 // classQueue is one pool's slice of the scheduler: a bounded queue. Its
-// channel is built at the scheduler's full capacity so share boundaries
-// can move (Resize, new classes) without reallocating; admission control
+// channel is built at the scheduler's full capacity so shares can shrink
+// as new classes register without reallocating; admission control
 // happens against depth, never against channel occupancy, so the send in
 // SubmitTo never blocks.
 type classQueue struct {
@@ -59,18 +51,13 @@ type classQueue struct {
 }
 
 // NewScheduler builds a scheduler over a queue of the given depth (≤ 0
-// selects 4× the pool's size). The built depth is the ceiling Resize can
-// never exceed. No class exists until a pool's first submission.
+// selects 4× the pool's size). No class exists until a pool's first
+// submission.
 func NewScheduler(pool *EvalPool, queueDepth int) *Scheduler {
 	if queueDepth <= 0 {
 		queueDepth = 4 * pool.Size()
 	}
-	s := &Scheduler{
-		maxDepth: queueDepth,
-		classes:  make(map[*EvalPool]*classQueue),
-	}
-	s.limit.Store(int64(queueDepth))
-	return s
+	return &Scheduler{capacity: queueDepth, classes: make(map[*EvalPool]*classQueue)}
 }
 
 // classLocked returns the pool's queue class, creating it — and starting
@@ -80,7 +67,7 @@ func (s *Scheduler) classLocked(pool *EvalPool) *classQueue {
 	if c := s.classes[pool]; c != nil {
 		return c
 	}
-	c := &classQueue{pool: pool, ch: make(chan Job, s.maxDepth)}
+	c := &classQueue{pool: pool, ch: make(chan Job, s.capacity)}
 	s.classes[pool] = c
 	for i := 0; i < pool.Size(); i++ {
 		s.wg.Add(1)
@@ -89,10 +76,10 @@ func (s *Scheduler) classLocked(pool *EvalPool) *classQueue {
 	return c
 }
 
-// shareLocked computes a class's queue share under the live limit: an
-// equal part, at least one slot. Callers hold s.mu.
+// shareLocked computes a class's queue share: an equal part of the
+// built depth, at least one slot. Callers hold s.mu.
 func (s *Scheduler) shareLocked() int {
-	return max(int(s.limit.Load())/len(s.classes), 1)
+	return max(s.capacity/len(s.classes), 1)
 }
 
 // drain runs one class's jobs on its pool until Close. A drain serves one
@@ -126,7 +113,7 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 	}
 	c.depth.Add(1)
 	s.depth.Add(1)
-	// Send under the lock: the channel holds maxDepth ≥ share slots so
+	// Send under the lock: the channel holds capacity ≥ share slots so
 	// this never blocks, and Close (which also takes the lock) can never
 	// close the channel under the send.
 	c.ch <- job
@@ -138,27 +125,8 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 // across all classes.
 func (s *Scheduler) QueueDepth() int { return int(s.depth.Load()) }
 
-// Capacity reports the live queue depth bound (Resize moves it).
-func (s *Scheduler) Capacity() int { return int(s.limit.Load()) }
-
-// MaxCapacity reports the depth the scheduler was built with — the
-// ceiling Resize clamps to.
-func (s *Scheduler) MaxCapacity() int { return s.maxDepth }
-
-// Resize moves the live queue depth bound, clamped to [1, MaxCapacity].
-// Class shares scale with it. Shrinking never drops queued jobs: entries
-// beyond the new bound drain normally while new submissions shed until
-// occupancy falls below their class share. Safe to call concurrently
-// with SubmitTo.
-func (s *Scheduler) Resize(depth int) {
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > s.maxDepth {
-		depth = s.maxDepth
-	}
-	s.limit.Store(int64(depth))
-}
+// Capacity reports the queue depth bound the scheduler was built with.
+func (s *Scheduler) Capacity() int { return s.capacity }
 
 // Close stops intake, runs the jobs already queued to completion and
 // waits for the drain goroutines to exit. Safe to call more than once.

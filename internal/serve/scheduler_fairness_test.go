@@ -34,7 +34,7 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 	}
 	<-first
 	if hs, ls := share(sched, heavy), share(sched, light); hs != 0 || ls != 8 {
-		t.Fatalf("shares %d/%d, want 0/8 (the one registered class holds the whole limit)", hs, ls)
+		t.Fatalf("shares %d/%d, want 0/8 (the one registered class holds the whole depth)", hs, ls)
 	}
 
 	// Wedge the heavy worker — registering the heavy class — then flood
@@ -46,7 +46,7 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 	}
 	<-running
 	if hs, ls := share(sched, heavy), share(sched, light); hs != 4 || ls != 4 {
-		t.Fatalf("shares %d/%d, want 4/4 (limit 8, two classes)", hs, ls)
+		t.Fatalf("shares %d/%d, want 4/4 (depth 8, two classes)", hs, ls)
 	}
 	admitted := 0
 	for ; admitted < 100; admitted++ {
@@ -75,13 +75,16 @@ func TestSchedulerSharesProtectLightProfile(t *testing.T) {
 	}
 	close(release)
 
-	// Shares track the live limit and never fall below one slot.
-	sched.Resize(4)
-	if hs, ls := share(sched, heavy), share(sched, light); hs != 2 || ls != 2 {
-		t.Errorf("resized shares %d/%d, want 2/2", hs, ls)
+	// A share never falls below one slot: two classes on a scheduler built
+	// at depth 1 each hold one.
+	tiny := NewScheduler(heavy, 1)
+	defer tiny.Close()
+	for _, p := range []*EvalPool{heavy, light} {
+		if err := tiny.SubmitTo(p, func(*Worker) {}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sched.Resize(1)
-	if hs, ls := share(sched, heavy), share(sched, light); hs != 1 || ls != 1 {
+	if hs, ls := share(tiny, heavy), share(tiny, light); hs != 1 || ls != 1 {
 		t.Errorf("floor shares %d/%d, want 1/1", hs, ls)
 	}
 }
@@ -127,11 +130,10 @@ func TestSchedulerShareAdmitsLateClass(t *testing.T) {
 
 // TestSchedulerLonePoolAdmitsFullDepth: when only a pool other than the
 // one the scheduler was built over serves, that pool's class holds the
-// whole live depth — the idle build pool reserves nothing.
+// whole depth — the idle build pool reserves nothing.
 func TestSchedulerLonePoolAdmitsFullDepth(t *testing.T) {
 	for _, depth := range []int{8, 6} {
-		sched := NewScheduler(fairnessPool(), 8)
-		sched.Resize(depth)
+		sched := NewScheduler(fairnessPool(), depth)
 		other := fairnessPool()
 		release := make(chan struct{})
 		running := make(chan struct{})
@@ -148,7 +150,7 @@ func TestSchedulerLonePoolAdmitsFullDepth(t *testing.T) {
 		close(release)
 		sched.Close()
 		if admitted != depth {
-			t.Errorf("live depth %d: the lone serving pool queued %d jobs, want %d", depth, admitted, depth)
+			t.Errorf("depth %d: the lone serving pool queued %d jobs, want %d", depth, admitted, depth)
 		}
 	}
 }

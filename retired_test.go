@@ -118,6 +118,9 @@ var retiredNames = []retiredRow{
 	{name: "one Stage-2 program", pattern: `\bMaximizeBnB\b|\bBnBProblem\b|\bBnBResult\b|\bIncumbents\b|\bchooseRouteProfiles\b|\brouteCandidates\b`,
 		paths: goFiles, exclude: notBench,
 		why: "the λ choice is qnet.Stage2, solved by its one branch and bound for the reproduction and the live planner alike, so the closure-generic solver, its incumbent trace and the planner's per-route scoring loop stay retired"},
+	{name: "one queue bound", pattern: `QueueHighWater|MaxCapacity|\.Resize\(`,
+		paths: []string{"*.go", "README.md"}, exclude: notBench,
+		why: "the program has no queue term, so the plan carries no queue envelope: the scheduler's built depth is its one bound, with or without a controller"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
