@@ -105,10 +105,6 @@ type Controller struct {
 	seq    atomic.Uint64
 	planMu sync.Mutex // serializes Replan (snapshot deltas + actuation)
 
-	// storeCeiling is the bound session store's built cap — live resizing
-	// never raises the cap above what the server was built with.
-	storeCeiling atomic.Int64
-
 	stopOnce sync.Once
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -333,25 +329,12 @@ func (c *Controller) Replan() (*Plan, error) {
 	plan.AdmitCapacity = c.admitCapacity()
 
 	// Actuation: provision every route's client with the secret-key rate
-	// its allocation sustains (rate_n = φ_n·F_skf(̟_n), Eq. 4), and move
-	// the session cap to the admission capacity (never above the built
-	// ceiling), so the plan is enforced by the runtime itself, not only
-	// advised at admission time.
+	// its allocation sustains (rate_n = φ_n·F_skf(̟_n), Eq. 4). The
+	// admission capacity is enforced where sessions arrive, by
+	// AdmitSession; the session store keeps the cap it was built with.
 	if c.cfg.KeyCenter != nil {
 		if err := c.cfg.KeyCenter.ProvisionFromAllocation(c.cfg.Network, phi, w); err != nil {
 			return nil, fmt.Errorf("control: provision: %w", err)
-		}
-	}
-	if store := c.tel.store.Load(); store != nil {
-		if ceiling := int(c.storeCeiling.Load()); ceiling > 0 {
-			target := ceiling
-			if plan.AdmitCapacity >= 0 && plan.AdmitCapacity < ceiling {
-				target = plan.AdmitCapacity
-			}
-			if target < 1 {
-				target = 1 // a zero cap would evict every resident session
-			}
-			store.SetMaxSessions(target)
 		}
 	}
 
@@ -461,16 +444,13 @@ func (c *Controller) admitCapacity() int {
 
 // --- edge control-plane hooks ----------------------------------------------
 
-// BindServe captures the store for live session-cap actuation and
-// builds the control plane's instruments on the server's registry
-// (called by the edge server at construction). Replans from then on are
-// counted and timed there, and the key centre's stock and flow read from
-// there.
+// BindServe hands the store to telemetry, which keeps a session's entry
+// as long as the store keeps the session, and builds the control plane's
+// instruments on the server's registry (called by the edge server at
+// construction). Replans from then on are counted and timed there, and
+// the key centre's stock and flow read from there.
 func (c *Controller) BindServe(store *serve.Store, reg *obs.Registry) {
 	c.tel.BindServe(store)
-	if store != nil {
-		c.storeCeiling.Store(int64(store.MaxSessions()))
-	}
 	c.met.Store(newControlObs(reg, c.cfg.KeyCenter))
 }
 

@@ -55,18 +55,20 @@
 //     session whose profile is unknown — is the budget at the lowest
 //     planned RouteLambda.
 //   - Plan.AdmitCapacity — the session count whose next rotations the
-//     current key stock can fund (unbounded without a key centre, where
-//     the server's own session cap is the bound).
+//     current key stock can fund (unbounded without a key centre). It is
+//     enforced at Setup only: AdmitSession refuses a new session at or
+//     past it, and no resident session is evicted for it. Setups racing
+//     past AdmitSession can overshoot it by their number; the session
+//     store's built cap (edge.ServerConfig.MaxSessions) is the hard bound.
 //
 // The program has no queue term, and neither does the plan: the
 // scheduler's depth bound is the one edge.ServerConfig.QueueDepth sets,
 // with or without a controller.
 //
 // Actuate. Each replan provisions the key centre from the fresh allocation
-// (qkd.KeyCenter.ProvisionFromAllocation, rate_n = φ_n·F_skf(̟_n)) and
-// applies its admission capacity to the session store's live cap
-// (serve.Store.SetMaxSessions, never above the built ceiling), and the
-// edge server reads the plan on its hot paths: profile negotiation
+// (qkd.KeyCenter.ProvisionFromAllocation, rate_n = φ_n·F_skf(̟_n)); it
+// writes nothing to the session store, which keeps the cap it was built
+// with. The edge server reads the plan on its hot paths: profile negotiation
 // consults NegotiateProfile (the per-route λ steering, with downgrade of
 // requests above the plan), Setup consults AdmitSession (capacity +
 // projected key consumption), every served block consults AdmitCompute

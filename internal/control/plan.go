@@ -51,7 +51,8 @@ type Plan struct {
 
 	// AdmitCapacity is the target number of concurrent sessions the key
 	// plane can fund (negative = unbounded; 0 admits nothing new, e.g.
-	// every pool dry).
+	// every pool dry). AdmitSession refuses a Setup at or past it, and
+	// nothing else enforces it: resident sessions are never evicted for it.
 	AdmitCapacity int
 
 	// DemandBytesPerSec echoes the telemetry demand the plan was solved

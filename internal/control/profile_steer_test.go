@@ -277,26 +277,27 @@ func TestProfileTelemetryAggregates(t *testing.T) {
 	}
 }
 
-// TestReplanActuatesSessionCap: a replan moves the store's session cap
-// to the admission capacity — the rotations a 128-byte key stock funds —
-// clamped to the built ceiling, and the store holds that cap exactly.
-func TestReplanActuatesSessionCap(t *testing.T) {
-	net := qnet.SURFnet()
+// TestAdmitCapacityRefusesOnlyAtSetup: the plan's admission capacity is
+// enforced where sessions arrive and nowhere else. A key stock funding two
+// rotations plans capacity 2 on a server built for 64 sessions: two
+// sessions register, the third Setup is refused typed, and no resident
+// session is evicted for it, not even by a registration that raced past
+// admission — both earlier sessions still compute.
+func TestAdmitCapacityRefusesOnlyAtSetup(t *testing.T) {
 	kc := qkd.NewKeyCenter()
 	if err := kc.Provision("stock", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := kc.Deposit("stock", make([]byte, 4*serve.RekeyWithdrawBytes)); err != nil {
+	if err := kc.Deposit("stock", make([]byte, 2*serve.RekeyWithdrawBytes)); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := control.New(control.Config{Network: net, KeyCenter: kc})
+	ctl, err := control.New(control.Config{Network: qnet.SURFnet(), KeyCenter: kc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := edge.NewServer("127.0.0.1:0", edge.ServerConfig{
 		Model:       edge.Model{Weights: []float64{1}},
 		Workers:     2,
-		QueueDepth:  16,
 		MaxSessions: 64,
 		Control:     ctl,
 	})
@@ -308,19 +309,43 @@ func TestReplanActuatesSessionCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.AdmitCapacity != 4 {
-		t.Errorf("admit capacity %d, want 4 (128 stock bytes / %d per rotation)", plan.AdmitCapacity, serve.RekeyWithdrawBytes)
+	if plan.AdmitCapacity != 2 {
+		t.Fatalf("admit capacity %d, want 2 (%d stock bytes / %d per rotation)",
+			plan.AdmitCapacity, 2*serve.RekeyWithdrawBytes, serve.RekeyWithdrawBytes)
 	}
-	// The server's store, built for 64, holds exactly the planned 4.
-	store := ctl.Telemetry().Store()
-	for i := 0; i < 8; i++ {
-		if err := store.Register(serve.NewSession(fmt.Sprintf("s%d", i), "", nil, nil, nil, nil)); err != nil {
-			t.Fatal(err)
+
+	cfg := edge.DialConfig{Profile: profile.IDLambda32k}
+	var admitted []*edge.Client
+	for i := range 2 {
+		c, err := edge.DialWith(srv.Addr(), fmt.Sprintf("admitted-%d", i), []byte("k"), int64(61+i), cfg)
+		if err != nil {
+			t.Fatalf("session %d within capacity: %v", i, err)
 		}
+		defer c.Close()
+		admitted = append(admitted, c)
 	}
-	if store.Len() != 4 || store.Evictions() != 4 {
-		t.Errorf("store at plan capacity 4 holds %d sessions after 8 registrations (%d evictions), want 4 (4)",
-			store.Len(), store.Evictions())
+	if _, err := edge.DialWith(srv.Addr(), "past-capacity", []byte("k"), 63, cfg); !errors.Is(err, serve.ErrAdmissionDenied) {
+		t.Fatalf("Setup past capacity: err = %v, want serve.ErrAdmissionDenied", err)
+	}
+	if _, err := ctl.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	// A Setup that raced the second one past AdmitSession registers
+	// anyway: the table goes past the plan's target, under the built cap.
+	store := ctl.Telemetry().Store()
+	if err := store.Register(serve.NewSession("raced", "", nil, nil, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Len(); n != 3 {
+		t.Errorf("%d resident sessions after a raced registration, want 3", n)
+	}
+	if n := srv.Evictions(); n != 0 {
+		t.Errorf("%d evictions, want 0: the capacity refuses Setups, it never displaces a session", n)
+	}
+	for i, c := range admitted {
+		if _, err := c.Compute(0, []float64{0.5}); err != nil {
+			t.Errorf("admitted session %d compute: %v", i, err)
+		}
 	}
 }
 

@@ -103,8 +103,8 @@ type Snapshot struct {
 type Telemetry struct {
 	sessions sync.Map // string -> *SessionTelemetry
 
-	// store is write-once at BindServe, read by Replan (session-cap
-	// actuation) and by Snapshot, which keeps only the sessions it holds.
+	// store is write-once at BindServe, read by Snapshot, which keeps
+	// only the sessions it holds.
 	store atomic.Pointer[serve.Store]
 }
 

@@ -73,6 +73,65 @@ func TestControllerMetrics(t *testing.T) {
 	}
 }
 
+// TestPlanDeltaCounters pins quhe_control_plan_changes_total, the series
+// that reports the admission capacity moving: a replan where nothing moved
+// counts no change, draining the key stock below a multiple of the 32
+// bytes a rotation withdraws counts exactly one admit_capacity change, and
+// a withdrawal that leaves the capacity where it was counts none.
+func TestPlanDeltaCounters(t *testing.T) {
+	kc := qkd.NewKeyCenter()
+	if err := kc.Provision("stock", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := kc.Deposit("stock", make([]byte, 4*serve.RekeyWithdrawBytes+16)); err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := control.New(control.Config{Network: qnet.SURFnet(), KeyCenter: kc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ctl.BindServe(nil, reg)
+	changes := func() (capacity, budget, route int64) {
+		read := func(field string) int64 {
+			return reg.Counter("quhe_control_plan_changes_total", "", "field", field).Value()
+		}
+		return read("admit_capacity"), read("rekey_budget"), read("route_profile")
+	}
+	replan := func(wantCapacity int) {
+		t.Helper()
+		plan, err := ctl.Replan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.AdmitCapacity != wantCapacity {
+			t.Fatalf("admit capacity %d, want %d", plan.AdmitCapacity, wantCapacity)
+		}
+	}
+	withdraw := func(n int) {
+		t.Helper()
+		if _, err := kc.Withdraw("stock", n); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	replan(4)
+	if c, b, r := changes(); c != 0 || b != 0 || r != 0 {
+		t.Errorf("a replan where nothing moved counted changes: admit_capacity %d, rekey_budget %d, route_profile %d", c, b, r)
+	}
+	withdraw(serve.RekeyWithdrawBytes) // 144 → 112 bytes: crosses 128
+	replan(3)
+	if c, b, r := changes(); c != 1 || b != 0 || r != 0 {
+		t.Errorf("after draining across a multiple of %d bytes: admit_capacity %d, rekey_budget %d, route_profile %d; want 1, 0, 0",
+			serve.RekeyWithdrawBytes, c, b, r)
+	}
+	withdraw(8) // 112 → 104 bytes: still three rotations
+	replan(3)
+	if c, _, _ := changes(); c != 1 {
+		t.Errorf("a withdrawal that left the capacity at 3 counted: admit_capacity %d, want 1", c)
+	}
+}
+
 // TestReplanInstrumentsAllocateNothing: binding the instruments adds no
 // allocation to a replan, which the churn workload runs on every op of
 // its first lane; a replan at one session, which re-solves no Stage 1

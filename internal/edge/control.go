@@ -19,11 +19,11 @@ import (
 // Implementations must be safe for concurrent use from the serving hot
 // path and must not call back into the Server.
 type Controller interface {
-	// BindServe attaches the server's session store, so the control
-	// plane can actuate its plan's session cap, and the server's metrics
-	// registry, which carries the control plane's series on the same
-	// /metrics page as the server's. Called once from NewServer before
-	// any traffic; store may be consulted for its built capacity ceiling.
+	// BindServe attaches the server's session store, which the control
+	// plane reads to keep a session's telemetry as long as the store
+	// keeps the session, and the server's metrics registry, which carries
+	// the control plane's series on the same /metrics page as the
+	// server's. Called once from NewServer before any traffic.
 	BindServe(store *serve.Store, reg *obs.Registry)
 	// NegotiateProfile resolves the security profile a new session should
 	// run: requested "" lets the active plan steer (the per-route λ
@@ -44,8 +44,9 @@ type Controller interface {
 	// Implementations should count denied bytes as demand: a fully shed
 	// session must still register load with the demand predictor.
 	AdmitCompute(sessionID string, usedBytes, pendingBytes int64) error
-	// RekeyBudget returns the session's per-key byte budget
-	// (0 = fall back to ServerConfig.RekeyBytes).
+	// RekeyBudget returns the session's per-key byte budget (0 = no
+	// budget). It is the server's only budget source while a control
+	// plane is attached: ServerConfig.RekeyBytes is not consulted.
 	RekeyBudget(sessionID string) int64
 	// ObserveCompute records one block's outcome: masked payload bytes,
 	// evaluation latency and the resulting code.

@@ -132,14 +132,15 @@ type ServerConfig struct {
 	QueueDepth int
 	// MaxSessions caps resident sessions; registering past the cap
 	// evicts the least recently used. Default 1024; negative = unbounded.
-	// A Control plane may shrink the live cap below this built ceiling.
+	// The cap is fixed at construction: a Control plane's admission
+	// capacity refuses new Setups and never moves it.
 	MaxSessions int
 	// RekeyBytes is the per-key byte budget: once a session has served
 	// this many masked bytes under one key, computes fail with
 	// serve.CodeRekeyRequired until the client rekeys. 0 disables
-	// enforcement. With a Control plane attached, the plan's per-session
-	// budgets (derived from the paper's security-level utility) take
-	// precedence and RekeyBytes is only the fallback.
+	// enforcement. It applies only without a Control plane: with one
+	// attached, the plan's per-session budgets (derived from the paper's
+	// security-level utility) are the only budget source.
 	RekeyBytes int64
 	// Control, when non-nil, closes the loop with a control plane
 	// (internal/control): Setup and compute admission are delegated to
@@ -319,9 +320,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
 	}
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = 1024
@@ -1292,15 +1290,13 @@ func (s *Server) matvecKernel(rt *profileRuntime, w *serve.Worker, sess *serve.S
 	return out, rt.mvRots, serve.CodeOK, ""
 }
 
-// rekeyBudget resolves a session's per-key byte budget: the control
-// plane's plan when one is attached (budgets derived from the paper's
-// security-level utility at the session's profile λ), the static
-// RekeyBytes constant otherwise.
+// rekeyBudget resolves a session's per-key byte budget from one source:
+// the control plane's plan when one is attached (budgets derived from the
+// paper's security-level utility at the session's profile λ; 0 = no
+// budget), the static RekeyBytes constant otherwise.
 func (s *Server) rekeyBudget(sess *serve.Session) int64 {
 	if ctl := s.cfg.Control; ctl != nil {
-		if b := ctl.RekeyBudget(sess.ID); b > 0 {
-			return b
-		}
+		return ctl.RekeyBudget(sess.ID)
 	}
 	return s.cfg.RekeyBytes
 }

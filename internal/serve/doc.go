@@ -10,14 +10,15 @@
 //	           → EvalPool (per-profile evaluators) → transcipher/ckks core
 //
 // Store is one session table — one lock, one map, one LRU list — with
-// exact LRU eviction under a configurable session cap, and per-session
-// usage counters. A session is resident from its registration until it is
-// evicted or removed; the edge server removes it, by identity, when the
-// connection that registered it ends. Registering N sessions costs key material only — not
-// evaluators — so memory grows with sessions, compute state with workers.
-// Each Session carries the security profile it registered on, and the
-// live session cap is resizable (SetMaxSessions) so a control plane can
-// actuate its admission capacity instead of only advising it.
+// exact LRU eviction under the session cap it is built with, and
+// per-session usage counters. A session is resident from its registration
+// until it is evicted or removed; the edge server removes it, by identity,
+// when the connection that registered it ends. Registering N sessions
+// costs key material only — not evaluators — so memory grows with
+// sessions, compute state with workers. Each Session carries the security
+// profile it registered on. The cap never moves: a control plane's
+// admission capacity is enforced where sessions arrive, at Setup, never
+// by evicting a resident session.
 //
 // EvalPool owns a fixed number of Workers, each pairing a *ckks.Evaluator
 // (whose scratch buffers make it single-goroutine) with optional

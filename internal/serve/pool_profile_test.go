@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -137,43 +136,6 @@ func TestSchedulerConcurrentSubmitsRunOnce(t *testing.T) {
 		t.Error("no job was ever accepted")
 	}
 	t.Logf("accepted %d, shed %d", accepted.Load(), shed.Load())
-}
-
-func TestStoreSetMaxSessionsShrinksLive(t *testing.T) {
-	st := NewStore(8)
-	if st.MaxSessions() != 8 {
-		t.Fatalf("MaxSessions = %d, want 8", st.MaxSessions())
-	}
-	for i := 0; i < 4; i++ {
-		if err := st.Register(NewSession(fmt.Sprintf("s%d", i), "", nil, nil, nil, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Shrink below the resident count: the next registration evicts down
-	// to the new cap (s0 and s1 are LRU), leaving cap sessions resident.
-	st.SetMaxSessions(3)
-	if err := st.Register(NewSession("s4", "", nil, nil, nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 3 {
-		t.Errorf("Len = %d after shrink to 3", st.Len())
-	}
-	if _, ok := st.Peek("s0"); ok {
-		t.Error("LRU session survived the shrink")
-	}
-	if _, ok := st.Peek("s4"); !ok {
-		t.Error("fresh session missing")
-	}
-	// Unbounded again: no more evictions.
-	st.SetMaxSessions(0)
-	for i := 5; i < 20; i++ {
-		if err := st.Register(NewSession(fmt.Sprintf("s%d", i), "", nil, nil, nil, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Len() != 18 {
-		t.Errorf("Len = %d unbounded, want 18", st.Len())
-	}
 }
 
 func TestSessionCarriesProfile(t *testing.T) {

@@ -30,8 +30,7 @@ type Job func(*Worker)
 // ErrOverloaded — the explicit backpressure signal the protocol layer
 // forwards to clients instead of buffering requests without limit.
 type Scheduler struct {
-	capacity int          // the built depth bound
-	depth    atomic.Int64 // queued across all classes (not yet picked up)
+	capacity int // the built depth bound
 
 	mu      sync.Mutex
 	classes map[*EvalPool]*classQueue
@@ -92,7 +91,6 @@ func (s *Scheduler) drain(c *classQueue) {
 	}
 	for job := range c.ch {
 		c.depth.Add(-1)
-		s.depth.Add(-1)
 		c.pool.Run(job)
 	}
 }
@@ -112,7 +110,6 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 		return ErrOverloaded
 	}
 	c.depth.Add(1)
-	s.depth.Add(1)
 	// Send under the lock: the channel holds capacity ≥ share slots so
 	// this never blocks, and Close (which also takes the lock) can never
 	// close the channel under the send.
@@ -122,8 +119,16 @@ func (s *Scheduler) SubmitTo(pool *EvalPool, job Job) error {
 }
 
 // QueueDepth reports the jobs currently waiting (not yet picked up)
-// across all classes.
-func (s *Scheduler) QueueDepth() int { return int(s.depth.Load()) }
+// across all classes, summed from the class depths.
+func (s *Scheduler) QueueDepth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, c := range s.classes {
+		n += int(c.depth.Load())
+	}
+	return n
+}
 
 // Capacity reports the queue depth bound the scheduler was built with.
 func (s *Scheduler) Capacity() int { return s.capacity }

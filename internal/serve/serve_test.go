@@ -151,35 +151,32 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Errorf("Evictions = %d, want 1", st.Evictions())
 	}
 
-	// Whatever cap the store was built with, a live cap below it is exact:
-	// the table evicts nothing before the cap, holds exactly the cap from
-	// then on, and each eviction takes the least-recently-used session.
+	// At any cap the store is built with, the cap is exact: the table
+	// evicts nothing before the cap, holds exactly the cap from then on,
+	// and each eviction takes the least-recently-used session.
 	rng := rand.New(rand.NewSource(39))
-	for _, built := range []int{64, 1024} {
-		for _, live := range []int{4, 16} {
-			st := NewStore(built)
-			st.SetMaxSessions(live)
-			ids := make([]string, live+4)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("%016x", rng.Uint64())
-				if err := st.Register(NewSession(ids[i], "", nil, nil, nil, nil)); err != nil {
-					t.Fatal(err)
-				}
-				if i == len(ids)-2 {
-					st.Get(ids[3]) // the oldest resident becomes the most recently used
-				}
-				resident := min(i+1, live)
-				if st.Len() != resident || st.Evictions() != int64(i+1-resident) {
-					t.Fatalf("built %d, live cap %d, %d registered: Len %d, Evictions %d; want %d, %d",
-						built, live, i+1, st.Len(), st.Evictions(), resident, i+1-resident)
-				}
+	for _, limit := range []int{4, 16} {
+		st := NewStore(limit)
+		ids := make([]string, limit+4)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("%016x", rng.Uint64())
+			if err := st.Register(NewSession(ids[i], "", nil, nil, nil, nil)); err != nil {
+				t.Fatal(err)
 			}
-			for i, id := range ids {
-				// The first three are the LRU victims, then the fifth: the
-				// touched fourth survives the last registration.
-				if _, ok := st.Peek(id); ok != (i == 3 || i > 4) {
-					t.Errorf("built %d, live cap %d: session %d (of %d) resident = %v", built, live, i, len(ids), ok)
-				}
+			if i == len(ids)-2 {
+				st.Get(ids[3]) // the oldest resident becomes the most recently used
+			}
+			resident := min(i+1, limit)
+			if st.Len() != resident || st.Evictions() != int64(i+1-resident) {
+				t.Fatalf("cap %d, %d registered: Len %d, Evictions %d; want %d, %d",
+					limit, i+1, st.Len(), st.Evictions(), resident, i+1-resident)
+			}
+		}
+		for i, id := range ids {
+			// The first three are the LRU victims, then the fifth: the
+			// touched fourth survives the last registration.
+			if _, ok := st.Peek(id); ok != (i == 3 || i > 4) {
+				t.Errorf("cap %d: session %d (of %d) resident = %v", limit, i, len(ids), ok)
 			}
 		}
 	}

@@ -6,38 +6,24 @@ import (
 	"sync/atomic"
 )
 
-// Store is the session table: one lock, one map and one LRU list. A
-// configurable cap bounds the resident sessions exactly; registering at
-// the cap evicts the least-recently-used session. A session leaves by that
-// eviction or by Remove, which the edge server calls when the connection
-// that registered the session ends.
+// Store is the session table: one lock, one map and one LRU list. The
+// cap it is built with bounds the resident sessions exactly; registering
+// at the cap evicts the least-recently-used session. A session leaves by
+// that eviction or by Remove, which the edge server calls when the
+// connection that registered the session ends.
 type Store struct {
-	mu   sync.Mutex
-	byID map[string]*list.Element
-	lru  *list.List // front = most recently used; values are *Session
-	// maxSessions is resizable at runtime (the control plane applies its
-	// plan's admission capacity to the live cap); 0 = unbounded.
-	maxSessions atomic.Int64
+	mu          sync.Mutex
+	byID        map[string]*list.Element
+	lru         *list.List // front = most recently used; values are *Session
+	maxSessions int        // the built cap; 0 = unbounded
 	evictions   atomic.Int64
 }
 
 // NewStore builds a store holding at most maxSessions sessions
-// (0 = unbounded).
+// (≤ 0 = unbounded).
 func NewStore(maxSessions int) *Store {
-	s := &Store{byID: make(map[string]*list.Element), lru: list.New()}
-	s.SetMaxSessions(maxSessions)
-	return s
+	return &Store{byID: make(map[string]*list.Element), lru: list.New(), maxSessions: max(maxSessions, 0)}
 }
-
-// SetMaxSessions moves the live session cap (≤ 0 = unbounded). Shrinking
-// does not evict immediately: the next registration evicts the LRU
-// sessions down to the new cap.
-func (s *Store) SetMaxSessions(maxSessions int) {
-	s.maxSessions.Store(int64(max(maxSessions, 0)))
-}
-
-// MaxSessions reports the live session cap (0 = unbounded).
-func (s *Store) MaxSessions() int { return int(s.maxSessions.Load()) }
 
 // Register adds a new session, evicting LRU sessions while the table is
 // at the cap. A live session under the same ID is rejected with
@@ -50,7 +36,7 @@ func (s *Store) Register(sess *Session) error {
 	if _, ok := s.byID[sess.ID]; ok {
 		return ErrDuplicateSession
 	}
-	for limit := s.MaxSessions(); limit > 0 && len(s.byID) >= limit; {
+	for s.maxSessions > 0 && len(s.byID) >= s.maxSessions {
 		s.removeLocked(s.lru.Back())
 		s.evictions.Add(1)
 	}

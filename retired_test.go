@@ -78,7 +78,7 @@ var retiredNames = []retiredRow{
 		paths: goFiles, exclude: notTests, why: "the barrier takes exact derivatives; the finite-difference barrier path and the Stage 3 knobs stay retired"},
 	{name: "one chain depth", pattern: `\bchainDepth\b`,
 		paths: goFiles, why: "profiles take the depth their served ops consume"},
-	{name: "one edge operator and client surface", pattern: `\bServer\.Drain\b|\.Drain\(|\bDraining\b|\bObsRegistry\b|\bRekeyWith\b|\bDialQKD\(|\bWriteChrome\b|\bSpanSum\b|\bCodeDraining\b|\bErrDraining\b|\bedge\.Dial\(`,
+	{name: "one edge operator and client surface", pattern: `\bServer\.Drain\b|\.Drain\(|\.Draining\b|\bDraining\(|\bObsRegistry\b|\bRekeyWith\b|\bDialQKD\(|\bWriteChrome\b|\bSpanSum\b|\bCodeDraining\b|\bErrDraining\b|\bedge\.Dial\(`,
 		paths: goAndMarkdown, exclude: notesOrBench, why: "the drain, the zero-config dials, the explicit-material rekey, the registry accessor and the obs helpers only tests called stay retired"},
 	{name: "one session table", pattern: `\bNewStoreShards\b|\bDefaultShards\b|\bstoreShard\b|\bsessionTTL\b|\bObserveAdmission\b`,
 		paths: goFiles, exclude: notBench, why: "the store is one exact LRU under one lock, and telemetry lives as long as the store keeps the session, not for an idle TTL"},
@@ -121,6 +121,9 @@ var retiredNames = []retiredRow{
 	{name: "one queue bound", pattern: `QueueHighWater|MaxCapacity|\.Resize\(`,
 		paths: []string{"*.go", "README.md"}, exclude: notBench,
 		why: "the program has no queue term, so the plan carries no queue envelope: the scheduler's built depth is its one bound, with or without a controller"},
+	{name: "one session bound", pattern: `SetMaxSessions|storeCeiling|\.MaxSessions\(\)`,
+		paths: []string{"*.go", "README.md"}, exclude: notBench,
+		why: "the plan's admission capacity is enforced at Setup only, so the store keeps the cap it was built with: its setter, its getter and the controller's copy of the built ceiling stay retired"},
 }
 
 // TestRetiredNames fails on every retired name the table finds in the tree.
